@@ -57,12 +57,17 @@ def _record(section: str, payload: dict) -> None:
 
 
 def _best_of(fn, repeats=REPEATS):
-    best_s, result = float("inf"), None
+    """Minimum wall-clock over ``repeats`` runs (robust to scheduler noise),
+    with the *best repeat's* result — so whatever rides along with it
+    describes the same run as the reported time."""
+    best_s, best_result = float("inf"), None
     for _ in range(repeats):
         started = time.perf_counter()
         result = fn()
-        best_s = min(best_s, time.perf_counter() - started)
-    return best_s, result
+        elapsed = time.perf_counter() - started
+        if elapsed < best_s:
+            best_s, best_result = elapsed, result
+    return best_s, best_result
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
+import itertools
 import weakref
 import numpy as np
 from dataclasses import dataclass, field
 from typing import (
     Callable,
+    Collection,
     Dict,
     Hashable,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -43,6 +45,11 @@ _MISSING = object()
 
 def _edge_dst_slot(edge: "Edge") -> int:
     return edge.dst_slot
+
+
+def _digest_sum(digests: Iterable[bytes]) -> int:
+    """The order-independent combination of node digests: their sum."""
+    return sum(map(int.from_bytes, digests, itertools.repeat("little")))
 
 
 class GraphValidationError(ValueError):
@@ -134,6 +141,34 @@ class _CowEdgeMap:
         """An eager ``{nid: [edges...]}`` snapshot (fresh lists)."""
         return {nid: list(edges) for nid, edges in self.items()}
 
+    # Bulk reads for the structural hash, which visits too many nodes per
+    # candidate to pay a ``__getitem__`` call for each of them.
+    def select(self, nids: Iterable[NodeId]) -> Dict[NodeId, List[Edge]]:
+        """``{nid: its edge list}`` for live ids (the stored lists, not
+        copies; a deleted id maps to the non-iterable tombstone)."""
+        own, base = self._own, self._base
+        return {nid: own[nid] if nid in own else base[nid] for nid in nids}
+
+    def reachable(self, seeds: Iterable[NodeId]) -> Set[NodeId]:
+        """``seeds`` plus every id reachable from them along ``edge.dst``
+        (so: the downstream cone, on an out-edge map)."""
+        own, base = self._own, self._base
+        seen: Set[NodeId] = set()
+        stack = list(seeds)
+        while stack:
+            nid = stack.pop()
+            if nid in seen:
+                continue
+            seen.add(nid)
+            edges = own.get(nid, _MISSING)
+            if edges is _MISSING:
+                edges = base[nid]
+            elif edges is _DELETED:
+                raise KeyError(nid)
+            for edge in edges:
+                stack.append(edge.dst)
+        return seen
+
     # -- writes ---------------------------------------------------------
     def __setitem__(self, nid: NodeId, edges: List[Edge]) -> None:
         self._own[nid] = edges
@@ -164,6 +199,11 @@ class _CowEdgeMap:
         self.lists_cloned += 1
         return cloned
 
+    def __reduce__(self):
+        # Pickled flat: the tombstone is an identity sentinel and would come
+        # back from a round trip as a live value.
+        return _CowEdgeMap, (dict(self.items()),)
+
     # -- sharing --------------------------------------------------------
     def share(self) -> Dict[NodeId, List[Edge]]:
         """A frozen base dict for a child map.
@@ -174,13 +214,16 @@ class _CowEdgeMap:
         base — keeping every COW chain at depth one.
         """
         if self._own:
-            merged = dict(self._base)
-            for nid, value in self._own.items():
-                if value is _DELETED:
-                    del merged[nid]
-                else:
-                    merged[nid] = value
-            self._base = merged
+            if self._base:
+                merged = dict(self._base)
+                for nid, value in self._own.items():
+                    if value is _DELETED:
+                        del merged[nid]
+                    else:
+                        merged[nid] = value
+                self._base = merged
+            else:  # a freshly built graph: nothing to merge, no tombstones
+                self._base = self._own
             self._own = {}
         return self._base
 
@@ -240,10 +283,12 @@ class Node:
     #: Output tensor specs (one per output slot), filled by shape inference.
     outputs: List[TensorSpec] = field(default_factory=list)
     name: str = ""
-    #: Memoised JSON fragment of the node's id-independent hash payload
-    #: (op type, attrs, output shapes).  Invalidated when ``outputs`` are
-    #: re-inferred; attrs are never mutated in place after construction.
-    _hash_fragment: Optional[str] = field(
+    #: Memoised node-local part of the Merkle digest payload (op type,
+    #: attrs, output shapes — see :meth:`Graph.structural_hash`).  Node
+    #: objects are shared between graph copies, so every copy reuses it.
+    #: Reset when ``outputs`` are re-inferred; attrs are never mutated in
+    #: place after construction.
+    _hash_prefix: Optional[bytes] = field(
         default=None, repr=False, compare=False)
 
     @property
@@ -286,7 +331,9 @@ class Graph:
     The graph maintains:
 
     * ``nodes``: mapping of node id to :class:`Node`
-    * ``in_edges`` / ``out_edges``: adjacency keyed by node id
+    * ``in_edges`` / ``out_edges``: adjacency keyed by node id (every
+      stored in-edge list is in ``dst_slot`` order: ``add_node`` appends in
+      slot order and ``rewire_input`` replaces in place)
     * a monotonically increasing id counter so that rewrites never reuse ids
 
     Structural invariants (checked by :meth:`validate`):
@@ -302,7 +349,8 @@ class Graph:
       (each bucket is an insertion-ordered dict, so iteration is in node-id
       order because ids are handed out monotonically)
     * ``_scalar_cache``: whole-graph memos (topological order, structural
-      hash, simulated latency), cleared on any mutation
+      hash and the Merkle digest table behind it, simulated latency),
+      cleared on any mutation
     * ``_node_caches``: per-node memo tables (per-node cost estimates,
       per-node flop/byte counts), invalidated per affected node
     * ``_delta``: mutation recording (see :class:`GraphDelta`), started by
@@ -694,57 +742,178 @@ class Graph:
                 infer_output_spec(node.op_type, input_specs, node.attrs, s)
                 for s in range(sig.num_outputs)
             ]
-            node._hash_fragment = None
+            node._hash_prefix = None
             self.nodes[nid] = node
         # Output specs feed every derived per-node value, so a full refresh
-        # invalidates everything.
+        # invalidates everything — including the copy lineage: the delta
+        # records no shape change, so it is no longer a faithful diff.
+        self._parent_ref = None
         self._version += 1
         self._scalar_cache.clear()
         self._node_caches.clear()
 
     def structural_hash(self) -> str:
-        """A hash that identifies the graph up to node-id relabelling.
+        """A 64-character hex digest of the graph's structure.
 
-        Memoised until the next mutation.  The id-independent part of each
-        node's payload (op type, attrs, output shapes) is cached on the node
-        and spliced together with the relabelled edge list, producing the
-        exact byte stream ``json.dumps`` emitted in the original one-shot
-        implementation — hash values are stable across versions (the service
-        layer persists fingerprints keyed on them).
+        Bottom-up Merkle hash.  A node's digest covers its op type, attrs,
+        output shapes and the ordered ``(input digest, src_slot)`` pairs of
+        its in-edges; ``INPUT`` nodes are salted with their ordinal among
+        the graph's inputs (creation order), because they are the caller's
+        interface, while weights and constants of equal shape stay
+        interchangeable.  The graph digest combines the *multiset* of all
+        node digests, a *fan-out term* for every node with two or more
+        consumers — its digest with the multiset of its ``(consumer
+        digest, dst_slot)`` pairs — and the node count.  Sink digests alone
+        would identify a DAG with its unfolded tree and make every
+        merge/CSE rewrite hash equal to its own input; node digests alone
+        cannot tell which of two equal-digest producers (``mm(x, W1)`` and
+        ``mm(x, W2)``: distinct weights, one digest) feeds which consumers.
+
+        Contract: graphs that differ only by node-id relabelling (inputs
+        kept in order; equal-shape weights and constants interchangeable)
+        hash equal.  Graphs hash differently unless a bijection between
+        their nodes preserves op, attrs, output shapes, ordered input
+        digests and each node's consumer digests — so two graphs that are
+        *not* relabellings of each other share a digest only if they
+        differ solely in how equal-digest producers are paired with
+        consumers two or more levels downstream of them.
+
+        Memoised until the next mutation.  A graph that is
+        ``parent.copy()`` + surgery with a faithful :meth:`delta_parent`
+        re-digests only the downstream cone of its delta's added and
+        rewired nodes against the parent's digest table, and keeps just the
+        hex digest; any other graph takes one pass over all its nodes.
         """
         cached = self._scalar_cache.get("hash")
         if cached is not None:
             return cached
-        order = self.topological_order()
-        relabel = {nid: i for i, nid in enumerate(order)}
-        nodes = self.nodes
-        in_edges = self._in_edges
-        parts: List[str] = []
-        for nid in order:
-            node = nodes[nid]
-            fragment = node._hash_fragment
-            if fragment is None:
-                fragment = json.dumps(
-                    [node.op_type.value,
-                     sorted((k, str(v)) for k, v in node.attrs.items()),
-                     [o.shape.as_list() for o in node.outputs]])
-                node._hash_fragment = fragment
-            edges = in_edges[nid]
+        parent = self.delta_parent()
+        if parent is not None and self._input_ids() == parent._input_ids():
+            digest_of, total, hubs = self._rehash_cone(*parent._digests())
+        else:
+            table, total, hubs = self._digests()
+            digest_of = table.__getitem__
+        blake2b = hashlib.blake2b
+        for nid, edges in self._out_edges.select(hubs).items():
             if len(edges) > 1:
-                edges = sorted(edges, key=_edge_dst_slot)
-            if edges:
-                # Hand-rolled int-list rendering; byte-identical to
-                # ``json.dumps([[src, src_slot, dst_slot], ...])``.
-                edge_blob = "[[" + "], [".join(
-                    f"{relabel[e.src]}, {e.src_slot}, {e.dst_slot}"
-                    for e in edges) + "]]"
-            else:
-                edge_blob = "[]"
-            parts.append(f"{fragment[:-1]}, {edge_blob}]")
-        blob = ("[" + ", ".join(parts) + "]").encode()
-        digest = hashlib.sha256(blob).hexdigest()
+                # The consumer's digest already pins which output slot of
+                # ``nid`` arrives at ``dst_slot``.
+                records = sorted(
+                    digest_of(edge.dst) + edge.dst_slot.to_bytes(4, "little")
+                    for edge in edges)
+                total += int.from_bytes(blake2b(
+                    digest_of(nid) + b"".join(records), digest_size=16,
+                    person=b"fanout").digest(), "little")
+        # 24 bytes hold the sum of 2**63 sixteen-byte terms.
+        digest = hashlib.sha256(
+            total.to_bytes(24, "little")
+            + len(self.nodes).to_bytes(8, "little")).hexdigest()
         self._scalar_cache["hash"] = digest
         return digest
+
+    def _input_ids(self):
+        return self._nodes_by_op.get(OpType.INPUT, {}).keys()
+
+    def _digests(self) -> Tuple[Dict[NodeId, bytes], int, Set[NodeId]]:
+        """``(digest of every node, their integer sum, ids of the nodes with
+        two or more consumers)``, memoised until the next mutation — what
+        this graph's candidates re-digest their cones against."""
+        cached = self._scalar_cache.get("digests")
+        if cached is None:
+            table: Dict[NodeId, bytes] = {}
+            # ``share()``: the whole edge map as one plain dict, for free
+            # once the first ``copy()`` (or this) has flattened the layers.
+            self._merkle(table, self.nodes, {}, self._in_edges.share())
+            hubs = {nid for nid, edges in self._out_edges.share().items()
+                    if len(edges) > 1}
+            cached = (table, _digest_sum(table.values()), hubs)
+            self._scalar_cache["digests"] = cached
+        return cached
+
+    def _rehash_cone(self, table: Dict[NodeId, bytes], total: int,
+                     hubs: Set[NodeId]
+                     ) -> Tuple[Callable[[NodeId], bytes], int, Set[NodeId]]:
+        """This graph's ``(node id -> digest, digest sum, superset of the
+        ids with two or more consumers)`` from its parent's
+        :meth:`_digests` (read, never written) and the recorded delta."""
+        delta = self._delta
+        seeds = delta.added | delta.rewired
+        cone = self._out_edges.reachable(seeds)
+        fresh: Dict[NodeId, bytes] = {}
+        in_edges = self._in_edges.select(cone)
+        self._merkle(fresh, cone, table, in_edges)
+        # Exact integer arithmetic (no modulus), so taking the stale digests
+        # back out leaves precisely the sum over live nodes.
+        total += _digest_sum(fresh.values()) - _digest_sum(
+            table[nid] for nid in itertools.chain(
+                delta.removed, cone - delta.added))
+        # Rewrites only attach consumers to new nodes and to the producers
+        # of new or rewired ones.
+        hubs = delta.added.union(
+            hubs, (edge.src for nid in seeds for edge in in_edges[nid]))
+        hubs -= delta.removed
+
+        def digest_of(nid: NodeId) -> bytes:
+            return fresh[nid] if nid in fresh else table[nid]
+
+        return digest_of, total, hubs
+
+    def _merkle(self, table: Dict[NodeId, bytes], todo: Collection[NodeId],
+                known: Mapping[NodeId, bytes],
+                in_edges: Mapping[NodeId, List[Edge]]) -> None:
+        """Fill ``table`` with the Merkle digest of every node in ``todo``.
+
+        ``in_edges`` maps (at least) those nodes to their in-edge lists;
+        ``known`` holds the digest of every producer outside ``todo`` (there
+        is none on a whole-graph pass) and is only read.  Depth-first over
+        in-edges — nothing here sorts the graph topologically.
+        """
+        nodes = self.nodes
+        input_rank = {nid: rank.to_bytes(4, "little")
+                      for rank, nid in enumerate(self._input_ids())}
+        blake2b = hashlib.blake2b
+        visiting: Set[NodeId] = set()
+        # Ascending ids first: builders create producers before consumers,
+        # so most nodes find their inputs already digested.
+        stack = sorted(todo, reverse=True)
+        while stack:
+            nid = stack[-1]
+            if nid in table:
+                stack.pop()
+                continue
+            node = nodes[nid]
+            prefix = node._hash_prefix
+            if prefix is None:
+                body = repr((
+                    node.op_type.value,
+                    sorted((k, str(v)) for k, v in node.attrs.items()),
+                    [o.shape.as_list() for o in node.outputs])).encode()
+                # Length-prefixed, so the fixed-size records appended below
+                # can never be read as part of the body.
+                prefix = node._hash_prefix = \
+                    len(body).to_bytes(4, "little") + body
+            parts = [prefix]
+            pending = False
+            for edge in in_edges[nid]:  # in dst_slot order (every mutator)
+                src = edge.src
+                digest = table.get(src)
+                if digest is None:
+                    if src in todo:
+                        stack.append(src)
+                        pending = True
+                        continue
+                    digest = known[src]
+                parts.append(digest)
+                parts.append(edge.src_slot.to_bytes(4, "little"))
+            if pending:
+                if nid in visiting:
+                    raise GraphValidationError("graph contains a cycle")
+                visiting.add(nid)
+                continue
+            if nid in input_rank:
+                parts.append(input_rank[nid])
+            table[nid] = blake2b(b"".join(parts), digest_size=16).digest()
+            stack.pop()
 
     def copy(self) -> "Graph":
         """Deep copy preserving node ids.

@@ -68,7 +68,10 @@ def graph_from_dict(data: Dict) -> Graph:
         max_id = max(max_id, nid)
     for entry in data["nodes"]:
         nid = int(entry["id"])
-        for edge in entry.get("inputs", []):
+        # Live graphs keep every in-edge list in dst_slot order (the
+        # structural hash reads them as stored); a file need not.
+        for edge in sorted(entry.get("inputs", []),
+                           key=lambda edge: int(edge["dst_slot"])):
             e = Edge(src=int(edge["src"]), dst=nid,
                      src_slot=int(edge["src_slot"]), dst_slot=int(edge["dst_slot"]))
             graph._in_edges[nid].append(e)

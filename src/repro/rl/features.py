@@ -206,10 +206,13 @@ class FeatureCache:
 
     The environment sees the same graphs over and over: the current graph
     was one of the previous step's candidates, rules re-propose rewrites of
-    unchanged regions, and evaluation episodes retrace training ones.  The
-    hash identifies graphs up to node-id relabelling, so all of those are
-    hits.  Feature arrays are immutable once built — callers must not write
-    to the returned arrays.
+    unchanged regions, and evaluation episodes retrace training ones.  All
+    of those are hits: graphs that differ only by node-id relabelling
+    (inputs positional) hash equal, and a hash is shared only if a node
+    bijection preserves op, attrs, output shapes, ordered input digests and
+    every node's consumer digests (see :meth:`Graph.structural_hash`).
+    Feature arrays are immutable once built — callers must not write to the
+    returned arrays.
     """
 
     def __init__(self, max_entries: int = 1024,

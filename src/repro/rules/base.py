@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import abc
 from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import cached_property
 from dataclasses import dataclass
 from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional,
@@ -38,12 +39,16 @@ __all__ = ["Match", "Candidate", "RewriteRule", "RuleSet",
            "restricted_anchor_matching"]
 
 
-_FULL_SCAN = False
+# Both switches are context variables, not module globals: the service's
+# thread backend runs searches concurrently, and a filter installed by one
+# search must never be seen by another thread's ``find_matches``.
+_FULL_SCAN: ContextVar[bool] = ContextVar("full_scan_matching", default=False)
 
 #: When non-None, :meth:`RewriteRule.anchor_nodes` yields only these ids —
 #: the hook the incremental candidate engine uses to re-run matching on the
 #: mutated neighbourhood of a delta instead of the whole graph.
-_ANCHOR_FILTER: Optional[AbstractSet[NodeId]] = None
+_ANCHOR_FILTER: ContextVar[Optional[AbstractSet[NodeId]]] = ContextVar(
+    "restricted_anchor_matching", default=None)
 
 
 @contextmanager
@@ -54,13 +59,11 @@ def full_scan_matching():
     results must be identical — this exists so tests can assert exactly that,
     and as a diagnostic escape hatch.
     """
-    global _FULL_SCAN
-    previous = _FULL_SCAN
-    _FULL_SCAN = True
+    token = _FULL_SCAN.set(True)
     try:
         yield
     finally:
-        _FULL_SCAN = previous
+        _FULL_SCAN.reset(token)
 
 
 @contextmanager
@@ -73,13 +76,11 @@ def restricted_anchor_matching(node_ids: AbstractSet[NodeId]):
     in ``node_ids`` — the incremental candidate engine re-matches just the
     anchors near a mutation and splices the result into the cached set.
     """
-    global _ANCHOR_FILTER
-    previous = _ANCHOR_FILTER
-    _ANCHOR_FILTER = node_ids
+    token = _ANCHOR_FILTER.set(node_ids)
     try:
         yield
     finally:
-        _ANCHOR_FILTER = previous
+        _ANCHOR_FILTER.reset(token)
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,8 @@ class RewriteRule(abc.ABC):
         yields the identical sequence.
         """
         ops = self.anchor_ops
-        allowed = _ANCHOR_FILTER
-        if not ops or _FULL_SCAN:
+        allowed = _ANCHOR_FILTER.get()
+        if not ops or _FULL_SCAN.get():
             for nid, node in graph.nodes.items():
                 if (not ops or node.op_type in ops) and \
                         (allowed is None or nid in allowed):

@@ -94,7 +94,7 @@ class IncrementalCandidateEngine:
     # ------------------------------------------------------------------
     def lazy_candidates(self, graph: Graph) -> List[Candidate]:
         """Unmaterialised candidates for ``graph``, in rule order."""
-        if _base._FULL_SCAN:
+        if _base._FULL_SCAN.get():
             # The oracle path must not consult (or pollute) cached state.
             return self.ruleset.lazy_candidates(graph)
         state = self._states.get(id(graph))

@@ -1,10 +1,11 @@
 """Canonical fingerprint cache for optimisation results.
 
 A *fingerprint* identifies an optimisation request up to everything that can
-change its outcome: the input graph (via :meth:`Graph.structural_hash`, which
-is invariant to node-id relabelling), the optimiser name, and a canonical
-digest of the optimiser config.  Two callers submitting the same model built
-through different code paths therefore share one cache slot.
+change its outcome: the input graph (via :meth:`Graph.structural_hash`, a
+Merkle digest invariant to node-id relabelling and to the creation order of
+independent branches), the optimiser name, and a canonical digest of the
+optimiser config.  Two callers submitting the same model built through
+different code paths therefore share one cache slot.
 
 Results live in an in-memory LRU tier and are optionally mirrored to a
 directory of JSON documents (built on :mod:`repro.ir.serialize`), so a warmed
@@ -95,8 +96,16 @@ def request_fingerprint(graph: Graph, optimiser: str,
     """The canonical cache key for optimising ``graph`` with ``optimiser``.
 
     Args:
-        graph: The input graph; enters the key via its structural hash, so
-            node-id relabellings of the same model share a fingerprint.
+        graph: The input graph; enters the key via its structural hash.
+            Graphs that differ only by node-id relabelling share a
+            fingerprint (equal-shape weights are interchangeable; node
+            names do not enter); inputs are positional, so swapping two
+            same-shape inputs is a different request.  Two graphs that
+            are *not* relabellings of each other get different
+            fingerprints unless a node bijection preserves op, attrs,
+            output shapes, ordered input digests and every node's
+            consumer digests — the residue is spelled out in
+            :meth:`Graph.structural_hash` and ``docs/service.md``.
         optimiser: Registered optimiser name (case-insensitive).
         config: Optimiser config overrides; canonicalised with sorted keys
             so spelling order cannot split the cache.

@@ -1,0 +1,194 @@
+"""Properties of ``Graph.structural_hash``: what must collide, what must not.
+
+The contract: graphs that differ only by node-id relabelling hash equal —
+the order in which independent branches were created does not matter,
+inputs are positional, equal-shape weights are interchangeable.  Graphs
+hash differently unless a node bijection preserves op, attrs, output
+shapes, ordered input digests and every node's consumer digests: duplicate
+subtrees are interchangeable, but not their *number*, and not which of them
+feeds which consumers.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "exec"))
+from graphgen import random_graph  # noqa: E402
+from hash_oracle import oracle_structural_hash  # noqa: E402
+
+from repro.ir import Graph, GraphValidationError, OpType
+from repro.ir.serialize import graph_from_dict, graph_to_dict
+
+
+def rebuilt_in_random_order(graph: Graph, seed: int) -> Graph:
+    """``graph`` re-created node by node in a random topological order.
+
+    Independent branches come out in permuted creation order (so every
+    node id changes); ``INPUT`` nodes keep their relative order, because
+    inputs are the caller's positional interface.
+    """
+    rng = np.random.default_rng(seed)
+    waiting = {nid: {e.src for e in graph.in_edges(nid)}
+               for nid in graph.nodes}
+    inputs = graph.input_nodes()
+    for before, after in zip(inputs, inputs[1:]):
+        waiting[after].add(before)
+    clone = Graph(graph.name)
+    new_id = {}
+    while waiting:
+        ready = sorted(nid for nid, deps in waiting.items()
+                       if deps <= new_id.keys())
+        nid = ready[int(rng.integers(len(ready)))]
+        del waiting[nid]
+        node = graph.nodes[nid]
+        new_id[nid] = clone.add_node(
+            node.op_type,
+            [(new_id[e.src], e.src_slot) for e in graph.in_edges(nid)],
+            node.attrs, name=node.name)
+    return clone
+
+
+def _input(graph, shape=(2, 4)):
+    return graph.add_node(OpType.INPUT, (), {"shape": shape})
+
+
+def _twins(first, second):
+    """Q/K/V style: ``mm(x, W1)`` and ``mm(x, W2)`` — distinct weights, one
+    node digest — feeding the unary ops named in ``first`` and ``second``."""
+    g = Graph()
+    x = _input(g)
+    for consumers in (first, second):
+        w = g.add_node(OpType.WEIGHT, (), {"shape": (4, 4)})
+        mm = g.add_node(OpType.MATMUL, [x, w])
+        for op in consumers:
+            g.add_node(op, [mm])
+    return g
+
+
+class TestMustBeEqual:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_branch_creation_order_does_not_matter(self, seed):
+        graph = random_graph(seed=seed)
+        expected = graph.structural_hash()
+        assert expected == oracle_structural_hash(graph)
+        relabelled = False
+        for shuffle in range(3):
+            clone = rebuilt_in_random_order(graph, 100 * seed + shuffle)
+            relabelled |= [n.name for n in clone.nodes.values()] != \
+                [n.name for n in graph.nodes.values()]
+            assert clone.structural_hash() == expected
+        assert relabelled  # the permutation was not the identity every time
+
+    def test_two_branches_built_in_either_order(self):
+        """ROADMAP item 2's counterexample to the old sort-and-relabel hash."""
+        def build(first, second):
+            g = Graph()
+            x = _input(g)
+            branch = {op: g.add_node(op, [x]) for op in (first, second)}
+            g.add_node(OpType.ADD, [branch[OpType.RELU], branch[OpType.TANH]])
+            return g
+        assert build(OpType.RELU, OpType.TANH).structural_hash() == \
+            build(OpType.TANH, OpType.RELU).structural_hash()
+
+    def test_equal_shape_weights_are_interchangeable(self):
+        def build(swap):
+            g = Graph()
+            x = _input(g)
+            w1 = g.add_node(OpType.WEIGHT, (), {"shape": (4, 4)}, name="w1")
+            w2 = g.add_node(OpType.WEIGHT, (), {"shape": (4, 4)}, name="w2")
+            if swap:
+                w1, w2 = w2, w1
+            g.add_node(OpType.MATMUL, [g.add_node(OpType.MATMUL, [x, w1]), w2])
+            return g
+        assert build(False).structural_hash() == build(True).structural_hash()
+
+    def test_twin_subtrees_with_their_consumers_swapped(self):
+        """``mm(x, W1)`` and ``mm(x, W2)`` carrying each other's consumers
+        is a relabelling (W1 <-> W2)."""
+        assert _twins([OpType.RELU, OpType.TANH], [OpType.RELU]).structural_hash() == \
+            _twins([OpType.RELU], [OpType.TANH, OpType.RELU]).structural_hash()
+
+    def test_file_listing_its_edges_out_of_slot_order(self):
+        graph = random_graph(seed=1)
+        document = graph_to_dict(graph)
+        for entry in document["nodes"]:
+            entry["inputs"].reverse()
+        loaded = graph_from_dict(document)
+        assert loaded.structural_hash() == graph.structural_hash() \
+            == oracle_structural_hash(loaded)
+
+
+class TestMustDiffer:
+    def test_shared_node_vs_two_copies(self):
+        """A sink-only Merkle hash cannot tell these apart — and would drop
+        every merge/CSE rewrite as already seen."""
+        shared = Graph()
+        r = shared.add_node(OpType.RELU, [_input(shared)])
+        shared.add_node(OpType.ADD, [r, r])
+        twice = Graph()
+        x = _input(twice)
+        twice.add_node(OpType.ADD, [twice.add_node(OpType.RELU, [x]),
+                                    twice.add_node(OpType.RELU, [x])])
+        assert shared.structural_hash() != twice.structural_hash()
+
+    def test_twin_subtrees_with_different_fan_out(self):
+        """Same multiset of node digests, different computations: which of
+        two equal-digest producers feeds which consumers."""
+        mixed = _twins([OpType.RELU, OpType.TANH], [OpType.RELU])
+        sorted_ = _twins([OpType.RELU, OpType.RELU], [OpType.TANH])
+        assert mixed.num_nodes == sorted_.num_nodes
+        assert mixed.structural_hash() != sorted_.structural_hash()
+        assert oracle_structural_hash(mixed) != oracle_structural_hash(sorted_)
+
+    def test_operand_order(self):
+        def build(flip):
+            g = Graph()
+            a = g.add_node(OpType.RELU, [_input(g)])
+            b = g.add_node(OpType.TANH, [_input(g)])
+            g.add_node(OpType.SUB, [b, a] if flip else [a, b])
+            return g
+        assert build(False).structural_hash() != build(True).structural_hash()
+
+    def test_same_shape_inputs_swapped(self):
+        def build(flip):
+            g = Graph()
+            a, b = _input(g), _input(g)
+            g.add_node(OpType.SUB, [b, a] if flip else [a, b])
+            return g
+        assert build(False).structural_hash() != build(True).structural_hash()
+
+    def test_one_attr_changed(self):
+        def build(axis):
+            g = Graph()
+            g.add_node(OpType.SOFTMAX, [_input(g)], {"axis": axis})
+            return g
+        assert build(0).structural_hash() != build(1).structural_hash()
+
+    def test_one_output_shape_changed(self):
+        def build(shape):
+            g = Graph()
+            g.add_node(OpType.RELU, [_input(g, shape)])
+            return g
+        assert build((2, 4)).structural_hash() != \
+            build((4, 2)).structural_hash()
+
+    def test_src_slot_of_a_multi_output_op(self):
+        def build(slot):
+            g = Graph()
+            split = g.add_node(OpType.SPLIT, [_input(g)],
+                               {"axis": 0, "parts": 2})
+            g.add_node(OpType.RELU, [(split, slot)])
+            return g
+        assert build(0).structural_hash() != build(1).structural_hash()
+
+
+def test_cycle_is_reported_not_looped_on():
+    g = Graph()
+    a = g.add_node(OpType.RELU, [_input(g)])
+    b = g.add_node(OpType.RELU, [a])
+    g.rewire_input(a, 0, b)
+    with pytest.raises(GraphValidationError):
+        g.structural_hash()

@@ -4,19 +4,26 @@ The engine refactor (op-type-indexed matching, lazy candidates, delta cost
 evaluation, memoised hashing) must be behaviour-preserving: every assertion
 here compares the incremental path against the original eager/full-scan
 semantics and requires *exact* equality — costs bit-for-bit, hashes
-byte-for-byte, search trajectories step-for-step.
+digit-for-digit against a from-scratch oracle, search trajectories
+step-for-step.
 """
 
-import hashlib
-import json
+import gc
 import pickle
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "ir"))
+from hash_oracle import oracle_structural_hash  # noqa: E402
+
 from repro.cost import CostModel, E2ESimulator
 from repro.experiments import build_small_model
-from repro.ir import Graph, OpType
+from repro.ir import (Graph, OpType, apply_delta, decode_graph, encode_delta,
+                      encode_graph)
+from repro.models import list_models
 from repro.rules import default_ruleset, eliminate_dead_nodes, full_scan_matching
 from repro.rules.base import RewriteRule
 from repro.rules.incremental import IncrementalCandidateEngine
@@ -28,23 +35,6 @@ MODELS = ["squeezenet", "resnext50", "bert", "vit"]
 @pytest.fixture(scope="module", params=MODELS)
 def model_graph(request):
     return build_small_model(request.param)
-
-
-def reference_structural_hash(graph: Graph) -> str:
-    """The seed repo's one-shot structural hash (no memoisation, no caches)."""
-    order = graph.topological_order()
-    relabel = {nid: i for i, nid in enumerate(order)}
-    payload = []
-    for nid in order:
-        node = graph.nodes[nid]
-        edges = [(relabel[e.src], e.src_slot, e.dst_slot)
-                 for e in graph.in_edges(nid)]
-        payload.append((node.op_type.value,
-                        sorted((k, str(v)) for k, v in node.attrs.items()),
-                        [o.shape.as_list() for o in node.outputs],
-                        edges))
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def rewrite_chain(graph, depth=3):
@@ -106,13 +96,39 @@ class TestIndexedMatching:
 
 
 # ---------------------------------------------------------------------------
-# Structural hash: memoised splice == original one-shot json.dumps
+# Structural hash: incremental Merkle (cone against the parent's digest
+# table) == uncached from-scratch oracle
 # ---------------------------------------------------------------------------
 
+def _first_candidate(graph):
+    return default_ruleset().all_candidates(graph)[0].graph
+
+
 class TestStructuralHash:
-    def test_hash_matches_reference(self, model_graph):
-        for graph in rewrite_chain(model_graph):
-            assert graph.structural_hash() == reference_structural_hash(graph)
+    @pytest.mark.parametrize("name", list_models())
+    def test_incremental_equals_oracle_along_chains(self, name):
+        """Every candidate of every graph on a depth-6 rewrite chain (next
+        graph = a random candidate): cone re-digest == one-shot oracle."""
+        rng = np.random.default_rng(0)
+        ruleset = default_ruleset()
+        current = build_small_model(name)
+        assert current.structural_hash() == oracle_structural_hash(current)
+        checked = 0
+        for _ in range(6):
+            graphs = [c.graph for c in ruleset.all_candidates(current)]
+            if not graphs:
+                break
+            for graph in graphs:
+                # The path under test is the incremental one, and it leaves
+                # only the hex digest on the candidate.
+                assert graph.delta_parent() is current
+                assert graph.structural_hash() == \
+                    oracle_structural_hash(graph)
+                assert graph.memo_peek("digests") is None
+                checked += 1
+            assert current.memo_peek("digests") is not None
+            current = graphs[int(rng.integers(len(graphs)))]
+        assert checked > 0
 
     def test_hash_memo_invalidated_by_mutation(self, model_graph):
         graph = model_graph.copy()
@@ -122,7 +138,62 @@ class TestStructuralHash:
         graph.add_node(OpType.RELU, [sink])
         after = graph.structural_hash()
         assert after != before
-        assert after == reference_structural_hash(graph)
+        assert after == oracle_structural_hash(graph)
+
+    def test_in_place_mutation_of_hashed_candidate(self, model_graph):
+        """A candidate hashed once, then mutated further in place, still
+        carries a faithful delta against its parent."""
+        graph = _first_candidate(model_graph)
+        graph.structural_hash()
+        graph.add_node(OpType.TANH, [graph.sink_nodes()[0]])
+        assert graph.delta_parent() is model_graph
+        assert graph.structural_hash() == oracle_structural_hash(graph)
+
+    def test_refresh_shapes_severs_the_lineage(self, model_graph):
+        graph = _first_candidate(model_graph)
+        graph.refresh_shapes()
+        # The delta records no shape change, so it no longer describes the
+        # difference to the parent: one from-scratch pass.
+        assert graph.delta_parent() is None
+        assert graph.structural_hash() == oracle_structural_hash(graph)
+
+    def test_pickle_round_trip(self, model_graph):
+        graph = _first_candidate(model_graph)
+        clone = pickle.loads(pickle.dumps(graph))  # before hashing: no memo
+        assert clone.delta_parent() is None
+        # The rewrite's edge-map tombstones must not come back as entries.
+        assert clone.num_edges == graph.num_edges
+        assert clone.structural_hash() == graph.structural_hash() \
+            == oracle_structural_hash(graph)
+        child = _first_candidate(clone)  # and the clone works as a parent
+        assert child.structural_hash() == oracle_structural_hash(child)
+
+    def test_wire_replica(self, model_graph):
+        graph = _first_candidate(model_graph)
+        replica = decode_graph(encode_graph(model_graph))
+        advanced = apply_delta(replica, encode_delta(model_graph, graph))
+        assert replica.structural_hash() == model_graph.structural_hash()
+        assert advanced.structural_hash() == graph.structural_hash() \
+            == oracle_structural_hash(advanced)
+        child = _first_candidate(advanced)
+        assert child.delta_parent() is advanced
+        assert child.structural_hash() == oracle_structural_hash(child)
+
+    def test_parent_mutated_after_the_copy(self, model_graph):
+        parent = model_graph.copy()
+        parent.structural_hash()
+        graph = _first_candidate(parent)
+        parent.add_node(OpType.RELU, [parent.sink_nodes()[0]])
+        assert graph.delta_parent() is None
+        assert graph.structural_hash() == oracle_structural_hash(graph)
+
+    def test_parent_collected_after_the_copy(self, model_graph):
+        parent = model_graph.copy()
+        graph = _first_candidate(parent)
+        del parent
+        gc.collect()
+        assert graph.delta_parent() is None
+        assert graph.structural_hash() == oracle_structural_hash(graph)
 
 
 # ---------------------------------------------------------------------------

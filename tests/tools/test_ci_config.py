@@ -67,5 +67,11 @@ def test_importer_job_exists_and_gates_coverage():
     assert "IMPORT_CONFORMANCE=1" in CI
 
 
+def test_xbench_job_runs_the_declared_benchmark_and_its_tests():
+    assert "xbench:" in CI
+    assert "python3 -m xbench --smoke" in CI
+    assert "pytest xbench/tests" in CI
+
+
 def test_concurrency_cancels_superseded_runs():
     assert "cancel-in-progress: true" in CI
