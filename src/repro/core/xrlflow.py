@@ -200,6 +200,10 @@ class XRLflow:
             training cost is reported separately in ``stats``.
         """
         cfg = self.config
+        # Before the environments take their first copy: every graph they
+        # visit inherits the per-node cost table, so costing the best one
+        # at the end derives only the nodes its rewrites touched.
+        initial_cost = self.cost_model.estimate_cached(graph)
         with timed() as elapsed:
             if train or self.agent is None:
                 self.train(graph, log_fn=log_fn)
@@ -254,8 +258,8 @@ class XRLflow:
             final_graph=best_graph,
             initial_latency_ms=initial_latency,
             final_latency_ms=best_latency,
-            initial_cost_ms=self.cost_model.estimate(graph),
-            final_cost_ms=self.cost_model.estimate(best_graph),
+            initial_cost_ms=initial_cost,
+            final_cost_ms=self.cost_model.estimate_cached(best_graph),
             optimisation_time_s=optimisation_time,
             applied_rules=best_rules,
             stats=stats,

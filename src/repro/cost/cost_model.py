@@ -60,6 +60,15 @@ class CostModel:
     ignore_elementwise:
         When True, element-wise operators are costed at zero.  PET's cost
         model behaves this way (the paper calls this out); TASO's does not.
+
+    Attributes
+    ----------
+    nodes_derived:
+        How many times :meth:`node_cost_ms` ran on this instance — the work
+        the per-node tables exist to avoid.  A diagnostic read by tests
+        (``tests/search/test_cost_reuse.py`` pins it per search); it is a
+        plain unsynchronised integer, exact only while one thread costs
+        with this instance, which is how every optimiser uses its own.
     """
 
     def __init__(self, device: Optional[SimulatedDevice] = None,
@@ -94,10 +103,12 @@ class CostModel:
                            self.warm_cache_fraction,
                            self.launch_amortisation,
                            self.ignore_elementwise)
+        self.nodes_derived = 0
 
     # ------------------------------------------------------------------
     def node_cost_ms(self, graph: Graph, node_id: NodeId) -> float:
         """Estimated isolated runtime of one node, in milliseconds."""
+        self.nodes_derived += 1
         node = graph.nodes[node_id]
         if is_zero_cost(node.op_type):
             return 0.0
@@ -131,11 +142,13 @@ class CostModel:
         """Like :meth:`estimate`, but reusing per-node costs carried on the
         graph.
 
-        ``Graph.copy`` hands the parent's per-node cost table to the copy and
-        graph mutations invalidate exactly the affected entries, so costing a
-        rewrite candidate only recomputes the handful of nodes its rule
-        touched.  Values and summation order are identical to
-        :meth:`estimate`, so the result is bit-for-bit equal.
+        ``Graph.copy`` hands the copy the parent's per-node cost table *as
+        filled at copy time* and graph mutations invalidate exactly the
+        affected entries, so costing a rewrite candidate only recomputes the
+        handful of nodes its rule touched — provided the parent was costed
+        before it was copied; a table inherited empty saves nothing.
+        Values and summation order are identical to :meth:`estimate`, so
+        the result is bit-for-bit equal.
         """
         table = graph.node_cache(self._cache_key)
         node_cost = self.node_cost_ms

@@ -113,6 +113,7 @@ class SimulatedDevice:
         return time_ms
 
     def launch_overhead_ms(self) -> float:
+        """Fixed cost of launching one kernel, whatever its size."""
         return self.config.kernel_launch_ms
 
     def with_config(self, **overrides) -> "SimulatedDevice":

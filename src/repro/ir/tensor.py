@@ -8,7 +8,7 @@ how TASO's substitution engine reasons about computation graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence, Tuple
 
@@ -31,13 +31,13 @@ class DataType(Enum):
     @property
     def size_bytes(self) -> int:
         """Size in bytes of a single element of this dtype."""
-        return {
-            DataType.FLOAT32: 4,
-            DataType.FLOAT16: 2,
-            DataType.INT64: 8,
-            DataType.INT32: 4,
-            DataType.BOOL: 1,
-        }[self]
+        return _SIZE_BYTES[self._value_]
+
+
+#: Element size by ``DataType`` value.  Keyed by the value string, not the
+#: member: hashing an enum member is a Python-level call, and the cost models
+#: ask for a size several times per node they derive.
+_SIZE_BYTES = {"float32": 4, "float16": 2, "int64": 8, "int32": 4, "bool": 1}
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,9 @@ class TensorShape:
     """
 
     dims: Tuple[int, ...]
+    #: Total number of elements (1 for a scalar); derived from ``dims`` once,
+    #: at construction, and not part of equality, hashing or ``repr``.
+    num_elements: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, dims: Iterable[int] = ()):  # noqa: D401 - dataclass init
         dims = tuple(int(d) for d in dims)
@@ -62,17 +65,13 @@ class TensorShape:
         if any(d <= 0 for d in dims):
             raise ValueError(f"all dimensions must be positive, got {dims!r}")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "num_elements", math.prod(dims))
 
     # -- basic properties -------------------------------------------------
     @property
     def rank(self) -> int:
         """Number of dimensions."""
         return len(self.dims)
-
-    @property
-    def num_elements(self) -> int:
-        """Total number of elements (1 for a scalar)."""
-        return int(math.prod(self.dims)) if self.dims else 1
 
     def dim(self, index: int) -> int:
         """Return the extent of dimension ``index`` (supports negatives)."""

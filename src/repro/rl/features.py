@@ -140,10 +140,14 @@ def encode_graph(graph: Graph, edge_norm: float = DEFAULT_EDGE_NORM,
     The incremental path (default) assembles everything with array ops and
     reuses per-node incoming-edge blocks cached on the graph itself: the
     block for node ``n`` is ``(src_ids, shape_rows)`` and lives in
-    ``graph.node_cache("rl:edge_rows")``, which ``Graph.copy`` shares with
-    rewrite candidates and every mutation invalidates per affected node.
-    Encoding a candidate therefore only walks the nodes its mutation delta
-    changed; the rest is sliced out of arrays the parent already built.
+    ``graph.node_cache("rl:edge_rows")``, which every mutation invalidates
+    per affected node and ``Graph.copy`` hands to rewrite candidates *as
+    filled at copy time*.  Encoding a candidate therefore rebuilds only the
+    blocks of the nodes its mutation delta changed **if its parent was
+    encoded before the copy**; blocks the parent had not built by then are
+    rebuilt by each descendant that is encoded.  Under ``LazyMetaGraph``
+    (the default RL path) a graph is often copied before anything encoded
+    it, so an encode can rebuild more than its delta.
 
     ``incremental=False`` runs the original per-edge Python loop.  Both
     paths return bit-for-bit identical arrays.

@@ -3,7 +3,7 @@ saturation), PET (partially-equivalent transformations) and random search."""
 
 from .result import SearchResult
 from .greedy import GreedyOptimizer, TASOOptimizer
-from .egraph import GraphSpace, SaturationStats
+from .egraph import GraphSpace, Member, SaturationStats
 from .tensat import TensatOptimizer
 from .pet import ConvToWinogradGemm, PETOptimizer, pet_ruleset
 from .random_search import RandomSearchOptimizer
@@ -13,7 +13,7 @@ from .parallel import (PoolSession, WorkerPool, close_shared_pool,
 __all__ = [
     "SearchResult",
     "GreedyOptimizer", "TASOOptimizer",
-    "GraphSpace", "SaturationStats", "TensatOptimizer",
+    "GraphSpace", "Member", "SaturationStats", "TensatOptimizer",
     "ConvToWinogradGemm", "PETOptimizer", "pet_ruleset",
     "RandomSearchOptimizer",
     "PoolSession", "WorkerPool", "shared_pool", "close_shared_pool",

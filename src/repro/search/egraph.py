@@ -20,18 +20,29 @@ evaluation depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..cost.cost_model import CostModel
 from ..ir.graph import Graph
 from ..rules.base import RuleSet
 
-__all__ = ["GraphSpace", "SaturationStats"]
+__all__ = ["GraphSpace", "Member", "SaturationStats"]
 
 #: Rule categories treated as "multi-pattern" (they match pairs of operators
 #: and therefore grow the space combinatorially, like Tensat's multi-pattern
 #: rewrites do for matrix multiplications).
 MULTI_PATTERN_CATEGORIES = {"merge"}
+
+
+class Member(NamedTuple):
+    """One graph of the explored population."""
+
+    graph: Graph
+    #: Names of the rules applied to the root to reach ``graph``, in order.
+    rules: List[str]
+    #: Cost-model estimate of ``graph``, taken when it was admitted.
+    cost_ms: float
 
 
 @dataclass
@@ -61,12 +72,20 @@ class GraphSpace:
         self.per_round_cap = int(per_round_cap)
 
     # ------------------------------------------------------------------
-    def explore(self, graph: Graph,
-                on_round: Optional[Callable[
-                    [int, List[Tuple[Graph, List[str]]]], None]] = None,
+    def explore(self, graph: Graph, cost_model: CostModel,
+                on_round: Optional[Callable[[int, List[Member]], None]] = None,
                 session=None,
-                ) -> Tuple[List[Tuple[Graph, List[str]]], SaturationStats]:
-        """Grow the space from ``graph``.
+                ) -> Tuple[List[Member], SaturationStats]:
+        """Grow the space from ``graph``, costing every member on admission.
+
+        ``Graph.copy`` hands a child the parent's per-node cost table *as
+        filled at copy time*, so a graph has to be costed before it is
+        copied: the root is costed here before its first rewrite, and every
+        admitted candidate through ``cost_model.estimate_delta`` against the
+        (already costed) frontier graph it was copied from, before it joins
+        a frontier itself.  Each admission therefore derives only the nodes
+        its rewrite added or rewired; the stored costs are bit-for-bit equal
+        to ``cost_model.estimate`` of the member.
 
         ``on_round(round_number, population)`` — when given — is invoked
         after every completed saturation round with the 1-based round
@@ -79,13 +98,14 @@ class GraphSpace:
         decisions (dedup, node budget, per-round cap) replay in strict
         enumeration order on the merged results, so the population is
         identical to a serial run; admitted graphs are re-materialised
-        locally and shipped to workers as deltas against their parent.
+        (and costed) locally and shipped to workers as deltas against
+        their parent.
 
-        Returns the population as ``(graph, applied-rule-names)`` pairs (the
-        root graph is always first) plus run statistics.
+        Returns the population as :class:`Member` entries (the root graph
+        is always first) plus run statistics.
         """
         stats = SaturationStats()
-        population: List[Tuple[Graph, List[str]]] = [(graph, [])]
+        population = [Member(graph, [], cost_model.estimate_cached(graph))]
         # Parent of each population member — the frontier graph its rewrite
         # applied to.  Parents are always processed (hence pool-shipped)
         # before their children become frontier, so one-level deltas suffice.
@@ -100,7 +120,7 @@ class GraphSpace:
             additions = 0
             allow_multi = round_index < self.multi_pattern_rounds
             for idx in frontier:
-                current, applied = population[idx]
+                current, applied, _ = population[idx]
                 rules = [rule for rule in self.ruleset
                          if allow_multi
                          or rule.category not in MULTI_PATTERN_CATEGORIES]
@@ -119,7 +139,9 @@ class GraphSpace:
                     if cand_graph is None:  # pragma: no cover
                         continue
                     hashes.add(h)
-                    population.append((cand_graph, applied + [rule.name]))
+                    population.append(Member(
+                        cand_graph, applied + [rule.name],
+                        cost_model.estimate_delta(current, cand_graph)))
                     parents.append(current)
                     new_frontier.append(len(population) - 1)
                     total_nodes += num_nodes
@@ -175,18 +197,10 @@ class GraphSpace:
                 yield rule, candidate, res.structural_hash, res.num_nodes
 
     # ------------------------------------------------------------------
-    def extract(self, population: List[Tuple[Graph, List[str]]],
-                cost_model: CostModel) -> Tuple[Graph, List[str], float]:
-        """Pick the representative with the lowest cost-model estimate.
+    def extract(self, population: List[Member]) -> Member:
+        """The member with the lowest cost recorded at admission.
 
-        Every population member descends from the root by graph copies, so
-        the cached estimate only re-derives the nodes its rewrites touched
-        (bit-for-bit equal to a full estimate).
+        Costs nothing: :meth:`explore` stored every member's estimate.  Of
+        several equally cheap members the first admitted wins.
         """
-        best_graph, best_rules = population[0]
-        best_cost = cost_model.estimate_cached(best_graph)
-        for candidate, rules in population[1:]:
-            cost = cost_model.estimate_cached(candidate)
-            if cost < best_cost:
-                best_graph, best_rules, best_cost = candidate, rules, cost
-        return best_graph, best_rules, best_cost
+        return min(population, key=attrgetter("cost_ms"))

@@ -150,6 +150,10 @@ class TASOOptimizer:
             ``stats`` (iterations, candidates generated/enqueued).
         """
         with timed() as elapsed:
+            # Before the first copy, so the simulator's per-node flop/byte
+            # table is handed down to every candidate, the final graph
+            # included.
+            initial_latency = self.latency_source.latency_ms(graph)
             if self.incremental:
                 initial_cost = self.cost_model.estimate_cached(graph)
                 # Fresh per-search engine: match sets carry over between
@@ -253,7 +257,7 @@ class TASOOptimizer:
                 model=model_name or graph.name,
                 initial_graph=graph,
                 final_graph=best_graph,
-                initial_latency_ms=self.latency_source.latency_ms(graph),
+                initial_latency_ms=initial_latency,
                 final_latency_ms=self.latency_source.latency_ms(best_graph),
                 initial_cost_ms=initial_cost,
                 final_cost_ms=best_cost,

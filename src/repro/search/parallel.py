@@ -303,6 +303,7 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def alive_workers(self) -> List[_Worker]:
+        """The workers whose transport has not failed so far."""
         return [w for w in self._workers if w.alive]
 
     @property
@@ -381,6 +382,8 @@ class PoolSession:
 
     @property
     def healthy(self) -> bool:
+        """At least one worker that joined this session is still alive;
+        when none is, every batch is evaluated inline."""
         return any(w.alive for w in self._members)
 
     def _live(self) -> List[_Worker]:

@@ -53,6 +53,8 @@ class ConvToWinogradGemm(RewriteRule):
     anchor_ops = _CONV_OPS
 
     def find_matches(self, graph: Graph) -> List[Match]:
+        """Dense stride-1 convolutions with a 3x3 kernel that do not use
+        the Winograd algorithm yet, one match (``conv``) apiece."""
         matches = []
         for nid, node in self.anchor_nodes(graph):
             if node.attrs.get("algorithm") == "winograd":
@@ -69,6 +71,8 @@ class ConvToWinogradGemm(RewriteRule):
         return matches
 
     def apply(self, graph: Graph, match: Match) -> Graph:
+        """Replace the matched convolution by its Winograd variant plus a
+        correction ``Add`` of a constant of the output's shape."""
         g = graph.copy()
         conv = match.node("conv")
         inputs = [(e.src, e.src_slot) for e in g.in_edges(conv)]

@@ -117,6 +117,10 @@ class RandomSearchOptimizer:
         """
         with timed() as elapsed:
             initial_latency = self.latency_source.latency_ms(graph)
+            # Before the first copy: the walks' graphs inherit the per-node
+            # cost table, so costing the best one below derives only the
+            # nodes its rewrites touched.
+            initial_cost = self.cost_model.estimate_cached(graph)
             best_graph, best_latency, best_rules = graph, initial_latency, []
             steps_total = 0
             progress = self.progress_callback
@@ -177,8 +181,8 @@ class RandomSearchOptimizer:
                 final_graph=best_graph,
                 initial_latency_ms=initial_latency,
                 final_latency_ms=best_latency,
-                initial_cost_ms=self.cost_model.estimate(graph),
-                final_cost_ms=self.cost_model.estimate(best_graph),
+                initial_cost_ms=initial_cost,
+                final_cost_ms=self.cost_model.estimate_cached(best_graph),
                 optimisation_time_s=elapsed(),
                 applied_rules=best_rules,
                 stats=stats,

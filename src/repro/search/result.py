@@ -76,6 +76,8 @@ class SearchResult:
         return counts
 
     def summary(self) -> str:
+        """One line for logs: latencies before and after, the gain, the
+        search time and the number of substitutions applied."""
         return (f"{self.optimiser} on {self.model}: "
                 f"{self.initial_latency_ms:.3f} ms -> {self.final_latency_ms:.3f} ms "
                 f"({self.speedup_percent:+.1f}%) in {self.optimisation_time_s:.2f}s, "

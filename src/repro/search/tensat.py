@@ -105,24 +105,18 @@ class TensatOptimizer:
         """Adapt :meth:`GraphSpace.explore`'s per-round hook to the
         ``progress_callback`` signature.
 
-        Tracks the cheapest extraction candidate incrementally (only
-        population members added since the previous round are costed; the
-        estimates are cached per graph, so the final extraction pass does
-        not pay twice).
+        Reports the round's extraction — the cheapest member by the costs
+        :meth:`GraphSpace.explore` stored at admission; nothing is costed
+        here, so a search derives the same node costs with and without a
+        callback.
         """
         callback = self.progress_callback
         if callback is None:
             return None
-        state = {"seen": 0, "best_cost": float("inf"), "best_fp": ""}
 
         def on_round(round_number, population):
-            for candidate, _ in population[state["seen"]:]:
-                cost = self.cost_model.estimate_cached(candidate)
-                if cost < state["best_cost"]:
-                    state["best_cost"] = cost
-                    state["best_fp"] = candidate.structural_hash()
-            state["seen"] = len(population)
-            callback(round_number, state["best_cost"], state["best_fp"])
+            best = self.space.extract(population)
+            callback(round_number, best.cost_ms, best.graph.structural_hash())
 
         return on_round
 
@@ -143,29 +137,32 @@ class TensatOptimizer:
             (rounds, population size, nodes explored) under ``stats``.
         """
         with timed() as elapsed:
-            # Workers only materialise + hash (extraction costs locally),
+            # Before the first copy, so the simulator's per-node flop/byte
+            # table is handed down to the whole population.
+            initial_latency = self.latency_source.latency_ms(graph)
+            # Workers only materialise + hash (admission costs locally),
             # so the session ships no cost model.
             session = open_session(self.parallel, self.pool,
                                    self.num_workers, graph, self.ruleset)
             try:
                 population, stats = self.space.explore(
-                    graph, on_round=self._round_reporter(), session=session)
+                    graph, self.cost_model,
+                    on_round=self._round_reporter(), session=session)
             finally:
                 if session is not None:
                     session.close()
-            best_graph, best_rules, best_cost = self.space.extract(
-                population, self.cost_model)
+            best = self.space.extract(population)
             result = SearchResult(
                 optimiser=self.name,
                 model=model_name or graph.name,
                 initial_graph=graph,
-                final_graph=best_graph,
-                initial_latency_ms=self.latency_source.latency_ms(graph),
-                final_latency_ms=self.latency_source.latency_ms(best_graph),
-                initial_cost_ms=self.cost_model.estimate(graph),
-                final_cost_ms=best_cost,
+                final_graph=best.graph,
+                initial_latency_ms=initial_latency,
+                final_latency_ms=self.latency_source.latency_ms(best.graph),
+                initial_cost_ms=population[0].cost_ms,
+                final_cost_ms=best.cost_ms,
                 optimisation_time_s=elapsed(),
-                applied_rules=best_rules,
+                applied_rules=best.rules,
                 stats={
                     "rounds": float(stats.rounds),
                     "graphs_explored": float(stats.graphs_explored),

@@ -1,8 +1,8 @@
 """Documentation gates, mirrored in CI's docs job.
 
 Three checks: every relative link/anchor in README + ``docs/`` resolves,
-every public symbol in ``repro.service`` carries a docstring, and the
-cookbook's fenced doctest examples actually execute.
+every public symbol in ``repro.service``, ``repro.cost`` and ``repro.search``
+carries a docstring, and the cookbook's fenced doctest examples actually execute.
 """
 
 from __future__ import annotations
@@ -38,6 +38,14 @@ def test_service_public_api_is_documented():
     checker = _load_checker()
     problems = checker.check_docstrings(
         [REPO_ROOT / "src" / "repro" / "service"])
+    assert problems == [], "\n".join(problems)
+
+
+def test_cost_and_search_public_api_is_documented():
+    checker = _load_checker()
+    problems = checker.check_docstrings(
+        [REPO_ROOT / "src" / "repro" / package
+         for package in ("cost", "search")])
     assert problems == [], "\n".join(problems)
 
 

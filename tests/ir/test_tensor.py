@@ -92,5 +92,5 @@ class TestTensorSpec:
         assert restored == spec
 
     def test_dtype_sizes(self):
-        assert DataType.INT64.size_bytes == 8
-        assert DataType.BOOL.size_bytes == 1
+        assert {dtype.name: dtype.size_bytes for dtype in DataType} == {
+            "FLOAT32": 4, "FLOAT16": 2, "INT64": 8, "INT32": 4, "BOOL": 1}

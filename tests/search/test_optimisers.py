@@ -59,16 +59,18 @@ class TestTASO:
 class TestTensat:
     def test_explore_is_bounded(self, conv_graph):
         space = GraphSpace(default_ruleset(), node_limit=200, round_limit=3)
-        population, stats = space.explore(conv_graph)
+        population, stats = space.explore(conv_graph, CostModel())
         assert stats.graphs_explored == len(population)
-        assert stats.total_nodes <= 200 + max(g.num_nodes for g, _ in population)
+        assert stats.total_nodes <= 200 + max(
+            member.graph.num_nodes for member in population)
 
     def test_extraction_picks_cheapest(self, conv_graph):
         space = GraphSpace(default_ruleset(), node_limit=5000, round_limit=3)
-        population, _ = space.explore(conv_graph)
         cm = CostModel()
-        best, _, best_cost = space.extract(population, cm)
-        assert best_cost == min(cm.estimate(g) for g, _ in population)
+        population, _ = space.explore(conv_graph, cm)
+        best = space.extract(population)
+        assert best.cost_ms == min(
+            cm.estimate(member.graph) for member in population)
 
     def test_optimise_improves_or_matches(self, conv_graph):
         result = TensatOptimizer(round_limit=3).optimise(conv_graph, "conv")
@@ -80,8 +82,8 @@ class TestTensat:
                              multi_pattern_rounds=3, per_round_cap=100)
         strict = GraphSpace(default_ruleset(), node_limit=50000, round_limit=3,
                             multi_pattern_rounds=0, per_round_cap=100)
-        _, stats_liberal = liberal.explore(attention_graph)
-        _, stats_strict = strict.explore(attention_graph)
+        _, stats_liberal = liberal.explore(attention_graph, CostModel())
+        _, stats_strict = strict.explore(attention_graph, CostModel())
         assert stats_strict.applied_rules.get("merge-matmuls", 0) == 0
         assert stats_liberal.applied_rules.get("merge-matmuls", 0) >= 1
 

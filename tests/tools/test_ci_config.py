@@ -73,5 +73,12 @@ def test_xbench_job_runs_the_declared_benchmark_and_its_tests():
     assert "pytest xbench/tests" in CI
 
 
+def test_docs_job_gates_docstrings_of_service_cost_and_search():
+    gate = re.search(r"check_docs\.py --docstrings(.*)", CI)
+    assert gate, "docstring-coverage step disappeared"
+    assert set(gate.group(1).split()) >= {
+        "src/repro/service", "src/repro/cost", "src/repro/search"}
+
+
 def test_concurrency_cancels_superseded_runs():
     assert "cancel-in-progress: true" in CI
