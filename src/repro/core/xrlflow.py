@@ -227,7 +227,7 @@ class XRLflow:
                     if env.best_latency_ms < best_latency:
                         best_latency = env.best_latency_ms
                         best_graph = env.best_graph
-                        best_rules = list(env.applied_rules)
+                        best_rules = list(env.best_rules)
                 optimisation_time = opt_elapsed()
 
             # Also consider the best graph discovered during training
@@ -237,8 +237,7 @@ class XRLflow:
                     training_env.best_latency_ms < best_latency:
                 best_latency = training_env.best_latency_ms
                 best_graph = training_env.best_graph
-                best_record = self.history.best_episode if self.history else None
-                best_rules = list(best_record.applied_rules) if best_record else best_rules
+                best_rules = list(training_env.best_rules)
 
         initial_latency = self.e2e.latency_ms(graph)
         stats: Dict[str, float] = {

@@ -13,6 +13,18 @@ The architecture follows Section 3.4 of the paper exactly:
 All layers operate on a :class:`BatchedGraphs` structure so that the current
 graph and every rewrite candidate (the "meta-graph") are encoded in a single
 forward pass.
+
+A batch is a *row store* plus, optionally, the list of store rows each graph
+pools (``pool_rows``).  A plain meta-graph stores every graph's rows once and
+pools them in order — the identity case, ``pool_rows is None``.  A *delta
+batch* (:func:`repro.rl.features.build_delta_batch`) stores a rewrite
+candidate's cone only: the candidate's other rows are its parent's rows, so
+the edges of its cone read them straight out of the parent's block and its
+pooling list points back at them.  Message passing is the same code either
+way — rows, edges into rows — and only the readout gathers ``pool_rows``
+first, which rebuilds each graph's full row list in encode order, so every
+per-graph sum accumulates the same values in the same order as in the plain
+batch.
 """
 
 from __future__ import annotations
@@ -33,8 +45,10 @@ __all__ = ["BatchedGraphs", "NodeUpdateLayer", "GATLayer", "GlobalUpdateLayer",
 class BatchedGraphs:
     """A batch of graphs flattened into single node/edge arrays.
 
-    ``graph_ids[i]`` gives the graph index of node ``i``; ``edge_src`` /
-    ``edge_dst`` index into the flattened node array.
+    ``edge_src`` / ``edge_dst`` index into the flattened node array (the row
+    store).  The readout pools row ``pool_rows[i]`` into graph
+    ``graph_ids[i]``; with ``pool_rows`` left ``None`` every store row is
+    pooled once, in order (``graph_ids[i]`` is then the graph of node ``i``).
     """
 
     node_features: np.ndarray   # [N, F_node]
@@ -44,16 +58,26 @@ class BatchedGraphs:
     graph_ids: np.ndarray       # [N]
     num_graphs: int
     global_features: np.ndarray  # [G, F_global]
+    #: Store rows the readout pools, aligned with ``graph_ids`` ([P]); a row
+    #: may appear under several graphs.  ``None``: all rows, in order.
+    pool_rows: Optional[np.ndarray] = None
     #: Per-dtype memo of converted copies (see :meth:`cast`).
     _cast_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
+        """Rows in the store: what every message-passing layer computes."""
         return int(self.node_features.shape[0])
 
     @property
     def num_edges(self) -> int:
+        """Edges message passing runs over."""
         return int(self.edge_src.shape[0])
+
+    @property
+    def num_pooled_rows(self) -> int:
+        """Rows the readout sums: the graphs' node counts, added up."""
+        return int(self.graph_ids.shape[0])
 
     def cast(self, dtype) -> "BatchedGraphs":
         """This batch with feature arrays in ``dtype``, memoised per dtype.
@@ -75,6 +99,7 @@ class BatchedGraphs:
                 graph_ids=self.graph_ids,
                 num_graphs=self.num_graphs,
                 global_features=self.global_features.astype(dtype),
+                pool_rows=self.pool_rows,
             )
             self._cast_cache[dtype] = cached
         return cached
@@ -141,12 +166,21 @@ class GlobalUpdateLayer(Module):
         self.linear = Linear(node_dim + global_dim, out_dim, rng=rng)
 
     def forward(self, batch: BatchedGraphs, nodes: Tensor) -> Tensor:
+        if batch.pool_rows is not None:
+            nodes = nodes.gather_rows(batch.pool_rows)
         pooled = segment_sum(nodes, batch.graph_ids, batch.num_graphs)
         # Normalise by node count so large graphs do not dominate numerically.
         counts = np.bincount(batch.graph_ids, minlength=batch.num_graphs).astype(np.float64)
         counts = np.maximum(counts, 1.0).reshape(-1, 1)
         pooled = pooled * Tensor(1.0 / counts)
         combined = concat([pooled, Tensor(batch.global_features)], axis=1)
+        if batch.num_graphs == 1:
+            # BLAS runs a one-row product as gemv, which rounds differently
+            # from gemm's per-row dot products; a graph's embedding must not
+            # depend on how many graphs ride along (a zero-candidate
+            # observation alone vs inside a PPO minibatch).
+            combined = concat([combined, combined], axis=0)
+            return self.linear(combined).tanh()[0:1]
         return self.linear(combined).tanh()
 
 
@@ -163,10 +197,18 @@ class GraphEmbeddingNetwork(Module):
         self.hidden_dim = hidden_dim
         self.embedding_dim = embedding_dim
         self.num_gat_layers = num_gat_layers
+        #: Rows pushed through message passing / summed by the readout over
+        #: every forward so far.  Equal on a plain batch; a delta batch
+        #: encodes a fraction of what it pools (``PPOUpdateStats`` reports
+        #: the pair per update).
+        self.rows_encoded = 0
+        self.rows_pooled = 0
 
     def forward(self, batch: BatchedGraphs) -> Tensor:
         """Return one embedding per graph in the batch: ``[num_graphs, embedding_dim]``."""
         batch = batch.cast(get_default_dtype())
+        self.rows_encoded += batch.num_nodes
+        self.rows_pooled += batch.num_pooled_rows
         nodes = Tensor(batch.node_features)
         nodes = self.node_update(batch, nodes)
         for layer in self.gat_layers:

@@ -291,8 +291,10 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(grad):
-            self._accumulate(grad)
-            other._accumulate(grad)
+            if self.requires_grad:
+                self._accumulate(grad)
+            if other.requires_grad:
+                other._accumulate(grad)
         return Tensor._make(out_data, (self, other), backward)
 
     __radd__ = __add__
@@ -312,9 +314,15 @@ class Tensor:
         other = as_tensor(other)
         out_data = self.data * other.data
 
+        # Every op with several parents computes a parent's gradient only if
+        # it will be kept: the constant side of ``x * 0.5`` or
+        # ``pooled * (1 / counts)`` would otherwise cost a full-size product
+        # that ``_accumulate`` discards.
         def backward(grad):
-            self._accumulate(grad * other.data)
-            other._accumulate(grad * self.data)
+            if self.requires_grad:
+                self._accumulate(grad * other.data)
+            if other.requires_grad:
+                other._accumulate(grad * self.data)
         return Tensor._make(out_data, (self, other), backward)
 
     __rmul__ = __mul__
@@ -324,8 +332,10 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad):
-            self._accumulate(grad / other.data)
-            other._accumulate(-grad * self.data / (other.data ** 2))
+            if self.requires_grad:
+                self._accumulate(grad / other.data)
+            if other.requires_grad:
+                other._accumulate(-grad * self.data / (other.data ** 2))
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
@@ -343,8 +353,12 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(grad):
-            self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
-            other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
+            # The encoder's first layer multiplies a constant input: its
+            # ``grad @ W.T`` ([rows, in_features]) is never needed.
+            if self.requires_grad:
+                self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
+            if other.requires_grad:
+                other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
         return Tensor._make(out_data, (self, other), backward)
 
     __matmul__ = matmul
@@ -507,7 +521,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def backward(grad):
         splits = np.cumsum(sizes)[:-1]
         for t, piece in zip(tensors, np.split(np.asarray(grad), splits, axis=axis)):
-            t._accumulate(piece)
+            if t.requires_grad:
+                t._accumulate(piece)
     return Tensor._make(out_data, tensors, backward)
 
 
@@ -518,7 +533,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward(grad):
         for i, t in enumerate(tensors):
-            t._accumulate(np.take(np.asarray(grad), i, axis=axis))
+            if t.requires_grad:
+                t._accumulate(np.take(np.asarray(grad), i, axis=axis))
     return Tensor._make(out_data, tensors, backward)
 
 

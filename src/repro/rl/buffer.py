@@ -55,12 +55,14 @@ class RolloutBuffer:
         self.transitions: List[Transition] = []
 
     def add(self, transition: Transition) -> None:
+        """Append one step (episodes follow each other; ``done`` marks ends)."""
         self.transitions.append(transition)
 
     def __len__(self) -> int:
         return len(self.transitions)
 
     def clear(self) -> None:
+        """Forget every stored transition (after an update consumed them)."""
         self.transitions = []
 
     # ------------------------------------------------------------------

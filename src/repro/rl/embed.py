@@ -8,11 +8,10 @@ activations of each message-passing layer *per graph* and, for a graph
 produced by ``parent.copy()`` + surgery, recomputes only the nodes the
 rewrite can have influenced, splicing the parent's cached rows for the
 rest.  The delta pass reads the rewrite's influence cone straight off the
-graph structure — the per-node incoming-edge blocks
-:func:`~repro.rl.features.encode_graph` caches on the graph plus the
-copy-on-write adjacency — so a rollout never materialises a graph's full
-feature arrays, let alone the meta batch (see
-:class:`~repro.rl.features.LazyMetaGraph`).  All candidates of one
+graph structure — :func:`~repro.rl.features.rewrite_cone`, derived once per
+candidate graph and shared with the PPO update's delta batch — so a rollout
+never materialises a graph's full feature arrays, let alone the meta batch
+(see :class:`~repro.rl.features.LazyMetaGraph`).  All candidates of one
 observation are recomputed in a single batched pass: their influence cones
 are concatenated so each layer costs one set of array ops, not one per
 graph.
@@ -55,55 +54,35 @@ graph is re-embedded in full.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.lru import LRUCache
-from ..ir.graph import Graph, NodeId
+from ..ir.graph import Graph
 from ..nn.gnn import GraphEmbeddingNetwork
 from ..nn.tensor import (_scatter_add_rows, get_default_dtype, no_grad,
                          segment_max)
-from .features import (DEFAULT_EDGE_NORM, EDGE_FEATURE_DIM,
-                       GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM, _EDGE_ROWS_KEY,
-                       GraphFeatures, encode_graph, encode_order)
+from .features import (DEFAULT_EDGE_NORM, GLOBAL_FEATURE_DIM, GraphFeatures,
+                       RewriteCone, _one_hot_ops, encode_graph, rewrite_cone)
 
 __all__ = ["IncrementalEmbedder"]
 
-_EMPTY_SRC = np.zeros(0, dtype=np.int64)
-_EMPTY_FEATS = np.zeros((0, EDGE_FEATURE_DIM))
-_EMPTY_POS = np.zeros(0, dtype=np.int64)
-
 
 class _State:
-    """One cached forward: per-layer activation matrices plus the node
-    order they are row-indexed by, and the graph's pooled readout input.
+    """One cached forward: per-layer activation matrices, row-indexed by
+    the graph's encode order, and the graph's pooled readout input.
 
     The graph reference is strong on purpose: states are keyed by
     ``id(graph)`` and pinning the graph keeps the id from being recycled.
     """
 
-    __slots__ = ("graph", "layers", "order", "position", "pooled")
+    __slots__ = ("graph", "layers", "pooled")
 
-    def __init__(self, graph: Graph, layers: List[np.ndarray],
-                 order: np.ndarray, position: np.ndarray):
+    def __init__(self, graph: Graph, layers: List[np.ndarray]):
         self.graph = graph
         self.layers = layers      # [h_0 .. h_K], each [n, H]
-        self.order = order        # [n] node ids, ascending (encode order)
-        self.position = position  # dense id -> row table (garbage for dead ids)
         self.pooled: Optional[np.ndarray] = None  # [1, H] readout pool
-
-
-class _Cone:
-    """Per-graph scratch of one batched delta pass (see ``_delta_states``)."""
-
-    __slots__ = ("graph", "parent", "order", "position", "mapped",
-                 "cone_pos", "cone_ids", "edge_src_pos", "counts",
-                 "transform_pos", "cone_local", "edge_src_local", "segments",
-                 "edge_feats", "state")
-
-    def __init__(self):
-        self.state: Optional[_State] = None
 
 
 class IncrementalEmbedder:
@@ -159,6 +138,8 @@ class IncrementalEmbedder:
         self._states.clear()
 
     def stats(self) -> Dict[str, float]:
+        """State-cache counters plus how each graph was embedded (delta
+        pass, full pass, delta abandoned for a full pass, verify checks)."""
         payload = self._states.stats()
         payload["embed_delta_forwards"] = float(self.delta_forwards)
         payload["embed_full_forwards"] = float(self.full_forwards)
@@ -221,9 +202,7 @@ class IncrementalEmbedder:
         pooled = pooled * (1.0 / norm).astype(dtype, copy=False)
         global_feats = np.zeros((num_graphs, GLOBAL_FEATURE_DIM), dtype=dtype)
         combined = np.concatenate([pooled, global_feats], axis=1)
-        # Plain matmul on purpose: the full path's readout GEMM has the same
-        # ``[G, ...]`` shape, so the kernels already agree row for row.
-        out = np.tanh(combined @ weight_g + bias_g)
+        out = np.tanh(_rows_matmul(combined, weight_g) + bias_g)
 
         if self.verify:
             self.equivalence_checks += 1
@@ -292,44 +271,16 @@ class IncrementalEmbedder:
                                            feats.edge_dst, n)
             aggregated = aggregated * (aggregated > 0)
             layers.append((prev + aggregated) * 0.5)
-
-        order = encode_order(graph)
-        position = np.empty(graph.id_bound, dtype=np.int64)
-        position[order] = np.arange(n, dtype=np.int64)
-        return _State(graph, layers, order, position)
+        return _State(graph, layers)
 
     # ------------------------------------------------------------------
-    def _block(self, graph: Graph, cache: Dict[NodeId, tuple],
-               nid) -> tuple:
-        """Node ``nid``'s incoming-edge block ``(src_ids, shape_rows)``.
-
-        Shares (and warms) the per-node cache :func:`encode_graph` uses, so
-        block values — and therefore per-bucket accumulation sequences —
-        are identical between the delta pass and a full encode.
-        """
-        block = cache.get(nid)
-        if block is None:
-            edges = graph.in_edges(nid)
-            if edges:
-                nodes = graph.nodes
-                block = (
-                    np.asarray([e.src for e in edges], dtype=np.int64),
-                    np.asarray([nodes[e.src].outputs[e.src_slot]
-                                .shape.padded(4) for e in edges],
-                               dtype=np.float64),
-                )
-            else:
-                block = (_EMPTY_SRC, _EMPTY_FEATS)
-            cache[nid] = block
-        return block
-
     def _delta_states(self, pending: List[Tuple[int, Graph, _State]],
                       dtype: np.dtype, weights
                       ) -> List[Optional[_State]]:
         """Batched delta pass over every pending graph of one observation.
 
-        Works entirely from graph structure (delta sets, cached per-node
-        edge blocks, copy-on-write adjacency): no graph's full feature
+        Works entirely from graph structure (each graph's
+        :func:`~repro.rl.features.rewrite_cone`): no graph's full feature
         arrays are touched, which is what lets the rollout path skip
         candidate encoding altogether.  All cones are concatenated so each
         layer is one set of array ops regardless of how many candidates
@@ -337,160 +288,85 @@ class IncrementalEmbedder:
         that graph in full".
         """
         weight_0, bias_0, gat, _, _ = weights
-        num_layers = len(gat)
-        cones: List[Optional[_Cone]] = []
-        batched: List[_Cone] = []
-        for _, graph, parent in pending:
-            cone = self._prepare_cone(graph, parent, num_layers)
-            cones.append(cone)
-            if cone is not None and cone.state is None:
-                batched.append(cone)
+        states: List[Optional[_State]] = [None] * len(pending)
+        # The graphs that need arithmetic, as parallel lists: index into
+        # ``pending``, cone structure, parent state, rows per layer so far.
+        slots: List[int] = []
+        cones: List[RewriteCone] = []
+        parents: List[_State] = []
+        for k, (_, graph, parent) in enumerate(pending):
+            cone = rewrite_cone(graph, len(gat), self.edge_norm)
+            count = cone.cone_pos.shape[0]
+            if 2 * count > cone.order.shape[0]:
+                continue  # would not pay for itself
+            if cone.unchanged:
+                states[k] = _State(graph, list(parent.layers))
+            elif not count:
+                # Pure removal: every surviving row is unchanged — splice.
+                states[k] = _State(
+                    graph, [rows[cone.mapped] for rows in parent.layers])
+            else:
+                slots.append(k)
+                cones.append(cone)
+                parents.append(parent)
+        if not cones:
+            return states
+        layers: List[List[np.ndarray]] = [[] for _ in cones]
 
-        if batched:
-            # Concatenated index arrays with per-cone row offsets.
-            t_offsets = np.zeros(len(batched), dtype=np.int64)
-            f_offsets = np.zeros(len(batched), dtype=np.int64)
-            t_total = f_total = 0
-            for j, cone in enumerate(batched):
-                t_offsets[j] = t_total
-                f_offsets[j] = f_total
-                t_total += cone.transform_pos.shape[0]
-                f_total += cone.cone_pos.shape[0]
-            edge_src = np.concatenate(
-                [c.edge_src_local + t_offsets[j]
-                 for j, c in enumerate(batched)])
-            segments = np.concatenate(
-                [c.segments + f_offsets[j] for j, c in enumerate(batched)])
-            cone_local = np.concatenate(
-                [c.cone_local + t_offsets[j] for j, c in enumerate(batched)])
-            edge_feats = np.concatenate([c.edge_feats for c in batched]) \
-                .astype(dtype, copy=False)
-            op_indices = np.concatenate(
-                [c.graph.op_index_table()[c.cone_ids] for c in batched])
+        # Concatenated index arrays with per-cone row offsets.
+        t_offsets = np.zeros(len(cones), dtype=np.int64)
+        f_offsets = np.zeros(len(cones), dtype=np.int64)
+        t_total = f_total = 0
+        for j, cone in enumerate(cones):
+            t_offsets[j] = t_total
+            f_offsets[j] = f_total
+            t_total += cone.transform_pos.shape[0]
+            f_total += cone.cone_pos.shape[0]
+        edge_src = np.concatenate(
+            [c.edge_src_local + t_offsets[j] for j, c in enumerate(cones)])
+        segments = np.concatenate(
+            [c.segments + f_offsets[j] for j, c in enumerate(cones)])
+        cone_local = np.concatenate(
+            [c.cone_local + t_offsets[j] for j, c in enumerate(cones)])
+        edge_feats = np.concatenate([c.edge_feats for c in cones]) \
+            .astype(dtype, copy=False)
+        op_indices = np.concatenate([c.op_indices for c in cones])
 
-            # Layer 0 (node update) over every cone row.
-            incoming = _scatter_add_rows(edge_feats, segments, f_total)
-            x = np.zeros((f_total, NODE_FEATURE_DIM))
-            x[np.arange(f_total), op_indices] = 1.0
-            h = _rows_matmul(
-                np.concatenate([incoming, x.astype(dtype, copy=False)],
-                               axis=1), weight_0) + bias_0
-            h = h * (h > 0)
-            for j, cone in enumerate(batched):
-                rows = cone.parent.layers[0][cone.mapped]
-                rows[cone.cone_pos] = \
-                    h[f_offsets[j]:f_offsets[j] + cone.cone_pos.shape[0]]
-                cone.state = _State(cone.graph, [rows], cone.order,
-                                    cone.position)
+        def splice(layer_index: int, new_rows: np.ndarray) -> None:
+            """Each graph's rows of one layer: the parent's, with the
+            recomputed cone rows written over them."""
+            for j, cone in enumerate(cones):
+                rows = parents[j].layers[layer_index][cone.mapped]
+                rows[cone.cone_pos] = new_rows[
+                    f_offsets[j]:f_offsets[j] + cone.cone_pos.shape[0]]
+                layers[j].append(rows)
 
-            for layer_index, (weight_l, bias_l, attn_src, attn_dst) \
-                    in enumerate(gat):
-                transformed = np.concatenate(
-                    [c.state.layers[-1][c.transform_pos] for c in batched])
-                h = _rows_matmul(transformed, weight_l) + bias_l
-                src_scores = (h * attn_src).sum(axis=1, keepdims=True)
-                dst_scores = (h * attn_dst).sum(axis=1, keepdims=True)
-                logits = src_scores[edge_src] + dst_scores[cone_local][segments]
-                logits = np.where(logits > 0, logits, 0.2 * logits)
-                alpha = _segment_softmax(logits, segments, f_total)
-                aggregated = _scatter_add_rows(h[edge_src] * alpha,
-                                               segments, f_total)
-                aggregated = aggregated * (aggregated > 0)
-                new_rows = (transformed[cone_local] + aggregated) * 0.5
-                for j, cone in enumerate(batched):
-                    rows = cone.parent.layers[layer_index + 1][cone.mapped]
-                    rows[cone.cone_pos] = new_rows[
-                        f_offsets[j]:f_offsets[j] + cone.cone_pos.shape[0]]
-                    cone.state.layers.append(rows)
+        # Layer 0 (node update) over every cone row.
+        incoming = _scatter_add_rows(edge_feats, segments, f_total)
+        x = _one_hot_ops(op_indices).astype(dtype, copy=False)
+        h = _rows_matmul(np.concatenate([incoming, x], axis=1),
+                         weight_0) + bias_0
+        splice(0, h * (h > 0))
 
-        return [None if cone is None else cone.state for cone in cones]
+        for layer_index, (weight_l, bias_l, attn_src, attn_dst) \
+                in enumerate(gat):
+            transformed = np.concatenate(
+                [layers[j][-1][c.transform_pos] for j, c in enumerate(cones)])
+            h = _rows_matmul(transformed, weight_l) + bias_l
+            src_scores = (h * attn_src).sum(axis=1, keepdims=True)
+            dst_scores = (h * attn_dst).sum(axis=1, keepdims=True)
+            logits = src_scores[edge_src] + dst_scores[cone_local][segments]
+            logits = np.where(logits > 0, logits, 0.2 * logits)
+            alpha = _segment_softmax(logits, segments, f_total)
+            aggregated = _scatter_add_rows(h[edge_src] * alpha,
+                                           segments, f_total)
+            aggregated = aggregated * (aggregated > 0)
+            splice(layer_index + 1,
+                   (transformed[cone_local] + aggregated) * 0.5)
 
-    def _prepare_cone(self, graph: Graph, parent: _State,
-                      num_layers: int) -> Optional[_Cone]:
-        """Structure scratch for one graph's delta, or ``None`` (too big).
-
-        A cone whose dirty set is empty needs no recomputation at all —
-        its state is pure row splicing and is finished right here
-        (``cone.state`` set, excluded from the batch).
-        """
-        delta = graph.mutation_delta()
-        nodes = graph.nodes
-        dirty: Set[NodeId] = {nid for nid in delta.added | delta.rewired
-                              if nid in nodes}
-        spread = set(dirty)
-        out_edges = graph._out_edges
-        for _ in range(num_layers):
-            grown = set(spread)
-            for nid in spread:
-                for edge in out_edges[nid]:
-                    grown.add(edge.dst)
-            if len(grown) == len(spread):
-                break
-            spread = grown
-
-        order = encode_order(graph)
-        n = order.shape[0]
-        if 2 * len(spread) > n:
-            return None
-        position = np.empty(graph.id_bound, dtype=np.int64)
-        position[order] = np.arange(n, dtype=np.int64)
-
-        # Row mapping into the parent's arrays (ids are monotonic: a child
-        # id below the parent's bound existed in the parent).
-        bound = parent.position.shape[0]
-        cone = _Cone()
-        cone.graph = graph
-        cone.parent = parent
-        cone.order = order
-        cone.position = position
-        if delta.removed or dirty:
-            mapped = np.zeros(n, dtype=np.int64)
-            in_parent = order < bound
-            mapped[in_parent] = parent.position[order[in_parent]]
-            # Rows for added nodes stay 0 — recomputed (added ⊆ dirty).
-            cone.mapped = mapped
-        else:
-            # No structural change at all: share the parent's rows.
-            cone.state = _State(graph, list(parent.layers), order, position)
-            return cone
-
-        if not dirty:
-            # Pure removal: every surviving row is unchanged — splice only.
-            cone.state = _State(
-                graph, [rows[mapped] for rows in parent.layers],
-                order, position)
-            return cone
-
-        cone.cone_pos = np.sort(position[np.fromiter(
-            spread, dtype=np.int64, count=len(spread))])
-        cone.cone_ids = order[cone.cone_pos]
-        blocks = graph.node_cache(_EDGE_ROWS_KEY)
-        src_blocks: List[np.ndarray] = []
-        feat_blocks: List[np.ndarray] = []
-        counts = np.zeros(cone.cone_pos.shape[0], dtype=np.int64)
-        for i, nid in enumerate(cone.cone_ids.tolist()):
-            srcs, feats = self._block(graph, blocks, nid)
-            if srcs.shape[0]:
-                src_blocks.append(srcs)
-                feat_blocks.append(feats)
-                counts[i] = srcs.shape[0]
-        if src_blocks:
-            cone.edge_src_pos = position[np.concatenate(src_blocks)]
-            cone.edge_feats = np.concatenate(feat_blocks) / self.edge_norm
-        else:
-            cone.edge_src_pos = _EMPTY_POS
-            cone.edge_feats = _EMPTY_FEATS
-        cone.counts = counts
-        cone.segments = np.repeat(
-            np.arange(counts.shape[0], dtype=np.int64), counts)
-        cone.transform_pos = np.unique(
-            np.concatenate([cone.cone_pos, cone.edge_src_pos]))
-        local = np.empty(n, dtype=np.int64)
-        local[cone.transform_pos] = np.arange(
-            cone.transform_pos.shape[0], dtype=np.int64)
-        cone.cone_local = local[cone.cone_pos]
-        cone.edge_src_local = local[cone.edge_src_pos]
-        return cone
+        for j, k in enumerate(slots):
+            states[k] = _State(pending[k][1], layers[j])
+        return states
 
 
 # ----------------------------------------------------------------------

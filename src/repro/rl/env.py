@@ -60,15 +60,20 @@ class Observation:
 
     @property
     def num_actions(self) -> int:
+        """Size of the padded action space (``max_candidates + 1``)."""
         return int(self.action_mask.shape[0])
 
     @property
     def noop_index(self) -> int:
+        """The always-valid terminating action: the last slot."""
         return self.num_actions - 1
 
 
 @dataclass
 class StepResult:
+    """What :meth:`GraphRewriteEnv.step` returns: the next observation, the
+    step's reward, whether the episode ended, and latency diagnostics."""
+
     observation: Observation
     reward: float
     done: bool
@@ -163,6 +168,9 @@ class GraphRewriteEnv:
         self.last_measured_ms = 0.0
         self.best_graph: Graph = graph
         self.best_latency_ms = float("inf")
+        #: The rules that produced ``best_graph``, in order: the episode's
+        #: ``applied_rules`` as they stood when it became the best.
+        self.best_rules: List[str] = []
 
     # ------------------------------------------------------------------
     @property
@@ -175,9 +183,9 @@ class GraphRewriteEnv:
         shape-generalisation evaluation) without rebuilding it.
 
         All episode state is cleared — in particular ``best_graph`` /
-        ``best_latency_ms``, which would otherwise survive from the previous
-        target and could report a "best graph" belonging to a different
-        model.
+        ``best_latency_ms`` / ``best_rules``, which would otherwise survive
+        from the previous target and could report a "best graph" belonging
+        to a different model.
         """
         self.initial_graph = graph
         self.current_graph = graph
@@ -187,6 +195,7 @@ class GraphRewriteEnv:
         self.last_measured_ms = 0.0
         self.best_graph = graph
         self.best_latency_ms = float("inf")
+        self.best_rules = []
         self._last_observation = None
         if self._pool_session is not None:
             # The session's replicas are rooted at the previous target.
@@ -204,6 +213,7 @@ class GraphRewriteEnv:
         if self.initial_latency_ms < self.best_latency_ms:
             self.best_graph = self.current_graph
             self.best_latency_ms = self.initial_latency_ms
+            self.best_rules = []
         return self._observe()
 
     def step(self, action: int) -> StepResult:
@@ -252,6 +262,7 @@ class GraphRewriteEnv:
         if latency < self.best_latency_ms:
             self.best_graph = self.current_graph
             self.best_latency_ms = latency
+            self.best_rules = list(self.applied_rules)
         if self.progress_callback is not None:
             self.progress_callback(self.step_count, self.best_latency_ms,
                                    self.best_graph.structural_hash())
@@ -285,9 +296,10 @@ class GraphRewriteEnv:
         mask[-1] = True  # No-Op is always available
         graphs = [self.current_graph] + [c.graph for c in candidates]
         if self.incremental:
-            # Rollouts act through the delta embedder and never read the
-            # meta batch; defer its (expensive) assembly until a consumer —
-            # PPO's update, a gradient forward — actually touches it.
+            # Rollouts act through the delta embedder and the batched PPO
+            # update reads candidates as rewrite cones; neither needs the
+            # meta batch, so its (expensive) assembly waits for a consumer
+            # that does — a single-observation gradient forward, verify.
             meta = LazyMetaGraph(graphs, cache=self.feature_cache)
         else:
             meta = build_meta_graph(graphs, incremental=False)

@@ -29,6 +29,18 @@ incremental on three levels:
   pure array ops, and :func:`combine_meta_graphs` splices several
   observations into one batch for the batched PPO update.
 
+On the default path candidates are not encoded at all.  A candidate is its
+parent plus one rewrite, and only its *cone* — the nodes the rewrite changed,
+spread one hop downstream per GAT layer — can differ from the parent in any
+layer of the encoder.  :func:`rewrite_cone` derives that structure once per
+candidate graph (memoised on the graph; rollout and update share it):
+:class:`~repro.rl.embed.IncrementalEmbedder` uses it to act, and
+:func:`build_delta_batch` uses it to give the PPO update a batch holding the
+current graph's rows in full and each candidate's cone rows only
+(:meth:`LazyMetaGraph.delta_batch`).  :func:`build_meta_graph`, the full
+meta-graph, stays as the reference the delta batch is tested against and as
+what ``incremental=False`` observations carry.
+
 The original per-edge Python-loop encoder is kept as the ``incremental=False``
 reference path; the equivalence suite asserts both produce bit-for-bit
 identical arrays.
@@ -42,12 +54,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.lru import LRUCache
-from ..ir.graph import Graph
+from ..ir.graph import Graph, GraphDelta, NodeId
 from ..ir.ops import num_op_types, op_index
 from ..nn.gnn import BatchedGraphs
 
 __all__ = ["GraphFeatures", "FeatureCache", "encode_graph", "encode_order",
-           "build_meta_graph", "LazyMetaGraph",
+           "encode_position", "RewriteCone", "rewrite_cone",
+           "build_meta_graph", "build_delta_batch", "LazyMetaGraph",
            "combine_meta_graphs", "NODE_FEATURE_DIM", "EDGE_FEATURE_DIM",
            "GLOBAL_FEATURE_DIM"]
 
@@ -63,6 +76,7 @@ _EDGE_ROWS_KEY = "rl:edge_rows"
 
 _EMPTY_SRC = np.zeros(0, dtype=np.int64)
 _EMPTY_FEATS = np.zeros((0, EDGE_FEATURE_DIM))
+_NO_BLOCK = (_EMPTY_SRC, _EMPTY_FEATS)
 
 
 @dataclass
@@ -76,10 +90,12 @@ class GraphFeatures:
 
     @property
     def num_nodes(self) -> int:
+        """Rows of ``node_features``: the graph's live nodes."""
         return int(self.node_features.shape[0])
 
     @property
     def num_edges(self) -> int:
+        """Rows of ``edge_features``: the graph's edges."""
         return int(self.edge_src.shape[0])
 
 
@@ -97,6 +113,52 @@ def encode_order(graph: Graph) -> np.ndarray:
     return graph.memo("rl:order", lambda: np.sort(
         np.fromiter(graph.nodes.keys(), dtype=np.int64,
                     count=len(graph.nodes))))
+
+
+def encode_position(graph: Graph) -> np.ndarray:
+    """Dense node-id -> row table of :func:`encode_order` (memoised likewise).
+
+    Ids are monotonic, so ``graph.id_bound`` bounds the table; entries of
+    dead ids are garbage and never read.  Callers must not write to it.
+    """
+    def build() -> np.ndarray:
+        order = encode_order(graph)
+        position = np.empty(graph.id_bound, dtype=np.int64)
+        position[order] = np.arange(order.shape[0], dtype=np.int64)
+        return position
+    return graph.memo("rl:position", build)
+
+
+def _edge_block(graph: Graph, blocks: Dict[NodeId, tuple],
+                nid: NodeId) -> tuple:
+    """Node ``nid``'s incoming-edge block ``(src_ids, shape_rows)``.
+
+    ``blocks`` is ``graph.node_cache(_EDGE_ROWS_KEY)``; the block is built
+    on a miss and kept there.  The one builder behind the full encode and
+    the cone derivation, so a destination's edges — and the order its
+    messages accumulate in — are the same whichever path reads them.
+    """
+    block = blocks.get(nid)
+    if block is None:
+        edges = graph.in_edges(nid)
+        if edges:
+            nodes = graph.nodes
+            block = (
+                np.asarray([e.src for e in edges], dtype=np.int64),
+                np.asarray([nodes[e.src].outputs[e.src_slot].shape.padded(4)
+                            for e in edges], dtype=np.float64),
+            )
+        else:
+            block = _NO_BLOCK
+        blocks[nid] = block
+    return block
+
+
+def _one_hot_ops(op_indices: np.ndarray) -> np.ndarray:
+    """``[len(op_indices), NODE_FEATURE_DIM]`` one-hot operator rows."""
+    rows = np.zeros((op_indices.shape[0], NODE_FEATURE_DIM))
+    rows[np.arange(op_indices.shape[0]), op_indices] = 1.0
+    return rows
 
 
 def _encode_graph_reference(graph: Graph, edge_norm: float) -> GraphFeatures:
@@ -145,9 +207,11 @@ def encode_graph(graph: Graph, edge_norm: float = DEFAULT_EDGE_NORM,
     filled at copy time*.  Encoding a candidate therefore rebuilds only the
     blocks of the nodes its mutation delta changed **if its parent was
     encoded before the copy**; blocks the parent had not built by then are
-    rebuilt by each descendant that is encoded.  Under ``LazyMetaGraph``
-    (the default RL path) a graph is often copied before anything encoded
-    it, so an encode can rebuild more than its delta.
+    rebuilt by each descendant that is encoded.  The default RL path
+    fully encodes only an observation's current graph, at PPO-update time
+    (:func:`build_delta_batch`; candidates contribute the blocks of their
+    cone, see :func:`rewrite_cone`) — after its candidates were copied, so
+    that one encode still builds most of its blocks itself.
 
     ``incremental=False`` runs the original per-edge Python loop.  Both
     paths return bit-for-bit identical arrays.
@@ -158,44 +222,25 @@ def encode_graph(graph: Graph, edge_norm: float = DEFAULT_EDGE_NORM,
     order_arr = encode_order(graph)
     order = order_arr.tolist()
     n = len(order)
-    nodes = graph.nodes
 
     # One-hot node rows via fancy indexing (no per-node Python writes): the
     # graph maintains an id-indexed op table incrementally across rewrites.
-    node_features = np.zeros((n, NODE_FEATURE_DIM))
-    node_features[np.arange(n), graph.op_index_table()[order_arr]] = 1.0
+    node_features = _one_hot_ops(graph.op_index_table()[order_arr])
 
     # Incoming-edge blocks, cached per node and invalidated by mutation.
     rows = graph.node_cache(_EDGE_ROWS_KEY)
-    rows_get = rows.get
     src_blocks: List[np.ndarray] = []
     feat_blocks: List[np.ndarray] = []
     dst_counts = np.zeros(n, dtype=np.int64)
     for i, nid in enumerate(order):
-        block = rows_get(nid)
-        if block is None:
-            edges = graph.in_edges(nid)
-            if edges:
-                block = (
-                    np.asarray([e.src for e in edges], dtype=np.int64),
-                    np.asarray([nodes[e.src].outputs[e.src_slot].shape.padded(4)
-                                for e in edges], dtype=np.float64),
-                )
-            else:
-                block = (_EMPTY_SRC, _EMPTY_FEATS)
-            rows[nid] = block
-        srcs, feats = block
+        srcs, feats = _edge_block(graph, rows, nid)
         if srcs.shape[0]:
             src_blocks.append(srcs)
             feat_blocks.append(feats)
             dst_counts[i] = srcs.shape[0]
 
     if src_blocks:
-        # Node-id -> row-position lookup as a dense array (ids are
-        # monotonic, so `id_bound` bounds the table size).
-        position = np.empty(graph.id_bound, dtype=np.int64)
-        position[order_arr] = np.arange(n, dtype=np.int64)
-        edge_src = position[np.concatenate(src_blocks)]
+        edge_src = encode_position(graph)[np.concatenate(src_blocks)]
         edge_dst = np.repeat(np.arange(n, dtype=np.int64), dst_counts)
         edge_features = np.concatenate(feat_blocks) / edge_norm
     else:
@@ -272,14 +317,17 @@ class FeatureCache:
 
     @property
     def hits(self) -> int:
+        """Encodes served from either tier (graph memo or hash LRU)."""
         return self._memo_hits + self._entries.hits
 
     @property
     def misses(self) -> int:
+        """Encodes that ran :func:`encode_graph`."""
         return self._entries.misses + self._keyless_misses
 
     @property
     def hit_rate(self) -> float:
+        """``hits / (hits + misses)``; 0.0 before the first encode."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
@@ -290,6 +338,7 @@ class FeatureCache:
                 "evictions": float(self._entries.evictions)}
 
     def clear(self) -> None:
+        """Drop the hash tier and zero every counter (graph memos stay)."""
         self._entries.clear()
         self._entries.reset_stats()
         self._memo_hits = 0
@@ -328,6 +377,198 @@ def build_meta_graph(graphs: Sequence[Graph],
     )
 
 
+class RewriteCone:
+    """What one rewrite can change in a candidate's encoding, as structure.
+
+    Everything is row positions in the candidate's :func:`encode_order`
+    (``n`` rows) or in its ``delta_parent()``'s; nothing depends on weights,
+    so one derivation serves every rollout forward and every PPO epoch.
+    """
+
+    __slots__ = ("delta", "order", "mapped", "unchanged", "cone_pos",
+                 "op_indices", "edge_src_pos", "edge_feats", "segments",
+                 "transform_pos", "cone_local", "edge_src_local")
+
+    #: The ``GraphDelta`` this was derived from (the memo's validity token).
+    delta: GraphDelta
+    #: ``[n]`` the candidate's node ids, ascending.
+    order: np.ndarray
+    #: ``[n]`` each row's row in the parent (0 for added nodes: they are in
+    #: the cone, so the parent's row is never used).
+    mapped: np.ndarray
+    #: The delta is empty: same rows as the parent, in the same order.
+    unchanged: bool
+    #: ``[c]`` cone rows, ascending; ``op_indices`` their operator indices.
+    cone_pos: np.ndarray
+    op_indices: np.ndarray
+    #: In-edges of the cone rows, each destination's block contiguous and in
+    #: slot order: source row, normalised shape features, and destination as
+    #: an index into ``cone_pos``.
+    edge_src_pos: np.ndarray
+    edge_feats: np.ndarray
+    segments: np.ndarray
+    #: ``[t]`` rows a layer must transform (cone rows and their sources),
+    #: ascending, and where the cone rows / edge sources sit among them.
+    transform_pos: np.ndarray
+    cone_local: np.ndarray
+    edge_src_local: np.ndarray
+
+
+def rewrite_cone(graph: Graph, num_layers: int,
+                 edge_norm: float = DEFAULT_EDGE_NORM
+                 ) -> Optional[RewriteCone]:
+    """The cone of ``graph``'s rewrite against its ``delta_parent()``.
+
+    ``None`` when the graph has no valid delta parent (the caller then
+    treats it as a graph of its own).  A node is *dirty* when the rewrite
+    changed its inputs — the delta's ``added`` and ``rewired`` sets; every
+    other surviving node has the feature row and in-edge block it had in
+    the parent.  Influence travels one hop downstream per GAT layer, so the
+    dirty set spread ``num_layers`` hops along out-edges covers every row
+    any layer can change; the rows outside it equal the parent's rows in
+    every layer.  Memoised on the graph (dropped on mutation).
+    """
+    parent = graph.delta_parent()
+    if parent is None:
+        return None
+    delta = graph.mutation_delta()
+
+    def derive() -> RewriteCone:
+        return _derive_cone(graph, parent, delta, num_layers, edge_norm)
+
+    cone = graph.memo(("rl:cone", num_layers, edge_norm), derive)
+    if cone.delta is not delta:
+        # ``Graph.copy`` hands whole-graph memos down: this entry describes
+        # the graph we were copied from against *its* parent.  An unmutated
+        # copy is rare (a rewrite drops the memo); it derives every time.
+        cone = derive()
+    return cone
+
+
+def _derive_cone(graph: Graph, parent: Graph, delta: GraphDelta,
+                 num_layers: int, edge_norm: float) -> RewriteCone:
+    nodes = graph.nodes
+    dirty = {nid for nid in delta.added | delta.rewired if nid in nodes}
+    spread = set(dirty)
+    out_edges = graph._out_edges
+    for _ in range(num_layers):
+        grown = set(spread)
+        for nid in spread:
+            for edge in out_edges[nid]:
+                grown.add(edge.dst)
+        if len(grown) == len(spread):
+            break
+        spread = grown
+
+    cone = RewriteCone()
+    cone.delta = delta
+    cone.order = order = encode_order(graph)
+    n = order.shape[0]
+    position = encode_position(graph)
+    # Ids are monotonic: a child id below the parent's bound existed in the
+    # parent, anything above was added by the rewrite.
+    parent_position = encode_position(parent)
+    cone.mapped = mapped = np.zeros(n, dtype=np.int64)
+    in_parent = order < parent_position.shape[0]
+    mapped[in_parent] = parent_position[order[in_parent]]
+    cone.unchanged = not (delta.removed or dirty)
+
+    cone.cone_pos = np.sort(position[np.fromiter(
+        spread, dtype=np.int64, count=len(spread))])
+    cone_ids = order[cone.cone_pos]
+    cone.op_indices = graph.op_index_table()[cone_ids]
+    blocks = graph.node_cache(_EDGE_ROWS_KEY)
+    src_blocks: List[np.ndarray] = []
+    feat_blocks: List[np.ndarray] = []
+    counts = np.zeros(cone_ids.shape[0], dtype=np.int64)
+    for i, nid in enumerate(cone_ids.tolist()):
+        srcs, feats = _edge_block(graph, blocks, nid)
+        if srcs.shape[0]:
+            src_blocks.append(srcs)
+            feat_blocks.append(feats)
+            counts[i] = srcs.shape[0]
+    if src_blocks:
+        cone.edge_src_pos = position[np.concatenate(src_blocks)]
+        cone.edge_feats = np.concatenate(feat_blocks) / edge_norm
+    else:
+        cone.edge_src_pos = _EMPTY_SRC
+        cone.edge_feats = _EMPTY_FEATS
+    cone.segments = np.repeat(
+        np.arange(counts.shape[0], dtype=np.int64), counts)
+    cone.transform_pos = np.unique(
+        np.concatenate([cone.cone_pos, cone.edge_src_pos]))
+    local = np.empty(n, dtype=np.int64)
+    local[cone.transform_pos] = np.arange(
+        cone.transform_pos.shape[0], dtype=np.int64)
+    cone.cone_local = local[cone.cone_pos]
+    cone.edge_src_local = local[cone.edge_src_pos]
+    return cone
+
+
+def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
+                      edge_norm: float = DEFAULT_EDGE_NORM,
+                      cache: Optional[FeatureCache] = None) -> BatchedGraphs:
+    """The meta-graph of ``graphs`` with candidates stored as cones.
+
+    The row store holds the current graph (``graphs[0]``) in full and, for
+    every candidate whose ``delta_parent()`` is that graph, only its
+    :func:`rewrite_cone` rows for an encoder of ``num_layers`` GAT layers.
+    A cone row's in-edges point at the candidate's other cone rows or, for
+    every source the rewrite left alone, at the current graph's row for
+    that node — the same value in every layer.  ``pool_rows`` lists, per
+    graph and in encode order, the store row of each of its nodes, so the
+    encoder returns exactly the embeddings :func:`build_meta_graph`'s batch
+    gives (bit-for-bit in float64) while message passing runs over a
+    fraction of the rows.  A candidate of any other lineage is stored in
+    full, like the current graph.
+    """
+    if cache is not None:
+        edge_norm = cache.edge_norm
+    current = graphs[0]
+    op_blocks, feat_blocks, src_blocks, dst_blocks, pool_blocks = \
+        [], [], [], [], []
+    rows = 0
+    for graph in graphs:
+        cone = rewrite_cone(graph, num_layers, edge_norm) \
+            if graph is not current and graph.delta_parent() is current \
+            else None
+        if cone is None:
+            feats = cache.encode(graph) if cache is not None \
+                else encode_graph(graph, edge_norm)
+            op_blocks.append(graph.op_index_table()[encode_order(graph)])
+            feat_blocks.append(feats.edge_features)
+            src_blocks.append(feats.edge_src + rows)
+            dst_blocks.append(feats.edge_dst + rows)
+            pool_blocks.append(
+                np.arange(rows, rows + feats.num_nodes, dtype=np.int64))
+            rows += feats.num_nodes
+            continue
+        # The current graph's block starts at store row 0, so a row of the
+        # parent is its own store row.
+        store_row = cone.mapped.copy()
+        count = cone.cone_pos.shape[0]
+        store_row[cone.cone_pos] = np.arange(rows, rows + count,
+                                             dtype=np.int64)
+        op_blocks.append(cone.op_indices)
+        feat_blocks.append(cone.edge_feats)
+        src_blocks.append(store_row[cone.edge_src_pos])
+        dst_blocks.append(cone.segments + rows)
+        pool_blocks.append(store_row)
+        rows += count
+    counts = np.asarray([block.shape[0] for block in pool_blocks],
+                        dtype=np.int64)
+    return BatchedGraphs(
+        node_features=_one_hot_ops(np.concatenate(op_blocks)),
+        edge_features=np.concatenate(feat_blocks, axis=0),
+        edge_src=np.concatenate(src_blocks),
+        edge_dst=np.concatenate(dst_blocks),
+        graph_ids=np.repeat(np.arange(len(graphs), dtype=np.int64), counts),
+        num_graphs=len(graphs),
+        global_features=np.zeros((len(graphs), GLOBAL_FEATURE_DIM)),
+        pool_rows=np.concatenate(pool_blocks),
+    )
+
+
 class LazyMetaGraph:
     """A :class:`BatchedGraphs` that assembles itself on first use.
 
@@ -337,28 +578,41 @@ class LazyMetaGraph:
     per-graph structure.  Materialising the batch eagerly would encode
     every candidate each step just in case — the single largest cost on
     small graphs.  This proxy defers :func:`build_meta_graph` until some
-    consumer (PPO's batched update, a gradient forward, verify mode)
-    actually touches an attribute, then memoises the result for the
-    observation's lifetime, so training epochs still pay for assembly only
-    once per observation.
+    consumer (a single-observation gradient forward, verify mode) actually
+    touches an attribute, then memoises the result for the observation's
+    lifetime.  The batched PPO update does not touch it either: it asks for
+    :meth:`delta_batch`, which never encodes a candidate, and which is
+    memoised the same way so training epochs pay for assembly once per
+    observation.
     """
 
-    __slots__ = ("_graphs", "_cache", "_built")
+    __slots__ = ("_graphs", "_cache", "_built", "_delta")
 
     def __init__(self, graphs: Sequence[Graph],
                  cache: Optional[FeatureCache] = None):
         self._graphs = list(graphs)
         self._cache = cache
         self._built: Optional[BatchedGraphs] = None
+        self._delta: Optional[Tuple[int, BatchedGraphs]] = None
 
     def materialise(self) -> BatchedGraphs:
+        """The full meta-graph (every graph encoded), built on first call."""
         if self._built is None:
             self._built = build_meta_graph(self._graphs, cache=self._cache)
         return self._built
 
     @property
     def is_materialised(self) -> bool:
+        """Whether :meth:`materialise` has run (by call or attribute read)."""
         return self._built is not None
+
+    def delta_batch(self, num_layers: int) -> BatchedGraphs:
+        """:func:`build_delta_batch` of these graphs, built on first call
+        (per ``num_layers``: an observation meets one encoder)."""
+        if self._delta is None or self._delta[0] != num_layers:
+            self._delta = (num_layers, build_delta_batch(
+                self._graphs, num_layers, cache=self._cache))
+        return self._delta[1]
 
     def __getattr__(self, name):
         return getattr(self.materialise(), name)
@@ -370,7 +624,8 @@ def combine_meta_graphs(batches: Sequence[BatchedGraphs]
 
     Returns the combined batch plus, for each input batch, the index of its
     first graph in the combined graph numbering (so callers can recover
-    which embedding rows belong to which observation).
+    which embedding rows belong to which observation).  Delta batches and
+    plain ones mix: a plain batch pools all of its rows, in order.
     """
     node_offset = 0
     graph_offset = 0
@@ -378,6 +633,8 @@ def combine_meta_graphs(batches: Sequence[BatchedGraphs]
     node_blocks, edge_blocks, src_blocks, dst_blocks, gid_blocks = \
         [], [], [], [], []
     global_blocks = []
+    pool_blocks = []
+    pooled = any(batch.pool_rows is not None for batch in batches)
     for i, batch in enumerate(batches):
         graph_offsets[i] = graph_offset
         node_blocks.append(batch.node_features)
@@ -386,6 +643,11 @@ def combine_meta_graphs(batches: Sequence[BatchedGraphs]
         dst_blocks.append(batch.edge_dst + node_offset)
         gid_blocks.append(batch.graph_ids + graph_offset)
         global_blocks.append(batch.global_features)
+        if pooled:
+            pool_blocks.append(
+                batch.pool_rows + node_offset if batch.pool_rows is not None
+                else np.arange(node_offset, node_offset + batch.num_nodes,
+                               dtype=np.int64))
         node_offset += batch.num_nodes
         graph_offset += batch.num_graphs
     combined = BatchedGraphs(
@@ -396,5 +658,6 @@ def combine_meta_graphs(batches: Sequence[BatchedGraphs]
         graph_ids=np.concatenate(gid_blocks),
         num_graphs=graph_offset,
         global_features=np.concatenate(global_blocks, axis=0),
+        pool_rows=np.concatenate(pool_blocks) if pooled else None,
     )
     return combined, graph_offsets

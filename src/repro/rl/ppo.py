@@ -21,10 +21,13 @@ Performance notes:
   one ``scatter_into`` (the seed implementation rebuilt the padded vector
   with an O(A²) ``list.index`` loop of 1-element tensors);
 * ``evaluate_actions_batch`` runs a whole PPO minibatch through a *single*
-  encoder forward by splicing every observation's meta-graph into one
-  :class:`~repro.nn.gnn.BatchedGraphs` (the meta-graph machinery batches
-  arbitrary graph sets, so batching across transitions is the same trick as
-  batching candidates within one);
+  encoder forward over one :class:`~repro.nn.gnn.BatchedGraphs` (the
+  meta-graph machinery batches arbitrary graph sets, so batching across
+  transitions is the same trick as batching candidates within one) — and
+  that batch is a *delta batch*: each observation's current graph in full,
+  each candidate as its rewrite cone only
+  (:func:`~repro.rl.features.build_delta_batch`), so forward and backward
+  run over the rows a rewrite can change, not over ~25 copies of the graph;
 * rollout ``act()`` runs under :func:`~repro.nn.tensor.no_grad`, so
   exploration builds no autograd tape — and memoises the policy output per
   observation object (the environment returns the *same* observation for a
@@ -50,7 +53,7 @@ from .buffer import RolloutBuffer
 from .embed import IncrementalEmbedder
 from .env import Observation
 from .features import (EDGE_FEATURE_DIM, GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM,
-                       combine_meta_graphs)
+                       LazyMetaGraph, combine_meta_graphs)
 
 __all__ = ["ActionDecision", "XRLflowAgent", "PPOUpdater"]
 
@@ -77,6 +80,13 @@ def _pair_indices(num_graphs: int, offset: int, num_actions: int
     positions[:count - 1] = np.arange(count - 1, dtype=np.int64)
     positions[count - 1] = num_actions - 1
     return first, second, positions
+
+
+def _meta_graph_nodes(observation: Observation) -> int:
+    """Nodes of the observation's meta-graph, without assembling it."""
+    if observation.graphs is not None:
+        return sum(len(graph.nodes) for graph in observation.graphs)
+    return observation.meta_graph.num_nodes
 
 
 @dataclass
@@ -134,6 +144,7 @@ class XRLflowAgent(Module):
         self.embedder.invalidate()
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Load parameters and drop everything memoised under the old ones."""
         super().load_state_dict(state)
         self.invalidate_decision_cache()
 
@@ -251,12 +262,16 @@ class XRLflowAgent(Module):
                                ) -> Tuple[Tensor, Tensor, Tensor]:
         """Differentiable (log-probs, values, entropies), each ``[B]``.
 
-        Splices every *distinct* observation's meta-graph into one
+        Splices every *distinct* observation's batch into one
         :class:`~repro.nn.gnn.BatchedGraphs` and runs a *single* encoder
         forward for the whole minibatch — the GNN message passing is where
         nearly all the per-transition ops (and the autograd tape) used to
-        go.  Duplicate observations (the environment memoises re-visited
-        states, so one observation object can back several transitions) are
+        go.  An observation of the incremental environment contributes its
+        delta batch (:meth:`~repro.rl.features.LazyMetaGraph.delta_batch`:
+        candidates as rewrite cones, never fully encoded); any other
+        contributes its meta-graph as it is.  Duplicate observations (the
+        environment memoises re-visited states, so one observation object
+        can back several transitions) are
         encoded and head-evaluated once.  All embedding rows the heads need
         are pulled out of the combined matrix with *two* gathers — per-item
         slicing of the big matrix would allocate a full-size gradient
@@ -285,11 +300,14 @@ class XRLflowAgent(Module):
                     unique.append(obs)
                 slots.append(slot)
 
-            # Cast each observation's meta-graph up front (memoised per
-            # observation, so PPO epochs re-use the converted arrays) and
+            # Cast each observation's batch up front (built and converted
+            # once per observation, so PPO epochs re-use the arrays) and
             # splice the already-converted blocks.
-            combined, offsets = combine_meta_graphs(
-                [o.meta_graph.cast(self.dtype) for o in unique])
+            num_layers = self.encoder.num_gat_layers
+            pieces = [(o.meta_graph.delta_batch(num_layers)
+                       if isinstance(o.meta_graph, LazyMetaGraph)
+                       else o.meta_graph).cast(self.dtype) for o in unique]
+            combined, offsets = combine_meta_graphs(pieces)
             embeddings = self.encoder(combined)  # [sum G_u, D]
 
             # Group unique observations by meta-graph size.  Within a group
@@ -299,8 +317,8 @@ class XRLflowAgent(Module):
             # bit-for-bit equal to :meth:`evaluate_actions` while the whole
             # group costs one set of ops.
             groups: Dict[int, List[int]] = {}
-            for u, obs in enumerate(unique):
-                groups.setdefault(obs.meta_graph.num_graphs, []).append(u)
+            for u, piece in enumerate(pieces):
+                groups.setdefault(piece.num_graphs, []).append(u)
 
             group_logit_blocks: List[Tensor] = []
             group_value_blocks: List[Tensor] = []
@@ -362,10 +380,18 @@ class XRLflowAgent(Module):
 
 @dataclass
 class PPOUpdateStats:
+    """Averages over one update's optimiser steps, plus its encoder work."""
+
     policy_loss: float
     value_loss: float
     entropy: float
     grad_norm: float
+    #: Rows the encoder's message passing computed / rows its readout
+    #: summed, over every forward of the update.  Equal when every graph is
+    #: stored in full; the delta batch encodes a small share of what it
+    #: pools.
+    encoder_rows: int = 0
+    pooled_rows: int = 0
 
 
 class PPOUpdater:
@@ -377,10 +403,11 @@ class PPOUpdater:
     reference.
 
     Minibatches whose observations sum to more than ``max_batch_nodes``
-    meta-graph nodes are split into node-bounded chunks with gradient
-    accumulation (each chunk's loss is scaled by ``1/B``, so the summed
-    gradient equals the whole-minibatch mean exactly, up to float addition
-    order).  One giant fused batch is *slower* than the loop on large
+    meta-graph nodes (the rows the readout gathers — with delta batches the
+    only array of that size left) are split into node-bounded chunks with
+    gradient accumulation (each chunk's loss is scaled by ``1/B``, so the
+    summed gradient equals the whole-minibatch mean exactly, up to float
+    addition order).  One giant fused batch is *slower* than the loop on large
     models: its activation arrays fall out of the CPU caches, and every
     elementwise op becomes a round-trip to DRAM.  Chunking keeps the
     per-op working set cache-resident while still amortising the Python
@@ -415,6 +442,8 @@ class PPOUpdater:
         advantages, returns = buffer.finalise()
         stats = {"policy": 0.0, "value": 0.0, "entropy": 0.0, "grad": 0.0}
         updates = 0
+        encoder = self.agent.encoder
+        rows_before = (encoder.rows_encoded, encoder.rows_pooled)
 
         dtype = getattr(self.agent, "dtype", np.float64)
         with default_dtype(dtype):
@@ -439,7 +468,11 @@ class PPOUpdater:
         return PPOUpdateStats(policy_loss=stats["policy"] * scale,
                               value_loss=stats["value"] * scale,
                               entropy=stats["entropy"] * scale,
-                              grad_norm=stats["grad"] * scale)
+                              grad_norm=stats["grad"] * scale,
+                              encoder_rows=encoder.rows_encoded
+                              - rows_before[0],
+                              pooled_rows=encoder.rows_pooled
+                              - rows_before[1])
 
     # ------------------------------------------------------------------
     def _node_bounded_chunks(self, buffer: RolloutBuffer,
@@ -447,7 +480,8 @@ class PPOUpdater:
         """Split a minibatch into runs of <= ``max_batch_nodes`` meta nodes.
 
         Duplicate observations inside a chunk are counted once — they are
-        deduplicated before encoding.
+        deduplicated before encoding.  An observation's size is read off
+        its graphs, so sizing never assembles a lazy meta-graph.
         """
         transitions = buffer.transitions
         chunks: List[np.ndarray] = []
@@ -456,11 +490,11 @@ class PPOUpdater:
         nodes = 0
         for i in batch_idx:
             obs = transitions[i].observation
-            cost = 0 if id(obs) in seen else obs.meta_graph.num_nodes
+            cost = 0 if id(obs) in seen else _meta_graph_nodes(obs)
             if current and nodes + cost > self.max_batch_nodes:
                 chunks.append(np.asarray(current))
                 current, seen, nodes = [], set(), 0
-                cost = obs.meta_graph.num_nodes
+                cost = _meta_graph_nodes(obs)
             current.append(int(i))
             seen.add(id(obs))
             nodes += cost

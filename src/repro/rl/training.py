@@ -35,11 +35,15 @@ class TrainingHistory:
 
     @property
     def best_episode(self) -> Optional[EpisodeRecord]:
+        """The episode that *ended* on the highest speedup (``None`` before
+        the first).  The best graph of a run may turn up mid-episode; that
+        one is the environment's ``best_graph`` / ``best_rules``."""
         if not self.episodes:
             return None
         return max(self.episodes, key=lambda e: e.speedup)
 
     def mean_reward(self, last: int = 10) -> float:
+        """Mean total reward of the ``last`` most recent episodes."""
         if not self.episodes:
             return 0.0
         window = self.episodes[-last:]
@@ -121,6 +125,8 @@ class PPOTrainer:
             "value_loss": stats.value_loss,
             "entropy": stats.entropy,
             "grad_norm": stats.grad_norm,
+            "encoder_rows": float(stats.encoder_rows),
+            "pooled_rows": float(stats.pooled_rows),
         }
         cache_stats = self.env.encode_cache_stats()
         if cache_stats:

@@ -63,6 +63,59 @@ class TestXRLflow:
         assert result.final_latency_ms <= result.initial_latency_ms + 1e-9
         assert result.stats["episodes_trained"] == tiny_config.num_episodes
 
+    @pytest.mark.parametrize("model, seed",
+                             [("bert", 1), ("vit", 1), ("tt", 2)])
+    def test_applied_rules_replay_to_final_graph(self, model, seed,
+                                                 monkeypatch):
+        """``applied_rules`` must be the rewrites that produced
+        ``final_graph``.  In these three runs the best graph turns up
+        mid-episode and the episode walks on; the result used to report the
+        whole episode's rules (15 for a graph 13 produced).  Every action
+        sequence the environments take is recorded per graph reached; those
+        recorded for the final graph are replayed in a fresh environment,
+        and one of them must apply exactly the reported rules."""
+        from repro.experiments import build_small_model
+        from repro.rl import GraphRewriteEnv
+
+        actions_to = {}
+        original_reset, original_step = (GraphRewriteEnv.reset,
+                                         GraphRewriteEnv.step)
+
+        def reset(env):
+            env._actions = []
+            return original_reset(env)
+
+        def step(env, action):
+            before = env.step_count
+            result = original_step(env, action)
+            if env.step_count > before:
+                env._actions.append(action)
+                actions_to.setdefault(env.current_graph.structural_hash(),
+                                      set()).add(tuple(env._actions))
+            return result
+
+        monkeypatch.setattr(GraphRewriteEnv, "reset", reset)
+        monkeypatch.setattr(GraphRewriteEnv, "step", step)
+        config = XRLflowConfig.fast(
+            num_episodes=4, max_steps=18, max_candidates=24,
+            update_frequency=2, ppo_epochs=1, eval_episodes=1, seed=seed)
+        graph = build_small_model(model)
+        result = XRLflow(config).optimise(graph, model)
+        monkeypatch.undo()
+
+        final_hash = result.final_graph.structural_hash()
+        assert result.applied_rules, "the run is expected to find rewrites"
+        replayed = []
+        for actions in actions_to[final_hash]:
+            env = GraphRewriteEnv(graph, max_candidates=24, max_steps=18,
+                                  seed=seed)
+            env.reset()
+            for action in actions:
+                env.step(action)
+            assert env.current_graph.structural_hash() == final_hash
+            replayed.append(env.applied_rules)
+        assert result.applied_rules in replayed
+
     def test_training_history_available(self, tiny_config):
         opt = XRLflow(tiny_config)
         graph = tiny_transformer()

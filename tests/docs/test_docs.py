@@ -49,6 +49,12 @@ def test_cost_and_search_public_api_is_documented():
     assert problems == [], "\n".join(problems)
 
 
+def test_rl_public_api_is_documented():
+    checker = _load_checker()
+    problems = checker.check_docstrings([REPO_ROOT / "src" / "repro" / "rl"])
+    assert problems == [], "\n".join(problems)
+
+
 def test_extending_cookbook_doctests():
     path = REPO_ROOT / "docs" / "extending.md"
     results = doctest.testfile(str(path), module_relative=False,

@@ -115,6 +115,33 @@ class TestGNN:
         assert all(g is not None for g in grads)
         assert any(np.abs(g).sum() > 0 for g in grads)
 
+    def test_backward_computes_no_gradient_for_constants(self, monkeypatch):
+        """``_accumulate`` is only ever entered for a tensor that keeps its
+        gradient: the encoder's constants (features, ``* 0.5``, the pooling
+        ``1 / counts``, the softmax shift) cost no gradient arithmetic —
+        and the parameter gradients are what they were."""
+        batch = tiny_batch(2)
+        net = GraphEmbeddingNetwork(node_dim=batch.node_features.shape[1],
+                                    edge_dim=batch.edge_features.shape[1],
+                                    hidden_dim=8, embedding_dim=8,
+                                    num_gat_layers=2, seed=0)
+        net(batch).sum().backward()
+        expected = [p.grad.copy() for p in net.parameters()]
+        net.zero_grad()
+
+        entered = []
+        original = Tensor._accumulate
+
+        def spy(tensor, grad):
+            entered.append(tensor.requires_grad)
+            original(tensor, grad)
+
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        net(batch).sum().backward()
+        assert entered and all(entered)
+        for p, grad in zip(net.parameters(), expected):
+            assert np.array_equal(p.grad, grad)
+
     def test_distinct_graphs_get_distinct_embeddings(self):
         b1 = GraphBuilder()
         x = b1.input((2, 4))

@@ -17,9 +17,11 @@ from repro.nn import Tensor, no_grad, reference_kernels, segment_sum
 from repro.rl import (FeatureCache, GraphRewriteEnv, Observation, PPOTrainer,
                       PPOUpdater, RolloutBuffer, Transition, XRLflowAgent,
                       build_meta_graph, encode_graph)
+from repro.rl.features import LazyMetaGraph, rewrite_cone
 from repro.rules import default_ruleset
 
 MODELS = ["squeezenet", "resnext50", "bert", "vit"]
+ZOO = MODELS + ["inception_v3", "resnet18", "dalle", "tt"]
 
 
 def scaled_attention_graph():
@@ -257,21 +259,147 @@ def collect_buffer(graph, agent, steps=12, seed=0):
     return buffer
 
 
+def lazy_observation(graphs, num_actions=13):
+    """An incremental-env-shaped observation over hand-picked graphs."""
+    mask = np.zeros(num_actions, dtype=bool)
+    mask[:len(graphs) - 1] = True
+    mask[-1] = True
+    return Observation(meta_graph=LazyMetaGraph(graphs, cache=FeatureCache()),
+                       action_mask=mask, graphs=list(graphs))
+
+
+def edge_case_observations():
+    """Observations the environment rarely or never produces, for the delta
+    batch: no candidate at all; and one whose candidates are two ordinary
+    rewrites, an untouched copy, a pure removal (delta without a dirty
+    node) and a rewrite that lost its lineage (``delta_parent()`` is
+    ``None``, so it is stored in full)."""
+    graph = build_small_model("squeezenet")
+    rewrites = [c.graph for c in default_ruleset().all_candidates(graph)]
+    untouched = graph.copy()
+    removal = graph.copy()
+    removal.remove_node(removal.sink_nodes()[0])
+    delta = removal.mutation_delta()
+    assert delta.removed and not (delta.added or delta.rewired)
+    orphan = rewrites[2]
+    orphan.begin_delta()
+    assert orphan.delta_parent() is None
+    assert rewrite_cone(orphan, 2) is None
+    return [lazy_observation([build_small_model("bert")]),
+            lazy_observation(
+                [graph, rewrites[0], untouched, removal, orphan, rewrites[1]])]
+
+
+def spliced(observation):
+    """The same observation carrying its full meta-graph: the reference
+    batch every graph of which stores all of its rows."""
+    return Observation(meta_graph=build_meta_graph(observation.graphs),
+                       action_mask=observation.action_mask,
+                       candidates=observation.candidates,
+                       graphs=observation.graphs)
+
+
+def minibatch(name, agent):
+    """Rollout observations of one zoo model plus the edge cases, with
+    duplicates and one observation carrying a full meta-graph (batches of
+    both kinds splice into one), and an action for each."""
+    buffer = collect_buffer(build_small_model(name), agent)
+    observations, actions, _ = buffer.gather(np.arange(len(buffer)))
+    extra = edge_case_observations()
+    observations = observations + extra + [
+        observations[0], extra[1], spliced(observations[1])]
+    actions = list(actions) + [12, 3, int(actions[0]), 12, int(actions[1])]
+    return observations, actions
+
+
 class TestBatchedEvaluate:
-    @pytest.mark.parametrize("name", ["squeezenet", "bert"])
+    @pytest.mark.parametrize("name", ZOO)
     def test_batch_matches_per_transition_bitwise(self, name):
-        graph = build_small_model(name)
         agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
                              num_gat_layers=2, head_sizes=(16,), seed=0)
-        buffer = collect_buffer(graph, agent)
-        observations, actions, _ = buffer.gather(np.arange(len(buffer)))
+        observations, actions = minibatch(name, agent)
         log_probs, values, entropies = agent.evaluate_actions_batch(
             observations, actions)
+        assert agent.encoder.rows_encoded < agent.encoder.rows_pooled
         for i, (obs, action) in enumerate(zip(observations, actions)):
             lp, value, entropy = agent.evaluate_actions(obs, int(action))
             assert lp.numpy()[0] == log_probs.numpy()[i]
             assert value.numpy()[0] == values.numpy()[i]
             assert float(entropy.numpy()) == entropies.numpy()[i]
+
+    @pytest.mark.parametrize("name", ["squeezenet", "bert"])
+    def test_delta_batch_gradients_match_spliced_batch(self, name):
+        """Same function, so same gradients: a parent row's gradient is the
+        sum over the graphs that read it, which the spliced batch adds up
+        at the weights instead — equal up to float64 addition order."""
+        grads = []
+        for reference in (False, True):
+            agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
+                                 num_gat_layers=2, head_sizes=(16,), seed=0)
+            observations, actions = minibatch(name, agent)
+            if reference:
+                observations = [spliced(o) for o in observations]
+            log_probs, values, entropies = agent.evaluate_actions_batch(
+                observations, actions)
+            (log_probs.sum() + values.sum() + entropies.sum()).backward()
+            grads.append([p.grad for p in agent.parameters()])
+        for delta, full in zip(*grads):
+            np.testing.assert_allclose(delta, full, rtol=1e-9, atol=1e-12)
+
+    def test_float32_outputs_equal_spliced_batch(self):
+        agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
+                             num_gat_layers=2, head_sizes=(16,), seed=0,
+                             dtype=np.float32)
+        observations, actions = minibatch("bert", agent)
+        delta = agent.evaluate_actions_batch(observations, actions)
+        full = agent.evaluate_actions_batch(
+            [spliced(o) for o in observations], actions)
+        for a, b in zip(delta, full):
+            assert a.numpy().dtype == np.float32
+            assert np.array_equal(a.numpy(), b.numpy())
+
+    @pytest.mark.parametrize("name", ["bert", "squeezenet"])
+    def test_update_encodes_cones_not_graphs(self, name):
+        """The O(cone) claim as a count: under the end-to-end benchmark's
+        training configuration, message passing runs over at most a quarter
+        of the rows the readout pools (a spliced batch: all of them)."""
+        from repro.core import XRLflow, XRLflowConfig
+        optimiser = XRLflow(XRLflowConfig.fast(
+            num_episodes=6, max_steps=18, max_candidates=24,
+            update_frequency=3, ppo_epochs=2, eval_episodes=2, seed=0))
+        history = optimiser.train(build_small_model(name))
+        assert history.update_stats
+        for record in history.update_stats:
+            assert 0 < record["encoder_rows"] <= 0.25 * record["pooled_rows"]
+
+    def test_cone_memo_is_not_inherited_by_copies(self):
+        """``Graph.copy`` hands whole-graph memos to the copy, but a cone
+        describes a graph against *its* parent: the copy's own cone (an
+        empty delta against the candidate) must not be the candidate's."""
+        graph = build_small_model("squeezenet")
+        candidate = default_ruleset().all_candidates(graph)[0].graph
+        assert rewrite_cone(candidate, 2).cone_pos.size
+        clone = candidate.copy()
+        cone = rewrite_cone(clone, 2)
+        assert cone.unchanged and not cone.cone_pos.size
+        assert rewrite_cone(candidate, 2).cone_pos.size
+        agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
+                             num_gat_layers=2, head_sizes=(16,), seed=0)
+        obs = lazy_observation([candidate, clone])
+        batched = agent.evaluate_actions_batch([obs], [0])
+        single = agent.evaluate_actions(obs, 0)
+        for a, b in zip(batched, single):
+            assert np.array_equal(np.ravel(a.numpy()), np.ravel(b.numpy()))
+
+    def test_update_leaves_meta_graphs_unassembled(self):
+        agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
+                             num_gat_layers=2, head_sizes=(16,), seed=0)
+        buffer = collect_buffer(build_small_model("squeezenet"), agent)
+        stats = PPOUpdater(agent, epochs=1, batch_size=4, seed=0).update(
+            buffer)
+        assert 0 < stats.encoder_rows < stats.pooled_rows
+        assert not any(t.observation.meta_graph.is_materialised
+                       for t in buffer.transitions)
 
     def test_batched_update_matches_loop_update(self):
         graph = build_small_model("squeezenet")

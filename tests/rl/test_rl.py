@@ -90,6 +90,41 @@ class TestEnvironment:
             done = result.done
         assert small_env.best_latency_ms <= small_env.initial_latency_ms + 1e-9
 
+    def test_best_rules_are_the_prefix_that_produced_best_graph(self):
+        """The episode walks on past its best graph; ``best_rules`` must
+        stop where ``best_graph`` was reached, not at the episode's end."""
+        from repro.experiments import build_small_model
+        graph = build_small_model("squeezenet")
+        kwargs = dict(feedback_interval=1, max_candidates=8, max_steps=4)
+        scout = GraphRewriteEnv(graph, **kwargs)
+        scout.reset()
+        visited = []
+        for _ in range(4):
+            scout.step(0)
+            visited.append(scout.current_graph.structural_hash())
+        assert len(set(visited)) == 4
+
+        class ScriptedLatency:
+            """Best after two rewrites, worse again afterwards."""
+            table = dict(zip(visited, (9.0, 5.0, 7.0, 8.0)))
+
+            def latency_ms(self, g):
+                return self.table.get(g.structural_hash(), 10.0)
+
+        env = GraphRewriteEnv(graph, e2e=ScriptedLatency(), **kwargs)
+        env.reset()
+        assert env.best_rules == []
+        for _ in range(4):
+            env.step(0)
+        assert env.applied_rules == scout.applied_rules
+        assert len(env.applied_rules) == 4
+        assert env.best_graph.structural_hash() == visited[1]
+        assert env.best_rules == env.applied_rules[:2]
+        # A later, worse episode leaves the record alone.
+        env.reset()
+        env.step(0)
+        assert env.best_rules == scout.applied_rules[:2]
+
     def test_episode_terminates_within_max_steps(self, small_env):
         small_env.reset()
         steps = 0
@@ -130,6 +165,7 @@ class TestSetGraph:
         assert env.best_graph is mlp_graph
         assert env.best_latency_ms == float("inf")
         assert env.applied_rules == []
+        assert env.best_rules == []
         assert env.step_count == 0
 
         env.reset()

@@ -80,5 +80,10 @@ def test_docs_job_gates_docstrings_of_service_cost_and_search():
         "src/repro/service", "src/repro/cost", "src/repro/search"}
 
 
+def test_docs_job_gates_docstrings_of_rl():
+    gate = re.search(r"check_docs\.py --docstrings(.*)", CI)
+    assert gate and "src/repro/rl" in gate.group(1).split()
+
+
 def test_concurrency_cancels_superseded_runs():
     assert "cancel-in-progress: true" in CI
