@@ -1,6 +1,6 @@
 """Benchmarks for the numpy execution backend and the differential harness.
 
-Three measurements, all recorded to ``BENCH_exec.json`` at the repo root:
+Three measurements, all recorded to ``BENCH_exec.json`` (see ``_harness.py``):
 
 * **per-model execute latency** — real numpy wall-clock per zoo model at
   reduced size, next to the analytic simulator's estimate for the same
@@ -20,11 +20,10 @@ Set ``EXEC_BENCH_SMOKE=1`` (CI) for fewer models and repetitions.
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from pathlib import Path
+from functools import partial
 
+import _harness
 from repro.cost import E2ESimulator
 from repro.exec import NumpyExecutor, calibrate, differential_check
 from repro.experiments import build_small_model
@@ -40,34 +39,7 @@ REPEATS = 1 if SMOKE else 3
 BENCH_MODELS = (["squeezenet", "bert"] if SMOKE else
                 ["squeezenet", "resnet18", "bert", "vit"])
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_exec.json"
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark section into the repo's BENCH_exec.json."""
-    data = {"benchmark": "exec", "schema": 1, "results": {}}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    data.setdefault("results", {})[section] = payload
-    data["smoke"] = SMOKE
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _best_of(fn, repeats=REPEATS):
-    """Minimum wall-clock over ``repeats`` runs (robust to scheduler noise),
-    with the *best repeat's* result — so whatever rides along with it
-    describes the same run as the reported time."""
-    best_s, best_result = float("inf"), None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - started
-        if elapsed < best_s:
-            best_s, best_result = elapsed, result
-    return best_s, best_result
+record = partial(_harness.record, "exec", smoke=SMOKE)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +70,7 @@ def test_model_execute_latency(benchmark):
               f"simulated {row['sim_ms']:.3f} ms "
               f"(ratio {row['ratio']:.1f}, {int(row['nodes'])} nodes)")
         assert row["execute_ms"] > 0 and row["sim_ms"] > 0
-    _record("models", payload)
+    record("models", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +99,9 @@ def test_calibration_fits_device_constants(benchmark):
     print(f"calibration: {len(result.samples)} samples, RMS log error "
           f"{result.error_before:.3f} -> {result.error_after:.3f} "
           f"(improvement {result.improvement:.2f}x)")
-    _record("calibration", payload)
-    _record("op_class_ratio",
-            {cls: float(r) for cls, r in sorted(ratios.items())})
+    record("calibration", payload)
+    record("op_class_ratio",
+           {cls: float(r) for cls, r in sorted(ratios.items())})
 
 
 # ---------------------------------------------------------------------------
@@ -277,4 +249,4 @@ def test_equivalence_sweep(benchmark):
     print(f"equivalence sweep: {checks} checks "
           f"({rules_fired} rules, {optimiser_checks} optimiser runs), "
           f"pass rate {payload['pass_rate']:.0%}")
-    _record("equivalence", payload)
+    record("equivalence", payload)

@@ -22,7 +22,7 @@ float64 everywhere, from-scratch observation encoding):
   10-episode buffer: chunked batched forward (float32 training default)
   vs the seed per-transition loop.
 
-Results are recorded to ``BENCH_rl.json`` at the repo root so the perf
+Results are recorded to ``BENCH_rl.json`` (see ``_harness.py``) so the perf
 trajectory is gated over time (see ``tools/check_bench.py``).
 
 Set ``RL_BENCH_SMOKE=1`` (CI) for reduced budgets with relaxed speedup
@@ -30,13 +30,13 @@ floors — CI boxes are too noisy for the full gates, which are asserted in
 the default (full) mode.
 """
 
-import json
 import os
 import time
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
+import _harness
 from repro.experiments import ExperimentReport, build_small_model
 from repro.nn import reference_kernels
 from repro.nn.tensor import Tensor, concat, flat_ids_cache_stats, stack
@@ -64,7 +64,8 @@ AGENT_KW = dict(hidden_dim=32, embedding_dim=32, num_gat_layers=3,
                 head_sizes=(64, 32), seed=0)
 ENV_KW = dict(max_candidates=24, max_steps=10, seed=0)
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_rl.json"
+record = partial(_harness.record, "rl", smoke=SMOKE)
+best_of = partial(_harness.best_of, repeats=REPEATS)
 
 _MASK_VALUE = -1e9
 
@@ -116,37 +117,6 @@ class SeedAgent(XRLflowAgent):
         value_input = concat([current_b, mean_candidate], axis=0).reshape(1, -1)
         value = self.value_head(value_input).reshape(1)
         return masked_logits, value
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark section into the repo's BENCH_rl.json."""
-    data = {"benchmark": "rl", "schema": 1, "results": {}}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    data.setdefault("results", {})[section] = payload
-    data["smoke"] = SMOKE
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _best_of(fn, repeats=REPEATS):
-    """Minimum wall-clock over ``repeats`` runs (robust to scheduler noise).
-
-    Returns the *best repeat's* result so any measurements riding along
-    with it (e.g. the per-stage timings) describe the same run as the
-    reported wall-clock — a noisy repeat must not be able to poison the
-    recorded stage breakdown while the headline uses the quiet one.
-    """
-    best_s, best_result = float("inf"), None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - started
-        if elapsed < best_s:
-            best_s, best_result = elapsed, result
-    return best_s, best_result
 
 
 def _assert_features_equal(fast, ref):
@@ -216,7 +186,7 @@ def test_observation_encoding_throughput(benchmark):
             "speedup": speedup,
         }
     print("\n" + report.to_text())
-    _record("observation_encoding", payload)
+    record("observation_encoding", payload)
     for name, count, eager_s, fast_s in rows:
         assert eager_s / fast_s >= MIN_ENCODE_SPEEDUP, \
             (f"{name}: incremental encoding only {eager_s / fast_s:.2f}x "
@@ -323,9 +293,9 @@ def test_env_steps_throughput(benchmark):
                 return actions, env, stages
 
             fast_s, (fast_actions, fast_env, fast_agent, fast_stages) = \
-                _best_of(fast_run)
-            fast64_s, (fast64_actions, _) = _best_of(fast64_run)
-            eager_s, (eager_actions, _, eager_stages) = _best_of(eager_run)
+                best_of(fast_run)
+            fast64_s, (fast64_actions, _) = best_of(fast64_run)
+            eager_s, (eager_actions, _, eager_stages) = best_of(eager_run)
             # Equivalence gate #1: in float64 the fast path must retrace
             # the seed trajectory action-for-action.
             assert fast64_actions == eager_actions, name
@@ -399,7 +369,7 @@ def test_env_steps_throughput(benchmark):
             },
         }
     print("\n" + report.to_text())
-    _record("env_steps", payload)
+    record("env_steps", payload)
     for (name, steps, fast_s, fast64_s, eager_s, stats, fast_stages,
          eager_stages, embed_checks) in rows:
         assert eager_s / fast_s >= MIN_ENV_SPEEDUP, \
@@ -461,9 +431,9 @@ def test_ppo_update_speedup(benchmark):
                     return updater.update(buffer)
 
             batched64_update()  # untimed warm-up (BLAS paths, encodings)
-            batched_s, batched_stats = _best_of(batched_update)
-            batched64_s, batched64_stats = _best_of(batched64_update)
-            loop_s, loop_stats = _best_of(loop_update)
+            batched_s, batched_stats = best_of(batched_update)
+            batched64_s, batched64_stats = best_of(batched64_update)
+            loop_s, loop_stats = best_of(loop_update)
             # Equivalence gate: in float64 the batched update reproduces the
             # seed loop's statistics (per-transition outputs are bit-equal;
             # the minibatch mean reduction rounds differently, hence approx).
@@ -491,7 +461,7 @@ def test_ppo_update_speedup(benchmark):
             "speedup_float64": loop_s / batched64_s,
         }
     print("\n" + report.to_text())
-    _record("ppo_update", payload)
+    record("ppo_update", payload)
     for name, transitions, batched_s, batched64_s, loop_s in rows:
         assert loop_s / batched_s >= MIN_PPO_SPEEDUP, \
             (f"{name}: batched PPO update only {loop_s / batched_s:.2f}x "

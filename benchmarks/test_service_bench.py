@@ -1,14 +1,10 @@
 """Benchmarks for the optimisation service.
 
-Seven measurements, all recorded to ``BENCH_service.json`` at the repo root:
+Six measurements, all recorded to ``BENCH_service.json`` (see
+``_harness.py``):
 
 * **cold vs warm** — re-submitting a known model returns from the in-memory
   fingerprint cache ≥10x faster;
-* **parallel scaling** — one serial worker vs four service workers whose
-  jobs also shard candidate evaluation across the intra-search process
-  pool; bit-for-bit equivalence asserted, per-stage overhead breakdown and
-  the host core count recorded (the CI scaling floor is core-aware: CI
-  boxes may grant one core, where sharding CPU-bound work cannot win);
 * **warm shared cache** — a *second service* pointed at the first one's
   cache directory serves the whole batch from disk without re-searching;
 * **dedup under contention** — N identical concurrent submissions coalesce
@@ -26,23 +22,22 @@ Set ``SERVICE_BENCH_SMOKE=1`` (CI) to shrink budgets and relax wall-clock
 gates — correctness/equivalence assertions stay strict in both modes.
 """
 
-import json
 import multiprocessing
 import os
 import threading
 import time
 import uuid
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+import _harness
 from repro.experiments import ExperimentReport, build_small_model
-from repro.search import TASOOptimizer, WorkerPool
 from repro.search.result import SearchResult
 from repro.service import (LeaseConfig, OptimisationService,
                            RemoteWorkerClient, WorkerServer,
                            register_optimiser)
-from repro.service.profiling import StageProfiler
 from repro.service.worker import JobRequest
 
 SMOKE = os.environ.get("SERVICE_BENCH_SMOKE") == "1"
@@ -51,20 +46,7 @@ TASO_CONFIG = {"max_iterations": 10 if SMOKE else 25}
 #: Identical concurrent submissions in the dedup benchmark.
 CONTENTION = 4 if SMOKE else 8
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark section into the repo's BENCH_service.json."""
-    data = {"benchmark": "service", "schema": 1, "results": {}}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    data.setdefault("results", {})[section] = payload
-    data["smoke"] = SMOKE
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+record = partial(_harness.record, "service", smoke=SMOKE)
 
 
 def _graphs():
@@ -100,8 +82,8 @@ def test_service_cold_vs_warm_throughput(benchmark):
     report.add("batch_total", cold_s=cold_s, warm_s=warm_s,
                speedup_x=cold_s / warm_s)
     print("\n" + report.to_text())
-    _record("cold_vs_warm", {"cold_seconds": cold_s, "warm_seconds": warm_s,
-                             "speedup": cold_s / warm_s})
+    record("cold_vs_warm", {"cold_seconds": cold_s, "warm_seconds": warm_s,
+                            "speedup": cold_s / warm_s})
 
     assert all(not r.cache_hit for r in cold)
     assert all(r.cache_hit for r in warm)
@@ -111,82 +93,6 @@ def test_service_cold_vs_warm_throughput(benchmark):
         f"warm batch not 10x faster: cold={cold_s:.3f}s warm={warm_s:.3f}s"
     assert stats["cache"]["misses"] == len(MODELS)
     assert stats["cache"]["memory_hits"] == len(MODELS)
-
-
-def test_service_parallel_scaling(benchmark):
-    """Full parallel stack vs one serial worker, with a stage breakdown.
-
-    The parallel leg exercises both levels of parallelism: four service
-    workers run jobs concurrently *and* each job's search shards its
-    candidate evaluation across the persistent process pool (registry
-    config wire-through).  Because candidate evaluation happens in worker
-    processes, the service threads spend their time blocked on pipes —
-    outside the GIL — which is what lets the stack scale on real cores.
-
-    Two honesty measures ride along in the payload: ``cores`` (the CI
-    gate only enforces its >=1.2x floor when the recording host had >1
-    core — sharding CPU-bound work cannot beat serial on one core) and a
-    serialise/dispatch/compute breakdown from the pool's profiling hooks
-    showing where the wall-clock actually went.
-    """
-    graphs = _graphs()
-    parallel_config = dict(TASO_CONFIG, parallel=True, num_workers=2)
-
-    def run():
-        with OptimisationService(num_workers=1) as service:
-            serial, serial_s = _run_batch(service, graphs, use_cache=False)
-        with OptimisationService(num_workers=4) as service:
-            started = time.perf_counter()
-            parallel = service.optimise_batch(graphs, "taso", parallel_config,
-                                              use_cache=False)
-            parallel_s = time.perf_counter() - started
-        # Stage attribution, measured on one directly profiled search (the
-        # service path spins pools inside registry-created optimisers where
-        # the profiler is out of reach).
-        profiler = StageProfiler()
-        with WorkerPool(num_workers=2, profiler=profiler) as pool:
-            TASOOptimizer(pool=pool, **TASO_CONFIG).optimise(
-                graphs[0][0], graphs[0][1])
-        return serial, serial_s, parallel, parallel_s, profiler.snapshot()
-
-    serial, serial_s, parallel, parallel_s, stages = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-
-    stage_total = sum(stages.values()) or 1.0
-    report = ExperimentReport(
-        experiment="Service bench",
-        description="1 serial worker vs 4 workers + intra-search pool")
-    report.add("serial", seconds=serial_s, jobs_per_s=len(MODELS) / serial_s)
-    report.add("parallel_4x2", seconds=parallel_s,
-               jobs_per_s=len(MODELS) / parallel_s)
-    report.add("scaling", speedup_x=serial_s / parallel_s)
-    for name, seconds in sorted(stages.items()):
-        report.add(f"stage:{name}", seconds=seconds,
-                   fraction=seconds / stage_total)
-    print("\n" + report.to_text())
-    _record("parallel_scaling", {
-        "serial_seconds": serial_s,
-        "parallel_seconds": parallel_s,
-        "speedup": serial_s / parallel_s,
-        "cores": os.cpu_count() or 1,
-        "service_workers": 4,
-        "search_workers": 2,
-        "stages": {name: {"seconds": seconds,
-                          "fraction": seconds / stage_total}
-                   for name, seconds in stages.items()},
-        "equivalence": {
-            "final_hash": "matched",
-            "final_cost_float64": "matched",
-            "models_checked": len(MODELS),
-        },
-    })
-
-    assert [r.search.model for r in parallel] == MODELS
-    for s, p in zip(serial, parallel):
-        # Bit-for-bit, not approximate: parallel evaluation is an
-        # execution strategy, never a different search.
-        assert s.graph.structural_hash() == p.graph.structural_hash()
-        assert s.search.final_cost_ms == p.search.final_cost_ms
 
 
 def test_warm_shared_cache_across_services(benchmark, tmp_path):
@@ -217,7 +123,7 @@ def test_warm_shared_cache_across_services(benchmark, tmp_path):
     report.add("shared_warm", seconds=shared_s,
                speedup_x=cold_s / shared_s)
     print("\n" + report.to_text())
-    _record("warm_shared_cache", {
+    record("warm_shared_cache", {
         "cold_seconds": cold_s, "shared_warm_seconds": shared_s,
         "speedup": cold_s / shared_s,
         "persistent_hits": stats_b["cache"]["persistent_hits"],
@@ -277,7 +183,7 @@ def test_dedup_under_contention(benchmark):
     report.add("duplicated", seconds=dup_s, searches=float(CONTENTION))
     report.add("contention", speedup_x=dup_s / dedup_s)
     print("\n" + report.to_text())
-    _record("dedup_under_contention", {
+    record("dedup_under_contention", {
         "submissions": CONTENTION,
         "dedup_seconds": dedup_s, "duplicated_seconds": dup_s,
         "speedup": dup_s / dedup_s, "searches_with_dedup": searches_dedup,
@@ -330,7 +236,7 @@ def test_async_and_remote_worker_backends(benchmark):
     report.add("remote_rpc", seconds=remote_s,
                jobs_per_s=len(MODELS) / remote_s)
     print("\n" + report.to_text())
-    _record("worker_backends", {
+    record("worker_backends", {
         "thread_seconds": baseline_s,
         "async_local_seconds": async_s,
         "remote_seconds": remote_s,
@@ -446,7 +352,7 @@ def test_dispatch_under_skewed_load(benchmark):
     report.add("round_robin", seconds=timings["round_robin"])
     report.add("health_aware", seconds=timings["health"], speedup_x=speedup)
     print("\n" + report.to_text())
-    _record("dispatch_skewed_load", {
+    record("dispatch_skewed_load", {
         "jobs": _SKEW_JOBS,
         "round_robin_seconds": timings["round_robin"],
         "health_seconds": timings["health"],
@@ -541,7 +447,7 @@ def test_cross_process_dedup(benchmark, tmp_path):
     report.add("no_leases", seconds=dup_s, searches=float(searches_dup))
     report.add("work_reduction", speedup_x=float(speedup))
     print("\n" + report.to_text())
-    _record("cross_process_dedup", {
+    record("cross_process_dedup", {
         "processes": _XPROC,
         "searches_with_leases": searches_dedup,
         "searches_without_leases": searches_dup,

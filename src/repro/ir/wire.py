@@ -1,19 +1,12 @@
-"""Compact binary wire format for graphs and graph deltas.
+"""Compact binary wire format for graphs.
 
 The JSON codec in :mod:`repro.ir.serialize` is the archival format; this
-module is the *transport* format the parallel search engine and the remote
-worker protocol use.  Two payload kinds share one envelope:
-
-* **graph** — a complete graph, including its private id counter
-  (``Graph._next_id``).  Carrying the counter matters: rewrites allocate node
-  ids from it, so a replica decoded in a worker process hands out exactly the
-  ids the originating process would — the foundation of the serial-vs-parallel
-  bit-for-bit determinism contract (see ``docs/parallel.md``).
-* **delta** — the difference between a child graph and a parent the receiver
-  already holds: removed node ids plus full records for added/changed nodes.
-  A search ships its base graph *once* and thereafter only deltas, keeping
-  per-iteration traffic proportional to what the rewrite touched instead of
-  to the whole model.
+module is the *transport* format the remote worker protocol uses.  A payload
+is a complete graph, including its private id counter (``Graph._next_id``).
+Carrying the counter matters: rewrites allocate node ids from it, so a
+replica decoded in another process hands out exactly the ids the originating
+process would, and a search run on the replica is the search run on the
+original.
 
 Encoded graphs round-trip exactly: node ids, the id counter, attrs (including
 tuples, preserved as tuples), output specs, edge slots and — consequently —
@@ -31,21 +24,20 @@ safe to pass between heterogeneous processes and over sockets.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .graph import Edge, Graph, Node, NodeId
 from .ops import OpType
 from .tensor import DataType, TensorShape, TensorSpec
 
-__all__ = ["encode_graph", "decode_graph", "encode_delta", "apply_delta",
-           "delta_summary", "roundtrip_equal", "WireFormatError",
-           "WIRE_VERSION"]
+__all__ = ["encode_graph", "decode_graph", "roundtrip_equal",
+           "WireFormatError", "WIRE_VERSION"]
 
 WIRE_VERSION = 1
 
 _MAGIC = b"RG"
+#: Payload kind byte of the envelope; whole graphs are the only kind.
 _KIND_GRAPH = 1
-_KIND_DELTA = 2
 
 # Attribute value tags.
 _T_NONE = 0
@@ -302,19 +294,14 @@ def _r_node(data: bytes, pos: int, strings: List[str],
     return nid, node, edges, pos
 
 
-def _check_header(data: bytes, expected_kind: int) -> int:
+def _check_header(data: bytes) -> int:
     if len(data) < 4 or data[:2] != _MAGIC:
         raise WireFormatError("not a graph wire payload (bad magic)")
     if data[2] != WIRE_VERSION:
         raise WireFormatError(f"unsupported wire version {data[2]}")
-    if data[3] != expected_kind:
-        raise WireFormatError(
-            f"payload kind {data[3]} where {expected_kind} was expected")
+    if data[3] != _KIND_GRAPH:
+        raise WireFormatError(f"unsupported payload kind {data[3]}")
     return 4
-
-
-def _header(kind: int) -> bytearray:
-    return bytearray(_MAGIC + bytes((WIRE_VERSION, kind)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +317,7 @@ def encode_graph(graph: Graph) -> bytes:
     _w_uvarint(body, len(ids))
     for nid in ids:
         _w_node(body, table, graph, nid, nodes[nid])
-    buf = _header(_KIND_GRAPH)
+    buf = bytearray(_MAGIC + bytes((WIRE_VERSION, _KIND_GRAPH)))
     _w_str(buf, graph.name)
     _w_uvarint(buf, graph.id_bound)
     table.write(buf)
@@ -340,7 +327,7 @@ def encode_graph(graph: Graph) -> bytes:
 
 def decode_graph(data: bytes, validate: bool = False) -> Graph:
     """Reconstruct a graph encoded by :func:`encode_graph`."""
-    pos = _check_header(data, _KIND_GRAPH)
+    pos = _check_header(data)
     name, pos = _r_str(data, pos)
     next_id, pos = _r_uvarint(data, pos)
     strings, pos = _r_strtab(data, pos)
@@ -381,10 +368,6 @@ def _build(name: str, next_id: int,
     return graph
 
 
-# ---------------------------------------------------------------------------
-# Deltas
-# ---------------------------------------------------------------------------
-
 def _node_unchanged(parent: Graph, child: Graph, nid: NodeId) -> bool:
     pnode = parent.nodes[nid]
     cnode = child.nodes[nid]
@@ -395,97 +378,6 @@ def _node_unchanged(parent: Graph, child: Graph, nid: NodeId) -> bool:
     pedges = parent._in_edges[nid]
     cedges = child._in_edges[nid]
     return pedges is cedges or list(pedges) == list(cedges)
-
-
-def encode_delta(parent: Graph, child: Graph) -> bytes:
-    """Encode ``child`` as a delta against ``parent``.
-
-    Works for any pair of graphs whose shared node ids mean the same thing —
-    in practice, any descendant produced from ``parent`` through
-    ``Graph.copy`` + rewrites (ids are never reused, so surviving ids always
-    refer to the identical node).  Unchanged nodes are detected by object
-    identity first (copies share node objects), falling back to a structural
-    comparison.
-    """
-    parent_nodes = parent.nodes
-    child_nodes = child.nodes
-    removed = [nid for nid in parent_nodes if nid not in child_nodes]
-    installed = [nid for nid in child_nodes
-                 if nid not in parent_nodes
-                 or not _node_unchanged(parent, child, nid)]
-    installed.sort()
-
-    table = _StringTable()
-    body = bytearray()
-    _w_uvarint(body, len(installed))
-    for nid in installed:
-        _w_node(body, table, child, nid, child_nodes[nid])
-
-    buf = _header(_KIND_DELTA)
-    _w_str(buf, child.name)
-    _w_uvarint(buf, child.id_bound)
-    _w_uvarint(buf, len(removed))
-    for nid in sorted(removed):
-        _w_uvarint(buf, nid)
-    table.write(buf)
-    buf.extend(body)
-    return bytes(buf)
-
-
-def apply_delta(parent: Graph, data: bytes, validate: bool = False) -> Graph:
-    """Materialise the child graph a delta payload describes.
-
-    ``parent`` is left untouched; unchanged nodes are shared by reference
-    (node objects are immutable by convention — see ``Graph.copy``).  The
-    result carries no caches and no delta lineage: it is a fresh, standalone
-    graph whose structural hash, costs and id counter are identical to the
-    child the delta was encoded from.
-    """
-    pos = _check_header(data, _KIND_DELTA)
-    name, pos = _r_str(data, pos)
-    next_id, pos = _r_uvarint(data, pos)
-    nremoved, pos = _r_uvarint(data, pos)
-    removed = set()
-    for _ in range(nremoved):
-        nid, pos = _r_uvarint(data, pos)
-        removed.add(nid)
-    strings, pos = _r_strtab(data, pos)
-    count, pos = _r_uvarint(data, pos)
-    installed: Dict[NodeId, Tuple[Node, List[Tuple[int, int]]]] = {}
-    for _ in range(count):
-        nid, node, edges, pos = _r_node(data, pos, strings)
-        installed[nid] = (node, edges)
-
-    records: List[Tuple[NodeId, Node, List[Tuple[int, int]]]] = []
-    parent_nodes = parent.nodes
-    all_ids = sorted((set(parent_nodes) - removed) | set(installed))
-    for nid in all_ids:
-        entry = installed.get(nid)
-        if entry is not None:
-            records.append((nid, entry[0], entry[1]))
-        else:
-            if nid in removed or nid not in parent_nodes:
-                raise WireFormatError(f"delta references unknown node {nid}")
-            edges = [(e.src, e.src_slot) for e in parent.in_edges(nid)]
-            records.append((nid, parent_nodes[nid], edges))
-    graph = _build(name, next_id, records)
-    if validate:
-        graph.validate()
-    return graph
-
-
-def delta_summary(data: bytes) -> Dict[str, int]:
-    """Cheap introspection of a delta payload: counts and byte size."""
-    pos = _check_header(data, _KIND_DELTA)
-    _, pos = _r_str(data, pos)
-    _, pos = _r_uvarint(data, pos)
-    nremoved, pos = _r_uvarint(data, pos)
-    for _ in range(nremoved):
-        _, pos = _r_uvarint(data, pos)
-    strings, pos = _r_strtab(data, pos)
-    ninstalled, pos = _r_uvarint(data, pos)
-    return {"removed": nremoved, "installed": ninstalled,
-            "payload_bytes": len(data)}
 
 
 def roundtrip_equal(a: Graph, b: Graph) -> bool:

@@ -18,7 +18,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.lru import LRUCache
-from ..cost.cost_model import CostModel
 from ..cost.e2e import E2ESimulator
 from ..ir.graph import Graph
 from ..rules.base import Candidate, RuleSet
@@ -98,8 +97,7 @@ class GraphRewriteEnv:
                  feature_cache: Optional[FeatureCache] = None,
                  max_cached_observations: int = 512,
                  cost_source: str = "simulated",
-                 executor: Optional[object] = None,
-                 pool: Optional[object] = None):
+                 executor: Optional[object] = None):
         self.initial_graph = graph
         self.ruleset = ruleset or default_ruleset()
         self.e2e = e2e or E2ESimulator(seed=seed)
@@ -150,15 +148,6 @@ class GraphRewriteEnv:
         #: stream partial best-so-far graphs (see repro.service.events).
         self.progress_callback = progress_callback
         self._rng = np.random.default_rng(seed)
-        #: Optional :class:`~repro.search.parallel.WorkerPool` backing
-        #: :meth:`candidate_costs` — the batched per-candidate cost-model
-        #: estimates are then computed worker-side against delta-shipped
-        #: replicas (bit-for-bit equal to the local path).  Candidate
-        #: *graphs* always stay local: the delta GNN embedder needs their
-        #: ``delta_parent`` lineage, which a round trip would sever.
-        self.pool = pool
-        self._pool_session = None
-        self._cost_model = CostModel()
 
         # Episode state
         self.current_graph: Graph = graph
@@ -197,10 +186,6 @@ class GraphRewriteEnv:
         self.best_latency_ms = float("inf")
         self.best_rules = []
         self._last_observation = None
-        if self._pool_session is not None:
-            # The session's replicas are rooted at the previous target.
-            self._pool_session.close()
-            self._pool_session = None
 
     # ------------------------------------------------------------------
     def reset(self) -> Observation:
@@ -310,47 +295,6 @@ class GraphRewriteEnv:
             self._obs_cache.put(key, obs)
         self._last_observation = obs
         return obs
-
-    def candidate_costs(self,
-                        observation: Optional[Observation] = None
-                        ) -> List[float]:
-        """Cost-model estimates for the observation's candidate graphs.
-
-        An auxiliary signal for agents (and for benchmarks): the same
-        per-candidate estimate TASO's objective would assign.  With a
-        ``pool``, the estimates are computed worker-side in one batched
-        round trip — each candidate ships as a compact delta against the
-        current graph — and are bit-for-bit equal to the serial path
-        (:meth:`CostModel.estimate_cached` on the local graphs), which is
-        also the transparent fallback whenever shipping is impossible.
-        """
-        obs = observation if observation is not None else self._last_observation
-        if obs is None:
-            obs = self._observe()
-        graphs = [c.graph for c in obs.candidates]
-        session = self._ensure_pool_session()
-        if session is not None and session.ensure_lineage(self.current_graph):
-            return session.cost_graphs(
-                graphs, [self.current_graph] * len(graphs))
-        return [float(self._cost_model.estimate_cached(g)) for g in graphs]
-
-    def _ensure_pool_session(self):
-        """Lazily open (and cache) a pool session rooted at the episode's
-        initial graph; ``None`` when no pool was configured or it died."""
-        if self.pool is None:
-            return None
-        session = self._pool_session
-        if session is not None and session.healthy:
-            return session
-        if not self.pool.healthy:
-            return None
-        session = self.pool.start_search(self.initial_graph, self.ruleset,
-                                         cost_model=self._cost_model)
-        if not session.healthy:
-            session.close()
-            return None
-        self._pool_session = session
-        return session
 
     def encode_cache_stats(self) -> Dict[str, float]:
         """Hit/miss counters of the observation/encode caches (empty when

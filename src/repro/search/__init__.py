@@ -7,8 +7,6 @@ from .egraph import GraphSpace, Member, SaturationStats
 from .tensat import TensatOptimizer
 from .pet import ConvToWinogradGemm, PETOptimizer, pet_ruleset
 from .random_search import RandomSearchOptimizer
-from .parallel import (PoolSession, WorkerPool, close_shared_pool,
-                       shared_pool)
 
 __all__ = [
     "SearchResult",
@@ -16,7 +14,6 @@ __all__ = [
     "GraphSpace", "Member", "SaturationStats", "TensatOptimizer",
     "ConvToWinogradGemm", "PETOptimizer", "pet_ruleset",
     "RandomSearchOptimizer",
-    "PoolSession", "WorkerPool", "shared_pool", "close_shared_pool",
     "get_optimiser", "available_optimisers",
 ]
 

@@ -74,7 +74,6 @@ class GraphSpace:
     # ------------------------------------------------------------------
     def explore(self, graph: Graph, cost_model: CostModel,
                 on_round: Optional[Callable[[int, List[Member]], None]] = None,
-                session=None,
                 ) -> Tuple[List[Member], SaturationStats]:
         """Grow the space from ``graph``, costing every member on admission.
 
@@ -92,24 +91,11 @@ class GraphSpace:
         number and the population grown so far; the Tensat optimiser uses
         it to stream per-round progress.
 
-        ``session`` — an optional :class:`~repro.search.parallel.PoolSession`
-        opened on ``graph`` — shards each frontier graph's candidate
-        materialisation + hashing across the worker pool.  Admission
-        decisions (dedup, node budget, per-round cap) replay in strict
-        enumeration order on the merged results, so the population is
-        identical to a serial run; admitted graphs are re-materialised
-        (and costed) locally and shipped to workers as deltas against
-        their parent.
-
         Returns the population as :class:`Member` entries (the root graph
         is always first) plus run statistics.
         """
         stats = SaturationStats()
         population = [Member(graph, [], cost_model.estimate_cached(graph))]
-        # Parent of each population member — the frontier graph its rewrite
-        # applied to.  Parents are always processed (hence pool-shipped)
-        # before their children become frontier, so one-level deltas suffice.
-        parents: List[Optional[Graph]] = [None]
         hashes: Set[str] = {graph.structural_hash()}
         total_nodes = graph.num_nodes
         frontier = [0]  # indices into population
@@ -124,30 +110,31 @@ class GraphSpace:
                 rules = [rule for rule in self.ruleset
                          if allow_multi
                          or rule.category not in MULTI_PATTERN_CATEGORIES]
-                for rule, candidate, h, num_nodes in self._evaluations(
-                        current, parents[idx], rules, session):
-                    if h is None:  # failed to apply
-                        continue
-                    if h in hashes:
-                        continue
-                    if total_nodes + num_nodes > self.node_limit:
-                        stats.node_budget_hit = True
+                for rule in rules:
+                    for candidate in rule.lazy_candidates(current):
+                        cand_graph = candidate.materialise()
+                        if cand_graph is None:  # failed to apply
+                            continue
+                        h = cand_graph.structural_hash()
+                        if h in hashes:
+                            continue
+                        num_nodes = cand_graph.num_nodes
+                        if total_nodes + num_nodes > self.node_limit:
+                            stats.node_budget_hit = True
+                            break
+                        if additions >= self.per_round_cap:
+                            break
+                        hashes.add(h)
+                        population.append(Member(
+                            cand_graph, applied + [rule.name],
+                            cost_model.estimate_delta(current, cand_graph)))
+                        new_frontier.append(len(population) - 1)
+                        total_nodes += num_nodes
+                        additions += 1
+                        stats.applied_rules[rule.name] = (
+                            stats.applied_rules.get(rule.name, 0) + 1)
+                    if stats.node_budget_hit or additions >= self.per_round_cap:
                         break
-                    if additions >= self.per_round_cap:
-                        break
-                    cand_graph = candidate.materialise()
-                    if cand_graph is None:  # pragma: no cover
-                        continue
-                    hashes.add(h)
-                    population.append(Member(
-                        cand_graph, applied + [rule.name],
-                        cost_model.estimate_delta(current, cand_graph)))
-                    parents.append(current)
-                    new_frontier.append(len(population) - 1)
-                    total_nodes += num_nodes
-                    additions += 1
-                    stats.applied_rules[rule.name] = (
-                        stats.applied_rules.get(rule.name, 0) + 1)
                 if stats.node_budget_hit or additions >= self.per_round_cap:
                     break
             if on_round is not None:
@@ -162,39 +149,6 @@ class GraphSpace:
         stats.graphs_explored = len(population)
         stats.total_nodes = total_nodes
         return population, stats
-
-    def _evaluations(self, current: Graph, parent: Optional[Graph],
-                     rules, session):
-        """Yield ``(rule, candidate, hash-or-None, num_nodes)`` for every
-        rewrite candidate of ``current``, in enumeration order.
-
-        Serial mode materialises inline; pool mode ships ``current`` as a
-        delta and lets workers materialise + hash the candidates, yielding
-        the merged results in the same order.
-        """
-        if session is None:
-            for rule in rules:
-                for candidate in rule.lazy_candidates(current):
-                    cand_graph = candidate.materialise()
-                    if cand_graph is None:
-                        yield rule, candidate, None, 0
-                    else:
-                        yield (rule, candidate, cand_graph.structural_hash(),
-                               cand_graph.num_nodes)
-            return
-        session.ensure_graph(current, parent)
-        cand_list = []
-        rule_of = []
-        for rule in rules:
-            for candidate in rule.lazy_candidates(current):
-                cand_list.append(candidate)
-                rule_of.append(rule)
-        results = session.evaluate(current, cand_list)
-        for rule, candidate, res in zip(rule_of, cand_list, results):
-            if not res.ok:
-                yield rule, candidate, None, 0
-            else:
-                yield rule, candidate, res.structural_hash, res.num_nodes
 
     # ------------------------------------------------------------------
     def extract(self, population: List[Member]) -> Member:

@@ -24,7 +24,6 @@ from ..ir.graph import Graph
 from ..rules.base import RuleSet
 from ..rules.incremental import IncrementalCandidateEngine
 from ..rules.rulesets import default_ruleset
-from .parallel import WorkerPool, open_session
 from .result import SearchResult, resolve_latency_source, timed
 
 __all__ = ["TASOOptimizer", "GreedyOptimizer"]
@@ -78,22 +77,6 @@ class TASOOptimizer:
     executor:
         Executor backing ``cost_source="measured"`` (a fresh
         :class:`~repro.exec.NumpyExecutor` when omitted).
-    parallel:
-        Shard each iteration's candidate evaluation (materialise + hash +
-        cost) across the persistent worker pool (see
-        :mod:`repro.search.parallel`).  The search trajectory is
-        bit-for-bit identical to serial: results are merged in candidate
-        index order, replaying exactly the serial loop's decisions.  The
-        search objective stays the simulated cost model (workers never run
-        the measured executor), so ``parallel=True`` composes with any
-        ``cost_source``.
-    num_workers:
-        Pool size when ``parallel=True`` and no ``pool`` is given
-        (defaults to ``os.cpu_count()``).
-    pool:
-        Explicit :class:`~repro.search.parallel.WorkerPool` to use
-        (implies ``parallel=True``); lets many searches share one
-        prewarmed pool.
     """
 
     name = "taso"
@@ -111,10 +94,7 @@ class TASOOptimizer:
                  incremental: bool = True,
                  progress_callback: Optional[ProgressCallback] = None,
                  cost_source: str = "simulated",
-                 executor: Optional[object] = None,
-                 parallel: bool = False,
-                 num_workers: Optional[int] = None,
-                 pool: Optional[WorkerPool] = None):
+                 executor: Optional[object] = None):
         self.ruleset = ruleset or default_ruleset()
         self.cost_model = cost_model or CostModel()
         self.e2e = e2e or E2ESimulator()
@@ -126,9 +106,6 @@ class TASOOptimizer:
         self.cost_source = str(cost_source)
         self.latency_source = resolve_latency_source(
             self.cost_source, self.e2e, executor)
-        self.parallel = bool(parallel)
-        self.num_workers = num_workers
-        self.pool = pool
 
     # ------------------------------------------------------------------
     def optimise(self, graph: Graph, model_name: str = "") -> SearchResult:
@@ -166,92 +143,60 @@ class TASOOptimizer:
             best_graph, best_cost = graph, initial_cost
             best_rules: List[str] = []
 
-            # Entries carry the graph they were generated from: every popped
-            # graph's parent was itself shipped to the pool when *it* was
-            # popped (the root at session open), so the current graph always
-            # reaches workers as a single-level delta.
             counter = itertools.count()  # tie-breaker for the heap
-            heap: List[Tuple[float, int, Graph, List[str],
-                             Optional[Graph]]] = [
-                (initial_cost, next(counter), graph, [], None)
+            heap: List[Tuple[float, int, Graph, List[str]]] = [
+                (initial_cost, next(counter), graph, [])
             ]
             seen = {graph.structural_hash()}
             iterations = 0
             candidates_evaluated = 0
-            session = open_session(self.parallel, self.pool,
-                                   self.num_workers, graph, self.ruleset,
-                                   cost_model=self.cost_model)
 
             progress = self.progress_callback
-            try:
-                while heap and iterations < self.max_iterations:
-                    iterations += 1
-                    cost, _, current, applied, parent = heapq.heappop(heap)
-                    if progress is not None:
-                        progress(iterations, float(best_cost),
-                                 best_graph.structural_hash())
-                    if cost > self.alpha * best_cost:
+            while heap and iterations < self.max_iterations:
+                iterations += 1
+                cost, _, current, applied = heapq.heappop(heap)
+                if progress is not None:
+                    progress(iterations, float(best_cost),
+                             best_graph.structural_hash())
+                if cost > self.alpha * best_cost:
+                    continue
+                if self.incremental:
+                    candidates = engine.lazy_candidates(current)
+                else:
+                    candidates = self.ruleset.all_candidates(current)
+                for candidate in candidates:
+                    cand_graph = candidate.materialise()
+                    if cand_graph is None:
                         continue
+                    candidates_evaluated += 1
+                    cand_hash = cand_graph.structural_hash()
+                    if cand_hash in seen:
+                        continue
+                    seen.add(cand_hash)
                     if self.incremental:
-                        candidates = engine.lazy_candidates(current)
+                        cand_cost = self.cost_model.estimate_delta(
+                            current, cand_graph, parent_cost=cost)
                     else:
-                        candidates = self.ruleset.all_candidates(current)
-                    if session is not None:
-                        evaluations = self._evaluate_pooled(
-                            session, current, parent, list(candidates),
-                            cost)
-                    else:
-                        evaluations = self._evaluate_serial(
-                            current, candidates, cost)
-                    for candidate, cand_hash, get_cost in evaluations:
-                        candidates_evaluated += 1
-                        if cand_hash in seen:
-                            continue
-                        seen.add(cand_hash)
-                        cand_cost = get_cost()
-                        if not (cand_cost < best_cost
-                                or cand_cost <= self.alpha * best_cost):
-                            continue
-                        # Admitted: materialise locally.  Serial evaluation
-                        # already did (memoised); pooled evaluation skipped
-                        # it for rejected candidates — the bulk.
-                        cand_graph = candidate.materialise()
-                        if cand_graph is None:  # pragma: no cover
-                            continue
-                        cand_rules = applied + [candidate.rule_name]
-                        if cand_cost < best_cost:
-                            best_graph, best_cost = cand_graph, cand_cost
-                            best_rules = cand_rules
-                        if cand_cost <= self.alpha * best_cost:
-                            entry = (cand_cost, next(counter),
-                                     cand_graph, cand_rules, current)
-                            if len(heap) < self.queue_capacity:
-                                heapq.heappush(heap, entry)
-                            else:
-                                # Queue full: evict the most expensive
-                                # queued graph rather than dropping the
-                                # (possibly cheaper) new candidate.
-                                worst = max(range(len(heap)),
-                                            key=lambda i: heap[i][0])
-                                if heap[worst][0] > cand_cost:
-                                    heap[worst] = entry
-                                    heapq.heapify(heap)
-            finally:
-                if session is not None:
-                    session.close()
+                        cand_cost = self.cost_model.estimate(cand_graph)
+                    cand_rules = applied + [candidate.rule_name]
+                    if cand_cost < best_cost:
+                        best_graph, best_cost = cand_graph, cand_cost
+                        best_rules = cand_rules
+                    if cand_cost <= self.alpha * best_cost:
+                        entry = (cand_cost, next(counter),
+                                 cand_graph, cand_rules)
+                        if len(heap) < self.queue_capacity:
+                            heapq.heappush(heap, entry)
+                        else:
+                            # Queue full: evict the most expensive queued
+                            # graph rather than dropping the (possibly
+                            # cheaper) new candidate.
+                            worst = max(range(len(heap)),
+                                        key=lambda i: heap[i][0])
+                            if heap[worst][0] > cand_cost:
+                                heap[worst] = entry
+                                heapq.heapify(heap)
 
-            stats = {
-                "iterations": float(iterations),
-                "candidates_evaluated": float(candidates_evaluated),
-                "graphs_seen": float(len(seen)),
-                "measured_latency":
-                    1.0 if self.cost_source == "measured" else 0.0,
-                "parallel": 1.0 if session is not None else 0.0,
-            }
-            if session is not None:
-                stats["pool_workers"] = float(len(session.pool.alive_workers()))
-                stats["fallback_batches"] = float(session.fallback_batches)
-                stats["bytes_shipped"] = float(session.bytes_shipped)
             result = SearchResult(
                 optimiser=self.name,
                 model=model_name or graph.name,
@@ -263,46 +208,15 @@ class TASOOptimizer:
                 final_cost_ms=best_cost,
                 optimisation_time_s=elapsed(),
                 applied_rules=best_rules,
-                stats=stats,
+                stats={
+                    "iterations": float(iterations),
+                    "candidates_evaluated": float(candidates_evaluated),
+                    "graphs_seen": float(len(seen)),
+                    "measured_latency":
+                        1.0 if self.cost_source == "measured" else 0.0,
+                },
             )
         return result
-
-    # ------------------------------------------------------------------
-    def _evaluate_serial(self, current: Graph, candidates, cost: float):
-        """Yield ``(candidate, hash, lazy-cost)`` exactly as the classic
-        serial loop computed them: materialise eagerly, cost only when the
-        merge loop finds the hash unseen."""
-        for candidate in candidates:
-            cand_graph = candidate.materialise()
-            if cand_graph is None:
-                continue
-            if self.incremental:
-                def get_cost(g=cand_graph):
-                    return self.cost_model.estimate_delta(
-                        current, g, parent_cost=cost)
-            else:
-                def get_cost(g=cand_graph):
-                    return self.cost_model.estimate(g)
-            yield candidate, cand_graph.structural_hash(), get_cost
-
-    def _evaluate_pooled(self, session, current: Graph,
-                         parent: Optional[Graph], candidates, cost: float):
-        """Shard candidate evaluation across the pool; yield in index order.
-
-        Workers materialise + hash + cost against their replica of
-        ``current`` (shipped here as a delta against ``parent``) and return
-        plain floats/strings — bit-identical to what :meth:`_evaluate_serial`
-        would produce, because replicas carry the same node ids and id
-        counter as the originals.
-        """
-        session.ensure_graph(current, parent)
-        results = session.evaluate(
-            current, candidates,
-            parent_cost=cost if self.incremental else None)
-        for candidate, res in zip(candidates, results):
-            if not res.ok:
-                continue
-            yield candidate, res.structural_hash, lambda c=res.cost: c
 
 
 class GreedyOptimizer(TASOOptimizer):

@@ -15,9 +15,8 @@ import numpy as np
 from ..cost.cost_model import CostModel
 from ..cost.e2e import E2ESimulator
 from ..ir.graph import Graph
-from ..rules.base import Candidate, RuleSet
+from ..rules.base import RuleSet
 from ..rules.rulesets import default_ruleset
-from .parallel import WorkerPool, open_session
 from .result import SearchResult, resolve_latency_source, timed
 
 __all__ = ["RandomSearchOptimizer"]
@@ -52,17 +51,6 @@ class RandomSearchOptimizer:
         *search objective*, not just reporting.
     executor:
         Executor backing ``cost_source="measured"``.
-    parallel:
-        Shard each step's per-rule match finding across the persistent
-        worker pool (see :mod:`repro.search.parallel`).  Matches come back
-        per rule and are reassembled in rule order, so the candidate list
-        — and therefore the RNG stream and the whole walk — is identical
-        to a serial run.
-    num_workers:
-        Pool size when ``parallel=True`` and no ``pool`` is given.
-    pool:
-        Explicit :class:`~repro.search.parallel.WorkerPool` to use
-        (implies ``parallel=True``).
     """
 
     name = "random"
@@ -80,13 +68,7 @@ class RandomSearchOptimizer:
                  progress_callback: Optional[
                      Callable[[int, float, str], None]] = None,
                  cost_source: str = "simulated",
-                 executor: Optional[object] = None,
-                 parallel: bool = False,
-                 num_workers: Optional[int] = None,
-                 pool: Optional[WorkerPool] = None):
-        self.parallel = bool(parallel)
-        self.num_workers = num_workers
-        self.pool = pool
+                 executor: Optional[object] = None):
         self.ruleset = ruleset or default_ruleset()
         self.e2e = e2e or E2ESimulator()
         self.cost_model = cost_model or CostModel()
@@ -124,26 +106,12 @@ class RandomSearchOptimizer:
             best_graph, best_latency, best_rules = graph, initial_latency, []
             steps_total = 0
             progress = self.progress_callback
-            # Workers only find matches (the RNG draw and the single
-            # materialisation stay local), so no cost model ships.
-            session = open_session(self.parallel, self.pool,
-                                   self.num_workers, graph, self.ruleset)
-            rule_names = [rule.name for rule in self.ruleset.rules]
             for walk_index in range(self.num_walks):
-                current, applied, previous = graph, [], None
+                current, applied = graph, []
                 for _ in range(self.horizon):
                     # Lazy candidates: only the randomly chosen one is ever
                     # materialised; the rest never copy the graph.
-                    if session is not None:
-                        session.ensure_graph(current, previous)
-                        matches = session.find_matches(current, rule_names)
-                        candidates = [
-                            Candidate(rule_name=rule.name, match=match,
-                                      rule=rule, parent=current)
-                            for rule in self.ruleset.rules
-                            for match in matches[rule.name]]
-                    else:
-                        candidates = self.ruleset.lazy_candidates(current)
+                    candidates = self.ruleset.lazy_candidates(current)
                     chosen = None
                     while candidates:
                         index = int(self._rng.integers(len(candidates)))
@@ -156,7 +124,6 @@ class RandomSearchOptimizer:
                         chosen = None
                     if chosen is None:
                         break
-                    previous = current
                     current, applied = chosen.graph, applied + [chosen.rule_name]
                     steps_total += 1
                 latency = self.latency_source.latency_ms(current)
@@ -165,15 +132,6 @@ class RandomSearchOptimizer:
                 if progress is not None:
                     progress(walk_index + 1, float(best_latency),
                              best_graph.structural_hash())
-            stats = {"steps": float(steps_total),
-                     "walks": float(self.num_walks),
-                     "measured_latency":
-                         1.0 if self.cost_source == "measured" else 0.0,
-                     "parallel": 1.0 if session is not None else 0.0}
-            if session is not None:
-                stats["fallback_batches"] = float(session.fallback_batches)
-                stats["bytes_shipped"] = float(session.bytes_shipped)
-                session.close()
             return SearchResult(
                 optimiser=self.name,
                 model=model_name or graph.name,
@@ -185,5 +143,8 @@ class RandomSearchOptimizer:
                 final_cost_ms=self.cost_model.estimate_cached(best_graph),
                 optimisation_time_s=elapsed(),
                 applied_rules=best_rules,
-                stats=stats,
+                stats={"steps": float(steps_total),
+                       "walks": float(self.num_walks),
+                       "measured_latency":
+                           1.0 if self.cost_source == "measured" else 0.0},
             )

@@ -10,7 +10,6 @@ from ..ir.graph import Graph
 from ..rules.base import RuleSet
 from ..rules.rulesets import default_ruleset
 from .egraph import GraphSpace
-from .parallel import WorkerPool, open_session
 from .result import SearchResult, resolve_latency_source, timed
 
 __all__ = ["TensatOptimizer"]
@@ -54,16 +53,6 @@ class TensatOptimizer:
         backend and reports wall-clock.
     executor:
         Executor backing ``cost_source="measured"``.
-    parallel:
-        Shard each round's candidate materialisation + hashing across the
-        persistent worker pool (see :mod:`repro.search.parallel`).
-        Admission replays in enumeration order, so the explored population
-        — and therefore the extraction — is identical to a serial run.
-    num_workers:
-        Pool size when ``parallel=True`` and no ``pool`` is given.
-    pool:
-        Explicit :class:`~repro.search.parallel.WorkerPool` to use
-        (implies ``parallel=True``).
     """
 
     name = "tensat"
@@ -82,13 +71,7 @@ class TensatOptimizer:
                  progress_callback: Optional[
                      Callable[[int, float, str], None]] = None,
                  cost_source: str = "simulated",
-                 executor: Optional[object] = None,
-                 parallel: bool = False,
-                 num_workers: Optional[int] = None,
-                 pool: Optional[WorkerPool] = None):
-        self.parallel = bool(parallel)
-        self.num_workers = num_workers
-        self.pool = pool
+                 executor: Optional[object] = None):
         self.ruleset = ruleset or default_ruleset()
         self.cost_model = cost_model or CostModel()
         self.e2e = e2e or E2ESimulator()
@@ -140,17 +123,8 @@ class TensatOptimizer:
             # Before the first copy, so the simulator's per-node flop/byte
             # table is handed down to the whole population.
             initial_latency = self.latency_source.latency_ms(graph)
-            # Workers only materialise + hash (admission costs locally),
-            # so the session ships no cost model.
-            session = open_session(self.parallel, self.pool,
-                                   self.num_workers, graph, self.ruleset)
-            try:
-                population, stats = self.space.explore(
-                    graph, self.cost_model,
-                    on_round=self._round_reporter(), session=session)
-            finally:
-                if session is not None:
-                    session.close()
+            population, stats = self.space.explore(
+                graph, self.cost_model, on_round=self._round_reporter())
             best = self.space.extract(population)
             result = SearchResult(
                 optimiser=self.name,
@@ -171,10 +145,6 @@ class TensatOptimizer:
                     "node_budget_hit": float(stats.node_budget_hit),
                     "measured_latency":
                         1.0 if self.cost_source == "measured" else 0.0,
-                    "parallel": 1.0 if session is not None else 0.0,
-                    **({"fallback_batches": float(session.fallback_batches),
-                        "bytes_shipped": float(session.bytes_shipped)}
-                       if session is not None else {}),
                 },
             )
         return result

@@ -159,6 +159,8 @@ class OptimisationService:
         Raises:
             KeyError: For an unknown optimiser name — raised here, not in
                 the worker.
+            ValueError: For a config key the optimiser does not take —
+                likewise raised here.
             QueueFullError: If the admission queue is at capacity.
         """
         request = JobRequest(graph=graph, optimiser=optimiser,
@@ -179,6 +181,7 @@ class OptimisationService:
 
         Raises:
             KeyError: For an unknown optimiser name.
+            ValueError: For a config key the optimiser does not take.
             QueueFullError: If ``max_pending`` novel jobs are already open
                 (cache hits and coalesced followers are exempt — they add
                 no work).
@@ -189,6 +192,7 @@ class OptimisationService:
         # default cannot resurrect persistent entries computed under the old
         # default.
         spec = optimiser_spec(request.optimiser)
+        spec.check_config(request.config)
         effective = {**spec.defaults, **dict(request.config)}
         if request.optimiser != spec.name or effective != dict(request.config):
             request = replace(request, optimiser=spec.name, config=effective)

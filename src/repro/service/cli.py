@@ -210,7 +210,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = _parse_config(args.config)
     names: List[str] = args.models or ([] if args.imports else ["squeezenet"])
     try:
-        optimiser_spec(args.optimiser)
+        optimiser_spec(args.optimiser).check_config(config)
         graphs = []
         for name in names:
             kwargs = {} if args.full else small_model_kwargs(name)

@@ -10,11 +10,37 @@ code can add its own via :func:`register_optimiser`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping
+import inspect
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
+
+from ..core.config import XRLflowConfig
 
 __all__ = ["OptimiserSpec", "register_optimiser", "optimiser_spec",
            "create_optimiser", "default_config", "list_optimisers"]
+
+
+def _accepted_keys(factory: Callable[..., Any]) -> Optional[FrozenSet[str]]:
+    """Keyword names ``factory`` takes; ``None`` when it takes any.
+
+    A class whose ``__init__`` forwards ``**kwargs`` to its base
+    (``GreedyOptimizer``, ``PETOptimizer``) takes the base's names too.
+    """
+    if isinstance(factory, type):
+        # Not ``object.__init__``: it takes none, whatever its signature says.
+        chain = [vars(cls)["__init__"] for cls in factory.__mro__[:-1]
+                 if "__init__" in vars(cls)]
+    else:
+        chain = [factory]
+    keys, takes_any = set(), False
+    for fn in chain:
+        params = inspect.signature(fn).parameters.values()
+        keys.update(p.name for p in params
+                    if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY))
+        takes_any = any(p.kind is p.VAR_KEYWORD for p in params)
+        if not takes_any:
+            break
+    return None if takes_any else frozenset(keys - {"self"})
 
 
 @dataclass(frozen=True)
@@ -25,6 +51,26 @@ class OptimiserSpec:
     factory: Callable[..., Any]
     defaults: Mapping[str, Any] = field(default_factory=dict)
     description: str = ""
+    #: Config keys the factory takes (``None``: any), read off its
+    #: signature once, at registration.
+    accepted: Optional[FrozenSet[str]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "accepted", _accepted_keys(self.factory))
+
+    def check_config(self, config: Mapping[str, Any]) -> None:
+        """Raise ``ValueError`` for a config key the factory does not take.
+
+        Admission calls this, so a misspelt or retired key is refused with
+        the accepted names before any worker is involved.
+        """
+        if self.accepted is None or self.accepted.issuperset(config):
+            return
+        unknown = min(set(config) - self.accepted)
+        raise ValueError(
+            f"unknown config key {unknown!r} for optimiser {self.name!r}; "
+            f"accepted: {', '.join(sorted(self.accepted))}")
 
     def create(self, **overrides: Any) -> Any:
         """Build a fresh optimiser instance with ``defaults | overrides``."""
@@ -85,9 +131,15 @@ def list_optimisers() -> List[str]:
 
 def _build_xrlflow(e2e=None, **config):
     """Factory adapting config-dict kwargs to the XRLflow(config) signature."""
-    from ..core.config import XRLflowConfig
     from ..core.xrlflow import XRLflow
     return XRLflow(XRLflowConfig.fast(**config), e2e=e2e)
+
+
+# ``config`` is XRLflowConfig's fields (``fast`` sets anything else as a
+# stray attribute, silently): declare that where ``inspect.signature`` looks.
+_build_xrlflow.__signature__ = inspect.Signature(
+    [inspect.Parameter(name, inspect.Parameter.KEYWORD_ONLY, default=None)
+     for name in ("e2e", *(f.name for f in fields(XRLflowConfig)))])
 
 
 def _register_builtins() -> None:

@@ -14,19 +14,6 @@ from repro.ir import GraphBuilder
 os.environ.setdefault("REPRO_DEVICE_PRESET", "off")
 
 
-def pytest_collection_modifyitems(items):
-    """Run the committed-BENCH gate after everything else.
-
-    It is red until ROADMAP item 1 settles the committed numbers, and it
-    stays red: not skipped, not xfailed.  It only runs last — after
-    ``benchmarks/``, where it ran before ``pytest.ini`` put ``tests/``
-    first — so that the tier-1 command's ``-x`` does not stop at this known
-    failure before the benchmark suites have run.
-    """
-    items.sort(key=lambda item: item.name ==
-               "test_real_committed_files_pass_their_own_gate")
-
-
 @pytest.fixture
 def mlp_graph():
     """x -> matmul -> add bias -> relu -> matmul -> add bias (two dense layers)."""

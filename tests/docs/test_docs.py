@@ -29,8 +29,7 @@ def test_markdown_links_resolve():
 
 
 def test_docs_suite_exists():
-    for name in ("architecture.md", "service.md", "extending.md",
-                 "parallel.md"):
+    for name in ("architecture.md", "service.md", "extending.md"):
         assert (REPO_ROOT / "docs" / name).exists(), f"docs/{name} missing"
 
 

@@ -21,8 +21,7 @@ from hash_oracle import oracle_structural_hash  # noqa: E402
 
 from repro.cost import CostModel, E2ESimulator
 from repro.experiments import build_small_model
-from repro.ir import (Graph, OpType, apply_delta, decode_graph, encode_delta,
-                      encode_graph)
+from repro.ir import Graph, OpType, decode_graph, encode_graph
 from repro.models import list_models
 from repro.rules import default_ruleset, eliminate_dead_nodes, full_scan_matching
 from repro.rules.base import RewriteRule
@@ -169,14 +168,11 @@ class TestStructuralHash:
         assert child.structural_hash() == oracle_structural_hash(child)
 
     def test_wire_replica(self, model_graph):
-        graph = _first_candidate(model_graph)
         replica = decode_graph(encode_graph(model_graph))
-        advanced = apply_delta(replica, encode_delta(model_graph, graph))
-        assert replica.structural_hash() == model_graph.structural_hash()
-        assert advanced.structural_hash() == graph.structural_hash() \
-            == oracle_structural_hash(advanced)
-        child = _first_candidate(advanced)
-        assert child.delta_parent() is advanced
+        assert replica.structural_hash() == model_graph.structural_hash() \
+            == oracle_structural_hash(replica)
+        child = _first_candidate(replica)
+        assert child.delta_parent() is replica
         assert child.structural_hash() == oracle_structural_hash(child)
 
     def test_parent_mutated_after_the_copy(self, model_graph):

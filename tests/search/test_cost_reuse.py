@@ -16,7 +16,7 @@ from repro.experiments import build_small_model
 from repro.models import build_model
 from repro.rules import default_ruleset
 from repro.search import (GraphSpace, Member, RandomSearchOptimizer,
-                          TensatOptimizer, WorkerPool)
+                          TensatOptimizer)
 
 #: Tensat's default ``node_limit`` is 20 000 and a search that costs after
 #: copying derives about that many; costing at admission derives the root's
@@ -67,23 +67,6 @@ class TestTensatDerivations:
         assert costs == sorted(costs, reverse=True)
         assert events[-1][1:] == (result.final_cost_ms,
                                   result.final_graph.structural_hash())
-
-    def test_pooled_search_returns_the_serial_result(self):
-        serial = TensatOptimizer()
-        expected = serial.optimise(build_small_model("squeezenet"))
-        with WorkerPool(num_workers=2) as pool:
-            pooled = TensatOptimizer(pool=pool)
-            result = pooled.optimise(build_small_model("squeezenet"))
-        assert result.stats["parallel"] and result.stats["fallback_batches"] == 0
-        assert result.final_cost_ms == expected.final_cost_ms
-        assert result.initial_cost_ms == expected.initial_cost_ms
-        assert result.applied_rules == expected.applied_rules
-        assert result.final_graph.structural_hash() \
-            == expected.final_graph.structural_hash()
-        assert result.stats["graphs_explored"] \
-            == expected.stats["graphs_explored"]
-        assert pooled.cost_model.nodes_derived \
-            == serial.cost_model.nodes_derived
 
 
 class TestGraphSpace:

@@ -10,10 +10,11 @@ from repro.experiments import build_small_model
 from repro.models import MODEL_REGISTRY
 from repro.search import available_optimisers, get_optimiser
 from repro.service import (CacheEntry, FingerprintCache, JobScheduler,
-                           JobState, OptimisationService, QueueFullError,
-                           UnknownJobError, create_optimiser, default_config,
-                           list_optimisers, register_optimiser,
-                           request_fingerprint)
+                           JobState, OptimisationService, OptimiserSpec,
+                           QueueFullError, UnknownJobError, create_optimiser,
+                           default_config, list_optimisers, optimiser_spec,
+                           register_optimiser, request_fingerprint)
+from repro.service.cli import main as cli_main
 from repro.service.worker import JobRequest, execute_request
 
 TASO_FAST = {"max_iterations": 10}
@@ -51,6 +52,23 @@ class TestRegistry:
     def test_search_package_hookup(self):
         assert available_optimisers() == list_optimisers()
         assert get_optimiser("greedy", max_iterations=3).max_iterations == 3
+
+    def test_accepted_keys_come_from_the_factory_signature(self):
+        taso = optimiser_spec("taso").accepted
+        assert {"alpha", "max_iterations", "cost_source"} <= taso
+        assert "self" not in taso and "parallel" not in taso
+        # **kwargs forwarded to the base: greedy and pet take what taso does.
+        assert optimiser_spec("greedy").accepted == taso
+        assert optimiser_spec("pet").accepted == taso
+        assert {"num_episodes", "dtype", "e2e"} \
+            <= optimiser_spec("xrlflow").accepted
+        for name in list_optimisers():
+            spec = optimiser_spec(name)
+            spec.check_config(spec.defaults)
+        # A factory that swallows **kwargs itself cannot be checked.
+        open_ended = OptimiserSpec("kwargs-test", lambda **config: None)
+        assert open_ended.accepted is None
+        open_ended.check_config({"anything": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +328,31 @@ class TestOptimisationService:
             with pytest.raises(KeyError):
                 service.submit(mlp_graph, optimiser="nope")
 
+    def test_unknown_config_key_fails_at_submit(self, mlp_graph):
+        with OptimisationService(num_workers=1) as service:
+            with pytest.raises(ValueError, match=(
+                    "unknown config key 'parallel' for optimiser 'taso'; "
+                    "accepted: alpha, .*max_iterations")):
+                service.submit(mlp_graph, "taso", {"parallel": True})
+            with pytest.raises(ValueError, match="'bogus'.*'xrlflow'"):
+                service.submit(mlp_graph, "xrlflow", {"bogus": 1})
+            assert not any(service.stats()["jobs"].values())  # none admitted
+
+    def test_cli_refuses_an_unknown_config_key(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["squeezenet", "--config", "parallel=true"])
+        # ``SystemExit(message)``: the interpreter prints it and exits 1.
+        assert str(exit_info.value).startswith(
+            "error: unknown config key 'parallel' for optimiser 'taso'; "
+            "accepted: ")
+        assert capsys.readouterr().out == ""
+
     def test_failed_job_pollable_and_reraised(self, mlp_graph):
         with OptimisationService(num_workers=1) as service:
-            # A config the optimiser constructor rejects fails in the worker.
+            # A value the optimiser constructor rejects fails in the worker.
             job_id = service.submit(mlp_graph, "taso",
-                                    {"not_a_real_knob": True})
-            with pytest.raises(TypeError):
+                                    {"cost_source": "guessed"})
+            with pytest.raises(ValueError, match="guessed"):
                 service.result(job_id)
             assert service.poll(job_id) is JobState.FAILED
 

@@ -17,7 +17,7 @@ sys.modules.setdefault("check_bench", check_bench)
 _SPEC.loader.exec_module(check_bench)
 
 
-def _doc(smoke: bool = False, cores: int = 1, **speedups: float) -> dict:
+def _doc(smoke: bool = False, **speedups: float) -> dict:
     """A minimal BENCH_search.json-shaped document."""
     return {
         "benchmark": "search", "schema": 1, "smoke": smoke,
@@ -29,16 +29,6 @@ def _doc(smoke: bool = False, cores: int = 1, **speedups: float) -> dict:
             "taso_end_to_end": {
                 "bert": {"speedup": speedups.get("e2e", 2.5),
                          "iterations": 30},
-            },
-            "intra_search_parallel": {
-                "cores": cores,
-                "bert": {
-                    "speedup": speedups.get("parallel", 0.9),
-                    "workers": 4,
-                    "equivalence": {"final_hash": "matched",
-                                    "final_cost_float64": "matched",
-                                    "rules_checked": 2},
-                },
             },
             "measured_end_to_end": {
                 "bert": {"speedup": speedups.get("measured", 1.05),
@@ -57,7 +47,7 @@ class TestFlatten:
     def test_gated_keys_glob_matching(self):
         leaves = {"candidate_throughput.bert.speedup": 5.0,
                   "candidate_throughput.bert.candidates": 21.0,
-                  "parallel_scaling.speedup": 0.9}
+                  "cold_vs_warm.speedup": 0.9}
         floors = check_bench.gated_keys(
             leaves, {"candidate_throughput.*.speedup": 3.0})
         assert floors == {"candidate_throughput.bert.speedup": 3.0}
@@ -119,83 +109,18 @@ class TestEvaluate:
         assert problems == []
 
 
-class TestCoreGates:
-    """Core-aware scaling floors (the ``parallel_scaling`` family)."""
-
-    CORE_GATES = check_bench.CORE_GATES["BENCH_search.json"]
-
-    def _evaluate(self, fresh: dict, smoke: bool = True):
-        return check_bench.evaluate(_doc(), fresh, {}, smoke=smoke,
-                                    core_gates=self.CORE_GATES)
-
-    def test_single_core_recording_gates_on_overhead_floor_only(self):
-        # 0.5x would fail the 1.2x bar, but one core cannot scale: only
-        # the pathological-overhead floor applies.
-        problems, notes = self._evaluate(_doc(cores=1, parallel=0.5))
-        assert problems == []
-        assert any("1-core recording" in n for n in notes)
-
-    def test_single_core_pathological_overhead_fails(self):
-        problems, _ = self._evaluate(_doc(cores=1, parallel=0.1))
-        assert len(problems) == 1
-        assert "below the core-aware floor 0.15x" in problems[0]
-
-    def test_multi_core_recording_must_scale(self):
-        problems, _ = self._evaluate(_doc(cores=4, parallel=1.5))
-        assert problems == []
-        problems, _ = self._evaluate(_doc(cores=4, parallel=1.0))
-        assert len(problems) == 1
-        assert "below the core-aware floor 1.20x" in problems[0]
-        assert "4-core recording" in problems[0]
-
-    def test_enforced_in_full_mode_too(self):
-        problems, _ = self._evaluate(_doc(cores=4, parallel=1.0),
-                                     smoke=False)
-        assert len(problems) == 1
-
-    def test_missing_speedup_key_fails(self):
-        fresh = _doc()
-        del fresh["results"]["intra_search_parallel"]["bert"]["speedup"]
-        problems, _ = self._evaluate(fresh)
-        assert any("missing from the fresh results" in p for p in problems)
-
-    def test_section_never_recorded_fails(self):
-        baseline = _doc()
-        fresh = _doc()
-        del baseline["results"]["intra_search_parallel"]
-        del fresh["results"]["intra_search_parallel"]
-        problems, _ = check_bench.evaluate(baseline, fresh, {}, smoke=True,
-                                           core_gates=self.CORE_GATES)
-        assert any("no matching key" in p for p in problems)
-
-
-class TestParallelEquivalenceWitnesses:
-    """The new BENCH_search witnesses ride through check_file-level gates."""
+class TestSearchWitnesses:
+    """The BENCH_search witnesses ride through check_file-level gates."""
 
     POSITIVE = check_bench.REQUIRED_POSITIVE["BENCH_search.json"]
-    LITERAL = check_bench.REQUIRED_LITERAL["BENCH_search.json"]
 
     def _evaluate(self, fresh: dict):
-        return check_bench.evaluate(
-            _doc(), fresh, {}, smoke=True,
-            required_positive=self.POSITIVE, required_literal=self.LITERAL)
+        return check_bench.evaluate(_doc(), fresh, {}, smoke=True,
+                                    required_positive=self.POSITIVE)
 
     def test_witnessed_doc_passes(self):
         problems, _ = self._evaluate(_doc())
         assert problems == []
-
-    def test_diverged_hash_fails(self):
-        fresh = _doc()
-        fresh["results"]["intra_search_parallel"]["bert"][
-            "equivalence"]["final_hash"] = "diverged"
-        problems, _ = self._evaluate(fresh)
-        assert any("final_hash" in p and "diverged" in p for p in problems)
-
-    def test_missing_cores_witness_fails(self):
-        fresh = _doc()
-        del fresh["results"]["intra_search_parallel"]["cores"]
-        problems, _ = self._evaluate(fresh)
-        assert any("cores" in p for p in problems)
 
     def test_search_without_rewrites_fails(self):
         fresh = _doc()

@@ -8,11 +8,17 @@ requirements stanza, and the importer job wiring."""
 
 from __future__ import annotations
 
+import importlib.util
 import re
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CI = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+
+_SPEC = importlib.util.spec_from_file_location(
+    "_harness", REPO_ROOT / "benchmarks" / "_harness.py")
+HARNESS = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(HARNESS)
 
 
 def test_tier1_ignore_list_references_existing_files():
@@ -30,6 +36,24 @@ def test_tier1_ignores_exactly_the_bench_files_the_bench_job_runs():
     ignored = {Path(p).name for p in re.findall(r"--ignore=(\S+)", CI)}
     bench_runs = set(re.findall(r"pytest (benchmarks/\S+\.py)", CI))
     assert ignored == {Path(p).name for p in bench_runs}
+
+
+def test_bench_job_gates_fresh_output_against_the_committed_files():
+    """Bench runs write under the harness's git-ignored output directory;
+    the tracked ``BENCH_*.json`` are the baselines, so nothing is snapshot
+    to ``/tmp`` first and no run can dirty the checkout."""
+    baselines = re.findall(r"--baseline (\S+)", CI)
+    fresh = re.findall(r"--fresh (\S+)", CI)
+    assert baselines and sorted(baselines) == sorted(
+        path.name for path in REPO_ROOT.glob("BENCH_*.json"))
+    assert fresh == [f"{HARNESS.OUTPUT_DIR.name}/{name}" for name in baselines]
+    assert "Snapshot committed baselines" not in CI
+
+
+def test_harness_output_directory_is_git_ignored():
+    assert HARNESS.OUTPUT_DIR.parent == REPO_ROOT
+    ignored = (REPO_ROOT / ".gitignore").read_text().splitlines()
+    assert f"{HARNESS.OUTPUT_DIR.name}/" in ignored
 
 
 def test_pip_cache_key_tracks_the_requirements_file():

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark-regression gate run by CI (and by ``tests/tools``).
 
-Compares a *fresh* benchmark results file (written by the smoke run in
-the CI workspace) against the *committed baseline* (the same file as of
-the last commit) and fails on regressed key speedups::
+Compares a *fresh* benchmark results file (written under ``.bench_out/``
+by the smoke run in the CI workspace) against the *committed baseline*
+(the tracked file of the same name) and fails on regressed key speedups::
 
     python tools/check_bench.py \\
-        --baseline /tmp/baseline/BENCH_search.json \\
-        --fresh BENCH_search.json
+        --baseline BENCH_search.json \\
+        --fresh .bench_out/BENCH_search.json
 
 Two comparison modes, chosen automatically from the fresh file's
 ``smoke`` flag (override with ``--smoke`` / ``--full``):
@@ -24,14 +24,6 @@ Only the *gated* keys listed in :data:`GATES` are enforced.  A gated key
 missing from the fresh file fails (the benchmark silently did not run);
 one missing from the baseline is reported but passes (first run of a new
 benchmark).
-
-Parallel-scaling ratios are *core-aware* (:data:`CORE_GATES`): sharding
-CPU-bound search over processes cannot beat serial on a one-core box, so
-those floors consult the ``cores`` count the benchmark records alongside
-the speedup — >=1.2x when the recording host had real cores to scale
-onto, and only a pathological-overhead floor otherwise.  Core gates are
-absolute in both modes (the magnitude depends on the recording host, not
-on the run's budgets).
 
 Correctness witnesses (:data:`REQUIRED_POSITIVE` /
 :data:`REQUIRED_LITERAL`) are enforced in *both* modes: the RL bench
@@ -97,22 +89,6 @@ GATES: Dict[str, Dict[str, float]] = {
     },
 }
 
-#: Core-aware scaling gates, enforced as absolute floors in both modes:
-#: ``pattern -> (cores key, multi-core floor, single-core floor)``.  The
-#: multi-core floor applies when the *fresh* results record >=2 cores
-#: under the cores key; otherwise only the single-core floor (which
-#: catches pathological overhead such as re-shipping whole graphs every
-#: iteration) is enforced and the scaling stays informational.
-CORE_GATES: Dict[str, Dict[str, Tuple[str, float, float]]] = {
-    "BENCH_service.json": {
-        "parallel_scaling.speedup": ("parallel_scaling.cores", 1.2, 0.15),
-    },
-    "BENCH_search.json": {
-        "intra_search_parallel.*.speedup":
-            ("intra_search_parallel.cores", 1.2, 0.15),
-    },
-}
-
 #: Correctness witnesses: numeric key patterns that must be present in the
 #: *fresh* results with a strictly positive value, in smoke and full mode
 #: alike.  They record that a verification gate actually executed — a
@@ -127,15 +103,7 @@ REQUIRED_POSITIVE: Dict[str, Tuple[str, ...]] = {
         "calibration.samples",
         "models.*.execute_ms",
     ),
-    "BENCH_search.json": (
-        "intra_search_parallel.*.equivalence.rules_checked",
-        "intra_search_parallel.cores",
-        "measured_end_to_end.*.rules_applied",
-    ),
-    "BENCH_service.json": (
-        "parallel_scaling.equivalence.models_checked",
-        "parallel_scaling.cores",
-    ),
+    "BENCH_search.json": ("measured_end_to_end.*.rules_applied",),
 }
 
 #: String leaves that must equal an expected literal in the fresh results
@@ -146,14 +114,6 @@ REQUIRED_LITERAL: Dict[str, Dict[str, str]] = {
     },
     "BENCH_exec.json": {
         "equivalence.status": "passed",
-    },
-    "BENCH_search.json": {
-        "intra_search_parallel.*.equivalence.final_hash": "matched",
-        "intra_search_parallel.*.equivalence.final_cost_float64": "matched",
-    },
-    "BENCH_service.json": {
-        "parallel_scaling.equivalence.final_hash": "matched",
-        "parallel_scaling.equivalence.final_cost_float64": "matched",
     },
 }
 
@@ -199,8 +159,6 @@ def evaluate(baseline: Mapping[str, Any], fresh: Mapping[str, Any],
              tolerance: float = DEFAULT_TOLERANCE,
              required_positive: Tuple[str, ...] = (),
              required_literal: Optional[Mapping[str, str]] = None,
-             core_gates: Optional[
-                 Mapping[str, Tuple[str, float, float]]] = None,
              ) -> Tuple[List[str], List[str]]:
     """Compare one fresh results document against its baseline.
 
@@ -215,9 +173,6 @@ def evaluate(baseline: Mapping[str, Any], fresh: Mapping[str, Any],
             present and > 0 in the fresh results in either mode.
         required_literal: ``pattern -> expected`` for string witnesses
             that must be present and equal in the fresh results.
-        core_gates: ``pattern -> (cores key, multi-core floor,
-            single-core floor)`` scaling gates (see :data:`CORE_GATES`),
-            applied as absolute floors in both modes.
 
     Returns:
         ``(problems, notes)`` — failures and informational lines.
@@ -261,27 +216,6 @@ def evaluate(baseline: Mapping[str, Any], fresh: Mapping[str, Any],
     union = dict(fresh_leaves)
     for path, value in baseline_leaves.items():
         union.setdefault(path, value)
-
-    for pattern, (cores_key, multi_floor, single_floor) in \
-            (core_gates or {}).items():
-        matched = sorted(p for p in union if fnmatch.fnmatchcase(p, pattern))
-        if not matched:
-            problems.append(f"{pattern}: no matching key in the fresh "
-                            f"results (benchmark did not run?)")
-        cores = int(fresh_leaves.get(cores_key, 1))
-        floor = multi_floor if cores >= 2 else single_floor
-        for path in matched:
-            fresh_value = fresh_leaves.get(path)
-            if fresh_value is None:
-                problems.append(f"{path}: missing from the fresh results "
-                                f"(benchmark did not run?)")
-            elif fresh_value < floor:
-                problems.append(
-                    f"{path}: {fresh_value:.3f}x is below the core-aware "
-                    f"floor {floor:.2f}x ({cores}-core recording)")
-            else:
-                notes.append(f"{path}: {fresh_value:.3f}x >= core-aware "
-                             f"floor {floor:.2f}x ({cores}-core recording)")
 
     floors = gated_keys(union, gates)
 
@@ -346,8 +280,7 @@ def check_file(baseline_path: Path, fresh_path: Path,
     problems, notes = evaluate(
         baseline, fresh, gates, smoke=smoke, tolerance=tolerance,
         required_positive=REQUIRED_POSITIVE.get(fresh_path.name, ()),
-        required_literal=REQUIRED_LITERAL.get(fresh_path.name),
-        core_gates=CORE_GATES.get(fresh_path.name))
+        required_literal=REQUIRED_LITERAL.get(fresh_path.name))
     return problems, notes, smoke
 
 
