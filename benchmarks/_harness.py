@@ -1,4 +1,4 @@
-"""What the four ``BENCH_*.json`` benchmark files share: where a recording
+"""What the three ``BENCH_*.json`` benchmark files share: where a recording
 goes, what it says about the host, and how a wall-clock is sampled.
 
 A run writes ``BENCH_<name>.json`` under :data:`OUTPUT_DIR`, which git

@@ -14,13 +14,14 @@ largest convolutional entry, BERT the largest transformer entry):
   actual kernels.
 
 Every variant must produce *identical* results (costs bit-for-bit, graph
-hashes byte-for-byte); the speedup assertions make regressions in the lazy
-path fail loudly.  Results are recorded to ``BENCH_search.json`` (see
-``_harness.py``) so the perf trajectory is tracked over time.
+hashes byte-for-byte) — that is what the tests assert.  The speedups are
+recorded to ``BENCH_search.json`` (see ``_harness.py``) and gated by
+``tools/check_bench.py`` (3x / 2x / 0.97x floors), which CI's bench job
+runs on the recording: a wall-clock ratio on a shared host is no reason
+for the test suite to go red.
 
-Set ``SEARCH_BENCH_SMOKE=1`` (CI) for a single repetition with relaxed
-speedup thresholds — CI boxes are too noisy for the full 3x/2x gates, which
-are asserted in the default (full) mode.
+Set ``SEARCH_BENCH_SMOKE=1`` (CI) for a single repetition with fewer TASO
+iterations.
 """
 
 import os
@@ -36,9 +37,6 @@ from repro.search import TASOOptimizer
 SMOKE = os.environ.get("SEARCH_BENCH_SMOKE") == "1"
 REPEATS = 1 if SMOKE else 3
 TASO_ITERATIONS = 8 if SMOKE else 30
-#: Acceptance gates: >=3x candidate throughput, >=2x TASO end-to-end.
-MIN_CANDIDATE_SPEEDUP = 1.1 if SMOKE else 3.0
-MIN_E2E_SPEEDUP = 1.1 if SMOKE else 2.0
 #: Largest zoo graphs by node count: convolutional and transformer family.
 LARGEST_MODELS = ["inception_v3", "bert"]
 
@@ -47,7 +45,8 @@ best_of = partial(_harness.best_of, repeats=REPEATS)
 
 
 def test_candidate_generation_throughput(benchmark):
-    """Lazy + delta-cost candidate ranking is >=3x the eager seed path."""
+    """Lazy + delta-cost candidate ranking costs what the eager seed path
+    costs, bit-for-bit; the throughput of both is recorded."""
     report = ExperimentReport(
         experiment="Search bench",
         description="candidate enumeration + ranking throughput (cand/s)")
@@ -99,14 +98,11 @@ def test_candidate_generation_throughput(benchmark):
         }
     print("\n" + report.to_text())
     record("candidate_throughput", payload)
-    for name, count, eager_s, lazy_s in rows:
-        assert eager_s / lazy_s >= MIN_CANDIDATE_SPEEDUP, \
-            (f"{name}: lazy candidate path only {eager_s / lazy_s:.2f}x "
-             f"faster (gate {MIN_CANDIDATE_SPEEDUP}x)")
 
 
 def test_taso_end_to_end_speedup(benchmark):
-    """Incremental TASO is >=2x eager wall-clock with identical results."""
+    """Incremental TASO retraces the eager search exactly; both
+    wall-clocks are recorded."""
     report = ExperimentReport(
         experiment="Search bench",
         description="TASOOptimizer.optimise wall-clock, eager vs incremental")
@@ -152,15 +148,12 @@ def test_taso_end_to_end_speedup(benchmark):
         }
     print("\n" + report.to_text())
     record("taso_end_to_end", payload)
-    for name, eager_s, incremental_s in rows:
-        assert eager_s / incremental_s >= MIN_E2E_SPEEDUP, \
-            (f"{name}: incremental TASO only "
-             f"{eager_s / incremental_s:.2f}x faster (gate {MIN_E2E_SPEEDUP}x)")
 
 
 def test_measured_end_to_end(benchmark):
-    """The cost-model win survives real execution: TASO-optimised graphs
-    run faster under the numpy backend than their inputs."""
+    """TASO-optimised graphs and their inputs executed under the numpy
+    backend: the search must have rewritten something, and the executed
+    speedup is recorded (``tools/check_bench.py`` holds its floor)."""
     report = ExperimentReport(
         experiment="Search bench",
         description="executed latency before vs after TASO optimisation")
@@ -193,11 +186,5 @@ def test_measured_end_to_end(benchmark):
         }
     print("\n" + report.to_text())
     record("measured_end_to_end", payload)
-    for name, baseline_ms, optimised_ms, rules in rows:
+    for name, _, _, rules in rows:
         assert rules > 0, f"{name}: search applied no rewrites"
-        # Executed wins are genuinely small on reduced-size graphs (the
-        # fusions help, but numpy pays no kernel-launch overhead); the gate
-        # is "never slower beyond timer noise".
-        assert baseline_ms / optimised_ms >= 0.97, \
-            (f"{name}: optimised graph executes slower "
-             f"({baseline_ms:.2f}ms -> {optimised_ms:.2f}ms)")

@@ -67,13 +67,6 @@ class XRLflowConfig:
     #: library default stays ``float64``, which the bit-for-bit equivalence
     #: suites use.
     dtype: str = "float32"
-    #: Route observation encoding through the structural-hash feature cache
-    #: plus delta-patched per-node blocks.  ``False`` re-encodes every graph
-    #: from scratch (the eager benchmark baseline).
-    incremental: bool = True
-    #: Evaluate each PPO minibatch in a single batched forward instead of
-    #: one forward per transition.
-    batched_updates: bool = True
 
     seed: int = 0
 
@@ -91,15 +84,14 @@ class XRLflowConfig:
 
         Uses fewer/shallower episodes and a smaller encoder so a full
         train-and-optimise cycle completes in seconds on small graphs while
-        exercising the identical code path.
+        exercising the identical code path.  ``overrides`` are fields of
+        this class; anything else raises ``TypeError`` naming it.
         """
-        cfg = cls(num_episodes=6, max_steps=12, max_candidates=24,
-                  num_gat_layers=2, hidden_dim=32, embedding_dim=32,
-                  mlp_head_sizes=(64, 32), ppo_epochs=2, update_frequency=3,
-                  eval_episodes=1, batch_size=8)
-        for key, value in overrides.items():
-            setattr(cfg, key, value)
-        return cfg
+        preset = dict(num_episodes=6, max_steps=12, max_candidates=24,
+                      num_gat_layers=2, hidden_dim=32, embedding_dim=32,
+                      mlp_head_sizes=(64, 32), ppo_epochs=2,
+                      update_frequency=3, eval_episodes=1, batch_size=8)
+        return cls(**{**preset, **overrides})
 
     def validate(self) -> None:
         """Sanity-check value ranges; raises ``ValueError`` on bad settings."""
@@ -109,6 +101,12 @@ class XRLflowConfig:
             raise ValueError("clip_epsilon must lie in (0, 1)")
         if self.feedback_interval < 1:
             raise ValueError("feedback_interval must be >= 1")
+        if self.update_frequency < 1:
+            raise ValueError("update_frequency must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.edge_attr_norm <= 0:
+            raise ValueError("edge_attr_norm must be positive")
         if self.num_gat_layers < 1:
             raise ValueError("num_gat_layers must be >= 1")
         if self.max_candidates < 1:

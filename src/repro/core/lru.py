@@ -11,10 +11,10 @@ Design notes
 ------------
 * **Counters are part of the contract.**  ``hits`` / ``misses`` /
   ``evictions`` are plain ints updated on every ``get``/``put``;
-  :meth:`LRUCache.stats` renders them in the shape BENCH_rl.json
-  records.  ``clear()`` drops the entries but keeps the counters — a
-  cache flush mid-benchmark must not erase the evidence of what
-  happened before it.
+  :meth:`LRUCache.stats` renders them as ``<name>_hits`` … keys, the
+  shape ``GraphRewriteEnv.encode_cache_stats()`` reports.  ``clear()``
+  drops the entries but keeps the counters — a cache flush mid-run must
+  not erase the evidence of what happened before it.
 * **Locking is the caller's problem, optionally delegated.**  Most
   call sites are single-threaded; they pass no lock and pay nothing.
   ``nn/tensor.py`` guards *compound* check-then-promote sequences with

@@ -26,6 +26,7 @@ from ..ir.graph import Graph
 from ..rules.base import RuleSet
 from ..rules.rulesets import default_ruleset
 from ..rl.env import GraphRewriteEnv
+from ..rl.features import FeatureCache
 from ..rl.ppo import PPOUpdater, XRLflowAgent
 from ..rl.training import PPOTrainer, TrainingHistory
 from ..search.result import SearchResult, timed
@@ -108,7 +109,7 @@ class XRLflow:
             max_steps=cfg.max_steps,
             seed=cfg.seed,
             progress_callback=self._relay_progress,
-            incremental=cfg.incremental,
+            feature_cache=FeatureCache(edge_norm=cfg.edge_attr_norm),
         )
 
     def _build_agent(self, dtype=None) -> XRLflowAgent:
@@ -156,7 +157,6 @@ class XRLflow:
             batch_size=cfg.batch_size,
             max_grad_norm=cfg.max_grad_norm,
             seed=cfg.seed,
-            batched=cfg.batched_updates,
         )
         trainer = PPOTrainer(env, self.agent, updater,
                              update_frequency=cfg.update_frequency,
@@ -244,12 +244,10 @@ class XRLflow:
             "train_time_s": float(train_time),
             "episodes_trained": float(len(self.history.episodes)) if self.history else 0.0,
             "mean_recent_reward": self.history.mean_reward() if self.history else 0.0,
+            # Observation-encode cache effectiveness (the evaluation env's;
+            # the training env's is in ``history.update_stats``).
+            "encode_cache_hit_rate": env.encode_cache_stats()["hit_rate"],
         }
-        # Observation-encode cache effectiveness (the evaluation env's; the
-        # RL benchmark gates on the training-side number separately).
-        cache_stats = env.encode_cache_stats()
-        if cache_stats:
-            stats["encode_cache_hit_rate"] = cache_stats["hit_rate"]
         return SearchResult(
             optimiser=self.name,
             model=model_name or graph.name,

@@ -47,11 +47,9 @@ def benchmark_config(**overrides) -> XRLflowConfig:
     is orders of magnitude slower per step than JAX on a GPU) but on the same
     code path; pass overrides to scale up.
     """
-    cfg = XRLflowConfig.fast(num_episodes=6, max_steps=18, max_candidates=24,
-                             update_frequency=3, ppo_epochs=1, eval_episodes=3)
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    preset = dict(num_episodes=6, max_steps=18, max_candidates=24,
+                  update_frequency=3, ppo_epochs=1, eval_episodes=3)
+    return XRLflowConfig.fast(**{**preset, **overrides})
 
 
 #: Process-wide optimisation service shared by the experiment harness, so

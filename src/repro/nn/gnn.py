@@ -61,6 +61,9 @@ class BatchedGraphs:
     #: Store rows the readout pools, aligned with ``graph_ids`` ([P]); a row
     #: may appear under several graphs.  ``None``: all rows, in order.
     pool_rows: Optional[np.ndarray] = None
+    #: How many of the graphs are stored as a rewrite cone only (counted by
+    #: whoever built ``pool_rows``; 0 for a plain batch).
+    num_cones: int = 0
     #: Per-dtype memo of converted copies (see :meth:`cast`).
     _cast_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -100,6 +103,7 @@ class BatchedGraphs:
                 num_graphs=self.num_graphs,
                 global_features=self.global_features.astype(dtype),
                 pool_rows=self.pool_rows,
+                num_cones=self.num_cones,
             )
             self._cast_cache[dtype] = cached
         return cached
@@ -141,8 +145,8 @@ class GATLayer(Module):
         # than ``h @ attn`` (a matvec): BLAS gemv accumulates with a
         # different split per call than row-wise reduction, so matvec
         # results are not row-consistent across subsets of ``h`` — which
-        # would make the incremental delta forward (recomputing only dirty
-        # rows) impossible to keep bit-for-bit equal to this full pass.
+        # would make a delta batch (a candidate's cone rows only) impossible
+        # to keep bit-for-bit equal to the full meta-graph's forward.
         # ``(h * a).sum(axis=1)`` reduces each row independently, so any
         # row subset reproduces the full result exactly.
         src_scores = (h * self.attn_src.reshape(1, -1)).sum(

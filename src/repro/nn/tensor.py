@@ -99,8 +99,7 @@ def reference_kernels():
 
     The fast path (flattened ``np.bincount``) accumulates in the same input
     order, so both kernels produce bit-identical float64 results — this
-    context exists so tests can assert exactly that, and so benchmarks can
-    measure the seed implementation as their baseline.
+    context exists so tests can assert exactly that.
     """
     token = _REFERENCE_KERNELS.set(True)
     try:
@@ -177,14 +176,6 @@ def _scatter_add_rows(values: np.ndarray, index: np.ndarray,
                       minlength=num_rows * cols)
     return out.reshape((num_rows,) + values.shape[1:]).astype(
         values.dtype, copy=False)
-
-
-def flat_ids_cache_stats() -> dict:
-    """Counters of the process-global flat-index caches (for benchmarks)."""
-    with _FLAT_IDS_LOCK:
-        stats = _FLAT_IDS_CACHE.stats()
-        stats.update(_FLAT_IDS_SEEN.stats())
-    return stats
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

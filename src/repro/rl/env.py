@@ -24,7 +24,7 @@ from ..rules.base import Candidate, RuleSet
 from ..rules.incremental import IncrementalCandidateEngine
 from ..rules.rulesets import default_ruleset
 from ..nn.gnn import BatchedGraphs
-from .features import FeatureCache, LazyMetaGraph, build_meta_graph
+from .features import FeatureCache, LazyMetaGraph
 
 __all__ = ["Observation", "StepResult", "GraphRewriteEnv"]
 
@@ -52,9 +52,8 @@ class Observation:
     #: The candidates backing each valid action index.
     candidates: List[Candidate] = field(default_factory=list)
     #: The graphs behind the meta-graph rows (current graph first), in
-    #: meta-graph order.  Set on the incremental path only; it lets the
-    #: agent's :class:`~repro.rl.embed.IncrementalEmbedder` re-embed just
-    #: each graph's delta instead of running the encoder over the batch.
+    #: meta-graph order.  The environment always sets it; a hand-built
+    #: observation may leave it out and carry a plain meta-graph only.
     graphs: Optional[List[Graph]] = None
 
     @property
@@ -93,7 +92,6 @@ class GraphRewriteEnv:
                  seed: int = 0,
                  progress_callback: Optional[
                      Callable[[int, float, str], None]] = None,
-                 incremental: bool = True,
                  feature_cache: Optional[FeatureCache] = None,
                  max_cached_observations: int = 512,
                  cost_source: str = "simulated",
@@ -119,21 +117,16 @@ class GraphRewriteEnv:
         self.max_candidates = int(max_candidates)
         self.max_steps = int(max_steps)
         self.reward_fn = reward_fn or default_reward
-        #: ``incremental=False`` re-encodes every observation from scratch
-        #: with the reference encoder (the eager baseline for benchmarks);
-        #: the default routes all encoding through a structural-hash-keyed
+        #: All encoding goes through a structural-hash-keyed
         #: :class:`~repro.rl.features.FeatureCache` plus delta-patched
-        #: per-node blocks.
-        self.incremental = bool(incremental)
-        if feature_cache is None and self.incremental:
-            feature_cache = FeatureCache()
-        self.feature_cache = feature_cache
+        #: per-node blocks; its ``edge_norm`` is the one every batch of
+        #: this environment's observations is built with.
+        self.feature_cache = feature_cache if feature_cache is not None \
+            else FeatureCache()
         #: Incremental match maintenance: candidate sets are reconciled
         #: against each step's ``GraphDelta`` instead of re-matching the
-        #: whole graph (the eager path remains the equivalence oracle).
-        self._candidate_engine = (
-            IncrementalCandidateEngine(self.ruleset)
-            if self.incremental else None)
+        #: whole graph (``full_scan_matching()`` is the equivalence oracle).
+        self._candidate_engine = IncrementalCandidateEngine(self.ruleset)
         #: Whole observations (candidates, mask, meta-graph) memoised per
         #: current-graph structural hash.  The environment's dynamics are
         #: deterministic given the ruleset, so a re-visited state — the next
@@ -269,7 +262,7 @@ class GraphRewriteEnv:
         return reward
 
     def _observe(self) -> Observation:
-        if self.incremental and self.max_cached_observations > 0:
+        if self.max_cached_observations > 0:
             key = self.current_graph.structural_hash()
             cached = self._obs_cache.get(key)
             if cached is not None:
@@ -280,27 +273,20 @@ class GraphRewriteEnv:
         mask[: len(candidates)] = True
         mask[-1] = True  # No-Op is always available
         graphs = [self.current_graph] + [c.graph for c in candidates]
-        if self.incremental:
-            # Rollouts act through the delta embedder and the batched PPO
-            # update reads candidates as rewrite cones; neither needs the
-            # meta batch, so its (expensive) assembly waits for a consumer
-            # that does — a single-observation gradient forward, verify.
-            meta = LazyMetaGraph(graphs, cache=self.feature_cache)
-        else:
-            meta = build_meta_graph(graphs, incremental=False)
+        # Acting and the batched PPO update both read candidates as rewrite
+        # cones (one delta batch, built on first use); the full meta batch
+        # waits for a consumer that needs it — a single-observation
+        # gradient forward.
         obs = Observation(
-            meta_graph=meta, action_mask=mask, candidates=candidates,
-            graphs=graphs if self.incremental else None)
-        if self.incremental and self.max_cached_observations > 0:
+            meta_graph=LazyMetaGraph(graphs, cache=self.feature_cache),
+            action_mask=mask, candidates=candidates, graphs=graphs)
+        if self.max_cached_observations > 0:
             self._obs_cache.put(key, obs)
         self._last_observation = obs
         return obs
 
     def encode_cache_stats(self) -> Dict[str, float]:
-        """Hit/miss counters of the observation/encode caches (empty when
-        running with ``incremental=False``)."""
-        if self.feature_cache is None:
-            return {}
+        """Hit/miss counters of the observation/encode caches."""
         stats = self.feature_cache.stats()
         stats.update(self._obs_cache.stats())
         return stats
@@ -318,10 +304,7 @@ class GraphRewriteEnv:
         case.  Matches that fail to apply are dropped and their slot is
         backfilled from the same rule.
         """
-        if self._candidate_engine is not None:
-            lazy = self._candidate_engine.lazy_candidates(self.current_graph)
-        else:
-            lazy = self.ruleset.lazy_candidates(self.current_graph)
+        lazy = self._candidate_engine.lazy_candidates(self.current_graph)
         if len(lazy) <= self.max_candidates:
             return [c for c in lazy if c.materialise() is not None]
 

@@ -33,13 +33,12 @@ On the default path candidates are not encoded at all.  A candidate is its
 parent plus one rewrite, and only its *cone* — the nodes the rewrite changed,
 spread one hop downstream per GAT layer — can differ from the parent in any
 layer of the encoder.  :func:`rewrite_cone` derives that structure once per
-candidate graph (memoised on the graph; rollout and update share it):
-:class:`~repro.rl.embed.IncrementalEmbedder` uses it to act, and
-:func:`build_delta_batch` uses it to give the PPO update a batch holding the
-current graph's rows in full and each candidate's cone rows only
-(:meth:`LazyMetaGraph.delta_batch`).  :func:`build_meta_graph`, the full
-meta-graph, stays as the reference the delta batch is tested against and as
-what ``incremental=False`` observations carry.
+candidate graph (memoised on the graph), and :func:`build_delta_batch` turns
+it into a batch holding the current graph's rows in full and each candidate's
+cone rows only.  That one batch, memoised on the observation
+(:meth:`LazyMetaGraph.delta_batch`), is what the agent acts on and what the
+PPO update trains on.  :func:`build_meta_graph`, the full meta-graph, stays
+as the reference the delta batch is tested against.
 
 The original per-edge Python-loop encoder is kept as the ``incremental=False``
 reference path; the equivalence suite asserts both produce bit-for-bit
@@ -104,8 +103,8 @@ def encode_order(graph: Graph) -> np.ndarray:
 
     Any deterministic order works for the GNN — message passing treats rows
     symmetrically and per-graph pooling is bucketed — it only has to be
-    *the same* order everywhere features, meta batches and the delta
-    embedder meet.  Sorted ids win over the previous topological order
+    *the same* order everywhere features, meta batches and rewrite cones
+    meet.  Sorted ids win over the previous topological order
     because they are derived with two C-speed array ops instead of a
     Python Kahn traversal, which dominated per-candidate encoding cost.
     Memoised on the graph (dropped on mutation, carried across ``copy``).
@@ -164,8 +163,8 @@ def _one_hot_ops(op_indices: np.ndarray) -> np.ndarray:
 def _encode_graph_reference(graph: Graph, edge_norm: float) -> GraphFeatures:
     """The original one-shot encoder: Python loops over every node and edge.
 
-    Kept as the eager baseline for benchmarks and as the reference the
-    incremental encoder is checked against bit-for-bit.
+    Kept as the reference the incremental encoder is checked against
+    bit-for-bit.
     """
     order = sorted(graph.nodes)
     index = {nid: i for i, nid in enumerate(order)}
@@ -208,10 +207,10 @@ def encode_graph(graph: Graph, edge_norm: float = DEFAULT_EDGE_NORM,
     blocks of the nodes its mutation delta changed **if its parent was
     encoded before the copy**; blocks the parent had not built by then are
     rebuilt by each descendant that is encoded.  The default RL path
-    fully encodes only an observation's current graph, at PPO-update time
-    (:func:`build_delta_batch`; candidates contribute the blocks of their
-    cone, see :func:`rewrite_cone`) — after its candidates were copied, so
-    that one encode still builds most of its blocks itself.
+    fully encodes only an observation's current graph, when the agent first
+    acts on it (:func:`build_delta_batch`; candidates contribute the blocks
+    of their cone, see :func:`rewrite_cone`) — after its candidates were
+    copied, so that one encode still builds most of its blocks itself.
 
     ``incremental=False`` runs the original per-edge Python loop.  Both
     paths return bit-for-bit identical arrays.
@@ -382,12 +381,11 @@ class RewriteCone:
 
     Everything is row positions in the candidate's :func:`encode_order`
     (``n`` rows) or in its ``delta_parent()``'s; nothing depends on weights,
-    so one derivation serves every rollout forward and every PPO epoch.
+    so one derivation serves every delta batch the graph appears in.
     """
 
     __slots__ = ("delta", "order", "mapped", "unchanged", "cone_pos",
-                 "op_indices", "edge_src_pos", "edge_feats", "segments",
-                 "transform_pos", "cone_local", "edge_src_local")
+                 "op_indices", "edge_src_pos", "edge_feats", "segments")
 
     #: The ``GraphDelta`` this was derived from (the memo's validity token).
     delta: GraphDelta
@@ -407,11 +405,6 @@ class RewriteCone:
     edge_src_pos: np.ndarray
     edge_feats: np.ndarray
     segments: np.ndarray
-    #: ``[t]`` rows a layer must transform (cone rows and their sources),
-    #: ascending, and where the cone rows / edge sources sit among them.
-    transform_pos: np.ndarray
-    cone_local: np.ndarray
-    edge_src_local: np.ndarray
 
 
 def rewrite_cone(graph: Graph, num_layers: int,
@@ -495,13 +488,6 @@ def _derive_cone(graph: Graph, parent: Graph, delta: GraphDelta,
         cone.edge_feats = _EMPTY_FEATS
     cone.segments = np.repeat(
         np.arange(counts.shape[0], dtype=np.int64), counts)
-    cone.transform_pos = np.unique(
-        np.concatenate([cone.cone_pos, cone.edge_src_pos]))
-    local = np.empty(n, dtype=np.int64)
-    local[cone.transform_pos] = np.arange(
-        cone.transform_pos.shape[0], dtype=np.int64)
-    cone.cone_local = local[cone.cone_pos]
-    cone.edge_src_local = local[cone.edge_src_pos]
     return cone
 
 
@@ -520,14 +506,14 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
     encoder returns exactly the embeddings :func:`build_meta_graph`'s batch
     gives (bit-for-bit in float64) while message passing runs over a
     fraction of the rows.  A candidate of any other lineage is stored in
-    full, like the current graph.
+    full, like the current graph; ``num_cones`` says how many were not.
     """
     if cache is not None:
         edge_norm = cache.edge_norm
     current = graphs[0]
     op_blocks, feat_blocks, src_blocks, dst_blocks, pool_blocks = \
         [], [], [], [], []
-    rows = 0
+    rows = num_cones = 0
     for graph in graphs:
         cone = rewrite_cone(graph, num_layers, edge_norm) \
             if graph is not current and graph.delta_parent() is current \
@@ -555,6 +541,7 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
         dst_blocks.append(cone.segments + rows)
         pool_blocks.append(store_row)
         rows += count
+        num_cones += 1
     counts = np.asarray([block.shape[0] for block in pool_blocks],
                         dtype=np.int64)
     return BatchedGraphs(
@@ -566,24 +553,22 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
         num_graphs=len(graphs),
         global_features=np.zeros((len(graphs), GLOBAL_FEATURE_DIM)),
         pool_rows=np.concatenate(pool_blocks),
+        num_cones=num_cones,
     )
 
 
 class LazyMetaGraph:
     """A :class:`BatchedGraphs` that assembles itself on first use.
 
-    On the incremental path the rollout loop never reads the meta batch:
-    action selection runs through the delta embedder
-    (:class:`~repro.rl.embed.IncrementalEmbedder`), which works off
-    per-graph structure.  Materialising the batch eagerly would encode
-    every candidate each step just in case — the single largest cost on
-    small graphs.  This proxy defers :func:`build_meta_graph` until some
-    consumer (a single-observation gradient forward, verify mode) actually
-    touches an attribute, then memoises the result for the observation's
-    lifetime.  The batched PPO update does not touch it either: it asks for
-    :meth:`delta_batch`, which never encodes a candidate, and which is
-    memoised the same way so training epochs pay for assembly once per
-    observation.
+    Neither acting nor the batched PPO update reads the full meta batch:
+    both ask for :meth:`delta_batch`, which never encodes a candidate and is
+    memoised here, so the update trains on the very batch the rollout acted
+    on.  Materialising the full batch eagerly would encode every candidate
+    each step just in case — the single largest cost on small graphs.  This
+    proxy defers :func:`build_meta_graph` until some consumer (a
+    single-observation gradient forward) actually touches a
+    :class:`~repro.nn.gnn.BatchedGraphs` attribute, then memoises the result
+    for the observation's lifetime.
     """
 
     __slots__ = ("_graphs", "_cache", "_built", "_delta")
@@ -615,6 +600,10 @@ class LazyMetaGraph:
         return self._delta[1]
 
     def __getattr__(self, name):
+        # copy / pickle probe dunders on an instance whose slots are not set
+        # yet; forwarding those would recurse through ``materialise``.
+        if name.startswith("_"):
+            raise AttributeError(name)
         return getattr(self.materialise(), name)
 
 
@@ -659,5 +648,6 @@ def combine_meta_graphs(batches: Sequence[BatchedGraphs]
         num_graphs=graph_offset,
         global_features=np.concatenate(global_blocks, axis=0),
         pool_rows=np.concatenate(pool_blocks) if pooled else None,
+        num_cones=sum(batch.num_cones for batch in batches),
     )
     return combined, graph_offsets

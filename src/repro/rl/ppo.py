@@ -28,10 +28,11 @@ Performance notes:
   each candidate as its rewrite cone only
   (:func:`~repro.rl.features.build_delta_batch`), so forward and backward
   run over the rows a rewrite can change, not over ~25 copies of the graph;
-* rollout ``act()`` runs under :func:`~repro.nn.tensor.no_grad`, so
-  exploration builds no autograd tape — and memoises the policy output per
-  observation object (the environment returns the *same* observation for a
-  re-visited state), invalidated on every weight update;
+* rollout ``act()`` runs the same encoder over the same delta batch under
+  :func:`~repro.nn.tensor.no_grad`, so exploration builds no autograd tape
+  and the update re-uses the batch the rollout assembled — and memoises the
+  policy output per observation object (the environment returns the *same*
+  observation for a re-visited state), invalidated on every weight update;
 * the agent has a ``dtype`` knob — training defaults to ``float32`` through
   :class:`~repro.core.config.XRLflowConfig`, while ``float64`` (the library
   default) is kept for the bit-for-bit equivalence suite.
@@ -132,16 +133,11 @@ class XRLflowAgent(Module):
         # evicts an observation, its object id can never hit here again, so
         # a larger bound would only pin dead meta-graphs.
         self._decision_cache = LRUCache(512, name="decision")
-        #: Rollout forwards re-embed only each graph's delta when the
-        #: observation carries its graph list (the environment's
-        #: incremental path); switchable for ablation benchmarks.
-        self.incremental_embed = True
         self.embedder = IncrementalEmbedder(self.encoder)
 
     def invalidate_decision_cache(self) -> None:
         """Drop memoised policy outputs (call whenever weights change)."""
         self._decision_cache.clear()
-        self.embedder.invalidate()
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Load parameters and drop everything memoised under the old ones."""
@@ -159,13 +155,12 @@ class XRLflowAgent(Module):
                observation: Observation) -> Tuple[Tensor, Tensor]:
         """Policy and value heads on the encoded meta-graph.
 
-        Split out of :meth:`forward` so the rollout path can feed
-        embeddings from the incremental embedder through the identical
-        head computation.  Callers hold the ``default_dtype`` context.
+        Split out of :meth:`forward` so :meth:`act` can feed the delta
+        batch's embeddings through the identical head computation.
+        Callers hold the ``default_dtype`` context.
         """
-        # The graph list carries the batch size on the incremental path;
-        # touching ``meta_graph`` there would force the lazy batch to be
-        # assembled just to read its count.
+        # The graph list carries the batch size; touching a lazy
+        # ``meta_graph`` would assemble it just to read its count.
         num_graphs = (len(observation.graphs)
                       if observation.graphs is not None
                       else observation.meta_graph.num_graphs)
@@ -198,44 +193,37 @@ class XRLflowAgent(Module):
         return masked_logits, value
 
     # ------------------------------------------------------------------
-    def act(self, observation: Observation, deterministic: bool = False,
-            grad: bool = False) -> ActionDecision:
+    def act(self, observation: Observation,
+            deterministic: bool = False) -> ActionDecision:
         """Sample (or argmax) an action from the masked policy.
 
-        Runs under :func:`~repro.nn.tensor.no_grad` unless ``grad=True`` —
-        rollouts never backpropagate through the decision, so building the
-        tape is pure overhead (kept switchable as the benchmark baseline).
-        The masked distribution and value are memoised per observation
-        object until the next weight update; sampling still draws from the
+        Runs under :func:`~repro.nn.tensor.no_grad`: rollouts never
+        backpropagate through the decision.  An observation of the
+        environment is encoded as its delta batch (the one
+        :meth:`evaluate_actions_batch` trains on), a hand-built one with a
+        plain meta-graph as it is — the same embeddings either way.  The
+        masked distribution and value are memoised per observation object
+        until the next weight update; sampling still draws from the
         generator on every call, so cached and uncached rollouts consume
         the rng identically.
         """
-        entry = None if grad else self._decision_cache.get(id(observation))
+        entry = self._decision_cache.get(id(observation))
         if entry is not None and entry[0] is observation:
             _, probs, value_f = entry
         else:
             if entry is not None:
                 # A dead observation's id was recycled; drop the stale row.
                 self._decision_cache.pop(id(observation))
-            if grad:
-                logits, value = self.forward(observation)
-            elif self.incremental_embed and observation.graphs is not None:
-                # Delta GNN forward: per-graph activations are cached and
-                # only each graph's mutated cone is recomputed — the
-                # embeddings (and hence the decision) are identical to the
-                # full encoder's by row-consistency (see repro.rl.embed).
-                with no_grad(), default_dtype(self.dtype):
-                    embeddings = Tensor(self.embedder.embed(observation))
-                    logits, value = self._heads(embeddings, observation)
-            else:
-                with no_grad():
-                    logits, value = self.forward(observation)
+            with no_grad(), default_dtype(self.dtype):
+                meta = observation.meta_graph
+                embeddings = Tensor(self.embedder.embed(observation)) \
+                    if isinstance(meta, LazyMetaGraph) else self.encoder(meta)
+                logits, value = self._heads(embeddings, observation)
             probs = logits.softmax(axis=0).numpy().astype(np.float64, copy=True)
             probs = probs / probs.sum()
             value_f = float(value.numpy()[0])
-            if not grad:
-                self._decision_cache.put(
-                    id(observation), (observation, probs, value_f))
+            self._decision_cache.put(
+                id(observation), (observation, probs, value_f))
         if deterministic:
             action = int(np.argmax(probs))
         else:
@@ -266,7 +254,7 @@ class XRLflowAgent(Module):
         :class:`~repro.nn.gnn.BatchedGraphs` and runs a *single* encoder
         forward for the whole minibatch — the GNN message passing is where
         nearly all the per-transition ops (and the autograd tape) used to
-        go.  An observation of the incremental environment contributes its
+        go.  An observation of the environment contributes its
         delta batch (:meth:`~repro.rl.features.LazyMetaGraph.delta_batch`:
         candidates as rewrite cones, never fully encoded); any other
         contributes its meta-graph as it is.  Duplicate observations (the
@@ -399,8 +387,7 @@ class PPOUpdater:
 
     ``batched=True`` (the default) evaluates each minibatch through
     :meth:`XRLflowAgent.evaluate_actions_batch`; ``batched=False`` keeps the
-    seed per-transition loop as the benchmark baseline and equivalence
-    reference.
+    seed per-transition loop as the equivalence reference.
 
     Minibatches whose observations sum to more than ``max_batch_nodes``
     meta-graph nodes (the rows the readout gathers — with delta batches the

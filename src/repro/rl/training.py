@@ -117,8 +117,7 @@ class PPOTrainer:
 
     def _apply_update(self) -> None:
         """Run one PPO update over the buffer and record its statistics
-        (plus the env's observation-encode cache hit rate, when running
-        incrementally — the number the RL benchmark tracks)."""
+        (plus the env's observation-encode cache hit rate)."""
         stats = self.updater.update(self.buffer)
         record = {
             "policy_loss": stats.policy_loss,
@@ -128,8 +127,7 @@ class PPOTrainer:
             "encoder_rows": float(stats.encoder_rows),
             "pooled_rows": float(stats.pooled_rows),
         }
-        cache_stats = self.env.encode_cache_stats()
-        if cache_stats:
-            record["encode_cache_hit_rate"] = cache_stats["hit_rate"]
+        record["encode_cache_hit_rate"] = \
+            self.env.encode_cache_stats()["hit_rate"]
         self.history.update_stats.append(record)
         self.buffer.clear()

@@ -102,7 +102,7 @@ class IncrementalCandidateEngine:
             return self._candidates_from(state)
         parent_state = self._parent_state(graph)
         if parent_state is None:
-            state = self._full_state(graph)
+            state = self._rebuild_state(graph)
             self.full_rebuilds += 1
         else:
             state = self._delta_state(parent_state, graph)
@@ -132,7 +132,7 @@ class IncrementalCandidateEngine:
             return None
         return state
 
-    def _full_state(self, graph: Graph) -> _MatchState:
+    def _rebuild_state(self, graph: Graph) -> _MatchState:
         per_rule: Dict[str, _RuleMatches] = {}
         for rule in self.ruleset.rules:
             matches = rule.find_matches(graph)

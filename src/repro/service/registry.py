@@ -135,8 +135,8 @@ def _build_xrlflow(e2e=None, **config):
     return XRLflow(XRLflowConfig.fast(**config), e2e=e2e)
 
 
-# ``config`` is XRLflowConfig's fields (``fast`` sets anything else as a
-# stray attribute, silently): declare that where ``inspect.signature`` looks.
+# ``config`` is XRLflowConfig's fields: declare that where
+# ``inspect.signature`` looks, so admission refuses anything else.
 _build_xrlflow.__signature__ = inspect.Signature(
     [inspect.Parameter(name, inspect.Parameter.KEYWORD_ONLY, default=None)
      for name in ("e2e", *(f.name for f in fields(XRLflowConfig)))])

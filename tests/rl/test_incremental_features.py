@@ -1,24 +1,29 @@
 """Equivalence gate for the fast RL stack.
 
-The RL perf work (incremental observation encoding, batched PPO forward,
-no-grad rollouts, bincount segment kernels) must be behaviour-preserving:
-every assertion here compares the fast path against the seed semantics and
-requires *exact* float64 equality — feature arrays bit-for-bit, batched
-``evaluate_actions`` outputs bit-for-bit per transition, identical action
-sequences with and without the autograd tape.
+The RL perf work (incremental observation encoding, delta batches for
+rollout and update, batched PPO forward, bincount segment kernels) must be
+behaviour-preserving: every assertion here compares the fast path against
+the retained references and requires *exact* float64 equality — feature
+arrays bit-for-bit, rollout embeddings and decisions bit-for-bit against the
+full meta-graph, batched ``evaluate_actions`` outputs bit-for-bit per
+transition.
 """
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.experiments import build_small_model
 from repro.ir import GraphBuilder
-from repro.nn import Tensor, no_grad, reference_kernels, segment_sum
+from repro.nn import (GraphEmbeddingNetwork, Tensor, no_grad,
+                      reference_kernels, segment_sum)
 from repro.rl import (FeatureCache, GraphRewriteEnv, Observation, PPOTrainer,
                       PPOUpdater, RolloutBuffer, Transition, XRLflowAgent,
-                      build_meta_graph, encode_graph)
-from repro.rl.features import LazyMetaGraph, rewrite_cone
-from repro.rules import default_ruleset
+                      build_meta_graph, encode_graph, features)
+from repro.rl.features import LazyMetaGraph, build_delta_batch, rewrite_cone
+from repro.rules import default_ruleset, full_scan_matching
 
 MODELS = ["squeezenet", "resnext50", "bert", "vit"]
 ZOO = MODELS + ["inception_v3", "resnet18", "dalle", "tt"]
@@ -175,30 +180,37 @@ class TestIncrementalEncoding:
 
 
 # ---------------------------------------------------------------------------
-# (a2) Incremental GNN forward == full forward, bit-for-bit (float64)
+# (a2) Rollout embedding (delta batch) == full meta-graph forward, bit-for-bit
 # ---------------------------------------------------------------------------
 
-def _embed_observation(parent, candidates):
-    """An env-shaped observation: current graph first, then candidates."""
-    graphs = [parent] + [c.graph for c in candidates]
-    mask = np.ones(len(graphs), dtype=bool)
-    return Observation(meta_graph=build_meta_graph(graphs, incremental=False),
-                       action_mask=mask, candidates=list(candidates),
-                       graphs=graphs)
+def small_agent(**kwargs):
+    return XRLflowAgent(hidden_dim=16, embedding_dim=16, num_gat_layers=2,
+                        head_sizes=(16,), seed=0, **kwargs)
 
 
-class TestIncrementalGNNForward:
+def oracle_embeddings(agent, graphs, edge_norm=4096.0):
+    """The encoder over the from-scratch, per-edge-loop full meta-graph."""
+    with no_grad():
+        return agent.encoder(build_meta_graph(
+            graphs, edge_norm=edge_norm, incremental=False)).data
+
+
+def rollout(env, agent, check=lambda obs: None):
+    """One stochastic episode; ``check(obs)`` sees every observation."""
+    obs, done = env.reset(), False
+    while not done:
+        check(obs)
+        result = env.step(agent.act(obs).action)
+        obs, done = result.observation, result.done
+
+
+class TestRolloutEmbedding:
     def test_bitwise_across_every_curated_rule_and_closures(self):
-        """The delta forward must agree with the full encoder bit-for-bit
+        """``embed()`` must agree with the full encoder bit-for-bit
         (float64) for candidates of *every* curated rule, including
-        grandchildren two rewrites deep (where the cached parent state is
-        itself the product of a delta forward).  ``verify=True`` makes the
-        embedder raise on the first diverging bit."""
-        agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
-                             num_gat_layers=2, head_sizes=(16,), seed=0,
-                             dtype=np.float64)
-        embedder = agent.embedder
-        embedder.verify = True
+        grandchildren two rewrites deep (whose parent is itself a rewrite
+        candidate carrying inherited per-node tables and memos)."""
+        agent = small_agent()
         ruleset = default_ruleset()
         covered = set()
         for graph in probe_graphs():
@@ -211,33 +223,132 @@ class TestIncrementalGNNForward:
                     if not candidates:
                         continue
                     covered.update(c.rule_name for c in candidates)
-                    embedder.embed(_embed_observation(parent, candidates))
+                    graphs = [parent] + [c.graph for c in candidates]
+                    assert np.array_equal(
+                        agent.embedder.embed(lazy_observation(
+                            graphs, num_actions=len(graphs))),
+                        oracle_embeddings(agent, graphs))
                     next_frontier.extend(c.graph for c in candidates[:2])
                 frontier = next_frontier[:3]
-        stats = embedder.stats()
-        assert stats["embed_delta_forwards"] > 0
-        assert stats["embed_equivalence_checks"] > 0
+        assert agent.embedder.stats()["embed_delta_forwards"] > 0
         assert covered == set(ruleset.names())
 
-    def test_rollout_exercises_delta_forward_with_verification(self):
-        """An actual agent rollout through the environment keeps the
-        equivalence gate green while taking the delta path."""
-        agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
-                             num_gat_layers=2, head_sizes=(16,), seed=0,
-                             dtype=np.float64)
-        agent.embedder.verify = True
+    def test_rollout_embeds_cones_and_matches_the_oracle(self):
+        """An actual agent rollout through the environment: every
+        observation embeds as the oracle says, candidates as cones."""
+        agent = small_agent()
+        env = GraphRewriteEnv(build_small_model("squeezenet"),
+                              max_candidates=8, max_steps=4, seed=0)
+        rollout(env, agent, lambda obs: np.testing.assert_array_equal(
+            agent.embedder.embed(obs), oracle_embeddings(agent, obs.graphs)))
+        stats = agent.embedder.stats()
+        assert stats["embed_delta_forwards"] > 0
+        assert stats["embed_full_forwards"] > 0
+        assert stats["embed_fallback_fulls"] == 0
+
+    def test_other_lineage_candidates_are_counted_as_fallbacks(self):
+        agent = small_agent()
+        _, mixed = edge_case_observations()
+        agent.embedder.embed(mixed)
+        assert agent.embedder.stats() == {
+            "embed_delta_forwards": 4.0, "embed_full_forwards": 1.0,
+            "embed_fallback_fulls": 1.0}
+
+    @pytest.mark.parametrize("name", ["squeezenet", "bert"])
+    def test_rollout_retraces_the_reference_stack(self, name):
+        """The fast path against every retained reference at once, step by
+        step: the incremental candidate engine against a full-scan
+        enumeration (rule names and match order; the action space is large
+        enough that selection is the identity), and ``act`` against
+        ``forward`` on the per-edge-loop full meta-graph under the
+        ``np.add.at`` kernels."""
+        agent = small_agent()
+        ruleset = default_ruleset()
+        env = GraphRewriteEnv(build_small_model(name), ruleset=ruleset,
+                              max_candidates=96, max_steps=6, seed=0)
+        steps = []
+
+        def check(obs):
+            with full_scan_matching():
+                scanned = [c for c in ruleset.lazy_candidates(obs.graphs[0])
+                           if c.materialise() is not None]
+            assert len(scanned) <= env.max_candidates
+            assert [(c.rule_name, c.match) for c in obs.candidates] \
+                == [(c.rule_name, c.match) for c in scanned]
+            reference = Observation(
+                meta_graph=build_meta_graph(obs.graphs, incremental=False),
+                action_mask=obs.action_mask, candidates=obs.candidates)
+            with reference_kernels(), no_grad():
+                logits, value = agent.forward(reference)
+            probs = logits.softmax(axis=0).numpy()
+            decision = agent.act(obs)
+            assert np.array_equal(decision.probabilities, probs / probs.sum())
+            assert decision.value == float(value.numpy()[0])
+            steps.append(len(scanned))
+
+        rollout(env, agent, check)
+        assert len(steps) > 1 and max(steps) > 0
+
+    def test_uncached_act_is_one_encoder_forward(self, monkeypatch):
+        calls = []
+        forward = GraphEmbeddingNetwork.forward
+        monkeypatch.setattr(
+            GraphEmbeddingNetwork, "forward",
+            lambda self, batch: calls.append(batch) or forward(self, batch))
+        agent = small_agent()
         env = GraphRewriteEnv(build_small_model("squeezenet"),
                               max_candidates=8, max_steps=4, seed=0)
         obs = env.reset()
-        done = False
-        while not done:
-            decision = agent.act(obs)
-            result = env.step(decision.action)
-            obs, done = result.observation, result.done
-        stats = agent.embedder.stats()
-        assert stats["embed_delta_forwards"] > 0
-        assert stats["embed_equivalence_checks"] > 0
-        assert stats["embed_fallback_fulls"] == 0
+        agent.act(obs)
+        assert len(calls) == 1 and calls[0].pool_rows is not None
+        agent.act(obs)  # memoised decision: no forward at all
+        assert len(calls) == 1
+
+    def test_update_reuses_the_batches_the_rollout_built(self, monkeypatch):
+        agent = small_agent()
+        buffer = collect_buffer(build_small_model("squeezenet"), agent)
+        monkeypatch.setattr(
+            features, "build_delta_batch", lambda *args, **kwargs:
+            pytest.fail("the update assembled a delta batch of its own"))
+        PPOUpdater(agent, epochs=1, batch_size=4, seed=0).update(buffer)
+
+    def test_edge_attr_norm_reaches_rollout_and_update_alike(self):
+        """``XRLflowConfig.edge_attr_norm`` (Table 4) is the feature cache's
+        ``edge_norm``: the one batch both rollout and update read is
+        normalised by it, and equals the oracle built with it."""
+        from repro.core import XRLflow, XRLflowConfig
+        optimiser = XRLflow(XRLflowConfig.fast(edge_attr_norm=1024.0,
+                                               dtype="float64"))
+        env = optimiser._build_env(build_small_model("squeezenet"))
+        agent = optimiser._build_agent()
+        obs = env.reset()
+        batch = obs.meta_graph.delta_batch(agent.encoder.num_gat_layers)
+        default = build_delta_batch(obs.graphs, agent.encoder.num_gat_layers)
+        assert np.array_equal(batch.edge_features,
+                              default.edge_features * 4.0)
+        assert np.array_equal(
+            agent.embedder.embed(obs),
+            oracle_embeddings(agent, obs.graphs, edge_norm=1024.0))
+
+
+class TestLazyMetaGraphCopies:
+    """copy / deepcopy / pickle probe ``__setstate__`` and friends on an
+    instance whose slots are unset; ``__getattr__`` must not forward them."""
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip(self, clone):
+        env = GraphRewriteEnv(build_small_model("squeezenet"),
+                              max_candidates=4, max_steps=2, seed=0)
+        meta = env.reset().meta_graph
+        twin = clone(meta)
+        assert isinstance(twin, LazyMetaGraph) and not twin.is_materialised
+        assert twin.num_graphs == meta.num_graphs == 5  # still proxies
+        # (a deep copy severs rewrite lineage, so its rows may be stored
+        # differently; what each graph pools is the same)
+        assert np.array_equal(twin.delta_batch(2).graph_ids,
+                              meta.delta_batch(2).graph_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -442,28 +553,10 @@ class TestBatchedEvaluate:
 
 
 # ---------------------------------------------------------------------------
-# (c) no_grad rollouts: identical actions, no tape
+# (c) no_grad builds no tape
 # ---------------------------------------------------------------------------
 
 class TestNoGrad:
-    def test_rollout_actions_identical_with_and_without_tape(self):
-        graph = build_small_model("squeezenet")
-        trajectories = []
-        for grad in (False, True):
-            agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
-                                 num_gat_layers=2, head_sizes=(16,), seed=0)
-            env = GraphRewriteEnv(graph, max_candidates=12, max_steps=8,
-                                  seed=0)
-            obs = env.reset()
-            actions, done = [], False
-            while not done:
-                decision = agent.act(obs, grad=grad)
-                actions.append(decision.action)
-                step = env.step(decision.action)
-                obs, done = step.observation, step.done
-            trajectories.append(actions)
-        assert trajectories[0] == trajectories[1]
-
     def test_no_grad_builds_no_tape(self):
         weight = Tensor(np.ones((3, 3)), requires_grad=True)
         with no_grad():

@@ -334,8 +334,9 @@ class TestOptimisationService:
                     "unknown config key 'parallel' for optimiser 'taso'; "
                     "accepted: alpha, .*max_iterations")):
                 service.submit(mlp_graph, "taso", {"parallel": True})
-            with pytest.raises(ValueError, match="'bogus'.*'xrlflow'"):
-                service.submit(mlp_graph, "xrlflow", {"bogus": 1})
+            for key in ("bogus", "incremental"):
+                with pytest.raises(ValueError, match=f"'{key}'.*'xrlflow'"):
+                    service.submit(mlp_graph, "xrlflow", {key: 1})
             assert not any(service.stats()["jobs"].values())  # none admitted
 
     def test_cli_refuses_an_unknown_config_key(self, capsys):

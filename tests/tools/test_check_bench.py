@@ -44,6 +44,11 @@ class TestFlatten:
             {"a": {"b": 1.5, "name": "x", "flag": True}, "c": 2})
         assert leaves == {"a.b": 1.5, "c": 2.0}
 
+    def test_flatten_strings_collects_string_leaves_only(self):
+        leaves = check_bench.flatten_strings(
+            {"a": {"status": "passed", "n": 3}, "top": "x"})
+        assert leaves == {"a.status": "passed", "top": "x"}
+
     def test_gated_keys_glob_matching(self):
         leaves = {"candidate_throughput.bert.speedup": 5.0,
                   "candidate_throughput.bert.candidates": 21.0,
@@ -129,78 +134,6 @@ class TestSearchWitnesses:
         assert any("rules_applied" in p for p in problems)
 
 
-def _rl_doc(smoke: bool = True, *, act: float = 2.0, match: float = 1.4,
-            step: float = 2.0, checks: float = 10.0,
-            trajectory: str = "passed", equivalence: bool = True) -> dict:
-    """A minimal BENCH_rl.json-shaped document (one model)."""
-    payload = {
-        "speedup": 2.5,
-        "stages": {"act_speedup": act, "match_speedup": match,
-                   "step_speedup": step},
-        "lru": {"observation_hit_rate": 0.3, "decision_hit_rate": 0.3,
-                "embed_state_hit_rate": 0.5, "match_state_hit_rate": 0.45,
-                "flat_ids_hit_rate": 0.8},
-    }
-    if equivalence:
-        payload["equivalence"] = {"embedder_checks": checks,
-                                  "trajectory_float64": trajectory}
-    return {"benchmark": "rl", "schema": 1, "smoke": smoke,
-            "results": {"env_steps": {"bert": payload}}}
-
-
-class TestRequiredWitnesses:
-    RL_GATES = check_bench.GATES["BENCH_rl.json"]
-    POSITIVE = check_bench.REQUIRED_POSITIVE["BENCH_rl.json"]
-    LITERAL = check_bench.REQUIRED_LITERAL["BENCH_rl.json"]
-
-    def _evaluate(self, fresh: dict, smoke: bool = True):
-        return check_bench.evaluate(
-            _rl_doc(), fresh, self.RL_GATES, smoke=smoke,
-            required_positive=self.POSITIVE, required_literal=self.LITERAL)
-
-    def test_flatten_strings_collects_string_leaves_only(self):
-        leaves = check_bench.flatten_strings(
-            {"a": {"status": "passed", "n": 3}, "top": "x"})
-        assert leaves == {"a.status": "passed", "top": "x"}
-
-    def test_witnessed_run_passes_both_modes(self):
-        for smoke in (True, False):
-            problems, notes = self._evaluate(_rl_doc(smoke=smoke),
-                                             smoke=smoke)
-            assert problems == []
-            assert any("gate executed" in n for n in notes)
-
-    def test_zero_equivalence_checks_fail(self):
-        problems, _ = self._evaluate(_rl_doc(checks=0.0))
-        assert any("never executed" in p for p in problems)
-
-    def test_missing_equivalence_section_fails(self):
-        # Skipped entirely — no key matches either witness pattern.
-        problems, _ = self._evaluate(_rl_doc(equivalence=False))
-        assert sum("equivalence gate skipped" in p for p in problems) == 2
-
-    def test_failed_trajectory_literal_fails(self):
-        problems, _ = self._evaluate(_rl_doc(trajectory="failed"))
-        assert any("!= expected 'passed'" in p for p in problems)
-
-    def test_witnesses_are_enforced_in_full_mode_too(self):
-        problems, _ = self._evaluate(_rl_doc(smoke=False, checks=0.0),
-                                     smoke=False)
-        assert any("never executed" in p for p in problems)
-
-    def test_stage_speedups_have_smoke_floors(self):
-        problems, _ = self._evaluate(_rl_doc(act=1.0))
-        assert any("stages.act_speedup" in p and "smoke floor" in p
-                   for p in problems)
-
-    def test_lru_hit_rates_have_smoke_floors(self):
-        fresh = _rl_doc()
-        fresh["results"]["env_steps"]["bert"]["lru"][
-            "observation_hit_rate"] = 0.01
-        problems, _ = self._evaluate(fresh)
-        assert any("lru.observation_hit_rate" in p for p in problems)
-
-
 class TestCli:
     def _write(self, path: Path, doc: dict) -> Path:
         path.write_text(json.dumps(doc))
@@ -232,7 +165,7 @@ class TestCli:
     def test_real_committed_files_pass_their_own_gate(self, capsys):
         """The repo's committed numbers must clear their own full gate."""
         for name in ("BENCH_search.json", "BENCH_service.json",
-                     "BENCH_rl.json", "BENCH_exec.json"):
+                     "BENCH_exec.json"):
             path = REPO_ROOT / name
             return_code = check_bench.main(["--baseline", str(path),
                                            "--fresh", str(path), "--full"])
@@ -288,6 +221,12 @@ class TestExecWitnesses:
         assert any("equivalence gate skipped" in p for p in problems)
         # pass_rate is also gated, so its absence fails separately.
         assert any("equivalence.pass_rate" in p for p in problems)
+
+    def test_zero_witness_fails_in_full_mode_too(self):
+        problems, _ = self._evaluate(_exec_doc(smoke=False, rules=0.0),
+                                     smoke=False)
+        assert any("rules_checked" in p and "never executed" in p
+                   for p in problems)
 
     def test_partial_pass_rate_fails(self):
         problems, _ = self._evaluate(_exec_doc(pass_rate=0.96))

@@ -26,10 +26,15 @@ one missing from the baseline is reported but passes (first run of a new
 benchmark).
 
 Correctness witnesses (:data:`REQUIRED_POSITIVE` /
-:data:`REQUIRED_LITERAL`) are enforced in *both* modes: the RL bench
-records how many incremental-GNN equivalence checks actually ran, and a
-run whose equivalence gate was skipped fails here regardless of its
-speedups.
+:data:`REQUIRED_LITERAL`) are enforced in *both* modes: the exec bench
+records how many differential checks actually ran, and a run whose
+equivalence gate was skipped fails here regardless of its speedups.
+
+The wall-clock floors of the search bench (``candidate_throughput`` 3.0,
+``taso_end_to_end`` 2.0, ``measured_end_to_end`` 0.97) live here only: the
+bench tests assert equivalence and record, so a loud host cannot turn the
+test suite red.  RL performance is judged by ``python3 -m xbench
+--workload rl_train``, not by a ratio against a slow sibling.
 
 Exit code 0 when clean, 1 with a per-problem report otherwise.
 """
@@ -48,7 +53,8 @@ DEFAULT_TOLERANCE = 0.30
 
 #: Gated speedup keys per benchmark file: ``pattern -> smoke floor``.
 #: Patterns are ``fnmatch`` globs over dotted key paths under ``results``;
-#: the smoke floor mirrors the corresponding benchmark's own assertion.
+#: the smoke floor mirrors the corresponding benchmark's own assertion (the
+#: search bench asserts no wall-clock floor itself: its floors are these).
 GATES: Dict[str, Dict[str, float]] = {
     "BENCH_search.json": {
         "candidate_throughput.*.speedup": 3.0,
@@ -74,19 +80,6 @@ GATES: Dict[str, Dict[str, float]] = {
         "calibration.improvement": 1.0,
         "equivalence.pass_rate": 1.0,
     },
-    "BENCH_rl.json": {
-        "observation_encoding.*.speedup": 1.2,
-        "env_steps.*.speedup": 1.1,
-        "env_steps.*.stages.act_speedup": 1.2,
-        "env_steps.*.stages.step_speedup": 1.1,
-        "env_steps.*.stages.match_speedup": 1.0,
-        "env_steps.*.lru.observation_hit_rate": 0.1,
-        "env_steps.*.lru.decision_hit_rate": 0.1,
-        "env_steps.*.lru.embed_state_hit_rate": 0.25,
-        "env_steps.*.lru.match_state_hit_rate": 0.2,
-        "env_steps.*.lru.flat_ids_hit_rate": 0.4,
-        "ppo_update.*.speedup": 1.1,
-    },
 }
 
 #: Correctness witnesses: numeric key patterns that must be present in the
@@ -96,7 +89,6 @@ GATES: Dict[str, Dict[str, float]] = {
 #: here rather than pass quietly.  A pattern matching *no* fresh key is
 #: itself a failure.
 REQUIRED_POSITIVE: Dict[str, Tuple[str, ...]] = {
-    "BENCH_rl.json": ("env_steps.*.equivalence.embedder_checks",),
     "BENCH_exec.json": (
         "equivalence.rules_checked",
         "equivalence.optimiser_checks",
@@ -109,9 +101,6 @@ REQUIRED_POSITIVE: Dict[str, Tuple[str, ...]] = {
 #: String leaves that must equal an expected literal in the fresh results
 #: (same matching-and-presence rules as :data:`REQUIRED_POSITIVE`).
 REQUIRED_LITERAL: Dict[str, Dict[str, str]] = {
-    "BENCH_rl.json": {
-        "env_steps.*.equivalence.trajectory_float64": "passed",
-    },
     "BENCH_exec.json": {
         "equivalence.status": "passed",
     },
