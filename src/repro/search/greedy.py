@@ -7,6 +7,10 @@ rewrite candidates, and enqueues those whose estimated cost stays within
 The search stops when the queue is exhausted or the iteration budget runs
 out, and returns the graph with the lowest *cost-model* estimate.
 
+The queue holds only graphs that can still be popped: a candidate ranked
+behind as many queued graphs as there are pops left is dropped once costed;
+only one that is kept (or beats the best) is hashed and tested for identity.
+
 Because the objective is the cost model — not the true end-to-end latency —
 the returned graph can be worse than the input when the cost model is
 misleading, which is exactly what the paper observes on SqueezeNet.
@@ -14,8 +18,8 @@ misleading, which is exactly what the paper observes on SqueezeNet.
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
 from ..cost.cost_model import CostModel
@@ -55,7 +59,9 @@ class TASOOptimizer:
         Upper bound on the number of queue pops (the "budget" knob the paper
         mentions — increasing it rarely helps but costs time).
     queue_capacity:
-        Maximum number of graphs kept in the queue at any time.
+        Maximum number of graphs kept in the queue at any time: at most
+        ``min(capacity, pops left)`` graphs are kept, the cheapest ones,
+        and of equally expensive worst entries the newest goes.
     incremental:
         When True (the default), candidates are generated lazily and costed
         through :meth:`CostModel.estimate_delta`, which only re-derives the
@@ -124,7 +130,14 @@ class TASOOptimizer:
             The graph with the lowest *cost-model* estimate encountered,
             with true end-to-end latencies of the initial and final graphs
             filled in for reporting, and search diagnostics under
-            ``stats`` (iterations, candidates generated/enqueued).
+            ``stats``: ``iterations`` (queue pops), ``candidates_evaluated``
+            (materialised and costed), ``graphs_hashed`` (identities taken,
+            the root's included), ``graphs_seen`` (``1 +
+            candidates_evaluated`` minus the duplicates found — they are
+            looked for among the candidates that could still be popped, so
+            this bounds the duplicates among all candidates from below) and
+            ``stop_budget`` (1.0: the whole budget was used; 0.0: the queue
+            ran empty first).
         """
         with timed() as elapsed:
             # Before the first copy, so the simulator's per-node flop/byte
@@ -143,18 +156,23 @@ class TASOOptimizer:
             best_graph, best_cost = graph, initial_cost
             best_rules: List[str] = []
 
-            counter = itertools.count()  # tie-breaker for the heap
-            heap: List[Tuple[float, int, Graph, List[str]]] = [
-                (initial_cost, next(counter), graph, [])
-            ]
+            # Sorted by cost, equal costs in arrival order; popped in front.
+            queue: List[Tuple[float, Graph, List[str]]] = [
+                (initial_cost, graph, [])]
+            entry_cost = itemgetter(0)
             seen = {graph.structural_hash()}
             iterations = 0
             candidates_evaluated = 0
+            duplicates = 0
 
             progress = self.progress_callback
-            while heap and iterations < self.max_iterations:
+            while queue and iterations < self.max_iterations:
                 iterations += 1
-                cost, _, current, applied = heapq.heappop(heap)
+                cost, current, applied = queue.pop(0)
+                # An entry ranked beyond the pops that are left can never
+                # be popped, so it needs neither an identity nor a slot.
+                room = min(self.queue_capacity,
+                           self.max_iterations - iterations)
                 if progress is not None:
                     progress(iterations, float(best_cost),
                              best_graph.structural_hash())
@@ -169,33 +187,27 @@ class TASOOptimizer:
                     if cand_graph is None:
                         continue
                     candidates_evaluated += 1
-                    cand_hash = cand_graph.structural_hash()
-                    if cand_hash in seen:
-                        continue
-                    seen.add(cand_hash)
                     if self.incremental:
                         cand_cost = self.cost_model.estimate_delta(
                             current, cand_graph, parent_cost=cost)
                     else:
                         cand_cost = self.cost_model.estimate(cand_graph)
+                    improves = cand_cost < best_cost
+                    position = bisect_right(queue, cand_cost, key=entry_cost)
+                    if not improves and (position >= room or
+                                         cand_cost > self.alpha * best_cost):
+                        continue
+                    cand_hash = cand_graph.structural_hash()
+                    if cand_hash in seen:
+                        duplicates += 1
+                        continue
+                    seen.add(cand_hash)
                     cand_rules = applied + [candidate.rule_name]
-                    if cand_cost < best_cost:
+                    if improves:
                         best_graph, best_cost = cand_graph, cand_cost
                         best_rules = cand_rules
-                    if cand_cost <= self.alpha * best_cost:
-                        entry = (cand_cost, next(counter),
-                                 cand_graph, cand_rules)
-                        if len(heap) < self.queue_capacity:
-                            heapq.heappush(heap, entry)
-                        else:
-                            # Queue full: evict the most expensive queued
-                            # graph rather than dropping the (possibly
-                            # cheaper) new candidate.
-                            worst = max(range(len(heap)),
-                                        key=lambda i: heap[i][0])
-                            if heap[worst][0] > cand_cost:
-                                heap[worst] = entry
-                                heapq.heapify(heap)
+                    queue.insert(position, (cand_cost, cand_graph, cand_rules))
+                    del queue[room:]
 
             result = SearchResult(
                 optimiser=self.name,
@@ -211,7 +223,11 @@ class TASOOptimizer:
                 stats={
                     "iterations": float(iterations),
                     "candidates_evaluated": float(candidates_evaluated),
-                    "graphs_seen": float(len(seen)),
+                    "graphs_hashed": float(len(seen) + duplicates),
+                    "graphs_seen":
+                        float(1 + candidates_evaluated - duplicates),
+                    "stop_budget":
+                        1.0 if iterations >= self.max_iterations else 0.0,
                     "measured_latency":
                         1.0 if self.cost_source == "measured" else 0.0,
                 },
@@ -223,10 +239,10 @@ class GreedyOptimizer(TASOOptimizer):
     """Pure greedy hill-climbing: ``alpha = 1`` (no tolerance, no backtracking).
 
     Included as an ablation of how much TASO's backtracking tolerance buys.
-    With the queue-eviction behaviour of the full heap (a cheaper candidate
-    replaces the queued one), ``queue_capacity = 1`` makes this
-    steepest-descent: each step follows the *best* improving rewrite of the
-    current graph, not the first one found.
+    The queue keeps its cheapest ``queue_capacity`` entries (a cheaper
+    candidate displaces the queued one, an equally cheap one does not), so
+    ``queue_capacity = 1`` makes this steepest-descent: each step follows the
+    *best* improving rewrite of the current graph, the first of equals.
     """
 
     name = "greedy"

@@ -47,6 +47,8 @@ class TestTASO:
     def test_budget_zero_returns_input(self, conv_graph):
         result = TASOOptimizer(max_iterations=0).optimise(conv_graph, "conv")
         assert result.final_graph.structural_hash() == conv_graph.structural_hash()
+        assert result.stats["graphs_hashed"] == 1.0  # the root's identity
+        assert result.stats["stop_budget"] == 1.0
 
     def test_greedy_variant_is_taso_without_tolerance(self, conv_graph):
         greedy = GreedyOptimizer(max_iterations=10)

@@ -114,6 +114,53 @@ class TestEvaluate:
         assert problems == []
 
 
+class TestFloorOnlyRatios:
+    """Search seconds over hit seconds: a faster search must not read as a
+    regression of the cache, in either mode."""
+
+    GATES = check_bench.GATES["BENCH_service.json"]
+    FLOOR_ONLY = check_bench.FLOOR_ONLY["BENCH_service.json"]
+
+    @staticmethod
+    def _doc(cold_vs_warm: float, shared: float, dedup: float = 2.0) -> dict:
+        return {"benchmark": "service", "schema": 1, "smoke": False,
+                "results": {
+                    "cold_vs_warm": {"speedup": cold_vs_warm},
+                    "warm_shared_cache": {"speedup": shared},
+                    "dedup_under_contention": {"speedup": dedup},
+                    "dispatch_skewed_load": {"speedup": 1.5},
+                    "cross_process_dedup": {"speedup": 1.5}}}
+
+    def _evaluate(self, fresh: dict, smoke: bool = False):
+        return check_bench.evaluate(
+            self._doc(1230.0, 64.0), fresh, self.GATES, smoke=smoke,
+            floor_only=self.FLOOR_ONLY)
+
+    def test_faster_search_is_not_a_regression_in_full_mode(self):
+        # 40 % less search time: both ratios drop > 30 % against the
+        # committed values and stay far above their floors (10x, 1x).
+        problems, notes = self._evaluate(self._doc(738.0, 38.0))
+        assert problems == []
+        assert any("cold_vs_warm.speedup" in n and "floor 10.000x" in n
+                   for n in notes)
+
+    def test_floors_still_hold_in_both_modes(self):
+        for smoke in (False, True):
+            problems, _ = self._evaluate(self._doc(9.0, 0.9), smoke=smoke)
+            assert len(problems) == 2
+            assert all("floor" in p for p in problems)
+
+    def test_every_other_key_keeps_its_baseline_ratio(self):
+        problems, _ = self._evaluate(self._doc(1230.0, 64.0, dedup=1.2))
+        assert len(problems) == 1
+        assert "dedup_under_contention.speedup" in problems[0]
+        assert "regressed" in problems[0]
+
+    def test_only_gated_keys_are_named(self):
+        for name, paths in check_bench.FLOOR_ONLY.items():
+            assert set(paths) <= set(check_bench.GATES[name])
+
+
 class TestSearchWitnesses:
     """The BENCH_search witnesses ride through check_file-level gates."""
 

@@ -20,6 +20,10 @@ Two comparison modes, chosen automatically from the fresh file's
   against an absolute floor mirroring the benchmark suite's own
   assertions (e.g. warm cache ≥ 10x).
 
+Keys listed in :data:`FLOOR_ONLY` are held to their floor in *both* modes:
+they divide search seconds by cache-hit seconds, so a faster search lowers
+them and a baseline ratio would read an improvement as a regression.
+
 Only the *gated* keys listed in :data:`GATES` are enforced.  A gated key
 missing from the fresh file fails (the benchmark silently did not run);
 one missing from the baseline is reported but passes (first run of a new
@@ -80,6 +84,13 @@ GATES: Dict[str, Dict[str, float]] = {
         "calibration.improvement": 1.0,
         "equivalence.pass_rate": 1.0,
     },
+}
+
+#: Gated keys checked against their floor in full mode too (exact paths):
+#: search seconds over hit seconds — the numerator is what perf PRs shrink.
+FLOOR_ONLY: Dict[str, Tuple[str, ...]] = {
+    "BENCH_service.json": ("cold_vs_warm.speedup",
+                           "warm_shared_cache.speedup"),
 }
 
 #: Correctness witnesses: numeric key patterns that must be present in the
@@ -148,6 +159,7 @@ def evaluate(baseline: Mapping[str, Any], fresh: Mapping[str, Any],
              tolerance: float = DEFAULT_TOLERANCE,
              required_positive: Tuple[str, ...] = (),
              required_literal: Optional[Mapping[str, str]] = None,
+             floor_only: Tuple[str, ...] = (),
              ) -> Tuple[List[str], List[str]]:
     """Compare one fresh results document against its baseline.
 
@@ -162,6 +174,8 @@ def evaluate(baseline: Mapping[str, Any], fresh: Mapping[str, Any],
             present and > 0 in the fresh results in either mode.
         required_literal: ``pattern -> expected`` for string witnesses
             that must be present and equal in the fresh results.
+        floor_only: Gated key paths held to their floor in full mode too
+            (see :data:`FLOOR_ONLY`).
 
     Returns:
         ``(problems, notes)`` — failures and informational lines.
@@ -216,10 +230,11 @@ def evaluate(baseline: Mapping[str, Any], fresh: Mapping[str, Any],
             problems.append(f"{path}: missing from the fresh results "
                             f"(benchmark did not run?)")
             continue
-        if smoke:
+        if smoke or path in floor_only:
             if fresh_value < floor:
                 problems.append(f"{path}: {fresh_value:.3f}x is below the "
-                                f"smoke floor {floor:.3f}x")
+                                f"{'smoke ' if smoke else ''}floor "
+                                f"{floor:.3f}x")
             else:
                 notes.append(f"{path}: {fresh_value:.3f}x >= floor "
                              f"{floor:.3f}x")
@@ -269,7 +284,8 @@ def check_file(baseline_path: Path, fresh_path: Path,
     problems, notes = evaluate(
         baseline, fresh, gates, smoke=smoke, tolerance=tolerance,
         required_positive=REQUIRED_POSITIVE.get(fresh_path.name, ()),
-        required_literal=REQUIRED_LITERAL.get(fresh_path.name))
+        required_literal=REQUIRED_LITERAL.get(fresh_path.name),
+        floor_only=FLOOR_ONLY.get(fresh_path.name, ()))
     return problems, notes, smoke
 
 
