@@ -1,5 +1,5 @@
 """What the three ``BENCH_*.json`` benchmark files share: where a recording
-goes, what it says about the host, and how a wall-clock is sampled.
+goes and what it says about the host.
 
 A run writes ``BENCH_<name>.json`` under :data:`OUTPUT_DIR`, which git
 ignores, so running the benchmarks never touches a tracked file.  The
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import time
 from pathlib import Path
 
 #: Where recordings are written; listed in ``.gitignore``.
@@ -40,21 +39,3 @@ def record(name: str, section: str, payload: dict, smoke: bool) -> None:
                     "platform": platform.platform()}
     OUTPUT_DIR.mkdir(exist_ok=True)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def best_of(fn, repeats: int):
-    """Minimum wall-clock over ``repeats`` runs (robust to scheduler noise).
-
-    Returns the *best repeat's* result so any measurements riding along
-    with it (e.g. per-stage timings) describe the same run as the reported
-    wall-clock — a noisy repeat must not be able to poison a recorded stage
-    breakdown while the headline uses the quiet one.
-    """
-    best_s, best_result = float("inf"), None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - started
-        if elapsed < best_s:
-            best_s, best_result = elapsed, result
-    return best_s, best_result

@@ -1,18 +1,19 @@
 """A single capped LRU cache for every hot-path memo in the repo.
 
-Four subsystems used to hand-roll the same ``OrderedDict`` +
-``move_to_end`` + ``popitem(last=False)`` dance: the RL feature cache,
-the environment's observation cache, the agent's decision cache and the
-flat-ids caches inside ``nn/tensor.py``.  Each copy had its own counter
-names and its own eviction bugs waiting to happen.  This module is the
-one implementation they all share.
+The rule engine's match states, the environment's observation cache, the
+agent's decision cache and the flat-ids caches inside ``nn/tensor.py`` all
+need the same ``OrderedDict`` + ``move_to_end`` + ``popitem(last=False)``
+dance; hand-rolled copies each had their own counter names and their own
+eviction bugs waiting to happen.  This module is the one implementation
+they all share.
 
 Design notes
 ------------
 * **Counters are part of the contract.**  ``hits`` / ``misses`` /
   ``evictions`` are plain ints updated on every ``get``/``put``;
   :meth:`LRUCache.stats` renders them as ``<name>_hits`` … keys, the
-  shape ``GraphRewriteEnv.encode_cache_stats()`` reports.  ``clear()``
+  shape ``GraphRewriteEnv.encode_cache_stats()`` reports for its
+  observation cache.  ``clear()``
   drops the entries but keeps the counters — a cache flush mid-run must
   not erase the evidence of what happened before it.
 * **Locking is the caller's problem, optionally delegated.**  Most

@@ -2,8 +2,7 @@
 
 from .tensor import (Tensor, as_tensor, concat, default_dtype,
                      get_default_dtype, is_grad_enabled, no_grad,
-                     reference_kernels, segment_max, segment_softmax,
-                     segment_sum, stack)
+                     segment_max, segment_softmax, segment_sum, stack)
 from .layers import Linear, MLP, Module, Parameter, fresh_rng
 from .optim import Adam, SGD, clip_grad_norm
 from .gnn import (BatchedGraphs, GATLayer, GlobalUpdateLayer,
@@ -13,7 +12,6 @@ __all__ = [
     "Tensor", "as_tensor", "concat", "stack", "segment_sum", "segment_softmax",
     "segment_max",
     "no_grad", "is_grad_enabled", "default_dtype", "get_default_dtype",
-    "reference_kernels",
     "Linear", "MLP", "Module", "Parameter", "fresh_rng",
     "Adam", "SGD", "clip_grad_norm",
     "BatchedGraphs", "GATLayer", "GlobalUpdateLayer", "GraphEmbeddingNetwork",

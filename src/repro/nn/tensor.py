@@ -17,9 +17,7 @@ Three engine-level knobs matter for performance:
   path is notoriously slow).  Both accumulate strictly in input order, so
   float64 results are bit-for-bit identical (``np.bincount`` always
   accumulates in double precision, so float32 results round once at the
-  end instead of per addition); :func:`reference_kernels` forces the
-  original ``np.add.at`` implementation for equivalence tests and as the
-  benchmark baseline.
+  end instead of per addition).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from ..core.lru import LRUCache
 
 __all__ = ["Tensor", "as_tensor", "concat", "stack", "segment_sum",
            "segment_softmax", "segment_max", "no_grad", "is_grad_enabled",
-           "default_dtype", "get_default_dtype", "reference_kernels"]
+           "default_dtype", "get_default_dtype"]
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
@@ -44,9 +42,6 @@ _GRAD_ENABLED: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 #: Floating dtype for newly created tensors (see :func:`default_dtype`).
 _DEFAULT_DTYPE: ContextVar[np.dtype] = ContextVar(
     "default_dtype", default=np.dtype(np.float64))
-#: Route segment reductions through the original ``np.add.at`` kernels.
-_REFERENCE_KERNELS: ContextVar[bool] = ContextVar(
-    "reference_kernels", default=False)
 
 
 @contextmanager
@@ -93,21 +88,6 @@ def get_default_dtype() -> np.dtype:
     return _DEFAULT_DTYPE.get()
 
 
-@contextmanager
-def reference_kernels():
-    """Force the original ``np.add.at`` segment kernels inside the block.
-
-    The fast path (flattened ``np.bincount``) accumulates in the same input
-    order, so both kernels produce bit-identical float64 results — this
-    context exists so tests can assert exactly that.
-    """
-    token = _REFERENCE_KERNELS.set(True)
-    try:
-        yield
-    finally:
-        _REFERENCE_KERNELS.reset(token)
-
-
 #: Memo of flattened scatter indices keyed on the *identity* of the segment
 #: array (one forward/backward reuses the same ``edge_dst``/``edge_src``
 #: arrays many times; building the ``E * D`` flat index vector dominates the
@@ -139,10 +119,6 @@ def _scatter_add_rows(values: np.ndarray, index: np.ndarray,
     and rounds once at the end — at least as accurate, but not bit-equal
     to per-addition float32 rounding.)
     """
-    if _REFERENCE_KERNELS.get():
-        out = np.zeros((num_rows,) + values.shape[1:], dtype=values.dtype)
-        np.add.at(out, index, values)
-        return out
     if values.ndim == 1:
         out = np.bincount(index, weights=values, minlength=num_rows)
         return out.astype(values.dtype, copy=False)

@@ -125,7 +125,7 @@ class GraphRewriteEnv:
             else FeatureCache()
         #: Incremental match maintenance: candidate sets are reconciled
         #: against each step's ``GraphDelta`` instead of re-matching the
-        #: whole graph (``full_scan_matching()`` is the equivalence oracle).
+        #: whole graph (``RuleSet.lazy_candidates`` is the equivalence oracle).
         self._candidate_engine = IncrementalCandidateEngine(self.ruleset)
         #: Whole observations (candidates, mask, meta-graph) memoised per
         #: current-graph structural hash.  The environment's dynamics are
@@ -273,7 +273,7 @@ class GraphRewriteEnv:
         mask[: len(candidates)] = True
         mask[-1] = True  # No-Op is always available
         graphs = [self.current_graph] + [c.graph for c in candidates]
-        # Acting and the batched PPO update both read candidates as rewrite
+        # Acting and the PPO update both read candidates as rewrite
         # cones (one delta batch, built on first use); the full meta batch
         # waits for a consumer that needs it — a single-observation
         # gradient forward.

@@ -22,12 +22,12 @@ incremental on three levels:
   affected nodes, a candidate produced by ``parent.copy()`` plus surgery
   re-derives *only* the rows its :class:`~repro.ir.graph.GraphDelta`
   touched — everything else is patched in from the parent's arrays.
-* :class:`FeatureCache` memoises whole :class:`GraphFeatures` per structural
-  hash, so re-visited graphs (the current graph was one of the previous
-  step's candidates; rules re-propose similar rewrites every step) are free.
+* :class:`FeatureCache` memoises whole :class:`GraphFeatures` on the graph
+  object, so a graph encoded twice (the current graph was one of the
+  previous step's candidates) is free the second time.
 * :func:`build_meta_graph` assembles the batch from the cached blocks with
   pure array ops, and :func:`combine_meta_graphs` splices several
-  observations into one batch for the batched PPO update.
+  observations into one batch for the PPO update.
 
 On the default path candidates are not encoded at all.  A candidate is its
 parent plus one rewrite, and only its *cone* — the nodes the rewrite changed,
@@ -39,10 +39,6 @@ cone rows only.  That one batch, memoised on the observation
 (:meth:`LazyMetaGraph.delta_batch`), is what the agent acts on and what the
 PPO update trains on.  :func:`build_meta_graph`, the full meta-graph, stays
 as the reference the delta batch is tested against.
-
-The original per-edge Python-loop encoder is kept as the ``incremental=False``
-reference path; the equivalence suite asserts both produce bit-for-bit
-identical arrays.
 """
 
 from __future__ import annotations
@@ -52,9 +48,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.lru import LRUCache
 from ..ir.graph import Graph, GraphDelta, NodeId
-from ..ir.ops import num_op_types, op_index
+from ..ir.ops import num_op_types
 from ..nn.gnn import BatchedGraphs
 
 __all__ = ["GraphFeatures", "FeatureCache", "encode_graph", "encode_order",
@@ -160,46 +155,12 @@ def _one_hot_ops(op_indices: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _encode_graph_reference(graph: Graph, edge_norm: float) -> GraphFeatures:
-    """The original one-shot encoder: Python loops over every node and edge.
-
-    Kept as the reference the incremental encoder is checked against
-    bit-for-bit.
-    """
-    order = sorted(graph.nodes)
-    index = {nid: i for i, nid in enumerate(order)}
-    n = len(order)
-
-    node_features = np.zeros((n, NODE_FEATURE_DIM))
-    for nid, i in index.items():
-        node_features[i, op_index(graph.nodes[nid].op_type)] = 1.0
-
-    srcs: List[int] = []
-    dsts: List[int] = []
-    edge_feats: List[np.ndarray] = []
-    for nid in order:
-        for edge in graph.in_edges(nid):
-            srcs.append(index[edge.src])
-            dsts.append(index[edge.dst])
-            spec = graph.nodes[edge.src].outputs[edge.src_slot]
-            edge_feats.append(np.asarray(spec.shape.padded(4), dtype=np.float64) / edge_norm)
-    if edge_feats:
-        edge_features = np.stack(edge_feats)
-        edge_src = np.asarray(srcs, dtype=np.int64)
-        edge_dst = np.asarray(dsts, dtype=np.int64)
-    else:
-        edge_features = np.zeros((0, EDGE_FEATURE_DIM))
-        edge_src = np.zeros(0, dtype=np.int64)
-        edge_dst = np.zeros(0, dtype=np.int64)
-    return GraphFeatures(node_features, edge_features, edge_src, edge_dst)
-
-
-def encode_graph(graph: Graph, edge_norm: float = DEFAULT_EDGE_NORM,
-                 incremental: bool = True) -> GraphFeatures:
+def encode_graph(graph: Graph,
+                 edge_norm: float = DEFAULT_EDGE_NORM) -> GraphFeatures:
     """Encode one computation graph into node/edge feature arrays.
 
-    The incremental path (default) assembles everything with array ops and
-    reuses per-node incoming-edge blocks cached on the graph itself: the
+    Everything is assembled with array ops from per-node incoming-edge
+    blocks cached on the graph itself: the
     block for node ``n`` is ``(src_ids, shape_rows)`` and lives in
     ``graph.node_cache("rl:edge_rows")``, which every mutation invalidates
     per affected node and ``Graph.copy`` hands to rewrite candidates *as
@@ -211,13 +172,7 @@ def encode_graph(graph: Graph, edge_norm: float = DEFAULT_EDGE_NORM,
     acts on it (:func:`build_delta_batch`; candidates contribute the blocks
     of their cone, see :func:`rewrite_cone`) — after its candidates were
     copied, so that one encode still builds most of its blocks itself.
-
-    ``incremental=False`` runs the original per-edge Python loop.  Both
-    paths return bit-for-bit identical arrays.
     """
-    if not incremental:
-        return _encode_graph_reference(graph, edge_norm)
-
     order_arr = encode_order(graph)
     order = order_arr.tolist()
     n = len(order)
@@ -250,79 +205,36 @@ def encode_graph(graph: Graph, edge_norm: float = DEFAULT_EDGE_NORM,
 
 
 class FeatureCache:
-    """LRU cache of :class:`GraphFeatures` keyed on the structural hash.
+    """Counted access to each graph's own :class:`GraphFeatures` memo.
 
-    The environment sees the same graphs over and over: the current graph
-    was one of the previous step's candidates, rules re-propose rewrites of
-    unchanged regions, and evaluation episodes retrace training ones.  All
-    of those are hits: graphs that differ only by node-id relabelling
-    (inputs positional) hash equal, and a hash is shared only if a node
-    bijection preserves op, attrs, output shapes, ordered input digests and
-    every node's consumer digests (see :meth:`Graph.structural_hash`).
-    Feature arrays are immutable once built — callers must not write to the
-    returned arrays.
+    A graph's feature arrays are memoised on the graph itself (the
+    whole-graph memo ``("rl:features", edge_norm)``, dropped by any
+    mutation), so a repeat encode of the *same object* — the chosen
+    candidate becoming the next step's current graph, a meta-graph
+    materialised twice — is a dict lookup.  Re-visited *structures* never
+    get here: the environment memoises whole observations per structural
+    hash upstream.  Feature arrays are immutable once built — callers must
+    not write to the returned arrays.
     """
 
-    def __init__(self, max_entries: int = 1024,
-                 edge_norm: float = DEFAULT_EDGE_NORM):
-        self.max_entries = int(max_entries)
+    def __init__(self, edge_norm: float = DEFAULT_EDGE_NORM):
         self.edge_norm = float(edge_norm)
-        self._entries = LRUCache(max_entries, name="feature")
-        #: Hits served by the graph's own whole-graph memo (tier one);
-        #: the LRU tracks its own hits/misses (tier two).
-        self._memo_hits = 0
-        #: Encodes of graphs with no memoised hash: they never consult the
-        #: LRU, so its miss counter does not see them.
-        self._keyless_misses = 0
+        #: Encodes served from the graph's memo / that ran
+        #: :func:`encode_graph`.
+        self.hits = 0
+        self.misses = 0
 
     def encode(self, graph: Graph) -> GraphFeatures:
-        """Encode ``graph``, reusing the cached arrays when seen before.
-
-        Three tiers, cheapest first:
-
-        * repeat encodes of the *same object* return the graph's own
-          whole-graph memo (a dict lookup, no hashing);
-        * graphs whose structural hash is *already memoised* — the current
-          graph of every environment step, re-visited states — share one
-          entry per structure in the LRU;
-        * everything else (freshly materialised candidates) is delta-encoded
-          directly.  Hashing a candidate costs several times more than
-          patching its arrays from the parent's cached blocks, so the hash
-          tier is only consulted when the hash comes for free.
-        """
+        """Encode ``graph``, reusing its memoised arrays when it was encoded
+        before (with this ``edge_norm``) and not mutated since."""
         memo_key = ("rl:features", self.edge_norm)
         feats = graph.memo_peek(memo_key)
         if feats is not None:
-            self._memo_hits += 1
+            self.hits += 1
             return feats
-        return graph.memo(memo_key, lambda: self._encode_uncached(graph))
-
-    def _encode_uncached(self, graph: Graph) -> GraphFeatures:
-        # "hash" is the memo key Graph.structural_hash() itself uses.
-        key = graph.memo_peek("hash")
-        if key is not None:
-            feats = self._entries.get(key)
-            if feats is not None:
-                return feats
-        else:
-            self._keyless_misses += 1
-        feats = encode_graph(graph, self.edge_norm)
-        if key is not None:
-            self._entries.put(key, feats)
-        return feats
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hits(self) -> int:
-        """Encodes served from either tier (graph memo or hash LRU)."""
-        return self._memo_hits + self._entries.hits
-
-    @property
-    def misses(self) -> int:
-        """Encodes that ran :func:`encode_graph`."""
-        return self._entries.misses + self._keyless_misses
+        self.misses += 1
+        return graph.memo(memo_key,
+                          lambda: encode_graph(graph, self.edge_norm))
 
     @property
     def hit_rate(self) -> float:
@@ -333,21 +245,12 @@ class FeatureCache:
     def stats(self) -> Dict[str, float]:
         """Counters for benchmark / service reporting."""
         return {"hits": float(self.hits), "misses": float(self.misses),
-                "hit_rate": self.hit_rate, "entries": float(len(self._entries)),
-                "evictions": float(self._entries.evictions)}
-
-    def clear(self) -> None:
-        """Drop the hash tier and zero every counter (graph memos stay)."""
-        self._entries.clear()
-        self._entries.reset_stats()
-        self._memo_hits = 0
-        self._keyless_misses = 0
+                "hit_rate": self.hit_rate}
 
 
 def build_meta_graph(graphs: Sequence[Graph],
                      edge_norm: float = DEFAULT_EDGE_NORM,
-                     cache: Optional[FeatureCache] = None,
-                     incremental: bool = True) -> BatchedGraphs:
+                     cache: Optional[FeatureCache] = None) -> BatchedGraphs:
     """Batch several graphs (current graph first, then candidates) together.
 
     With a :class:`FeatureCache` the per-graph arrays come straight from the
@@ -356,8 +259,7 @@ def build_meta_graph(graphs: Sequence[Graph],
     if cache is not None:
         feats_list = [cache.encode(g) for g in graphs]
     else:
-        feats_list = [encode_graph(g, edge_norm, incremental=incremental)
-                      for g in graphs]
+        feats_list = [encode_graph(g, edge_norm) for g in graphs]
     counts = np.asarray([f.num_nodes for f in feats_list], dtype=np.int64)
     offsets = np.zeros(len(feats_list), dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
@@ -560,7 +462,7 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
 class LazyMetaGraph:
     """A :class:`BatchedGraphs` that assembles itself on first use.
 
-    Neither acting nor the batched PPO update reads the full meta batch:
+    Neither acting nor the PPO update reads the full meta batch:
     both ask for :meth:`delta_batch`, which never encodes a candidate and is
     memoised here, so the update trains on the very batch the rollout acted
     on.  Materialising the full batch eagerly would encode every candidate

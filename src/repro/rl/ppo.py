@@ -232,19 +232,6 @@ class XRLflowAgent(Module):
         return ActionDecision(action=action, log_prob=log_prob,
                               value=value_f, probabilities=probs)
 
-    def evaluate_actions(self, observation: Observation, action: int
-                         ) -> Tuple[Tensor, Tensor, Tensor]:
-        """Differentiable (log-prob, value, entropy) of ``action``.
-
-        One observation at a time — the reference path for the batched
-        update and the equivalence suite.
-        """
-        logits, value = self.forward(observation)
-        log_probs = logits.log_softmax(axis=0)
-        probs = log_probs.exp()
-        entropy = -(probs * log_probs).sum()
-        return log_probs[action:action + 1], value, entropy
-
     def evaluate_actions_batch(self, observations: Sequence[Observation],
                                actions: Sequence[int]
                                ) -> Tuple[Tensor, Tensor, Tensor]:
@@ -267,9 +254,10 @@ class XRLflowAgent(Module):
         observation with exactly the shapes the single-observation path
         uses: BLAS picks different kernels for different row counts
         (``M=1`` matmuls round differently from ``M=B``), so batching the
-        *heads* would break the bit-for-bit float64 equivalence with
-        :meth:`evaluate_actions` that the segment-kernel accumulation order
-        guarantees for the encoder.
+        *heads* would break the bit-for-bit float64 equivalence with the
+        one-observation-at-a-time evaluation
+        (``tests/oracles/ppo_reference.py``) that the segment-kernel
+        accumulation order guarantees for the encoder.
         """
         with default_dtype(self.dtype):
             batch_size = len(observations)
@@ -302,8 +290,8 @@ class XRLflowAgent(Module):
             # the head MLPs run on one stacked 3-D tensor: numpy's batched
             # matmul applies the identical per-slice kernel as the 2-D
             # single-observation path (same M/N/K), so every slice stays
-            # bit-for-bit equal to :meth:`evaluate_actions` while the whole
-            # group costs one set of ops.
+            # bit-for-bit equal to the one-observation evaluation while the
+            # whole group costs one set of ops.
             groups: Dict[int, List[int]] = {}
             for u, piece in enumerate(pieces):
                 groups.setdefault(piece.num_graphs, []).append(u)
@@ -385,9 +373,9 @@ class PPOUpdateStats:
 class PPOUpdater:
     """PPO-clip optimiser for an :class:`XRLflowAgent`.
 
-    ``batched=True`` (the default) evaluates each minibatch through
-    :meth:`XRLflowAgent.evaluate_actions_batch`; ``batched=False`` keeps the
-    seed per-transition loop as the equivalence reference.
+    Each minibatch is evaluated through
+    :meth:`XRLflowAgent.evaluate_actions_batch` (the seed per-transition
+    loop is the test oracle, ``tests/oracles/ppo_reference.py``).
 
     Minibatches whose observations sum to more than ``max_batch_nodes``
     meta-graph nodes (the rows the readout gathers — with delta batches the
@@ -410,7 +398,6 @@ class PPOUpdater:
                  batch_size: int = 16,
                  max_grad_norm: float = 0.5,
                  seed: int = 0,
-                 batched: bool = True,
                  max_batch_nodes: int = 8192):
         self.agent = agent
         self.optimizer = Adam(agent.parameters(), lr=learning_rate)
@@ -420,7 +407,6 @@ class PPOUpdater:
         self.epochs = int(epochs)
         self.batch_size = int(batch_size)
         self.max_grad_norm = float(max_grad_norm)
-        self.batched = bool(batched)
         self.max_batch_nodes = int(max_batch_nodes)
         self._rng = np.random.default_rng(seed)
 
@@ -436,12 +422,8 @@ class PPOUpdater:
         with default_dtype(dtype):
             for _ in range(self.epochs):
                 for batch_idx in buffer.minibatches(self.batch_size, self._rng):
-                    if self.batched:
-                        step = self._update_batched(buffer, batch_idx,
-                                                    advantages, returns)
-                    else:
-                        step = self._update_loop(buffer, batch_idx,
-                                                 advantages, returns)
+                    step = self._update_batched(buffer, batch_idx,
+                                                advantages, returns)
                     for key, value in step.items():
                         stats[key] += value
                     updates += 1
@@ -491,7 +473,7 @@ class PPOUpdater:
 
     def _update_batched(self, buffer: RolloutBuffer, batch_idx: np.ndarray,
                         advantages: np.ndarray, returns: np.ndarray):
-        """One optimiser step on a minibatch via the batched-forward path.
+        """One optimiser step on a minibatch, one encoder forward per chunk.
 
         Each node-bounded chunk contributes ``chunk_loss_sum / B`` and is
         backpropagated immediately (gradient accumulation): the summed
@@ -511,8 +493,8 @@ class PPOUpdater:
             surrogate1 = ratio * adv
             surrogate2 = ratio.clip(1 - self.clip_epsilon,
                                     1 + self.clip_epsilon) * adv
-            # Elementwise min with the same subgradient choice as the loop
-            # path (ties go to the unclipped surrogate).
+            # Elementwise min with the same subgradient choice as the
+            # per-transition oracle (ties go to the unclipped surrogate).
             take_first = Tensor(
                 (surrogate1.data <= surrogate2.data).astype(
                     surrogate1.data.dtype))
@@ -532,42 +514,4 @@ class PPOUpdater:
         return {"policy": sums["policy"] * scale,
                 "value": sums["value"] * scale,
                 "entropy": sums["entropy"] * scale,
-                "grad": grad_norm}
-
-    def _update_loop(self, buffer: RolloutBuffer, batch_idx: np.ndarray,
-                     advantages: np.ndarray, returns: np.ndarray):
-        """The seed per-transition update (one forward per transition)."""
-        transitions = buffer.transitions
-        self.optimizer.zero_grad()
-        losses = []
-        entropies = []
-        value_losses = []
-        for i in batch_idx:
-            t = transitions[i]
-            new_log_prob, value, entropy = self.agent.evaluate_actions(
-                t.observation, t.action)
-            ratio = (new_log_prob - t.log_prob).exp()
-            adv = float(advantages[i])
-            surrogate1 = ratio * adv
-            surrogate2 = ratio.clip(1 - self.clip_epsilon,
-                                    1 + self.clip_epsilon) * adv
-            # elementwise min of the two 1-element tensors
-            take_first = float(surrogate1.numpy()[0]) <= float(surrogate2.numpy()[0])
-            policy_loss = -(surrogate1 if take_first else surrogate2)
-            value_loss = (value - float(returns[i])) ** 2
-            losses.append(policy_loss)
-            value_losses.append(value_loss)
-            entropies.append(entropy)
-        n = len(batch_idx)
-        policy_term = sum(losses[1:], losses[0]) * (1.0 / n)
-        value_term = sum(value_losses[1:], value_losses[0]) * (1.0 / n)
-        entropy_term = sum(entropies[1:], entropies[0]) * (1.0 / n)
-        total = (policy_term + self.value_coef * value_term
-                 - self.entropy_coef * entropy_term)
-        total.backward()
-        grad_norm = clip_grad_norm(self.optimizer.parameters, self.max_grad_norm)
-        self.optimizer.step()
-        return {"policy": float(policy_term.numpy().sum()),
-                "value": float(value_term.numpy().sum()),
-                "entropy": float(entropy_term.numpy().sum()),
                 "grad": grad_norm}

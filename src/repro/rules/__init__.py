@@ -7,15 +7,15 @@
 """
 
 from .base import (Candidate, Match, RewriteRule, RuleSet,
-                   eliminate_dead_nodes, full_scan_matching,
-                   replace_all_uses, restricted_anchor_matching)
+                   eliminate_dead_nodes, replace_all_uses,
+                   restricted_anchor_matching)
 from .incremental import IncrementalCandidateEngine
 from .interpreter import GraphInterpreter, execute_graph, graphs_equivalent
 from .rulesets import DEFAULT_RULE_CLASSES, default_ruleset, exact_ruleset
 
 __all__ = [
     "Candidate", "Match", "RewriteRule", "RuleSet",
-    "eliminate_dead_nodes", "full_scan_matching", "replace_all_uses",
+    "eliminate_dead_nodes", "replace_all_uses",
     "restricted_anchor_matching", "IncrementalCandidateEngine",
     "GraphInterpreter", "execute_graph", "graphs_equivalent",
     "DEFAULT_RULE_CLASSES", "default_ruleset", "exact_ruleset",

@@ -12,8 +12,7 @@ Two incremental-engine features live here:
 * **Anchor-based matching** — a rule declares the op types its pattern is
   rooted at (:attr:`RewriteRule.anchor_ops`); :meth:`RewriteRule.anchor_nodes`
   then seeds matching from the graph's op-type index instead of scanning
-  every node.  The :func:`full_scan_matching` context manager forces the
-  index-free path (used by the equivalence tests).
+  every node.
 * **Lazy candidates** — :class:`Candidate` holds ``(rule, match, parent)``
   and only runs ``rule.apply`` (which deep-copies the parent graph) when
   ``candidate.graph`` is first accessed, so consumers that discard most
@@ -35,35 +34,18 @@ from ..ir.graph import Graph, Node, NodeId
 from ..ir.ops import OpType
 
 __all__ = ["Match", "Candidate", "RewriteRule", "RuleSet",
-           "eliminate_dead_nodes", "replace_all_uses", "full_scan_matching",
+           "eliminate_dead_nodes", "replace_all_uses",
            "restricted_anchor_matching"]
 
 
-# Both switches are context variables, not module globals: the service's
-# thread backend runs searches concurrently, and a filter installed by one
-# search must never be seen by another thread's ``find_matches``.
-_FULL_SCAN: ContextVar[bool] = ContextVar("full_scan_matching", default=False)
-
 #: When non-None, :meth:`RewriteRule.anchor_nodes` yields only these ids —
 #: the hook the incremental candidate engine uses to re-run matching on the
-#: mutated neighbourhood of a delta instead of the whole graph.
+#: mutated neighbourhood of a delta instead of the whole graph.  A context
+#: variable, not a module global: the service's thread backend runs searches
+#: concurrently, and a filter installed by one search must never be seen by
+#: another thread's ``find_matches``.
 _ANCHOR_FILTER: ContextVar[Optional[AbstractSet[NodeId]]] = ContextVar(
     "restricted_anchor_matching", default=None)
-
-
-@contextmanager
-def full_scan_matching():
-    """Force :meth:`RewriteRule.anchor_nodes` to ignore the op-type index.
-
-    The full scan filters on ``anchor_ops`` the same way the index does, so
-    results must be identical — this exists so tests can assert exactly that,
-    and as a diagnostic escape hatch.
-    """
-    token = _FULL_SCAN.set(True)
-    try:
-        yield
-    finally:
-        _FULL_SCAN.reset(token)
 
 
 @contextmanager
@@ -201,17 +183,14 @@ class RewriteRule(abc.ABC):
     def anchor_nodes(self, graph: Graph) -> Iterator[Tuple[NodeId, Node]]:
         """Candidate root nodes for this rule, in node-creation order.
 
-        Uses the graph's op-type index when :attr:`anchor_ops` is declared
-        (and :func:`full_scan_matching` is not active); otherwise falls back
-        to scanning ``graph.nodes`` with the same op-type filter, which
-        yields the identical sequence.
+        Uses the graph's op-type index when :attr:`anchor_ops` is declared;
+        a rule without anchors scans every node of ``graph.nodes``.
         """
         ops = self.anchor_ops
         allowed = _ANCHOR_FILTER.get()
-        if not ops or _FULL_SCAN.get():
+        if not ops:
             for nid, node in graph.nodes.items():
-                if (not ops or node.op_type in ops) and \
-                        (allowed is None or nid in allowed):
+                if allowed is None or nid in allowed:
                     yield nid, node
             return
         nodes = graph.nodes

@@ -20,10 +20,10 @@ set alive across steps and reconciles it against the
 4. splice cached and fresh groups back together in ascending-anchor
    order, which is exactly the order ``find_matches`` enumerates.
 
-The eager path (``RuleSet.lazy_candidates``) remains the equivalence
+From-scratch matching (``RuleSet.lazy_candidates``) is the equivalence
 oracle: for any reachable graph the engine must produce the identical
 candidate list, and ``tests/rules/test_engine_equivalence.py`` asserts
-it does under :func:`~repro.rules.base.full_scan_matching`.
+it does.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.lru import LRUCache
 from ..ir.graph import Graph, GraphDelta, NodeId
-from ..rules import base as _base
 from ..rules.base import (Candidate, Match, RewriteRule, RuleSet,
                           restricted_anchor_matching)
 
@@ -94,9 +93,6 @@ class IncrementalCandidateEngine:
     # ------------------------------------------------------------------
     def lazy_candidates(self, graph: Graph) -> List[Candidate]:
         """Unmaterialised candidates for ``graph``, in rule order."""
-        if _base._FULL_SCAN.get():
-            # The oracle path must not consult (or pollute) cached state.
-            return self.ruleset.lazy_candidates(graph)
         state = self._states.get(id(graph))
         if state is not None and state.graph is graph:
             return self._candidates_from(state)

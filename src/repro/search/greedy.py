@@ -42,6 +42,11 @@ ProgressCallback = Callable[[int, float, str], None]
 class TASOOptimizer:
     """Cost-model-driven backtracking search over rewrite candidates.
 
+    Candidates come from a per-search
+    :class:`~repro.rules.incremental.IncrementalCandidateEngine` and are
+    costed with :meth:`CostModel.estimate_delta`, which re-derives only the
+    nodes a rewrite touched.
+
     Parameters
     ----------
     ruleset:
@@ -62,13 +67,6 @@ class TASOOptimizer:
         Maximum number of graphs kept in the queue at any time: at most
         ``min(capacity, pops left)`` graphs are kept, the cheapest ones,
         and of equally expensive worst entries the newest goes.
-    incremental:
-        When True (the default), candidates are generated lazily and costed
-        through :meth:`CostModel.estimate_delta`, which only re-derives the
-        nodes each rewrite touched.  The eager path (False) regenerates and
-        re-costs every node from scratch; both paths visit the same
-        candidates in the same order and produce bit-identical results — the
-        flag exists as the equivalence/benchmark baseline.
     progress_callback:
         Optional ``f(iteration, best_cost, best_graph_fp)`` invoked once
         per queue pop with the running best cost-model estimate and the
@@ -97,7 +95,6 @@ class TASOOptimizer:
                  alpha: float = 1.05,
                  max_iterations: int = 100,
                  queue_capacity: int = 200,
-                 incremental: bool = True,
                  progress_callback: Optional[ProgressCallback] = None,
                  cost_source: str = "simulated",
                  executor: Optional[object] = None):
@@ -107,7 +104,6 @@ class TASOOptimizer:
         self.alpha = float(alpha)
         self.max_iterations = int(max_iterations)
         self.queue_capacity = int(queue_capacity)
-        self.incremental = bool(incremental)
         self.progress_callback = progress_callback
         self.cost_source = str(cost_source)
         self.latency_source = resolve_latency_source(
@@ -144,15 +140,12 @@ class TASOOptimizer:
             # table is handed down to every candidate, the final graph
             # included.
             initial_latency = self.latency_source.latency_ms(graph)
-            if self.incremental:
-                initial_cost = self.cost_model.estimate_cached(graph)
-                # Fresh per-search engine: match sets carry over between
-                # queue pops (the popped graph's parent is usually still
-                # cached), not between optimise() calls.
-                engine = IncrementalCandidateEngine(
-                    self.ruleset, capacity=max(64, self.queue_capacity))
-            else:
-                initial_cost = self.cost_model.estimate(graph)
+            initial_cost = self.cost_model.estimate_cached(graph)
+            # Fresh per-search engine: match sets carry over between
+            # queue pops (the popped graph's parent is usually still
+            # cached), not between optimise() calls.
+            engine = IncrementalCandidateEngine(
+                self.ruleset, capacity=max(64, self.queue_capacity))
             best_graph, best_cost = graph, initial_cost
             best_rules: List[str] = []
 
@@ -178,20 +171,13 @@ class TASOOptimizer:
                              best_graph.structural_hash())
                 if cost > self.alpha * best_cost:
                     continue
-                if self.incremental:
-                    candidates = engine.lazy_candidates(current)
-                else:
-                    candidates = self.ruleset.all_candidates(current)
-                for candidate in candidates:
+                for candidate in engine.lazy_candidates(current):
                     cand_graph = candidate.materialise()
                     if cand_graph is None:
                         continue
                     candidates_evaluated += 1
-                    if self.incremental:
-                        cand_cost = self.cost_model.estimate_delta(
-                            current, cand_graph, parent_cost=cost)
-                    else:
-                        cand_cost = self.cost_model.estimate(cand_graph)
+                    cand_cost = self.cost_model.estimate_delta(
+                        current, cand_graph, parent_cost=cost)
                     improves = cand_cost < best_cost
                     position = bisect_right(queue, cand_cost, key=entry_cost)
                     if not improves and (position >= room or

@@ -100,9 +100,8 @@ def pet_ruleset() -> RuleSet:
 class PETOptimizer(TASOOptimizer):
     """Backtracking search over the PET rule set with PET's cost model.
 
-    Identical search mechanics to :class:`TASOOptimizer` (including the
-    ``incremental`` flag), with two PET-specific substitutions wired in by
-    default:
+    Identical search mechanics to :class:`TASOOptimizer`, with two
+    PET-specific substitutions wired in by default:
 
     Parameters
     ----------
@@ -118,8 +117,7 @@ class PETOptimizer(TASOOptimizer):
         End-to-end simulator for *reporting* true latency only.
     **kwargs:
         Forwarded to :class:`TASOOptimizer` (``alpha``,
-        ``max_iterations``, ``queue_capacity``, ``incremental``,
-        ``progress_callback``).
+        ``max_iterations``, ``queue_capacity``, ``progress_callback``).
     """
 
     name = "pet"

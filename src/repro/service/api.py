@@ -72,17 +72,12 @@ class OptimisationService:
         cache_policy: Eviction bounds for the persistent tier (max entries
             / max bytes / TTL); unbounded when omitted.
         max_pending: Bounded admission queue (see :class:`JobScheduler`).
-        use_processes: Back-compat alias for ``backend="process"``.
         backend: Worker flavour — ``"thread"`` (default), ``"process"``,
             or ``"async"`` (event loop over local process workers and any
             ``remote_endpoints``).
         remote_endpoints: ``"host:port"`` strings of
             :class:`~repro.service.remote.WorkerServer` boxes; implies the
             async backend unless one was named explicitly.
-        router: Remote routing policy for the async backend —
-            ``"health"`` (least-loaded live endpoint, circuit breaker +
-            probe readmission; the default) or ``"round_robin"`` (the
-            legacy baseline).
         cross_process_dedup: Extend exactly-once to simultaneous
             submissions from *other service processes* via lease files in
             the cache directory.  Effective only with a persistent cache
@@ -100,10 +95,8 @@ class OptimisationService:
                  cache_dir: Optional[str] = None,
                  cache_policy: Optional[EvictionPolicy] = None,
                  max_pending: int = 256,
-                 use_processes: bool = False,
                  backend: Optional[str] = None,
                  remote_endpoints: Optional[Sequence[str]] = None,
-                 router: str = "health",
                  cross_process_dedup: bool = True,
                  lease_config: Optional[LeaseConfig] = None):
         self.cache = cache if cache is not None else FingerprintCache(
@@ -112,11 +105,9 @@ class OptimisationService:
             backend = "async"
         self.scheduler = JobScheduler(num_workers=num_workers,
                                       max_pending=max_pending,
-                                      use_processes=use_processes,
                                       backend=backend,
                                       remote_endpoints=list(remote_endpoints
-                                                            or []),
-                                      router=router)
+                                                            or []))
         self._leases: Optional[LeaseManager] = None
         if (cross_process_dedup and self.cache.cache_dir is not None
                 and leases_supported()):
@@ -513,7 +504,6 @@ class OptimisationService:
         stats = {
             "workers": self.scheduler.num_workers,
             "backend": self.scheduler.backend,
-            "use_processes": self.scheduler.use_processes,
             "jobs": self.scheduler.counts(),
             "cache_entries": len(self.cache),
             "cache": self.cache.stats.to_dict(),

@@ -22,8 +22,6 @@ failures and receives no further work; the probe loop keeps pinging it
 and readmits it the moment it answers, so a rebooted worker rejoins the
 rotation automatically.  When every endpoint is quarantined or saturated
 the job spills to the local pool — jobs never fail because a box died.
-``router="round_robin"`` restores the legacy blind rotation as the
-benchmark baseline.
 
 A *transport* failure (box unreachable / dropped mid-call) falls back to
 local execution and is counted in :attr:`AsyncWorkerPool.stats` — an
@@ -66,14 +64,8 @@ class AsyncWorkerPool:
         max_remote_inflight: Concurrent calls assumed allowed *per
             endpoint* until the first successful ``ping`` reports the
             worker's real capacity (which then takes over).
-        local_threads: Run local jobs on a thread pool instead of
-            processes — only sensible for tests and cache-dominated
-            traffic; real searches want process parallelism.
-        router: ``"health"`` (least-loaded live endpoint, circuit
-            breaker + readmission — the default) or ``"round_robin"``
-            (the legacy rotation, kept as the benchmark baseline).
         failure_threshold: Consecutive transport failures that quarantine
-            an endpoint under the health router.
+            an endpoint.
         probe_interval_s: Seconds between health-probe rounds (``ping``
             of every endpoint).  ``0`` disables the background loop —
             probes then only happen via :meth:`probe_endpoints`.
@@ -82,8 +74,6 @@ class AsyncWorkerPool:
     def __init__(self, num_workers: int = 4,
                  remote_endpoints: Optional[Sequence[str]] = None,
                  max_remote_inflight: int = 4,
-                 local_threads: bool = False,
-                 router: str = "health",
                  failure_threshold: int = 3,
                  probe_interval_s: float = 5.0):
         self.num_workers = max(1, int(num_workers))
@@ -92,19 +82,13 @@ class AsyncWorkerPool:
         self.probe_interval_s = max(0.0, float(probe_interval_s))
         self.health = HealthRegistry(self.remote_endpoints,
                                      default_capacity=self.max_remote_inflight,
-                                     failure_threshold=failure_threshold,
-                                     policy=router)
+                                     failure_threshold=failure_threshold)
         self._stats_lock = threading.Lock()
         self._dispatched_local = 0
         self._dispatched_remote = 0
         self._remote_fallbacks = 0
-        if local_threads:
-            self._local: futures.Executor = futures.ThreadPoolExecutor(
-                max_workers=self.num_workers,
-                thread_name_prefix="repro-async-local")
-        else:
-            self._local = futures.ProcessPoolExecutor(
-                max_workers=self.num_workers)
+        self._local = futures.ProcessPoolExecutor(
+            max_workers=self.num_workers)
         self._loop = asyncio.new_event_loop()
         self._local_slots = asyncio.Semaphore(self.num_workers)
         self._inflight: set = set()
@@ -113,10 +97,7 @@ class AsyncWorkerPool:
                                         name="repro-async-pool", daemon=True)
         self._thread.start()
         self._probe_task: Optional["futures.Future"] = None
-        # The legacy round-robin baseline is deliberately blind: no probe
-        # loop, no capacity learning — the exact pre-health behaviour.
-        if (self.remote_endpoints and self.probe_interval_s > 0
-                and router == "health"):
+        if self.remote_endpoints and self.probe_interval_s > 0:
             self._probe_task = asyncio.run_coroutine_threadsafe(
                 self._probe_loop(), self._loop)
 
@@ -206,10 +187,6 @@ class AsyncWorkerPool:
             return {}
         return asyncio.run_coroutine_threadsafe(
             self._probe_once(), self._loop).result(timeout=30)
-
-    def ping_endpoints(self) -> Dict[str, bool]:
-        """Back-compat alias for :meth:`probe_endpoints`."""
-        return self.probe_endpoints()
 
     # -- introspection -------------------------------------------------
     @property

@@ -57,17 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker flavour (default: thread; async drives "
                              "process workers and any --remote-worker boxes "
                              "from one event loop)")
-    parser.add_argument("--processes", action="store_true",
-                        help="shorthand for --backend process")
     parser.add_argument("--remote-worker", action="append", default=[],
                         metavar="HOST:PORT", dest="remote_workers",
                         help="JSON-RPC worker endpoint (repeatable; implies "
                              "--backend async)")
-    parser.add_argument("--router", choices=["health", "round_robin"],
-                        default="health",
-                        help="remote dispatch policy (default: health — "
-                             "least-loaded live endpoint with circuit "
-                             "breaking; round_robin is the legacy rotation)")
     parser.add_argument("--follow", action="store_true",
                         help="stream per-iteration progress events for each "
                              "job while it runs")
@@ -224,18 +217,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError, ImportError_) as exc:
         raise SystemExit(f"error: {exc}")
 
-    backend = args.backend or ("process" if args.processes else None)
-    if args.remote_workers and backend not in (None, "async"):
+    if args.remote_workers and args.backend not in (None, "async"):
         raise SystemExit(
             f"error: --remote-worker requires --backend async "
-            f"(got {backend})")
+            f"(got {args.backend})")
     with OptimisationService(num_workers=args.workers,
                              cache_dir=args.cache_dir,
                              cache_policy=_eviction_policy(args),
                              max_pending=args.max_pending,
-                             backend=backend,
+                             backend=args.backend,
                              remote_endpoints=args.remote_workers,
-                             router=args.router,
                              cross_process_dedup=not args.no_cross_process_dedup,
                              ) as service:
         for round_no in range(1, max(1, args.repeat) + 1):

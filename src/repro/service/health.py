@@ -1,8 +1,7 @@
 """Per-endpoint health records and load-aware endpoint selection.
 
-The async worker pool used to dispatch remote work round-robin, blind to
-how loaded — or how dead — each worker box was.  This module is the
-replacement brain:
+The async worker pool routes remote work by how loaded — or how dead —
+each worker box is.  This module is that brain:
 
 * :class:`EndpointHealth` — one endpoint's record: capacity (seeded from
   configuration, corrected by every ``ping``), in-flight jobs (our own
@@ -19,11 +18,6 @@ costs at most ``failure_threshold`` fallbacks, not one per job.  The
 pool's probe loop keeps pinging quarantined endpoints and readmits any
 that answer, so a rebooted worker rejoins the rotation without operator
 action.
-
-The registry also implements the legacy round-robin policy
-(``policy="round_robin"``) so benchmarks can measure the routing win
-against the old behaviour — the same escape-hatch pattern as the search
-engine's ``incremental`` flag.
 """
 
 from __future__ import annotations
@@ -34,9 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 __all__ = ["EndpointHealth", "HealthRegistry"]
-
-#: Recognised routing policies.
-_POLICIES = ("health", "round_robin")
 
 
 @dataclass
@@ -120,27 +111,14 @@ class HealthRegistry:
             circuit breaker (quarantine).
         ewma_alpha: Smoothing factor for the latency average (higher
             reacts faster).
-        policy: ``"health"`` (least-loaded live endpoint — the default)
-            or ``"round_robin"`` (the legacy rotation, kept as the
-            benchmark baseline; no quarantine, saturation-skip only).
-
-    Raises:
-        ValueError: If ``policy`` is not a recognised name.
     """
 
     def __init__(self, endpoints: Sequence[str],
                  default_capacity: int = 1,
                  failure_threshold: int = 3,
-                 ewma_alpha: float = 0.3,
-                 policy: str = "health"):
-        if policy not in _POLICIES:
-            raise ValueError(
-                f"unknown routing policy {policy!r}; expected one of "
-                f"{_POLICIES}")
-        self.policy = policy
+                 ewma_alpha: float = 0.3):
         self.failure_threshold = max(1, int(failure_threshold))
         self.ewma_alpha = float(ewma_alpha)
-        self._default_capacity = max(1, int(default_capacity))
         self._lock = threading.Lock()
         self._records: Dict[str, EndpointHealth] = {
             str(e): EndpointHealth(endpoint=str(e),
@@ -148,7 +126,6 @@ class HealthRegistry:
             for e in endpoints
         }
         self._order: List[str] = list(self._records)
-        self._rr_next = 0
 
     def __len__(self) -> int:
         return len(self._records)
@@ -162,19 +139,17 @@ class HealthRegistry:
     def try_acquire(self) -> Optional[str]:
         """Reserve a slot on the best available endpoint, or ``None``.
 
-        Under the ``health`` policy "best" means: not quarantined, has a
-        free slot, lowest load factor — ties broken by EWMA latency, then
-        declaration order.  Under ``round_robin`` it is the next endpoint
-        in rotation with a free slot.  ``None`` means every endpoint is
-        quarantined or saturated and the job should run locally.
+        "Best" means: not quarantined, has a free slot, lowest load
+        factor — ties broken by EWMA latency, then declaration order.
+        ``None`` means every endpoint is quarantined or saturated and the
+        job should run locally.
 
         The returned endpoint's ``inflight`` is already incremented;
         every ``try_acquire`` must be paired with exactly one
         :meth:`release`.
         """
         with self._lock:
-            record = (self._pick_round_robin() if self.policy == "round_robin"
-                      else self._pick_least_loaded())
+            record = self._pick_least_loaded()
             if record is None:
                 return None
             record.inflight += 1
@@ -191,21 +166,6 @@ class HealthRegistry:
             if best is None or key < best_key:
                 best, best_key = record, key
         return best
-
-    def _pick_round_robin(self) -> Optional[EndpointHealth]:
-        # Legacy policy: cycle, skipping endpoints whose *static* slot
-        # allowance (the configured default capacity) is used up by our
-        # own dispatches.  Ping-reported capacity and load are ignored and
-        # dead boxes still get dispatched to (each attempt costing a
-        # fallback) — exactly the blind behaviour the health policy is
-        # measured against.
-        for _ in range(len(self._order)):
-            endpoint = self._order[self._rr_next % len(self._order)]
-            self._rr_next += 1
-            record = self._records[endpoint]
-            if record.inflight < self._default_capacity:
-                return record
-        return None
 
     def release(self, endpoint: str) -> None:
         """Return the slot :meth:`try_acquire` reserved on ``endpoint``."""
@@ -236,7 +196,7 @@ class HealthRegistry:
             if record is None:
                 return False
             record.consecutive_failures += 1
-            if (self.policy == "health" and not record.quarantined
+            if (not record.quarantined
                     and record.consecutive_failures >= self.failure_threshold):
                 record.quarantined = True
                 record.quarantined_at = time.monotonic()

@@ -54,7 +54,6 @@ import threading
 import time
 from typing import Any, Callable, Dict, Mapping, MutableMapping, Optional, Tuple
 
-from ..ir.serialize import graph_from_dict
 from ..ir.wire import decode_graph, encode_graph
 from ..search.result import SearchResult
 from .worker import JobRequest, ServiceResult, execute_request
@@ -64,16 +63,16 @@ __all__ = ["WorkerServer", "RemoteWorkerClient", "RemoteWorkerError",
            "parse_endpoint", "graph_ref_for", "request_to_wire",
            "request_from_wire", "result_to_wire", "result_from_wire"]
 
-#: Version stamp of the wire format; servers reject requests from newer
-#: protocol revisions rather than mis-decoding them.
+#: Version stamp of the wire format; servers reject requests of any other
+#: protocol revision rather than mis-decoding them.
 #:
 #: Revision 2 ships graphs as the binary :mod:`repro.ir.wire` codec
 #: (base64 inside the JSON envelope, ~3-6x smaller than the JSON graph
 #: dict) and adds per-connection graph caching: a request may carry a
 #: ``graph_ref`` instead of the graph, referring to a graph shipped
 #: earlier on the same connection — so persistent clients re-optimising
-#: the same model stop re-shipping it per call.  Revision-1 payloads
-#: (JSON ``graph`` dicts) are still accepted.
+#: the same model stop re-shipping it per call.  Revision 1 (JSON ``graph``
+#: dicts, no ``protocol`` field) is no longer spoken.
 PROTOCOL_VERSION = 2
 
 #: Upper bound on one newline-delimited message (request or response).
@@ -151,20 +150,21 @@ def request_from_wire(params: Mapping[str, Any],
     ``graph_ref`` requests and absorbs every freshly shipped graph.
 
     Raises:
-        ValueError: If the params were produced by a newer protocol, or a
-            ``graph_ref`` is not in the cache (the client must re-ship).
+        ValueError: If the params were produced by another protocol
+            revision, or a ``graph_ref`` is not in the cache (the client
+            must re-ship).
     """
-    if params.get("protocol", 1) > PROTOCOL_VERSION:
+    revision = params.get("protocol", 1)
+    if revision != PROTOCOL_VERSION:
         raise ValueError(
-            f"unsupported protocol revision {params.get('protocol')}")
+            f"unsupported protocol revision {revision} "
+            f"(this worker speaks revision {PROTOCOL_VERSION})")
     data = params["request"]
     ref = data.get("graph_ref", "")
     if "graph_wire" in data:
         graph = decode_graph(base64.b64decode(data["graph_wire"]))
         if graph_cache is not None and ref:
             graph_cache[ref] = graph
-    elif "graph" in data:  # protocol revision 1
-        graph = graph_from_dict(data["graph"])
     else:
         if graph_cache is None or ref not in graph_cache:
             raise ValueError(f"unknown graph_ref {ref!r} "
@@ -205,15 +205,11 @@ def result_from_wire(payload: Mapping[str, Any],
                      initial_graph: Any) -> ServiceResult:
     """Rehydrate a wire result against the caller's own initial graph."""
     data = payload["search"]
-    if "final_graph_wire" in data:
-        final_graph = decode_graph(base64.b64decode(data["final_graph_wire"]))
-    else:  # protocol revision 1
-        final_graph = graph_from_dict(data["final_graph"])
     search = SearchResult(
         optimiser=data["optimiser"],
         model=data["model"],
         initial_graph=initial_graph,
-        final_graph=final_graph,
+        final_graph=decode_graph(base64.b64decode(data["final_graph_wire"])),
         initial_latency_ms=float(data["initial_latency_ms"]),
         final_latency_ms=float(data["final_latency_ms"]),
         initial_cost_ms=float(data["initial_cost_ms"]),

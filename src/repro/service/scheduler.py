@@ -177,34 +177,28 @@ class JobScheduler:
             results).  Beyond it the oldest terminal jobs are purged so a
             long-lived scheduler does not pin every result graph it ever
             produced; polling a purged id raises :class:`UnknownJobError`.
-        backend: ``"thread"`` / ``"process"`` / ``"async"`` (see the module
-            docstring).
-        use_processes: Back-compat alias for ``backend="process"``.
+        backend: ``"thread"`` (the default) / ``"process"`` / ``"async"``
+            (see the module docstring).
         remote_endpoints: ``"host:port"`` strings of off-box workers for
             the async backend (ignored otherwise).
-        router: Remote routing policy for the async backend —
-            ``"health"`` (least-loaded live endpoint, the default) or
-            ``"round_robin"`` (the legacy baseline).
 
     Raises:
         ValueError: If ``backend`` is not one of the recognised names.
     """
 
     def __init__(self, num_workers: int = 4, max_pending: int = 256,
-                 max_history: int = 1024, use_processes: bool = False,
+                 max_history: int = 1024,
                  backend: Optional[str] = None,
-                 remote_endpoints: Optional[List[str]] = None,
-                 router: str = "health"):
+                 remote_endpoints: Optional[List[str]] = None):
         self.num_workers = max(1, int(num_workers))
         self.max_pending = max(1, int(max_pending))
         self.max_history = max(1, int(max_history))
         if backend is None:
-            backend = "process" if use_processes else "thread"
+            backend = "thread"
         if backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}")
         self.backend = backend
-        self.use_processes = backend == "process"
         self.remote_endpoints = list(remote_endpoints or [])
         if self.remote_endpoints and backend != "async":
             # Silently running everything locally would be worse than
@@ -218,8 +212,7 @@ class JobScheduler:
             from .async_pool import AsyncWorkerPool
             self._executor = AsyncWorkerPool(
                 num_workers=self.num_workers,
-                remote_endpoints=self.remote_endpoints,
-                router=router)
+                remote_endpoints=self.remote_endpoints)
         else:
             self._executor = futures.ThreadPoolExecutor(
                 max_workers=self.num_workers, thread_name_prefix="repro-worker")

@@ -1,4 +1,7 @@
-"""From-scratch oracle for ``Graph.structural_hash``.
+"""From-scratch oracle for ``Graph.structural_hash``
+(``src/repro/ir/graph.py``), compared by
+``tests/ir/test_structural_hash.py`` and
+``tests/rules/test_engine_equivalence.py::TestStructuralHash``.
 
 A plain recursive restatement of the Merkle contract that shares nothing
 with the implementation: no digest table, no per-node prefix memo, no

@@ -1,11 +1,16 @@
-"""Hash-everything oracle for ``TASOOptimizer.optimise``.
+"""Hash-everything oracle for ``TASOOptimizer.optimise``
+(``src/repro/search/greedy.py``), compared by
+``tests/search/test_taso_queue.py`` and
+``tests/rules/test_engine_equivalence.py::TestOptimiserEquivalence``.
 
 The candidate loop as it stood before the queue was bounded by the pops
 that are left: every materialised candidate is given a ``structural_hash``
 and tested against ``seen`` *before* it is costed, the queue is a ``heapq``
 holding up to ``queue_capacity`` graphs whether or not the budget can still
 reach them, and a full queue is resolved by a scan for its most expensive
-entry.  Test-only: the search must reproduce its trajectories.
+entry.  With ``eager=True`` it is also the loop as it stood before the
+incremental engine: every candidate regenerated and costed from scratch.
+Test-only: the search must reproduce its trajectories.
 """
 
 import heapq
@@ -38,16 +43,20 @@ def trajectory_of(result: SearchResult) -> Trajectory:
                       int(result.stats["candidates_evaluated"]))
 
 
-def reference_search(optimiser: TASOOptimizer,
-                     graph: Graph) -> Tuple[Trajectory, int]:
+def reference_search(optimiser: TASOOptimizer, graph: Graph,
+                     eager: bool = False) -> Tuple[Trajectory, int]:
     """Run the hash-everything loop with ``optimiser``'s rule set, cost
-    model, ``alpha``, budget, capacity and ``incremental`` setting.
+    model, ``alpha``, budget and capacity.
 
-    Returns the trajectory and the loop's ``graphs_seen`` (distinct graphs
-    among *all* candidates, the root included).
+    ``eager`` additionally regenerates every candidate with
+    ``RuleSet.all_candidates`` and costs it from scratch with
+    ``CostModel.estimate`` instead of using the incremental engine and
+    ``estimate_delta``.  Returns the trajectory and the loop's
+    ``graphs_seen`` (distinct graphs among *all* candidates, the root
+    included).
     """
     self = optimiser
-    if self.incremental:
+    if not eager:
         initial_cost = self.cost_model.estimate_cached(graph)
         engine = IncrementalCandidateEngine(
             self.ruleset, capacity=max(64, self.queue_capacity))
@@ -69,10 +78,10 @@ def reference_search(optimiser: TASOOptimizer,
         cost, _, current, applied = heapq.heappop(heap)
         if cost > self.alpha * best_cost:
             continue
-        if self.incremental:
-            candidates = engine.lazy_candidates(current)
-        else:
+        if eager:
             candidates = self.ruleset.all_candidates(current)
+        else:
+            candidates = engine.lazy_candidates(current)
         for candidate in candidates:
             cand_graph = candidate.materialise()
             if cand_graph is None:
@@ -82,11 +91,11 @@ def reference_search(optimiser: TASOOptimizer,
             if cand_hash in seen:
                 continue
             seen.add(cand_hash)
-            if self.incremental:
+            if eager:
+                cand_cost = self.cost_model.estimate(cand_graph)
+            else:
                 cand_cost = self.cost_model.estimate_delta(
                     current, cand_graph, parent_cost=cost)
-            else:
-                cand_cost = self.cost_model.estimate(cand_graph)
             cand_rules = applied + [candidate.rule_name]
             if cand_cost < best_cost:
                 best_graph, best_cost = cand_graph, cand_cost

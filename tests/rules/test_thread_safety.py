@@ -1,19 +1,17 @@
 """Rule matching must be safe under the service's thread backend.
 
-``restricted_anchor_matching`` and ``full_scan_matching`` used to flip module
-globals: a search pre-empted inside one of them filtered the *other*
-thread's ``find_matches`` (searches came back untouched, with zero
-candidates), and two interleaved exits left a stale filter installed for the
-rest of the process.
+``restricted_anchor_matching`` used to flip a module global: a search
+pre-empted inside it filtered the *other* thread's ``find_matches``
+(searches came back untouched, with zero candidates), and two interleaved
+exits left a stale filter installed for the rest of the process.
 """
 
 import sys
 import threading
 
 from repro.experiments import build_small_model
-from repro.rules import default_ruleset, full_scan_matching
+from repro.rules import default_ruleset
 from repro.rules.base import restricted_anchor_matching
-from repro.rules.incremental import IncrementalCandidateEngine
 from repro.search import TASOOptimizer
 
 JOIN_TIMEOUT_S = 60
@@ -53,18 +51,6 @@ def test_anchor_filter_is_private_to_the_thread_that_set_it(conv_graph):
     assert seen == expected
     # ...and nothing stays installed after the other thread left.
     assert [rule.find_matches(conv_graph) for rule in ruleset] == expected
-
-
-def test_full_scan_switch_is_private_to_the_thread_that_set_it(conv_graph):
-    engine = IncrementalCandidateEngine(default_ruleset())
-    thread, release = _parked_inside(full_scan_matching())
-    try:
-        engine.lazy_candidates(conv_graph)
-    finally:
-        _finish(thread, release)
-    # Under a leaked full-scan switch the engine takes the oracle path and
-    # caches nothing.
-    assert engine.full_rebuilds == 1
 
 
 def test_concurrent_searches_equal_serial_ones():

@@ -7,14 +7,10 @@ identities that takes; and the paths where the capacity binds are
 deterministic and follow the stated tie rule.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
+from taso_reference import reference_search, trajectory_of
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "oracles"))
-from taso_reference import reference_search, trajectory_of  # noqa: E402
-
+import repro.search.greedy
 from repro.cost import CostModel
 from repro.experiments import build_small_model
 from repro.models import MODEL_REGISTRY, build_model
@@ -52,15 +48,23 @@ class TestReproducesHashEverythingLoop:
         assert_reproduces_oracle(optimiser, lambda: build_model(model),
                                  max_iterations=10)
 
+    @pytest.mark.parametrize("optimiser", OPTIMISERS)
     @pytest.mark.parametrize("model", ["squeezenet", "bert"])
-    def test_eager_path(self, model):
-        eager = assert_reproduces_oracle(
-            "taso", lambda: build_small_model(model),
-            max_iterations=10, incremental=False)
-        lazy = TASOOptimizer(max_iterations=10).optimise(
+    def test_eager_path(self, model, optimiser):
+        """Engine + delta costing against every candidate regenerated and
+        costed from scratch."""
+        result = get_optimiser(optimiser, max_iterations=10).optimise(
             build_small_model(model))
-        assert trajectory_of(eager) == trajectory_of(lazy)
-        assert eager.stats == lazy.stats
+        reference, _ = reference_search(
+            get_optimiser(optimiser, max_iterations=10),
+            build_small_model(model), eager=True)
+        assert trajectory_of(result) == reference
+
+
+    @pytest.mark.parametrize("optimiser", OPTIMISERS)
+    def test_there_is_no_eager_switch(self, optimiser):
+        with pytest.raises(TypeError, match="incremental"):
+            get_optimiser(optimiser, incremental=False)
 
 
 class TestCounters:
@@ -115,48 +119,61 @@ class ToyCandidate:
 
 class ToySpace:
     """A search space written down as two tables, playing rule set, cost
-    model and simulator of an ``incremental=False`` search; ``expanded``
-    records the graphs whose candidates were asked for, in order."""
+    model and simulator of a search; ``expanded`` records the graphs whose
+    candidates were asked for, in order."""
 
     def __init__(self, costs, children, identities=None):
         self.costs, self.children = costs, children
         self.identities = identities or {}
         self.expanded = []
 
-    def all_candidates(self, graph):
+    def lazy_candidates(self, graph):
         self.expanded.append(graph.name)
         return [ToyCandidate(ToyGraph(name, self.identities.get(name)))
                 for name in self.children.get(graph.name, ())]
 
-    def estimate(self, graph):
+    def estimate_cached(self, graph):
         return self.costs[graph.name]
 
-    latency_ms = estimate
+    latency_ms = estimate_cached
+
+    def estimate_delta(self, parent, child, parent_cost=None):
+        return self.costs[child.name]
 
     def search(self, cls=TASOOptimizer, **config):
         return cls(ruleset=self, cost_model=self, e2e=self,
-                   incremental=False, **config).optimise(ToyGraph("root"))
+                   **config).optimise(ToyGraph("root"))
+
+
+@pytest.fixture
+def toy_space(monkeypatch):
+    """:class:`ToySpace`, searched without the match-set engine in front of
+    it (a toy graph has no nodes to index)."""
+    monkeypatch.setattr(repro.search.greedy, "IncrementalCandidateEngine",
+                        lambda ruleset, capacity: ruleset)
+    return ToySpace
 
 
 class TestBoundPaths:
-    def test_of_equally_expensive_worst_entries_the_newest_goes(self):
-        space = ToySpace({"root": 10.0, "a": 9.9, "b": 9.9, "c": 9.8},
-                         {"root": ["a", "b", "c"]})
+    def test_of_equally_expensive_worst_entries_the_newest_goes(
+            self, toy_space):
+        space = toy_space({"root": 10.0, "a": 9.9, "b": 9.9, "c": 9.8},
+                          {"root": ["a", "b", "c"]})
         result = space.search(alpha=1.05, max_iterations=10, queue_capacity=2)
         assert space.expanded == ["root", "c", "a"]
         assert result.final_graph.name == "c"
         assert result.stats["graphs_hashed"] == 4.0
         assert result.stats["stop_budget"] == 0.0
 
-    def test_an_equally_expensive_newcomer_does_not_displace(self):
-        space = ToySpace({"root": 10.0, "a": 9.9, "b": 9.9, "c": 9.9},
-                         {"root": ["a", "b", "c"]})
+    def test_an_equally_expensive_newcomer_does_not_displace(self, toy_space):
+        space = toy_space({"root": 10.0, "a": 9.9, "b": 9.9, "c": 9.9},
+                          {"root": ["a", "b", "c"]})
         result = space.search(alpha=1.05, max_iterations=10, queue_capacity=2)
         assert space.expanded == ["root", "a", "b"]
         assert result.stats["graphs_hashed"] == 3.0  # c got no identity
 
-    def test_no_graph_is_queued_or_expanded_twice(self):
-        space = ToySpace(
+    def test_no_graph_is_queued_or_expanded_twice(self, toy_space):
+        space = toy_space(
             {"root": 10.0, "a": 9.9, "b": 9.9, "x": 9.8, "x2": 9.8},
             {"root": ["a", "b"], "a": ["x"], "b": ["x2"]},
             identities={"x2": "x"})
@@ -166,8 +183,8 @@ class TestBoundPaths:
         assert result.stats["candidates_evaluated"] == 4.0
         assert result.stats["graphs_seen"] == 4.0  # one duplicate found
 
-    def test_greedy_is_steepest_descent_first_of_equals(self):
-        space = ToySpace(
+    def test_greedy_is_steepest_descent_first_of_equals(self, toy_space):
+        space = toy_space(
             {"root": 10.0, "a": 9.0, "b": 8.0, "c": 8.0, "d": 10.0,
              "e": 8.0, "f": 7.0},
             {"root": ["a", "b", "c", "d"], "b": ["e", "f"], "c": ["f"]})

@@ -14,12 +14,54 @@ import time
 import pytest
 
 from repro.experiments import build_small_model
+from repro.search.result import SearchResult
 from repro.service import (HealthRegistry, OptimisationService,
-                           RemoteWorkerClient, WorkerServer)
+                           RemoteWorkerClient, WorkerServer,
+                           register_optimiser)
 from repro.service.remote import parse_endpoint
 from repro.service.worker import JobRequest
 
 TASO_FAST = {"max_iterations": 6}
+
+
+class _SleepingOptimizer:
+    """Optimiser that simulates a long search by sleeping."""
+
+    name = "sleep-test"
+
+    def __init__(self, delay_s: float = 0.5):
+        self.delay_s = delay_s
+
+    def optimise(self, graph, model_name: str = "") -> SearchResult:
+        time.sleep(self.delay_s)
+        return SearchResult(
+            optimiser=self.name, model=model_name or graph.name,
+            initial_graph=graph, final_graph=graph,
+            initial_latency_ms=1.0, final_latency_ms=0.5,
+            initial_cost_ms=1.0, final_cost_ms=0.5,
+            optimisation_time_s=self.delay_s)
+
+
+def _occupy_endpoint(endpoint: str, graph, count: int, delay_s: float):
+    """Park ``count`` sleeping searches on ``endpoint`` (returns threads)."""
+    request = JobRequest(graph=graph, optimiser="sleep-test",
+                         config={"delay_s": delay_s})
+
+    def run():
+        with RemoteWorkerClient(endpoint) as client:
+            client.optimise(request)
+
+    threads = [threading.Thread(target=run, daemon=True)
+               for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 10
+    with RemoteWorkerClient(endpoint) as client:
+        # Until every occupier has reached the server's semaphore.
+        while client.ping()["jobs_inflight"] < count:
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+    return threads
 
 
 @pytest.fixture(scope="module")
@@ -77,20 +119,6 @@ class TestHealthRegistry:
         registry.record_success("slow:1", 2.0)
         registry.record_success("fast:1", 0.1)
         assert registry.try_acquire() == "fast:1"
-
-    def test_round_robin_policy_is_the_legacy_rotation(self):
-        registry = HealthRegistry(["a:1", "b:1"], default_capacity=2,
-                                  policy="round_robin", failure_threshold=1)
-        assert registry.try_acquire() == "a:1"
-        assert registry.try_acquire() == "b:1"
-        assert registry.try_acquire() == "a:1"
-        # The baseline never quarantines — failures keep the box in rotation.
-        registry.record_failure("b:1")
-        assert registry.quarantined_endpoints() == []
-
-    def test_unknown_policy_is_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            HealthRegistry(["a:1"], policy="coin-flip")
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +228,35 @@ class TestHealthAwareDispatch:
             finally:
                 revived.stop()
 
-    def test_round_robin_router_still_works(self, squeezenet):
-        """The benchmark baseline path stays functional."""
-        with WorkerServer(num_workers=2) as server:
-            with OptimisationService(num_workers=2,
-                                     remote_endpoints=[server.endpoint],
-                                     router="round_robin") as service:
-                result = service.optimise(squeezenet, "taso", TASO_FAST,
-                                          use_cache=False, timeout=120)
+    def test_routes_around_a_saturated_endpoint(self, squeezenet):
+        """A 1-worker box parked on long searches next to a free 4-worker
+        box: once a probe has seen the parked load, the batch runs without
+        a failure and none of it queues behind the busy box."""
+        register_optimiser("sleep-test", _SleepingOptimizer,
+                           {"delay_s": 0.5}, "saturation probe", replace=True)
+        occupiers, jobs = 2, 6
+        with WorkerServer(num_workers=4) as free, \
+                WorkerServer(num_workers=1) as parked:
+            threads = _occupy_endpoint(parked.endpoint, squeezenet,
+                                       occupiers, delay_s=1.5)
+            with OptimisationService(
+                    num_workers=2,
+                    remote_endpoints=[parked.endpoint, free.endpoint],
+                    ) as service:
+                service.probe_workers()  # learn capacity + the parked load
+                ids = [service.submit(squeezenet, "sleep-test",
+                                      {"delay_s": 0.05}, use_cache=False,
+                                      model_name=f"job{i}")
+                       for i in range(jobs)]
+                results = service.gather(ids, timeout=120)
                 stats = service.stats()["pool"]
-        assert result.search.model == "squeezenet"
-        assert stats["dispatched_remote"] == 1
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            served = {server.endpoint: server.jobs_served
+                      for server in (parked, free)}
+        assert len(results) == jobs  # gather raised nothing
+        assert stats["remote_fallbacks"] == 0
+        assert served[parked.endpoint] == occupiers
+        assert served[free.endpoint] == stats["dispatched_remote"] >= 1
+        assert stats["dispatched_remote"] + stats["dispatched_local"] == jobs

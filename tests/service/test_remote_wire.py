@@ -2,7 +2,7 @@
 
 Graphs travel as binary wire bytes (base64) tagged with a ``graph_ref``;
 a connection ships each graph once and thereafter sends the bare ref.
-Revision-1 payloads (JSON ``graph`` dicts) must keep decoding, and a ref
+Revision-1 payloads (JSON ``graph`` dicts) are refused by name, and a ref
 the server has never seen must be rejected loudly so the client re-ships.
 """
 
@@ -83,8 +83,9 @@ def test_newer_protocol_is_rejected(request_):
         request_from_wire(params)
 
 
-def test_v1_graph_dict_still_decodes(request_):
-    """Old clients ship the graph as a JSON dict with no protocol field."""
+def test_v1_payload_is_refused_by_name(request_):
+    """Revision 1 shipped the graph as a JSON dict with no protocol field:
+    the worker answers with an error that says what is wrong."""
     params = {
         "request": {
             "graph": graph_to_dict(request_.graph),
@@ -94,9 +95,14 @@ def test_v1_graph_dict_still_decodes(request_):
         },
         "fingerprint": "",
     }
-    decoded, _ = request_from_wire(params)
-    assert decoded.graph.structural_hash() == \
-        request_.graph.structural_hash()
+    with pytest.raises(ValueError, match="unsupported protocol revision 1"):
+        request_from_wire(params)
+    with WorkerServer(num_workers=1) as server:
+        response = server.handle_call(json.dumps(
+            {"jsonrpc": "2.0", "id": 7, "method": "optimise",
+             "params": params}).encode())
+    assert response["id"] == 7 and "result" not in response
+    assert "protocol" in response["error"]["message"]
 
 
 def test_result_roundtrip(squeezenet):

@@ -56,7 +56,7 @@ class TestRegistry:
     def test_accepted_keys_come_from_the_factory_signature(self):
         taso = optimiser_spec("taso").accepted
         assert {"alpha", "max_iterations", "cost_source"} <= taso
-        assert "self" not in taso and "parallel" not in taso
+        assert not {"self", "parallel", "incremental"} & taso
         # **kwargs forwarded to the base: greedy and pet take what taso does.
         assert optimiser_spec("greedy").accepted == taso
         assert optimiser_spec("pet").accepted == taso
@@ -317,7 +317,7 @@ class TestOptimisationService:
                 == pytest.approx(serial[name].final_cost_ms)
 
     def test_process_pool_mode(self, mlp_graph):
-        with OptimisationService(num_workers=2, use_processes=True) as service:
+        with OptimisationService(num_workers=2, backend="process") as service:
             result = service.optimise(mlp_graph, "taso", {"max_iterations": 5})
         thread_opt = create_optimiser("taso", max_iterations=5)
         assert result.search.final_graph.structural_hash() \
@@ -334,6 +334,12 @@ class TestOptimisationService:
                     "unknown config key 'parallel' for optimiser 'taso'; "
                     "accepted: alpha, .*max_iterations")):
                 service.submit(mlp_graph, "taso", {"parallel": True})
+            for optimiser in ("taso", "greedy", "pet"):
+                with pytest.raises(ValueError, match=(
+                        f"unknown config key 'incremental' for optimiser "
+                        f"'{optimiser}'")):
+                    service.submit(mlp_graph, optimiser,
+                                   {"incremental": False})
             for key in ("bogus", "incremental"):
                 with pytest.raises(ValueError, match=f"'{key}'.*'xrlflow'"):
                     service.submit(mlp_graph, "xrlflow", {key: 1})
@@ -347,6 +353,20 @@ class TestOptimisationService:
             "error: unknown config key 'parallel' for optimiser 'taso'; "
             "accepted: ")
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", [["--router", "round_robin"],
+                                      ["--processes"]],
+                             ids=["router", "processes"])
+    def test_cli_refuses_a_removed_flag(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["squeezenet"] + flag)
+        assert exit_info.value.code == 2  # argparse: unrecognised argument
+        assert flag[0] in capsys.readouterr().err
+
+    def test_removed_constructor_arguments_are_refused(self):
+        for removed in ({"router": "health"}, {"use_processes": True}):
+            with pytest.raises(TypeError, match=next(iter(removed))):
+                OptimisationService(num_workers=1, **removed)
 
     def test_failed_job_pollable_and_reraised(self, mlp_graph):
         with OptimisationService(num_workers=1) as service:

@@ -22,17 +22,11 @@ def _doc(smoke: bool = False, **speedups: float) -> dict:
     return {
         "benchmark": "search", "schema": 1, "smoke": smoke,
         "results": {
-            "candidate_throughput": {
-                "bert": {"speedup": speedups.get("throughput", 5.0),
-                         "candidates": 21},
-            },
-            "taso_end_to_end": {
-                "bert": {"speedup": speedups.get("e2e", 2.5),
-                         "iterations": 30},
-            },
             "measured_end_to_end": {
-                "bert": {"speedup": speedups.get("measured", 1.05),
+                "bert": {"speedup": speedups.get("bert", 1.05),
                          "rules_applied": 8},
+                "inception_v3": {"speedup": speedups.get("inception", 1.03),
+                                 "rules_applied": 9},
             },
         },
     }
@@ -50,56 +44,56 @@ class TestFlatten:
         assert leaves == {"a.status": "passed", "top": "x"}
 
     def test_gated_keys_glob_matching(self):
-        leaves = {"candidate_throughput.bert.speedup": 5.0,
-                  "candidate_throughput.bert.candidates": 21.0,
+        leaves = {"measured_end_to_end.bert.speedup": 1.05,
+                  "measured_end_to_end.bert.rules_applied": 8.0,
                   "cold_vs_warm.speedup": 0.9}
         floors = check_bench.gated_keys(
-            leaves, {"candidate_throughput.*.speedup": 3.0})
-        assert floors == {"candidate_throughput.bert.speedup": 3.0}
+            leaves, {"measured_end_to_end.*.speedup": 0.97})
+        assert floors == {"measured_end_to_end.bert.speedup": 0.97}
 
 
 class TestEvaluate:
-    GATES = {"candidate_throughput.*.speedup": 3.0,
-             "taso_end_to_end.*.speedup": 2.0}
+    GATES = check_bench.GATES["BENCH_search.json"]
 
     def test_full_mode_passes_within_tolerance(self):
         problems, notes = check_bench.evaluate(
-            _doc(throughput=5.0, e2e=2.5), _doc(throughput=4.0, e2e=2.0),
+            _doc(bert=1.05, inception=1.03), _doc(bert=0.9, inception=0.8),
             self.GATES, smoke=False, tolerance=0.30)
         assert problems == []
         assert len(notes) == 2
 
     def test_full_mode_fails_beyond_tolerance(self):
         problems, _ = check_bench.evaluate(
-            _doc(throughput=5.0), _doc(throughput=3.0),
+            _doc(bert=1.05), _doc(bert=0.7),
             self.GATES, smoke=False, tolerance=0.30)
         assert len(problems) == 1
-        assert "candidate_throughput.bert.speedup" in problems[0]
+        assert "measured_end_to_end.bert.speedup" in problems[0]
         assert "regressed" in problems[0]
 
     def test_smoke_mode_uses_absolute_floors(self):
-        # 3.2x would be a >30% regression vs a 5x baseline, but it clears
-        # the 3x smoke floor — reduced-budget runs are not ratio-comparable.
+        # 0.98x would be a >30% regression vs a 1.5x baseline, but it clears
+        # the 0.97x smoke floor — reduced-budget runs are not
+        # ratio-comparable.
         problems, _ = check_bench.evaluate(
-            _doc(throughput=5.0), _doc(smoke=True, throughput=3.2),
+            _doc(bert=1.5), _doc(smoke=True, bert=0.98),
             self.GATES, smoke=True)
         assert problems == []
         problems, _ = check_bench.evaluate(
-            _doc(throughput=5.0), _doc(smoke=True, throughput=2.0),
+            _doc(bert=1.5), _doc(smoke=True, bert=0.9),
             self.GATES, smoke=True)
         assert len(problems) == 1
         assert "smoke floor" in problems[0]
 
     def test_missing_fresh_key_fails(self):
         fresh = _doc()
-        del fresh["results"]["taso_end_to_end"]
+        del fresh["results"]["measured_end_to_end"]["inception_v3"]
         problems, _ = check_bench.evaluate(_doc(), fresh, self.GATES,
                                            smoke=False)
         assert any("missing from the fresh results" in p for p in problems)
 
     def test_new_benchmark_without_baseline_passes(self):
         baseline = _doc()
-        del baseline["results"]["taso_end_to_end"]
+        del baseline["results"]["measured_end_to_end"]["inception_v3"]
         problems, notes = check_bench.evaluate(baseline, _doc(), self.GATES,
                                                smoke=False)
         assert problems == []
@@ -108,7 +102,7 @@ class TestEvaluate:
     def test_ungated_keys_are_ignored(self):
         baseline = _doc()
         fresh = _doc()
-        fresh["results"]["candidate_throughput"]["bert"]["candidates"] = 1.0
+        fresh["results"]["measured_end_to_end"]["bert"]["rules_applied"] = 1.0
         problems, _ = check_bench.evaluate(baseline, fresh, self.GATES,
                                            smoke=False)
         assert problems == []
@@ -128,7 +122,6 @@ class TestFloorOnlyRatios:
                     "cold_vs_warm": {"speedup": cold_vs_warm},
                     "warm_shared_cache": {"speedup": shared},
                     "dedup_under_contention": {"speedup": dedup},
-                    "dispatch_skewed_load": {"speedup": 1.5},
                     "cross_process_dedup": {"speedup": 1.5}}}
 
     def _evaluate(self, fresh: dict, smoke: bool = False):
@@ -190,7 +183,7 @@ class TestCli:
         (tmp_path / "b").mkdir()
         baseline = self._write(tmp_path / "b" / "BENCH_search.json", _doc())
         fresh = self._write(tmp_path / "BENCH_search.json",
-                            _doc(smoke=True, throughput=4.0, e2e=2.2))
+                            _doc(smoke=True, bert=1.0, inception=0.99))
         return_code = check_bench.main(["--baseline", str(baseline),
                                         "--fresh", str(fresh)])
         out = capsys.readouterr().out
@@ -202,7 +195,7 @@ class TestCli:
         (tmp_path / "b").mkdir()
         baseline = self._write(tmp_path / "b" / "BENCH_search.json", _doc())
         fresh = self._write(tmp_path / "BENCH_search.json",
-                            _doc(throughput=1.5))
+                            _doc(bert=0.5))
         return_code = check_bench.main(["--baseline", str(baseline),
                                         "--fresh", str(fresh), "--full"])
         out = capsys.readouterr().out
