@@ -31,6 +31,19 @@ from .op_cost import is_zero_cost, op_flops, op_memory_bytes
 
 __all__ = ["CostModel", "CostBreakdown"]
 
+#: Exact totals count multiples of 2**-1074 ms (the smallest subnormal).
+_UNIT = 1 << 1074
+
+
+def _units(graph: Graph, nid: NodeId, ms: float) -> int:
+    """``ms`` as an exact multiple of 2**-1074; non-finite costs raise."""
+    try:
+        numerator, denominator = ms.as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise ValueError(f"node {nid} ({graph.nodes[nid].op_type.value}) of "
+                         f"{graph.name!r} has non-finite cost {ms!r}") from None
+    return numerator * (_UNIT // denominator)
+
 
 @dataclass
 class CostBreakdown:
@@ -46,6 +59,10 @@ class CostBreakdown:
 
 class CostModel:
     """Sum-of-isolated-operator cost model (the TASO baseline signal).
+
+    A graph's cost is the correctly rounded *exact* sum of its node costs,
+    whichever of :meth:`estimate`, :meth:`estimate_cached` and
+    :meth:`estimate_delta` returns it (see :meth:`exact_total`).
 
     Parameters
     ----------
@@ -65,10 +82,11 @@ class CostModel:
     ----------
     nodes_derived:
         How many times :meth:`node_cost_ms` ran on this instance — the work
-        the per-node tables exist to avoid.  A diagnostic read by tests
-        (``tests/search/test_cost_reuse.py`` pins it per search); it is a
-        plain unsynchronised integer, exact only while one thread costs
-        with this instance, which is how every optimiser uses its own.
+        the per-node tables (and TASO's remembered prices) exist to avoid.
+        A diagnostic read by tests (``tests/search/test_cost_reuse.py`` pins
+        it per search); it is a plain unsynchronised integer, exact only
+        while one thread costs with this instance, which is how every
+        optimiser uses its own.
     """
 
     def __init__(self, device: Optional[SimulatedDevice] = None,
@@ -103,6 +121,7 @@ class CostModel:
                            self.warm_cache_fraction,
                            self.launch_amortisation,
                            self.ignore_elementwise)
+        self._total_key = ("cost-total",) + self._cache_key[1:]
         self.nodes_derived = 0
 
     # ------------------------------------------------------------------
@@ -124,78 +143,82 @@ class CostModel:
     def estimate(self, graph: Graph) -> float:
         """Total estimated latency of ``graph`` in milliseconds.
 
-        Always re-derives every node from scratch; the incremental search
-        paths use :meth:`estimate_cached` / :meth:`estimate_delta`, which are
-        bit-for-bit equal but only recompute mutated nodes.
+        The total is the *correctly rounded exact sum* of the node costs
+        (``math.fsum`` of them): it does not depend on node order, is equal
+        on isomorphic graphs, and is what :meth:`estimate_cached` and
+        :meth:`estimate_delta` return too, bit for bit.  This method always
+        re-derives every node from scratch and leaves nothing on the graph.
         """
         return self.breakdown(graph).total_ms
 
     def breakdown(self, graph: Graph) -> CostBreakdown:
-        """Per-node cost estimates for ``graph``."""
+        """Per-node cost estimates for ``graph`` and their exact total."""
         per_node = {nid: self.node_cost_ms(graph, nid) for nid in graph.nodes}
-        return CostBreakdown(total_ms=sum(per_node.values()), per_node_ms=per_node)
+        total = sum(_units(graph, nid, ms) for nid, ms in per_node.items())
+        return CostBreakdown(total_ms=self.exact_to_ms(total),
+                             per_node_ms=per_node)
 
     # ------------------------------------------------------------------
     # Incremental estimation
     # ------------------------------------------------------------------
-    def estimate_cached(self, graph: Graph) -> float:
-        """Like :meth:`estimate`, but reusing per-node costs carried on the
-        graph.
+    def exact_total(self, graph: Graph) -> int:
+        """The sum of ``graph``'s node costs as an integer count of
+        2**-1074 ms, the unit every finite float is a whole multiple of.
 
-        ``Graph.copy`` hands the copy the parent's per-node cost table *as
-        filled at copy time* and graph mutations invalidate exactly the
-        affected entries, so costing a rewrite candidate only recomputes the
-        handful of nodes its rule touched — provided the parent was costed
-        before it was copied; a table inherited empty saves nothing.
-        Values and summation order are identical to :meth:`estimate`, so
-        the result is bit-for-bit equal.
+        Memoised on the graph until its next mutation.  Integer totals add
+        and subtract without rounding, so the difference between a child's
+        and its parent's is a property of the rewrite alone — the *price*
+        the TASO loop remembers per match; :meth:`exact_to_ms` rounds one.
+        Per-node costs come from (and fill) the table ``Graph.copy`` hands
+        down *as filled at copy time*: cost a graph before copying it.
         """
-        table = graph.node_cache(self._cache_key)
-        node_cost = self.node_cost_ms
-        total = 0.0
-        for nid in graph.nodes:
-            value = table.get(nid)
-            if value is None:
-                value = node_cost(graph, nid)
-                table[nid] = value
-            total += value
-        return total
+        return graph.memo(self._total_key, lambda: sum(
+            self._node_units(graph, nid) for nid in graph.nodes))
+
+    @staticmethod
+    def exact_to_ms(total: int) -> float:
+        """An exact total in milliseconds, correctly rounded."""
+        return total / _UNIT
+
+    def estimate_cached(self, graph: Graph) -> float:
+        """:meth:`estimate` from the totals and per-node costs carried on
+        the graph: O(1) once costed, else only missing nodes are derived."""
+        return self.exact_to_ms(self.exact_total(graph))
 
     def estimate_delta(self, parent: Graph, child: Graph,
                        parent_cost: Optional[float] = None,
                        delta: Optional[GraphDelta] = None) -> float:
-        """Cost ``child`` as ``parent``'s total adjusted by the mutation delta.
+        """Cost ``child`` as ``parent``'s exact total minus the removed and
+        rewired nodes' old costs plus the added and rewired nodes' new ones.
 
-        Conceptually: parent cost, minus the costs of removed/rewired nodes,
-        plus the costs of added/rewired nodes.  The adjustment is applied to
-        the parent's *per-node* cost table rather than to the scalar total so
-        the result is bit-for-bit equal to a full :meth:`estimate` of the
-        child (same per-node values, same summation order).
-
+        O(rewrite) when ``parent`` was costed, and bit-for-bit equal to
+        :meth:`estimate` of the child; the child's total is memoised on it.
         ``delta`` defaults to the child's recorded mutation delta (see
-        :meth:`Graph.mutation_delta`); without one the child is fully
-        re-estimated.  ``parent_cost``, when given, short-circuits the empty
-        delta (no mutations — the graphs are identical).
+        :meth:`Graph.mutation_delta`); without one the child is costed with
+        :meth:`estimate_cached`.  ``parent_cost`` is not needed any more
+        (the parent carries its exact total) and is ignored.
         """
         delta = delta if delta is not None else child.mutation_delta()
         if delta is None:
-            return self.estimate(child)
-        if parent_cost is not None and delta.is_empty:
-            return parent_cost
-        table = child.node_cache(self._cache_key)
-        if not table:
-            # The child did not carry the parent's table (e.g. it was built
-            # outside ``Graph.copy``): seed the unchanged nodes from the
-            # parent so only the delta is recomputed below.
-            parent_table = parent.node_cache(self._cache_key)
-            changed = delta.changed_nodes()
-            for nid in child.nodes:
-                if nid in changed:
-                    continue
-                value = parent_table.get(nid)
-                if value is not None:
-                    table[nid] = value
-        return self.estimate_cached(child)
+            return self.estimate_cached(child)
+
+        def adjusted() -> int:
+            total = self.exact_total(parent)
+            for nid in delta.removed | delta.rewired:
+                total -= self._node_units(parent, nid)
+            for nid in delta.added | delta.rewired:
+                total += self._node_units(child, nid)
+            return total
+
+        return self.exact_to_ms(child.memo(self._total_key, adjusted))
+
+    def _node_units(self, graph: Graph, nid: NodeId) -> int:
+        """One node's exact cost, through the graph's per-node table."""
+        table = graph.node_cache(self._cache_key)
+        value = table.get(nid)
+        if value is None:
+            value = table[nid] = self.node_cost_ms(graph, nid)
+        return _units(graph, nid, value)
 
     def __repr__(self) -> str:
         return (f"CostModel(device={self.device.config.name!r}, "

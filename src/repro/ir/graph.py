@@ -349,8 +349,8 @@ class Graph:
       (each bucket is an insertion-ordered dict, so iteration is in node-id
       order because ids are handed out monotonically)
     * ``_scalar_cache``: whole-graph memos (topological order, structural
-      hash and the Merkle digest table behind it, simulated latency),
-      cleared on any mutation
+      hash and the Merkle digest table behind it, simulated latency, exact
+      cost totals), cleared on any mutation
     * ``_node_caches``: per-node memo tables (per-node cost estimates,
       per-node flop/byte counts), invalidated per affected node
     * ``_delta``: mutation recording (see :class:`GraphDelta`), started by

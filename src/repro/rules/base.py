@@ -104,9 +104,15 @@ class Candidate:
     parent graph — when :attr:`graph` is first read.  A match that fails to
     apply (shape corner case) yields ``None`` from :meth:`materialise`;
     accessing :attr:`graph` on such a candidate re-raises the apply error.
+
+    ``price`` is what an earlier materialisation of this match was priced at
+    where that still holds (set by ``IncrementalCandidateEngine``, see its
+    ``remember_price``), else ``None``; a remembered apply failure arrives as
+    ``error`` and makes the candidate fail again without applying.
     """
 
-    __slots__ = ("rule_name", "match", "_graph", "_rule", "_parent", "_error")
+    __slots__ = ("rule_name", "match", "price", "parent", "error",
+                 "_graph", "_rule")
 
     def __init__(self, graph: Optional[Graph] = None, rule_name: str = "",
                  match: Optional[Match] = None,
@@ -117,8 +123,9 @@ class Candidate:
                 "Candidate needs either an eager graph or (rule, parent)")
         self._graph = graph
         self._rule = rule
-        self._parent = parent
-        self._error: Optional[Exception] = None
+        self.parent = parent
+        self.error: Optional[Exception] = None
+        self.price: object = None
         self.rule_name = rule_name or (rule.name if rule is not None else "")
         self.match = match
 
@@ -128,18 +135,18 @@ class Candidate:
 
     def materialise(self) -> Optional[Graph]:
         """The candidate graph, or ``None`` if the rule failed to apply."""
-        if self._graph is None and self._error is None:
+        if self._graph is None and self.error is None:
             try:
-                self._graph = self._rule.apply(self._parent, self.match)
+                self._graph = self._rule.apply(self.parent, self.match)
             except Exception as exc:
-                self._error = exc
+                self.error = exc
         return self._graph
 
     @property
     def graph(self) -> Graph:
         graph = self.materialise()
         if graph is None:
-            raise self._error
+            raise self.error
         return graph
 
     def __repr__(self) -> str:

@@ -24,12 +24,18 @@ From-scratch matching (``RuleSet.lazy_candidates``) is the equivalence
 oracle: for any reachable graph the engine must produce the identical
 candidate list, and ``tests/rules/test_engine_equivalence.py`` asserts
 it does.
+
+A state also carries **prices**: what its caller said applying a match
+costs (:meth:`IncrementalCandidateEngine.remember_price`), with the
+*footprint* the rewrite read and wrote.  A price is handed to a child state
+iff its footprint is disjoint from the step's dirty set — the same surgery
+on byte-identical nodes removes and adds the same node costs.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.lru import LRUCache
 from ..ir.graph import Graph, GraphDelta, NodeId
@@ -42,6 +48,10 @@ __all__ = ["IncrementalCandidateEngine"]
 #: or the flat ordered list (coupled rules).
 _RuleMatches = Tuple[Optional[Dict[NodeId, List[Match]]], List[Match]]
 
+#: What is remembered about a priced match, and about one never priced.
+_Price = Tuple[object, Optional[Exception], FrozenSet[NodeId]]
+_UNPRICED: _Price = (None, None, frozenset())
+
 
 class _MatchState:
     """The cached match set of one graph (plus the graph itself).
@@ -51,12 +61,15 @@ class _MatchState:
     recycled by the allocator while the state is alive.
     """
 
-    __slots__ = ("graph", "per_rule")
+    __slots__ = ("graph", "per_rule", "prices")
 
     def __init__(self, graph: Graph,
                  per_rule: Dict[str, _RuleMatches]):
         self.graph = graph
         self.per_rule = per_rule
+        #: ``{match: (price, apply error, footprint)}``, one of the first two
+        #: ``None``.  Keyed by value: a re-found match finds its price.
+        self.prices: Dict[Match, _Price] = {}
 
 
 class IncrementalCandidateEngine:
@@ -67,7 +80,10 @@ class IncrementalCandidateEngine:
     was produced by ``parent.copy()`` + surgery and the parent's match
     state is cached, only the mutated neighbourhood is re-matched;
     otherwise the engine transparently falls back to full matching (and
-    caches the result for the next step).
+    caches the result for the next step).  Prices told to
+    :meth:`remember_price` come back on the candidates of every later state
+    whose steps left the priced rewrite's footprint alone; a rebuilt state
+    starts with none.
 
     Parameters
     ----------
@@ -86,9 +102,12 @@ class IncrementalCandidateEngine:
         self._max_radius = max((rule.match_radius for rule in ruleset.rules),
                                default=0)
         #: Diagnostics: how many ``lazy_candidates`` calls reused a parent
-        #: state vs. re-matched from scratch.
+        #: state vs. re-matched from scratch, and how many remembered prices
+        #: a child state took over vs. dropped (dirty footprint).
         self.incremental_updates = 0
         self.full_rebuilds = 0
+        self.prices_inherited = 0
+        self.prices_dropped = 0
 
     # ------------------------------------------------------------------
     def lazy_candidates(self, graph: Graph) -> List[Candidate]:
@@ -106,10 +125,42 @@ class IncrementalCandidateEngine:
         self._states.put(id(graph), state)
         return self._candidates_from(state)
 
+    def remember_price(self, candidate: Candidate, child: Optional[Graph],
+                       price: object = None) -> None:
+        """Remember that ``candidate``'s match, materialised as ``child``,
+        was priced at ``price`` (opaque here); ``child`` is ``None`` when the
+        apply failed, and the failure is remembered instead.
+
+        Later candidates for the match carry it as ``Candidate.price`` — on
+        this graph and on every descendant reached by steps that stayed clear
+        of the footprint: the nodes the match binds and the rewrite removed,
+        rewired or fed (of a failure: the bound nodes and their neighbours).
+        The ids the rewrite *added* are left out: every sibling is handed
+        the same fresh ids, so they would collide with every step.
+        """
+        parent = candidate.parent
+        state = self._states.peek(id(parent))
+        if state is None or state.graph is not parent:
+            return
+        footprint = {nid for _, nid in candidate.match.nodes}
+        if child is None:
+            for nid in tuple(footprint):
+                footprint.update(parent.predecessors(nid),
+                                 parent.successors(nid))
+        else:
+            delta = child.mutation_delta()
+            footprint |= self._touched_nodes(parent, child, delta)
+            footprint |= delta.removed
+            footprint -= delta.added
+        state.prices[candidate.match] = (price, candidate.error,
+                                         frozenset(footprint))
+
     def stats(self) -> Dict[str, float]:
         payload = self._states.stats()
         payload["match_incremental_updates"] = float(self.incremental_updates)
         payload["match_full_rebuilds"] = float(self.full_rebuilds)
+        payload["prices_inherited"] = float(self.prices_inherited)
+        payload["prices_dropped"] = float(self.prices_dropped)
         return payload
 
     # ------------------------------------------------------------------
@@ -146,13 +197,16 @@ class IncrementalCandidateEngine:
         return groups
 
     def _candidates_from(self, state: _MatchState) -> List[Candidate]:
-        graph = state.graph
+        graph, prices = state.graph, state.prices
         out: List[Candidate] = []
         for rule in self.ruleset.rules:
             _, matches = state.per_rule[rule.name]
             for match in matches:
-                out.append(Candidate(rule_name=rule.name, match=match,
-                                     rule=rule, parent=graph))
+                candidate = Candidate(rule_name=rule.name, match=match,
+                                      rule=rule, parent=graph)
+                candidate.price, candidate.error, _ = prices.get(
+                    match, _UNPRICED)
+                out.append(candidate)
         return out
 
     # ------------------------------------------------------------------
@@ -173,7 +227,14 @@ class IncrementalCandidateEngine:
             else:
                 per_rule[rule.name] = self._refresh_grouped(
                     rule, groups, graph, distance, invalid)
-        return _MatchState(graph, per_rule)
+        state = _MatchState(graph, per_rule)
+        dirty = touched | delta.removed
+        state.prices = {match: known
+                        for match, known in parent_state.prices.items()
+                        if known[2].isdisjoint(dirty)}
+        self.prices_inherited += len(state.prices)
+        self.prices_dropped += len(parent_state.prices) - len(state.prices)
+        return state
 
     def _refresh_coupled(self, rule: RewriteRule, cached: List[Match],
                          graph: Graph, distance: Dict[NodeId, int],

@@ -43,9 +43,11 @@ class TASOOptimizer:
     """Cost-model-driven backtracking search over rewrite candidates.
 
     Candidates come from a per-search
-    :class:`~repro.rules.incremental.IncrementalCandidateEngine` and are
-    costed with :meth:`CostModel.estimate_delta`, which re-derives only the
-    nodes a rewrite touched.
+    :class:`~repro.rules.incremental.IncrementalCandidateEngine`.  A rewrite
+    is priced once: a candidate is materialised and costed with
+    :meth:`CostModel.estimate_delta` only if the engine remembers no price
+    for its match (the exact change of the cost total, valid wherever the
+    match's neighbourhood is untouched) or if it is about to be kept.
 
     Parameters
     ----------
@@ -127,8 +129,10 @@ class TASOOptimizer:
             with true end-to-end latencies of the initial and final graphs
             filled in for reporting, and search diagnostics under
             ``stats``: ``iterations`` (queue pops), ``candidates_evaluated``
-            (materialised and costed), ``graphs_hashed`` (identities taken,
-            the root's included), ``graphs_seen`` (``1 +
+            (candidates priced), ``candidates_materialised`` (of those, the
+            ones built: no remembered price, or kept), ``prices_reused``
+            (priced from the engine's memo), ``graphs_hashed`` (identities
+            taken, the root's included), ``graphs_seen`` (``1 +
             candidates_evaluated`` minus the duplicates found — they are
             looked for among the candidates that could still be popped, so
             this bounds the duplicates among all candidates from below) and
@@ -156,7 +160,9 @@ class TASOOptimizer:
             seen = {graph.structural_hash()}
             iterations = 0
             candidates_evaluated = 0
+            materialised = reused = 0
             duplicates = 0
+            cost_model = self.cost_model
 
             progress = self.progress_callback
             while queue and iterations < self.max_iterations:
@@ -171,18 +177,35 @@ class TASOOptimizer:
                              best_graph.structural_hash())
                 if cost > self.alpha * best_cost:
                     continue
+                total = cost_model.exact_total(current)
                 for candidate in engine.lazy_candidates(current):
-                    cand_graph = candidate.materialise()
-                    if cand_graph is None:
-                        continue
+                    price = candidate.price
+                    cand_graph = None
+                    if price is None:  # new match, or its neighbourhood moved
+                        cand_graph = candidate.materialise()
+                        if cand_graph is None:
+                            engine.remember_price(candidate, None)
+                            continue
+                        materialised += 1
+                        cand_cost = cost_model.estimate_delta(
+                            current, cand_graph)
+                        engine.remember_price(
+                            candidate, cand_graph,
+                            cost_model.exact_total(cand_graph) - total)
+                    else:
+                        reused += 1
+                        cand_cost = cost_model.exact_to_ms(total + price)
                     candidates_evaluated += 1
-                    cand_cost = self.cost_model.estimate_delta(
-                        current, cand_graph, parent_cost=cost)
                     improves = cand_cost < best_cost
                     position = bisect_right(queue, cand_cost, key=entry_cost)
                     if not improves and (position >= room or
                                          cand_cost > self.alpha * best_cost):
                         continue
+                    if cand_graph is None:  # kept on a remembered price
+                        cand_graph = candidate.materialise()
+                        materialised += 1
+                        # Seeds its cost table and total for when it pops.
+                        cost_model.estimate_delta(current, cand_graph)
                     cand_hash = cand_graph.structural_hash()
                     if cand_hash in seen:
                         duplicates += 1
@@ -209,6 +232,8 @@ class TASOOptimizer:
                 stats={
                     "iterations": float(iterations),
                     "candidates_evaluated": float(candidates_evaluated),
+                    "candidates_materialised": float(materialised),
+                    "prices_reused": float(reused),
                     "graphs_hashed": float(len(seen) + duplicates),
                     "graphs_seen":
                         float(1 + candidates_evaluated - duplicates),

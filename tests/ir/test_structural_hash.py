@@ -12,43 +12,15 @@ feeds which consumers.
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "exec"))
 from graphgen import random_graph  # noqa: E402
 from hash_oracle import oracle_structural_hash  # noqa: E402
+from relabel import rebuilt_in_random_order  # noqa: E402
 
 from repro.ir import Graph, GraphValidationError, OpType
 from repro.ir.serialize import graph_from_dict, graph_to_dict
-
-
-def rebuilt_in_random_order(graph: Graph, seed: int) -> Graph:
-    """``graph`` re-created node by node in a random topological order.
-
-    Independent branches come out in permuted creation order (so every
-    node id changes); ``INPUT`` nodes keep their relative order, because
-    inputs are the caller's positional interface.
-    """
-    rng = np.random.default_rng(seed)
-    waiting = {nid: {e.src for e in graph.in_edges(nid)}
-               for nid in graph.nodes}
-    inputs = graph.input_nodes()
-    for before, after in zip(inputs, inputs[1:]):
-        waiting[after].add(before)
-    clone = Graph(graph.name)
-    new_id = {}
-    while waiting:
-        ready = sorted(nid for nid, deps in waiting.items()
-                       if deps <= new_id.keys())
-        nid = ready[int(rng.integers(len(ready)))]
-        del waiting[nid]
-        node = graph.nodes[nid]
-        new_id[nid] = clone.add_node(
-            node.op_type,
-            [(new_id[e.src], e.src_slot) for e in graph.in_edges(nid)],
-            node.attrs, name=node.name)
-    return clone
 
 
 def _input(graph, shape=(2, 4)):

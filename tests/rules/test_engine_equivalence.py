@@ -18,12 +18,15 @@ from taso_reference import reference_search, trajectory_of
 
 from repro.cost import CostModel, E2ESimulator
 from repro.experiments import build_small_model
-from repro.ir import Graph, OpType, decode_graph, encode_graph
+from repro.ir import (Graph, GraphBuilder, OpType, decode_graph,
+                      encode_graph)
 from repro.models import list_models
 from repro.rules import default_ruleset, eliminate_dead_nodes
-from repro.rules.base import RewriteRule
+from repro.rules.base import (Candidate, Match, RewriteRule,
+                              replace_all_uses)
 from repro.rules.incremental import IncrementalCandidateEngine
 from repro.search import GreedyOptimizer, PETOptimizer, TASOOptimizer
+from repro.search.pet import pet_ruleset
 
 MODELS = ["squeezenet", "resnext50", "bert", "vit"]
 
@@ -451,6 +454,223 @@ class TestIncrementalEngineRandomWalks:
             current = live[int(rng.integers(len(live)))].graph
         # The walk must actually have exercised the incremental path.
         assert engine.incremental_updates > 0
+
+
+# ---------------------------------------------------------------------------
+# (f') A remembered price == the price of materialising again
+# ---------------------------------------------------------------------------
+
+class _FussyRule(RewriteRule):
+    """Re-creates a convolution or matmul in place (price: exactly zero) but
+    refuses one whose data input has another consumer — an apply failure
+    that comes and goes as the walk merges and fuses around it."""
+
+    name = "fussy"
+    anchor_ops = (OpType.CONV2D, OpType.MATMUL)
+    anchor_role = "anchor"
+    match_radius = 1
+
+    def find_matches(self, graph):
+        return [Match.create(self.name, {"anchor": nid})
+                for nid, _ in self.anchor_nodes(graph)]
+
+    def apply(self, graph, match):
+        g = graph.copy()
+        anchor = match.node("anchor")
+        edges = g.in_edges(anchor)
+        if len(g.out_edges(edges[0].src)) > 1:
+            raise RuntimeError("shared input")
+        twin = g.add_node(g.nodes[anchor].op_type,
+                          [(e.src, e.src_slot) for e in edges],
+                          g.nodes[anchor].attrs)
+        replace_all_uses(g, anchor, twin)
+        eliminate_dead_nodes(g)
+        return g
+
+
+def price_every_candidate(engine, cost_model, current):
+    """What the TASO loop does at a pop, with every remembered price and
+    failure checked against applying the match again.  Returns the
+    materialised children and how many candidates came with a price and
+    with a remembered failure."""
+    total = cost_model.exact_total(current)
+    children, prices, failures = [], 0, 0
+    for candidate in engine.lazy_candidates(current):
+        known, failed = candidate.price, candidate.error is not None
+        assert not (known is not None and failed)
+        prices += known is not None
+        failures += failed
+        again = Candidate(rule=engine.ruleset.rule(candidate.rule_name),
+                          match=candidate.match, parent=current)
+        child = again.materialise()
+        if child is None:
+            assert known is None, candidate.match
+            assert candidate.materialise() is None
+            engine.remember_price(again, None)
+            continue
+        assert not failed, candidate.match
+        cost_model.estimate_delta(current, child)
+        price = cost_model.exact_total(child) - total
+        if known is None:
+            engine.remember_price(again, child, price)
+        else:
+            assert known == price, candidate.match
+        children.append(child)
+    return children, prices, failures
+
+
+def priced_engine(graph):
+    """An engine that has priced every candidate of ``graph``."""
+    engine = IncrementalCandidateEngine(default_ruleset())
+    cost_model = CostModel()
+    cost_model.estimate_cached(graph)
+    price_every_candidate(engine, cost_model, graph)
+    return engine, cost_model
+
+
+def candidates_named(engine, graph, rule_name):
+    return [c for c in engine.lazy_candidates(graph)
+            if c.rule_name == rule_name]
+
+
+class TestPriceReuse:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_remembered_prices_equal_fresh_ones_on_random_walks(
+            self, model_graph, seed):
+        rng = np.random.default_rng(seed)
+        ruleset = pet_ruleset().extended([_FussyRule()])
+        engine = IncrementalCandidateEngine(ruleset)
+        cost_model = CostModel()
+        cost_model.estimate_cached(model_graph)
+        current, candidates, remembered, refusals = model_graph, 0, 0, 0
+        for step in range(6):
+            children, prices, failures = price_every_candidate(
+                engine, cost_model, current)
+            if step:
+                candidates += len(engine.lazy_candidates(current))
+                remembered += prices
+                refusals += failures
+            else:
+                assert prices == failures == 0
+            # All of them priced now: asked again, each carries its price.
+            assert all(c.price is not None or c.error is not None
+                       for c in engine.lazy_candidates(current))
+            if not children:
+                break
+            current = children[int(rng.integers(len(children)))]
+        # Not vacuous: with the rewrite's fresh ids in the footprints every
+        # step would collide with every price and nothing would survive.
+        assert remembered >= candidates / 2 > 0
+        assert refusals > 0  # every model has operators sharing an input
+        assert engine.stats()["prices_inherited"] >= remembered + refusals
+        assert engine.stats()["prices_dropped"] > 0
+
+    def test_failures_are_remembered_and_still_checked(self, fire_graph):
+        engine = IncrementalCandidateEngine(
+            default_ruleset().extended([_FussyRule()]))
+        cost_model = CostModel()
+        cost_model.estimate_cached(fire_graph)
+        price_every_candidate(engine, cost_model, fire_graph)
+        refused = [c for c in engine.lazy_candidates(fire_graph)
+                   if c.error is not None]
+        assert len(refused) == 2  # the expand convolutions share ``s``
+        with pytest.raises(RuntimeError, match="shared input"):
+            _ = refused[0].graph
+        # Merging them removes the refusal; the walk helper asserts a
+        # remembered failure is never served where apply would succeed.
+        merged = next(c.graph for c in engine.lazy_candidates(fire_graph)
+                      if c.rule_name in ("merge-convs", "enlarge-conv"))
+        cost_model.estimate_delta(fire_graph, merged)
+        price_every_candidate(engine, cost_model, merged)
+
+    def test_a_node_only_the_second_rewrite_orphans(self):
+        """``inner`` is undone twice; it survives either rewrite alone."""
+        b = GraphBuilder("twice-undone")
+        inner = b.transpose(b.input((4, 8)), name="inner")
+        undone = [b.relu(b.transpose(inner)), b.tanh(b.transpose(inner))]
+        bystander = b.relu(b.transpose(b.transpose(b.input((4, 8)))))
+        graph = b.build([b.add(b.add(*undone), bystander)])
+        engine, cost_model = priced_engine(graph)
+        first, second, third = candidates_named(
+            engine, graph, "eliminate-double-transpose")
+        assert first.match.node("inner") == second.match.node("inner") == inner
+        step = first.graph
+        cost_model.estimate_delta(graph, step)
+        after = {c.match: c.price for c in engine.lazy_candidates(step)}
+        assert after[third.match] == third.price  # far away: handed down
+        assert after[second.match] is None  # ``inner`` lost a consumer
+        # ... and rightly so: now the rewrite removes ``inner`` as well.
+        price_every_candidate(engine, cost_model, step)
+        fresh = {c.match: c.price for c in engine.lazy_candidates(step)}
+        assert fresh[second.match] < second.price < 0
+
+    def test_two_rewrites_sharing_a_weight(self):
+        """Enlarging either 1x1 convolution leaves ``w`` to the other one;
+        the second enlargement orphans it."""
+        b = GraphBuilder("shared-weight")
+        w = b.weight((8, 4, 1, 1), name="w")
+        towers = []
+        for _ in range(2):
+            x = b.input((1, 4, 8, 8))
+            small = b.graph.add_node(
+                OpType.CONV2D, (x, w),
+                {"stride": 1, "padding": "same", "kernel": 1})
+            towers.append(b.add(small, b.conv2d(x, 8, kernel=3)))
+        graph = b.build([b.add(*towers)])
+        engine, cost_model = priced_engine(graph)
+        first, second = candidates_named(engine, graph, "enlarge-conv")
+        step = first.graph
+        assert w in step.nodes
+        cost_model.estimate_delta(graph, step)
+        after = {c.match: c.price for c in engine.lazy_candidates(step)}
+        assert after[second.match] is None
+        assert w not in engine.ruleset.rule("enlarge-conv").apply(
+            step, second.match).nodes
+        price_every_candidate(engine, cost_model, step)
+
+    def test_a_bound_node_gains_a_consumer(self):
+        """Merging two of four matmuls on ``x`` hangs the merged product on
+        ``x``, which the merge of the other two binds."""
+        b = GraphBuilder("four-products")
+        x = b.input((4, 8), name="x")
+        products = [b.matmul(x, b.weight((8, 8))) for _ in range(4)]
+        total = products[0]
+        for product in products[1:]:
+            total = b.add(total, product)
+        bystander = b.relu(b.transpose(b.transpose(b.input((4, 8)))))
+        graph = b.build([b.add(total, bystander)])
+        engine, cost_model = priced_engine(graph)
+        merges = {(c.match.node("lhs"), c.match.node("rhs")): c
+                  for c in candidates_named(engine, graph, "merge-matmuls")}
+        assert len(merges) == 6
+        step = merges[products[0], products[1]].graph
+        assert len(step.successors(x)) == 3
+        cost_model.estimate_delta(graph, step)
+        after = engine.lazy_candidates(step)
+        survivor, = [c for c in after if c.rule_name == "merge-matmuls"
+                     and c.match == merges[products[2], products[3]].match]
+        assert survivor.price is None
+        assert [c.rule_name for c in after if c.price is not None] \
+            == ["eliminate-double-transpose"]
+        price_every_candidate(engine, cost_model, step)
+
+    def test_a_rebuilt_state_prices_by_materialising(self, monkeypatch):
+        """``capacity=1``: whenever the search backtracks, the popped
+        graph's parent state is gone, the rebuilt state knows no price, and
+        the search neither notices nor reuses one it should not."""
+        usual = TASOOptimizer(max_iterations=30).optimise(
+            build_small_model("bert"))
+        monkeypatch.setattr(
+            "repro.search.greedy.IncrementalCandidateEngine",
+            lambda ruleset, capacity: IncrementalCandidateEngine(
+                ruleset, capacity=1))
+        evicting = TASOOptimizer(max_iterations=30).optimise(
+            build_small_model("bert"))
+        assert trajectory_of(evicting) == trajectory_of(usual)
+        assert evicting.stats["prices_reused"] \
+            < usual.stats["prices_reused"]
+        assert evicting.stats["candidates_materialised"] \
+            > usual.stats["candidates_materialised"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import repro.search.greedy
 from repro.cost import CostModel
 from repro.experiments import build_small_model
 from repro.models import MODEL_REGISTRY, build_model
+from repro.rules.base import Candidate
 from repro.search import GreedyOptimizer, TASOOptimizer, get_optimiser
 
 #: The registry rows that run ``TASOOptimizer.optimise``.
@@ -47,6 +48,49 @@ class TestReproducesHashEverythingLoop:
     def test_full_size(self, model, optimiser):
         assert_reproduces_oracle(optimiser, lambda: build_model(model),
                                  max_iterations=10)
+
+    def test_most_candidates_are_priced_without_being_built(self):
+        """The oracle materialises every candidate it counts; the search
+        counts the same candidates and builds a fraction of them."""
+        stats = assert_reproduces_oracle(
+            "taso", lambda: build_model("inception_v3"),
+            max_iterations=10).stats
+        assert stats["candidates_materialised"] \
+            < 0.25 * stats["candidates_evaluated"]
+        assert stats["prices_reused"] > 0.8 * stats["candidates_evaluated"]
+
+    @pytest.mark.parametrize("optimiser", OPTIMISERS)
+    @pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
+    def test_a_kept_candidate_costs_what_its_remembered_price_said(
+            self, model, optimiser, monkeypatch):
+        """A candidate ranked on a remembered price is built once it is
+        kept; ``estimate_delta`` of the built graph is the same float."""
+        kept, checked = {}, []
+        materialise, estimate_delta = (Candidate.materialise,
+                                       CostModel.estimate_delta)
+
+        def recording_materialise(candidate):
+            graph = materialise(candidate)
+            if candidate.price is not None:
+                kept[id(graph)] = (graph, candidate.price)
+            return graph
+
+        def checking_estimate_delta(cost_model, parent, child, **kwargs):
+            cost = estimate_delta(cost_model, parent, child, **kwargs)
+            if id(child) in kept:
+                assert cost == cost_model.exact_to_ms(
+                    cost_model.exact_total(parent) + kept[id(child)][1])
+                checked.append(child)
+            return cost
+
+        monkeypatch.setattr(Candidate, "materialise", recording_materialise)
+        monkeypatch.setattr(CostModel, "estimate_delta",
+                            checking_estimate_delta)
+        stats = get_optimiser(optimiser, max_iterations=30).optimise(
+            build_small_model(model)).stats
+        assert len(checked) == len(kept) > 0
+        assert len(kept) == stats["candidates_materialised"] \
+            + stats["prices_reused"] - stats["candidates_evaluated"]
 
     @pytest.mark.parametrize("optimiser", OPTIMISERS)
     @pytest.mark.parametrize("model", ["squeezenet", "bert"])
@@ -109,6 +153,8 @@ class ToyGraph:
 
 
 class ToyCandidate:
+    price = None  # never remembered: every toy candidate is materialised
+
     def __init__(self, graph):
         self.graph = graph
         self.rule_name = "to-" + graph.name
@@ -118,9 +164,9 @@ class ToyCandidate:
 
 
 class ToySpace:
-    """A search space written down as two tables, playing rule set, cost
-    model and simulator of a search; ``expanded`` records the graphs whose
-    candidates were asked for, in order."""
+    """A search space written down as two tables, playing rule set, match
+    engine, cost model and simulator of a search; ``expanded`` records the
+    graphs whose candidates were asked for, in order."""
 
     def __init__(self, costs, children, identities=None):
         self.costs, self.children = costs, children
@@ -135,10 +181,13 @@ class ToySpace:
     def estimate_cached(self, graph):
         return self.costs[graph.name]
 
-    latency_ms = estimate_cached
+    latency_ms = exact_total = estimate_cached
 
-    def estimate_delta(self, parent, child, parent_cost=None):
+    def estimate_delta(self, parent, child):
         return self.costs[child.name]
+
+    def remember_price(self, candidate, child, price=None):
+        pass
 
     def search(self, cls=TASOOptimizer, **config):
         return cls(ruleset=self, cost_model=self, e2e=self,

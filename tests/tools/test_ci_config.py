@@ -30,6 +30,14 @@ def test_tier1_ignore_list_references_existing_files():
         assert (REPO_ROOT / path).is_file(), f"stale ignore: {path}"
 
 
+def test_tier1_matrix_keeps_the_interpreter_whose_sum_differs():
+    """Builtin ``sum`` compensates since 3.12: ``tests/cost/
+    test_exact_total.py`` only has teeth against a float-summing cost total
+    on a leg where ``sum`` and a ``+=`` loop disagree."""
+    matrix = re.search(r"python: \[(.*)\]", CI)
+    assert matrix and '"3.12"' in matrix.group(1).split(", ")
+
+
 def test_tier1_ignores_exactly_the_bench_files_the_bench_job_runs():
     """The ignore list and the bench job must cover the same files: a
     benchmark ignored in tier1 but not run by bench would never run."""
