@@ -15,10 +15,16 @@ from-scratch search bit-for-bit is pinned by
 ``tests/rules/test_engine_equivalence.py`` and
 ``tests/search/test_taso_queue.py``.
 
+Whichever graph an executor runs first reads slower (allocator and cache
+warm-up: xbench documents it), so the two sides are interleaved — each
+repeat alternates which graph goes first — and each side keeps its best, the
+estimator of ``NumpyExecutor.measure``.
+
 Set ``SEARCH_BENCH_SMOKE=1`` (CI) for a single repetition with fewer TASO
 iterations.
 """
 
+import math
 import os
 from functools import partial
 
@@ -28,12 +34,22 @@ from repro.experiments import ExperimentReport, build_small_model
 from repro.search import TASOOptimizer
 
 SMOKE = os.environ.get("SEARCH_BENCH_SMOKE") == "1"
-REPEATS = 1 if SMOKE else 3
+#: Even outside smoke runs, so each graph goes first equally often.
+REPEATS = 1 if SMOKE else 6
 TASO_ITERATIONS = 8 if SMOKE else 30
 #: Largest zoo graphs by node count: convolutional and transformer family.
 LARGEST_MODELS = ["inception_v3", "bert"]
 
 record = partial(_harness.record, "search", smoke=SMOKE)
+
+
+def _measure_pair(executor, baseline, optimised):
+    """Best-of-``REPEATS`` executed ms of both graphs, order alternated."""
+    graphs, best = (baseline, optimised), [math.inf, math.inf]
+    for repeat in range(REPEATS):
+        for side in ((0, 1), (1, 0))[repeat % 2]:
+            best[side] = min(best[side], executor.run(graphs[side])[1])
+    return best
 
 
 def test_measured_end_to_end(benchmark):
@@ -52,9 +68,8 @@ def test_measured_end_to_end(benchmark):
             graph = build_small_model(name)
             result = TASOOptimizer(
                 max_iterations=TASO_ITERATIONS).optimise(graph, name)
-            baseline_ms = executor.measure(graph, repeats=REPEATS)
-            optimised_ms = executor.measure(result.final_graph,
-                                            repeats=REPEATS)
+            baseline_ms, optimised_ms = _measure_pair(
+                executor, graph, result.final_graph)
             rows.append((name, baseline_ms, optimised_ms,
                          len(result.applied_rules)))
         return rows

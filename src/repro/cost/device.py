@@ -56,14 +56,16 @@ class DeviceConfig:
     small_kernel_flops: float = 2.0e6
     #: Relative standard deviation of measurement noise for end-to-end runs.
     measurement_noise: float = 0.004
-    #: Fraction of peak memory bandwidth the strided window-gather access
-    #: pattern of truncated-window pooling achieves (overlapping windows
-    #: defeat both streaming prefetch and cache-line reuse).  Applied to
-    #: the memory term of MaxPool2D/AvgPool2D kernels, whose traffic
-    #: :func:`repro.cost.op_cost.op_memory_bytes` counts as the full
-    #: per-window gather.  0.10 was fitted against the numpy backend's
-    #: NaN-padded window kernels (it folds in the nan-reduction tax);
-    #: it brings the MaxPool2D measured/sim ratio from ~27x to ~1.4x.
+    #: Fraction of peak memory bandwidth the strided access pattern of
+    #: window pooling achieves (overlapping windows defeat both streaming
+    #: prefetch and cache-line reuse).  Applied to the memory term of
+    #: MaxPool2D/AvgPool2D kernels, whose traffic
+    #: :func:`repro.cost.op_cost.op_memory_bytes` counts as kernel² reads
+    #: per output element.  0.10 was fitted against an earlier numpy pool
+    #: kernel that paid a nan-reduction on top of the gather; against the
+    #: slice-reduction kernel of ``exec/kernels.py`` it over-prices pools
+    #: about 5x (BENCH_exec ``op_class_ratio.MaxPool2D`` 0.2) — refitting
+    #: it moves ``sim_speedup`` and is ROADMAP item 1(a)'s gated step.
     pool_gather_efficiency: float = 0.10
 
 

@@ -117,14 +117,14 @@ def op_memory_bytes(op_type: OpType, inputs: Sequence[TensorSpec],
     written = sum(o.size_bytes for o in outputs)
 
     if op_type in (OpType.MAXPOOL2D, OpType.AVGPOOL2D) and inputs:
-        # Truncated-window pooling is memory-pathological: the kernel does
-        # not stream the input once — it *gathers* every kernel×kernel
-        # window per output element (overlapping windows re-read the same
-        # input elements up to kernel² times), after first materialising a
-        # padded copy of the input for the edge windows.  Counting only
-        # input+output bytes under-states the traffic by ~kernel², which is
-        # exactly the measured/sim gap BENCH_exec used to show for
-        # MaxPool2D (~27x for the common 3×3 windows).
+        # A pool does not stream its input once: every output element
+        # reads its kernel×kernel window (overlapping windows re-read the
+        # same input elements up to kernel² times — the numpy backend makes
+        # kernel² strided passes), and edge windows of a "same" pool first
+        # materialise a padded copy of the input.  Counting only
+        # input+output bytes under-states the traffic by ~kernel².  With
+        # the device's ``pool_gather_efficiency`` on top the term now reads
+        # high (BENCH_exec measured/sim 0.2 for MaxPool2D; see device.py).
         attrs = attrs or {}
         kernel = int(attrs.get("kernel", 2))
         elem_bytes = (inputs[0].size_bytes / inputs[0].num_elements

@@ -175,7 +175,11 @@ class NumpyExecutor:
         shape = tuple(node.outputs[0].shape.dims) if node.outputs else ()
         if node.op_type is OpType.INPUT:
             if node.name in feeds:
-                return np.asarray(feeds[node.name], dtype=np.float64)
+                # A read-only view: kernels may not write into the caller's
+                # array, and the caller's own flags stay untouched.
+                feed = np.asarray(feeds[node.name], dtype=np.float64).view()
+                feed.setflags(write=False)
+                return feed
             prefix = "input:"
         else:
             prefix = "param:"
@@ -183,6 +187,7 @@ class NumpyExecutor:
         cached = self._param_cache.get(key)
         if cached is None:
             cached = deterministic_tensor(*key)
+            cached.setflags(write=False)  # outlives the run: no kernel may write
             self._param_cache[key] = cached
         return cached
 

@@ -14,8 +14,17 @@ The numerical semantics deliberately mirror
 :mod:`repro.rules.interpreter` (guarded DIV, ``sqrt(|x|)``, tanh-GELU,
 inference-mode BatchNorm, clipped embedding indices, ...) so the two
 backends can be differentially tested against each other; the kernels
-here are vectorised (im2col convolutions, strided-window pools) where the
-interpreter uses reference loops.
+here are vectorised where the interpreter uses reference loops: a
+convolution is one im2col gather laid out so that its GEMM writes NCHW
+directly (a 1x1 kernel skips the gather), a pool reduces ``kernel**2``
+strided slices into one buffer, and fused epilogues run in place on the
+GEMM's output.
+
+In-place arithmetic obeys one rule: **a kernel writes only into an array it
+allocated in this call**, never into ``in_vals`` — buffers are shared
+between consumers, shape ops return views of their inputs, and parameters
+outlive the run (the executor hands sources over read-only, so a violation
+raises).
 
 Everything is pure numpy + stdlib: :func:`erf` wraps :func:`math.erf`
 instead of pulling in scipy, which the CI image does not install.
@@ -103,7 +112,11 @@ KERNELS[OpType.BATCH_MATMUL] = KERNELS[OpType.MATMUL]
 
 @_register(OpType.FUSED_MATMUL_ADD)
 def _fused_matmul_add(in_vals, attrs, out_shapes):
-    return [np.matmul(in_vals[0], in_vals[1]) + in_vals[2]]
+    out = np.matmul(in_vals[0], in_vals[1])
+    if out.shape != tuple(out_shapes[0]):  # the bias broadcasts the product up
+        return [out + in_vals[2]]
+    out += in_vals[2]
+    return [out]
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +131,24 @@ _BINARY = {
     OpType.DIV: lambda a, b: a / (b + 1e-12),
 }
 
+
+def _gelu(x):
+    # 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), one temporary.
+    t = x * x
+    t *= 0.044715
+    t += 1.0
+    t *= x
+    t *= math.sqrt(2 / math.pi)
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
+
+
 _UNARY = {
     OpType.RELU: lambda x: np.maximum(x, 0.0),
-    OpType.GELU: lambda x: 0.5 * x * (
-        1.0 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x ** 3))),
+    OpType.GELU: _gelu,
     OpType.SIGMOID: lambda x: 1.0 / (1.0 + np.exp(-x)),
     OpType.TANH: np.tanh,
     OpType.EXP: np.exp,
@@ -152,9 +179,11 @@ def _batchnorm(in_vals, attrs, out_shapes):
     # Inference-mode affine transform along the channel axis.
     x = in_vals[0]
     scale = in_vals[1] if len(in_vals) > 1 else np.ones(x.shape[1])
-    bias = in_vals[2] if len(in_vals) > 2 else np.zeros(x.shape[1])
     view = (1, -1) + (1,) * (x.ndim - 2)
-    return [x * scale.reshape(view) + bias.reshape(view)]
+    out = x * scale.reshape(view)
+    if len(in_vals) > 2:
+        out += in_vals[2].reshape(view)
+    return [out]
 
 
 @_register(OpType.LAYERNORM)
@@ -254,34 +283,42 @@ for _op, _fn in _REDUCERS.items():
 # Pooling
 # ---------------------------------------------------------------------------
 
-def _pool(in_vals, attrs, out_shapes, reducer):
+def _pool(in_vals, attrs, out_shapes, is_max):
     x = in_vals[0]
     kernel = int(attrs.get("kernel", 2))
     stride = int(attrs.get("stride", kernel))
     n, c, oh, ow = out_shapes[0]
+    h, w = x.shape[2], x.shape[3]
     # "same" pools keep edge windows partial (mean/max over the elements
-    # actually present); NaN-padding + nan-reductions reproduces that.
-    need_h = (oh - 1) * stride + kernel
-    need_w = (ow - 1) * stride + kernel
-    pad_h = max(need_h - x.shape[2], 0)
-    pad_w = max(need_w - x.shape[3], 0)
+    # actually present): pad with the reduction's identity.
+    pad_h = max((oh - 1) * stride + kernel - h, 0)
+    pad_w = max((ow - 1) * stride + kernel - w, 0)
     if pad_h or pad_w:
         x = np.pad(x, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)),
-                   constant_values=np.nan)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride][:, :, :oh, :ow]
-    return [reducer(windows, axis=(4, 5))]
+                   constant_values=-np.inf if is_max else 0.0)
+    # One strided slice per window offset, folded into the first's copy.
+    slices = [x[:, :, i:i + (oh - 1) * stride + 1:stride,
+                j:j + (ow - 1) * stride + 1:stride]
+              for i in range(kernel) for j in range(kernel)]
+    out = slices[0].copy()
+    fold = np.maximum if is_max else np.add
+    for window in slices[1:]:
+        fold(out, window, out=out)
+    if not is_max:
+        rows, cols = np.arange(oh) * stride, np.arange(ow) * stride
+        out /= np.outer(np.minimum(rows + kernel, h) - rows,
+                        np.minimum(cols + kernel, w) - cols)
+    return [out]
 
 
 @_register(OpType.MAXPOOL2D)
 def _maxpool(in_vals, attrs, out_shapes):
-    return _pool(in_vals, attrs, out_shapes, np.nanmax)
+    return _pool(in_vals, attrs, out_shapes, is_max=True)
 
 
 @_register(OpType.AVGPOOL2D)
 def _avgpool(in_vals, attrs, out_shapes):
-    return _pool(in_vals, attrs, out_shapes, np.nanmean)
+    return _pool(in_vals, attrs, out_shapes, is_max=False)
 
 
 @_register(OpType.GLOBAL_AVGPOOL)
@@ -290,7 +327,7 @@ def _global_avgpool(in_vals, attrs, out_shapes):
 
 
 # ---------------------------------------------------------------------------
-# Convolutions (im2col)
+# Convolutions (im2col, GEMM in output layout)
 # ---------------------------------------------------------------------------
 
 def _conv(in_vals, attrs, out_shapes, groups=None, epilogue_bn=False,
@@ -301,33 +338,35 @@ def _conv(in_vals, attrs, out_shapes, groups=None, epilogue_bn=False,
     kh, kw = w.shape[2], w.shape[3]
     if groups is None:
         groups = int(attrs.get("groups", 1))
-    if attrs.get("padding", "same") == "same":
-        pad_h = max((oh - 1) * stride + kh - x.shape[2], 0)
-        pad_w = max((ow - 1) * stride + kw - x.shape[3], 0)
-        x = np.pad(x, ((0, 0), (0, 0),
-                       (pad_h // 2, pad_h - pad_h // 2),
-                       (pad_w // 2, pad_w - pad_w // 2)))
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride][:, :, :oh, :ow]
     cin_g = x.shape[1] // groups
-    cout_g = c_out // groups
-    out = np.empty((n, c_out, oh, ow), dtype=np.float64)
-    for g in range(groups):
-        # (n, cin_g, oh, ow, kh, kw) -> (n, oh, ow, cin_g*kh*kw) @ im2col'd
-        # weights: one GEMM per group.
-        patches = windows[:, g * cin_g:(g + 1) * cin_g]
-        patches = patches.transpose(0, 2, 3, 1, 4, 5).reshape(
-            n, oh, ow, cin_g * kh * kw)
-        wg = w[g * cout_g:(g + 1) * cout_g].reshape(cout_g, -1)
-        out[:, g * cout_g:(g + 1) * cout_g] = (
-            patches @ wg.T).transpose(0, 3, 1, 2)
+    if kh == kw == 1:
+        # A 1x1 kernel reads no neighbours and never pads: the columns are
+        # the (strided) input itself.
+        cols = x[:, :, ::stride, ::stride].reshape(n, groups, cin_g, oh * ow)
+    else:
+        if attrs.get("padding", "same") == "same":
+            pad_h = max((oh - 1) * stride + kh - x.shape[2], 0)
+            pad_w = max((ow - 1) * stride + kw - x.shape[3], 0)
+            if pad_h or pad_w:
+                x = np.pad(x, ((0, 0), (0, 0),
+                               (pad_h // 2, pad_h - pad_h // 2),
+                               (pad_w // 2, pad_w - pad_w // 2)))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            x, (kh, kw), axis=(2, 3))
+        windows = windows[:, :, ::stride, ::stride][:, :, :oh, :ow]
+        # (n, c_in, oh, ow, kh, kw) -> (n, groups, cin_g*kh*kw, oh*ow): the
+        # one copy, in the layout the GEMM produces NCHW from.
+        cols = windows.reshape(n, groups, cin_g, oh, ow, kh, kw).transpose(
+            0, 1, 2, 5, 6, 3, 4).reshape(n, groups, cin_g * kh * kw, oh * ow)
+    # One batched GEMM over (n, groups): weights are used as stored.
+    out = np.matmul(w.reshape(groups, c_out // groups, cin_g * kh * kw),
+                    cols).reshape(n, c_out, oh, ow)
     if epilogue_bn and len(in_vals) > 2:
-        out = out * in_vals[2].reshape(1, -1, 1, 1)
+        out *= in_vals[2].reshape(1, -1, 1, 1)
         if len(in_vals) > 3:
-            out = out + in_vals[3].reshape(1, -1, 1, 1)
+            out += in_vals[3].reshape(1, -1, 1, 1)
     if epilogue_relu:
-        out = np.maximum(out, 0.0)
+        np.maximum(out, 0.0, out=out)
     return [out]
 
 

@@ -211,6 +211,38 @@ class TestCli:
                                            "--fresh", str(path), "--full"])
             assert return_code == 0, capsys.readouterr().out
 
+    #: Recordings that predate the ``host`` block; ``BENCH_service.json`` is
+    #: re-recorded by the service-bench item of the ROADMAP (4(c)).
+    HOSTLESS = ("BENCH_service.json",)
+
+    def test_committed_recordings_say_which_host_made_them(self):
+        for name in check_bench.GATES:
+            if name in self.HOSTLESS:
+                continue
+            host = json.loads((REPO_ROOT / name).read_text()).get("host")
+            assert host and host["cores"] >= 1 and host["python"], name
+
+    def test_host_blocks_are_printed_and_a_core_mismatch_noted(self, tmp_path,
+                                                               capsys):
+        (tmp_path / "b").mkdir()
+        host = {"cores": 2, "python": "3.11.7", "platform": "Linux"}
+        baseline = self._write(tmp_path / "b" / "BENCH_search.json",
+                               {**_doc(), "host": host})
+        fresh = self._write(tmp_path / "BENCH_search.json",
+                            {**_doc(), "host": {**host, "cores": 8}})
+        assert check_bench.main(["--baseline", str(baseline),
+                                 "--fresh", str(fresh)]) == 0
+        out = capsys.readouterr().out
+        assert "host baseline: cores=2, platform=Linux, python=3.11.7" in out
+        assert "host fresh:    cores=8" in out
+        assert "core counts differ (2 vs 8)" in out
+        # Same host: no note; a recording without the block says so.
+        assert check_bench.main(["--baseline", str(baseline),
+                                 "--fresh", str(baseline)]) == 0
+        assert "differ" not in capsys.readouterr().out
+        assert check_bench.host_lines(_doc(), _doc()) == [
+            "host baseline: not recorded", "host fresh:    not recorded"]
+
     def test_unknown_file_is_rejected(self, tmp_path):
         path = self._write(tmp_path / "BENCH_unknown.json", _doc())
         with pytest.raises(SystemExit, match="no gates"):

@@ -251,6 +251,22 @@ def evaluate(baseline: Mapping[str, Any], fresh: Mapping[str, Any],
     return problems, notes
 
 
+def host_lines(baseline: Mapping[str, Any],
+               fresh: Mapping[str, Any]) -> List[str]:
+    """The two recordings' ``host`` blocks side by side, plus a note when
+    their core counts differ (wall-clock ratios then compare two machines).
+    """
+    hosts = [doc.get("host") or {} for doc in (baseline, fresh)]
+    lines = [f"host {side:9s} " + (", ".join(
+                 f"{key}={host[key]}" for key in sorted(host)) or "not recorded")
+             for side, host in zip(("baseline:", "fresh:"), hosts)]
+    cores = [host.get("cores") for host in hosts]
+    if None not in cores and cores[0] != cores[1]:
+        lines.append(f"note: core counts differ ({cores[0]} vs {cores[1]}): "
+                     f"ratios against the baseline compare two hosts")
+    return lines
+
+
 def _load(path: Path) -> Dict[str, Any]:
     try:
         return json.loads(path.read_text())
@@ -261,13 +277,14 @@ def _load(path: Path) -> Dict[str, Any]:
 def check_file(baseline_path: Path, fresh_path: Path,
                smoke: Optional[bool] = None,
                tolerance: float = DEFAULT_TOLERANCE,
-               ) -> Tuple[List[str], List[str], bool]:
+               ) -> Tuple[List[str], List[str], bool, List[str]]:
     """Run the gate for one baseline/fresh file pair.
 
     ``smoke=None`` reads the mode from the fresh file's ``smoke`` flag.
 
     Returns:
-        ``(problems, notes, smoke)`` with the mode actually applied.
+        ``(problems, notes, smoke, hosts)`` with the mode actually applied
+        and the :func:`host_lines` of the pair.
     """
     gates = GATES.get(fresh_path.name)
     if gates is None:
@@ -282,7 +299,7 @@ def check_file(baseline_path: Path, fresh_path: Path,
         required_positive=REQUIRED_POSITIVE.get(fresh_path.name, ()),
         required_literal=REQUIRED_LITERAL.get(fresh_path.name),
         floor_only=FLOOR_ONLY.get(fresh_path.name, ()))
-    return problems, notes, smoke
+    return problems, notes, smoke, host_lines(baseline, fresh)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -315,10 +332,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: no --baseline given for {fresh_path.name}")
             failures += 1
             continue
-        problems, notes, smoke = check_file(baseline_path, fresh_path,
-                                            smoke=args.smoke,
-                                            tolerance=args.tolerance)
+        problems, notes, smoke, hosts = check_file(
+            baseline_path, fresh_path, smoke=args.smoke,
+            tolerance=args.tolerance)
         print(f"== {fresh_path.name} ({'smoke' if smoke else 'full'} gate) ==")
+        for line in hosts:
+            print(f"  {line}")
         for note in notes:
             print(f"  ok   {note}")
         for problem in problems:
