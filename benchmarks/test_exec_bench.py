@@ -23,6 +23,8 @@ from __future__ import annotations
 import os
 from functools import partial
 
+import numpy as np
+
 import _harness
 from repro.cost import E2ESimulator
 from repro.exec import NumpyExecutor, calibrate, differential_check
@@ -48,6 +50,13 @@ def test_model_execute_latency(benchmark):
     executor = NumpyExecutor()
     sim = E2ESimulator()
     payload = {}
+    # After an idle gap every GEMM waits 8-24 ms for OpenBLAS's parked second
+    # thread, for about a second: the first model timed read 130-340 ms
+    # instead of 25 in 16 of 17 recordings (PR 21).  Wake the pool and pay the
+    # first-use costs before the clock starts.
+    warm = np.ones((256, 256))
+    warm @ warm
+    executor.run(build_small_model(BENCH_MODELS[0]))
 
     def run():
         rows = {}

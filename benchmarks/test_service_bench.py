@@ -1,8 +1,11 @@
 """Benchmarks for the optimisation service.
 
-Five measurements, all recorded to ``BENCH_service.json`` (see
+Six measurements, all recorded to ``BENCH_service.json`` (see
 ``_harness.py``):
 
+* **hit path** — what a request that does not search costs, per catalogue
+  model, one pinned client: the fingerprint of a fresh graph, a memory hit
+  through the service, a disk hit and a disk store at the cache;
 * **cold vs warm** — re-submitting a known model returns from the in-memory
   fingerprint cache;
 * **warm shared cache** — a *second service* pointed at the first one's
@@ -17,12 +20,13 @@ Five measurements, all recorded to ``BENCH_service.json`` (see
 
 Set ``SERVICE_BENCH_SMOKE=1`` (CI) to shrink budgets.  The tests assert
 correctness and equivalence and record the timings; the wall-clock floors
-(10x / 1x / 1x) live in ``tools/check_bench.py`` alone, so a loud host
-cannot turn the test run red.
+(10x / 1x / 1x) and the hit path's two ceilings live in
+``tools/check_bench.py`` alone, so a loud host cannot turn the test run red.
 """
 
 import multiprocessing
 import os
+import statistics
 import threading
 import time
 import uuid
@@ -34,8 +38,9 @@ import pytest
 import _harness
 from repro.experiments import ExperimentReport, build_small_model
 from repro.search.result import SearchResult
-from repro.service import (LeaseConfig, OptimisationService, WorkerServer,
-                           register_optimiser)
+from repro.service import (CacheEntry, FingerprintCache, LeaseConfig,
+                           OptimisationService, WorkerServer,
+                           register_optimiser, request_fingerprint)
 
 SMOKE = os.environ.get("SERVICE_BENCH_SMOKE") == "1"
 MODELS = ["squeezenet", "resnext50", "bert", "vit"]
@@ -55,6 +60,87 @@ def _run_batch(service, graphs, use_cache=True):
     results = service.optimise_batch(graphs, "taso", TASO_CONFIG,
                                      use_cache=use_cache)
     return results, time.perf_counter() - started
+
+
+#: The serving catalogue of ``xbench``'s ``serve_mixed`` (reduced models).
+CATALOGUE = ["bert", "squeezenet"] if SMOKE else [
+    "bert", "squeezenet", "vit", "inception_v3", "dalle", "resnext50", "tt",
+    "resnet18"]
+#: Samples behind every hit-path median.
+HIT_SAMPLES = 30
+
+
+def _median_ms(fn, make):
+    """Median wall-clock of ``fn(make())`` over :data:`HIT_SAMPLES` calls, in
+    milliseconds; ``make`` (a fresh graph, a fresh cache) runs just before
+    each call, outside the clock — as a caller builds, then submits."""
+    samples = []
+    for _ in range(HIT_SAMPLES):
+        x = make()
+        started = time.perf_counter()
+        fn(x)
+        samples.append(time.perf_counter() - started)
+    return statistics.median(samples) * 1e3
+
+
+def test_hit_path(tmp_path):
+    """What the requests that need no search pay: one client, one CPU."""
+    config = {"max_iterations": 10}
+    affinity = getattr(os, "sched_getaffinity", lambda _: None)(0)
+    if affinity:
+        os.sched_setaffinity(0, {max(affinity)})
+    try:
+        rows = {}
+        with OptimisationService(num_workers=1) as service:
+            for name in CATALOGUE:
+                fresh = partial(build_small_model, name)
+                cold = service.optimise(fresh(), "taso", config,
+                                        model_name=name)
+                assert not cold.cache_hit
+                fingerprint = request_fingerprint(fresh(), "taso", config)
+                entry = CacheEntry.from_result(fingerprint, cold.search)
+                directory = tmp_path / name
+                writer = FingerprintCache(cache_dir=directory)
+                rows[name] = row = {
+                    "nodes": cold.search.initial_graph.num_nodes,
+                    "fingerprint_ms": _median_ms(
+                        lambda g: request_fingerprint(g, "taso", config),
+                        fresh),
+                    "memory_hit_ms": _median_ms(
+                        lambda g: service.optimise(g, "taso", config,
+                                                   model_name=name),
+                        fresh),
+                    "disk_put_ms": _median_ms(writer.put, lambda: entry),
+                    # A fresh cache object per sample: an empty memory tier.
+                    "disk_hit_ms": _median_ms(
+                        lambda cache: cache.get(fingerprint),
+                        partial(FingerprintCache, cache_dir=directory)),
+                }
+                row["fingerprint_us_per_node"] = \
+                    1e3 * row["fingerprint_ms"] / row["nodes"]
+                row["disk_over_memory"] = \
+                    row["disk_hit_ms"] / row["memory_hit_ms"]
+                reader = FingerprintCache(cache_dir=directory)
+                loaded = reader.get(fingerprint)
+                assert reader.stats.persistent_hits == 1
+                assert loaded.final_graph.structural_hash() \
+                    == cold.graph.structural_hash()
+            stats = service.stats()
+    finally:
+        if affinity:
+            os.sched_setaffinity(0, affinity)
+
+    report = ExperimentReport(
+        experiment="Service bench",
+        description=f"hit path, median of {HIT_SAMPLES}, one pinned client")
+    for name, row in rows.items():
+        report.add(name, **row)
+    print("\n" + report.to_text())
+    record("hit_path", {"samples": HIT_SAMPLES, "pinned": bool(affinity),
+                        **rows})
+
+    assert stats["cache"]["memory_hits"] == HIT_SAMPLES * len(CATALOGUE)
+    assert stats["cache"]["misses"] == len(CATALOGUE)
 
 
 def test_service_cold_vs_warm_throughput(benchmark):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import operator
 import weakref
 import numpy as np
 from dataclasses import dataclass, field
@@ -50,6 +51,44 @@ def _edge_dst_slot(edge: "Edge") -> int:
 def _digest_sum(digests: Iterable[bytes]) -> int:
     """The order-independent combination of node digests: their sum."""
     return sum(map(int.from_bytes, digests, itertools.repeat("little")))
+
+
+#: Every node-local digest payload rendered so far (see :func:`_hash_prefix`),
+#: process-wide: a caller's fresh graph repeats the few dozen distinct
+#: (op, attrs, output shapes) of its model, and rendering their text was
+#: three quarters of hashing it.  Bounded like ``ops._INFER_MEMO``; a plain
+#: dict, because racing threads can only store equal bytes under one key.
+_PREFIX_INTERN: Dict[tuple, bytes] = {}
+_PREFIX_INTERN_MAX = 65536
+
+_DIMS = operator.attrgetter("shape.dims")
+
+
+def _hash_prefix(node: "Node") -> bytes:
+    """The node-local part of ``node``'s Merkle digest payload: op type,
+    attrs and output shapes as length-prefixed text, so the fixed-size
+    records :meth:`Graph._merkle` appends can never be read as part of it.
+
+    One table lookup for a payload rendered before, in any graph.  The key
+    holds what the text is made of — attr names (strings throughout the IR)
+    and the ``str()`` of each value, not the value: ``1`` / ``1.0`` /
+    ``True`` and ``0.0`` / ``-0.0`` are equal as Python values and differ
+    as text — so equal keys render equal bytes and a digest cannot depend
+    on which graph was hashed first.
+    """
+    attrs = node.attrs
+    op = node.op_type._value_
+    values = tuple(map(str, attrs.values()))
+    shapes = tuple(map(_DIMS, node.outputs))
+    key = (op, tuple(attrs), values, shapes)
+    prefix = _PREFIX_INTERN.get(key)
+    if prefix is None:
+        body = repr((op, sorted(zip(attrs, values)),
+                     [list(dims) for dims in shapes])).encode()
+        prefix = len(body).to_bytes(4, "little") + body
+        if len(_PREFIX_INTERN) < _PREFIX_INTERN_MAX:
+            _PREFIX_INTERN[key] = prefix
+    return prefix
 
 
 class GraphValidationError(ValueError):
@@ -284,10 +323,12 @@ class Node:
     outputs: List[TensorSpec] = field(default_factory=list)
     name: str = ""
     #: Memoised node-local part of the Merkle digest payload (op type,
-    #: attrs, output shapes — see :meth:`Graph.structural_hash`).  Node
-    #: objects are shared between graph copies, so every copy reuses it.
-    #: Reset when ``outputs`` are re-inferred; attrs are never mutated in
-    #: place after construction.
+    #: attrs, output shapes — see :func:`_hash_prefix`).  ``None`` until
+    #: the first hash that visits the node: never filled at construction
+    #: time, so a graph that is never hashed pays nothing for an identity.
+    #: Node objects are shared between graph copies, so every copy reuses
+    #: it.  Reset when ``outputs`` are re-inferred; attrs are never mutated
+    #: in place after construction.
     _hash_prefix: Optional[bytes] = field(
         default=None, repr=False, compare=False)
 
@@ -782,7 +823,10 @@ class Graph:
         ``parent.copy()`` + surgery with a faithful :meth:`delta_parent`
         re-digests only the downstream cone of its delta's added and
         rewired nodes against the parent's digest table, and keeps just the
-        hex digest; any other graph takes one pass over all its nodes.
+        hex digest; any other graph takes one pass over all its nodes — for
+        a caller's fresh graph, one :func:`_hash_prefix` table lookup and
+        one ``blake2b`` per node (``docs/architecture.md``, "What a
+        fingerprint costs").
         """
         cached = self._scalar_cache.get("hash")
         if cached is not None:
@@ -884,14 +928,7 @@ class Graph:
             node = nodes[nid]
             prefix = node._hash_prefix
             if prefix is None:
-                body = repr((
-                    node.op_type.value,
-                    sorted((k, str(v)) for k, v in node.attrs.items()),
-                    [o.shape.as_list() for o in node.outputs])).encode()
-                # Length-prefixed, so the fixed-size records appended below
-                # can never be read as part of the body.
-                prefix = node._hash_prefix = \
-                    len(body).to_bytes(4, "little") + body
+                prefix = node._hash_prefix = _hash_prefix(node)
             parts = [prefix]
             pending = False
             for edge in in_edges[nid]:  # in dst_slot order (every mutator)

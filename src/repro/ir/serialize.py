@@ -43,8 +43,16 @@ def graph_to_dict(graph: Graph) -> Dict:
     }
 
 
-def graph_from_dict(data: Dict) -> Graph:
-    """Reconstruct a graph from :func:`graph_to_dict` output."""
+def graph_from_dict(data: Dict, *, validate: bool = True) -> Graph:
+    """Reconstruct a graph from :func:`graph_to_dict` output.
+
+    The stored output specs are installed as they are, then
+    :meth:`Graph.validate` re-infers every node's shapes against them — a
+    third of the call.  ``validate=False`` is for a reader that has just
+    proved the document to be the bytes a validating writer produced (the
+    service's disk tier, by digest); a file, an import, anything from
+    outside keeps the default.
+    """
     if data.get("format_version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported graph format version {data.get('format_version')}")
     graph = Graph(data.get("name", "graph"))
@@ -53,13 +61,25 @@ def graph_from_dict(data: Dict) -> Graph:
     # ``graph.nodes`` iterates in id order (= creation order), which keeps
     # indexed anchor matching and full-scan matching enumeration-identical.
     max_id = -1
+    # A model repeats a handful of tensor specs (reduced bert: 14 distinct
+    # among 95) and they are immutable: build each once per document.
+    specs: Dict[tuple, TensorSpec] = {}
+
+    def spec_of(o: Dict) -> TensorSpec:
+        key = (tuple(o["shape"]), o.get("dtype"), o.get("is_constant"),
+               o.get("name"))
+        spec = specs.get(key)
+        if spec is None:
+            spec = specs[key] = TensorSpec.from_dict(o)
+        return spec
+
     for entry in sorted(data["nodes"], key=lambda e: int(e["id"])):
         nid = int(entry["id"])
         node = Node(
             node_id=nid,
             op_type=OpType(entry["op"]),
             attrs=_decode_attrs(entry.get("attrs", {})),
-            outputs=[TensorSpec.from_dict(o) for o in entry["outputs"]],
+            outputs=[spec_of(o) for o in entry["outputs"]],
             name=entry.get("name", ""),
         )
         graph.nodes[nid] = node
@@ -78,7 +98,8 @@ def graph_from_dict(data: Dict) -> Graph:
             graph._out_edges[e.src].append(e)
     graph._next_id = max_id + 1
     graph._rebuild_indices()  # nodes were installed without the mutation API
-    graph.validate()
+    if validate:
+        graph.validate()
     return graph
 
 

@@ -8,8 +8,9 @@ optimiser config.  Two callers submitting the same model built through
 different code paths therefore share one cache slot.
 
 Results live in an in-memory LRU tier and are optionally mirrored to a
-directory of JSON documents (built on :mod:`repro.ir.serialize`), so a warmed
-cache survives the process and can be shipped between machines.
+directory of entry files (a JSON header line, then the graph as
+:mod:`repro.ir.serialize` JSON), so a warmed cache survives the process and
+can be shipped between machines.
 
 The persistent tier is safe to share between many service processes on one
 host (or one shared filesystem):
@@ -18,9 +19,12 @@ host (or one shared filesystem):
   atomic ``rename``, so readers never observe a torn document;
 * mutating multi-file operations (store + evict, prune, clear) run under an
   advisory ``flock`` on ``<cache_dir>/.lock``; readers take a shared lock;
-* each entry records a version (:data:`ENTRY_VERSION`) and its creation
-  time, and every read refreshes the file's mtime — the *access stamp* that
-  LRU eviction orders by;
+* each entry records a version (:data:`ENTRY_VERSION`), its creation time
+  and a digest of its graph payload; the writer validates the graph, the
+  reader checks the digest and rebuilds without re-inferring a shape; a
+  file that fails either check is a counted, logged miss;
+* every read refreshes the file's mtime — the *access stamp* that LRU
+  eviction orders by;
 * an :class:`EvictionPolicy` (max entries / max bytes / TTL) bounds the
   directory; policy is enforced after every store and on demand via
   :meth:`FingerprintCache.prune_persistent`.
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import threading
 import time
@@ -55,17 +60,24 @@ except ImportError:  # pragma: no cover - exercised only off-POSIX
 __all__ = ["CacheEntry", "CacheStats", "EvictionPolicy", "FingerprintCache",
            "request_fingerprint", "ENTRY_VERSION"]
 
-#: Version of the per-entry on-disk JSON schema.  Version 2 added
-#: ``created_at`` (wall-clock creation time).  Readers accept entries of the
-#: current version and every documented older one; unknown (newer) versions
-#: are treated as a miss so mixed-version fleets degrade to re-searching
-#: instead of crashing.
-ENTRY_VERSION = 2
+_LOG = logging.getLogger(__name__)
 
-#: Entry schema versions this build can rehydrate.
-_READABLE_VERSIONS = (1, 2)
+#: Version of the per-entry on-disk layout.  Version 2 added ``created_at``;
+#: version 3 is a one-line JSON header carrying a ``blake2b`` of the graph
+#: payload that follows it.  Only the current version is read: any other
+#: (older or newer) is a counted miss, so a mixed-version fleet or an old
+#: directory degrades to searching once more instead of crashing.
+ENTRY_VERSION = 3
 
 _LOCK_FILENAME = ".lock"
+
+
+class _StaleEntryVersion(ValueError):
+    """An entry file of another :data:`ENTRY_VERSION`."""
+
+
+def _payload_digest(payload: bytes) -> str:
+    return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
 def _freeze(value: Any) -> Any:
@@ -137,6 +149,11 @@ class CacheStats:
     evictions: int = 0
     disk_evictions: int = 0
     disk_expirations: int = 0
+    #: Entry files read and refused: torn, unparsable or failing their
+    #: payload digest / written under another :data:`ENTRY_VERSION`.  Each
+    #: also counts as a miss and logs one warning.
+    corrupt_entries: int = 0
+    stale_version_entries: int = 0
 
     @property
     def hits(self) -> int:
@@ -163,6 +180,8 @@ class CacheStats:
             "evictions": self.evictions,
             "disk_evictions": self.disk_evictions,
             "disk_expirations": self.disk_expirations,
+            "corrupt_entries": self.corrupt_entries,
+            "stale_version_entries": self.stale_version_entries,
             "hit_rate": self.hit_rate,
         }
 
@@ -335,14 +354,16 @@ class CacheEntry:
                    "search_time_s": self.search_time_s},
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialise to the version-:data:`ENTRY_VERSION` JSON document."""
-        return {
+    def to_bytes(self) -> bytes:
+        """The version-:data:`ENTRY_VERSION` entry file: a one-line JSON
+        header (everything but the graph, plus the payload's digest), a
+        newline, the graph as :func:`graph_to_dict` JSON."""
+        payload = json.dumps(graph_to_dict(self.final_graph)).encode()
+        header = {
             "entry_version": ENTRY_VERSION,
             "fingerprint": self.fingerprint,
             "optimiser": self.optimiser,
             "model": self.model,
-            "final_graph": graph_to_dict(self.final_graph),
             "initial_latency_ms": self.initial_latency_ms,
             "final_latency_ms": self.final_latency_ms,
             "initial_cost_ms": self.initial_cost_ms,
@@ -351,40 +372,46 @@ class CacheEntry:
             "applied_rules": list(self.applied_rules),
             "stats": dict(self.stats),
             "created_at": self.created_at,
+            "payload_blake2b": _payload_digest(payload),
         }
+        return json.dumps(header).encode() + b"\n" + payload
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CacheEntry":
-        """Rehydrate an entry document.
+    def from_bytes(cls, blob: bytes) -> "CacheEntry":
+        """Rehydrate an entry file written by :meth:`to_bytes`.
 
-        Args:
-            data: A JSON document produced by :meth:`to_dict` (any version
-                in ``_READABLE_VERSIONS``; version-1 documents lack
-                ``created_at`` and get ``0.0``).
-
-        Returns:
-            The decoded :class:`CacheEntry`.
+        The payload is trusted once its digest matches the header's: the
+        writer validated the graph, so it is rebuilt without re-running
+        shape inference.
 
         Raises:
-            ValueError: If the document's ``entry_version`` is unknown
-                (typically written by a newer build).
+            ValueError: If the header is of another ``entry_version``, or
+                the payload is not the bytes the header's digest was taken
+                of (flipped, truncated, or no digest at all).
         """
-        if data.get("entry_version") not in _READABLE_VERSIONS:
-            raise ValueError(
-                f"unsupported cache entry version {data.get('entry_version')}")
+        head, _, payload = blob.partition(b"\n")
+        header = json.loads(head)
+        if header.get("entry_version") != ENTRY_VERSION:
+            raise _StaleEntryVersion(
+                f"entry version {header.get('entry_version')}, "
+                f"this build reads {ENTRY_VERSION}")
+        digest = header.get("payload_blake2b")
+        if digest != _payload_digest(payload):
+            raise ValueError("header carries no payload digest"
+                             if digest is None else "payload digest mismatch")
         return cls(
-            fingerprint=data["fingerprint"],
-            optimiser=data["optimiser"],
-            model=data["model"],
-            final_graph=graph_from_dict(data["final_graph"]),
-            initial_latency_ms=float(data["initial_latency_ms"]),
-            final_latency_ms=float(data["final_latency_ms"]),
-            initial_cost_ms=float(data["initial_cost_ms"]),
-            final_cost_ms=float(data["final_cost_ms"]),
-            search_time_s=float(data["search_time_s"]),
-            applied_rules=list(data.get("applied_rules", [])),
-            stats=dict(data.get("stats", {})),
-            created_at=float(data.get("created_at", 0.0)),
+            fingerprint=header["fingerprint"],
+            optimiser=header["optimiser"],
+            model=header["model"],
+            final_graph=graph_from_dict(json.loads(payload), validate=False),
+            initial_latency_ms=float(header["initial_latency_ms"]),
+            final_latency_ms=float(header["final_latency_ms"]),
+            initial_cost_ms=float(header["initial_cost_ms"]),
+            final_cost_ms=float(header["final_cost_ms"]),
+            search_time_s=float(header["search_time_s"]),
+            applied_rules=list(header["applied_rules"]),
+            stats=dict(header["stats"]),
+            created_at=float(header["created_at"]),
         )
 
 
@@ -548,30 +575,47 @@ class FingerprintCache:
                 return None
         try:
             with self._dir_lock.shared():
-                entry = CacheEntry.from_dict(json.loads(path.read_text()))
+                blob = path.read_bytes()
                 try:
                     # Refresh the access stamp so disk LRU tracks *use*,
-                    # not just insertion (the satellite fix: v1 never
-                    # stamped reads).  A concurrent eviction may have
-                    # removed the file — the decoded entry is still a hit.
+                    # not just insertion.  A concurrent eviction may have
+                    # removed the file — the bytes read are still a hit.
                     os.utime(path, None)
                 except OSError:
                     pass
-            return entry
-        except Exception:  # corrupt / torn-read / unreadable: miss
+            # Decoded outside the lock: a publish is an atomic rename, so
+            # the bytes are one writer's whole file or none of it.
+            return CacheEntry.from_bytes(blob)
+        except FileNotFoundError:  # evicted since the existence check
+            return None
+        except Exception as exc:
+            # Torn, corrupt, unreadable or of another version: a miss that
+            # says so (the search that follows overwrites the file).
+            stale = isinstance(exc, _StaleEntryVersion)
+            with self._lock:
+                if stale:
+                    self.stats.stale_version_entries += 1
+                else:
+                    self.stats.corrupt_entries += 1
+            _LOG.warning("ignoring %s cache entry %s: %s",
+                         "stale-version" if stale else "corrupt", path,
+                         exc if stale else f"{type(exc).__name__}: {exc}")
             return None
 
     def _store_persistent(self, entry: CacheEntry) -> None:
         path = self._persistent_path(entry.fingerprint)
         if path is None:
             return
-        payload = json.dumps(entry.to_dict())
+        # The reader trusts a payload whose digest matches, so nothing
+        # unchecked may ever get one.
+        entry.final_graph.validate()
+        blob = entry.to_bytes()
         # Unique temp name: two processes publishing the same fingerprint
         # must not truncate each other's in-flight temp file.
         tmp = path.with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
         with self._dir_lock.exclusive():
             try:
-                tmp.write_text(payload)
+                tmp.write_bytes(blob)
                 tmp.replace(path)
             finally:
                 tmp.unlink(missing_ok=True)

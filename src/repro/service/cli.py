@@ -259,6 +259,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if cache["disk_evictions"] or cache["disk_expirations"]:
         print(f"cache disk policy: {cache['disk_evictions']} evicted, "
               f"{cache['disk_expirations']} expired")
+    if cache["corrupt_entries"] or cache["stale_version_entries"]:
+        print(f"cache entries refused: {cache['corrupt_entries']} corrupt, "
+              f"{cache['stale_version_entries']} of another entry version")
     print(f"dedup: {stats['dedup']['coalesced']} coalesced submissions")
     if "pool" in stats:
         pool = stats["pool"]

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.ir import graph_from_dict, graph_to_dict, load_graph, save_graph
+from repro.ir import (GraphValidationError, graph_from_dict, graph_to_dict,
+                      load_graph, save_graph)
 from repro.models import build_model
 
 
@@ -39,3 +40,22 @@ class TestRoundTrip:
         data["format_version"] = 99
         with pytest.raises(ValueError):
             graph_from_dict(data)
+
+    def test_stored_shapes_are_checked_unless_the_reader_vouches(
+            self, mlp_graph):
+        data = json.loads(json.dumps(graph_to_dict(mlp_graph)))
+        data["nodes"][-1]["outputs"][0]["shape"] = [3, 3]
+        with pytest.raises(GraphValidationError):
+            graph_from_dict(data)  # files and imports: the default
+        trusted = graph_from_dict(data, validate=False)
+        with pytest.raises(GraphValidationError):
+            trusted.validate()  # what validate=False skipped, and only that
+        assert list(trusted.nodes) == list(mlp_graph.nodes)
+
+    def test_equal_specs_of_one_document_are_built_once(self, mlp_graph):
+        restored = graph_from_dict(graph_to_dict(mlp_graph))
+        specs = [spec for node in restored.nodes.values()
+                 for spec in node.outputs]
+        assert specs == [spec for node in mlp_graph.nodes.values()
+                         for spec in node.outputs]
+        assert len({id(spec) for spec in specs}) == len(set(specs))

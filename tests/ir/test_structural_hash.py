@@ -10,6 +10,7 @@ feeds which consumers.
 """
 
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,9 @@ from graphgen import random_graph  # noqa: E402
 from hash_oracle import oracle_structural_hash  # noqa: E402
 from relabel import rebuilt_in_random_order  # noqa: E402
 
+from repro.experiments import build_small_model
 from repro.ir import Graph, GraphValidationError, OpType
+from repro.ir import graph as graph_module
 from repro.ir.serialize import graph_from_dict, graph_to_dict
 
 
@@ -164,3 +167,108 @@ def test_cycle_is_reported_not_looped_on():
     g.rewire_input(a, 0, b)
     with pytest.raises(GraphValidationError):
         g.structural_hash()
+
+
+# ---------------------------------------------------------------------------
+#: The serving catalogue's models (``xbench.workloads.CATALOGUE_MODELS``).
+CATALOGUE = ("bert", "squeezenet", "vit", "inception_v3", "dalle",
+             "resnext50", "tt", "resnet18")
+
+#: Fresh graphs every call: no hash memo, no prefix on any node.
+BUILDERS = [lambda seed=seed: random_graph(seed=seed) for seed in range(8)] \
+    + [lambda name=name: build_small_model(name) for name in CATALOGUE]
+
+
+def _tagged(value):
+    g = Graph()
+    g.add_node(OpType.RELU, [_input(g)], {"tag": value})
+    return g
+
+
+class TestPrefixInterning:
+    """The process-wide table of node-local payloads (``_hash_prefix``) may
+    make a digest cheaper, never different: not by being cold or warm, not
+    by what was hashed before, not by being full."""
+
+    @pytest.fixture(autouse=True)
+    def cold_table(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_PREFIX_INTERN", {})
+
+    def test_cold_warm_and_reversed_order_all_match_the_oracle(self):
+        expected = [oracle_structural_hash(build()) for build in BUILDERS]
+        cold = [build().structural_hash() for build in BUILDERS]
+        assert graph_module._PREFIX_INTERN  # the pass above filled it
+        warm = [build().structural_hash() for build in BUILDERS]
+        graph_module._PREFIX_INTERN.clear()
+        backwards = [build().structural_hash()
+                     for build in reversed(BUILDERS)][::-1]
+        assert cold == warm == backwards == expected
+
+    @pytest.mark.parametrize("first, second", [
+        (1, 1.0), (1, True), (1.0, True), (0.0, -0.0),
+        ((1, (2, 3)), (1, (2.0, 3))), ([1, 2], (1, 2)), ((0.0,), (-0.0,)),
+    ], ids=repr)
+    def test_values_equal_in_python_but_not_as_text_stay_apart(
+            self, first, second):
+        assert first == second or list(first) == list(second)
+        one_way = (_tagged(first).structural_hash(),
+                   _tagged(second).structural_hash())
+        graph_module._PREFIX_INTERN.clear()
+        other_way = (_tagged(second).structural_hash(),
+                     _tagged(first).structural_hash())[::-1]
+        assert one_way == other_way == (
+            oracle_structural_hash(_tagged(first)),
+            oracle_structural_hash(_tagged(second)))
+        assert one_way[0] != one_way[1]
+
+    def test_two_threads_hashing_the_catalogue_agree_with_the_oracle(self):
+        expected = [oracle_structural_hash(build_small_model(name))
+                    for name in CATALOGUE]
+        got = {}
+
+        def worker(tid):
+            got[tid] = [build_small_model(name).structural_hash()
+                        for name in CATALOGUE]
+
+        threads = [threading.Thread(target=worker, args=(tid,))
+                   for tid in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave lookups and stores
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {0: expected, 1: expected}
+
+    def test_table_stops_growing_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_PREFIX_INTERN_MAX", 5)
+        for name in ("bert", "squeezenet", "bert"):
+            graph = build_small_model(name)
+            assert graph.structural_hash() == oracle_structural_hash(graph)
+            assert len(graph_module._PREFIX_INTERN) == 5
+
+    def test_refresh_shapes_still_drops_a_stale_prefix(self):
+        def build():
+            g = Graph()
+            return g, g.add_node(OpType.RELU, [_input(g)])
+        g, relu = build()
+        g.nodes[relu].outputs[0] = g.nodes[relu].outputs[0].with_shape((3, 3))
+        stale = g.structural_hash()  # memoises the (3, 3) text on the node
+        g.refresh_shapes()
+        assert g.structural_hash() == build()[0].structural_hash() \
+            == oracle_structural_hash(g) != stale
+
+    def test_nothing_is_rendered_at_construction_time(self):
+        """xbench builds its graphs outside the timed request: prefix work
+        moved into a builder would be a gain on paper only."""
+        graph = build_small_model("bert")
+        assert not graph_module._PREFIX_INTERN
+        assert all(node._hash_prefix is None for node in graph.nodes.values())
+        restored = graph_from_dict(graph_to_dict(graph))
+        assert not graph_module._PREFIX_INTERN
+        assert all(node._hash_prefix is None
+                   for node in restored.nodes.values())

@@ -103,13 +103,20 @@ class TestSharedCacheDirectory:
             proc.join(timeout=120)
             assert proc.exitcode == 0, \
                 f"hammer process failed (exit {proc.exitcode})"
-        # Every shared key survived, every file is a complete document.
+        # Every shared key survived, every file is a complete entry: the
+        # header parses and the payload is the bytes its digest was taken of.
         files = sorted(tmp_path.glob("*.json"))
         assert {p.stem for p in files} == set(SHARED_KEYS)
         for path in files:
-            data = json.loads(path.read_text())  # raises on a torn write
-            assert data["entry_version"] == ENTRY_VERSION
-            CacheEntry.from_dict(data)
+            blob = path.read_bytes()
+            header = json.loads(blob.partition(b"\n")[0])
+            assert header["entry_version"] == ENTRY_VERSION
+            CacheEntry.from_bytes(blob)  # raises on a torn write
+        # ... and no reader ever saw anything else.
+        reader = FingerprintCache(capacity=len(files), cache_dir=tmp_path)
+        assert all(reader.get(key) is not None for key in SHARED_KEYS)
+        assert reader.stats.corrupt_entries == 0
+        assert reader.stats.stale_version_entries == 0
         # Atomic publishes leave no temp litter behind.
         assert list(tmp_path.glob("*.tmp")) == []
 
@@ -121,8 +128,8 @@ class TestSharedCacheDirectory:
             assert proc.exitcode == 0
         files = sorted(tmp_path.glob("*.json"))
         assert 0 < len(files) <= 6
-        for path in files:  # survivors are intact documents
-            CacheEntry.from_dict(json.loads(path.read_text()))
+        for path in files:  # survivors are intact entries
+            CacheEntry.from_bytes(path.read_bytes())
 
     def test_lock_file_is_not_mistaken_for_an_entry(self, tmp_path):
         cache = FingerprintCache(cache_dir=tmp_path,
@@ -202,26 +209,14 @@ class TestEvictionPolicy:
         cache = FingerprintCache(cache_dir=tmp_path)
         cache.put(_entry("versioned", graph, "m"))
         path = tmp_path / "versioned.json"
-        data = json.loads(path.read_text())
-        data["entry_version"] = ENTRY_VERSION + 99
-        path.write_text(json.dumps(data))
+        head, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["entry_version"] = ENTRY_VERSION + 99
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
         fresh = FingerprintCache(cache_dir=tmp_path)
         assert fresh.get("versioned") is None
-
-    def test_version1_entries_remain_readable(self, tmp_path):
-        """Forward migration: pre-hardening caches stay warm."""
-        graph = _tiny_graph()
-        cache = FingerprintCache(cache_dir=tmp_path)
-        cache.put(_entry("legacy", graph, "m"))
-        path = tmp_path / "legacy.json"
-        data = json.loads(path.read_text())
-        data["entry_version"] = 1
-        del data["created_at"]
-        path.write_text(json.dumps(data))
-        fresh = FingerprintCache(cache_dir=tmp_path)
-        loaded = fresh.get("legacy")
-        assert loaded is not None
-        assert loaded.created_at == 0.0
+        assert fresh.stats.stale_version_entries == 1
+        assert fresh.stats.corrupt_entries == 0
 
 
 # ---------------------------------------------------------------------------

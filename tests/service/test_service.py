@@ -2,6 +2,7 @@
 accounting, scheduler semantics, batch ordering and parallel/serial
 equivalence."""
 
+import logging
 import time
 
 import pytest
@@ -135,12 +136,24 @@ class TestFingerprintCache:
             == entry.final_graph.structural_hash()
         assert loaded.applied_rules == entry.applied_rules
 
-    def test_corrupt_persistent_entry_is_a_miss(self, tmp_path, mlp_graph):
+    def test_corrupt_persistent_entry_is_a_miss(self, tmp_path, mlp_graph,
+                                                caplog):
         entry = _entry_for(mlp_graph, "mlp")
-        (tmp_path / f"{entry.fingerprint}.json").write_text("{not json")
+        path = tmp_path / f"{entry.fingerprint}.json"
+        path.write_text("{not json")
         cache = FingerprintCache(cache_dir=tmp_path)
-        assert cache.get(entry.fingerprint) is None
+        with caplog.at_level(logging.WARNING, logger="repro.service.cache"):
+            assert cache.get(entry.fingerprint) is None
         assert cache.stats.misses == 1
+        # ... and not one that looks like "never stored".
+        assert cache.stats.corrupt_entries == 1
+        assert cache.stats.stale_version_entries == 0
+        assert cache.stats.to_dict()["corrupt_entries"] == 1
+        (record,) = caplog.records
+        assert record.name == "repro.service.cache"
+        assert record.levelno == logging.WARNING
+        assert str(path) in record.getMessage()
+        assert "corrupt" in record.getMessage()
 
     def test_rehydrated_result_reports_cache_hit(self, mlp_graph):
         entry = _entry_for(mlp_graph, "mlp")

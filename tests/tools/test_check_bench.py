@@ -154,6 +154,46 @@ class TestFloorOnlyRatios:
             assert set(paths) <= set(check_bench.GATES[name])
 
 
+class TestCeilings:
+    """Lower-is-better keys of the service bench's ``hit_path`` section."""
+
+    CEILINGS = check_bench.CEILINGS["BENCH_service.json"]
+
+    @staticmethod
+    def _doc(per_node: float = 2.2, ratio: float = 3.5) -> dict:
+        return {"benchmark": "service", "schema": 1, "smoke": True,
+                "results": {"hit_path": {"samples": 30, "bert": {
+                    "fingerprint_us_per_node": per_node,
+                    "disk_over_memory": ratio, "disk_hit_ms": 0.8}}}}
+
+    def _evaluate(self, fresh: dict, smoke: bool):
+        return check_bench.evaluate(self._doc(), fresh, {}, smoke=smoke,
+                                    ceilings=self.CEILINGS)
+
+    def test_under_the_ceilings_passes_in_both_modes(self):
+        for smoke in (True, False):
+            problems, notes = self._evaluate(self._doc(), smoke)
+            assert problems == []
+            assert sum("<= ceiling" in note for note in notes) == 2
+
+    def test_above_a_ceiling_fails_in_both_modes(self):
+        for smoke in (True, False):
+            # The parent's 3.5 us a node (no intern table) must trip it.
+            problems, _ = self._evaluate(self._doc(per_node=3.5), smoke)
+            assert len(problems) == 1
+            assert "hit_path.bert.fingerprint_us_per_node" in problems[0]
+            assert "above the ceiling 3" in problems[0]
+            problems, _ = self._evaluate(self._doc(ratio=9.0), smoke)
+            assert len(problems) == 1 and "disk_over_memory" in problems[0]
+
+    def test_a_section_that_did_not_run_fails(self):
+        fresh = self._doc()
+        del fresh["results"]["hit_path"]
+        problems, _ = self._evaluate(fresh, smoke=True)
+        assert len(problems) == 2
+        assert all("no matching key" in p for p in problems)
+
+
 class TestSearchWitnesses:
     """The BENCH_search witnesses ride through check_file-level gates."""
 
@@ -211,14 +251,8 @@ class TestCli:
                                            "--fresh", str(path), "--full"])
             assert return_code == 0, capsys.readouterr().out
 
-    #: Recordings that predate the ``host`` block; ``BENCH_service.json`` is
-    #: re-recorded by the service-bench item of the ROADMAP (4(c)).
-    HOSTLESS = ("BENCH_service.json",)
-
     def test_committed_recordings_say_which_host_made_them(self):
         for name in check_bench.GATES:
-            if name in self.HOSTLESS:
-                continue
             host = json.loads((REPO_ROOT / name).read_text()).get("host")
             assert host and host["cores"] >= 1 and host["python"], name
 

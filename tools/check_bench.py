@@ -28,6 +28,11 @@ missing from the fresh file fails (the benchmark silently did not run);
 one missing from the baseline is reported but passes (first run of a new
 benchmark).
 
+Keys where *lower* is better are held to an absolute ceiling
+(:data:`CEILINGS`) in both modes, with the same presence rule: the service
+bench's ``hit_path`` section — a disk hit may cost at most 8 memory hits,
+a fingerprint at most 3 µs per node of the caller's graph.
+
 Correctness witnesses (:data:`REQUIRED_POSITIVE` /
 :data:`REQUIRED_LITERAL`) are enforced in *both* modes: the exec bench
 records how many differential checks actually ran, and a run whose
@@ -87,6 +92,26 @@ GATES: Dict[str, Dict[str, float]] = {
 FLOOR_ONLY: Dict[str, Tuple[str, ...]] = {
     "BENCH_service.json": ("cold_vs_warm.speedup",
                            "warm_shared_cache.speedup"),
+}
+
+#: Lower-is-better keys: ``pattern -> ceiling``, absolute, in both modes; a
+#: pattern matching no fresh key fails.  Both are properties of the code
+#: more than of the host: the first a ratio of two medians of one pinned
+#: run, the second 2.0-2.4 where it was recorded (3.5-4.1 before PR 22
+#: interned the node payloads, so losing the table trips it).
+CEILINGS: Dict[str, Dict[str, float]] = {
+    "BENCH_service.json": {
+        "hit_path.*.disk_over_memory": 8.0,
+        "hit_path.*.fingerprint_us_per_node": 3.0,
+    },
+}
+
+#: Printed after the ok line of a matching key: what a reader comparing
+#: the number with an older recording has to know.
+KEY_NOTES: Dict[str, str] = {
+    # Older recordings could read the first model 5-13x high when the run
+    # started after an idle gap (OpenBLAS's second thread parked).
+    "models.*.execute_ms": "timed after a BLAS warm-up since PR 22",
 }
 
 #: Correctness witnesses: numeric key patterns that must be present in the
@@ -156,6 +181,7 @@ def evaluate(baseline: Mapping[str, Any], fresh: Mapping[str, Any],
              required_positive: Tuple[str, ...] = (),
              required_literal: Optional[Mapping[str, str]] = None,
              floor_only: Tuple[str, ...] = (),
+             ceilings: Optional[Mapping[str, float]] = None,
              ) -> Tuple[List[str], List[str]]:
     """Compare one fresh results document against its baseline.
 
@@ -172,6 +198,9 @@ def evaluate(baseline: Mapping[str, Any], fresh: Mapping[str, Any],
             that must be present and equal in the fresh results.
         floor_only: Gated key paths held to their floor in full mode too
             (see :data:`FLOOR_ONLY`).
+        ceilings: ``pattern -> ceiling`` for lower-is-better keys that
+            must be present and at most that in the fresh results, in
+            either mode (see :data:`CEILINGS`).
 
     Returns:
         ``(problems, notes)`` — failures and informational lines.
@@ -190,10 +219,26 @@ def evaluate(baseline: Mapping[str, Any], fresh: Mapping[str, Any],
         for path in matched:
             value = fresh_leaves[path]
             if value > 0:
-                notes.append(f"{path}: {value:g} > 0 (gate executed)")
+                remark = next((f"; {text}" for key, text in KEY_NOTES.items()
+                               if fnmatch.fnmatchcase(path, key)), "")
+                notes.append(f"{path}: {value:g} > 0 (gate executed{remark})")
             else:
                 problems.append(f"{path}: {value:g} — the correctness "
                                 f"gate never executed")
+
+    for pattern, ceiling in (ceilings or {}).items():
+        matched = sorted(p for p in fresh_leaves
+                         if fnmatch.fnmatchcase(p, pattern))
+        if not matched:
+            problems.append(f"{pattern}: no matching key in the fresh "
+                            f"results (benchmark did not run?)")
+        for path in matched:
+            value = fresh_leaves[path]
+            if value <= ceiling:
+                notes.append(f"{path}: {value:.3f} <= ceiling {ceiling:g}")
+            else:
+                problems.append(f"{path}: {value:.3f} is above the "
+                                f"ceiling {ceiling:g}")
 
     fresh_strings = flatten_strings(fresh.get("results", {}))
     for pattern, expected in (required_literal or {}).items():
@@ -298,7 +343,8 @@ def check_file(baseline_path: Path, fresh_path: Path,
         baseline, fresh, gates, smoke=smoke, tolerance=tolerance,
         required_positive=REQUIRED_POSITIVE.get(fresh_path.name, ()),
         required_literal=REQUIRED_LITERAL.get(fresh_path.name),
-        floor_only=FLOOR_ONLY.get(fresh_path.name, ()))
+        floor_only=FLOOR_ONLY.get(fresh_path.name, ()),
+        ceilings=CEILINGS.get(fresh_path.name))
     return problems, notes, smoke, host_lines(baseline, fresh)
 
 
