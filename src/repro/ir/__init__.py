@@ -5,8 +5,9 @@ Public surface:
 * :class:`~repro.ir.tensor.TensorShape`, :class:`~repro.ir.tensor.TensorSpec`
 * :class:`~repro.ir.ops.OpType` and shape inference
 * :class:`~repro.ir.graph.Graph` and :class:`~repro.ir.builder.GraphBuilder`
-* JSON (ONNX-like) serialisation helpers
-* binary wire codec for whole graphs (:mod:`repro.ir.wire`)
+* JSON (ONNX-like) serialisation helpers (:mod:`repro.ir.serialize`) — the
+  one graph codec: files, the service's disk tier and the remote-worker
+  protocol all carry this document
 """
 
 from .tensor import DataType, TensorShape, TensorSpec, make_spec
@@ -14,8 +15,6 @@ from .ops import OpType, OP_REGISTRY, infer_output_spec, op_index, num_op_types
 from .graph import Edge, Graph, GraphDelta, GraphValidationError, Node, NodeId
 from .builder import GraphBuilder
 from .serialize import graph_from_dict, graph_to_dict, load_graph, save_graph
-from .wire import (WireFormatError, decode_graph, encode_graph,
-                   roundtrip_equal)
 
 __all__ = [
     "DataType", "TensorShape", "TensorSpec", "make_spec",
@@ -23,5 +22,4 @@ __all__ = [
     "Edge", "Graph", "GraphDelta", "GraphValidationError", "Node", "NodeId",
     "GraphBuilder",
     "graph_from_dict", "graph_to_dict", "load_graph", "save_graph",
-    "WireFormatError", "decode_graph", "encode_graph", "roundtrip_equal",
 ]

@@ -95,7 +95,11 @@ def graph_from_dict(data: Dict, *, validate: bool = True) -> Graph:
             e = Edge(src=int(edge["src"]), dst=nid,
                      src_slot=int(edge["src_slot"]), dst_slot=int(edge["dst_slot"]))
             graph._in_edges[nid].append(e)
-            graph._out_edges[e.src].append(e)
+            try:
+                graph._out_edges[e.src].append(e)
+            except KeyError:
+                raise ValueError(f"node {nid} takes an input from missing "
+                                 f"node {e.src}") from None
     graph._next_id = max_id + 1
     graph._rebuild_indices()  # nodes were installed without the mutation API
     if validate:

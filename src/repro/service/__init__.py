@@ -9,7 +9,7 @@ serving layer here:
 * :mod:`repro.service.lease` — cross-process dedup leases over the cache
   directory (flock-guarded acquire, heartbeats, stale takeover)
 * :mod:`repro.service.scheduler` — bounded submit/poll/result job scheduler
-  over thread / process / async worker backends, with per-job event
+  over the thread and async worker backends, with per-job event
   channels (:class:`JobHandle`)
 * :mod:`repro.service.events` — streaming progress events and their
   in-memory / spool-file transports
@@ -18,7 +18,8 @@ serving layer here:
 * :mod:`repro.service.health` — per-endpoint health records and the
   least-loaded / circuit-breaker routing the async pool dispatches by
 * :mod:`repro.service.remote` — the off-box worker protocol
-  (:class:`WorkerServer` / :class:`RemoteWorkerClient`)
+  (:class:`WorkerServer`; :func:`optimise_async` / :func:`ping_async` are
+  its client)
 * :mod:`repro.service.worker` — per-worker job execution
 * :mod:`repro.service.api` — the :class:`OptimisationService` batch façade
   (admission-time caching + in-flight and cross-process dedup)
@@ -36,8 +37,8 @@ from .health import EndpointHealth, HealthRegistry
 from .lease import LeaseConfig, LeaseManager
 from .registry import (create_optimiser, default_config, list_optimisers,
                        optimiser_spec, register_optimiser, OptimiserSpec)
-from .remote import (RemoteUnavailableError, RemoteWorkerClient,
-                     RemoteWorkerError, WorkerServer)
+from .remote import (RemoteUnavailableError, RemoteWorkerError, WorkerServer,
+                     optimise_async, ping_async)
 from .scheduler import (JobHandle, JobRecord, JobScheduler, JobState,
                         QueueFullError, UnknownJobError)
 from .worker import JobRequest, ServiceResult, execute_request
@@ -52,8 +53,8 @@ __all__ = [
     "LeaseConfig", "LeaseManager",
     "OptimiserSpec", "create_optimiser", "default_config", "list_optimisers",
     "optimiser_spec", "register_optimiser",
-    "RemoteUnavailableError", "RemoteWorkerClient", "RemoteWorkerError",
-    "WorkerServer",
+    "RemoteUnavailableError", "RemoteWorkerError", "WorkerServer",
+    "optimise_async", "ping_async",
     "JobHandle", "JobRecord", "JobScheduler", "JobState", "QueueFullError",
     "UnknownJobError",
     "JobRequest", "ServiceResult", "execute_request",

@@ -72,8 +72,8 @@ class OptimisationService:
         cache_policy: Eviction bounds for the persistent tier (max entries
             / max bytes / TTL); unbounded when omitted.
         max_pending: Bounded admission queue (see :class:`JobScheduler`).
-        backend: Worker flavour — ``"thread"`` (default), ``"process"``,
-            or ``"async"`` (event loop over local process workers and any
+        backend: Worker flavour — ``"thread"`` (default) or ``"async"``
+            (event loop over local process workers and any
             ``remote_endpoints``).
         remote_endpoints: ``"host:port"`` strings of
             :class:`~repro.service.remote.WorkerServer` boxes; implies the

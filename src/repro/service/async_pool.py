@@ -17,7 +17,7 @@ Remote dispatch is **health- and load-aware** (see
 capacity and in-flight jobs learned from periodic ``ping`` probes, an
 EWMA of observed call latency, and a consecutive-failure circuit
 breaker — and each job goes to the least-loaded live endpoint.  A dead
-box is quarantined after ``failure_threshold`` consecutive transport
+box is quarantined after three consecutive transport
 failures and receives no further work; the probe loop keeps pinging it
 and readmits it the moment it answers, so a rebooted worker rejoins the
 rotation automatically.  When every endpoint is quarantined or saturated
@@ -47,6 +47,19 @@ from .worker import execute_request
 
 __all__ = ["AsyncWorkerPool"]
 
+#: Concurrent calls assumed allowed per endpoint until the first successful
+#: ``ping`` reports the worker's real capacity (which then takes over).
+_ASSUMED_REMOTE_CAPACITY = 4
+#: Consecutive transport failures that quarantine an endpoint.
+_FAILURE_THRESHOLD = 3
+#: Seconds between background health-probe rounds (``ping`` of every
+#: endpoint); :meth:`AsyncWorkerPool.probe_endpoints` runs one at once.
+_PROBE_INTERVAL_S = 5.0
+
+
+def _pool_noop() -> None:
+    """Picklable no-op; submitting it spawns the process pool's workers."""
+
 
 class AsyncWorkerPool:
     """Event-loop executor over local process workers and remote endpoints.
@@ -61,34 +74,26 @@ class AsyncWorkerPool:
         remote_endpoints: ``"host:port"`` strings of
             :class:`~repro.service.remote.WorkerServer` boxes.  Empty means
             all work runs locally.
-        max_remote_inflight: Concurrent calls assumed allowed *per
-            endpoint* until the first successful ``ping`` reports the
-            worker's real capacity (which then takes over).
-        failure_threshold: Consecutive transport failures that quarantine
-            an endpoint.
-        probe_interval_s: Seconds between health-probe rounds (``ping``
-            of every endpoint).  ``0`` disables the background loop —
-            probes then only happen via :meth:`probe_endpoints`.
     """
 
     def __init__(self, num_workers: int = 4,
-                 remote_endpoints: Optional[Sequence[str]] = None,
-                 max_remote_inflight: int = 4,
-                 failure_threshold: int = 3,
-                 probe_interval_s: float = 5.0):
+                 remote_endpoints: Optional[Sequence[str]] = None):
         self.num_workers = max(1, int(num_workers))
         self.remote_endpoints = [str(e) for e in (remote_endpoints or [])]
-        self.max_remote_inflight = max(1, int(max_remote_inflight))
-        self.probe_interval_s = max(0.0, float(probe_interval_s))
         self.health = HealthRegistry(self.remote_endpoints,
-                                     default_capacity=self.max_remote_inflight,
-                                     failure_threshold=failure_threshold)
+                                     default_capacity=_ASSUMED_REMOTE_CAPACITY,
+                                     failure_threshold=_FAILURE_THRESHOLD)
         self._stats_lock = threading.Lock()
         self._dispatched_local = 0
         self._dispatched_remote = 0
         self._remote_fallbacks = 0
         self._local = futures.ProcessPoolExecutor(
             max_workers=self.num_workers)
+        # The stdlib pool starts its workers on first use, so the first
+        # burst of jobs (the first request after a deploy) would pay the
+        # spawns inside the request: one no-op makes it fork the full
+        # complement now, before this pool's own thread exists.
+        self._local.submit(_pool_noop)
         self._loop = asyncio.new_event_loop()
         self._local_slots = asyncio.Semaphore(self.num_workers)
         self._inflight: set = set()
@@ -97,7 +102,7 @@ class AsyncWorkerPool:
                                         name="repro-async-pool", daemon=True)
         self._thread.start()
         self._probe_task: Optional["futures.Future"] = None
-        if self.remote_endpoints and self.probe_interval_s > 0:
+        if self.remote_endpoints:
             self._probe_task = asyncio.run_coroutine_threadsafe(
                 self._probe_loop(), self._loop)
 
@@ -173,7 +178,7 @@ class AsyncWorkerPool:
                 await self._probe_once()
             except Exception:  # pragma: no cover - probe must never die
                 pass
-            await asyncio.sleep(self.probe_interval_s)
+            await asyncio.sleep(_PROBE_INTERVAL_S)
 
     def probe_endpoints(self) -> Dict[str, bool]:
         """Run one probe round now; ``{endpoint: reachable}``.
@@ -181,7 +186,7 @@ class AsyncWorkerPool:
         Synchronous front end to the background probe — a successful ping
         updates capacity/load and readmits a quarantined endpoint
         immediately, which is how tests (and impatient operators) avoid
-        waiting out ``probe_interval_s``.
+        waiting out the probe interval.
         """
         if not self.remote_endpoints:
             return {}

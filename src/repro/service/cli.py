@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="optimiser config override (repeatable)")
     parser.add_argument("--workers", type=int, default=4,
                         help="worker pool size (default: 4)")
-    parser.add_argument("--backend", choices=["thread", "process", "async"],
+    parser.add_argument("--backend", choices=["thread", "async"],
                         default=None,
                         help="worker flavour (default: thread; async drives "
                              "process workers and any --remote-worker boxes "

@@ -37,7 +37,7 @@ class EndpointHealth:
     Attributes:
         endpoint: The ``"host:port"`` this record describes.
         capacity: Concurrent searches the worker can run.  Seeded from
-            the pool's ``max_remote_inflight``; corrected to the
+            the pool's assumed capacity; corrected to the
             worker's real ``num_workers`` by every successful ping.
         inflight: Jobs *we* have dispatched and not yet completed.
         reported_inflight: In-flight jobs the worker itself reported on

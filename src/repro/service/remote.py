@@ -1,83 +1,85 @@
 """Minimal JSON-RPC worker protocol: run searches on another box.
 
-The wire format is deliberately tiny — newline-delimited JSON-RPC 2.0 over a
+The protocol is deliberately tiny — newline-delimited JSON-RPC 2.0 over a
 plain TCP socket, one JSON document per line::
 
     → {"jsonrpc": "2.0", "id": 1, "method": "optimise",
-       "params": {"request": {...}, "fingerprint": "..."}}
+       "params": {"protocol": 3, "request": {"graph": {...}, ...},
+                  "fingerprint": "..."}}
     ← {"jsonrpc": "2.0", "id": 1, "result": {"search": {...}}}
 
-Three methods:
+Two methods:
 
 * ``ping`` — liveness/identity probe; returns the worker's capacity,
   jobs served, and **jobs currently in flight** — the load signal the
   health-aware dispatcher routes on.
 * ``optimise`` — run one search job; params carry the serialised
-  :class:`~repro.service.worker.JobRequest` (graph as base64-wrapped
-  binary wire bytes, :mod:`repro.ir.wire`; repeat calls on the same
-  connection send only a cached ``graph_ref``) and the admission-time
-  fingerprint.  The
-  response carries the search outcome *without* the initial graph — the
-  caller already holds it and rehydrates locally, which keeps the payload
-  proportional to the optimised graph only.  When the params carry
+  :class:`~repro.service.worker.JobRequest` (the graph inline as its
+  :func:`~repro.ir.serialize.graph_to_dict` document) and the
+  admission-time fingerprint.  The response carries the search outcome
+  *without* the initial graph — the caller already holds it and
+  rehydrates locally, which keeps the payload proportional to the
+  optimised graph only.  When the params carry
   ``"stream": true`` the server interleaves JSON-RPC *notification*
   frames (``"method": "event"``, no id) ahead of the final response —
   one per optimiser iteration — so callers can follow a long search's
   progress live.
-* ``shutdown`` — ask the worker process to stop serving.
+
+Both ends rebuild a graph with :func:`~repro.ir.serialize.graph_from_dict`
+at its validating default: a document that came off a socket is checked
+(known ops, resolvable edges, stored shapes agreeing with inference) before
+anything searches it.
 
 Pieces:
 
 * :class:`WorkerServer` — threaded TCP server hosting the optimiser
   registry; start one per worker box (``python -m repro.service
   --worker-server HOST:PORT``).
-* :class:`RemoteWorkerClient` — blocking client for tests / scripts.
-* :func:`optimise_async` — coroutine used by
-  :class:`~repro.service.async_pool.AsyncWorkerPool` to drive many remote
-  workers from one event loop.
+* :func:`optimise_async` / :func:`ping_async` — the client: the
+  coroutines :class:`~repro.service.async_pool.AsyncWorkerPool` awaits,
+  many at once on one event loop (a script calls them through
+  ``asyncio.run``).
 
-Failures inside the remote search come back as JSON-RPC error objects and
-re-raise as :class:`RemoteWorkerError` on the caller; transport failures
-(connection refused, dropped mid-call) raise :class:`RemoteUnavailableError`
-so callers can distinguish "the search is broken" from "the box is gone"
+Failures inside the remote search — and requests that do not decode —
+come back as JSON-RPC error objects and re-raise as
+:class:`RemoteWorkerError` on the caller, as does a result that does not
+decode; transport failures (connection refused, dropped mid-call) raise
+:class:`RemoteUnavailableError` so callers can distinguish "the search is broken" from "the box is gone"
 and fall back to local execution.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
+import functools
 import json
-import socket
 import socketserver
 import threading
 import time
-from typing import Any, Callable, Dict, Mapping, MutableMapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from ..ir.wire import decode_graph, encode_graph
+from ..ir.graph import Graph
+from ..ir.serialize import graph_from_dict, graph_to_dict
 from ..search.result import SearchResult
 from .worker import JobRequest, ServiceResult, execute_request
 
-__all__ = ["WorkerServer", "RemoteWorkerClient", "RemoteWorkerError",
-           "RemoteUnavailableError", "optimise_async", "ping_async",
-           "parse_endpoint", "graph_ref_for", "request_to_wire",
-           "request_from_wire", "result_to_wire", "result_from_wire"]
+__all__ = ["WorkerServer", "RemoteWorkerError", "RemoteUnavailableError",
+           "optimise_async", "ping_async", "parse_endpoint",
+           "request_to_wire", "request_from_wire", "result_to_wire",
+           "result_from_wire"]
 
-#: Version stamp of the wire format; servers reject requests of any other
-#: protocol revision rather than mis-decoding them.
-#:
-#: Revision 2 ships graphs as the binary :mod:`repro.ir.wire` codec
-#: (base64 inside the JSON envelope, ~3-6x smaller than the JSON graph
-#: dict) and adds per-connection graph caching: a request may carry a
-#: ``graph_ref`` instead of the graph, referring to a graph shipped
-#: earlier on the same connection — so persistent clients re-optimising
-#: the same model stop re-shipping it per call.  Revision 1 (JSON ``graph``
-#: dicts, no ``protocol`` field) is no longer spoken.
-PROTOCOL_VERSION = 2
+#: Version stamp of the protocol; servers reject requests of any other
+#: revision by name rather than mis-decoding them.  Revision 3 carries a
+#: graph inline as its :mod:`repro.ir.serialize` JSON document
+#: (``request.graph``, ``search.final_graph``).  Revisions 1 (no
+#: ``protocol`` field) and 2 (a second, binary graph format) are no longer
+#: spoken.
+PROTOCOL_VERSION = 3
 
-#: Upper bound on one newline-delimited message (request or response).
-#: Serialised graphs grow with the model; 64 MiB is ~500x the largest
-#: zoo graph today.
+#: Upper bound on one newline-delimited message (request or response),
+#: enforced by both the server's and the client's reader.
+#: Serialised graphs grow with the model; 64 MiB is ~700x the largest
+#: zoo graph today (inception_v3, 94 KB).
 _MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 
@@ -108,51 +110,46 @@ def parse_endpoint(endpoint: str) -> Tuple[str, int]:
 
 
 # -- wire encoding ------------------------------------------------------
-def graph_ref_for(request: JobRequest, fingerprint: str = "") -> str:
-    """The cache key a request's graph travels under: the admission-time
-    fingerprint when the caller has one, else the structural hash."""
-    return fingerprint or request.graph.structural_hash()
+#: What decoding a document of the wrong shape can raise.
+_DECODE_ERRORS = (LookupError, TypeError, ValueError, AttributeError)
 
 
-def request_to_wire(request: JobRequest, fingerprint: str = "",
-                    omit_graph: bool = False) -> Dict[str, Any]:
-    """Serialise a :class:`JobRequest` for the ``optimise`` params.
+def _graph_from_wire(document: Any, where: str) -> Graph:
+    """Rebuild and validate a graph document that came off a socket.
 
-    The graph ships as binary wire bytes (base64) under ``graph_wire``,
-    tagged with a ``graph_ref`` the server caches it under for the rest of
-    the connection.  With ``omit_graph=True`` only the ref is sent — valid
-    when the same connection already shipped this graph (see
-    :meth:`RemoteWorkerClient.optimise`).
+    Raises:
+        ValueError: Naming ``where`` and the reason, whatever the document
+            got wrong (unknown op, edge to a missing node, a stored shape
+            that inference contradicts, not a document at all).
     """
-    payload: Dict[str, Any] = {
-        "optimiser": request.optimiser,
-        "config": dict(request.config),
-        "model_name": request.model_name,
-        "graph_ref": graph_ref_for(request, fingerprint),
-    }
-    if not omit_graph:
-        payload["graph_wire"] = base64.b64encode(
-            encode_graph(request.graph)).decode("ascii")
+    try:
+        return graph_from_dict(document)
+    except _DECODE_ERRORS as exc:
+        raise ValueError(
+            f"malformed graph document in {where}: {exc!r}") from exc
+
+
+def request_to_wire(request: JobRequest,
+                    fingerprint: str = "") -> Dict[str, Any]:
+    """Serialise a :class:`JobRequest` for the ``optimise`` params."""
     return {
         "protocol": PROTOCOL_VERSION,
-        "request": payload,
+        "request": {
+            "optimiser": request.optimiser,
+            "config": dict(request.config),
+            "model_name": request.model_name,
+            "graph": graph_to_dict(request.graph),
+        },
         "fingerprint": fingerprint,
     }
 
 
-def request_from_wire(params: Mapping[str, Any],
-                      graph_cache: Optional[
-                          MutableMapping[str, Any]] = None,
-                      ) -> Tuple[JobRequest, str]:
+def request_from_wire(params: Mapping[str, Any]) -> Tuple[JobRequest, str]:
     """Decode ``optimise`` params back into a request + fingerprint.
-
-    ``graph_cache`` — the connection's graph store — resolves bare
-    ``graph_ref`` requests and absorbs every freshly shipped graph.
 
     Raises:
         ValueError: If the params were produced by another protocol
-            revision, or a ``graph_ref`` is not in the cache (the client
-            must re-ship).
+            revision, or the graph document is missing or malformed.
     """
     revision = params.get("protocol", 1)
     if revision != PROTOCOL_VERSION:
@@ -160,18 +157,8 @@ def request_from_wire(params: Mapping[str, Any],
             f"unsupported protocol revision {revision} "
             f"(this worker speaks revision {PROTOCOL_VERSION})")
     data = params["request"]
-    ref = data.get("graph_ref", "")
-    if "graph_wire" in data:
-        graph = decode_graph(base64.b64decode(data["graph_wire"]))
-        if graph_cache is not None and ref:
-            graph_cache[ref] = graph
-    else:
-        if graph_cache is None or ref not in graph_cache:
-            raise ValueError(f"unknown graph_ref {ref!r} "
-                             f"(not shipped on this connection)")
-        graph = graph_cache[ref]
     request = JobRequest(
-        graph=graph,
+        graph=_graph_from_wire(data.get("graph"), "request.graph"),
         optimiser=data.get("optimiser", "taso"),
         config=dict(data.get("config", {})),
         model_name=data.get("model_name", ""),
@@ -187,8 +174,7 @@ def result_to_wire(result: ServiceResult) -> Dict[str, Any]:
         "search": {
             "optimiser": search.optimiser,
             "model": search.model,
-            "final_graph_wire": base64.b64encode(
-                encode_graph(search.final_graph)).decode("ascii"),
+            "final_graph": graph_to_dict(search.final_graph),
             "initial_latency_ms": search.initial_latency_ms,
             "final_latency_ms": search.final_latency_ms,
             "initial_cost_ms": search.initial_cost_ms,
@@ -202,14 +188,19 @@ def result_to_wire(result: ServiceResult) -> Dict[str, Any]:
 
 
 def result_from_wire(payload: Mapping[str, Any],
-                     initial_graph: Any) -> ServiceResult:
-    """Rehydrate a wire result against the caller's own initial graph."""
+                     initial_graph: Graph) -> ServiceResult:
+    """Rehydrate a wire result against the caller's own initial graph.
+
+    Raises:
+        ValueError: If the result's graph document is malformed.
+    """
     data = payload["search"]
     search = SearchResult(
         optimiser=data["optimiser"],
         model=data["model"],
         initial_graph=initial_graph,
-        final_graph=decode_graph(base64.b64decode(data["final_graph_wire"])),
+        final_graph=_graph_from_wire(data.get("final_graph"),
+                                     "search.final_graph"),
         initial_latency_ms=float(data["initial_latency_ms"]),
         final_latency_ms=float(data["final_latency_ms"]),
         initial_cost_ms=float(data["initial_cost_ms"]),
@@ -223,32 +214,37 @@ def result_from_wire(payload: Mapping[str, Any],
 
 
 # -- server -------------------------------------------------------------
+def _error_response(call_id: Any, exc: Exception) -> Dict[str, Any]:
+    return {"jsonrpc": "2.0", "id": call_id,
+            "error": {"code": -32000, "message": repr(exc)}}
+
+
 class _RequestHandler(socketserver.StreamRequestHandler):
     """One connection: many newline-delimited JSON-RPC calls."""
 
     def handle(self) -> None:  # noqa: D102 - socketserver plumbing
         server: "WorkerServer" = self.server.owner  # type: ignore[attr-defined]
 
-        def notify(frame: Dict[str, Any]) -> None:
+        def send(frame: Dict[str, Any]) -> None:
             # Interleaved event frames are written from the same
             # connection thread that runs the search, so they can never
             # tear against the final response.
             self.wfile.write(json.dumps(frame).encode() + b"\n")
             self.wfile.flush()
 
-        # Per-connection state: graphs shipped earlier on this connection,
-        # addressable by ``graph_ref`` in later calls (protocol rev 2).
-        context: Dict[str, Any] = {}
-        for line in self.rfile:
-            line = line.strip()
+        while not server.stopping:
+            line = self.rfile.readline(_MAX_MESSAGE_BYTES + 1)
             if not line:
-                continue
-            response = server.handle_call(line, notify=notify,
-                                          context=context)
-            self.wfile.write(json.dumps(response).encode() + b"\n")
-            self.wfile.flush()
-            if server.stopping:
                 break
+            if len(line) > _MAX_MESSAGE_BYTES:
+                # The rest of the line is unread, so the stream cannot be
+                # resynchronised: answer and close this connection.
+                send(_error_response(None, ValueError(
+                    f"message exceeds {_MAX_MESSAGE_BYTES} bytes")))
+                break
+            line = line.strip()
+            if line:
+                send(server.handle_call(line, notify=send))
 
 
 class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
@@ -295,14 +291,11 @@ class WorkerServer:
     # -- dispatch ------------------------------------------------------
     def handle_call(self, raw: bytes,
                     notify: Optional[Callable[[Dict[str, Any]], None]] = None,
-                    context: Optional[Dict[str, Any]] = None,
                     ) -> Dict[str, Any]:
         """Execute one JSON-RPC request line; always returns a response.
 
         ``notify`` — when given — lets streaming methods write JSON-RPC
         notification frames to the connection ahead of the response.
-        ``context`` — when given — is the connection's mutable state dict;
-        ``optimise`` keeps its graph cache there (``graph_ref`` reuse).
         """
         call_id: Any = None
         try:
@@ -317,25 +310,17 @@ class WorkerServer:
                                           "jobs_served": self.jobs_served,
                                           "jobs_inflight": self.jobs_inflight}
             elif method == "optimise":
-                result = self._optimise(params, notify, context)
-            elif method == "shutdown":
-                self.stopping = True
-                threading.Thread(target=self.stop, daemon=True).start()
-                result = {"stopping": True}
+                result = self._optimise(params, notify)
             else:
                 raise ValueError(f"unknown method {method!r}")
         except Exception as exc:
-            return {"jsonrpc": "2.0", "id": call_id,
-                    "error": {"code": -32000, "message": repr(exc)}}
+            return _error_response(call_id, exc)
         return {"jsonrpc": "2.0", "id": call_id, "result": result}
 
     def _optimise(self, params: Mapping[str, Any],
                   notify: Optional[Callable[[Dict[str, Any]], None]] = None,
-                  context: Optional[Dict[str, Any]] = None,
                   ) -> Dict[str, Any]:
-        graph_cache = (context.setdefault("graphs", {})
-                       if context is not None else None)
-        request, fingerprint = request_from_wire(params, graph_cache)
+        request, fingerprint = request_from_wire(params)
         progress: Optional[Callable[[int, float, str], None]] = None
         if params.get("stream") and notify is not None:
             def progress(iteration: int, best_cost: float,
@@ -386,7 +371,7 @@ class WorkerServer:
         self.stop()
 
 
-# -- clients ------------------------------------------------------------
+# -- client -------------------------------------------------------------
 def _relay_event(progress: Callable[[int, float, str], None],
                  params: Mapping[str, Any]) -> None:
     """Forward one wire ``event`` frame to a progress callback.
@@ -402,174 +387,45 @@ def _relay_event(progress: Callable[[int, float, str], None],
         pass
 
 
-class RemoteWorkerClient:
-    """Blocking client for one worker endpoint (tests, scripts, CLI).
+async def _call_async(endpoint: str, method: str, params: Mapping[str, Any],
+                      on_event: Optional[
+                          Callable[[Mapping[str, Any]], None]] = None,
+                      timeout_s: Optional[float] = None) -> Any:
+    """One JSON-RPC round trip on a fresh connection; returns ``result``.
 
-    Holds a single persistent connection; calls are serialised with a lock,
-    so share one client per thread — or open one per call site.
-
-    Args:
-        endpoint: ``"host:port"`` of a running :class:`WorkerServer`.
-        timeout_s: Socket timeout applied to connect and each call.
-
-    Raises:
-        RemoteUnavailableError: If the initial connection fails.
-    """
-
-    def __init__(self, endpoint: str, timeout_s: float = 300.0):
-        self.endpoint = endpoint
-        host, port = parse_endpoint(endpoint)
-        self._lock = threading.Lock()
-        self._ids = 0
-        try:
-            self._sock = socket.create_connection((host, port),
-                                                  timeout=timeout_s)
-        except OSError as exc:
-            raise RemoteUnavailableError(
-                f"cannot reach worker at {endpoint}: {exc}") from exc
-        self._file = self._sock.makefile("rwb")
-        #: graph_refs this connection has shipped — later optimise calls
-        #: for the same graph send only the ref (protocol rev 2).
-        self._shipped_refs: set = set()
-
-    def call(self, method: str, params: Optional[Mapping[str, Any]] = None,
-             on_notification: Optional[
-                 Callable[[Mapping[str, Any]], None]] = None) -> Any:
-        """One JSON-RPC round trip.
-
-        ``on_notification`` — when given — receives the params of every
-        id-less notification frame (streamed ``event``\\ s) the server
-        interleaves ahead of the response.
-
-        Returns:
-            The call's ``result`` member.
-
-        Raises:
-            RemoteWorkerError: If the worker returned an error object.
-            RemoteUnavailableError: If the connection dropped mid-call.
-        """
-        with self._lock:
-            self._ids += 1
-            call = {"jsonrpc": "2.0", "id": self._ids, "method": method,
-                    "params": dict(params or {})}
-            try:
-                self._file.write(json.dumps(call).encode() + b"\n")
-                self._file.flush()
-                while True:
-                    line = self._file.readline()
-                    if not line:
-                        raise RemoteUnavailableError(
-                            f"worker at {self.endpoint} closed the "
-                            f"connection")
-                    response = json.loads(line)
-                    if "method" in response and "id" not in response:
-                        if on_notification is not None:
-                            on_notification(response.get("params") or {})
-                        continue
-                    break
-            except OSError as exc:
-                raise RemoteUnavailableError(
-                    f"worker at {self.endpoint} dropped: {exc}") from exc
-        if "error" in response:
-            raise RemoteWorkerError(response["error"].get("message", "error"))
-        return response.get("result")
-
-    def ping(self) -> Dict[str, Any]:
-        """Liveness probe; returns the worker's capacity info."""
-        return self.call("ping")
-
-    def optimise(self, request: JobRequest, fingerprint: str = "",
-                 progress: Optional[Callable[[int, float, str], None]] = None,
-                 ) -> ServiceResult:
-        """Run one search remotely and rehydrate the result locally.
-
-        ``progress`` — when given — requests streaming: the worker
-        interleaves per-iteration ``event`` frames ahead of the result,
-        each forwarded as ``progress(iteration, best_cost,
-        best_graph_fp)``.
-
-        The graph ships once per connection: repeat calls for the same
-        graph (same fingerprint/structural hash) send only its
-        ``graph_ref``, which the server resolves from its per-connection
-        cache.
-        """
-        ref = graph_ref_for(request, fingerprint)
-        params = request_to_wire(request, fingerprint,
-                                 omit_graph=ref in self._shipped_refs)
-        on_notification = None
-        if progress is not None:
-            params["stream"] = True
-
-            def on_notification(event_params: Mapping[str, Any]) -> None:
-                _relay_event(progress, event_params)
-
-        payload = self.call("optimise", params,
-                            on_notification=on_notification)
-        self._shipped_refs.add(ref)
-        return result_from_wire(payload, request.graph)
-
-    def close(self) -> None:
-        """Drop the connection (best effort; safe to call twice)."""
-        try:
-            self._file.close()
-            self._sock.close()
-        except OSError:  # pragma: no cover - best-effort teardown
-            pass
-
-    def __enter__(self) -> "RemoteWorkerClient":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-async def optimise_async(endpoint: str, request: JobRequest,
-                         fingerprint: str = "",
-                         progress: Optional[
-                             Callable[[int, float, str], None]] = None,
-                         ) -> ServiceResult:
-    """Coroutine flavour of :meth:`RemoteWorkerClient.optimise`.
-
-    Opens a fresh connection per call (the event loop multiplexes many of
-    these concurrently, so per-call connections keep the pool stateless).
-    ``progress`` — when given — requests streaming and receives every
-    interleaved ``event`` frame as ``progress(iteration, best_cost,
-    best_graph_fp)``.
-
-    Raises:
-        RemoteWorkerError: If the worker returned an error object.
-        RemoteUnavailableError: On any transport failure.
+    A connection per call keeps the pool stateless: the event loop
+    multiplexes many of these concurrently.  ``on_event`` receives the
+    params of every ``event`` notification interleaved ahead of the
+    response; ``timeout_s`` bounds the connect and each read.
     """
     host, port = parse_endpoint(endpoint)
     try:
-        # Default StreamReader limit is 64 KiB — far below a serialised
-        # zoo graph (inception_v3 is ~94 KB); raise it so readline() can
-        # hold one full response document.
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=_MAX_MESSAGE_BYTES)
-    except OSError as exc:
+        # asyncio's default StreamReader limit is 64 KiB, below a
+        # serialised zoo graph: raise it so readline() can hold one
+        # response document.
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(host, port, limit=_MAX_MESSAGE_BYTES),
+            timeout=timeout_s)
+    except (OSError, asyncio.TimeoutError) as exc:
         raise RemoteUnavailableError(
             f"cannot reach worker at {endpoint}: {exc}") from exc
     try:
-        params = request_to_wire(request, fingerprint)
-        if progress is not None:
-            params["stream"] = True
-        call = {"jsonrpc": "2.0", "id": 1, "method": "optimise",
+        call = {"jsonrpc": "2.0", "id": 1, "method": method,
                 "params": params}
         writer.write(json.dumps(call).encode() + b"\n")
         await writer.drain()
         while True:
-            line = await reader.readline()
+            line = await asyncio.wait_for(reader.readline(),
+                                          timeout=timeout_s)
             if not line:
                 raise RemoteUnavailableError(
                     f"worker at {endpoint} closed the connection")
             message = json.loads(line)
-            if message.get("method") == "event":
-                if progress is not None:
-                    _relay_event(progress, message.get("params") or {})
-                continue
-            break
-    except OSError as exc:
+            if message.get("method") != "event":
+                break
+            if on_event is not None:
+                on_event(message.get("params") or {})
+    except (OSError, asyncio.TimeoutError) as exc:
         raise RemoteUnavailableError(
             f"worker at {endpoint} dropped: {exc}") from exc
     finally:
@@ -580,44 +436,46 @@ async def optimise_async(endpoint: str, request: JobRequest,
             pass
     if "error" in message:
         raise RemoteWorkerError(message["error"].get("message", "error"))
-    return result_from_wire(message["result"], request.graph)
+    return message.get("result")
+
+
+async def optimise_async(endpoint: str, request: JobRequest,
+                         fingerprint: str = "",
+                         progress: Optional[
+                             Callable[[int, float, str], None]] = None,
+                         ) -> ServiceResult:
+    """Run one search on the worker at ``endpoint``; rehydrate the result.
+
+    ``progress`` — when given — requests streaming and receives every
+    interleaved ``event`` frame as ``progress(iteration, best_cost,
+    best_graph_fp)``.
+
+    Raises:
+        RemoteWorkerError: If the worker returned an error object, or a
+            result that does not decode into a valid graph.
+        RemoteUnavailableError: On any transport failure.
+    """
+    params = request_to_wire(request, fingerprint)
+    on_event = None
+    if progress is not None:
+        params["stream"] = True
+        on_event = functools.partial(_relay_event, progress)
+    payload = await _call_async(endpoint, "optimise", params, on_event)
+    try:
+        return result_from_wire(payload, request.graph)
+    except _DECODE_ERRORS as exc:
+        raise RemoteWorkerError(
+            f"worker at {endpoint} returned a malformed result: "
+            f"{exc!r}") from exc
 
 
 async def ping_async(endpoint: str, timeout_s: float = 5.0) -> Dict[str, Any]:
-    """Coroutine flavour of :meth:`RemoteWorkerClient.ping`.
-
-    The health-aware dispatcher's probe: returns the worker's ``ping``
-    payload (capacity, jobs served, jobs in flight).
+    """The health-aware dispatcher's probe: the worker's ``ping`` payload
+    (capacity, jobs served, jobs in flight).
 
     Raises:
         RemoteUnavailableError: On any transport failure or timeout.
         RemoteWorkerError: If the worker returned an error object.
     """
-    host, port = parse_endpoint(endpoint)
-    try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout=timeout_s)
-    except (OSError, asyncio.TimeoutError) as exc:
-        raise RemoteUnavailableError(
-            f"cannot reach worker at {endpoint}: {exc}") from exc
-    try:
-        call = {"jsonrpc": "2.0", "id": 1, "method": "ping", "params": {}}
-        writer.write(json.dumps(call).encode() + b"\n")
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout=timeout_s)
-        if not line:
-            raise RemoteUnavailableError(
-                f"worker at {endpoint} closed the connection")
-    except (OSError, asyncio.TimeoutError) as exc:
-        raise RemoteUnavailableError(
-            f"worker at {endpoint} dropped: {exc}") from exc
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except OSError:  # pragma: no cover - teardown race
-            pass
-    response = json.loads(line)
-    if "error" in response:
-        raise RemoteWorkerError(response["error"].get("message", "error"))
-    return dict(response.get("result") or {})
+    return dict(await _call_async(endpoint, "ping", {},
+                                  timeout_s=timeout_s) or {})

@@ -6,17 +6,16 @@ bounded admission queue (``QueueFullError`` instead of unbounded memory
 growth), and completion callbacks used by the service to populate the
 fingerprint cache.
 
-Three pool flavours, selected by ``backend``:
+Two pool flavours, selected by ``backend``:
 
 * ``"thread"`` (default) — cheap dispatch, shared in-process cache; fine for
   the I/O-light search jobs and for cache-dominated traffic.
-* ``"process"`` — true parallelism for the pure-Python searches, at the cost
-  of pickling graphs across the boundary.  Submitted callables must then be
-  module-level functions.
 * ``"async"`` — an :class:`~repro.service.async_pool.AsyncWorkerPool`: an
-  asyncio event loop (in a dedicated thread) drives a local process pool
-  and, when ``remote_endpoints`` are given, off-box workers over the
-  JSON-RPC protocol in :mod:`repro.service.remote`.
+  asyncio event loop (in a dedicated thread) drives a local process pool —
+  true parallelism for the pure-Python searches, at the cost of pickling
+  graphs across the boundary, so submitted callables must be module-level
+  functions — and, when ``remote_endpoints`` are given, off-box workers
+  over the JSON-RPC protocol in :mod:`repro.service.remote`.
 
 The scheduler also supports *attached* (follower) jobs — :meth:`attach`
 registers a new job id that shares an existing job's future, which is how
@@ -27,8 +26,8 @@ Jobs submitted with ``stream=True`` additionally get an **event channel**:
 the job body receives a ``progress`` callable (see
 :mod:`repro.service.events`) and everything it emits can be followed live
 through :meth:`JobHandle.events` — in-memory for the thread backend, via
-a spool file for the process/async backends (whose job bodies run in
-other processes).
+a spool file for the async backend (whose job bodies run in other
+processes).
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ def _pool_warmup(barrier: "threading.Barrier") -> None:
         barrier.wait(timeout=2.0)
     except threading.BrokenBarrierError:
         pass
-
-
-def _pool_noop() -> None:
-    """Picklable no-op; submitting it spawns the process pool's workers."""
 
 
 class JobState(str, Enum):
@@ -104,7 +99,7 @@ class JobRecord:
     def queue_time_s(self) -> Optional[float]:
         """Seconds between submission and pickup, if traceable.
 
-        ``started_at`` is unknown for process/async-backend jobs (the
+        ``started_at`` is unknown for async-backend jobs (the
         transition happens outside the submitting process); report None
         rather than misattributing the whole queue+run duration to
         queueing.
@@ -122,9 +117,9 @@ class JobRecord:
 
 
 #: Recognised ``backend`` names and whether the scheduler can trace the
-#: pending → running transition in-process (only thread pools can: the other
-#: backends run the job body outside the submitting process / thread state).
-_BACKENDS = ("thread", "process", "async")
+#: pending → running transition in-process (only the thread pool can: the
+#: async backend runs the job body outside the submitting process).
+_BACKENDS = ("thread", "async")
 
 
 class JobHandle:
@@ -177,8 +172,8 @@ class JobScheduler:
             results).  Beyond it the oldest terminal jobs are purged so a
             long-lived scheduler does not pin every result graph it ever
             produced; polling a purged id raises :class:`UnknownJobError`.
-        backend: ``"thread"`` (the default) / ``"process"`` / ``"async"``
-            (see the module docstring).
+        backend: ``"thread"`` (the default) or ``"async"`` (see the module
+            docstring).
         remote_endpoints: ``"host:port"`` strings of off-box workers for
             the async backend (ignored otherwise).
 
@@ -205,33 +200,28 @@ class JobScheduler:
             # failing: the operator believes work is being distributed.
             raise ValueError(
                 f"remote_endpoints require backend='async', got {backend!r}")
-        if backend == "process":
-            self._executor: futures.Executor = futures.ProcessPoolExecutor(
-                max_workers=self.num_workers)
-        elif backend == "async":
+        self._compute_slots: Optional[threading.Semaphore] = None
+        if backend == "async":
             from .async_pool import AsyncWorkerPool
-            self._executor = AsyncWorkerPool(
+            self._executor: Any = AsyncWorkerPool(
                 num_workers=self.num_workers,
                 remote_endpoints=self.remote_endpoints)
         else:
             self._executor = futures.ThreadPoolExecutor(
                 max_workers=self.num_workers, thread_name_prefix="repro-worker")
-        #: Thread workers run CPU-bound pure-Python searches, so letting
-        #: more of them *execute* than the machine has cores buys nothing
-        #: and costs real money: GIL hand-offs every switch interval plus
-        #: the CPU-cache thrash of interleaved working sets (measured ~7%
-        #: on the 4-jobs-1-core service benchmark).  Jobs beyond the core
-        #: count stay queued on this semaphore — still admitted, still
-        #: cancellable, just not fighting for the GIL.  Jobs submitted
-        #: with ``compute=False`` (the cross-process lease waiters, which
-        #: sleep-poll a shared cache) bypass it, so a full complement of
-        #: compute jobs can never starve a waiter or deadlock on one.
-        if backend == "thread":
-            self._compute_slots: Optional[threading.Semaphore] =                 threading.BoundedSemaphore(
-                    min(self.num_workers, os.cpu_count() or self.num_workers))
-        else:
-            self._compute_slots = None
-        self._prewarm()
+            #: Thread workers run CPU-bound pure-Python searches, so letting
+            #: more of them *execute* than the machine has cores buys nothing
+            #: and costs real money: GIL hand-offs every switch interval plus
+            #: the CPU-cache thrash of interleaved working sets (measured ~7%
+            #: on the 4-jobs-1-core service benchmark).  Jobs beyond the core
+            #: count stay queued on this semaphore — still admitted, still
+            #: cancellable, just not fighting for the GIL.  Jobs submitted
+            #: with ``compute=False`` (the cross-process lease waiters, which
+            #: sleep-poll a shared cache) bypass it, so a full complement of
+            #: compute jobs can never starve a waiter or deadlock on one.
+            self._compute_slots = threading.BoundedSemaphore(
+                min(self.num_workers, os.cpu_count() or self.num_workers))
+            self._prewarm_threads()
         self._lock = threading.RLock()
         self._records: Dict[int, JobRecord] = {}
         self._futures: Dict[int, futures.Future] = {}
@@ -245,24 +235,20 @@ class JobScheduler:
         self._ids = itertools.count(1)
         self._closed = False
 
-    def _prewarm(self) -> None:
-        """Spawn every pool worker now, not on first use.
+    def _prewarm_threads(self) -> None:
+        """Spawn every pool thread now, not on first use.
 
-        Both stdlib executors create workers lazily, one per submission —
-        so a burst of N first jobs pays N thread/process spawns *inside*
-        the measured batch (and the first request after a deploy eats the
-        whole pool start-up).  Construction is the right place for that
-        cost.  Threads rendezvous on a barrier so each warm-up task pins a
-        distinct worker; one no-op suffices for the process pool, whose
-        ``submit`` spawns the full complement eagerly.
+        The stdlib executors create workers lazily, one per submission —
+        so a burst of N first jobs pays N spawns *inside* the measured
+        batch (and the first request after a deploy eats the whole pool
+        start-up).  Construction is the right place for that cost.
+        Threads rendezvous on a barrier so each warm-up task pins a
+        distinct worker; the async pool warms its process pool itself.
         """
-        if self.backend == "thread":
-            barrier = threading.Barrier(self.num_workers)
-            warmups = [self._executor.submit(_pool_warmup, barrier)
-                       for _ in range(self.num_workers)]
-            futures.wait(warmups, timeout=5.0)
-        elif self.backend == "process":
-            self._executor.submit(_pool_noop)
+        barrier = threading.Barrier(self.num_workers)
+        warmups = [self._executor.submit(_pool_warmup, barrier)
+                   for _ in range(self.num_workers)]
+        futures.wait(warmups, timeout=5.0)
 
     # -- submission ----------------------------------------------------
     def submit(self, fn: Callable[..., Any], *args: Any, label: str = "",
@@ -274,7 +260,7 @@ class JobScheduler:
 
         Args:
             fn: The job body.  Must be a module-level function for the
-                process and async backends (it crosses a pickle boundary).
+                async backend (it crosses a pickle boundary).
             *args: Positional arguments for ``fn``.
             label: Human-readable tag kept on the :class:`JobRecord`.
             on_success: Runs exactly once with the job's result after it
@@ -612,8 +598,8 @@ class JobScheduler:
         """Backend-specific dispatch counters, or ``None``.
 
         The async backend reports local/remote dispatch and fallback
-        counts (plus per-endpoint health snapshots); the thread and
-        process pools have nothing to add.
+        counts (plus per-endpoint health snapshots); the thread pool has
+        nothing to add.
         """
         stats = getattr(self._executor, "stats", None)
         return dict(stats) if isinstance(stats, dict) else None

@@ -54,7 +54,7 @@ class ServiceResult:
         job_id: Scheduler job id (filled in by
             :meth:`~repro.service.api.OptimisationService.result`).
         queue_time_s: Time spent queued before a worker picked the job up
-            (0 when untraceable — process/async backends, cache hits).
+            (0 when untraceable — the async backend, cache hits).
         run_time_s: Worker-side execution time (0 when untraceable).
         coalesced: This submission was deduplicated onto another in-flight
             identical request; ``search`` is that primary job's outcome

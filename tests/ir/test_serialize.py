@@ -41,6 +41,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             graph_from_dict(data)
 
+    def test_edge_from_a_missing_node_is_named(self, mlp_graph):
+        data = graph_to_dict(mlp_graph)
+        consumer = next(n for n in data["nodes"] if n["inputs"])
+        consumer["inputs"][0]["src"] = 999
+        with pytest.raises(ValueError, match="missing node 999"):
+            graph_from_dict(data, validate=False)
+
     def test_stored_shapes_are_checked_unless_the_reader_vouches(
             self, mlp_graph):
         data = json.loads(json.dumps(graph_to_dict(mlp_graph)))

@@ -9,6 +9,7 @@ step-for-step.
 """
 
 import gc
+import json
 import pickle
 
 import numpy as np
@@ -18,8 +19,8 @@ from taso_reference import reference_search, trajectory_of
 
 from repro.cost import CostModel, E2ESimulator
 from repro.experiments import build_small_model
-from repro.ir import (Graph, GraphBuilder, OpType, decode_graph,
-                      encode_graph)
+from repro.ir import (Graph, GraphBuilder, OpType, graph_from_dict,
+                      graph_to_dict)
 from repro.models import list_models
 from repro.rules import default_ruleset, eliminate_dead_nodes
 from repro.rules.base import (Candidate, Match, RewriteRule,
@@ -164,7 +165,9 @@ class TestStructuralHash:
         assert child.structural_hash() == oracle_structural_hash(child)
 
     def test_wire_replica(self, model_graph):
-        replica = decode_graph(encode_graph(model_graph))
+        """What a remote worker searches: the graph after a JSON hop."""
+        replica = graph_from_dict(
+            json.loads(json.dumps(graph_to_dict(model_graph))))
         assert replica.structural_hash() == model_graph.structural_hash() \
             == oracle_structural_hash(replica)
         child = _first_candidate(replica)

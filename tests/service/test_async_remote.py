@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.experiments import build_small_model
 from repro.service import (JobScheduler, JobState, OptimisationService,
-                           RemoteUnavailableError, RemoteWorkerClient,
-                           RemoteWorkerError, UnknownJobError, WorkerServer,
-                           create_optimiser)
+                           RemoteUnavailableError, RemoteWorkerError,
+                           UnknownJobError, WorkerServer, create_optimiser,
+                           optimise_async, ping_async)
 from repro.service.remote import (parse_endpoint, request_from_wire,
                                   request_to_wire, result_from_wire,
                                   result_to_wire)
@@ -70,16 +72,15 @@ class TestWireFormat:
 # ---------------------------------------------------------------------------
 class TestWorkerServer:
     def test_ping(self, worker_server):
-        with RemoteWorkerClient(worker_server.endpoint) as client:
-            info = client.ping()
+        info = asyncio.run(ping_async(worker_server.endpoint))
         assert info["pong"] is True
         assert info["workers"] == 2
 
     def test_remote_search_matches_local(self, worker_server, mlp_graph):
         request = JobRequest(graph=mlp_graph, optimiser="taso",
                              config=TASO_FAST, model_name="mlp")
-        with RemoteWorkerClient(worker_server.endpoint) as client:
-            remote_result = client.optimise(request, "fp")
+        remote_result = asyncio.run(
+            optimise_async(worker_server.endpoint, request, "fp"))
         local = create_optimiser("taso", **TASO_FAST).optimise(mlp_graph)
         assert remote_result.search.final_graph.structural_hash() \
             == local.final_graph.structural_hash()
@@ -89,15 +90,17 @@ class TestWorkerServer:
     def test_remote_search_failure_propagates(self, worker_server, mlp_graph):
         request = JobRequest(graph=mlp_graph, optimiser="taso",
                              config={"not_a_real_knob": 1})
-        with RemoteWorkerClient(worker_server.endpoint) as client:
-            with pytest.raises(RemoteWorkerError, match="not_a_real_knob"):
-                client.optimise(request)
-            # The connection survives an in-search failure.
-            assert client.ping()["pong"] is True
+        with pytest.raises(RemoteWorkerError, match="not_a_real_knob"):
+            asyncio.run(optimise_async(worker_server.endpoint, request))
+        # The worker survives an in-search failure.
+        assert asyncio.run(ping_async(worker_server.endpoint))["pong"] is True
 
-    def test_unreachable_endpoint(self):
+    def test_unreachable_endpoint(self, mlp_graph):
         with pytest.raises(RemoteUnavailableError):
-            RemoteWorkerClient("127.0.0.1:1", timeout_s=2.0)
+            asyncio.run(ping_async("127.0.0.1:1", timeout_s=2.0))
+        with pytest.raises(RemoteUnavailableError):
+            asyncio.run(optimise_async("127.0.0.1:1",
+                                       JobRequest(graph=mlp_graph)))
 
     def test_large_graph_crosses_the_wire(self, worker_server):
         """Responses bigger than asyncio's 64 KiB default line limit work.
@@ -105,8 +108,6 @@ class TestWorkerServer:
         inception_v3 serialises to ~94 KB; the async path must raise the
         StreamReader limit or every real-size model fails remotely.
         """
-        import asyncio
-        from repro.service.remote import optimise_async
         graph = build_small_model("inception_v3")
         request = JobRequest(graph=graph, optimiser="taso",
                              config={"max_iterations": 2},
@@ -207,5 +208,9 @@ class TestAttachedJobs:
             JobScheduler(num_workers=1, backend="thread",
                          remote_endpoints=["h:1"])
         with pytest.raises(ValueError, match="async"):
-            OptimisationService(num_workers=1, backend="process",
+            OptimisationService(num_workers=1, backend="thread",
                                 remote_endpoints=["h:1"])
+
+    def test_process_is_no_longer_a_backend(self):
+        with pytest.raises(ValueError, match="unknown backend 'process'"):
+            OptimisationService(num_workers=1, backend="process")

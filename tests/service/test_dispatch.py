@@ -8,6 +8,8 @@ readmitted by the probe loop without operator action.
 
 from __future__ import annotations
 
+import asyncio
+import socket
 import threading
 import time
 
@@ -15,10 +17,8 @@ import pytest
 
 from repro.experiments import build_small_model
 from repro.search.result import SearchResult
-from repro.service import (HealthRegistry, OptimisationService,
-                           RemoteWorkerClient, WorkerServer,
-                           register_optimiser)
-from repro.service.remote import parse_endpoint
+from repro.service import (HealthRegistry, OptimisationService, WorkerServer,
+                           optimise_async, ping_async, register_optimiser)
 from repro.service.worker import JobRequest
 
 TASO_FAST = {"max_iterations": 6}
@@ -48,19 +48,17 @@ def _occupy_endpoint(endpoint: str, graph, count: int, delay_s: float):
                          config={"delay_s": delay_s})
 
     def run():
-        with RemoteWorkerClient(endpoint) as client:
-            client.optimise(request)
+        asyncio.run(optimise_async(endpoint, request))
 
     threads = [threading.Thread(target=run, daemon=True)
                for _ in range(count)]
     for thread in threads:
         thread.start()
     deadline = time.monotonic() + 10
-    with RemoteWorkerClient(endpoint) as client:
-        # Until every occupier has reached the server's semaphore.
-        while client.ping()["jobs_inflight"] < count:
-            assert time.monotonic() < deadline
-            time.sleep(0.02)
+    # Until every occupier has reached the server's semaphore.
+    while asyncio.run(ping_async(endpoint))["jobs_inflight"] < count:
+        assert time.monotonic() < deadline
+        time.sleep(0.02)
     return threads
 
 
@@ -145,16 +143,15 @@ class TestWorkerServerLoad:
         with WorkerServer(num_workers=2) as server:
             request = JobRequest(graph=squeezenet, optimiser="stall-test")
             worker = threading.Thread(
-                target=lambda: RemoteWorkerClient(server.endpoint).optimise(
-                    request),
+                target=lambda: asyncio.run(
+                    optimise_async(server.endpoint, request)),
                 daemon=True)
             worker.start()
             try:
                 deadline = time.monotonic() + 10
                 info = {}
                 while time.monotonic() < deadline:
-                    with RemoteWorkerClient(server.endpoint) as client:
-                        info = client.ping()
+                    info = asyncio.run(ping_async(server.endpoint))
                     if info.get("jobs_inflight", 0) >= 1:
                         break
                     time.sleep(0.05)
@@ -163,8 +160,7 @@ class TestWorkerServerLoad:
             finally:
                 release.set()
                 worker.join(timeout=30)
-            with RemoteWorkerClient(server.endpoint) as client:
-                drained = client.ping()
+            drained = asyncio.run(ping_async(server.endpoint))
             assert drained["jobs_inflight"] == 0
             assert drained["jobs_served"] == 1
 
@@ -197,11 +193,16 @@ class TestHealthAwareDispatch:
 
     def test_healed_endpoint_is_readmitted(self, squeezenet):
         """Quarantine → worker restarts → probe readmits → traffic returns."""
-        server = WorkerServer(num_workers=2).start()
-        endpoint = server.endpoint
-        _, port = parse_endpoint(endpoint)
+        # The service first: its pool forks its workers at construction,
+        # and a child forked while the server listens would hold the port
+        # open past server.stop().
+        with socket.socket() as reserved:
+            reserved.bind(("127.0.0.1", 0))
+            port = reserved.getsockname()[1]
+        endpoint = f"127.0.0.1:{port}"
         with OptimisationService(num_workers=2,
                                  remote_endpoints=[endpoint]) as service:
+            server = WorkerServer(port=port, num_workers=2).start()
             assert service.probe_workers() == {endpoint: True}
             server.stop()
             for _ in range(3):

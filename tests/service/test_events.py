@@ -140,8 +140,8 @@ class TestSchedulerEvents:
         assert [e.iteration for e in events] == [1, 2, 3, 4, 5]
         assert events[-1].best_graph_fp == "fp5"
 
-    def test_process_backend_streams_through_the_spool(self):
-        with JobScheduler(num_workers=1, backend="process") as scheduler:
+    def test_async_backend_streams_through_the_spool(self):
+        with JobScheduler(num_workers=1, backend="async") as scheduler:
             job_id = scheduler.submit(_counting_job, 4, stream=True)
             events = list(scheduler.events(job_id, timeout=60))
             assert scheduler.result(job_id, timeout=30) == 4

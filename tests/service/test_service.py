@@ -330,7 +330,7 @@ class TestOptimisationService:
                 == pytest.approx(serial[name].final_cost_ms)
 
     def test_process_pool_mode(self, mlp_graph):
-        with OptimisationService(num_workers=2, backend="process") as service:
+        with OptimisationService(num_workers=2, backend="async") as service:
             result = service.optimise(mlp_graph, "taso", {"max_iterations": 5})
         thread_opt = create_optimiser("taso", max_iterations=5)
         assert result.search.final_graph.structural_hash() \

@@ -346,3 +346,32 @@ class TestExecWitnesses:
     def test_calibration_must_not_worsen_fit(self):
         problems, _ = self._evaluate(_exec_doc(improvement=0.8))
         assert any("calibration.improvement" in p for p in problems)
+
+
+class TestWorkerBackendsWitness:
+    """BENCH_service.json: the remote row went through the protocol, and
+    the reader is told what makes the three rows comparable."""
+
+    POSITIVE = check_bench.REQUIRED_POSITIVE["BENCH_service.json"]
+
+    @staticmethod
+    def _doc(remote_dispatched: float) -> dict:
+        return {"benchmark": "service", "schema": 1, "smoke": True,
+                "results": {"worker_backends": {
+                    "thread_seconds": 0.2, "async_local_seconds": 0.2,
+                    "remote_seconds": 0.2,
+                    "remote_dispatched": remote_dispatched}}}
+
+    def _evaluate(self, fresh: dict):
+        return check_bench.evaluate(self._doc(4), fresh, {}, smoke=True,
+                                    required_positive=self.POSITIVE)
+
+    def test_remote_row_carries_its_note(self):
+        problems, notes = self._evaluate(self._doc(2))
+        assert problems == []
+        assert any("worker_backends.remote_dispatched" in n
+                   and "prewarmed at construction" in n for n in notes)
+
+    def test_all_local_remote_row_fails(self):
+        problems, _ = self._evaluate(self._doc(0))
+        assert any("remote_dispatched" in p for p in problems)

@@ -36,7 +36,9 @@ a fingerprint at most 3 µs per node of the caller's graph.
 Correctness witnesses (:data:`REQUIRED_POSITIVE` /
 :data:`REQUIRED_LITERAL`) are enforced in *both* modes: the exec bench
 records how many differential checks actually ran, and a run whose
-equivalence gate was skipped fails here regardless of its speedups.
+equivalence gate was skipped fails here regardless of its speedups; the
+service bench's ``worker_backends`` remote row must have dispatched
+remotely.
 
 The wall-clock floors of the search and service benches
 (``measured_end_to_end`` 0.97, ``cold_vs_warm`` 10, the rest 1.0) live here
@@ -112,6 +114,11 @@ KEY_NOTES: Dict[str, str] = {
     # Older recordings could read the first model 5-13x high when the run
     # started after an idle gap (OpenBLAS's second thread parked).
     "models.*.execute_ms": "timed after a BLAS warm-up since PR 22",
+    # Comparable across thread / async_local / remote only because of this
+    # (recordings before PR 24 timed the async pool's spawn).
+    "worker_backends.*": "fresh service per flavour; every pool is prewarmed "
+                         "at construction, so spawn is outside the timed "
+                         "batch on all three rows",
 }
 
 #: Correctness witnesses: numeric key patterns that must be present in the
@@ -128,6 +135,8 @@ REQUIRED_POSITIVE: Dict[str, Tuple[str, ...]] = {
         "models.*.execute_ms",
     ),
     "BENCH_search.json": ("measured_end_to_end.*.rules_applied",),
+    # The remote row went through the worker protocol, not a local spill.
+    "BENCH_service.json": ("worker_backends.remote_dispatched",),
 }
 
 #: String leaves that must equal an expected literal in the fresh results
