@@ -8,16 +8,16 @@ effects that a sum-of-operators cost model cannot see:
   constants is computed once ahead of time and contributes nothing to
   inference latency.  The paper attributes the 40% ViT win to exactly this
   effect surfacing after a sequence of rewrites.
-* **Elementwise epilogue fusion** — an element-wise / normalisation operator
-  that directly consumes the output of a matmul/convolution with no other
-  consumer is executed as a kernel epilogue: no extra launch, no intermediate
-  round-trip through memory.
 * **Kernel-shape efficiency** — grouped and depthwise convolutions, batched
   matmuls and very small kernels run below peak efficiency, unlike in the
   idealised cost-model view.
 * **Measurement noise** — repeated measurements jitter by a configurable
   relative standard deviation, so downstream experiments can report mean and
   standard deviation over 5 runs exactly as the paper does.
+
+The runtime fuses nothing behind the optimiser's back: in the TASO/X-RLflow
+setting operator fusion is what the rewrite rules introduce explicitly
+(FusedConvBNRelu, FusedMatMulAdd, ...).
 """
 
 from __future__ import annotations
@@ -29,24 +29,11 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from ..ir.graph import Graph, NodeId
-from ..ir.ops import (ELEMENTWISE_BINARY, ELEMENTWISE_UNARY, OpType)
+from ..ir.ops import OpType
 from .device import SimulatedDevice, default_device
 from .op_cost import is_zero_cost, op_flops, op_memory_bytes
 
 __all__ = ["E2ESimulator", "E2EMeasurement", "LatencyProfile"]
-
-#: Operators that a runtime like cuDNN/TensorRT will fuse into the producing
-#: kernel's epilogue when they are the sole consumer.
-_FUSABLE_EPILOGUES = (ELEMENTWISE_UNARY | ELEMENTWISE_BINARY |
-                      {OpType.BATCHNORM, OpType.SOFTMAX})
-
-#: Producers that expose an epilogue slot.
-_EPILOGUE_PRODUCERS = {
-    OpType.CONV2D, OpType.GROUP_CONV2D, OpType.DEPTHWISE_CONV2D,
-    OpType.MATMUL, OpType.BATCH_MATMUL, OpType.FUSED_MATMUL_ADD,
-    OpType.FUSED_CONV_BN, OpType.FUSED_CONV_RELU, OpType.FUSED_CONV_BN_RELU,
-    OpType.ENLARGE_CONV,
-}
 
 #: Per-node (flops, bytes) memo table carried on graphs.  Device-independent
 #: — flop and byte counts only depend on the node's specs — so every
@@ -61,7 +48,6 @@ class LatencyProfile:
     total_ms: float
     kernel_count: int
     folded_nodes: Set[NodeId] = field(default_factory=set)
-    fused_nodes: Set[NodeId] = field(default_factory=set)
     per_node_ms: Dict[NodeId, float] = field(default_factory=dict)
 
 
@@ -78,25 +64,13 @@ class E2ESimulator:
     """Simulated end-to-end inference latency of a computation graph."""
 
     def __init__(self, device: Optional[SimulatedDevice] = None,
-                 enable_constant_folding: bool = True,
-                 enable_runtime_fusion: bool = False,
                  seed: int = 0):
-        # Runtime epilogue fusion defaults to *off*: in the TASO/X-RLflow
-        # setting, operator fusion is something the rewrite rules introduce
-        # explicitly (FusedConvBNRelu, FusedMatMulAdd, ...), not something the
-        # runtime performs behind the optimiser's back.  The flag exists for
-        # ablation studies of how much a fusion-capable runtime would shrink
-        # the rewrite system's headroom.
         self.device = device or default_device()
-        self.enable_constant_folding = bool(enable_constant_folding)
-        self.enable_runtime_fusion = bool(enable_runtime_fusion)
         self._rng = np.random.default_rng(seed)
         # Whole-graph latency memo key: two simulators with the same device
-        # and the same pipeline-effect switches produce the same latency.
+        # produce the same latency.
         self._latency_key = ("e2e-latency",
-                             dataclasses.astuple(self.device.config),
-                             self.enable_constant_folding,
-                             self.enable_runtime_fusion)
+                             dataclasses.astuple(self.device.config))
 
     # ------------------------------------------------------------------
     # Graph analysis
@@ -123,41 +97,12 @@ class E2ESimulator:
                 foldable.add(nid)
         return foldable
 
-    def fusable_nodes(self, graph: Graph, folded: Set[NodeId]) -> Set[NodeId]:
-        """Element-wise nodes fused into their producer's kernel epilogue."""
-        fused: Set[NodeId] = set()
-        for nid in graph.topological_order():
-            node = graph.nodes[nid]
-            if node.op_type not in _FUSABLE_EPILOGUES or nid in folded:
-                continue
-            data_preds = [
-                p for p in graph.predecessors(nid)
-                if not graph.nodes[p].is_source and p not in folded
-            ]
-            if len(data_preds) != 1:
-                continue
-            producer = data_preds[0]
-            producer_node = graph.nodes[producer]
-            producer_is_epilogue_host = (
-                producer_node.op_type in _EPILOGUE_PRODUCERS
-                or producer in fused  # chains of elementwise ops fuse through
-            )
-            if not producer_is_epilogue_host:
-                continue
-            # The producer's output must have a single consumer, otherwise the
-            # intermediate tensor has to be materialised anyway.
-            if len(graph.successors(producer)) != 1:
-                continue
-            fused.add(nid)
-        return fused
-
     # ------------------------------------------------------------------
     # Latency
     # ------------------------------------------------------------------
     def profile(self, graph: Graph) -> LatencyProfile:
         """Simulate one inference pass and return a detailed profile."""
-        folded = self.constant_foldable_nodes(graph) if self.enable_constant_folding else set()
-        fused = self.fusable_nodes(graph, folded) if self.enable_runtime_fusion else set()
+        folded = self.constant_foldable_nodes(graph)
 
         total = 0.0
         kernels = 0
@@ -178,19 +123,12 @@ class E2ESimulator:
                 )
                 opcost_table[nid] = cached
             flops, bytes_moved = cached
-            if nid in fused:
-                # Epilogue: arithmetic rides along with the producer kernel;
-                # the intermediate tensor never leaves registers/shared memory.
-                time_ms = flops / (self.device.config.flops_per_ms *
-                                   self.device.config.peak_efficiency)
-            else:
-                time_ms = self.device.kernel_time_ms(node.op_type, flops, bytes_moved)
-                kernels += 1
+            time_ms = self.device.kernel_time_ms(node.op_type, flops, bytes_moved)
+            kernels += 1
             per_node[nid] = time_ms
             total += time_ms
         return LatencyProfile(total_ms=total, kernel_count=kernels,
-                              folded_nodes=folded, fused_nodes=fused,
-                              per_node_ms=per_node)
+                              folded_nodes=folded, per_node_ms=per_node)
 
     def latency_ms(self, graph: Graph) -> float:
         """Deterministic (noise-free) end-to-end latency in milliseconds.
@@ -215,6 +153,4 @@ class E2ESimulator:
                               samples=samples)
 
     def __repr__(self) -> str:
-        return (f"E2ESimulator(device={self.device.config.name!r}, "
-                f"folding={self.enable_constant_folding}, "
-                f"runtime_fusion={self.enable_runtime_fusion})")
+        return f"E2ESimulator(device={self.device.config.name!r})"

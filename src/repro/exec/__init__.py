@@ -1,6 +1,7 @@
 """Numpy execution backend: run graphs for real, then check and calibrate.
 
-Layers on top of the IR only:
+The one place a graph is executed, and :func:`differential_check` the one
+equivalence check.  Layers on top of the IR only:
 
 * :mod:`repro.exec.kernels` — per-``OpType`` numpy kernel dispatch table.
 * :mod:`repro.exec.executor` — timed topo-order executor with

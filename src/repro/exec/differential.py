@@ -7,8 +7,7 @@ for its generated rules.
 
 Tolerance policy (documented in ``docs/executor.md``): execution is
 float64 end to end and rewrites only reassociate float arithmetic, so
-outputs must agree to ``rtol=1e-5, atol=1e-6`` — the same bar the
-reference interpreter's ``graphs_equivalent`` applies.  Rules flagged
+outputs must agree to ``rtol=1e-5, atol=1e-6``.  Rules flagged
 ``exactly_equivalent=False`` (EnlargeConv fabricates a fresh weight
 tensor, PET's Winograd rewrite adds a correction term) are checked
 shape-only via ``require_values=False``.

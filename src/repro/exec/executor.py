@@ -9,10 +9,10 @@ reference-counts intermediate buffers so a value is dropped as soon as
 its last consumer has run.
 
 Weights, constants and unfed inputs are materialised deterministically
-from the node *name and shape* (same scheme as the reference
-interpreter), so a rewrite that re-wires existing weight nodes sees
-identical values before and after — the property the differential
-harness in :mod:`repro.exec.differential` relies on.
+from the node *name and shape* (:func:`deterministic_tensor`), so a
+rewrite that re-wires existing weight nodes sees identical values before
+and after — the property the differential harness in
+:mod:`repro.exec.differential` relies on.
 
 Unknown operators — anything absent from the kernel table, e.g. an op
 added to the registry before a kernel lands — degrade to a *counted*
@@ -46,9 +46,9 @@ def _seed_from(name: str, shape: Sequence[int]) -> int:
 def deterministic_tensor(name: str, shape: Sequence[int]) -> np.ndarray:
     """Pseudo-random float64 tensor derived from ``(name, shape)`` only.
 
-    Identical to the reference interpreter's materialisation: the value of
-    a weight/constant/input is a pure function of its name and shape, so
-    both backends (and every rewrite of the same graph) agree on it.
+    The value of a weight/constant/input is a pure function of its name
+    and shape, so every executor (and every rewrite of the same graph)
+    agrees on it.
     """
     rng = np.random.default_rng(_seed_from(name, shape))
     return rng.standard_normal(tuple(shape)).astype(np.float64) * 0.1
@@ -70,6 +70,7 @@ class ExecutionReport:
 
     @property
     def num_fallbacks(self) -> int:
+        """Nodes that ran through the pass-through fallback, over all ops."""
         return sum(self.fallback_ops.values())
 
 
@@ -78,18 +79,13 @@ class NumpyExecutor:
 
     Parameters
     ----------
-    seed:
-        Reserved for future stochastic kernels; materialisation itself is
-        seeded per-tensor from the node name, not from here.
     kernels:
         Override the dispatch table (tests restrict it to exercise the
         pass-through fallback).  Defaults to the full
         :data:`~repro.exec.kernels.KERNELS` registry.
     """
 
-    def __init__(self, seed: int = 0,
-                 kernels: Optional[Mapping[OpType, object]] = None):
-        self.seed = int(seed)
+    def __init__(self, kernels: Optional[Mapping[OpType, object]] = None):
         self.kernels = dict(KERNELS if kernels is None else kernels)
         self._param_cache: Dict[Tuple[str, Tuple[int, ...]], np.ndarray] = {}
 
@@ -219,8 +215,7 @@ class MeasuredLatency:
                  repeats: int = 2):
         self.executor = executor or NumpyExecutor()
         self.repeats = int(repeats)
-        self._memo_key = ("exec-measured-latency", self.executor.seed,
-                          self.repeats)
+        self._memo_key = ("exec-measured-latency", self.repeats)
 
     def latency_ms(self, graph: Graph) -> float:
         """Best-of-``repeats`` executed wall time of ``graph`` in ms."""

@@ -7,18 +7,16 @@ the signature ``fn(in_vals, attrs, out_shapes) -> [out_0, out_1, ...]``
 where ``in_vals`` are the input arrays in slot order, ``attrs`` is the
 node's attribute mapping, and ``out_shapes`` are the *declared* output
 shapes from shape inference — kernels that need the output size to pick
-their padding (convolutions, pools) read it from there, exactly as the
-reference interpreter does.
+their padding (convolutions, pools) read it from there.
 
-The numerical semantics deliberately mirror
-:mod:`repro.rules.interpreter` (guarded DIV, ``sqrt(|x|)``, tanh-GELU,
-inference-mode BatchNorm, clipped embedding indices, ...) so the two
-backends can be differentially tested against each other; the kernels
-here are vectorised where the interpreter uses reference loops: a
-convolution is one im2col gather laid out so that its GEMM writes NCHW
-directly (a 1x1 kernel skips the gather), a pool reduces ``kernel**2``
-strided slices into one buffer, and fused epilogues run in place on the
-GEMM's output.
+The numerical semantics (guarded DIV, ``sqrt(|x|)``, tanh-GELU,
+inference-mode BatchNorm, clipped embedding indices, ...) are those of the
+loop interpreter the tests keep as the oracle
+(``tests/oracles/interpreter_reference.py``); the kernels are vectorised
+where it loops: a convolution is one im2col gather laid out so that its
+GEMM writes NCHW directly (a 1x1 kernel skips the gather), a pool reduces
+``kernel**2`` strided slices into one buffer, and fused epilogues run in
+place on the GEMM's output.
 
 In-place arithmetic obeys one rule: **a kernel writes only into an array it
 allocated in this call**, never into ``in_vals`` — buffers are shared
@@ -127,7 +125,7 @@ _BINARY = {
     OpType.ADD: lambda a, b: a + b,
     OpType.SUB: lambda a, b: a - b,
     OpType.MUL: lambda a, b: a * b,
-    # Guarded like the interpreter so random denominators never divide by 0.
+    # Guarded so random denominators never divide by 0.
     OpType.DIV: lambda a, b: a / (b + 1e-12),
 }
 

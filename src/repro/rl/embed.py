@@ -49,9 +49,9 @@ class IncrementalEmbedder:
                 "embed_fallback_fulls": float(self.fallback_fulls)}
 
     def embed(self, observation) -> np.ndarray:
-        """``[num_graphs, embedding_dim]`` for an observation whose
-        ``meta_graph`` is a :class:`~repro.rl.features.LazyMetaGraph`."""
-        batch = observation.meta_graph.delta_batch(self.encoder.num_gat_layers)
+        """``[num_graphs, embedding_dim]`` for an
+        :class:`~repro.rl.env.Observation`, from its delta batch."""
+        batch = observation.delta_batch(self.encoder.num_gat_layers)
         self.delta_forwards += batch.num_cones
         self.full_forwards += 1
         self.fallback_fulls += batch.num_graphs - 1 - batch.num_cones

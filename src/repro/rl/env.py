@@ -24,7 +24,7 @@ from ..rules.base import Candidate, RuleSet
 from ..rules.incremental import IncrementalCandidateEngine
 from ..rules.rulesets import default_ruleset
 from ..nn.gnn import BatchedGraphs
-from .features import FeatureCache, LazyMetaGraph
+from .features import FeatureCache, build_delta_batch
 
 __all__ = ["Observation", "StepResult", "GraphRewriteEnv"]
 
@@ -44,17 +44,27 @@ def default_reward(previous_ms: float, current_ms: float, initial_ms: float) -> 
 class Observation:
     """What the agent sees at each step."""
 
-    #: Current graph followed by each candidate graph, batched for the GNN.
-    meta_graph: BatchedGraphs
+    #: The current graph followed by each candidate graph.
+    graphs: List[Graph]
     #: Boolean mask over the padded action space (size ``max_candidates + 1``).
     #: The final entry is the always-valid No-Op action.
     action_mask: np.ndarray
     #: The candidates backing each valid action index.
     candidates: List[Candidate] = field(default_factory=list)
-    #: The graphs behind the meta-graph rows (current graph first), in
-    #: meta-graph order.  The environment always sets it; a hand-built
-    #: observation may leave it out and carry a plain meta-graph only.
-    graphs: Optional[List[Graph]] = None
+    #: Encodes the graphs; its ``edge_norm`` is the one every batch of this
+    #: observation is built with.
+    feature_cache: FeatureCache = field(default_factory=FeatureCache)
+    _delta: Optional[Tuple[int, BatchedGraphs]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def delta_batch(self, num_layers: int) -> BatchedGraphs:
+        """:func:`~repro.rl.features.build_delta_batch` of :attr:`graphs` for
+        an encoder of ``num_layers`` GAT layers, built on first call and
+        kept: acting and the PPO update read the same batch."""
+        if self._delta is None or self._delta[0] != num_layers:
+            self._delta = (num_layers, build_delta_batch(
+                self.graphs, num_layers, cache=self.feature_cache))
+        return self._delta[1]
 
     @property
     def num_actions(self) -> int:
@@ -117,17 +127,17 @@ class GraphRewriteEnv:
         self.max_candidates = int(max_candidates)
         self.max_steps = int(max_steps)
         self.reward_fn = reward_fn or default_reward
-        #: All encoding goes through a structural-hash-keyed
-        #: :class:`~repro.rl.features.FeatureCache` plus delta-patched
-        #: per-node blocks; its ``edge_norm`` is the one every batch of
-        #: this environment's observations is built with.
+        #: All encoding goes through one :class:`FeatureCache` (each graph's
+        #: own feature memo; re-visited structures are the observation
+        #: cache's job); its ``edge_norm`` is the one every batch of this
+        #: environment's observations is built with.
         self.feature_cache = feature_cache if feature_cache is not None \
             else FeatureCache()
         #: Incremental match maintenance: candidate sets are reconciled
         #: against each step's ``GraphDelta`` instead of re-matching the
         #: whole graph (``RuleSet.lazy_candidates`` is the equivalence oracle).
         self._candidate_engine = IncrementalCandidateEngine(self.ruleset)
-        #: Whole observations (candidates, mask, meta-graph) memoised per
+        #: Whole observations (candidates, mask, delta batch) memoised per
         #: current-graph structural hash.  The environment's dynamics are
         #: deterministic given the ruleset, so a re-visited state — the next
         #: episode retraces a prefix, a different action order reaches the
@@ -272,14 +282,10 @@ class GraphRewriteEnv:
         mask = np.zeros(self.action_space_size, dtype=bool)
         mask[: len(candidates)] = True
         mask[-1] = True  # No-Op is always available
-        graphs = [self.current_graph] + [c.graph for c in candidates]
-        # Acting and the PPO update both read candidates as rewrite
-        # cones (one delta batch, built on first use); the full meta batch
-        # waits for a consumer that needs it — a single-observation
-        # gradient forward.
         obs = Observation(
-            meta_graph=LazyMetaGraph(graphs, cache=self.feature_cache),
-            action_mask=mask, candidates=candidates, graphs=graphs)
+            graphs=[self.current_graph] + [c.graph for c in candidates],
+            action_mask=mask, candidates=candidates,
+            feature_cache=self.feature_cache)
         if self.max_cached_observations > 0:
             self._obs_cache.put(key, obs)
         self._last_observation = obs

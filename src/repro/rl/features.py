@@ -27,7 +27,7 @@ incremental on three levels:
   previous step's candidates) is free the second time.
 * :func:`build_meta_graph` assembles the batch from the cached blocks with
   pure array ops, and :func:`combine_meta_graphs` splices several
-  observations into one batch for the PPO update.
+  observations' delta batches into one batch for the PPO update.
 
 On the default path candidates are not encoded at all.  A candidate is its
 parent plus one rewrite, and only its *cone* — the nodes the rewrite changed,
@@ -36,9 +36,10 @@ layer of the encoder.  :func:`rewrite_cone` derives that structure once per
 candidate graph (memoised on the graph), and :func:`build_delta_batch` turns
 it into a batch holding the current graph's rows in full and each candidate's
 cone rows only.  That one batch, memoised on the observation
-(:meth:`LazyMetaGraph.delta_batch`), is what the agent acts on and what the
-PPO update trains on.  :func:`build_meta_graph`, the full meta-graph, stays
-as the reference the delta batch is tested against.
+(:meth:`~repro.rl.env.Observation.delta_batch`), is what the agent acts on
+and what the PPO update trains on.  :func:`build_meta_graph`, the full
+meta-graph, is what ``XRLflowAgent.forward`` encodes: the reference the
+delta batch is tested against.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ from ..nn.gnn import BatchedGraphs
 
 __all__ = ["GraphFeatures", "FeatureCache", "encode_graph", "encode_order",
            "encode_position", "RewriteCone", "rewrite_cone",
-           "build_meta_graph", "build_delta_batch", "LazyMetaGraph",
-           "combine_meta_graphs", "NODE_FEATURE_DIM", "EDGE_FEATURE_DIM",
-           "GLOBAL_FEATURE_DIM"]
+           "build_meta_graph", "build_delta_batch", "combine_meta_graphs",
+           "NODE_FEATURE_DIM", "EDGE_FEATURE_DIM", "GLOBAL_FEATURE_DIM"]
 
 #: Edge-attribute normalisation constant (Appendix A of the paper).
 DEFAULT_EDGE_NORM = 4096.0
@@ -211,7 +211,7 @@ class FeatureCache:
     whole-graph memo ``("rl:features", edge_norm)``, dropped by any
     mutation), so a repeat encode of the *same object* — the chosen
     candidate becoming the next step's current graph, a meta-graph
-    materialised twice — is a dict lookup.  Re-visited *structures* never
+    built twice — is a dict lookup.  Re-visited *structures* never
     get here: the environment memoises whole observations per structural
     hash upstream.  Feature arrays are immutable once built — callers must
     not write to the returned arrays.
@@ -459,64 +459,14 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
     )
 
 
-class LazyMetaGraph:
-    """A :class:`BatchedGraphs` that assembles itself on first use.
-
-    Neither acting nor the PPO update reads the full meta batch:
-    both ask for :meth:`delta_batch`, which never encodes a candidate and is
-    memoised here, so the update trains on the very batch the rollout acted
-    on.  Materialising the full batch eagerly would encode every candidate
-    each step just in case — the single largest cost on small graphs.  This
-    proxy defers :func:`build_meta_graph` until some consumer (a
-    single-observation gradient forward) actually touches a
-    :class:`~repro.nn.gnn.BatchedGraphs` attribute, then memoises the result
-    for the observation's lifetime.
-    """
-
-    __slots__ = ("_graphs", "_cache", "_built", "_delta")
-
-    def __init__(self, graphs: Sequence[Graph],
-                 cache: Optional[FeatureCache] = None):
-        self._graphs = list(graphs)
-        self._cache = cache
-        self._built: Optional[BatchedGraphs] = None
-        self._delta: Optional[Tuple[int, BatchedGraphs]] = None
-
-    def materialise(self) -> BatchedGraphs:
-        """The full meta-graph (every graph encoded), built on first call."""
-        if self._built is None:
-            self._built = build_meta_graph(self._graphs, cache=self._cache)
-        return self._built
-
-    @property
-    def is_materialised(self) -> bool:
-        """Whether :meth:`materialise` has run (by call or attribute read)."""
-        return self._built is not None
-
-    def delta_batch(self, num_layers: int) -> BatchedGraphs:
-        """:func:`build_delta_batch` of these graphs, built on first call
-        (per ``num_layers``: an observation meets one encoder)."""
-        if self._delta is None or self._delta[0] != num_layers:
-            self._delta = (num_layers, build_delta_batch(
-                self._graphs, num_layers, cache=self._cache))
-        return self._delta[1]
-
-    def __getattr__(self, name):
-        # copy / pickle probe dunders on an instance whose slots are not set
-        # yet; forwarding those would recurse through ``materialise``.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.materialise(), name)
-
-
 def combine_meta_graphs(batches: Sequence[BatchedGraphs]
                         ) -> Tuple[BatchedGraphs, np.ndarray]:
-    """Splice several meta-graphs into one batch for a single GNN forward.
+    """Splice several delta batches into one batch for a single GNN forward.
 
     Returns the combined batch plus, for each input batch, the index of its
     first graph in the combined graph numbering (so callers can recover
-    which embedding rows belong to which observation).  Delta batches and
-    plain ones mix: a plain batch pools all of its rows, in order.
+    which embedding rows belong to which observation).  Every input carries
+    ``pool_rows`` (:func:`build_delta_batch` always sets it).
     """
     node_offset = 0
     graph_offset = 0
@@ -525,7 +475,6 @@ def combine_meta_graphs(batches: Sequence[BatchedGraphs]
         [], [], [], [], []
     global_blocks = []
     pool_blocks = []
-    pooled = any(batch.pool_rows is not None for batch in batches)
     for i, batch in enumerate(batches):
         graph_offsets[i] = graph_offset
         node_blocks.append(batch.node_features)
@@ -534,11 +483,7 @@ def combine_meta_graphs(batches: Sequence[BatchedGraphs]
         dst_blocks.append(batch.edge_dst + node_offset)
         gid_blocks.append(batch.graph_ids + graph_offset)
         global_blocks.append(batch.global_features)
-        if pooled:
-            pool_blocks.append(
-                batch.pool_rows + node_offset if batch.pool_rows is not None
-                else np.arange(node_offset, node_offset + batch.num_nodes,
-                               dtype=np.int64))
+        pool_blocks.append(batch.pool_rows + node_offset)
         node_offset += batch.num_nodes
         graph_offset += batch.num_graphs
     combined = BatchedGraphs(
@@ -549,7 +494,7 @@ def combine_meta_graphs(batches: Sequence[BatchedGraphs]
         graph_ids=np.concatenate(gid_blocks),
         num_graphs=graph_offset,
         global_features=np.concatenate(global_blocks, axis=0),
-        pool_rows=np.concatenate(pool_blocks) if pooled else None,
+        pool_rows=np.concatenate(pool_blocks),
         num_cones=sum(batch.num_cones for batch in batches),
     )
     return combined, graph_offsets

@@ -54,7 +54,7 @@ from .buffer import RolloutBuffer
 from .embed import IncrementalEmbedder
 from .env import Observation
 from .features import (EDGE_FEATURE_DIM, GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM,
-                       LazyMetaGraph, combine_meta_graphs)
+                       build_meta_graph, combine_meta_graphs)
 
 __all__ = ["ActionDecision", "XRLflowAgent", "PPOUpdater"]
 
@@ -85,9 +85,7 @@ def _pair_indices(num_graphs: int, offset: int, num_actions: int
 
 def _meta_graph_nodes(observation: Observation) -> int:
     """Nodes of the observation's meta-graph, without assembling it."""
-    if observation.graphs is not None:
-        return sum(len(graph.nodes) for graph in observation.graphs)
-    return observation.meta_graph.num_nodes
+    return sum(len(graph.nodes) for graph in observation.graphs)
 
 
 @dataclass
@@ -146,9 +144,16 @@ class XRLflowAgent(Module):
 
     # ------------------------------------------------------------------
     def forward(self, observation: Observation) -> Tuple[Tensor, Tensor]:
-        """Return (masked logits over the padded action space, state value)."""
+        """Return (masked logits over the padded action space, state value).
+
+        Encodes the full meta-graph (:func:`build_meta_graph`, every graph
+        in full): the reference :meth:`act` and
+        :meth:`evaluate_actions_batch` are held to.
+        """
         with default_dtype(self.dtype):
-            embeddings = self.encoder(observation.meta_graph)  # [1 + C, D]
+            meta_graph = build_meta_graph(observation.graphs,
+                                          cache=observation.feature_cache)
+            embeddings = self.encoder(meta_graph)  # [1 + C, D]
             return self._heads(embeddings, observation)
 
     def _heads(self, embeddings: Tensor,
@@ -159,11 +164,7 @@ class XRLflowAgent(Module):
         batch's embeddings through the identical head computation.
         Callers hold the ``default_dtype`` context.
         """
-        # The graph list carries the batch size; touching a lazy
-        # ``meta_graph`` would assemble it just to read its count.
-        num_graphs = (len(observation.graphs)
-                      if observation.graphs is not None
-                      else observation.meta_graph.num_graphs)
+        num_graphs = len(observation.graphs)
         num_actions = observation.action_mask.shape[0]
 
         first, second, positions = _pair_indices(num_graphs, 0, num_actions)
@@ -198,14 +199,12 @@ class XRLflowAgent(Module):
         """Sample (or argmax) an action from the masked policy.
 
         Runs under :func:`~repro.nn.tensor.no_grad`: rollouts never
-        backpropagate through the decision.  An observation of the
-        environment is encoded as its delta batch (the one
-        :meth:`evaluate_actions_batch` trains on), a hand-built one with a
-        plain meta-graph as it is — the same embeddings either way.  The
-        masked distribution and value are memoised per observation object
-        until the next weight update; sampling still draws from the
-        generator on every call, so cached and uncached rollouts consume
-        the rng identically.
+        backpropagate through the decision.  The observation is encoded as
+        its delta batch (the one :meth:`evaluate_actions_batch` trains on),
+        which gives :meth:`forward`'s embeddings.  The masked distribution
+        and value are memoised per observation object until the next weight
+        update; sampling still draws from the generator on every call, so
+        cached and uncached rollouts consume the rng identically.
         """
         entry = self._decision_cache.get(id(observation))
         if entry is not None and entry[0] is observation:
@@ -215,9 +214,7 @@ class XRLflowAgent(Module):
                 # A dead observation's id was recycled; drop the stale row.
                 self._decision_cache.pop(id(observation))
             with no_grad(), default_dtype(self.dtype):
-                meta = observation.meta_graph
-                embeddings = Tensor(self.embedder.embed(observation)) \
-                    if isinstance(meta, LazyMetaGraph) else self.encoder(meta)
+                embeddings = Tensor(self.embedder.embed(observation))
                 logits, value = self._heads(embeddings, observation)
             probs = logits.softmax(axis=0).numpy().astype(np.float64, copy=True)
             probs = probs / probs.sum()
@@ -237,16 +234,14 @@ class XRLflowAgent(Module):
                                ) -> Tuple[Tensor, Tensor, Tensor]:
         """Differentiable (log-probs, values, entropies), each ``[B]``.
 
-        Splices every *distinct* observation's batch into one
+        Splices every *distinct* observation's delta batch
+        (:meth:`~repro.rl.env.Observation.delta_batch`: candidates as
+        rewrite cones, never fully encoded) into one
         :class:`~repro.nn.gnn.BatchedGraphs` and runs a *single* encoder
         forward for the whole minibatch — the GNN message passing is where
         nearly all the per-transition ops (and the autograd tape) used to
-        go.  An observation of the environment contributes its
-        delta batch (:meth:`~repro.rl.features.LazyMetaGraph.delta_batch`:
-        candidates as rewrite cones, never fully encoded); any other
-        contributes its meta-graph as it is.  Duplicate observations (the
-        environment memoises re-visited states, so one observation object
-        can back several transitions) are
+        go.  Duplicate observations (the environment memoises re-visited
+        states, so one observation object can back several transitions) are
         encoded and head-evaluated once.  All embedding rows the heads need
         are pulled out of the combined matrix with *two* gathers — per-item
         slicing of the big matrix would allocate a full-size gradient
@@ -280,9 +275,8 @@ class XRLflowAgent(Module):
             # once per observation, so PPO epochs re-use the arrays) and
             # splice the already-converted blocks.
             num_layers = self.encoder.num_gat_layers
-            pieces = [(o.meta_graph.delta_batch(num_layers)
-                       if isinstance(o.meta_graph, LazyMetaGraph)
-                       else o.meta_graph).cast(self.dtype) for o in unique]
+            pieces = [o.delta_batch(num_layers).cast(self.dtype)
+                      for o in unique]
             combined, offsets = combine_meta_graphs(pieces)
             embeddings = self.encoder(combined)  # [sum G_u, D]
 
@@ -418,8 +412,7 @@ class PPOUpdater:
         encoder = self.agent.encoder
         rows_before = (encoder.rows_encoded, encoder.rows_pooled)
 
-        dtype = getattr(self.agent, "dtype", np.float64)
-        with default_dtype(dtype):
+        with default_dtype(self.agent.dtype):
             for _ in range(self.epochs):
                 for batch_idx in buffer.minibatches(self.batch_size, self._rng):
                     step = self._update_batched(buffer, batch_idx,
@@ -429,9 +422,7 @@ class PPOUpdater:
                     updates += 1
 
         # The weights moved: memoised rollout decisions are stale.
-        invalidate = getattr(self.agent, "invalidate_decision_cache", None)
-        if invalidate is not None:
-            invalidate()
+        self.agent.invalidate_decision_cache()
 
         scale = 1.0 / max(updates, 1)
         return PPOUpdateStats(policy_loss=stats["policy"] * scale,
@@ -450,7 +441,7 @@ class PPOUpdater:
 
         Duplicate observations inside a chunk are counted once — they are
         deduplicated before encoding.  An observation's size is read off
-        its graphs, so sizing never assembles a lazy meta-graph.
+        its graphs, so sizing assembles no batch.
         """
         transitions = buffer.transitions
         chunks: List[np.ndarray] = []

@@ -181,10 +181,10 @@ class RewriteRule(abc.ABC):
     #: there.  The incremental engine re-matches every anchor within this
     #: distance of a delta's touched nodes.
     match_radius: int = 3
-    #: Whether the substitution is numerically exact for the reference
-    #: interpreter (rules that fabricate or repack weight tensors are
-    #: semantics-preserving on real systems because the weights are
-    #: re-computed, but cannot be replayed exactly by the interpreter).
+    #: Whether the substitution is numerically exact under
+    #: :func:`repro.exec.differential_check` (rules that fabricate or repack
+    #: weight tensors preserve semantics on real systems, where the weights
+    #: are re-computed; the executor draws a fabricated weight from its name).
     exactly_equivalent: bool = True
 
     def anchor_nodes(self, graph: Graph) -> Iterator[Tuple[NodeId, Node]]:

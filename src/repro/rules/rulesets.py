@@ -305,7 +305,7 @@ class EnlargeConvKernel(RewriteRule):
     anchor_ops = (OpType.CONV2D,)
     anchor_role = "conv"
     match_radius = 3
-    # The interpreter cannot reproduce the zero-padded weight tensor, so the
+    # The executor cannot reproduce the zero-padded weight tensor, so the
     # rule is not replayable exactly (it fabricates a new weight node).
     exactly_equivalent = False
 

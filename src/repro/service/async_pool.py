@@ -232,6 +232,9 @@ class AsyncWorkerPool:
             futures.wait(list(self._inflight))
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10)
+        # A loop may be closed only once run_forever has returned.
+        if not self._thread.is_alive():
+            self._loop.close()
         self._local.shutdown(wait=wait)
 
     def __repr__(self) -> str:  # pragma: no cover - convenience only

@@ -1,8 +1,9 @@
 """Documentation gates, mirrored in CI's docs job.
 
 Three checks: every relative link/anchor in README + ``docs/`` resolves,
-every public symbol in ``repro.service``, ``repro.cost`` and ``repro.search``
-carries a docstring, and the cookbook's fenced doctest examples actually execute.
+every public symbol in ``repro.service``, ``repro.cost``, ``repro.search``,
+``repro.rl`` and ``repro.exec`` carries a docstring, and the cookbook's
+fenced doctest examples actually execute.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def test_cost_and_search_public_api_is_documented():
 def test_rl_public_api_is_documented():
     checker = _load_checker()
     problems = checker.check_docstrings([REPO_ROOT / "src" / "repro" / "rl"])
+    assert problems == [], "\n".join(problems)
+
+
+def test_exec_public_api_is_documented():
+    checker = _load_checker()
+    problems = checker.check_docstrings([REPO_ROOT / "src" / "repro" / "exec"])
     assert problems == [], "\n".join(problems)
 
 

@@ -1,84 +1,78 @@
-"""Tests for the reference graph interpreter."""
+"""Executed values: single ops against numpy, the equivalence check, and
+the vectorised kernels against the loop oracle on whole rewritten graphs."""
 
 import numpy as np
+import pytest
+from equivalence import assert_equivalent
+from interpreter_reference import GraphInterpreter
 
-from repro.ir import GraphBuilder
-from repro.rules.interpreter import GraphInterpreter, execute_graph, graphs_equivalent
+from repro.exec import (KERNELS, NumpyExecutor, deterministic_tensor,
+                        differential_check)
+from repro.ir import GraphBuilder, OpType
 
 
-class TestInterpreter:
+def _only_output(graph, inputs=None):
+    (value,) = NumpyExecutor().run(graph, inputs)[0].values()
+    return value
+
+
+class TestExecutorSemantics:
     def test_matmul_add_relu_matches_numpy(self):
         b = GraphBuilder()
         x = b.input((3, 4), name="x")
         w = b.weight((4, 5), name="w")
-        out = b.relu(b.matmul(x, w))
-        g = b.build([out])
-        interp = GraphInterpreter()
-        values = interp.run(g)
-        x_val = values[x]
-        w_val = values[w]
-        expected = np.maximum(x_val @ w_val, 0.0)
-        np.testing.assert_allclose(values[out], expected)
+        g = b.build([b.relu(b.matmul(x, w))])
+        expected = np.maximum(deterministic_tensor("input:x", (3, 4))
+                              @ deterministic_tensor("param:w", (4, 5)), 0.0)
+        np.testing.assert_allclose(_only_output(g), expected)
 
     def test_user_inputs_respected(self):
         b = GraphBuilder()
         x = b.input((2, 2), name="x")
-        out = b.relu(x)
-        g = b.build([out])
+        g = b.build([b.relu(x)])
         feed = np.array([[1.0, -2.0], [3.0, -4.0]])
-        result = execute_graph(g, {"x": feed})
-        np.testing.assert_allclose(list(result.values())[0], np.maximum(feed, 0))
+        np.testing.assert_allclose(_only_output(g, {"x": feed}),
+                                   np.maximum(feed, 0))
 
     def test_softmax_rows_sum_to_one(self):
         b = GraphBuilder()
-        x = b.input((2, 5), name="x")
-        out = b.softmax(x)
-        g = b.build([out])
-        values = GraphInterpreter().run(g)
-        np.testing.assert_allclose(values[out].sum(axis=-1), np.ones(2))
+        g = b.build([b.softmax(b.input((2, 5), name="x"))])
+        np.testing.assert_allclose(_only_output(g).sum(axis=-1), np.ones(2))
 
     def test_concat_split_round_trip(self):
         b = GraphBuilder()
         x = b.input((2, 4), name="x")
         y = b.input((2, 6), name="y")
-        cat = b.concat([x, y], axis=1)
-        sl = b.slice(cat, axis=1, start=0, end=4)
-        g = b.build([sl])
-        values = GraphInterpreter().run(g)
-        np.testing.assert_allclose(values[sl], values[x])
+        g = b.build([b.slice(b.concat([x, y], axis=1), axis=1, start=0,
+                             end=4)])
+        feeds = {"x": np.arange(8.0).reshape(2, 4), "y": np.ones((2, 6))}
+        np.testing.assert_allclose(_only_output(g, feeds), feeds["x"])
 
     def test_conv_against_direct_computation(self):
         b = GraphBuilder()
         x = b.input((1, 2, 4, 4), name="x")
         c = b.conv2d(x, 3, kernel=1, padding="same")
         g = b.build([c])
-        values = GraphInterpreter().run(g)
-        w = values[g.predecessors(c)[1]]
-        expected = np.einsum("nchw,oc->nohw", values[x], w[:, :, 0, 0])
-        np.testing.assert_allclose(values[c], expected, atol=1e-9)
+        weight = g.nodes[g.predecessors(c)[1]]
+        w = deterministic_tensor("param:" + weight.name, (3, 2, 1, 1))
+        expected = np.einsum("nchw,oc->nohw",
+                             deterministic_tensor("input:x", (1, 2, 4, 4)),
+                             w[:, :, 0, 0])
+        np.testing.assert_allclose(_only_output(g), expected, atol=1e-9)
 
     def test_pooling(self):
         b = GraphBuilder()
-        x = b.input((1, 1, 4, 4), name="x")
-        p = b.maxpool(x, kernel=2, stride=2)
-        g = b.build([p])
+        g = b.build([b.maxpool(b.input((1, 1, 4, 4), name="x"), kernel=2,
+                               stride=2)])
         feed = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        values = GraphInterpreter().run(g, {"x": feed})
-        np.testing.assert_allclose(values[p][0, 0], [[5, 7], [13, 15]])
-
-    def test_weights_are_deterministic(self):
-        b = GraphBuilder()
-        x = b.input((2, 4), name="x")
-        out = b.linear(x, 4, 4, name="fc")
-        g = b.build([out])
-        v1 = GraphInterpreter().run(g)[out]
-        v2 = GraphInterpreter().run(g)[out]
-        np.testing.assert_allclose(v1, v2)
+        np.testing.assert_allclose(_only_output(g, {"x": feed})[0, 0],
+                                   [[5, 7], [13, 15]])
 
 
 class TestEquivalenceChecker:
     def test_identical_graphs_equivalent(self, mlp_graph):
-        assert graphs_equivalent(mlp_graph, mlp_graph.copy())
+        report = differential_check(mlp_graph, mlp_graph.copy())
+        assert report.equivalent and not report.fallback_ops
 
     def test_different_structure_not_equivalent(self):
         b1 = GraphBuilder()
@@ -87,15 +81,29 @@ class TestEquivalenceChecker:
         b2 = GraphBuilder()
         x = b2.input((2, 4), name="x")
         g2 = b2.build([b2.tanh(x)])
-        assert not graphs_equivalent(g1, g2)
+        assert not differential_check(g1, g2).equivalent
 
     def test_mismatched_inputs_not_equivalent(self, mlp_graph, conv_graph):
-        assert not graphs_equivalent(mlp_graph, conv_graph)
+        report = differential_check(mlp_graph, conv_graph)
+        assert not report.equivalent and "input sets differ" in report.problems[0]
+
+    def test_a_fallback_fails_the_assertion(self, mlp_graph):
+        """Equal outputs are not enough: a node no kernel ran was never
+        checked."""
+        without_relu = NumpyExecutor(kernels={
+            op: kernel for op, kernel in KERNELS.items()
+            if op is not OpType.RELU})
+        assert differential_check(mlp_graph, mlp_graph.copy(),
+                                  executor=without_relu).equivalent
+        with pytest.raises(AssertionError, match="Relu"):
+            assert_equivalent(mlp_graph, mlp_graph.copy(),
+                              executor=without_relu)
 
 
 class TestCrossBackendAgreement:
-    """Interpreter vs numpy executor: two independent implementations of the
-    op semantics must agree on every donor, before and after each rule."""
+    """Loop oracle vs numpy executor: two independent implementations of
+    the op semantics must agree on every donor, before and after each
+    rule."""
 
     def _sink_values_interp(self, graph):
         values = GraphInterpreter().run(graph)
@@ -103,7 +111,6 @@ class TestCrossBackendAgreement:
                 for nid in graph.sink_nodes()}
 
     def _sink_values_exec(self, graph):
-        from repro.exec import NumpyExecutor
         outputs, _ = NumpyExecutor().run(graph)
         return outputs
 
@@ -138,9 +145,9 @@ class TestCrossBackendAgreement:
                     continue
                 transformed = rule.apply(graph, matches[0])
                 # Both backends agree on the rewritten graph, and the
-                # interpreter's own equivalence check accepts the rewrite.
+                # differential check accepts the rewrite.
                 self._assert_backends_agree(transformed, rule.name)
-                assert graphs_equivalent(graph, transformed), rule.name
+                assert_equivalent(graph, transformed)
                 fired.add(rule.name)
                 break
         # Nearly all of the exact ruleset fires across the donors;

@@ -38,7 +38,7 @@ FUZZ_SEEDS = range(8)
 
 def _executed_values(graph: Graph, seed: int = 0):
     """Execute ``graph`` keeping every intermediate, yield (node, slot, array)."""
-    executor = NumpyExecutor(seed=seed)
+    executor = NumpyExecutor()
     values = {}
     inputs = random_inputs(graph, seed=seed)
     for nid in graph.topological_order():
@@ -105,25 +105,22 @@ def test_every_registry_op_has_a_kernel():
 
 
 def test_executor_is_deterministic(mlp_graph):
-    ex = NumpyExecutor(seed=7)
-    out1, _ = ex.run(mlp_graph)
-    out2, _ = NumpyExecutor(seed=7).run(mlp_graph)
+    """Weights are seeded from the node name, so two executors agree —
+    variation comes from feeding different explicit inputs (e.g. via
+    ``random_inputs``)."""
+    out1, _ = NumpyExecutor().run(mlp_graph)
+    out2, _ = NumpyExecutor().run(mlp_graph)
     assert sorted(out1) == sorted(out2)
-    for key in out1:
-        np.testing.assert_array_equal(out1[key], out2[key])
-
-
-def test_materialisation_is_name_keyed_not_seed_keyed(mlp_graph):
-    """Weights are seeded from the node name (interpreter parity), so two
-    executors agree regardless of their ``seed`` — variation comes from
-    feeding different explicit inputs (e.g. via ``random_inputs``)."""
-    out1, _ = NumpyExecutor(seed=0).run(mlp_graph)
-    out2, _ = NumpyExecutor(seed=1).run(mlp_graph)
     for key in out1:
         np.testing.assert_array_equal(out1[key], out2[key])
     feeds_a = random_inputs(mlp_graph, seed=0)
     feeds_b = random_inputs(mlp_graph, seed=1)
     assert any(not np.allclose(feeds_a[k], feeds_b[k]) for k in feeds_a)
+
+
+def test_executor_takes_no_seed():
+    with pytest.raises(TypeError, match="seed"):
+        NumpyExecutor(seed=0)
 
 
 def test_unknown_op_counted_not_silent(mlp_graph):

@@ -1,4 +1,4 @@
-"""Single-op graphs, numpy kernel against the reference interpreter.
+"""Single-op graphs, numpy kernel against the loop interpreter oracle.
 
 The shapes a vectorised kernel can get wrong and a whole-model run would
 average away: "same" padding on odd and even extents, the 1x1 fast path
@@ -6,7 +6,7 @@ under a stride, kernels larger than their input, grouped and depthwise
 layouts, truncated pooling windows (an average divides by the elements
 present), NaN in pooled data, Gelu's tails, a broadcast fused bias.  The
 interpreter's reference loops are the oracle, at the cross-backend tolerance
-of ``tests/rules/test_interpreter.py::TestCrossBackendAgreement``.
+of ``tests/exec/test_executor_semantics.py::TestCrossBackendAgreement``.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import itertools
 
 import numpy as np
 import pytest
+from interpreter_reference import GraphInterpreter
 
 from repro.exec import NumpyExecutor
 from repro.ir import GraphBuilder
 from repro.ir.ops import OpType
-from repro.rules.interpreter import GraphInterpreter
 
 RTOL, ATOL = 1e-6, 1e-8
 

@@ -1,12 +1,13 @@
 """Integration tests: the full pipeline from model zoo to optimised graph."""
 
 import pytest
+from equivalence import assert_equivalent
 
 from repro import XRLflow, XRLflowConfig
 from repro.cost import CostModel, E2ESimulator
 from repro.ir import graph_from_dict, graph_to_dict
 from repro.models import build_model
-from repro.rules import RuleSet, default_ruleset, graphs_equivalent
+from repro.rules import RuleSet, default_ruleset
 from repro.search import TASOOptimizer, TensatOptimizer
 
 
@@ -43,7 +44,7 @@ class TestFullPipeline:
     def test_exact_rules_preserve_model_semantics_through_search(self, bert_small):
         exact = RuleSet([r for r in default_ruleset() if r.exactly_equivalent])
         result = TASOOptimizer(ruleset=exact, max_iterations=15).optimise(bert_small)
-        assert graphs_equivalent(bert_small, result.final_graph)
+        assert_equivalent(bert_small, result.final_graph)
 
     def test_optimised_graph_survives_serialisation(self, bert_small):
         result = TensatOptimizer(round_limit=2).optimise(bert_small, "bert")

@@ -1,47 +1,30 @@
-"""Reference numerical interpreter for computation graphs.
+"""Loop oracle for the kernels of ``repro.exec`` (``kernels.py``, run by
+``NumpyExecutor``), compared by ``tests/exec/test_kernels_vs_interpreter.py``
+and ``tests/exec/test_executor_semantics.py::TestCrossBackendAgreement``.
 
-The interpreter executes a graph with concrete numpy tensors.  It is *not*
-used on the optimisation fast path — its job is verification: rewrite rules
-that claim to be fully equivalent are checked by executing the graph before
-and after the substitution on random inputs and comparing outputs, exactly
-the random-testing methodology TASO's rule generator uses.
-
-Weights and constants are materialised deterministically from the node name
-and shape, so a rewrite that merely re-wires existing weight nodes preserves
-their values, while a rewrite that fabricates new weight tensors is (by
-design) not exactly checkable and must be marked as such.
+The original graph interpreter: one ``if`` per operator, convolutions and
+pools as Python loops over output positions, no buffer plan.  The
+vectorised kernels must agree with it to ``rtol=1e-6, atol=1e-8``.
+Sources are materialised by ``repro.exec.deterministic_tensor``, so both
+see the same weights.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from ..ir.graph import Graph, NodeId
-from ..ir.ops import OpType
+from repro.exec import deterministic_tensor, erf
+from repro.ir.graph import Graph, NodeId
+from repro.ir.ops import OpType
 
-__all__ = ["GraphInterpreter", "execute_graph", "graphs_equivalent"]
-
-
-def _seed_from(name: str, shape: Sequence[int]) -> int:
-    payload = f"{name}:{tuple(shape)}".encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:4], "little")
-
-
-def _deterministic_tensor(name: str, shape: Sequence[int]) -> np.ndarray:
-    rng = np.random.default_rng(_seed_from(name, shape))
-    return rng.standard_normal(tuple(shape)).astype(np.float64) * 0.1
+__all__ = ["GraphInterpreter"]
 
 
 class GraphInterpreter:
     """Executes a :class:`~repro.ir.graph.Graph` on concrete numpy tensors."""
 
-    def __init__(self, seed: int = 0):
-        self._rng = np.random.default_rng(seed)
-
-    # ------------------------------------------------------------------
     def run(self, graph: Graph,
             inputs: Optional[Mapping[str, np.ndarray]] = None
             ) -> Dict[NodeId, np.ndarray]:
@@ -69,9 +52,9 @@ class GraphInterpreter:
         if op is OpType.INPUT:
             if node.name in user_inputs:
                 return [np.asarray(user_inputs[node.name], dtype=np.float64)]
-            return [_deterministic_tensor("input:" + node.name, shape)]
+            return [deterministic_tensor("input:" + node.name, shape)]
         if op in (OpType.WEIGHT, OpType.CONSTANT):
-            return [_deterministic_tensor("param:" + node.name, shape)]
+            return [deterministic_tensor("param:" + node.name, shape)]
         if op is OpType.OUTPUT:
             return [in_vals[0]]
         if op is OpType.NOOP:
@@ -105,8 +88,6 @@ class GraphInterpreter:
         if op is OpType.SQRT:
             return [np.sqrt(np.abs(in_vals[0]))]
         if op is OpType.ERF:
-            # Pure numpy/stdlib erf (the CI image has no scipy).
-            from ..exec.kernels import erf
             return [erf(in_vals[0])]
         if op in (OpType.IDENTITY, OpType.CAST, OpType.DROPOUT):
             return [in_vals[0]]
@@ -263,41 +244,3 @@ class GraphInterpreter:
             out = np.maximum(out, 0.0)
         return out
 
-
-def execute_graph(graph: Graph,
-                  inputs: Optional[Mapping[str, np.ndarray]] = None
-                  ) -> Dict[str, np.ndarray]:
-    """Execute ``graph`` and return values of its sink nodes keyed by name."""
-    interp = GraphInterpreter()
-    values = interp.run(graph, inputs)
-    return {graph.nodes[nid].name: values[nid] for nid in graph.sink_nodes()}
-
-
-def graphs_equivalent(before: Graph, after: Graph, atol: float = 1e-6,
-                      trials: int = 2) -> bool:
-    """Random-testing equivalence check between two graphs.
-
-    The graphs must expose the same Input-node names.  Output tensors are
-    compared pairwise in sink order (after dropping zero-size differences in
-    ordering by sorting on node name).
-    """
-    interp = GraphInterpreter()
-    input_names = sorted(before.nodes[nid].name for nid in before.input_nodes())
-    if sorted(after.nodes[nid].name for nid in after.input_nodes()) != input_names:
-        return False
-    for trial in range(trials):
-        rng = np.random.default_rng(1234 + trial)
-        feeds = {}
-        for nid in before.input_nodes():
-            node = before.nodes[nid]
-            feeds[node.name] = rng.standard_normal(tuple(node.output_spec.shape.dims)) * 0.1
-        out_a = execute_graph(before, feeds)
-        out_b = execute_graph(after, feeds)
-        vals_a = [out_a[k] for k in sorted(out_a)]
-        vals_b = [out_b[k] for k in sorted(out_b)]
-        if len(vals_a) != len(vals_b):
-            return False
-        for a, b in zip(vals_a, vals_b):
-            if a.shape != b.shape or not np.allclose(a, b, atol=atol, rtol=1e-5):
-                return False
-    return True

@@ -19,13 +19,17 @@ from ppo_reference import LoopPPOUpdater, evaluate_actions
 from segment_reference import add_at_rows
 
 import repro.nn.tensor
+import repro.rl.env
+import repro.rl.features
+import repro.rl.ppo
 from repro.experiments import build_small_model
 from repro.ir import GraphBuilder
 from repro.nn import GraphEmbeddingNetwork, Tensor, no_grad, segment_sum
+from repro.nn.tensor import default_dtype
 from repro.rl import (FeatureCache, GraphRewriteEnv, Observation, PPOTrainer,
                       PPOUpdater, RolloutBuffer, Transition, XRLflowAgent,
-                      build_meta_graph, encode_graph, features)
-from repro.rl.features import LazyMetaGraph, build_delta_batch, rewrite_cone
+                      build_meta_graph, encode_graph)
+from repro.rl.features import build_delta_batch, rewrite_cone
 from repro.rules import default_ruleset
 
 MODELS = ["squeezenet", "resnext50", "bert", "vit"]
@@ -159,17 +163,15 @@ class TestIncrementalEncoding:
 
     def test_env_cache_hit_on_revisited_graph(self):
         """The chosen candidate becomes the next step's current graph — a
-        guaranteed cache hit once the meta batches are materialised.
-
-        Rollouts defer meta assembly (``LazyMetaGraph``); a PPO update or
-        gradient forward triggers it, which is emulated here."""
+        guaranteed cache hit once the full meta-graphs are built (as
+        ``XRLflowAgent.forward`` builds them)."""
         graph = build_small_model("squeezenet")
         env = GraphRewriteEnv(graph, max_candidates=8, max_steps=4, seed=0)
         obs = env.reset()
-        assert not obs.meta_graph.is_materialised
-        obs.meta_graph.materialise()
+        build_meta_graph(obs.graphs, cache=obs.feature_cache)
         result = env.step(0)
-        result.observation.meta_graph.materialise()
+        build_meta_graph(result.observation.graphs,
+                         cache=result.observation.feature_cache)
         stats = env.encode_cache_stats()
         assert stats["hits"] >= 1.0
         assert stats["hit_rate"] > 0.0
@@ -220,7 +222,7 @@ class TestRolloutEmbedding:
                     covered.update(c.rule_name for c in candidates)
                     graphs = [parent] + [c.graph for c in candidates]
                     assert np.array_equal(
-                        agent.embedder.embed(lazy_observation(
+                        agent.embedder.embed(observation_of(
                             graphs, num_actions=len(graphs))),
                         oracle_embeddings(agent, graphs))
                     next_frontier.extend(c.graph for c in candidates[:2])
@@ -256,7 +258,7 @@ class TestRolloutEmbedding:
         enumeration (rule names and match order; the action space is large
         enough that selection is the identity), and ``act`` against
         ``forward`` on the per-edge-loop full meta-graph under the
-        ``np.add.at`` kernel."""
+        ``np.add.at`` kernel, in float64."""
         agent = small_agent()
         ruleset = default_ruleset()
         env = GraphRewriteEnv(build_small_model(name), ruleset=ruleset,
@@ -269,13 +271,13 @@ class TestRolloutEmbedding:
             assert len(scanned) <= env.max_candidates
             assert [(c.rule_name, c.match) for c in obs.candidates] \
                 == [(c.rule_name, c.match) for c in scanned]
-            reference = Observation(
-                meta_graph=reference_meta_graph(obs.graphs),
-                action_mask=obs.action_mask, candidates=obs.candidates)
             with monkeypatch.context() as patch, no_grad():
                 patch.setattr(repro.nn.tensor, "_scatter_add_rows",
                               add_at_rows)
-                logits, value = agent.forward(reference)
+                patch.setattr(repro.rl.ppo, "build_meta_graph",
+                              lambda graphs, cache: reference_meta_graph(
+                                  graphs, cache.edge_norm))
+                logits, value = agent.forward(obs)
             probs = logits.softmax(axis=0).numpy()
             decision = agent.act(obs)
             assert np.array_equal(decision.probabilities, probs / probs.sum())
@@ -303,10 +305,14 @@ class TestRolloutEmbedding:
     def test_update_reuses_the_batches_the_rollout_built(self, monkeypatch):
         agent = small_agent()
         buffer = collect_buffer(build_small_model("squeezenet"), agent)
-        monkeypatch.setattr(
-            features, "build_delta_batch", lambda *args, **kwargs:
-            pytest.fail("the update assembled a delta batch of its own"))
+        cache = buffer.transitions[0].observation.feature_cache
+        encodes = cache.stats()
+        for module in (repro.rl.features, repro.rl.env):
+            monkeypatch.setattr(
+                module, "build_delta_batch", lambda *args, **kwargs:
+                pytest.fail("the update assembled a delta batch of its own"))
         PPOUpdater(agent, epochs=1, batch_size=4, seed=0).update(buffer)
+        assert cache.stats() == encodes  # no graph was encoded again
 
     def test_edge_attr_norm_reaches_rollout_and_update_alike(self):
         """``XRLflowConfig.edge_attr_norm`` (Table 4) is the feature cache's
@@ -318,7 +324,7 @@ class TestRolloutEmbedding:
         env = optimiser._build_env(build_small_model("squeezenet"))
         agent = optimiser._build_agent()
         obs = env.reset()
-        batch = obs.meta_graph.delta_batch(agent.encoder.num_gat_layers)
+        batch = obs.delta_batch(agent.encoder.num_gat_layers)
         default = build_delta_batch(obs.graphs, agent.encoder.num_gat_layers)
         assert np.array_equal(batch.edge_features,
                               default.edge_features * 4.0)
@@ -327,24 +333,26 @@ class TestRolloutEmbedding:
             oracle_embeddings(agent, obs.graphs, edge_norm=1024.0))
 
 
-class TestLazyMetaGraphCopies:
-    """copy / deepcopy / pickle probe ``__setstate__`` and friends on an
-    instance whose slots are unset; ``__getattr__`` must not forward them."""
+class TestObservationCopies:
+    """An observation is plain data: copy / deepcopy / pickle keep its
+    graphs, and the twin's delta batch pools the same rows."""
 
     @pytest.mark.parametrize("clone", [
-        copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))],
         ids=["copy", "deepcopy", "pickle"])
     def test_round_trip(self, clone):
         env = GraphRewriteEnv(build_small_model("squeezenet"),
                               max_candidates=4, max_steps=2, seed=0)
-        meta = env.reset().meta_graph
-        twin = clone(meta)
-        assert isinstance(twin, LazyMetaGraph) and not twin.is_materialised
-        assert twin.num_graphs == meta.num_graphs == 5  # still proxies
+        obs = env.reset()
+        twin = clone(obs)
+        assert len(twin.graphs) == len(obs.graphs) == 5
+        assert np.array_equal(twin.action_mask, obs.action_mask)
         # (a deep copy severs rewrite lineage, so its rows may be stored
         # differently; what each graph pools is the same)
-        assert np.array_equal(twin.delta_batch(2).graph_ids,
-                              meta.delta_batch(2).graph_ids)
+        ours, theirs = obs.delta_batch(2), twin.delta_batch(2)
+        assert np.array_equal(theirs.graph_ids, ours.graph_ids)
+        assert np.array_equal(theirs.node_features[theirs.pool_rows],
+                              ours.node_features[ours.pool_rows])
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +374,12 @@ def collect_buffer(graph, agent, steps=12, seed=0):
     return buffer
 
 
-def lazy_observation(graphs, num_actions=13):
-    """An incremental-env-shaped observation over hand-picked graphs."""
+def observation_of(graphs, num_actions=13):
+    """An environment-shaped observation over hand-picked graphs."""
     mask = np.zeros(num_actions, dtype=bool)
     mask[:len(graphs) - 1] = True
     mask[-1] = True
-    return Observation(meta_graph=LazyMetaGraph(graphs, cache=FeatureCache()),
-                       action_mask=mask, graphs=list(graphs))
+    return Observation(graphs=list(graphs), action_mask=mask)
 
 
 def edge_case_observations():
@@ -392,31 +399,27 @@ def edge_case_observations():
     orphan.begin_delta()
     assert orphan.delta_parent() is None
     assert rewrite_cone(orphan, 2) is None
-    return [lazy_observation([build_small_model("bert")]),
-            lazy_observation(
+    return [observation_of([build_small_model("bert")]),
+            observation_of(
                 [graph, rewrites[0], untouched, removal, orphan, rewrites[1]])]
-
-
-def spliced(observation):
-    """The same observation carrying its full meta-graph: the reference
-    batch every graph of which stores all of its rows."""
-    return Observation(meta_graph=build_meta_graph(observation.graphs),
-                       action_mask=observation.action_mask,
-                       candidates=observation.candidates,
-                       graphs=observation.graphs)
 
 
 def minibatch(name, agent):
     """Rollout observations of one zoo model plus the edge cases, with
-    duplicates and one observation carrying a full meta-graph (batches of
-    both kinds splice into one), and an action for each."""
+    duplicates, and an action for each."""
     buffer = collect_buffer(build_small_model(name), agent)
     observations, actions, _ = buffer.gather(np.arange(len(buffer)))
     extra = edge_case_observations()
-    observations = observations + extra + [
-        observations[0], extra[1], spliced(observations[1])]
-    actions = list(actions) + [12, 3, int(actions[0]), 12, int(actions[1])]
+    observations = observations + extra + [observations[0], extra[1]]
+    actions = list(actions) + [12, 3, int(actions[0]), 12]
     return observations, actions
+
+
+def per_transition(agent, observations, actions):
+    """:func:`evaluate_actions` of every transition: ``forward`` on each
+    observation's full meta-graph."""
+    return [evaluate_actions(agent, obs, int(action))
+            for obs, action in zip(observations, actions)]
 
 
 class TestBatchedEvaluate:
@@ -435,9 +438,9 @@ class TestBatchedEvaluate:
             assert float(entropy.numpy()) == entropies.numpy()[i]
 
     @pytest.mark.parametrize("name", ["squeezenet", "bert"])
-    def test_delta_batch_gradients_match_spliced_batch(self, name):
+    def test_delta_batch_gradients_match_full_meta_graphs(self, name):
         """Same function, so same gradients: a parent row's gradient is the
-        sum over the graphs that read it, which the spliced batch adds up
+        sum over the graphs that read it, which the full meta-graphs add up
         at the weights instead — equal up to float64 addition order."""
         grads = []
         for reference in (False, True):
@@ -445,31 +448,37 @@ class TestBatchedEvaluate:
                                  num_gat_layers=2, head_sizes=(16,), seed=0)
             observations, actions = minibatch(name, agent)
             if reference:
-                observations = [spliced(o) for o in observations]
-            log_probs, values, entropies = agent.evaluate_actions_batch(
-                observations, actions)
-            (log_probs.sum() + values.sum() + entropies.sum()).backward()
+                terms = [lp.sum() + value.sum() + entropy for lp, value, entropy
+                         in per_transition(agent, observations, actions)]
+                total = sum(terms[1:], terms[0])
+            else:
+                log_probs, values, entropies = agent.evaluate_actions_batch(
+                    observations, actions)
+                total = log_probs.sum() + values.sum() + entropies.sum()
+            total.backward()
             grads.append([p.grad for p in agent.parameters()])
         for delta, full in zip(*grads):
             np.testing.assert_allclose(delta, full, rtol=1e-9, atol=1e-12)
 
-    def test_float32_outputs_equal_spliced_batch(self):
+    def test_float32_outputs_equal_full_meta_graphs(self):
         agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
                              num_gat_layers=2, head_sizes=(16,), seed=0,
                              dtype=np.float32)
         observations, actions = minibatch("bert", agent)
         delta = agent.evaluate_actions_batch(observations, actions)
-        full = agent.evaluate_actions_batch(
-            [spliced(o) for o in observations], actions)
-        for a, b in zip(delta, full):
+        with default_dtype(np.float32):  # as ``PPOUpdater.update`` runs it
+            full = per_transition(agent, observations, actions)
+        for a, b in zip(delta, zip(*full)):
             assert a.numpy().dtype == np.float32
-            assert np.array_equal(a.numpy(), b.numpy())
+            assert np.array_equal(a.numpy(),
+                                  np.concatenate([np.ravel(t.numpy())
+                                                  for t in b]))
 
     @pytest.mark.parametrize("name", ["bert", "squeezenet"])
     def test_update_encodes_cones_not_graphs(self, name):
         """The O(cone) claim as a count: under the end-to-end benchmark's
         training configuration, message passing runs over at most a quarter
-        of the rows the readout pools (a spliced batch: all of them)."""
+        of the rows the readout pools (a full meta-graph: all of them)."""
         from repro.core import XRLflow, XRLflowConfig
         optimiser = XRLflow(XRLflowConfig.fast(
             num_episodes=6, max_steps=18, max_candidates=24,
@@ -492,21 +501,11 @@ class TestBatchedEvaluate:
         assert rewrite_cone(candidate, 2).cone_pos.size
         agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
                              num_gat_layers=2, head_sizes=(16,), seed=0)
-        obs = lazy_observation([candidate, clone])
+        obs = observation_of([candidate, clone])
         batched = agent.evaluate_actions_batch([obs], [0])
         single = evaluate_actions(agent, obs, 0)
         for a, b in zip(batched, single):
             assert np.array_equal(np.ravel(a.numpy()), np.ravel(b.numpy()))
-
-    def test_update_leaves_meta_graphs_unassembled(self):
-        agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
-                             num_gat_layers=2, head_sizes=(16,), seed=0)
-        buffer = collect_buffer(build_small_model("squeezenet"), agent)
-        stats = PPOUpdater(agent, epochs=1, batch_size=4, seed=0).update(
-            buffer)
-        assert 0 < stats.encoder_rows < stats.pooled_rows
-        assert not any(t.observation.meta_graph.is_materialised
-                       for t in buffer.transitions)
 
     def test_batched_update_matches_loop_update(self):
         graph = build_small_model("squeezenet")
@@ -557,6 +556,8 @@ def test_removed_switches_are_refused():
         PPOUpdater(small_agent(), batched=True)
     with pytest.raises(TypeError, match="max_entries"):
         FeatureCache(max_entries=2)
+    with pytest.raises(TypeError, match="meta_graph"):
+        Observation(meta_graph=None, action_mask=np.ones(1, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ class TestEnvironment:
         assert obs.action_mask[-1]  # No-Op always valid
         assert obs.action_mask[: len(obs.candidates)].all()
         assert not obs.action_mask[len(obs.candidates):-1].any()
-        assert obs.meta_graph.num_graphs == len(obs.candidates) + 1
+        assert len(obs.graphs) == len(obs.candidates) + 1
 
     def test_step_applies_candidate(self, small_env):
         obs = small_env.reset()

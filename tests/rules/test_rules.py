@@ -1,10 +1,11 @@
 """Tests for the rewrite-rule substrate: matching, application, equivalence."""
 
 import pytest
+from equivalence import assert_equivalent
 
 from repro.ir import GraphBuilder, OpType
 from repro.rules import (RuleSet, default_ruleset, eliminate_dead_nodes,
-                         graphs_equivalent, replace_all_uses)
+                         replace_all_uses)
 from repro.rules.rulesets import (DistributeMulOverAdd, EliminateDoubleTranspose,
                                   EliminateSliceOfConcat, EnlargeConvKernel,
                                   FoldMulIntoMatMul, FuseConvBatchNorm,
@@ -61,7 +62,7 @@ class TestFusionRules:
         new_graph.validate()
         assert "FusedConvBN" in new_graph.op_type_counts()
         assert new_graph.num_nodes < conv_graph.num_nodes
-        assert graphs_equivalent(conv_graph, new_graph)
+        assert_equivalent(conv_graph, new_graph)
 
     def test_fuse_conv_relu(self, conv_graph):
         rule = FuseConvRelu()
@@ -69,7 +70,7 @@ class TestFusionRules:
         assert len(matches) == 1  # only the second conv feeds a ReLU directly
         new_graph = rule.apply(conv_graph, matches[0])
         new_graph.validate()
-        assert graphs_equivalent(conv_graph, new_graph)
+        assert_equivalent(conv_graph, new_graph)
 
     def test_fuse_conv_bn_relu_chains(self, conv_graph):
         first = FuseConvBatchNorm()
@@ -80,7 +81,7 @@ class TestFusionRules:
         step2 = second.apply(step1, matches[0])
         step2.validate()
         assert "FusedConvBNRelu" in step2.op_type_counts()
-        assert graphs_equivalent(conv_graph, step2)
+        assert_equivalent(conv_graph, step2)
 
     def test_fuse_matmul_bias(self, mlp_graph):
         rule = FuseMatMulBias()
@@ -88,7 +89,7 @@ class TestFusionRules:
         assert len(matches) == 2
         new_graph = rule.apply(mlp_graph, matches[0])
         new_graph.validate()
-        assert graphs_equivalent(mlp_graph, new_graph)
+        assert_equivalent(mlp_graph, new_graph)
 
 
 class TestMergeRules:
@@ -100,7 +101,7 @@ class TestMergeRules:
         merged.validate()
         counts = merged.op_type_counts()
         assert counts["MatMul"] == 1 and counts["Slice"] == 2
-        assert graphs_equivalent(shared_matmul_graph, merged)
+        assert_equivalent(shared_matmul_graph, merged)
 
     def test_merge_matmuls_in_attention(self, attention_graph):
         rule = MergeParallelMatMuls()
@@ -135,7 +136,7 @@ class TestMergeRules:
         rule = MergeParallelConvs()
         merged = rule.apply(g, rule.find_matches(g)[0])
         merged.validate()
-        assert graphs_equivalent(g, merged)
+        assert_equivalent(g, merged)
 
 
 class TestAlgebraicRules:
@@ -157,7 +158,7 @@ class TestAlgebraicRules:
         assert len(matches) == 1
         moved = rule.apply(g, matches[0])
         moved.validate()
-        assert graphs_equivalent(g, moved)
+        assert_equivalent(g, moved)
 
     def test_fold_chain_reaches_weights(self):
         g = self._scaled_attention()
@@ -168,7 +169,7 @@ class TestAlgebraicRules:
         assert len(matches) == 1
         g3 = fold.apply(g2, matches[0])
         g3.validate()
-        assert graphs_equivalent(g, g3)
+        assert_equivalent(g, g3)
         # After folding, the scalar multiplication only touches constants.
         from repro.cost import E2ESimulator
         folded = E2ESimulator().constant_foldable_nodes(g3)
@@ -185,7 +186,7 @@ class TestAlgebraicRules:
         rule = DistributeMulOverAdd()
         new = rule.apply(g, rule.find_matches(g)[0])
         new.validate()
-        assert graphs_equivalent(g, new)
+        assert_equivalent(g, new)
 
     def test_reassociate_matmul(self):
         b = GraphBuilder()
@@ -197,7 +198,7 @@ class TestAlgebraicRules:
         rule = ReassociateMatMul()
         new = rule.apply(g, rule.find_matches(g)[0])
         new.validate()
-        assert graphs_equivalent(g, new)
+        assert_equivalent(g, new)
 
 
 class TestCleanupRules:
@@ -210,7 +211,7 @@ class TestCleanupRules:
         rule = EliminateDoubleTranspose()
         new = rule.apply(g, rule.find_matches(g)[0])
         new.validate()
-        assert graphs_equivalent(g, new)
+        assert_equivalent(g, new)
         assert "Transpose" not in new.op_type_counts()
 
     def test_eliminate_slice_of_concat(self, shared_matmul_graph):
@@ -230,7 +231,7 @@ class TestCleanupRules:
         assert len(matches) == 1
         new = rule.apply(g, matches[0])
         new.validate()
-        assert graphs_equivalent(g, new)
+        assert_equivalent(g, new)
 
 
 class TestRulesetOnModels:
@@ -247,4 +248,4 @@ class TestRulesetOnModels:
                 continue
             for match in rule.find_matches(attention_graph)[:2]:
                 transformed = rule.apply(attention_graph, match)
-                assert graphs_equivalent(attention_graph, transformed), rule.name
+                assert_equivalent(attention_graph, transformed)

@@ -1,10 +1,11 @@
 """Tests for the baseline optimisers (TASO, Tensat, PET, random search)."""
 
 import pytest
+from equivalence import assert_equivalent
 
 from repro.cost import CostModel
 from repro.models import build_model
-from repro.rules import default_ruleset, graphs_equivalent
+from repro.rules import default_ruleset
 from repro.search import (GraphSpace, GreedyOptimizer, PETOptimizer,
                           RandomSearchOptimizer, TASOOptimizer, TensatOptimizer,
                           pet_ruleset)
@@ -36,13 +37,13 @@ class TestTASO:
         assert sum(result.rule_counts().values()) == len(result.applied_rules)
 
     def test_transformation_preserves_semantics(self, attention_graph):
-        # Restrict to exactly-equivalent rules so the interpreter can verify
+        # Restrict to exactly-equivalent rules so execution can verify
         # the whole transformation sequence end to end.
         from repro.rules import RuleSet
         exact = RuleSet([r for r in default_ruleset() if r.exactly_equivalent])
         result = TASOOptimizer(ruleset=exact, max_iterations=15).optimise(
             attention_graph, "attention")
-        assert graphs_equivalent(attention_graph, result.final_graph)
+        assert_equivalent(attention_graph, result.final_graph)
 
     def test_budget_zero_returns_input(self, conv_graph):
         result = TASOOptimizer(max_iterations=0).optimise(conv_graph, "conv")

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import gc
+import sys
+import warnings
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.service import (JobScheduler, JobState, OptimisationService,
                            RemoteUnavailableError, RemoteWorkerError,
                            UnknownJobError, WorkerServer, create_optimiser,
                            optimise_async, ping_async)
+from repro.service.async_pool import AsyncWorkerPool
 from repro.service.remote import (parse_endpoint, request_from_wire,
                                   request_to_wire, result_from_wire,
                                   result_to_wire)
@@ -164,6 +168,20 @@ class TestAsyncBackend:
             stats = service.stats()
         assert sum(1 for r in results if r.coalesced) == 3
         assert stats["pool"]["dispatched_local"] == 1
+
+    def test_shutdown_closes_the_event_loop(self, monkeypatch):
+        # An unclosed loop warns from ``__del__``, where an error-level
+        # warning can only reach the unraisable hook.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        pool = AsyncWorkerPool(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            pool.shutdown()
+            assert pool._loop.is_closed()
+            del pool
+            gc.collect()
+        assert [str(u.exc_value) for u in unraisable] == []
 
 
 # ---------------------------------------------------------------------------
