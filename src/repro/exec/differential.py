@@ -5,11 +5,11 @@ function" — is validated here by actually executing graph pairs on random
 inputs and comparing outputs, the random-testing methodology TASO uses
 for its generated rules.
 
-Tolerance policy (documented in ``docs/executor.md``): execution is
-float64 end to end and rewrites only reassociate float arithmetic, so
-outputs must agree to ``rtol=1e-5, atol=1e-6``.  Rules flagged
-``exactly_equivalent=False`` (EnlargeConv fabricates a fresh weight
-tensor, PET's Winograd rewrite adds a correction term) are checked
+Tolerance policy (documented in ``docs/executor.md``, with the sweep it
+rests on): execution is float32 end to end and rewrites only reassociate
+float arithmetic, so outputs must agree to ``rtol=1e-5, atol=1e-6``.
+Rules flagged ``exactly_equivalent=False`` (EnlargeConv fabricates a fresh
+weight tensor, PET's Winograd rewrite adds a correction term) are checked
 shape-only via ``require_values=False``.
 """
 
@@ -26,19 +26,24 @@ from .executor import NumpyExecutor
 __all__ = ["DEFAULT_RTOL", "DEFAULT_ATOL", "DifferentialReport",
            "random_inputs", "differential_check"]
 
-#: Documented output-agreement tolerances for float64 execution.
+#: Documented output-agreement tolerances for float32 execution.
 DEFAULT_RTOL = 1e-5
 DEFAULT_ATOL = 1e-6
 
 
 def random_inputs(graph: Graph, seed: int = 0) -> Dict[str, np.ndarray]:
-    """Random feeds (float64, 0.1 scale) for every Input node of ``graph``."""
+    """Random feeds (float32, 0.1 scale) for every Input node of ``graph``.
+
+    Drawn in double precision and rounded once, as
+    :func:`~repro.exec.executor.deterministic_tensor` is.
+    """
     rng = np.random.default_rng(seed)
     feeds = {}
     for nid in graph.input_nodes():
         node = graph.nodes[nid]
         shape = tuple(node.output_spec.shape.dims)
-        feeds[node.name] = rng.standard_normal(shape) * 0.1
+        feeds[node.name] = (rng.standard_normal(shape) * 0.1).astype(
+            np.float32)
     return feeds
 
 

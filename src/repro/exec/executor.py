@@ -14,6 +14,10 @@ rewrite that re-wires existing weight nodes sees identical values before
 and after — the property the differential harness in
 :mod:`repro.exec.differential` relies on.
 
+Execution is float32, the precision the modelled networks are deployed
+at: sources materialise as float32, feeds are handed over as float32, and
+every kernel computes in its inputs' dtype.
+
 Unknown operators — anything absent from the kernel table, e.g. an op
 added to the registry before a kernel lands — degrade to a *counted*
 pass-through of their first input instead of crashing; the fallback
@@ -44,14 +48,16 @@ def _seed_from(name: str, shape: Sequence[int]) -> int:
 
 
 def deterministic_tensor(name: str, shape: Sequence[int]) -> np.ndarray:
-    """Pseudo-random float64 tensor derived from ``(name, shape)`` only.
+    """Pseudo-random float32 tensor derived from ``(name, shape)`` only.
 
     The value of a weight/constant/input is a pure function of its name
     and shape, so every executor (and every rewrite of the same graph)
-    agrees on it.
+    agrees on it.  It is drawn in double precision and rounded once to
+    float32, the precision the executor runs at; ``.astype(np.float64)``
+    recovers it exactly for a float64 oracle.
     """
     rng = np.random.default_rng(_seed_from(name, shape))
-    return rng.standard_normal(tuple(shape)).astype(np.float64) * 0.1
+    return (rng.standard_normal(tuple(shape)) * 0.1).astype(np.float32)
 
 
 @dataclass
@@ -172,8 +178,9 @@ class NumpyExecutor:
         if node.op_type is OpType.INPUT:
             if node.name in feeds:
                 # A read-only view: kernels may not write into the caller's
-                # array, and the caller's own flags stay untouched.
-                feed = np.asarray(feeds[node.name], dtype=np.float64).view()
+                # array, and the caller's own flags stay untouched.  A
+                # float32 feed is viewed, any other is cast once.
+                feed = np.asarray(feeds[node.name], dtype=np.float32).view()
                 feed.setflags(write=False)
                 return feed
             prefix = "input:"
@@ -191,14 +198,16 @@ class NumpyExecutor:
 def _passthrough(in_vals: List[np.ndarray],
                  out_shapes: List[Tuple[int, ...]]) -> List[np.ndarray]:
     """Fallback for uncovered ops: forward the first input per output slot,
-    reshaped when element counts line up, zero-filled otherwise."""
+    reshaped when element counts line up, zero-filled (in the first input's
+    dtype) otherwise."""
+    dtype = in_vals[0].dtype if in_vals else np.float32
     outs = []
     for shape in out_shapes:
         if in_vals and in_vals[0].size == int(np.prod(shape, dtype=np.int64)):
-            outs.append(np.asarray(in_vals[0], dtype=np.float64).reshape(shape))
+            outs.append(in_vals[0].reshape(shape))
         else:
-            outs.append(np.zeros(shape, dtype=np.float64))
-    return outs or [np.zeros(())]
+            outs.append(np.zeros(shape, dtype=dtype))
+    return outs or [np.zeros((), dtype=dtype)]
 
 
 class MeasuredLatency:

@@ -24,6 +24,11 @@ between consumers, shape ops return views of their inputs, and parameters
 outlive the run (the executor hands sources over read-only, so a violation
 raises).
 
+A kernel computes in its inputs' dtype and never upcasts — float32 under
+the executor, float64 when the kernel-oracle suite calls it directly.  Its
+constants are Python floats, which keep an array's dtype under NumPy's
+promotion rules.
+
 Everything is pure numpy + stdlib: :func:`erf` wraps :func:`math.erf`
 instead of pulling in scipy, which the CI image does not install.
 """
@@ -46,8 +51,11 @@ Kernel = Callable[
     List[np.ndarray],
 ]
 
-#: Gauss error function on arrays, double precision, no scipy.
-erf = np.vectorize(math.erf, otypes=[np.float64])
+def erf(x: np.ndarray) -> np.ndarray:
+    """Gauss error function on arrays, in ``x``'s dtype, no scipy: each
+    element goes through :func:`math.erf` and is rounded once on store."""
+    return np.fromiter(map(math.erf, x.flat), x.dtype, x.size).reshape(x.shape)
+
 
 KERNELS: Dict[OpType, Kernel] = {}
 
@@ -85,7 +93,8 @@ def _output(in_vals, attrs, out_shapes):
 
 @_register(OpType.NOOP)
 def _noop(in_vals, attrs, out_shapes):
-    return [np.zeros(())]
+    # No input to follow: the IR declares NoOp's output float32.
+    return [np.zeros((), dtype=np.float32)]
 
 
 def _identity(in_vals, attrs, out_shapes):
@@ -176,7 +185,7 @@ def _softmax(in_vals, attrs, out_shapes):
 def _batchnorm(in_vals, attrs, out_shapes):
     # Inference-mode affine transform along the channel axis.
     x = in_vals[0]
-    scale = in_vals[1] if len(in_vals) > 1 else np.ones(x.shape[1])
+    scale = in_vals[1] if len(in_vals) > 1 else np.ones(x.shape[1], x.dtype)
     view = (1, -1) + (1,) * (x.ndim - 2)
     out = x * scale.reshape(view)
     if len(in_vals) > 2:
@@ -304,8 +313,9 @@ def _pool(in_vals, attrs, out_shapes, is_max):
         fold(out, window, out=out)
     if not is_max:
         rows, cols = np.arange(oh) * stride, np.arange(ow) * stride
+        # Counts in out's dtype: an integer divisor would run a float64 loop.
         out /= np.outer(np.minimum(rows + kernel, h) - rows,
-                        np.minimum(cols + kernel, w) - cols)
+                        np.minimum(cols + kernel, w) - cols).astype(out.dtype)
     return [out]
 
 

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from graphgen import random_graph
 
-from repro.exec import (MeasuredLatency, NumpyExecutor, calibrate,
-                        differential_check, random_inputs)
+from repro.exec import (DEFAULT_ATOL, DEFAULT_RTOL, MeasuredLatency,
+                        NumpyExecutor, calibrate, differential_check,
+                        random_inputs)
 from repro.ir import GraphBuilder
 from repro.rl.env import GraphRewriteEnv
 from repro.rules import exact_ruleset
@@ -158,6 +159,65 @@ def test_enlarge_conv_changes_values_but_not_shapes(fire_graph):
     assert shape_only.equivalent
     valued = differential_check(fire_graph, enlarged, require_values=True)
     assert not valued.equivalent
+
+
+# ---------------------------------------------------------------------------
+# The tolerance sweep behind DEFAULT_RTOL / DEFAULT_ATOL: every match (up to
+# four a donor) of every curated rule, over the donors and eight generator
+# seeds, on differential_check's own feeds.  ``-s`` prints the table
+# docs/executor.md § Tolerance policy records.
+# ---------------------------------------------------------------------------
+
+#: Above this rtol an exact rule's disagreement is a finding about the rule,
+#: not a reason to loosen DEFAULT_RTOL.
+FINDING_RTOL = 1e-4
+
+
+def _deviation(before, after, trials=2, seed=1234):
+    """``after`` against ``before`` on differential_check's feeds: the
+    largest absolute error, that error over the output's largest magnitude,
+    and the rtol ``np.allclose`` needs at ``DEFAULT_ATOL`` to accept it."""
+    executor = NumpyExecutor()
+    worst = np.zeros(3)
+    for trial in range(trials):
+        feeds = random_inputs(before, seed=seed + trial)
+        out_a, _ = executor.run(before, feeds)
+        out_b, _ = executor.run(after, feeds)
+        for name_a, name_b in zip(sorted(out_a), sorted(out_b)):
+            a = out_a[name_a].astype(np.float64)
+            diff = np.abs(out_b[name_b] - a)
+            over = np.maximum(diff - DEFAULT_ATOL, 0.0)
+            worst = np.maximum(worst, [
+                diff.max(initial=0.0),
+                diff.max(initial=0.0) / max(np.abs(a).max(initial=0.0), 1e-30),
+                np.max(over / np.maximum(np.abs(a), 1e-30), initial=0.0)])
+    return worst
+
+
+def test_tolerance_sweep_of_every_curated_rule(donors):
+    donors = donors + [random_graph(seed) for seed in range(4, 8)]
+    rows = []
+    for rule_cls in DEFAULT_RULE_CLASSES:
+        rule = rule_cls()
+        checks, worst = 0, np.zeros(3)
+        for graph in donors:
+            for match in rule.find_matches(graph)[:4]:
+                after = rule.apply(graph, match)
+                checks += 1
+                if rule.exactly_equivalent:
+                    worst = np.maximum(worst, _deviation(graph, after))
+        rows.append((rule.name, checks, rule.exactly_equivalent, worst))
+    print(f"\n{'rule':28s} {'checks':>6s} {'max abs err':>12s} "
+          f"{'rel to scale':>12s} {'rtol needed':>12s}")
+    for name, checks, exact, worst in rows:
+        print(f"{name:28s} {checks:6d} " + (
+            " ".join(f"{value:12.2e}" for value in worst) if exact else
+            f"{'shape-only':>12s}"))
+    for name, checks, exact, (_, _, needed_rtol) in rows:
+        assert checks > 0, f"{name} matched no donor"
+        assert needed_rtol <= FINDING_RTOL, (
+            f"{name} needs rtol {needed_rtol:.2e}: a finding about the rule")
+        assert needed_rtol <= DEFAULT_RTOL, (name, needed_rtol)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,7 @@ def _executed_values(graph: Graph, seed: int = 0):
         node = graph.nodes[nid]
         if node.op_type in SOURCE_OPS:
             if node.op_type is OpType.INPUT and node.name in inputs:
-                values[(nid, 0)] = np.asarray(inputs[node.name],
-                                              dtype=np.float64)
+                values[(nid, 0)] = inputs[node.name]
             else:
                 prefix = "input:" if node.op_type is OpType.INPUT else "param:"
                 values[(nid, 0)] = deterministic_tensor(
@@ -132,6 +131,8 @@ def test_unknown_op_counted_not_silent(mlp_graph):
     assert report.fallback_ops.get("Relu", 0) >= 1
     assert report.num_fallbacks >= 1
     assert report.outputs  # still produced outputs end to end
+    assert all(value.dtype == np.float32  # the fallback follows its input
+               for value in report.outputs.values())
 
 
 def test_explicit_inputs_override_materialisation(mlp_graph):

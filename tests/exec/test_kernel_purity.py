@@ -5,7 +5,8 @@ one rule — a kernel writes only into an array it allocated in this call.
 This suite makes a violation raise instead of corrupting a later run:
 
 * sources reach kernels read-only (cached parameters, and a read-only view
-  of a caller's feed — the caller's own array keeps its flags);
+  of a caller's float32 feed or a read-only float32 cast of any other —
+  the caller's own array keeps its flags and values);
 * every kernel's outputs are frozen the moment it returns, and every reduced
   registry model, its TASO result and the fuzzer graphs still execute, to
   the same bits as the plain run;
@@ -79,10 +80,11 @@ def test_writing_into_a_cached_weight_raises():
         executor.run(_relu_of("weight"))
 
 
-@pytest.mark.parametrize("fed", [True, False], ids=["fed", "materialised"])
+@pytest.mark.parametrize("fed", [np.float32, np.float64, None],
+                         ids=["fed-float32", "fed-float64", "materialised"])
 def test_writing_into_an_input_raises_and_spares_the_callers_array(fed):
     executor = NumpyExecutor(kernels={**KERNELS, OpType.RELU: _bad_relu})
-    feed = np.arange(12, dtype=np.float64).reshape(4, 3)
+    feed = np.arange(12, dtype=fed or np.float32).reshape(4, 3)
     before = feed.copy()
     with pytest.raises(ValueError, match="read-only"):
         executor.run(_relu_of("input"), {"x": feed} if fed else None)
@@ -90,13 +92,35 @@ def test_writing_into_an_input_raises_and_spares_the_callers_array(fed):
     np.testing.assert_array_equal(feed, before)
 
 
-def test_a_feed_is_passed_as_a_view_not_a_copy():
+def _what_two_relus_see(feed):
+    """The arrays two Relu kernels reading Input ``x`` receive."""
     seen = []
     executor = NumpyExecutor(kernels={
         **KERNELS, OpType.RELU: lambda v, a, s: seen.append(v[0]) or [v[0]]})
-    feed = np.ones((4, 3))
-    executor.run(_relu_of("input"), {"x": feed})
-    assert np.shares_memory(seen[0], feed) and not seen[0].flags.writeable
+    b = GraphBuilder("two_relus")
+    x = b.input((4, 3), name="x")
+    executor.run(b.build([b.relu(x), b.relu(x)]), {"x": feed})
+    return seen
+
+
+def test_a_feed_is_passed_as_a_view_not_a_copy():
+    """The executor's precision: a float32 feed is read where it lies."""
+    feed = np.ones((4, 3), dtype=np.float32)
+    for seen in _what_two_relus_see(feed):
+        assert np.shares_memory(seen, feed) and not seen.flags.writeable
+    assert feed.flags.writeable
+
+
+def test_a_float64_feed_is_cast_once_and_left_untouched():
+    feed = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+    before = feed.copy()
+    first, second = _what_two_relus_see(feed)
+    assert first.dtype == np.float32 and not first.flags.writeable
+    assert not np.shares_memory(first, feed)
+    assert np.shares_memory(first, second)  # one cast, shared by consumers
+    np.testing.assert_array_equal(first, feed.astype(np.float32))
+    assert feed.dtype == np.float64 and feed.flags.writeable
+    np.testing.assert_array_equal(feed, before)
 
 
 # ---------------------------------------------------------------------------

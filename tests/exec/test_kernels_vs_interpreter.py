@@ -5,8 +5,11 @@ average away: "same" padding on odd and even extents, the 1x1 fast path
 under a stride, kernels larger than their input, grouped and depthwise
 layouts, truncated pooling windows (an average divides by the elements
 present), NaN in pooled data, Gelu's tails, a broadcast fused bias.  The
-interpreter's reference loops are the oracle, at the cross-backend tolerance
-of ``tests/exec/test_executor_semantics.py::TestCrossBackendAgreement``.
+interpreter's float64 reference loops are the oracle, in two legs (see
+``tests/oracles/interpreter_reference.py``): ``KERNELS[op]`` called directly
+on float64 arrays at ``RTOL, ATOL``, and ``NumpyExecutor`` as shipped, at
+float32, at ``F32_RTOL, F32_ATOL``.  Feeds are float32, so both legs and the
+oracle read identical values.
 """
 
 from __future__ import annotations
@@ -15,29 +18,35 @@ import itertools
 
 import numpy as np
 import pytest
-from interpreter_reference import GraphInterpreter
+from interpreter_reference import (ATOL, F32_ATOL, F32_RTOL, RTOL,
+                                   GraphInterpreter, run_kernels_float64)
 
 from repro.exec import NumpyExecutor
 from repro.ir import GraphBuilder
 from repro.ir.ops import OpType
 
-RTOL, ATOL = 1e-6, 1e-8
-
 
 def _agree(graph, feeds=None):
-    """Execute the one-output ``graph`` on both backends, compare, return
-    the executor's value."""
+    """Run the one-output ``graph`` through the oracle and both legs,
+    compare, return the executor's (float32) value."""
     if feeds is None:
         rng = np.random.default_rng(7)
         feeds = {graph.nodes[nid].name: rng.standard_normal(
             tuple(graph.nodes[nid].output_spec.shape.dims))
             for nid in graph.input_nodes()}
-    executed, _ = NumpyExecutor().run(graph, feeds)
-    reference = GraphInterpreter().run(graph, feeds)
+    feeds = {name: np.asarray(feed, dtype=np.float32)
+             for name, feed in feeds.items()}
     (sink,) = graph.sink_nodes()
+    reference = GraphInterpreter().run(graph, feeds)[sink]
+
+    float64 = run_kernels_float64(graph, feeds)[sink]
+    assert float64.shape == reference.shape
+    np.testing.assert_allclose(float64, reference, rtol=RTOL, atol=ATOL)
+
+    executed, _ = NumpyExecutor().run(graph, feeds)
     value = executed[graph.nodes[sink].name]
-    assert value.shape == reference[sink].shape
-    np.testing.assert_allclose(value, reference[sink], rtol=RTOL, atol=ATOL)
+    assert value.dtype == np.float32 and value.shape == reference.shape
+    np.testing.assert_allclose(value, reference, rtol=F32_RTOL, atol=F32_ATOL)
     return value
 
 
@@ -177,11 +186,11 @@ def test_pool_propagates_nan_as_the_interpreter_does(kind, padding):
 def test_gelu_tails_and_zero():
     b = GraphBuilder("gelu")
     graph = b.build([b.gelu(b.input((2, 8), name="x"))])
-    points = np.array([0.0, 1e-8, 1.0, 30.0])
+    points = np.array([0.0, 1e-8, 1.0, 30.0], dtype=np.float32)
     data = np.stack([points, -points]).repeat(2, axis=1)
     out = _agree(graph, {"x": data})
     assert out[0, -1] == 30.0 and out[1, -1] == 0.0
-    assert data[0, 2] == 1e-8  # the feed is read, never written
+    assert data[0, 2] == points[1]  # the feed is read, never written
 
 
 @pytest.mark.parametrize("bias_shape", [(6,), (1, 6), (4, 1), (4, 6),

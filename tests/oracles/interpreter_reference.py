@@ -3,10 +3,19 @@
 and ``tests/exec/test_executor_semantics.py::TestCrossBackendAgreement``.
 
 The original graph interpreter: one ``if`` per operator, convolutions and
-pools as Python loops over output positions, no buffer plan.  The
-vectorised kernels must agree with it to ``rtol=1e-6, atol=1e-8``.
-Sources are materialised by ``repro.exec.deterministic_tensor``, so both
-see the same weights.
+pools as Python loops over output positions, no buffer plan, float64
+throughout.  Sources are ``repro.exec.deterministic_tensor`` upcast to
+float64 (exact: the executor's float32 values, widened), and feeds are
+widened the same way, so the oracle and the executor start from identical
+values.
+
+The kernels are held to it in two legs:
+
+* **float64** — :func:`run_kernels_float64` calls ``KERNELS[op]`` directly
+  on the oracle's float64 sources; the same function summed in another
+  order, so it agrees to ``RTOL, ATOL``.
+* **float32** — ``NumpyExecutor`` runs the graph as shipped; the only
+  further difference is float32 rounding, held to ``F32_RTOL, F32_ATOL``.
 """
 
 from __future__ import annotations
@@ -15,11 +24,52 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.exec import deterministic_tensor, erf
+from repro.exec import KERNELS, deterministic_tensor, erf
 from repro.ir.graph import Graph, NodeId
-from repro.ir.ops import OpType
+from repro.ir.ops import SOURCE_OPS, OpType
 
-__all__ = ["GraphInterpreter"]
+__all__ = ["GraphInterpreter", "run_kernels_float64", "RTOL", "ATOL",
+           "F32_RTOL", "F32_ATOL"]
+
+#: The float64 leg: kernels and loops, both in double precision.
+RTOL, ATOL = 1e-6, 1e-8
+#: The float32 leg: the executor against the same float64 oracle, at the
+#: tolerance ``differential_check`` states (on the single-op suite's
+#: unit-scale feeds, 2e-6 / 1e-6 fails 1 of 173 cases, 1e-6 / 1e-8 fails 58).
+F32_RTOL, F32_ATOL = 1e-5, 1e-6
+
+
+def _source(node, user_inputs: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The oracle's float64 value of an Input / Weight / Constant node."""
+    if node.op_type is OpType.INPUT and node.name in user_inputs:
+        return np.asarray(user_inputs[node.name], dtype=np.float64)
+    prefix = "input:" if node.op_type is OpType.INPUT else "param:"
+    shape = tuple(node.outputs[0].shape.dims) if node.outputs else ()
+    return deterministic_tensor(prefix + node.name, shape).astype(np.float64)
+
+
+def run_kernels_float64(graph: Graph,
+                        inputs: Optional[Mapping[str, np.ndarray]] = None
+                        ) -> Dict[NodeId, np.ndarray]:
+    """Call the executor's kernel table directly on float64 arrays.
+
+    Same contract as :meth:`GraphInterpreter.run` (a value for every node's
+    output slot 0), same float64 sources; asserts that no kernel leaves
+    float64.
+    """
+    inputs = dict(inputs or {})
+    values: Dict[NodeId, list[np.ndarray]] = {}
+    for nid in graph.topological_order():
+        node = graph.nodes[nid]
+        if node.op_type in SOURCE_OPS:
+            values[nid] = [_source(node, inputs)]
+            continue
+        in_vals = [values[e.src][e.src_slot] for e in graph.in_edges(nid)]
+        out_shapes = [tuple(spec.shape.dims) for spec in node.outputs]
+        values[nid] = KERNELS[node.op_type](in_vals, node.attrs, out_shapes)
+        for out in values[nid]:
+            assert out.dtype == np.float64, (node.op_type.value, out.dtype)
+    return {nid: vals[0] for nid, vals in values.items()}
 
 
 class GraphInterpreter:
@@ -49,12 +99,8 @@ class GraphInterpreter:
         attrs = node.attrs
         shape = tuple(node.outputs[0].shape.dims) if node.outputs else ()
 
-        if op is OpType.INPUT:
-            if node.name in user_inputs:
-                return [np.asarray(user_inputs[node.name], dtype=np.float64)]
-            return [deterministic_tensor("input:" + node.name, shape)]
-        if op in (OpType.WEIGHT, OpType.CONSTANT):
-            return [deterministic_tensor("param:" + node.name, shape)]
+        if op in SOURCE_OPS:
+            return [_source(node, user_inputs)]
         if op is OpType.OUTPUT:
             return [in_vals[0]]
         if op is OpType.NOOP:
