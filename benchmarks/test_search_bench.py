@@ -9,7 +9,11 @@ The test asserts that the search rewrote something and records the executed
 speedup to ``BENCH_search.json`` (see ``_harness.py``); its 0.97x floor
 lives in ``tools/check_bench.py``, which CI's bench job runs on the
 recording: a wall-clock ratio on a shared host is no reason for the test
-suite to go red.  Search wall-clock itself is judged by ``python3 -m xbench
+suite to go red.  It also records, per model, the identities the search
+took (``graphs_hashed``), the structural hashes it needed to settle
+signature ties (``graphs_digested``) and the duplicates it found; the gate
+holds ``digest_share`` = digested / hashed under a ceiling, so a search that
+went back to hashing every kept graph fails on a count, not on wall-clock.  Search wall-clock itself is judged by ``python3 -m xbench
 --workload search_cold``; that the engine and delta costing retrace a
 from-scratch search bit-for-bit is pinned by
 ``tests/rules/test_engine_equivalence.py`` and
@@ -71,11 +75,12 @@ def test_measured_end_to_end(benchmark):
             baseline_ms, optimised_ms = _measure_pair(
                 executor, graph, result.final_graph)
             rows.append((name, baseline_ms, optimised_ms,
-                         len(result.applied_rules)))
+                         len(result.applied_rules), result.stats))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    for name, baseline_ms, optimised_ms, rules in rows:
+    identity = {}
+    for name, baseline_ms, optimised_ms, rules, stats in rows:
         speedup = baseline_ms / optimised_ms
         report.add(name, baseline_ms=baseline_ms, optimised_ms=optimised_ms,
                    speedup_x=speedup, rules=float(rules))
@@ -85,7 +90,17 @@ def test_measured_end_to_end(benchmark):
             "speedup": speedup,
             "rules_applied": rules,
         }
+        hashed, digested = stats["graphs_hashed"], stats["graphs_digested"]
+        identity[name] = {
+            "graphs_hashed": hashed,
+            "graphs_digested": digested,
+            "duplicates": 1 + stats["candidates_evaluated"]
+                          - stats["graphs_seen"],
+            "digest_share": digested / hashed,
+        }
     print("\n" + report.to_text())
+    print("identities:", identity)
     record("measured_end_to_end", payload)
-    for name, _, _, rules in rows:
+    record("identity", identity)
+    for name, _, _, rules, _ in rows:
         assert rules > 0, f"{name}: search applied no rewrites"

@@ -266,6 +266,14 @@ class _CowEdgeMap:
             self._own = {}
         return self._base
 
+    def snapshot(self) -> "_CowEdgeMap":
+        """A map reading as this one does now, sharing the frozen base and
+        a shallow copy of the overlay — O(overlay), where :meth:`share`
+        would merge a full dict for a graph that is never copied."""
+        clone = _CowEdgeMap(self._base)
+        clone._own = dict(self._own)
+        return clone
+
 
 @dataclass
 class GraphDelta:
@@ -985,6 +993,27 @@ class Graph:
         g._parent_ref = weakref.ref(self)
         g._parent_version = self._version
         g._copy_delta = g._delta
+        return g
+
+    def structure(self) -> "Graph":
+        """This graph's nodes and edges and nothing else, for a later
+        :meth:`structural_hash`: no caches, no lineage, no delta.
+
+        Shares the node dict, the ``INPUT`` index and the frozen adjacency
+        (:meth:`_CowEdgeMap.snapshot`) instead of copying them, and keeps
+        no other index, so it holds no table of its own; hash it only, and
+        only while this graph is not mutated.
+        """
+        g = Graph.__new__(Graph)
+        state = g.__dict__
+        state.update(self.__dict__)
+        inputs = self._nodes_by_op.get(OpType.INPUT, {})
+        state.update(_in_edges=self._in_edges.snapshot(),
+                     _out_edges=self._out_edges.snapshot(),
+                     _nodes_by_op={OpType.INPUT: inputs},
+                     _op_ids=[], _parent_ref=None, _parent_version=-1,
+                     _copy_delta=None, _delta=None, _scalar_cache={},
+                     _node_caches={})
         return g
 
     def delta_parent(self) -> Optional["Graph"]:

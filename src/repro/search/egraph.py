@@ -3,8 +3,9 @@
 Tensat represents the space of equivalent graphs compactly in an e-graph and
 extracts the cheapest representative.  A full congruence-closure e-graph over
 our mutable dataflow IR is out of scope; instead :class:`GraphSpace` keeps an
-explicit population of distinct (structurally hashed) graphs grown by rewrite
-application rounds.  It preserves the *behavioural* properties Tensat's
+explicit population of distinct graphs (told apart by a
+:class:`~repro.search.identity.GraphSet`) grown by rewrite application
+rounds.  It preserves the *behavioural* properties Tensat's
 evaluation depends on:
 
 * exploration is bounded by a node budget and an iteration budget, so the
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..cost.cost_model import CostModel
 from ..ir.graph import Graph
 from ..rules.base import RuleSet
+from .identity import GraphSet
 
 __all__ = ["GraphSpace", "Member", "SaturationStats"]
 
@@ -55,6 +57,10 @@ class SaturationStats:
     saturated: bool = False
     node_budget_hit: bool = False
     applied_rules: Dict[str, int] = field(default_factory=dict)
+    #: Identities taken (signatures: one per graph built, the root's
+    #: included) and, of those, structural hashes taken to settle ties.
+    graphs_hashed: int = 0
+    graphs_digested: int = 0
 
 
 class GraphSpace:
@@ -96,7 +102,8 @@ class GraphSpace:
         """
         stats = SaturationStats()
         population = [Member(graph, [], cost_model.estimate_cached(graph))]
-        hashes: Set[str] = {graph.structural_hash()}
+        seen = GraphSet()
+        seen.add(graph)
         total_nodes = graph.num_nodes
         frontier = [0]  # indices into population
 
@@ -115,8 +122,7 @@ class GraphSpace:
                         cand_graph = candidate.materialise()
                         if cand_graph is None:  # failed to apply
                             continue
-                        h = cand_graph.structural_hash()
-                        if h in hashes:
+                        if cand_graph in seen:
                             continue
                         num_nodes = cand_graph.num_nodes
                         if total_nodes + num_nodes > self.node_limit:
@@ -124,7 +130,7 @@ class GraphSpace:
                             break
                         if additions >= self.per_round_cap:
                             break
-                        hashes.add(h)
+                        seen.add(cand_graph)
                         population.append(Member(
                             cand_graph, applied + [rule.name],
                             cost_model.estimate_delta(current, cand_graph)))
@@ -148,6 +154,8 @@ class GraphSpace:
 
         stats.graphs_explored = len(population)
         stats.total_nodes = total_nodes
+        stats.graphs_hashed = seen.signed
+        stats.graphs_digested = seen.digested
         return population, stats
 
     # ------------------------------------------------------------------

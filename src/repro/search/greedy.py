@@ -9,7 +9,8 @@ out, and returns the graph with the lowest *cost-model* estimate.
 
 The queue holds only graphs that can still be popped: a candidate ranked
 behind as many queued graphs as there are pops left is dropped once costed;
-only one that is kept (or beats the best) is hashed and tested for identity.
+only one that is kept (or beats the best) is given an identity and tested
+against the graphs kept before (:class:`~repro.search.identity.GraphSet`).
 
 Because the objective is the cost model — not the true end-to-end latency —
 the returned graph can be worse than the input when the cost model is
@@ -28,6 +29,7 @@ from ..ir.graph import Graph
 from ..rules.base import RuleSet
 from ..rules.incremental import IncrementalCandidateEngine
 from ..rules.rulesets import default_ruleset
+from .identity import GraphSet
 from .result import SearchResult, resolve_latency_source, timed
 
 __all__ = ["TASOOptimizer", "GreedyOptimizer"]
@@ -132,7 +134,11 @@ class TASOOptimizer:
             (candidates priced), ``candidates_materialised`` (of those, the
             ones built: no remembered price, or kept), ``prices_reused``
             (priced from the engine's memo), ``graphs_hashed`` (identities
-            taken, the root's included), ``graphs_seen`` (``1 +
+            taken, the root's included: signatures, see
+            :class:`~repro.search.identity.GraphSet`), ``graphs_digested``
+            (of those, the ones that shared a signature with a kept graph,
+            plus the kept graphs they shared it with: structural hashes
+            taken), ``graphs_seen`` (``1 +
             candidates_evaluated`` minus the duplicates found — they are
             looked for among the candidates that could still be popped, so
             this bounds the duplicates among all candidates from below) and
@@ -157,7 +163,8 @@ class TASOOptimizer:
             queue: List[Tuple[float, Graph, List[str]]] = [
                 (initial_cost, graph, [])]
             entry_cost = itemgetter(0)
-            seen = {graph.structural_hash()}
+            seen = GraphSet()
+            seen.add(graph)
             iterations = 0
             candidates_evaluated = 0
             materialised = reused = 0
@@ -206,11 +213,10 @@ class TASOOptimizer:
                         materialised += 1
                         # Seeds its cost table and total for when it pops.
                         cost_model.estimate_delta(current, cand_graph)
-                    cand_hash = cand_graph.structural_hash()
-                    if cand_hash in seen:
+                    if cand_graph in seen:
                         duplicates += 1
                         continue
-                    seen.add(cand_hash)
+                    seen.add(cand_graph)
                     cand_rules = applied + [candidate.rule_name]
                     if improves:
                         best_graph, best_cost = cand_graph, cand_cost
@@ -234,7 +240,8 @@ class TASOOptimizer:
                     "candidates_evaluated": float(candidates_evaluated),
                     "candidates_materialised": float(materialised),
                     "prices_reused": float(reused),
-                    "graphs_hashed": float(len(seen) + duplicates),
+                    "graphs_hashed": float(seen.signed),
+                    "graphs_digested": float(seen.digested),
                     "graphs_seen":
                         float(1 + candidates_evaluated - duplicates),
                     "stop_budget":

@@ -117,7 +117,8 @@ class TensatOptimizer:
         -------
         SearchResult
             The cheapest extracted graph, with exploration diagnostics
-            (rounds, population size, nodes explored) under ``stats``.
+            (rounds, population size, nodes explored, identities and
+            structural hashes taken) under ``stats``.
         """
         with timed() as elapsed:
             # Before the first copy, so the simulator's per-node flop/byte
@@ -143,6 +144,8 @@ class TensatOptimizer:
                     "total_nodes": float(stats.total_nodes),
                     "saturated": float(stats.saturated),
                     "node_budget_hit": float(stats.node_budget_hit),
+                    "graphs_hashed": float(stats.graphs_hashed),
+                    "graphs_digested": float(stats.graphs_digested),
                     "measured_latency":
                         1.0 if self.cost_source == "measured" else 0.0,
                 },

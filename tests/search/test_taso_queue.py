@@ -13,6 +13,7 @@ from taso_reference import reference_search, trajectory_of
 import repro.search.greedy
 from repro.cost import CostModel
 from repro.experiments import build_small_model
+from repro.ir import Graph
 from repro.models import MODEL_REGISTRY, build_model
 from repro.rules.base import Candidate
 from repro.search import GreedyOptimizer, TASOOptimizer, get_optimiser
@@ -143,13 +144,23 @@ class TestCounters:
         assert result.stats["iterations"] < 10_000
 
 
-class ToyGraph:
+class ToyGraph(Graph):
+    """A graph without nodes and with a chosen identity.
+
+    What the search's :class:`~repro.search.identity.GraphSet` reads: every
+    toy graph has the empty graph's signature, so every identity test ties
+    and is settled by ``structural_hash``; a member is retained as
+    ``structure()``, the toy itself."""
+
     def __init__(self, name, identity=None):
-        self.name = name
+        super().__init__(name)
         self.identity = identity or name
 
     def structural_hash(self):
         return self.identity
+
+    def structure(self):
+        return self
 
 
 class ToyCandidate:
@@ -231,6 +242,9 @@ class TestBoundPaths:
         assert result.applied_rules == ["to-a", "to-x"]
         assert result.stats["candidates_evaluated"] == 4.0
         assert result.stats["graphs_seen"] == 4.0  # one duplicate found
+        # Signatures never tell toys apart: every identity is a digest.
+        assert result.stats["graphs_digested"] \
+            == result.stats["graphs_hashed"] == 5.0
 
     def test_greedy_is_steepest_descent_first_of_equals(self, toy_space):
         space = toy_space(

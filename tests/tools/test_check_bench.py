@@ -17,7 +17,8 @@ sys.modules.setdefault("check_bench", check_bench)
 _SPEC.loader.exec_module(check_bench)
 
 
-def _doc(smoke: bool = False, **speedups: float) -> dict:
+def _doc(smoke: bool = False, digest_share: float = 0.21,
+         **speedups: float) -> dict:
     """A minimal BENCH_search.json-shaped document."""
     return {
         "benchmark": "search", "schema": 1, "smoke": smoke,
@@ -27,6 +28,14 @@ def _doc(smoke: bool = False, **speedups: float) -> dict:
                          "rules_applied": 8},
                 "inception_v3": {"speedup": speedups.get("inception", 1.03),
                                  "rules_applied": 9},
+            },
+            "identity": {
+                "bert": {"graphs_hashed": 159.0,
+                         "graphs_digested": 159.0 * digest_share,
+                         "duplicates": 14.0, "digest_share": digest_share},
+                "inception_v3": {"graphs_hashed": 534.0,
+                                 "graphs_digested": 76.0, "duplicates": 0.0,
+                                 "digest_share": 76.0 / 534.0},
             },
         },
     }
@@ -192,6 +201,45 @@ class TestCeilings:
         problems, _ = self._evaluate(fresh, smoke=True)
         assert len(problems) == 2
         assert all("no matching key" in p for p in problems)
+
+
+class TestSearchIdentityCeiling:
+    """Structural hashes per identity a TASO search takes: a count, gated in
+    both modes, that reads 1.0 if the search hashes every kept graph."""
+
+    CEILINGS = check_bench.CEILINGS["BENCH_search.json"]
+    POSITIVE = check_bench.REQUIRED_POSITIVE["BENCH_search.json"]
+
+    def _evaluate(self, fresh: dict, smoke: bool):
+        return check_bench.evaluate(_doc(), fresh, {}, smoke=smoke,
+                                    required_positive=self.POSITIVE,
+                                    ceilings=self.CEILINGS)
+
+    def test_the_recorded_shares_pass_in_both_modes(self):
+        for smoke in (True, False):
+            problems, notes = self._evaluate(_doc(smoke=smoke), smoke)
+            assert problems == []
+            assert sum("<= ceiling 0.3" in note for note in notes) == 2
+
+    def test_hashing_every_kept_graph_fails_in_both_modes(self):
+        for smoke in (True, False):
+            problems, _ = self._evaluate(_doc(digest_share=1.0), smoke)
+            assert len(problems) == 1
+            assert "identity.bert.digest_share" in problems[0]
+            assert "above the ceiling 0.3" in problems[0]
+
+    def test_a_bench_that_recorded_no_identities_fails(self):
+        fresh = _doc()
+        del fresh["results"]["identity"]
+        problems, _ = self._evaluate(fresh, smoke=True)
+        assert len(problems) == 2
+        assert all("no matching key" in p for p in problems)
+
+    def test_the_committed_recording_is_under_the_ceiling(self):
+        recorded = json.loads((REPO_ROOT / "BENCH_search.json").read_text())
+        shares = check_bench.gated_keys(
+            check_bench.flatten_numbers(recorded["results"]), self.CEILINGS)
+        assert len(shares) == 2
 
 
 class TestSearchWitnesses:
