@@ -21,7 +21,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..cost.cost_model import CostModel
-from ..cost.e2e import E2ESimulator
+from ..cost.e2e import E2ESimulator, LatencySource
 from ..ir.graph import Graph
 from ..rules.base import RuleSet
 from ..rules.rulesets import default_ruleset
@@ -52,7 +52,7 @@ class XRLflow:
         Rewrite rules forming the environment's action space (defaults to
         the curated TASO set).
     e2e:
-        End-to-end latency simulator — the reward signal.
+        The latency provider — the reward signal.
     cost_model:
         Used only to report initial/final cost-model estimates alongside
         the latencies.
@@ -75,13 +75,13 @@ class XRLflow:
 
     def __init__(self, config: Optional[XRLflowConfig] = None,
                  ruleset: Optional[RuleSet] = None,
-                 e2e: Optional[E2ESimulator] = None,
+                 e2e: Optional[LatencySource] = None,
                  cost_model: Optional[CostModel] = None,
                  progress_callback=None):
         self.config = config or XRLflowConfig()
         self.config.validate()
         self.ruleset = ruleset or default_ruleset()
-        self.e2e = e2e or E2ESimulator(seed=self.config.seed)
+        self.e2e = e2e or E2ESimulator()
         self.cost_model = cost_model or CostModel()
         self.progress_callback = progress_callback
         self.agent: Optional[XRLflowAgent] = None
@@ -107,7 +107,6 @@ class XRLflow:
             step_reward=cfg.step_reward,
             max_candidates=cfg.max_candidates,
             max_steps=cfg.max_steps,
-            seed=cfg.seed,
             progress_callback=self._relay_progress,
             feature_cache=FeatureCache(edge_norm=cfg.edge_attr_norm),
         )

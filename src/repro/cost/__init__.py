@@ -15,11 +15,11 @@ end-to-end signal as its reward.
 from .device import DeviceConfig, GTX1080, SimulatedDevice, default_device
 from .op_cost import is_zero_cost, op_flops, op_memory_bytes
 from .cost_model import CostBreakdown, CostModel
-from .e2e import E2EMeasurement, E2ESimulator, LatencyProfile
+from .e2e import E2EMeasurement, E2ESimulator, LatencyProfile, LatencySource
 
 __all__ = [
     "DeviceConfig", "GTX1080", "SimulatedDevice", "default_device",
     "is_zero_cost", "op_flops", "op_memory_bytes",
     "CostBreakdown", "CostModel",
-    "E2EMeasurement", "E2ESimulator", "LatencyProfile",
+    "E2EMeasurement", "E2ESimulator", "LatencyProfile", "LatencySource",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Protocol, Set
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from ..ir.ops import OpType
 from .device import SimulatedDevice, default_device
 from .op_cost import is_zero_cost, op_flops, op_memory_bytes
 
-__all__ = ["E2ESimulator", "E2EMeasurement", "LatencyProfile"]
+__all__ = ["E2ESimulator", "E2EMeasurement", "LatencyProfile",
+           "LatencySource"]
 
 #: Per-node (flops, bytes) memo table carried on graphs.  Device-independent
 #: — flop and byte counts only depend on the node's specs — so every
@@ -58,6 +59,12 @@ class E2EMeasurement:
     mean_ms: float
     std_ms: float
     samples: List[float] = field(default_factory=list)
+
+
+class LatencySource(Protocol):
+    """What ``e2e=`` takes: this simulator or ``exec.MeasuredLatency``."""
+    def latency_ms(self, graph: Graph) -> float:
+        """End-to-end latency of ``graph`` in milliseconds."""
 
 
 class E2ESimulator:

@@ -211,13 +211,11 @@ def _passthrough(in_vals: List[np.ndarray],
 
 
 class MeasuredLatency:
-    """Executed-latency source with the :class:`E2ESimulator` interface.
+    """Executed-latency provider (a :class:`~repro.cost.e2e.LatencySource`).
 
-    Optimisers take their latency signal through ``latency_ms(graph)``;
-    this class answers it with the executor's measured wall clock instead
-    of the analytic simulator — the ``cost_source="measured"`` mode.
-    Results are memoised on the graph (same mechanism the simulator uses)
-    so repeated reporting of one graph executes it once.
+    ``e2e=MeasuredLatency(executor)`` makes an optimiser or the RL
+    environment read executed wall clock instead of the simulator; results
+    are memoised on the graph, so reporting one graph twice executes it once.
     """
 
     def __init__(self, executor: Optional[NumpyExecutor] = None,

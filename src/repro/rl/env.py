@@ -18,7 +18,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.lru import LRUCache
-from ..cost.e2e import E2ESimulator
+from ..cost.e2e import E2ESimulator, LatencySource
 from ..ir.graph import Graph
 from ..rules.base import Candidate, RuleSet
 from ..rules.incremental import IncrementalCandidateEngine
@@ -27,6 +27,9 @@ from ..nn.gnn import BatchedGraphs
 from .features import FeatureCache, build_delta_batch
 
 __all__ = ["Observation", "StepResult", "GraphRewriteEnv"]
+
+#: Whole observations an environment keeps (LRU, see ``_observe``).
+OBSERVATION_CACHE_SIZE = 512
 
 #: Signature of a user-registered reward callback:
 #: ``f(previous_latency, current_latency, initial_latency) -> reward``.
@@ -89,39 +92,23 @@ class StepResult:
 
 
 class GraphRewriteEnv:
-    """Environment for one target DNN's transformation process."""
+    """Environment for one target DNN's transformation process; every
+    reward is computed from ``e2e``, the latency provider."""
 
     def __init__(self, graph: Graph,
                  ruleset: Optional[RuleSet] = None,
-                 e2e: Optional[E2ESimulator] = None,
+                 e2e: Optional[LatencySource] = None,
                  feedback_interval: int = 5,
                  step_reward: float = 0.1,
                  max_candidates: int = 48,
                  max_steps: int = 50,
                  reward_fn: Optional[RewardFn] = None,
-                 seed: int = 0,
                  progress_callback: Optional[
                      Callable[[int, float, str], None]] = None,
-                 feature_cache: Optional[FeatureCache] = None,
-                 max_cached_observations: int = 512,
-                 cost_source: str = "simulated",
-                 executor: Optional[object] = None):
+                 feature_cache: Optional[FeatureCache] = None):
         self.initial_graph = graph
         self.ruleset = ruleset or default_ruleset()
-        self.e2e = e2e or E2ESimulator(seed=seed)
-        #: ``cost_source="measured"`` swaps the reward signal from the
-        #: analytic simulator to executed numpy wall-clock (see
-        #: ``docs/rl.md``): every ``latency_ms`` the reward path asks for
-        #: is then a real measurement.  Rewards become host-noise-coupled,
-        #: which is exactly the trade-off hardware-in-the-loop RL makes.
-        self.cost_source = str(cost_source)
-        if self.cost_source == "measured":
-            from ..exec import MeasuredLatency, NumpyExecutor
-            self.e2e = (executor if hasattr(executor, "latency_ms")
-                        else MeasuredLatency(executor or NumpyExecutor()))
-        elif self.cost_source != "simulated":
-            raise ValueError(f"unknown cost_source {cost_source!r} "
-                             f"(use 'simulated' or 'measured')")
+        self.e2e = e2e or E2ESimulator()
         self.feedback_interval = int(feedback_interval)
         self.step_reward = float(step_reward)
         self.max_candidates = int(max_candidates)
@@ -144,13 +131,11 @@ class GraphRewriteEnv:
         #: same graph — reuses the complete observation: no rule matching,
         #: no candidate materialisation, no encoding.  One hash per step
         #: (memoised on the graph object) instead of one per candidate.
-        self.max_cached_observations = int(max_cached_observations)
-        self._obs_cache = LRUCache(max_cached_observations, name="observation")
+        self._obs_cache = LRUCache(OBSERVATION_CACHE_SIZE, name="observation")
         #: Optional ``f(step, best_latency_ms, best_graph_fp)`` invoked
         #: after every environment step — the hook long RL searches use to
         #: stream partial best-so-far graphs (see repro.service.events).
         self.progress_callback = progress_callback
-        self._rng = np.random.default_rng(seed)
 
         # Episode state
         self.current_graph: Graph = graph
@@ -272,12 +257,11 @@ class GraphRewriteEnv:
         return reward
 
     def _observe(self) -> Observation:
-        if self.max_cached_observations > 0:
-            key = self.current_graph.structural_hash()
-            cached = self._obs_cache.get(key)
-            if cached is not None:
-                self._last_observation = cached
-                return cached
+        key = self.current_graph.structural_hash()
+        cached = self._obs_cache.get(key)
+        if cached is not None:
+            self._last_observation = cached
+            return cached
         candidates = self._select_candidates()
         mask = np.zeros(self.action_space_size, dtype=bool)
         mask[: len(candidates)] = True
@@ -286,8 +270,7 @@ class GraphRewriteEnv:
             graphs=[self.current_graph] + [c.graph for c in candidates],
             action_mask=mask, candidates=candidates,
             feature_cache=self.feature_cache)
-        if self.max_cached_observations > 0:
-            self._obs_cache.put(key, obs)
+        self._obs_cache.put(key, obs)
         self._last_observation = obs
         return obs
 

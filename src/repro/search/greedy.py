@@ -24,13 +24,13 @@ from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
 from ..cost.cost_model import CostModel
-from ..cost.e2e import E2ESimulator
+from ..cost.e2e import E2ESimulator, LatencySource
 from ..ir.graph import Graph
 from ..rules.base import RuleSet
 from ..rules.incremental import IncrementalCandidateEngine
 from ..rules.rulesets import default_ruleset
 from .identity import GraphSet
-from .result import SearchResult, resolve_latency_source, timed
+from .result import SearchResult, timed
 
 __all__ = ["TASOOptimizer", "GreedyOptimizer"]
 
@@ -59,7 +59,7 @@ class TASOOptimizer:
         The optimisation objective.  TASO ranks candidates with its
         sum-of-operators cost model.
     e2e:
-        The end-to-end simulator used only for *reporting* true latency of
+        The latency provider, used only for *reporting* true latency of
         the initial and final graphs (TASO itself never consults it).
     alpha:
         Backtracking tolerance: candidates up to ``alpha`` times the current
@@ -76,15 +76,6 @@ class TASOOptimizer:
         per queue pop with the running best cost-model estimate and the
         structural hash of the best graph; the serving layer uses it to
         stream job progress (see :mod:`repro.service.events`).
-    cost_source:
-        Where the *reported* initial/final latencies come from:
-        ``"simulated"`` (default) asks the end-to-end simulator,
-        ``"measured"`` executes the graphs with the numpy backend and
-        reports wall-clock (see :class:`repro.exec.MeasuredLatency`).
-        The search objective itself stays the TASO cost model either way.
-    executor:
-        Executor backing ``cost_source="measured"`` (a fresh
-        :class:`~repro.exec.NumpyExecutor` when omitted).
     """
 
     name = "taso"
@@ -95,13 +86,11 @@ class TASOOptimizer:
 
     def __init__(self, ruleset: Optional[RuleSet] = None,
                  cost_model: Optional[CostModel] = None,
-                 e2e: Optional[E2ESimulator] = None,
+                 e2e: Optional[LatencySource] = None,
                  alpha: float = 1.05,
                  max_iterations: int = 100,
                  queue_capacity: int = 200,
-                 progress_callback: Optional[ProgressCallback] = None,
-                 cost_source: str = "simulated",
-                 executor: Optional[object] = None):
+                 progress_callback: Optional[ProgressCallback] = None):
         self.ruleset = ruleset or default_ruleset()
         self.cost_model = cost_model or CostModel()
         self.e2e = e2e or E2ESimulator()
@@ -109,9 +98,6 @@ class TASOOptimizer:
         self.max_iterations = int(max_iterations)
         self.queue_capacity = int(queue_capacity)
         self.progress_callback = progress_callback
-        self.cost_source = str(cost_source)
-        self.latency_source = resolve_latency_source(
-            self.cost_source, self.e2e, executor)
 
     # ------------------------------------------------------------------
     def optimise(self, graph: Graph, model_name: str = "") -> SearchResult:
@@ -149,7 +135,7 @@ class TASOOptimizer:
             # Before the first copy, so the simulator's per-node flop/byte
             # table is handed down to every candidate, the final graph
             # included.
-            initial_latency = self.latency_source.latency_ms(graph)
+            initial_latency = self.e2e.latency_ms(graph)
             initial_cost = self.cost_model.estimate_cached(graph)
             # Fresh per-search engine: match sets carry over between
             # queue pops (the popped graph's parent is usually still
@@ -230,7 +216,7 @@ class TASOOptimizer:
                 initial_graph=graph,
                 final_graph=best_graph,
                 initial_latency_ms=initial_latency,
-                final_latency_ms=self.latency_source.latency_ms(best_graph),
+                final_latency_ms=self.e2e.latency_ms(best_graph),
                 initial_cost_ms=initial_cost,
                 final_cost_ms=best_cost,
                 optimisation_time_s=elapsed(),
@@ -246,8 +232,6 @@ class TASOOptimizer:
                         float(1 + candidates_evaluated - duplicates),
                     "stop_budget":
                         1.0 if iterations >= self.max_iterations else 0.0,
-                    "measured_latency":
-                        1.0 if self.cost_source == "measured" else 0.0,
                 },
             )
         return result

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..cost.cost_model import CostModel
-from ..cost.e2e import E2ESimulator
+from ..cost.e2e import LatencySource
 from ..ir.graph import Graph
 from ..ir.ops import OpType
 from ..rules.base import Match, RewriteRule, RuleSet, replace_all_uses, eliminate_dead_nodes
@@ -114,7 +114,7 @@ class PETOptimizer(TASOOptimizer):
         partial rewrites introduce are invisible to the search — the
         paper's Table 2 failure mode on ResNeXt-50).
     e2e:
-        End-to-end simulator for *reporting* true latency only.
+        The latency provider, for *reporting* true latency only.
     **kwargs:
         Forwarded to :class:`TASOOptimizer` (``alpha``,
         ``max_iterations``, ``queue_capacity``, ``progress_callback``).
@@ -124,7 +124,7 @@ class PETOptimizer(TASOOptimizer):
 
     def __init__(self, ruleset: Optional[RuleSet] = None,
                  cost_model: Optional[CostModel] = None,
-                 e2e: Optional[E2ESimulator] = None,
+                 e2e: Optional[LatencySource] = None,
                  **kwargs):
         super().__init__(
             ruleset=ruleset or pet_ruleset(),

@@ -13,11 +13,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..cost.cost_model import CostModel
-from ..cost.e2e import E2ESimulator
+from ..cost.e2e import E2ESimulator, LatencySource
 from ..ir.graph import Graph
 from ..rules.base import RuleSet
 from ..rules.rulesets import default_ruleset
-from .result import SearchResult, resolve_latency_source, timed
+from .result import SearchResult, timed
 
 __all__ = ["RandomSearchOptimizer"]
 
@@ -30,7 +30,7 @@ class RandomSearchOptimizer:
     ruleset:
         Rewrite rules to draw random candidates from.
     e2e:
-        End-to-end simulator; the walk's objective (each finished walk's
+        The latency provider; the walk's objective (each finished walk's
         end graph is measured, best-of-walks wins).
     cost_model:
         Used only to report initial/final cost-model estimates.
@@ -42,15 +42,8 @@ class RandomSearchOptimizer:
         RNG seed; fixed seed → deterministic walks.
     progress_callback:
         Optional ``f(iteration, best_cost, best_graph_fp)`` invoked once
-        per finished walk with the best simulated end-to-end latency so
-        far; the serving layer uses it to stream job progress.
-    cost_source:
-        Objective provider: ``"simulated"`` (default) scores each walk's
-        end graph with the e2e simulator; ``"measured"`` executes it with
-        the numpy backend and uses wall-clock — here the knob changes the
-        *search objective*, not just reporting.
-    executor:
-        Executor backing ``cost_source="measured"``.
+        per finished walk with the best end-to-end latency so far; the
+        serving layer uses it to stream job progress.
     """
 
     name = "random"
@@ -60,24 +53,19 @@ class RandomSearchOptimizer:
     progress_callback: Optional[Callable[[int, float, str], None]] = None
 
     def __init__(self, ruleset: Optional[RuleSet] = None,
-                 e2e: Optional[E2ESimulator] = None,
+                 e2e: Optional[LatencySource] = None,
                  cost_model: Optional[CostModel] = None,
                  num_walks: int = 5,
                  horizon: int = 30,
                  seed: int = 0,
                  progress_callback: Optional[
-                     Callable[[int, float, str], None]] = None,
-                 cost_source: str = "simulated",
-                 executor: Optional[object] = None):
+                     Callable[[int, float, str], None]] = None):
         self.ruleset = ruleset or default_ruleset()
         self.e2e = e2e or E2ESimulator()
         self.cost_model = cost_model or CostModel()
         self.num_walks = int(num_walks)
         self.horizon = int(horizon)
         self.progress_callback = progress_callback
-        self.cost_source = str(cost_source)
-        self.latency_source = resolve_latency_source(
-            self.cost_source, self.e2e, executor)
         self._rng = np.random.default_rng(seed)
 
     def optimise(self, graph: Graph, model_name: str = "") -> SearchResult:
@@ -93,12 +81,12 @@ class RandomSearchOptimizer:
         Returns
         -------
         SearchResult
-            Best-of-walks by simulated end-to-end latency (the input graph
+            Best-of-walks by ``e2e`` latency (the input graph
             itself if no walk improved on it), with ``stats`` recording
             walks taken and total steps.
         """
         with timed() as elapsed:
-            initial_latency = self.latency_source.latency_ms(graph)
+            initial_latency = self.e2e.latency_ms(graph)
             # Before the first copy: the walks' graphs inherit the per-node
             # cost table, so costing the best one below derives only the
             # nodes its rewrites touched.
@@ -126,7 +114,7 @@ class RandomSearchOptimizer:
                         break
                     current, applied = chosen.graph, applied + [chosen.rule_name]
                     steps_total += 1
-                latency = self.latency_source.latency_ms(current)
+                latency = self.e2e.latency_ms(current)
                 if latency < best_latency:
                     best_graph, best_latency, best_rules = current, latency, applied
                 if progress is not None:
@@ -144,7 +132,5 @@ class RandomSearchOptimizer:
                 optimisation_time_s=elapsed(),
                 applied_rules=best_rules,
                 stats={"steps": float(steps_total),
-                       "walks": float(self.num_walks),
-                       "measured_latency":
-                           1.0 if self.cost_source == "measured" else 0.0},
+                       "walks": float(self.num_walks)},
             )

@@ -9,37 +9,18 @@ from typing import Dict, List
 
 from ..ir.graph import Graph
 
-__all__ = ["SearchResult", "timed", "resolve_latency_source"]
-
-
-def resolve_latency_source(cost_source: str, e2e, executor=None):
-    """Map an optimiser's ``cost_source`` knob to a latency provider.
-
-    ``"simulated"`` returns ``e2e`` unchanged; ``"measured"`` wraps the
-    numpy executor in :class:`~repro.exec.MeasuredLatency`, so reported
-    latencies are executed wall-clock instead of the analytic model.
-    Anything else raises ``ValueError``.  Both providers expose the same
-    ``latency_ms(graph)`` interface.
-    """
-    if cost_source == "simulated":
-        return e2e
-    if cost_source == "measured":
-        from ..exec import MeasuredLatency
-        if hasattr(executor, "latency_ms"):  # already a latency source
-            return executor
-        return MeasuredLatency(executor)
-    raise ValueError(
-        f"unknown cost_source {cost_source!r} (use 'simulated' or 'measured')")
+__all__ = ["SearchResult", "timed"]
 
 
 @dataclass
 class SearchResult:
     """Outcome of one optimisation run.
 
-    ``initial_latency_ms`` / ``final_latency_ms`` are end-to-end simulator
-    measurements (the paper's figure of merit); ``initial_cost_ms`` /
-    ``final_cost_ms`` are the optimiser's own objective (for cost-model-driven
-    optimisers the two differ — that difference is the paper's Table 1).
+    ``initial_latency_ms`` / ``final_latency_ms`` come from the optimiser's
+    ``e2e`` latency provider (the paper's figure of merit);
+    ``initial_cost_ms`` / ``final_cost_ms`` are the optimiser's own objective
+    (for cost-model-driven optimisers the two differ — that difference is
+    the paper's Table 1).
     """
 
     optimiser: str

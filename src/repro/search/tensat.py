@@ -5,12 +5,12 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..cost.cost_model import CostModel
-from ..cost.e2e import E2ESimulator
+from ..cost.e2e import E2ESimulator, LatencySource
 from ..ir.graph import Graph
 from ..rules.base import RuleSet
 from ..rules.rulesets import default_ruleset
 from .egraph import GraphSpace
-from .result import SearchResult, resolve_latency_source, timed
+from .result import SearchResult, timed
 
 __all__ = ["TensatOptimizer"]
 
@@ -32,7 +32,7 @@ class TensatOptimizer:
     cost_model:
         Per-node cost model used for extraction.
     e2e:
-        End-to-end simulator used only for *reporting* true latency of the
+        The latency provider, used only for *reporting* true latency of the
         initial and extracted graphs.
     node_limit:
         Stop growing the rewrite space beyond this many total nodes.
@@ -47,12 +47,6 @@ class TensatOptimizer:
         Optional ``f(iteration, best_cost, best_graph_fp)`` invoked once
         per saturation round with the cheapest extraction candidate so
         far; the serving layer uses it to stream job progress.
-    cost_source:
-        ``"simulated"`` (default) reports initial/final latency from the
-        e2e simulator; ``"measured"`` executes both graphs with the numpy
-        backend and reports wall-clock.
-    executor:
-        Executor backing ``cost_source="measured"``.
     """
 
     name = "tensat"
@@ -63,22 +57,17 @@ class TensatOptimizer:
 
     def __init__(self, ruleset: Optional[RuleSet] = None,
                  cost_model: Optional[CostModel] = None,
-                 e2e: Optional[E2ESimulator] = None,
+                 e2e: Optional[LatencySource] = None,
                  node_limit: int = 20000,
                  round_limit: int = 6,
                  multi_pattern_rounds: int = 1,
                  per_round_cap: int = 150,
                  progress_callback: Optional[
-                     Callable[[int, float, str], None]] = None,
-                 cost_source: str = "simulated",
-                 executor: Optional[object] = None):
+                     Callable[[int, float, str], None]] = None):
         self.ruleset = ruleset or default_ruleset()
         self.cost_model = cost_model or CostModel()
         self.e2e = e2e or E2ESimulator()
         self.progress_callback = progress_callback
-        self.cost_source = str(cost_source)
-        self.latency_source = resolve_latency_source(
-            self.cost_source, self.e2e, executor)
         self.space = GraphSpace(self.ruleset, node_limit=node_limit,
                                 round_limit=round_limit,
                                 multi_pattern_rounds=multi_pattern_rounds,
@@ -123,7 +112,7 @@ class TensatOptimizer:
         with timed() as elapsed:
             # Before the first copy, so the simulator's per-node flop/byte
             # table is handed down to the whole population.
-            initial_latency = self.latency_source.latency_ms(graph)
+            initial_latency = self.e2e.latency_ms(graph)
             population, stats = self.space.explore(
                 graph, self.cost_model, on_round=self._round_reporter())
             best = self.space.extract(population)
@@ -133,7 +122,7 @@ class TensatOptimizer:
                 initial_graph=graph,
                 final_graph=best.graph,
                 initial_latency_ms=initial_latency,
-                final_latency_ms=self.latency_source.latency_ms(best.graph),
+                final_latency_ms=self.e2e.latency_ms(best.graph),
                 initial_cost_ms=population[0].cost_ms,
                 final_cost_ms=best.cost_ms,
                 optimisation_time_s=elapsed(),
@@ -146,8 +135,6 @@ class TensatOptimizer:
                     "node_budget_hit": float(stats.node_budget_hit),
                     "graphs_hashed": float(stats.graphs_hashed),
                     "graphs_digested": float(stats.graphs_digested),
-                    "measured_latency":
-                        1.0 if self.cost_source == "measured" else 0.0,
                 },
             )
         return result

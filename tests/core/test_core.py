@@ -107,8 +107,7 @@ class TestXRLflow:
         assert result.applied_rules, "the run is expected to find rewrites"
         replayed = []
         for actions in actions_to[final_hash]:
-            env = GraphRewriteEnv(graph, max_candidates=24, max_steps=18,
-                                  seed=seed)
+            env = GraphRewriteEnv(graph, max_candidates=24, max_steps=18)
             env.reset()
             for action in actions:
                 env.step(action)

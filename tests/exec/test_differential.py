@@ -301,39 +301,50 @@ def test_random_walk_on_fuzzed_graph_is_equivalent(seed):
 # Measured-cost wiring and calibration.
 # ---------------------------------------------------------------------------
 
-def test_optimiser_measured_cost_source(mlp_graph):
-    optimiser = GreedyOptimizer(ruleset=exact_ruleset(), max_iterations=6,
-                                cost_source="measured")
-    result = optimiser.optimise(mlp_graph)
-    assert result.stats["measured_latency"] == 1.0
-    assert result.initial_latency_ms > 0.0
-    assert result.final_latency_ms > 0.0
-    report = differential_check(mlp_graph, result.final_graph)
-    assert report.equivalent
-
-
-def test_random_search_measured_objective(mlp_graph):
-    optimiser = RandomSearchOptimizer(ruleset=exact_ruleset(), num_walks=1,
-                                      horizon=4, cost_source="measured")
-    result = optimiser.optimise(mlp_graph)
-    assert result.stats["measured_latency"] == 1.0
-    assert result.final_latency_ms <= result.initial_latency_ms * 10
-
-
-def test_rl_env_measured_reward(mlp_graph):
-    env = GraphRewriteEnv(mlp_graph, ruleset=exact_ruleset(), max_steps=3,
-                          cost_source="measured")
-    assert isinstance(env.e2e, MeasuredLatency)
+def _episode_on(env):
+    """Run one episode always taking action 0 (the first candidate, or
+    No-Op once none is left); returns the reported initial and final
+    latencies and the final graph."""
     env.reset()
-    step = env.step(0)  # No-Op is always a valid action
-    assert np.isfinite(step.reward)
+    step = env.step(0)
+    while not step.done:
+        assert np.isfinite(step.reward)
+        step = env.step(0)
+    return env.initial_latency_ms, step.info["latency_ms"], env.current_graph
 
 
-def test_unknown_cost_source_rejected(mlp_graph):
-    with pytest.raises(ValueError):
-        GreedyOptimizer(cost_source="oracle")
-    with pytest.raises(ValueError):
-        GraphRewriteEnv(mlp_graph, cost_source="oracle")
+def _search_on(optimiser, graph):
+    result = optimiser.optimise(graph)
+    return (result.initial_latency_ms, result.final_latency_ms,
+            result.final_graph)
+
+
+_MEASURED_CONSUMERS = {
+    "taso": lambda graph, e2e: _search_on(TASOOptimizer(
+        ruleset=exact_ruleset(), max_iterations=6, e2e=e2e), graph),
+    "greedy": lambda graph, e2e: _search_on(GreedyOptimizer(
+        ruleset=exact_ruleset(), max_iterations=6, e2e=e2e), graph),
+    "tensat": lambda graph, e2e: _search_on(TensatOptimizer(
+        ruleset=exact_ruleset(), round_limit=2, e2e=e2e), graph),
+    "random": lambda graph, e2e: _search_on(RandomSearchOptimizer(
+        ruleset=exact_ruleset(), num_walks=2, horizon=4, e2e=e2e), graph),
+    "env": lambda graph, e2e: _episode_on(GraphRewriteEnv(
+        graph, ruleset=exact_ruleset(), max_steps=3, e2e=e2e)),
+}
+
+
+@pytest.mark.parametrize("consumer", list(_MEASURED_CONSUMERS))
+def test_measured_latency_through_e2e(mlp_graph, consumer):
+    """``e2e=MeasuredLatency(...)`` is the whole switch to executed
+    wall-clock: every latency reported is the provider's memoised one."""
+    e2e = MeasuredLatency(NumpyExecutor())
+    initial_ms, final_ms, final_graph = \
+        _MEASURED_CONSUMERS[consumer](mlp_graph, e2e)
+    assert initial_ms > 0.0
+    assert initial_ms == e2e.latency_ms(mlp_graph)
+    assert final_ms == e2e.latency_ms(final_graph)
+    report = differential_check(mlp_graph, final_graph)
+    assert report.equivalent, report.problems
 
 
 def test_calibrate_never_worsens_fit(mlp_graph, conv_graph):

@@ -166,7 +166,7 @@ class TestIncrementalEncoding:
         guaranteed cache hit once the full meta-graphs are built (as
         ``XRLflowAgent.forward`` builds them)."""
         graph = build_small_model("squeezenet")
-        env = GraphRewriteEnv(graph, max_candidates=8, max_steps=4, seed=0)
+        env = GraphRewriteEnv(graph, max_candidates=8, max_steps=4)
         obs = env.reset()
         build_meta_graph(obs.graphs, cache=obs.feature_cache)
         result = env.step(0)
@@ -235,7 +235,7 @@ class TestRolloutEmbedding:
         observation embeds as the oracle says, candidates as cones."""
         agent = small_agent()
         env = GraphRewriteEnv(build_small_model("squeezenet"),
-                              max_candidates=8, max_steps=4, seed=0)
+                              max_candidates=8, max_steps=4)
         rollout(env, agent, lambda obs: np.testing.assert_array_equal(
             agent.embedder.embed(obs), oracle_embeddings(agent, obs.graphs)))
         stats = agent.embedder.stats()
@@ -262,7 +262,7 @@ class TestRolloutEmbedding:
         agent = small_agent()
         ruleset = default_ruleset()
         env = GraphRewriteEnv(build_small_model(name), ruleset=ruleset,
-                              max_candidates=96, max_steps=6, seed=0)
+                              max_candidates=96, max_steps=6)
         steps = []
 
         def check(obs):
@@ -295,7 +295,7 @@ class TestRolloutEmbedding:
             lambda self, batch: calls.append(batch) or forward(self, batch))
         agent = small_agent()
         env = GraphRewriteEnv(build_small_model("squeezenet"),
-                              max_candidates=8, max_steps=4, seed=0)
+                              max_candidates=8, max_steps=4)
         obs = env.reset()
         agent.act(obs)
         assert len(calls) == 1 and calls[0].pool_rows is not None
@@ -342,7 +342,7 @@ class TestObservationCopies:
         ids=["copy", "deepcopy", "pickle"])
     def test_round_trip(self, clone):
         env = GraphRewriteEnv(build_small_model("squeezenet"),
-                              max_candidates=4, max_steps=2, seed=0)
+                              max_candidates=4, max_steps=2)
         obs = env.reset()
         twin = clone(obs)
         assert len(twin.graphs) == len(obs.graphs) == 5
@@ -359,8 +359,8 @@ class TestObservationCopies:
 # (b) Batched evaluate_actions == per-transition loop (float64)
 # ---------------------------------------------------------------------------
 
-def collect_buffer(graph, agent, steps=12, seed=0):
-    env = GraphRewriteEnv(graph, max_candidates=12, max_steps=8, seed=seed)
+def collect_buffer(graph, agent, steps=12):
+    env = GraphRewriteEnv(graph, max_candidates=12, max_steps=8)
     buffer = RolloutBuffer()
     obs = env.reset()
     for _ in range(steps):
@@ -536,7 +536,7 @@ class TestBatchedEvaluate:
         graph = build_small_model("squeezenet")
         agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
                              num_gat_layers=1, head_sizes=(16,), seed=0)
-        env = GraphRewriteEnv(graph, max_candidates=8, max_steps=6, seed=0)
+        env = GraphRewriteEnv(graph, max_candidates=8, max_steps=6)
         updater = PPOUpdater(agent, epochs=1, batch_size=4)
         trainer = PPOTrainer(env, agent, updater, update_frequency=2)
         before = [p.data.copy() for p in agent.parameters()]
@@ -614,7 +614,7 @@ class TestFloat32:
                              dtype=np.float32)
         assert all(p.data.dtype == np.float32 for p in agent.parameters())
         graph = build_small_model("squeezenet")
-        env = GraphRewriteEnv(graph, max_candidates=8, max_steps=4, seed=0)
+        env = GraphRewriteEnv(graph, max_candidates=8, max_steps=4)
         logits, value = agent.forward(env.reset())
         assert logits.numpy().dtype == np.float32
         assert value.numpy().dtype == np.float32
@@ -648,8 +648,7 @@ class TestFloat32:
             agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
                                  num_gat_layers=1, head_sizes=(16,), seed=0,
                                  dtype=dtype)
-            env = GraphRewriteEnv(graph, max_candidates=8, max_steps=6,
-                                  seed=0)
+            env = GraphRewriteEnv(graph, max_candidates=8, max_steps=6)
             updater = PPOUpdater(agent, epochs=1, batch_size=4, seed=0)
             trainer = PPOTrainer(env, agent, updater, update_frequency=2)
             trainer.train(num_episodes=4)

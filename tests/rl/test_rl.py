@@ -15,7 +15,7 @@ from repro.rules import default_ruleset
 @pytest.fixture
 def small_env(conv_graph):
     return GraphRewriteEnv(conv_graph, feedback_interval=2, max_candidates=8,
-                           max_steps=6, seed=0)
+                           max_steps=6)
 
 
 @pytest.fixture
@@ -153,7 +153,7 @@ class TestEnvironment:
 class TestSetGraph:
     def test_set_graph_clears_stale_episode_state(self, conv_graph, mlp_graph):
         env = GraphRewriteEnv(conv_graph, feedback_interval=2,
-                              max_candidates=8, max_steps=4, seed=0)
+                              max_candidates=8, max_steps=4)
         env.reset()
         env.step(0)
         assert env.applied_rules

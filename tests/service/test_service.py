@@ -56,8 +56,9 @@ class TestRegistry:
 
     def test_accepted_keys_come_from_the_factory_signature(self):
         taso = optimiser_spec("taso").accepted
-        assert {"alpha", "max_iterations", "cost_source"} <= taso
-        assert not {"self", "parallel", "incremental"} & taso
+        assert {"alpha", "max_iterations", "e2e"} <= taso
+        assert not {"self", "parallel", "incremental", "cost_source",
+                    "executor"} & taso
         # **kwargs forwarded to the base: greedy and pet take what taso does.
         assert optimiser_spec("greedy").accepted == taso
         assert optimiser_spec("pet").accepted == taso
@@ -353,6 +354,15 @@ class TestOptimisationService:
                         f"'{optimiser}'")):
                     service.submit(mlp_graph, optimiser,
                                    {"incremental": False})
+            # The latency provider is ``e2e``; the retired selectors are
+            # refused, not ignored.
+            for optimiser in ("taso", "greedy", "pet", "tensat", "random"):
+                for key, value in (("cost_source", "measured"),
+                                   ("executor", None)):
+                    with pytest.raises(ValueError, match=(
+                            f"unknown config key '{key}' for optimiser "
+                            f"'{optimiser}'")):
+                        service.submit(mlp_graph, optimiser, {key: value})
             for key in ("bogus", "incremental"):
                 with pytest.raises(ValueError, match=f"'{key}'.*'xrlflow'"):
                     service.submit(mlp_graph, "xrlflow", {key: 1})
@@ -384,8 +394,7 @@ class TestOptimisationService:
     def test_failed_job_pollable_and_reraised(self, mlp_graph):
         with OptimisationService(num_workers=1) as service:
             # A value the optimiser constructor rejects fails in the worker.
-            job_id = service.submit(mlp_graph, "taso",
-                                    {"cost_source": "guessed"})
+            job_id = service.submit(mlp_graph, "taso", {"alpha": "guessed"})
             with pytest.raises(ValueError, match="guessed"):
                 service.result(job_id)
             assert service.poll(job_id) is JobState.FAILED
