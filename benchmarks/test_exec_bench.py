@@ -50,10 +50,13 @@ def test_model_execute_latency(benchmark):
     executor = NumpyExecutor()
     sim = E2ESimulator()
     payload = {}
-    # After an idle gap every GEMM waits 8-24 ms for OpenBLAS's parked second
-    # thread, for about a second: the first model timed read 130-340 ms
-    # instead of 25 in 16 of 17 recordings (PR 21).  Wake the pool and pay the
-    # first-use costs before the clock starts.
+    # With OpenBLAS on two threads, every GEMM waits 12-24 ms for its second
+    # thread whenever the other vCPU is busy — in consecutive calls, not
+    # only after an idle gap (docs/executor.md, "BLAS threads"): the first
+    # model timed read 130-340 ms instead of 25 in 16 of 17 recordings.
+    # The warm-up below pays the first-use costs; it cannot keep the other
+    # vCPU free.  Run with OPENBLAS_NUM_THREADS=1 for stable numbers, as
+    # xbench does.
     warm = np.ones((256, 256))
     warm @ warm
     executor.run(build_small_model(BENCH_MODELS[0]))

@@ -1,11 +1,14 @@
 """Benchmarks for the optimisation service.
 
-Six measurements, all recorded to ``BENCH_service.json`` (see
+Seven measurements, all recorded to ``BENCH_service.json`` (see
 ``_harness.py``):
 
 * **hit path** — what a request that does not search costs, per catalogue
   model, one pinned client: the fingerprint of a fresh graph, a memory hit
   through the service, a disk hit and a disk store at the cache;
+* **eviction** — the searches a fixed Zipf replay repeats through the two
+  cache tiers, in misses and recompute seconds, against the LRU disk order
+  the GreedyDual one replaced (``tests/oracles/lru_disk_tier.py``);
 * **cold vs warm** — re-submitting a known model returns from the in-memory
   fingerprint cache;
 * **warm shared cache** — a *second service* pointed at the first one's
@@ -20,13 +23,15 @@ Six measurements, all recorded to ``BENCH_service.json`` (see
 
 Set ``SERVICE_BENCH_SMOKE=1`` (CI) to shrink budgets.  The tests assert
 correctness and equivalence and record the timings; the wall-clock floors
-(10x / 1x / 1x) and the hit path's two ceilings live in
-``tools/check_bench.py`` alone, so a loud host cannot turn the test run red.
+(10x / 1x / 1x) and the ceilings of the hit path and the eviction replay
+live in ``tools/check_bench.py`` alone, so a loud host cannot turn the test
+run red.
 """
 
 import multiprocessing
 import os
 import statistics
+import sys
 import threading
 import time
 import uuid
@@ -38,9 +43,14 @@ import pytest
 import _harness
 from repro.experiments import ExperimentReport, build_small_model
 from repro.search.result import SearchResult
-from repro.service import (CacheEntry, FingerprintCache, LeaseConfig,
-                           OptimisationService, WorkerServer,
+from repro.service import (CacheEntry, EvictionPolicy, FingerprintCache,
+                           LeaseConfig, OptimisationService, WorkerServer,
                            register_optimiser, request_fingerprint)
+
+# The LRU order the eviction replay is held against.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"
+                       / "oracles"))
+from lru_disk_tier import lru_misses, replay_misses, zipf_replay  # noqa: E402
 
 SMOKE = os.environ.get("SERVICE_BENCH_SMOKE") == "1"
 MODELS = ["squeezenet", "resnext50", "bert", "vit"]
@@ -141,6 +151,28 @@ def test_hit_path(tmp_path):
 
     assert stats["cache"]["memory_hits"] == HIT_SAMPLES * len(CATALOGUE)
     assert stats["cache"]["misses"] == len(CATALOGUE)
+
+
+def test_eviction_replay(tmp_path):
+    """What the misses of serve_mixed's tiers (16 entries in memory, 48 on
+    disk) re-search under a fixed Zipf(1.1) replay over 64 entries, the
+    cache against the LRU disk order; the ceiling is in check_bench."""
+    sequence, costs = zipf_replay()
+    cache = FingerprintCache(capacity=16, cache_dir=tmp_path,
+                             policy=EvictionPolicy(max_entries=48))
+    sides = {"cache": replay_misses(cache, sequence, costs),
+             "lru": lru_misses(sequence, capacity=16, max_entries=48)}
+    payload = {"requests": len(sequence)}
+    for side, misses in sides.items():
+        payload[f"{side}_misses"] = len(misses)
+        payload[f"{side}_recompute_s"] = sum(costs[sequence[i]]
+                                             for i in misses)
+    payload["recompute_ratio"] = \
+        payload["cache_recompute_s"] / payload["lru_recompute_s"]
+    print(f"\neviction replay: {payload}")
+    record("eviction", payload)
+
+    assert cache.stats.misses == payload["cache_misses"]
 
 
 def test_service_cold_vs_warm_throughput(benchmark):

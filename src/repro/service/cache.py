@@ -23,11 +23,12 @@ host (or one shared filesystem):
   and a digest of its graph payload; the writer validates the graph, the
   reader checks the digest and rebuilds without re-inferring a shape; a
   file that fails either check is a counted, logged miss;
-* every read refreshes the file's mtime — the *access stamp* that LRU
-  eviction orders by;
+* every store and every read stamps the file: its mtime is the entry's
+  GreedyDual priority (what a miss would cost — see
+  :meth:`FingerprintCache._stamp`), its atime the *access stamp*;
 * an :class:`EvictionPolicy` (max entries / max bytes / TTL) bounds the
-  directory; policy is enforced after every store and on demand via
-  :meth:`FingerprintCache.prune_persistent`.
+  directory, evicting the lowest priority first; policy is enforced after
+  every store and on demand via :meth:`FingerprintCache.prune_persistent`.
 
 The cache directory also hosts the cross-process dedup lease files
 (``<fingerprint>.lease`` — see :mod:`repro.service.lease`); everything
@@ -40,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -78,6 +80,18 @@ class _StaleEntryVersion(ValueError):
 
 def _payload_digest(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
+
+
+def _priority(stat: os.stat_result) -> float:
+    """The eviction priority an entry file's stamp carries (its mtime).
+
+    A stamped file's priority is seconds of recompute cost, far below its
+    atime (a wall-clock time).  A file nobody stamped — an older build's,
+    whose mtime is the wall-clock time of its last use, no earlier than
+    its atime — has none and goes first, oldest access first: an existing
+    directory needs no migration.
+    """
+    return stat.st_mtime if stat.st_mtime < stat.st_atime else -math.inf
 
 
 def _freeze(value: Any) -> Any:
@@ -190,16 +204,19 @@ class CacheStats:
 class EvictionPolicy:
     """Bounds for the persistent cache tier.
 
-    Any field left ``None`` is unlimited.  Recency is judged by each entry
-    file's mtime, which doubles as the *access stamp*: stores set it and
-    every successful read refreshes it, so eviction is LRU rather than
-    insertion-order.
+    Any field left ``None`` is unlimited.  Beyond ``max_entries`` /
+    ``max_bytes`` the entry whose loss costs least goes first: each entry
+    file's mtime is its GreedyDual-Frequency priority (recompute seconds ×
+    uses, plus an inflation value that ages idle entries out), its atime
+    the time it was last stored or read.  Equal priorities evict the older
+    access first.
 
     Attributes:
         max_entries: Keep at most this many entry files on disk.
         max_bytes: Keep the directory's entry files under this many bytes.
-        ttl_s: Entries not *accessed* for longer than this many seconds are
-            expired (deleted on the next lookup or prune).
+        ttl_s: Entries not *accessed* (atime) for longer than this many
+            seconds are expired (deleted on the next lookup or prune),
+            whatever their priority.
     """
 
     max_entries: Optional[int] = None
@@ -306,6 +323,9 @@ class CacheEntry:
 
         Returns:
             A :class:`CacheEntry` stamped with the current wall-clock time.
+            Its ``search_time_s`` is what a miss would cost again: the
+            search plus any training before it (X-RLflow reports its
+            training apart from ``optimisation_time_s``).
         """
         return cls(
             fingerprint=fingerprint,
@@ -316,7 +336,8 @@ class CacheEntry:
             final_latency_ms=result.final_latency_ms,
             initial_cost_ms=result.initial_cost_ms,
             final_cost_ms=result.final_cost_ms,
-            search_time_s=result.optimisation_time_s,
+            search_time_s=(result.optimisation_time_s
+                           + result.stats.get("train_time_s", 0.0)),
             applied_rules=list(result.applied_rules),
             stats=dict(result.stats),
             created_at=time.time(),
@@ -448,6 +469,11 @@ class FingerprintCache:
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = CacheStats()
+        # GreedyDual-Frequency state of the disk tier (see :meth:`_stamp`):
+        # the inflation value L, unknown until this process first scans,
+        # and F, this process's uses of each entry since it was stored.
+        self._inflation: Optional[float] = None
+        self._uses: Dict[str, int] = {}
 
     # -- lookup --------------------------------------------------------
     def fingerprint(self, graph: Graph, optimiser: str,
@@ -458,9 +484,9 @@ class FingerprintCache:
     def get(self, fingerprint: str) -> Optional[CacheEntry]:
         """Return the cached entry or ``None``; updates hit/miss accounting.
 
-        A persistent-tier hit refreshes the entry file's access stamp
-        (mtime) so LRU disk eviction keeps hot entries alive, and promotes
-        the entry into the memory tier.
+        A persistent-tier hit re-stamps the entry file (its priority rises
+        by one more use of its recompute cost, its access stamp is now) and
+        promotes the entry into the memory tier.
         """
         with self._lock:
             entry = self._entries.get(fingerprint)
@@ -513,6 +539,7 @@ class FingerprintCache:
             with self._dir_lock.exclusive():
                 for path in self.cache_dir.glob("*.json"):
                     path.unlink(missing_ok=True)
+                self._uses.clear()
 
     # -- persistent-tier maintenance -----------------------------------
     def prune_persistent(self) -> Dict[str, int]:
@@ -558,7 +585,7 @@ class FingerprintCache:
         ttl = self.policy.ttl_s
         if ttl is not None:
             try:
-                expired = time.time() - path.stat().st_mtime > ttl
+                expired = time.time() - path.stat().st_atime > ttl
             except OSError:
                 return None
             if expired:
@@ -567,7 +594,7 @@ class FingerprintCache:
                 # have refreshed or already removed the entry).
                 with self._dir_lock.exclusive():
                     try:
-                        if time.time() - path.stat().st_mtime > ttl:
+                        if time.time() - path.stat().st_atime > ttl:
                             path.unlink(missing_ok=True)
                             self.stats.disk_expirations += 1
                     except OSError:
@@ -576,16 +603,9 @@ class FingerprintCache:
         try:
             with self._dir_lock.shared():
                 blob = path.read_bytes()
-                try:
-                    # Refresh the access stamp so disk LRU tracks *use*,
-                    # not just insertion.  A concurrent eviction may have
-                    # removed the file — the bytes read are still a hit.
-                    os.utime(path, None)
-                except OSError:
-                    pass
             # Decoded outside the lock: a publish is an atomic rename, so
             # the bytes are one writer's whole file or none of it.
-            return CacheEntry.from_bytes(blob)
+            entry = CacheEntry.from_bytes(blob)
         except FileNotFoundError:  # evicted since the existence check
             return None
         except Exception as exc:
@@ -601,6 +621,8 @@ class FingerprintCache:
                          "stale-version" if stale else "corrupt", path,
                          exc if stale else f"{type(exc).__name__}: {exc}")
             return None
+        self._stamp(path, entry, stored=False)
+        return entry
 
     def _store_persistent(self, entry: CacheEntry) -> None:
         path = self._persistent_path(entry.fingerprint)
@@ -616,32 +638,75 @@ class FingerprintCache:
         with self._dir_lock.exclusive():
             try:
                 tmp.write_bytes(blob)
+                # Stamped before the rename: the entry appears with its
+                # priority, never with the write's wall-clock mtime.
+                self._stamp(tmp, entry, stored=True)
                 tmp.replace(path)
             finally:
                 tmp.unlink(missing_ok=True)
             if self.policy.bounded:
                 self._enforce_policy_locked()
 
+    def _stamp(self, path: Path, entry: CacheEntry, stored: bool) -> None:
+        """Write ``entry``'s GreedyDual-Frequency priority into ``path``.
+
+        The priority is ``H = L + F·C``: ``C`` is what a miss would cost
+        (``search_time_s``), ``F`` this process's store and disk reads of
+        the entry since that store, ``L`` the inflation value, which never
+        falls (see :meth:`_enforce_policy_locked`).  ``H`` becomes the
+        file's mtime and now its atime, so one ``utime`` puts the entry
+        where every process sharing the directory will find it
+        (:meth:`_scan_entries`).  The units of ``C`` cancel: no weight.
+        """
+        with self._lock:
+            if self._inflation is None:
+                self._scan_entries()
+            uses = 1 if stored else self._uses.get(entry.fingerprint, 0) + 1
+            self._uses[entry.fingerprint] = uses
+            priority = self._inflation + uses * entry.search_time_s
+        try:
+            os.utime(path, (time.time(), priority))
+        except OSError:  # evicted by another process since it was read
+            pass
+
     def _scan_entries(self) -> List[Tuple[Path, os.stat_result]]:
-        """(path, stat) for every entry file, oldest access stamp first."""
+        """(path, stat) for every entry file, the next victim first.
+
+        Lowest :func:`_priority` first; equal priorities go by access
+        stamp (atime), oldest first — on a filesystem whose timestamps are
+        too coarse to tell priorities apart that is access order.  A scan
+        raises the inflation value to the lowest priority found, so a
+        process that has not scanned before starts where the directory is.
+        """
         found: List[Tuple[Path, os.stat_result]] = []
         for path in self.cache_dir.glob("*.json"):
             try:
                 found.append((path, path.stat()))
             except OSError:  # raced with another process's eviction
                 continue
-        found.sort(key=lambda item: item[1].st_mtime)
+        found.sort(key=lambda item: (_priority(item[1]), item[1].st_atime))
+        lowest = next((_priority(stat) for _, stat in found
+                       if _priority(stat) > -math.inf), 0.0)
+        with self._lock:
+            self._inflation = max(self._inflation or 0.0, lowest)
         return found
 
     def _enforce_policy_locked(self) -> Dict[str, int]:
-        """Delete expired / excess entries.  Caller holds the exclusive lock."""
+        """Delete expired / excess entries.  Caller holds the exclusive lock.
+
+        Expiry goes by access stamp; eviction takes the lowest priorities
+        (:meth:`_scan_entries`' order).  Afterwards the inflation value
+        ``L`` rises to the last victim's priority and to the lowest
+        surviving one, and the use counts of entries no longer on disk are
+        dropped.
+        """
         expired = evicted = 0
         entries = self._scan_entries()
         if self.policy.ttl_s is not None:
             cutoff = time.time() - self.policy.ttl_s
             keep = []
             for path, stat in entries:
-                if stat.st_mtime < cutoff:
+                if stat.st_atime < cutoff:
                     path.unlink(missing_ok=True)
                     expired += 1
                 else:
@@ -661,6 +726,14 @@ class FingerprintCache:
             total_bytes -= stat.st_size
             evicted += 1
             index += 1
+        # The last victim and the first survivor, whichever exist.
+        stamps = [_priority(stat)
+                  for _, stat in entries[max(index - 1, 0):index + 1]]
+        live = {path.stem for path, _ in entries[index:]}
+        with self._lock:
+            self._inflation = max([self._inflation, *stamps])
+            self._uses = {fingerprint: uses for fingerprint, uses
+                          in self._uses.items() if fingerprint in live}
         self.stats.disk_expirations += expired
         self.stats.disk_evictions += evicted
         return {"expired": expired, "evicted": evicted}

@@ -75,10 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(safe to share between service processes)")
     parser.add_argument("--cache-max-entries", type=int, default=None,
                         metavar="N",
-                        help="evict LRU disk entries beyond N")
+                        help="evict disk entries beyond N, cheapest miss "
+                             "first (GreedyDual)")
     parser.add_argument("--cache-max-bytes", type=int, default=None,
                         metavar="BYTES",
-                        help="evict LRU disk entries beyond BYTES total")
+                        help="evict disk entries beyond BYTES total, "
+                             "cheapest miss first (GreedyDual)")
     parser.add_argument("--cache-ttl", type=float, default=None,
                         metavar="SECONDS",
                         help="expire disk entries not accessed for SECONDS")

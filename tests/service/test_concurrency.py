@@ -18,6 +18,7 @@ import threading
 import time
 
 import pytest
+from lru_disk_tier import lru_misses, replay_misses, zipf_replay
 
 from repro.ir import GraphBuilder
 from repro.search.result import SearchResult
@@ -39,13 +40,15 @@ def _tiny_graph(tag: str = "tiny"):
     return builder.build([builder.relu(x)])
 
 
-def _entry(fingerprint: str, graph, model: str) -> CacheEntry:
+def _entry(fingerprint: str, graph, model: str,
+           cost: float = 0.01) -> CacheEntry:
+    """An entry whose search took ``cost`` seconds (its recompute cost)."""
     result = SearchResult(
         optimiser="taso", model=model,
         initial_graph=graph, final_graph=graph,
         initial_latency_ms=1.0, final_latency_ms=0.5,
         initial_cost_ms=1.0, final_cost_ms=0.5,
-        optimisation_time_s=0.01)
+        optimisation_time_s=cost)
     return CacheEntry.from_result(fingerprint, result)
 
 
@@ -82,6 +85,20 @@ def _hammer_bounded(cache_dir: str, worker_id: int, rounds: int) -> None:
     for round_no in range(rounds):
         for key in SHARED_KEYS:
             cache.put(_entry(key, graph, model=f"w{worker_id}r{round_no}"))
+
+
+def _read_then_store(cache_dir: str, key: str, reads: int,
+                     probe: str) -> None:
+    """Subprocess body: read ``key`` from disk ``reads`` times, then store
+    ``probe`` (if given) under the directory's three-entry bound."""
+    cache = FingerprintCache(capacity=1, cache_dir=cache_dir,
+                             policy=EvictionPolicy(max_entries=3))
+    for _ in range(reads):
+        if cache.get(key) is None:
+            raise AssertionError(f"lost {key}")
+        cache.clear()  # the next read goes to disk again
+    if probe:
+        cache.put(_entry(probe, _tiny_graph(), "m", cost=1.0))
 
 
 def _spawn(target, *args) -> multiprocessing.Process:
@@ -140,25 +157,138 @@ class TestSharedCacheDirectory:
 
 
 # ---------------------------------------------------------------------------
+def _on_disk(directory) -> set:
+    return {path.stem for path in directory.glob("*.json")}
+
+
 class TestEvictionPolicy:
-    def test_lru_eviction_prefers_unaccessed_entries(self, tmp_path):
-        """Reads refresh the access stamp — the satellite fix."""
+    """GreedyDual-Frequency: an entry file's mtime is ``L + F·C`` (``C`` its
+    recompute seconds, ``F`` uses since its store, ``L`` the inflation
+    value), its atime the last store or read; the lowest mtime goes."""
+
+    def test_a_disk_read_outranks_an_unread_entry_of_equal_cost(
+            self, tmp_path):
         graph = _tiny_graph()
         cache = FingerprintCache(capacity=1, cache_dir=tmp_path,
                                  policy=EvictionPolicy(max_entries=2))
         cache.put(_entry("older", graph, "a"))
         cache.put(_entry("newer", graph, "b"))
-        # Backdate both, then *access* only the older one.
-        past = time.time() - 3600
-        for name in ("older", "newer"):
-            os.utime(tmp_path / f"{name}.json", (past, past))
-        fresh = FingerprintCache(capacity=1, cache_dir=tmp_path,
+        # The memory tier holds "newer" only, so this read is a disk read:
+        # "older" now counts two uses of its cost against one.
+        assert cache.get("older") is not None
+        assert cache.stats.persistent_hits == 1
+        cache.put(_entry("third", graph, "c", cost=0.05))
+        assert _on_disk(tmp_path) == {"older", "third"}
+
+    def test_at_equal_reads_the_cheaper_entry_goes_first(self, tmp_path):
+        graph = _tiny_graph()
+        # An unbounded writer never scans, so all three share one L.
+        writer = FingerprintCache(cache_dir=tmp_path)
+        for name, cost in (("dear", 0.5), ("cheap", 0.01), ("middling", 0.1)):
+            writer.put(_entry(name, graph, "m", cost))
+        bounded = FingerprintCache(cache_dir=tmp_path,
+                                   policy=EvictionPolicy(max_entries=2))
+        assert bounded.prune_persistent() == {"expired": 0, "evicted": 1}
+        # "dear" is the least recently stored, and it stays.
+        assert _on_disk(tmp_path) == {"dear", "middling"}
+
+    @pytest.mark.parametrize("reads, survivor", [(2, "dear"), (4, "cheap")])
+    def test_a_cheap_entry_read_often_outlives_a_dear_one_read_once(
+            self, tmp_path, reads, survivor):
+        graph = _tiny_graph()
+        writer = FingerprintCache(cache_dir=tmp_path)
+        writer.put(_entry("dear", graph, "m", cost=0.3))
+        writer.put(_entry("cheap", graph, "m", cost=0.1))
+        reader = FingerprintCache(capacity=1, cache_dir=tmp_path)
+        assert reader.get("dear") is not None
+        for _ in range(reads):
+            reader.clear()  # every read goes to disk
+            assert reader.get("cheap") is not None
+        # reads·0.1 against 1·0.3: two reads lose to it, four beat it
+        # (and in both cases "cheap" is the more recent access).
+        FingerprintCache(cache_dir=tmp_path,
+                         policy=EvictionPolicy(max_entries=1)
+                         ).prune_persistent()
+        assert _on_disk(tmp_path) == {survivor}
+
+    def test_an_entry_no_longer_read_ages_out_as_inflation_rises(
+            self, tmp_path):
+        graph = _tiny_graph()
+        writer = FingerprintCache(cache_dir=tmp_path)
+        writer.put(_entry("dear", graph, "m", cost=0.35))
+        writer.put(_entry("first", graph, "m", cost=0.1))
+        cache = FingerprintCache(capacity=1, cache_dir=tmp_path,
                                  policy=EvictionPolicy(max_entries=2))
-        assert fresh.get("older") is not None  # refreshes the stamp
-        cache.put(_entry("third", graph, "c"))  # forces one eviction
-        survivors = {p.stem for p in tmp_path.glob("*.json")}
-        assert survivors == {"older", "third"}, \
-            "LRU should evict the never-accessed entry, not the accessed one"
+        survived = 0
+        while "dear" in _on_disk(tmp_path):
+            # Each store of a 0.1 s entry evicts one and raises L, and a
+            # newcomer lands at L + 0.1: sooner or later above "dear".
+            cache.put(_entry(f"cheap{survived}", graph, "m", cost=0.1))
+            survived += 1
+            assert survived < 10, "an idle entry must not live forever"
+        # Its cost bought it stores of cheaper entries, not immortality.
+        assert survived == 4
+        assert len(_on_disk(tmp_path)) == 2
+
+    def test_an_older_builds_entries_go_first_in_access_order(self, tmp_path):
+        """No migration: a file whose mtime is a wall-clock time at or after
+        its atime (what the LRU build left) carries no priority."""
+        graph = _tiny_graph()
+        writer = FingerprintCache(cache_dir=tmp_path)
+        for name in ("old_idle", "old_read", "old_recent"):
+            writer.put(_entry(name, graph, "m", cost=5.0))
+        writer.put(_entry("new", graph, "m", cost=0.01))
+        now = time.time()
+        for name, age in (("old_idle", 7200), ("old_read", 3600),
+                          ("old_recent", 60)):
+            os.utime(tmp_path / f"{name}.json", (now - age, now - age))
+        cache = FingerprintCache(capacity=1, cache_dir=tmp_path,
+                                 policy=EvictionPolicy(max_entries=4))
+        assert cache.get("old_read") is not None  # stamped into the order
+        cache.put(_entry("newer", graph, "m", cost=0.01))
+        assert _on_disk(tmp_path) == {"old_read", "old_recent", "new",
+                                      "newer"}
+        cache.put(_entry("newest", graph, "m", cost=0.01))
+        assert _on_disk(tmp_path) == {"old_read", "new", "newer", "newest"}
+
+    def test_ttl_counts_from_the_access_stamp(self, tmp_path):
+        graph = _tiny_graph()
+        cache = FingerprintCache(cache_dir=tmp_path,
+                                 policy=EvictionPolicy(ttl_s=10.0))
+        cache.put(_entry("cheap", graph, "m", cost=0.001))
+        cache.put(_entry("idle", graph, "m", cost=1000.0))
+        path = tmp_path / "idle.json"
+        priority = path.stat().st_mtime
+        # Both mtimes are priorities, seconds after 1970, not access times.
+        assert (tmp_path / "cheap.json").stat().st_mtime < priority < 2000.0
+        os.utime(path, (time.time() - 60, priority))  # idle for a minute
+        fresh = FingerprintCache(cache_dir=tmp_path,
+                                 policy=EvictionPolicy(ttl_s=10.0))
+        assert fresh.get("idle") is None
+        assert not path.exists()
+        assert fresh.stats.disk_expirations == 1
+        assert fresh.get("cheap") is not None
+
+    def test_two_processes_sharing_a_directory_pick_the_same_victim(
+            self, tmp_path):
+        graph = _tiny_graph()
+        survivors = []
+        for evictor in ("writer", "reader"):
+            directory = tmp_path / evictor
+            writer = FingerprintCache(capacity=1, cache_dir=directory,
+                                      policy=EvictionPolicy(max_entries=3))
+            for name, cost in (("x", 0.3), ("y", 0.1), ("z", 0.2)):
+                writer.put(_entry(name, graph, "m", cost))
+            # Another process reads "x" twice: its stamp rises past "y"'s,
+            # which the writer's own counts (one store each) cannot know.
+            reader = _spawn(_read_then_store, str(directory), "x", 2,
+                            "probe" if evictor == "reader" else "")
+            reader.join(timeout=60)
+            assert reader.exitcode == 0
+            if evictor == "writer":
+                writer.put(_entry("probe", graph, "m", cost=1.0))
+            survivors.append(_on_disk(directory))
+        assert survivors == [{"x", "z", "probe"}] * 2
 
     def test_max_bytes_bound(self, tmp_path):
         graph = _tiny_graph()
@@ -170,7 +300,6 @@ class TestEvictionPolicy:
             policy=EvictionPolicy(max_bytes=int(entry_bytes * 2.5)))
         for name in ("aa", "bb", "cc", "dd"):
             bounded.put(_entry(name, graph, "m"))
-            time.sleep(0.01)  # distinct mtimes for deterministic LRU order
         usage = bounded.persistent_usage()
         assert usage["bytes"] <= int(entry_bytes * 2.5)
         assert bounded.stats.disk_evictions >= 2
@@ -194,7 +323,6 @@ class TestEvictionPolicy:
         unbounded = FingerprintCache(cache_dir=tmp_path)
         for i in range(5):
             unbounded.put(_entry(f"prune{i}", graph, "m"))
-            time.sleep(0.01)
         past = time.time() - 3600
         os.utime(tmp_path / "prune0.json", (past, past))
         cache = FingerprintCache(
@@ -217,6 +345,23 @@ class TestEvictionPolicy:
         assert fresh.get("versioned") is None
         assert fresh.stats.stale_version_entries == 1
         assert fresh.stats.corrupt_entries == 0
+
+
+class TestEvictionReplay:
+    def test_misses_cost_at_most_four_fifths_of_lru(self, tmp_path):
+        """serve_mixed's tiers (16 in memory, 48 on disk) under Zipf(1.1)
+        traffic over 64 entries: what the misses re-search, against the
+        LRU order this policy replaced."""
+        sequence, costs = zipf_replay()
+        cache = FingerprintCache(capacity=16, cache_dir=tmp_path,
+                                 policy=EvictionPolicy(max_entries=48))
+        misses = replay_misses(cache, sequence, costs)
+        oracle = lru_misses(sequence, capacity=16, max_entries=48)
+        assert cache.stats.misses == len(misses)
+        assert cache.persistent_usage()["entries"] == 48
+        spent = sum(costs[sequence[i]] for i in misses)
+        lru_spent = sum(costs[sequence[i]] for i in oracle)
+        assert spent <= 0.8 * lru_spent, (spent, lru_spent)
 
 
 # ---------------------------------------------------------------------------

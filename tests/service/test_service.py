@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.experiments import build_small_model
-from repro.models import MODEL_REGISTRY
+from repro.models import MODEL_REGISTRY, build_model
 from repro.search import available_optimisers, get_optimiser
 from repro.service import (CacheEntry, FingerprintCache, JobScheduler,
                            JobState, OptimisationService, OptimiserSpec,
@@ -162,6 +162,26 @@ class TestFingerprintCache:
         assert result.stats["cache_hit"] == 1.0
         assert result.optimisation_time_s > 0
         assert result.initial_graph is mlp_graph
+
+    def test_an_xrlflow_entry_costs_its_training_too(self, tmp_path):
+        """A miss on an X-RLflow entry retrains, so what it records — the
+        disk tier's recompute cost, the ``search_time_s`` a hit reports —
+        is evaluation plus training, not evaluation alone."""
+        graph = build_model("bert", num_layers=1, seq_len=16, hidden=32,
+                            num_heads=2, vocab_size=64)
+        config = {"num_episodes": 2, "max_steps": 4, "max_candidates": 8,
+                  "update_frequency": 2, "eval_episodes": 1,
+                  "num_gat_layers": 1, "hidden_dim": 16, "embedding_dim": 16}
+        with OptimisationService(num_workers=1, cache_dir=tmp_path) as service:
+            cold = service.optimise(graph, "xrlflow", config)
+        train_s = cold.search.stats["train_time_s"]
+        assert train_s > 0
+        with OptimisationService(num_workers=1, cache_dir=tmp_path) as service:
+            warm = service.optimise(graph, "xrlflow", config)
+        assert warm.cache_hit
+        assert warm.search.stats["search_time_s"] >= train_s
+        assert warm.search.stats["search_time_s"] == \
+            cold.search.optimisation_time_s + train_s
 
 
 # ---------------------------------------------------------------------------

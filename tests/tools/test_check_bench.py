@@ -164,16 +164,21 @@ class TestFloorOnlyRatios:
 
 
 class TestCeilings:
-    """Lower-is-better keys of the service bench's ``hit_path`` section."""
+    """Lower-is-better keys of the service bench's ``hit_path`` and
+    ``eviction`` sections."""
 
     CEILINGS = check_bench.CEILINGS["BENCH_service.json"]
 
     @staticmethod
-    def _doc(per_node: float = 2.2, ratio: float = 3.5) -> dict:
+    def _doc(per_node: float = 2.2, ratio: float = 3.5,
+             recompute_ratio: float = 0.67) -> dict:
         return {"benchmark": "service", "schema": 1, "smoke": True,
                 "results": {"hit_path": {"samples": 30, "bert": {
                     "fingerprint_us_per_node": per_node,
-                    "disk_over_memory": ratio, "disk_hit_ms": 0.8}}}}
+                    "disk_over_memory": ratio, "disk_hit_ms": 0.8}},
+                    "eviction": {"lru_recompute_s": 8.0,
+                                 "cache_recompute_s": 8.0 * recompute_ratio,
+                                 "recompute_ratio": recompute_ratio}}}
 
     def _evaluate(self, fresh: dict, smoke: bool):
         return check_bench.evaluate(self._doc(), fresh, {}, smoke=smoke,
@@ -183,7 +188,23 @@ class TestCeilings:
         for smoke in (True, False):
             problems, notes = self._evaluate(self._doc(), smoke)
             assert problems == []
-            assert sum("<= ceiling" in note for note in notes) == 2
+            assert sum("<= ceiling" in note for note in notes) == 3
+
+    def test_an_lru_disk_order_fails_the_eviction_ceiling(self):
+        for smoke in (True, False):
+            # Evicting by recency alone re-searches what LRU did: 1.0.
+            problems, _ = self._evaluate(self._doc(recompute_ratio=1.0),
+                                         smoke)
+            assert len(problems) == 1
+            assert "eviction.recompute_ratio" in problems[0]
+            assert "above the ceiling 0.85" in problems[0]
+
+    def test_a_bench_without_the_eviction_section_fails(self):
+        fresh = self._doc()
+        del fresh["results"]["eviction"]
+        problems, _ = self._evaluate(fresh, smoke=False)
+        assert problems == ["eviction.recompute_ratio: no matching key in "
+                            "the fresh results (benchmark did not run?)"]
 
     def test_above_a_ceiling_fails_in_both_modes(self):
         for smoke in (True, False):
