@@ -34,8 +34,24 @@ def record(name: str, section: str, payload: dict, smoke: bool) -> None:
             pass
     data.setdefault("results", {})[section] = payload
     data["smoke"] = smoke
-    data["host"] = {"cores": os.cpu_count() or 1,
-                    "python": platform.python_version(),
-                    "platform": platform.platform()}
+    data["host"] = host()
     OUTPUT_DIR.mkdir(exist_ok=True)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+#: The BLAS thread-count variables a recording notes: a GEMM timed on two
+#: BLAS threads while the other vCPU is busy reads 12-24 ms instead of
+#: 0.5 ms (``docs/executor.md``, "BLAS threads").
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
+
+
+def host() -> dict:
+    """What a recording says about the machine that made it: cores,
+    interpreter, platform, and each of :data:`BLAS_THREAD_VARIABLES` as
+    the run saw it (``""`` when unset: BLAS was not pinned)."""
+    return {"cores": os.cpu_count() or 1,
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            **{name: os.environ.get(name, "")
+               for name in BLAS_THREAD_VARIABLES}}

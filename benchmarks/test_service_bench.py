@@ -7,8 +7,9 @@ Seven measurements, all recorded to ``BENCH_service.json`` (see
   model, one pinned client: the fingerprint of a fresh graph, a memory hit
   through the service, a disk hit and a disk store at the cache;
 * **eviction** — the searches a fixed Zipf replay repeats through the two
-  cache tiers, in misses and recompute seconds, against the LRU disk order
-  the GreedyDual one replaced (``tests/oracles/lru_disk_tier.py``);
+  cache tiers, in misses and recompute seconds, and its disk reads, against
+  both tiers evicting by LRU, the order GreedyDual replaced
+  (``tests/oracles/lru_disk_tier.py``);
 * **cold vs warm** — re-submitting a known model returns from the in-memory
   fingerprint cache;
 * **warm shared cache** — a *second service* pointed at the first one's
@@ -47,7 +48,7 @@ from repro.service import (CacheEntry, EvictionPolicy, FingerprintCache,
                            LeaseConfig, OptimisationService, WorkerServer,
                            register_optimiser, request_fingerprint)
 
-# The LRU order the eviction replay is held against.
+# The LRU tiers the eviction replay is held against.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"
                        / "oracles"))
 from lru_disk_tier import lru_misses, replay_misses, zipf_replay  # noqa: E402
@@ -155,18 +156,20 @@ def test_hit_path(tmp_path):
 
 def test_eviction_replay(tmp_path):
     """What the misses of serve_mixed's tiers (16 entries in memory, 48 on
-    disk) re-search under a fixed Zipf(1.1) replay over 64 entries, the
-    cache against the LRU disk order; the ceiling is in check_bench."""
+    disk) re-search under a fixed Zipf(1.1) replay over 64 entries, and how
+    often the disk is read, the cache against both tiers evicting by LRU;
+    the ceiling is in check_bench."""
     sequence, costs = zipf_replay()
     cache = FingerprintCache(capacity=16, cache_dir=tmp_path,
                              policy=EvictionPolicy(max_entries=48))
     sides = {"cache": replay_misses(cache, sequence, costs),
              "lru": lru_misses(sequence, capacity=16, max_entries=48)}
     payload = {"requests": len(sequence)}
-    for side, misses in sides.items():
+    for side, (misses, disk_reads) in sides.items():
         payload[f"{side}_misses"] = len(misses)
         payload[f"{side}_recompute_s"] = sum(costs[sequence[i]]
                                              for i in misses)
+        payload[f"{side}_disk_reads"] = disk_reads
     payload["recompute_ratio"] = \
         payload["cache_recompute_s"] / payload["lru_recompute_s"]
     print(f"\neviction replay: {payload}")

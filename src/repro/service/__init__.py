@@ -4,8 +4,9 @@ The offline loop (build a graph, run one optimiser, report latency) becomes a
 serving layer here:
 
 * :mod:`repro.service.registry` — name → optimiser factory with defaults
-* :mod:`repro.service.cache` — fingerprint cache (in-memory LRU + a locked,
-  evicting, multi-process-safe JSON tier)
+* :mod:`repro.service.cache` — fingerprint cache (an in-memory tier + a
+  locked, multi-process-safe JSON tier, both evicting by
+  GreedyDual-Frequency)
 * :mod:`repro.service.lease` — cross-process dedup leases over the cache
   directory (flock-guarded acquire, heartbeats, stale takeover)
 * :mod:`repro.service.scheduler` — bounded submit/poll/result job scheduler

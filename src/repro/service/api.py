@@ -64,7 +64,8 @@ class OptimisationService:
         cache: A pre-built :class:`FingerprintCache` to share between
             services; built from ``cache_capacity`` / ``cache_dir`` /
             ``cache_policy`` when omitted.
-        cache_capacity: In-memory LRU tier size (entries).
+        cache_capacity: In-memory tier size (entries); beyond it the
+            entry whose loss costs least goes (GreedyDual-Frequency).
         cache_dir: Enables the persistent JSON cache tier under this
             directory.  The tier is multi-process safe (advisory locking +
             atomic publishes), so many services — on one host or a shared

@@ -7,10 +7,12 @@ independent branches), the optimiser name, and a canonical digest of the
 optimiser config.  Two callers submitting the same model built through
 different code paths therefore share one cache slot.
 
-Results live in an in-memory LRU tier and are optionally mirrored to a
+Results live in an in-memory tier and are optionally mirrored to a
 directory of entry files (a JSON header line, then the graph as
 :mod:`repro.ir.serialize` JSON), so a warmed cache survives the process and
-can be shipped between machines.
+can be shipped between machines.  Both tiers evict by one rule,
+GreedyDual-Frequency (:class:`_GreedyDual`): the entry whose loss costs
+least goes first, so the two tiers do not hold the same hot set.
 
 The persistent tier is safe to share between many service processes on one
 host (or one shared filesystem):
@@ -92,6 +94,33 @@ def _priority(stat: os.stat_result) -> float:
     directory needs no migration.
     """
     return stat.st_mtime if stat.st_mtime < stat.st_atime else -math.inf
+
+
+class _GreedyDual:
+    """GreedyDual-Frequency bookkeeping of one cache tier (Cao & Irani,
+    USITS 1997): an entry's priority is ``H = L + F·C``, lowest goes first.
+
+    ``C`` is what a miss on the entry would cost (``search_time_s``), ``F``
+    its uses since it entered the tier, ``L`` the tier's inflation value,
+    which never falls and rises to each victim's ``H`` — so an entry nobody
+    uses any more ages out as newcomers land above it.  The units of ``C``
+    cancel: no weight.
+    """
+
+    def __init__(self) -> None:
+        self.inflation = 0.0
+        self.uses: Dict[str, int] = {}
+
+    def use(self, key: str, cost: float, entered: bool = False) -> float:
+        """Count one use of ``key`` — its first if it just ``entered`` the
+        tier — and return its priority ``H``."""
+        uses = 1 if entered else self.uses.get(key, 0) + 1
+        self.uses[key] = uses
+        return self.inflation + uses * cost
+
+    def age(self, *priorities: float) -> None:
+        """Raise ``L`` to the highest of ``priorities``; it never falls."""
+        self.inflation = max([self.inflation, *priorities])
 
 
 def _freeze(value: Any) -> Any:
@@ -437,7 +466,8 @@ class CacheEntry:
 
 
 class FingerprintCache:
-    """Two-tier (LRU memory + JSON directory) cache of optimisation results.
+    """Two-tier (memory + JSON directory) cache of optimisation results,
+    each tier evicting by GreedyDual-Frequency (:class:`_GreedyDual`).
 
     Thread-safe within a process (scheduler workers and the submitting
     thread hit it concurrently) and — for the persistent tier — safe across
@@ -446,8 +476,10 @@ class FingerprintCache:
     docstring).
 
     Args:
-        capacity: Maximum entries in the in-memory tier (LRU eviction
-            beyond it).
+        capacity: Maximum entries in the in-memory tier.  Beyond it the
+            lowest priority ``L + F·C`` goes (``F`` counting memory hits
+            since the entry was stored or promoted from disk), the least
+            recently used first among equal priorities.
         cache_dir: Optional directory for the persistent tier.  Entries
             evicted from memory remain on disk and are transparently
             reloaded on access.
@@ -466,14 +498,17 @@ class FingerprintCache:
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             self._dir_lock = _DirectoryLock(self.cache_dir)
+        # The memory tier in recency order (least recent first), and each
+        # resident entry's priority H.
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        self._priorities: Dict[str, float] = {}
+        self._memory = _GreedyDual()
         self._lock = threading.RLock()
         self.stats = CacheStats()
-        # GreedyDual-Frequency state of the disk tier (see :meth:`_stamp`):
-        # the inflation value L, unknown until this process first scans,
-        # and F, this process's uses of each entry since it was stored.
-        self._inflation: Optional[float] = None
-        self._uses: Dict[str, int] = {}
+        # The disk tier's L is unknown until this process first scans the
+        # directory; its F counts this process's store and disk reads.
+        self._disk = _GreedyDual()
+        self._disk_scanned = False
 
     # -- lookup --------------------------------------------------------
     def fingerprint(self, graph: Graph, optimiser: str,
@@ -484,14 +519,17 @@ class FingerprintCache:
     def get(self, fingerprint: str) -> Optional[CacheEntry]:
         """Return the cached entry or ``None``; updates hit/miss accounting.
 
-        A persistent-tier hit re-stamps the entry file (its priority rises
-        by one more use of its recompute cost, its access stamp is now) and
-        promotes the entry into the memory tier.
+        A memory hit raises the entry's memory priority by one more use of
+        its recompute cost and leaves the disk alone.  A persistent-tier hit
+        re-stamps the entry file (its priority rises by one more use, its
+        access stamp is now) and promotes the entry into the memory tier.
         """
         with self._lock:
             entry = self._entries.get(fingerprint)
             if entry is not None:
                 self._entries.move_to_end(fingerprint)
+                self._priorities[fingerprint] = self._memory.use(
+                    fingerprint, entry.search_time_s)
                 self.stats.memory_hits += 1
                 return entry
         # Disk I/O happens outside the lock so a slow persistent load cannot
@@ -532,14 +570,17 @@ class FingerprintCache:
             return len(self._entries)
 
     def clear(self, persistent: bool = False) -> None:
-        """Drop the memory tier; also wipe disk entries if ``persistent``."""
+        """Drop the memory tier and its bookkeeping (``L`` and every ``F``);
+        also wipe disk entries if ``persistent``."""
         with self._lock:
             self._entries.clear()
+            self._priorities.clear()
+            self._memory = _GreedyDual()
         if persistent and self.cache_dir is not None:
             with self._dir_lock.exclusive():
                 for path in self.cache_dir.glob("*.json"):
                     path.unlink(missing_ok=True)
-                self._uses.clear()
+                self._disk.uses.clear()
 
     # -- persistent-tier maintenance -----------------------------------
     def prune_persistent(self) -> Dict[str, int]:
@@ -567,11 +608,23 @@ class FingerprintCache:
 
     # -- internals -----------------------------------------------------
     def _insert(self, fingerprint: str, entry: CacheEntry) -> None:
+        """Put ``entry`` in the memory tier with ``F = 1`` (a store or a
+        disk promotion).  A newcomer to a full tier first evicts the lowest
+        priority, the least recently used among equals (``min`` keeps the
+        first of the recency order), and ``L`` rises to the victim's; the
+        newcomer then enters at ``L + C``, always — as on disk, where ``L``
+        tracks the lowest survivor."""
+        if fingerprint not in self._entries:
+            while len(self._entries) >= self.capacity:
+                victim = min(self._entries, key=self._priorities.__getitem__)
+                del self._entries[victim]
+                del self._memory.uses[victim]
+                self._memory.age(self._priorities.pop(victim))
+                self.stats.evictions += 1
         self._entries[fingerprint] = entry
         self._entries.move_to_end(fingerprint)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        self._priorities[fingerprint] = self._memory.use(
+            fingerprint, entry.search_time_s, entered=True)
 
     def _persistent_path(self, fingerprint: str) -> Optional[Path]:
         if self.cache_dir is None:
@@ -650,20 +703,17 @@ class FingerprintCache:
     def _stamp(self, path: Path, entry: CacheEntry, stored: bool) -> None:
         """Write ``entry``'s GreedyDual-Frequency priority into ``path``.
 
-        The priority is ``H = L + F·C``: ``C`` is what a miss would cost
-        (``search_time_s``), ``F`` this process's store and disk reads of
-        the entry since that store, ``L`` the inflation value, which never
-        falls (see :meth:`_enforce_policy_locked`).  ``H`` becomes the
-        file's mtime and now its atime, so one ``utime`` puts the entry
-        where every process sharing the directory will find it
-        (:meth:`_scan_entries`).  The units of ``C`` cancel: no weight.
+        The priority is the disk tier's ``H = L + F·C`` (:class:`_GreedyDual`),
+        ``F`` counting this process's store and disk reads of the entry
+        since that store.  ``H`` becomes the file's mtime and now its atime,
+        so one ``utime`` puts the entry where every process sharing the
+        directory will find it (:meth:`_scan_entries`).
         """
         with self._lock:
-            if self._inflation is None:
+            if not self._disk_scanned:
                 self._scan_entries()
-            uses = 1 if stored else self._uses.get(entry.fingerprint, 0) + 1
-            self._uses[entry.fingerprint] = uses
-            priority = self._inflation + uses * entry.search_time_s
+            priority = self._disk.use(entry.fingerprint, entry.search_time_s,
+                                      entered=stored)
         try:
             os.utime(path, (time.time(), priority))
         except OSError:  # evicted by another process since it was read
@@ -688,7 +738,8 @@ class FingerprintCache:
         lowest = next((_priority(stat) for _, stat in found
                        if _priority(stat) > -math.inf), 0.0)
         with self._lock:
-            self._inflation = max(self._inflation or 0.0, lowest)
+            self._disk.age(lowest)
+            self._disk_scanned = True
         return found
 
     def _enforce_policy_locked(self) -> Dict[str, int]:
@@ -731,9 +782,9 @@ class FingerprintCache:
                   for _, stat in entries[max(index - 1, 0):index + 1]]
         live = {path.stem for path, _ in entries[index:]}
         with self._lock:
-            self._inflation = max([self._inflation, *stamps])
-            self._uses = {fingerprint: uses for fingerprint, uses
-                          in self._uses.items() if fingerprint in live}
+            self._disk.age(*stamps)
+            self._disk.uses = {fingerprint: uses for fingerprint, uses
+                               in self._disk.uses.items() if fingerprint in live}
         self.stats.disk_expirations += expired
         self.stats.disk_evictions += evicted
         return {"expired": expired, "evicted": evicted}

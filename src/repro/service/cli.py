@@ -258,6 +258,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"persistent hits, {cache['misses']} misses "
           f"({100.0 * cache['hit_rate']:.1f}% hit rate), "
           f"{stats['cache_entries']} entries resident")
+    if cache["evictions"]:
+        print(f"cache memory tier: {cache['evictions']} evicted")
     if cache["disk_evictions"] or cache["disk_expirations"]:
         print(f"cache disk policy: {cache['disk_evictions']} evicted, "
               f"{cache['disk_expirations']} expired")

@@ -1,14 +1,15 @@
-"""The disk tier's eviction order before GreedyDual, and the replay that
-compares it with :class:`repro.service.FingerprintCache`
+"""Both cache tiers evicting by LRU — the order before GreedyDual — and the
+replay that compares it with :class:`repro.service.FingerprintCache`
 (``tests/service/test_concurrency.py::TestEvictionReplay`` and the
 ``eviction`` section of ``benchmarks/test_service_bench.py``).
 
 :func:`lru_misses` is the old order restated in plain dictionaries: an LRU
-memory tier in front of a disk tier that evicted the oldest access stamp,
-where a store or a disk read refreshed the stamp and a memory hit did not
-touch the disk.  :func:`zipf_replay` is one fixed request sequence with a
-recompute cost per entry; :func:`replay_misses` sends it through a real
-cache, searching (storing an entry of that cost) on every miss.
+memory tier in front of an LRU disk tier that evicted the oldest access
+stamp, where a store or a disk read refreshed the stamp and a memory hit did
+not touch the disk.  :func:`zipf_replay` is one fixed request sequence with
+a recompute cost per entry; :func:`replay_misses` sends it through a real
+cache, searching (storing an entry of that cost) on every miss.  Both count
+the disk reads too: requests the memory tier missed and the disk answered.
 """
 
 import random
@@ -23,23 +24,27 @@ __all__ = ["lru_misses", "zipf_replay", "replay_misses"]
 
 
 def lru_misses(sequence: Sequence[str], capacity: int,
-               max_entries: int) -> List[int]:
-    """Indices of the requests in ``sequence`` that searched under LRU."""
+               max_entries: int) -> Tuple[List[int], int]:
+    """``(indices of the requests in sequence that searched, disk reads)``
+    with both tiers LRU."""
     memory: "OrderedDict[str, None]" = OrderedDict()
     disk: "OrderedDict[str, None]" = OrderedDict()
     misses = []
+    disk_reads = 0
     for index, key in enumerate(sequence):
         if key in memory:
             memory.move_to_end(key)
             continue
-        if key not in disk:
+        if key in disk:
+            disk_reads += 1
+        else:
             misses.append(index)
         for tier, bound in ((disk, max_entries), (memory, capacity)):
             tier[key] = None
             tier.move_to_end(key)
             while len(tier) > bound:
                 tier.popitem(last=False)
-    return misses
+    return misses, disk_reads
 
 
 def zipf_replay(seed: int = 0, entries: int = 64, length: int = 1500,
@@ -56,12 +61,14 @@ def zipf_replay(seed: int = 0, entries: int = 64, length: int = 1500,
 
 
 def replay_misses(cache: FingerprintCache, sequence: Sequence[str],
-                  costs: dict) -> List[int]:
-    """Indices of the requests that missed ``cache``; each miss stores an
-    entry (a tiny graph) whose recompute cost is ``costs[key]``."""
+                  costs: dict) -> Tuple[List[int], int]:
+    """``(indices of the requests that missed cache, disk reads)``; each
+    miss stores an entry (a tiny graph) whose recompute cost is
+    ``costs[key]``."""
     builder = GraphBuilder("replay")
     graph = builder.build([builder.relu(builder.input((2, 4), name="x"))])
     misses = []
+    disk_reads = cache.stats.persistent_hits
     for index, key in enumerate(sequence):
         if cache.get(key) is None:
             misses.append(index)
@@ -70,4 +77,4 @@ def replay_misses(cache: FingerprintCache, sequence: Sequence[str],
                 final_graph=graph, initial_latency_ms=1.0,
                 final_latency_ms=1.0, initial_cost_ms=1.0, final_cost_ms=1.0,
                 optimisation_time_s=costs[key])))
-    return misses
+    return misses, cache.stats.persistent_hits - disk_reads

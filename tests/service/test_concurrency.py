@@ -348,20 +348,24 @@ class TestEvictionPolicy:
 
 
 class TestEvictionReplay:
-    def test_misses_cost_at_most_four_fifths_of_lru(self, tmp_path):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_misses_cost_at_most_seven_tenths_of_lru(self, tmp_path, seed):
         """serve_mixed's tiers (16 in memory, 48 on disk) under Zipf(1.1)
-        traffic over 64 entries: what the misses re-search, against the
-        LRU order this policy replaced."""
-        sequence, costs = zipf_replay()
+        traffic over 64 entries: what the misses re-search and how often
+        the disk is read, against both tiers evicting by LRU."""
+        sequence, costs = zipf_replay(seed)
         cache = FingerprintCache(capacity=16, cache_dir=tmp_path,
                                  policy=EvictionPolicy(max_entries=48))
-        misses = replay_misses(cache, sequence, costs)
-        oracle = lru_misses(sequence, capacity=16, max_entries=48)
+        misses, disk_reads = replay_misses(cache, sequence, costs)
+        oracle, lru_disk_reads = lru_misses(sequence, capacity=16,
+                                            max_entries=48)
         assert cache.stats.misses == len(misses)
         assert cache.persistent_usage()["entries"] == 48
         spent = sum(costs[sequence[i]] for i in misses)
         lru_spent = sum(costs[sequence[i]] for i in oracle)
-        assert spent <= 0.8 * lru_spent, (spent, lru_spent)
+        assert spent <= 0.7 * lru_spent, (spent, lru_spent)
+        # The memory tier keeps what the disk would be read for.
+        assert disk_reads < lru_disk_reads, (disk_reads, lru_disk_reads)
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,25 @@
 accounting, scheduler semantics, batch ordering and parallel/serial
 equivalence."""
 
+import functools
 import logging
+import random
 import time
+from collections import OrderedDict
 
 import pytest
 
 from repro.experiments import build_small_model
+from repro.ir import GraphBuilder
 from repro.models import MODEL_REGISTRY, build_model
 from repro.search import available_optimisers, get_optimiser
+from repro.search.result import SearchResult
 from repro.service import (CacheEntry, FingerprintCache, JobScheduler,
                            JobState, OptimisationService, OptimiserSpec,
                            QueueFullError, UnknownJobError, create_optimiser,
                            default_config, list_optimisers, optimiser_spec,
                            register_optimiser, request_fingerprint)
+from repro.service import cli
 from repro.service.cli import main as cli_main
 from repro.service.worker import JobRequest, execute_request
 
@@ -114,18 +120,6 @@ class TestFingerprintCache:
         assert cache.stats.puts == 1
         assert cache.stats.hit_rate == 0.5
 
-    def test_lru_eviction(self, mlp_graph, conv_graph, fire_graph):
-        cache = FingerprintCache(capacity=2)
-        entries = [_entry_for(g, t) for g, t in
-                   [(mlp_graph, "mlp"), (conv_graph, "conv"),
-                    (fire_graph, "fire")]]
-        for entry in entries:
-            cache.put(entry)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
-        assert cache.get(entries[0].fingerprint) is None  # oldest evicted
-        assert cache.get(entries[2].fingerprint) is not None
-
     def test_persistent_tier_survives_the_process(self, tmp_path, mlp_graph):
         entry = _entry_for(mlp_graph, "mlp")
         FingerprintCache(capacity=4, cache_dir=tmp_path).put(entry)
@@ -182,6 +176,139 @@ class TestFingerprintCache:
         assert warm.search.stats["search_time_s"] >= train_s
         assert warm.search.stats["search_time_s"] == \
             cold.search.optimisation_time_s + train_s
+
+
+def _fake_entry(fingerprint, cost=0.0):
+    """An entry whose search took ``cost`` seconds, without a search."""
+    builder = GraphBuilder("fake")
+    graph = builder.build([builder.relu(builder.input((2, 4), name="x"))])
+    return CacheEntry.from_result(fingerprint, SearchResult(
+        optimiser="taso", model=fingerprint, initial_graph=graph,
+        final_graph=graph, initial_latency_ms=1.0, final_latency_ms=1.0,
+        initial_cost_ms=1.0, final_cost_ms=1.0, optimisation_time_s=cost))
+
+
+def _resident(cache):
+    """The memory tier's fingerprints, without hit accounting."""
+    return set(cache._entries)
+
+
+class TestMemoryTier:
+    """GreedyDual-Frequency in memory: priority ``L + F·C`` (``C`` the
+    entry's ``search_time_s``, ``F`` its memory hits since it was stored or
+    promoted, ``L`` the inflation value); the lowest goes, the least
+    recently used first among equals."""
+
+    def test_at_equal_hits_the_cheaper_entry_goes_first(self):
+        cache = FingerprintCache(capacity=2)
+        for name, cost in (("dear", 0.5), ("cheap", 0.01),
+                           ("middling", 0.1)):
+            cache.put(_fake_entry(name, cost))
+        # "dear" is the least recently stored, and it stays.
+        assert _resident(cache) == {"dear", "middling"}
+
+    @pytest.mark.parametrize("hits, survivor", [(4, "dear"), (6, "cheap")])
+    def test_a_cheap_entry_hit_often_outlives_a_dear_one_hit_once(
+            self, hits, survivor):
+        cache = FingerprintCache(capacity=2)
+        cache.put(_fake_entry("dear", 0.3))
+        cache.put(_fake_entry("cheap", 0.1))
+        assert cache.get("dear") is not None
+        for _ in range(hits):
+            assert cache.get("cheap") is not None
+        # (1 + hits)·0.1 against 2·0.3: four hits lose to it, six beat it
+        # (and in both cases "cheap" is the more recent use).
+        cache.put(_fake_entry("probe", 1.0))
+        assert _resident(cache) == {survivor, "probe"}
+
+    def test_an_entry_no_longer_hit_ages_out_as_inflation_rises(self):
+        cache = FingerprintCache(capacity=2)
+        cache.put(_fake_entry("dear", 0.35))
+        stored = 0
+        while "dear" in cache:
+            # Each store evicts the previous 0.1 s entry and raises L to
+            # its priority, so each newcomer lands 0.1 higher: sooner or
+            # later above "dear".
+            cache.put(_fake_entry(f"cheap{stored}", 0.1))
+            stored += 1
+            assert stored < 20, "an idle entry must not live forever"
+        # Its cost bought it stores of cheaper entries, not residence.
+        assert stored == 5
+        assert len(cache) == 2
+
+    def test_zero_cost_entries_evict_in_exact_lru_order(self):
+        rng = random.Random(0)
+        cache = FingerprintCache(capacity=3)
+        oracle: "OrderedDict[str, None]" = OrderedDict()
+        for _ in range(300):
+            key = f"zero{rng.randrange(6)}"
+            if key in oracle:
+                oracle.move_to_end(key)
+                assert cache.get(key) is not None
+            else:
+                assert cache.get(key) is None
+                cache.put(_fake_entry(key))
+                oracle[key] = None
+                if len(oracle) > 3:
+                    oracle.popitem(last=False)
+            assert list(cache._entries) == list(oracle)
+        assert cache.stats.misses - 3 == cache.stats.evictions
+
+    def test_a_disk_promotion_enters_with_one_use(self, tmp_path):
+        cache = FingerprintCache(capacity=2, cache_dir=tmp_path)
+        cache.put(_fake_entry("a", 0.1))
+        for _ in range(5):  # F = 6, priority 0.6
+            assert cache.get("a") is not None
+        cache.put(_fake_entry("b", 1.0))
+        cache.put(_fake_entry("c", 0.55))  # "a" goes, L = 0.6, "c" at 1.15
+        assert cache.get("a") is not None  # "b" goes, L = 1.0
+        assert cache.stats.persistent_hits == 1
+        assert cache._memory.uses["a"] == 1
+        # Promoted at L + 1·0.1 = 1.1, below "c": "a" goes next (its old
+        # six uses would have put it at 1.7 and evicted "c").
+        cache.put(_fake_entry("d", 0.05))
+        assert _resident(cache) == {"c", "d"}
+        assert cache.stats.evictions == 3
+
+    def test_a_memory_hit_leaves_the_disk_alone(self, tmp_path):
+        cache = FingerprintCache(capacity=2, cache_dir=tmp_path)
+        cache.put(_fake_entry("a", 0.1))
+        path = tmp_path / "a.json"
+        stamps = (path.stat().st_atime_ns, path.stat().st_mtime_ns)
+        for _ in range(3):
+            assert cache.get("a") is not None
+        assert cache.stats.memory_hits == 3
+        assert (path.stat().st_atime_ns, path.stat().st_mtime_ns) == stamps
+
+    def test_every_eviction_is_counted(self):
+        cache = FingerprintCache(capacity=2)
+        for i in range(5):
+            cache.put(_fake_entry(f"cheap{i}", 0.1))
+        assert cache.stats.evictions == 3
+        # A newcomer enters even when worth less than everything resident,
+        # and storing a resident entry again evicts nothing.
+        cache.put(_fake_entry("probe", 0.0))
+        cache.put(_fake_entry("probe", 0.0))
+        assert "probe" in cache
+        assert cache.stats.to_dict()["evictions"] == 4
+        assert len(cache) == 2
+
+    def test_clear_resets_the_inflation_and_the_use_counts(self):
+        cache = FingerprintCache(capacity=2)
+        for i in range(3):
+            cache.put(_fake_entry(f"cheap{i}", 0.1))
+        assert cache.get("cheap2") is not None
+        assert cache._memory.inflation == 0.1
+        assert cache._memory.uses == {"cheap1": 1, "cheap2": 2}
+        cache.clear()
+        assert len(cache) == 0
+        assert cache._memory.inflation == 0.0
+        assert cache._memory.uses == {}
+        # ... and the tier then behaves as a fresh one.
+        for name, cost in (("dear", 0.5), ("cheap", 0.01),
+                           ("middling", 0.1)):
+            cache.put(_fake_entry(name, cost))
+        assert _resident(cache) == {"dear", "middling"}
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +523,21 @@ class TestOptimisationService:
             "error: unknown config key 'parallel' for optimiser 'taso'; "
             "accepted: ")
         assert capsys.readouterr().out == ""
+
+    def test_cli_reports_memory_evictions(self, monkeypatch, capsys):
+        # A one-entry memory tier: the second model's result evicts the
+        # first's.  The default tier (256 entries) evicts nothing here.
+        for capacity, line in ((1, "cache memory tier: 1 evicted"),
+                               (256, None)):
+            monkeypatch.setattr(cli, "OptimisationService", functools.partial(
+                OptimisationService, cache_capacity=capacity))
+            assert cli_main(["squeezenet", "bert", "--workers", "1",
+                             "--config", "max_iterations=2"]) == 0
+            out = capsys.readouterr().out
+            if line:
+                assert line in out
+            else:
+                assert "cache memory tier" not in out
 
     @pytest.mark.parametrize("flag", [["--router", "round_robin"],
                                       ["--processes"]],

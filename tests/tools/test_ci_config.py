@@ -9,6 +9,7 @@ requirements stanza, and the importer job wiring."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -62,6 +63,21 @@ def test_harness_output_directory_is_git_ignored():
     assert HARNESS.OUTPUT_DIR.parent == REPO_ROOT
     ignored = (REPO_ROOT / ".gitignore").read_text().splitlines()
     assert f"{HARNESS.OUTPUT_DIR.name}/" in ignored
+
+
+def test_every_recording_says_whether_blas_was_pinned(tmp_path, monkeypatch):
+    """The host block names each BLAS thread-count variable, ``""`` when
+    the run left it unset."""
+    monkeypatch.setattr(HARNESS, "OUTPUT_DIR", tmp_path)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "4")
+    HARNESS.record("probe", "section", {"value": 1.0}, smoke=True)
+    host = json.loads((tmp_path / "BENCH_probe.json").read_text())["host"]
+    assert {name: host[name] for name in HARNESS.BLAS_THREAD_VARIABLES} == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "",
+        "MKL_NUM_THREADS": "4"}
+    assert host["cores"] >= 1 and host["python"] and host["platform"]
 
 
 def test_pip_cache_key_tracks_the_requirements_file():
