@@ -61,13 +61,6 @@ class XRLflowConfig:
     hidden_dim: int = 64
     embedding_dim: int = 64
 
-    # --- performance ---------------------------------------------------------
-    #: Floating dtype of the agent and the PPO update.  ``float32`` is the
-    #: training default (half the memory traffic, faster BLAS); the nn
-    #: library default stays ``float64``, which the bit-for-bit equivalence
-    #: suites use.
-    dtype: str = "float32"
-
     seed: int = 0
 
     def to_dict(self) -> Dict[str, object]:
@@ -113,5 +106,3 @@ class XRLflowConfig:
             raise ValueError("max_candidates must be >= 1")
         if self.num_episodes < 1 or self.max_steps < 1:
             raise ValueError("num_episodes and max_steps must be >= 1")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError("dtype must be 'float32' or 'float64'")

@@ -111,15 +111,13 @@ class XRLflow:
             feature_cache=FeatureCache(edge_norm=cfg.edge_attr_norm),
         )
 
-    def _build_agent(self, dtype=None) -> XRLflowAgent:
+    def _build_agent(self) -> XRLflowAgent:
         cfg = self.config
         return XRLflowAgent(hidden_dim=cfg.hidden_dim,
                             embedding_dim=cfg.embedding_dim,
                             num_gat_layers=cfg.num_gat_layers,
                             head_sizes=cfg.mlp_head_sizes,
-                            seed=cfg.seed,
-                            dtype=dtype if dtype is not None
-                            else np.dtype(cfg.dtype))
+                            seed=cfg.seed)
 
     # ------------------------------------------------------------------
     def train(self, graph: Graph, num_episodes: Optional[int] = None,
@@ -285,9 +283,8 @@ class XRLflow:
         Builds a fresh agent from the current ``config`` (architecture
         hyper-parameters must match the saved agent's) and replaces
         :attr:`agent`; pair with ``optimise(train=False)`` to reuse it.
-        The checkpoint's floating dtype wins over ``config.dtype``, so
-        float64 agents saved before float32 became the training default
-        reload bit-exactly.
+        The agent is float32: a float32 checkpoint reloads bit-exactly, a
+        float64 one is rounded to float32 once.
 
         Parameters
         ----------
@@ -303,11 +300,5 @@ class XRLflow:
             architecture.
         """
         state = dict(np.load(path))
-        # Honour the checkpoint's precision: an agent saved in float64
-        # (e.g. before float32 became the training default) must reload
-        # bit-exactly, not be silently downcast to the config dtype.
-        saved = next(iter(state.values()), None)
-        dtype = saved.dtype if saved is not None and \
-            np.issubdtype(saved.dtype, np.floating) else None
-        self.agent = self._build_agent(dtype=dtype)
+        self.agent = self._build_agent()
         self.agent.load_state_dict(state)

@@ -29,13 +29,13 @@ batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .layers import Linear, Module, Parameter, fresh_rng
-from .tensor import Tensor, concat, get_default_dtype, segment_softmax, segment_sum
+from .tensor import Tensor, concat, segment_softmax, segment_sum
 
 __all__ = ["BatchedGraphs", "NodeUpdateLayer", "GATLayer", "GlobalUpdateLayer",
            "GraphEmbeddingNetwork"]
@@ -49,6 +49,8 @@ class BatchedGraphs:
     store).  The readout pools row ``pool_rows[i]`` into graph
     ``graph_ids[i]``; with ``pool_rows`` left ``None`` every store row is
     pooled once, in order (``graph_ids[i]`` is then the graph of node ``i``).
+    Feature arrays are float32, the encoder's one precision: they are built
+    that way (:mod:`repro.rl.features`) and read as they are.
     """
 
     node_features: np.ndarray   # [N, F_node]
@@ -64,8 +66,6 @@ class BatchedGraphs:
     #: How many of the graphs are stored as a rewrite cone only (counted by
     #: whoever built ``pool_rows``; 0 for a plain batch).
     num_cones: int = 0
-    #: Per-dtype memo of converted copies (see :meth:`cast`).
-    _cast_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -81,32 +81,6 @@ class BatchedGraphs:
     def num_pooled_rows(self) -> int:
         """Rows the readout sums: the graphs' node counts, added up."""
         return int(self.graph_ids.shape[0])
-
-    def cast(self, dtype) -> "BatchedGraphs":
-        """This batch with feature arrays in ``dtype``, memoised per dtype.
-
-        Observations are encoded once in float64 and re-used many times
-        (cached observations, PPO epochs); converting on every forward
-        would dominate a float32 run, so the converted copy is kept.
-        """
-        dtype = np.dtype(dtype)
-        if self.node_features.dtype == dtype:
-            return self
-        cached = self._cast_cache.get(dtype)
-        if cached is None:
-            cached = BatchedGraphs(
-                node_features=self.node_features.astype(dtype),
-                edge_features=self.edge_features.astype(dtype),
-                edge_src=self.edge_src,
-                edge_dst=self.edge_dst,
-                graph_ids=self.graph_ids,
-                num_graphs=self.num_graphs,
-                global_features=self.global_features.astype(dtype),
-                pool_rows=self.pool_rows,
-                num_cones=self.num_cones,
-            )
-            self._cast_cache[dtype] = cached
-        return cached
 
 
 class NodeUpdateLayer(Module):
@@ -210,7 +184,6 @@ class GraphEmbeddingNetwork(Module):
 
     def forward(self, batch: BatchedGraphs) -> Tensor:
         """Return one embedding per graph in the batch: ``[num_graphs, embedding_dim]``."""
-        batch = batch.cast(get_default_dtype())
         self.rows_encoded += batch.num_nodes
         self.rows_pooled += batch.num_pooled_rows
         nodes = Tensor(batch.node_features)

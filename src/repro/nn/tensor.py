@@ -6,18 +6,20 @@ engine provides just the operations the GNN encoder and the PPO heads need
 passing, and the reductions used by the PPO loss).  Everything is vectorised
 numpy — no Python loops over elements.
 
-Three engine-level knobs matter for performance:
+The engine has one precision, float32: ``Tensor(data)`` stores its array
+as float32, and an op's result keeps the dtype numpy computed it in.  A
+float32 run therefore stays float32 by construction; a leaf whose ``.data``
+was replaced by a float64 array carries a float64 leg through every op.
+
+Two engine-level choices matter for performance:
 
 * :func:`no_grad` — a context manager under which no autograd tape is
   recorded (rollout inference does not need gradients);
-* :func:`default_dtype` — the floating dtype new tensors are created with
-  (``float64`` by default; training runs in ``float32`` for throughput);
 * segment reductions are implemented with a single flattened
   ``np.bincount`` pass instead of ``np.add.at`` (the buffered ``ufunc.at``
-  path is notoriously slow).  Both accumulate strictly in input order, so
-  float64 results are bit-for-bit identical (``np.bincount`` always
-  accumulates in double precision, so float32 results round once at the
-  end instead of per addition).
+  path is notoriously slow).  Both add strictly in input order;
+  ``np.bincount`` accumulates in double precision and rounds once at the
+  end.
 """
 
 from __future__ import annotations
@@ -32,16 +34,12 @@ import numpy as np
 from ..core.lru import LRUCache
 
 __all__ = ["Tensor", "as_tensor", "concat", "stack", "segment_sum",
-           "segment_softmax", "segment_max", "no_grad", "is_grad_enabled",
-           "default_dtype", "get_default_dtype"]
+           "segment_softmax", "segment_max", "no_grad", "is_grad_enabled"]
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
 #: Whether newly created ops record an autograd tape (see :func:`no_grad`).
 _GRAD_ENABLED: ContextVar[bool] = ContextVar("grad_enabled", default=True)
-#: Floating dtype for newly created tensors (see :func:`default_dtype`).
-_DEFAULT_DTYPE: ContextVar[np.dtype] = ContextVar(
-    "default_dtype", default=np.dtype(np.float64))
 
 
 @contextmanager
@@ -63,29 +61,6 @@ def no_grad():
 def is_grad_enabled() -> bool:
     """Whether ops currently record an autograd tape."""
     return _GRAD_ENABLED.get()
-
-
-@contextmanager
-def default_dtype(dtype):
-    """Create all tensors inside the block with ``dtype``.
-
-    The engine default is ``float64`` (every existing equivalence suite is
-    bit-for-bit in double precision); PPO training wraps itself in
-    ``default_dtype(np.float32)`` for throughput.  Raw numpy inputs are cast
-    on :class:`Tensor` construction, so parameters, features and constants
-    all land in the same dtype and no silent promotion to ``float64``
-    happens mid-graph.
-    """
-    token = _DEFAULT_DTYPE.set(np.dtype(dtype))
-    try:
-        yield
-    finally:
-        _DEFAULT_DTYPE.reset(token)
-
-
-def get_default_dtype() -> np.dtype:
-    """The dtype new tensors are currently created with."""
-    return _DEFAULT_DTYPE.get()
 
 
 #: Memo of flattened scatter indices keyed on the *identity* of the segment
@@ -114,10 +89,9 @@ def _scatter_add_rows(values: np.ndarray, index: np.ndarray,
     Implemented as one flattened ``np.bincount`` pass (a tight C loop) in
     place of ``np.add.at``, whose buffered fancy-indexing path dispatches
     per element.  Both iterate ``i = 0..len-1`` adding into the target
-    bucket, so in float64 partial sums round identically and the results
-    are bit-for-bit equal.  (In float32, bincount accumulates in double
-    and rounds once at the end — at least as accurate, but not bit-equal
-    to per-addition float32 rounding.)
+    bucket.  bincount accumulates in double precision and rounds once to
+    ``values.dtype`` at the end, so ``np.add.at`` into a float64 buffer,
+    rounded once, is bit-for-bit the same.
     """
     if values.ndim == 1:
         out = np.bincount(index, weights=values, minlength=num_rows)
@@ -172,9 +146,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
 
-    def __init__(self, data: ArrayLike, requires_grad: bool = False, name: str = "",
-                 dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE.get())
+    def __init__(self, data: ArrayLike, requires_grad: bool = False, name: str = ""):
+        self.data = np.asarray(data, dtype=np.float32)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._backward: Optional[Callable[[np.ndarray], None]] = None
@@ -197,8 +170,7 @@ class Tensor:
         return float(self.data)
 
     def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False,
-                      dtype=self.data.dtype)
+        return Tensor._make(self.data.copy(), (), None)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -206,13 +178,17 @@ class Tensor:
     # -- graph construction ---------------------------------------------------
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        out = Tensor(data)
+              backward: Optional[Callable[[np.ndarray], None]]) -> "Tensor":
+        """An op's result: ``data`` in the dtype numpy computed it in (no
+        cast), on the tape if a parent requires grad."""
+        out = Tensor.__new__(Tensor)
+        out.data = np.asarray(data)
+        out.grad = None
+        out.name = ""
         out.requires_grad = (_GRAD_ENABLED.get()
                              and any(p.requires_grad for p in parents))
-        if out.requires_grad:
-            out._parents = tuple(parents)
-            out._backward = backward
+        out._parents = tuple(parents) if out.requires_grad else ()
+        out._backward = backward if out.requires_grad else None
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:

@@ -5,7 +5,7 @@ differ from the current graph by a handful of nodes each.  The observation
 carries them as a *delta batch* (:func:`~repro.rl.features.build_delta_batch`:
 the current graph's rows in full, each candidate as its rewrite cone), and
 :class:`~repro.nn.gnn.GraphEmbeddingNetwork` encodes that batch exactly as it
-encodes the full meta-graph — bit-for-bit in float64.  Acting therefore needs
+encodes the full meta-graph, bit for bit.  Acting therefore needs
 no encoder of its own: this module runs the one forward there is, without a
 tape, over the batch the PPO update will train on later (memoised on the
 observation, so it is assembled once).
@@ -25,7 +25,7 @@ __all__ = ["IncrementalEmbedder"]
 
 class IncrementalEmbedder:
     """``embed(observation)``: the encoder's output for an observation of the
-    environment, as a plain ndarray in the ambient default dtype.
+    environment, as a plain float32 ndarray.
 
     Counts how the graphs it embedded were stored, as
     :func:`~repro.rl.features.build_delta_batch` decided it: candidates as

@@ -8,7 +8,8 @@ global-update layer.
 
 The *meta-graph* stacks the current graph and every candidate graph into one
 :class:`~repro.nn.gnn.BatchedGraphs` so the whole state is encoded in a
-single GNN forward pass.
+single GNN forward pass.  Feature arrays are born float32, the encoder's one
+precision (edge rows are divided in float64 and rounded once).
 
 Encoding is the RL loop's hottest path — every environment step encodes the
 current graph plus up to ``max_candidates`` candidate graphs — so it is
@@ -69,7 +70,7 @@ GLOBAL_FEATURE_DIM = 1
 _EDGE_ROWS_KEY = "rl:edge_rows"
 
 _EMPTY_SRC = np.zeros(0, dtype=np.int64)
-_EMPTY_FEATS = np.zeros((0, EDGE_FEATURE_DIM))
+_EMPTY_FEATS = np.zeros((0, EDGE_FEATURE_DIM), dtype=np.float32)
 _NO_BLOCK = (_EMPTY_SRC, _EMPTY_FEATS)
 
 
@@ -150,7 +151,7 @@ def _edge_block(graph: Graph, blocks: Dict[NodeId, tuple],
 
 def _one_hot_ops(op_indices: np.ndarray) -> np.ndarray:
     """``[len(op_indices), NODE_FEATURE_DIM]`` one-hot operator rows."""
-    rows = np.zeros((op_indices.shape[0], NODE_FEATURE_DIM))
+    rows = np.zeros((op_indices.shape[0], NODE_FEATURE_DIM), dtype=np.float32)
     rows[np.arange(op_indices.shape[0]), op_indices] = 1.0
     return rows
 
@@ -196,9 +197,11 @@ def encode_graph(graph: Graph,
     if src_blocks:
         edge_src = encode_position(graph)[np.concatenate(src_blocks)]
         edge_dst = np.repeat(np.arange(n, dtype=np.int64), dst_counts)
-        edge_features = np.concatenate(feat_blocks) / edge_norm
+        # Divided in float64, rounded once to the encoder's float32.
+        edge_features = (np.concatenate(feat_blocks) / edge_norm).astype(
+            np.float32)
     else:
-        edge_features = np.zeros((0, EDGE_FEATURE_DIM))
+        edge_features = _EMPTY_FEATS
         edge_src = np.zeros(0, dtype=np.int64)
         edge_dst = np.zeros(0, dtype=np.int64)
     return GraphFeatures(node_features, edge_features, edge_src, edge_dst)
@@ -274,7 +277,8 @@ def build_meta_graph(graphs: Sequence[Graph],
                                  for f, off in zip(feats_list, offsets)]),
         graph_ids=np.repeat(np.arange(len(feats_list), dtype=np.int64), counts),
         num_graphs=len(feats_list),
-        global_features=np.zeros((len(feats_list), GLOBAL_FEATURE_DIM)),
+        global_features=np.zeros((len(feats_list), GLOBAL_FEATURE_DIM),
+                                 dtype=np.float32),
     )
 
 
@@ -384,7 +388,8 @@ def _derive_cone(graph: Graph, parent: Graph, delta: GraphDelta,
             counts[i] = srcs.shape[0]
     if src_blocks:
         cone.edge_src_pos = position[np.concatenate(src_blocks)]
-        cone.edge_feats = np.concatenate(feat_blocks) / edge_norm
+        cone.edge_feats = (np.concatenate(feat_blocks) / edge_norm).astype(
+            np.float32)
     else:
         cone.edge_src_pos = _EMPTY_SRC
         cone.edge_feats = _EMPTY_FEATS
@@ -406,7 +411,7 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
     that node — the same value in every layer.  ``pool_rows`` lists, per
     graph and in encode order, the store row of each of its nodes, so the
     encoder returns exactly the embeddings :func:`build_meta_graph`'s batch
-    gives (bit-for-bit in float64) while message passing runs over a
+    gives (bit for bit) while message passing runs over a
     fraction of the rows.  A candidate of any other lineage is stored in
     full, like the current graph; ``num_cones`` says how many were not.
     """
@@ -453,7 +458,8 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
         edge_dst=np.concatenate(dst_blocks),
         graph_ids=np.repeat(np.arange(len(graphs), dtype=np.int64), counts),
         num_graphs=len(graphs),
-        global_features=np.zeros((len(graphs), GLOBAL_FEATURE_DIM)),
+        global_features=np.zeros((len(graphs), GLOBAL_FEATURE_DIM),
+                                 dtype=np.float32),
         pool_rows=np.concatenate(pool_blocks),
         num_cones=num_cones,
     )

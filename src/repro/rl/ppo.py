@@ -33,9 +33,8 @@ Performance notes:
   and the update re-uses the batch the rollout assembled — and memoises the
   policy output per observation object (the environment returns the *same*
   observation for a re-visited state), invalidated on every weight update;
-* the agent has a ``dtype`` knob — training defaults to ``float32`` through
-  :class:`~repro.core.config.XRLflowConfig`, while ``float64`` (the library
-  default) is kept for the bit-for-bit equivalence suite.
+* the agent, its encoder and the update run at float32, the engine's one
+  precision; only the sampling distribution is normalised in float64.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from ..core.lru import LRUCache
 from ..nn.gnn import GraphEmbeddingNetwork
 from ..nn.layers import MLP, Module
 from ..nn.optim import Adam, clip_grad_norm
-from ..nn.tensor import Tensor, concat, default_dtype, no_grad
+from ..nn.tensor import Tensor, concat, no_grad
 from .buffer import RolloutBuffer
 from .embed import IncrementalEmbedder
 from .env import Observation
@@ -104,19 +103,16 @@ class XRLflowAgent(Module):
     def __init__(self, hidden_dim: int = 64, embedding_dim: int = 64,
                  num_gat_layers: int = 5,
                  head_sizes: Sequence[int] = (256, 64),
-                 seed: int = 0,
-                 dtype=np.float64):
-        self.dtype = np.dtype(dtype)
-        with default_dtype(self.dtype):
-            rng = np.random.default_rng(seed)
-            self.encoder = GraphEmbeddingNetwork(
-                node_dim=NODE_FEATURE_DIM, edge_dim=EDGE_FEATURE_DIM,
-                global_dim=GLOBAL_FEATURE_DIM, hidden_dim=hidden_dim,
-                embedding_dim=embedding_dim, num_gat_layers=num_gat_layers,
-                seed=seed)
-            head_sizes = list(head_sizes)
-            self.policy_head = MLP([2 * embedding_dim] + head_sizes + [1], rng=rng)
-            self.value_head = MLP([2 * embedding_dim] + head_sizes + [1], rng=rng)
+                 seed: int = 0):
+        rng = np.random.default_rng(seed)
+        self.encoder = GraphEmbeddingNetwork(
+            node_dim=NODE_FEATURE_DIM, edge_dim=EDGE_FEATURE_DIM,
+            global_dim=GLOBAL_FEATURE_DIM, hidden_dim=hidden_dim,
+            embedding_dim=embedding_dim, num_gat_layers=num_gat_layers,
+            seed=seed)
+        head_sizes = list(head_sizes)
+        self.policy_head = MLP([2 * embedding_dim] + head_sizes + [1], rng=rng)
+        self.value_head = MLP([2 * embedding_dim] + head_sizes + [1], rng=rng)
         self.embedding_dim = embedding_dim
         self._rng = np.random.default_rng(seed + 1)
         #: Policy output per observation *object*: id -> (observation,
@@ -150,11 +146,10 @@ class XRLflowAgent(Module):
         in full): the reference :meth:`act` and
         :meth:`evaluate_actions_batch` are held to.
         """
-        with default_dtype(self.dtype):
-            meta_graph = build_meta_graph(observation.graphs,
-                                          cache=observation.feature_cache)
-            embeddings = self.encoder(meta_graph)  # [1 + C, D]
-            return self._heads(embeddings, observation)
+        meta_graph = build_meta_graph(observation.graphs,
+                                      cache=observation.feature_cache)
+        embeddings = self.encoder(meta_graph)  # [1 + C, D]
+        return self._heads(embeddings, observation)
 
     def _heads(self, embeddings: Tensor,
                observation: Observation) -> Tuple[Tensor, Tensor]:
@@ -162,7 +157,6 @@ class XRLflowAgent(Module):
 
         Split out of :meth:`forward` so :meth:`act` can feed the delta
         batch's embeddings through the identical head computation.
-        Callers hold the ``default_dtype`` context.
         """
         num_graphs = len(observation.graphs)
         num_actions = observation.action_mask.shape[0]
@@ -213,10 +207,15 @@ class XRLflowAgent(Module):
             if entry is not None:
                 # A dead observation's id was recycled; drop the stale row.
                 self._decision_cache.pop(id(observation))
-            with no_grad(), default_dtype(self.dtype):
+            with no_grad():
                 embeddings = Tensor(self.embedder.embed(observation))
                 logits, value = self._heads(embeddings, observation)
-            probs = logits.softmax(axis=0).numpy().astype(np.float64, copy=True)
+            # ``Tensor.softmax``'s operations (shift by the max, exp, divide
+            # by the sum) in float64: a float32 distribution would change
+            # which action a seeded draw picks.
+            shifted = logits.numpy().astype(np.float64)
+            exp = np.exp(shifted - shifted.max(axis=0, keepdims=True))
+            probs = exp / exp.sum(axis=0, keepdims=True)
             probs = probs / probs.sum()
             value_f = float(value.numpy()[0])
             self._decision_cache.put(
@@ -249,103 +248,100 @@ class XRLflowAgent(Module):
         observation with exactly the shapes the single-observation path
         uses: BLAS picks different kernels for different row counts
         (``M=1`` matmuls round differently from ``M=B``), so batching the
-        *heads* would break the bit-for-bit float64 equivalence with the
+        *heads* would break the bit-for-bit equivalence with the
         one-observation-at-a-time evaluation
         (``tests/oracles/ppo_reference.py``) that the segment-kernel
         accumulation order guarantees for the encoder.
         """
-        with default_dtype(self.dtype):
-            batch_size = len(observations)
-            num_actions = observations[0].action_mask.shape[0]
-            dim = self.embedding_dim
+        batch_size = len(observations)
+        num_actions = observations[0].action_mask.shape[0]
+        dim = self.embedding_dim
 
-            # Deduplicate by object identity; transition i uses unique[slot[i]].
-            unique: List[Observation] = []
-            slots: List[int] = []
-            positions_by_id: Dict[int, int] = {}
-            for obs in observations:
-                slot = positions_by_id.get(id(obs))
-                if slot is None:
-                    slot = len(unique)
-                    positions_by_id[id(obs)] = slot
-                    unique.append(obs)
-                slots.append(slot)
+        # Deduplicate by object identity; transition i uses unique[slot[i]].
+        unique: List[Observation] = []
+        slots: List[int] = []
+        positions_by_id: Dict[int, int] = {}
+        for obs in observations:
+            slot = positions_by_id.get(id(obs))
+            if slot is None:
+                slot = len(unique)
+                positions_by_id[id(obs)] = slot
+                unique.append(obs)
+            slots.append(slot)
 
-            # Cast each observation's batch up front (built and converted
-            # once per observation, so PPO epochs re-use the arrays) and
-            # splice the already-converted blocks.
-            num_layers = self.encoder.num_gat_layers
-            pieces = [o.delta_batch(num_layers).cast(self.dtype)
-                      for o in unique]
-            combined, offsets = combine_meta_graphs(pieces)
-            embeddings = self.encoder(combined)  # [sum G_u, D]
+        # Each observation's batch is built once (memoised on it, so PPO
+        # epochs re-use the arrays); splice them.
+        num_layers = self.encoder.num_gat_layers
+        pieces = [o.delta_batch(num_layers) for o in unique]
+        combined, offsets = combine_meta_graphs(pieces)
+        embeddings = self.encoder(combined)  # [sum G_u, D]
 
-            # Group unique observations by meta-graph size.  Within a group
-            # the head MLPs run on one stacked 3-D tensor: numpy's batched
-            # matmul applies the identical per-slice kernel as the 2-D
-            # single-observation path (same M/N/K), so every slice stays
-            # bit-for-bit equal to the one-observation evaluation while the
-            # whole group costs one set of ops.
-            groups: Dict[int, List[int]] = {}
-            for u, piece in enumerate(pieces):
-                groups.setdefault(piece.num_graphs, []).append(u)
+        # Group unique observations by meta-graph size.  Within a group
+        # the head MLPs run on one stacked 3-D tensor: numpy's batched
+        # matmul applies the identical per-slice kernel as the 2-D
+        # single-observation path (same M/N/K), so every slice stays
+        # bit-for-bit equal to the one-observation evaluation while the
+        # whole group costs one set of ops.
+        groups: Dict[int, List[int]] = {}
+        for u, piece in enumerate(pieces):
+            groups.setdefault(piece.num_graphs, []).append(u)
 
-            group_logit_blocks: List[Tensor] = []
-            group_value_blocks: List[Tensor] = []
-            row_of_unique = np.empty(len(unique), dtype=np.int64)
-            row_cursor = 0
-            for count, members in groups.items():
-                k = len(members)
-                first = np.empty(k * count, dtype=np.int64)
-                second = np.empty(k * count, dtype=np.int64)
-                for j, u in enumerate(members):
-                    f, s, _ = _pair_indices(count, int(offsets[u]),
-                                            num_actions)
-                    first[j * count:(j + 1) * count] = f
-                    second[j * count:(j + 1) * count] = s
-                    row_of_unique[u] = row_cursor + j
-                row_cursor += k
-                gathered_first = embeddings.gather_rows(first) \
-                    .reshape(k, count, dim)
-                gathered_second = embeddings.gather_rows(second) \
-                    .reshape(k, count, dim)
-                pair = concat([gathered_first, gathered_second], axis=2)
-                logits = self.policy_head(pair).reshape(k, count)
-                _, _, positions = _pair_indices(count, 0, num_actions)
-                masked = logits.reshape(k * count).scatter_into(
-                    (k, num_actions),
-                    np.repeat(np.arange(k, dtype=np.int64), count),
-                    np.tile(positions, k),
-                    fill=_MASK_VALUE)
-                invalid = ~np.stack([unique[u].action_mask for u in members])
-                masked = masked + Tensor(np.where(invalid, _MASK_VALUE, 0.0))
-                group_logit_blocks.append(masked)
+        group_logit_blocks: List[Tensor] = []
+        group_value_blocks: List[Tensor] = []
+        row_of_unique = np.empty(len(unique), dtype=np.int64)
+        row_cursor = 0
+        for count, members in groups.items():
+            k = len(members)
+            first = np.empty(k * count, dtype=np.int64)
+            second = np.empty(k * count, dtype=np.int64)
+            for j, u in enumerate(members):
+                f, s, _ = _pair_indices(count, int(offsets[u]),
+                                        num_actions)
+                first[j * count:(j + 1) * count] = f
+                second[j * count:(j + 1) * count] = s
+                row_of_unique[u] = row_cursor + j
+            row_cursor += k
+            gathered_first = embeddings.gather_rows(first) \
+                .reshape(k, count, dim)
+            gathered_second = embeddings.gather_rows(second) \
+                .reshape(k, count, dim)
+            pair = concat([gathered_first, gathered_second], axis=2)
+            logits = self.policy_head(pair).reshape(k, count)
+            _, _, positions = _pair_indices(count, 0, num_actions)
+            masked = logits.reshape(k * count).scatter_into(
+                (k, num_actions),
+                np.repeat(np.arange(k, dtype=np.int64), count),
+                np.tile(positions, k),
+                fill=_MASK_VALUE)
+            invalid = ~np.stack([unique[u].action_mask for u in members])
+            masked = masked + Tensor(np.where(invalid, _MASK_VALUE, 0.0))
+            group_logit_blocks.append(masked)
 
-                # Current-graph row and mean candidate embedding per member.
-                current_rows = gathered_first[:, 0, :]          # [k, D]
-                if count > 1:
-                    mean_candidates = \
-                        gathered_second[:, :count - 1, :].mean(axis=1)
-                else:
-                    mean_candidates = current_rows
-                value_input = concat([current_rows, mean_candidates],
-                                     axis=1).reshape(k, 1, 2 * dim)
-                group_value_blocks.append(
-                    self.value_head(value_input).reshape(k))
+            # Current-graph row and mean candidate embedding per member.
+            current_rows = gathered_first[:, 0, :]          # [k, D]
+            if count > 1:
+                mean_candidates = \
+                    gathered_second[:, :count - 1, :].mean(axis=1)
+            else:
+                mean_candidates = current_rows
+            value_input = concat([current_rows, mean_candidates],
+                                 axis=1).reshape(k, 1, 2 * dim)
+            group_value_blocks.append(
+                self.value_head(value_input).reshape(k))
 
-            # Reassemble per-transition rows (duplicates reuse unique rows);
-            # log-softmax, entropy and the chosen-action gather are row-wise.
-            unique_logits = concat(group_logit_blocks, axis=0)   # [U, A]
-            unique_values = concat(group_value_blocks, axis=0)   # [U]
-            transition_rows = row_of_unique[np.asarray(slots, dtype=np.int64)]
-            logit_matrix = unique_logits.gather_rows(transition_rows)
-            log_probs = logit_matrix.log_softmax(axis=-1)        # [B, A]
-            probs = log_probs.exp()
-            entropy = -(probs * log_probs).sum(axis=1)           # [B]
-            actions = np.asarray(actions, dtype=np.int64)
-            chosen = log_probs[np.arange(batch_size), actions]   # [B]
-            values = unique_values.gather_rows(transition_rows)  # [B]
-            return chosen, values, entropy
+        # Reassemble per-transition rows (duplicates reuse unique rows);
+        # log-softmax, entropy and the chosen-action gather are row-wise.
+        unique_logits = concat(group_logit_blocks, axis=0)   # [U, A]
+        unique_values = concat(group_value_blocks, axis=0)   # [U]
+        transition_rows = row_of_unique[np.asarray(slots, dtype=np.int64)]
+        logit_matrix = unique_logits.gather_rows(transition_rows)
+        log_probs = logit_matrix.log_softmax(axis=-1)        # [B, A]
+        probs = log_probs.exp()
+        entropy = -(probs * log_probs).sum(axis=1)           # [B]
+        actions = np.asarray(actions, dtype=np.int64)
+        chosen = log_probs[np.arange(batch_size), actions]   # [B]
+        values = unique_values.gather_rows(transition_rows)  # [B]
+        return chosen, values, entropy
 
 
 @dataclass
@@ -412,14 +408,13 @@ class PPOUpdater:
         encoder = self.agent.encoder
         rows_before = (encoder.rows_encoded, encoder.rows_pooled)
 
-        with default_dtype(self.agent.dtype):
-            for _ in range(self.epochs):
-                for batch_idx in buffer.minibatches(self.batch_size, self._rng):
-                    step = self._update_batched(buffer, batch_idx,
-                                                advantages, returns)
-                    for key, value in step.items():
-                        stats[key] += value
-                    updates += 1
+        for _ in range(self.epochs):
+            for batch_idx in buffer.minibatches(self.batch_size, self._rng):
+                step = self._update_batched(buffer, batch_idx,
+                                            advantages, returns)
+                for key, value in step.items():
+                    stats[key] += value
+                updates += 1
 
         # The weights moved: memoised rollout decisions are stale.
         self.agent.invalidate_decision_cache()

@@ -1,7 +1,12 @@
-"""Numeric gradient checks and behaviour tests for the autodiff engine."""
+"""Numeric gradient checks and behaviour tests for the autodiff engine.
+
+The numeric checks difference at ``eps = 1e-6``, which float32 cannot
+resolve: they run on float64 leaves (``tests/oracles/float64_leg.py``).
+"""
 
 import numpy as np
 import pytest
+from float64_leg import leaf
 from hypothesis import given, settings, strategies as st
 
 from repro.nn import Tensor, concat, segment_softmax, segment_sum, stack
@@ -23,16 +28,17 @@ def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def check_gradient(op, x_data, atol=1e-5):
-    x = Tensor(x_data, requires_grad=True)
+    x = leaf(x_data, requires_grad=True)
     out = op(x)
     loss = out.sum() if out.data.size > 1 else out
     loss.backward()
 
     def scalar_fn(data):
-        value = op(Tensor(data)).data
+        value = op(leaf(data)).data
         return float(value.sum())
 
     expected = numeric_grad(scalar_fn, np.asarray(x_data, dtype=float))
+    assert x.grad.dtype == np.float64
     np.testing.assert_allclose(x.grad, expected, atol=atol)
 
 
@@ -41,7 +47,7 @@ class TestGradients:
         check_gradient(lambda x: x * 3.0 + x * x, np.random.default_rng(0).normal(size=(3, 4)))
 
     def test_matmul(self):
-        w = Tensor(np.random.default_rng(1).normal(size=(4, 2)))
+        w = leaf(np.random.default_rng(1).normal(size=(4, 2)))
         check_gradient(lambda x: x @ w, np.random.default_rng(0).normal(size=(3, 4)))
 
     def test_relu_tanh_sigmoid_exp(self):
@@ -114,7 +120,10 @@ class TestSegmentOps:
         ids = np.array([0, 0, 1, 1])
         out = segment_softmax(logits, ids, 2)
         sums = segment_sum(out, ids, 2)
-        np.testing.assert_allclose(sums.data, np.ones((2, 1)), atol=1e-9)
+        assert sums.data.dtype == np.float32
+        np.testing.assert_allclose(sums.data, np.ones((2, 1)), atol=1e-6)
+        wide = segment_sum(segment_softmax(leaf(logits.data), ids, 2), ids, 2)
+        np.testing.assert_allclose(wide.data, np.ones((2, 1)), atol=1e-9)
 
     def test_segment_softmax_gradients_flow(self):
         logits = Tensor(np.random.default_rng(0).normal(size=(5, 1)), requires_grad=True)
@@ -122,6 +131,24 @@ class TestSegmentOps:
         (segment_softmax(logits, ids, 2) * np.arange(5).reshape(5, 1)).sum().backward()
         assert logits.grad is not None
         assert np.isfinite(logits.grad).all()
+
+
+class TestOnePrecision:
+    def test_a_tensor_stores_float32_and_takes_no_dtype(self):
+        assert Tensor(np.ones(3, dtype=np.float64)).data.dtype == np.float32
+        assert Tensor([1, 2]).data.dtype == np.float32
+        with pytest.raises(TypeError, match="dtype"):
+            Tensor(np.ones(3), dtype=np.float64)
+
+    def test_an_op_result_keeps_the_dtype_numpy_computed(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        assert (x * 0.5 + x).exp().sum().data.dtype == np.float32
+        wide = leaf(np.ones((2, 3)), requires_grad=True)
+        out = (wide @ Tensor(np.ones((3, 2)))).relu().sum()
+        assert out.data.dtype == np.float64
+        assert wide.detach().data.dtype == np.float64
+        out.backward()
+        assert wide.grad.dtype == np.float64
 
 
 class TestBackwardMechanics:

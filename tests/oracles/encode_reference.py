@@ -4,7 +4,8 @@
 ``TestDeltaBatch`` and the composite rollout test).
 
 The original one-shot encoder: Python loops over every node and edge, no
-per-node blocks, no memo on the graph.  The vectorised, block-caching
+per-node blocks, no memo on the graph, everything in float64 and rounded
+once to the encoder's float32 at the end.  The vectorised, block-caching
 encoder must return bit-for-bit the same arrays.
 """
 
@@ -51,7 +52,8 @@ def reference_encode_graph(graph: Graph,
         edge_features = np.zeros((0, EDGE_FEATURE_DIM))
         edge_src = np.zeros(0, dtype=np.int64)
         edge_dst = np.zeros(0, dtype=np.int64)
-    return GraphFeatures(node_features, edge_features, edge_src, edge_dst)
+    return GraphFeatures(node_features.astype(np.float32),
+                         edge_features.astype(np.float32), edge_src, edge_dst)
 
 
 def reference_meta_graph(graphs: Sequence[Graph],
@@ -71,5 +73,6 @@ def reference_meta_graph(graphs: Sequence[Graph],
             [np.full(f.num_nodes, i, dtype=np.int64)
              for i, f in enumerate(feats)]),
         num_graphs=len(feats),
-        global_features=np.zeros((len(feats), GLOBAL_FEATURE_DIM)),
+        global_features=np.zeros((len(feats), GLOBAL_FEATURE_DIM),
+                                 dtype=np.float32),
     )

@@ -4,7 +4,8 @@ in (``monkeypatch.setattr(repro.nn.tensor, "_scatter_add_rows", add_at_rows)``)
 by the composite rollout test there.
 
 Both kernels add ``values[i]`` into row ``index[i]`` for ``i = 0..len-1`` in
-that order, so float64 results must be bit-for-bit equal.
+that order, in double precision, and round once to ``values.dtype``, so
+their results must be bit-for-bit equal in float32 and float64 alike.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ __all__ = ["add_at_rows"]
 
 def add_at_rows(values: np.ndarray, index: np.ndarray,
                 num_rows: int) -> np.ndarray:
-    """``out[index[i]] += values[i]`` through the buffered ``ufunc.at``."""
-    out = np.zeros((num_rows,) + values.shape[1:], dtype=values.dtype)
+    """``out[index[i]] += values[i]`` through the buffered ``ufunc.at``,
+    accumulated in float64 and rounded once."""
+    out = np.zeros((num_rows,) + values.shape[1:], dtype=np.float64)
     np.add.at(out, index, values)
-    return out
+    return out.astype(values.dtype)

@@ -68,8 +68,9 @@ class TestRegistry:
         # **kwargs forwarded to the base: greedy and pet take what taso does.
         assert optimiser_spec("greedy").accepted == taso
         assert optimiser_spec("pet").accepted == taso
-        assert {"num_episodes", "dtype", "e2e"} \
-            <= optimiser_spec("xrlflow").accepted
+        assert {"num_episodes", "e2e"} <= optimiser_spec("xrlflow").accepted
+        # The learning stack has one precision: no ``dtype`` key.
+        assert "dtype" not in optimiser_spec("xrlflow").accepted
         for name in list_optimisers():
             spec = optimiser_spec(name)
             spec.check_config(spec.defaults)
@@ -510,9 +511,10 @@ class TestOptimisationService:
                             f"unknown config key '{key}' for optimiser "
                             f"'{optimiser}'")):
                         service.submit(mlp_graph, optimiser, {key: value})
-            for key in ("bogus", "incremental"):
+            for key, value in (("bogus", 1), ("incremental", 1),
+                               ("dtype", "float64")):
                 with pytest.raises(ValueError, match=f"'{key}'.*'xrlflow'"):
-                    service.submit(mlp_graph, "xrlflow", {key: 1})
+                    service.submit(mlp_graph, "xrlflow", {key: value})
             assert not any(service.stats()["jobs"].values())  # none admitted
 
     def test_cli_refuses_an_unknown_config_key(self, capsys):

@@ -31,9 +31,10 @@ def rows(recorded):
 
 
 def test_records_every_non_random_search_row(rows):
-    # search_cold: two TASO rows and a Tensat one; serve_mixed: a 2 x 2
-    # catalogue whose first two entries are its cold rows; exec_verify: two.
-    assert len(rows) == 3 + 4 + 2
+    # search_cold: two TASO rows and a Tensat one; rl_train: one X-RLflow
+    # row; serve_mixed: a 2 x 2 catalogue whose first two entries are its
+    # cold rows; exec_verify: two.
+    assert len(rows) == 3 + 1 + 4 + 2
     assert {key.split("/")[0] for key in rows} == set(trajectories.WORKLOADS)
     assert not any("random" in key for key in rows)
     row = rows["search_cold/taso:squeezenet[max_iterations=10]"]
@@ -42,6 +43,34 @@ def test_records_every_non_random_search_row(rows):
     assert sum(row["histogram"].values()) > 10
     assert row["stats"]["candidates_materialised"] \
         < row["stats"]["candidates_evaluated"]
+    assert "episodes" not in row
+
+
+def test_an_xrlflow_row_records_its_training(rows):
+    (key,) = [key for key in rows if key.startswith("rl_train/")]
+    row = rows[key]
+    assert len(row["episodes"]) == row["stats"]["episodes_trained"] == 2.0
+    for episode in row["episodes"]:
+        float.fromhex(episode["total_reward_hex"])
+        assert isinstance(episode["applied_rules"], list)
+    assert row["update_stats"] and "policy_loss" in row["update_stats"][0]
+    # Wall-clock stats would differ on every run.
+    assert "train_time_s" not in row["stats"]
+
+
+def test_a_changed_reward_or_update_stat_fails(rows):
+    (key,) = [key for key in rows if key.startswith("rl_train/")]
+    changed = copy.deepcopy(rows)
+    episode = changed[key]["episodes"][-1]
+    episode["total_reward_hex"] = (
+        float.fromhex(episode["total_reward_hex"]) + 1e-12).hex()
+    failures, _, _ = trajectories.compare(rows, changed)
+    assert failures == [f"{key}: training episodes differ "
+                        "(a total reward or the rules applied)"]
+    changed = copy.deepcopy(rows)
+    changed[key]["update_stats"][0]["grad_norm"] += 1e-12
+    failures, _, _ = trajectories.compare(rows, changed)
+    assert failures == [f"{key}: PPO update stats differ"]
 
 
 def test_a_second_recording_compares_clean(recorded, rows, tmp_path, capsys):
@@ -51,7 +80,7 @@ def test_a_second_recording_compares_clean(recorded, rows, tmp_path, capsys):
     capsys.readouterr()
     assert trajectories.main(["--compare", str(recorded), str(again)]) == 0
     assert capsys.readouterr().out.strip() == (
-        "9 rows compared, 0 differ, 0 failures; rows per field: none")
+        "10 rows compared, 0 differ, 0 failures; rows per field: none")
 
 
 def test_what_is_reported_and_what_fails(rows):

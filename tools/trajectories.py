@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""What every search row of xbench does, written down and compared.
+"""What every search and training row of xbench does, written down and compared.
 
-A perf change to the search stack has to show it searches as before.  This
-runs every non-random search row of xbench's ``search_cold``, ``serve_mixed``
-(cold rows and catalogue) and ``exec_verify`` workloads once, in process,
-through ``create_optimiser`` — no service, no timing — and records per row
-the applied rules, the exact final cost, the final latency, the final
-graph's op histogram and the optimiser's ``stats``::
+A perf change to the search or learning stack has to show it searches and
+trains as before.  This runs every non-random row of xbench's
+``search_cold``, ``rl_train``, ``serve_mixed`` (cold rows and catalogue) and
+``exec_verify`` workloads once, in process, through ``create_optimiser`` —
+no service, no timing — and records per row the applied rules, the exact
+final cost, the final latency, the final graph's op histogram and the
+optimiser's ``stats`` (wall-clock ones, ``*_s``, left out).  An X-RLflow row
+also records its training: each episode's total reward (as hex) and applied
+rules, and every PPO update's stats::
 
     python tools/trajectories.py change.json
     python tools/trajectories.py --root ../parent-checkout parent.json
@@ -15,10 +18,11 @@ graph's op histogram and the optimiser's ``stats``::
 ``--root`` names the checkout whose ``src/`` and ``xbench/`` are imported
 (default: the one this file lives in), so one copy of the tool writes both
 sides.  ``--compare`` prints which rows differ in what and exits 1 when a
-row is missing, a final op histogram differs or a final latency differs by
-more than 1e-12 relative: last-bit cost differences, reordered rules and
-moved counters are reported, not failed.  ``--smoke`` takes the two-model
-sketch of every workload (the unit tests' size).
+row is missing, a final op histogram differs, a final latency differs by
+more than 1e-12 relative, or a training episode or PPO update stat differs
+at all: last-bit cost differences, reordered rules and moved counters are
+reported, not failed.  ``--smoke`` takes the two-model sketch of every
+workload (the unit tests' size).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Any, Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-WORKLOADS = ("search_cold", "serve_mixed", "exec_verify")
+WORKLOADS = ("search_cold", "rl_train", "serve_mixed", "exec_verify")
 
 #: Largest relative difference of two final latencies that is still "equal".
 LATENCY_TOLERANCE = 1e-12
@@ -58,15 +62,24 @@ def record(smoke: bool = False) -> Dict[str, Dict[str, Any]]:
     from repro.service.registry import create_optimiser
     out: Dict[str, Dict[str, Any]] = {}
     for key, row in rows_of(smoke).items():
-        result = create_optimiser(row.optimiser, **dict(row.config)).optimise(
-            row.build())
+        optimiser = create_optimiser(row.optimiser, **dict(row.config))
+        result = optimiser.optimise(row.build())
         out[key] = {
             "applied_rules": list(result.applied_rules),
             "final_cost_hex": float(result.final_cost_ms).hex(),
             "final_latency_ms": result.final_latency_ms,
             "histogram": result.final_graph.op_type_counts(),
-            "stats": dict(result.stats),
+            "stats": {stat: value for stat, value in result.stats.items()
+                      if not stat.endswith("_s")},
         }
+        history = getattr(optimiser, "history", None)
+        if history is not None:
+            out[key]["episodes"] = [
+                {"total_reward_hex": float(episode.total_reward).hex(),
+                 "applied_rules": list(episode.applied_rules)}
+                for episode in history.episodes]
+            out[key]["update_stats"] = [dict(update)
+                                        for update in history.update_stats]
     return out
 
 
@@ -97,6 +110,11 @@ def compare(before: Dict[str, Dict[str, Any]],
                             f"relative (> {LATENCY_TOLERANCE:g})")
         elif drift:
             differs.append(f"final_latency_ms by {drift:.3g} relative")
+        if old.get("episodes") != new.get("episodes"):
+            failures.append(f"{key}: training episodes differ "
+                            "(a total reward or the rules applied)")
+        if old.get("update_stats") != new.get("update_stats"):
+            failures.append(f"{key}: PPO update stats differ")
         if old["final_cost_hex"] != new["final_cost_hex"]:
             drift = _relative(float.fromhex(old["final_cost_hex"]),
                               float.fromhex(new["final_cost_hex"]))
