@@ -192,7 +192,10 @@ class XRLflow:
         SearchResult
             Best graph with end-to-end latencies, applied rules, and
             training diagnostics (``train_time_s``, ``episodes_trained``,
-            ``mean_recent_reward``) under ``stats``.
+            ``mean_recent_reward``) under ``stats``.  ``policy_speedup``
+            and ``policy_rules`` (a count) are what the deterministic
+            evaluation episodes alone reached, without training
+            exploration's best graph.
             ``optimisation_time_s`` covers only the evaluation episodes;
             training cost is reported separately in ``stats``.
         """
@@ -226,6 +229,7 @@ class XRLflow:
                         best_graph = env.best_graph
                         best_rules = list(env.best_rules)
                 optimisation_time = opt_elapsed()
+            policy_latency, policy_rules = best_latency, len(best_rules)
 
             # Also consider the best graph discovered during training
             # exploration (its latency was measured as part of the reward).
@@ -244,6 +248,11 @@ class XRLflow:
             # Observation-encode cache effectiveness (the evaluation env's;
             # the training env's is in ``history.update_stats``).
             "encode_cache_hit_rate": env.encode_cache_stats()["hit_rate"],
+            # The deterministic policy's own result, before training
+            # exploration's best is merged in.
+            "policy_speedup": (initial_latency / policy_latency
+                               if policy_latency > 0 else 1.0),
+            "policy_rules": float(policy_rules),
         }
         return SearchResult(
             optimiser=self.name,

@@ -1,15 +1,16 @@
 """numpy autodiff engine, dense layers, GNN layers and optimisers."""
 
-from .tensor import (Tensor, as_tensor, concat, is_grad_enabled, no_grad,
-                     segment_max, segment_softmax, segment_sum, stack)
+from .tensor import (Tensor, as_tensor, concat, delta_segment_sum,
+                     is_grad_enabled, no_grad, segment_max, segment_softmax,
+                     segment_sum, stack)
 from .layers import Linear, MLP, Module, Parameter, fresh_rng
 from .optim import Adam, SGD, clip_grad_norm
 from .gnn import (BatchedGraphs, GATLayer, GlobalUpdateLayer,
                   GraphEmbeddingNetwork, NodeUpdateLayer)
 
 __all__ = [
-    "Tensor", "as_tensor", "concat", "stack", "segment_sum", "segment_softmax",
-    "segment_max",
+    "Tensor", "as_tensor", "concat", "stack", "segment_sum",
+    "delta_segment_sum", "segment_softmax", "segment_max",
     "no_grad", "is_grad_enabled",
     "Linear", "MLP", "Module", "Parameter", "fresh_rng",
     "Adam", "SGD", "clip_grad_norm",

@@ -14,17 +14,18 @@ All layers operate on a :class:`BatchedGraphs` structure so that the current
 graph and every rewrite candidate (the "meta-graph") are encoded in a single
 forward pass.
 
-A batch is a *row store* plus, optionally, the list of store rows each graph
-pools (``pool_rows``).  A plain meta-graph stores every graph's rows once and
-pools them in order — the identity case, ``pool_rows is None``.  A *delta
-batch* (:func:`repro.rl.features.build_delta_batch`) stores a rewrite
-candidate's cone only: the candidate's other rows are its parent's rows, so
-the edges of its cone read them straight out of the parent's block and its
-pooling list points back at them.  Message passing is the same code either
-way — rows, edges into rows — and only the readout gathers ``pool_rows``
-first, which rebuilds each graph's full row list in encode order, so every
-per-graph sum accumulates the same values in the same order as in the plain
-batch.
+A batch is a *row store* plus the readout's entries: signed store rows per
+graph, and for each graph the parent whose sum it starts from.  A plain
+meta-graph stores every graph's rows once and pools each of them with sign
+``+1``, no graph having a parent.  A *delta batch*
+(:func:`repro.rl.features.build_delta_batch`) stores a rewrite candidate's
+cone only: the candidate's other rows are its parent's rows, so the edges of
+its cone read them straight out of the parent's block, and its readout
+entries are its cone rows (``+1``) and the parent rows it no longer holds as
+they are (``-1``).  Message passing is the same code either way — rows,
+edges into rows — and so is the readout, one
+:func:`~repro.nn.tensor.delta_segment_sum`: a float64 sum, rounded once,
+which is the same float32 sum as over each graph's full row list.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .layers import Linear, Module, Parameter, fresh_rng
-from .tensor import Tensor, concat, segment_softmax, segment_sum
+from .tensor import (Tensor, concat, delta_segment_sum, segment_softmax,
+                     segment_sum)
 
 __all__ = ["BatchedGraphs", "NodeUpdateLayer", "GATLayer", "GlobalUpdateLayer",
            "GraphEmbeddingNetwork"]
@@ -46,9 +48,11 @@ class BatchedGraphs:
     """A batch of graphs flattened into single node/edge arrays.
 
     ``edge_src`` / ``edge_dst`` index into the flattened node array (the row
-    store).  The readout pools row ``pool_rows[i]`` into graph
-    ``graph_ids[i]``; with ``pool_rows`` left ``None`` every store row is
-    pooled once, in order (``graph_ids[i]`` is then the graph of node ``i``).
+    store).  Readout entry ``i`` adds ``pool_signs[i]`` times store row
+    ``pool_rows[i]`` to graph ``graph_ids[i]``, whose sum starts from that
+    of graph ``parents[g]`` (``-1``: from zero).  Left ``None``, the readout
+    fields describe a plain batch: ``graph_ids[i]`` is the graph of store
+    row ``i``, pooled once with sign ``+1``, and no graph has a parent.
     Feature arrays are float32, the encoder's one precision: they are built
     that way (:mod:`repro.rl.features`) and read as they are.
     """
@@ -57,15 +61,29 @@ class BatchedGraphs:
     edge_features: np.ndarray   # [E, F_edge]
     edge_src: np.ndarray        # [E]
     edge_dst: np.ndarray        # [E]
-    graph_ids: np.ndarray       # [N]
+    graph_ids: np.ndarray       # [P]
     num_graphs: int
     global_features: np.ndarray  # [G, F_global]
-    #: Store rows the readout pools, aligned with ``graph_ids`` ([P]); a row
-    #: may appear under several graphs.  ``None``: all rows, in order.
-    pool_rows: Optional[np.ndarray] = None
+    pool_rows: Optional[np.ndarray] = None   # [P]
+    pool_signs: Optional[np.ndarray] = None  # [P], float64 +-1
+    parents: Optional[np.ndarray] = None     # [G]
+    #: Node count of each graph ([G]): what the readout's mean divides by.
+    graph_sizes: Optional[np.ndarray] = None
     #: How many of the graphs are stored as a rewrite cone only (counted by
-    #: whoever built ``pool_rows``; 0 for a plain batch).
+    #: whoever built the readout entries; 0 for a plain batch).
     num_cones: int = 0
+
+    def __post_init__(self) -> None:
+        if self.pool_rows is None:
+            self.pool_rows = np.arange(self.graph_ids.shape[0],
+                                       dtype=np.int64)
+        if self.pool_signs is None:
+            self.pool_signs = np.ones(self.pool_rows.shape[0])
+        if self.parents is None:
+            self.parents = np.full(self.num_graphs, -1, dtype=np.int64)
+        if self.graph_sizes is None:
+            self.graph_sizes = np.bincount(self.graph_ids,
+                                           minlength=self.num_graphs)
 
     @property
     def num_nodes(self) -> int:
@@ -79,8 +97,8 @@ class BatchedGraphs:
 
     @property
     def num_pooled_rows(self) -> int:
-        """Rows the readout sums: the graphs' node counts, added up."""
-        return int(self.graph_ids.shape[0])
+        """Rows the graphs hold: their node counts, added up."""
+        return int(self.graph_sizes.sum())
 
 
 class NodeUpdateLayer(Module):
@@ -144,12 +162,12 @@ class GlobalUpdateLayer(Module):
         self.linear = Linear(node_dim + global_dim, out_dim, rng=rng)
 
     def forward(self, batch: BatchedGraphs, nodes: Tensor) -> Tensor:
-        if batch.pool_rows is not None:
-            nodes = nodes.gather_rows(batch.pool_rows)
-        pooled = segment_sum(nodes, batch.graph_ids, batch.num_graphs)
+        pooled = delta_segment_sum(nodes, batch.pool_rows, batch.pool_signs,
+                                   batch.graph_ids, batch.parents,
+                                   batch.num_graphs)
         # Normalise by node count so large graphs do not dominate numerically.
-        counts = np.bincount(batch.graph_ids, minlength=batch.num_graphs).astype(np.float64)
-        counts = np.maximum(counts, 1.0).reshape(-1, 1)
+        counts = np.maximum(batch.graph_sizes.astype(np.float64), 1.0)
+        counts = counts.reshape(-1, 1)
         pooled = pooled * Tensor(1.0 / counts)
         combined = concat([pooled, Tensor(batch.global_features)], axis=1)
         if batch.num_graphs == 1:
@@ -175,8 +193,8 @@ class GraphEmbeddingNetwork(Module):
         self.hidden_dim = hidden_dim
         self.embedding_dim = embedding_dim
         self.num_gat_layers = num_gat_layers
-        #: Rows pushed through message passing / summed by the readout over
-        #: every forward so far.  Equal on a plain batch; a delta batch
+        #: Rows pushed through message passing / held by the pooled graphs
+        #: over every forward so far.  Equal on a plain batch; a delta batch
         #: encodes a fraction of what it pools (``PPOUpdateStats`` reports
         #: the pair per update).
         self.rows_encoded = 0

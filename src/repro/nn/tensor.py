@@ -34,7 +34,8 @@ import numpy as np
 from ..core.lru import LRUCache
 
 __all__ = ["Tensor", "as_tensor", "concat", "stack", "segment_sum",
-           "segment_softmax", "segment_max", "no_grad", "is_grad_enabled"]
+           "delta_segment_sum", "segment_softmax", "segment_max", "no_grad",
+           "is_grad_enabled"]
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
@@ -494,6 +495,47 @@ def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     def backward(grad):
         values._accumulate(np.asarray(grad)[segment_ids])
     return Tensor._make(out_data, (values,), backward)
+
+
+def delta_segment_sum(values: Tensor, rows: np.ndarray, signs: np.ndarray,
+                      segment_ids: np.ndarray, parents: np.ndarray,
+                      num_segments: int) -> Tensor:
+    """Per-segment sums of signed rows, each on top of its parent's sum.
+
+    Entry ``i`` adds ``signs[i] * values[rows[i]]`` to segment
+    ``segment_ids[i]``; a segment with ``parents[s] >= 0`` also inherits
+    the whole sum of segment ``parents[s]``, which has no parent of its own.
+    That is how a graph stored as a delta against another is pooled: the
+    parent's sum, minus the parent rows it no longer holds as they are
+    (signs ``-1``), plus its own rows.  With every sign ``+1`` and no parent
+    this is :func:`segment_sum` of ``values[rows]``.
+
+    Both passes accumulate in float64 and round once to ``values``' dtype.
+    A float64 sum of float32 values is exact unless the values of one column
+    span about 2**21 in magnitude, so "parent − old + new" rounds to the same
+    float32 as summing the segment's full row list in any order.  The
+    backward mirrors it: a segment's gradient reaches its own entries and
+    those of its parent.
+    """
+    values = as_tensor(values)
+    rows = np.asarray(rows, dtype=np.int64)
+    signs = np.asarray(signs, dtype=np.float64).reshape(-1, 1)
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    parents = np.asarray(parents, dtype=np.int64)
+    inherit = parents >= 0
+    ancestors = parents[inherit]
+    wide = _scatter_add_rows(values.data[rows] * signs, segment_ids,
+                             num_segments)
+    wide[inherit] += wide[ancestors]
+    num_rows = values.data.shape[0]
+
+    def backward(grad):
+        wide_grad = np.asarray(grad, dtype=np.float64)
+        wide_grad = wide_grad + _scatter_add_rows(
+            wide_grad[inherit], ancestors, num_segments)
+        values._accumulate(_scatter_add_rows(
+            wide_grad[segment_ids] * signs, rows, num_rows))
+    return Tensor._make(wide.astype(values.data.dtype), (values,), backward)
 
 
 def segment_max(values: np.ndarray, segment_ids: np.ndarray,

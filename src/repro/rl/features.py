@@ -285,32 +285,33 @@ def build_meta_graph(graphs: Sequence[Graph],
 class RewriteCone:
     """What one rewrite can change in a candidate's encoding, as structure.
 
-    Everything is row positions in the candidate's :func:`encode_order`
-    (``n`` rows) or in its ``delta_parent()``'s; nothing depends on weights,
-    so one derivation serves every delta batch the graph appears in.
+    Every array is as long as the cone, its in-edges or the parent rows it
+    replaces — none as long as the graph.  Rows are indices into the cone
+    or rows of the ``delta_parent()``'s :func:`encode_order`; nothing
+    depends on weights, so one derivation serves every delta batch the graph
+    appears in.
     """
 
-    __slots__ = ("delta", "order", "mapped", "unchanged", "cone_pos",
-                 "op_indices", "edge_src_pos", "edge_feats", "segments")
+    __slots__ = ("delta", "cone_ids", "op_indices", "edge_src", "src_in_cone",
+                 "edge_feats", "segments", "minus_rows")
 
     #: The ``GraphDelta`` this was derived from (the memo's validity token).
     delta: GraphDelta
-    #: ``[n]`` the candidate's node ids, ascending.
-    order: np.ndarray
-    #: ``[n]`` each row's row in the parent (0 for added nodes: they are in
-    #: the cone, so the parent's row is never used).
-    mapped: np.ndarray
-    #: The delta is empty: same rows as the parent, in the same order.
-    unchanged: bool
-    #: ``[c]`` cone rows, ascending; ``op_indices`` their operator indices.
-    cone_pos: np.ndarray
+    #: ``[c]`` the cone's node ids, ascending; ``op_indices`` their operator
+    #: indices.
+    cone_ids: np.ndarray
     op_indices: np.ndarray
-    #: In-edges of the cone rows, each destination's block contiguous and in
-    #: slot order: source row, normalised shape features, and destination as
-    #: an index into ``cone_pos``.
-    edge_src_pos: np.ndarray
+    #: In-edges of the cone nodes, each destination's block contiguous and in
+    #: slot order: the source (an index into ``cone_ids`` where
+    #: ``src_in_cone``, else the source's row in the parent), normalised
+    #: shape features, and the destination as an index into ``cone_ids``.
+    edge_src: np.ndarray
+    src_in_cone: np.ndarray
     edge_feats: np.ndarray
     segments: np.ndarray
+    #: Parent rows the candidate no longer holds as they are: its removed
+    #: nodes and the old rows of its cone nodes.
+    minus_rows: np.ndarray
 
 
 def rewrite_cone(graph: Graph, num_layers: int,
@@ -361,21 +362,16 @@ def _derive_cone(graph: Graph, parent: Graph, delta: GraphDelta,
 
     cone = RewriteCone()
     cone.delta = delta
-    cone.order = order = encode_order(graph)
-    n = order.shape[0]
-    position = encode_position(graph)
-    # Ids are monotonic: a child id below the parent's bound existed in the
+    cone.cone_ids = cone_ids = np.sort(np.fromiter(
+        spread, dtype=np.int64, count=len(spread)))
+    cone.op_indices = graph.op_index_table()[cone_ids]
+    # Ids are monotonic: a cone id below the parent's bound existed in the
     # parent, anything above was added by the rewrite.
     parent_position = encode_position(parent)
-    cone.mapped = mapped = np.zeros(n, dtype=np.int64)
-    in_parent = order < parent_position.shape[0]
-    mapped[in_parent] = parent_position[order[in_parent]]
-    cone.unchanged = not (delta.removed or dirty)
-
-    cone.cone_pos = np.sort(position[np.fromiter(
-        spread, dtype=np.int64, count=len(spread))])
-    cone_ids = order[cone.cone_pos]
-    cone.op_indices = graph.op_index_table()[cone_ids]
+    removed = np.fromiter(delta.removed, dtype=np.int64,
+                          count=len(delta.removed))
+    old = cone_ids[cone_ids < parent_position.shape[0]]
+    cone.minus_rows = parent_position[np.concatenate([removed, old])]
     blocks = graph.node_cache(_EDGE_ROWS_KEY)
     src_blocks: List[np.ndarray] = []
     feat_blocks: List[np.ndarray] = []
@@ -387,11 +383,18 @@ def _derive_cone(graph: Graph, parent: Graph, delta: GraphDelta,
             feat_blocks.append(feats)
             counts[i] = srcs.shape[0]
     if src_blocks:
-        cone.edge_src_pos = position[np.concatenate(src_blocks)]
+        # A source outside the cone is a surviving node the rewrite left
+        # alone: it has its parent row.  Added nodes are all in the cone.
+        srcs = np.concatenate(src_blocks)
+        local = np.searchsorted(cone_ids, srcs)
+        in_cone = cone_ids[np.minimum(local, cone_ids.shape[0] - 1)] == srcs
+        local[~in_cone] = parent_position[srcs[~in_cone]]
+        cone.edge_src, cone.src_in_cone = local, in_cone
         cone.edge_feats = (np.concatenate(feat_blocks) / edge_norm).astype(
             np.float32)
     else:
-        cone.edge_src_pos = _EMPTY_SRC
+        cone.edge_src = _EMPTY_SRC
+        cone.src_in_cone = np.zeros(0, dtype=bool)
         cone.edge_feats = _EMPTY_FEATS
     cone.segments = np.repeat(
         np.arange(counts.shape[0], dtype=np.int64), counts)
@@ -408,20 +411,29 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
     :func:`rewrite_cone` rows for an encoder of ``num_layers`` GAT layers.
     A cone row's in-edges point at the candidate's other cone rows or, for
     every source the rewrite left alone, at the current graph's row for
-    that node — the same value in every layer.  ``pool_rows`` lists, per
-    graph and in encode order, the store row of each of its nodes, so the
-    encoder returns exactly the embeddings :func:`build_meta_graph`'s batch
-    gives (bit for bit) while message passing runs over a
-    fraction of the rows.  A candidate of any other lineage is stored in
-    full, like the current graph; ``num_cones`` says how many were not.
+    that node — the same value in every layer.  The readout pools a
+    candidate as its parent's sum (``parents``), minus the parent rows it
+    no longer holds as they are (its removed nodes and the old rows of its
+    cone nodes, sign ``-1``), plus its cone rows (``+1``), so the encoder
+    returns exactly the embeddings :func:`build_meta_graph`'s batch gives
+    (bit for bit, see :func:`~repro.nn.tensor.delta_segment_sum`) while
+    message passing and the readout run over a fraction of the rows.  A
+    candidate of any other lineage is stored in full, like the current
+    graph; ``num_cones`` says how many were not.
     """
     if cache is not None:
         edge_norm = cache.edge_norm
     current = graphs[0]
-    op_blocks, feat_blocks, src_blocks, dst_blocks, pool_blocks = \
+    num_graphs = len(graphs)
+    op_blocks, feat_blocks, src_blocks, local_blocks, dst_blocks = \
         [], [], [], [], []
-    rows = num_cones = 0
-    for graph in graphs:
+    minus_blocks = []
+    stored = np.empty(num_graphs, dtype=np.int64)
+    minus_counts = np.zeros(num_graphs, dtype=np.int64)
+    parents = np.full(num_graphs, -1, dtype=np.int64)
+    # Per graph, only appends: the blocks are offset and joined with a few
+    # array ops at the end, not a dozen small ones per candidate.
+    for index, graph in enumerate(graphs):
         cone = rewrite_cone(graph, num_layers, edge_norm) \
             if graph is not current and graph.delta_parent() is current \
             else None
@@ -430,38 +442,49 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
                 else encode_graph(graph, edge_norm)
             op_blocks.append(graph.op_index_table()[encode_order(graph)])
             feat_blocks.append(feats.edge_features)
-            src_blocks.append(feats.edge_src + rows)
-            dst_blocks.append(feats.edge_dst + rows)
-            pool_blocks.append(
-                np.arange(rows, rows + feats.num_nodes, dtype=np.int64))
-            rows += feats.num_nodes
+            src_blocks.append(feats.edge_src)
+            local_blocks.append(np.ones(feats.num_edges, dtype=bool))
+            dst_blocks.append(feats.edge_dst)
+            stored[index] = feats.num_nodes
             continue
-        # The current graph's block starts at store row 0, so a row of the
-        # parent is its own store row.
-        store_row = cone.mapped.copy()
-        count = cone.cone_pos.shape[0]
-        store_row[cone.cone_pos] = np.arange(rows, rows + count,
-                                             dtype=np.int64)
         op_blocks.append(cone.op_indices)
         feat_blocks.append(cone.edge_feats)
-        src_blocks.append(store_row[cone.edge_src_pos])
-        dst_blocks.append(cone.segments + rows)
-        pool_blocks.append(store_row)
-        rows += count
-        num_cones += 1
-    counts = np.asarray([block.shape[0] for block in pool_blocks],
-                        dtype=np.int64)
+        src_blocks.append(cone.edge_src)
+        local_blocks.append(cone.src_in_cone)
+        dst_blocks.append(cone.segments)
+        minus_blocks.append(cone.minus_rows)
+        stored[index] = cone.cone_ids.shape[0]
+        minus_counts[index] = cone.minus_rows.shape[0]
+        parents[index] = 0
+    # Each graph's rows follow the previous graph's.  The current graph's
+    # start at store row 0, so a row of the parent is its own store row:
+    # only sources inside a graph's own block move with it.
+    starts = np.zeros(num_graphs, dtype=np.int64)
+    np.cumsum(stored[:-1], out=starts[1:])
+    edge_starts = np.repeat(starts, [block.shape[0] for block in dst_blocks])
+    num_rows = int(stored.sum())
+    ids = np.arange(num_graphs, dtype=np.int64)
+    # Every store row is pooled once (+1), by the graph storing it; then
+    # each cone's minus rows (-1).
     return BatchedGraphs(
         node_features=_one_hot_ops(np.concatenate(op_blocks)),
         edge_features=np.concatenate(feat_blocks, axis=0),
-        edge_src=np.concatenate(src_blocks),
-        edge_dst=np.concatenate(dst_blocks),
-        graph_ids=np.repeat(np.arange(len(graphs), dtype=np.int64), counts),
-        num_graphs=len(graphs),
-        global_features=np.zeros((len(graphs), GLOBAL_FEATURE_DIM),
+        edge_src=np.concatenate(src_blocks)
+        + edge_starts * np.concatenate(local_blocks),
+        edge_dst=np.concatenate(dst_blocks) + edge_starts,
+        graph_ids=np.concatenate([np.repeat(ids, stored),
+                                  np.repeat(ids, minus_counts)]),
+        num_graphs=num_graphs,
+        global_features=np.zeros((num_graphs, GLOBAL_FEATURE_DIM),
                                  dtype=np.float32),
-        pool_rows=np.concatenate(pool_blocks),
-        num_cones=num_cones,
+        pool_rows=np.concatenate(
+            [np.arange(num_rows, dtype=np.int64)] + minus_blocks),
+        pool_signs=np.concatenate([np.ones(num_rows),
+                                   np.full(int(minus_counts.sum()), -1.0)]),
+        parents=parents,
+        graph_sizes=np.asarray([len(graph.nodes) for graph in graphs],
+                               dtype=np.int64),
+        num_cones=int((parents >= 0).sum()),
     )
 
 
@@ -471,16 +494,14 @@ def combine_meta_graphs(batches: Sequence[BatchedGraphs]
 
     Returns the combined batch plus, for each input batch, the index of its
     first graph in the combined graph numbering (so callers can recover
-    which embedding rows belong to which observation).  Every input carries
-    ``pool_rows`` (:func:`build_delta_batch` always sets it).
+    which embedding rows belong to which observation).
     """
     node_offset = 0
     graph_offset = 0
     graph_offsets = np.zeros(len(batches), dtype=np.int64)
     node_blocks, edge_blocks, src_blocks, dst_blocks, gid_blocks = \
         [], [], [], [], []
-    global_blocks = []
-    pool_blocks = []
+    global_blocks, pool_blocks, parent_blocks = [], [], []
     for i, batch in enumerate(batches):
         graph_offsets[i] = graph_offset
         node_blocks.append(batch.node_features)
@@ -490,6 +511,8 @@ def combine_meta_graphs(batches: Sequence[BatchedGraphs]
         gid_blocks.append(batch.graph_ids + graph_offset)
         global_blocks.append(batch.global_features)
         pool_blocks.append(batch.pool_rows + node_offset)
+        parent_blocks.append(np.where(batch.parents >= 0,
+                                      batch.parents + graph_offset, -1))
         node_offset += batch.num_nodes
         graph_offset += batch.num_graphs
     combined = BatchedGraphs(
@@ -501,6 +524,9 @@ def combine_meta_graphs(batches: Sequence[BatchedGraphs]
         num_graphs=graph_offset,
         global_features=np.concatenate(global_blocks, axis=0),
         pool_rows=np.concatenate(pool_blocks),
+        pool_signs=np.concatenate([batch.pool_signs for batch in batches]),
+        parents=np.concatenate(parent_blocks),
+        graph_sizes=np.concatenate([batch.graph_sizes for batch in batches]),
         num_cones=sum(batch.num_cones for batch in batches),
     )
     return combined, graph_offsets

@@ -368,15 +368,14 @@ class PPOUpdater:
     loop is the test oracle, ``tests/oracles/ppo_reference.py``).
 
     Minibatches whose observations sum to more than ``max_batch_nodes``
-    meta-graph nodes (the rows the readout gathers — with delta batches the
-    only array of that size left) are split into node-bounded chunks with
-    gradient accumulation (each chunk's loss is scaled by ``1/B``, so the
-    summed gradient equals the whole-minibatch mean exactly, up to float
-    addition order).  One giant fused batch is *slower* than the loop on large
-    models: its activation arrays fall out of the CPU caches, and every
-    elementwise op becomes a round-trip to DRAM.  Chunking keeps the
-    per-op working set cache-resident while still amortising the Python
-    dispatch overhead over many transitions.
+    meta-graph nodes (the rows their full meta-graphs would hold) are split
+    into node-bounded chunks with gradient accumulation (each chunk's loss
+    is scaled by ``1/B``, so the summed gradient equals the whole-minibatch
+    mean exactly, up to float addition order).  The bound dates from full
+    meta-graphs, whose activation arrays fell out of the CPU caches in one
+    giant fused batch.  A delta batch holds no array that long, but the
+    chunk boundaries stay where they were: moving or dropping them changes
+    gradient bits, and with them every trajectory after the first update.
     """
 
     def __init__(self, agent: XRLflowAgent,

@@ -135,6 +135,20 @@ class TestXRLflow:
         assert result.stats["train_time_s"] == 0.0
         assert result.final_latency_ms <= result.initial_latency_ms + 1e-9
 
+    def test_policy_result_is_reported_apart_from_exploration(self,
+                                                              tiny_config):
+        """``stats`` says what the deterministic policy reached on its own;
+        training exploration's best can only add to it, and without
+        training the policy's result is the result."""
+        opt = XRLflow(tiny_config)
+        trained = opt.optimise(tiny_transformer(), "tiny-bert")
+        assert 1.0 <= trained.stats["policy_speedup"] <= trained.speedup
+        assert trained.stats["policy_rules"] == int(
+            trained.stats["policy_rules"]) >= 0
+        policy = opt.optimise(tiny_transformer(), "tiny-bert", train=False)
+        assert policy.stats["policy_speedup"] == policy.speedup
+        assert policy.stats["policy_rules"] == len(policy.applied_rules)
+
     def test_save_and_load_agent(self, tiny_config, tmp_path):
         opt = XRLflow(tiny_config)
         opt.train(tiny_transformer(), num_episodes=2)

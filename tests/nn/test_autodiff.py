@@ -9,7 +9,8 @@ import pytest
 from float64_leg import leaf
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import Tensor, concat, segment_softmax, segment_sum, stack
+from repro.nn import (Tensor, concat, delta_segment_sum, segment_softmax,
+                      segment_sum, stack)
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -114,6 +115,33 @@ class TestSegmentOps:
         np.testing.assert_allclose(out.data, [[2, 4], [10, 12]])
         out.sum().backward()
         np.testing.assert_allclose(values.grad, np.ones((4, 2)))
+
+    # Graph 0 holds rows 0-2; graph 1 is graph 0 with row 1 replaced by row
+    # 3; graph 2 is graph 0 with rows 0 and 2 replaced by rows 4 and 5;
+    # graph 3 holds rows 5 and 4 with no parent.
+    DELTA_ROWS = np.array([0, 1, 2, 3, 1, 4, 5, 0, 2, 5, 4])
+    DELTA_SIGNS = np.array([1, 1, 1, 1, -1, 1, 1, -1, -1, 1, 1.0])
+    DELTA_IDS = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 3])
+    DELTA_PARENTS = np.array([-1, 0, 0, -1])
+
+    def delta_sum(self, values):
+        return delta_segment_sum(values, self.DELTA_ROWS, self.DELTA_SIGNS,
+                                 self.DELTA_IDS, self.DELTA_PARENTS, 4)
+
+    def test_delta_segment_sum_pools_each_graphs_rows(self):
+        data = np.random.default_rng(7).normal(size=(6, 3))
+        held = [[0, 1, 2], [0, 3, 2], [4, 1, 5], [5, 4]]
+        out = self.delta_sum(leaf(data))
+        assert out.data.dtype == np.float64
+        np.testing.assert_allclose(
+            out.data, [data[rows].sum(axis=0) for rows in held], atol=1e-12)
+        assert self.delta_sum(Tensor(data)).data.dtype == np.float32
+
+    def test_delta_segment_sum_gradient(self):
+        """A graph's gradient reaches its own entries and its parent's."""
+        weights = leaf(np.random.default_rng(8).normal(size=(4, 3)))
+        check_gradient(lambda x: self.delta_sum(x) * weights,
+                       np.random.default_rng(9).normal(size=(6, 3)))
 
     def test_segment_softmax_normalises_per_segment(self):
         logits = Tensor(np.array([[1.0], [2.0], [3.0], [0.5]]), requires_grad=True)

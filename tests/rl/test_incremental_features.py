@@ -28,11 +28,13 @@ import repro.rl.features
 import repro.rl.ppo
 from repro.experiments import build_small_model
 from repro.ir import GraphBuilder
-from repro.nn import GraphEmbeddingNetwork, Tensor, no_grad, segment_sum
+from repro.nn import (GraphEmbeddingNetwork, Tensor, delta_segment_sum,
+                      no_grad, segment_sum)
 from repro.rl import (FeatureCache, GraphRewriteEnv, Observation, PPOTrainer,
                       PPOUpdater, RolloutBuffer, Transition, XRLflowAgent,
                       build_meta_graph, encode_graph)
-from repro.rl.features import build_delta_batch, rewrite_cone
+from repro.rl.features import (build_delta_batch, combine_meta_graphs,
+                               rewrite_cone)
 from repro.rules import default_ruleset
 
 MODELS = ["squeezenet", "resnext50", "bert", "vit"]
@@ -267,6 +269,11 @@ class TestRolloutEmbedding:
         env = GraphRewriteEnv(build_small_model(name), ruleset=ruleset,
                               max_candidates=96, max_steps=6)
         steps = []
+        wide_sums = []
+
+        def add_at(values, index, num_rows):
+            wide_sums.append(values.dtype == np.float64)
+            return add_at_rows(values, index, num_rows)
 
         def check(obs):
             scanned = [c for c in ruleset.lazy_candidates(obs.graphs[0])
@@ -275,8 +282,7 @@ class TestRolloutEmbedding:
             assert [(c.rule_name, c.match) for c in obs.candidates] \
                 == [(c.rule_name, c.match) for c in scanned]
             with monkeypatch.context() as patch, no_grad():
-                patch.setattr(repro.nn.tensor, "_scatter_add_rows",
-                              add_at_rows)
+                patch.setattr(repro.nn.tensor, "_scatter_add_rows", add_at)
                 patch.setattr(repro.rl.ppo, "build_meta_graph",
                               lambda graphs, cache: reference_meta_graph(
                                   graphs, cache.edge_norm))
@@ -295,6 +301,8 @@ class TestRolloutEmbedding:
 
         rollout(env, agent, check)
         assert len(steps) > 1 and max(steps) > 0
+        # The readout's float64 sums went through the oracle kernel too.
+        assert any(wide_sums)
 
     def test_uncached_act_is_one_encoder_forward(self, monkeypatch):
         calls = []
@@ -307,7 +315,7 @@ class TestRolloutEmbedding:
                               max_candidates=8, max_steps=4)
         obs = env.reset()
         agent.act(obs)
-        assert len(calls) == 1 and calls[0].pool_rows is not None
+        assert len(calls) == 1 and calls[0].num_cones > 0
         agent.act(obs)  # memoised decision: no forward at all
         assert len(calls) == 1
 
@@ -343,7 +351,7 @@ class TestRolloutEmbedding:
 
 class TestObservationCopies:
     """An observation is plain data: copy / deepcopy / pickle keep its
-    graphs, and the twin's delta batch pools the same rows."""
+    graphs, and the twin's delta batch pools the same embeddings."""
 
     @pytest.mark.parametrize("clone", [
         copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))],
@@ -355,12 +363,14 @@ class TestObservationCopies:
         twin = clone(obs)
         assert len(twin.graphs) == len(obs.graphs) == 5
         assert np.array_equal(twin.action_mask, obs.action_mask)
-        # (a deep copy severs rewrite lineage, so its rows may be stored
-        # differently; what each graph pools is the same)
-        ours, theirs = obs.delta_batch(2), twin.delta_batch(2)
-        assert np.array_equal(theirs.graph_ids, ours.graph_ids)
-        assert np.array_equal(theirs.node_features[theirs.pool_rows],
-                              ours.node_features[ours.pool_rows])
+        # (a deep copy severs rewrite lineage, so its candidates are stored
+        # in full, not as cones; what each graph pools is the same)
+        encoder = small_agent().encoder
+        with no_grad():
+            ours = encoder(obs.delta_batch(2)).data
+            theirs = encoder(twin.delta_batch(2)).data
+        assert ours.shape == (5, 16)
+        assert np.array_equal(theirs, ours)
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +484,17 @@ class TestBatchedEvaluate:
             np.testing.assert_allclose(delta, full, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["bert", "squeezenet"])
-    def test_update_encodes_cones_not_graphs(self, name):
+    def test_update_encodes_cones_not_graphs(self, name, monkeypatch):
         """The O(cone) claim as a count: under the end-to-end benchmark's
         training configuration, message passing runs over at most a quarter
-        of the rows the readout pools (a full meta-graph: all of them)."""
+        of the rows the pooled graphs hold (a full meta-graph: all of them),
+        and so does the readout."""
         from repro.core import XRLflow, XRLflowConfig
+        batches = []
+        forward = GraphEmbeddingNetwork.forward
+        monkeypatch.setattr(
+            GraphEmbeddingNetwork, "forward",
+            lambda self, batch: batches.append(batch) or forward(self, batch))
         optimiser = XRLflow(XRLflowConfig.fast(
             num_episodes=6, max_steps=18, max_candidates=24,
             update_frequency=3, ppo_epochs=2, eval_episodes=2, seed=0))
@@ -486,6 +502,9 @@ class TestBatchedEvaluate:
         assert history.update_stats
         for record in history.update_stats:
             assert 0 < record["encoder_rows"] <= 0.25 * record["pooled_rows"]
+        entries = sum(batch.pool_rows.shape[0] for batch in batches)
+        held = sum(batch.num_pooled_rows for batch in batches)
+        assert 0 < entries <= 0.25 * held
 
     def test_cone_memo_is_not_inherited_by_copies(self):
         """``Graph.copy`` hands whole-graph memos to the copy, but a cone
@@ -493,11 +512,11 @@ class TestBatchedEvaluate:
         empty delta against the candidate) must not be the candidate's."""
         graph = build_small_model("squeezenet")
         candidate = default_ruleset().all_candidates(graph)[0].graph
-        assert rewrite_cone(candidate, 2).cone_pos.size
+        assert rewrite_cone(candidate, 2).cone_ids.size
         clone = candidate.copy()
         cone = rewrite_cone(clone, 2)
-        assert cone.unchanged and not cone.cone_pos.size
-        assert rewrite_cone(candidate, 2).cone_pos.size
+        assert not cone.cone_ids.size and not cone.minus_rows.size
+        assert rewrite_cone(candidate, 2).cone_ids.size
         agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
                              num_gat_layers=2, head_sizes=(16,), seed=0)
         obs = observation_of([candidate, clone])
@@ -612,6 +631,70 @@ class TestSegmentKernels:
         (t.gather_rows(index) * Tensor(upstream)).sum().backward()
         assert t.grad.dtype == np.float32
         assert np.array_equal(t.grad, add_at_rows(upstream, index, 6))
+
+
+def node_states(encoder, batch):
+    """The rows the encoder's readout pools: node update, then GAT layers."""
+    with no_grad():
+        nodes = encoder.node_update(batch, Tensor(batch.node_features))
+        for layer in encoder.gat_layers:
+            nodes = layer(batch, nodes)
+    return nodes
+
+
+def readout_cases():
+    """``name -> (observations, check)``: the shapes a readout entry list
+    takes, each with what its candidate's entries must look like."""
+    single, mixed = edge_case_observations()
+    current, rewrite, untouched, removal, orphan, _ = mixed.graphs
+    delta = rewrite.mutation_delta()
+    assert delta.added and delta.rewired
+
+    def candidate_signs(batch):
+        return batch.pool_signs[batch.graph_ids == 1]
+
+    def pair(graph):
+        return [observation_of([current, graph])]
+    return {
+        "rewrite": (pair(rewrite), lambda b: b.parents[1] == 0 and set(
+            candidate_signs(b)) == {1.0, -1.0}),
+        "removal": (pair(removal), lambda b: b.parents[1] == 0 and set(
+            candidate_signs(b)) == {-1.0}),
+        "untouched": (pair(untouched), lambda b: b.parents[1] == 0
+                      and not candidate_signs(b).size),
+        "orphan": (pair(orphan), lambda b: b.parents[1] == -1 and (
+            candidate_signs(b) == 1.0).all()),
+        "single_graph": ([single], lambda b: b.num_graphs == 1),
+        "two_observations": (
+            [mixed, observation_of([current, untouched, rewrite])],
+            lambda b: b.parents.tolist() == [-1, 0, 0, 0, -1, 0, -1, 6, 6]),
+    }
+
+
+class TestReadout:
+    """The readout pools a candidate as its parent's sum, minus the rows it
+    replaced, plus its cone rows: bit for bit the float32 sum over the
+    graph's full row list."""
+
+    @pytest.mark.parametrize("case", ["rewrite", "removal", "untouched",
+                                      "orphan", "single_graph",
+                                      "two_observations"])
+    def test_matches_segment_sum_over_full_rows(self, case):
+        observations, check = readout_cases()[case]
+        batch, _ = combine_meta_graphs([obs.delta_batch(2)
+                                        for obs in observations])
+        assert check(batch)
+        encoder = small_agent().encoder
+        pooled = delta_segment_sum(
+            node_states(encoder, batch), batch.pool_rows, batch.pool_signs,
+            batch.graph_ids, batch.parents, batch.num_graphs).data
+        full = reference_meta_graph(
+            [graph for obs in observations for graph in obs.graphs])
+        expected = segment_sum(node_states(encoder, full), full.graph_ids,
+                               full.num_graphs).data
+        assert pooled.dtype == expected.dtype == np.float32
+        assert np.array_equal(pooled, expected)
+        assert np.array_equal(batch.graph_sizes, full.graph_sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,17 @@ def test_every_recording_says_whether_blas_was_pinned(tmp_path, monkeypatch):
     assert host["cores"] >= 1 and host["python"] and host["platform"]
 
 
+def test_bench_job_pins_blas_to_one_thread():
+    """``benchmarks/test_exec_bench.py`` times GEMMs: on two OpenBLAS
+    threads they wait for the second one whenever the other vCPU is busy."""
+    job = re.search(r"\n  bench:\n(.*?)\n  \w+:\n", CI, re.S)
+    assert job, "bench job disappeared"
+    env = re.search(r"\n    env:\n((?:      .*\n?)+)", job.group(1))
+    assert env, "bench job has no job-level env"
+    assert re.search(r'^      OPENBLAS_NUM_THREADS: "1"$', env.group(1), re.M)
+    assert re.search(r'^      OMP_NUM_THREADS: "1"$', env.group(1), re.M)
+
+
 def test_pip_cache_key_tracks_the_requirements_file():
     """Cache keys must depend on the explicit requirements stanza, not on
     ci.yml itself — editing an unrelated step should not cold-start pip."""
