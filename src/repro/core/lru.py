@@ -1,11 +1,12 @@
-"""A single capped LRU cache for every hot-path memo in the repo.
+"""A capped LRU cache for the hot-path memos that need a bound.
 
-The rule engine's match states, the environment's observation cache, the
-agent's decision cache and the flat-ids caches inside ``nn/tensor.py`` all
-need the same ``OrderedDict`` + ``move_to_end`` + ``popitem(last=False)``
-dance; hand-rolled copies each had their own counter names and their own
-eviction bugs waiting to happen.  This module is the one implementation
-they all share.
+Two owners use it: the rule engine's match states (keyed on the graph
+object, each pinning the parent TASO's incremental pricing reads) and the
+environment's observation cache (keyed on a structural hash).  Both need
+the same ``OrderedDict`` + ``move_to_end`` + ``popitem(last=False)`` dance
+and the same counters; a memo that belongs to one object lives on that
+object instead (a graph's ``memo``, an observation's delta batch and
+decision).
 
 Design notes
 ------------
@@ -16,12 +17,10 @@ Design notes
   observation cache.  ``clear()``
   drops the entries but keeps the counters — a cache flush mid-run must
   not erase the evidence of what happened before it.
-* **Locking is the caller's problem, optionally delegated.**  Most
-  call sites are single-threaded; they pass no lock and pay nothing.
-  ``nn/tensor.py`` guards *compound* check-then-promote sequences with
-  its own module lock, so per-call locking here would be redundant —
-  but other callers (the service layer) can hand in a ``lock`` and get
-  every public method serialised.
+* **Locking is the caller's problem, optionally delegated.**  Both
+  owners are single-threaded; they pass no lock and pay nothing.  A
+  caller that shares a cache across threads can hand in a ``lock`` and
+  get every public method serialised.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from ..rules.rulesets import default_ruleset
 from ..rl.env import GraphRewriteEnv
 from ..rl.features import FeatureCache
 from ..rl.ppo import PPOUpdater, XRLflowAgent
-from ..rl.training import PPOTrainer, TrainingHistory
+from ..rl.training import PPOTrainer, TrainingHistory, run_episode
 from ..search.result import SearchResult, timed
 from .config import XRLflowConfig
 
@@ -86,6 +86,8 @@ class XRLflow:
         self.progress_callback = progress_callback
         self.agent: Optional[XRLflowAgent] = None
         self.history: Optional[TrainingHistory] = None
+        #: The environment the last :meth:`train` explored.
+        self._training_env: Optional[GraphRewriteEnv] = None
         self._progress_steps = 0
 
     # ------------------------------------------------------------------
@@ -183,7 +185,8 @@ class XRLflow:
             Train a fresh agent first (the default).  ``False`` reuses the
             current :attr:`agent` — e.g. one restored via
             :meth:`load_agent` for the paper's shape-generalisation
-            protocol; if no agent exists yet, training happens anyway.
+            protocol; if no agent exists yet, training happens anyway
+            (and its exploration's best graph counts, as with ``True``).
         log_fn:
             Optional training progress callback (see :meth:`train`).
 
@@ -205,7 +208,8 @@ class XRLflow:
         # at the end derives only the nodes its rewrites touched.
         initial_cost = self.cost_model.estimate_cached(graph)
         with timed() as elapsed:
-            if train or self.agent is None:
+            trained = train or self.agent is None
+            if trained:
                 self.train(graph, log_fn=log_fn)
                 train_time = elapsed()
             else:
@@ -213,32 +217,21 @@ class XRLflow:
 
             with timed() as opt_elapsed:
                 env = self._build_env(graph)
-                best_graph = graph
-                best_latency = self.e2e.latency_ms(graph)
-                best_rules: list[str] = []
-                episodes = max(1, cfg.eval_episodes)
-                for _ in range(episodes):
-                    obs = env.reset()
-                    done = False
-                    while not done:
-                        decision = self.agent.act(obs, deterministic=True)
-                        step = env.step(decision.action)
-                        obs, done = step.observation, step.done
-                    if env.best_latency_ms < best_latency:
-                        best_latency = env.best_latency_ms
-                        best_graph = env.best_graph
-                        best_rules = list(env.best_rules)
+                for _ in range(max(1, cfg.eval_episodes)):
+                    run_episode(env, self.agent, deterministic=True)
                 optimisation_time = opt_elapsed()
+            # The environment's best spans every evaluation episode.
+            best_graph, best_latency = env.best_graph, env.best_latency_ms
+            best_rules = list(env.best_rules)
             policy_latency, policy_rules = best_latency, len(best_rules)
 
-            # Also consider the best graph discovered during training
-            # exploration (its latency was measured as part of the reward).
-            training_env = getattr(self, "_training_env", None)
-            if train and training_env is not None and \
-                    training_env.best_latency_ms < best_latency:
-                best_latency = training_env.best_latency_ms
-                best_graph = training_env.best_graph
-                best_rules = list(training_env.best_rules)
+            # Also consider the best graph this call's training exploration
+            # discovered (its latency was measured as part of the reward).
+            explored = self._training_env
+            if trained and explored.best_latency_ms < best_latency:
+                best_latency = explored.best_latency_ms
+                best_graph = explored.best_graph
+                best_rules = list(explored.best_rules)
 
         initial_latency = self.e2e.latency_ms(graph)
         stats: Dict[str, float] = {

@@ -25,7 +25,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..ir.graph import Graph, GraphDelta, NodeId
+from ..ir.graph import Graph, NodeId
 from .device import DeviceConfig, SimulatedDevice, default_device
 from .op_cost import is_zero_cost, op_flops, op_memory_bytes
 
@@ -185,20 +185,17 @@ class CostModel:
         the graph: O(1) once costed, else only missing nodes are derived."""
         return self.exact_to_ms(self.exact_total(graph))
 
-    def estimate_delta(self, parent: Graph, child: Graph,
-                       parent_cost: Optional[float] = None,
-                       delta: Optional[GraphDelta] = None) -> float:
+    def estimate_delta(self, parent: Graph, child: Graph) -> float:
         """Cost ``child`` as ``parent``'s exact total minus the removed and
         rewired nodes' old costs plus the added and rewired nodes' new ones.
 
         O(rewrite) when ``parent`` was costed, and bit-for-bit equal to
         :meth:`estimate` of the child; the child's total is memoised on it.
-        ``delta`` defaults to the child's recorded mutation delta (see
+        The rewrite is the child's recorded mutation delta (see
         :meth:`Graph.mutation_delta`); without one the child is costed with
-        :meth:`estimate_cached`.  ``parent_cost`` is not needed any more
-        (the parent carries its exact total) and is ignored.
+        :meth:`estimate_cached`.
         """
-        delta = delta if delta is not None else child.mutation_delta()
+        delta = child.mutation_delta()
         if delta is None:
             return self.estimate_cached(child)
 

@@ -19,19 +19,18 @@ Two engine-level choices matter for performance:
   ``np.bincount`` pass instead of ``np.add.at`` (the buffered ``ufunc.at``
   path is notoriously slow).  Both add strictly in input order;
   ``np.bincount`` accumulates in double precision and rounds once at the
-  end.
+  end.  The flattened indices are built per call: the module holds no
+  state beyond the :func:`no_grad` flag, so concurrent searches share
+  nothing here.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from ..core.lru import LRUCache
 
 __all__ = ["Tensor", "as_tensor", "concat", "stack", "segment_sum",
            "delta_segment_sum", "segment_softmax", "segment_max", "no_grad",
@@ -64,25 +63,6 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED.get()
 
 
-#: Memo of flattened scatter indices keyed on the *identity* of the segment
-#: array (one forward/backward reuses the same ``edge_dst``/``edge_src``
-#: arrays many times; building the ``E * D`` flat index vector dominates the
-#: bincount otherwise).  Entries hold a reference to the key array, so its
-#: ``id`` cannot be recycled while the entry lives; the guard below re-checks
-#: identity before trusting a hit.  Process-global (the service's thread
-#: backend runs concurrent searches), hence the lock.
-_FLAT_IDS_CACHE = LRUCache(64, name="flat_ids")
-#: Index arrays seen exactly once; promoted to the cache on their second
-#: use.  One-shot gather indices (fresh per PPO minibatch) would otherwise
-#: churn the cache and pin large flat-index vectors for zero future hits;
-#: the durable arrays (a meta-graph's ``edge_dst``, reused many times per
-#: forward) are promoted almost immediately.  Neither cache takes its own
-#: lock: the check-then-promote sequences below are compound, so the one
-#: module lock guards both caches around each whole sequence.
-_FLAT_IDS_SEEN = LRUCache(64, name="flat_ids_seen")
-_FLAT_IDS_LOCK = threading.Lock()
-
-
 def _scatter_add_rows(values: np.ndarray, index: np.ndarray,
                       num_rows: int) -> np.ndarray:
     """``out[index[i]] += values[i]`` accumulating strictly in input order.
@@ -104,25 +84,8 @@ def _scatter_add_rows(values: np.ndarray, index: np.ndarray,
         out = np.bincount(index, weights=flat[:, 0], minlength=num_rows)
         return out.reshape((num_rows,) + values.shape[1:]).astype(
             values.dtype, copy=False)
-    cache_key = (id(index), cols)
-    with _FLAT_IDS_LOCK:
-        entry = _FLAT_IDS_CACHE.get(cache_key)
-        if entry is not None and entry[0] is index:
-            flat_ids = entry[1]
-        else:
-            if entry is not None:
-                # id() recycled by a new array; evict the stale mapping.
-                _FLAT_IDS_CACHE.pop(cache_key)
-            entry = None
-    if entry is None:
-        flat_ids = (index[:, None] * cols
-                    + np.arange(cols, dtype=np.int64)[None, :]).ravel()
-        with _FLAT_IDS_LOCK:
-            if _FLAT_IDS_SEEN.peek(cache_key) is index:
-                _FLAT_IDS_SEEN.pop(cache_key)
-                _FLAT_IDS_CACHE.put(cache_key, (index, flat_ids))
-            else:
-                _FLAT_IDS_SEEN.put(cache_key, index)
+    flat_ids = (index[:, None] * cols
+                + np.arange(cols, dtype=np.int64)[None, :]).ravel()
     out = np.bincount(flat_ids, weights=flat.ravel(),
                       minlength=num_rows * cols)
     return out.reshape((num_rows,) + values.shape[1:]).astype(

@@ -59,6 +59,10 @@ class Observation:
     feature_cache: FeatureCache = field(default_factory=FeatureCache)
     _delta: Optional[Tuple[int, BatchedGraphs]] = field(
         default=None, init=False, repr=False, compare=False)
+    #: The last agent decision on this observation, ``(agent, weights
+    #: version, probabilities, value)``: see ``XRLflowAgent.act``.
+    _decision: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def delta_batch(self, num_layers: int) -> BatchedGraphs:
         """:func:`~repro.rl.features.build_delta_batch` of :attr:`graphs` for

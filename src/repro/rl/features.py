@@ -23,11 +23,12 @@ incremental on three levels:
   affected nodes, a candidate produced by ``parent.copy()`` plus surgery
   re-derives *only* the rows its :class:`~repro.ir.graph.GraphDelta`
   touched — everything else is patched in from the parent's arrays.
-* :class:`FeatureCache` memoises whole :class:`GraphFeatures` on the graph
-  object, so a graph encoded twice (the current graph was one of the
-  previous step's candidates) is free the second time.
-* :func:`build_meta_graph` assembles the batch from the cached blocks with
-  pure array ops, and :func:`combine_meta_graphs` splices several
+* :class:`FeatureCache` memoises a graph's whole encoding — a one-graph
+  :class:`~repro.nn.gnn.BatchedGraphs`, the one batch type there is — on
+  the graph object, so a graph encoded twice (the current graph was one of
+  the previous step's candidates) is free the second time.
+* :func:`combine_meta_graphs` splices batches with pure array ops: one-graph
+  encodes into a full meta-graph (:func:`build_meta_graph`), several
   observations' delta batches into one batch for the PPO update.
 
 On the default path candidates are not encoded at all.  A candidate is its
@@ -45,7 +46,6 @@ delta batch is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,7 +54,7 @@ from ..ir.graph import Graph, GraphDelta, NodeId
 from ..ir.ops import num_op_types
 from ..nn.gnn import BatchedGraphs
 
-__all__ = ["GraphFeatures", "FeatureCache", "encode_graph", "encode_order",
+__all__ = ["FeatureCache", "encode_graph", "encode_order",
            "encode_position", "RewriteCone", "rewrite_cone",
            "build_meta_graph", "build_delta_batch", "combine_meta_graphs",
            "NODE_FEATURE_DIM", "EDGE_FEATURE_DIM", "GLOBAL_FEATURE_DIM"]
@@ -72,26 +72,6 @@ _EDGE_ROWS_KEY = "rl:edge_rows"
 _EMPTY_SRC = np.zeros(0, dtype=np.int64)
 _EMPTY_FEATS = np.zeros((0, EDGE_FEATURE_DIM), dtype=np.float32)
 _NO_BLOCK = (_EMPTY_SRC, _EMPTY_FEATS)
-
-
-@dataclass
-class GraphFeatures:
-    """Feature arrays of a single graph."""
-
-    node_features: np.ndarray  # [N, NODE_FEATURE_DIM]
-    edge_features: np.ndarray  # [E, EDGE_FEATURE_DIM]
-    edge_src: np.ndarray       # [E]
-    edge_dst: np.ndarray       # [E]
-
-    @property
-    def num_nodes(self) -> int:
-        """Rows of ``node_features``: the graph's live nodes."""
-        return int(self.node_features.shape[0])
-
-    @property
-    def num_edges(self) -> int:
-        """Rows of ``edge_features``: the graph's edges."""
-        return int(self.edge_src.shape[0])
 
 
 def encode_order(graph: Graph) -> np.ndarray:
@@ -157,8 +137,8 @@ def _one_hot_ops(op_indices: np.ndarray) -> np.ndarray:
 
 
 def encode_graph(graph: Graph,
-                 edge_norm: float = DEFAULT_EDGE_NORM) -> GraphFeatures:
-    """Encode one computation graph into node/edge feature arrays.
+                 edge_norm: float = DEFAULT_EDGE_NORM) -> BatchedGraphs:
+    """Encode one computation graph: a one-graph :class:`BatchedGraphs`.
 
     Everything is assembled with array ops from per-node incoming-edge
     blocks cached on the graph itself: the
@@ -204,11 +184,15 @@ def encode_graph(graph: Graph,
         edge_features = _EMPTY_FEATS
         edge_src = np.zeros(0, dtype=np.int64)
         edge_dst = np.zeros(0, dtype=np.int64)
-    return GraphFeatures(node_features, edge_features, edge_src, edge_dst)
+    return BatchedGraphs(
+        node_features=node_features, edge_features=edge_features,
+        edge_src=edge_src, edge_dst=edge_dst,
+        graph_ids=np.zeros(n, dtype=np.int64), num_graphs=1,
+        global_features=np.zeros((1, GLOBAL_FEATURE_DIM), dtype=np.float32))
 
 
 class FeatureCache:
-    """Counted access to each graph's own :class:`GraphFeatures` memo.
+    """Counted access to each graph's own :func:`encode_graph` memo.
 
     A graph's feature arrays are memoised on the graph itself (the
     whole-graph memo ``("rl:features", edge_norm)``, dropped by any
@@ -227,7 +211,7 @@ class FeatureCache:
         self.hits = 0
         self.misses = 0
 
-    def encode(self, graph: Graph) -> GraphFeatures:
+    def encode(self, graph: Graph) -> BatchedGraphs:
         """Encode ``graph``, reusing its memoised arrays when it was encoded
         before (with this ``edge_norm``) and not mutated since."""
         memo_key = ("rl:features", self.edge_norm)
@@ -254,32 +238,14 @@ class FeatureCache:
 def build_meta_graph(graphs: Sequence[Graph],
                      edge_norm: float = DEFAULT_EDGE_NORM,
                      cache: Optional[FeatureCache] = None) -> BatchedGraphs:
-    """Batch several graphs (current graph first, then candidates) together.
-
-    With a :class:`FeatureCache` the per-graph arrays come straight from the
-    cache (``cache.edge_norm`` applies); assembly is pure concatenation.
-    """
+    """Batch several graphs (current graph first, then candidates) together,
+    every one in full: :func:`combine_meta_graphs` of their
+    :func:`encode_graph` batches (from ``cache``, whose ``edge_norm``
+    applies, when one is given)."""
     if cache is not None:
-        feats_list = [cache.encode(g) for g in graphs]
-    else:
-        feats_list = [encode_graph(g, edge_norm) for g in graphs]
-    counts = np.asarray([f.num_nodes for f in feats_list], dtype=np.int64)
-    offsets = np.zeros(len(feats_list), dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    return BatchedGraphs(
-        node_features=np.concatenate([f.node_features for f in feats_list],
-                                     axis=0),
-        edge_features=np.concatenate([f.edge_features for f in feats_list],
-                                     axis=0),
-        edge_src=np.concatenate([f.edge_src + off
-                                 for f, off in zip(feats_list, offsets)]),
-        edge_dst=np.concatenate([f.edge_dst + off
-                                 for f, off in zip(feats_list, offsets)]),
-        graph_ids=np.repeat(np.arange(len(feats_list), dtype=np.int64), counts),
-        num_graphs=len(feats_list),
-        global_features=np.zeros((len(feats_list), GLOBAL_FEATURE_DIM),
-                                 dtype=np.float32),
-    )
+        return combine_meta_graphs([cache.encode(g) for g in graphs])[0]
+    return combine_meta_graphs([encode_graph(g, edge_norm)
+                                for g in graphs])[0]
 
 
 class RewriteCone:
@@ -490,7 +456,8 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
 
 def combine_meta_graphs(batches: Sequence[BatchedGraphs]
                         ) -> Tuple[BatchedGraphs, np.ndarray]:
-    """Splice several delta batches into one batch for a single GNN forward.
+    """Splice several batches (one-graph encodes, observations' delta
+    batches) into one batch for a single GNN forward.
 
     Returns the combined batch plus, for each input batch, the index of its
     first graph in the combined graph numbering (so callers can recover

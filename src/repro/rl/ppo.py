@@ -16,10 +16,10 @@ The update is the PPO clip objective (Eq. 3–5): policy surrogate + value MSE
 
 Performance notes:
 
-* ``forward`` is fully vectorised — pair rows are gathered for all actions
-  at once and the per-candidate logits land in the padded action space via
-  one ``scatter_into`` (the seed implementation rebuilt the padded vector
-  with an O(A²) ``list.index`` loop of 1-element tensors);
+* the heads are one computation, ``_policy``, for one observation or a
+  minibatch's: pair rows are gathered for all actions at once and the
+  per-candidate logits land in the padded action space via one
+  ``scatter_into``;
 * ``evaluate_actions_batch`` runs a whole PPO minibatch through a *single*
   encoder forward over one :class:`~repro.nn.gnn.BatchedGraphs` (the
   meta-graph machinery batches arbitrary graph sets, so batching across
@@ -31,8 +31,8 @@ Performance notes:
 * rollout ``act()`` runs the same encoder over the same delta batch under
   :func:`~repro.nn.tensor.no_grad`, so exploration builds no autograd tape
   and the update re-uses the batch the rollout assembled — and memoises the
-  policy output per observation object (the environment returns the *same*
-  observation for a re-visited state), invalidated on every weight update;
+  policy output on the observation (the environment returns the *same*
+  observation for a re-visited state), retired on every weight update;
 * the agent, its encoder and the update run at float32, the engine's one
   precision; only the sampling distribution is normalised in float64.
 """
@@ -44,7 +44,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.lru import LRUCache
 from ..nn.gnn import GraphEmbeddingNetwork
 from ..nn.layers import MLP, Module
 from ..nn.optim import Adam, clip_grad_norm
@@ -58,28 +57,6 @@ from .features import (EDGE_FEATURE_DIM, GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM,
 __all__ = ["ActionDecision", "XRLflowAgent", "PPOUpdater"]
 
 _MASK_VALUE = -1e9
-
-
-def _pair_indices(num_graphs: int, offset: int, num_actions: int
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays describing one observation's policy-head inputs.
-
-    For an observation whose meta-graph occupies embedding rows
-    ``offset .. offset + num_graphs - 1`` (current graph first), returns
-    ``(first, second, positions)`` where row ``i`` of the policy input is
-    ``[emb[first[i]] || emb[second[i]]]`` and its logit belongs at action
-    index ``positions[i]``.  The final row is the No-Op action ("stay on the
-    current graph"), scored at the last slot of the padded action space.
-    """
-    count = num_graphs  # one row per candidate plus the No-Op row
-    first = np.full(count, offset, dtype=np.int64)
-    second = np.empty(count, dtype=np.int64)
-    second[:count - 1] = offset + 1 + np.arange(count - 1, dtype=np.int64)
-    second[count - 1] = offset
-    positions = np.empty(count, dtype=np.int64)
-    positions[:count - 1] = np.arange(count - 1, dtype=np.int64)
-    positions[count - 1] = num_actions - 1
-    return first, second, positions
 
 
 def _meta_graph_nodes(observation: Observation) -> int:
@@ -115,28 +92,19 @@ class XRLflowAgent(Module):
         self.value_head = MLP([2 * embedding_dim] + head_sizes + [1], rng=rng)
         self.embedding_dim = embedding_dim
         self._rng = np.random.default_rng(seed + 1)
-        #: Policy output per observation *object*: id -> (observation,
-        #: probabilities, value).  The policy is a deterministic function of
-        #: (weights, observation), so while the weights are frozen — every
-        #: rollout between PPO updates, every evaluation episode — a
-        #: re-visited observation costs a dict lookup instead of a GNN
-        #: forward.  Holding the observation keeps its id from being reused;
-        #: :meth:`invalidate_decision_cache` drops everything when the
-        #: weights change.
-        # Sized to the environment's own observation cache: once the env
-        # evicts an observation, its object id can never hit here again, so
-        # a larger bound would only pin dead meta-graphs.
-        self._decision_cache = LRUCache(512, name="decision")
+        #: Bumped on every weight change: a decision an observation holds
+        #: (:meth:`act`) counts only under the version it was made at.
+        self._weights_version = 0
         self.embedder = IncrementalEmbedder(self.encoder)
 
-    def invalidate_decision_cache(self) -> None:
-        """Drop memoised policy outputs (call whenever weights change)."""
-        self._decision_cache.clear()
+    def invalidate_decisions(self) -> None:
+        """Retire every memoised decision (call whenever weights change)."""
+        self._weights_version += 1
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters and drop everything memoised under the old ones."""
+        """Load parameters and retire everything memoised under the old ones."""
         super().load_state_dict(state)
-        self.invalidate_decision_cache()
+        self.invalidate_decisions()
 
     # ------------------------------------------------------------------
     def forward(self, observation: Observation) -> Tuple[Tensor, Tensor]:
@@ -149,43 +117,72 @@ class XRLflowAgent(Module):
         meta_graph = build_meta_graph(observation.graphs,
                                       cache=observation.feature_cache)
         embeddings = self.encoder(meta_graph)  # [1 + C, D]
-        return self._heads(embeddings, observation)
+        logits, values = self._policy(embeddings, [observation],
+                                      np.zeros(1, dtype=np.int64))
+        return logits.reshape(observation.num_actions), values
 
-    def _heads(self, embeddings: Tensor,
-               observation: Observation) -> Tuple[Tensor, Tensor]:
-        """Policy and value heads on the encoded meta-graph.
+    def _policy(self, embeddings: Tensor, observations: Sequence[Observation],
+                offsets: np.ndarray) -> Tuple[Tensor, Tensor]:
+        """Policy and value heads: (masked logits ``[U, A]``, values ``[U]``).
 
-        Split out of :meth:`forward` so :meth:`act` can feed the delta
-        batch's embeddings through the identical head computation.
+        Row ``u`` is ``observations[u]``'s, whose meta-graph (current graph
+        first) holds embedding rows ``offsets[u]`` onwards.  A candidate is
+        scored on ``[current || candidate]``, the No-Op action (the last
+        slot) on ``[current || current]``; the value head reads the current
+        graph next to the mean candidate embedding.
+
+        Observations are grouped by meta-graph size, and within a group the
+        head MLPs run on one stacked 3-D tensor: numpy's batched matmul
+        applies the per-slice kernel a 2-D product of that slice's shape
+        would (same M/N/K), so every row is bit-for-bit what its observation
+        gives alone, whatever rides along.  Stacking *different* sizes into
+        one 2-D product would not be: BLAS picks kernels by row count.
         """
-        num_graphs = len(observation.graphs)
-        num_actions = observation.action_mask.shape[0]
+        num_actions = observations[0].num_actions
+        dim = self.embedding_dim
+        groups: Dict[int, List[int]] = {}
+        for u, obs in enumerate(observations):
+            groups.setdefault(len(obs.graphs), []).append(u)
 
-        first, second, positions = _pair_indices(num_graphs, 0, num_actions)
-        pair_matrix = concat([embeddings.gather_rows(first),
-                              embeddings.gather_rows(second)], axis=1)
-        logits = self.policy_head(pair_matrix).reshape(num_graphs)
-        # Pad to the fixed action-space size: candidate logits occupy the
-        # first C slots, the No-Op logit the final slot, everything else
-        # the mask value.  One O(C) scatter, gradient is a plain gather.
-        masked_logits = logits.scatter_into(
-            (num_actions,), positions, fill=_MASK_VALUE)
-        # Any candidate slot the environment marked invalid is masked too.
-        invalid = ~observation.action_mask
-        if invalid.any():
-            masked_logits = masked_logits + Tensor(
-                np.where(invalid, _MASK_VALUE, 0.0))
+        logit_blocks: List[Tensor] = []
+        value_blocks: List[Tensor] = []
+        for count, members in groups.items():
+            k = len(members)
+            starts = offsets[members]
+            # Each candidate's row, then the current graph's for the No-Op.
+            seconds = np.append(np.arange(1, count, dtype=np.int64), 0)
+            firsts = embeddings.gather_rows(np.repeat(starts, count)) \
+                .reshape(k, count, dim)
+            candidates = embeddings.gather_rows(
+                (starts[:, None] + seconds[None, :]).ravel()) \
+                .reshape(k, count, dim)
+            pair = concat([firsts, candidates], axis=2)
+            logits = self.policy_head(pair).reshape(k * count)
+            # Candidate logits fill the first C slots, the No-Op logit the
+            # last, everything else the mask value; slots the environment
+            # marked invalid are masked too.
+            positions = np.append(np.arange(count - 1, dtype=np.int64),
+                                  num_actions - 1)
+            masked = logits.scatter_into(
+                (k, num_actions),
+                np.repeat(np.arange(k, dtype=np.int64), count),
+                np.tile(positions, k), fill=_MASK_VALUE)
+            invalid = ~np.stack([observations[u].action_mask
+                                 for u in members])
+            logit_blocks.append(
+                masked + Tensor(np.where(invalid, _MASK_VALUE, 0.0)))
 
-        # Value estimate from the current graph and the mean candidate
-        # embedding.
-        current_b = embeddings[0:1].reshape(self.embedding_dim)
-        if num_graphs > 1:
-            mean_candidate = embeddings[1:num_graphs].mean(axis=0)
-        else:
-            mean_candidate = current_b
-        value_input = concat([current_b, mean_candidate], axis=0).reshape(1, -1)
-        value = self.value_head(value_input).reshape(1)
-        return masked_logits, value
+            current = firsts[:, 0, :]                         # [k, D]
+            mean_candidate = candidates[:, :count - 1, :].mean(axis=1) \
+                if count > 1 else current
+            value_input = concat([current, mean_candidate],
+                                 axis=1).reshape(k, 1, 2 * dim)
+            value_blocks.append(self.value_head(value_input).reshape(k))
+
+        # Back to the order of ``observations``: a permutation gather.
+        order = np.argsort(np.concatenate(list(groups.values())))
+        return (concat(logit_blocks, axis=0).gather_rows(order),
+                concat(value_blocks, axis=0).gather_rows(order))
 
     # ------------------------------------------------------------------
     def act(self, observation: Observation,
@@ -196,30 +193,31 @@ class XRLflowAgent(Module):
         backpropagate through the decision.  The observation is encoded as
         its delta batch (the one :meth:`evaluate_actions_batch` trains on),
         which gives :meth:`forward`'s embeddings.  The masked distribution
-        and value are memoised per observation object until the next weight
-        update; sampling still draws from the generator on every call, so
-        cached and uncached rollouts consume the rng identically.
+        and value are memoised on the observation (its ``_decision``) until
+        the next weight update: the environment returns the *same*
+        observation for a re-visited state.  Sampling still draws from the
+        generator on every call, so memoised and fresh decisions consume the
+        rng identically.
         """
-        entry = self._decision_cache.get(id(observation))
-        if entry is not None and entry[0] is observation:
-            _, probs, value_f = entry
+        memo = observation._decision
+        if memo is not None and memo[0] is self \
+                and memo[1] == self._weights_version:
+            probs, value_f = memo[2], memo[3]
         else:
-            if entry is not None:
-                # A dead observation's id was recycled; drop the stale row.
-                self._decision_cache.pop(id(observation))
             with no_grad():
                 embeddings = Tensor(self.embedder.embed(observation))
-                logits, value = self._heads(embeddings, observation)
+                logits, value = self._policy(embeddings, [observation],
+                                             np.zeros(1, dtype=np.int64))
             # ``Tensor.softmax``'s operations (shift by the max, exp, divide
             # by the sum) in float64: a float32 distribution would change
             # which action a seeded draw picks.
-            shifted = logits.numpy().astype(np.float64)
+            shifted = logits.numpy()[0].astype(np.float64)
             exp = np.exp(shifted - shifted.max(axis=0, keepdims=True))
             probs = exp / exp.sum(axis=0, keepdims=True)
             probs = probs / probs.sum()
             value_f = float(value.numpy()[0])
-            self._decision_cache.put(
-                id(observation), (observation, probs, value_f))
+            observation._decision = (self, self._weights_version, probs,
+                                     value_f)
         if deterministic:
             action = int(np.argmax(probs))
         else:
@@ -241,22 +239,10 @@ class XRLflowAgent(Module):
         nearly all the per-transition ops (and the autograd tape) used to
         go.  Duplicate observations (the environment memoises re-visited
         states, so one observation object can back several transitions) are
-        encoded and head-evaluated once.  All embedding rows the heads need
-        are pulled out of the combined matrix with *two* gathers — per-item
-        slicing of the big matrix would allocate a full-size gradient
-        buffer per item in the backward pass.  The head MLPs then run per
-        observation with exactly the shapes the single-observation path
-        uses: BLAS picks different kernels for different row counts
-        (``M=1`` matmuls round differently from ``M=B``), so batching the
-        *heads* would break the bit-for-bit equivalence with the
-        one-observation-at-a-time evaluation
-        (``tests/oracles/ppo_reference.py``) that the segment-kernel
-        accumulation order guarantees for the encoder.
+        encoded and scored once, by :meth:`_policy`, which keeps every row
+        bit-for-bit the one-observation evaluation
+        (``tests/oracles/ppo_reference.py``).
         """
-        batch_size = len(observations)
-        num_actions = observations[0].action_mask.shape[0]
-        dim = self.embedding_dim
-
         # Deduplicate by object identity; transition i uses unique[slot[i]].
         unique: List[Observation] = []
         slots: List[int] = []
@@ -272,76 +258,20 @@ class XRLflowAgent(Module):
         # Each observation's batch is built once (memoised on it, so PPO
         # epochs re-use the arrays); splice them.
         num_layers = self.encoder.num_gat_layers
-        pieces = [o.delta_batch(num_layers) for o in unique]
-        combined, offsets = combine_meta_graphs(pieces)
-        embeddings = self.encoder(combined)  # [sum G_u, D]
+        combined, offsets = combine_meta_graphs(
+            [o.delta_batch(num_layers) for o in unique])
+        unique_logits, unique_values = self._policy(
+            self.encoder(combined), unique, offsets)
 
-        # Group unique observations by meta-graph size.  Within a group
-        # the head MLPs run on one stacked 3-D tensor: numpy's batched
-        # matmul applies the identical per-slice kernel as the 2-D
-        # single-observation path (same M/N/K), so every slice stays
-        # bit-for-bit equal to the one-observation evaluation while the
-        # whole group costs one set of ops.
-        groups: Dict[int, List[int]] = {}
-        for u, piece in enumerate(pieces):
-            groups.setdefault(piece.num_graphs, []).append(u)
-
-        group_logit_blocks: List[Tensor] = []
-        group_value_blocks: List[Tensor] = []
-        row_of_unique = np.empty(len(unique), dtype=np.int64)
-        row_cursor = 0
-        for count, members in groups.items():
-            k = len(members)
-            first = np.empty(k * count, dtype=np.int64)
-            second = np.empty(k * count, dtype=np.int64)
-            for j, u in enumerate(members):
-                f, s, _ = _pair_indices(count, int(offsets[u]),
-                                        num_actions)
-                first[j * count:(j + 1) * count] = f
-                second[j * count:(j + 1) * count] = s
-                row_of_unique[u] = row_cursor + j
-            row_cursor += k
-            gathered_first = embeddings.gather_rows(first) \
-                .reshape(k, count, dim)
-            gathered_second = embeddings.gather_rows(second) \
-                .reshape(k, count, dim)
-            pair = concat([gathered_first, gathered_second], axis=2)
-            logits = self.policy_head(pair).reshape(k, count)
-            _, _, positions = _pair_indices(count, 0, num_actions)
-            masked = logits.reshape(k * count).scatter_into(
-                (k, num_actions),
-                np.repeat(np.arange(k, dtype=np.int64), count),
-                np.tile(positions, k),
-                fill=_MASK_VALUE)
-            invalid = ~np.stack([unique[u].action_mask for u in members])
-            masked = masked + Tensor(np.where(invalid, _MASK_VALUE, 0.0))
-            group_logit_blocks.append(masked)
-
-            # Current-graph row and mean candidate embedding per member.
-            current_rows = gathered_first[:, 0, :]          # [k, D]
-            if count > 1:
-                mean_candidates = \
-                    gathered_second[:, :count - 1, :].mean(axis=1)
-            else:
-                mean_candidates = current_rows
-            value_input = concat([current_rows, mean_candidates],
-                                 axis=1).reshape(k, 1, 2 * dim)
-            group_value_blocks.append(
-                self.value_head(value_input).reshape(k))
-
-        # Reassemble per-transition rows (duplicates reuse unique rows);
-        # log-softmax, entropy and the chosen-action gather are row-wise.
-        unique_logits = concat(group_logit_blocks, axis=0)   # [U, A]
-        unique_values = concat(group_value_blocks, axis=0)   # [U]
-        transition_rows = row_of_unique[np.asarray(slots, dtype=np.int64)]
-        logit_matrix = unique_logits.gather_rows(transition_rows)
-        log_probs = logit_matrix.log_softmax(axis=-1)        # [B, A]
+        # Per-transition rows (duplicates reuse unique rows); log-softmax,
+        # entropy and the chosen-action gather are row-wise.
+        slots = np.asarray(slots, dtype=np.int64)
+        log_probs = unique_logits.gather_rows(slots).log_softmax(axis=-1)
         probs = log_probs.exp()
         entropy = -(probs * log_probs).sum(axis=1)           # [B]
         actions = np.asarray(actions, dtype=np.int64)
-        chosen = log_probs[np.arange(batch_size), actions]   # [B]
-        values = unique_values.gather_rows(transition_rows)  # [B]
-        return chosen, values, entropy
+        chosen = log_probs[np.arange(len(observations)), actions]   # [B]
+        return chosen, unique_values.gather_rows(slots), entropy
 
 
 @dataclass
@@ -416,7 +346,7 @@ class PPOUpdater:
                 updates += 1
 
         # The weights moved: memoised rollout decisions are stale.
-        self.agent.invalidate_decision_cache()
+        self.agent.invalidate_decisions()
 
         scale = 1.0 / max(updates, 1)
         return PPOUpdateStats(policy_loss=stats["policy"] * scale,

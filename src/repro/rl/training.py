@@ -11,7 +11,7 @@ from .buffer import RolloutBuffer, Transition
 from .env import GraphRewriteEnv
 from .ppo import PPOUpdater, XRLflowAgent
 
-__all__ = ["EpisodeRecord", "TrainingHistory", "PPOTrainer"]
+__all__ = ["EpisodeRecord", "TrainingHistory", "PPOTrainer", "run_episode"]
 
 
 @dataclass
@@ -50,6 +50,40 @@ class TrainingHistory:
         return float(np.mean([e.total_reward for e in window]))
 
 
+def run_episode(env: GraphRewriteEnv, agent: XRLflowAgent,
+                deterministic: bool,
+                buffer: Optional[RolloutBuffer] = None,
+                episode: int = 0) -> EpisodeRecord:
+    """Roll ``agent`` out over one episode of ``env``: sampled, or greedy
+    when ``deterministic``.  Every transition goes to ``buffer`` if one is
+    given; ``episode`` numbers the returned record.  Training and
+    evaluation roll out through this one loop."""
+    obs = env.reset()
+    total_reward = 0.0
+    done = False
+    last_info: Dict[str, float] = {}
+    while not done:
+        decision = agent.act(obs, deterministic=deterministic)
+        step = env.step(decision.action)
+        if buffer is not None:
+            buffer.add(Transition(
+                observation=obs, action=decision.action,
+                log_prob=decision.log_prob, value=decision.value,
+                reward=step.reward, done=step.done))
+        total_reward += step.reward
+        obs = step.observation
+        done = step.done
+        last_info = step.info
+    return EpisodeRecord(
+        episode=episode,
+        total_reward=total_reward,
+        steps=int(last_info.get("steps", 0)),
+        final_latency_ms=float(last_info.get("latency_ms", 0.0)),
+        speedup=float(last_info.get("speedup", 1.0)),
+        applied_rules=list(env.applied_rules),
+    )
+
+
 class PPOTrainer:
     """Collects on-policy rollouts from a :class:`GraphRewriteEnv` and applies
     PPO updates every ``update_frequency`` episodes (Table 4's setting)."""
@@ -68,42 +102,14 @@ class PPOTrainer:
         self.history = TrainingHistory()
         self.log_fn = log_fn
 
-    # ------------------------------------------------------------------
-    def run_episode(self, deterministic: bool = False,
-                    store: bool = True) -> EpisodeRecord:
-        """Roll out one episode; optionally store transitions for PPO."""
-        obs = self.env.reset()
-        total_reward = 0.0
-        done = False
-        last_info: Dict[str, float] = {}
-        while not done:
-            decision = self.agent.act(obs, deterministic=deterministic)
-            step = self.env.step(decision.action)
-            if store:
-                self.buffer.add(Transition(
-                    observation=obs, action=decision.action,
-                    log_prob=decision.log_prob, value=decision.value,
-                    reward=step.reward, done=step.done))
-            total_reward += step.reward
-            obs = step.observation
-            done = step.done
-            last_info = step.info
-        record = EpisodeRecord(
-            episode=len(self.history.episodes),
-            total_reward=total_reward,
-            steps=int(last_info.get("steps", 0)),
-            final_latency_ms=float(last_info.get("latency_ms", 0.0)),
-            speedup=float(last_info.get("speedup", 1.0)),
-            applied_rules=list(self.env.applied_rules),
-        )
-        self.history.episodes.append(record)
-        return record
-
     def train(self, num_episodes: int) -> TrainingHistory:
         """Train for ``num_episodes`` episodes, updating every
         ``update_frequency`` of them."""
         for episode in range(num_episodes):
-            record = self.run_episode(deterministic=False, store=True)
+            record = run_episode(self.env, self.agent, deterministic=False,
+                                 buffer=self.buffer,
+                                 episode=len(self.history.episodes))
+            self.history.episodes.append(record)
             if self.log_fn:
                 self.log_fn(
                     f"episode {record.episode}: reward={record.total_reward:.2f} "

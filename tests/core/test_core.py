@@ -1,5 +1,7 @@
 """Tests for the X-RLflow public API: config, optimiser, generalisation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,20 @@ class TestXRLflow:
         # train=False but no agent yet: optimise() trains automatically.
         result = opt.optimise(graph, train=False)
         assert result.final_graph is not None
+
+    def test_training_without_an_agent_keeps_exploration_best(self,
+                                                              tiny_config):
+        """``train=False`` with no agent trains anyway, and that training's
+        best graph counts exactly as with ``train=True``.  Seed 1 is a run
+        whose exploration beats the deterministic policy."""
+        config = dataclasses.replace(tiny_config, seed=1)
+        trained = XRLflow(config).optimise(tiny_transformer())
+        fallback = XRLflow(config).optimise(tiny_transformer(), train=False)
+        policy_latency = (trained.initial_latency_ms
+                          / trained.stats["policy_speedup"])
+        assert trained.final_latency_ms < policy_latency
+        assert fallback.final_latency_ms == trained.final_latency_ms
+        assert fallback.applied_rules == trained.applied_rules
 
     def test_inference_only_reuses_trained_agent(self, tiny_config):
         opt = XRLflow(tiny_config)

@@ -17,14 +17,14 @@ from repro.ir import Graph
 from repro.ir.ops import op_index
 from repro.nn import BatchedGraphs
 from repro.rl.features import (DEFAULT_EDGE_NORM, EDGE_FEATURE_DIM,
-                               GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM,
-                               GraphFeatures)
+                               GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM)
 
 __all__ = ["reference_encode_graph", "reference_meta_graph"]
 
 
 def reference_encode_graph(graph: Graph,
-                           edge_norm: float = DEFAULT_EDGE_NORM) -> GraphFeatures:
+                           edge_norm: float = DEFAULT_EDGE_NORM
+                           ) -> BatchedGraphs:
     """``encode_graph(graph, edge_norm)``, one node and one edge at a time."""
     order = sorted(graph.nodes)
     index = {nid: i for i, nid in enumerate(order)}
@@ -52,8 +52,12 @@ def reference_encode_graph(graph: Graph,
         edge_features = np.zeros((0, EDGE_FEATURE_DIM))
         edge_src = np.zeros(0, dtype=np.int64)
         edge_dst = np.zeros(0, dtype=np.int64)
-    return GraphFeatures(node_features.astype(np.float32),
-                         edge_features.astype(np.float32), edge_src, edge_dst)
+    return BatchedGraphs(
+        node_features=node_features.astype(np.float32),
+        edge_features=edge_features.astype(np.float32),
+        edge_src=edge_src, edge_dst=edge_dst,
+        graph_ids=np.zeros(n, dtype=np.int64), num_graphs=1,
+        global_features=np.zeros((1, GLOBAL_FEATURE_DIM), dtype=np.float32))
 
 
 def reference_meta_graph(graphs: Sequence[Graph],

@@ -94,8 +94,8 @@ def reference_search(optimiser: TASOOptimizer, graph: Graph,
             if eager:
                 cand_cost = self.cost_model.estimate(cand_graph)
             else:
-                cand_cost = self.cost_model.estimate_delta(
-                    current, cand_graph, parent_cost=cost)
+                cand_cost = self.cost_model.estimate_delta(current,
+                                                           cand_graph)
             cand_rules = applied + [candidate.rule_name]
             if cand_cost < best_cost:
                 best_graph, best_cost = cand_graph, cand_cost

@@ -1,5 +1,8 @@
 """Tests for the RL substrate: features, environment, GAE, PPO, training."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from ppo_reference import evaluate_actions
@@ -9,6 +12,7 @@ from repro.rl import (GraphRewriteEnv, PPOTrainer, PPOUpdater, RolloutBuffer,
                       Transition, XRLflowAgent, build_meta_graph, compute_gae,
                       encode_graph)
 from repro.rl.features import EDGE_FEATURE_DIM, NODE_FEATURE_DIM
+from repro.rl.training import run_episode
 from repro.rules import default_ruleset
 
 
@@ -290,6 +294,72 @@ class TestAgent:
         clone.load_state_dict(small_agent.state_dict())
         for a, b in zip(small_agent.parameters(), clone.parameters()):
             np.testing.assert_allclose(a.data, b.data)
+
+
+class TestDecisionMemo:
+    """``act`` memoises its decision on the observation, for one agent and
+    one version of its weights; the encoder's row counter says whether a
+    call encoded."""
+
+    @staticmethod
+    def encodes(agent, obs):
+        before = agent.encoder.rows_encoded
+        decision = agent.act(obs, deterministic=True)
+        return agent.encoder.rows_encoded > before, decision
+
+    def test_acting_twice_encodes_once(self, small_env, small_agent):
+        obs = small_env.reset()
+        encoded, first = self.encodes(small_agent, obs)
+        assert encoded
+        encoded, second = self.encodes(small_agent, obs)
+        assert not encoded
+        assert np.array_equal(first.probabilities, second.probabilities)
+        assert first.value == second.value
+
+    def test_a_weight_update_retires_the_decision(self, small_env,
+                                                  small_agent):
+        buffer = RolloutBuffer()
+        run_episode(small_env, small_agent, False, buffer=buffer)
+        run_episode(small_env, small_agent, False, buffer=buffer)
+        obs = small_env.reset()
+        _, before = self.encodes(small_agent, obs)
+        PPOUpdater(small_agent, epochs=1, batch_size=4).update(buffer)
+        encoded, after = self.encodes(small_agent, obs)
+        assert encoded
+        assert not np.array_equal(before.probabilities, after.probabilities)
+        assert not self.encodes(small_agent, obs)[0]
+
+    def test_loading_weights_retires_the_decision(self, small_env,
+                                                  small_agent):
+        obs = small_env.reset()
+        self.encodes(small_agent, obs)
+        small_agent.load_state_dict(small_agent.state_dict())
+        assert self.encodes(small_agent, obs)[0]
+
+    def test_a_second_agent_gets_its_own_decision(self, small_env,
+                                                  small_agent):
+        other = XRLflowAgent(hidden_dim=16, embedding_dim=16,
+                             num_gat_layers=1, head_sizes=(16,), seed=7)
+        obs = small_env.reset()
+        _, mine = self.encodes(small_agent, obs)
+        encoded, theirs = self.encodes(other, obs)
+        assert encoded
+        assert not np.array_equal(mine.probabilities, theirs.probabilities)
+        logits, _ = other.forward(obs)
+        assert int(np.argmax(logits.numpy())) == theirs.action
+        encoded, again = self.encodes(small_agent, obs)
+        assert encoded
+        assert np.array_equal(mine.probabilities, again.probabilities)
+
+    def test_the_agent_does_not_pin_observations(self, conv_graph,
+                                                 small_agent):
+        env = GraphRewriteEnv(conv_graph, max_candidates=8, max_steps=6)
+        obs = env.reset()
+        small_agent.act(obs)
+        alive = weakref.ref(obs)
+        del obs, env
+        gc.collect()
+        assert alive() is None
 
 
 class TestTraining:

@@ -200,12 +200,10 @@ class TestDeltaCost:
         cm = CostModel()
         pure = CostModel()  # fresh model whose estimate() never sees caches
         parent = model_graph
-        parent_cost = cm.estimate_cached(parent)
-        assert parent_cost == pure.estimate(parent)
+        assert cm.estimate_cached(parent) == pure.estimate(parent)
         for candidate in default_ruleset().all_candidates(parent):
             child = candidate.graph
-            delta_cost = cm.estimate_delta(parent, child,
-                                           parent_cost=parent_cost)
+            delta_cost = cm.estimate_delta(parent, child)
             assert delta_cost == pure.estimate(child), candidate.rule_name
 
     def test_estimate_delta_after_every_step_of_a_walk(self, model_graph):
@@ -213,9 +211,8 @@ class TestDeltaCost:
         pure = CostModel()
         chain = rewrite_chain(model_graph, depth=4)
         for parent, child in zip(chain, chain[1:]):
-            parent_cost = cm.estimate_cached(parent)
-            assert cm.estimate_delta(parent, child, parent_cost=parent_cost) \
-                == pure.estimate(child)
+            cm.estimate_cached(parent)
+            assert cm.estimate_delta(parent, child) == pure.estimate(child)
 
     def test_estimate_delta_without_carried_cache(self, model_graph):
         # A child built outside Graph.copy carries no table; the delta path

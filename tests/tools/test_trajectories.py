@@ -73,6 +73,20 @@ def test_a_changed_reward_or_update_stat_fails(rows):
     assert failures == [f"{key}: PPO update stats differ"]
 
 
+def test_a_changed_xrlflow_evaluation_fails(rows):
+    (key,) = [key for key in rows if key.startswith("rl_train/")]
+    for field, change in (("policy_speedup", 1e-12), ("policy_rules", 1.0)):
+        changed = copy.deepcopy(rows)
+        changed[key]["stats"][field] += change
+        failures, _, _ = trajectories.compare(rows, changed)
+        assert failures == [f"{key}: evaluation {field} differs"]
+    changed = copy.deepcopy(rows)
+    changed[key]["applied_rules"] = changed[key]["applied_rules"][::-1] \
+        + ["fuse-conv-relu"]
+    failures, _, _ = trajectories.compare(rows, changed)
+    assert failures == [f"{key}: returned applied_rules differ"]
+
+
 def test_a_second_recording_compares_clean(recorded, rows, tmp_path, capsys):
     again = tmp_path / "again.json"
     assert trajectories.main(["--smoke", str(again)]) == 0
@@ -84,7 +98,8 @@ def test_a_second_recording_compares_clean(recorded, rows, tmp_path, capsys):
 
 
 def test_what_is_reported_and_what_fails(rows):
-    keys = sorted(rows)
+    # Search rows: an X-RLflow row's evaluation fails on any change (below).
+    keys = sorted(key for key in rows if "episodes" not in rows[key])
     # The smoke rows apply one rule over and over: make one a sequence.
     rows[keys[0]]["applied_rules"][0] = "fuse-conv-bn"
     changed = copy.deepcopy(rows)

@@ -19,9 +19,11 @@ rules, and every PPO update's stats::
 (default: the one this file lives in), so one copy of the tool writes both
 sides.  ``--compare`` prints which rows differ in what and exits 1 when a
 row is missing, a final op histogram differs, a final latency differs by
-more than 1e-12 relative, or a training episode or PPO update stat differs
-at all: last-bit cost differences, reordered rules and moved counters are
-reported, not failed.  ``--smoke`` takes the two-model sketch of every
+more than 1e-12 relative, or a training episode, a PPO update stat or an
+X-RLflow row's evaluation (``policy_speedup``, ``policy_rules``, the
+returned ``applied_rules``) differs at all: last-bit cost differences,
+reordered rules and moved counters of the search rows are reported, not
+failed.  ``--smoke`` takes the two-model sketch of every
 workload (the unit tests' size).
 """
 
@@ -40,6 +42,9 @@ WORKLOADS = ("search_cold", "rl_train", "serve_mixed", "exec_verify")
 
 #: Largest relative difference of two final latencies that is still "equal".
 LATENCY_TOLERANCE = 1e-12
+
+#: Stats of an X-RLflow row's deterministic evaluation episodes.
+EVALUATION_STATS = ("policy_speedup", "policy_rules")
 
 
 def rows_of(smoke: bool) -> Dict[str, Any]:
@@ -115,6 +120,14 @@ def compare(before: Dict[str, Dict[str, Any]],
                             "(a total reward or the rules applied)")
         if old.get("update_stats") != new.get("update_stats"):
             failures.append(f"{key}: PPO update stats differ")
+        if "episodes" in old:
+            # An X-RLflow row's evaluation: what the policy reached and
+            # the rules the returned graph was built with.
+            failures += [f"{key}: evaluation {field} differs"
+                         for field in EVALUATION_STATS
+                         if old["stats"].get(field) != new["stats"].get(field)]
+            if old["applied_rules"] != new["applied_rules"]:
+                failures.append(f"{key}: returned applied_rules differ")
         if old["final_cost_hex"] != new["final_cost_hex"]:
             drift = _relative(float.fromhex(old["final_cost_hex"]),
                               float.fromhex(new["final_cost_hex"]))
