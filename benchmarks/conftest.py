@@ -8,15 +8,9 @@ benchmarks run a reduced training budget; scale the configuration up via
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.experiments import benchmark_config, optimise_suite
-
-# Benchmark gates compare against recorded baselines; a persisted device
-# calibration preset would silently shift every simulated latency.
-os.environ.setdefault("REPRO_DEVICE_PRESET", "off")
 
 
 @pytest.fixture(scope="session")

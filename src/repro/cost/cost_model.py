@@ -13,8 +13,8 @@ on an *idealised* view of the device:
   micro-benchmark are already resident),
 * kernel-shape efficiency penalties (grouped convolutions, tiny kernels) are
   not observed,
-* graph-level effects (fusion, constant folding) are invisible by
-  construction because operators are summed independently.
+* graph-level effects (constant folding) are invisible by construction
+  because operators are summed independently.
 
 The true latency is produced by :class:`repro.cost.e2e.E2ESimulator`.
 """
@@ -26,10 +26,18 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..ir.graph import Graph, NodeId
-from .device import DeviceConfig, SimulatedDevice, default_device
-from .op_cost import is_zero_cost, op_flops, op_memory_bytes
+from .device import SimulatedDevice
+from .op_cost import is_zero_cost, node_flops_bytes
 
 __all__ = ["CostModel", "CostBreakdown"]
+
+#: Fraction of memory traffic an isolated micro-benchmark pays: its operands
+#: are already resident in cache, so only 95 % of the true traffic shows.
+WARM_CACHE_FRACTION = 0.95
+
+#: Fraction of the true kernel-launch overhead an isolated micro-benchmark
+#: sees (repeated invocations amortise the rest).
+LAUNCH_AMORTISATION = 0.65
 
 #: Exact totals count multiples of 2**-1074 ms (the smallest subnormal).
 _UNIT = 1 << 1074
@@ -68,12 +76,6 @@ class CostModel:
     ----------
     device:
         The simulated device whose raw throughput numbers are used.
-    warm_cache_fraction:
-        Fraction of memory traffic assumed to hit cache during isolated
-        micro-benchmarking.  ``0.8`` means only 80% of true traffic is paid.
-    launch_amortisation:
-        Fraction of the true kernel-launch overhead that shows up in an
-        isolated micro-benchmark (repeated invocations amortise it).
     ignore_elementwise:
         When True, element-wise operators are costed at zero.  PET's cost
         model behaves this way (the paper calls this out); TASO's does not.
@@ -90,36 +92,27 @@ class CostModel:
     """
 
     def __init__(self, device: Optional[SimulatedDevice] = None,
-                 warm_cache_fraction: float = 0.95,
-                 launch_amortisation: float = 0.65,
                  ignore_elementwise: bool = False):
-        self.device = device or default_device()
-        self.warm_cache_fraction = float(warm_cache_fraction)
-        self.launch_amortisation = float(launch_amortisation)
+        self.device = device or SimulatedDevice()
         self.ignore_elementwise = bool(ignore_elementwise)
-        # The cost model's idealised device: no kernel-shape penalties.
+        # The idealised view of ``device``: no kernel-shape penalties, a
+        # partly amortised launch, no noise.  Every field not named here
+        # (throughput, bandwidth, the pool-gather pathology, which is real
+        # memory behaviour) carries over unchanged.
         cfg = self.device.config
-        self._ideal_device = SimulatedDevice(DeviceConfig(
+        self._ideal_device = self.device.with_config(
             name=cfg.name + "-idealised",
-            flops_per_ms=cfg.flops_per_ms,
-            bytes_per_ms=cfg.bytes_per_ms,
-            kernel_launch_ms=cfg.kernel_launch_ms * self.launch_amortisation,
-            peak_efficiency=cfg.peak_efficiency,
+            kernel_launch_ms=cfg.kernel_launch_ms * LAUNCH_AMORTISATION,
             grouped_conv_efficiency=cfg.peak_efficiency,
             batch_matmul_efficiency=cfg.peak_efficiency,
             small_kernel_efficiency=1.0,
             small_kernel_flops=0.0,
             measurement_noise=0.0,
-            # The window-gather pathology is real memory behaviour, not a
-            # kernel-shape penalty — the idealised device keeps it.
-            pool_gather_efficiency=cfg.pool_gather_efficiency,
-        ))
+        )
         # Key for per-node cost tables carried on graphs: two cost models
         # with identical parameters share (and may reuse) cached entries.
         self._cache_key = ("node-cost",
                            dataclasses.astuple(self.device.config),
-                           self.warm_cache_fraction,
-                           self.launch_amortisation,
                            self.ignore_elementwise)
         self._total_key = ("cost-total",) + self._cache_key[1:]
         self.nodes_derived = 0
@@ -131,13 +124,11 @@ class CostModel:
         node = graph.nodes[node_id]
         if is_zero_cost(node.op_type):
             return 0.0
-        inputs = graph.input_specs(node_id)
-        flops = op_flops(node.op_type, inputs, node.outputs, node.attrs)
+        flops, bytes_moved = node_flops_bytes(graph, node_id)
         if self.ignore_elementwise and flops <= sum(o.num_elements for o in node.outputs):
             # Element-wise / trivially cheap kernels ignored (PET behaviour).
             return 0.0
-        bytes_moved = op_memory_bytes(node.op_type, inputs, node.outputs, node.attrs)
-        bytes_moved *= self.warm_cache_fraction
+        bytes_moved *= WARM_CACHE_FRACTION
         return self._ideal_device.kernel_time_ms(node.op_type, flops, bytes_moved)
 
     def estimate(self, graph: Graph) -> float:
@@ -147,7 +138,9 @@ class CostModel:
         (``math.fsum`` of them): it does not depend on node order, is equal
         on isomorphic graphs, and is what :meth:`estimate_cached` and
         :meth:`estimate_delta` return too, bit for bit.  This method always
-        re-derives every node from scratch and leaves nothing on the graph.
+        re-derives every node's cost and leaves no cost on the graph; only
+        the device-independent flop and byte counts
+        (:func:`~repro.cost.op_cost.node_flops_bytes`) stay memoised.
         """
         return self.breakdown(graph).total_ms
 
@@ -218,5 +211,4 @@ class CostModel:
         return _units(graph, nid, value)
 
     def __repr__(self) -> str:
-        return (f"CostModel(device={self.device.config.name!r}, "
-                f"warm_cache_fraction={self.warm_cache_fraction})")
+        return f"CostModel(device={self.device.config.name!r})"

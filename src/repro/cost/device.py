@@ -12,23 +12,22 @@ same second-order effects the paper's evaluation hinges on:
   FLOP count suggests),
 * imperfect efficiency for small or oddly shaped kernels (grouped
   convolutions, tiny matmuls),
-* elementwise producer-consumer fusion at runtime,
 * constant folding of weight-only subgraphs.
+
+The runtime fuses nothing itself: fused kernels come only from rewrite rules.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from ..ir.ops import OpType
 
-__all__ = ["DeviceConfig", "SimulatedDevice", "GTX1080", "default_device",
-           "preset_path", "load_preset", "clear_preset_cache"]
+__all__ = ["DeviceConfig", "SimulatedDevice", "GTX1080", "load_preset"]
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,8 @@ class SimulatedDevice:
             eff *= cfg.small_kernel_efficiency
         return max(eff, 1e-3)
 
-    def kernel_time_ms(self, op_type: OpType, flops: float, bytes_moved: float,
-                       include_launch: bool = True) -> float:
+    def kernel_time_ms(self, op_type: OpType, flops: float,
+                       bytes_moved: float) -> float:
         """Runtime of a single kernel on the device, in milliseconds."""
         cfg = self.config
         eff = self._efficiency(op_type, flops)
@@ -109,14 +108,7 @@ class SimulatedDevice:
         if op_type in (OpType.MAXPOOL2D, OpType.AVGPOOL2D):
             bandwidth *= max(cfg.pool_gather_efficiency, 1e-3)
         memory_ms = bytes_moved / bandwidth if bytes_moved > 0 else 0.0
-        time_ms = max(compute_ms, memory_ms)
-        if include_launch:
-            time_ms += cfg.kernel_launch_ms
-        return time_ms
-
-    def launch_overhead_ms(self) -> float:
-        """Fixed cost of launching one kernel, whatever its size."""
-        return self.config.kernel_launch_ms
+        return max(compute_ms, memory_ms) + cfg.kernel_launch_ms
 
     def with_config(self, **overrides) -> "SimulatedDevice":
         """Return a device with some configuration fields replaced."""
@@ -126,35 +118,12 @@ class SimulatedDevice:
         return f"SimulatedDevice({self.config.name!r})"
 
 
-# ---------------------------------------------------------------------------
-# Persisted calibration presets
-# ---------------------------------------------------------------------------
-#
-# ``repro.exec.calibrate.save_preset`` writes the fitted device constants to
-# a small JSON file; ``default_device`` picks it up on the next start so a
-# one-off calibration run keeps paying off.  ``REPRO_DEVICE_PRESET`` selects
-# the file ("off" disables loading entirely, e.g. for hermetic test runs).
-
-_DEFAULT_PRESET = Path.home() / ".cache" / "repro" / "device_preset.json"
-
-#: (resolved path, mtime_ns) -> loaded device, so the hot ``default_device``
-#: call stats the file instead of re-parsing it.
-_preset_cache: dict = {}
-
-
-def preset_path() -> Optional[Path]:
-    """The preset file ``default_device`` consults, or None when disabled."""
-    env = os.environ.get("REPRO_DEVICE_PRESET", "")
-    if env.strip().lower() == "off":
-        return None
-    return Path(env) if env else _DEFAULT_PRESET
-
-
 def load_preset(path: Union[str, Path]) -> SimulatedDevice:
-    """Load a device preset written by ``save_preset``.
+    """Load a device preset written by ``repro.exec.calibrate.save_preset``.
 
     Unknown keys are ignored (forward compatibility); missing ones keep
-    their :class:`DeviceConfig` defaults.
+    their :class:`DeviceConfig` defaults.  Nothing loads a preset
+    implicitly: pass the result on as ``device=``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -162,34 +131,3 @@ def load_preset(path: Union[str, Path]) -> SimulatedDevice:
     fields = {f.name for f in dataclasses.fields(DeviceConfig)}
     kwargs = {k: v for k, v in config.items() if k in fields}
     return SimulatedDevice(DeviceConfig(**kwargs))
-
-
-def clear_preset_cache() -> None:
-    """Drop the memoised preset (tests; or after deleting the file)."""
-    _preset_cache.clear()
-
-
-def _preset_device() -> Optional[SimulatedDevice]:
-    path = preset_path()
-    if path is None:
-        return None
-    try:
-        key: Tuple[str, int] = (str(path), path.stat().st_mtime_ns)
-    except OSError:
-        return None
-    if key not in _preset_cache:
-        try:
-            _preset_cache[key] = load_preset(path)
-        except (OSError, ValueError, TypeError):
-            # A corrupt preset must never take the toolchain down.
-            _preset_cache[key] = None
-    return _preset_cache[key]
-
-
-def default_device() -> SimulatedDevice:
-    """The device used throughout the evaluation.
-
-    A persisted calibration preset (see :func:`preset_path`) takes
-    precedence; otherwise the GTX 1080-like defaults apply.
-    """
-    return _preset_device() or SimulatedDevice(GTX1080)

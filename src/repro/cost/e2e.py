@@ -30,16 +30,11 @@ import numpy as np
 
 from ..ir.graph import Graph, NodeId
 from ..ir.ops import OpType
-from .device import SimulatedDevice, default_device
-from .op_cost import is_zero_cost, op_flops, op_memory_bytes
+from .device import SimulatedDevice
+from .op_cost import is_zero_cost, node_flops_bytes
 
 __all__ = ["E2ESimulator", "E2EMeasurement", "LatencyProfile",
            "LatencySource"]
-
-#: Per-node (flops, bytes) memo table carried on graphs.  Device-independent
-#: — flop and byte counts only depend on the node's specs — so every
-#: simulator (and the whole process) shares one table per graph.
-_OPCOST_CACHE_KEY = "op-flops-bytes"
 
 
 @dataclass
@@ -72,7 +67,7 @@ class E2ESimulator:
 
     def __init__(self, device: Optional[SimulatedDevice] = None,
                  seed: int = 0):
-        self.device = device or default_device()
+        self.device = device or SimulatedDevice()
         self._rng = np.random.default_rng(seed)
         # Whole-graph latency memo key: two simulators with the same device
         # produce the same latency.
@@ -114,22 +109,12 @@ class E2ESimulator:
         total = 0.0
         kernels = 0
         per_node: Dict[NodeId, float] = {}
-        opcost_table = graph.node_cache(_OPCOST_CACHE_KEY)
         for nid in graph.topological_order():
             node = graph.nodes[nid]
             if is_zero_cost(node.op_type) or nid in folded:
                 per_node[nid] = 0.0
                 continue
-            cached = opcost_table.get(nid)
-            if cached is None:
-                inputs = graph.input_specs(nid)
-                cached = (
-                    op_flops(node.op_type, inputs, node.outputs, node.attrs),
-                    op_memory_bytes(node.op_type, inputs, node.outputs,
-                                    node.attrs),
-                )
-                opcost_table[nid] = cached
-            flops, bytes_moved = cached
+            flops, bytes_moved = node_flops_bytes(graph, nid)
             time_ms = self.device.kernel_time_ms(node.op_type, flops, bytes_moved)
             kernels += 1
             per_node[nid] = time_ms

@@ -9,12 +9,15 @@ write per output element.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence, Tuple
 
 from ..ir.ops import ELEMENTWISE_BINARY, ELEMENTWISE_UNARY, OpType
 from ..ir.tensor import TensorSpec
 
-__all__ = ["op_flops", "op_memory_bytes", "is_zero_cost"]
+if TYPE_CHECKING:
+    from ..ir.graph import Graph, NodeId
+
+__all__ = ["op_flops", "op_memory_bytes", "node_flops_bytes", "is_zero_cost"]
 
 #: Operators that perform no device work at inference time (metadata only or
 #: resolved at graph-compile time).
@@ -134,3 +137,23 @@ def op_memory_bytes(op_type: OpType, inputs: Sequence[TensorSpec],
         return float(gathered + padded_copy + written)
 
     return float(read + written)
+
+
+#: Key of the per-node ``(flops, bytes)`` table carried on graphs.  The
+#: counts depend only on the node's specs, not on any device, so every cost
+#: model, simulator and calibration run in the process shares one table.
+_FLOPS_BYTES_KEY = "op-flops-bytes"
+
+
+def node_flops_bytes(graph: "Graph", nid: "NodeId") -> Tuple[float, float]:
+    """``(op_flops, op_memory_bytes)`` of node ``nid`` of ``graph``,
+    memoised in the graph's per-node table until the node is rewired."""
+    table = graph.node_cache(_FLOPS_BYTES_KEY)
+    cached = table.get(nid)
+    if cached is None:
+        node = graph.nodes[nid]
+        inputs = graph.input_specs(nid)
+        cached = table[nid] = (
+            op_flops(node.op_type, inputs, node.outputs, node.attrs),
+            op_memory_bytes(node.op_type, inputs, node.outputs, node.attrs))
+    return cached

@@ -29,9 +29,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..cost.device import (SimulatedDevice, clear_preset_cache,
-                           default_device, preset_path)
-from ..cost.op_cost import is_zero_cost, op_flops, op_memory_bytes
+from ..cost.device import SimulatedDevice
+from ..cost.op_cost import is_zero_cost, node_flops_bytes
 from ..ir.graph import Graph
 from ..ir.ops import SOURCE_OPS, OpType
 from .executor import NumpyExecutor
@@ -99,10 +98,7 @@ def collect_kernel_samples(graphs: Sequence[Graph],
                      if nid in rep.per_node_ms]
             if not times:
                 continue
-            inputs = graph.input_specs(nid)
-            flops = op_flops(node.op_type, inputs, node.outputs, node.attrs)
-            bytes_moved = op_memory_bytes(node.op_type, inputs, node.outputs,
-                                          node.attrs)
+            flops, bytes_moved = node_flops_bytes(graph, nid)
             samples.append(KernelSample(node.op_type, flops, bytes_moved,
                                         min(times)))
     return samples
@@ -132,7 +128,7 @@ def calibrate(graphs: Sequence[Graph],
     ``device_after`` can be handed to :class:`~repro.cost.e2e.E2ESimulator`
     or :class:`~repro.cost.cost_model.CostModel` as a drop-in device.
     """
-    device = device or default_device()
+    device = device or SimulatedDevice()
     samples = collect_kernel_samples(graphs, executor, repeats=repeats)
     if grid is None:
         grid = np.geomspace(1e-2, 1e2, 33)
@@ -161,19 +157,15 @@ def calibrate(graphs: Sequence[Graph],
     )
 
 
-def save_preset(result: CalibrationResult,
-                path: Optional[Union[str, Path]] = None) -> Optional[Path]:
-    """Persist the fitted device so ``default_device`` loads it at startup.
+def save_preset(result: CalibrationResult, path: Union[str, Path]) -> Path:
+    """Write the fitted device to ``path``; :func:`~repro.cost.device.load_preset`
+    reads it back.
 
-    Writes the :class:`~repro.cost.device.DeviceConfig` of
-    ``result.device_after`` (plus fit metadata, for humans) to ``path`` —
-    defaulting to :func:`~repro.cost.device.preset_path`.  Returns the
-    written path, or None when persistence is disabled
-    (``REPRO_DEVICE_PRESET=off`` and no explicit path).
+    The file holds the :class:`~repro.cost.device.DeviceConfig` of
+    ``result.device_after`` plus fit metadata, for humans.  Nothing loads it
+    implicitly: pass the loaded device on as ``device=``.  Returns ``path``.
     """
-    target = Path(path) if path is not None else preset_path()
-    if target is None:
-        return None
+    target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "format": "repro-device-preset",
@@ -190,5 +182,4 @@ def save_preset(result: CalibrationResult,
     tmp = target.with_suffix(target.suffix + ".tmp")
     tmp.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     tmp.replace(target)
-    clear_preset_cache()
     return target

@@ -11,7 +11,7 @@ serving layer here:
   directory (flock-guarded acquire, heartbeats, stale takeover)
 * :mod:`repro.service.scheduler` — bounded submit/poll/result job scheduler
   over the thread and async worker backends, with per-job event
-  channels (:class:`JobHandle`)
+  channels (:meth:`JobScheduler.events`)
 * :mod:`repro.service.events` — streaming progress events and their
   in-memory / spool-file transports
 * :mod:`repro.service.async_pool` — asyncio event loop driving local process
@@ -40,8 +40,8 @@ from .registry import (create_optimiser, default_config, list_optimisers,
                        optimiser_spec, register_optimiser, OptimiserSpec)
 from .remote import (RemoteUnavailableError, RemoteWorkerError, WorkerServer,
                      optimise_async, ping_async)
-from .scheduler import (JobHandle, JobRecord, JobScheduler, JobState,
-                        QueueFullError, UnknownJobError)
+from .scheduler import (JobRecord, JobScheduler, JobState, QueueFullError,
+                        UnknownJobError)
 from .worker import JobRequest, ServiceResult, execute_request
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
     "optimiser_spec", "register_optimiser",
     "RemoteUnavailableError", "RemoteWorkerError", "WorkerServer",
     "optimise_async", "ping_async",
-    "JobHandle", "JobRecord", "JobScheduler", "JobState", "QueueFullError",
+    "JobRecord", "JobScheduler", "JobState", "QueueFullError",
     "UnknownJobError",
     "JobRequest", "ServiceResult", "execute_request",
 ]

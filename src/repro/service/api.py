@@ -265,7 +265,7 @@ class OptimisationService:
                         poll_interval_s=cfg.poll_interval_s,
                         max_wait_s=cfg.max_wait_s,
                         label=f"{request.label} (lease-wait)",
-                        on_success=self._store_searched_callback(fingerprint),
+                        on_success=self._store_callback(fingerprint),
                         on_done=release, stream=stream, compute=False)
                 else:
                     job_id = self.scheduler.submit(
@@ -338,17 +338,11 @@ class OptimisationService:
         return job_ids
 
     def _store_callback(self, fingerprint: str):
-        def store(result: ServiceResult) -> None:
-            self.cache.put(CacheEntry.from_result(fingerprint, result.search))
-        return store
-
-    def _store_searched_callback(self, fingerprint: str):
-        """Like :meth:`_store_callback`, but only for genuine searches.
-
-        Waiter jobs usually return an entry *polled from* the shared
-        tier — republishing it would reset its provenance for no gain;
-        only a takeover search (``cache_hit=False``) is worth storing.
-        """
+        """Store a job's result under ``fingerprint`` — unless it is a
+        cache hit.  A searched result (``execute_request``, a lease
+        waiter's takeover search) is never one; a waiter's entry polled
+        from the shared tier always is, and republishing it would reset
+        its provenance for no gain."""
         def store(result: ServiceResult) -> None:
             if not result.cache_hit:
                 self.cache.put(

@@ -18,7 +18,7 @@ to whoever submitted the job:
   job, owned by the scheduler, draining whichever sink the job was given.
 
 The scheduler surfaces channels as
-:meth:`~repro.service.scheduler.JobHandle.events`; the CLI's ``--follow``
+:meth:`~repro.service.scheduler.JobScheduler.events`; the CLI's ``--follow``
 flag and :meth:`~repro.service.api.OptimisationService.events` sit on top.
 """
 

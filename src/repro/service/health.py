@@ -23,11 +23,14 @@ action.
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 __all__ = ["EndpointHealth", "HealthRegistry"]
+
+#: Smoothing factor of the per-endpoint latency average (higher reacts
+#: faster).
+_EWMA_ALPHA = 0.3
 
 
 @dataclass
@@ -48,7 +51,6 @@ class EndpointHealth:
         consecutive_failures: Transport failures since the last success.
         quarantined: Circuit breaker state — a quarantined endpoint
             receives no work until a probe readmits it.
-        quarantined_at: Monotonic time of the quarantine transition.
         readmissions: Times the endpoint came back from quarantine.
     """
 
@@ -60,10 +62,7 @@ class EndpointHealth:
     ewma_latency_s: float = 0.0
     consecutive_failures: int = 0
     quarantined: bool = False
-    quarantined_at: float = 0.0
     readmissions: int = 0
-    #: Monotonic tick of the registry's last successful ping observation.
-    last_probe_at: float = field(default=0.0, repr=False)
 
     @property
     def effective_inflight(self) -> int:
@@ -109,16 +108,12 @@ class HealthRegistry:
             reports the worker's real ``num_workers``.
         failure_threshold: Consecutive transport failures that trip the
             circuit breaker (quarantine).
-        ewma_alpha: Smoothing factor for the latency average (higher
-            reacts faster).
     """
 
     def __init__(self, endpoints: Sequence[str],
                  default_capacity: int = 1,
-                 failure_threshold: int = 3,
-                 ewma_alpha: float = 0.3):
+                 failure_threshold: int = 3):
         self.failure_threshold = max(1, int(failure_threshold))
-        self.ewma_alpha = float(ewma_alpha)
         self._lock = threading.Lock()
         self._records: Dict[str, EndpointHealth] = {
             str(e): EndpointHealth(endpoint=str(e),
@@ -185,7 +180,7 @@ class HealthRegistry:
             if record.ewma_latency_s <= 0.0:
                 record.ewma_latency_s = float(latency_s)
             else:
-                record.ewma_latency_s += self.ewma_alpha * (
+                record.ewma_latency_s += _EWMA_ALPHA * (
                     float(latency_s) - record.ewma_latency_s)
 
     def record_failure(self, endpoint: str) -> bool:
@@ -199,7 +194,6 @@ class HealthRegistry:
             if (not record.quarantined
                     and record.consecutive_failures >= self.failure_threshold):
                 record.quarantined = True
-                record.quarantined_at = time.monotonic()
                 return True
             return False
 
@@ -226,7 +220,6 @@ class HealthRegistry:
             record.jobs_served = int(info.get("jobs_served",
                                               record.jobs_served))
             record.consecutive_failures = 0
-            record.last_probe_at = time.monotonic()
             if record.quarantined:
                 record.quarantined = False
                 record.readmissions += 1

@@ -25,7 +25,7 @@ search.
 Jobs submitted with ``stream=True`` additionally get an **event channel**:
 the job body receives a ``progress`` callable (see
 :mod:`repro.service.events`) and everything it emits can be followed live
-through :meth:`JobHandle.events` — in-memory for the thread backend, via
+through :meth:`JobScheduler.events` — in-memory for the thread backend, via
 a spool file for the async backend (whose job bodies run in other
 processes).
 """
@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from .events import EventChannel, ProgressEvent
 
-__all__ = ["JobScheduler", "JobHandle", "JobState", "JobRecord",
+__all__ = ["JobScheduler", "JobState", "JobRecord",
            "QueueFullError", "UnknownJobError"]
 
 
@@ -120,42 +120,6 @@ class JobRecord:
 #: pending → running transition in-process (only the thread pool can: the
 #: async backend runs the job body outside the submitting process).
 _BACKENDS = ("thread", "async")
-
-
-class JobHandle:
-    """A caller-facing view of one scheduled job.
-
-    Thin and copy-free: every method delegates to the scheduler, so a
-    handle can be created at any time for any live job id.
-    """
-
-    def __init__(self, scheduler: "JobScheduler", job_id: int):
-        self.scheduler = scheduler
-        self.job_id = job_id
-
-    @property
-    def state(self) -> "JobState":
-        """Current :class:`JobState` (non-blocking)."""
-        return self.scheduler.poll(self.job_id)
-
-    def record(self) -> "JobRecord":
-        """Snapshot of the job's record (a copy, safe to keep)."""
-        return self.scheduler.record(self.job_id)
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        """Block until the job finishes; re-raises the job's exception."""
-        return self.scheduler.result(self.job_id, timeout)
-
-    def events(self, poll_interval_s: float = 0.05,
-               timeout: Optional[float] = None) -> Iterator[ProgressEvent]:
-        """Yield the job's progress events until it reaches a terminal
-        state (see :meth:`JobScheduler.events`)."""
-        return self.scheduler.events(self.job_id,
-                                     poll_interval_s=poll_interval_s,
-                                     timeout=timeout)
-
-    def __repr__(self) -> str:  # pragma: no cover - convenience only
-        return f"JobHandle(job_id={self.job_id})"
 
 
 class JobScheduler:
@@ -279,8 +243,7 @@ class JobScheduler:
                 regardless of compute load.
             stream: Open an event channel for the job and pass its sink to
                 ``fn`` as a ``progress`` keyword argument — ``fn`` must
-                accept it.  Follow the events via :meth:`events` /
-                :meth:`JobHandle.events`.
+                accept it.  Follow the events via :meth:`events`.
             **kwargs: Keyword arguments for ``fn``.
 
         Returns:
@@ -498,15 +461,6 @@ class JobScheduler:
     def poll(self, job_id: int) -> JobState:
         """Current state of ``job_id`` (non-blocking)."""
         return self.record(job_id).state
-
-    def handle(self, job_id: int) -> JobHandle:
-        """A :class:`JobHandle` view of ``job_id``.
-
-        Raises:
-            UnknownJobError: If the id was never issued or was retired.
-        """
-        self.record(job_id)  # validate the id now, not on first use
-        return JobHandle(self, job_id)
 
     def events(self, job_id: int, poll_interval_s: float = 0.05,
                timeout: Optional[float] = None) -> Iterator[ProgressEvent]:

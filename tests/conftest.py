@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -12,11 +11,6 @@ from repro.ir import GraphBuilder
 
 # The reference implementations the equivalence suites import by module name.
 sys.path.insert(0, str(Path(__file__).resolve().parent / "oracles"))
-
-# Hermetic runs: a developer's persisted calibration preset must not leak
-# into test expectations.  Tests that exercise preset loading opt back in
-# by pointing REPRO_DEVICE_PRESET at a tmp file.
-os.environ.setdefault("REPRO_DEVICE_PRESET", "off")
 
 
 @pytest.fixture

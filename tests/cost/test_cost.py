@@ -6,7 +6,7 @@ import pytest
 from repro.cost import (
     CostModel,
     E2ESimulator,
-    default_device,
+    SimulatedDevice,
     is_zero_cost,
     op_flops,
     op_memory_bytes)
@@ -47,27 +47,26 @@ class TestOpCost:
 
 class TestDevice:
     def test_kernel_time_monotone_in_flops(self):
-        dev = default_device()
+        dev = SimulatedDevice()
         small = dev.kernel_time_ms(OpType.MATMUL, 1e6, 1e4)
         large = dev.kernel_time_ms(OpType.MATMUL, 1e9, 1e4)
         assert large > small
 
     def test_launch_overhead_included(self):
-        dev = default_device()
+        dev = SimulatedDevice()
         t = dev.kernel_time_ms(OpType.RELU, 0.0, 0.0)
-        assert t == pytest.approx(dev.launch_overhead_ms())
-        assert dev.kernel_time_ms(OpType.RELU, 0.0, 0.0, include_launch=False) == 0.0
+        assert t == pytest.approx(dev.config.kernel_launch_ms)
 
     def test_grouped_conv_penalty(self):
-        dev = default_device()
+        dev = SimulatedDevice()
         flops = 1e9
         dense = dev.kernel_time_ms(OpType.CONV2D, flops, 0.0)
         grouped = dev.kernel_time_ms(OpType.GROUP_CONV2D, flops, 0.0)
         assert grouped > dense
 
     def test_with_config_override(self):
-        dev = default_device().with_config(kernel_launch_ms=1.0)
-        assert dev.launch_overhead_ms() == 1.0
+        dev = SimulatedDevice().with_config(kernel_launch_ms=1.0)
+        assert dev.config.kernel_launch_ms == 1.0
 
 
 class TestCostModelAndE2E:

@@ -1,4 +1,4 @@
-"""Persisted calibration presets: save once, load at every startup."""
+"""Calibration presets: explicit file I/O, never read implicitly."""
 
 from __future__ import annotations
 
@@ -6,19 +6,8 @@ import json
 
 import pytest
 
-from repro.cost.device import (GTX1080, clear_preset_cache, default_device,
-                               load_preset, preset_path)
+from repro.cost.device import load_preset
 from repro.exec.calibrate import calibrate, save_preset
-
-
-@pytest.fixture()
-def preset_env(tmp_path, monkeypatch):
-    """Point REPRO_DEVICE_PRESET at a tmp file and reset the memo cache."""
-    path = tmp_path / "device_preset.json"
-    monkeypatch.setenv("REPRO_DEVICE_PRESET", str(path))
-    clear_preset_cache()
-    yield path
-    clear_preset_cache()
 
 
 @pytest.fixture()
@@ -26,68 +15,23 @@ def calibration(mlp_graph):
     return calibrate([mlp_graph], repeats=1, grid=[0.5, 1.0, 2.0])
 
 
-def test_off_disables_preset_loading(monkeypatch):
-    monkeypatch.setenv("REPRO_DEVICE_PRESET", "off")
-    clear_preset_cache()
-    assert preset_path() is None
-    assert default_device().config == GTX1080
-
-
-def test_save_preset_round_trips_the_fitted_device(preset_env, calibration):
-    written = save_preset(calibration)
-    assert written == preset_env
-    assert load_preset(preset_env).config == calibration.device_after.config
-
-
-def test_default_device_loads_the_saved_preset(preset_env, calibration):
-    assert default_device().config == GTX1080  # nothing saved yet
-    save_preset(calibration)
-    assert default_device().config == calibration.device_after.config
-
-
-def test_save_preset_returns_none_when_disabled(monkeypatch, calibration):
-    monkeypatch.setenv("REPRO_DEVICE_PRESET", "off")
-    clear_preset_cache()
-    assert save_preset(calibration) is None
-
-
-def test_explicit_path_overrides_disabled_env(monkeypatch, tmp_path,
-                                              calibration):
-    monkeypatch.setenv("REPRO_DEVICE_PRESET", "off")
-    clear_preset_cache()
-    target = tmp_path / "explicit.json"
+def test_save_preset_round_trips_the_fitted_device(tmp_path, calibration):
+    target = tmp_path / "nested" / "device_preset.json"
     assert save_preset(calibration, target) == target
     assert load_preset(target).config == calibration.device_after.config
 
 
-def test_corrupt_preset_falls_back_to_defaults(preset_env):
-    preset_env.write_text("{not json")
-    clear_preset_cache()
-    assert default_device().config == GTX1080
-
-
-def test_unknown_keys_are_ignored_for_forward_compat(preset_env, calibration):
-    save_preset(calibration)
-    payload = json.loads(preset_env.read_text())
+def test_unknown_keys_are_ignored_for_forward_compat(tmp_path, calibration):
+    target = save_preset(calibration, tmp_path / "device_preset.json")
+    payload = json.loads(target.read_text())
     payload["device"]["some_future_field"] = 42
-    preset_env.write_text(json.dumps(payload))
-    clear_preset_cache()
-    assert default_device().config == calibration.device_after.config
+    target.write_text(json.dumps(payload))
+    assert load_preset(target).config == calibration.device_after.config
 
 
-def test_preset_file_records_fit_metadata(preset_env, calibration):
-    save_preset(calibration)
-    payload = json.loads(preset_env.read_text())
+def test_preset_file_records_fit_metadata(tmp_path, calibration):
+    target = save_preset(calibration, tmp_path / "device_preset.json")
+    payload = json.loads(target.read_text())
     assert payload["format"] == "repro-device-preset"
     assert payload["fit"]["num_samples"] == len(calibration.samples)
     assert payload["fit"]["error_after"] <= payload["fit"]["error_before"]
-
-
-def test_rewritten_preset_is_picked_up(preset_env, calibration):
-    save_preset(calibration)
-    first = default_device().config
-    payload = json.loads(preset_env.read_text())
-    payload["device"]["flops_per_ms"] = first.flops_per_ms * 3
-    preset_env.write_text(json.dumps(payload))
-    # mtime-keyed memoisation must notice the rewrite
-    assert default_device().config.flops_per_ms == first.flops_per_ms * 3

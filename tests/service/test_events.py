@@ -131,12 +131,11 @@ def _counting_job(n: int, progress=None) -> int:
 
 
 class TestSchedulerEvents:
-    def test_job_handle_streams_events(self):
+    def test_thread_backend_streams_events(self):
         with JobScheduler(num_workers=1) as scheduler:
             job_id = scheduler.submit(_counting_job, 5, stream=True)
-            handle = scheduler.handle(job_id)
-            events = list(handle.events(timeout=30))
-            assert handle.result(timeout=10) == 5
+            events = list(scheduler.events(job_id, timeout=30))
+            assert scheduler.result(job_id, timeout=10) == 5
         assert [e.iteration for e in events] == [1, 2, 3, 4, 5]
         assert events[-1].best_graph_fp == "fp5"
 
