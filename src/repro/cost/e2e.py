@@ -62,17 +62,90 @@ class LatencySource(Protocol):
         """End-to-end latency of ``graph`` in milliseconds."""
 
 
+#: Operators whose value is constant by construction.
+_CONSTANT_SOURCES = (OpType.WEIGHT, OpType.CONSTANT)
+
+#: Whole-graph memo key of the constant-valued node set (device-independent).
+_CONSTANT_KEY = "e2e-constant-valued"
+
+
+def _constant_valued(graph: Graph) -> Set[NodeId]:
+    """Nodes whose value is known before inference: weights and constants,
+    and every node other than an input or output whose inputs all are.
+
+    Memoised on the graph; callers must not modify the set.  A graph whose
+    ``delta_parent()`` holds its set starts from that set minus the removed
+    nodes and re-decides only the delta's added and rewired nodes, plus the
+    consumers of any node whose answer changed, in topological order — so
+    every node is decided after its inputs and at most once.  Without one,
+    every node is decided.
+    """
+    def derive() -> Set[NodeId]:
+        parent = graph.delta_parent()
+        inherited = parent.memo_peek(_CONSTANT_KEY) \
+            if parent is not None else None
+        nodes = graph.nodes
+        if inherited is None:
+            constant: Set[NodeId] = set()
+            worklist = None
+        else:
+            delta = graph.mutation_delta()
+            constant = inherited - delta.removed
+            worklist = {nid for nid in delta.added | delta.rewired
+                        if nid in nodes}
+        for nid in graph.topological_order():
+            if worklist is not None and nid not in worklist:
+                continue
+            op_type = nodes[nid].op_type
+            if op_type in _CONSTANT_SOURCES:
+                now = True
+            elif op_type in (OpType.INPUT, OpType.OUTPUT):
+                now = False
+            else:
+                preds = graph.predecessors(nid)
+                now = bool(preds) and all(p in constant for p in preds)
+            if now == (nid in constant):
+                continue
+            if now:
+                constant.add(nid)
+            else:
+                constant.discard(nid)
+            if worklist is not None:
+                worklist.update(graph.successors(nid))
+        return constant
+    return graph.memo(_CONSTANT_KEY, derive)
+
+
 class E2ESimulator:
-    """Simulated end-to-end inference latency of a computation graph."""
+    """Simulated end-to-end inference latency of a computation graph.
+
+    A profile works from the graph's parent where it can.  Kernel times live
+    in a per-node table that ``Graph.copy`` hands down and every mutation
+    invalidates per node, like ``CostModel``'s ``node-cost`` table, so a
+    candidate copied from a profiled graph prices only the nodes its rewrite
+    added or rewired.  The constant-valued set is derived from the
+    ``delta_parent()``'s by a worklist over the same nodes.  The total is
+    still summed in ``topological_order()``, so every latency is the full
+    pass's to the last digit.
+
+    Attributes
+    ----------
+    nodes_priced:
+        How many kernel times this instance derived — the work the per-node
+        table exists to avoid, on the model of ``CostModel.nodes_derived``.
+        A plain unsynchronised diagnostic counter.
+    """
 
     def __init__(self, device: Optional[SimulatedDevice] = None,
                  seed: int = 0):
         self.device = device or SimulatedDevice()
         self._rng = np.random.default_rng(seed)
-        # Whole-graph latency memo key: two simulators with the same device
-        # produce the same latency.
-        self._latency_key = ("e2e-latency",
-                             dataclasses.astuple(self.device.config))
+        # Whole-graph latency memo key and per-node kernel-time table key:
+        # two simulators with the same device produce the same latency.
+        config = dataclasses.astuple(self.device.config)
+        self._latency_key = ("e2e-latency", config)
+        self._node_key = ("e2e-node-ms", config)
+        self.nodes_priced = 0
 
     # ------------------------------------------------------------------
     # Graph analysis
@@ -84,38 +157,38 @@ class E2ESimulator:
         at inference time.  Source nodes themselves are excluded (they never
         launch kernels anyway).
         """
-        foldable: Set[NodeId] = set()
-        constant_valued: Set[NodeId] = set()
-        for nid in graph.topological_order():
-            node = graph.nodes[nid]
-            if node.op_type in (OpType.WEIGHT, OpType.CONSTANT):
-                constant_valued.add(nid)
-                continue
-            if node.op_type in (OpType.INPUT, OpType.OUTPUT):
-                continue
-            preds = graph.predecessors(nid)
-            if preds and all(p in constant_valued for p in preds):
-                constant_valued.add(nid)
-                foldable.add(nid)
-        return foldable
+        nodes = graph.nodes
+        return {nid for nid in _constant_valued(graph)
+                if nodes[nid].op_type not in _CONSTANT_SOURCES}
 
     # ------------------------------------------------------------------
     # Latency
     # ------------------------------------------------------------------
     def profile(self, graph: Graph) -> LatencyProfile:
         """Simulate one inference pass and return a detailed profile."""
-        folded = self.constant_foldable_nodes(graph)
-
+        constant = _constant_valued(graph)
+        times = graph.node_cache(self._node_key)
+        nodes = graph.nodes
+        folded: Set[NodeId] = set()
         total = 0.0
         kernels = 0
         per_node: Dict[NodeId, float] = {}
         for nid in graph.topological_order():
-            node = graph.nodes[nid]
-            if is_zero_cost(node.op_type) or nid in folded:
+            op_type = nodes[nid].op_type
+            if nid in constant:
+                if op_type not in _CONSTANT_SOURCES:
+                    folded.add(nid)
                 per_node[nid] = 0.0
                 continue
-            flops, bytes_moved = node_flops_bytes(graph, nid)
-            time_ms = self.device.kernel_time_ms(node.op_type, flops, bytes_moved)
+            if is_zero_cost(op_type):
+                per_node[nid] = 0.0
+                continue
+            time_ms = times.get(nid)
+            if time_ms is None:
+                self.nodes_priced += 1
+                flops, bytes_moved = node_flops_bytes(graph, nid)
+                time_ms = times[nid] = self.device.kernel_time_ms(
+                    op_type, flops, bytes_moved)
             kernels += 1
             per_node[nid] = time_ms
             total += time_ms
@@ -128,6 +201,7 @@ class E2ESimulator:
         Memoised on the graph until its next mutation — the RL environment
         measures the same graph several times per step (reward, info dict,
         best-graph tracking) and only the first call pays for the profile.
+        Price a graph before copying it: copies inherit its kernel times.
         """
         return graph.memo(self._latency_key,
                           lambda: self.profile(graph).total_ms)

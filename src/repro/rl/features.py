@@ -21,8 +21,10 @@ incremental on three levels:
   table (:meth:`~repro.ir.graph.Graph.node_cache`).  Because ``Graph.copy``
   carries those tables over and every mutation invalidates exactly the
   affected nodes, a candidate produced by ``parent.copy()`` plus surgery
-  re-derives *only* the rows its :class:`~repro.ir.graph.GraphDelta`
-  touched — everything else is patched in from the parent's arrays.
+  re-derives *only* the blocks its :class:`~repro.ir.graph.GraphDelta`
+  touched, provided the parent's were built before the copy
+  (:func:`fill_edge_blocks`, which the environment calls on every current
+  graph first).
 * :class:`FeatureCache` memoises a graph's whole encoding — a one-graph
   :class:`~repro.nn.gnn.BatchedGraphs`, the one batch type there is — on
   the graph object, so a graph encoded twice (the current graph was one of
@@ -35,9 +37,10 @@ On the default path candidates are not encoded at all.  A candidate is its
 parent plus one rewrite, and only its *cone* — the nodes the rewrite changed,
 spread one hop downstream per GAT layer — can differ from the parent in any
 layer of the encoder.  :func:`rewrite_cone` derives that structure once per
-candidate graph (memoised on the graph), and :func:`build_delta_batch` turns
-it into a batch holding the current graph's rows in full and each candidate's
-cone rows only.  That one batch, memoised on the observation
+candidate graph (memoised on the graph, in plain Python), and
+:func:`build_delta_batch` turns the cones of a whole observation into one
+batch, with one set of array ops, holding the current graph's rows in full
+and each candidate's cone rows only.  That one batch, memoised on the observation
 (:meth:`~repro.rl.env.Observation.delta_batch`), is what the agent acts on
 and what the PPO update trains on.  :func:`build_meta_graph`, the full
 meta-graph, is what ``XRLflowAgent.forward`` encodes: the reference the
@@ -55,7 +58,7 @@ from ..ir.ops import num_op_types
 from ..nn.gnn import BatchedGraphs
 
 __all__ = ["FeatureCache", "encode_graph", "encode_order",
-           "encode_position", "RewriteCone", "rewrite_cone",
+           "encode_position", "fill_edge_blocks", "RewriteCone", "rewrite_cone",
            "build_meta_graph", "build_delta_batch", "combine_meta_graphs",
            "NODE_FEATURE_DIM", "EDGE_FEATURE_DIM", "GLOBAL_FEATURE_DIM"]
 
@@ -69,9 +72,8 @@ GLOBAL_FEATURE_DIM = 1
 #: Per-node cache key for incoming-edge blocks (see :func:`encode_graph`).
 _EDGE_ROWS_KEY = "rl:edge_rows"
 
-_EMPTY_SRC = np.zeros(0, dtype=np.int64)
 _EMPTY_FEATS = np.zeros((0, EDGE_FEATURE_DIM), dtype=np.float32)
-_NO_BLOCK = (_EMPTY_SRC, _EMPTY_FEATS)
+_NO_BLOCK = ((), ())
 
 
 def encode_order(graph: Graph) -> np.ndarray:
@@ -106,7 +108,8 @@ def encode_position(graph: Graph) -> np.ndarray:
 
 def _edge_block(graph: Graph, blocks: Dict[NodeId, tuple],
                 nid: NodeId) -> tuple:
-    """Node ``nid``'s incoming-edge block ``(src_ids, shape_rows)``.
+    """Node ``nid``'s incoming-edge block ``(src_ids, shape_rows)``: tuples
+    of the source ids and of their padded shapes (ints, not normalised).
 
     ``blocks`` is ``graph.node_cache(_EDGE_ROWS_KEY)``; the block is built
     on a miss and kept there.  The one builder behind the full encode and
@@ -119,14 +122,39 @@ def _edge_block(graph: Graph, blocks: Dict[NodeId, tuple],
         if edges:
             nodes = graph.nodes
             block = (
-                np.asarray([e.src for e in edges], dtype=np.int64),
-                np.asarray([nodes[e.src].outputs[e.src_slot].shape.padded(4)
-                            for e in edges], dtype=np.float64),
+                tuple([e.src for e in edges]),
+                tuple([nodes[e.src].outputs[e.src_slot].shape.padded(4)
+                       for e in edges]),
             )
         else:
             block = _NO_BLOCK
         blocks[nid] = block
     return block
+
+
+def fill_edge_blocks(graph: Graph) -> Dict[NodeId, tuple]:
+    """``graph``'s per-node incoming-edge blocks, every missing one built.
+
+    Fills the table ``Graph.copy`` hands to rewrite candidates, without
+    encoding the graph: the environment calls it before it copies the
+    current graph, so each candidate — and the chosen one's full encode on
+    the next step — builds only the blocks of the nodes its rewrite
+    changed.  :class:`FeatureCache` counts nothing here.
+    """
+    blocks = graph.node_cache(_EDGE_ROWS_KEY)
+    if len(blocks) < len(graph.nodes):
+        for nid in graph.nodes:
+            if nid not in blocks:
+                _edge_block(graph, blocks, nid)
+    return blocks
+
+
+def _normalised(shape_rows: List[Tuple[int, ...]],
+                edge_norm: float) -> np.ndarray:
+    """Edge feature rows: shapes divided in float64, rounded once to the
+    encoder's float32."""
+    return (np.asarray(shape_rows, dtype=np.float64) / edge_norm).astype(
+        np.float32)
 
 
 def _one_hot_ops(op_indices: np.ndarray) -> np.ndarray:
@@ -146,13 +174,13 @@ def encode_graph(graph: Graph,
     ``graph.node_cache("rl:edge_rows")``, which every mutation invalidates
     per affected node and ``Graph.copy`` hands to rewrite candidates *as
     filled at copy time*.  Encoding a candidate therefore rebuilds only the
-    blocks of the nodes its mutation delta changed **if its parent was
-    encoded before the copy**; blocks the parent had not built by then are
-    rebuilt by each descendant that is encoded.  The default RL path
-    fully encodes only an observation's current graph, when the agent first
-    acts on it (:func:`build_delta_batch`; candidates contribute the blocks
-    of their cone, see :func:`rewrite_cone`) — after its candidates were
-    copied, so that one encode still builds most of its blocks itself.
+    blocks of the nodes its mutation delta changed **if its parent's blocks
+    were built before the copy**.  The environment sees to that: it fills
+    the current graph's blocks (:func:`fill_edge_blocks`) before it copies
+    the candidates, so when the chosen candidate becomes the next current
+    graph, its one full encode (when the agent first acts on it, see
+    :func:`build_delta_batch`) builds at most the blocks of its rewrite's
+    added and rewired nodes — none, once its cone was derived.
     """
     order_arr = encode_order(graph)
     order = order_arr.tolist()
@@ -163,23 +191,21 @@ def encode_graph(graph: Graph,
     node_features = _one_hot_ops(graph.op_index_table()[order_arr])
 
     # Incoming-edge blocks, cached per node and invalidated by mutation.
-    rows = graph.node_cache(_EDGE_ROWS_KEY)
-    src_blocks: List[np.ndarray] = []
-    feat_blocks: List[np.ndarray] = []
-    dst_counts = np.zeros(n, dtype=np.int64)
+    blocks = fill_edge_blocks(graph)
+    src_ids: List[NodeId] = []
+    shape_rows: List[Tuple[int, ...]] = []
+    dst_counts = [0] * n
     for i, nid in enumerate(order):
-        srcs, feats = _edge_block(graph, rows, nid)
-        if srcs.shape[0]:
-            src_blocks.append(srcs)
-            feat_blocks.append(feats)
-            dst_counts[i] = srcs.shape[0]
+        srcs, rows = blocks[nid]
+        if srcs:
+            src_ids += srcs
+            shape_rows += rows
+            dst_counts[i] = len(srcs)
 
-    if src_blocks:
-        edge_src = encode_position(graph)[np.concatenate(src_blocks)]
+    if src_ids:
+        edge_src = encode_position(graph)[np.asarray(src_ids, dtype=np.int64)]
         edge_dst = np.repeat(np.arange(n, dtype=np.int64), dst_counts)
-        # Divided in float64, rounded once to the encoder's float32.
-        edge_features = (np.concatenate(feat_blocks) / edge_norm).astype(
-            np.float32)
+        edge_features = _normalised(shape_rows, edge_norm)
     else:
         edge_features = _EMPTY_FEATS
         edge_src = np.zeros(0, dtype=np.int64)
@@ -251,38 +277,37 @@ def build_meta_graph(graphs: Sequence[Graph],
 class RewriteCone:
     """What one rewrite can change in a candidate's encoding, as structure.
 
-    Every array is as long as the cone, its in-edges or the parent rows it
-    replaces — none as long as the graph.  Rows are indices into the cone
-    or rows of the ``delta_parent()``'s :func:`encode_order`; nothing
-    depends on weights, so one derivation serves every delta batch the graph
-    appears in.
+    Plain Python lists as long as the cone, its in-edges or the parent rows
+    it replaces — none as long as the graph — holding node ids and
+    cone-local indices; :func:`build_delta_batch` turns the cones of a
+    whole observation into arrays at once.  Nothing depends on weights or
+    on the edge normalisation, so one derivation serves every delta batch
+    the graph appears in.
     """
 
     __slots__ = ("delta", "cone_ids", "op_indices", "edge_src", "src_in_cone",
-                 "edge_feats", "segments", "minus_rows")
+                 "edge_dst", "edge_rows", "minus_ids")
 
     #: The ``GraphDelta`` this was derived from (the memo's validity token).
     delta: GraphDelta
-    #: ``[c]`` the cone's node ids, ascending; ``op_indices`` their operator
-    #: indices.
-    cone_ids: np.ndarray
-    op_indices: np.ndarray
+    #: The cone's node ids, ascending; ``op_indices`` their operator indices.
+    cone_ids: List[NodeId]
+    op_indices: List[int]
     #: In-edges of the cone nodes, each destination's block contiguous and in
     #: slot order: the source (an index into ``cone_ids`` where
-    #: ``src_in_cone``, else the source's row in the parent), normalised
-    #: shape features, and the destination as an index into ``cone_ids``.
-    edge_src: np.ndarray
-    src_in_cone: np.ndarray
-    edge_feats: np.ndarray
-    segments: np.ndarray
-    #: Parent rows the candidate no longer holds as they are: its removed
-    #: nodes and the old rows of its cone nodes.
-    minus_rows: np.ndarray
+    #: ``src_in_cone``, else the source's node id in the parent), the
+    #: destination as an index into ``cone_ids`` and the source's padded
+    #: shape (not normalised).
+    edge_src: List[int]
+    src_in_cone: List[bool]
+    edge_dst: List[int]
+    edge_rows: List[Tuple[int, ...]]
+    #: Parent node ids whose rows the candidate no longer holds as they
+    #: are: its removed nodes, then the old ids among its cone nodes.
+    minus_ids: List[NodeId]
 
 
-def rewrite_cone(graph: Graph, num_layers: int,
-                 edge_norm: float = DEFAULT_EDGE_NORM
-                 ) -> Optional[RewriteCone]:
+def rewrite_cone(graph: Graph, num_layers: int) -> Optional[RewriteCone]:
     """The cone of ``graph``'s rewrite against its ``delta_parent()``.
 
     ``None`` when the graph has no valid delta parent (the caller then
@@ -300,9 +325,9 @@ def rewrite_cone(graph: Graph, num_layers: int,
     delta = graph.mutation_delta()
 
     def derive() -> RewriteCone:
-        return _derive_cone(graph, parent, delta, num_layers, edge_norm)
+        return _derive_cone(graph, parent, delta, num_layers)
 
-    cone = graph.memo(("rl:cone", num_layers, edge_norm), derive)
+    cone = graph.memo(("rl:cone", num_layers), derive)
     if cone.delta is not delta:
         # ``Graph.copy`` hands whole-graph memos down: this entry describes
         # the graph we were copied from against *its* parent.  An unmutated
@@ -312,7 +337,7 @@ def rewrite_cone(graph: Graph, num_layers: int,
 
 
 def _derive_cone(graph: Graph, parent: Graph, delta: GraphDelta,
-                 num_layers: int, edge_norm: float) -> RewriteCone:
+                 num_layers: int) -> RewriteCone:
     nodes = graph.nodes
     dirty = {nid for nid in delta.added | delta.rewired if nid in nodes}
     spread = set(dirty)
@@ -328,42 +353,29 @@ def _derive_cone(graph: Graph, parent: Graph, delta: GraphDelta,
 
     cone = RewriteCone()
     cone.delta = delta
-    cone.cone_ids = cone_ids = np.sort(np.fromiter(
-        spread, dtype=np.int64, count=len(spread)))
-    cone.op_indices = graph.op_index_table()[cone_ids]
+    cone.cone_ids = cone_ids = sorted(spread)
+    op_ids = graph._op_ids
+    cone.op_indices = [op_ids[nid] for nid in cone_ids]
     # Ids are monotonic: a cone id below the parent's bound existed in the
     # parent, anything above was added by the rewrite.
-    parent_position = encode_position(parent)
-    removed = np.fromiter(delta.removed, dtype=np.int64,
-                          count=len(delta.removed))
-    old = cone_ids[cone_ids < parent_position.shape[0]]
-    cone.minus_rows = parent_position[np.concatenate([removed, old])]
+    bound = parent.id_bound
+    cone.minus_ids = list(delta.removed) + [nid for nid in cone_ids
+                                            if nid < bound]
+    local = {nid: i for i, nid in enumerate(cone_ids)}
     blocks = graph.node_cache(_EDGE_ROWS_KEY)
-    src_blocks: List[np.ndarray] = []
-    feat_blocks: List[np.ndarray] = []
-    counts = np.zeros(cone_ids.shape[0], dtype=np.int64)
-    for i, nid in enumerate(cone_ids.tolist()):
-        srcs, feats = _edge_block(graph, blocks, nid)
-        if srcs.shape[0]:
-            src_blocks.append(srcs)
-            feat_blocks.append(feats)
-            counts[i] = srcs.shape[0]
-    if src_blocks:
-        # A source outside the cone is a surviving node the rewrite left
-        # alone: it has its parent row.  Added nodes are all in the cone.
-        srcs = np.concatenate(src_blocks)
-        local = np.searchsorted(cone_ids, srcs)
-        in_cone = cone_ids[np.minimum(local, cone_ids.shape[0] - 1)] == srcs
-        local[~in_cone] = parent_position[srcs[~in_cone]]
-        cone.edge_src, cone.src_in_cone = local, in_cone
-        cone.edge_feats = (np.concatenate(feat_blocks) / edge_norm).astype(
-            np.float32)
-    else:
-        cone.edge_src = _EMPTY_SRC
-        cone.src_in_cone = np.zeros(0, dtype=bool)
-        cone.edge_feats = _EMPTY_FEATS
-    cone.segments = np.repeat(
-        np.arange(counts.shape[0], dtype=np.int64), counts)
+    cone.edge_src, cone.src_in_cone, cone.edge_dst, cone.edge_rows = \
+        edge_src, in_cone, edge_dst, edge_rows = [], [], [], []
+    for i, nid in enumerate(cone_ids):
+        srcs, rows = _edge_block(graph, blocks, nid)
+        edge_rows += rows
+        for src in srcs:
+            # A source outside the cone is a surviving node the rewrite
+            # left alone: it has its parent row.  Added nodes are all in
+            # the cone.
+            j = local.get(src)
+            in_cone.append(j is not None)
+            edge_src.append(src if j is None else j)
+            edge_dst.append(i)
     return cone
 
 
@@ -386,71 +398,114 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
     message passing and the readout run over a fraction of the rows.  A
     candidate of any other lineage is stored in full, like the current
     graph; ``num_cones`` says how many were not.
+
+    The cones are gathered as Python lists and turned into arrays once per
+    observation: one array of their edges' shape rows, divided in float64
+    and rounded once to float32, and one gather of :func:`encode_position`
+    for every parent id they name.
     """
     if cache is not None:
         edge_norm = cache.edge_norm
     current = graphs[0]
-    num_graphs = len(graphs)
-    op_blocks, feat_blocks, src_blocks, local_blocks, dst_blocks = \
-        [], [], [], [], []
-    minus_blocks = []
-    stored = np.empty(num_graphs, dtype=np.int64)
-    minus_counts = np.zeros(num_graphs, dtype=np.int64)
-    parents = np.full(num_graphs, -1, dtype=np.int64)
-    # Per graph, only appends: the blocks are offset and joined with a few
-    # array ops at the end, not a dozen small ones per candidate.
-    for index, graph in enumerate(graphs):
-        cone = rewrite_cone(graph, num_layers, edge_norm) \
+    stored: List[int] = []
+    minus_counts: List[int] = []
+    parents: List[int] = []
+    # Graph by graph, the store's blocks: a fully encoded graph's arrays
+    # with its first store row, or ``[row0, row1, edge0, edge1]``, a run of
+    # consecutive cones as a slice of the cone arrays built below.
+    layout: list = []
+    cone_ops: List[int] = []
+    cone_rows: List[Tuple[int, ...]] = []
+    cone_src: List[int] = []
+    cone_inside: List[bool] = []
+    cone_dst: List[int] = []
+    cone_starts: List[int] = []
+    cone_edges: List[int] = []
+    minus_ids: List[NodeId] = []
+    start = 0
+    for graph in graphs:
+        cone = rewrite_cone(graph, num_layers) \
             if graph is not current and graph.delta_parent() is current \
             else None
         if cone is None:
             feats = cache.encode(graph) if cache is not None \
                 else encode_graph(graph, edge_norm)
-            op_blocks.append(graph.op_index_table()[encode_order(graph)])
-            feat_blocks.append(feats.edge_features)
-            src_blocks.append(feats.edge_src)
-            local_blocks.append(np.ones(feats.num_edges, dtype=bool))
-            dst_blocks.append(feats.edge_dst)
-            stored[index] = feats.num_nodes
-            continue
-        op_blocks.append(cone.op_indices)
-        feat_blocks.append(cone.edge_feats)
-        src_blocks.append(cone.edge_src)
-        local_blocks.append(cone.src_in_cone)
-        dst_blocks.append(cone.segments)
-        minus_blocks.append(cone.minus_rows)
-        stored[index] = cone.cone_ids.shape[0]
-        minus_counts[index] = cone.minus_rows.shape[0]
-        parents[index] = 0
-    # Each graph's rows follow the previous graph's.  The current graph's
-    # start at store row 0, so a row of the parent is its own store row:
-    # only sources inside a graph's own block move with it.
-    starts = np.zeros(num_graphs, dtype=np.int64)
-    np.cumsum(stored[:-1], out=starts[1:])
-    edge_starts = np.repeat(starts, [block.shape[0] for block in dst_blocks])
-    num_rows = int(stored.sum())
+            layout.append((graph.op_index_table()[encode_order(graph)],
+                           feats, start))
+            stored.append(feats.num_nodes)
+            minus_counts.append(0)
+            parents.append(-1)
+        else:
+            if not layout or not isinstance(layout[-1], list):
+                layout.append([len(cone_ops), 0, len(cone_src), 0])
+            cone_ops += cone.op_indices
+            cone_rows += cone.edge_rows
+            cone_src += cone.edge_src
+            cone_inside += cone.src_in_cone
+            cone_dst += cone.edge_dst
+            cone_starts.append(start)
+            cone_edges.append(len(cone.edge_src))
+            minus_ids += cone.minus_ids
+            layout[-1][1], layout[-1][3] = len(cone_ops), len(cone_src)
+            stored.append(len(cone.cone_ids))
+            minus_counts.append(len(cone.minus_ids))
+            parents.append(0)
+        start += stored[-1]
+    num_rows = start
+
+    # A cone's own rows move with its first store row; a source outside it
+    # is a row of the current graph, which starts at store row 0, so its
+    # row in the current graph is its store row.
+    ops_all = np.asarray(cone_ops, dtype=np.int64)
+    feats_all = _normalised(cone_rows, edge_norm) if cone_rows \
+        else _EMPTY_FEATS
+    offset = np.repeat(np.asarray(cone_starts, dtype=np.int64), cone_edges)
+    dst_all = np.asarray(cone_dst, dtype=np.int64) + offset
+    src_all = np.asarray(cone_src, dtype=np.int64)
+    inside = np.asarray(cone_inside, dtype=bool)
+    outside = ~inside
+    src_all[inside] += offset[inside]
+    rows = encode_position(current)[np.concatenate(
+        [src_all[outside], np.asarray(minus_ids, dtype=np.int64)])]
+    num_outside = int(outside.sum())
+    src_all[outside] = rows[:num_outside]
+    minus_rows = rows[num_outside:]
+    op_pieces, feat_pieces, src_pieces, dst_pieces = [], [], [], []
+    for block in layout:
+        if isinstance(block, list):
+            row0, row1, edge0, edge1 = block
+            op_pieces.append(ops_all[row0:row1])
+            feat_pieces.append(feats_all[edge0:edge1])
+            src_pieces.append(src_all[edge0:edge1])
+            dst_pieces.append(dst_all[edge0:edge1])
+        else:
+            ops, feats, first = block
+            op_pieces.append(ops)
+            feat_pieces.append(feats.edge_features)
+            src_pieces.append(feats.edge_src + first)
+            dst_pieces.append(feats.edge_dst + first)
+    num_graphs = len(graphs)
     ids = np.arange(num_graphs, dtype=np.int64)
     # Every store row is pooled once (+1), by the graph storing it; then
     # each cone's minus rows (-1).
     return BatchedGraphs(
-        node_features=_one_hot_ops(np.concatenate(op_blocks)),
-        edge_features=np.concatenate(feat_blocks, axis=0),
-        edge_src=np.concatenate(src_blocks)
-        + edge_starts * np.concatenate(local_blocks),
-        edge_dst=np.concatenate(dst_blocks) + edge_starts,
+        node_features=_one_hot_ops(np.concatenate(op_pieces)),
+        edge_features=np.concatenate(feat_pieces, axis=0),
+        edge_src=np.concatenate(src_pieces),
+        edge_dst=np.concatenate(dst_pieces),
         graph_ids=np.concatenate([np.repeat(ids, stored),
                                   np.repeat(ids, minus_counts)]),
         num_graphs=num_graphs,
         global_features=np.zeros((num_graphs, GLOBAL_FEATURE_DIM),
                                  dtype=np.float32),
         pool_rows=np.concatenate(
-            [np.arange(num_rows, dtype=np.int64)] + minus_blocks),
+            [np.arange(num_rows, dtype=np.int64), minus_rows]),
         pool_signs=np.concatenate([np.ones(num_rows),
-                                   np.full(int(minus_counts.sum()), -1.0)]),
-        parents=parents,
+                                   np.full(minus_rows.shape[0], -1.0)]),
+        parents=np.asarray(parents, dtype=np.int64),
         graph_sizes=np.asarray([len(graph.nodes) for graph in graphs],
                                dtype=np.int64),
-        num_cones=int((parents >= 0).sum()),
+        num_cones=len(parents) - parents.count(-1),
     )
 
 

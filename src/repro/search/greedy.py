@@ -133,8 +133,8 @@ class TASOOptimizer:
         """
         with timed() as elapsed:
             # Before the first copy, so the simulator's per-node flop/byte
-            # table is handed down to every candidate, the final graph
-            # included.
+            # and kernel-time tables are handed down to every candidate,
+            # the final graph included.
             initial_latency = self.e2e.latency_ms(graph)
             initial_cost = self.cost_model.estimate_cached(graph)
             # Fresh per-search engine: match sets carry over between

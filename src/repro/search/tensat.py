@@ -111,7 +111,8 @@ class TensatOptimizer:
         """
         with timed() as elapsed:
             # Before the first copy, so the simulator's per-node flop/byte
-            # table is handed down to the whole population.
+            # and kernel-time tables are handed down to the whole
+            # population.
             initial_latency = self.e2e.latency_ms(graph)
             population, stats = self.space.explore(
                 graph, self.cost_model, on_round=self._round_reporter())

@@ -9,8 +9,10 @@ import pytest
 
 from repro.ir import GraphBuilder
 
-# The reference implementations the equivalence suites import by module name.
+# The reference implementations the equivalence suites import by module name,
+# and the random graph generator the property suites share.
 sys.path.insert(0, str(Path(__file__).resolve().parent / "oracles"))
+sys.path.insert(0, str(Path(__file__).resolve().parent / "exec"))
 
 
 @pytest.fixture

@@ -67,8 +67,16 @@ class TestFigures:
         xrl = fig4.column("xrlflow_speedup_pct")["squeezenet"]
         taso = fig4.column("taso_speedup_pct")["squeezenet"]
         assert xrl >= -1e-6 and taso >= -1e-6
+        # The policy alone reaches at most what train+best returns.
+        policy = fig4.column("xrlflow_policy_speedup_pct")["squeezenet"]
+        assert -1e-6 <= policy <= xrl + 1e-9
         assert fig6.column("taso_seconds")["squeezenet"] > 0
+        train = fig6.column("xrlflow_train_seconds")["squeezenet"]
+        assert train == results["squeezenet"]["xrlflow"].stats["train_time_s"]
+        assert train > 0
 
     def test_figure8_runs(self, tiny_rl_config):
         report = run_figure8(models=["bert"], config=tiny_rl_config, tensat_rounds=2)
-        assert "bert" in report.column("xrlflow_speedup_pct")
+        xrl = report.column("xrlflow_speedup_pct")["bert"]
+        policy = report.column("xrlflow_policy_speedup_pct")["bert"]
+        assert -1e-6 <= policy <= xrl + 1e-9

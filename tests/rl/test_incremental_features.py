@@ -17,11 +17,13 @@ import pickle
 
 import numpy as np
 import pytest
+from delta_batch_reference import reference_delta_batch
 from encode_reference import reference_encode_graph, reference_meta_graph
 from float64_leg import upcast
 from ppo_reference import LoopPPOUpdater, evaluate_actions
 from segment_reference import add_at_rows
 
+import repro.ir.graph
 import repro.nn.tensor
 import repro.rl.env
 import repro.rl.features
@@ -512,11 +514,11 @@ class TestBatchedEvaluate:
         empty delta against the candidate) must not be the candidate's."""
         graph = build_small_model("squeezenet")
         candidate = default_ruleset().all_candidates(graph)[0].graph
-        assert rewrite_cone(candidate, 2).cone_ids.size
+        assert rewrite_cone(candidate, 2).cone_ids
         clone = candidate.copy()
         cone = rewrite_cone(clone, 2)
-        assert not cone.cone_ids.size and not cone.minus_rows.size
-        assert rewrite_cone(candidate, 2).cone_ids.size
+        assert not cone.cone_ids and not cone.minus_ids
+        assert rewrite_cone(candidate, 2).cone_ids
         agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
                              num_gat_layers=2, head_sizes=(16,), seed=0)
         obs = observation_of([candidate, clone])
@@ -565,6 +567,107 @@ class TestBatchedEvaluate:
                    for b, p in zip(before, agent.parameters()))
         assert "encode_cache_hit_rate" in history.update_stats[0]
 
+
+
+def rl_train_optimiser():
+    """X-RLflow at the end-to-end benchmark's ``rl_train`` configuration."""
+    from repro.core import XRLflow, XRLflowConfig
+    return XRLflow(XRLflowConfig.fast(
+        num_episodes=6, max_steps=18, max_candidates=24, update_frequency=3,
+        ppo_epochs=2, eval_episodes=2, seed=0))
+
+
+class TestDeltaAssembly:
+    """The observation's one-pass assembly: the cones of all candidates go
+    to arrays together, and the current graph's edge blocks are built
+    before its candidates are copied from it."""
+
+    @staticmethod
+    def assert_batches_equal(fast, ref):
+        for field in ("node_features", "edge_features", "edge_src",
+                      "edge_dst", "graph_ids", "global_features", "pool_rows",
+                      "pool_signs", "parents", "graph_sizes"):
+            a, b = getattr(fast, field), getattr(ref, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert np.array_equal(a, b), field
+        assert (fast.num_graphs, fast.num_cones) == (ref.num_graphs,
+                                                     ref.num_cones)
+
+    @pytest.mark.parametrize("name", ["squeezenet", "bert"])
+    def test_matches_the_per_candidate_oracle_field_by_field(self, name):
+        """Along a rollout, and on the edge cases (no candidate; an
+        untouched copy, a pure removal and a lineage-less graph stored in
+        full between two runs of cones), at an edge norm other than the
+        default."""
+        agent = small_agent()
+        env = GraphRewriteEnv(build_small_model(name), max_candidates=24,
+                              max_steps=8,
+                              feature_cache=FeatureCache(edge_norm=1000.0))
+        observations = []
+        rollout(env, agent, observations.append)
+        observations += edge_case_observations()
+        mixed = observations[-1]
+        assert mixed.delta_batch(2).num_cones == len(mixed.graphs) - 2
+        for obs in observations:
+            norm = obs.feature_cache.edge_norm
+            self.assert_batches_equal(
+                build_delta_batch(obs.graphs, 2, cache=FeatureCache(norm)),
+                reference_delta_batch(obs.graphs, 2, norm))
+
+    def test_no_candidate_reads_a_whole_graph_array(self, monkeypatch):
+        """Only graphs stored in full read the id-indexed op table."""
+        graph = build_small_model("squeezenet")
+        candidates = [c.graph for c in default_ruleset().all_candidates(graph)]
+        assert len(candidates) > 5
+        calls = []
+        table = repro.ir.graph.Graph.op_index_table
+        monkeypatch.setattr(repro.ir.graph.Graph, "op_index_table",
+                            lambda g: calls.append(g) or table(g))
+        batch = build_delta_batch([graph] + candidates, 2)
+        assert batch.num_cones == len(candidates)
+        assert calls and all(g is graph for g in calls)
+
+    def test_a_step_builds_edge_blocks_only_for_the_rewrite(self,
+                                                           monkeypatch):
+        """``reset`` builds the initial graph's blocks before its candidates
+        are copied; after one step, observing and fully encoding the new
+        current graph builds blocks only for the chosen rewrite's added and
+        rewired nodes — the rest came with the copy."""
+        built = []
+        edge_block = repro.rl.features._edge_block
+
+        def counting(graph, blocks, nid):
+            if nid not in blocks:
+                built.append((graph, nid))
+            return edge_block(graph, blocks, nid)
+
+        monkeypatch.setattr(repro.rl.features, "_edge_block", counting)
+        env = GraphRewriteEnv(build_small_model("squeezenet"),
+                              max_candidates=8)
+        obs = env.reset()
+        initial = obs.graphs[0]
+        assert [g for g, _ in built] == [initial] * len(initial.nodes)
+        built.clear()
+        chosen = obs.candidates[0].graph
+        delta = chosen.mutation_delta()
+        dirty = {n for n in delta.added | delta.rewired if n in chosen.nodes}
+        assert dirty and len(dirty) < len(chosen.nodes) // 4
+        result = env.step(0)
+        assert result.observation.graphs[0] is chosen
+        env.feature_cache.encode(chosen)
+        assert [g for g, _ in built] == [chosen] * len(dirty)
+        assert {nid for _, nid in built} == dirty
+
+    def test_feature_cache_counts_are_unchanged_at_rl_train_config(self):
+        """Filling a graph's edge blocks is not an encode: the counters
+        behind ``update_stats["encode_cache_hit_rate"]`` read what they
+        read before the blocks were built ahead of the copies."""
+        optimiser = rl_train_optimiser()
+        history = optimiser.train(build_small_model("squeezenet"))
+        cache = optimiser._training_env.feature_cache
+        assert (cache.hits, cache.misses) == (0, 60)
+        assert [record["encode_cache_hit_rate"]
+                for record in history.update_stats] == [0.0, 0.0]
 
 def test_removed_switches_are_refused():
     graph = build_small_model("squeezenet")

@@ -91,6 +91,30 @@ def test_bench_job_pins_blas_to_one_thread():
     assert re.search(r'^      OMP_NUM_THREADS: "1"$', env.group(1), re.M)
 
 
+
+def test_trajectories_job_compares_base_and_change_on_pull_requests():
+    """A perf change must keep every trajectory: the job records the pull
+    request's base (a worktree of the full history) and the change with
+    BLAS pinned on both sides, and fails on what ``--compare`` fails on."""
+    job = re.search(r"\n  trajectories:\n(.*?)(?=\n  \w+:\n|\Z)", CI, re.S)
+    assert job, "trajectories job disappeared"
+    body = job.group(1)
+    assert "if: github.event_name == 'pull_request'" in body
+    assert re.search(r"^          fetch-depth: 0$", body, re.M)
+    env = re.search(r"\n    env:\n((?:      .*\n?)+)", body)
+    assert env, "trajectories job has no job-level env"
+    assert re.search(r'^      OPENBLAS_NUM_THREADS: "1"$', env.group(1), re.M)
+    assert re.search(r'^      OMP_NUM_THREADS: "1"$', env.group(1), re.M)
+    base = re.search(r'git worktree add (\S+) '
+                     r'"\$\{\{ github\.event\.pull_request\.base\.sha \}\}"',
+                     body)
+    assert base, "the base commit is not checked out"
+    steps = re.findall(r"run: (python tools/trajectories\.py .*)", body)
+    assert steps == [
+        f"python tools/trajectories.py --root {base.group(1)} base.json",
+        "python tools/trajectories.py head.json",
+        "python tools/trajectories.py --compare base.json head.json"]
+
 def test_pip_cache_key_tracks_the_requirements_file():
     """Cache keys must depend on the explicit requirements stanza, not on
     ci.yml itself — editing an unrelated step should not cold-start pip."""
