@@ -1,8 +1,7 @@
 """numpy autodiff engine, dense layers, GNN layers and optimisers."""
 
-from .tensor import (Tensor, as_tensor, concat, delta_segment_sum,
-                     is_grad_enabled, no_grad, segment_max, segment_softmax,
-                     segment_sum, stack)
+from .tensor import (Tensor, as_tensor, concat, delta_segment_sum, no_grad,
+                     segment_max, segment_softmax, segment_sum, stack)
 from .layers import Linear, MLP, Module, Parameter, fresh_rng
 from .optim import Adam, SGD, clip_grad_norm
 from .gnn import (BatchedGraphs, GATLayer, GlobalUpdateLayer,
@@ -11,7 +10,7 @@ from .gnn import (BatchedGraphs, GATLayer, GlobalUpdateLayer,
 __all__ = [
     "Tensor", "as_tensor", "concat", "stack", "segment_sum",
     "delta_segment_sum", "segment_softmax", "segment_max",
-    "no_grad", "is_grad_enabled",
+    "no_grad",
     "Linear", "MLP", "Module", "Parameter", "fresh_rng",
     "Adam", "SGD", "clip_grad_norm",
     "BatchedGraphs", "GATLayer", "GlobalUpdateLayer", "GraphEmbeddingNetwork",

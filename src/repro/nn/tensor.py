@@ -1,10 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The paper implements its agent in JAX; here a small tape-based autodiff
-engine provides just the operations the GNN encoder and the PPO heads need
-(dense algebra, elementwise nonlinearities, segment operations for message
-passing, and the reductions used by the PPO loss).  Everything is vectorised
-numpy — no Python loops over elements.
+engine provides just the operations the PPO heads and loss need (dense
+algebra, elementwise nonlinearities, gathers and the reductions of the PPO
+loss), plus the segment operations message passing is made of.  The GNN
+encoder's layers are one op each (:mod:`repro.nn.gnn`) and call this
+module's segment-sum kernel; the segment ops here are what their test
+oracle composes.  Everything is vectorised numpy — no Python loops over
+elements.
 
 The engine has one precision, float32: ``Tensor(data)`` stores its array
 as float32, and an op's result keeps the dtype numpy computed it in.  A
@@ -33,8 +36,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 __all__ = ["Tensor", "as_tensor", "concat", "stack", "segment_sum",
-           "delta_segment_sum", "segment_softmax", "segment_max", "no_grad",
-           "is_grad_enabled"]
+           "delta_segment_sum", "segment_softmax", "segment_max", "no_grad"]
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
@@ -56,11 +58,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED.reset(token)
-
-
-def is_grad_enabled() -> bool:
-    """Whether ops currently record an autograd tape."""
-    return _GRAD_ENABLED.get()
 
 
 def _scatter_add_rows(values: np.ndarray, index: np.ndarray,
@@ -150,7 +147,7 @@ class Tensor:
         out.grad = None
         out.name = ""
         out.requires_grad = (_GRAD_ENABLED.get()
-                             and any(p.requires_grad for p in parents))
+                             and any([p.requires_grad for p in parents]))
         out._parents = tuple(parents) if out.requires_grad else ()
         out._backward = backward if out.requires_grad else None
         return out
@@ -263,9 +260,9 @@ class Tensor:
             # The encoder's first layer multiplies a constant input: its
             # ``grad @ W.T`` ([rows, in_features]) is never needed.
             if self.requires_grad:
-                self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
+                self._accumulate(grad @ other.data.swapaxes(-1, -2))
             if other.requires_grad:
-                other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
+                other._accumulate(self.data.swapaxes(-1, -2) @ grad)
         return Tensor._make(out_data, (self, other), backward)
 
     __matmul__ = matmul
@@ -426,10 +423,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
 
     def backward(grad):
-        splits = np.cumsum(sizes)[:-1]
-        for t, piece in zip(tensors, np.split(np.asarray(grad), splits, axis=axis)):
+        # Each input's slice of ``grad`` (what ``np.split`` returns, views).
+        index = [slice(None)] * grad.ndim
+        start = 0
+        for t, size in zip(tensors, sizes):
             if t.requires_grad:
-                t._accumulate(piece)
+                index[axis] = slice(start, start + size)
+                t._accumulate(grad[tuple(index)])
+            start += size
     return Tensor._make(out_data, tensors, backward)
 
 

@@ -6,11 +6,12 @@ resolve: they run on float64 leaves (``tests/oracles/float64_leg.py``).
 
 import numpy as np
 import pytest
-from float64_leg import leaf
+from float64_leg import leaf, upcast
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import (Tensor, concat, delta_segment_sum, segment_softmax,
-                      segment_sum, stack)
+from repro.nn import (BatchedGraphs, GATLayer, GlobalUpdateLayer,
+                      NodeUpdateLayer, Tensor, concat, delta_segment_sum,
+                      no_grad, segment_softmax, segment_sum, stack)
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -159,6 +160,71 @@ class TestSegmentOps:
         (segment_softmax(logits, ids, 2) * np.arange(5).reshape(5, 1)).sum().backward()
         assert logits.grad is not None
         assert np.isfinite(logits.grad).all()
+
+
+def readout_batch(num_graphs=4):
+    """Six store rows, seven edges (not grouped by destination; rows 0 and
+    5 have none in), and :class:`TestSegmentOps`' delta readout — or, with
+    ``num_graphs=1``, one graph pooling every row."""
+    rng = np.random.default_rng(10)
+    readout = dict(
+        graph_ids=TestSegmentOps.DELTA_IDS, num_graphs=4,
+        pool_rows=TestSegmentOps.DELTA_ROWS,
+        pool_signs=TestSegmentOps.DELTA_SIGNS,
+        parents=TestSegmentOps.DELTA_PARENTS,
+        graph_sizes=np.array([3, 3, 3, 2])) if num_graphs == 4 else dict(
+        graph_ids=np.zeros(6, dtype=np.int64), num_graphs=1)
+    return BatchedGraphs(
+        node_features=rng.normal(size=(6, 3)).astype(np.float32),
+        edge_features=rng.normal(size=(7, 2)).astype(np.float32),
+        edge_src=np.array([0, 1, 2, 0, 3, 4, 5]),
+        edge_dst=np.array([1, 2, 2, 3, 4, 4, 1]),
+        global_features=rng.normal(size=(num_graphs, 1)).astype(np.float32),
+        **readout)
+
+
+def check_layer_gradients(layer, batch, inputs=None, atol=1e-6):
+    """A fused layer's gradients — for its input rows (``inputs``; the
+    node update's input is a constant) and every parameter — against
+    central differences, on the float64 leg."""
+    upcast(layer)
+    x = Tensor(batch.node_features) if inputs is None \
+        else leaf(inputs, requires_grad=True)
+    out = layer(batch, x)
+    weights = leaf(np.random.default_rng(11).normal(size=out.shape))
+    (out * weights).sum().backward()
+    for tensor in ([] if inputs is None else [x]) + layer.parameters():
+        def loss(data, tensor=tensor):
+            kept, tensor.data = tensor.data, data
+            with no_grad():
+                value = float((layer(batch, x) * weights).sum().data)
+            tensor.data = kept
+            return value
+
+        assert tensor.grad.dtype == np.float64
+        np.testing.assert_allclose(
+            tensor.grad, numeric_grad(loss, tensor.data.copy()), atol=atol)
+
+
+class TestFusedLayerGradients:
+    """Each encoder layer is one op with a hand-written backward."""
+
+    def test_node_update(self):
+        check_layer_gradients(
+            NodeUpdateLayer(3, 2, 4, rng=np.random.default_rng(0)),
+            readout_batch())
+
+    def test_gat_layer(self):
+        check_layer_gradients(
+            GATLayer(4, rng=np.random.default_rng(1)), readout_batch(),
+            np.random.default_rng(2).normal(size=(6, 4)))
+
+    @pytest.mark.parametrize("num_graphs", [4, 1])
+    def test_global_update(self, num_graphs):
+        check_layer_gradients(
+            GlobalUpdateLayer(4, 1, 3, rng=np.random.default_rng(3)),
+            readout_batch(num_graphs),
+            np.random.default_rng(4).normal(size=(6, 4)))
 
 
 class TestOnePrecision:

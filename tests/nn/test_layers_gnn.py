@@ -117,9 +117,12 @@ class TestGNN:
 
     def test_backward_computes_no_gradient_for_constants(self, monkeypatch):
         """``_accumulate`` is only ever entered for a tensor that keeps its
-        gradient: the encoder's constants (features, ``* 0.5``, the pooling
-        ``1 / counts``, the softmax shift) cost no gradient arithmetic —
-        and the parameter gradients are what they were."""
+        gradient: the encoder's constants (node and edge features, the
+        pooling ``1 / counts``, the softmax shift) cost no gradient
+        arithmetic — and the parameter gradients are what they were.  Each
+        layer is one op: a backward enters once per parameter and once per
+        tensor between two ops, none for the node update's constant
+        input."""
         batch = tiny_batch(2)
         net = GraphEmbeddingNetwork(node_dim=batch.node_features.shape[1],
                                     edge_dim=batch.edge_features.shape[1],
@@ -139,6 +142,9 @@ class TestGNN:
         monkeypatch.setattr(Tensor, "_accumulate", spy)
         net(batch).sum().backward()
         assert entered and all(entered)
+        # The loss, the embeddings, and each GAT layer's and the readout's
+        # input.
+        assert len(entered) == len(net.parameters()) + net.num_gat_layers + 3
         for p, grad in zip(net.parameters(), expected):
             assert np.array_equal(p.grad, grad)
 

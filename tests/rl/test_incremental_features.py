@@ -288,7 +288,12 @@ class TestRolloutEmbedding:
                 patch.setattr(repro.rl.ppo, "build_meta_graph",
                               lambda graphs, cache: reference_meta_graph(
                                   graphs, cache.edge_norm))
+                sums_before = len(wide_sums)
                 logits, value = agent.forward(obs)
+            # Every segment sum of the encoder ran on the oracle kernel:
+            # the node update's, two per GAT layer and the readout's.
+            assert len(wide_sums) - sums_before \
+                == 2 + 2 * agent.encoder.num_gat_layers
             # The sampling distribution: the float32 logits normalised in
             # float64, by ``Tensor.softmax``'s operations.
             assert logits.numpy().dtype == np.float32
