@@ -203,9 +203,6 @@ class XRLflow:
             training cost is reported separately in ``stats``.
         """
         cfg = self.config
-        # Before the environments take their first copy: every graph they
-        # visit inherits the per-node cost table, so costing the best one
-        # at the end derives only the nodes its rewrites touched.
         initial_cost = self.cost_model.estimate_cached(graph)
         with timed() as elapsed:
             trained = train or self.agent is None

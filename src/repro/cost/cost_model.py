@@ -84,7 +84,7 @@ class CostModel:
     ----------
     nodes_derived:
         How many times :meth:`node_cost_ms` ran on this instance — the work
-        the per-node tables (and TASO's remembered prices) exist to avoid.
+        the node memos (and TASO's remembered prices) exist to avoid.
         A diagnostic read by tests (``tests/search/test_cost_reuse.py`` pins
         it per search); it is a plain unsynchronised integer, exact only
         while one thread costs with this instance, which is how every
@@ -109,8 +109,8 @@ class CostModel:
             small_kernel_flops=0.0,
             measurement_noise=0.0,
         )
-        # Key for per-node cost tables carried on graphs: two cost models
-        # with identical parameters share (and may reuse) cached entries.
+        # Node-memo key of a node's cost: two cost models with identical
+        # parameters share (and may reuse) memoised entries.
         self._cache_key = ("node-cost",
                            dataclasses.astuple(self.device.config),
                            self.ignore_elementwise)
@@ -162,8 +162,7 @@ class CostModel:
         and subtract without rounding, so the difference between a child's
         and its parent's is a property of the rewrite alone — the *price*
         the TASO loop remembers per match; :meth:`exact_to_ms` rounds one.
-        Per-node costs come from (and fill) the table ``Graph.copy`` hands
-        down *as filled at copy time*: cost a graph before copying it.
+        Per-node costs come from (and fill) the node memos.
         """
         return graph.memo(self._total_key, lambda: sum(
             self._node_units(graph, nid) for nid in graph.nodes))
@@ -174,7 +173,7 @@ class CostModel:
         return total / _UNIT
 
     def estimate_cached(self, graph: Graph) -> float:
-        """:meth:`estimate` from the totals and per-node costs carried on
+        """:meth:`estimate` from the totals and per-node costs memoised on
         the graph: O(1) once costed, else only missing nodes are derived."""
         return self.exact_to_ms(self.exact_total(graph))
 
@@ -203,11 +202,11 @@ class CostModel:
         return self.exact_to_ms(child.memo(self._total_key, adjusted))
 
     def _node_units(self, graph: Graph, nid: NodeId) -> int:
-        """One node's exact cost, through the graph's per-node table."""
-        table = graph.node_cache(self._cache_key)
-        value = table.get(nid)
+        """One node's exact cost, through the node's memo."""
+        memo = graph.node_memo(nid)
+        value = memo.get(self._cache_key)
         if value is None:
-            value = table[nid] = self.node_cost_ms(graph, nid)
+            value = memo[self._cache_key] = self.node_cost_ms(graph, nid)
         return _units(graph, nid, value)
 
     def __repr__(self) -> str:

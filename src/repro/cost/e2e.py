@@ -119,11 +119,11 @@ def _constant_valued(graph: Graph) -> Set[NodeId]:
 class E2ESimulator:
     """Simulated end-to-end inference latency of a computation graph.
 
-    A profile works from the graph's parent where it can.  Kernel times live
-    in a per-node table that ``Graph.copy`` hands down and every mutation
-    invalidates per node, like ``CostModel``'s ``node-cost`` table, so a
-    candidate copied from a profiled graph prices only the nodes its rewrite
-    added or rewired.  The constant-valued set is derived from the
+    A profile works from the graph's parent where it can.  Kernel times are
+    node memos (:meth:`~repro.ir.graph.Graph.node_memo`), like
+    ``CostModel``'s node costs, so a candidate whose parent is profiled,
+    before or after the copy, prices only the nodes its rewrite added or
+    rewired.  The constant-valued set is derived from the
     ``delta_parent()``'s by a worklist over the same nodes.  The total is
     still summed in ``topological_order()``, so every latency is the full
     pass's to the last digit.
@@ -131,8 +131,8 @@ class E2ESimulator:
     Attributes
     ----------
     nodes_priced:
-        How many kernel times this instance derived — the work the per-node
-        table exists to avoid, on the model of ``CostModel.nodes_derived``.
+        How many kernel times this instance derived — the work the node
+        memos exist to avoid, on the model of ``CostModel.nodes_derived``.
         A plain unsynchronised diagnostic counter.
     """
 
@@ -140,7 +140,7 @@ class E2ESimulator:
                  seed: int = 0):
         self.device = device or SimulatedDevice()
         self._rng = np.random.default_rng(seed)
-        # Whole-graph latency memo key and per-node kernel-time table key:
+        # Whole-graph latency memo key and node-memo kernel-time key:
         # two simulators with the same device produce the same latency.
         config = dataclasses.astuple(self.device.config)
         self._latency_key = ("e2e-latency", config)
@@ -167,7 +167,6 @@ class E2ESimulator:
     def profile(self, graph: Graph) -> LatencyProfile:
         """Simulate one inference pass and return a detailed profile."""
         constant = _constant_valued(graph)
-        times = graph.node_cache(self._node_key)
         nodes = graph.nodes
         folded: Set[NodeId] = set()
         total = 0.0
@@ -183,11 +182,12 @@ class E2ESimulator:
             if is_zero_cost(op_type):
                 per_node[nid] = 0.0
                 continue
-            time_ms = times.get(nid)
+            memo = graph.node_memo(nid)
+            time_ms = memo.get(self._node_key)
             if time_ms is None:
                 self.nodes_priced += 1
                 flops, bytes_moved = node_flops_bytes(graph, nid)
-                time_ms = times[nid] = self.device.kernel_time_ms(
+                time_ms = memo[self._node_key] = self.device.kernel_time_ms(
                     op_type, flops, bytes_moved)
             kernels += 1
             per_node[nid] = time_ms
@@ -201,7 +201,6 @@ class E2ESimulator:
         Memoised on the graph until its next mutation — the RL environment
         measures the same graph several times per step (reward, info dict,
         best-graph tracking) and only the first call pays for the profile.
-        Price a graph before copying it: copies inherit its kernel times.
         """
         return graph.memo(self._latency_key,
                           lambda: self.profile(graph).total_ms)

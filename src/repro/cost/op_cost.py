@@ -139,21 +139,21 @@ def op_memory_bytes(op_type: OpType, inputs: Sequence[TensorSpec],
     return float(read + written)
 
 
-#: Key of the per-node ``(flops, bytes)`` table carried on graphs.  The
-#: counts depend only on the node's specs, not on any device, so every cost
-#: model, simulator and calibration run in the process shares one table.
+#: Node-memo key of the ``(flops, bytes)`` counts.  They depend only on the
+#: node's specs, not on any device, so every cost model, simulator and
+#: calibration run in the process shares one entry.
 _FLOPS_BYTES_KEY = "op-flops-bytes"
 
 
 def node_flops_bytes(graph: "Graph", nid: "NodeId") -> Tuple[float, float]:
     """``(op_flops, op_memory_bytes)`` of node ``nid`` of ``graph``,
-    memoised in the graph's per-node table until the node is rewired."""
-    table = graph.node_cache(_FLOPS_BYTES_KEY)
-    cached = table.get(nid)
+    memoised on the node (:meth:`~repro.ir.graph.Graph.node_memo`)."""
+    memo = graph.node_memo(nid)
+    cached = memo.get(_FLOPS_BYTES_KEY)
     if cached is None:
         node = graph.nodes[nid]
         inputs = graph.input_specs(nid)
-        cached = table[nid] = (
+        cached = memo[_FLOPS_BYTES_KEY] = (
             op_flops(node.op_type, inputs, node.outputs, node.attrs),
             op_memory_bytes(node.op_type, inputs, node.outputs, node.attrs))
     return cached

@@ -339,6 +339,12 @@ class Node:
     #: in place after construction.
     _hash_prefix: Optional[bytes] = field(
         default=None, repr=False, compare=False)
+    #: Values derived from this node and its input specs (costs, flop and
+    #: byte counts, kernel times, RL edge blocks), keyed by what derives
+    #: them; ``None`` until the first.  Read and created only through
+    #: :meth:`Graph.node_memo`.  A :meth:`copy` starts without one.
+    _derived: Optional[Dict[Hashable, object]] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def is_source(self) -> bool:
@@ -362,6 +368,7 @@ class Node:
         state.update(self.__dict__)
         state["attrs"] = dict(self.attrs)
         state["outputs"] = list(self.outputs)
+        state["_derived"] = None
         return clone
 
 
@@ -400,8 +407,8 @@ class Graph:
     * ``_scalar_cache``: whole-graph memos (topological order, structural
       hash and the Merkle digest table behind it, simulated latency, exact
       cost totals), cleared on any mutation
-    * ``_node_caches``: per-node memo tables (per-node cost estimates,
-      per-node flop/byte counts), invalidated per affected node
+    * per-node memos (:meth:`node_memo`), kept on the shared :class:`Node`
+      objects: a node whose inputs change is replaced, not cleared
     * ``_delta``: mutation recording (see :class:`GraphDelta`), started by
       :meth:`begin_delta` and automatically on every :meth:`copy`
     """
@@ -428,7 +435,6 @@ class Graph:
         #: fancy-indexing pass instead of a per-node Python loop.
         self._op_ids: List[int] = []
         self._scalar_cache: Dict[Hashable, object] = {}
-        self._node_caches: Dict[Hashable, Dict[NodeId, object]] = {}
         self._delta: Optional[GraphDelta] = None
 
     def __getstate__(self):
@@ -526,10 +532,9 @@ class Graph:
         self._version += 1
         if self._scalar_cache:
             self._scalar_cache.clear()
-        for table in self._node_caches.values():
-            table.pop(node_id, None)
-            for consumer in consumers:
-                table.pop(consumer, None)
+        nodes = self.nodes
+        for consumer in consumers:  # inputs changed: a memo-free node
+            nodes[consumer] = nodes[consumer].copy()
         if self._delta is not None:
             delta = self._delta
             if node_id in delta.added:
@@ -558,8 +563,9 @@ class Graph:
                 self._version += 1
                 if self._scalar_cache:
                     self._scalar_cache.clear()
-                for table in self._node_caches.values():
-                    table.pop(dst, None)
+                # Its inputs changed: a memo-free node (the memoised
+                # digest prefix does not depend on inputs).
+                self.nodes[dst] = self.nodes[dst].copy()
                 if self._delta is not None:
                     if dst not in self._delta.added:
                         self._delta.rewired.add(dst)
@@ -659,17 +665,21 @@ class Graph:
         ids.sort()
         return ids
 
-    def node_cache(self, key: Hashable) -> Dict[NodeId, object]:
-        """A per-node memo table for ``key`` (e.g. one cost model's params).
+    def node_memo(self, nid: NodeId) -> Dict[Hashable, object]:
+        """The memo of values derived from node ``nid`` and its input specs
+        (key each by what derives it, e.g. one cost model's parameters).
 
-        Entries survive :meth:`copy` and are invalidated per node when the
-        node is removed or has an input rewired, so derived per-node values
-        (costs, flop counts) can be reused across rewrite steps.
+        It lives on the :class:`Node`, which a graph shares with its copies,
+        so an entry filled on any of them, before or after the copy, serves
+        all of them.  The mutation API gives a node whose inputs change a
+        fresh ``Node`` with an empty memo.  Whole-graph facts belong in
+        :meth:`memo`.
         """
-        table = self._node_caches.get(key)
-        if table is None:
-            table = self._node_caches[key] = {}
-        return table
+        node = self.nodes[nid]
+        memo = node._derived
+        if memo is None:
+            memo = node._derived = {}
+        return memo
 
     def memo(self, key: Hashable, compute: Callable[[], object]):
         """A whole-graph memo for ``key``, dropped on any mutation."""
@@ -698,7 +708,7 @@ class Graph:
         return self._delta
 
     def _rebuild_indices(self) -> None:
-        """Recompute the op-type index and drop every cache.
+        """Recompute the op-type index and drop every whole-graph memo.
 
         Only needed after constructing graph internals directly (e.g. when
         deserialising); the normal mutation API maintains them in place.
@@ -711,7 +721,6 @@ class Graph:
             self._op_ids[nid] = op_index(node.op_type)
         self._version += 1
         self._scalar_cache.clear()
-        self._node_caches.clear()
 
     # ------------------------------------------------------------------
     # Traversal
@@ -793,13 +802,12 @@ class Graph:
             ]
             node._hash_prefix = None
             self.nodes[nid] = node
-        # Output specs feed every derived per-node value, so a full refresh
-        # invalidates everything — including the copy lineage: the delta
-        # records no shape change, so it is no longer a faithful diff.
+        # Output specs feed every derived value, so a full refresh drops
+        # every memo (the fresh nodes carry none) and the copy lineage: the
+        # delta records no shape change, so it is no longer a faithful diff.
         self._parent_ref = None
         self._version += 1
         self._scalar_cache.clear()
-        self._node_caches.clear()
 
     def structural_hash(self) -> str:
         """A 64-character hex digest of the graph's structure.
@@ -963,17 +971,19 @@ class Graph:
     def copy(self) -> "Graph":
         """Deep copy preserving node ids.
 
-        The copy carries the op-type index, all per-node and whole-graph
-        caches (valid because the copy is structurally identical), and starts
-        recording a fresh mutation delta — so a candidate graph produced by
+        The copy carries the op-type index and the whole-graph memos (valid
+        because the copy is structurally identical), and starts recording a
+        fresh mutation delta — so a candidate graph produced by
         ``parent.copy()`` plus surgery knows exactly what changed relative to
-        its parent and only re-derives costs for those nodes.
+        its parent.
 
-        :class:`Node` objects are shared with the copy (copy-on-write):
-        nothing in the mutation API writes to an existing node — rewrites
-        add/remove nodes and rewire edges, and :meth:`refresh_shapes`
-        replaces nodes rather than mutating them — so sharing is safe and
-        saves a per-node allocation on every rewrite.
+        :class:`Node` objects, and with them their :meth:`node_memo`, are
+        shared with the copy (copy-on-write): nothing in the mutation API
+        writes to an existing node — rewrites add nodes, remove them and
+        replace the ones whose inputs they rewire, and
+        :meth:`refresh_shapes` replaces nodes too — so a child shares a node
+        with its parent exactly when the node is not in its delta's
+        ``added | rewired``, and re-derives per-node values only there.
         """
         g = Graph(self.name)
         g._next_id = self._next_id
@@ -987,8 +997,6 @@ class Graph:
                           for op, bucket in self._nodes_by_op.items()}
         g._op_ids = list(self._op_ids)
         g._scalar_cache = dict(self._scalar_cache)
-        g._node_caches = {key: dict(table)
-                          for key, table in self._node_caches.items()}
         g.begin_delta()
         g._parent_ref = weakref.ref(self)
         g._parent_version = self._version
@@ -1012,8 +1020,7 @@ class Graph:
                      _out_edges=self._out_edges.snapshot(),
                      _nodes_by_op={OpType.INPUT: inputs},
                      _op_ids=[], _parent_ref=None, _parent_version=-1,
-                     _copy_delta=None, _delta=None, _scalar_cache={},
-                     _node_caches={})
+                     _copy_delta=None, _delta=None, _scalar_cache={})
         return g
 
     def delta_parent(self) -> Optional["Graph"]:

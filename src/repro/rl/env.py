@@ -24,7 +24,7 @@ from ..rules.base import Candidate, RuleSet
 from ..rules.incremental import IncrementalCandidateEngine
 from ..rules.rulesets import default_ruleset
 from ..nn.gnn import BatchedGraphs
-from .features import FeatureCache, build_delta_batch, fill_edge_blocks
+from .features import FeatureCache, build_delta_batch
 
 __all__ = ["Observation", "StepResult", "GraphRewriteEnv"]
 
@@ -225,8 +225,6 @@ class GraphRewriteEnv:
 
         # ``_measure_reward`` already timed the current graph this step —
         # reuse its measurement instead of asking the simulator again.
-        # Either way the graph is priced before ``_observe`` copies its
-        # candidates from it, so they inherit its per-node kernel times.
         latency = self.last_measured_ms if measured \
             else self.e2e.latency_ms(self.current_graph)
         next_obs = self._observe()
@@ -267,9 +265,6 @@ class GraphRewriteEnv:
         if cached is not None:
             self._last_observation = cached
             return cached
-        # Built before the candidates copy the graph, so each inherits the
-        # blocks and encodes only what its rewrite changed.
-        fill_edge_blocks(self.current_graph)
         candidates = self._select_candidates()
         mask = np.zeros(self.action_space_size, dtype=bool)
         mask[: len(candidates)] = True

@@ -17,14 +17,12 @@ incremental on three levels:
 
 * :func:`encode_graph` is vectorised (one-hot rows via fancy indexing, edge
   features assembled from per-node blocks, a single normalisation pass) and
-  caches each node's incoming-edge block in the graph's own per-node memo
-  table (:meth:`~repro.ir.graph.Graph.node_cache`).  Because ``Graph.copy``
-  carries those tables over and every mutation invalidates exactly the
-  affected nodes, a candidate produced by ``parent.copy()`` plus surgery
-  re-derives *only* the blocks its :class:`~repro.ir.graph.GraphDelta`
-  touched, provided the parent's were built before the copy
-  (:func:`fill_edge_blocks`, which the environment calls on every current
-  graph first).
+  memoises each node's incoming-edge block on the node
+  (:meth:`~repro.ir.graph.Graph.node_memo`).  A candidate produced by
+  ``parent.copy()`` plus surgery shares every node but its
+  :class:`~repro.ir.graph.GraphDelta`'s added and rewired ones with its
+  parent, so it builds *only* those nodes' blocks — whichever of the two
+  was encoded first.
 * :class:`FeatureCache` memoises a graph's whole encoding — a one-graph
   :class:`~repro.nn.gnn.BatchedGraphs`, the one batch type there is — on
   the graph object, so a graph encoded twice (the current graph was one of
@@ -58,7 +56,7 @@ from ..ir.ops import num_op_types
 from ..nn.gnn import BatchedGraphs
 
 __all__ = ["FeatureCache", "encode_graph", "encode_order",
-           "encode_position", "fill_edge_blocks", "RewriteCone", "rewrite_cone",
+           "encode_position", "RewriteCone", "rewrite_cone",
            "build_meta_graph", "build_delta_batch", "combine_meta_graphs",
            "NODE_FEATURE_DIM", "EDGE_FEATURE_DIM", "GLOBAL_FEATURE_DIM"]
 
@@ -69,7 +67,7 @@ NODE_FEATURE_DIM = num_op_types()
 EDGE_FEATURE_DIM = 4
 GLOBAL_FEATURE_DIM = 1
 
-#: Per-node cache key for incoming-edge blocks (see :func:`encode_graph`).
+#: Node-memo key of incoming-edge blocks (see :func:`encode_graph`).
 _EDGE_ROWS_KEY = "rl:edge_rows"
 
 _EMPTY_FEATS = np.zeros((0, EDGE_FEATURE_DIM), dtype=np.float32)
@@ -106,17 +104,17 @@ def encode_position(graph: Graph) -> np.ndarray:
     return graph.memo("rl:position", build)
 
 
-def _edge_block(graph: Graph, blocks: Dict[NodeId, tuple],
-                nid: NodeId) -> tuple:
+def _edge_block(graph: Graph, nid: NodeId) -> tuple:
     """Node ``nid``'s incoming-edge block ``(src_ids, shape_rows)``: tuples
     of the source ids and of their padded shapes (ints, not normalised).
 
-    ``blocks`` is ``graph.node_cache(_EDGE_ROWS_KEY)``; the block is built
-    on a miss and kept there.  The one builder behind the full encode and
-    the cone derivation, so a destination's edges — and the order its
-    messages accumulate in — are the same whichever path reads them.
+    Built on a miss and kept in the node's memo.  The one builder behind the
+    full encode and the cone derivation, so a destination's edges — and the
+    order its messages accumulate in — are the same whichever path reads
+    them.
     """
-    block = blocks.get(nid)
+    memo = graph.node_memo(nid)
+    block = memo.get(_EDGE_ROWS_KEY)
     if block is None:
         edges = graph.in_edges(nid)
         if edges:
@@ -128,25 +126,8 @@ def _edge_block(graph: Graph, blocks: Dict[NodeId, tuple],
             )
         else:
             block = _NO_BLOCK
-        blocks[nid] = block
+        memo[_EDGE_ROWS_KEY] = block
     return block
-
-
-def fill_edge_blocks(graph: Graph) -> Dict[NodeId, tuple]:
-    """``graph``'s per-node incoming-edge blocks, every missing one built.
-
-    Fills the table ``Graph.copy`` hands to rewrite candidates, without
-    encoding the graph: the environment calls it before it copies the
-    current graph, so each candidate — and the chosen one's full encode on
-    the next step — builds only the blocks of the nodes its rewrite
-    changed.  :class:`FeatureCache` counts nothing here.
-    """
-    blocks = graph.node_cache(_EDGE_ROWS_KEY)
-    if len(blocks) < len(graph.nodes):
-        for nid in graph.nodes:
-            if nid not in blocks:
-                _edge_block(graph, blocks, nid)
-    return blocks
 
 
 def _normalised(shape_rows: List[Tuple[int, ...]],
@@ -169,18 +150,12 @@ def encode_graph(graph: Graph,
     """Encode one computation graph: a one-graph :class:`BatchedGraphs`.
 
     Everything is assembled with array ops from per-node incoming-edge
-    blocks cached on the graph itself: the
-    block for node ``n`` is ``(src_ids, shape_rows)`` and lives in
-    ``graph.node_cache("rl:edge_rows")``, which every mutation invalidates
-    per affected node and ``Graph.copy`` hands to rewrite candidates *as
-    filled at copy time*.  Encoding a candidate therefore rebuilds only the
-    blocks of the nodes its mutation delta changed **if its parent's blocks
-    were built before the copy**.  The environment sees to that: it fills
-    the current graph's blocks (:func:`fill_edge_blocks`) before it copies
-    the candidates, so when the chosen candidate becomes the next current
-    graph, its one full encode (when the agent first acts on it, see
-    :func:`build_delta_batch`) builds at most the blocks of its rewrite's
-    added and rewired nodes — none, once its cone was derived.
+    blocks: the block for node ``n`` is ``(src_ids, shape_rows)``, memoised
+    on the node and shared with every copy that shares the node.  When the
+    chosen candidate becomes the next current graph, its one full encode
+    (when the agent first acts on it, see :func:`build_delta_batch`) builds
+    at most the blocks of its rewrite's added and rewired nodes — none,
+    once its cone was derived.
     """
     order_arr = encode_order(graph)
     order = order_arr.tolist()
@@ -190,13 +165,11 @@ def encode_graph(graph: Graph,
     # graph maintains an id-indexed op table incrementally across rewrites.
     node_features = _one_hot_ops(graph.op_index_table()[order_arr])
 
-    # Incoming-edge blocks, cached per node and invalidated by mutation.
-    blocks = fill_edge_blocks(graph)
     src_ids: List[NodeId] = []
     shape_rows: List[Tuple[int, ...]] = []
     dst_counts = [0] * n
     for i, nid in enumerate(order):
-        srcs, rows = blocks[nid]
+        srcs, rows = _edge_block(graph, nid)
         if srcs:
             src_ids += srcs
             shape_rows += rows
@@ -362,11 +335,10 @@ def _derive_cone(graph: Graph, parent: Graph, delta: GraphDelta,
     cone.minus_ids = list(delta.removed) + [nid for nid in cone_ids
                                             if nid < bound]
     local = {nid: i for i, nid in enumerate(cone_ids)}
-    blocks = graph.node_cache(_EDGE_ROWS_KEY)
     cone.edge_src, cone.src_in_cone, cone.edge_dst, cone.edge_rows = \
         edge_src, in_cone, edge_dst, edge_rows = [], [], [], []
     for i, nid in enumerate(cone_ids):
-        srcs, rows = _edge_block(graph, blocks, nid)
+        srcs, rows = _edge_block(graph, nid)
         edge_rows += rows
         for src in srcs:
             # A source outside the cone is a surviving node the rewrite

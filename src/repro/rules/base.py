@@ -114,19 +114,13 @@ class Candidate:
     __slots__ = ("rule_name", "match", "price", "parent", "error",
                  "_graph", "_rule")
 
-    def __init__(self, graph: Optional[Graph] = None, rule_name: str = "",
-                 match: Optional[Match] = None,
-                 rule: Optional["RewriteRule"] = None,
-                 parent: Optional[Graph] = None):
-        if graph is None and (rule is None or parent is None):
-            raise ValueError(
-                "Candidate needs either an eager graph or (rule, parent)")
-        self._graph = graph
+    def __init__(self, *, rule: "RewriteRule", match: Match, parent: Graph):
+        self._graph: Optional[Graph] = None
         self._rule = rule
         self.parent = parent
         self.error: Optional[Exception] = None
         self.price: object = None
-        self.rule_name = rule_name or (rule.name if rule is not None else "")
+        self.rule_name = rule.name
         self.match = match
 
     @property
@@ -219,8 +213,7 @@ class RewriteRule(abc.ABC):
     # ------------------------------------------------------------------
     def lazy_candidates(self, graph: Graph) -> List[Candidate]:
         """Unmaterialised candidates for every match of this rule."""
-        return [Candidate(rule_name=self.name, match=match, rule=self,
-                          parent=graph)
+        return [Candidate(rule=self, match=match, parent=graph)
                 for match in self.find_matches(graph)]
 
     def candidates(self, graph: Graph) -> List[Candidate]:

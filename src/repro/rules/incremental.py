@@ -202,8 +202,7 @@ class IncrementalCandidateEngine:
         for rule in self.ruleset.rules:
             _, matches = state.per_rule[rule.name]
             for match in matches:
-                candidate = Candidate(rule_name=rule.name, match=match,
-                                      rule=rule, parent=graph)
+                candidate = Candidate(rule=rule, match=match, parent=graph)
                 candidate.price, candidate.error, _ = prices.get(
                     match, _UNPRICED)
                 out.append(candidate)

@@ -83,14 +83,11 @@ class GraphSpace:
                 ) -> Tuple[List[Member], SaturationStats]:
         """Grow the space from ``graph``, costing every member on admission.
 
-        ``Graph.copy`` hands a child the parent's per-node cost table *as
-        filled at copy time*, so a graph has to be costed before it is
-        copied: the root is costed here before its first rewrite, and every
-        admitted candidate through ``cost_model.estimate_delta`` against the
-        (already costed) frontier graph it was copied from, before it joins
-        a frontier itself.  Each admission therefore derives only the nodes
-        its rewrite added or rewired; the stored costs are bit-for-bit equal
-        to ``cost_model.estimate`` of the member.
+        The root is costed on entry and every admitted candidate through
+        ``cost_model.estimate_delta`` against the (costed) frontier graph it
+        was copied from, so each admission derives only the nodes its
+        rewrite added or rewired; the stored costs are bit-for-bit equal to
+        ``cost_model.estimate`` of the member.
 
         ``on_round(round_number, population)`` — when given — is invoked
         after every completed saturation round with the 1-based round

@@ -132,9 +132,6 @@ class TASOOptimizer:
             ran empty first).
         """
         with timed() as elapsed:
-            # Before the first copy, so the simulator's per-node flop/byte
-            # and kernel-time tables are handed down to every candidate,
-            # the final graph included.
             initial_latency = self.e2e.latency_ms(graph)
             initial_cost = self.cost_model.estimate_cached(graph)
             # Fresh per-search engine: match sets carry over between

@@ -87,9 +87,6 @@ class RandomSearchOptimizer:
         """
         with timed() as elapsed:
             initial_latency = self.e2e.latency_ms(graph)
-            # Before the first copy: the walks' graphs inherit the per-node
-            # cost table, so costing the best one below derives only the
-            # nodes its rewrites touched.
             initial_cost = self.cost_model.estimate_cached(graph)
             best_graph, best_latency, best_rules = graph, initial_latency, []
             steps_total = 0

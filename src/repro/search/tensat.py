@@ -110,9 +110,6 @@ class TensatOptimizer:
             structural hashes taken) under ``stats``.
         """
         with timed() as elapsed:
-            # Before the first copy, so the simulator's per-node flop/byte
-            # and kernel-time tables are handed down to the whole
-            # population.
             initial_latency = self.e2e.latency_ms(graph)
             population, stats = self.space.explore(
                 graph, self.cost_model, on_round=self._round_reporter())

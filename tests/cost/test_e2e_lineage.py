@@ -1,10 +1,10 @@
 """The simulator works from the parent graph: a profile derived through a
 graph's lineage must be the full pass's, bit for bit.
 
-``E2ESimulator`` keeps per-node kernel times in a table copies inherit and
+``E2ESimulator`` keeps kernel times in node memos copies share and
 derives a child's constant-valued set from its ``delta_parent()``'s.  The
 oracle is a fresh simulator's profile of a lineage-free rebuild of the same
-graph (``ir/serialize`` JSON, node ids kept): no parent, no table, every
+graph (``ir/serialize`` JSON, node ids kept): no parent, no memo, every
 node decided and priced.
 """
 
@@ -104,8 +104,7 @@ def rewrites(graph, per_rule=2):
 @pytest.mark.parametrize("seed", range(4))
 def test_lineage_profiles_equal_the_full_pass_for_every_rule(seed):
     """graphgen seeds × every curated rule, one and two rewrites deep;
-    each parent is profiled before it is copied, as the environment
-    does, and the grandchild's parent is itself a derived profile."""
+    the grandchild's parent is itself a derived profile."""
     graph = joined(seed)
     simulator = E2ESimulator()
     assert_same_profile(simulator.profile(graph), fresh_profile(graph))
@@ -161,7 +160,7 @@ def test_a_one_rewrite_child_prices_only_its_added_and_rewired_nodes(seed):
         kernels = {nid for nid in dirty if profile.per_node_ms[nid] > 0}
         assert simulator.nodes_priced - before == len(kernels)
         assert len(dirty) < len(child.nodes) // 4
-    # Profiled again, a graph prices nothing: its table is filled.
+    # Profiled again, a graph prices nothing: its node memos are filled.
     before = simulator.nodes_priced
     simulator.profile(graph)
     assert simulator.nodes_priced == before

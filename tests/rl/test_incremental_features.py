@@ -584,8 +584,8 @@ def rl_train_optimiser():
 
 class TestDeltaAssembly:
     """The observation's one-pass assembly: the cones of all candidates go
-    to arrays together, and the current graph's edge blocks are built
-    before its candidates are copied from it."""
+    to arrays together, and a candidate builds only the edge blocks of the
+    nodes its rewrite changed."""
 
     @staticmethod
     def assert_batches_equal(fast, ref):
@@ -634,39 +634,48 @@ class TestDeltaAssembly:
 
     def test_a_step_builds_edge_blocks_only_for_the_rewrite(self,
                                                            monkeypatch):
-        """``reset`` builds the initial graph's blocks before its candidates
-        are copied; after one step, observing and fully encoding the new
-        current graph builds blocks only for the chosen rewrite's added and
-        rewired nodes — the rest came with the copy."""
+        """Encoding ``reset``'s observation as the agent does builds every
+        block of the initial graph once and, for each candidate, only those
+        of its rewrite's added and rewired nodes — the rest are the
+        parent's, shared with the copy; after one step, observing and fully
+        encoding the new current graph builds none."""
         built = []
         edge_block = repro.rl.features._edge_block
+        key = repro.rl.features._EDGE_ROWS_KEY
 
-        def counting(graph, blocks, nid):
-            if nid not in blocks:
+        def counting(graph, nid):
+            if key not in graph.node_memo(nid):
                 built.append((graph, nid))
-            return edge_block(graph, blocks, nid)
+            return edge_block(graph, nid)
 
         monkeypatch.setattr(repro.rl.features, "_edge_block", counting)
         env = GraphRewriteEnv(build_small_model("squeezenet"),
                               max_candidates=8)
         obs = env.reset()
+        small_agent().act(obs)
         initial = obs.graphs[0]
-        assert [g for g, _ in built] == [initial] * len(initial.nodes)
+        assert sorted(n for g, n in built if g is initial) \
+            == sorted(initial.nodes)
+        expected = len(initial.nodes)
+        for graph in obs.graphs[1:]:
+            delta = graph.mutation_delta()
+            dirty = {n for n in delta.added | delta.rewired
+                     if n in graph.nodes}
+            assert dirty and len(dirty) < len(graph.nodes) // 4
+            assert sorted(n for g, n in built if g is graph) == sorted(dirty)
+            expected += len(dirty)
+        assert len(built) == expected
         built.clear()
         chosen = obs.candidates[0].graph
-        delta = chosen.mutation_delta()
-        dirty = {n for n in delta.added | delta.rewired if n in chosen.nodes}
-        assert dirty and len(dirty) < len(chosen.nodes) // 4
         result = env.step(0)
         assert result.observation.graphs[0] is chosen
         env.feature_cache.encode(chosen)
-        assert [g for g, _ in built] == [chosen] * len(dirty)
-        assert {nid for _, nid in built} == dirty
+        assert built == []
 
     def test_feature_cache_counts_are_unchanged_at_rl_train_config(self):
-        """Filling a graph's edge blocks is not an encode: the counters
-        behind ``update_stats["encode_cache_hit_rate"]`` read what they
-        read before the blocks were built ahead of the copies."""
+        """Building edge blocks is not an encode: the counters behind
+        ``update_stats["encode_cache_hit_rate"]`` count whole encodes
+        only."""
         optimiser = rl_train_optimiser()
         history = optimiser.train(build_small_model("squeezenet"))
         cache = optimiser._training_env.feature_cache

@@ -215,14 +215,15 @@ class TestDeltaCost:
             assert cm.estimate_delta(parent, child) == pure.estimate(child)
 
     def test_estimate_delta_without_carried_cache(self, model_graph):
-        # A child built outside Graph.copy carries no table; the delta path
-        # must seed unchanged nodes from the parent and still agree exactly.
+        # A child whose nodes carry no memo (fresh ``Node`` objects, as if
+        # built outside Graph.copy); the delta path must seed unchanged
+        # nodes from the parent and still agree exactly.
         cm = CostModel()
         parent = model_graph
         cm.estimate_cached(parent)
         candidate = default_ruleset().all_candidates(parent)[0]
         child = candidate.graph
-        child._node_caches.clear()
+        child.nodes = {nid: node.copy() for nid, node in child.nodes.items()}
         assert cm.estimate_delta(parent, child) == CostModel().estimate(child)
 
     def test_pet_cost_model_not_shared_with_taso(self, model_graph):

@@ -1,5 +1,5 @@
-"""Per-node cost tables are handed down at ``copy()`` time, so a graph is
-costed before it is copied.
+"""Node costs are memoised on the nodes a graph shares with its copies, so
+a candidate derives only the nodes its rewrite changed.
 
 ``CostModel.nodes_derived`` counts how often a node cost was derived; these
 tests pin it for Tensat (which used to cost its population after copying it,
@@ -44,7 +44,7 @@ class TestTensatDerivations:
     @pytest.mark.parametrize("build", TENSAT_GRAPHS.values(),
                              ids=TENSAT_GRAPHS.keys())
     def test_bounded_and_independent_of_progress_callback(self, build):
-        # A graph apiece: the first search leaves its root's table filled.
+        # A graph apiece: the first search leaves its root's nodes costed.
         quiet = TensatOptimizer()
         streamed = TensatOptimizer(progress_callback=lambda *event: None)
         quiet_result = quiet.optimise(build())
