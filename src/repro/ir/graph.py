@@ -969,9 +969,13 @@ class Graph:
             stack.pop()
 
     def copy(self) -> "Graph":
-        """Deep copy preserving node ids.
+        """A structurally identical graph with the same node ids, sharing
+        what neither side writes.
 
-        The copy carries the op-type index and the whole-graph memos (valid
+        Not a deep copy.  The copy *shares* the :class:`Node` objects and
+        the frozen adjacency (each side's edge maps overlay the same
+        snapshot, :class:`_CowEdgeMap`).  It *clones* the node-id table,
+        the op-type index, the op-id table and the whole-graph memos (valid
         because the copy is structurally identical), and starts recording a
         fresh mutation delta — so a candidate graph produced by
         ``parent.copy()`` plus surgery knows exactly what changed relative to

@@ -34,6 +34,8 @@ class Module:
     """Base class collecting parameters from attributes and sub-modules."""
 
     def parameters(self) -> List[Parameter]:
+        """Every distinct parameter of this module and its sub-modules, in
+        attribute order (the order optimisers and state dicts use)."""
         params: List[Parameter] = []
         seen = set()
         for value in self.__dict__.values():
@@ -44,6 +46,7 @@ class Module:
         return params
 
     def zero_grad(self) -> None:
+        """Drop every parameter's accumulated gradient."""
         for p in self.parameters():
             p.zero_grad()
 
@@ -52,6 +55,8 @@ class Module:
         return {str(i): p.data.copy() for i, p in enumerate(self.parameters())}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Load a :meth:`state_dict`, each value cast to its parameter's
+        dtype; a count or shape mismatch raises ``ValueError``."""
         params = self.parameters()
         if len(state) != len(params):
             raise ValueError(
@@ -91,6 +96,8 @@ class Linear(Module):
         self.out_features = out_features
 
     def forward(self, x: Tensor) -> Tensor:
+        """``x @ W + b`` as two taped ops (``x`` may carry leading batch
+        axes)."""
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
@@ -109,6 +116,8 @@ class MLP(Module):
         self.activate_final = activate_final
 
     def forward(self, x: Tensor) -> Tensor:
+        """The layers in turn, a ReLU after each but the last (and after
+        the last too with ``activate_final``)."""
         for i, layer in enumerate(self.layers):
             x = layer(x)
             if i < len(self.layers) - 1 or self.activate_final:

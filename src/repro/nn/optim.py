@@ -36,6 +36,7 @@ class SGD:
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
+        """Move every parameter that has a gradient one step."""
         for p, v in zip(self.parameters, self._velocity):
             if p.grad is None:
                 continue
@@ -44,6 +45,7 @@ class SGD:
             p.data -= self.lr * v
 
     def zero_grad(self) -> None:
+        """Drop every optimised parameter's gradient."""
         for p in self.parameters:
             p.zero_grad()
 
@@ -62,6 +64,8 @@ class Adam:
         self._t = 0
 
     def step(self) -> None:
+        """One bias-corrected Adam step for every parameter that has a
+        gradient."""
         self._t += 1
         # Bias-correction denominators are shared by every parameter; hoist
         # the scalar powers out of the loop (same arithmetic per parameter).
@@ -79,5 +83,6 @@ class Adam:
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self) -> None:
+        """Drop every optimised parameter's gradient."""
         for p in self.parameters:
             p.zero_grad()

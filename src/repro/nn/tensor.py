@@ -1,13 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The paper implements its agent in JAX; here a small tape-based autodiff
-engine provides just the operations the PPO heads and loss need (dense
-algebra, elementwise nonlinearities, gathers and the reductions of the PPO
-loss), plus the segment operations message passing is made of.  The GNN
-encoder's layers are one op each (:mod:`repro.nn.gnn`) and call this
-module's segment-sum kernel; the segment ops here are what their test
-oracle composes.  Everything is vectorised numpy — no Python loops over
-elements.
+engine records what the agent trains through: the GNN encoder's layers
+(:mod:`repro.nn.gnn`), the policy/value heads and the PPO loss
+(:mod:`repro.rl.ppo`) are one op each, a numpy forward and a hand-written
+backward closure, and the encoder layers call this module's segment-sum
+kernel.  The composable ops here (dense algebra, elementwise
+nonlinearities, gathers, reductions, segment ops) are what those fused
+ops' test oracles are written in.  Everything is vectorised numpy — no
+Python loops over elements.
 
 The engine has one precision, float32: ``Tensor(data)`` stores its array
 as float32, and an op's result keeps the dtype numpy computed it in.  A
@@ -118,19 +119,24 @@ class Tensor:
     # -- basic protocol -----------------------------------------------------
     @property
     def shape(self) -> Tuple[int, ...]:
+        """The array's shape."""
         return self.data.shape
 
     @property
     def ndim(self) -> int:
+        """The array's number of axes."""
         return self.data.ndim
 
     def numpy(self) -> np.ndarray:
+        """The underlying array (not a copy)."""
         return self.data
 
     def item(self) -> float:
+        """The value of a one-element tensor as a Python float."""
         return float(self.data)
 
     def detach(self) -> "Tensor":
+        """A copy of the value, off the tape."""
         return Tensor._make(self.data.copy(), (), None)
 
     def __repr__(self) -> str:
@@ -181,12 +187,17 @@ class Tensor:
             order.append(t)
 
         visit(self)
+        # ``visit`` refers to itself through its closure cell: clear the
+        # cell, or the cycle keeps ``order`` — the whole tape and its
+        # arrays — alive until the cyclic collector runs.
+        del visit
         self._accumulate(grad)
         for t in reversed(order):
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
 
     def zero_grad(self) -> None:
+        """Drop the accumulated gradient."""
         self.grad = None
 
     # -- arithmetic ------------------------------------------------------------
@@ -253,6 +264,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def matmul(self, other: "Tensor") -> "Tensor":
+        """``self @ other`` (numpy's matmul, batch axes included)."""
         other = as_tensor(other)
         out_data = self.data @ other.data
 
@@ -269,6 +281,7 @@ class Tensor:
 
     # -- elementwise nonlinearities -----------------------------------------------
     def relu(self) -> "Tensor":
+        """``x * (x > 0)``: a negative input gives ``-0.0``."""
         mask = self.data > 0
 
         def backward(grad):
@@ -276,6 +289,7 @@ class Tensor:
         return Tensor._make(self.data * mask, (self,), backward)
 
     def leaky_relu(self, slope: float = 0.2) -> "Tensor":
+        """``x`` where positive, ``slope * x`` elsewhere."""
         mask = self.data > 0
         out_data = np.where(mask, self.data, slope * self.data)
 
@@ -284,6 +298,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
+        """Elementwise hyperbolic tangent."""
         out_data = np.tanh(self.data)
 
         def backward(grad):
@@ -291,6 +306,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
+        """Elementwise logistic function."""
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad):
@@ -298,6 +314,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def exp(self) -> "Tensor":
+        """Elementwise exponential."""
         out_data = np.exp(self.data)
 
         def backward(grad):
@@ -305,11 +322,14 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
+        """Elementwise natural logarithm."""
         def backward(grad):
             self._accumulate(grad / self.data)
         return Tensor._make(np.log(self.data), (self,), backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
+        """Clamp into ``[low, high]``; the gradient passes where the value
+        was inside (bounds included)."""
         mask = (self.data >= low) & (self.data <= high)
 
         def backward(grad):
@@ -318,6 +338,7 @@ class Tensor:
 
     # -- reductions / shape ----------------------------------------------------------
     def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
+        """Sum over ``axis`` (every axis when ``None``)."""
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(grad):
@@ -328,10 +349,13 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
+        """The sum times ``1 / count``, the factor stored as a float32
+        constant."""
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
+        """Maximum over ``axis``; tied maxima share the gradient equally."""
         out_data = self.data.max(axis=axis, keepdims=keepdims)
         expanded = self.data.max(axis=axis, keepdims=True)
         mask = (self.data == expanded).astype(np.float64)
@@ -345,6 +369,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def reshape(self, *shape: int) -> "Tensor":
+        """The same values in ``shape`` (a tuple or separate ints)."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         original = self.data.shape
@@ -355,6 +380,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
+        """Permute the axes (reverse them when none are given)."""
         axes = axes or tuple(reversed(range(self.ndim)))
         inverse = np.argsort(axes)
         out_data = np.transpose(self.data, axes)
@@ -393,11 +419,14 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
+        """Softmax along ``axis``, shifted by the (constant) maximum."""
         shifted = self - as_tensor(self.data.max(axis=axis, keepdims=True))
         exp = shifted.exp()
         return exp / exp.sum(axis=axis, keepdims=True)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
+        """``shifted - log(sum(exp(shifted)))`` along ``axis``, ``shifted``
+        the input less its (constant) maximum."""
         shifted = self - as_tensor(self.data.max(axis=axis, keepdims=True))
         return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 

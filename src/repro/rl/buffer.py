@@ -87,8 +87,9 @@ class RolloutBuffer:
                ) -> Tuple[List[Observation], np.ndarray, np.ndarray]:
         """Observations, actions and stored log-probs for one minibatch.
 
-        The arrays feed :meth:`XRLflowAgent.evaluate_actions_batch` — one
-        call per minibatch instead of one forward per transition.
+        The arrays feed :meth:`XRLflowAgent.policy_batch` and
+        :func:`~repro.rl.ppo.ppo_loss` — one call each per chunk instead of
+        one forward per transition.
         """
         transitions = self.transitions
         observations = [transitions[i].observation for i in indices]

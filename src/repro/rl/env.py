@@ -194,15 +194,19 @@ class GraphRewriteEnv:
         return self._observe()
 
     def step(self, action: int) -> StepResult:
-        """Apply the selected candidate (or terminate on No-Op / invalid)."""
+        """Apply the selected candidate (or terminate on No-Op / invalid).
+
+        Any action outside ``[0, len(candidates))`` — the No-Op, a padded
+        slot, a negative index — is treated as the No-Op, as is a slot the
+        action mask marks invalid.
+        """
         observation = self._last_observation
         if observation is None:
             raise RuntimeError("step() called before reset()")
-        noop = observation.noop_index
         terminal_reward_needed = False
         measured = False
 
-        if action == noop or action >= len(observation.candidates) or \
+        if not 0 <= action < len(observation.candidates) or \
                 not observation.action_mask[action]:
             # No-Op (or an out-of-range action, treated as No-Op): terminate.
             done = True

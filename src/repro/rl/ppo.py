@@ -16,23 +16,32 @@ The update is the PPO clip objective (Eq. 3–5): policy surrogate + value MSE
 
 Performance notes:
 
-* the heads are one computation, ``_policy``, for one observation or a
-  minibatch's: pair rows are gathered for all actions at once and the
-  per-candidate logits land in the padded action space via one
-  ``scatter_into``;
-* ``evaluate_actions_batch`` runs a whole PPO minibatch through a *single*
-  encoder forward over one :class:`~repro.nn.gnn.BatchedGraphs` (the
-  meta-graph machinery batches arbitrary graph sets, so batching across
-  transitions is the same trick as batching candidates within one) — and
-  that batch is a *delta batch*: each observation's current graph in full,
-  each candidate as its rewrite cone only
+* the heads are one computation for one observation or a minibatch's: pair
+  rows are gathered for all actions at once and the per-candidate logits
+  land in the padded action space in one assignment.  In the update they
+  are **one autograd op** (:meth:`XRLflowAgent._policy`), and so is the
+  loss (:func:`ppo_loss`): plain numpy forwards, one backward closure each,
+  so a chunk records the encoder's ops plus two, whatever the number of
+  meta-graph sizes in it.  The closures reproduce the arithmetic of the
+  tape they replaced — the same expressions, gradients summed in the
+  tape's order, every scatter through the float64 bincount kernel — so
+  outputs and gradients are bit for bit the composed ops'
+  (``tests/rl/test_heads_fused.py`` against
+  ``tests/oracles/heads_tape_reference.py``);
+* :meth:`XRLflowAgent.policy_batch` runs a whole PPO chunk through a
+  *single* encoder forward over one :class:`~repro.nn.gnn.BatchedGraphs`
+  (the meta-graph machinery batches arbitrary graph sets, so batching
+  across transitions is the same trick as batching candidates within one)
+  — and that batch is a *delta batch*: each observation's current graph in
+  full, each candidate as its rewrite cone only
   (:func:`~repro.rl.features.build_delta_batch`), so forward and backward
   run over the rows a rewrite can change, not over ~25 copies of the graph;
 * rollout ``act()`` runs the same encoder over the same delta batch under
-  :func:`~repro.nn.tensor.no_grad`, so exploration builds no autograd tape
-  and the update re-uses the batch the rollout assembled — and memoises the
-  policy output on the observation (the environment returns the *same*
-  observation for a re-visited state), retired on every weight update;
+  :func:`~repro.nn.tensor.no_grad` and the heads' plain forward, so
+  exploration builds no autograd tape and the update re-uses the batch the
+  rollout assembled — and memoises the policy output on the observation
+  (the environment returns the *same* observation for a re-visited state),
+  retired on every weight update;
 * the agent, its encoder and the update run at float32, the engine's one
   precision; only the sampling distribution is normalised in float64.
 """
@@ -40,21 +49,23 @@ Performance notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn import tensor as _tensor
 from ..nn.gnn import GraphEmbeddingNetwork
 from ..nn.layers import MLP, Module
 from ..nn.optim import Adam, clip_grad_norm
-from ..nn.tensor import Tensor, concat, no_grad
+from ..nn.tensor import Tensor
 from .buffer import RolloutBuffer
 from .embed import IncrementalEmbedder
 from .env import Observation
 from .features import (EDGE_FEATURE_DIM, GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM,
                        build_meta_graph, combine_meta_graphs)
 
-__all__ = ["ActionDecision", "XRLflowAgent", "PPOUpdater"]
+__all__ = ["ActionDecision", "XRLflowAgent", "PPOLoss", "PPOUpdater",
+           "ppo_loss"]
 
 _MASK_VALUE = -1e9
 
@@ -62,6 +73,69 @@ _MASK_VALUE = -1e9
 def _meta_graph_nodes(observation: Observation) -> int:
     """Nodes of the observation's meta-graph, without assembling it."""
     return sum(len(graph.nodes) for graph in observation.graphs)
+
+
+def _constant(value) -> np.ndarray:
+    """``value`` as the tape stored a constant: a float32 array."""
+    return np.asarray(value, dtype=np.float32)
+
+
+def _mlp_forward(mlp: MLP, x: np.ndarray
+                 ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
+    """A head ``mlp(x)`` in plain numpy, with each layer's input and each
+    hidden layer's ReLU mask for :func:`_mlp_backward`.
+
+    The expressions of ``Linear`` and ``Tensor.relu`` (``x * (x > 0)``, so
+    a negative input gives ``-0.0`` as there), applied in place; the last
+    layer has no ReLU, as in the agent's heads.
+    """
+    inputs: List[np.ndarray] = []
+    masks: List[np.ndarray] = []
+    for layer in mlp.layers:
+        if inputs:
+            up = x > 0
+            x *= up
+            masks.append(up)
+        inputs.append(x)
+        x = x @ layer.weight.data
+        x += layer.bias.data
+    return x, inputs, masks
+
+
+def _mlp_backward(mlp: MLP, inputs: List[np.ndarray],
+                  masks: List[np.ndarray], grad: np.ndarray,
+                  input_grad: bool) -> Optional[np.ndarray]:
+    """Accumulate the layers' parameter gradients from the output's
+    ``grad`` as the composed ``Linear`` and ReLU ops did; return the
+    input's gradient when ``input_grad``.
+
+    A parameter receives the stacked product summed over its leading axes
+    (the tape's unbroadcast), through its own ``_accumulate``.
+    """
+    for i in range(len(mlp.layers) - 1, -1, -1):
+        layer = mlp.layers[i]
+        if i < len(masks):
+            grad = grad * masks[i]
+        layer.bias._accumulate(grad)
+        layer.weight._accumulate(inputs[i].swapaxes(-1, -2) @ grad)
+        if i == 0 and not input_grad:
+            return None
+        grad = grad @ layer.weight.data.swapaxes(-1, -2)
+    return grad
+
+
+class _Group(NamedTuple):
+    """What the heads' backward needs of one meta-graph size group."""
+
+    count: int                  # graphs per meta-graph: candidates + 1
+    k: int                      # observations in the group
+    start: int                  # first row of the group's block
+    first_rows: np.ndarray      # [k * count] embedding rows of ``firsts``
+    candidate_rows: np.ndarray  # [k * count] ... of ``candidates``
+    slots: Tuple[np.ndarray, np.ndarray]  # (row, action) of each logit
+    mean_scale: Optional[np.ndarray]      # float32 ``1 / (count - 1)``
+    policy: tuple               # _mlp_forward's (inputs, masks)
+    value: tuple
 
 
 @dataclass
@@ -111,28 +185,36 @@ class XRLflowAgent(Module):
         """Return (masked logits over the padded action space, state value).
 
         Encodes the full meta-graph (:func:`build_meta_graph`, every graph
-        in full): the reference :meth:`act` and
-        :meth:`evaluate_actions_batch` are held to.
+        in full): the reference :meth:`act` and :meth:`policy_batch` are
+        held to.
         """
         meta_graph = build_meta_graph(observation.graphs,
                                       cache=observation.feature_cache)
         embeddings = self.encoder(meta_graph)  # [1 + C, D]
-        logits, values = self._policy(embeddings, [observation],
-                                      np.zeros(1, dtype=np.int64))
-        return logits.reshape(observation.num_actions), values
+        heads = self._policy(embeddings, [observation],
+                             np.zeros(1, dtype=np.int64))
+        heads = heads.reshape(observation.num_actions + 1)
+        return heads[:-1], heads[-1:]
 
-    def _policy(self, embeddings: Tensor, observations: Sequence[Observation],
-                offsets: np.ndarray) -> Tuple[Tensor, Tensor]:
-        """Policy and value heads: (masked logits ``[U, A]``, values ``[U]``).
+    def _heads(self, embeddings: np.ndarray,
+               observations: Sequence[Observation], offsets: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray, List[_Group]]:
+        """The policy and value heads' forward in plain numpy.
 
-        Row ``u`` is ``observations[u]``'s, whose meta-graph (current graph
-        first) holds embedding rows ``offsets[u]`` onwards.  A candidate is
-        scored on ``[current || candidate]``, the No-Op action (the last
-        slot) on ``[current || current]``; the value head reads the current
-        graph next to the mean candidate embedding.
+        Returns ``(heads, order, groups)``: ``heads[u]`` is
+        ``observations[u]``'s masked logits over the padded action space
+        followed by its value (``[U, A + 1]``), ``order`` the permutation
+        from block rows to observations and ``groups`` what the backward
+        of :meth:`_policy` reads.
+
+        Row ``u``'s meta-graph (current graph first) holds embedding rows
+        ``offsets[u]`` onwards.  A candidate is scored on ``[current ||
+        candidate]``, the No-Op action (the last slot) on ``[current ||
+        current]``; the value head reads the current graph next to the
+        mean candidate embedding.
 
         Observations are grouped by meta-graph size, and within a group the
-        head MLPs run on one stacked 3-D tensor: numpy's batched matmul
+        head MLPs run on one stacked 3-D array: numpy's batched matmul
         applies the per-slice kernel a 2-D product of that slice's shape
         would (same M/N/K), so every row is bit-for-bit what its observation
         gives alone, whatever rides along.  Stacking *different* sizes into
@@ -140,82 +222,173 @@ class XRLflowAgent(Module):
         """
         num_actions = observations[0].num_actions
         dim = self.embedding_dim
-        groups: Dict[int, List[int]] = {}
+        by_size: Dict[int, List[int]] = {}
         for u, obs in enumerate(observations):
-            groups.setdefault(len(obs.graphs), []).append(u)
+            by_size.setdefault(len(obs.graphs), []).append(u)
 
-        logit_blocks: List[Tensor] = []
-        value_blocks: List[Tensor] = []
-        for count, members in groups.items():
+        groups: List[_Group] = []
+        logit_blocks: List[np.ndarray] = []
+        value_blocks: List[np.ndarray] = []
+        start = 0
+        for count, members in by_size.items():
             k = len(members)
             starts = offsets[members]
             # Each candidate's row, then the current graph's for the No-Op.
             seconds = np.append(np.arange(1, count, dtype=np.int64), 0)
-            firsts = embeddings.gather_rows(np.repeat(starts, count)) \
-                .reshape(k, count, dim)
-            candidates = embeddings.gather_rows(
-                (starts[:, None] + seconds[None, :]).ravel()) \
-                .reshape(k, count, dim)
-            pair = concat([firsts, candidates], axis=2)
-            logits = self.policy_head(pair).reshape(k * count)
+            first_rows = np.repeat(starts, count)
+            candidate_rows = (starts[:, None] + seconds[None, :]).ravel()
+            firsts = embeddings[first_rows].reshape(k, count, dim)
+            candidates = embeddings[candidate_rows].reshape(k, count, dim)
+            pair = np.concatenate([firsts, candidates], axis=2)
+            logits, *policy = _mlp_forward(self.policy_head, pair)
             # Candidate logits fill the first C slots, the No-Op logit the
             # last, everything else the mask value; slots the environment
             # marked invalid are masked too.
             positions = np.append(np.arange(count - 1, dtype=np.int64),
                                   num_actions - 1)
-            masked = logits.scatter_into(
-                (k, num_actions),
-                np.repeat(np.arange(k, dtype=np.int64), count),
-                np.tile(positions, k), fill=_MASK_VALUE)
+            slots = (np.repeat(np.arange(k, dtype=np.int64), count),
+                     np.tile(positions, k))
+            masked = np.full((k, num_actions), _MASK_VALUE,
+                             dtype=logits.dtype)
+            masked[slots] = logits.reshape(k * count)
             invalid = ~np.stack([observations[u].action_mask
                                  for u in members])
-            logit_blocks.append(
-                masked + Tensor(np.where(invalid, _MASK_VALUE, 0.0)))
+            masked += _constant(np.where(invalid, _MASK_VALUE, 0.0))
+            logit_blocks.append(masked)
 
             current = firsts[:, 0, :]                         # [k, D]
-            mean_candidate = candidates[:, :count - 1, :].mean(axis=1) \
-                if count > 1 else current
-            value_input = concat([current, mean_candidate],
-                                 axis=1).reshape(k, 1, 2 * dim)
-            value_blocks.append(self.value_head(value_input).reshape(k))
+            mean_scale = None
+            mean_candidate = current
+            if count > 1:
+                mean_scale = _constant(1.0 / (count - 1))
+                mean_candidate = candidates[:, :count - 1, :].sum(axis=1) \
+                    * mean_scale
+            value_input = np.concatenate([current, mean_candidate],
+                                         axis=1).reshape(k, 1, 2 * dim)
+            values, *value = _mlp_forward(self.value_head, value_input)
+            value_blocks.append(values.reshape(k))
+            groups.append(_Group(count, k, start, first_rows, candidate_rows,
+                                 slots, mean_scale, policy, value))
+            start += k
 
         # Back to the order of ``observations``: a permutation gather.
-        order = np.argsort(np.concatenate(list(groups.values())))
-        return (concat(logit_blocks, axis=0).gather_rows(order),
-                concat(value_blocks, axis=0).gather_rows(order))
+        order = np.argsort(np.concatenate(list(by_size.values())))
+        block_logits = np.concatenate(logit_blocks, axis=0)
+        heads = np.empty((len(observations), num_actions + 1),
+                         dtype=block_logits.dtype)
+        heads[:, :num_actions] = block_logits[order]
+        heads[:, num_actions] = np.concatenate(value_blocks)[order]
+        return heads, order, groups
+
+    def _policy(self, embeddings: Tensor, observations: Sequence[Observation],
+                offsets: np.ndarray) -> Tensor:
+        """The heads as one autograd op: ``[U, A + 1]``, each observation's
+        masked logits followed by its value (see :meth:`_heads`)."""
+        heads, order, groups = self._heads(embeddings.data, observations,
+                                           offsets)
+
+        def backward(grad):
+            self._heads_backward(embeddings, grad, order, groups)
+        return Tensor._make(heads, (embeddings,
+                                    *self.policy_head.parameters(),
+                                    *self.value_head.parameters()),
+                            backward)
+
+    def _heads_backward(self, embeddings: Tensor, grad: np.ndarray,
+                        order: np.ndarray, groups: List[_Group]) -> None:
+        """:meth:`_policy`'s backward, in the composed heads' order.
+
+        The tape ran the value ops of every group before any policy op
+        (the loss reaches the values after the logits), each head's groups
+        last to first; per group the candidates' gather scattered into the
+        embeddings' gradient before the firsts'.  A gradient is summed where
+        the tape summed it, in the same order: the parameters' through their
+        ``_accumulate``, the embeddings' one ``_scatter_add_rows`` per
+        gather.
+        """
+        num_rows = grad.shape[0]
+        num_actions = grad.shape[1] - 1
+        dim = self.embedding_dim
+        needs_input = embeddings.requires_grad
+        # The permutation gather's backward, through the kernel as there
+        # (looked up at call time, as the encoder's layers do).
+        scatter = _tensor._scatter_add_rows
+        logit_grads = scatter(grad[:, :num_actions], order, num_rows)
+        value_grads = scatter(grad[:, num_actions], order, num_rows)
+
+        # Per group, last first: the value input's gradient, the current
+        # graph's half and the mean candidate's (scaled to each candidate).
+        value_inputs = []
+        for group in reversed(groups):
+            count, k, start = group[:3]
+            out = value_grads[start:start + k].reshape(k, 1, 1)
+            inputs = _mlp_backward(self.value_head, *group.value, out,
+                                   needs_input)
+            if needs_input:
+                inputs = inputs.reshape(k, 2 * dim)
+                current, mean = inputs[:, :dim], inputs[:, dim:]
+                if count > 1:
+                    value_inputs.append((current, mean * group.mean_scale))
+                else:
+                    # The mean candidate *is* the current graph's row.
+                    value_inputs.append((current + mean, None))
+
+        # Each half of ``pair`` plus the value path's share: the tape's
+        # sum of two (0 + x where the value path had no share, which
+        # rounds like x once the scatter adds it to +0.0).
+        for index, group in enumerate(reversed(groups)):
+            count, k, start = group[:3]
+            out = logit_grads[start:start + k][group.slots] \
+                .reshape(k, count, 1)
+            pair = _mlp_backward(self.policy_head, *group.policy, out,
+                                 needs_input)
+            if not needs_input:
+                continue
+            current, mean = value_inputs[index]
+            first_grad = pair[..., :dim].copy()
+            first_grad[:, 0, :] += current
+            candidate_grad = pair[..., dim:].copy()
+            if mean is not None:
+                candidate_grad[:, :count - 1, :] += mean[:, None, :]
+            embeddings._accumulate(scatter(
+                candidate_grad.reshape(k * count, dim), group.candidate_rows,
+                embeddings.data.shape[0]))
+            embeddings._accumulate(scatter(
+                first_grad.reshape(k * count, dim), group.first_rows,
+                embeddings.data.shape[0]))
 
     # ------------------------------------------------------------------
     def act(self, observation: Observation,
             deterministic: bool = False) -> ActionDecision:
         """Sample (or argmax) an action from the masked policy.
 
-        Runs under :func:`~repro.nn.tensor.no_grad`: rollouts never
-        backpropagate through the decision.  The observation is encoded as
-        its delta batch (the one :meth:`evaluate_actions_batch` trains on),
-        which gives :meth:`forward`'s embeddings.  The masked distribution
-        and value are memoised on the observation (its ``_decision``) until
-        the next weight update: the environment returns the *same*
-        observation for a re-visited state.  Sampling still draws from the
-        generator on every call, so memoised and fresh decisions consume the
-        rng identically.
+        Builds no autograd tape: the encoder runs under
+        :func:`~repro.nn.tensor.no_grad` and the heads' plain forward
+        (:meth:`_heads`) creates no ``Tensor``.  The observation is encoded
+        as its delta batch (the one :meth:`policy_batch` trains on), which
+        gives :meth:`forward`'s embeddings.  The masked distribution and
+        value are memoised on the observation (its ``_decision``) until the
+        next weight update: the environment returns the *same* observation
+        for a re-visited state.  Sampling still draws from the generator on
+        every call, so memoised and fresh decisions consume the rng
+        identically.
         """
         memo = observation._decision
         if memo is not None and memo[0] is self \
                 and memo[1] == self._weights_version:
             probs, value_f = memo[2], memo[3]
         else:
-            with no_grad():
-                embeddings = Tensor(self.embedder.embed(observation))
-                logits, value = self._policy(embeddings, [observation],
-                                             np.zeros(1, dtype=np.int64))
+            heads, _, _ = self._heads(self.embedder.embed(observation),
+                                      [observation],
+                                      np.zeros(1, dtype=np.int64))
             # ``Tensor.softmax``'s operations (shift by the max, exp, divide
             # by the sum) in float64: a float32 distribution would change
             # which action a seeded draw picks.
-            shifted = logits.numpy()[0].astype(np.float64)
+            shifted = heads[0, :-1].astype(np.float64)
             exp = np.exp(shifted - shifted.max(axis=0, keepdims=True))
             probs = exp / exp.sum(axis=0, keepdims=True)
             probs = probs / probs.sum()
-            value_f = float(value.numpy()[0])
+            value_f = float(heads[0, -1])
             observation._decision = (self, self._weights_version, probs,
                                      value_f)
         if deterministic:
@@ -226,22 +399,22 @@ class XRLflowAgent(Module):
         return ActionDecision(action=action, log_prob=log_prob,
                               value=value_f, probabilities=probs)
 
-    def evaluate_actions_batch(self, observations: Sequence[Observation],
-                               actions: Sequence[int]
-                               ) -> Tuple[Tensor, Tensor, Tensor]:
-        """Differentiable (log-probs, values, entropies), each ``[B]``.
+    def policy_batch(self, observations: Sequence[Observation]
+                     ) -> Tuple[Tensor, np.ndarray]:
+        """Differentiable heads of a batch of transitions' observations.
 
-        Splices every *distinct* observation's delta batch
+        Returns ``(heads, slots)``: :meth:`_policy`'s ``[U, A + 1]`` rows of
+        the *distinct* observations, and for each transition its row.
+        Duplicate observations (the environment memoises re-visited states,
+        so one observation object can back several transitions) are encoded
+        and scored once.
+
+        Splices every distinct observation's delta batch
         (:meth:`~repro.rl.env.Observation.delta_batch`: candidates as
         rewrite cones, never fully encoded) into one
         :class:`~repro.nn.gnn.BatchedGraphs` and runs a *single* encoder
-        forward for the whole minibatch — the GNN message passing is where
-        nearly all the per-transition ops (and the autograd tape) used to
-        go.  Duplicate observations (the environment memoises re-visited
-        states, so one observation object can back several transitions) are
-        encoded and scored once, by :meth:`_policy`, which keeps every row
-        bit-for-bit the one-observation evaluation
-        (``tests/oracles/ppo_reference.py``).
+        forward for the whole batch; the heads keep every row bit-for-bit
+        the one-observation evaluation (``tests/oracles/ppo_reference.py``).
         """
         # Deduplicate by object identity; transition i uses unique[slot[i]].
         unique: List[Observation] = []
@@ -260,18 +433,110 @@ class XRLflowAgent(Module):
         num_layers = self.encoder.num_gat_layers
         combined, offsets = combine_meta_graphs(
             [o.delta_batch(num_layers) for o in unique])
-        unique_logits, unique_values = self._policy(
-            self.encoder(combined), unique, offsets)
+        heads = self._policy(self.encoder(combined), unique, offsets)
+        return heads, np.asarray(slots, dtype=np.int64)
 
-        # Per-transition rows (duplicates reuse unique rows); log-softmax,
-        # entropy and the chosen-action gather are row-wise.
-        slots = np.asarray(slots, dtype=np.int64)
-        log_probs = unique_logits.gather_rows(slots).log_softmax(axis=-1)
-        probs = log_probs.exp()
-        entropy = -(probs * log_probs).sum(axis=1)           # [B]
-        actions = np.asarray(actions, dtype=np.int64)
-        chosen = log_probs[np.arange(len(observations)), actions]   # [B]
-        return chosen, unique_values.gather_rows(slots), entropy
+
+@dataclass
+class PPOLoss:
+    """One chunk's PPO-clip loss (:func:`ppo_loss`) and what it read."""
+
+    #: The scalar to backpropagate: the chunk's summed loss times ``scale``.
+    total: Tensor
+    #: Per transition: the chosen action's log-probability, the value and
+    #: the policy's entropy (``[B]``, no gradient).
+    log_probs: np.ndarray
+    values: np.ndarray
+    entropies: np.ndarray
+    #: The three terms' sums over the chunk, unscaled.
+    policy_sum: float
+    value_sum: float
+    entropy_sum: float
+
+
+def ppo_loss(heads: Tensor, slots: np.ndarray, actions: Sequence[int],
+             old_log_probs: np.ndarray, advantages: np.ndarray,
+             returns: np.ndarray, clip_epsilon: float, value_coef: float,
+             entropy_coef: float, scale: float) -> PPOLoss:
+    """The PPO-clip loss of a chunk as one autograd op on ``heads``.
+
+    Transition ``i`` reads row ``slots[i]`` of ``heads``
+    (:meth:`XRLflowAgent.policy_batch`): its log-softmax over the masked
+    logits, entropy and chosen action's log-probability, then the clipped
+    surrogate (the elementwise min takes the unclipped side on a tie), the
+    squared value error and the entropy bonus.  ``total`` is
+    ``(policy + value_coef * value - entropy_coef * entropy) * scale``
+    summed over the chunk.
+
+    Forward and backward are the composed ops' arithmetic in the tape's
+    order (``a - b`` where the tape added a negation, which rounds the
+    same), constants stored as float32 as ``Tensor`` stored them, so the
+    loss and the gradient reaching ``heads`` are bit for bit the tape's;
+    the rows of a duplicate observation meet in one ``_scatter_add_rows``.
+    """
+    data = heads.data
+    num_rows = data.shape[0]
+    num_actions = data.shape[1] - 1
+    count = slots.shape[0]
+    rows = np.arange(count)
+    actions = np.asarray(actions, dtype=np.int64)
+    # Log-softmax, entropy and the chosen action, row by row.
+    logits = data[:, :num_actions][slots]
+    shifted = logits - _constant(logits.max(axis=-1, keepdims=True))
+    exp = np.exp(shifted)
+    exp_sum = exp.sum(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(exp_sum)
+    probs = np.exp(log_probs)
+    entropies = -(probs * log_probs).sum(axis=1)
+    chosen = log_probs[rows, actions]
+    # The clipped surrogate.
+    advantages = _constant(advantages)
+    ratio = np.exp(chosen - _constant(old_log_probs))
+    low, high = 1 - clip_epsilon, 1 + clip_epsilon
+    inside = (ratio >= low) & (ratio <= high)
+    surrogate1 = ratio * advantages
+    surrogate2 = np.clip(ratio, low, high) * advantages
+    take_first = _constant(surrogate1 <= surrogate2)
+    take_second = 1.0 - take_first
+    policy_sum = (-(surrogate1 * take_first + surrogate2 * take_second)).sum()
+    # Value error and the total.
+    values = data[:, num_actions][slots]
+    errors = values - _constant(returns)
+    value_sum = (errors ** 2).sum()
+    entropy_sum = entropies.sum()
+    value_coef, entropy_coef = _constant(value_coef), _constant(entropy_coef)
+    scale = _constant(scale)
+    total = (policy_sum + value_sum * value_coef
+             - entropy_sum * entropy_coef) * scale
+
+    def backward(grad):
+        inner = grad * scale
+        # Entropy: its sum, the negation, the row sum, the product.
+        product = np.broadcast_to(inner * entropy_coef, (count, num_actions))
+        log_probs_grad = product * probs
+        log_probs_grad += product * log_probs * probs
+        # Value error.
+        value_grad = np.broadcast_to(inner * value_coef, (count,)) * 2 \
+            * errors
+        # Surrogate: the tie-broken min, the clip (its gradient first on
+        # the tape), the ratio.
+        terms = -np.broadcast_to(inner, (count,))
+        ratio_grad = terms * take_second * advantages * inside
+        ratio_grad += terms * take_first * advantages
+        chosen_grad = np.zeros_like(log_probs)
+        chosen_grad[rows, actions] = ratio_grad * ratio
+        log_probs_grad += chosen_grad
+        # Log-softmax: the shift by the log-sum, then through the exp.
+        exp_grad = -log_probs_grad.sum(axis=1, keepdims=True) / exp_sum
+        logits_grad = log_probs_grad + exp_grad * exp
+        heads._accumulate(_tensor._scatter_add_rows(
+            np.concatenate([logits_grad, value_grad[:, None]], axis=1),
+            slots, num_rows))
+
+    return PPOLoss(total=Tensor._make(np.asarray(total), (heads,), backward),
+                   log_probs=chosen, values=values, entropies=entropies,
+                   policy_sum=float(policy_sum), value_sum=float(value_sum),
+                   entropy_sum=float(entropy_sum))
 
 
 @dataclass
@@ -293,9 +558,9 @@ class PPOUpdateStats:
 class PPOUpdater:
     """PPO-clip optimiser for an :class:`XRLflowAgent`.
 
-    Each minibatch is evaluated through
-    :meth:`XRLflowAgent.evaluate_actions_batch` (the seed per-transition
-    loop is the test oracle, ``tests/oracles/ppo_reference.py``).
+    Each chunk is evaluated through :meth:`XRLflowAgent.policy_batch` and
+    :func:`ppo_loss` (the seed per-transition loop is the test oracle,
+    ``tests/oracles/ppo_reference.py``).
 
     Minibatches whose observations sum to more than ``max_batch_nodes``
     meta-graph nodes (the rows their full meta-graphs would hold) are split
@@ -393,37 +658,23 @@ class PPOUpdater:
         Each node-bounded chunk contributes ``chunk_loss_sum / B`` and is
         backpropagated immediately (gradient accumulation): the summed
         gradients equal the whole-minibatch mean-loss gradient by
-        linearity, and each chunk's tape is freed before the next one runs.
+        linearity, and each chunk's tape (the encoder's ops, the heads and
+        the loss) is freed before the next one runs.
         """
         self.optimizer.zero_grad()
-        total_count = len(batch_idx)
-        scale = 1.0 / total_count
+        scale = 1.0 / len(batch_idx)
         sums = {"policy": 0.0, "value": 0.0, "entropy": 0.0}
         for chunk in self._node_bounded_chunks(buffer, batch_idx):
             observations, actions, old_log_probs = buffer.gather(chunk)
-            new_log_probs, values, entropies = self.agent.evaluate_actions_batch(
-                observations, actions)
-            adv = Tensor(advantages[chunk])
-            ratio = (new_log_probs - Tensor(old_log_probs)).exp()
-            surrogate1 = ratio * adv
-            surrogate2 = ratio.clip(1 - self.clip_epsilon,
-                                    1 + self.clip_epsilon) * adv
-            # Elementwise min with the same subgradient choice as the
-            # per-transition oracle (ties go to the unclipped surrogate).
-            take_first = Tensor(
-                (surrogate1.data <= surrogate2.data).astype(
-                    surrogate1.data.dtype))
-            policy_elements = -(surrogate1 * take_first
-                                + surrogate2 * (1.0 - take_first))
-            policy_sum = policy_elements.sum()
-            value_sum = ((values - Tensor(returns[chunk])) ** 2).sum()
-            entropy_sum = entropies.sum()
-            total = (policy_sum + self.value_coef * value_sum
-                     - self.entropy_coef * entropy_sum) * scale
-            total.backward()
-            sums["policy"] += float(policy_sum.numpy().sum())
-            sums["value"] += float(value_sum.numpy().sum())
-            sums["entropy"] += float(entropy_sum.numpy().sum())
+            heads, slots = self.agent.policy_batch(observations)
+            loss = ppo_loss(heads, slots, actions, old_log_probs,
+                            advantages[chunk], returns[chunk],
+                            self.clip_epsilon, self.value_coef,
+                            self.entropy_coef, scale)
+            loss.total.backward()
+            sums["policy"] += loss.policy_sum
+            sums["value"] += loss.value_sum
+            sums["entropy"] += loss.entropy_sum
         grad_norm = clip_grad_norm(self.optimizer.parameters, self.max_grad_norm)
         self.optimizer.step()
         return {"policy": sums["policy"] * scale,

@@ -14,10 +14,12 @@ Two incremental-engine features live here:
   then seeds matching from the graph's op-type index instead of scanning
   every node.
 * **Lazy candidates** — :class:`Candidate` holds ``(rule, match, parent)``
-  and only runs ``rule.apply`` (which deep-copies the parent graph) when
-  ``candidate.graph`` is first accessed, so consumers that discard most
-  candidates (the RL environment's action-space cap, random walks) never pay
-  for the graphs they do not look at.
+  and only runs ``rule.apply`` (which copies the parent graph —
+  :meth:`~repro.ir.graph.Graph.copy`: shared nodes and adjacency, cloned
+  indexes and memos — then rewrites the copy) when ``candidate.graph`` is
+  first accessed, so consumers that discard most candidates (the RL
+  environment's action-space cap, random walks) never pay for the graphs
+  they do not look at.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ class Candidate:
 
     The graph is materialised lazily: a candidate created from ``(rule,
     match, parent)`` only runs ``rule.apply`` — and therefore only copies the
-    parent graph — when :attr:`graph` is first read.  A match that fails to
+    parent graph (:meth:`~repro.ir.graph.Graph.copy`, which shares the
+    parent's nodes and adjacency) — when :attr:`graph` is first read.  A match that fails to
     apply (shape corner case) yields ``None`` from :meth:`materialise`;
     accessing :attr:`graph` on such a candidate re-raises the apply error.
 

@@ -4,6 +4,9 @@ The numeric checks difference at ``eps = 1e-6``, which float32 cannot
 resolve: they run on float64 leaves (``tests/oracles/float64_leg.py``).
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from float64_leg import leaf, upcast
@@ -257,6 +260,24 @@ class TestBackwardMechanics:
         y.backward()
         (x * 3).sum().backward()
         np.testing.assert_allclose(x.grad, np.full(3, 5.0))
+
+    def test_backward_frees_the_tape_on_return(self):
+        """Without the cyclic collector: nothing ``backward`` built while
+        walking the tape may keep it alive once the caller lets go."""
+        x = Tensor(np.ones(3), requires_grad=True)
+        hidden = (x * 2).exp()
+        array = weakref.ref(hidden.data)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss = hidden.sum()
+            loss.backward()
+            del hidden, loss
+            assert array() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert x.grad is not None
 
     def test_detach_stops_gradients(self):
         x = Tensor(np.ones(3), requires_grad=True)

@@ -1,5 +1,6 @@
 """Per-transition oracle for the PPO update: ``evaluate_actions`` is the
-reference for ``XRLflowAgent.evaluate_actions_batch`` and
+reference for ``XRLflowAgent.policy_batch`` followed by ``ppo_loss``'s
+per-transition terms, ``loop_loss`` for ``ppo_loss`` and
 ``LoopPPOUpdater`` for ``PPOUpdater._update_batched``
 (``src/repro/rl/ppo.py``), compared by
 ``tests/rl/test_incremental_features.py`` (``TestBatchedEvaluate``,
@@ -9,14 +10,14 @@ The seed update: one full meta-graph forward per transition through the
 public ``agent.forward``, the minibatch loss summed tensor by tensor.
 """
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.nn import Tensor, clip_grad_norm
 from repro.rl import Observation, PPOUpdater, RolloutBuffer, XRLflowAgent
 
-__all__ = ["LoopPPOUpdater", "evaluate_actions"]
+__all__ = ["LoopPPOUpdater", "evaluate_actions", "loop_loss"]
 
 
 def evaluate_actions(agent: XRLflowAgent, observation: Observation,
@@ -30,40 +31,55 @@ def evaluate_actions(agent: XRLflowAgent, observation: Observation,
     return log_probs[action:action + 1], value, entropy
 
 
+def loop_loss(agent: XRLflowAgent, observations: Sequence[Observation],
+              actions: Sequence[int], old_log_probs: Sequence[float],
+              advantages: Sequence[float], returns: Sequence[float],
+              clip_epsilon: float, value_coef: float, entropy_coef: float
+              ) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
+    """(``total``, policy term, value term, entropy term) of a minibatch,
+    each term the mean over its transitions."""
+    losses = []
+    entropies = []
+    value_losses = []
+    for obs, action, old_log_prob, adv, ret in zip(
+            observations, actions, old_log_probs, advantages, returns):
+        new_log_prob, value, entropy = evaluate_actions(agent, obs,
+                                                        int(action))
+        ratio = (new_log_prob - float(old_log_prob)).exp()
+        surrogate1 = ratio * float(adv)
+        surrogate2 = ratio.clip(1 - clip_epsilon, 1 + clip_epsilon) \
+            * float(adv)
+        # elementwise min of the two 1-element tensors
+        take_first = float(surrogate1.numpy()[0]) \
+            <= float(surrogate2.numpy()[0])
+        policy_loss = -(surrogate1 if take_first else surrogate2)
+        value_loss = (value - float(ret)) ** 2
+        losses.append(policy_loss)
+        value_losses.append(value_loss)
+        entropies.append(entropy)
+    n = len(losses)
+    policy_term = sum(losses[1:], losses[0]) * (1.0 / n)
+    value_term = sum(value_losses[1:], value_losses[0]) * (1.0 / n)
+    entropy_term = sum(entropies[1:], entropies[0]) * (1.0 / n)
+    total = (policy_term + value_coef * value_term
+             - entropy_coef * entropy_term)
+    return total, policy_term, value_term, entropy_term
+
+
 class LoopPPOUpdater(PPOUpdater):
     """:class:`PPOUpdater` whose optimiser step is the seed per-transition
     loop (one forward per transition)."""
 
     def _update_batched(self, buffer: RolloutBuffer, batch_idx: np.ndarray,
                         advantages: np.ndarray, returns: np.ndarray):
-        transitions = buffer.transitions
         self.optimizer.zero_grad()
-        losses = []
-        entropies = []
-        value_losses = []
-        for i in batch_idx:
-            t = transitions[i]
-            new_log_prob, value, entropy = evaluate_actions(
-                self.agent, t.observation, t.action)
-            ratio = (new_log_prob - t.log_prob).exp()
-            adv = float(advantages[i])
-            surrogate1 = ratio * adv
-            surrogate2 = ratio.clip(1 - self.clip_epsilon,
-                                    1 + self.clip_epsilon) * adv
-            # elementwise min of the two 1-element tensors
-            take_first = float(surrogate1.numpy()[0]) \
-                <= float(surrogate2.numpy()[0])
-            policy_loss = -(surrogate1 if take_first else surrogate2)
-            value_loss = (value - float(returns[i])) ** 2
-            losses.append(policy_loss)
-            value_losses.append(value_loss)
-            entropies.append(entropy)
-        n = len(batch_idx)
-        policy_term = sum(losses[1:], losses[0]) * (1.0 / n)
-        value_term = sum(value_losses[1:], value_losses[0]) * (1.0 / n)
-        entropy_term = sum(entropies[1:], entropies[0]) * (1.0 / n)
-        total = (policy_term + self.value_coef * value_term
-                 - self.entropy_coef * entropy_term)
+        transitions = [buffer.transitions[i] for i in batch_idx]
+        total, policy_term, value_term, entropy_term = loop_loss(
+            self.agent, [t.observation for t in transitions],
+            [t.action for t in transitions],
+            [t.log_prob for t in transitions], advantages[batch_idx],
+            returns[batch_idx], self.clip_epsilon, self.value_coef,
+            self.entropy_coef)
         total.backward()
         grad_norm = clip_grad_norm(self.optimizer.parameters,
                                    self.max_grad_norm)

@@ -20,7 +20,7 @@ import pytest
 from delta_batch_reference import reference_delta_batch
 from encode_reference import reference_encode_graph, reference_meta_graph
 from float64_leg import upcast
-from ppo_reference import LoopPPOUpdater, evaluate_actions
+from ppo_reference import LoopPPOUpdater, evaluate_actions, loop_loss
 from segment_reference import add_at_rows
 
 import repro.ir.graph
@@ -37,6 +37,7 @@ from repro.rl import (FeatureCache, GraphRewriteEnv, Observation, PPOTrainer,
                       build_meta_graph, encode_graph)
 from repro.rl.features import (build_delta_batch, combine_meta_graphs,
                                rewrite_cone)
+from repro.rl.ppo import ppo_loss
 from repro.rules import default_ruleset
 
 MODELS = ["squeezenet", "resnext50", "bert", "vit"]
@@ -440,11 +441,19 @@ def minibatch(name, agent):
     return observations, actions
 
 
-def per_transition(agent, observations, actions):
-    """:func:`evaluate_actions` of every transition: ``forward`` on each
-    observation's full meta-graph."""
-    return [evaluate_actions(agent, obs, int(action))
-            for obs, action in zip(observations, actions)]
+def ppo_terms(observations, seed=0):
+    """Old log-probs, advantages and returns for a minibatch, seeded."""
+    rng = np.random.default_rng(seed)
+    size = len(observations)
+    return (rng.normal(size=size) - 2.0, rng.normal(size=size),
+            rng.normal(size=size))
+
+
+def batched_loss(agent, observations, actions, seed=0):
+    """:func:`ppo_loss` of the minibatch through one ``policy_batch``."""
+    heads, slots = agent.policy_batch(observations)
+    return ppo_loss(heads, slots, actions, *ppo_terms(observations, seed),
+                    0.2, 0.5, 0.01, 1.0 / len(observations))
 
 
 class TestBatchedEvaluate:
@@ -453,23 +462,22 @@ class TestBatchedEvaluate:
         agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
                              num_gat_layers=2, head_sizes=(16,), seed=0)
         observations, actions = minibatch(name, agent)
-        log_probs, values, entropies = agent.evaluate_actions_batch(
-            observations, actions)
+        loss = batched_loss(agent, observations, actions)
         assert agent.encoder.rows_encoded < agent.encoder.rows_pooled
-        for out in (log_probs, values, entropies):
-            assert out.numpy().dtype == np.float32
+        for out in (loss.log_probs, loss.values, loss.entropies):
+            assert out.dtype == np.float32
         for i, (obs, action) in enumerate(zip(observations, actions)):
             lp, value, entropy = evaluate_actions(agent, obs, int(action))
-            assert lp.numpy()[0] == log_probs.numpy()[i]
-            assert value.numpy()[0] == values.numpy()[i]
-            assert float(entropy.numpy()) == entropies.numpy()[i]
+            assert lp.numpy()[0] == loss.log_probs[i]
+            assert value.numpy()[0] == loss.values[i]
+            assert float(entropy.numpy()) == loss.entropies[i]
 
     @pytest.mark.parametrize("name", ["squeezenet", "bert"])
     def test_delta_batch_gradients_match_full_meta_graphs(self, name):
         """Same function, so same gradients: a parent row's gradient is the
         sum over the graphs that read it, which the full meta-graphs add up
         at the weights instead — equal up to addition order, so compared
-        on the float64 leg."""
+        on the float64 leg.  Both sides backpropagate the PPO loss."""
         grads = []
         for reference in (False, True):
             agent = upcast(XRLflowAgent(hidden_dim=16, embedding_dim=16,
@@ -477,13 +485,11 @@ class TestBatchedEvaluate:
                                         seed=0))
             observations, actions = minibatch(name, agent)
             if reference:
-                terms = [lp.sum() + value.sum() + entropy for lp, value, entropy
-                         in per_transition(agent, observations, actions)]
-                total = sum(terms[1:], terms[0])
+                total, *_ = loop_loss(agent, observations, actions,
+                                      *ppo_terms(observations), 0.2, 0.5,
+                                      0.01)
             else:
-                log_probs, values, entropies = agent.evaluate_actions_batch(
-                    observations, actions)
-                total = log_probs.sum() + values.sum() + entropies.sum()
+                total = batched_loss(agent, observations, actions).total
             total.backward()
             grads.append([p.grad for p in agent.parameters()])
         for delta, full in zip(*grads):
@@ -527,10 +533,11 @@ class TestBatchedEvaluate:
         agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
                              num_gat_layers=2, head_sizes=(16,), seed=0)
         obs = observation_of([candidate, clone])
-        batched = agent.evaluate_actions_batch([obs], [0])
+        loss = batched_loss(agent, [obs], [0])
         single = evaluate_actions(agent, obs, 0)
-        for a, b in zip(batched, single):
-            assert np.array_equal(np.ravel(a.numpy()), np.ravel(b.numpy()))
+        for a, b in zip((loss.log_probs, loss.values, loss.entropies),
+                        single):
+            assert np.array_equal(a, np.ravel(b.numpy()))
 
     def test_batched_update_matches_loop_update(self):
         graph = build_small_model("squeezenet")

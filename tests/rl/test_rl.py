@@ -77,6 +77,19 @@ class TestEnvironment:
         step = small_env.step(len(obs.candidates))  # first padded slot
         assert step.done
 
+    @pytest.mark.parametrize("offset", [-1, None])
+    def test_negative_action_treated_as_noop(self, small_env, offset):
+        """``-1`` indexes the No-Op's mask slot and ``-(len + 1)`` the last
+        candidate's from the end: neither may apply a candidate."""
+        obs = small_env.reset()
+        assert obs.candidates
+        before = small_env.current_graph
+        step = small_env.step(-(len(obs.candidates) + 1)
+                              if offset is None else offset)
+        assert step.done
+        assert small_env.current_graph is before
+        assert small_env.applied_rules == []
+
     def test_feedback_interval_reward(self, conv_graph):
         env = GraphRewriteEnv(conv_graph, feedback_interval=2, step_reward=0.1,
                               max_candidates=8, max_steps=6)

@@ -168,5 +168,10 @@ def test_docs_job_gates_docstrings_of_rl():
     assert gate and "src/repro/rl" in gate.group(1).split()
 
 
+def test_docs_job_gates_docstrings_of_nn():
+    gate = re.search(r"check_docs\.py --docstrings(.*)", CI)
+    assert gate and "src/repro/nn" in gate.group(1).split()
+
+
 def test_concurrency_cancels_superseded_runs():
     assert "cancel-in-progress: true" in CI
