@@ -488,6 +488,9 @@ class Graph:
 
         node_id = self._next_id
         self._next_id += 1
+        # With the id, so the table stays id-indexed even when shape
+        # inference below refuses the node and the id goes unused.
+        self._op_ids.append(op_index(op_type))
         node = Node(node_id=node_id, op_type=op_type, attrs=attrs,
                     name=name or f"{op_type.value.lower()}_{node_id}")
 
@@ -506,7 +509,6 @@ class Graph:
             in_list.append(edge)
             self._out_edges.edit(src).append(edge)
         self._nodes_by_op.setdefault(op_type, {})[node_id] = None
-        self._op_ids.append(op_index(op_type))
         self._version += 1
         if self._scalar_cache:
             self._scalar_cache.clear()

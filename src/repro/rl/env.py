@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, \
+    Union
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from ..rules.base import Candidate, RuleSet
 from ..rules.incremental import IncrementalCandidateEngine
 from ..rules.rulesets import default_ruleset
 from ..nn.gnn import BatchedGraphs
-from .features import FeatureCache, build_delta_batch
+from .features import FeatureCache, RewriteCone, build_delta_batch, \
+    rewrite_cone
 
 __all__ = ["Observation", "StepResult", "GraphRewriteEnv"]
 
@@ -43,35 +45,104 @@ def default_reward(previous_ms: float, current_ms: float, initial_ms: float) -> 
     return (previous_ms - current_ms) / initial_ms * 100.0
 
 
-@dataclass
 class Observation:
-    """What the agent sees at each step."""
+    """What the agent sees at each step: the current graph, the candidates
+    one rewrite away and the mask over the padded action space.
 
-    #: The current graph followed by each candidate graph.
-    graphs: List[Graph]
-    #: Boolean mask over the padded action space (size ``max_candidates + 1``).
-    #: The final entry is the always-valid No-Op action.
-    action_mask: np.ndarray
-    #: The candidates backing each valid action index.
-    candidates: List[Candidate] = field(default_factory=list)
-    #: Encodes the graphs; its ``edge_norm`` is the one every batch of this
-    #: observation is built with.
-    feature_cache: FeatureCache = field(default_factory=FeatureCache)
-    _delta: Optional[Tuple[int, BatchedGraphs]] = field(
-        default=None, init=False, repr=False, compare=False)
-    #: The last agent decision on this observation, ``(agent, weights
-    #: version, probabilities, value)``: see ``XRLflowAgent.act``.
-    _decision: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False)
+    The environment builds one from its candidates, which stay lazy: a
+    candidate whose rewrite cone was handed down from an earlier step is
+    batched from that cone, so its graph is built only when the agent picks
+    it or :attr:`graphs` is read.  An observation can also be built over
+    hand-picked ``graphs`` (current graph first).
+    """
+
+    def __init__(self, action_mask: np.ndarray, *,
+                 current: Optional[Graph] = None,
+                 candidates: Sequence[Candidate] = (),
+                 graphs: Optional[Sequence[Graph]] = None,
+                 feature_cache: Optional[FeatureCache] = None):
+        #: Boolean mask over the padded action space (size
+        #: ``max_candidates + 1``); the final entry is the always-valid
+        #: No-Op action.
+        self.action_mask = action_mask
+        #: The candidates backing each valid action index.
+        self.candidates: List[Candidate] = list(candidates)
+        self._graphs = None if graphs is None else list(graphs)
+        #: The graph the candidates rewrite.
+        self.current: Graph = current if graphs is None else graphs[0]
+        #: Encodes the current graph; its ``edge_norm`` is the one every
+        #: batch of this observation is built with.
+        self.feature_cache = feature_cache if feature_cache is not None \
+            else FeatureCache()
+        self._delta: Optional[Tuple[int, BatchedGraphs]] = None
+        #: Candidates whose cone this observation derived and the
+        #: environment has not remembered yet (:meth:`take_derived`).
+        self._derived: List[Candidate] = []
+        #: The last agent decision on this observation, ``(agent, weights
+        #: version, probabilities, value)``: see ``XRLflowAgent.act``.
+        self._decision: Optional[tuple] = None
+
+    @property
+    def graphs(self) -> List[Graph]:
+        """The current graph followed by each candidate graph, every
+        candidate materialised on first read: the full meta-graph
+        reference (``XRLflowAgent.forward``) reads it, the rollout does
+        not."""
+        if self._graphs is None:
+            self._graphs = [self.current] + [c.graph for c in self.candidates]
+        return self._graphs
+
+    @property
+    def num_graphs(self) -> int:
+        """Graphs in the meta-graph: the candidates plus the current one."""
+        return 1 + len(self.candidates) if self.candidates \
+            else len(self.graphs)
+
+    def graph_sizes(self) -> List[int]:
+        """Node counts of the meta-graph's graphs, current graph first,
+        read off the candidates' cones where they have one."""
+        if not self.candidates:
+            return [len(graph.nodes) for graph in self.graphs]
+        size = len(self.current.nodes)
+        return [size] + [
+            size + c.outcome.size_delta if isinstance(c.outcome, RewriteCone)
+            else len(c.graph.nodes) for c in self.candidates]
 
     def delta_batch(self, num_layers: int) -> BatchedGraphs:
-        """:func:`~repro.rl.features.build_delta_batch` of :attr:`graphs` for
-        an encoder of ``num_layers`` GAT layers, built on first call and
-        kept: acting and the PPO update read the same batch."""
+        """:func:`~repro.rl.features.build_delta_batch` of the current graph
+        and the candidates' cones for an encoder of ``num_layers`` GAT
+        layers, built on first call and kept: acting and the PPO update read
+        the same batch.  A candidate without a cone of that depth is
+        materialised and its cone derived (and kept as its ``outcome``)."""
         if self._delta is None or self._delta[0] != num_layers:
+            # Lazily, so a cone derived here finds the current graph
+            # encoded: its old nodes' edge blocks are the current graph's.
+            others = (self._cone(c, num_layers) for c in self.candidates) \
+                if self.candidates else self.graphs[1:]
             self._delta = (num_layers, build_delta_batch(
-                self.graphs, num_layers, cache=self.feature_cache))
+                self.current, others, num_layers, cache=self.feature_cache))
         return self._delta[1]
+
+    def _cone(self, candidate: Candidate,
+              num_layers: int) -> Union[RewriteCone, Graph]:
+        """``candidate`` as the batch stores it: its cone for
+        ``num_layers`` (handed down, or derived from its graph and queued
+        for :meth:`take_derived`), or its graph if it lost its lineage."""
+        cone = candidate.outcome
+        if isinstance(cone, RewriteCone) and cone.num_layers == num_layers:
+            return cone
+        graph = candidate.graph
+        if graph.delta_parent() is not self.current:
+            return graph  # lineage lost: stored in full
+        candidate.outcome = cone = rewrite_cone(graph, num_layers)
+        self._derived.append(candidate)
+        return cone
+
+    def take_derived(self) -> List[Candidate]:
+        """The candidates whose cones :meth:`delta_batch` derived since the
+        last call (each one materialised, its cone in ``outcome``)."""
+        derived, self._derived = self._derived, []
+        return derived
 
     @property
     def num_actions(self) -> int:
@@ -203,6 +274,13 @@ class GraphRewriteEnv:
         observation = self._last_observation
         if observation is None:
             raise RuntimeError("step() called before reset()")
+        # The cones the agent's batch derived go to the match engine before
+        # the next state is reconciled, which hands down the ones this step
+        # leaves alone.
+        for candidate in observation.take_derived():
+            cone = candidate.outcome
+            self._candidate_engine.remember(candidate, candidate.graph, cone,
+                                            cone.reads())
         terminal_reward_needed = False
         measured = False
 
@@ -273,25 +351,44 @@ class GraphRewriteEnv:
         mask = np.zeros(self.action_space_size, dtype=bool)
         mask[: len(candidates)] = True
         mask[-1] = True  # No-Op is always available
-        obs = Observation(
-            graphs=[self.current_graph] + [c.graph for c in candidates],
-            action_mask=mask, candidates=candidates,
-            feature_cache=self.feature_cache)
+        obs = Observation(mask, current=self.current_graph,
+                          candidates=candidates,
+                          feature_cache=self.feature_cache)
         self._obs_cache.put(key, obs)
         self._last_observation = obs
         return obs
 
     def encode_cache_stats(self) -> Dict[str, float]:
-        """Hit/miss counters of the observation/encode caches."""
+        """Hit/miss counters of the encode and observation caches, and the
+        match engine's: states updated from a parent's
+        (``match_incremental_updates``) or rebuilt
+        (``match_full_rebuilds``), and remembered cones and apply failures
+        a state took over from its parent's (``outcomes_inherited``) or
+        dropped because the step touched what they were read from
+        (``outcomes_dropped``)."""
         stats = self.feature_cache.stats()
         stats.update(self._obs_cache.stats())
+        stats.update(self._candidate_engine.stats())
         return stats
+
+    def _applies(self, candidate: Candidate) -> bool:
+        """Whether ``candidate``'s rule applies: known without applying it
+        when a cone or failure was handed down, else by materialising it (a
+        failure is remembered)."""
+        if candidate.outcome is not None:
+            return True
+        if candidate.error is None and candidate.materialise() is None:
+            self._candidate_engine.remember(candidate, None)
+        return candidate.error is None
 
     def _select_candidates(self) -> List[Candidate]:
         """The ≤ ``max_candidates`` candidates shown to the agent.
 
         Candidates are generated lazily; only the ones selected here are
-        ever materialised (i.e. have their rule applied to a graph copy).
+        looked at, and of those only the ones whose rewrite cone was not
+        handed down from an earlier step are materialised (i.e. have their
+        rule applied to a graph copy) — to learn whether they apply, and
+        for the agent's batch to derive their cones.
         When the graph offers more rewrites than the action space holds, the
         quota is filled round-robin across rules — every rule family stays
         represented, instead of the first rules in declaration order
@@ -302,7 +399,7 @@ class GraphRewriteEnv:
         """
         lazy = self._candidate_engine.lazy_candidates(self.current_graph)
         if len(lazy) <= self.max_candidates:
-            return [c for c in lazy if c.materialise() is not None]
+            return [c for c in lazy if self._applies(c)]
 
         queues: Dict[str, Deque[Tuple[int, Candidate]]] = {}
         for index, candidate in enumerate(lazy):
@@ -317,7 +414,7 @@ class GraphRewriteEnv:
                 queue = queues[rule_name]
                 while queue:
                     index, candidate = queue.popleft()
-                    if candidate.materialise() is not None:
+                    if self._applies(candidate):
                         picked.append((index, candidate))
                         break
                 if queue:

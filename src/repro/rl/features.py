@@ -34,11 +34,14 @@ incremental on three levels:
 On the default path candidates are not encoded at all.  A candidate is its
 parent plus one rewrite, and only its *cone* — the nodes the rewrite changed,
 spread one hop downstream per GAT layer — can differ from the parent in any
-layer of the encoder.  :func:`rewrite_cone` derives that structure once per
-candidate graph (memoised on the graph, in plain Python), and
-:func:`build_delta_batch` turns the cones of a whole observation into one
-batch, with one set of array ops, holding the current graph's rows in full
-and each candidate's cone rows only.  That one batch, memoised on the observation
+layer of the encoder.  :func:`rewrite_cone` derives that structure from a
+candidate graph in plain Python, as cone-local indices and parent ids; the
+environment remembers it per match and hands it to later steps that left
+its footprint alone, so a candidate graph is built only when no cone was
+handed down (or when the agent picks it).  :func:`build_delta_batch` turns
+the cones of a whole observation into one batch, with one set of array ops,
+holding the current graph's rows in full and each candidate's cone rows
+only.  That one batch, memoised on the observation
 (:meth:`~repro.rl.env.Observation.delta_batch`), is what the agent acts on
 and what the PPO update trains on.  :func:`build_meta_graph`, the full
 meta-graph, is what ``XRLflowAgent.forward`` encodes: the reference the
@@ -47,7 +50,8 @@ delta batch is tested against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -155,7 +159,7 @@ def encode_graph(graph: Graph,
     chosen candidate becomes the next current graph, its one full encode
     (when the agent first acts on it, see :func:`build_delta_batch`) builds
     at most the blocks of its rewrite's added and rewired nodes — none,
-    once its cone was derived.
+    when its cone was derived from that very graph object.
     """
     order_arr = encode_order(graph)
     order = order_arr.tolist()
@@ -251,26 +255,30 @@ class RewriteCone:
     """What one rewrite can change in a candidate's encoding, as structure.
 
     Plain Python lists as long as the cone, its in-edges or the parent rows
-    it replaces — none as long as the graph — holding node ids and
-    cone-local indices; :func:`build_delta_batch` turns the cones of a
-    whole observation into arrays at once.  Nothing depends on weights or
-    on the edge normalisation, so one derivation serves every delta batch
-    the graph appears in.
+    it replaces — none as long as the graph — holding parent node ids and
+    cone-local indices, never an id the rewrite created;
+    :func:`build_delta_batch` turns the cones of a whole observation into
+    arrays at once.  Nothing depends on weights or on the edge
+    normalisation, so one derivation serves every delta batch the candidate
+    appears in — and, since it names no fresh id, every later parent whose
+    steps left the nodes it was read from (:meth:`reads`) alone.
     """
 
-    __slots__ = ("delta", "cone_ids", "op_indices", "edge_src", "src_in_cone",
-                 "edge_dst", "edge_rows", "minus_ids")
+    __slots__ = ("num_layers", "size_delta", "op_indices", "edge_src",
+                 "src_in_cone", "edge_dst", "edge_rows", "minus_ids")
 
-    #: The ``GraphDelta`` this was derived from (the memo's validity token).
-    delta: GraphDelta
-    #: The cone's node ids, ascending; ``op_indices`` their operator indices.
-    cone_ids: List[NodeId]
+    #: The encoder depth the cone was spread for.
+    num_layers: int
+    #: The candidate's node count minus its parent's.
+    size_delta: int
+    #: The operator index of each cone node, in ascending node-id order (a
+    #: node the rewrite added sorts after every parent node, in creation
+    #: order); a cone node's *cone-local index* is its position here.
     op_indices: List[int]
     #: In-edges of the cone nodes, each destination's block contiguous and in
-    #: slot order: the source (an index into ``cone_ids`` where
-    #: ``src_in_cone``, else the source's node id in the parent), the
-    #: destination as an index into ``cone_ids`` and the source's padded
-    #: shape (not normalised).
+    #: slot order: the source (a cone-local index where ``src_in_cone``,
+    #: else the source's node id in the parent), the destination as a
+    #: cone-local index and the source's padded shape (not normalised).
     edge_src: List[int]
     src_in_cone: List[bool]
     edge_dst: List[int]
@@ -278,6 +286,14 @@ class RewriteCone:
     #: Parent node ids whose rows the candidate no longer holds as they
     #: are: its removed nodes, then the old ids among its cone nodes.
     minus_ids: List[NodeId]
+
+    def reads(self) -> List[NodeId]:
+        """The parent ids the cone was read from beyond the rewrite's own
+        footprint: its removed and old cone nodes (each one's op, in-list
+        and out-list) and its in-edges' sources outside the cone (each
+        one's output shape)."""
+        return self.minus_ids + [src for src, inside in zip(
+            self.edge_src, self.src_in_cone) if not inside]
 
 
 def rewrite_cone(graph: Graph, num_layers: int) -> Optional[RewriteCone]:
@@ -290,23 +306,13 @@ def rewrite_cone(graph: Graph, num_layers: int) -> Optional[RewriteCone]:
     the parent.  Influence travels one hop downstream per GAT layer, so the
     dirty set spread ``num_layers`` hops along out-edges covers every row
     any layer can change; the rows outside it equal the parent's rows in
-    every layer.  Memoised on the graph (dropped on mutation).
+    every layer.  Derived on every call: the environment keeps a
+    candidate's cone with its match, not with a graph.
     """
     parent = graph.delta_parent()
     if parent is None:
         return None
-    delta = graph.mutation_delta()
-
-    def derive() -> RewriteCone:
-        return _derive_cone(graph, parent, delta, num_layers)
-
-    cone = graph.memo(("rl:cone", num_layers), derive)
-    if cone.delta is not delta:
-        # ``Graph.copy`` hands whole-graph memos down: this entry describes
-        # the graph we were copied from against *its* parent.  An unmutated
-        # copy is rare (a rewrite drops the memo); it derives every time.
-        cone = derive()
-    return cone
+    return _derive_cone(graph, parent, graph.mutation_delta(), num_layers)
 
 
 def _derive_cone(graph: Graph, parent: Graph, delta: GraphDelta,
@@ -325,8 +331,9 @@ def _derive_cone(graph: Graph, parent: Graph, delta: GraphDelta,
         spread = grown
 
     cone = RewriteCone()
-    cone.delta = delta
-    cone.cone_ids = cone_ids = sorted(spread)
+    cone.num_layers = num_layers
+    cone.size_delta = len(nodes) - len(parent.nodes)
+    cone_ids = sorted(spread)
     op_ids = graph._op_ids
     cone.op_indices = [op_ids[nid] for nid in cone_ids]
     # Ids are monotonic: a cone id below the parent's bound existed in the
@@ -351,14 +358,19 @@ def _derive_cone(graph: Graph, parent: Graph, delta: GraphDelta,
     return cone
 
 
-def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
-                      edge_norm: float = DEFAULT_EDGE_NORM,
+def build_delta_batch(current: Graph,
+                      candidates: Iterable[Union[Graph, RewriteCone]],
+                      num_layers: int, edge_norm: float = DEFAULT_EDGE_NORM,
                       cache: Optional[FeatureCache] = None) -> BatchedGraphs:
-    """The meta-graph of ``graphs`` with candidates stored as cones.
+    """The meta-graph of ``current`` and ``candidates``, candidates stored
+    as cones.
 
-    The row store holds the current graph (``graphs[0]``) in full and, for
-    every candidate whose ``delta_parent()`` is that graph, only its
-    :func:`rewrite_cone` rows for an encoder of ``num_layers`` GAT layers.
+    Each candidate is given either as its :class:`RewriteCone` against
+    ``current`` (for an encoder of ``num_layers`` GAT layers: its graph is
+    never opened) or as a graph; ``candidates`` is iterated once, after
+    ``current`` is encoded.  The row store holds the current graph in full
+    and, for every candidate given as a cone or as a graph whose
+    ``delta_parent()`` is ``current``, only its :func:`rewrite_cone` rows.
     A cone row's in-edges point at the candidate's other cone rows or, for
     every source the rewrite left alone, at the current graph's row for
     that node — the same value in every layer.  The readout pools a
@@ -378,7 +390,8 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
     """
     if cache is not None:
         edge_norm = cache.edge_norm
-    current = graphs[0]
+    current_size = len(current.nodes)
+    sizes: List[int] = []
     stored: List[int] = []
     minus_counts: List[int] = []
     parents: List[int] = []
@@ -395,11 +408,15 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
     cone_edges: List[int] = []
     minus_ids: List[NodeId] = []
     start = 0
-    for graph in graphs:
-        cone = rewrite_cone(graph, num_layers) \
-            if graph is not current and graph.delta_parent() is current \
-            else None
+    for graph in chain((current,), candidates):
+        if isinstance(graph, RewriteCone):
+            cone = graph
+        else:
+            cone = rewrite_cone(graph, num_layers) \
+                if graph is not current and graph.delta_parent() is current \
+                else None
         if cone is None:
+            sizes.append(len(graph.nodes))
             feats = cache.encode(graph) if cache is not None \
                 else encode_graph(graph, edge_norm)
             layout.append((graph.op_index_table()[encode_order(graph)],
@@ -408,6 +425,7 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
             minus_counts.append(0)
             parents.append(-1)
         else:
+            sizes.append(current_size + cone.size_delta)
             if not layout or not isinstance(layout[-1], list):
                 layout.append([len(cone_ops), 0, len(cone_src), 0])
             cone_ops += cone.op_indices
@@ -419,7 +437,7 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
             cone_edges.append(len(cone.edge_src))
             minus_ids += cone.minus_ids
             layout[-1][1], layout[-1][3] = len(cone_ops), len(cone_src)
-            stored.append(len(cone.cone_ids))
+            stored.append(len(cone.op_indices))
             minus_counts.append(len(cone.minus_ids))
             parents.append(0)
         start += stored[-1]
@@ -456,7 +474,7 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
             feat_pieces.append(feats.edge_features)
             src_pieces.append(feats.edge_src + first)
             dst_pieces.append(feats.edge_dst + first)
-    num_graphs = len(graphs)
+    num_graphs = len(parents)
     ids = np.arange(num_graphs, dtype=np.int64)
     # Every store row is pooled once (+1), by the graph storing it; then
     # each cone's minus rows (-1).
@@ -475,8 +493,7 @@ def build_delta_batch(graphs: Sequence[Graph], num_layers: int,
         pool_signs=np.concatenate([np.ones(num_rows),
                                    np.full(minus_rows.shape[0], -1.0)]),
         parents=np.asarray(parents, dtype=np.int64),
-        graph_sizes=np.asarray([len(graph.nodes) for graph in graphs],
-                               dtype=np.int64),
+        graph_sizes=np.asarray(sizes, dtype=np.int64),
         num_cones=len(parents) - parents.count(-1),
     )
 

@@ -71,8 +71,9 @@ _MASK_VALUE = -1e9
 
 
 def _meta_graph_nodes(observation: Observation) -> int:
-    """Nodes of the observation's meta-graph, without assembling it."""
-    return sum(len(graph.nodes) for graph in observation.graphs)
+    """Nodes of the observation's meta-graph, without assembling it or
+    opening a candidate graph."""
+    return sum(observation.graph_sizes())
 
 
 def _constant(value) -> np.ndarray:
@@ -224,7 +225,7 @@ class XRLflowAgent(Module):
         dim = self.embedding_dim
         by_size: Dict[int, List[int]] = {}
         for u, obs in enumerate(observations):
-            by_size.setdefault(len(obs.graphs), []).append(u)
+            by_size.setdefault(obs.num_graphs, []).append(u)
 
         groups: List[_Group] = []
         logit_blocks: List[np.ndarray] = []
@@ -630,7 +631,7 @@ class PPOUpdater:
 
         Duplicate observations inside a chunk are counted once — they are
         deduplicated before encoding.  An observation's size is read off
-        its graphs, so sizing assembles no batch.
+        its candidates' cones, so sizing assembles no batch.
         """
         transitions = buffer.transitions
         chunks: List[np.ndarray] = []

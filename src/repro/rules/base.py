@@ -82,19 +82,24 @@ class Match:
     @classmethod
     def create(cls, rule_name: str, nodes: Dict[str, NodeId],
                params: Optional[Dict[str, object]] = None) -> "Match":
+        """A match from dicts; roles and params are stored sorted, so equal
+        bindings give equal (and equally hashed) matches."""
         return cls(rule_name,
                    tuple(sorted(nodes.items())),
                    tuple(sorted((params or {}).items())))
 
     @cached_property
     def node_map(self) -> Dict[str, NodeId]:
+        """``{role: node id}`` of :attr:`nodes`."""
         return dict(self.nodes)
 
     @cached_property
     def param_map(self) -> Dict[str, object]:
+        """``{name: value}`` of :attr:`params`."""
         return dict(self.params)
 
     def node(self, role: str) -> NodeId:
+        """The node id bound to ``role`` (``KeyError`` if unbound)."""
         return self.node_map[role]
 
 
@@ -108,13 +113,14 @@ class Candidate:
     apply (shape corner case) yields ``None`` from :meth:`materialise`;
     accessing :attr:`graph` on such a candidate re-raises the apply error.
 
-    ``price`` is what an earlier materialisation of this match was priced at
-    where that still holds (set by ``IncrementalCandidateEngine``, see its
-    ``remember_price``), else ``None``; a remembered apply failure arrives as
+    ``outcome`` is what its caller learnt from an earlier materialisation of
+    this match where that still holds — a price for the searches, a rewrite
+    cone for the RL environment (set by ``IncrementalCandidateEngine``, see
+    its ``remember``) — else ``None``; a remembered apply failure arrives as
     ``error`` and makes the candidate fail again without applying.
     """
 
-    __slots__ = ("rule_name", "match", "price", "parent", "error",
+    __slots__ = ("rule_name", "match", "outcome", "parent", "error",
                  "_graph", "_rule")
 
     def __init__(self, *, rule: "RewriteRule", match: Match, parent: Graph):
@@ -122,12 +128,13 @@ class Candidate:
         self._rule = rule
         self.parent = parent
         self.error: Optional[Exception] = None
-        self.price: object = None
+        self.outcome: object = None
         self.rule_name = rule.name
         self.match = match
 
     @property
     def is_materialised(self) -> bool:
+        """Whether the rule was applied and its graph is held."""
         return self._graph is not None
 
     def materialise(self) -> Optional[Graph]:
@@ -141,6 +148,8 @@ class Candidate:
 
     @property
     def graph(self) -> Graph:
+        """The candidate graph, materialised on first read; re-raises the
+        apply error of a candidate that failed."""
         graph = self.materialise()
         if graph is None:
             raise self.error
@@ -249,9 +258,11 @@ class RuleSet:
         return iter(self.rules)
 
     def rule(self, name: str) -> RewriteRule:
+        """The rule called ``name`` (``KeyError`` if there is none)."""
         return self._by_name[name]
 
     def names(self) -> List[str]:
+        """The rules' names, in rule order."""
         return [r.name for r in self.rules]
 
     def lazy_candidates(self, graph: Graph) -> List[Candidate]:

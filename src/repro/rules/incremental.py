@@ -25,17 +25,19 @@ oracle: for any reachable graph the engine must produce the identical
 candidate list, and ``tests/rules/test_engine_equivalence.py`` asserts
 it does.
 
-A state also carries **prices**: what its caller said applying a match
-costs (:meth:`IncrementalCandidateEngine.remember_price`), with the
-*footprint* the rewrite read and wrote.  A price is handed to a child state
-iff its footprint is disjoint from the step's dirty set — the same surgery
-on byte-identical nodes removes and adds the same node costs.
+A state also carries **outcomes**: what its caller learnt from applying a
+match (:meth:`IncrementalCandidateEngine.remember`) — the TASO search's
+price, the RL environment's rewrite cone — with the *footprint* the rewrite
+read and wrote, plus whatever else the caller read.  An outcome is handed to
+a child state iff its footprint is disjoint from the step's dirty set — the
+same surgery on byte-identical nodes removes and adds the same nodes, so it
+costs the same and changes the same rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core.lru import LRUCache
 from ..ir.graph import Graph, GraphDelta, NodeId
@@ -48,9 +50,9 @@ __all__ = ["IncrementalCandidateEngine"]
 #: or the flat ordered list (coupled rules).
 _RuleMatches = Tuple[Optional[Dict[NodeId, List[Match]]], List[Match]]
 
-#: What is remembered about a priced match, and about one never priced.
-_Price = Tuple[object, Optional[Exception], FrozenSet[NodeId]]
-_UNPRICED: _Price = (None, None, frozenset())
+#: What is remembered about an applied match, and about one never applied.
+_Outcome = Tuple[object, Optional[Exception], FrozenSet[NodeId]]
+_UNKNOWN: _Outcome = (None, None, frozenset())
 
 
 class _MatchState:
@@ -61,15 +63,15 @@ class _MatchState:
     recycled by the allocator while the state is alive.
     """
 
-    __slots__ = ("graph", "per_rule", "prices")
+    __slots__ = ("graph", "per_rule", "outcomes")
 
     def __init__(self, graph: Graph,
                  per_rule: Dict[str, _RuleMatches]):
         self.graph = graph
         self.per_rule = per_rule
-        #: ``{match: (price, apply error, footprint)}``, one of the first two
-        #: ``None``.  Keyed by value: a re-found match finds its price.
-        self.prices: Dict[Match, _Price] = {}
+        #: ``{match: (outcome, apply error, footprint)}``, one of the first
+        #: two ``None``.  Keyed by value: a re-found match finds its outcome.
+        self.outcomes: Dict[Match, _Outcome] = {}
 
 
 class IncrementalCandidateEngine:
@@ -80,10 +82,10 @@ class IncrementalCandidateEngine:
     was produced by ``parent.copy()`` + surgery and the parent's match
     state is cached, only the mutated neighbourhood is re-matched;
     otherwise the engine transparently falls back to full matching (and
-    caches the result for the next step).  Prices told to
-    :meth:`remember_price` come back on the candidates of every later state
-    whose steps left the priced rewrite's footprint alone; a rebuilt state
-    starts with none.
+    caches the result for the next step).  Outcomes told to
+    :meth:`remember` come back on the candidates of every later state whose
+    steps left the rewrite's footprint alone; a rebuilt state starts with
+    none.
 
     Parameters
     ----------
@@ -102,12 +104,12 @@ class IncrementalCandidateEngine:
         self._max_radius = max((rule.match_radius for rule in ruleset.rules),
                                default=0)
         #: Diagnostics: how many ``lazy_candidates`` calls reused a parent
-        #: state vs. re-matched from scratch, and how many remembered prices
-        #: a child state took over vs. dropped (dirty footprint).
+        #: state vs. re-matched from scratch, and how many remembered
+        #: outcomes a child state took over vs. dropped (dirty footprint).
         self.incremental_updates = 0
         self.full_rebuilds = 0
-        self.prices_inherited = 0
-        self.prices_dropped = 0
+        self.outcomes_inherited = 0
+        self.outcomes_dropped = 0
 
     # ------------------------------------------------------------------
     def lazy_candidates(self, graph: Graph) -> List[Candidate]:
@@ -125,24 +127,29 @@ class IncrementalCandidateEngine:
         self._states.put(id(graph), state)
         return self._candidates_from(state)
 
-    def remember_price(self, candidate: Candidate, child: Optional[Graph],
-                       price: object = None) -> None:
+    def remember(self, candidate: Candidate, child: Optional[Graph],
+                 outcome: object = None, reads: Iterable[NodeId] = ()) -> None:
         """Remember that ``candidate``'s match, materialised as ``child``,
-        was priced at ``price`` (opaque here); ``child`` is ``None`` when the
-        apply failed, and the failure is remembered instead.
+        came out as ``outcome`` (opaque here: a price, a rewrite cone);
+        ``child`` is ``None`` when the apply failed, and the failure is
+        remembered instead.
 
-        Later candidates for the match carry it as ``Candidate.price`` — on
-        this graph and on every descendant reached by steps that stayed clear
-        of the footprint: the nodes the match binds and the rewrite removed,
-        rewired or fed (of a failure: the bound nodes and their neighbours).
-        The ids the rewrite *added* are left out: every sibling is handed
-        the same fresh ids, so they would collide with every step.
+        Later candidates for the match carry it as ``Candidate.outcome`` —
+        on this graph and on every descendant reached by steps that stayed
+        clear of the footprint: the nodes the match binds and the rewrite
+        removed, rewired or fed (of a failure: the bound nodes and their
+        neighbours), plus ``reads``, the parent's nodes the caller read to
+        derive ``outcome`` beyond those.  The ids the rewrite *added* are
+        left out: every sibling is handed the same fresh ids, so they would
+        collide with every step.  The caller promises that ``outcome`` is a
+        function of the footprint's nodes and adjacency only.
         """
         parent = candidate.parent
         state = self._states.peek(id(parent))
         if state is None or state.graph is not parent:
             return
         footprint = {nid for _, nid in candidate.match.nodes}
+        footprint.update(reads)
         if child is None:
             for nid in tuple(footprint):
                 footprint.update(parent.predecessors(nid),
@@ -152,15 +159,18 @@ class IncrementalCandidateEngine:
             footprint |= self._touched_nodes(parent, child, delta)
             footprint |= delta.removed
             footprint -= delta.added
-        state.prices[candidate.match] = (price, candidate.error,
-                                         frozenset(footprint))
+        state.outcomes[candidate.match] = (outcome, candidate.error,
+                                           frozenset(footprint))
 
     def stats(self) -> Dict[str, float]:
+        """The match-state cache's counters (``match_state_*``), how many
+        states were updated from a parent's or matched from scratch, and
+        how many remembered outcomes child states took over or dropped."""
         payload = self._states.stats()
         payload["match_incremental_updates"] = float(self.incremental_updates)
         payload["match_full_rebuilds"] = float(self.full_rebuilds)
-        payload["prices_inherited"] = float(self.prices_inherited)
-        payload["prices_dropped"] = float(self.prices_dropped)
+        payload["outcomes_inherited"] = float(self.outcomes_inherited)
+        payload["outcomes_dropped"] = float(self.outcomes_dropped)
         return payload
 
     # ------------------------------------------------------------------
@@ -197,14 +207,14 @@ class IncrementalCandidateEngine:
         return groups
 
     def _candidates_from(self, state: _MatchState) -> List[Candidate]:
-        graph, prices = state.graph, state.prices
+        graph, outcomes = state.graph, state.outcomes
         out: List[Candidate] = []
         for rule in self.ruleset.rules:
             _, matches = state.per_rule[rule.name]
             for match in matches:
                 candidate = Candidate(rule=rule, match=match, parent=graph)
-                candidate.price, candidate.error, _ = prices.get(
-                    match, _UNPRICED)
+                candidate.outcome, candidate.error, _ = outcomes.get(
+                    match, _UNKNOWN)
                 out.append(candidate)
         return out
 
@@ -228,11 +238,12 @@ class IncrementalCandidateEngine:
                     rule, groups, graph, distance, invalid)
         state = _MatchState(graph, per_rule)
         dirty = touched | delta.removed
-        state.prices = {match: known
-                        for match, known in parent_state.prices.items()
-                        if known[2].isdisjoint(dirty)}
-        self.prices_inherited += len(state.prices)
-        self.prices_dropped += len(parent_state.prices) - len(state.prices)
+        state.outcomes = {match: known
+                          for match, known in parent_state.outcomes.items()
+                          if known[2].isdisjoint(dirty)}
+        self.outcomes_inherited += len(state.outcomes)
+        self.outcomes_dropped += len(parent_state.outcomes) \
+            - len(state.outcomes)
         return state
 
     def _refresh_coupled(self, rule: RewriteRule, cached: List[Match],

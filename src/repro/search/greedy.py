@@ -169,17 +169,17 @@ class TASOOptimizer:
                     continue
                 total = cost_model.exact_total(current)
                 for candidate in engine.lazy_candidates(current):
-                    price = candidate.price
+                    price = candidate.outcome
                     cand_graph = None
                     if price is None:  # new match, or its neighbourhood moved
                         cand_graph = candidate.materialise()
                         if cand_graph is None:
-                            engine.remember_price(candidate, None)
+                            engine.remember(candidate, None)
                             continue
                         materialised += 1
                         cand_cost = cost_model.estimate_delta(
                             current, cand_graph)
-                        engine.remember_price(
+                        engine.remember(
                             candidate, cand_graph,
                             cost_model.exact_total(cand_graph) - total)
                     else:

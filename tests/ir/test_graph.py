@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ir import Graph, GraphBuilder, GraphValidationError, OpType
+from repro.ir.ops import op_index
 from repro.ir.serialize import graph_from_dict, graph_to_dict
 
 
@@ -32,6 +33,18 @@ class TestConstruction:
         g, (x, w, mm, r) = small_graph()
         with pytest.raises(ValueError):
             g.add_node(OpType.MATMUL, (x,))
+
+    def test_a_refused_node_leaves_the_op_table_id_indexed(self):
+        """Shape inference refusing a node uses up its id; the op table
+        must still map every later id to its own op."""
+        g, (x, w, mm, r) = small_graph()
+        with pytest.raises(ValueError):
+            g.add_node(OpType.MATMUL, (x, x))  # (2, 4) @ (2, 4)
+        after = g.add_node(OpType.TANH, (r,))
+        table = g.op_index_table()
+        assert [table[nid] for nid in sorted(g.nodes)] == [
+            op_index(g.nodes[nid].op_type) for nid in sorted(g.nodes)]
+        assert table[after] == op_index(OpType.TANH)
 
     def test_remove_node(self):
         g, (x, w, mm, r) = small_graph()

@@ -68,8 +68,8 @@ def _cone(graph: Graph, parent: Graph, num_layers: int, edge_norm: float):
 def reference_delta_batch(graphs: Sequence[Graph], num_layers: int,
                           edge_norm: float = DEFAULT_EDGE_NORM
                           ) -> BatchedGraphs:
-    """``build_delta_batch(graphs, num_layers, edge_norm)``, one candidate's
-    arrays at a time."""
+    """``build_delta_batch(graphs[0], graphs[1:], num_layers, edge_norm)``,
+    one candidate's arrays at a time."""
     current = graphs[0]
     ops_blocks, feat_blocks, src_blocks, dst_blocks = [], [], [], []
     minus_blocks, stored, minus_counts, parents = [], [], [], []

@@ -349,7 +349,8 @@ class TestRolloutEmbedding:
         agent = optimiser._build_agent()
         obs = env.reset()
         batch = obs.delta_batch(agent.encoder.num_gat_layers)
-        default = build_delta_batch(obs.graphs, agent.encoder.num_gat_layers)
+        default = build_delta_batch(obs.graphs[0], obs.graphs[1:],
+                                    agent.encoder.num_gat_layers)
         assert np.array_equal(batch.edge_features,
                               default.edge_features * 4.0)
         assert np.array_equal(
@@ -520,16 +521,17 @@ class TestBatchedEvaluate:
         assert 0 < entries <= 0.25 * held
 
     def test_cone_memo_is_not_inherited_by_copies(self):
-        """``Graph.copy`` hands whole-graph memos to the copy, but a cone
-        describes a graph against *its* parent: the copy's own cone (an
-        empty delta against the candidate) must not be the candidate's."""
+        """A cone describes a graph against *its* parent: the copy's own
+        cone (an empty delta against the candidate) must not be the
+        candidate's."""
         graph = build_small_model("squeezenet")
         candidate = default_ruleset().all_candidates(graph)[0].graph
-        assert rewrite_cone(candidate, 2).cone_ids
+        assert rewrite_cone(candidate, 2).op_indices
         clone = candidate.copy()
         cone = rewrite_cone(clone, 2)
-        assert not cone.cone_ids and not cone.minus_ids
-        assert rewrite_cone(candidate, 2).cone_ids
+        assert not cone.op_indices and not cone.minus_ids
+        assert cone.size_delta == 0
+        assert rewrite_cone(candidate, 2).op_indices
         agent = XRLflowAgent(hidden_dim=16, embedding_dim=16,
                              num_gat_layers=2, head_sizes=(16,), seed=0)
         obs = observation_of([candidate, clone])
@@ -623,7 +625,8 @@ class TestDeltaAssembly:
         for obs in observations:
             norm = obs.feature_cache.edge_norm
             self.assert_batches_equal(
-                build_delta_batch(obs.graphs, 2, cache=FeatureCache(norm)),
+                build_delta_batch(obs.graphs[0], obs.graphs[1:], 2,
+                                  cache=FeatureCache(norm)),
                 reference_delta_batch(obs.graphs, 2, norm))
 
     def test_no_candidate_reads_a_whole_graph_array(self, monkeypatch):
@@ -635,7 +638,7 @@ class TestDeltaAssembly:
         table = repro.ir.graph.Graph.op_index_table
         monkeypatch.setattr(repro.ir.graph.Graph, "op_index_table",
                             lambda g: calls.append(g) or table(g))
-        batch = build_delta_batch([graph] + candidates, 2)
+        batch = build_delta_batch(graph, candidates, 2)
         assert batch.num_cones == len(candidates)
         assert calls and all(g is graph for g in calls)
 

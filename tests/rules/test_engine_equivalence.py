@@ -14,6 +14,7 @@ import pickle
 
 import numpy as np
 import pytest
+from graphgen import random_graph
 from hash_oracle import oracle_structural_hash
 from taso_reference import reference_search, trajectory_of
 
@@ -27,6 +28,7 @@ from repro.rules.base import (Candidate, Match, RewriteRule,
                               replace_all_uses)
 from repro.rules.incremental import IncrementalCandidateEngine
 from repro.search import GreedyOptimizer, PETOptimizer, TASOOptimizer
+from repro.rl.features import rewrite_cone
 from repro.search.pet import pet_ruleset
 
 MODELS = ["squeezenet", "resnext50", "bert", "vit"]
@@ -497,7 +499,7 @@ def price_every_candidate(engine, cost_model, current):
     total = cost_model.exact_total(current)
     children, prices, failures = [], 0, 0
     for candidate in engine.lazy_candidates(current):
-        known, failed = candidate.price, candidate.error is not None
+        known, failed = candidate.outcome, candidate.error is not None
         assert not (known is not None and failed)
         prices += known is not None
         failures += failed
@@ -507,13 +509,13 @@ def price_every_candidate(engine, cost_model, current):
         if child is None:
             assert known is None, candidate.match
             assert candidate.materialise() is None
-            engine.remember_price(again, None)
+            engine.remember(again, None)
             continue
         assert not failed, candidate.match
         cost_model.estimate_delta(current, child)
         price = cost_model.exact_total(child) - total
         if known is None:
-            engine.remember_price(again, child, price)
+            engine.remember(again, child, price)
         else:
             assert known == price, candidate.match
         children.append(child)
@@ -554,7 +556,7 @@ class TestPriceReuse:
             else:
                 assert prices == failures == 0
             # All of them priced now: asked again, each carries its price.
-            assert all(c.price is not None or c.error is not None
+            assert all(c.outcome is not None or c.error is not None
                        for c in engine.lazy_candidates(current))
             if not children:
                 break
@@ -563,8 +565,8 @@ class TestPriceReuse:
         # step would collide with every price and nothing would survive.
         assert remembered >= candidates / 2 > 0
         assert refusals > 0  # every model has operators sharing an input
-        assert engine.stats()["prices_inherited"] >= remembered + refusals
-        assert engine.stats()["prices_dropped"] > 0
+        assert engine.stats()["outcomes_inherited"] >= remembered + refusals
+        assert engine.stats()["outcomes_dropped"] > 0
 
     def test_failures_are_remembered_and_still_checked(self, fire_graph):
         engine = IncrementalCandidateEngine(
@@ -597,13 +599,13 @@ class TestPriceReuse:
         assert first.match.node("inner") == second.match.node("inner") == inner
         step = first.graph
         cost_model.estimate_delta(graph, step)
-        after = {c.match: c.price for c in engine.lazy_candidates(step)}
-        assert after[third.match] == third.price  # far away: handed down
+        after = {c.match: c.outcome for c in engine.lazy_candidates(step)}
+        assert after[third.match] == third.outcome  # far away: handed down
         assert after[second.match] is None  # ``inner`` lost a consumer
         # ... and rightly so: now the rewrite removes ``inner`` as well.
         price_every_candidate(engine, cost_model, step)
-        fresh = {c.match: c.price for c in engine.lazy_candidates(step)}
-        assert fresh[second.match] < second.price < 0
+        fresh = {c.match: c.outcome for c in engine.lazy_candidates(step)}
+        assert fresh[second.match] < second.outcome < 0
 
     def test_two_rewrites_sharing_a_weight(self):
         """Enlarging either 1x1 convolution leaves ``w`` to the other one;
@@ -623,7 +625,7 @@ class TestPriceReuse:
         step = first.graph
         assert w in step.nodes
         cost_model.estimate_delta(graph, step)
-        after = {c.match: c.price for c in engine.lazy_candidates(step)}
+        after = {c.match: c.outcome for c in engine.lazy_candidates(step)}
         assert after[second.match] is None
         assert w not in engine.ruleset.rule("enlarge-conv").apply(
             step, second.match).nodes
@@ -650,8 +652,8 @@ class TestPriceReuse:
         after = engine.lazy_candidates(step)
         survivor, = [c for c in after if c.rule_name == "merge-matmuls"
                      and c.match == merges[products[2], products[3]].match]
-        assert survivor.price is None
-        assert [c.rule_name for c in after if c.price is not None] \
+        assert survivor.outcome is None
+        assert [c.rule_name for c in after if c.outcome is not None] \
             == ["eliminate-double-transpose"]
         price_every_candidate(engine, cost_model, step)
 
@@ -672,6 +674,125 @@ class TestPriceReuse:
             < usual.stats["prices_reused"]
         assert evicting.stats["candidates_materialised"] \
             > usual.stats["candidates_materialised"]
+
+
+# ---------------------------------------------------------------------------
+# (f'') A handed-down rewrite cone == the cone of materialising again
+# ---------------------------------------------------------------------------
+
+def cone_fields(cone):
+    """Everything a delta batch reads off a cone."""
+    return (cone.op_indices, cone.edge_src, cone.src_in_cone, cone.edge_dst,
+            cone.edge_rows, cone.minus_ids, len(cone.op_indices),
+            cone.size_delta)
+
+
+def cone_every_candidate(engine, current, num_layers=2):
+    """What the RL environment does for a candidate it shows, with every
+    handed-down cone checked against applying the match again and deriving
+    its cone afresh.  Returns the materialised children and how many
+    candidates came with a cone."""
+    children, handed = [], 0
+    for candidate in engine.lazy_candidates(current):
+        known = candidate.outcome
+        again = Candidate(rule=engine.ruleset.rule(candidate.rule_name),
+                          match=candidate.match, parent=current)
+        child = again.materialise()
+        if child is None:
+            assert known is None, candidate.match
+            engine.remember(again, None)
+            continue
+        fresh = rewrite_cone(child, num_layers)
+        if known is None:
+            engine.remember(again, child, fresh, fresh.reads())
+        else:
+            handed += 1
+            assert known.num_layers == num_layers
+            assert cone_fields(known) == cone_fields(fresh), candidate.match
+        children.append(child)
+    return children, handed
+
+
+#: ``graphgen`` seeds whose 60-operator graph offers two or three rewrites.
+#: They sit close together in so small a graph (every step dirties the
+#: others' cones), so the walks run over three such graphs side by side.
+GENERATED_SEEDS = (26, 80, 81, 114, 118, 197, 202, 245, 252, 273)
+
+
+def disjoint_union(graphs):
+    """One graph holding a copy of each of ``graphs``, unconnected."""
+    union = Graph("union")
+    for graph in graphs:
+        ids = {}
+        for nid in graph.topological_order():
+            node = graph.nodes[nid]
+            ids[nid] = union.add_node(
+                node.op_type,
+                [(ids[e.src], e.src_slot) for e in graph.in_edges(nid)],
+                dict(node.attrs), name=node.name)
+    union.validate()
+    return union
+
+
+def cone_walk(graph, seed, steps=6):
+    """A random walk over ``graph``'s rewrites with every cone checked;
+    returns ``(candidates shown after the first step, cones handed down,
+    engine)``."""
+    rng = np.random.default_rng(seed)
+    engine = IncrementalCandidateEngine(default_ruleset())
+    current, shown, handed = graph, 0, 0
+    for step in range(steps):
+        children, reused = cone_every_candidate(engine, current)
+        if step:
+            shown += len(children)
+            handed += reused
+        else:
+            assert reused == 0
+        if not children:
+            break
+        current = children[int(rng.integers(len(children)))]
+    return shown, handed, engine
+
+
+class TestConeReuse:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_handed_down_cones_equal_fresh_ones_on_random_walks(
+            self, model_graph, seed):
+        shown, handed, engine = cone_walk(model_graph, seed)
+        # Not vacuous: most cones survive a step far from them.
+        assert handed >= shown / 2 > 0
+        assert engine.stats()["outcomes_dropped"] > 0
+
+    @pytest.mark.parametrize("first", range(0, len(GENERATED_SEEDS), 2))
+    def test_handed_down_cones_equal_fresh_ones_on_generated_graphs(
+            self, first):
+        seeds = [GENERATED_SEEDS[(first + k) % len(GENERATED_SEEDS)]
+                 for k in range(3)]
+        graph = disjoint_union([random_graph(seed, num_ops=60)
+                                for seed in seeds])
+        shown, handed, _ = cone_walk(graph, first)
+        assert handed >= shown / 2 > 0
+
+    def test_a_cone_reads_its_in_edges_sources(self):
+        """A step that rewires only a source feeding the cone from outside
+        (so it is neither bound by the match nor rewritten) drops it."""
+        b = GraphBuilder("outside-source")
+        x = b.input((4, 8), name="x")
+        feed = b.relu(b.input((4, 8)), name="feed")
+        undone = b.relu(b.transpose(b.transpose(x)))
+        graph = b.build([b.add(undone, feed)])
+        engine = IncrementalCandidateEngine(default_ruleset())
+        cone_every_candidate(engine, graph, num_layers=2)
+        first, = candidates_named(engine, graph, "eliminate-double-transpose")
+        cone = first.outcome
+        assert feed in cone.reads()
+        assert feed not in {nid for _, nid in first.match.nodes}
+        step = graph.copy()
+        step.rewire_input(feed, 0, x, 0)
+        after, = candidates_named(engine, step,
+                                  "eliminate-double-transpose")
+        assert after.outcome is None
+        cone_every_candidate(engine, step, num_layers=2)
 
 
 # ---------------------------------------------------------------------------

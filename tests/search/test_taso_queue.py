@@ -72,8 +72,8 @@ class TestReproducesHashEverythingLoop:
 
         def recording_materialise(candidate):
             graph = materialise(candidate)
-            if candidate.price is not None:
-                kept[id(graph)] = (graph, candidate.price)
+            if candidate.outcome is not None:
+                kept[id(graph)] = (graph, candidate.outcome)
             return graph
 
         def checking_estimate_delta(cost_model, parent, child, **kwargs):
@@ -164,7 +164,7 @@ class ToyGraph(Graph):
 
 
 class ToyCandidate:
-    price = None  # never remembered: every toy candidate is materialised
+    outcome = None  # never remembered: every toy candidate is materialised
 
     def __init__(self, graph):
         self.graph = graph
@@ -197,7 +197,7 @@ class ToySpace:
     def estimate_delta(self, parent, child):
         return self.costs[child.name]
 
-    def remember_price(self, candidate, child, price=None):
+    def remember(self, candidate, child, outcome=None, reads=()):
         pass
 
     def search(self, cls=TASOOptimizer, **config):

@@ -173,5 +173,20 @@ def test_docs_job_gates_docstrings_of_nn():
     assert gate and "src/repro/nn" in gate.group(1).split()
 
 
+def test_docs_job_gates_docstrings_of_the_rule_base_and_match_engine():
+    gate = re.search(r"check_docs\.py --docstrings(.*)", CI)
+    assert gate and {"src/repro/rules/base.py",
+                     "src/repro/rules/incremental.py"} \
+        <= set(gate.group(1).split())
+
+
+def test_docs_job_gates_only_paths_that_exist():
+    """The gate reports a missing path too; this names the stale entry."""
+    gate = re.search(r"check_docs\.py --docstrings(.*)", CI)
+    assert gate
+    for path in gate.group(1).split():
+        assert (REPO_ROOT / path).exists(), f"stale docstring path: {path}"
+
+
 def test_concurrency_cancels_superseded_runs():
     assert "cancel-in-progress: true" in CI

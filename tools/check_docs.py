@@ -9,11 +9,13 @@ Two checks, selected by flag:
     ``#fragment`` must match a heading in the target (GitHub slug rules).
     External ``http(s)``/``mailto`` links are not fetched.
 
-``--docstrings [PACKAGE_DIRS...]``
+``--docstrings [PATHS...]``
     Fail on public symbols without docstrings (default:
     ``src/repro/service``): module docstrings, public module-level
     classes/functions, and public methods (anything whose name does not
-    start with ``_``).
+    start with ``_``).  A path is a package directory (every ``.py`` file
+    below it) or one ``.py`` file; a path that does not exist is a problem,
+    so a typo cannot switch the gate off.
 
 Exit code 0 when clean, 1 with a per-problem report otherwise.
 """
@@ -110,11 +112,21 @@ def _missing_docstrings(tree: ast.Module, path: Path) -> List[str]:
     return problems
 
 
-def check_docstrings(package_dirs: Iterable[Path]) -> List[str]:
-    """Return a problem line per undocumented public symbol."""
+def check_docstrings(paths: Iterable[Path]) -> List[str]:
+    """Return a problem line per undocumented public symbol in the given
+    package directories and ``.py`` files, and one per path that is
+    neither."""
     problems: List[str] = []
-    for package in package_dirs:
-        for path in sorted(package.rglob("*.py")):
+    for package in paths:
+        if package.is_file() and package.suffix == ".py":
+            files = [package]
+        elif package.is_dir():
+            files = sorted(package.rglob("*.py"))
+        else:
+            problems.append(f"{package}: no such package directory or "
+                            f".py file")
+            continue
+        for path in files:
             tree = ast.parse(path.read_text(), filename=str(path))
             problems.extend(_missing_docstrings(tree, path))
     return problems
@@ -135,7 +147,8 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--docstrings", action="store_true",
                         help="check docstring coverage of public symbols")
     parser.add_argument("paths", nargs="*",
-                        help="files (--links) or package dirs (--docstrings)")
+                        help="files (--links) or package dirs and .py files "
+                             "(--docstrings)")
     args = parser.parse_args(argv)
     if not args.links and not args.docstrings:
         parser.error("pass --links and/or --docstrings")
