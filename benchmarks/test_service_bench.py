@@ -45,7 +45,7 @@ import _harness
 from repro.experiments import ExperimentReport, build_small_model
 from repro.search.result import SearchResult
 from repro.service import (CacheEntry, EvictionPolicy, FingerprintCache,
-                           LeaseConfig, OptimisationService, WorkerServer,
+                           OptimisationService, WorkerServer,
                            register_optimiser, request_fingerprint)
 
 # The LRU tiers the eviction replay is held against.
@@ -371,8 +371,6 @@ def test_async_and_remote_worker_backends(benchmark):
 
 _XPROC = 3 if SMOKE else 4
 _XPROC_SEARCH_S = 0.4 if SMOKE else 0.8
-_XPROC_LEASES = LeaseConfig(heartbeat_s=0.1, stale_after_s=5.0,
-                            poll_interval_s=0.02, max_wait_s=120.0)
 
 
 class _TouchingOptimizer:
@@ -412,8 +410,7 @@ def test_cross_process_dedup(benchmark, tmp_path):
             cache_dir = (cache_root if dedup
                          else cache_root / f"private{index}")
             with OptimisationService(num_workers=2, cache_dir=cache_dir,
-                                     cross_process_dedup=dedup,
-                                     lease_config=_XPROC_LEASES) as service:
+                                     cross_process_dedup=dedup) as service:
                 barrier.wait(timeout=60)
                 service.optimise(
                     graph, "touch-bench",

@@ -44,10 +44,6 @@ NodeId = int
 _MISSING = object()
 
 
-def _edge_dst_slot(edge: "Edge") -> int:
-    return edge.dst_slot
-
-
 def _digest_sum(digests: Iterable[bytes]) -> int:
     """The order-independent combination of node digests: their sum."""
     return sum(map(int.from_bytes, digests, itertools.repeat("little")))
@@ -580,10 +576,8 @@ class Graph:
     # Queries
     # ------------------------------------------------------------------
     def in_edges(self, node_id: NodeId) -> List[Edge]:
-        edges = self._in_edges[node_id]
-        if len(edges) < 2:
-            return list(edges)
-        return sorted(edges, key=_edge_dst_slot)
+        """In-edges in slot order: the order every mutator stores them in."""
+        return list(self._in_edges[node_id])
 
     def out_edges(self, node_id: NodeId) -> List[Edge]:
         return list(self._out_edges[node_id])
@@ -774,7 +768,8 @@ class Graph:
             slots = [e.dst_slot for e in edges]
             if slots != list(range(len(slots))):
                 raise GraphValidationError(
-                    f"node {nid} ({node.op_type.value}) has gap in input slots: {slots}"
+                    f"node {nid} ({node.op_type.value}) input slots are not "
+                    f"stored gap-free in slot order: {slots}"
                 )
             sig.validate_arity(len(edges))
             input_specs = self.input_specs(nid)

@@ -14,22 +14,5 @@ __all__ = [
     "GraphSpace", "Member", "SaturationStats", "TensatOptimizer",
     "ConvToWinogradGemm", "PETOptimizer", "pet_ruleset",
     "RandomSearchOptimizer",
-    "get_optimiser", "available_optimisers",
 ]
 
-
-def get_optimiser(name: str, **config):
-    """Instantiate a registered optimiser by name.
-
-    Thin hookup into :mod:`repro.service.registry` (imported lazily so the
-    search package stays importable on its own) — the same dispatch the
-    optimisation service uses for its jobs.
-    """
-    from ..service.registry import create_optimiser
-    return create_optimiser(name, **config)
-
-
-def available_optimisers():
-    """Names accepted by :func:`get_optimiser` and the optimisation service."""
-    from ..service.registry import list_optimisers
-    return list_optimisers()

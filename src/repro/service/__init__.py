@@ -7,8 +7,9 @@ serving layer here:
 * :mod:`repro.service.cache` — fingerprint cache (an in-memory tier + a
   locked, multi-process-safe JSON tier, both evicting by
   GreedyDual-Frequency)
-* :mod:`repro.service.lease` — cross-process dedup leases over the cache
-  directory (flock-guarded acquire, heartbeats, stale takeover)
+* :mod:`repro.service.lease` — cross-process dedup leases: a held
+  ``flock`` per fingerprint in the cache directory, freed when its holder
+  releases it or dies
 * :mod:`repro.service.scheduler` — bounded submit/poll/result job scheduler
   over the thread and async worker backends, with per-job event
   channels (:meth:`JobScheduler.events`)
@@ -35,7 +36,7 @@ from .cache import (CacheEntry, CacheStats, EvictionPolicy, FingerprintCache,
                     request_fingerprint)
 from .events import EventChannel, ProgressEvent
 from .health import EndpointHealth, HealthRegistry
-from .lease import LeaseConfig, LeaseManager
+from .lease import LeaseManager
 from .registry import (create_optimiser, default_config, list_optimisers,
                        optimiser_spec, register_optimiser, OptimiserSpec)
 from .remote import (RemoteUnavailableError, RemoteWorkerError, WorkerServer,
@@ -51,7 +52,7 @@ __all__ = [
     "request_fingerprint",
     "EventChannel", "ProgressEvent",
     "EndpointHealth", "HealthRegistry",
-    "LeaseConfig", "LeaseManager",
+    "LeaseManager",
     "OptimiserSpec", "create_optimiser", "default_config", "list_optimisers",
     "optimiser_spec", "register_optimiser",
     "RemoteUnavailableError", "RemoteWorkerError", "WorkerServer",

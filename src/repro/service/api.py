@@ -22,12 +22,13 @@ back to the cache on success.  ``use_cache=False`` opts a submission out of
 both the cache *and* dedup.
 
 When the cache has a persistent directory, dedup additionally extends
-**across processes** via fingerprint lease files (see
-:mod:`repro.service.lease`): the service only dispatches a search after
-acquiring the fingerprint's lease; losing the acquisition race to another
-process turns the submission into a *waiter* job that polls the shared
-cache tier for the winner's result — and takes the search over if the
-winner's lease goes stale (its process died).
+**across processes** via fingerprint leases (see
+:mod:`repro.service.lease`): the service only dispatches a search while
+holding the fingerprint's lease, a ``flock`` on a file in the cache
+directory; losing the race to another process turns the submission into a
+*waiter* job that polls the shared cache tier for the winner's result —
+and searches itself if the lease frees with no entry published (the
+winner failed or its process died).
 
 Jobs submitted with ``stream=True`` emit progress events — one per
 optimiser iteration — consumable via :meth:`OptimisationService.events`.
@@ -44,7 +45,7 @@ from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
 from ..ir.graph import Graph
 from .cache import CacheEntry, EvictionPolicy, FingerprintCache
 from .events import ProgressEvent
-from .lease import LeaseConfig, LeaseManager, leases_supported, wait_for_result
+from .lease import Lease, LeaseManager, leases_supported, wait_for_result
 from .registry import optimiser_spec
 from .scheduler import JobScheduler, JobState, UnknownJobError
 from .worker import JobRequest, ServiceResult, cached_result, execute_request
@@ -82,9 +83,9 @@ class OptimisationService:
         cross_process_dedup: Extend exactly-once to simultaneous
             submissions from *other service processes* via lease files in
             the cache directory.  Effective only with a persistent cache
-            tier on a platform with ``flock``; on by default.
-        lease_config: Lease timing knobs (heartbeat / staleness / poll
-            cadence); defaults suit real searches.
+            tier on a platform with ``flock``; on by default.  A lease
+            is freed when its holder releases it or dies; a holder that
+            is alive but stopped keeps it.
 
     Raises:
         ValueError: If ``backend`` is not a recognised name.
@@ -98,8 +99,7 @@ class OptimisationService:
                  max_pending: int = 256,
                  backend: Optional[str] = None,
                  remote_endpoints: Optional[Sequence[str]] = None,
-                 cross_process_dedup: bool = True,
-                 lease_config: Optional[LeaseConfig] = None):
+                 cross_process_dedup: bool = True):
         self.cache = cache if cache is not None else FingerprintCache(
             capacity=cache_capacity, cache_dir=cache_dir, policy=cache_policy)
         if backend is None and remote_endpoints:
@@ -112,8 +112,7 @@ class OptimisationService:
         self._leases: Optional[LeaseManager] = None
         if (cross_process_dedup and self.cache.cache_dir is not None
                 and leases_supported()):
-            self._leases = LeaseManager(self.cache.cache_dir,
-                                        config=lease_config)
+            self._leases = LeaseManager(self.cache.cache_dir)
         # Admission-time dedup: fingerprint → primary job id, plus the
         # original request of every follower so its result can be
         # relabelled at pickup.
@@ -220,16 +219,16 @@ class OptimisationService:
             # Cross-process dedup: only the process holding the
             # fingerprint's lease searches; everyone else waits on the
             # shared cache tier.
-            token: Optional[str] = None
+            lease: Optional[Lease] = None
             if self._leases is not None:
-                token = self._leases.acquire(fingerprint)
-                if token is not None:
+                lease = self._leases.acquire(fingerprint)
+                if lease is not None:
                     # Between our cache miss and winning the lease,
                     # another process may have published and released;
                     # re-check so we don't re-run a finished search.
                     entry = self.cache.get(fingerprint)
                     if entry is not None:
-                        self._leases.release(fingerprint, token)
+                        self._leases.release(fingerprint, lease)
                         result = cached_result(
                             request, entry, time.perf_counter() - started)
                         return self.scheduler.submit_completed(
@@ -243,10 +242,10 @@ class OptimisationService:
             cell: Dict[str, Any] = {"job_id": None, "done": False}
 
             def release(_future: Any) -> None:
-                if token is not None:
+                if lease is not None:
                     # After on_success published the entry, so a released
                     # lease with no entry means the search failed.
-                    self._leases.release(fingerprint, token)
+                    self._leases.release(fingerprint, lease)
                 with self._dedup_lock:
                     cell["done"] = True
                     job_id = cell["job_id"]
@@ -255,15 +254,10 @@ class OptimisationService:
                         del self._inflight[fingerprint]
 
             try:
-                if self._leases is not None and token is None:
-                    cfg = self._leases.config
+                if self._leases is not None and lease is None:
                     job_id = self.scheduler.submit(
                         wait_for_result, request, fingerprint,
                         str(self.cache.cache_dir),
-                        heartbeat_s=cfg.heartbeat_s,
-                        stale_after_s=cfg.stale_after_s,
-                        poll_interval_s=cfg.poll_interval_s,
-                        max_wait_s=cfg.max_wait_s,
                         label=f"{request.label} (lease-wait)",
                         on_success=self._store_callback(fingerprint),
                         on_done=release, stream=stream, compute=False)
@@ -279,8 +273,8 @@ class OptimisationService:
                 # releasing here keeps the fingerprint searchable by
                 # everyone (a leaked lease would wedge it cluster-wide
                 # until this process exits).
-                if token is not None:
-                    self._leases.release(fingerprint, token)
+                if lease is not None:
+                    self._leases.release(fingerprint, lease)
                 raise
             cell["job_id"] = job_id
             if not cell["done"]:
@@ -487,8 +481,11 @@ class OptimisationService:
         Returns:
             A dict with ``workers``, ``backend``, ``jobs`` (state tallies),
             ``cache_entries`` / ``cache`` (tier accounting), ``dedup``
-            (coalesced submissions, current in-flight table size) and — on
-            the async backend — ``pool`` dispatch counters.
+            (coalesced submissions, current in-flight table size and, with
+            cross-process dedup, ``leases_held`` and ``lease_errors`` —
+            lease locks the filesystem refused, whose searches ran without
+            the lease) and — on the async backend — ``pool`` dispatch
+            counters.
         """
         with self._dedup_lock:
             dedup = {"coalesced": self._coalesced_total,
@@ -496,6 +493,7 @@ class OptimisationService:
         dedup["cross_process"] = self._leases is not None
         if self._leases is not None:
             dedup["leases_held"] = len(self._leases.held())
+            dedup["lease_errors"] = self._leases.errors
         stats = {
             "workers": self.scheduler.num_workers,
             "backend": self.scheduler.backend,

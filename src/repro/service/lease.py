@@ -2,37 +2,34 @@
 
 The in-flight dedup table in :mod:`repro.service.api` is per-process, so
 two *service processes* sharing one cache directory could each run the
-same search simultaneously.  This module extends exactly-once to that
-case with a **lease file** per fingerprint in the cache directory:
-
-* ``<cache_dir>/<fingerprint>.lease`` — ownership record (owner token,
-  pid, acquisition time), created and inspected under an exclusive
-  ``flock`` on the lease file itself, so acquisition is atomic across
-  processes.
-* The owner **heartbeats** by refreshing the file's mtime while its
-  search runs (:class:`LeaseManager` runs one heartbeat thread per
-  service; :func:`wait_for_result` heartbeats inline after a takeover).
-* A lease whose mtime is older than ``stale_after_s`` is **stale** — its
-  owner died or hung — and the next acquirer takes it over.
+same search at once.  A **lease** extends exactly-once to that case: an
+exclusive ``flock`` on ``<cache_dir>/<fingerprint>.lease``, held on an open
+descriptor for the whole search.  The kernel drops the lock when its
+holder closes the descriptor or dies (``kill -9`` included), so nothing
+beats, stamps or times out; a holder that is alive but stopped (SIGSTOP,
+a paused VM) keeps its lease, and so does a child it forked while holding
+it, until that child exits.
 
 Losers do not search: they run :func:`wait_for_result`, polling the
-persistent cache tier until the winner publishes the entry (the winner
-stores *before* releasing, so a released lease with no entry means the
-winner failed and the waiter takes over and searches itself).
+persistent cache tier until the winner publishes the entry.  The winner
+stores *before* releasing, so a waiter that wins the lease and finds no
+entry knows the previous holder failed or died, and searches, publishes
+and releases exactly as a winner does.
 
 Leases need :mod:`fcntl` (POSIX); where it is unavailable the service
-simply skips cross-process dedup — the shared cache still prevents
-sequential duplicate work.
+skips cross-process dedup, and where the filesystem refuses locks
+(``ENOLCK``, ``EOPNOTSUPP``, some NFS mounts) it searches without the
+lease.  Either way the shared cache still prevents sequential duplicate
+work.
 """
 
 from __future__ import annotations
 
-import json
+import errno
+import logging
 import os
 import threading
 import time
-import uuid
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -44,13 +41,19 @@ try:  # POSIX advisory locking; absent on some platforms (e.g. Windows)
 except ImportError:  # pragma: no cover - exercised only off-POSIX
     fcntl = None
 
-__all__ = ["LeaseConfig", "LeaseManager", "try_acquire", "refresh_lease",
-           "release_lease", "wait_for_result", "leases_supported",
-           "LEASE_SUFFIX"]
+__all__ = ["Lease", "LeaseManager", "try_acquire", "wait_for_result",
+           "leases_supported", "LEASE_SUFFIX"]
+
+_LOG = logging.getLogger(__name__)
 
 #: Lease files live next to the cache entries they guard:
 #: ``<cache_dir>/<fingerprint>.lease``.
 LEASE_SUFFIX = ".lease"
+#: How often a waiter re-checks the cache tier and tries the lease.
+POLL_INTERVAL_S = 0.1
+#: Bound on one waiter's total wait (a holder that is alive but stopped
+#: keeps its lease); the waiter raises :class:`TimeoutError` beyond it.
+MAX_WAIT_S = 600.0
 
 
 def leases_supported() -> bool:
@@ -58,282 +61,152 @@ def leases_supported() -> bool:
     return fcntl is not None
 
 
-@dataclass(frozen=True)
-class LeaseConfig:
-    """Timing knobs for cross-process dedup leases.
-
-    Attributes:
-        heartbeat_s: How often a lease owner refreshes its lease's mtime.
-        stale_after_s: Age (since last heartbeat) past which a lease is
-            considered abandoned and may be taken over.  Must comfortably
-            exceed ``heartbeat_s`` — 5x or more — so one missed beat on a
-            loaded box does not trigger a spurious takeover.
-        poll_interval_s: How often a waiting loser re-checks the cache
-            tier and the lease's staleness.
-        max_wait_s: Upper bound on one waiter's total wait (covers the
-            pathological chain of repeated owner deaths); the waiter
-            raises :class:`TimeoutError` beyond it.
-    """
-
-    heartbeat_s: float = 1.0
-    stale_after_s: float = 10.0
-    poll_interval_s: float = 0.1
-    max_wait_s: float = 600.0
-
-
 def _lease_path(cache_dir: Union[str, Path], fingerprint: str) -> Path:
     return Path(cache_dir) / f"{fingerprint}{LEASE_SUFFIX}"
 
 
-def _locked_fd(path: Path) -> int:
-    """Open-or-create ``path`` and take an exclusive ``flock`` on it."""
+class Lease:
+    """An exclusive ``flock`` on the lease file ``path``, held on ``fd``.
+
+    ``fd`` is ``None`` once released, and for an *unlocked* lease (the
+    filesystem refused the lock), whose release does nothing.
+    """
+
+    __slots__ = ("path", "fd")
+
+    def __init__(self, path: Path, fd: Optional[int]):
+        self.path = path
+        self.fd = fd
+
+    def release(self) -> None:
+        """Unlink the file while still holding the lock, then unlock and
+        close.  A second call frees nothing a later holder holds."""
+        fd, self.fd = self.fd, None
+        if fd is None:
+            return
+        try:
+            self.path.unlink(missing_ok=True)
+        except OSError:
+            pass  # the next acquirer locks the same file instead
+        finally:
+            try:  # frees the lock in a forked child sharing ``fd`` too
+                fcntl.flock(fd, fcntl.LOCK_UN)
+            finally:
+                os.close(fd)
+
+
+def try_acquire(cache_dir: Union[str, Path],
+                fingerprint: str) -> Optional[Lease]:
+    """Try to become ``fingerprint``'s search owner, without blocking.
+
+    The lock is kept only if the descriptor still names the path's file: a
+    holder that released between our ``open`` and our ``flock`` unlinked
+    the file we locked.
+
+    Returns:
+        The held :class:`Lease`, or ``None`` if another process holds it.
+
+    Raises:
+        OSError: If the lease file cannot be opened or locked for any
+            reason other than another holder (e.g. ``ENOLCK``).
+    """
+    path = _lease_path(cache_dir, fingerprint)
     fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
     try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-    except OSError:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        locked = os.fstat(fd)
+        try:
+            current = os.stat(path)
+        except FileNotFoundError:
+            current = None
+    except OSError as exc:
         os.close(fd)
+        if exc.errno in (errno.EWOULDBLOCK, errno.EAGAIN):
+            return None
         raise
-    return fd
-
-
-def try_acquire(cache_dir: Union[str, Path], fingerprint: str,
-                stale_after_s: float) -> Optional[str]:
-    """Try to become ``fingerprint``'s search owner.
-
-    Under an exclusive ``flock`` on the lease file: an empty, corrupt or
-    **stale** (mtime older than ``stale_after_s``) lease is claimed by
-    writing a fresh ownership record; a live lease belonging to someone
-    else is left untouched.
-
-    Args:
-        cache_dir: The shared cache directory.
-        fingerprint: The request fingerprint the lease guards.
-        stale_after_s: Staleness horizon for takeover.
-
-    Returns:
-        The owner token on success (pass it to :func:`refresh_lease` /
-        :func:`release_lease`), or ``None`` if another live process holds
-        the lease.  Also ``None`` where leases are unsupported.
-    """
-    if fcntl is None:
+    if current is None or (current.st_dev, current.st_ino) != \
+            (locked.st_dev, locked.st_ino):
+        os.close(fd)  # a released lease's file: closing drops the lock
         return None
-    path = _lease_path(cache_dir, fingerprint)
-    try:
-        fd = _locked_fd(path)
-    except OSError:
-        return None
-    try:
-        raw = os.read(fd, 4096)
-        if raw.strip():
-            try:
-                age = time.time() - os.fstat(fd).st_mtime
-            except OSError:
-                age = float("inf")
-            if age <= stale_after_s:
-                try:
-                    owner = json.loads(raw)
-                except ValueError:
-                    owner = None
-                if isinstance(owner, dict) and owner.get("token"):
-                    return None  # live lease, someone else's search
-        token = f"{os.getpid()}-{uuid.uuid4().hex}"
-        record = {"token": token, "pid": os.getpid(),
-                  "acquired_at": time.time()}
-        payload = json.dumps(record).encode()
-        os.lseek(fd, 0, os.SEEK_SET)
-        os.truncate(fd, 0)
-        os.write(fd, payload)
-        os.utime(path, None)
-        return token
-    except OSError:
-        return None
-    finally:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-        finally:
-            os.close(fd)
-
-
-def _owned(fd: int, token: str) -> bool:
-    os.lseek(fd, 0, os.SEEK_SET)
-    try:
-        owner = json.loads(os.read(fd, 4096))
-    except ValueError:
-        return False
-    return isinstance(owner, dict) and owner.get("token") == token
-
-
-def refresh_lease(cache_dir: Union[str, Path], fingerprint: str,
-                  token: str) -> bool:
-    """Heartbeat: refresh the lease's mtime if ``token`` still owns it.
-
-    Returns:
-        True if the lease is still ours; False if it was taken over (the
-        owner should treat its search as abandoned-by-the-cluster — the
-        result is still published, takeover only means someone else also
-        searched).
-    """
-    if fcntl is None:
-        return False
-    path = _lease_path(cache_dir, fingerprint)
-    try:
-        fd = _locked_fd(path)
-    except OSError:
-        return False
-    try:
-        if not _owned(fd, token):
-            return False
-        os.utime(path, None)
-        return True
-    except OSError:
-        return False
-    finally:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-        finally:
-            os.close(fd)
-
-
-def release_lease(cache_dir: Union[str, Path], fingerprint: str,
-                  token: str) -> None:
-    """Delete the lease if ``token`` still owns it (idempotent)."""
-    if fcntl is None:
-        return
-    path = _lease_path(cache_dir, fingerprint)
-    try:
-        fd = _locked_fd(path)
-    except OSError:
-        return
-    try:
-        if _owned(fd, token):
-            path.unlink(missing_ok=True)
-    except OSError:
-        pass
-    finally:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-        finally:
-            os.close(fd)
+    return Lease(path, fd)
 
 
 class LeaseManager:
-    """Service-side lease bookkeeping: acquisition plus one heartbeat thread.
+    """The leases one service holds, by fingerprint.
 
-    The service acquires a lease at admission time (before dispatching a
-    novel fingerprint) and releases it from the job's done-callback —
-    *after* the success path has published the cache entry, so a released
-    lease with no entry unambiguously means the search failed.  While
-    leases are held, a single daemon thread refreshes every one of them
-    each ``config.heartbeat_s``.
-
-    Args:
-        cache_dir: The shared cache directory the leases live in.
-        config: Timing knobs (defaults are fine for real searches).
+    The service acquires a lease at admission time and releases it from
+    the job's done-callback, *after* the success path published the cache
+    entry.  ``errors`` counts acquisitions the filesystem refused (each
+    searched without the lease; the first logged a warning).
     """
 
-    def __init__(self, cache_dir: Union[str, Path],
-                 config: Optional[LeaseConfig] = None):
+    def __init__(self, cache_dir: Union[str, Path]):
         self.cache_dir = Path(cache_dir)
-        self.config = config or LeaseConfig()
-        self._held: Dict[str, str] = {}
+        self.errors = 0
+        self._held: Dict[str, Lease] = {}
         self._lock = threading.Lock()
-        self._wake = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
 
-    def acquire(self, fingerprint: str) -> Optional[str]:
-        """Try to own ``fingerprint``'s search; returns the token or None.
+    def acquire(self, fingerprint: str) -> Optional[Lease]:
+        """Try to own ``fingerprint``'s search.
 
-        A returned token is heartbeated automatically until
-        :meth:`release`.
+        Returns:
+            The held lease; ``None`` if another process holds it; an
+            unlocked lease if the filesystem refused the lock, so the
+            caller searches without cross-process dedup.
         """
-        token = try_acquire(self.cache_dir, fingerprint,
-                            self.config.stale_after_s)
-        if token is None:
-            return None
-        with self._lock:
-            self._held[fingerprint] = token
-            if self._thread is None and not self._closed:
-                self._thread = threading.Thread(
-                    target=self._heartbeat_loop,
-                    name="repro-lease-heartbeat", daemon=True)
-                self._thread.start()
-        return token
+        try:
+            lease = try_acquire(self.cache_dir, fingerprint)
+        except OSError as exc:
+            with self._lock:
+                self.errors += 1
+                first = self.errors == 1
+            path = _lease_path(self.cache_dir, fingerprint)
+            if first:
+                _LOG.warning("cannot lock %s (%s): searching without "
+                             "cross-process dedup", path, exc)
+            return Lease(path, None)
+        if lease is not None:
+            with self._lock:
+                self._held[fingerprint] = lease
+        return lease
 
-    def release(self, fingerprint: str, token: str) -> None:
-        """Stop heartbeating and delete the lease (idempotent)."""
+    def release(self, fingerprint: str, lease: Lease) -> None:
+        """Release ``lease`` if this manager still holds it (idempotent)."""
         with self._lock:
-            if self._held.get(fingerprint) == token:
-                del self._held[fingerprint]
-        release_lease(self.cache_dir, fingerprint, token)
+            if self._held.get(fingerprint) is not lease:
+                return
+            del self._held[fingerprint]
+        lease.release()
 
-    def held(self) -> Dict[str, str]:
-        """Currently-held ``{fingerprint: token}`` (a copy)."""
+    def held(self) -> Dict[str, Lease]:
+        """Currently-held ``{fingerprint: lease}`` (a copy)."""
         with self._lock:
             return dict(self._held)
 
-    def _heartbeat_loop(self) -> None:
-        while not self._closed:
-            self._wake.wait(self.config.heartbeat_s)
-            if self._closed:
-                return
-            for fingerprint, token in self.held().items():
-                if not refresh_lease(self.cache_dir, fingerprint, token):
-                    # Taken over (we were presumed dead) — stop claiming it.
-                    with self._lock:
-                        if self._held.get(fingerprint) == token:
-                            del self._held[fingerprint]
-
     def close(self) -> None:
-        """Release every held lease and stop the heartbeat thread."""
-        self._closed = True
-        self._wake.set()
-        for fingerprint, token in self.held().items():
-            self.release(fingerprint, token)
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        """Release every held lease."""
+        for fingerprint, lease in self.held().items():
+            self.release(fingerprint, lease)
 
 
 def wait_for_result(request: JobRequest, fingerprint: str, cache_dir: str,
-                    heartbeat_s: float = 1.0, stale_after_s: float = 10.0,
-                    poll_interval_s: float = 0.1, max_wait_s: float = 600.0,
                     progress: Any = None) -> ServiceResult:
-    """Job body for lease *losers*: poll the cache, take over if stale.
+    """Job body for lease *losers*: poll the cache, search if the lease frees.
 
-    Runs in a worker slot of the losing service.  Loops over:
-
-    1. **Cache check** — the winner published: return the entry as a
-       cache hit (``stats["cross_process_dedup"]`` marks the origin).
-    2. **Takeover attempt** — the lease went stale (owner died mid-search)
-       or was released without an entry (owner failed): acquire it and
-       run the search here, heartbeating inline, publishing to the cache
-       before releasing — exactly the winner protocol.
-    3. Sleep ``poll_interval_s`` and try again.
-
-    Module-level and primitive-argument so it crosses the pickle boundary
-    into process-pool workers.
-
-    Args:
-        request: The (deduplicated) optimisation request.
-        fingerprint: Its admission-time fingerprint.
-        cache_dir: The shared cache directory (string for picklability).
-        heartbeat_s: Heartbeat cadence after a takeover.
-        stale_after_s: Lease staleness horizon.
-        poll_interval_s: Cache/lease re-check cadence while waiting.
-        max_wait_s: Bound on the total wait.
-        progress: Optional progress sink, forwarded to the search if this
-            waiter ends up running it.
-
-    Returns:
-        The published (or takeover-searched) :class:`ServiceResult`.
+    Every :data:`POLL_INTERVAL_S`: return the winner's published entry as
+    a cache hit (``stats["cross_process_dedup"]`` marks the origin), or
+    win the lease — its holder released without publishing or died — and
+    search, publish and release here.  Module-level and primitive-argument
+    so it crosses the pickle boundary into process-pool workers;
+    ``progress`` is forwarded to a search run here.
 
     Raises:
-        TimeoutError: If nothing was published within ``max_wait_s``.
-        Exception: Whatever a takeover search itself raised.
+        TimeoutError: If nothing was published within :data:`MAX_WAIT_S`.
+        OSError: If the lease file cannot be opened or locked.
+        Exception: Whatever a search run here itself raised.
     """
     cache = FingerprintCache(capacity=4, cache_dir=cache_dir)
-    deadline = time.monotonic() + max_wait_s
+    deadline = time.monotonic() + MAX_WAIT_S
     started = time.perf_counter()
 
     def published() -> Optional[ServiceResult]:
@@ -349,44 +222,24 @@ def wait_for_result(request: JobRequest, fingerprint: str, cache_dir: str,
         result = published()
         if result is not None:
             return result
-        token = try_acquire(cache_dir, fingerprint, stale_after_s)
-        if token is not None:
-            # Between our miss and winning the lease the owner may have
-            # published and released; re-check before re-searching, or
-            # exactly-once degrades to at-least-once under that race.
-            result = published()
-            if result is not None:
-                release_lease(cache_dir, fingerprint, token)
-                return result
-            return _takeover_search(request, fingerprint, cache, token,
-                                    heartbeat_s, progress)
+        lease = try_acquire(cache_dir, fingerprint)
+        if lease is not None:
+            try:
+                # Between our miss and winning the lease the holder may
+                # have published and released; re-check before searching,
+                # or exactly-once degrades to at-least-once under that race.
+                result = published()
+                if result is not None:
+                    return result
+                outcome = execute_request(request, fingerprint,
+                                          progress=progress)
+                cache.put(CacheEntry.from_result(fingerprint, outcome.search))
+                return outcome
+            finally:
+                lease.release()
         if time.monotonic() > deadline:
             raise TimeoutError(
-                f"gave up waiting {max_wait_s}s for fingerprint "
+                f"gave up waiting {MAX_WAIT_S}s for fingerprint "
                 f"{fingerprint[:12]} (lease held elsewhere, no entry "
                 f"published)")
-        time.sleep(poll_interval_s)
-
-
-def _takeover_search(request: JobRequest, fingerprint: str,
-                     cache: FingerprintCache, token: str,
-                     heartbeat_s: float, progress: Any) -> ServiceResult:
-    """Run the search as the new lease owner, heartbeating inline."""
-    stop = threading.Event()
-
-    def beat() -> None:
-        while not stop.wait(heartbeat_s):
-            if not refresh_lease(cache.cache_dir, fingerprint, token):
-                return
-
-    thread = threading.Thread(target=beat, name="repro-lease-takeover",
-                              daemon=True)
-    thread.start()
-    try:
-        outcome = execute_request(request, fingerprint, progress=progress)
-        cache.put(CacheEntry.from_result(fingerprint, outcome.search))
-        return outcome
-    finally:
-        stop.set()
-        thread.join(timeout=5)
-        release_lease(cache.cache_dir, fingerprint, token)
+        time.sleep(POLL_INTERVAL_S)

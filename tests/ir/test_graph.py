@@ -127,6 +127,14 @@ class TestValidationAndCopy:
         with pytest.raises(GraphValidationError):
             g.validate()
 
+    def test_validate_rejects_in_edges_stored_out_of_slot_order(self):
+        # The structural hash reads in-edges as stored, so a stored order
+        # that is not the slot order is a broken graph, not a permutation.
+        g, (x, w, mm, r) = small_graph()
+        g._in_edges.edit(mm).reverse()
+        with pytest.raises(GraphValidationError, match="slot order"):
+            g.validate()
+
     def test_refresh_shapes_repairs(self):
         g, (x, w, mm, r) = small_graph()
         g.nodes[r].outputs[0] = g.nodes[r].outputs[0].with_shape((3, 3))

@@ -16,7 +16,8 @@ from repro.experiments import build_small_model
 from repro.ir import Graph
 from repro.models import MODEL_REGISTRY, build_model
 from repro.rules.base import Candidate
-from repro.search import GreedyOptimizer, TASOOptimizer, get_optimiser
+from repro.search import GreedyOptimizer, TASOOptimizer
+from repro.service import create_optimiser
 
 #: The registry rows that run ``TASOOptimizer.optimise``.
 OPTIMISERS = ["greedy", "pet", "taso"]
@@ -24,9 +25,9 @@ OPTIMISERS = ["greedy", "pet", "taso"]
 
 def assert_reproduces_oracle(optimiser, build, **config):
     """One search, one oracle run on a fresh graph and optimiser each."""
-    result = get_optimiser(optimiser, **config).optimise(build())
+    result = create_optimiser(optimiser, **config).optimise(build())
     reference, reference_seen = reference_search(
-        get_optimiser(optimiser, **config), build())
+        create_optimiser(optimiser, **config), build())
     assert trajectory_of(result) == reference
     stats = result.stats
     # Duplicates are only looked for among poppable candidates.
@@ -87,7 +88,7 @@ class TestReproducesHashEverythingLoop:
         monkeypatch.setattr(Candidate, "materialise", recording_materialise)
         monkeypatch.setattr(CostModel, "estimate_delta",
                             checking_estimate_delta)
-        stats = get_optimiser(optimiser, max_iterations=30).optimise(
+        stats = create_optimiser(optimiser, max_iterations=30).optimise(
             build_small_model(model)).stats
         assert len(checked) == len(kept) > 0
         assert len(kept) == stats["candidates_materialised"] \
@@ -98,10 +99,10 @@ class TestReproducesHashEverythingLoop:
     def test_eager_path(self, model, optimiser):
         """Engine + delta costing against every candidate regenerated and
         costed from scratch."""
-        result = get_optimiser(optimiser, max_iterations=10).optimise(
+        result = create_optimiser(optimiser, max_iterations=10).optimise(
             build_small_model(model))
         reference, _ = reference_search(
-            get_optimiser(optimiser, max_iterations=10),
+            create_optimiser(optimiser, max_iterations=10),
             build_small_model(model), eager=True)
         assert trajectory_of(result) == reference
 
@@ -109,7 +110,7 @@ class TestReproducesHashEverythingLoop:
     @pytest.mark.parametrize("optimiser", OPTIMISERS)
     def test_there_is_no_eager_switch(self, optimiser):
         with pytest.raises(TypeError, match="incremental"):
-            get_optimiser(optimiser, incremental=False)
+            create_optimiser(optimiser, incremental=False)
 
 
 class TestCounters:

@@ -2,12 +2,16 @@
 
 The acceptance bar: N simultaneous identical submissions from separate OS
 processes run **exactly one** search; killing the lease-holding process
-mid-search must not strand the waiters — one of them takes the stale
-lease over and completes the search, still exactly once overall.
+mid-search must not strand the waiters — the kernel drops the dead
+holder's lock at once, and one waiter completes the search, still exactly
+once overall.
 """
 
 from __future__ import annotations
 
+import errno
+import fcntl
+import logging
 import multiprocessing
 import os
 import signal
@@ -18,19 +22,13 @@ import pytest
 
 from repro.ir import GraphBuilder
 from repro.search.result import SearchResult
-from repro.service import (LeaseConfig, LeaseManager, OptimisationService,
-                           register_optimiser)
-from repro.service.lease import (LEASE_SUFFIX, leases_supported,
-                                 refresh_lease, release_lease, try_acquire,
+from repro.service import OptimisationService, register_optimiser
+from repro.service.lease import (LEASE_SUFFIX, leases_supported, try_acquire,
                                  wait_for_result)
 from repro.service.worker import JobRequest
 
 pytestmark = pytest.mark.skipif(not leases_supported(),
                                 reason="platform lacks flock leases")
-
-#: Fast lease timings for tests (real defaults are seconds, not tenths).
-FAST = LeaseConfig(heartbeat_s=0.05, stale_after_s=0.6, poll_interval_s=0.02,
-                   max_wait_s=30.0)
 
 
 def _tiny_graph(tag: str = "tiny"):
@@ -46,9 +44,9 @@ def _tiny_graph(tag: str = "tiny"):
 def _hold_lease_and_hang(cache_dir: str, fingerprint: str,
                          acquired: "multiprocessing.Event") -> None:
     """Child body: win the lease, signal, then hang (simulating a stuck or
-    about-to-be-killed searcher).  Never heartbeats."""
-    token = try_acquire(cache_dir, fingerprint, stale_after_s=0.6)
-    assert token is not None
+    about-to-be-killed searcher)."""
+    lease = try_acquire(cache_dir, fingerprint)
+    assert lease is not None
     acquired.set()
     time.sleep(300)
 
@@ -81,8 +79,7 @@ def _submit_identical(cache_dir: str, touch_dir: str, barrier,
     register_optimiser("touch-test", _TouchingOptimizer, {},
                        "cross-process dedup probe", replace=True)
     graph = _tiny_graph("shared")
-    with OptimisationService(num_workers=2, cache_dir=cache_dir,
-                             lease_config=FAST) as service:
+    with OptimisationService(num_workers=2, cache_dir=cache_dir) as service:
         barrier.wait(timeout=30)
         result = service.optimise(
             graph, "touch-test",
@@ -102,54 +99,110 @@ def _spawn(target, *args) -> multiprocessing.Process:
 # ---------------------------------------------------------------------------
 class TestLeaseProtocol:
     def test_acquire_is_exclusive_until_released(self, tmp_path):
-        token = try_acquire(tmp_path, "fp1", stale_after_s=60)
-        assert token is not None
-        assert try_acquire(tmp_path, "fp1", stale_after_s=60) is None
-        release_lease(tmp_path, "fp1", token)
+        lease = try_acquire(tmp_path, "fp1")
+        assert lease is not None
+        assert try_acquire(tmp_path, "fp1") is None
+        lease.release()
         assert not (tmp_path / f"fp1{LEASE_SUFFIX}").exists()
-        assert try_acquire(tmp_path, "fp1", stale_after_s=60) is not None
+        assert try_acquire(tmp_path, "fp1") is not None
 
-    def test_release_requires_the_owner_token(self, tmp_path):
-        token = try_acquire(tmp_path, "fp1", stale_after_s=60)
-        release_lease(tmp_path, "fp1", "someone-elses-token")
-        assert (tmp_path / f"fp1{LEASE_SUFFIX}").exists()
-        release_lease(tmp_path, "fp1", token)
-        assert not (tmp_path / f"fp1{LEASE_SUFFIX}").exists()
-
-    def test_stale_lease_is_taken_over(self, tmp_path):
-        token = try_acquire(tmp_path, "fp1", stale_after_s=60)
-        assert token is not None
+    def test_a_live_holder_keeps_its_lease_however_old_the_mtime(
+            self, tmp_path):
+        lease = try_acquire(tmp_path, "fp1")
+        assert lease is not None
         path = tmp_path / f"fp1{LEASE_SUFFIX}"
-        past = time.time() - 120
+        past = time.time() - 86400
         os.utime(path, (past, past))
-        newcomer = try_acquire(tmp_path, "fp1", stale_after_s=60)
-        assert newcomer is not None and newcomer != token
-        # The usurped owner's heartbeat now fails — it has lost the lease.
-        assert refresh_lease(tmp_path, "fp1", token) is False
-        assert refresh_lease(tmp_path, "fp1", newcomer) is True
+        assert try_acquire(tmp_path, "fp1") is None
+        lease.release()
 
-    def test_heartbeat_keeps_the_lease_fresh(self, tmp_path):
-        manager = LeaseManager(tmp_path, config=FAST)
+    def test_release_or_holder_death_frees_it_at_once(self, tmp_path):
+        lease = try_acquire(tmp_path, "fp1")
+        lease.release()
+        again = try_acquire(tmp_path, "fp1")
+        assert again is not None
+        again.release()
+
+        ctx = multiprocessing.get_context("fork")
+        acquired = ctx.Event()
+        holder = _spawn(_hold_lease_and_hang, str(tmp_path), "fp1", acquired)
         try:
-            token = manager.acquire("fp1")
-            assert token is not None
-            path = tmp_path / f"fp1{LEASE_SUFFIX}"
-            past = time.time() - 120
-            os.utime(path, (past, past))
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                if time.time() - path.stat().st_mtime < 60:
-                    break
-                time.sleep(0.02)
-            # The heartbeat thread refreshed the backdated stamp, so the
-            # lease is not stale and cannot be taken over.
-            assert time.time() - path.stat().st_mtime < 60
-            assert try_acquire(tmp_path, "fp1",
-                               stale_after_s=FAST.stale_after_s) is None
+            assert acquired.wait(timeout=30)
+            assert try_acquire(tmp_path, "fp1") is None
+            os.kill(holder.pid, signal.SIGKILL)  # dies without releasing
         finally:
-            manager.close()
-        assert manager.held() == {}
+            holder.join(timeout=10)
+        # The dead holder left its file behind, but not its lock.
+        assert (tmp_path / f"fp1{LEASE_SUFFIX}").exists()
+        taken = try_acquire(tmp_path, "fp1")
+        assert taken is not None
+        taken.release()
+
+    def test_a_second_release_of_an_old_handle_frees_nothing(self, tmp_path):
+        old = try_acquire(tmp_path, "fp1")
+        old.release()
+        current = try_acquire(tmp_path, "fp1")
+        assert current is not None
+        old.release()
+        assert (tmp_path / f"fp1{LEASE_SUFFIX}").exists()
+        assert try_acquire(tmp_path, "fp1") is None
+        current.release()
+
+    def test_a_lock_won_on_a_released_lease_file_is_not_a_lease(
+            self, tmp_path, monkeypatch):
+        """The holder releases (unlinks, unlocks) between our open and our
+        flock: the lock we win is on a file no longer at the path, so two
+        acquirers could otherwise both hold "the" lease."""
+        holder = try_acquire(tmp_path, "fp1")
+        real_flock = fcntl.flock
+
+        def flock_after_release(fd, operation):
+            if operation & fcntl.LOCK_NB and holder.fd is not None:
+                holder.release()
+            return real_flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", flock_after_release)
+        assert try_acquire(tmp_path, "fp1") is None
         assert not (tmp_path / f"fp1{LEASE_SUFFIX}").exists()
+        # The next attempt creates and locks a fresh file.
+        fresh = try_acquire(tmp_path, "fp1")
+        assert fresh is not None
+        fresh.release()
+
+    def test_a_refused_lock_searches_without_the_lease(
+            self, tmp_path, monkeypatch, caplog):
+        """On a filesystem that refuses locks, a novel request is searched
+        at once (not parked as a waiter), counted and warned about once."""
+        register_optimiser("touch-test", _TouchingOptimizer, {},
+                           "refused lock probe", replace=True)
+        touch_dir = tmp_path / "touches"
+        touch_dir.mkdir()
+
+        def refuse(fd, operation):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(fcntl, "flock", refuse)
+        caplog.set_level(logging.WARNING, logger="repro.service.lease")
+        service = OptimisationService(num_workers=1,
+                                      cache_dir=tmp_path / "cache")
+        try:
+            results = []
+            for delay_s in (0.0, 0.01):
+                job_id = service.submit(
+                    _tiny_graph(), "touch-test",
+                    {"touch_dir": str(touch_dir), "delay_s": delay_s})
+                assert "(lease-wait)" not in \
+                    service.scheduler.record(job_id).label
+                results.append(service.result(job_id, timeout=30))
+            dedup = service.stats()["dedup"]
+        finally:
+            service.close(wait=False)
+        assert not any(result.cache_hit for result in results)
+        assert len(list(touch_dir.iterdir())) == 2
+        assert dedup["lease_errors"] == 2 and dedup["leases_held"] == 0
+        (record,) = [r for r in caplog.records
+                     if r.name == "repro.service.lease"]
+        assert os.strerror(errno.ENOLCK) in record.getMessage()
 
 
 # ---------------------------------------------------------------------------
@@ -178,25 +231,19 @@ class TestLeaseTakeover:
             assert acquired.wait(timeout=30)
             started = time.monotonic()
             os.kill(holder.pid, signal.SIGKILL)  # dies without releasing
-            outcome = wait_for_result(
-                request, fingerprint, str(cache_dir),
-                heartbeat_s=FAST.heartbeat_s,
-                stale_after_s=FAST.stale_after_s,
-                poll_interval_s=FAST.poll_interval_s, max_wait_s=30.0)
+            outcome = wait_for_result(request, fingerprint, str(cache_dir))
             elapsed = time.monotonic() - started
         finally:
             holder.join(timeout=10)
-        # The waiter ran the search itself (not served from cache) after
-        # the dead process's lease went stale — and only once.
+        # The waiter ran the search itself (not served from cache) as soon
+        # as the dead process's lock went — and only once.
         assert not outcome.cache_hit
         assert len(list(touch_dir.iterdir())) == 1
-        assert elapsed >= FAST.stale_after_s  # honoured the staleness horizon
+        assert elapsed < 2.0
+        assert list(cache_dir.glob(f"*{LEASE_SUFFIX}")) == []
         # The takeover published the result, so the next waiter needs no
         # search at all.
-        warm = wait_for_result(
-            request, fingerprint, str(cache_dir),
-            stale_after_s=FAST.stale_after_s,
-            poll_interval_s=FAST.poll_interval_s, max_wait_s=30.0)
+        warm = wait_for_result(request, fingerprint, str(cache_dir))
         assert warm.cache_hit
         assert warm.search.stats.get("cross_process_dedup") == 1.0
         assert len(list(touch_dir.iterdir())) == 1
@@ -204,6 +251,15 @@ class TestLeaseTakeover:
     def test_service_waiter_survives_holder_death(self, tmp_path):
         """End-to-end: the *service* turns a lost lease race into a waiter
         job that takes over when the holder dies."""
+        self._waiter_survives_holder_death(tmp_path, backend="thread")
+
+    def test_async_waiter_takes_over_in_a_pool_worker(self, tmp_path):
+        """The waiter runs in a forked pool worker: its takeover lease must
+        not outlive the job, so the fingerprint is free afterwards."""
+        self._waiter_survives_holder_death(tmp_path, backend="async")
+
+    @staticmethod
+    def _waiter_survives_holder_death(tmp_path, backend: str) -> None:
         register_optimiser("touch-test", _TouchingOptimizer, {},
                            "takeover probe", replace=True)
         cache_dir = tmp_path / "cache"
@@ -222,16 +278,21 @@ class TestLeaseTakeover:
         try:
             assert acquired.wait(timeout=30)
             with OptimisationService(num_workers=2, cache_dir=cache_dir,
-                                     lease_config=FAST) as service:
+                                     backend=backend) as service:
                 job_id = service.submit(graph, "touch-test", config)
                 record = service.scheduler.record(job_id)
                 assert "(lease-wait)" in record.label
                 os.kill(holder.pid, signal.SIGKILL)
                 result = service.result(job_id, timeout=60)
+                assert service.stats()["dedup"]["leases_held"] == 0
         finally:
             holder.join(timeout=10)
         assert not result.cache_hit
         assert len(list(touch_dir.iterdir())) == 1
+        assert list(cache_dir.glob(f"*{LEASE_SUFFIX}")) == []
+        free = try_acquire(cache_dir, fingerprint)
+        assert free is not None
+        free.release()
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +335,7 @@ class TestCrossProcessDedup:
         graph_b = _tiny_graph("rejected")
         config = {"touch_dir": str(touch_dir), "delay_s": 0.0}
         with OptimisationService(num_workers=1, max_pending=1,
-                                 cache_dir=tmp_path / "cache",
-                                 lease_config=FAST) as service:
+                                 cache_dir=tmp_path / "cache") as service:
             # Fill the single admission slot with a job that waits.
             occupant = service.scheduler.submit(blocker.wait, label="hold")
             with pytest.raises(QueueFullError):
@@ -299,12 +359,10 @@ class TestCrossProcessDedup:
         graph = _tiny_graph()
         config = {"touch_dir": str(touch_dir), "delay_s": 0.0}
         with OptimisationService(num_workers=2, cache_dir=tmp_path / "c",
-                                 cross_process_dedup=False,
-                                 lease_config=FAST) as service:
+                                 cross_process_dedup=False) as service:
             assert service.stats()["dedup"]["cross_process"] is False
             service.optimise(graph, "touch-test", config)
         with OptimisationService(num_workers=2, cache_dir=tmp_path / "c2",
-                                 cross_process_dedup=False,
-                                 lease_config=FAST) as service:
+                                 cross_process_dedup=False) as service:
             service.optimise(graph, "touch-test", config)
         assert len(list(touch_dir.iterdir())) == 2

@@ -13,7 +13,7 @@ import pytest
 from repro.experiments import build_small_model
 from repro.ir import GraphBuilder
 from repro.models import MODEL_REGISTRY, build_model
-from repro.search import available_optimisers, get_optimiser
+import repro.search
 from repro.search.result import SearchResult
 from repro.service import (CacheEntry, FingerprintCache, JobScheduler,
                            JobState, OptimisationService, OptimiserSpec,
@@ -57,8 +57,12 @@ class TestRegistry:
                            default_config("taso"), replace=True)
 
     def test_search_package_hookup(self):
-        assert available_optimisers() == list_optimisers()
-        assert get_optimiser("greedy", max_iterations=3).max_iterations == 3
+        # The registry is the one name → optimiser table; the search
+        # package exports the classes it builds, not a second lookup.
+        greedy = create_optimiser("greedy", max_iterations=3)
+        assert isinstance(greedy, repro.search.GreedyOptimizer)
+        assert greedy.max_iterations == 3
+        assert not hasattr(repro.search, "get_optimiser")
 
     def test_accepted_keys_come_from_the_factory_signature(self):
         taso = optimiser_spec("taso").accepted

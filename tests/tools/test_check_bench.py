@@ -131,7 +131,7 @@ class TestFloorOnlyRatios:
                     "cold_vs_warm": {"speedup": cold_vs_warm},
                     "warm_shared_cache": {"speedup": shared},
                     "dedup_under_contention": {"speedup": dedup},
-                    "cross_process_dedup": {"speedup": 1.5}}}
+                    "cross_process_dedup": {"speedup": 4.0}}}
 
     def _evaluate(self, fresh: dict, smoke: bool = False):
         return check_bench.evaluate(
@@ -161,6 +161,16 @@ class TestFloorOnlyRatios:
     def test_only_gated_keys_are_named(self):
         for name, paths in check_bench.FLOOR_ONLY.items():
             assert set(paths) <= set(check_bench.GATES[name])
+
+    def test_cross_process_smoke_floor_is_one_search(self):
+        # 3 smoke processes: one search reads 3.0; two searches read 1.5.
+        for speedup, ok in ((3.0, True), (1.5, False)):
+            fresh = self._doc(1230.0, 64.0)
+            fresh["smoke"] = True
+            fresh["results"]["cross_process_dedup"]["speedup"] = speedup
+            problems, _ = self._evaluate(fresh, smoke=True)
+            assert (problems == []) is ok
+            assert ok or "cross_process_dedup.speedup" in problems[0]
 
 
 class TestCeilings:
