@@ -60,9 +60,9 @@ def test_fig7_shape_generalisation(benchmark, rl_config):
     assert all(s >= -1e-6 for s in speedups.values())
 
 
-def test_fig8_tensat_comparison(benchmark, rl_config):
+def test_fig8_tensat_comparison(benchmark, suite_results):
     """Figure 8: X-RLflow vs the equality-saturation baseline (Tensat)."""
-    report = benchmark.pedantic(run_figure8, kwargs={"config": rl_config},
+    report = benchmark.pedantic(run_figure8, args=(suite_results,),
                                 rounds=1, iterations=1)
     print("\n" + report.to_text())
     tensat = report.column("tensat_speedup_pct")

@@ -16,8 +16,8 @@ Seven measurements, all recorded to ``BENCH_service.json`` (see
   cache directory serves the whole batch from disk without re-searching;
 * **dedup under contention** — N identical concurrent submissions coalesce
   onto one search, vs N full searches with dedup opted out;
-* **async / remote workers** — the same batch through the asyncio process
-  pool and through a loopback JSON-RPC worker, equivalence asserted;
+* **worker backends** — the same batch through the thread pool and the
+  async backend's process pool, equivalence asserted;
 * **cross-process dedup** — N service *processes* submitting the identical
   request against one shared cache directory run exactly one search,
   vs N private searches with the lease protocol disabled.
@@ -45,8 +45,8 @@ import _harness
 from repro.experiments import ExperimentReport, build_small_model
 from repro.search.result import SearchResult
 from repro.service import (CacheEntry, EvictionPolicy, FingerprintCache,
-                           OptimisationService, WorkerServer,
-                           register_optimiser, request_fingerprint)
+                           OptimisationService, register_optimiser,
+                           request_fingerprint)
 
 # The LRU tiers the eviction replay is held against.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"
@@ -310,7 +310,8 @@ def test_dedup_under_contention(benchmark):
 
 
 def test_async_and_remote_worker_backends(benchmark):
-    """The batch runs identically on async local workers and a remote box."""
+    """The batch runs identically on threads and on the async backend's
+    worker processes."""
     graphs = _graphs()
 
     def run():
@@ -320,50 +321,35 @@ def test_async_and_remote_worker_backends(benchmark):
         with OptimisationService(num_workers=2, backend="async") as service:
             async_local, async_s = _run_batch(service, graphs,
                                               use_cache=False)
-            async_stats = service.stats()
-        with WorkerServer(num_workers=2) as server:
-            with OptimisationService(
-                    num_workers=2,
-                    remote_endpoints=[server.endpoint]) as service:
-                remote, remote_s = _run_batch(service, graphs,
-                                              use_cache=False)
-                remote_stats = service.stats()
-        return (baseline, baseline_s, async_local, async_s, async_stats,
-                remote, remote_s, remote_stats)
+            # Which processes answer: the witness that the async rows
+            # ran off the bench's own process.
+            pids = [service.scheduler.submit(os.getpid)
+                    for _ in range(2 * service.scheduler.num_workers)]
+            worker_pids = {service.scheduler.result(job_id, timeout=60)
+                           for job_id in pids} - {os.getpid()}
+        return baseline, baseline_s, async_local, async_s, worker_pids
 
-    (baseline, baseline_s, async_local, async_s, async_stats,
-     remote, remote_s, remote_stats) = benchmark.pedantic(
-        run, rounds=1, iterations=1)
+    baseline, baseline_s, async_local, async_s, worker_pids = \
+        benchmark.pedantic(run, rounds=1, iterations=1)
 
     report = ExperimentReport(
         experiment="Service bench",
-        description="thread vs async-process vs remote JSON-RPC workers")
+        description="thread vs async-process workers")
     report.add("threads", seconds=baseline_s,
                jobs_per_s=len(MODELS) / baseline_s)
     report.add("async_local", seconds=async_s,
                jobs_per_s=len(MODELS) / async_s)
-    report.add("remote_rpc", seconds=remote_s,
-               jobs_per_s=len(MODELS) / remote_s)
     print("\n" + report.to_text())
     record("worker_backends", {
         "thread_seconds": baseline_s,
         "async_local_seconds": async_s,
-        "remote_seconds": remote_s,
-        "remote_dispatched": remote_stats["pool"]["dispatched_remote"],
+        "async_local_worker_pids": len(worker_pids),
     })
 
-    assert async_stats["pool"]["dispatched_local"] == len(MODELS)
-    # Health-aware dispatch caps remote in-flight at the worker's *real*
-    # ping-reported capacity (2 here), so part of the batch legitimately
-    # spills to the local pool; the split depends on timing.
-    pool = remote_stats["pool"]
-    assert pool["dispatched_remote"] >= 1
-    assert pool["dispatched_remote"] + pool["dispatched_local"] == len(MODELS)
-    assert pool["remote_fallbacks"] == 0
-    for b, a, r in zip(baseline, async_local, remote):
+    assert worker_pids
+    for b, a in zip(baseline, async_local):
         assert b.graph.structural_hash() == a.graph.structural_hash()
-        assert b.graph.structural_hash() == r.graph.structural_hash()
-        assert b.search.final_cost_ms == pytest.approx(r.search.final_cost_ms)
+        assert b.search.final_cost_ms == pytest.approx(a.search.final_cost_ms)
 
 
 # ---------------------------------------------------------------------------

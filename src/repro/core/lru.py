@@ -17,18 +17,14 @@ Design notes
   observation cache.  ``clear()``
   drops the entries but keeps the counters — a cache flush mid-run must
   not erase the evidence of what happened before it.
-* **Locking is the caller's problem, optionally delegated.**  Both
-  owners are single-threaded; they pass no lock and pay nothing.  A
-  caller that shares a cache across threads can hand in a ``lock`` and
-  get every public method serialised.
+* **No locking.**  Both owners are single-threaded; a caller that shared
+  a cache across threads would serialise its own calls.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from contextlib import nullcontext
-from typing import Any, ContextManager, Dict, Hashable, Iterator, Optional
+from typing import Any, Dict, Hashable, Iterator
 
 __all__ = ["LRUCache"]
 
@@ -44,75 +40,57 @@ class LRUCache:
         Eviction threshold.  ``0`` disables caching entirely (every
         ``put`` is a no-op and every ``get`` a miss); a negative value
         means unbounded.
-    lock:
-        Optional lock (anything usable as a context manager, e.g.
-        ``threading.Lock``) wrapped around every public method.  When
-        ``None`` the cache is lock-free and the caller is responsible
-        for synchronisation.
     name:
         Label used as the key prefix in :meth:`stats` so several caches
         can merge their counters into one flat benchmark payload.
     """
 
     __slots__ = ("max_entries", "name", "hits", "misses", "evictions",
-                 "_entries", "_lock")
+                 "_entries")
 
-    def __init__(self, max_entries: int, lock: Optional[ContextManager] = None,
-                 name: str = ""):
+    def __init__(self, max_entries: int, name: str = ""):
         self.max_entries = int(max_entries)
         self.name = name
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._lock: ContextManager = lock if lock is not None else nullcontext()
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Return the cached value (marking it most recently used) or
         ``default``; updates the hit/miss counters."""
-        with self._lock:
-            value = self._entries.get(key, _MISSING)
-            if value is _MISSING:
-                self.misses += 1
-                return default
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
+        value = self._entries.get(key, _MISSING)
+        if value is _MISSING:
+            self.misses += 1
+            return default
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return value
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Like :meth:`get` but touches neither recency nor counters."""
-        with self._lock:
-            value = self._entries.get(key, _MISSING)
-            return default if value is _MISSING else value
+        value = self._entries.get(key, _MISSING)
+        return default if value is _MISSING else value
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/overwrite ``key``, evicting the oldest entry if full."""
         if self.max_entries == 0:
             return
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            if self.max_entries > 0:
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if self.max_entries > 0:
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
         """Remove and return ``key`` without touching the counters."""
-        with self._lock:
-            return self._entries.pop(key, default)
+        return self._entries.pop(key, default)
 
     def clear(self) -> None:
         """Drop every entry; the counters survive (see module docstring)."""
-        with self._lock:
-            self._entries.clear()
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
+        self._entries.clear()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

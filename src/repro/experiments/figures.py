@@ -158,24 +158,31 @@ def run_figure7(config: Optional[XRLflowConfig] = None) -> ExperimentReport:
     return report
 
 
-def run_figure8(models: Optional[Sequence[str]] = None,
+def run_figure8(results: Optional[Dict[str, Dict[str, SearchResult]]] = None,
+                models: Optional[Sequence[str]] = None,
                 config: Optional[XRLflowConfig] = None,
                 tensat_rounds: int = 4) -> ExperimentReport:
     """Figure 8: end-to-end speedup comparison between Tensat and X-RLflow
-    (both X-RLflow columns, as in :func:`run_figure4`)."""
+    (both X-RLflow columns, as in :func:`run_figure4`).
+
+    The X-RLflow runs are read from ``results`` (Figure 4's
+    :func:`optimise_suite` output) and trained here only when it is
+    omitted; Tensat runs per model.
+    """
     models = list(models or TENSAT_MODELS)
-    config = config or benchmark_config()
+    if results is None:
+        config = config or benchmark_config()
+        results = {name: {"xrlflow": XRLflow(config, e2e=E2ESimulator())
+                          .optimise(build_small_model(name), name)}
+                   for name in models}
     report = ExperimentReport(
         experiment="Figure 8",
         description="end-to-end speedup (%): Tensat vs X-RLflow",
     )
     for name in models:
-        graph = build_small_model(name)
-        e2e = E2ESimulator()
-        tensat = TensatOptimizer(e2e=e2e, round_limit=tensat_rounds)
-        xrlflow = XRLflow(config, e2e=e2e)
-        tensat_result = tensat.optimise(graph, name)
-        xrlflow_result = xrlflow.optimise(graph, name)
+        tensat = TensatOptimizer(round_limit=tensat_rounds)
+        tensat_result = tensat.optimise(build_small_model(name), name)
+        xrlflow_result = results[name]["xrlflow"]
         report.add(name,
                    tensat_speedup_pct=tensat_result.speedup_percent,
                    xrlflow_speedup_pct=xrlflow_result.speedup_percent,

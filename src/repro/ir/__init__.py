@@ -6,8 +6,8 @@ Public surface:
 * :class:`~repro.ir.ops.OpType` and shape inference
 * :class:`~repro.ir.graph.Graph` and :class:`~repro.ir.builder.GraphBuilder`
 * JSON (ONNX-like) serialisation helpers (:mod:`repro.ir.serialize`) — the
-  one graph codec: files, the service's disk tier and the remote-worker
-  protocol all carry this document
+  one graph codec: files and the service's disk tier both carry this
+  document
 """
 
 from .tensor import DataType, TensorShape, TensorSpec, make_spec

@@ -32,6 +32,10 @@ winner failed or its process died).
 
 Jobs submitted with ``stream=True`` emit progress events — one per
 optimiser iteration — consumable via :meth:`OptimisationService.events`.
+
+Every search runs on this host: in a worker thread (``backend="thread"``,
+the default) or a worker process (``backend="async"``); see
+:mod:`repro.service.scheduler`.
 """
 
 from __future__ import annotations
@@ -75,11 +79,7 @@ class OptimisationService:
             / max bytes / TTL); unbounded when omitted.
         max_pending: Bounded admission queue (see :class:`JobScheduler`).
         backend: Worker flavour — ``"thread"`` (default) or ``"async"``
-            (event loop over local process workers and any
-            ``remote_endpoints``).
-        remote_endpoints: ``"host:port"`` strings of
-            :class:`~repro.service.remote.WorkerServer` boxes; implies the
-            async backend unless one was named explicitly.
+            (a pool of local worker processes).
         cross_process_dedup: Extend exactly-once to simultaneous
             submissions from *other service processes* via lease files in
             the cache directory.  Effective only with a persistent cache
@@ -98,17 +98,12 @@ class OptimisationService:
                  cache_policy: Optional[EvictionPolicy] = None,
                  max_pending: int = 256,
                  backend: Optional[str] = None,
-                 remote_endpoints: Optional[Sequence[str]] = None,
                  cross_process_dedup: bool = True):
         self.cache = cache if cache is not None else FingerprintCache(
             capacity=cache_capacity, cache_dir=cache_dir, policy=cache_policy)
-        if backend is None and remote_endpoints:
-            backend = "async"
         self.scheduler = JobScheduler(num_workers=num_workers,
                                       max_pending=max_pending,
-                                      backend=backend,
-                                      remote_endpoints=list(remote_endpoints
-                                                            or []))
+                                      backend=backend)
         self._leases: Optional[LeaseManager] = None
         if (cross_process_dedup and self.cache.cache_dir is not None
                 and leases_supported()):
@@ -465,27 +460,18 @@ class OptimisationService:
         return self.gather(job_ids, timeout)
 
     # -- introspection / lifecycle -------------------------------------
-    def probe_workers(self) -> Dict[str, bool]:
-        """Force one health probe of the remote worker fleet.
-
-        Returns ``{endpoint: reachable}`` (empty without remote
-        endpoints).  A successful probe refreshes the endpoint's
-        capacity/load record and readmits it from quarantine immediately
-        instead of waiting for the next background probe.
-        """
-        return self.scheduler.probe_workers()
-
     def stats(self) -> Dict[str, Any]:
         """Service counters: worker pool, job states, cache, dedup.
 
         Returns:
-            A dict with ``workers``, ``backend``, ``jobs`` (state tallies),
-            ``cache_entries`` / ``cache`` (tier accounting), ``dedup``
-            (coalesced submissions, current in-flight table size and, with
+            A dict with ``workers``, ``backend``, ``pool_replacements``
+            (broken process pools the async backend replaced; 0 on
+            threads), ``jobs`` (state tallies), ``cache_entries`` /
+            ``cache`` (tier accounting) and ``dedup`` (coalesced
+            submissions, current in-flight table size and, with
             cross-process dedup, ``leases_held`` and ``lease_errors`` —
             lease locks the filesystem refused, whose searches ran without
-            the lease) and — on the async backend — ``pool`` dispatch
-            counters.
+            the lease).
         """
         with self._dedup_lock:
             dedup = {"coalesced": self._coalesced_total,
@@ -494,18 +480,15 @@ class OptimisationService:
         if self._leases is not None:
             dedup["leases_held"] = len(self._leases.held())
             dedup["lease_errors"] = self._leases.errors
-        stats = {
+        return {
             "workers": self.scheduler.num_workers,
             "backend": self.scheduler.backend,
+            "pool_replacements": self.scheduler.pool_replacements,
             "jobs": self.scheduler.counts(),
             "cache_entries": len(self.cache),
             "cache": self.cache.stats.to_dict(),
             "dedup": dedup,
         }
-        pool_stats = self.scheduler.pool_stats()
-        if pool_stats is not None:
-            stats["pool"] = pool_stats
-        return stats
 
     def close(self, wait: bool = True) -> None:
         """Shut the worker pool down.

@@ -9,15 +9,13 @@ Examples::
 
     # serving-layer hardening knobs
     python -m repro.service bert --backend async --workers 4
-    python -m repro.service bert --remote-worker host1:9100 --remote-worker host2:9100
     python -m repro.service squeezenet --cache-dir /var/cache/repro \\
         --cache-max-entries 512 --cache-ttl 86400
 
     # follow a long search live (one progress line per optimiser iteration)
     python -m repro.service bert -o xrlflow --follow
 
-    # run this box as a remote search worker / maintain a cache directory
-    python -m repro.service --worker-server 0.0.0.0:9100 --workers 8
+    # maintain a cache directory
     python -m repro.service --prune-cache --cache-dir /var/cache/repro \\
         --cache-max-bytes 100000000
 
@@ -54,13 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker pool size (default: 4)")
     parser.add_argument("--backend", choices=["thread", "async"],
                         default=None,
-                        help="worker flavour (default: thread; async drives "
-                             "process workers and any --remote-worker boxes "
-                             "from one event loop)")
-    parser.add_argument("--remote-worker", action="append", default=[],
-                        metavar="HOST:PORT", dest="remote_workers",
-                        help="JSON-RPC worker endpoint (repeatable; implies "
-                             "--backend async)")
+                        help="worker flavour (default: thread; async runs "
+                             "each search in a worker process)")
     parser.add_argument("--follow", action="store_true",
                         help="stream per-iteration progress events for each "
                              "job while it runs")
@@ -103,9 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the optimiser registry and exit")
     parser.add_argument("--list-models", action="store_true",
                         help="print the model zoo and exit")
-    parser.add_argument("--worker-server", default=None, metavar="[HOST:]PORT",
-                        help="serve this box's optimiser registry to remote "
-                             "services over JSON-RPC (foreground)")
     parser.add_argument("--prune-cache", action="store_true",
                         help="apply the eviction policy to --cache-dir and "
                              "exit (use with --cache-max-*/--cache-ttl)")
@@ -147,22 +137,6 @@ def _print_models() -> None:
         print(f"{name:14s} [{info.family}] {info.description}")
 
 
-def _run_worker_server(endpoint: str, num_workers: int) -> int:
-    from .remote import WorkerServer, parse_endpoint
-    host, port = parse_endpoint(endpoint if ":" in endpoint
-                                else f"0.0.0.0:{endpoint}")
-    server = WorkerServer(host=host, port=port, num_workers=num_workers)
-    print(f"worker server listening on {server.endpoint} "
-          f"({num_workers} workers); Ctrl-C to stop")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
 def _run_prune(args: argparse.Namespace) -> int:
     if args.cache_dir is None:
         raise SystemExit("--prune-cache requires --cache-dir")
@@ -191,8 +165,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_models:
         _print_models()
         return 0
-    if args.worker_server is not None:
-        return _run_worker_server(args.worker_server, args.workers)
     if args.prune_cache:
         return _run_prune(args)
 
@@ -219,16 +191,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError, ImportError_) as exc:
         raise SystemExit(f"error: {exc}")
 
-    if args.remote_workers and args.backend not in (None, "async"):
-        raise SystemExit(
-            f"error: --remote-worker requires --backend async "
-            f"(got {args.backend})")
     with OptimisationService(num_workers=args.workers,
                              cache_dir=args.cache_dir,
                              cache_policy=_eviction_policy(args),
                              max_pending=args.max_pending,
                              backend=args.backend,
-                             remote_endpoints=args.remote_workers,
                              cross_process_dedup=not args.no_cross_process_dedup,
                              ) as service:
         for round_no in range(1, max(1, args.repeat) + 1):
@@ -267,15 +234,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"cache entries refused: {cache['corrupt_entries']} corrupt, "
               f"{cache['stale_version_entries']} of another entry version")
     print(f"dedup: {stats['dedup']['coalesced']} coalesced submissions")
-    if "pool" in stats:
-        pool = stats["pool"]
-        print(f"pool: {pool['dispatched_local']} local / "
-              f"{pool['dispatched_remote']} remote dispatches, "
-              f"{pool['remote_fallbacks']} fallbacks")
-        for endpoint, health in pool.get("endpoints", {}).items():
-            state = "QUARANTINED" if health["quarantined"] else "live"
-            print(f"  {endpoint}: {state}, "
-                  f"{health['inflight']}/{health['capacity']} in flight, "
-                  f"ewma {1000.0 * health['ewma_latency_s']:.1f} ms, "
-                  f"{health['consecutive_failures']} consecutive failures")
     return 0

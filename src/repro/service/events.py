@@ -12,8 +12,8 @@ to whoever submitted the job:
   to a thread-safe deque (the thread worker backend).
 * :class:`FileProgressSink` — cross-process transport: the callback
   appends one JSON line per event to a spool file.  The sink is picklable
-  (it carries only the path), so it crosses the process-pool boundary and
-  also collects the ``event`` frames the remote JSON-RPC client receives.
+  (it carries only the path), so it crosses the process-pool boundary of
+  the async backend.
 * :class:`EventChannel` — the consumer side: one channel per streaming
   job, owned by the scheduler, draining whichever sink the job was given.
 
@@ -59,14 +59,14 @@ class ProgressEvent:
     timestamp: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly form (the spool-file / wire encoding)."""
+        """JSON-friendly form (the spool-file encoding)."""
         return {"iteration": self.iteration, "best_cost": self.best_cost,
                 "best_graph_fp": self.best_graph_fp,
                 "timestamp": self.timestamp}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ProgressEvent":
-        """Decode a spool-file / wire event document."""
+        """Decode a spool-file event document."""
         return cls(iteration=int(data.get("iteration", 0)),
                    best_cost=float(data.get("best_cost", 0.0)),
                    best_graph_fp=str(data.get("best_graph_fp", "")),

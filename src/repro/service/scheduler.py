@@ -10,12 +10,12 @@ Two pool flavours, selected by ``backend``:
 
 * ``"thread"`` (default) — cheap dispatch, shared in-process cache; fine for
   the I/O-light search jobs and for cache-dominated traffic.
-* ``"async"`` — an :class:`~repro.service.async_pool.AsyncWorkerPool`: an
-  asyncio event loop (in a dedicated thread) drives a local process pool —
-  true parallelism for the pure-Python searches, at the cost of pickling
-  graphs across the boundary, so submitted callables must be module-level
-  functions — and, when ``remote_endpoints`` are given, off-box workers
-  over the JSON-RPC protocol in :mod:`repro.service.remote`.
+* ``"async"`` — a :class:`concurrent.futures.ProcessPoolExecutor`: true
+  parallelism for the pure-Python searches, at the cost of pickling graphs
+  across the boundary, so submitted callables must be module-level
+  functions.  A worker process that dies (``kill -9``, the OOM killer)
+  breaks the stdlib pool for good; the scheduler replaces a broken pool
+  once, on the next submission, so only the jobs that were on it fail.
 
 The scheduler also supports *attached* (follower) jobs — :meth:`attach`
 registers a new job id that shares an existing job's future, which is how
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import logging
 import os
 import shutil
 import tempfile
@@ -43,12 +44,14 @@ from collections import deque
 from concurrent import futures
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from .events import EventChannel, ProgressEvent
 
 __all__ = ["JobScheduler", "JobState", "JobRecord",
            "QueueFullError", "UnknownJobError"]
+
+_LOG = logging.getLogger(__name__)
 
 
 def _pool_warmup(barrier: "threading.Barrier") -> None:
@@ -57,6 +60,23 @@ def _pool_warmup(barrier: "threading.Barrier") -> None:
         barrier.wait(timeout=2.0)
     except threading.BrokenBarrierError:
         pass
+
+
+def _pool_noop() -> None:
+    """Picklable no-op; submitting it spawns the process pool's workers."""
+
+
+def _process_pool(num_workers: int) -> futures.Executor:
+    """A started process pool: the async backend's executor.
+
+    The stdlib pool starts its workers on first use, so the first burst of
+    jobs (the first request after a deploy) would pay the spawns inside
+    the request; one no-op makes it fork the full complement now.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=num_workers)
+    pool.submit(_pool_noop)
+    return pool
 
 
 class JobState(str, Enum):
@@ -116,9 +136,9 @@ class JobRecord:
         return self.finished_at - self.started_at
 
 
-#: Recognised ``backend`` names and whether the scheduler can trace the
-#: pending → running transition in-process (only the thread pool can: the
-#: async backend runs the job body outside the submitting process).
+#: Recognised ``backend`` names.  Only the thread pool can trace the
+#: pending → running transition: the async backend runs the job body
+#: outside the submitting process.
 _BACKENDS = ("thread", "async")
 
 
@@ -138,8 +158,6 @@ class JobScheduler:
             produced; polling a purged id raises :class:`UnknownJobError`.
         backend: ``"thread"`` (the default) or ``"async"`` (see the module
             docstring).
-        remote_endpoints: ``"host:port"`` strings of off-box workers for
-            the async backend (ignored otherwise).
 
     Raises:
         ValueError: If ``backend`` is not one of the recognised names.
@@ -147,8 +165,7 @@ class JobScheduler:
 
     def __init__(self, num_workers: int = 4, max_pending: int = 256,
                  max_history: int = 1024,
-                 backend: Optional[str] = None,
-                 remote_endpoints: Optional[List[str]] = None):
+                 backend: Optional[str] = None):
         self.num_workers = max(1, int(num_workers))
         self.max_pending = max(1, int(max_pending))
         self.max_history = max(1, int(max_history))
@@ -158,18 +175,11 @@ class JobScheduler:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}")
         self.backend = backend
-        self.remote_endpoints = list(remote_endpoints or [])
-        if self.remote_endpoints and backend != "async":
-            # Silently running everything locally would be worse than
-            # failing: the operator believes work is being distributed.
-            raise ValueError(
-                f"remote_endpoints require backend='async', got {backend!r}")
+        #: Broken process pools replaced (async backend; see :meth:`submit`).
+        self.pool_replacements = 0
         self._compute_slots: Optional[threading.Semaphore] = None
         if backend == "async":
-            from .async_pool import AsyncWorkerPool
-            self._executor: Any = AsyncWorkerPool(
-                num_workers=self.num_workers,
-                remote_endpoints=self.remote_endpoints)
+            self._executor: futures.Executor = _process_pool(self.num_workers)
         else:
             self._executor = futures.ThreadPoolExecutor(
                 max_workers=self.num_workers, thread_name_prefix="repro-worker")
@@ -207,7 +217,7 @@ class JobScheduler:
         batch (and the first request after a deploy eats the whole pool
         start-up).  Construction is the right place for that cost.
         Threads rendezvous on a barrier so each warm-up task pins a
-        distinct worker; the async pool warms its process pool itself.
+        distinct worker; :func:`_process_pool` warms the async backend.
         """
         barrier = threading.Barrier(self.num_workers)
         warmups = [self._executor.submit(_pool_warmup, barrier)
@@ -279,9 +289,9 @@ class JobScheduler:
                         *args, **kwargs)
                 else:
                     # The running-state transition happens in another process
-                    # (or on the event loop) and cannot update our records;
-                    # jobs jump pending → terminal.
-                    future = self._executor.submit(fn, *args, **kwargs)
+                    # and cannot update our records; jobs jump pending →
+                    # terminal.
+                    future = self._submit_to_process_pool(fn, args, kwargs)
             except BaseException:
                 self._open_jobs -= 1
                 del self._records[job_id]
@@ -297,6 +307,27 @@ class JobScheduler:
         future.add_done_callback(
             lambda f, job_id=job_id: self._finalise(job_id, f))
         return job_id
+
+    def _submit_to_process_pool(self, fn: Callable[..., Any], args: tuple,
+                                kwargs: dict) -> futures.Future:
+        """Submit to the process pool, replacing it once if it is broken.
+
+        A worker that died takes the stdlib pool with it: the jobs that
+        were on it fail with ``BrokenProcessPool`` and every later submit
+        raises it.  Called with ``self._lock`` held, so one broken pool is
+        replaced once.
+        """
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            return self._executor.submit(fn, *args, **kwargs)
+        except BrokenProcessPool as exc:
+            broken, self._executor = (self._executor,
+                                      _process_pool(self.num_workers))
+            self.pool_replacements += 1
+            _LOG.warning("replaced the broken process pool (%s); the jobs "
+                         "that were on it failed", exc)
+            broken.shutdown(wait=False)
+        return self._executor.submit(fn, *args, **kwargs)
 
     def attach(self, primary_job_id: int, label: str = "") -> int:
         """Register a *follower* job sharing ``primary_job_id``'s future.
@@ -547,26 +578,6 @@ class JobScheduler:
             if job_id in self._attached:
                 return False
         return future.cancel()
-
-    def pool_stats(self) -> Optional[Dict[str, int]]:
-        """Backend-specific dispatch counters, or ``None``.
-
-        The async backend reports local/remote dispatch and fallback
-        counts (plus per-endpoint health snapshots); the thread pool has
-        nothing to add.
-        """
-        stats = getattr(self._executor, "stats", None)
-        return dict(stats) if isinstance(stats, dict) else None
-
-    def probe_workers(self) -> Dict[str, bool]:
-        """Force one health-probe round of the remote endpoints.
-
-        Returns ``{endpoint: reachable}`` — empty for backends without
-        remote endpoints.  A successful probe refreshes the endpoint's
-        capacity/load record and readmits it from quarantine immediately.
-        """
-        probe = getattr(self._executor, "probe_endpoints", None)
-        return probe() if callable(probe) else {}
 
     def counts(self) -> Dict[str, int]:
         """``{state: count}`` over every job this scheduler has seen."""

@@ -1,7 +1,5 @@
 """Unit tests for the shared :class:`repro.core.lru.LRUCache`."""
 
-import threading
-
 import pytest
 
 from repro.core.lru import LRUCache
@@ -82,8 +80,6 @@ def test_clear_keeps_counters():
     cache.clear()
     assert len(cache) == 0
     assert cache.hits == 1 and cache.misses == 1
-    cache.reset_stats()
-    assert cache.hits == 0 and cache.misses == 0
 
 
 def test_stats_shape_and_prefix():
@@ -100,44 +96,3 @@ def test_stats_shape_and_prefix():
     assert set(unnamed) == {"hits", "misses", "evictions", "hit_rate",
                             "entries"}
     assert unnamed["hit_rate"] == 0.0
-
-
-def test_external_lock_is_used():
-    class CountingLock:
-        def __init__(self):
-            self.inner = threading.Lock()
-            self.acquisitions = 0
-
-        def __enter__(self):
-            self.inner.acquire()
-            self.acquisitions += 1
-            return self
-
-        def __exit__(self, *exc):
-            self.inner.release()
-
-    lock = CountingLock()
-    cache = LRUCache(max_entries=8, lock=lock)
-    cache.put("a", 1)
-    cache.get("a")
-    cache.peek("a")
-    cache.pop("a")
-    cache.clear()
-    assert lock.acquisitions == 5
-
-
-def test_threaded_puts_respect_capacity():
-    cache = LRUCache(max_entries=16, lock=threading.Lock())
-
-    def worker(base):
-        for i in range(200):
-            cache.put((base, i), i)
-            cache.get((base, i))
-
-    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(cache) <= 16
-    assert cache.hits + cache.misses == 800

@@ -74,6 +74,10 @@ class TestFigures:
         train = fig6.column("xrlflow_train_seconds")["squeezenet"]
         assert train == results["squeezenet"]["xrlflow"].stats["train_time_s"]
         assert train > 0
+        # Figure 8 reads the same X-RLflow runs instead of retraining.
+        fig8 = run_figure8(results, models=["squeezenet"], tensat_rounds=2)
+        for column in ("xrlflow_speedup_pct", "xrlflow_policy_speedup_pct"):
+            assert fig8.column(column) == fig4.column(column)
 
     def test_figure8_runs(self, tiny_rl_config):
         report = run_figure8(models=["bert"], config=tiny_rl_config, tensat_rounds=2)

@@ -48,6 +48,12 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="missing node 999"):
             graph_from_dict(data, validate=False)
 
+    def test_an_unknown_op_is_named(self, mlp_graph):
+        data = graph_to_dict(mlp_graph)
+        data["nodes"][-1]["op"] = "NoSuchOp"
+        with pytest.raises(ValueError, match="NoSuchOp"):
+            graph_from_dict(data)
+
     def test_stored_shapes_are_checked_unless_the_reader_vouches(
             self, mlp_graph):
         data = json.loads(json.dumps(graph_to_dict(mlp_graph)))

