@@ -4,15 +4,13 @@ The only frontend today is ONNX (:mod:`repro.frontend.onnx`), built from
 three layers:
 
 * :mod:`repro.frontend.serialize` — a protobuf-free ``.onnx`` wire codec
-  plus a JSON fallback format, parsed into neutral spec dataclasses.
+  (the one model file format), parsed into neutral spec dataclasses.
 * :mod:`repro.frontend.ops_bridge` — the declarative per-op bridge table
   translating foreign node specs into IR nodes.
 * :mod:`repro.frontend.onnx` — the import/export drivers and the
   :class:`~repro.frontend.onnx.ImportReport` coverage accounting.
 
-:mod:`repro.frontend.zoo` generates importable model specs (depth/width/
-batch sweeps over resnet/bert/vit-style topologies) used by the importer
-conformance suite and CI.
+:func:`import_model` is the one way a foreign model enters the IR.
 """
 
 from .onnx import ImportError_, ImportReport, import_model, to_onnx, to_spec

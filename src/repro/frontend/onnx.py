@@ -35,7 +35,7 @@ __all__ = ["ImportError_", "ImportReport", "import_model", "to_spec",
 
 
 class ImportError_(Exception):
-    """Raised in strict mode when a node cannot be bridged."""
+    """A malformed graph, or in strict mode a node that cannot be bridged."""
 
 
 @dataclass
@@ -91,10 +91,12 @@ def import_model(source: Union[str, Path, bytes, ModelSpec],
                  strict: bool = False) -> Tuple[Graph, ImportReport]:
     """Import an ONNX model into an IR :class:`Graph`.
 
-    ``source`` may be a file path (``.onnx`` protobuf or ``.json``
-    fallback), raw model bytes, or an already-parsed :class:`ModelSpec`.
-    With ``strict=True`` any unbridgeable node raises
-    :class:`ImportError_` instead of degrading to a Custom fallback.
+    ``source`` may be an ONNX protobuf file path, raw model bytes, or an
+    already-parsed :class:`ModelSpec`; bytes that are not ONNX protobuf
+    raise ``ValueError``.  A node reading a value nothing defines, or
+    redefining one, raises :class:`ImportError_`.  With ``strict=True``
+    any unbridgeable node raises it too instead of degrading to a Custom
+    fallback.
     """
     if isinstance(source, ModelSpec):
         spec = source
@@ -143,6 +145,7 @@ def import_model(source: Union[str, Path, bytes, ModelSpec],
             ctx.value(src_name)
 
     for node in gspec.nodes:
+        _check_names(ctx, node)
         bridge = BRIDGE.get((node.domain, node.op_type))
         if ranked:
             _replay_ranked_sources()
@@ -183,6 +186,17 @@ def import_model(source: Union[str, Path, bytes, ModelSpec],
     return graph, report
 
 
+def _check_names(ctx: ImportContext, node: NodeSpec) -> None:
+    """Refuse a node reading an undefined value or redefining one."""
+    where = f"{_op_key(node)} node '{node.name or ','.join(node.outputs)}'"
+    for name in node.inputs:
+        if name and not ctx.has(name):
+            raise ImportError_(f"{where} reads undefined value '{name}'")
+    for name in node.outputs:
+        if name and ctx.has(name):
+            raise ImportError_(f"{where} redefines value '{name}'")
+
+
 def _fallback(ctx: ImportContext, node: NodeSpec,
               declared: Dict[str, ValueInfo], report: ImportReport,
               reason: str) -> None:
@@ -191,10 +205,7 @@ def _fallback(ctx: ImportContext, node: NodeSpec,
     report.fallbacks[key] = report.fallbacks.get(key, 0) + 1
     report.fallback_reasons[node.name or node.outputs[0]] = reason
 
-    inputs = []
-    for name in node.inputs:
-        if ctx.has(name):
-            inputs.append(ctx.value(name))
+    inputs = [ctx.value(name) for name in node.inputs if name]
     for slot, out_name in enumerate(node.outputs):
         if not out_name:
             continue
@@ -429,5 +440,5 @@ def to_spec(graph: Graph, producer: str = "repro") -> ModelSpec:
 
 def to_onnx(graph: Graph, path: Union[str, Path],
             producer: str = "repro") -> None:
-    """Export ``graph`` to ``path`` (protobuf for ``.onnx``, else JSON)."""
+    """Export ``graph`` to ``path`` as ONNX protobuf, whatever its suffix."""
     save_model_spec(to_spec(graph, producer), path)

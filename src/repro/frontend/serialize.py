@@ -3,23 +3,15 @@
 The importer consumes a *neutral* in-memory description of an ONNX model
 (:class:`ModelSpec` / :class:`GraphSpec` / :class:`NodeSpec`), never the
 protobuf python objects, so the ``onnx`` wheel is an optional convenience
-rather than a dependency.  Two on-disk encodings map onto that
-description:
-
-``.onnx`` (protobuf wire format)
-    Read and written by a minimal hand-rolled codec below.  Protobuf's
-    wire format is just ``(field_number << 3 | wire_type)`` tags followed
-    by varints or length-delimited payloads; decoding the handful of
-    message types ONNX uses (ModelProto, GraphProto, NodeProto,
-    AttributeProto, TensorProto, ValueInfoProto) takes ~200 lines and
-    zero new wheels.  Unknown fields are skipped, so models produced by
-    real exporters parse fine — we only keep what the importer needs.
-
-``.json`` (fallback format)
-    A direct JSON rendering of the same dataclasses, for hand-written
-    fixtures and environments where binary artifacts are awkward.
-    :func:`load_model_spec` sniffs the content (JSON starts with ``{``),
-    so either encoding can hide behind either extension.
+rather than a dependency.  The one on-disk encoding is the protobuf wire
+format, read and written by a minimal hand-rolled codec below.  Protobuf's
+wire format is just ``(field_number << 3 | wire_type)`` tags followed by
+varints, fixed-width values or length-delimited payloads; decoding the
+handful of message types ONNX uses (ModelProto, GraphProto, NodeProto,
+AttributeProto, TensorProto, ValueInfoProto) takes ~200 lines and zero new
+wheels.  Unknown fields are skipped, so models produced by real exporters
+parse fine — we only keep what the importer needs.  Bytes that are not a
+well-formed model (truncated, junk, another format) raise ``ValueError``.
 
 Weight payloads are deliberately second-class: the executor materialises
 parameters deterministically from *name and shape*, so the importer only
@@ -39,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 __all__ = [
     "TensorInfo", "ValueInfo", "NodeSpec", "GraphSpec", "ModelSpec",
     "load_model_spec", "loads_model_spec", "save_model_spec",
-    "model_spec_to_bytes", "model_spec_to_json",
+    "model_spec_to_bytes",
     "REPRO_DOMAIN", "DEFAULT_OPSET",
 ]
 
@@ -125,12 +117,15 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 _WT_VARINT, _WT_I64, _WT_LEN, _WT_I32 = 0, 1, 2, 5
+_FIXED_SIZE = {_WT_I64: 8, _WT_I32: 4}
 
 
 def _read_varint(buf: bytes, pos: int) -> Tuple[int, int]:
     result = 0
     shift = 0
     while True:
+        if pos >= len(buf):
+            raise ValueError("truncated varint")
         byte = buf[pos]
         pos += 1
         result |= (byte & 0x7F) << shift
@@ -150,28 +145,25 @@ def _iter_fields(buf: bytes):
     """Yield ``(field_number, wire_type, value)`` triples from a message.
 
     ``value`` is an int for varint/fixed fields and a ``bytes`` slice for
-    length-delimited ones.  Unknown wire types raise — ONNX never uses
-    groups.
+    length-delimited ones; groups (unused by ONNX) and overruns raise.
     """
     pos = 0
-    end = len(buf)
-    while pos < end:
+    while pos < len(buf):
         tag, pos = _read_varint(buf, pos)
         number, wtype = tag >> 3, tag & 7
         if wtype == _WT_VARINT:
             value, pos = _read_varint(buf, pos)
-        elif wtype == _WT_LEN:
-            size, pos = _read_varint(buf, pos)
+        elif wtype in _FIXED_SIZE or wtype == _WT_LEN:
+            size = _FIXED_SIZE.get(wtype)
+            if size is None:
+                size, pos = _read_varint(buf, pos)
             value = buf[pos:pos + size]
             if len(value) != size:
-                raise ValueError("truncated length-delimited field")
+                raise ValueError(f"field {number} runs {size - len(value)} "
+                                 "bytes past the end of its message")
             pos += size
-        elif wtype == _WT_I64:
-            value = int.from_bytes(buf[pos:pos + 8], "little")
-            pos += 8
-        elif wtype == _WT_I32:
-            value = int.from_bytes(buf[pos:pos + 4], "little")
-            pos += 4
+            if wtype != _WT_LEN:
+                value = int.from_bytes(value, "little")
         else:
             raise ValueError(f"unsupported wire type {wtype}")
         yield number, wtype, value
@@ -189,11 +181,19 @@ def _packed_varints(value, wtype) -> List[int]:
     return out
 
 
+def _unpack(code: str, size: int, payload: bytes) -> Tuple:
+    """Little-endian fixed-width values; a partial trailing one raises."""
+    count, rest = divmod(len(payload), size)
+    if rest:
+        raise ValueError(f"{len(payload)}-byte payload is not a whole "
+                         f"number of {size}-byte values")
+    return struct.unpack(f"<{count}{code}", payload)
+
+
 def _packed_floats(value, wtype) -> List[float]:
     if wtype == _WT_I32:
         return [struct.unpack("<f", value.to_bytes(4, "little"))[0]]
-    count = len(value) // 4
-    return list(struct.unpack(f"<{count}f", value[:count * 4]))
+    return list(_unpack("f", 4, value))
 
 
 class _Writer:
@@ -360,14 +360,11 @@ def _decode_tensor(buf: bytes) -> TensorInfo:
 
 def _decode_raw(raw: bytes, data_type: int) -> Optional[Tuple[float, ...]]:
     if data_type == 7:  # int64
-        count = len(raw) // 8
-        return tuple(struct.unpack(f"<{count}q", raw[:count * 8]))
+        return _unpack("q", 8, raw)
     if data_type == 6:  # int32
-        count = len(raw) // 4
-        return tuple(struct.unpack(f"<{count}i", raw[:count * 4]))
+        return _unpack("i", 4, raw)
     if data_type == 1 and len(raw) // 4 <= _MAX_FLOAT_PAYLOAD:  # float32
-        count = len(raw) // 4
-        return tuple(struct.unpack(f"<{count}f", raw[:count * 4]))
+        return _unpack("f", 4, raw)
     return None  # large float payload: regenerated by name at execution
 
 
@@ -572,120 +569,23 @@ def model_spec_to_bytes(spec: ModelSpec) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# JSON fallback encoding
-# ---------------------------------------------------------------------------
-
-def _value_info_to_dict(info: ValueInfo) -> Dict:
-    return {"name": info.name, "dims": list(info.dims), "dtype": info.dtype}
-
-
-def _attr_to_json(value: object) -> object:
-    if isinstance(value, TensorInfo):
-        return {"__tensor__": {
-            "name": value.name, "dims": list(value.dims),
-            "dtype": value.dtype,
-            **({"data": list(value.data)} if value.data is not None else {})}}
-    return list(value) if isinstance(value, tuple) else value
-
-
-def _attr_from_json(value: object) -> object:
-    if isinstance(value, dict) and "__tensor__" in value:
-        t = value["__tensor__"]
-        return TensorInfo(t.get("name", ""), tuple(t.get("dims", ())),
-                          t.get("dtype", "float32"),
-                          tuple(t["data"]) if "data" in t else None)
-    return tuple(value) if isinstance(value, list) else value
-
-
-def model_spec_to_json(spec: ModelSpec) -> str:
-    """Serialise ``spec`` to the JSON fallback format."""
-    graph = spec.graph
-    doc = {
-        "format": "repro-onnx-json",
-        "version": 1,
-        "ir_version": spec.ir_version,
-        "producer": spec.producer,
-        "opset": dict(spec.opset),
-        "graph": {
-            "name": graph.name,
-            **({"source_ranks": dict(graph.source_ranks)}
-               if graph.source_ranks else {}),
-            "inputs": [_value_info_to_dict(i) for i in graph.inputs],
-            "outputs": [_value_info_to_dict(o) for o in graph.outputs],
-            "value_infos": [_value_info_to_dict(v) for v in graph.value_infos],
-            "initializers": [
-                {"name": t.name, "dims": list(t.dims), "dtype": t.dtype,
-                 **({"data": list(t.data)} if t.data is not None else {})}
-                for t in graph.initializers
-            ],
-            "nodes": [
-                {"op": n.op_type, "name": n.name, "domain": n.domain,
-                 "inputs": list(n.inputs), "outputs": list(n.outputs),
-                 "attrs": {k: _attr_to_json(v) for k, v in n.attrs.items()}}
-                for n in graph.nodes
-            ],
-        },
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def _value_info_from_dict(data: Dict) -> ValueInfo:
-    return ValueInfo(data["name"], tuple(data.get("dims", ())),
-                     data.get("dtype", "float32"))
-
-
-def _model_spec_from_json(text: str) -> ModelSpec:
-    doc = json.loads(text)
-    if doc.get("format") != "repro-onnx-json":
-        raise ValueError("not a repro-onnx-json document")
-    g = doc["graph"]
-    graph = GraphSpec(
-        name=g.get("name", "graph"),
-        source_ranks={str(k): int(v)
-                      for k, v in g.get("source_ranks", {}).items()},
-        inputs=[_value_info_from_dict(i) for i in g.get("inputs", [])],
-        outputs=[_value_info_from_dict(o) for o in g.get("outputs", [])],
-        value_infos=[_value_info_from_dict(v) for v in g.get("value_infos", [])],
-        initializers=[
-            TensorInfo(t["name"], tuple(t.get("dims", ())),
-                       t.get("dtype", "float32"),
-                       tuple(t["data"]) if "data" in t else None)
-            for t in g.get("initializers", [])
-        ],
-        nodes=[
-            NodeSpec(n["op"], tuple(n.get("inputs", ())),
-                     tuple(n.get("outputs", ())),
-                     {k: _attr_from_json(v)
-                      for k, v in n.get("attrs", {}).items()},
-                     n.get("name", ""), n.get("domain", ""))
-            for n in g.get("nodes", [])
-        ],
-    )
-    return ModelSpec(graph, dict(doc.get("opset", {"": DEFAULT_OPSET})),
-                     doc.get("ir_version", 8), doc.get("producer", "unknown"))
-
-
-# ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
 
 def loads_model_spec(data: bytes) -> ModelSpec:
-    """Parse model bytes in either encoding (content-sniffed)."""
-    stripped = data.lstrip()
-    if stripped.startswith(b"{"):
-        return _model_spec_from_json(stripped.decode("utf-8"))
-    return _decode_model(data)
+    """Parse ONNX protobuf model bytes; anything else raises ``ValueError``."""
+    try:
+        return _decode_model(data)
+    except (ValueError, AttributeError, TypeError) as exc:
+        # AttributeError / TypeError: a known field of the wrong wire type.
+        raise ValueError(f"input must be ONNX protobuf: {exc}") from exc
 
 
 def load_model_spec(path: Union[str, Path]) -> ModelSpec:
-    """Load a model file (``.onnx`` protobuf or ``.json`` fallback)."""
+    """Load an ``.onnx`` model file (protobuf, whatever its suffix)."""
     return loads_model_spec(Path(path).read_bytes())
 
 
 def save_model_spec(spec: ModelSpec, path: Union[str, Path]) -> None:
-    """Write ``spec`` to ``path``; ``.onnx`` gets protobuf, else JSON."""
-    path = Path(path)
-    if path.suffix == ".onnx":
-        path.write_bytes(model_spec_to_bytes(spec))
-    else:
-        path.write_text(model_spec_to_json(spec))
+    """Write ``spec`` to ``path`` as ONNX protobuf, whatever its suffix."""
+    Path(path).write_bytes(model_spec_to_bytes(spec))

@@ -75,27 +75,13 @@ def build_model(name: str, **kwargs) -> Graph:
     """Build the named model's computation graph.
 
     ``kwargs`` are forwarded to the underlying builder (batch size, image
-    size, number of layers, …).
-
-    Beyond zoo names, ``onnx:<path>`` loads a foreign model through the
-    ONNX frontend (``.onnx`` protobuf or the JSON fallback format).  Pass
-    ``strict=True`` to reject models with unbridged ops instead of
-    degrading them to opaque ``Custom`` nodes.
+    size, number of layers, …).  A foreign model enters through
+    :func:`repro.frontend.import_model` instead.
     """
-    if name.startswith("onnx:"):
-        from ..frontend import import_model
-        path = name[len("onnx:"):]
-        strict = bool(kwargs.pop("strict", False))
-        if kwargs:
-            raise TypeError(
-                f"onnx: models take no builder kwargs, got {sorted(kwargs)}")
-        graph, _report = import_model(path, strict=strict)
-        return graph
     key = name.lower().replace("-", "_")
     if key not in MODEL_REGISTRY:
         raise KeyError(
-            f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)} "
-            f"or 'onnx:<path>'")
+            f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}")
     return MODEL_REGISTRY[key].builder(**kwargs)
 
 

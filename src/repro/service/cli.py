@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.service",
         description="Optimise model-zoo graphs through the serving layer.")
     parser.add_argument("models", nargs="*", default=[],
-                        help="model-zoo names to optimise (default: squeezenet)")
+                        help="model-zoo names to optimise (default: squeezenet; "
+                             "a foreign model enters through --import)")
     parser.add_argument("-o", "--optimiser", default="taso",
                         help="registered optimiser name (default: taso)")
     parser.add_argument("--config", action="append", default=[],
@@ -83,9 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="submit the batch N times (warm rounds hit the cache)")
     parser.add_argument("--import", action="append", default=[],
                         metavar="PATH", dest="imports",
-                        help="optimise a foreign model imported through the "
-                             "ONNX frontend (repeatable; .onnx protobuf or "
-                             "the JSON fallback format)")
+                        help="optimise a foreign model imported from an ONNX "
+                             "protobuf file (repeatable)")
     parser.add_argument("--strict-import", action="store_true",
                         help="fail --import models containing unbridged ops "
                              "instead of degrading them to Custom fallbacks")

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from .serialize import ModelSpec, TensorInfo
-from .zoo import SpecBuilder
+from repro.frontend.serialize import ModelSpec, TensorInfo
+from zoo import SpecBuilder
 
 __all__ = ["CONFORMANCE_CASES"]
 

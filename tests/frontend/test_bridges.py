@@ -1,6 +1,6 @@
 """Per-op bridge conformance: every bridged ONNX op imports faithfully.
 
-Each case in :data:`repro.frontend.conformance.CONFORMANCE_CASES` is a
+Each case in :data:`conformance.CONFORMANCE_CASES` (beside this suite) is a
 minimal foreign model for one bridged op.  Importing it must produce zero
 fallbacks, execute to exactly the declared output shapes, and survive an
 export -> import round-trip hash-identically.
@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from repro.frontend import ImportError_, import_model, to_spec
-from repro.frontend.conformance import CONFORMANCE_CASES
 from repro.frontend.ops_bridge import bridged_ops
 from repro.frontend.serialize import (GraphSpec, ModelSpec, NodeSpec,
                                       TensorInfo, ValueInfo,
                                       loads_model_spec, model_spec_to_bytes)
 from repro.exec import NumpyExecutor
 from repro.ir.ops import OpType
+from conformance import CONFORMANCE_CASES
 
 
 def test_every_bridged_op_has_a_conformance_case():

@@ -20,14 +20,12 @@ from graphgen import random_graph  # noqa: E402
 from repro.exec import NumpyExecutor, random_inputs
 from repro.experiments.common import build_small_model
 from repro.frontend import import_model, to_onnx, to_spec
-from repro.frontend.serialize import (loads_model_spec, model_spec_to_bytes,
-                                      model_spec_to_json)
+from repro.frontend.serialize import loads_model_spec, model_spec_to_bytes
 from repro.models.registry import MODEL_REGISTRY
 
 ENCODINGS = {
     "spec": lambda s: s,
     "protobuf": lambda s: loads_model_spec(model_spec_to_bytes(s)),
-    "json": lambda s: loads_model_spec(model_spec_to_json(s).encode("utf-8")),
 }
 
 
@@ -41,10 +39,12 @@ def test_registry_model_round_trips_hash_identically(model, encoding):
     assert graph.structural_hash() == again.structural_hash()
 
 
-def test_to_onnx_file_round_trips(tmp_path):
+@pytest.mark.parametrize("filename", ["m.onnx", "m.ONNX", "m.json", "m"])
+def test_to_onnx_writes_protobuf_whatever_the_suffix(tmp_path, filename):
     graph = build_small_model("squeezenet")
-    path = tmp_path / "squeezenet.onnx"
+    path = tmp_path / filename
     to_onnx(graph, path)
+    assert path.read_bytes() == model_spec_to_bytes(to_spec(graph))
     again, report = import_model(path)
     assert report.num_fallbacks == 0
     assert graph.structural_hash() == again.structural_hash()

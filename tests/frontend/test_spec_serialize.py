@@ -1,4 +1,4 @@
-"""Wire-codec tests: the protobuf-free .onnx parser and the JSON fallback."""
+"""Wire-codec tests: the protobuf-free .onnx parser and writer."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from repro.frontend.serialize import (GraphSpec, ModelSpec, NodeSpec,
                                       TensorInfo, ValueInfo, load_model_spec,
                                       loads_model_spec, model_spec_to_bytes,
-                                      model_spec_to_json, save_model_spec)
+                                      save_model_spec)
 
 
 def _spec() -> ModelSpec:
@@ -75,28 +75,12 @@ def test_protobuf_round_trip_preserves_int64_payloads():
     assert bounds.dtype == "int64"
 
 
-def test_json_round_trip_preserves_structure():
-    spec = _spec()
-    again = loads_model_spec(model_spec_to_json(spec).encode("utf-8"))
-    _assert_specs_equal(spec, again)
-
-
-def test_loads_sniffs_json_vs_protobuf():
-    spec = _spec()
-    assert loads_model_spec(model_spec_to_bytes(spec)).graph.name == "wire-test"
-    assert loads_model_spec(
-        model_spec_to_json(spec).encode()).graph.name == "wire-test"
-
-
 def test_save_load_by_extension(tmp_path):
     spec = _spec()
-    for suffix in (".onnx", ".json"):
-        path = tmp_path / f"m{suffix}"
-        save_model_spec(spec, path)
-        _assert_specs_equal(spec, load_model_spec(path))
-    # .onnx files are binary protobuf, .json files are text
-    assert (tmp_path / "m.onnx").read_bytes()[:1] != b"{"
-    assert (tmp_path / "m.json").read_text().lstrip()[0] == "{"
+    path = tmp_path / "m.onnx"
+    save_model_spec(spec, path)
+    _assert_specs_equal(spec, load_model_spec(path))
+    assert path.read_bytes() == model_spec_to_bytes(spec)
 
 
 def test_large_float_payloads_are_dropped():

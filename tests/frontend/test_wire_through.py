@@ -1,5 +1,6 @@
-"""Imported graphs as first-class citizens: registry scheme, service CLI,
-and the search/RL stack running over a model that came in through ONNX."""
+"""Imported graphs as first-class citizens: ``import_model`` as the one
+way in, the service CLI, and the search/RL stack running over a model that
+came in through ONNX."""
 
 from __future__ import annotations
 
@@ -7,14 +8,14 @@ import numpy as np
 import pytest
 
 from repro.exec import differential_check
-from repro.frontend import to_onnx
-from repro.frontend.zoo import build_bert_spec, build_resnet_spec
+from repro.frontend import import_model, to_onnx
 from repro.frontend.serialize import save_model_spec
 from repro.models.registry import build_model
 from repro.rl.env import GraphRewriteEnv
 from repro.rules import exact_ruleset
 from repro.search import TASOOptimizer
 from repro.service.cli import main as service_main
+from zoo import build_bert_spec, build_resnet_spec
 
 
 @pytest.fixture()
@@ -24,30 +25,29 @@ def resnet_path(tmp_path):
     return path
 
 
-def test_registry_scheme_builds_imported_graph(resnet_path):
-    graph = build_model(f"onnx:{resnet_path}")
+def test_import_builds_a_valid_graph(resnet_path):
+    graph, _ = import_model(resnet_path)
     graph.validate()
     assert len(graph.nodes) > 10
 
 
-def test_registry_scheme_strict_kwarg(resnet_path):
-    graph = build_model(f"onnx:{resnet_path}", strict=True)
+def test_strict_import_of_a_fully_bridged_model(resnet_path):
+    graph, report = import_model(resnet_path, strict=True)
     graph.validate()
+    assert report.num_fallbacks == 0
 
 
-def test_registry_scheme_rejects_builder_kwargs(resnet_path):
-    with pytest.raises(TypeError):
-        build_model(f"onnx:{resnet_path}", batch=4)
-
-
-def test_registry_scheme_missing_file_errors():
+def test_import_of_a_missing_file_errors():
     with pytest.raises(OSError):
-        build_model("onnx:/nonexistent/model.onnx")
+        import_model("/nonexistent/model.onnx")
 
 
-def test_unknown_name_mentions_the_onnx_scheme():
-    with pytest.raises(KeyError, match="onnx:"):
-        build_model("definitely_not_a_model")
+def test_the_registry_takes_no_onnx_scheme(resnet_path):
+    # import_model is the one way a foreign model enters.
+    for name in ("onnx:x", f"onnx:{resnet_path}", "definitely_not_a_model"):
+        with pytest.raises(KeyError, match="unknown model") as info:
+            build_model(name)
+        assert "onnx:<path>" not in str(info.value)
 
 
 def test_service_cli_import_flag(resnet_path, capsys):
@@ -64,7 +64,7 @@ def test_service_cli_import_missing_file():
 
 
 def test_taso_search_improves_imported_model(resnet_path):
-    graph = build_model(f"onnx:{resnet_path}")
+    graph, _ = import_model(resnet_path)
     result = TASOOptimizer(ruleset=exact_ruleset(),
                            max_iterations=12).optimise(graph, "zoo-resnet")
     assert result.final_cost_ms <= result.initial_cost_ms
@@ -76,7 +76,7 @@ def test_rl_episode_over_imported_model(tmp_path):
     path = tmp_path / "bert.onnx"
     save_model_spec(build_bert_spec(layers=1, hidden=32, heads=2, seq=8),
                     path)
-    graph = build_model(f"onnx:{path}")
+    graph, _ = import_model(path)
     env = GraphRewriteEnv(graph, ruleset=exact_ruleset(), max_steps=6)
     obs = env.reset()
     rng = np.random.default_rng(0)
@@ -91,9 +91,9 @@ def test_rl_episode_over_imported_model(tmp_path):
     assert report.equivalent, report.problems
 
 
-def test_exported_registry_model_reimports_through_scheme(tmp_path):
+def test_exported_registry_model_reimports(tmp_path):
     graph = build_model("squeezenet")
     path = tmp_path / "squeezenet.onnx"
     to_onnx(graph, path)
-    again = build_model(f"onnx:{path}")
+    again, _ = import_model(path)
     assert graph.structural_hash() == again.structural_hash()

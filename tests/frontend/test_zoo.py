@@ -15,8 +15,7 @@ import pytest
 from repro.exec import NumpyExecutor
 from repro.frontend import import_model, to_spec
 from repro.frontend.serialize import loads_model_spec, model_spec_to_bytes
-from repro.frontend.zoo import zoo_specs, write_zoo
-from repro.models.registry import build_model
+from zoo import write_zoo, zoo_specs
 
 FULL = os.environ.get("IMPORT_CONFORMANCE", "") == "1"
 SPECS = zoo_specs(smoke=not FULL)
@@ -54,16 +53,11 @@ def test_zoo_spec_executes_to_declared_output_shapes(name):
     assert executed == declared
 
 
-def test_write_zoo_files_load_through_the_registry(tmp_path):
-    paths = write_zoo(tmp_path, fmt="onnx", smoke=True)
+def test_write_zoo_files_import(tmp_path):
+    paths = write_zoo(tmp_path, smoke=True)
     assert len(paths) == 3
     for path in paths:
-        graph = build_model(f"onnx:{path}")
+        assert path.suffix == ".onnx"
+        graph, report = import_model(path)
+        assert report.num_fallbacks == 0, report.summary()
         assert len(graph.nodes) > 5
-
-
-def test_write_zoo_json_flavour(tmp_path):
-    (path,) = write_zoo(tmp_path, fmt="json", smoke=True)[:1]
-    assert path.suffix == ".json"
-    graph = build_model(f"onnx:{path}")
-    graph.validate()

@@ -27,8 +27,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .serialize import (GraphSpec, ModelSpec, NodeSpec, TensorInfo,
-                        ValueInfo, save_model_spec)
+from repro.frontend.serialize import (GraphSpec, ModelSpec, NodeSpec,
+                                      TensorInfo, ValueInfo, save_model_spec)
 
 __all__ = ["SpecBuilder", "zoo_specs", "write_zoo",
            "build_resnet_spec", "build_bert_spec", "build_vit_spec"]
@@ -272,15 +272,14 @@ def zoo_specs(smoke: bool = False) -> Dict[str, ModelSpec]:
     return specs
 
 
-def write_zoo(directory: Union[str, Path], fmt: str = "onnx",
+def write_zoo(directory: Union[str, Path],
               smoke: bool = False) -> List[Path]:
-    """Write every zoo spec under ``directory``; returns the file paths."""
+    """Write every zoo spec under ``directory`` as ``.onnx`` files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    suffix = ".onnx" if fmt == "onnx" else ".json"
     paths = []
     for name, spec in zoo_specs(smoke=smoke).items():
-        path = directory / f"{name}{suffix}"
+        path = directory / f"{name}.onnx"
         save_model_spec(spec, path)
         paths.append(path)
     return paths

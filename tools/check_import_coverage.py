@@ -11,7 +11,7 @@ Checks enforced by :func:`check`:
 * the default-domain bridge table keeps at least ``--min-ops`` operators
   (the PR-9 acceptance floor is 30);
 * every bridged default-domain op has a case in
-  ``repro.frontend.conformance`` — a bridge without a test is a silent
+  ``tests/frontend/conformance.py`` — a bridge without a test is a silent
   gap, and a case for an unbridged op is a stale entry;
 * every conformance case actually imports with **zero fallbacks** — a
   bridge that regresses into the Custom fallback path fails here even
@@ -32,11 +32,13 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+# The conformance corpus is a test fixture: it lives beside the suite.
+for _path in (REPO_ROOT / "src", REPO_ROOT / "tests" / "frontend"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
+from conformance import CONFORMANCE_CASES  # noqa: E402
 from repro.frontend import import_model  # noqa: E402
-from repro.frontend.conformance import CONFORMANCE_CASES  # noqa: E402
 from repro.frontend.ops_bridge import BRIDGE, REPRO_DOMAIN  # noqa: E402
 
 #: The acceptance floor: bridged default-domain (standard ONNX) operators.
