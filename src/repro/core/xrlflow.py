@@ -281,7 +281,9 @@ class XRLflow:
 
         Builds a fresh agent from the current ``config`` (architecture
         hyper-parameters must match the saved agent's) and replaces
-        :attr:`agent`; pair with ``optimise(train=False)`` to reuse it.
+        :attr:`agent` once every parameter loaded; a failed load leaves
+        :attr:`agent` as it was.  Pair with ``optimise(train=False)`` to
+        reuse it.
         The agent is float32: a float32 checkpoint reloads bit-exactly, a
         float64 one is rounded to float32 once.
 
@@ -294,10 +296,11 @@ class XRLflow:
         ------
         FileNotFoundError
             If ``path`` does not exist.
-        KeyError
+        ValueError
             If the file's parameters do not match this config's
             architecture.
         """
         state = dict(np.load(path))
-        self.agent = self._build_agent()
-        self.agent.load_state_dict(state)
+        agent = self._build_agent()
+        agent.load_state_dict(state)
+        self.agent = agent

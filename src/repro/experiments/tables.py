@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 from ..cost.cost_model import CostModel
 from ..cost.e2e import E2ESimulator
-from ..models.registry import TABLE1_MODELS, PAPER_EVAL_MODELS, MODEL_REGISTRY, build_model
+from ..models.registry import TABLE1_MODELS, PAPER_EVAL_MODELS, MODEL_REGISTRY
 from ..rules.rulesets import default_ruleset
 from ..search.greedy import TASOOptimizer
 from ..search.pet import PETOptimizer
@@ -15,12 +15,13 @@ from .common import ExperimentReport, build_small_model
 __all__ = ["run_table1", "run_table2", "run_table3"]
 
 
-def run_table1(models: Optional[Sequence[str]] = None,
-               use_small_models: bool = True) -> ExperimentReport:
+def run_table1(models: Optional[Sequence[str]] = None) -> ExperimentReport:
     """Table 1: discrepancy between cost-model estimates and end-to-end latency.
 
-    For each unoptimised DNN we report the cost-model estimate, the simulated
-    end-to-end latency and the relative difference.  The paper reports 5–24%.
+    For each unoptimised DNN (its reduced build,
+    :func:`~repro.experiments.common.build_small_model`) we report the
+    cost-model estimate, the simulated end-to-end latency and the relative
+    difference.  The paper reports 5–24%.
     """
     models = list(models or TABLE1_MODELS)
     cost_model = CostModel()
@@ -30,7 +31,7 @@ def run_table1(models: Optional[Sequence[str]] = None,
         description="cost model vs end-to-end latency on unoptimised DNNs (ms, %)",
     )
     for name in models:
-        graph = build_small_model(name) if use_small_models else build_model(name)
+        graph = build_small_model(name)
         cost = cost_model.estimate(graph)
         latency = e2e.measure(graph, repeats=5).mean_ms
         diff = abs(latency - cost) / cost * 100.0
@@ -62,13 +63,13 @@ def run_table2(max_iterations: int = 40) -> ExperimentReport:
     return report
 
 
-def run_table3(models: Optional[Sequence[str]] = None,
-               use_small_models: bool = True) -> ExperimentReport:
+def run_table3(models: Optional[Sequence[str]] = None) -> ExperimentReport:
     """Table 3: evaluated DNN properties — family and transformation "complexity".
 
     Complexity is the number of rewrite candidates available on the
-    unoptimised graph (the paper reports the average over the optimisation
-    process; the initial count is a close, deterministic proxy).
+    unoptimised graph, each model's reduced build (the paper reports the
+    average over the optimisation process; the initial count is a close,
+    deterministic proxy).
     """
     models = list(models or PAPER_EVAL_MODELS)
     ruleset = default_ruleset()
@@ -77,7 +78,7 @@ def run_table3(models: Optional[Sequence[str]] = None,
         description="model family (0=conv, 1=transformer) and rewrite complexity",
     )
     for name in models:
-        graph = build_small_model(name) if use_small_models else build_model(name)
+        graph = build_small_model(name)
         candidates = ruleset.all_candidates(graph)
         family = MODEL_REGISTRY[name].family
         report.add(name,

@@ -19,7 +19,7 @@ invariant the round-trip tests enforce:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
@@ -36,6 +36,33 @@ __all__ = ["ImportError_", "ImportReport", "import_model", "to_spec",
 
 class ImportError_(Exception):
     """A malformed graph, or in strict mode a node that cannot be bridged."""
+
+
+class _Slots(tuple):
+    """A node's input or output names as its bridge reads them: a slot past
+    the end is a malformed node (:class:`ImportError_`), never a fallback."""
+
+    def __new__(cls, names, missing: str):
+        slots = super().__new__(cls, names)
+        slots.missing = missing
+        return slots
+
+    def __getitem__(self, key):
+        try:
+            return super().__getitem__(key)
+        except IndexError:
+            raise ImportError_(f"{self.missing} {key}") from None
+
+
+class _Attrs(dict):
+    """A node's attributes as its bridge reads them (see :class:`_Slots`)."""
+
+    def __init__(self, attrs, missing: str):
+        super().__init__(attrs)
+        self.missing = missing
+
+    def __missing__(self, key):
+        raise ImportError_(f"{self.missing} '{key}'")
 
 
 @dataclass
@@ -94,7 +121,8 @@ def import_model(source: Union[str, Path, bytes, ModelSpec],
     ``source`` may be an ONNX protobuf file path, raw model bytes, or an
     already-parsed :class:`ModelSpec`; bytes that are not ONNX protobuf
     raise ``ValueError``.  A node reading a value nothing defines, or
-    redefining one, raises :class:`ImportError_`.  With ``strict=True``
+    redefining one, or lacking an input, output or attribute its bridge
+    needs, raises :class:`ImportError_`.  With ``strict=True``
     any unbridgeable node raises it too instead of degrading to a Custom
     fallback.
     """
@@ -153,8 +181,12 @@ def import_model(source: Union[str, Path, bytes, ModelSpec],
             ctx.touch_graph_inputs(node.inputs)
         before = len(ctx.notes)
         if bridge is not None:
+            where = _where(node)
             try:
-                bridge.handler(ctx, node)
+                bridge.handler(ctx, replace(
+                    node, inputs=_Slots(node.inputs, f"{where} lacks input"),
+                    outputs=_Slots(node.outputs, f"{where} lacks output"),
+                    attrs=_Attrs(node.attrs, f"{where} lacks attribute")))
                 key = _op_key(node)
                 report.bridged[key] = report.bridged.get(key, 0) + 1
                 continue
@@ -186,9 +218,13 @@ def import_model(source: Union[str, Path, bytes, ModelSpec],
     return graph, report
 
 
+def _where(node: NodeSpec) -> str:
+    return f"{_op_key(node)} node '{node.name or ','.join(node.outputs)}'"
+
+
 def _check_names(ctx: ImportContext, node: NodeSpec) -> None:
     """Refuse a node reading an undefined value or redefining one."""
-    where = f"{_op_key(node)} node '{node.name or ','.join(node.outputs)}'"
+    where = _where(node)
     for name in node.inputs:
         if name and not ctx.has(name):
             raise ImportError_(f"{where} reads undefined value '{name}'")

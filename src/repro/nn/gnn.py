@@ -23,9 +23,9 @@ cone only: the candidate's other rows are its parent's rows, so the edges of
 its cone read them straight out of the parent's block, and its readout
 entries are its cone rows (``+1``) and the parent rows it no longer holds as
 they are (``-1``).  Message passing is the same code either way — rows,
-edges into rows — and so is the readout, the sum of
-:func:`~repro.nn.tensor.delta_segment_sum`: a float64 sum, rounded once,
-which is the same float32 sum as over each graph's full row list.
+edges into rows — and so is the readout (:class:`GlobalUpdateLayer`): a
+float64 sum, rounded once, which is the same float32 sum as over each
+graph's full row list.
 
 Each layer is **one autograd op**: its forward is plain numpy, and its
 backward is one closure holding only the arrays it reads.  The encoder
@@ -308,10 +308,11 @@ class GlobalUpdateLayer(Module):
     """Eq. 8: per-graph readout ``g' = sigma([sum_N h || g] W)``, one
     autograd op.
 
-    The pooled sum is :func:`~repro.nn.tensor.delta_segment_sum`'s: a
-    graph's signed rows on top of its parent's sum, in float64, rounded
-    once.  It is normalised by node count so large graphs do not dominate
-    numerically.
+    The pooled sum is a graph's signed rows on top of its parent's sum, in
+    float64, rounded once: exact unless one column's values span about
+    2**21 in magnitude, so "parent − old + new" rounds to the float32 of
+    the in-order sum.  It is normalised by node count so large graphs do
+    not dominate numerically.
     """
 
     def __init__(self, node_dim: int, global_dim: int, out_dim: int,

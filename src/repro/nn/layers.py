@@ -1,4 +1,5 @@
-"""Neural-network building blocks on top of the autodiff engine."""
+"""Parameter holders: modules, and dense layers and MLPs whose weights the
+hand-written ops of :mod:`repro.nn.gnn` and :mod:`repro.rl.ppo` read."""
 
 from __future__ import annotations
 
@@ -56,16 +57,22 @@ class Module:
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Load a :meth:`state_dict`, each value cast to its parameter's
-        dtype; a count or shape mismatch raises ``ValueError``."""
+        dtype.  A count, key or shape mismatch raises ``ValueError`` before
+        any parameter changes."""
         params = self.parameters()
         if len(state) != len(params):
             raise ValueError(
                 f"state dict has {len(state)} entries, module has {len(params)} parameters")
+        values = []
         for i, p in enumerate(params):
+            if str(i) not in state:
+                raise ValueError(f"state dict has no parameter {i}")
             value = np.asarray(state[str(i)])
             if value.shape != p.data.shape:
                 raise ValueError(f"parameter {i} shape mismatch: "
                                  f"{value.shape} vs {p.data.shape}")
+            values.append(value)
+        for p, value in zip(params, values):
             p.data = value.astype(p.data.dtype)
 
     def __call__(self, *args, **kwargs):
@@ -83,7 +90,8 @@ def _extract_params(value) -> Iterable[Parameter]:
 
 
 class Linear(Module):
-    """Dense layer ``y = x @ W + b`` with Glorot initialisation."""
+    """The parameters of a dense layer ``y = x @ W + b``, Glorot
+    initialised."""
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  rng: Optional[np.random.Generator] = None):
@@ -95,17 +103,10 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
 
-    def forward(self, x: Tensor) -> Tensor:
-        """``x @ W + b`` as two taped ops (``x`` may carry leading batch
-        axes)."""
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
 
 class MLP(Module):
-    """Multi-layer perceptron with ReLU activations between hidden layers."""
+    """The :class:`Linear` layers of a multi-layer perceptron (ReLU between
+    hidden layers, and after the last with ``activate_final``)."""
 
     def __init__(self, sizes: Sequence[int], activate_final: bool = False,
                  rng: Optional[np.random.Generator] = None):
@@ -114,12 +115,3 @@ class MLP(Module):
         rng = rng if rng is not None else fresh_rng()
         self.layers = [Linear(a, b, rng=rng) for a, b in zip(sizes[:-1], sizes[1:])]
         self.activate_final = activate_final
-
-    def forward(self, x: Tensor) -> Tensor:
-        """The layers in turn, a ReLU after each but the last (and after
-        the last too with ``activate_final``)."""
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1 or self.activate_final:
-                x = x.relu()
-        return x

@@ -86,8 +86,8 @@ class Observation:
     def graphs(self) -> List[Graph]:
         """The current graph followed by each candidate graph, every
         candidate materialised on first read: the full meta-graph
-        reference (``XRLflowAgent.forward``) reads it, the rollout does
-        not."""
+        reference (``agent_forward`` in ``tests/oracles/ppo_reference.py``)
+        reads it, the rollout does not."""
         if self._graphs is None:
             self._graphs = [self.current] + [c.graph for c in self.candidates]
         return self._graphs

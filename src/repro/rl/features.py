@@ -44,8 +44,9 @@ holding the current graph's rows in full and each candidate's cone rows
 only.  That one batch, memoised on the observation
 (:meth:`~repro.rl.env.Observation.delta_batch`), is what the agent acts on
 and what the PPO update trains on.  :func:`build_meta_graph`, the full
-meta-graph, is what ``XRLflowAgent.forward`` encodes: the reference the
-delta batch is tested against.
+meta-graph, is what the reference forward encodes
+(``tests/oracles/ppo_reference.py::agent_forward``): what the delta batch is
+tested against.
 """
 
 from __future__ import annotations
@@ -378,7 +379,7 @@ def build_delta_batch(current: Graph,
     no longer holds as they are (its removed nodes and the old rows of its
     cone nodes, sign ``-1``), plus its cone rows (``+1``), so the encoder
     returns exactly the embeddings :func:`build_meta_graph`'s batch gives
-    (bit for bit, see :func:`~repro.nn.tensor.delta_segment_sum`) while
+    (bit for bit, see :class:`~repro.nn.gnn.GlobalUpdateLayer`) while
     message passing and the readout run over a fraction of the rows.  A
     candidate of any other lineage is stored in full, like the current
     graph; ``num_cones`` says how many were not.

@@ -62,7 +62,7 @@ from .buffer import RolloutBuffer
 from .embed import IncrementalEmbedder
 from .env import Observation
 from .features import (EDGE_FEATURE_DIM, GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM,
-                       build_meta_graph, combine_meta_graphs)
+                       combine_meta_graphs)
 
 __all__ = ["ActionDecision", "XRLflowAgent", "PPOLoss", "PPOUpdater",
            "ppo_loss"]
@@ -86,9 +86,9 @@ def _mlp_forward(mlp: MLP, x: np.ndarray
     """A head ``mlp(x)`` in plain numpy, with each layer's input and each
     hidden layer's ReLU mask for :func:`_mlp_backward`.
 
-    The expressions of ``Linear`` and ``Tensor.relu`` (``x * (x > 0)``, so
-    a negative input gives ``-0.0`` as there), applied in place; the last
-    layer has no ReLU, as in the agent's heads.
+    The composed ``x @ W + b`` and ReLU (``x * (x > 0)``, so a negative
+    input gives ``-0.0``), applied in place; the last layer has no ReLU, as
+    in the agent's heads.
     """
     inputs: List[np.ndarray] = []
     masks: List[np.ndarray] = []
@@ -182,21 +182,6 @@ class XRLflowAgent(Module):
         self.invalidate_decisions()
 
     # ------------------------------------------------------------------
-    def forward(self, observation: Observation) -> Tuple[Tensor, Tensor]:
-        """Return (masked logits over the padded action space, state value).
-
-        Encodes the full meta-graph (:func:`build_meta_graph`, every graph
-        in full): the reference :meth:`act` and :meth:`policy_batch` are
-        held to.
-        """
-        meta_graph = build_meta_graph(observation.graphs,
-                                      cache=observation.feature_cache)
-        embeddings = self.encoder(meta_graph)  # [1 + C, D]
-        heads = self._policy(embeddings, [observation],
-                             np.zeros(1, dtype=np.int64))
-        heads = heads.reshape(observation.num_actions + 1)
-        return heads[:-1], heads[-1:]
-
     def _heads(self, embeddings: np.ndarray,
                observations: Sequence[Observation], offsets: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray, List[_Group]]:
@@ -367,12 +352,12 @@ class XRLflowAgent(Module):
         :func:`~repro.nn.tensor.no_grad` and the heads' plain forward
         (:meth:`_heads`) creates no ``Tensor``.  The observation is encoded
         as its delta batch (the one :meth:`policy_batch` trains on), which
-        gives :meth:`forward`'s embeddings.  The masked distribution and
-        value are memoised on the observation (its ``_decision``) until the
-        next weight update: the environment returns the *same* observation
-        for a re-visited state.  Sampling still draws from the generator on
-        every call, so memoised and fresh decisions consume the rng
-        identically.
+        gives the full meta-graph's embeddings bit for bit.  The masked
+        distribution and value are memoised on the observation (its
+        ``_decision``) until the next weight update: the environment
+        returns the *same* observation for a re-visited state.  Sampling
+        still draws from the generator on every call, so memoised and fresh
+        decisions consume the rng identically.
         """
         memo = observation._decision
         if memo is not None and memo[0] is self \
@@ -382,8 +367,8 @@ class XRLflowAgent(Module):
             heads, _, _ = self._heads(self.embedder.embed(observation),
                                       [observation],
                                       np.zeros(1, dtype=np.int64))
-            # ``Tensor.softmax``'s operations (shift by the max, exp, divide
-            # by the sum) in float64: a float32 distribution would change
+            # The composed softmax's operations (shift by the max, exp,
+            # divide by the sum) in float64: a float32 distribution would change
             # which action a seeded draw picks.
             shifted = heads[0, :-1].astype(np.float64)
             exp = np.exp(shifted - shifted.max(axis=0, keepdims=True))

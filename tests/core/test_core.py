@@ -8,6 +8,7 @@ import pytest
 from repro import XRLflow, XRLflowConfig
 from repro.core import PAPER_TABLE4, ShapeVariant, evaluate_generalisation
 from repro.models import build_model
+from repro.rl import XRLflowAgent
 
 
 def tiny_transformer(**overrides):
@@ -174,6 +175,22 @@ class TestXRLflow:
         other.load_agent(path)
         for a, b in zip(opt.agent.parameters(), other.agent.parameters()):
             np.testing.assert_allclose(a.data, b.data)
+
+    def test_failed_load_keeps_the_trained_agent(self, tiny_config,
+                                                 tmp_path):
+        opt = XRLflow(tiny_config)
+        opt.train(tiny_transformer(), num_episodes=2)
+        agent = opt.agent
+        weights = [p.data.copy() for p in agent.parameters()]
+        half = XRLflowAgent(hidden_dim=16, embedding_dim=8, num_gat_layers=1,
+                            head_sizes=(16,))
+        path = str(tmp_path / "half.npz")
+        np.savez(path, **half.state_dict())
+        with pytest.raises(ValueError, match="shape mismatch"):
+            opt.load_agent(path)
+        assert opt.agent is agent
+        for p, before in zip(agent.parameters(), weights):
+            assert np.array_equal(p.data, before)
 
     def test_save_without_training_fails(self, tiny_config, tmp_path):
         with pytest.raises(RuntimeError):

@@ -1,12 +1,14 @@
 """Malformed input fails loudly: bytes that are not a well-formed ONNX
 protobuf model raise ``ValueError``, a graph whose value names do not
-resolve raises ``ImportError_``, and the service CLI turns either into one
-``error:`` line."""
+resolve or whose node lacks an input or attribute its bridge needs raises
+``ImportError_``, and the service CLI turns either into one ``error:``
+line."""
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,11 +138,71 @@ def test_an_unbridged_op_still_falls_back():
     assert report.fallbacks == {"Mish": 1}
 
 
-@pytest.mark.parametrize("payload", ["junk", "truncated"])
+def _bridged_ops(model):
+    ops = []
+    for node in to_spec(build_small_model(model)).graph.nodes:
+        if node.op_type not in ops:
+            ops.append(node.op_type)
+    return ops
+
+
+#: What the bridge reads that cutting a node's inputs to one, or dropping
+#: its attributes, takes away.  Every other cut leaves a node its bridge
+#: imports, lowers to a fallback or refuses as unsupported.
+LACKS = {("squeezenet", "Conv", "inputs"): "input 1",
+         ("squeezenet", "MaxPool", "attrs"): "attribute 'kernel_shape'",
+         ("bert", "Gather", "inputs"): "input 1",
+         ("bert", "Add", "inputs"): "input 1",
+         ("bert", "MatMul", "inputs"): "input 1",
+         ("bert", "Mul", "inputs"): "input 1"}
+
+CUTS = [(model, op, cut) for model in ("squeezenet", "bert")
+        for op in _bridged_ops(model) for cut in ("inputs", "attrs")]
+
+
+def _cut(spec, op, cut):
+    """``spec`` with its first ``op`` node's inputs cut to one or its
+    attributes dropped; returns that node as it was."""
+    index = _first(spec, op)
+    node = spec.graph.nodes[index]
+    if cut == "inputs":
+        spec.graph.nodes[index] = dataclasses.replace(
+            node, inputs=node.inputs[:1])
+    else:
+        spec.graph.nodes[index] = dataclasses.replace(node, attrs={})
+    return node
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@pytest.mark.parametrize("model,op,cut", CUTS,
+                         ids=["-".join(case) for case in CUTS])
+def test_a_node_lacking_what_its_bridge_reads_is_refused(model, op, cut,
+                                                         strict):
+    spec = to_spec(build_small_model(model))
+    node = _cut(spec, op, cut)
+    lacks = LACKS.get((model, op, cut))
+    if lacks is None:
+        try:
+            import_model(spec, strict=strict)
+        except ImportError_ as exc:
+            assert "lacks" not in str(exc)
+        return
+    with pytest.raises(ImportError_, match=(
+            f"^{re.escape(op)} node '{re.escape(node.name)}' lacks "
+            f"{re.escape(lacks)}$")):
+        import_model(spec, strict=strict)
+
+
+@pytest.mark.parametrize("payload", ["junk", "truncated", "lacks-input"])
 def test_cli_prints_one_error_line(payload, tmp_path, squeezenet_bytes):
     path = tmp_path / "bad.onnx"
-    path.write_bytes(JUNK if payload == "junk"
-                     else squeezenet_bytes[:len(squeezenet_bytes) // 2])
+    if payload == "lacks-input":
+        spec = _squeezenet_spec()
+        _cut(spec, "Conv", "inputs")
+        path.write_bytes(model_spec_to_bytes(spec))
+    else:
+        path.write_bytes(JUNK if payload == "junk"
+                         else squeezenet_bytes[:len(squeezenet_bytes) // 2])
     env = {**os.environ,
            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
     proc = subprocess.run(
@@ -149,3 +211,5 @@ def test_cli_prints_one_error_line(payload, tmp_path, squeezenet_bytes):
     assert proc.returncode == 1
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    if payload == "lacks-input":
+        assert lines[0].endswith("lacks input 1")

@@ -12,9 +12,11 @@ import pytest
 from float64_leg import leaf, upcast
 from hypothesis import given, settings, strategies as st
 
+from tape import (Tensor, concat, delta_segment_sum, segment_softmax,
+                  segment_sum, stack)
+
 from repro.nn import (BatchedGraphs, GATLayer, GlobalUpdateLayer,
-                      NodeUpdateLayer, Tensor, concat, delta_segment_sum,
-                      no_grad, segment_softmax, segment_sum, stack)
+                      NodeUpdateLayer, no_grad)
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

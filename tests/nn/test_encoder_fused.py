@@ -10,12 +10,14 @@ embeddings and every parameter's ``.grad`` with ``np.array_equal``.
 import numpy as np
 import pytest
 from encoder_tape_reference import tape_forward
+from ppo_reference import agent_forward
 from segment_reference import add_at_rows
+from tape import Tensor, segment_max
 
 import repro.nn.tensor
 from repro.experiments import build_small_model
 from repro.ir import GraphBuilder
-from repro.nn import GraphEmbeddingNetwork, Tensor, no_grad, segment_max
+from repro.nn import GraphEmbeddingNetwork, no_grad
 from repro.nn.gnn import BatchedGraphs
 from repro.rl import GraphRewriteEnv, XRLflowAgent
 from repro.rl.features import (build_meta_graph, combine_meta_graphs,
@@ -118,7 +120,7 @@ class TestAgainstTheTape:
                     patch.setattr(GraphEmbeddingNetwork, "forward",
                                   lambda self, batch: tape_forward(self, batch))
                 agent.zero_grad()
-                logits, value = agent.forward(obs)
+                logits, value = agent_forward(agent, obs)
                 masked = logits * Tensor(obs.action_mask.astype(np.float32))
                 ((masked * weights).sum() + value.sum()).backward()
                 sides.append((logits.data, value.data,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import tape
 
 from repro.nn import (
     Adam,
@@ -27,13 +28,13 @@ def tiny_batch(num_graphs=2):
 class TestLayers:
     def test_linear_shapes_and_params(self):
         layer = Linear(4, 3)
-        out = layer(Tensor(np.ones((5, 4))))
+        out = tape.linear(layer, tape.Tensor(np.ones((5, 4))))
         assert out.shape == (5, 3)
         assert len(layer.parameters()) == 2
 
     def test_mlp_forward_and_param_collection(self):
         mlp = MLP([4, 8, 2])
-        out = mlp(Tensor(np.ones((3, 4))))
+        out = tape.mlp(mlp, tape.Tensor(np.ones((3, 4))))
         assert out.shape == (3, 2)
         assert len(mlp.parameters()) == 4
 
@@ -54,12 +55,28 @@ class TestLayers:
         with pytest.raises(ValueError):
             MLP([4, 4, 2]).load_state_dict(mlp.state_dict())
 
+    def test_a_failed_load_changes_no_parameter(self):
+        """Only the last parameter mismatches; the ones before it keep
+        their values."""
+        mlp = MLP([4, 8, 2], rng=np.random.default_rng(0))
+        before = [p.data.copy() for p in mlp.parameters()]
+        state = MLP([4, 8, 2], rng=np.random.default_rng(1)).state_dict()
+        state["3"] = np.zeros(3)
+        with pytest.raises(ValueError, match="parameter 3 shape mismatch"):
+            mlp.load_state_dict(state)
+        del state["3"]
+        state["4"] = np.zeros(2)
+        with pytest.raises(ValueError, match="no parameter 3"):
+            mlp.load_state_dict(state)
+        for p, data in zip(mlp.parameters(), before):
+            assert np.array_equal(p.data, data)
+
 
 class TestOptimisers:
     def _loss(self, layer):
-        x = Tensor(np.ones((8, 4)))
-        target = Tensor(np.zeros((8, 2)))
-        pred = layer(x)
+        x = tape.Tensor(np.ones((8, 4)))
+        target = tape.Tensor(np.zeros((8, 2)))
+        pred = tape.linear(layer, x)
         return ((pred - target) ** 2).mean()
 
     def test_sgd_reduces_loss(self):
@@ -110,7 +127,7 @@ class TestGNN:
         net = GraphEmbeddingNetwork(node_dim=batch.node_features.shape[1],
                                     edge_dim=batch.edge_features.shape[1],
                                     hidden_dim=8, embedding_dim=8, num_gat_layers=2)
-        net(batch).sum().backward()
+        tape.sum(net(batch)).backward()
         grads = [p.grad for p in net.parameters()]
         assert all(g is not None for g in grads)
         assert any(np.abs(g).sum() > 0 for g in grads)
@@ -128,7 +145,7 @@ class TestGNN:
                                     edge_dim=batch.edge_features.shape[1],
                                     hidden_dim=8, embedding_dim=8,
                                     num_gat_layers=2, seed=0)
-        net(batch).sum().backward()
+        tape.sum(net(batch)).backward()
         expected = [p.grad.copy() for p in net.parameters()]
         net.zero_grad()
 
@@ -140,7 +157,7 @@ class TestGNN:
             original(tensor, grad)
 
         monkeypatch.setattr(Tensor, "_accumulate", spy)
-        net(batch).sum().backward()
+        tape.sum(net(batch)).backward()
         assert entered and all(entered)
         # The loss, the embeddings, and each GAT layer's and the readout's
         # input.

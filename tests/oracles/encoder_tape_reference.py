@@ -1,4 +1,4 @@
-"""The GNN encoder composed from ``repro.nn.tensor``'s primitive ops: the
+"""The GNN encoder composed from ``tape``'s primitive ops: the
 tape the fused layers of ``repro.nn.gnn`` replaced, compared bit for bit by
 ``tests/nn/test_encoder_fused.py``.
 
@@ -15,8 +15,10 @@ sides' ``.grad`` land on the same tensors.
 
 import numpy as np
 
-from repro.nn import (Linear, Module, Parameter, Tensor, concat,
-                      delta_segment_sum, segment_softmax, segment_sum)
+from tape import (Tensor, concat, delta_segment_sum, linear, reshape,
+                  segment_softmax, segment_sum)
+
+from repro.nn import Linear, Module, Parameter
 
 __all__ = ["NodeUpdateLayer", "GATLayer", "GlobalUpdateLayer",
            "tape_forward"]
@@ -32,7 +34,7 @@ class NodeUpdateLayer(Module):
         edge_feats = Tensor(batch.edge_features)
         incoming = segment_sum(edge_feats, batch.edge_dst, batch.num_nodes)
         combined = concat([incoming, nodes], axis=1)
-        return self.linear(combined).relu()
+        return linear(self.linear, combined).relu()
 
 
 class GATLayer(Module):
@@ -45,10 +47,10 @@ class GATLayer(Module):
         self.attn_dst = Parameter(rng.normal(0, 0.1, (dim, 1)), name="attn_dst")
 
     def forward(self, batch, nodes):
-        h = self.transform(nodes)                       # [N, D]
-        src_scores = (h * self.attn_src.reshape(1, -1)).sum(
+        h = linear(self.transform, nodes)               # [N, D]
+        src_scores = (h * reshape(self.attn_src, 1, -1)).sum(
             axis=1, keepdims=True)                      # [N, 1]
-        dst_scores = (h * self.attn_dst.reshape(1, -1)).sum(
+        dst_scores = (h * reshape(self.attn_dst, 1, -1)).sum(
             axis=1, keepdims=True)                      # [N, 1]
         edge_logits = (src_scores.gather_rows(batch.edge_src) +
                        dst_scores.gather_rows(batch.edge_dst)).leaky_relu(0.2)
@@ -74,8 +76,8 @@ class GlobalUpdateLayer(Module):
         combined = concat([pooled, Tensor(batch.global_features)], axis=1)
         if batch.num_graphs == 1:
             combined = concat([combined, combined], axis=0)
-            return self.linear(combined).tanh()[0:1]
-        return self.linear(combined).tanh()
+            return linear(self.linear, combined).tanh()[0:1]
+        return linear(self.linear, combined).tanh()
 
 
 def _sharing(cls, layer):

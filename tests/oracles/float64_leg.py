@@ -15,8 +15,9 @@ run by rounding only.
 """
 
 import numpy as np
+from tape import Tensor
 
-from repro.nn import Module, Tensor
+from repro.nn import Module
 
 __all__ = ["leaf", "upcast"]
 

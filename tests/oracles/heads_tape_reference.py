@@ -1,4 +1,4 @@
-"""The policy/value heads and the PPO loss composed from ``repro.nn.tensor``'s
+"""The policy/value heads and the PPO loss composed from ``tape``'s
 primitive ops: the tape the two fused ops of ``repro.rl.ppo`` replaced,
 compared bit for bit by ``tests/rl/test_heads_fused.py``.
 
@@ -22,8 +22,9 @@ on an :class:`~repro.rl.XRLflowAgent`'s own parameters, so both sides'
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from tape import Tensor, concat, gather_rows, mlp
 
-from repro.nn import Tensor, clip_grad_norm, concat
+from repro.nn import clip_grad_norm
 from repro.rl import Observation, PPOUpdater, RolloutBuffer, XRLflowAgent
 from repro.rl.features import combine_meta_graphs
 from repro.rl.ppo import _MASK_VALUE
@@ -49,13 +50,13 @@ def tape_policy(agent: XRLflowAgent, embeddings: Tensor,
         k = len(members)
         starts = offsets[members]
         seconds = np.append(np.arange(1, count, dtype=np.int64), 0)
-        firsts = embeddings.gather_rows(np.repeat(starts, count)) \
+        firsts = gather_rows(embeddings, np.repeat(starts, count)) \
             .reshape(k, count, dim)
-        candidates = embeddings.gather_rows(
-            (starts[:, None] + seconds[None, :]).ravel()) \
+        candidates = gather_rows(
+            embeddings, (starts[:, None] + seconds[None, :]).ravel()) \
             .reshape(k, count, dim)
         pair = concat([firsts, candidates], axis=2)
-        logits = agent.policy_head(pair).reshape(k * count)
+        logits = mlp(agent.policy_head, pair).reshape(k * count)
         positions = np.append(np.arange(count - 1, dtype=np.int64),
                               num_actions - 1)
         masked = logits.scatter_into(
@@ -72,7 +73,7 @@ def tape_policy(agent: XRLflowAgent, embeddings: Tensor,
             if count > 1 else current
         value_input = concat([current, mean_candidate],
                              axis=1).reshape(k, 1, 2 * dim)
-        value_blocks.append(agent.value_head(value_input).reshape(k))
+        value_blocks.append(mlp(agent.value_head, value_input).reshape(k))
 
     order = np.argsort(np.concatenate(list(groups.values())))
     return (concat(logit_blocks, axis=0).gather_rows(order),

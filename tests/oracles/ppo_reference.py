@@ -6,25 +6,46 @@ per-transition terms, ``loop_loss`` for ``ppo_loss`` and
 ``tests/rl/test_incremental_features.py`` (``TestBatchedEvaluate``,
 ``test_batched_update_matches_loop_update``).
 
-The seed update: one full meta-graph forward per transition through the
-public ``agent.forward``, the minibatch loss summed tensor by tensor.
+The seed update: one full meta-graph forward per transition through
+:func:`agent_forward`, the minibatch loss summed tensor by tensor.
 """
 
 from typing import Sequence, Tuple
 
 import numpy as np
+from tape import Tensor, reshape
 
-from repro.nn import Tensor, clip_grad_norm
+from repro.nn import clip_grad_norm
 from repro.rl import Observation, PPOUpdater, RolloutBuffer, XRLflowAgent
+from repro.rl.features import build_meta_graph
 
-__all__ = ["LoopPPOUpdater", "evaluate_actions", "loop_loss"]
+__all__ = ["LoopPPOUpdater", "agent_forward", "evaluate_actions",
+           "loop_loss"]
+
+
+def agent_forward(agent: XRLflowAgent, observation: Observation
+                  ) -> Tuple[Tensor, Tensor]:
+    """(masked logits over the padded action space, state value) of one
+    observation.
+
+    Encodes the full meta-graph (:func:`build_meta_graph`, every graph in
+    full): the reference ``XRLflowAgent.act`` and ``policy_batch`` are held
+    to.
+    """
+    meta_graph = build_meta_graph(observation.graphs,
+                                  cache=observation.feature_cache)
+    embeddings = agent.encoder(meta_graph)  # [1 + C, D]
+    heads = agent._policy(embeddings, [observation],
+                          np.zeros(1, dtype=np.int64))
+    heads = reshape(heads, observation.num_actions + 1)
+    return heads[:-1], heads[-1:]
 
 
 def evaluate_actions(agent: XRLflowAgent, observation: Observation,
                      action: int) -> Tuple[Tensor, Tensor, Tensor]:
     """Differentiable (log-prob, value, entropy) of ``action``, one
     observation at a time."""
-    logits, value = agent.forward(observation)
+    logits, value = agent_forward(agent, observation)
     log_probs = logits.log_softmax(axis=0)
     probs = log_probs.exp()
     entropy = -(probs * log_probs).sum()

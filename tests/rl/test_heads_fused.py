@@ -11,12 +11,14 @@ leg, and one PPO chunk's tape is counted.
 
 import numpy as np
 import pytest
+import tape
 from float64_leg import leaf, upcast
 from heads_tape_reference import (TapePPOUpdater, tape_action_terms,
                                   tape_chunk, tape_loss, tape_policy)
+from ppo_reference import agent_forward
 
 from repro.experiments import build_small_model
-from repro.nn import GraphEmbeddingNetwork, Tensor, concat
+from repro.nn import GraphEmbeddingNetwork, Tensor
 from repro.rl import (GraphRewriteEnv, Observation, PPOUpdater, RolloutBuffer,
                       Transition, XRLflowAgent, build_meta_graph)
 from repro.rl.ppo import ppo_loss
@@ -169,12 +171,12 @@ class TestAgainstTheTape:
         obs = rollout_observations("bert", steps=2)[-1]
         agent = agent_of(seed=5)
         weights = np.random.default_rng(5).normal(size=obs.num_actions)
-        weights = Tensor(weights * obs.action_mask)
+        weights = tape.Tensor(weights * obs.action_mask)
         sides = []
         for fused in (True, False):
             agent.zero_grad()
             if fused:
-                logits, value = agent.forward(obs)
+                logits, value = agent_forward(agent, obs)
             else:
                 embeddings = agent.encoder(build_meta_graph(
                     obs.graphs, cache=obs.feature_cache))
@@ -198,7 +200,7 @@ class TestAgainstTheTape:
         sizes = [len(obs.graphs) for obs in observations]
         offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         rng = np.random.default_rng(10)
-        embeddings = Tensor(rng.normal(size=(sum(sizes), 16)))
+        embeddings = tape.Tensor(rng.normal(size=(sum(sizes), 16)))
         weights = rng.normal(size=(len(observations),
                                    observations[0].num_actions + 1))
         sides = []
@@ -209,8 +211,8 @@ class TestAgainstTheTape:
             else:
                 logits, values = tape_policy(agent, embeddings, observations,
                                              offsets)
-                heads = concat([logits, values.reshape(-1, 1)], axis=1)
-            (heads * Tensor(weights)).sum().backward()
+                heads = tape.concat([logits, values.reshape(-1, 1)], axis=1)
+            (heads * tape.Tensor(weights)).sum().backward()
             sides.append([p.grad for p in agent.parameters()
                           if p.grad is not None])
         assert embeddings.grad is None
@@ -289,7 +291,7 @@ class TestCentralDifferences:
 
         agent.zero_grad()
         heads = agent._policy(embeddings, observations, offsets)
-        (heads * Tensor(weights)).sum().backward()
+        (heads * tape.Tensor(weights)).sum().backward()
         np.testing.assert_allclose(
             embeddings.grad, central_difference(value, embeddings.data),
             rtol=1e-6, atol=1e-8)

@@ -20,18 +20,19 @@ import pytest
 from delta_batch_reference import reference_delta_batch
 from encode_reference import reference_encode_graph, reference_meta_graph
 from float64_leg import upcast
-from ppo_reference import LoopPPOUpdater, evaluate_actions, loop_loss
+import ppo_reference
+from ppo_reference import (LoopPPOUpdater, agent_forward, evaluate_actions,
+                           loop_loss)
 from segment_reference import add_at_rows
+from tape import Tensor, delta_segment_sum, segment_sum
 
 import repro.ir.graph
 import repro.nn.tensor
 import repro.rl.env
 import repro.rl.features
-import repro.rl.ppo
 from repro.experiments import build_small_model
 from repro.ir import GraphBuilder
-from repro.nn import (GraphEmbeddingNetwork, Tensor, delta_segment_sum,
-                      no_grad, segment_sum)
+from repro.nn import GraphEmbeddingNetwork, no_grad
 from repro.rl import (FeatureCache, GraphRewriteEnv, Observation, PPOTrainer,
                       PPOUpdater, RolloutBuffer, Transition, XRLflowAgent,
                       build_meta_graph, encode_graph)
@@ -172,7 +173,7 @@ class TestIncrementalEncoding:
     def test_env_cache_hit_on_revisited_graph(self):
         """The chosen candidate becomes the next step's current graph — a
         guaranteed cache hit once the full meta-graphs are built (as
-        ``XRLflowAgent.forward`` builds them)."""
+        ``agent_forward`` builds them)."""
         graph = build_small_model("squeezenet")
         env = GraphRewriteEnv(graph, max_candidates=8, max_steps=4)
         obs = env.reset()
@@ -265,7 +266,7 @@ class TestRolloutEmbedding:
         step: the incremental candidate engine against a from-scratch
         enumeration (rule names and match order; the action space is large
         enough that selection is the identity), and ``act`` against
-        ``forward`` on the per-edge-loop full meta-graph under the
+        ``agent_forward`` on the per-edge-loop full meta-graph under the
         ``np.add.at`` kernel, bit for bit at float32."""
         agent = small_agent()
         ruleset = default_ruleset()
@@ -286,17 +287,17 @@ class TestRolloutEmbedding:
                 == [(c.rule_name, c.match) for c in scanned]
             with monkeypatch.context() as patch, no_grad():
                 patch.setattr(repro.nn.tensor, "_scatter_add_rows", add_at)
-                patch.setattr(repro.rl.ppo, "build_meta_graph",
+                patch.setattr(ppo_reference, "build_meta_graph",
                               lambda graphs, cache: reference_meta_graph(
                                   graphs, cache.edge_norm))
                 sums_before = len(wide_sums)
-                logits, value = agent.forward(obs)
+                logits, value = agent_forward(agent, obs)
             # Every segment sum of the encoder ran on the oracle kernel:
             # the node update's, two per GAT layer and the readout's.
             assert len(wide_sums) - sums_before \
                 == 2 + 2 * agent.encoder.num_gat_layers
             # The sampling distribution: the float32 logits normalised in
-            # float64, by ``Tensor.softmax``'s operations.
+            # float64, by the composed softmax's operations.
             assert logits.numpy().dtype == np.float32
             wide = logits.numpy().astype(np.float64)
             exp = np.exp(wide - wide.max(axis=0, keepdims=True))
@@ -835,7 +836,7 @@ class TestFloat32:
         assert all(p.data.dtype == np.float32 for p in agent.parameters())
         graph = build_small_model("squeezenet")
         env = GraphRewriteEnv(graph, max_candidates=8, max_steps=4)
-        logits, value = agent.forward(env.reset())
+        logits, value = agent_forward(agent, env.reset())
         assert logits.numpy().dtype == np.float32
         assert value.numpy().dtype == np.float32
 

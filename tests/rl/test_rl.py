@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from ppo_reference import evaluate_actions
+from ppo_reference import agent_forward, evaluate_actions
 
 from repro.ir import GraphBuilder
 from repro.rl import (GraphRewriteEnv, PPOTrainer, PPOUpdater, RolloutBuffer,
@@ -358,7 +358,7 @@ class TestDecisionMemo:
         encoded, theirs = self.encodes(other, obs)
         assert encoded
         assert not np.array_equal(mine.probabilities, theirs.probabilities)
-        logits, _ = other.forward(obs)
+        logits, _ = agent_forward(other, obs)
         assert int(np.argmax(logits.numpy())) == theirs.action
         encoded, again = self.encodes(small_agent, obs)
         assert encoded
