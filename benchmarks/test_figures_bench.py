@@ -21,8 +21,8 @@ def test_fig4_speedup(benchmark, suite_results):
     # transformer models, where the cost model cannot see the constant-folding
     # chains.  On the convolutional models the reduced training budget of the
     # benchmark harness may leave X-RLflow short of TASO's exhaustive fusion
-    # sweep (ROADMAP item 1 and docs/rl.md); the transformer-side claim is
-    # asserted.
+    # sweep (ROADMAP, "The deterministic policy beats TASO", and
+    # docs/rl.md); the transformer-side claim is asserted.
     transformer = ["bert", "dalle", "tt", "vit"]
     assert np.mean([xrl[m] - taso[m] for m in transformer]) >= -1.0
     assert sum(xrl[m] >= taso[m] for m in transformer) >= 2

@@ -64,7 +64,8 @@ class DeviceConfig:
     #: kernel that paid a nan-reduction on top of the gather; against the
     #: slice-reduction kernel of ``exec/kernels.py`` it over-prices pools
     #: about 5x (BENCH_exec ``op_class_ratio.MaxPool2D`` 0.2) — refitting
-    #: it moves ``sim_speedup`` and is ROADMAP item 1(a)'s gated step.
+    #: it moves ``sim_speedup`` and is the gated first step of the
+    #: cost-model refit (ROADMAP, "'Optimised' must mean faster").
     pool_gather_efficiency: float = 0.10
 
 

@@ -25,17 +25,13 @@ from typing import Dict, List, Tuple, Union
 
 from ..ir.graph import Graph, NodeId
 from ..ir.ops import OpType
-from .ops_bridge import BRIDGE, ImportContext, UnsupportedOp
+from .ops_bridge import BRIDGE, ImportContext, ImportError_, UnsupportedOp
 from .serialize import (DEFAULT_OPSET, REPRO_DOMAIN, GraphSpec, ModelSpec,
                         NodeSpec, TensorInfo, ValueInfo, load_model_spec,
                         loads_model_spec, save_model_spec)
 
 __all__ = ["ImportError_", "ImportReport", "import_model", "to_spec",
            "to_onnx"]
-
-
-class ImportError_(Exception):
-    """A malformed graph, or in strict mode a node that cannot be bridged."""
 
 
 class _Slots(tuple):

@@ -36,8 +36,12 @@ from ..ir.ops import OpType
 from ..ir.tensor import TensorSpec
 from .serialize import REPRO_DOMAIN, NodeSpec, TensorInfo
 
-__all__ = ["BRIDGE", "OpBridge", "ImportContext", "UnsupportedOp",
-           "register", "bridged_ops"]
+__all__ = ["BRIDGE", "OpBridge", "ImportContext", "ImportError_",
+           "UnsupportedOp", "register", "bridged_ops"]
+
+
+class ImportError_(Exception):
+    """A malformed graph, or in strict mode a node that cannot be bridged."""
 
 
 class UnsupportedOp(Exception):
@@ -255,11 +259,19 @@ def _single_axis(ctx: ImportContext, node: NodeSpec, input_index: int = 1,
 
 @register("Conv", summary="group attr dispatches Conv2D/GroupConv2D/DepthwiseConv2D")
 def _conv(ctx: ImportContext, node: NodeSpec) -> None:
-    if any(int(d) != 1 for d in node.attrs.get("dilations", (1, 1))):
-        raise UnsupportedOp("dilated convolution")
     x = ctx.value(node.inputs[0])
     w = ctx.value(node.inputs[1])
+    x_dims = ctx.graph.nodes[x[0]].outputs[x[1]].shape.dims
     w_dims = ctx.graph.nodes[w[0]].outputs[w[1]].shape.dims
+    if len(x_dims) != len(w_dims) or len(w_dims) < 3:
+        # ONNX Conv takes X and W of equal rank >= 3: anything else is a
+        # malformed node, not a convolution to fall back on.
+        raise ImportError_(
+            f"Conv node '{node.name or node.outputs[0]}': input of rank "
+            f"{len(x_dims)} against a weight of rank {len(w_dims)} (ONNX "
+            "Conv needs both of the same rank, at least 3)")
+    if any(int(d) != 1 for d in node.attrs.get("dilations", (1, 1))):
+        raise UnsupportedOp("dilated convolution")
     if len(w_dims) != 4:
         raise UnsupportedOp(f"non-2D convolution weight {w_dims}")
     kernel = _square(node.attrs.get("kernel_shape", w_dims[2:4]), "kernel")
@@ -269,7 +281,7 @@ def _conv(ctx: ImportContext, node: NodeSpec) -> None:
     inputs = [x, w]
     if len(node.inputs) > 2 and ctx.has(node.inputs[2]):
         inputs.append(ctx.value(node.inputs[2]))
-    in_channels = ctx.graph.nodes[x[0]].outputs[x[1]].shape.dims[1]
+    in_channels = x_dims[1]
     attrs = {"stride": stride, "padding": padding, "kernel": kernel}
     if group == 1:
         op = OpType.CONV2D

@@ -9,8 +9,16 @@ submit / poll / result semantics::
     with OptimisationService(num_workers=4) as service:
         job_id = service.submit(build_model("squeezenet"), optimiser="taso")
         result = service.result(job_id)          # blocks; ServiceResult
+        service.poll(job_id)                     # JobState.SUCCEEDED
         again = service.optimise(build_model("squeezenet"))
         assert again.cache_hit                   # fingerprint cache warm
+
+A result is delivered once: :meth:`OptimisationService.result` hands it to
+its caller and the service keeps no reference to it (nor to the caller's
+graph) afterwards — a second ``result(job_id)`` raises
+:class:`~repro.service.scheduler.UnknownJobError`, while ``poll`` and the
+job's record still answer.  A result nobody fetches is held until 1 024
+newer jobs have finished (:data:`~repro.service.scheduler.MAX_HISTORY`).
 
 Cache policy: the cache is consulted once, at submission time.  A hit
 short-circuits the search entirely (the job completes with the cached graph
@@ -361,6 +369,13 @@ class OptimisationService:
         job's outcome relabelled with *this* submission's model name and
         flagged ``coalesced=True``.
 
+        The result is delivered once: after this returns it (or raises the
+        job's own error) the service holds no reference to it, so the
+        result and the submitted graph live only as long as the caller
+        keeps them.  ``poll(job_id)`` still answers; a second
+        ``result(job_id)`` raises :class:`UnknownJobError`.  A timeout
+        delivers nothing.
+
         Args:
             job_id: A job id from any of the submit methods.
             timeout: Seconds to wait before raising
@@ -370,7 +385,8 @@ class OptimisationService:
             The job's :class:`ServiceResult` with timing fields filled in.
 
         Raises:
-            UnknownJobError: If the id was never issued or was retired.
+            UnknownJobError: If the id was never issued or was retired, or
+                its result was already delivered.
             Exception: Whatever the search job itself raised (a failed
                 primary fans its error out to every coalesced follower).
         """
@@ -395,7 +411,7 @@ class OptimisationService:
             queue_time = record.queue_time_s or 0.0
             run_time = record.run_time_s or 0.0
         except UnknownJobError:
-            # The record was retired (max_history) between resolving the
+            # The record was retired (MAX_HISTORY) between resolving the
             # future and snapshotting timings; the result itself is intact.
             queue_time = run_time = 0.0
         return replace(outcome, job_id=job_id,
@@ -466,7 +482,9 @@ class OptimisationService:
         Returns:
             A dict with ``workers``, ``backend``, ``pool_replacements``
             (broken process pools the async backend replaced; 0 on
-            threads), ``jobs`` (state tallies), ``cache_entries`` /
+            threads), ``jobs`` (state tallies over the retained records,
+            plus ``results_held``: finished jobs whose result nobody has
+            fetched yet), ``cache_entries`` /
             ``cache`` (tier accounting) and ``dedup`` (coalesced
             submissions, current in-flight table size and, with
             cross-process dedup, ``leases_held`` and ``lease_errors`` —
@@ -484,7 +502,8 @@ class OptimisationService:
             "workers": self.scheduler.num_workers,
             "backend": self.scheduler.backend,
             "pool_replacements": self.scheduler.pool_replacements,
-            "jobs": self.scheduler.counts(),
+            "jobs": {**self.scheduler.counts(),
+                     "results_held": self.scheduler.results_held()},
             "cache_entries": len(self.cache),
             "cache": self.cache.stats.to_dict(),
             "dedup": dedup,

@@ -6,6 +6,12 @@ bounded admission queue (``QueueFullError`` instead of unbounded memory
 growth), and completion callbacks used by the service to populate the
 fingerprint cache.
 
+A finished job's result is held until :meth:`JobScheduler.result` hands it
+to its caller, and no longer: the scheduler then keeps only the job's
+:class:`JobRecord`, so a long-lived service does not pin the graphs of the
+requests it has already answered.  A result nobody fetches is dropped with
+its record, once :data:`MAX_HISTORY` newer jobs have finished.
+
 Two pool flavours, selected by ``backend``:
 
 * ``"thread"`` (default) — cheap dispatch, shared in-process cache; fine for
@@ -49,9 +55,14 @@ from typing import Any, Callable, Dict, Iterator, Optional
 from .events import EventChannel, ProgressEvent
 
 __all__ = ["JobScheduler", "JobState", "JobRecord",
-           "QueueFullError", "UnknownJobError"]
+           "QueueFullError", "UnknownJobError", "MAX_HISTORY"]
 
 _LOG = logging.getLogger(__name__)
+
+#: How many *finished* jobs keep their :class:`JobRecord` (and, if nobody
+#: has fetched it, their result).  Beyond it the oldest are purged, and
+#: polling a purged id raises :class:`UnknownJobError`.
+MAX_HISTORY = 1024
 
 
 def _pool_warmup(barrier: "threading.Barrier") -> None:
@@ -100,7 +111,8 @@ class QueueFullError(RuntimeError):
 
 
 class UnknownJobError(KeyError):
-    """Raised when polling a job id this scheduler never issued."""
+    """Raised for a job id this scheduler never issued or has retired, and
+    by :meth:`JobScheduler.result` for a result already delivered."""
 
 
 @dataclass
@@ -152,10 +164,6 @@ class JobScheduler:
             overload surfaces at admission instead of as unbounded queue
             growth.  Attached (follower) jobs from :meth:`attach` do not
             consume slots — they add no work.
-        max_history: How many *finished* jobs to retain (records +
-            results).  Beyond it the oldest terminal jobs are purged so a
-            long-lived scheduler does not pin every result graph it ever
-            produced; polling a purged id raises :class:`UnknownJobError`.
         backend: ``"thread"`` (the default) or ``"async"`` (see the module
             docstring).
 
@@ -164,11 +172,9 @@ class JobScheduler:
     """
 
     def __init__(self, num_workers: int = 4, max_pending: int = 256,
-                 max_history: int = 1024,
                  backend: Optional[str] = None):
         self.num_workers = max(1, int(num_workers))
         self.max_pending = max(1, int(max_pending))
-        self.max_history = max(1, int(max_history))
         if backend is None:
             backend = "thread"
         if backend not in _BACKENDS:
@@ -340,15 +346,16 @@ class JobScheduler:
         requests.
 
         Args:
-            primary_job_id: An open (or finished-but-retained) job id.
+            primary_job_id: An open job id, or a finished one whose
+                result has not been delivered.
             label: Human-readable tag for the follower's record.
 
         Returns:
             The follower's job id.
 
         Raises:
-            UnknownJobError: If the primary id was never issued or its
-                record has been retired.
+            UnknownJobError: If the primary id was never issued, its
+                record has been retired or its result delivered.
             RuntimeError: If the scheduler has been shut down.
         """
         with self._lock:
@@ -356,7 +363,7 @@ class JobScheduler:
                 raise RuntimeError("scheduler is closed")
             future = self._futures.get(primary_job_id)
             if future is None:
-                raise UnknownJobError(primary_job_id)
+                raise self._unknown_locked(primary_job_id)
             primary = self._records[primary_job_id]
             job_id = next(self._ids)
             self._records[job_id] = JobRecord(
@@ -411,9 +418,10 @@ class JobScheduler:
         return channel
 
     def _retire_locked(self, job_id: int) -> None:
-        """Track a terminal job and purge the oldest beyond ``max_history``."""
+        """Track a terminal job and purge the oldest beyond
+        :data:`MAX_HISTORY`."""
         self._terminal.append(job_id)
-        while len(self._terminal) > self.max_history:
+        while len(self._terminal) > MAX_HISTORY:
             retired = self._terminal.popleft()
             self._records.pop(retired, None)
             self._futures.pop(retired, None)
@@ -467,8 +475,6 @@ class JobScheduler:
                 self._attached.discard(job_id)  # followers hold no slot
             else:
                 self._open_jobs -= 1
-            # Retire the oldest finished jobs so a long-lived scheduler does
-            # not pin every result it ever produced.
             self._retire_locked(job_id)
             on_success = self._on_success.pop(job_id, None)
             on_done = self._on_done.pop(job_id, None)
@@ -545,28 +551,75 @@ class JobScheduler:
                 raise UnknownJobError(job_id)
             return dataclasses.replace(record)
 
+    def _unknown_locked(self, job_id: int) -> UnknownJobError:
+        """The error for an id with no future: delivered, retired or never
+        issued.
+
+        A job whose result was delivered keeps its record, so a record
+        without a future means exactly that.
+        """
+        if job_id in self._records:
+            return UnknownJobError(
+                f"job {job_id}'s result was already delivered; its record "
+                "stays pollable")
+        return UnknownJobError(job_id)
+
     def result(self, job_id: int, timeout: Optional[float] = None) -> Any:
         """Block until the job finishes; re-raises the job's exception.
 
         The job's record is terminal and its ``on_success`` callback has run
-        by the time this returns (or raises the job's error).
+        by the time this returns (or raises the job's error).  This is
+        where the result passes to its caller: once it has been returned,
+        or the job's own error raised, the scheduler drops it and keeps
+        only the record (``poll`` / ``record`` still answer).  A
+        :class:`TimeoutError` delivers nothing, so the call can be retried.
+
+        Raises:
+            UnknownJobError: If the id was never issued or was retired, or
+                its result was already delivered.
+            TimeoutError: If ``timeout`` elapsed with the job unfinished.
         """
         with self._lock:
             future = self._futures.get(job_id)
-        if future is None:
-            raise UnknownJobError(job_id)
+            if future is None:
+                raise self._unknown_locked(job_id)
         try:
-            return future.result(timeout)
-        finally:
-            if future.done():  # not a TimeoutError: finalise synchronously
-                self._finalise(job_id, future)
+            value = future.result(timeout)
+        except BaseException as exc:
+            # The job's own error (or cancellation) is its outcome; a
+            # TimeoutError is not.
+            if future.done() and (future.cancelled()
+                                  or exc is future.exception()):
+                self._deliver(job_id, future)
+            raise
+        self._deliver(job_id, future)
+        return value
+
+    def _deliver(self, job_id: int, future: futures.Future) -> None:
+        """Finalise ``job_id`` synchronously, then drop its hold on the
+        result; the record stays.
+
+        Only this id's entry goes: a coalesced follower shares the future
+        and keeps it until its own caller fetches it.
+        """
+        self._finalise(job_id, future)
+        with self._lock:
+            if self._futures.get(job_id) is future:
+                del self._futures[job_id]
+
+    def results_held(self) -> int:
+        """Finished jobs whose result nobody has fetched yet."""
+        with self._lock:
+            return sum(1 for job_id in self._futures
+                       if self._records[job_id].state.is_terminal)
 
     def cancel(self, job_id: int) -> bool:
         """Try to cancel a still-pending job; returns whether it worked.
 
         Follower jobs (:meth:`attach`) are never cancelled through this —
         their future is shared with the primary (and its other followers),
-        so cancelling would revoke work other waiters still want.
+        so cancelling would revoke work other waiters still want.  A job
+        whose result was delivered is finished: ``False``.
 
         Raises:
             UnknownJobError: If the id was never issued or was retired.
@@ -574,6 +627,8 @@ class JobScheduler:
         with self._lock:
             future = self._futures.get(job_id)
             if future is None:
+                if job_id in self._records:
+                    return False  # delivered
                 raise UnknownJobError(job_id)
             if job_id in self._attached:
                 return False
@@ -611,7 +666,7 @@ class JobScheduler:
 
         Args:
             wait: Block until in-flight jobs finish; results of finished
-                jobs stay retrievable either way.
+                jobs nobody has fetched stay retrievable either way.
         """
         with self._lock:
             if self._closed:

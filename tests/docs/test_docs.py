@@ -1,9 +1,10 @@
 """Documentation gates, mirrored in CI's docs job.
 
-Three checks: every relative link/anchor in README + ``docs/`` resolves,
+Four checks: every relative link/anchor in README + ``docs/`` resolves,
 every public symbol in ``repro.service``, ``repro.cost``, ``repro.search``,
-``repro.rl`` and ``repro.exec`` carries a docstring, and the cookbook's
-fenced doctest examples actually execute.
+``repro.rl`` and ``repro.exec`` carries a docstring, no code, test or doc
+points at a ROADMAP item by its number, and the cookbook's fenced doctest
+examples actually execute.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ def _load_checker():
 def test_markdown_links_resolve():
     checker = _load_checker()
     problems = checker.check_links(checker.default_doc_files())
+    assert problems == [], "\n".join(problems)
+
+
+def test_no_numbered_roadmap_pointers():
+    checker = _load_checker()
+    problems = checker.check_roadmap_pointers(
+        [REPO_ROOT / path for path in checker.ROADMAP_POINTER_PATHS])
     assert problems == [], "\n".join(problems)
 
 

@@ -10,8 +10,9 @@ correct by construction as the registry evolves.
 
 Seeded and deterministic: ``random_graph(seed=k)`` always returns the
 same graph.  Used by ``tests/exec`` to drive the executor and the
-rewrite engine beyond the hand-written zoo models (ROADMAP item 3's
-coverage fuzzer seed).
+rewrite engine beyond the hand-written zoo models, and the seed of the
+standing property sweep over every curated rule (ROADMAP, "Every curated
+rule value-checked").
 """
 
 from __future__ import annotations

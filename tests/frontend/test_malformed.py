@@ -1,6 +1,7 @@
 """Malformed input fails loudly: bytes that are not a well-formed ONNX
 protobuf model raise ``ValueError``, a graph whose value names do not
-resolve or whose node lacks an input or attribute its bridge needs raises
+resolve, whose node lacks an input or attribute its bridge needs or whose
+Conv reads an input of another rank than its weight raises
 ``ImportError_``, and the service CLI turns either into one ``error:``
 line."""
 
@@ -138,6 +139,25 @@ def test_an_unbridged_op_still_falls_back():
     assert report.fallbacks == {"Mish": 1}
 
 
+def _with_input_dims(spec, dims):
+    """``spec`` with its first graph input (the first Conv's) of ``dims``."""
+    spec.graph.inputs[0] = dataclasses.replace(spec.graph.inputs[0],
+                                               dims=dims)
+    return spec
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@pytest.mark.parametrize("dims", [(3,), (3, 224)], ids=["rank1", "rank2"])
+def test_a_conv_input_of_another_rank_than_its_weight_is_refused(dims,
+                                                                 strict):
+    spec = _with_input_dims(_squeezenet_spec(), dims)
+    node = spec.graph.nodes[_first(spec, "Conv")]
+    with pytest.raises(ImportError_, match=(
+            f"^Conv node '{re.escape(node.name)}': input of rank "
+            f"{len(dims)} against a weight of rank 4")):
+        import_model(spec, strict=strict)
+
+
 def _bridged_ops(model):
     ops = []
     for node in to_spec(build_small_model(model)).graph.nodes:
@@ -193,13 +213,18 @@ def test_a_node_lacking_what_its_bridge_reads_is_refused(model, op, cut,
         import_model(spec, strict=strict)
 
 
-@pytest.mark.parametrize("payload", ["junk", "truncated", "lacks-input"])
+@pytest.mark.parametrize("payload", ["junk", "truncated", "lacks-input",
+                                     "conv-rank1", "conv-rank2"])
 def test_cli_prints_one_error_line(payload, tmp_path, squeezenet_bytes):
     path = tmp_path / "bad.onnx"
     if payload == "lacks-input":
         spec = _squeezenet_spec()
         _cut(spec, "Conv", "inputs")
         path.write_bytes(model_spec_to_bytes(spec))
+    elif payload.startswith("conv-rank"):
+        dims = (3,) if payload == "conv-rank1" else (3, 224)
+        path.write_bytes(model_spec_to_bytes(
+            _with_input_dims(_squeezenet_spec(), dims)))
     else:
         path.write_bytes(JUNK if payload == "junk"
                          else squeezenet_bytes[:len(squeezenet_bytes) // 2])
@@ -213,3 +238,5 @@ def test_cli_prints_one_error_line(payload, tmp_path, squeezenet_bytes):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     if payload == "lacks-input":
         assert lines[0].endswith("lacks input 1")
+    elif payload.startswith("conv-rank"):
+        assert "against a weight of rank 4" in lines[0]

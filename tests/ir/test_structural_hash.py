@@ -58,7 +58,7 @@ class TestMustBeEqual:
         assert relabelled  # the permutation was not the identity every time
 
     def test_two_branches_built_in_either_order(self):
-        """ROADMAP item 2's counterexample to the old sort-and-relabel hash."""
+        """The counterexample to the old sort-and-relabel hash."""
         def build(first, second):
             g = Graph()
             x = _input(g)

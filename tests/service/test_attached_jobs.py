@@ -47,6 +47,24 @@ class TestAttachedJobs:
             with pytest.raises(UnknownJobError):
                 scheduler.attach(999)
 
+    def test_follower_keeps_its_result_after_the_primary_is_delivered(self):
+        release = threading.Event()
+        with JobScheduler(num_workers=1) as scheduler:
+            primary = scheduler.submit(lambda: release.wait(10) and 42)
+            follower = scheduler.attach(primary)
+            release.set()
+            assert scheduler.result(primary, timeout=10) == 42
+            with pytest.raises(UnknownJobError, match="delivered"):
+                scheduler.result(primary)
+            assert scheduler.result(follower, timeout=10) == 42
+
+    def test_attach_to_a_delivered_primary_is_refused(self):
+        with JobScheduler(num_workers=1) as scheduler:
+            primary = scheduler.submit(lambda: 42)
+            scheduler.result(primary, timeout=10)
+            with pytest.raises(UnknownJobError, match="delivered"):
+                scheduler.attach(primary)
+
 
 def _fail(message: str) -> None:
     raise RuntimeError(message)
@@ -62,6 +80,15 @@ class TestAttachedJobsOnTheAsyncBackend:
             assert scheduler.result(follower, timeout=60) == 42
             assert scheduler.poll(follower) is JobState.SUCCEEDED
             assert scheduler.record(follower).label == "tagalong"
+
+    def test_follower_keeps_its_result_after_the_primary_is_delivered(self):
+        with JobScheduler(num_workers=1, backend="async") as scheduler:
+            primary = scheduler.submit(abs, -42, label="primary")
+            follower = scheduler.attach(primary, label="tagalong")
+            assert scheduler.result(primary, timeout=60) == 42
+            with pytest.raises(UnknownJobError, match="delivered"):
+                scheduler.result(primary)
+            assert scheduler.result(follower, timeout=60) == 42
 
     def test_followers_of_a_failed_job_fail_with_its_error(self):
         with JobScheduler(num_workers=1, backend="async") as scheduler:

@@ -21,6 +21,7 @@ from repro.service import (CacheEntry, FingerprintCache, JobScheduler,
                            default_config, list_optimisers, optimiser_spec,
                            register_optimiser, request_fingerprint)
 from repro.service import cli
+from repro.service import scheduler as scheduler_module
 from repro.service.cli import main as cli_main
 from repro.service.worker import JobRequest, execute_request
 
@@ -414,8 +415,9 @@ class TestOptimisationService:
         assert warm.cache_hit
         assert cold.fingerprint == warm.fingerprint
 
-    def test_finished_jobs_are_retired_beyond_max_history(self, mlp_graph):
-        with JobScheduler(num_workers=1, max_history=3) as scheduler:
+    def test_finished_jobs_are_retired_beyond_max_history(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "MAX_HISTORY", 3)
+        with JobScheduler(num_workers=1) as scheduler:
             job_ids = [scheduler.submit(lambda i=i: i, label=f"j{i}")
                        for i in range(6)]
             assert scheduler.wait_all(timeout=10)

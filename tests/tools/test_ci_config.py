@@ -156,6 +156,11 @@ def test_xbench_job_runs_the_declared_benchmark_and_its_tests():
     assert "pytest xbench/tests" in CI
 
 
+def test_docs_job_refuses_numbered_roadmap_pointers():
+    assert re.search(r"check_docs\.py --roadmap-pointers\s*$", CI,
+                     re.MULTILINE), "roadmap-pointer step disappeared"
+
+
 def test_docs_job_gates_docstrings_of_service_cost_and_search():
     gate = re.search(r"check_docs\.py --docstrings(.*)", CI)
     assert gate, "docstring-coverage step disappeared"
