@@ -1,6 +1,6 @@
 """Benchmarks for the optimisation service.
 
-Seven measurements, all recorded to ``BENCH_service.json`` (see
+Six measurements, all recorded to ``BENCH_service.json`` (see
 ``_harness.py``):
 
 * **hit path** — what a request that does not search costs, per catalogue
@@ -16,8 +16,6 @@ Seven measurements, all recorded to ``BENCH_service.json`` (see
   cache directory serves the whole batch from disk without re-searching;
 * **dedup under contention** — N identical concurrent submissions coalesce
   onto one search, vs N full searches with dedup opted out;
-* **worker backends** — the same batch through the thread pool and the
-  async backend's process pool, equivalence asserted;
 * **cross-process dedup** — N service *processes* submitting the identical
   request against one shared cache directory run exactly one search,
   vs N private searches with the lease protocol disabled.
@@ -38,8 +36,6 @@ import time
 import uuid
 from functools import partial
 from pathlib import Path
-
-import pytest
 
 import _harness
 from repro.experiments import ExperimentReport, build_small_model
@@ -307,49 +303,6 @@ def test_dedup_under_contention(benchmark):
     assert all(not r.coalesced for r in duplicated)
     hashes = {r.graph.structural_hash() for r in deduped + duplicated}
     assert len(hashes) == 1
-
-
-def test_async_and_remote_worker_backends(benchmark):
-    """The batch runs identically on threads and on the async backend's
-    worker processes."""
-    graphs = _graphs()
-
-    def run():
-        with OptimisationService(num_workers=2) as service:
-            baseline, baseline_s = _run_batch(service, graphs,
-                                              use_cache=False)
-        with OptimisationService(num_workers=2, backend="async") as service:
-            async_local, async_s = _run_batch(service, graphs,
-                                              use_cache=False)
-            # Which processes answer: the witness that the async rows
-            # ran off the bench's own process.
-            pids = [service.scheduler.submit(os.getpid)
-                    for _ in range(2 * service.scheduler.num_workers)]
-            worker_pids = {service.scheduler.result(job_id, timeout=60)
-                           for job_id in pids} - {os.getpid()}
-        return baseline, baseline_s, async_local, async_s, worker_pids
-
-    baseline, baseline_s, async_local, async_s, worker_pids = \
-        benchmark.pedantic(run, rounds=1, iterations=1)
-
-    report = ExperimentReport(
-        experiment="Service bench",
-        description="thread vs async-process workers")
-    report.add("threads", seconds=baseline_s,
-               jobs_per_s=len(MODELS) / baseline_s)
-    report.add("async_local", seconds=async_s,
-               jobs_per_s=len(MODELS) / async_s)
-    print("\n" + report.to_text())
-    record("worker_backends", {
-        "thread_seconds": baseline_s,
-        "async_local_seconds": async_s,
-        "async_local_worker_pids": len(worker_pids),
-    })
-
-    assert worker_pids
-    for b, a in zip(baseline, async_local):
-        assert b.graph.structural_hash() == a.graph.structural_hash()
-        assert b.search.final_cost_ms == pytest.approx(a.search.final_cost_ms)
 
 
 # ---------------------------------------------------------------------------

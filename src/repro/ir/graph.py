@@ -434,8 +434,8 @@ class Graph:
         self._delta: Optional[GraphDelta] = None
 
     def __getstate__(self):
-        """Pickle support (graphs cross process boundaries in the service
-        layer): the parent weakref cannot be pickled and would be
+        """Pickle support (a graph may cross into another process, e.g. a
+        caller's process pool): the parent weakref cannot be pickled and would be
         meaningless in another process, so the copy lineage is severed —
         an unpickled graph simply has no ``delta_parent()``."""
         state = self.__dict__.copy()

@@ -43,7 +43,7 @@ __all__ = ["Match", "Candidate", "RewriteRule", "RuleSet",
 #: When non-None, :meth:`RewriteRule.anchor_nodes` yields only these ids —
 #: the hook the incremental candidate engine uses to re-run matching on the
 #: mutated neighbourhood of a delta instead of the whole graph.  A context
-#: variable, not a module global: the service's thread backend runs searches
+#: variable, not a module global: the service's worker threads run searches
 #: concurrently, and a filter installed by one search must never be seen by
 #: another thread's ``find_matches``.
 _ANCHOR_FILTER: ContextVar[Optional[AbstractSet[NodeId]]] = ContextVar(

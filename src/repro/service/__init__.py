@@ -1,8 +1,7 @@
-"""Optimisation-as-a-service: registry, cache, scheduler, worker backends.
+"""Optimisation-as-a-service: registry, cache, scheduler, workers.
 
 The offline loop (build a graph, run one optimiser, report latency) becomes a
-serving layer here.  Every search runs on this host, in a worker thread or
-a worker process:
+serving layer here.  Every search runs on this host, on a worker thread:
 
 * :mod:`repro.service.registry` — name → optimiser factory with defaults
 * :mod:`repro.service.cache` — fingerprint cache (an in-memory tier + a
@@ -12,11 +11,10 @@ a worker process:
   ``flock`` per fingerprint in the cache directory, freed when its holder
   releases it or dies
 * :mod:`repro.service.scheduler` — bounded submit/poll/result job scheduler
-  over a thread pool (``backend="thread"``) or a process pool
-  (``backend="async"``), with per-job event channels
-  (:meth:`JobScheduler.events`)
-* :mod:`repro.service.events` — streaming progress events and their
-  in-memory / spool-file transports
+  over a prewarmed thread pool with one compute slot per core, and per-job
+  event channels (:meth:`JobScheduler.events`)
+* :mod:`repro.service.events` — streaming progress events, their sink and
+  their channel
 * :mod:`repro.service.worker` — per-worker job execution
 * :mod:`repro.service.api` — the :class:`OptimisationService` batch façade
   (admission-time caching + in-flight and cross-process dedup)

@@ -41,8 +41,7 @@ winner failed or its process died).
 Jobs submitted with ``stream=True`` emit progress events — one per
 optimiser iteration — consumable via :meth:`OptimisationService.events`.
 
-Every search runs on this host: in a worker thread (``backend="thread"``,
-the default) or a worker process (``backend="async"``); see
+Every search runs on this host, on the scheduler's thread pool; see
 :mod:`repro.service.scheduler`.
 """
 
@@ -86,17 +85,12 @@ class OptimisationService:
         cache_policy: Eviction bounds for the persistent tier (max entries
             / max bytes / TTL); unbounded when omitted.
         max_pending: Bounded admission queue (see :class:`JobScheduler`).
-        backend: Worker flavour — ``"thread"`` (default) or ``"async"``
-            (a pool of local worker processes).
         cross_process_dedup: Extend exactly-once to simultaneous
             submissions from *other service processes* via lease files in
             the cache directory.  Effective only with a persistent cache
             tier on a platform with ``flock``; on by default.  A lease
             is freed when its holder releases it or dies; a holder that
             is alive but stopped keeps it.
-
-    Raises:
-        ValueError: If ``backend`` is not a recognised name.
     """
 
     def __init__(self, num_workers: int = 4,
@@ -105,13 +99,11 @@ class OptimisationService:
                  cache_dir: Optional[str] = None,
                  cache_policy: Optional[EvictionPolicy] = None,
                  max_pending: int = 256,
-                 backend: Optional[str] = None,
                  cross_process_dedup: bool = True):
         self.cache = cache if cache is not None else FingerprintCache(
             capacity=cache_capacity, cache_dir=cache_dir, policy=cache_policy)
         self.scheduler = JobScheduler(num_workers=num_workers,
-                                      max_pending=max_pending,
-                                      backend=backend)
+                                      max_pending=max_pending)
         self._leases: Optional[LeaseManager] = None
         if (cross_process_dedup and self.cache.cache_dir is not None
                 and leases_supported()):
@@ -198,8 +190,7 @@ class OptimisationService:
         entry = self.cache.get(fingerprint)
         if entry is not None:
             # Complete the job inline: a hit never touches the worker
-            # pool, so warm traffic costs neither a dispatch nor (with a
-            # process pool) a round of graph pickling.
+            # pool, so warm traffic costs no dispatch.
             result = cached_result(request, entry,
                                    time.perf_counter() - started)
             return self.scheduler.submit_completed(
@@ -480,16 +471,13 @@ class OptimisationService:
         """Service counters: worker pool, job states, cache, dedup.
 
         Returns:
-            A dict with ``workers``, ``backend``, ``pool_replacements``
-            (broken process pools the async backend replaced; 0 on
-            threads), ``jobs`` (state tallies over the retained records,
-            plus ``results_held``: finished jobs whose result nobody has
-            fetched yet), ``cache_entries`` /
-            ``cache`` (tier accounting) and ``dedup`` (coalesced
-            submissions, current in-flight table size and, with
-            cross-process dedup, ``leases_held`` and ``lease_errors`` —
-            lease locks the filesystem refused, whose searches ran without
-            the lease).
+            A dict with ``workers``, ``jobs`` (state tallies over the
+            retained records, plus ``results_held``: finished jobs whose
+            result nobody has fetched yet), ``cache_entries`` / ``cache``
+            (tier accounting) and ``dedup`` (coalesced submissions,
+            current in-flight table size and, with cross-process dedup,
+            ``leases_held`` and ``lease_errors`` — lease locks the
+            filesystem refused, whose searches ran without the lease).
         """
         with self._dedup_lock:
             dedup = {"coalesced": self._coalesced_total,
@@ -500,8 +488,6 @@ class OptimisationService:
             dedup["lease_errors"] = self._leases.errors
         return {
             "workers": self.scheduler.num_workers,
-            "backend": self.scheduler.backend,
-            "pool_replacements": self.scheduler.pool_replacements,
             "jobs": {**self.scheduler.counts(),
                      "results_held": self.scheduler.results_held()},
             "cache_entries": len(self.cache),

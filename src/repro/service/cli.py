@@ -8,7 +8,7 @@ Examples::
     python -m repro.service vit -o tensat --config round_limit=3
 
     # serving-layer hardening knobs
-    python -m repro.service bert --backend async --workers 4
+    python -m repro.service bert --workers 4 --max-pending 64
     python -m repro.service squeezenet --cache-dir /var/cache/repro \\
         --cache-max-entries 512 --cache-ttl 86400
 
@@ -51,10 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="optimiser config override (repeatable)")
     parser.add_argument("--workers", type=int, default=4,
                         help="worker pool size (default: 4)")
-    parser.add_argument("--backend", choices=["thread", "async"],
-                        default=None,
-                        help="worker flavour (default: thread; async runs "
-                             "each search in a worker process)")
     parser.add_argument("--follow", action="store_true",
                         help="stream per-iteration progress events for each "
                              "job while it runs")
@@ -195,7 +191,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              cache_dir=args.cache_dir,
                              cache_policy=_eviction_policy(args),
                              max_pending=args.max_pending,
-                             backend=args.backend,
                              cross_process_dedup=not args.no_cross_process_dedup,
                              ) as service:
         for round_no in range(1, max(1, args.repeat) + 1):
@@ -219,7 +214,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       f"{search.optimisation_time_s:8.4f}s  {origin}")
         stats = service.stats()
     cache = stats["cache"]
-    print(f"backend: {stats['backend']} x{stats['workers']}")
+    print(f"workers: {stats['workers']}")
     print(f"jobs: {stats['jobs']}")
     print(f"cache: {cache['memory_hits']} memory + {cache['persistent_hits']} "
           f"persistent hits, {cache['misses']} misses "

@@ -3,19 +3,15 @@
 Every optimiser in this repository can report progress through a
 ``progress_callback(iteration, best_cost, best_graph_fp)`` — one call per
 search iteration with the iteration number, the best objective value seen
-so far, and the structural hash of the best graph.  This module is the
-transport that carries those callbacks from wherever the search runs back
-to whoever submitted the job:
+so far, and the structural hash of the best graph.  This module carries
+those callbacks from the worker thread running the search back to whoever
+submitted the job:
 
 * :class:`ProgressEvent` — one immutable progress observation.
-* :class:`QueueProgressSink` — in-process transport: the callback appends
-  to a thread-safe deque (the thread worker backend).
-* :class:`FileProgressSink` — cross-process transport: the callback
-  appends one JSON line per event to a spool file.  The sink is picklable
-  (it carries only the path), so it crosses the process-pool boundary of
-  the async backend.
+* :class:`QueueProgressSink` — the producer side: the callback appends to
+  a thread-safe deque.
 * :class:`EventChannel` — the consumer side: one channel per streaming
-  job, owned by the scheduler, draining whichever sink the job was given.
+  job, owned by the scheduler, draining the job's sink.
 
 The scheduler surfaces channels as
 :meth:`~repro.service.scheduler.JobScheduler.events`; the CLI's ``--follow``
@@ -24,17 +20,13 @@ flag and :meth:`~repro.service.api.OptimisationService.events` sit on top.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import List
 
-__all__ = ["ProgressEvent", "QueueProgressSink", "FileProgressSink",
-           "EventChannel"]
+__all__ = ["ProgressEvent", "QueueProgressSink", "EventChannel"]
 
 
 @dataclass(frozen=True)
@@ -58,20 +50,6 @@ class ProgressEvent:
     best_graph_fp: str
     timestamp: float = 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly form (the spool-file encoding)."""
-        return {"iteration": self.iteration, "best_cost": self.best_cost,
-                "best_graph_fp": self.best_graph_fp,
-                "timestamp": self.timestamp}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ProgressEvent":
-        """Decode a spool-file event document."""
-        return cls(iteration=int(data.get("iteration", 0)),
-                   best_cost=float(data.get("best_cost", 0.0)),
-                   best_graph_fp=str(data.get("best_graph_fp", "")),
-                   timestamp=float(data.get("timestamp", 0.0)))
-
     def summary(self) -> str:
         """One-line rendering used by the CLI's ``--follow`` output."""
         return (f"iter {self.iteration:4d}  best {self.best_cost:10.4f}  "
@@ -79,11 +57,8 @@ class ProgressEvent:
 
 
 class QueueProgressSink:
-    """In-process sink: events land in a lock-guarded deque.
-
-    Used by the thread worker backend, where the search runs in the same
-    process as the consumer and no serialisation is needed.
-    """
+    """Events land in a lock-guarded deque; the search runs in the same
+    process as the consumer, so nothing is serialised."""
 
     def __init__(self) -> None:
         self._events: "deque[ProgressEvent]" = deque()
@@ -107,79 +82,20 @@ class QueueProgressSink:
         return events
 
 
-class FileProgressSink:
-    """Cross-process sink: one JSON line per event, appended to a file.
-
-    Pickles by spool path alone, so it crosses the process-pool boundary;
-    the ``O_APPEND`` descriptor is opened lazily on first use in whichever
-    process ends up emitting (and kept open — the callback sits inside the
-    search's hot loop, so per-event open/close syscalls would tax streamed
-    jobs).  Single-``write`` appends keep concurrently-written lines whole
-    for the same-host tailer.
-    """
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = str(path)
-        self._fd: Optional[int] = None
-
-    def __call__(self, iteration: int, best_cost: float,
-                 best_graph_fp: str) -> None:
-        """The ``progress_callback`` signature optimisers invoke."""
-        event = ProgressEvent(iteration=int(iteration),
-                              best_cost=float(best_cost),
-                              best_graph_fp=str(best_graph_fp),
-                              timestamp=time.time())
-        line = json.dumps(event.to_dict()) + "\n"
-        if self._fd is None:
-            self._fd = os.open(self.path,
-                               os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        os.write(self._fd, line.encode())
-
-    def close(self) -> None:
-        """Release the spool descriptor (reopened on next use)."""
-        if self._fd is not None:
-            try:
-                os.close(self._fd)
-            except OSError:  # pragma: no cover - already gone
-                pass
-            self._fd = None
-
-    def __del__(self):  # noqa: D105 - fd hygiene for pooled workers
-        self.close()
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"path": self.path}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.path = state["path"]
-        self._fd = None
-
-
 class EventChannel:
     """The consumer end of one streaming job's progress events.
 
-    Owned by the scheduler (one per streaming job id); reads from either
-    an in-memory :class:`QueueProgressSink` or a :class:`FileProgressSink`
-    spool file, whichever transport the job's backend required.
-
-    Args:
-        spool_path: Tail this file for JSON-line events (cross-process
-            backends).  ``None`` means in-memory transport.
+    Owned by the scheduler (one per streaming job id); drains the
+    :class:`QueueProgressSink` it hands to the job body.
     """
 
-    def __init__(self, spool_path: Optional[Union[str, Path]] = None):
-        self.spool_path = str(spool_path) if spool_path is not None else None
-        self._queue_sink: Optional[QueueProgressSink] = None
-        if self.spool_path is None:
-            self._queue_sink = QueueProgressSink()
-        self._offset = 0
+    def __init__(self) -> None:
+        self._sink = QueueProgressSink()
         self._finished = threading.Event()
 
-    def sink(self):
+    def sink(self) -> QueueProgressSink:
         """The callable to hand to the job body as ``progress``."""
-        if self._queue_sink is not None:
-            return self._queue_sink
-        return FileProgressSink(self.spool_path)
+        return self._sink
 
     @property
     def finished(self) -> bool:
@@ -192,41 +108,4 @@ class EventChannel:
 
     def drain(self) -> List[ProgressEvent]:
         """Every event published since the previous drain (non-blocking)."""
-        if self._queue_sink is not None:
-            return self._queue_sink.drain()
-        return self._drain_spool()
-
-    def _drain_spool(self) -> List[ProgressEvent]:
-        try:
-            with open(self.spool_path, "rb") as handle:
-                handle.seek(self._offset)
-                chunk = handle.read()
-        except OSError:
-            return []
-        events: List[ProgressEvent] = []
-        consumed = 0
-        for raw in chunk.split(b"\n"):
-            # A trailing fragment without its newline is a half-written
-            # event; leave the offset at its start and pick it up whole on
-            # the next drain.
-            end = consumed + len(raw) + 1
-            if end > len(chunk):
-                break
-            consumed = end
-            if not raw.strip():
-                continue
-            try:
-                events.append(ProgressEvent.from_dict(json.loads(raw)))
-            except (ValueError, TypeError):
-                continue
-        self._offset += consumed
-        return events
-
-    def close(self) -> None:
-        """Release the channel's spool file (idempotent)."""
-        self.finish()
-        if self.spool_path is not None:
-            try:
-                os.unlink(self.spool_path)
-            except OSError:
-                pass
+        return self._sink.drain()

@@ -196,9 +196,13 @@ def wait_for_result(request: JobRequest, fingerprint: str, cache_dir: str,
     Every :data:`POLL_INTERVAL_S`: return the winner's published entry as
     a cache hit (``stats["cross_process_dedup"]`` marks the origin), or
     win the lease — its holder released without publishing or died — and
-    search, publish and release here.  Module-level and primitive-argument
-    so it crosses the pickle boundary into process-pool workers;
-    ``progress`` is forwarded to a search run here.
+    search, publish and release here.  ``progress`` is forwarded to a
+    search run here.
+
+    It polls through a private :class:`FingerprintCache` on
+    ``cache_dir``: the entry it waits for can only be on disk (another
+    process published it), and its repeated misses stay out of the
+    service's hit / miss accounting.
 
     Raises:
         TimeoutError: If nothing was published within :data:`MAX_WAIT_S`.

@@ -1,6 +1,6 @@
 """Bounded job scheduler with submit / poll / result semantics.
 
-Wraps a :mod:`concurrent.futures`-style worker pool with the bookkeeping a
+Wraps a :class:`concurrent.futures.ThreadPoolExecutor` with the bookkeeping a
 serving layer needs: integer job ids, per-job state and timing records, a
 bounded admission queue (``QueueFullError`` instead of unbounded memory
 growth), and completion callbacks used by the service to populate the
@@ -12,16 +12,9 @@ to its caller, and no longer: the scheduler then keeps only the job's
 requests it has already answered.  A result nobody fetches is dropped with
 its record, once :data:`MAX_HISTORY` newer jobs have finished.
 
-Two pool flavours, selected by ``backend``:
-
-* ``"thread"`` (default) — cheap dispatch, shared in-process cache; fine for
-  the I/O-light search jobs and for cache-dominated traffic.
-* ``"async"`` — a :class:`concurrent.futures.ProcessPoolExecutor`: true
-  parallelism for the pure-Python searches, at the cost of pickling graphs
-  across the boundary, so submitted callables must be module-level
-  functions.  A worker process that dies (``kill -9``, the OOM killer)
-  breaks the stdlib pool for good; the scheduler replaces a broken pool
-  once, on the next submission, so only the jobs that were on it fail.
+Every pool thread starts at construction.  No more compute jobs execute
+at once than the host has cores (the *compute slots*); the rest wait for
+a slot, still pending and still cancellable.
 
 The scheduler also supports *attached* (follower) jobs — :meth:`attach`
 registers a new job id that shares an existing job's future, which is how
@@ -31,19 +24,15 @@ search.
 Jobs submitted with ``stream=True`` additionally get an **event channel**:
 the job body receives a ``progress`` callable (see
 :mod:`repro.service.events`) and everything it emits can be followed live
-through :meth:`JobScheduler.events` — in-memory for the thread backend, via
-a spool file for the async backend (whose job bodies run in other
-processes).
+through :meth:`JobScheduler.events`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
-import logging
 import os
-import shutil
-import tempfile
 import threading
 import time
 from collections import deque
@@ -57,8 +46,6 @@ from .events import EventChannel, ProgressEvent
 __all__ = ["JobScheduler", "JobState", "JobRecord",
            "QueueFullError", "UnknownJobError", "MAX_HISTORY"]
 
-_LOG = logging.getLogger(__name__)
-
 #: How many *finished* jobs keep their :class:`JobRecord` (and, if nobody
 #: has fetched it, their result).  Beyond it the oldest are purged, and
 #: polling a purged id raises :class:`UnknownJobError`.
@@ -71,23 +58,6 @@ def _pool_warmup(barrier: "threading.Barrier") -> None:
         barrier.wait(timeout=2.0)
     except threading.BrokenBarrierError:
         pass
-
-
-def _pool_noop() -> None:
-    """Picklable no-op; submitting it spawns the process pool's workers."""
-
-
-def _process_pool(num_workers: int) -> futures.Executor:
-    """A started process pool: the async backend's executor.
-
-    The stdlib pool starts its workers on first use, so the first burst of
-    jobs (the first request after a deploy) would pay the spawns inside
-    the request; one no-op makes it fork the full complement now.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(max_workers=num_workers)
-    pool.submit(_pool_noop)
-    return pool
 
 
 class JobState(str, Enum):
@@ -129,12 +99,10 @@ class JobRecord:
 
     @property
     def queue_time_s(self) -> Optional[float]:
-        """Seconds between submission and pickup, if traceable.
+        """Seconds between submission and pickup (holding a compute slot).
 
-        ``started_at`` is unknown for async-backend jobs (the
-        transition happens outside the submitting process); report None
-        rather than misattributing the whole queue+run duration to
-        queueing.
+        ``None`` for a coalesced follower (it runs nothing itself) and for
+        a job that has not started.
         """
         if self.started_at is None:
             return None
@@ -142,20 +110,15 @@ class JobRecord:
 
     @property
     def run_time_s(self) -> Optional[float]:
-        """Worker-side execution seconds, if traceable (see above)."""
+        """Worker-side execution seconds; ``None`` for a follower and for
+        a job that has not finished running."""
         if self.started_at is None or self.finished_at is None:
             return None
         return self.finished_at - self.started_at
 
 
-#: Recognised ``backend`` names.  Only the thread pool can trace the
-#: pending → running transition: the async backend runs the job body
-#: outside the submitting process.
-_BACKENDS = ("thread", "async")
-
-
 class JobScheduler:
-    """Submit/poll/result façade over a bounded worker pool.
+    """Submit/poll/result façade over a bounded thread pool.
 
     Args:
         num_workers: Size of the worker pool.
@@ -164,44 +127,26 @@ class JobScheduler:
             overload surfaces at admission instead of as unbounded queue
             growth.  Attached (follower) jobs from :meth:`attach` do not
             consume slots — they add no work.
-        backend: ``"thread"`` (the default) or ``"async"`` (see the module
-            docstring).
-
-    Raises:
-        ValueError: If ``backend`` is not one of the recognised names.
     """
 
-    def __init__(self, num_workers: int = 4, max_pending: int = 256,
-                 backend: Optional[str] = None):
+    def __init__(self, num_workers: int = 4, max_pending: int = 256):
         self.num_workers = max(1, int(num_workers))
         self.max_pending = max(1, int(max_pending))
-        if backend is None:
-            backend = "thread"
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}")
-        self.backend = backend
-        #: Broken process pools replaced (async backend; see :meth:`submit`).
-        self.pool_replacements = 0
-        self._compute_slots: Optional[threading.Semaphore] = None
-        if backend == "async":
-            self._executor: futures.Executor = _process_pool(self.num_workers)
-        else:
-            self._executor = futures.ThreadPoolExecutor(
-                max_workers=self.num_workers, thread_name_prefix="repro-worker")
-            #: Thread workers run CPU-bound pure-Python searches, so letting
-            #: more of them *execute* than the machine has cores buys nothing
-            #: and costs real money: GIL hand-offs every switch interval plus
-            #: the CPU-cache thrash of interleaved working sets (measured ~7%
-            #: on the 4-jobs-1-core service benchmark).  Jobs beyond the core
-            #: count stay queued on this semaphore — still admitted, still
-            #: cancellable, just not fighting for the GIL.  Jobs submitted
-            #: with ``compute=False`` (the cross-process lease waiters, which
-            #: sleep-poll a shared cache) bypass it, so a full complement of
-            #: compute jobs can never starve a waiter or deadlock on one.
-            self._compute_slots = threading.BoundedSemaphore(
-                min(self.num_workers, os.cpu_count() or self.num_workers))
-            self._prewarm_threads()
+        self._executor = futures.ThreadPoolExecutor(
+            max_workers=self.num_workers, thread_name_prefix="repro-worker")
+        #: Workers run CPU-bound pure-Python searches, so letting more of
+        #: them *execute* than the machine has cores buys nothing and costs
+        #: real money: GIL hand-offs every switch interval plus the
+        #: CPU-cache thrash of interleaved working sets (measured ~7% on the
+        #: 4-jobs-1-core service benchmark).  Jobs beyond the core count
+        #: wait on this semaphore — still admitted, still pending, still
+        #: cancellable, just not fighting for the GIL.  Jobs submitted with
+        #: ``compute=False`` (the cross-process lease waiters, which
+        #: sleep-poll a shared cache) bypass it, so a full complement of
+        #: compute jobs can never starve a waiter or deadlock on one.
+        self._compute_slots = threading.BoundedSemaphore(
+            min(self.num_workers, os.cpu_count() or self.num_workers))
+        self._prewarm_threads()
         self._lock = threading.RLock()
         self._records: Dict[int, JobRecord] = {}
         self._futures: Dict[int, futures.Future] = {}
@@ -210,7 +155,6 @@ class JobScheduler:
         self._attached: set = set()
         self._terminal: "deque[int]" = deque()
         self._channels: Dict[int, EventChannel] = {}
-        self._spool_dir: Optional[str] = None
         self._open_jobs = 0
         self._ids = itertools.count(1)
         self._closed = False
@@ -218,12 +162,12 @@ class JobScheduler:
     def _prewarm_threads(self) -> None:
         """Spawn every pool thread now, not on first use.
 
-        The stdlib executors create workers lazily, one per submission —
+        The stdlib executor creates workers lazily, one per submission —
         so a burst of N first jobs pays N spawns *inside* the measured
         batch (and the first request after a deploy eats the whole pool
         start-up).  Construction is the right place for that cost.
         Threads rendezvous on a barrier so each warm-up task pins a
-        distinct worker; :func:`_process_pool` warms the async backend.
+        distinct worker.
         """
         barrier = threading.Barrier(self.num_workers)
         warmups = [self._executor.submit(_pool_warmup, barrier)
@@ -239,24 +183,23 @@ class JobScheduler:
         """Queue ``fn(*args, **kwargs)``; returns the job id.
 
         Args:
-            fn: The job body.  Must be a module-level function for the
-                async backend (it crosses a pickle boundary).
+            fn: The job body, run on a pool thread.
             *args: Positional arguments for ``fn``.
             label: Human-readable tag kept on the :class:`JobRecord`.
             on_success: Runs exactly once with the job's result after it
-                succeeds — in a pool/callback thread of the submitting
-                process, or in the caller's thread when :meth:`result`
-                finalises the job first.  Either way it has completed
-                before :meth:`result` returns, so e.g. a cache populated by
-                the callback is visible to whoever observed the result.
+                succeeds — in the pool thread that ran the job, or in the
+                caller's thread when :meth:`result` finalises the job
+                first.  Either way it has completed before :meth:`result`
+                returns, so e.g. a cache populated by the callback is
+                visible to whoever observed the result.
             on_done: Runs exactly once with the job's future on *any*
                 terminal state (after ``on_success`` for successes) — used
                 by the service to retire in-flight dedup registrations.
-            compute: The job body is CPU-bound (the default).  On the
-                thread backend, compute jobs queue on a core-count
-                semaphore before executing; pass ``False`` for bodies
-                that mostly wait (lease waiters) so they run immediately
-                regardless of compute load.
+            compute: The job body is CPU-bound (the default).  Compute
+                jobs wait for a compute slot (one per core) before
+                executing; pass ``False`` for bodies that mostly wait
+                (lease waiters) so they run immediately regardless of
+                compute load.
             stream: Open an event channel for the job and pass its sink to
                 ``fn`` as a ``progress`` keyword argument — ``fn`` must
                 accept it.  Follow the events via :meth:`events`.
@@ -284,26 +227,20 @@ class JobScheduler:
                 submitted_at=time.monotonic(),
             )
             self._open_jobs += 1
-            channel: Optional[EventChannel] = None
             if stream:
-                channel = self._open_channel_locked(job_id)
+                channel = self._channels[job_id] = EventChannel()
                 kwargs = {**kwargs, "progress": channel.sink()}
+            # The job's own future, settled by :meth:`_run`: it stays
+            # pending until the job holds its compute slot, so a job still
+            # waiting for one can be cancelled.
+            future: futures.Future = futures.Future()
             try:
-                if self.backend == "thread":
-                    future = self._executor.submit(
-                        self._run_traced, job_id, fn, compute,
-                        *args, **kwargs)
-                else:
-                    # The running-state transition happens in another process
-                    # and cannot update our records; jobs jump pending →
-                    # terminal.
-                    future = self._submit_to_process_pool(fn, args, kwargs)
+                self._executor.submit(self._run, job_id, future, fn, compute,
+                                      *args, **kwargs)
             except BaseException:
                 self._open_jobs -= 1
                 del self._records[job_id]
-                if channel is not None:
-                    self._channels.pop(job_id, None)
-                    channel.close()
+                self._channels.pop(job_id, None)
                 raise
             self._futures[job_id] = future
             if on_success is not None:
@@ -313,27 +250,6 @@ class JobScheduler:
         future.add_done_callback(
             lambda f, job_id=job_id: self._finalise(job_id, f))
         return job_id
-
-    def _submit_to_process_pool(self, fn: Callable[..., Any], args: tuple,
-                                kwargs: dict) -> futures.Future:
-        """Submit to the process pool, replacing it once if it is broken.
-
-        A worker that died takes the stdlib pool with it: the jobs that
-        were on it fail with ``BrokenProcessPool`` and every later submit
-        raises it.  Called with ``self._lock`` held, so one broken pool is
-        replaced once.
-        """
-        from concurrent.futures.process import BrokenProcessPool
-        try:
-            return self._executor.submit(fn, *args, **kwargs)
-        except BrokenProcessPool as exc:
-            broken, self._executor = (self._executor,
-                                      _process_pool(self.num_workers))
-            self.pool_replacements += 1
-            _LOG.warning("replaced the broken process pool (%s); the jobs "
-                         "that were on it failed", exc)
-            broken.shutdown(wait=False)
-        return self._executor.submit(fn, *args, **kwargs)
 
     def attach(self, primary_job_id: int, label: str = "") -> int:
         """Register a *follower* job sharing ``primary_job_id``'s future.
@@ -387,7 +303,7 @@ class JobScheduler:
         """Register an already-available result as a finished job.
 
         Used for admission-time cache hits: the job never touches the worker
-        pool (no dispatch, no pickling), it is born ``SUCCEEDED`` and its
+        pool (no dispatch), it is born ``SUCCEEDED`` and its
         result is immediately available via :meth:`result`.
         """
         with self._lock:
@@ -405,18 +321,6 @@ class JobScheduler:
             self._retire_locked(job_id)
         return job_id
 
-    def _open_channel_locked(self, job_id: int) -> EventChannel:
-        """Create the job's event channel (spool-file backed off-thread)."""
-        if self.backend == "thread":
-            channel = EventChannel()
-        else:
-            if self._spool_dir is None:
-                self._spool_dir = tempfile.mkdtemp(prefix="repro-events-")
-            channel = EventChannel(
-                os.path.join(self._spool_dir, f"job{job_id}.events"))
-        self._channels[job_id] = channel
-        return channel
-
     def _retire_locked(self, job_id: int) -> None:
         """Track a terminal job and purge the oldest beyond
         :data:`MAX_HISTORY`."""
@@ -425,28 +329,38 @@ class JobScheduler:
             retired = self._terminal.popleft()
             self._records.pop(retired, None)
             self._futures.pop(retired, None)
-            channel = self._channels.pop(retired, None)
-            if channel is not None and channel not in self._channels.values():
-                channel.close()
+            self._channels.pop(retired, None)
 
-    def _run_traced(self, job_id: int, fn: Callable[..., Any],
-                    compute: bool, *args: Any, **kwargs: Any) -> Any:
-        slots = self._compute_slots if compute else None
-        if slots is None:
-            with self._lock:
-                record = self._records[job_id]
-                record.state = JobState.RUNNING
-                record.started_at = time.monotonic()
-            return fn(*args, **kwargs)
-        # Waiting for a compute slot is queueing, not running — mark the
-        # RUNNING transition only once the slot is held so queue_time_s /
-        # run_time_s keep meaning what they say.
-        with slots:
-            with self._lock:
-                record = self._records[job_id]
-                record.state = JobState.RUNNING
-                record.started_at = time.monotonic()
-            return fn(*args, **kwargs)
+    def _run(self, job_id: int, future: futures.Future,
+             fn: Callable[..., Any], compute: bool,
+             *args: Any, **kwargs: Any) -> None:
+        """Run one job on a pool thread and settle its ``future``.
+
+        A compute job takes a compute slot first.  Waiting for it is
+        queueing, not running: the record stays PENDING and the future
+        cancellable until the slot is held, so ``queue_time_s`` /
+        ``run_time_s`` keep meaning what they say.  A job cancelled
+        meanwhile never runs its body.  The future is settled after the
+        slot is released, so completion callbacks (cache population) do
+        not hold up the next compute job.
+        """
+        slot = (self._compute_slots if compute and not future.cancelled()
+                else contextlib.nullcontext())
+        try:
+            with slot:
+                if not future.set_running_or_notify_cancel():
+                    return  # cancelled while it waited
+                with self._lock:
+                    record = self._records[job_id]
+                    record.state = JobState.RUNNING
+                    record.started_at = time.monotonic()
+                result = fn(*args, **kwargs)
+        except BaseException as exc:
+            # The job's outcome, as an executor's own work item stores it:
+            # result() re-raises it to the caller.
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
 
     def _finalise(self, job_id: int, future: futures.Future) -> None:
         """Record a finished job's terminal state; idempotent.
@@ -616,6 +530,12 @@ class JobScheduler:
     def cancel(self, job_id: int) -> bool:
         """Try to cancel a still-pending job; returns whether it worked.
 
+        A job is pending until it holds a compute slot, so a job waiting
+        for one is cancelled too: its body never runs, its record ends
+        CANCELLED, :meth:`result` raises
+        :class:`concurrent.futures.CancelledError` and its admission slot
+        is freed.
+
         Follower jobs (:meth:`attach`) are never cancelled through this —
         their future is shared with the primary (and its other followers),
         so cancelling would revoke work other waiters still want.  A job
@@ -675,11 +595,8 @@ class JobScheduler:
         self._executor.shutdown(wait=wait)
         with self._lock:
             for channel in self._channels.values():
-                channel.close()
+                channel.finish()  # events() iterators stop
             self._channels.clear()
-            spool_dir, self._spool_dir = self._spool_dir, None
-        if spool_dir is not None:
-            shutil.rmtree(spool_dir, ignore_errors=True)
 
     def __enter__(self) -> "JobScheduler":
         return self
@@ -688,5 +605,5 @@ class JobScheduler:
         self.shutdown(wait=True)
 
     def __repr__(self) -> str:  # pragma: no cover - convenience only
-        return (f"JobScheduler({self.num_workers} {self.backend} workers, "
+        return (f"JobScheduler({self.num_workers} workers, "
                 f"max_pending={self.max_pending}, jobs={self.counts()})")

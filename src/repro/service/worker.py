@@ -3,9 +3,9 @@
 Search objects are stateful (priority queues, e-graph populations, RL agents)
 and must not be shared between concurrent jobs, so each worker constructs its
 optimiser from the registry per request.  The only state shared across jobs is
-the fingerprint cache, which the service consults at admission time — workers
-themselves are cache-oblivious, which keeps them trivially usable from a
-process pool.
+the fingerprint cache, which the service consults at admission time and
+populates from the job's completion callback — workers themselves are
+cache-oblivious.
 """
 
 from __future__ import annotations
@@ -54,8 +54,10 @@ class ServiceResult:
         job_id: Scheduler job id (filled in by
             :meth:`~repro.service.api.OptimisationService.result`).
         queue_time_s: Time spent queued before a worker picked the job up
-            (0 when untraceable — the async backend, cache hits).
-        run_time_s: Worker-side execution time (0 when untraceable).
+            (0 for cache hits and coalesced followers, which wait for no
+            worker).
+        run_time_s: Worker-side execution time (0 for cache hits and
+            coalesced followers).
         coalesced: This submission was deduplicated onto another in-flight
             identical request; ``search`` is that primary job's outcome
             (relabelled with this caller's model name).

@@ -1,7 +1,7 @@
 """Tests for attached (follower) jobs: one future, many job ids.
 
 :meth:`JobScheduler.attach` is how the service coalesces identical
-in-flight requests onto one search; these cases hold on any backend.
+in-flight requests onto one search.
 """
 
 from __future__ import annotations
@@ -11,6 +11,10 @@ import threading
 import pytest
 
 from repro.service import JobScheduler, JobState, UnknownJobError
+
+
+def _fail(message: str) -> None:
+    raise RuntimeError(message)
 
 
 class TestAttachedJobs:
@@ -65,36 +69,14 @@ class TestAttachedJobs:
             with pytest.raises(UnknownJobError, match="delivered"):
                 scheduler.attach(primary)
 
-
-def _fail(message: str) -> None:
-    raise RuntimeError(message)
-
-
-class TestAttachedJobsOnTheAsyncBackend:
-    """A follower shares a future that resolves in another process."""
-
-    def test_follower_shares_outcome_and_state(self):
-        with JobScheduler(num_workers=1, backend="async") as scheduler:
-            primary = scheduler.submit(abs, -42, label="primary")
-            follower = scheduler.attach(primary, label="tagalong")
-            assert scheduler.result(follower, timeout=60) == 42
-            assert scheduler.poll(follower) is JobState.SUCCEEDED
-            assert scheduler.record(follower).label == "tagalong"
-
-    def test_follower_keeps_its_result_after_the_primary_is_delivered(self):
-        with JobScheduler(num_workers=1, backend="async") as scheduler:
-            primary = scheduler.submit(abs, -42, label="primary")
-            follower = scheduler.attach(primary, label="tagalong")
-            assert scheduler.result(primary, timeout=60) == 42
-            with pytest.raises(UnknownJobError, match="delivered"):
-                scheduler.result(primary)
-            assert scheduler.result(follower, timeout=60) == 42
-
     def test_followers_of_a_failed_job_fail_with_its_error(self):
-        with JobScheduler(num_workers=1, backend="async") as scheduler:
-            primary = scheduler.submit(_fail, "search exploded")
+        release = threading.Event()
+        with JobScheduler(num_workers=1) as scheduler:
+            primary = scheduler.submit(
+                lambda: release.wait(10) and _fail("search exploded"))
             followers = [scheduler.attach(primary) for _ in range(3)]
+            release.set()
             for job_id in [primary] + followers:
                 with pytest.raises(RuntimeError, match="search exploded"):
-                    scheduler.result(job_id, timeout=60)
+                    scheduler.result(job_id, timeout=10)
                 assert scheduler.poll(job_id) is JobState.FAILED

@@ -122,16 +122,13 @@ class TestServiceDelivery:
             assert service.poll(job_id) is JobState.SUCCEEDED
 
     @pytest.mark.parametrize("origin", ["miss", "hit"])
-    @pytest.mark.parametrize("backend", ["thread", "async"])
-    def test_the_callers_graph_dies_with_its_result(self, backend, origin):
-        with OptimisationService(num_workers=1, backend=backend) as service:
+    def test_the_callers_graph_dies_with_its_result(self, origin):
+        with OptimisationService(num_workers=1) as service:
             if origin == "hit":
                 service.optimise(_dense_graph(), "taso", TASO_FAST)
             graph = _dense_graph()
             result = service.optimise(graph, "taso", TASO_FAST)
             assert result.cache_hit is (origin == "hit")
-            # On a miss through the async backend the result carries a
-            # copy of the graph back from the worker: it must die too.
             refs = [weakref.ref(graph),
                     weakref.ref(result.search.initial_graph)]
             del graph, result

@@ -1,8 +1,8 @@
 """Tests for streaming job progress: optimiser callbacks → service events.
 
 The acceptance bar: a streamed job yields at least one progress event per
-optimiser iteration on the thread and async backends, and the CLI's
-``--follow`` prints them live.
+optimiser iteration through the service, and the CLI's ``--follow`` prints
+them live.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.search.random_search import RandomSearchOptimizer
 from repro.search.tensat import TensatOptimizer
 from repro.service import JobScheduler, OptimisationService, ProgressEvent
 from repro.service.cli import main as cli_main
-from repro.service.events import EventChannel, FileProgressSink
+from repro.service.events import EventChannel
 
 TASO_FAST = {"max_iterations": 6}
 
@@ -87,42 +87,26 @@ class TestOptimiserCallbacks:
 
 
 # ---------------------------------------------------------------------------
-class TestEventTransports:
-    def test_file_sink_round_trip(self, tmp_path):
-        channel = EventChannel(tmp_path / "spool.events")
+class TestEventChannel:
+    def test_channel_drains_each_event_once(self):
+        channel = EventChannel()
         sink = channel.sink()
-        assert isinstance(sink, FileProgressSink)
         sink(1, 10.0, "aaa")
         sink(2, 9.0, "bbb")
         events = channel.drain()
         assert [e.iteration for e in events] == [1, 2]
+        assert all(isinstance(e, ProgressEvent) for e in events)
         assert channel.drain() == []  # drained exactly once
         sink(3, 8.0, "ccc")
         assert [e.iteration for e in channel.drain()] == [3]
-        channel.close()
-        assert not (tmp_path / "spool.events").exists()
-
-    def test_partial_line_is_not_torn(self, tmp_path):
-        path = tmp_path / "spool.events"
-        channel = EventChannel(path)
-        sink = channel.sink()
-        sink(1, 10.0, "aaa")
-        with open(path, "ab") as handle:  # a half-written second event
-            handle.write(b'{"iteration": 2, "best_co')
-        assert [e.iteration for e in channel.drain()] == [1]
-        with open(path, "ab") as handle:
-            handle.write(b'st": 9.0, "best_graph_fp": "bbb"}\n')
-        assert [e.iteration for e in channel.drain()] == [2]
-
-    def test_event_dict_round_trip(self):
-        event = ProgressEvent(iteration=3, best_cost=1.5,
-                              best_graph_fp="abc", timestamp=12.0)
-        assert ProgressEvent.from_dict(event.to_dict()) == event
+        assert not channel.finished
+        channel.finish()
+        assert channel.finished
 
 
 # ---------------------------------------------------------------------------
 def _counting_job(n: int, progress=None) -> int:
-    """Module-level streaming job body (picklable for process pools)."""
+    """Streaming job body: one event per step."""
     for i in range(1, n + 1):
         if progress is not None:
             progress(i, float(n - i), f"fp{i}")
@@ -130,20 +114,13 @@ def _counting_job(n: int, progress=None) -> int:
 
 
 class TestSchedulerEvents:
-    def test_thread_backend_streams_events(self):
+    def test_streamed_job_yields_its_events(self):
         with JobScheduler(num_workers=1) as scheduler:
             job_id = scheduler.submit(_counting_job, 5, stream=True)
             events = list(scheduler.events(job_id, timeout=30))
             assert scheduler.result(job_id, timeout=10) == 5
         assert [e.iteration for e in events] == [1, 2, 3, 4, 5]
         assert events[-1].best_graph_fp == "fp5"
-
-    def test_async_backend_streams_through_the_spool(self):
-        with JobScheduler(num_workers=1, backend="async") as scheduler:
-            job_id = scheduler.submit(_counting_job, 4, stream=True)
-            events = list(scheduler.events(job_id, timeout=60))
-            assert scheduler.result(job_id, timeout=30) == 4
-        assert [e.iteration for e in events] == [1, 2, 3, 4]
 
     def test_unstreamed_job_yields_no_events(self):
         with JobScheduler(num_workers=1) as scheduler:
@@ -154,9 +131,8 @@ class TestSchedulerEvents:
 
 # ---------------------------------------------------------------------------
 class TestServiceStreaming:
-    @pytest.mark.parametrize("backend", ["thread", "async"])
-    def test_local_backends_stream_per_iteration(self, squeezenet, backend):
-        with OptimisationService(num_workers=2, backend=backend) as service:
+    def test_a_search_streams_one_event_per_iteration(self, squeezenet):
+        with OptimisationService(num_workers=2) as service:
             job_id = service.submit(squeezenet, "taso", TASO_FAST,
                                     stream=True)
             events = list(service.events(job_id, timeout=120))

@@ -251,15 +251,6 @@ class TestLeaseTakeover:
     def test_service_waiter_survives_holder_death(self, tmp_path):
         """End-to-end: the *service* turns a lost lease race into a waiter
         job that takes over when the holder dies."""
-        self._waiter_survives_holder_death(tmp_path, backend="thread")
-
-    def test_async_waiter_takes_over_in_a_pool_worker(self, tmp_path):
-        """The waiter runs in a forked pool worker: its takeover lease must
-        not outlive the job, so the fingerprint is free afterwards."""
-        self._waiter_survives_holder_death(tmp_path, backend="async")
-
-    @staticmethod
-    def _waiter_survives_holder_death(tmp_path, backend: str) -> None:
         register_optimiser("touch-test", _TouchingOptimizer, {},
                            "takeover probe", replace=True)
         cache_dir = tmp_path / "cache"
@@ -277,8 +268,8 @@ class TestLeaseTakeover:
                         acquired)
         try:
             assert acquired.wait(timeout=30)
-            with OptimisationService(num_workers=2, cache_dir=cache_dir,
-                                     backend=backend) as service:
+            with OptimisationService(num_workers=2,
+                                     cache_dir=cache_dir) as service:
                 job_id = service.submit(graph, "touch-test", config)
                 record = service.scheduler.record(job_id)
                 assert "(lease-wait)" in record.label

@@ -5,8 +5,11 @@ equivalence."""
 import functools
 import logging
 import random
+import sys
+import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import CancelledError
 
 import pytest
 
@@ -318,6 +321,12 @@ class TestMemoryTier:
 
 
 # ---------------------------------------------------------------------------
+def _hold(started: threading.Event, release: threading.Event) -> bool:
+    """Job body that holds its compute slot until released."""
+    started.set()
+    return release.wait(30)
+
+
 class TestJobScheduler:
     def test_submit_poll_result_lifecycle(self):
         with JobScheduler(num_workers=2) as scheduler:
@@ -341,7 +350,6 @@ class TestJobScheduler:
             assert "search exploded" in scheduler.record(job_id).error
 
     def test_bounded_queue_rejects_overload(self):
-        import threading
         release = threading.Event()
         with JobScheduler(num_workers=1, max_pending=2) as scheduler:
             ids = [scheduler.submit(release.wait) for _ in range(2)]
@@ -358,6 +366,154 @@ class TestJobScheduler:
         with JobScheduler(num_workers=1) as scheduler:
             with pytest.raises(UnknownJobError):
                 scheduler.poll(999)
+
+    def test_results_follow_submission_order(self):
+        with JobScheduler(num_workers=2) as scheduler:
+            ids = [scheduler.submit(abs, -i) for i in range(6)]
+            assert [scheduler.result(i, timeout=60) for i in ids] == \
+                list(range(6))
+
+    def test_a_job_waiting_for_a_compute_slot_can_be_cancelled(
+            self, monkeypatch):
+        """Two pool threads, one compute slot: the second job sits in a
+        pool thread waiting for the slot, pending and cancellable."""
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
+        release = threading.Event()
+        ran = []
+        with JobScheduler(num_workers=2, max_pending=2) as scheduler:
+            blocker = scheduler.submit(release.wait, 30)
+            waiter = scheduler.submit(ran.append, "body")
+            time.sleep(0.2)  # the idle pool thread takes it and waits
+            assert scheduler.poll(waiter) is JobState.PENDING
+            assert scheduler.cancel(waiter) is True
+            assert scheduler.poll(waiter) is JobState.CANCELLED
+            with pytest.raises(CancelledError):
+                scheduler.result(waiter)
+            # Its admission slot is free again: a second job is admitted.
+            after = scheduler.submit(lambda: "ok")
+            release.set()
+            assert scheduler.result(blocker, timeout=10) is True
+            assert scheduler.result(after, timeout=10) == "ok"
+            assert scheduler.wait_all(timeout=10)
+            assert scheduler.counts()["cancelled"] == 1
+        assert ran == []  # its body never ran
+
+    def test_followers_of_a_cancelled_slot_waiter_end_cancelled(
+            self, monkeypatch):
+        """A follower shares its primary's future: when the primary is
+        cancelled while waiting for a compute slot, so is every follower,
+        and none of them holds an admission slot afterwards."""
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
+        started, release = threading.Event(), threading.Event()
+        ran = []
+        with JobScheduler(num_workers=2, max_pending=2) as scheduler:
+            blocker = scheduler.submit(_hold, started, release)
+            assert started.wait(10)  # the blocker holds the only slot
+            waiter = scheduler.submit(ran.append, "body")
+            followers = [scheduler.attach(waiter) for _ in range(2)]
+            time.sleep(0.2)  # the idle pool thread takes it and waits
+            assert scheduler.cancel(waiter) is True
+            for job_id in [waiter] + followers:
+                assert scheduler.poll(job_id) is JobState.CANCELLED
+                with pytest.raises(CancelledError):
+                    scheduler.result(job_id)
+            after = scheduler.submit(lambda: "ok")
+            release.set()
+            assert scheduler.result(blocker, timeout=10) is True
+            assert scheduler.result(after, timeout=10) == "ok"
+        assert ran == []
+
+    def test_a_cancelled_slot_waiter_ends_its_event_stream(
+            self, monkeypatch):
+        """``events()`` on a streamed job cancelled before it got a slot
+        ends at once, with no events, instead of waiting for a run that
+        never comes."""
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
+        started, release = threading.Event(), threading.Event()
+
+        def streamed(progress=None):
+            progress(1, 1.0, "fp1")
+
+        with JobScheduler(num_workers=2) as scheduler:
+            blocker = scheduler.submit(_hold, started, release)
+            assert started.wait(10)  # the blocker holds the only slot
+            waiter = scheduler.submit(streamed, stream=True)
+            time.sleep(0.2)
+            assert scheduler.cancel(waiter) is True
+            assert list(scheduler.events(waiter, timeout=5)) == []
+            release.set()
+            assert scheduler.result(blocker, timeout=10) is True
+
+    def test_waiting_for_a_slot_is_queue_time(self, monkeypatch):
+        """A job that waits for a compute slot starts running only once it
+        holds one: the wait counts as queue time, not run time."""
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
+        started, release = threading.Event(), threading.Event()
+        with JobScheduler(num_workers=2) as scheduler:
+            blocker = scheduler.submit(_hold, started, release)
+            assert started.wait(10)  # the blocker holds the only slot
+            waiter = scheduler.submit(lambda: None)
+            time.sleep(0.3)
+            assert scheduler.poll(waiter) is JobState.PENDING
+            release.set()
+            scheduler.result(blocker, timeout=10)
+            scheduler.result(waiter, timeout=10)
+            waited = scheduler.record(waiter)
+        assert waited.queue_time_s >= 0.3
+        assert waited.run_time_s < waited.queue_time_s
+
+    def test_a_non_compute_job_runs_while_every_slot_is_busy(
+            self, monkeypatch):
+        """``compute=False`` (the lease waiters) skips the compute slots, so
+        busy compute jobs can neither starve nor deadlock it."""
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
+        started, release = threading.Event(), threading.Event()
+        with JobScheduler(num_workers=2) as scheduler:
+            blocker = scheduler.submit(_hold, started, release)
+            assert started.wait(10)  # the blocker holds the only slot
+            waiter = scheduler.submit(lambda: "ran", compute=False)
+            try:
+                assert scheduler.result(waiter, timeout=5) == "ran"
+                assert scheduler.poll(blocker) is JobState.RUNNING
+            finally:
+                release.set()
+            assert scheduler.result(blocker, timeout=10) is True
+
+    def test_shutdown_stops_the_worker_threads(self):
+        with JobScheduler(num_workers=2) as scheduler:
+            workers = {scheduler.result(
+                scheduler.submit(threading.current_thread), timeout=10)
+                for _ in range(4)}
+        assert workers and threading.current_thread() not in workers
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_cancels_racing_the_slot_pickup_stay_consistent(
+            self, monkeypatch):
+        """Four threads race for two slots while every other job is
+        cancelled: a job whose cancel succeeded never runs, every other
+        job runs exactly once, and every admission slot comes back."""
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 2)
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with JobScheduler(num_workers=4, max_pending=200) as scheduler:
+                ids = [scheduler.submit(ran.append, i) for i in range(200)]
+                cancelled = {i for i, job_id in enumerate(ids)
+                             if i % 2 and scheduler.cancel(job_id)}
+                assert scheduler.wait_all(timeout=30)
+                states = [scheduler.poll(job_id) for job_id in ids]
+                refill = [scheduler.submit(abs, -i) for i in range(200)]
+                assert scheduler.wait_all(timeout=30)
+                assert [scheduler.result(i) for i in refill] == \
+                    list(range(200))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == sorted(set(range(200)) - cancelled)
+        assert {i for i, state in enumerate(states)
+                if state is JobState.CANCELLED} == cancelled
+        assert all(state is JobState.SUCCEEDED for i, state
+                   in enumerate(states) if i not in cancelled)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +592,6 @@ class TestOptimisationService:
         assert warm.search.model == "alias"
 
     def test_failed_batch_admission_cancels_pending_jobs(self, mlp_graph):
-        import threading
         release = threading.Event()
         with OptimisationService(num_workers=1, max_pending=2) as service:
             blocker = service.scheduler.submit(release.wait, label="blocker")
@@ -448,6 +603,31 @@ class TestOptimisationService:
             service.scheduler.result(blocker)
             counts = service.scheduler.counts()
         # The one admitted (still pending) job was cancelled on rollback.
+        assert counts["cancelled"] == 1
+        assert counts["succeeded"] == 1  # just the blocker
+
+    def test_failed_batch_admission_cancels_jobs_waiting_for_a_slot(
+            self, mlp_graph, monkeypatch):
+        """The rollback holds when the admitted job already sits in a pool
+        thread, waiting for the one compute slot the blocker holds."""
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
+        release = threading.Event()
+
+        def items():
+            yield (mlp_graph, "a")
+            time.sleep(0.2)  # the idle pool thread takes "a" and waits
+            yield (mlp_graph, "b")
+
+        with OptimisationService(num_workers=2, max_pending=2) as service:
+            blocker = service.scheduler.submit(release.wait, 30,
+                                               label="blocker")
+            with pytest.raises(QueueFullError):
+                service.submit_batch(items(), "taso", TASO_FAST,
+                                     use_cache=False)
+            release.set()
+            service.scheduler.result(blocker, timeout=10)
+            assert service.scheduler.wait_all(timeout=10)
+            counts = service.scheduler.counts()
         assert counts["cancelled"] == 1
         assert counts["succeeded"] == 1  # just the blocker
 
@@ -483,13 +663,6 @@ class TestOptimisationService:
                 f"parallel result diverged from serial on {name}"
             assert result.search.final_cost_ms \
                 == pytest.approx(serial[name].final_cost_ms)
-
-    def test_process_pool_mode(self, mlp_graph):
-        with OptimisationService(num_workers=2, backend="async") as service:
-            result = service.optimise(mlp_graph, "taso", {"max_iterations": 5})
-        thread_opt = create_optimiser("taso", max_iterations=5)
-        assert result.search.final_graph.structural_hash() \
-            == thread_opt.optimise(mlp_graph).final_graph.structural_hash()
 
     def test_unknown_optimiser_fails_at_submit(self, mlp_graph):
         with OptimisationService(num_workers=1) as service:
@@ -550,9 +723,10 @@ class TestOptimisationService:
     @pytest.mark.parametrize("flag", [["--router", "round_robin"],
                                       ["--processes"],
                                       ["--remote-worker", "127.0.0.1:1"],
-                                      ["--worker-server"]],
+                                      ["--worker-server"],
+                                      ["--backend", "thread"]],
                              ids=["router", "processes", "remote-worker",
-                                  "worker-server"])
+                                  "worker-server", "backend"])
     def test_cli_refuses_a_removed_flag(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli_main(["squeezenet"] + flag)
@@ -563,6 +737,29 @@ class TestOptimisationService:
         for removed in ({"router": "health"}, {"use_processes": True}):
             with pytest.raises(TypeError, match=next(iter(removed))):
                 OptimisationService(num_workers=1, **removed)
+
+    @pytest.mark.parametrize("name", ["thread", "async", "process",
+                                      "remote"])
+    @pytest.mark.parametrize("owner", [JobScheduler, OptimisationService],
+                             ids=["scheduler", "service"])
+    def test_backend_is_not_an_argument(self, owner, name):
+        """One worker flavour: no constructor takes a ``backend``, not even
+        the former default, so a caller still choosing one learns at once."""
+        with pytest.raises(TypeError, match="backend"):
+            owner(num_workers=1, backend=name)
+
+    def test_stats_name_no_backend(self):
+        with OptimisationService(num_workers=1) as service:
+            assert set(service.stats()) == {"workers", "jobs",
+                                            "cache_entries", "cache",
+                                            "dedup"}
+
+    def test_cli_reports_its_worker_count(self, capsys):
+        assert cli_main(["squeezenet", "--workers", "2",
+                         "--config", "max_iterations=2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "workers: 2" in lines
+        assert not any(line.startswith("backend") for line in lines)
 
     def test_failed_job_pollable_and_reraised(self, mlp_graph):
         with OptimisationService(num_workers=1) as service:

@@ -429,41 +429,40 @@ class TestExecWitnesses:
         assert any("calibration.improvement" in p for p in problems)
 
 
-class TestWorkerBackendsWitness:
-    """BENCH_service.json: the async row ran in worker processes, and
-    the reader is told what makes the two rows comparable."""
+class TestCrossProcessDedupWitness:
+    """BENCH_service.json: the lease run's one search was recorded."""
 
     POSITIVE = check_bench.REQUIRED_POSITIVE["BENCH_service.json"]
 
     @staticmethod
-    def _doc(worker_pids: float) -> dict:
+    def _doc(searches: float) -> dict:
         return {"benchmark": "service", "schema": 1, "smoke": True,
-                "results": {"worker_backends": {
-                    "thread_seconds": 0.2, "async_local_seconds": 0.2,
-                    "async_local_worker_pids": worker_pids}}}
+                "results": {"cross_process_dedup": {
+                    "processes": 3, "searches_with_leases": searches,
+                    "searches_without_leases": 3}}}
 
     def _evaluate(self, fresh: dict):
-        return check_bench.evaluate(self._doc(4), fresh, {}, smoke=True,
+        return check_bench.evaluate(self._doc(1), fresh, {}, smoke=True,
                                     required_positive=self.POSITIVE)
 
-    def test_worker_pid_row_carries_its_note(self):
-        problems, notes = self._evaluate(self._doc(2))
+    def test_one_search_passes(self):
+        problems, notes = self._evaluate(self._doc(1))
         assert problems == []
-        assert any("worker_backends.async_local_worker_pids" in n
-                   and "prewarmed at construction" in n for n in notes)
+        assert any("cross_process_dedup.searches_with_leases" in n
+                   and "gate executed" in n for n in notes)
 
-    def test_no_worker_process_fails(self):
+    def test_no_search_fails(self):
         problems, _ = self._evaluate(self._doc(0))
-        assert any("async_local_worker_pids" in p for p in problems)
+        assert any("searches_with_leases" in p for p in problems)
 
     def test_a_row_without_the_witness_fails(self):
-        fresh = self._doc(2)
-        del fresh["results"]["worker_backends"]["async_local_worker_pids"]
+        fresh = self._doc(1)
+        del fresh["results"]["cross_process_dedup"]["searches_with_leases"]
         problems, _ = self._evaluate(fresh)
-        assert any("async_local_worker_pids" in p for p in problems)
+        assert any("searches_with_leases" in p for p in problems)
 
-    def test_the_committed_recording_ran_in_a_worker_process(self):
+    def test_the_committed_recording_searched_once(self):
         doc = json.loads((REPO_ROOT / "BENCH_service.json").read_text())
-        backends = doc["results"]["worker_backends"]
-        assert backends["async_local_worker_pids"] >= 1
-        assert set(backends) >= {"thread_seconds", "async_local_seconds"}
+        assert doc["results"]["cross_process_dedup"][
+            "searches_with_leases"] == 1
+        assert "worker_backends" not in doc["results"]

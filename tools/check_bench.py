@@ -42,8 +42,8 @@ Correctness witnesses (:data:`REQUIRED_POSITIVE` /
 :data:`REQUIRED_LITERAL`) are enforced in *both* modes: the exec bench
 records how many differential checks actually ran, and a run whose
 equivalence gate was skipped fails here regardless of its speedups; the
-service bench's ``worker_backends`` async row must have been answered by
-worker processes other than the bench's own.
+service bench's ``cross_process_dedup`` section must record the one search
+its service processes shared.
 
 The wall-clock floors of the search and service benches
 (``measured_end_to_end`` 0.97, ``cold_vs_warm`` 10, ``cross_process_dedup``
@@ -133,11 +133,6 @@ KEY_NOTES: Dict[str, str] = {
     # threads a GEMM waits 12-24 ms whenever the other vCPU is busy
     # (docs/executor.md, "BLAS threads").
     "models.*.execute_ms": "timed after a BLAS warm-up since PR 22",
-    # Comparable across thread / async_local only because of this
-    # (recordings before PR 24 timed the async pool's spawn).
-    "worker_backends.*": "fresh service per flavour; every pool is prewarmed "
-                         "at construction, so spawn is outside the timed "
-                         "batch on both rows",
 }
 
 #: Correctness witnesses: numeric key patterns that must be present in the
@@ -155,8 +150,9 @@ REQUIRED_POSITIVE: Dict[str, Tuple[str, ...]] = {
     ),
     "BENCH_search.json": ("measured_end_to_end.*.rules_applied",
                           "identity.*.graphs_hashed"),
-    # The async row ran in worker processes, not in the bench's own.
-    "BENCH_service.json": ("worker_backends.async_local_worker_pids",),
+    # The lease run searched (the bench asserts exactly once): a run that
+    # never reached the search records 0 and fails here.
+    "BENCH_service.json": ("cross_process_dedup.searches_with_leases",),
 }
 
 #: String leaves that must equal an expected literal in the fresh results
