@@ -21,9 +21,10 @@ def rl_config():
 
 @pytest.fixture(scope="session")
 def suite_results(rl_config):
-    """TASO + X-RLflow results on the full evaluation suite (Figures 4/5/6).
+    """TASO + X-RLflow results and trained agents on the full evaluation
+    suite (Figures 4–8).
 
-    Computed once per benchmark session and shared, since the three figures
-    are different views of the same optimisation runs.
+    Computed once per benchmark session and shared, since the figures are
+    different views of the same optimisation runs.
     """
     return optimise_suite(config=rl_config)

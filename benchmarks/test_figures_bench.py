@@ -49,9 +49,10 @@ def test_fig6_optimisation_time(benchmark, suite_results):
     assert all(t > 0 for t in xrl.values())
 
 
-def test_fig7_shape_generalisation(benchmark, rl_config):
-    """Figure 7: a trained agent generalises to unseen tensor shapes."""
-    report = benchmark.pedantic(run_figure7, args=(rl_config,),
+def test_fig7_shape_generalisation(benchmark, suite_results):
+    """Figure 7: Figure 4's trained agents generalise to unseen tensor
+    shapes."""
+    report = benchmark.pedantic(run_figure7, args=(suite_results,),
                                 rounds=1, iterations=1)
     print("\n" + report.to_text())
     speedups = report.column("speedup_pct")

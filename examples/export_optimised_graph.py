@@ -1,9 +1,11 @@
 """Optimise a model with TASO-style search and export the optimised graph.
 
 Demonstrates the ONNX-like JSON round trip the paper describes (import a
-model, superoptimise, export for deployment)::
+model, superoptimise, export for deployment); the graph is written to the
+given path, ``squeezenet_optimised.json`` in the working directory by
+default::
 
-    python examples/export_optimised_graph.py /tmp/squeezenet_optimised.json
+    python examples/export_optimised_graph.py [output.json]
 """
 
 import sys
@@ -14,7 +16,7 @@ from repro.models import build_model
 from repro.search import TASOOptimizer
 
 
-def main(output_path: str = "/tmp/squeezenet_optimised.json") -> None:
+def main(output_path: str = "squeezenet_optimised.json") -> None:
     graph = build_model("squeezenet")
     result = TASOOptimizer(max_iterations=60).optimise(graph, "squeezenet")
     print(result.summary())
@@ -31,4 +33,4 @@ def main(output_path: str = "/tmp/squeezenet_optimised.json") -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else "/tmp/squeezenet_optimised.json")
+    main(sys.argv[1] if len(sys.argv) > 1 else "squeezenet_optimised.json")

@@ -7,7 +7,7 @@ input lengths::
     python examples/shape_generalisation.py
 """
 
-from repro.core import ShapeVariant, evaluate_generalisation
+from repro import XRLflow
 from repro.experiments import benchmark_config, small_model_kwargs
 from repro.models import build_model
 
@@ -15,20 +15,18 @@ from repro.models import build_model
 def main() -> None:
     base = small_model_kwargs("dalle")
     variants = [
-        ShapeVariant("dalle-text32", dict(base, text_len=32), is_training_shape=True),
-        ShapeVariant("dalle-text48", dict(base, text_len=48)),
-        ShapeVariant("dalle-text64", dict(base, text_len=64)),
-        ShapeVariant("dalle-image128", dict(base, image_tokens=128)),
+        ("dalle-text32 (train)", dict(base, text_len=32)),
+        ("dalle-text48", dict(base, text_len=48)),
+        ("dalle-text64", dict(base, text_len=64)),
+        ("dalle-image128", dict(base, image_tokens=128)),
     ]
-    report = evaluate_generalisation(
-        lambda **kw: build_model("dalle", **kw),
-        variants,
-        config=benchmark_config(),
-        model_name="dalle",
-    )
-    print(report.summary())
-    for label, result in zip(report.labels, report.results):
-        print(f"  {label:18s} speedup {result.speedup_percent:+6.2f}%  "
+    optimiser = XRLflow(benchmark_config())
+    optimiser.train(build_model("dalle", **variants[0][1]))
+    print("dalle generalisation — one agent, trained on the first shape")
+    for label, kwargs in variants:
+        result = optimiser.optimise(build_model("dalle", **kwargs), label,
+                                    train=False)
+        print(f"  {label:20s} speedup {result.speedup_percent:+6.2f}%  "
               f"({len(result.applied_rules)} substitutions)")
 
 

@@ -1,11 +1,12 @@
-"""X-RLflow core: configuration, optimiser API and shape generalisation.
+"""X-RLflow core: configuration and the optimiser API.
 
-The optimiser API (:class:`XRLflow`) and generalisation helpers sit at the
-top of the dependency graph — they import the RL stack, which imports the
-rewrite substrate, which in turn uses the low-level utilities in this
-package (:class:`LRUCache`).  Importing them eagerly here would make
-``repro.core.lru`` unimportable from below, so they are loaded lazily on
-first attribute access (PEP 562).
+The optimiser API (:class:`XRLflow`) sits at the top of the dependency
+graph — it imports the RL stack, which imports the rewrite substrate,
+which in turn uses the low-level utilities in this package
+(:class:`LRUCache`).  Importing it eagerly here would make
+``repro.core.lru`` unimportable from below, so it and
+:data:`OptimisationResult` are loaded lazily on first attribute access
+(PEP 562).
 """
 
 from .config import PAPER_TABLE4, XRLflowConfig
@@ -14,15 +15,11 @@ from .lru import LRUCache
 __all__ = [
     "PAPER_TABLE4", "XRLflowConfig", "LRUCache",
     "OptimisationResult", "XRLflow",
-    "GeneralisationReport", "ShapeVariant", "evaluate_generalisation",
 ]
 
 _LAZY = {
     "OptimisationResult": "xrlflow",
     "XRLflow": "xrlflow",
-    "GeneralisationReport": "generalise",
-    "ShapeVariant": "generalise",
-    "evaluate_generalisation": "generalise",
 }
 
 

@@ -8,6 +8,11 @@
 * Figure 6 — optimisation time, TASO vs X-RLflow
 * Figure 7 — generalisation to unseen tensor shapes
 * Figure 8 — comparison with Tensat
+
+The figures are views of one run: ``results = optimise_suite()`` searches
+each model once with TASO and X-RLflow, and ``run_figure4(results)`` …
+``run_figure8(results)`` read it — Figure 7 evaluates the agents that run
+trained at unseen shapes, without retraining.
 """
 
 from .common import (ExperimentReport, ExperimentRow, benchmark_config,

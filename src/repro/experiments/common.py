@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.config import XRLflowConfig
 from ..ir.graph import Graph
 from ..models.registry import build_model
 
 __all__ = ["ExperimentRow", "ExperimentReport", "small_model_kwargs",
-           "benchmark_config", "format_table", "shared_service",
-           "optimise_via_service"]
+           "benchmark_config", "format_table"]
 
 #: Reduced-size builder arguments used by the experiment harness so that the
 #: pure-Python optimisers finish in seconds.  The architecture (operator mix,
@@ -50,37 +49,6 @@ def benchmark_config(**overrides) -> XRLflowConfig:
     preset = dict(num_episodes=6, max_steps=18, max_candidates=24,
                   update_frequency=3, ppo_epochs=1, eval_episodes=3)
     return XRLflowConfig.fast(**{**preset, **overrides})
-
-
-#: Process-wide optimisation service shared by the experiment harness, so
-#: repeated sweeps (different figures re-optimising the same models with the
-#: same settings) hit a warm fingerprint cache instead of re-searching.
-_SHARED_SERVICE = None
-
-
-def shared_service(num_workers: int = 4):
-    """The experiment harness's process-wide :class:`OptimisationService`.
-
-    ``num_workers`` only takes effect on the call that creates the
-    singleton; later calls return the existing service unchanged.
-    """
-    global _SHARED_SERVICE
-    if _SHARED_SERVICE is None:
-        from ..service.api import OptimisationService
-        _SHARED_SERVICE = OptimisationService(num_workers=num_workers)
-    return _SHARED_SERVICE
-
-
-def optimise_via_service(graph: Graph, optimiser: str = "taso",
-                         config: Optional[Dict[str, object]] = None,
-                         model_name: str = ""):
-    """Optimise one graph through the shared service (warm-cache path).
-
-    Returns a :class:`repro.service.worker.ServiceResult`; the underlying
-    :class:`~repro.search.result.SearchResult` is its ``.search`` attribute.
-    """
-    return shared_service().optimise(graph, optimiser=optimiser,
-                                     config=config, model_name=model_name)
 
 
 @dataclass

@@ -1,63 +1,68 @@
-"""Reproduction of the paper's figures (4, 5, 6, 7 and 8)."""
+"""Reproduction of the paper's figures (4, 5, 6, 7 and 8).
+
+Every figure is a view of one :func:`optimise_suite` run: each search runs
+once, and Figure 7 reuses the agents Figure 4 trained.
+"""
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..core.config import XRLflowConfig
-from ..core.generalise import ShapeVariant, evaluate_generalisation
 from ..core.xrlflow import XRLflow
 from ..cost.e2e import E2ESimulator
 from ..models.registry import PAPER_EVAL_MODELS, TENSAT_MODELS, build_model
+from ..search.greedy import TASOOptimizer
 from ..search.result import SearchResult
 from ..search.tensat import TensatOptimizer
 from .common import (ExperimentReport, benchmark_config, build_small_model,
-                     optimise_via_service, small_model_kwargs)
+                     small_model_kwargs)
 
 __all__ = ["run_figure4", "run_figure5", "run_figure6", "run_figure7",
            "run_figure8", "optimise_suite"]
 
+#: ``{model: {"taso": SearchResult, "xrlflow": SearchResult,
+#: "agent": XRLflow}}`` — what :func:`optimise_suite` returns.
+SuiteResults = Dict[str, Dict[str, Any]]
+
+#: Figure 7's shapes per model: ``(label, builder overrides)``, the
+#: training shape (the reduced build Figure 4 trained on) first.
+_FIGURE7_SHAPES = {
+    "dalle": [("dalle-32 (train)", {"text_len": 32}),
+              ("dalle-48", {"text_len": 48}),
+              ("dalle-64", {"text_len": 64})],
+    "inception_v3": [("inception-299 (train)", {"image_size": 299}),
+                     ("inception-225", {"image_size": 225}),
+                     ("inception-187", {"image_size": 187})],
+}
+
 
 def optimise_suite(models: Optional[Sequence[str]] = None,
                    config: Optional[XRLflowConfig] = None,
-                   taso_iterations: int = 40,
-                   ) -> Dict[str, Dict[str, SearchResult]]:
-    """Optimise every model with TASO and X-RLflow.
+                   taso_iterations: int = 40) -> SuiteResults:
+    """Optimise every model's reduced build with TASO and X-RLflow.
 
-    Returns ``{model: {"taso": result, "xrlflow": result}}`` — the raw data
-    behind Figures 4, 5 and 6 (speedup, rule heatmap and optimisation time).
+    Returns ``{model: {"taso": result, "xrlflow": result, "agent":
+    optimiser}}`` — the data behind Figures 4–8.  ``agent`` is the
+    :class:`XRLflow` whose training produced ``xrlflow``; Figure 7 reuses
+    it on unseen shapes without retraining.
     """
     models = list(models or PAPER_EVAL_MODELS)
     config = config or benchmark_config()
-    results: Dict[str, Dict[str, SearchResult]] = {}
+    results: SuiteResults = {}
     for name in models:
         graph = build_small_model(name)
-        # The TASO leg routes through the shared optimisation service, so a
-        # second sweep over the same models returns from the warm cache.
-        # (E2ESimulator.latency_ms is deterministic, so the service worker's
-        # own simulator reports the same numbers as a shared instance.)
-        taso_result = optimise_via_service(
-            graph, "taso", {"max_iterations": taso_iterations},
-            model_name=name).search
-        if taso_result.stats.get("cache_hit"):
-            # Figure 6 plots optimisation wall-clock time; a cache hit
-            # reports retrieval time, so restore the original search time
-            # the cache entry preserved.
-            taso_result = dataclasses.replace(
-                taso_result,
-                optimisation_time_s=taso_result.stats["search_time_s"])
+        taso = TASOOptimizer(max_iterations=taso_iterations)
         xrlflow = XRLflow(config, e2e=E2ESimulator())
         results[name] = {
-            "taso": taso_result,
+            "taso": taso.optimise(graph, name),
             "xrlflow": xrlflow.optimise(graph, name),
+            "agent": xrlflow,
         }
     return results
 
 
-def run_figure4(results: Optional[Dict[str, Dict[str, SearchResult]]] = None,
-                models: Optional[Sequence[str]] = None,
-                config: Optional[XRLflowConfig] = None) -> ExperimentReport:
+def run_figure4(results: SuiteResults) -> ExperimentReport:
     """Figure 4: end-to-end inference speedup, TASO vs X-RLflow, per DNN.
 
     X-RLflow has two columns: ``xrlflow_speedup_pct``, the returned graph
@@ -65,7 +70,6 @@ def run_figure4(results: Optional[Dict[str, Dict[str, SearchResult]]] = None,
     ``xrlflow_policy_speedup_pct``, what the deterministic policy reached
     on its own.
     """
-    results = results or optimise_suite(models, config)
     report = ExperimentReport(
         experiment="Figure 4",
         description="end-to-end speedup (%) over the unoptimised graph",
@@ -79,11 +83,8 @@ def run_figure4(results: Optional[Dict[str, Dict[str, SearchResult]]] = None,
     return report
 
 
-def run_figure5(results: Optional[Dict[str, Dict[str, SearchResult]]] = None,
-                models: Optional[Sequence[str]] = None,
-                config: Optional[XRLflowConfig] = None) -> ExperimentReport:
+def run_figure5(results: SuiteResults) -> ExperimentReport:
     """Figure 5: heatmap of rewrite rules applied by X-RLflow per DNN."""
-    results = results or optimise_suite(models, config)
     report = ExperimentReport(
         experiment="Figure 5",
         description="count of each rewrite rule applied by X-RLflow",
@@ -95,16 +96,13 @@ def run_figure5(results: Optional[Dict[str, Dict[str, SearchResult]]] = None,
     return report
 
 
-def run_figure6(results: Optional[Dict[str, Dict[str, SearchResult]]] = None,
-                models: Optional[Sequence[str]] = None,
-                config: Optional[XRLflowConfig] = None) -> ExperimentReport:
+def run_figure6(results: SuiteResults) -> ExperimentReport:
     """Figure 6: optimisation wall-clock time, TASO vs X-RLflow.
 
     As in the paper, ``xrlflow_seconds`` excludes agent training (the
     trained policy is reused across deployments) but includes its per-step
     inference; ``xrlflow_train_seconds`` is the training, reported apart.
     """
-    results = results or optimise_suite(models, config)
     report = ExperimentReport(
         experiment="Figure 6",
         description="optimisation time (seconds)",
@@ -118,63 +116,38 @@ def run_figure6(results: Optional[Dict[str, Dict[str, SearchResult]]] = None,
     return report
 
 
-def run_figure7(config: Optional[XRLflowConfig] = None) -> ExperimentReport:
+def run_figure7(results: SuiteResults) -> ExperimentReport:
     """Figure 7: generalisation of a trained agent to unseen tensor shapes.
 
-    DALL-E is trained at one text length and evaluated at others; InceptionV3
-    is trained at one image resolution and evaluated at others.
+    The agents :func:`optimise_suite` trained on DALL-E (text length 32)
+    and InceptionV3 (image size 299) optimise, inference only, the same
+    architecture at other text lengths and image sizes.
+
+    Raises:
+        KeyError: If ``results`` lacks ``dalle`` or ``inception_v3``.
     """
-    config = config or benchmark_config()
     report = ExperimentReport(
         experiment="Figure 7",
         description="speedup (%) at unseen tensor shapes (trained shape marked)",
     )
-
-    dalle_variants = [
-        ShapeVariant("dalle-32", dict(small_model_kwargs("dalle"), text_len=32),
-                     is_training_shape=True),
-        ShapeVariant("dalle-48", dict(small_model_kwargs("dalle"), text_len=48)),
-        ShapeVariant("dalle-64", dict(small_model_kwargs("dalle"), text_len=64)),
-    ]
-    dalle_report = evaluate_generalisation(
-        lambda **kw: build_model("dalle", **kw), dalle_variants, config, "dalle")
-    for label, result in zip(dalle_report.labels, dalle_report.results):
-        report.add(label, speedup_pct=result.speedup_percent)
-
-    inception_variants = [
-        ShapeVariant("inception-299",
-                     dict(small_model_kwargs("inception_v3"), image_size=299),
-                     is_training_shape=True),
-        ShapeVariant("inception-225",
-                     dict(small_model_kwargs("inception_v3"), image_size=225)),
-        ShapeVariant("inception-187",
-                     dict(small_model_kwargs("inception_v3"), image_size=187)),
-    ]
-    inception_report = evaluate_generalisation(
-        lambda **kw: build_model("inception_v3", **kw), inception_variants,
-        config, "inception_v3")
-    for label, result in zip(inception_report.labels, inception_report.results):
-        report.add(label, speedup_pct=result.speedup_percent)
+    agents = {name: results[name]["agent"] for name in _FIGURE7_SHAPES}
+    for name, shapes in _FIGURE7_SHAPES.items():
+        for label, overrides in shapes:
+            graph = build_model(name, **{**small_model_kwargs(name), **overrides})
+            result = agents[name].optimise(graph, label, train=False)
+            report.add(label, speedup_pct=result.speedup_percent)
     return report
 
 
-def run_figure8(results: Optional[Dict[str, Dict[str, SearchResult]]] = None,
+def run_figure8(results: SuiteResults,
                 models: Optional[Sequence[str]] = None,
-                config: Optional[XRLflowConfig] = None,
                 tensat_rounds: int = 4) -> ExperimentReport:
     """Figure 8: end-to-end speedup comparison between Tensat and X-RLflow
     (both X-RLflow columns, as in :func:`run_figure4`).
 
-    The X-RLflow runs are read from ``results`` (Figure 4's
-    :func:`optimise_suite` output) and trained here only when it is
-    omitted; Tensat runs per model.
+    The X-RLflow runs are read from ``results``; Tensat runs per model.
     """
     models = list(models or TENSAT_MODELS)
-    if results is None:
-        config = config or benchmark_config()
-        results = {name: {"xrlflow": XRLflow(config, e2e=E2ESimulator())
-                          .optimise(build_small_model(name), name)}
-                   for name in models}
     report = ExperimentReport(
         experiment="Figure 8",
         description="end-to-end speedup (%): Tensat vs X-RLflow",

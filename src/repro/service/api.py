@@ -235,9 +235,13 @@ class OptimisationService:
             # fingerprint that would never be cleaned up.
             cell: Dict[str, Any] = {"job_id": None, "done": False}
 
+            def store(result: ServiceResult) -> None:
+                self.cache.put(
+                    CacheEntry.from_result(fingerprint, result.search))
+
             def release(_future: Any) -> None:
                 if lease is not None:
-                    # After on_success published the entry, so a released
+                    # After ``store`` published the entry, so a released
                     # lease with no entry means the search failed.
                     self._leases.release(fingerprint, lease)
                 with self._dedup_lock:
@@ -249,18 +253,18 @@ class OptimisationService:
 
             try:
                 if self._leases is not None and lease is None:
+                    # No ``store``: an entry the waiter polled is on disk
+                    # already, and it publishes its own takeover search
+                    # through this cache before releasing the lease.
                     job_id = self.scheduler.submit(
-                        wait_for_result, request, fingerprint,
-                        str(self.cache.cache_dir),
+                        wait_for_result, request, fingerprint, self.cache,
                         label=f"{request.label} (lease-wait)",
-                        on_success=self._store_callback(fingerprint),
                         on_done=release, stream=stream, compute=False)
                 else:
                     job_id = self.scheduler.submit(
                         execute_request, request, fingerprint,
                         label=request.label,
-                        on_success=self._store_callback(fingerprint),
-                        on_done=release, stream=stream)
+                        on_success=store, on_done=release, stream=stream)
             except BaseException:
                 # A rejected admission (e.g. QueueFullError) never created
                 # the job whose done-callback would release the lease —
@@ -324,18 +328,6 @@ class OptimisationService:
                     pass
             raise
         return job_ids
-
-    def _store_callback(self, fingerprint: str):
-        """Store a job's result under ``fingerprint`` — unless it is a
-        cache hit.  A searched result (``execute_request``, a lease
-        waiter's takeover search) is never one; a waiter's entry polled
-        from the shared tier always is, and republishing it would reset
-        its provenance for no gain."""
-        def store(result: ServiceResult) -> None:
-            if not result.cache_hit:
-                self.cache.put(
-                    CacheEntry.from_result(fingerprint, result.search))
-        return store
 
     # -- polling / results ---------------------------------------------
     def poll(self, job_id: int) -> JobState:

@@ -189,7 +189,8 @@ class LeaseManager:
             self.release(fingerprint, lease)
 
 
-def wait_for_result(request: JobRequest, fingerprint: str, cache_dir: str,
+def wait_for_result(request: JobRequest, fingerprint: str,
+                    cache: FingerprintCache,
                     progress: Any = None) -> ServiceResult:
     """Job body for lease *losers*: poll the cache, search if the lease frees.
 
@@ -199,22 +200,25 @@ def wait_for_result(request: JobRequest, fingerprint: str, cache_dir: str,
     search, publish and release here.  ``progress`` is forwarded to a
     search run here.
 
-    It polls through a private :class:`FingerprintCache` on
-    ``cache_dir``: the entry it waits for can only be on disk (another
-    process published it), and its repeated misses stay out of the
-    service's hit / miss accounting.
+    It polls through a private :class:`FingerprintCache` on ``cache``'s
+    directory: the entry it waits for can only be on disk (another
+    process published it), and its repeated misses stay out of
+    ``cache``'s hit / miss accounting.  A search run here is published
+    through ``cache`` itself (the service's cache: one disk write, under
+    its eviction policy) before the lease is released.
 
     Raises:
         TimeoutError: If nothing was published within :data:`MAX_WAIT_S`.
         OSError: If the lease file cannot be opened or locked.
         Exception: Whatever a search run here itself raised.
     """
-    cache = FingerprintCache(capacity=4, cache_dir=cache_dir)
+    cache_dir = cache.cache_dir
+    poller = FingerprintCache(capacity=4, cache_dir=cache_dir)
     deadline = time.monotonic() + MAX_WAIT_S
     started = time.perf_counter()
 
     def published() -> Optional[ServiceResult]:
-        entry = cache.get(fingerprint)
+        entry = poller.get(fingerprint)
         if entry is None:
             return None
         result = cached_result(request, entry,

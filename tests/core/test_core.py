@@ -1,4 +1,4 @@
-"""Tests for the X-RLflow public API: config, optimiser, generalisation."""
+"""Tests for the X-RLflow public API: config and optimiser."""
 
 import dataclasses
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import XRLflow, XRLflowConfig
-from repro.core import PAPER_TABLE4, ShapeVariant, evaluate_generalisation
+from repro.core import PAPER_TABLE4
 from repro.models import build_model
 from repro.rl import XRLflowAgent
 
@@ -195,23 +195,3 @@ class TestXRLflow:
     def test_save_without_training_fails(self, tiny_config, tmp_path):
         with pytest.raises(RuntimeError):
             XRLflow(tiny_config).save_agent(str(tmp_path / "agent.npz"))
-
-
-class TestGeneralisation:
-    def test_requires_exactly_one_training_shape(self, tiny_config):
-        variants = [ShapeVariant("a", {"seq_len": 16}),
-                    ShapeVariant("b", {"seq_len": 24})]
-        with pytest.raises(ValueError):
-            evaluate_generalisation(tiny_transformer, variants, tiny_config)
-
-    def test_generalisation_report(self, tiny_config):
-        variants = [
-            ShapeVariant("seq16", {"seq_len": 16}, is_training_shape=True),
-            ShapeVariant("seq24", {"seq_len": 24}),
-        ]
-        report = evaluate_generalisation(tiny_transformer, variants, tiny_config,
-                                         model_name="tiny-bert")
-        assert len(report.results) == 2
-        speedups = report.speedups()
-        assert all(s >= 1.0 - 1e-9 for s in speedups.values())
-        assert "tiny-bert" in report.summary()

@@ -1,12 +1,17 @@
 """Tests for the experiment harness (fast, reduced-size configurations)."""
 
+import threading
+
 import pytest
 
+from repro import XRLflow
 from repro.experiments import (ExperimentReport, benchmark_config,
                                build_small_model, format_table, run_figure4,
-                               run_figure8, run_table1, run_table2, run_table3,
-                               optimise_suite, small_model_kwargs)
-from repro.models import PAPER_EVAL_MODELS
+                               run_figure7, run_figure8, run_table1,
+                               run_table2, run_table3, optimise_suite,
+                               small_model_kwargs)
+from repro.models import PAPER_EVAL_MODELS, build_model
+from repro.service import create_optimiser
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +85,68 @@ class TestFigures:
             assert fig8.column(column) == fig4.column(column)
 
     def test_figure8_runs(self, tiny_rl_config):
-        report = run_figure8(models=["bert"], config=tiny_rl_config, tensat_rounds=2)
+        results = optimise_suite(models=["bert"], config=tiny_rl_config,
+                                 taso_iterations=5)
+        report = run_figure8(results, models=["bert"], tensat_rounds=2)
         xrl = report.column("xrlflow_speedup_pct")["bert"]
         policy = report.column("xrlflow_policy_speedup_pct")["bert"]
         assert -1e-6 <= policy <= xrl + 1e-9
+
+    def test_taso_leg_is_a_direct_search(self, tiny_rl_config):
+        """The suite's TASO result is the registry's ``taso`` search, run
+        in the caller's thread: no service threads outlive the suite."""
+        threads = threading.active_count()
+        results = optimise_suite(models=["squeezenet"], config=tiny_rl_config,
+                                 taso_iterations=10)
+        assert threading.active_count() == threads
+        reference = create_optimiser("taso", max_iterations=10).optimise(
+            build_small_model("squeezenet"))
+        taso = results["squeezenet"]["taso"]
+        assert taso.applied_rules == reference.applied_rules
+        assert taso.final_latency_ms == reference.final_latency_ms
+
+
+#: Figure 7's shapes, spelled out apart from the harness's own table.
+_FIGURE7_REFERENCE = {
+    "dalle": [("dalle-32 (train)", {"text_len": 32}),
+              ("dalle-48", {"text_len": 48}),
+              ("dalle-64", {"text_len": 64})],
+    "inception_v3": [("inception-299 (train)", {"image_size": 299}),
+                     ("inception-225", {"image_size": 225}),
+                     ("inception-187", {"image_size": 187})],
+}
+
+
+class TestFigure7:
+    @pytest.fixture(scope="class")
+    def suite(self, tiny_rl_config):
+        return optimise_suite(models=list(_FIGURE7_REFERENCE),
+                              config=tiny_rl_config, taso_iterations=5)
+
+    def test_reuses_the_suite_agents_bit_for_bit(self, suite, tiny_rl_config,
+                                                 monkeypatch):
+        """Figure 7 trains nothing, and its rows are what a fresh agent
+        trained on the anchor shape reaches at each shape."""
+        expected = []
+        for name, shapes in _FIGURE7_REFERENCE.items():
+            kwargs = small_model_kwargs(name)
+            optimiser = XRLflow(tiny_rl_config)
+            optimiser.train(build_model(name, **kwargs))
+            for label, overrides in shapes:
+                graph = build_model(name, **{**kwargs, **overrides})
+                result = optimiser.optimise(graph, label, train=False)
+                expected.append((label, result.speedup_percent))
+
+        trainings = []
+        train = XRLflow.train
+        monkeypatch.setattr(
+            XRLflow, "train",
+            lambda self, *a, **kw: trainings.append(1) or train(self, *a, **kw))
+        report = run_figure7(suite)
+        assert trainings == []
+        assert [(row.label, row.values["speedup_pct"])
+                for row in report.rows] == expected
+
+    def test_a_missing_model_is_named(self, suite):
+        with pytest.raises(KeyError, match="inception_v3"):
+            run_figure7({"dalle": suite["dalle"]})

@@ -23,6 +23,7 @@ import pytest
 from repro.ir import GraphBuilder
 from repro.search.result import SearchResult
 from repro.service import OptimisationService, register_optimiser
+from repro.service.cache import FingerprintCache
 from repro.service.lease import (LEASE_SUFFIX, leases_supported, try_acquire,
                                  wait_for_result)
 from repro.service.worker import JobRequest
@@ -222,6 +223,7 @@ class TestLeaseTakeover:
                              config={"touch_dir": str(touch_dir),
                                      "delay_s": 0.1})
         fingerprint = request.fingerprint()
+        cache = FingerprintCache(cache_dir=cache_dir)
 
         ctx = multiprocessing.get_context("fork")
         acquired = ctx.Event()
@@ -231,7 +233,7 @@ class TestLeaseTakeover:
             assert acquired.wait(timeout=30)
             started = time.monotonic()
             os.kill(holder.pid, signal.SIGKILL)  # dies without releasing
-            outcome = wait_for_result(request, fingerprint, str(cache_dir))
+            outcome = wait_for_result(request, fingerprint, cache)
             elapsed = time.monotonic() - started
         finally:
             holder.join(timeout=10)
@@ -243,7 +245,7 @@ class TestLeaseTakeover:
         assert list(cache_dir.glob(f"*{LEASE_SUFFIX}")) == []
         # The takeover published the result, so the next waiter needs no
         # search at all.
-        warm = wait_for_result(request, fingerprint, str(cache_dir))
+        warm = wait_for_result(request, fingerprint, cache)
         assert warm.cache_hit
         assert warm.search.stats.get("cross_process_dedup") == 1.0
         assert len(list(touch_dir.iterdir())) == 1
@@ -284,6 +286,48 @@ class TestLeaseTakeover:
         free = try_acquire(cache_dir, fingerprint)
         assert free is not None
         free.release()
+
+    def test_a_takeover_writes_its_entry_to_disk_once(self, tmp_path,
+                                                      monkeypatch):
+        """The waiter publishes through the service's cache before it
+        releases the lease — one disk write, and the entry is in the
+        service's memory tier — and the service stores nothing again."""
+        register_optimiser("touch-test", _TouchingOptimizer, {},
+                           "takeover probe", replace=True)
+        cache_dir = tmp_path / "cache"
+        touch_dir = tmp_path / "touches"
+        cache_dir.mkdir()
+        touch_dir.mkdir()
+        graph = _tiny_graph("victim")
+        config = {"touch_dir": str(touch_dir), "delay_s": 0.1}
+        fingerprint = JobRequest(graph=graph, optimiser="touch-test",
+                                 config=config).fingerprint()
+        writes = []
+        store = FingerprintCache._store_persistent
+        monkeypatch.setattr(
+            FingerprintCache, "_store_persistent",
+            lambda cache, entry: writes.append(entry.fingerprint)
+            or store(cache, entry))
+
+        ctx = multiprocessing.get_context("fork")
+        acquired = ctx.Event()
+        holder = _spawn(_hold_lease_and_hang, str(cache_dir), fingerprint,
+                        acquired)
+        try:
+            assert acquired.wait(timeout=30)
+            with OptimisationService(num_workers=2,
+                                     cache_dir=cache_dir) as service:
+                job_id = service.submit(graph, "touch-test", config)
+                assert "(lease-wait)" in service.scheduler.record(
+                    job_id).label
+                os.kill(holder.pid, signal.SIGKILL)
+                result = service.result(job_id, timeout=60)
+                assert len(service.cache) == 1
+        finally:
+            holder.join(timeout=10)
+        assert not result.cache_hit
+        assert len(list(touch_dir.iterdir())) == 1
+        assert writes == [fingerprint]
 
 
 # ---------------------------------------------------------------------------
