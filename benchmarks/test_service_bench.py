@@ -4,8 +4,9 @@ Six measurements, all recorded to ``BENCH_service.json`` (see
 ``_harness.py``):
 
 * **hit path** — what a request that does not search costs, per catalogue
-  model, one pinned client: the fingerprint of a fresh graph, a memory hit
-  through the service, a disk hit and a disk store at the cache;
+  model, one pinned client: the fingerprint of a fresh graph (next to the
+  build of that graph), a memory hit through the service, a disk hit and a
+  disk store at the cache; each a median with its minimum and quartiles;
 * **eviction** — the searches a fixed Zipf replay repeats through the two
   cache tiers, in misses and recompute seconds, and its disk reads, against
   both tiers evicting by LRU, the order GreedyDual replaced
@@ -77,17 +78,30 @@ CATALOGUE = ["bert", "squeezenet"] if SMOKE else [
 HIT_SAMPLES = 30
 
 
-def _median_ms(fn, make):
-    """Median wall-clock of ``fn(make())`` over :data:`HIT_SAMPLES` calls, in
-    milliseconds; ``make`` (a fresh graph, a fresh cache) runs just before
-    each call, outside the clock — as a caller builds, then submits."""
-    samples = []
+def _timed(fn, make):
+    """Wall-clock seconds of ``make()`` and of ``fn(make())``, each over
+    :data:`HIT_SAMPLES` calls: ``make`` (a fresh graph, a fresh cache) runs
+    just before each call and is timed apart from it — as a caller builds,
+    then submits."""
+    made, called = [], []
     for _ in range(HIT_SAMPLES):
-        x = make()
         started = time.perf_counter()
+        x = make()
+        between = time.perf_counter()
         fn(x)
-        samples.append(time.perf_counter() - started)
-    return statistics.median(samples) * 1e3
+        called.append(time.perf_counter() - between)
+        made.append(between - started)
+    return made, called
+
+
+def _spread(key, samples, scale):
+    """``key``: the median of ``samples`` times ``scale``, and beside it
+    ``key_min`` / ``key_q1`` / ``key_q3``, so a loud host reads as a wide
+    spread rather than as slow code."""
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return {key: statistics.median(samples) * scale,
+            f"{key}_min": min(samples) * scale,
+            f"{key}_q1": q1 * scale, f"{key}_q3": q3 * scale}
 
 
 def test_hit_path(tmp_path):
@@ -108,23 +122,30 @@ def test_hit_path(tmp_path):
                 entry = CacheEntry.from_result(fingerprint, cold.search)
                 directory = tmp_path / name
                 writer = FingerprintCache(cache_dir=directory)
+                nodes = cold.search.initial_graph.num_nodes
+                # Build and fingerprint of the same graphs: add_node leaves
+                # each node's hash payload on it, so the fingerprint is
+                # read together with what the build paid.
+                build_s, fingerprint_s = _timed(
+                    lambda g: request_fingerprint(g, "taso", config), fresh)
                 rows[name] = row = {
-                    "nodes": cold.search.initial_graph.num_nodes,
-                    "fingerprint_ms": _median_ms(
-                        lambda g: request_fingerprint(g, "taso", config),
-                        fresh),
-                    "memory_hit_ms": _median_ms(
+                    "nodes": nodes,
+                    **_spread("fingerprint_ms", fingerprint_s, 1e3),
+                    **_spread("fingerprint_us_per_node", fingerprint_s,
+                              1e6 / nodes),
+                    **_spread("build_us_per_node", build_s, 1e6 / nodes),
+                    **_spread("memory_hit_ms", _timed(
                         lambda g: service.optimise(g, "taso", config,
                                                    model_name=name),
-                        fresh),
-                    "disk_put_ms": _median_ms(writer.put, lambda: entry),
+                        fresh)[1], 1e3),
+                    **_spread("disk_put_ms",
+                              _timed(writer.put, lambda: entry)[1], 1e3),
                     # A fresh cache object per sample: an empty memory tier.
-                    "disk_hit_ms": _median_ms(
+                    **_spread("disk_hit_ms", _timed(
                         lambda cache: cache.get(fingerprint),
-                        partial(FingerprintCache, cache_dir=directory)),
+                        partial(FingerprintCache, cache_dir=directory))[1],
+                        1e3),
                 }
-                row["fingerprint_us_per_node"] = \
-                    1e3 * row["fingerprint_ms"] / row["nodes"]
                 row["disk_over_memory"] = \
                     row["disk_hit_ms"] / row["memory_hit_ms"]
                 reader = FingerprintCache(cache_dir=directory)
@@ -141,7 +162,8 @@ def test_hit_path(tmp_path):
         experiment="Service bench",
         description=f"hit path, median of {HIT_SAMPLES}, one pinned client")
     for name, row in rows.items():
-        report.add(name, **row)
+        report.add(name, **{key: value for key, value in row.items()
+                            if not key.endswith(("_min", "_q1", "_q3"))})
     print("\n" + report.to_text())
     record("hit_path", {"samples": HIT_SAMPLES, "pinned": bool(affinity),
                         **rows})

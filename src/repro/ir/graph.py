@@ -49,21 +49,87 @@ def _digest_sum(digests: Iterable[bytes]) -> int:
     return sum(map(int.from_bytes, digests, itertools.repeat("little")))
 
 
-#: Every node-local digest payload rendered so far (see :func:`_hash_prefix`),
-#: process-wide: a caller's fresh graph repeats the few dozen distinct
-#: (op, attrs, output shapes) of its model, and rendering their text was
-#: three quarters of hashing it.  Bounded like ``ops._INFER_MEMO``; a plain
-#: dict, because racing threads can only store equal bytes under one key.
+#: Every node template :meth:`Graph.add_node` has met, process-wide:
+#: ``(op, input specs, repr of the attrs) -> (output specs, node-local
+#: digest payload)``.  A model repeats a few dozen distinct nodes, and a
+#: rewrite candidate re-creates the same handful thousands of times, so
+#: inference and the payload text are each derived once per template per
+#: process.  Bounded at 65 536 entries; a plain dict, because racing threads
+#: can only store equal values under one key.
+_TEMPLATES: Dict[tuple, Tuple[Tuple[TensorSpec, ...], bytes]] = {}
+_TEMPLATES_MAX = 65536
+
+#: Every node-local digest payload rendered for a node that did not get one
+#: from :data:`_TEMPLATES` (``graph_from_dict``; ``refresh_shapes`` on a
+#: template the table does not know), see :func:`_hash_prefix`.  Bounded
+#: and shared like :data:`_TEMPLATES`.
 _PREFIX_INTERN: Dict[tuple, bytes] = {}
 _PREFIX_INTERN_MAX = 65536
 
 _DIMS = operator.attrgetter("shape.dims")
 
 
+def _template_key(op_type: OpType, input_specs: Sequence[TensorSpec],
+                  attrs: Mapping[str, object]) -> tuple:
+    """The :data:`_TEMPLATES` key of a node.
+
+    Type-exact, nested values included: ``repr`` tells ``1`` / ``1.0`` /
+    ``True``, ``0.0`` / ``-0.0``, ``(1, (2, 3))`` / ``(1, (2.0, 3))`` and
+    ``[1, 2]`` / ``(1, 2)`` apart, which value equality would merge — and
+    so would the payload text, which is made of each value's ``str()``.
+    """
+    return (op_type, tuple(input_specs), repr(attrs))
+
+
+def _infer_outputs(op_type: OpType, input_specs: Sequence[TensorSpec],
+                   attrs: Mapping[str, object]) -> Tuple[TensorSpec, ...]:
+    return tuple(infer_output_spec(op_type, input_specs, attrs, slot)
+                 for slot in range(OP_REGISTRY[op_type].num_outputs))
+
+
+def _render_prefix(op: str, names: Sequence[str], values: Sequence[str],
+                   shapes: Iterable[Tuple[int, ...]]) -> bytes:
+    """Op type, attrs (names and ``str()`` of each value) and output shapes
+    as length-prefixed text, so the fixed-size records
+    :meth:`Graph._merkle` appends can never be read as part of it."""
+    body = repr((op, sorted(zip(names, values)),
+                 [list(dims) for dims in shapes])).encode()
+    return len(body).to_bytes(4, "little") + body
+
+
+def _template(op_type: OpType, input_specs: Sequence[TensorSpec],
+              attrs: Mapping[str, object]
+              ) -> Tuple[Tuple[TensorSpec, ...], bytes]:
+    """``(output specs, node-local digest payload)`` of a node: one table
+    lookup for a template met before, in any graph."""
+    key = _template_key(op_type, input_specs, attrs)
+    template = _TEMPLATES.get(key)
+    if template is None:
+        outputs = _infer_outputs(op_type, input_specs, attrs)
+        template = (outputs, _render_prefix(
+            op_type._value_, tuple(attrs), tuple(map(str, attrs.values())),
+            map(_DIMS, outputs)))
+        if len(_TEMPLATES) < _TEMPLATES_MAX:
+            _TEMPLATES[key] = template
+    return template
+
+
+def _known_template(op_type: OpType, input_specs: Sequence[TensorSpec],
+                    attrs: Mapping[str, object]
+                    ) -> Tuple[Tuple[TensorSpec, ...], Optional[bytes]]:
+    """A node's output specs and payload from the table, or its inferred
+    output specs and ``None`` when the template is unknown: reads the
+    table, never stores in it."""
+    template = _TEMPLATES.get(_template_key(op_type, input_specs, attrs))
+    if template is None:
+        return _infer_outputs(op_type, input_specs, attrs), None
+    return template
+
+
 def _hash_prefix(node: "Node") -> bytes:
-    """The node-local part of ``node``'s Merkle digest payload: op type,
-    attrs and output shapes as length-prefixed text, so the fixed-size
-    records :meth:`Graph._merkle` appends can never be read as part of it.
+    """The node-local part of ``node``'s Merkle digest payload, for a node
+    whose :attr:`Node._hash_prefix` is unset (one not made by
+    :meth:`Graph.add_node`).
 
     One table lookup for a payload rendered before, in any graph.  The key
     holds what the text is made of — attr names (strings throughout the IR)
@@ -79,9 +145,7 @@ def _hash_prefix(node: "Node") -> bytes:
     key = (op, tuple(attrs), values, shapes)
     prefix = _PREFIX_INTERN.get(key)
     if prefix is None:
-        body = repr((op, sorted(zip(attrs, values)),
-                     [list(dims) for dims in shapes])).encode()
-        prefix = len(body).to_bytes(4, "little") + body
+        prefix = _render_prefix(op, tuple(attrs), values, shapes)
         if len(_PREFIX_INTERN) < _PREFIX_INTERN_MAX:
             _PREFIX_INTERN[key] = prefix
     return prefix
@@ -326,13 +390,15 @@ class Node:
     #: Output tensor specs (one per output slot), filled by shape inference.
     outputs: List[TensorSpec] = field(default_factory=list)
     name: str = ""
-    #: Memoised node-local part of the Merkle digest payload (op type,
-    #: attrs, output shapes — see :func:`_hash_prefix`).  ``None`` until
-    #: the first hash that visits the node: never filled at construction
-    #: time, so a graph that is never hashed pays nothing for an identity.
-    #: Node objects are shared between graph copies, so every copy reuses
-    #: it.  Reset when ``outputs`` are re-inferred; attrs are never mutated
-    #: in place after construction.
+    #: Node-local part of the Merkle digest payload (op type, attrs, output
+    #: shapes — see :func:`_render_prefix`).  :meth:`Graph.add_node` sets it
+    #: from the node's template along with ``outputs``, at no cost beyond
+    #: the lookup inference already made; a node made otherwise
+    #: (``graph_from_dict``) has ``None`` until the first hash that visits
+    #: it (:func:`_hash_prefix`).  Node objects are shared between graph
+    #: copies, so every copy reuses it.  Re-derived with ``outputs`` by
+    #: :meth:`Graph.refresh_shapes`; neither attrs nor outputs are mutated in
+    #: place after construction.
     _hash_prefix: Optional[bytes] = field(
         default=None, repr=False, compare=False)
     #: Values derived from this node and its input specs (costs, flop and
@@ -479,22 +545,18 @@ class Graph:
                 )
             input_specs.append(src_node.outputs[slot])
 
-        sig = OP_REGISTRY[op_type]
-        sig.validate_arity(len(normalised))
+        OP_REGISTRY[op_type].validate_arity(len(normalised))
 
         node_id = self._next_id
         self._next_id += 1
         # With the id, so the table stays id-indexed even when shape
         # inference below refuses the node and the id goes unused.
         self._op_ids.append(op_index(op_type))
+        outputs, prefix = _template(op_type, input_specs, attrs)
         node = Node(node_id=node_id, op_type=op_type, attrs=attrs,
-                    name=name or f"{op_type.value.lower()}_{node_id}")
-
-        # Infer all output slots.
-        outputs = []
-        for out_slot in range(sig.num_outputs):
-            outputs.append(infer_output_spec(op_type, input_specs, attrs, out_slot))
-        node.outputs = outputs
+                    outputs=list(outputs),
+                    name=name or f"{op_type.value.lower()}_{node_id}",
+                    _hash_prefix=prefix)
 
         self.nodes[node_id] = node
         in_list: List[Edge] = []
@@ -773,8 +835,9 @@ class Graph:
                 )
             sig.validate_arity(len(edges))
             input_specs = self.input_specs(nid)
-            for out_slot in range(sig.num_outputs):
-                expected = infer_output_spec(node.op_type, input_specs, node.attrs, out_slot)
+            inferred, _ = _known_template(node.op_type, input_specs,
+                                          node.attrs)
+            for out_slot, expected in enumerate(inferred):
                 actual = node.outputs[out_slot]
                 if expected.shape.dims != actual.shape.dims:
                     raise GraphValidationError(
@@ -789,15 +852,13 @@ class Graph:
             if node.is_source:
                 continue
             input_specs = self.input_specs(nid)
-            sig = OP_REGISTRY[node.op_type]
             # Nodes may be shared with copies of this graph (see
             # :meth:`copy`), so replace the node instead of mutating it.
             node = node.copy()
-            node.outputs = [
-                infer_output_spec(node.op_type, input_specs, node.attrs, s)
-                for s in range(sig.num_outputs)
-            ]
-            node._hash_prefix = None
+            # An unknown template's payload waits for the first hash.
+            outputs, node._hash_prefix = _known_template(
+                node.op_type, input_specs, node.attrs)
+            node.outputs = list(outputs)
             self.nodes[nid] = node
         # Output specs feed every derived value, so a full refresh drops
         # every memo (the fresh nodes carry none) and the copy lineage: the
@@ -837,8 +898,8 @@ class Graph:
         re-digests only the downstream cone of its delta's added and
         rewired nodes against the parent's digest table, and keeps just the
         hex digest; any other graph takes one pass over all its nodes — for
-        a caller's fresh graph, one :func:`_hash_prefix` table lookup and
-        one ``blake2b`` per node (``docs/architecture.md``, "What a
+        a caller's fresh graph, one ``blake2b`` per node over the payload
+        :meth:`add_node` left on it (``docs/architecture.md``, "What a
         fingerprint costs").
         """
         cached = self._scalar_cache.get("hash")

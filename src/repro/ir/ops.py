@@ -307,24 +307,6 @@ def _broadcast_output(a: TensorSpec, b: TensorSpec) -> TensorSpec:
     return TensorSpec(TensorShape(out), a.dtype)
 
 
-#: Memo for :func:`infer_output_spec` — the function is pure over
-#: value-hashable arguments, and rewrite candidates re-infer the same
-#: handful of (op, input specs, attrs) combinations thousands of times.
-_INFER_MEMO: Dict[tuple, TensorSpec] = {}
-_INFER_MEMO_MAX = 65536
-
-
-def _attrs_key(attrs: Mapping[str, object]) -> Optional[tuple]:
-    """A hashable snapshot of ``attrs``, or ``None`` when impossible."""
-    items = []
-    for key in sorted(attrs):
-        value = attrs[key]
-        if isinstance(value, list):
-            value = tuple(value)
-        items.append((key, value))
-    return tuple(items)
-
-
 def infer_output_spec(
     op_type: OpType,
     inputs: Sequence[TensorSpec],
@@ -335,30 +317,12 @@ def infer_output_spec(
 
     Raises ``ValueError`` when the inputs are not compatible with the
     operator; the substitution engine relies on this to reject ill-typed
-    rewrites.
+    rewrites.  Pure and unmemoised: a graph infers a node once per distinct
+    (op, input specs, attrs) per process, through its node-template table
+    (``ir/graph.py::_TEMPLATES``).
     """
-    attrs_map = dict(attrs or {})
-    try:
-        memo_key = (op_type, tuple(inputs), _attrs_key(attrs_map),
-                    output_index)
-        spec = _INFER_MEMO.get(memo_key)
-    except TypeError:
-        memo_key = None
-        spec = None
-    if spec is not None:
-        return spec
-    spec = _infer_output_spec(op_type, inputs, attrs_map, output_index)
-    if memo_key is not None and len(_INFER_MEMO) < _INFER_MEMO_MAX:
-        _INFER_MEMO[memo_key] = spec
-    return spec
-
-
-def _infer_output_spec(
-    op_type: OpType,
-    inputs: Sequence[TensorSpec],
-    attrs: Mapping[str, object],
-    output_index: int = 0,
-) -> TensorSpec:
+    if attrs is None:
+        attrs = {}
     sig = OP_REGISTRY[op_type]
     sig.validate_arity(len(inputs))
 

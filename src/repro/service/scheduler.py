@@ -152,6 +152,9 @@ class JobScheduler:
         self._futures: Dict[int, futures.Future] = {}
         self._on_success: Dict[int, Callable[[Any], None]] = {}
         self._on_done: Dict[int, Callable[[futures.Future], None]] = {}
+        #: Set once a job's callbacks have returned; only jobs that have
+        #: callbacks get one, and a follower shares its primary's.
+        self._settled: Dict[int, threading.Event] = {}
         self._attached: set = set()
         self._terminal: "deque[int]" = deque()
         self._channels: Dict[int, EventChannel] = {}
@@ -247,6 +250,8 @@ class JobScheduler:
                 self._on_success[job_id] = on_success
             if on_done is not None:
                 self._on_done[job_id] = on_done
+            if on_success is not None or on_done is not None:
+                self._settled[job_id] = threading.Event()
         future.add_done_callback(
             lambda f, job_id=job_id: self._finalise(job_id, f))
         return job_id
@@ -290,6 +295,9 @@ class JobScheduler:
             )
             self._futures[job_id] = future
             self._attached.add(job_id)
+            settled = self._settled.get(primary_job_id)
+            if settled is not None:
+                self._settled[job_id] = settled
             primary_channel = self._channels.get(primary_job_id)
             if primary_channel is not None:
                 # Followers watch the primary's stream: one search, every
@@ -330,6 +338,7 @@ class JobScheduler:
             self._records.pop(retired, None)
             self._futures.pop(retired, None)
             self._channels.pop(retired, None)
+            self._settled.pop(retired, None)
 
     def _run(self, job_id: int, future: futures.Future,
              fn: Callable[..., Any], compute: bool,
@@ -362,20 +371,27 @@ class JobScheduler:
         else:
             future.set_result(result)
 
-    def _finalise(self, job_id: int, future: futures.Future) -> None:
-        """Record a finished job's terminal state; idempotent.
+    def _finalise(self, job_id: int, future: futures.Future
+                  ) -> Optional[threading.Event]:
+        """Record a finished job's terminal state and run its callbacks;
+        idempotent.  Returns the event that is set once the callbacks have
+        returned (``None`` for a job without any); they may still be
+        running on another thread.
 
         Runs from the future's done callback *and* synchronously from
         :meth:`result` / :meth:`wait_all` — ``Future.set_result`` wakes
         ``result()`` waiters before done callbacks fire, so without the
         synchronous path a caller could observe a result whose record was
         still RUNNING and whose ``on_success`` (cache population) had not
-        happened yet.
+        happened yet.  The done-callback path never waits for the event: it
+        may run in a thread holding a lock a callback takes (a follower
+        attached to a finished job finalises inside :meth:`attach`).
         """
         with self._lock:
             record = self._records.get(job_id)
+            settled = self._settled.get(job_id)
             if record is None or record.state.is_terminal:
-                return
+                return settled
             record.finished_at = time.monotonic()
             if future.cancelled():
                 record.state = JobState.CANCELLED
@@ -407,6 +423,9 @@ class JobScheduler:
             except Exception:
                 # Dedup bookkeeping failures must not poison the job result.
                 pass
+        if on_success is not None or on_done is not None:
+            settled.set()
+        return settled
 
     # -- polling -------------------------------------------------------
     def poll(self, job_id: int) -> JobState:
@@ -481,8 +500,10 @@ class JobScheduler:
     def result(self, job_id: int, timeout: Optional[float] = None) -> Any:
         """Block until the job finishes; re-raises the job's exception.
 
-        The job's record is terminal and its ``on_success`` callback has run
-        by the time this returns (or raises the job's error).  This is
+        The job's record is terminal and its ``on_success`` and ``on_done``
+        callbacks have returned by the time this returns (or raises the
+        job's error) — for a follower, its primary's: a repeat submitted
+        next finds what they published.  This is
         where the result passes to its caller: once it has been returned,
         or the job's own error raised, the scheduler drops it and keeps
         only the record (``poll`` / ``record`` still answer).  A
@@ -510,16 +531,23 @@ class JobScheduler:
         return value
 
     def _deliver(self, job_id: int, future: futures.Future) -> None:
-        """Finalise ``job_id`` synchronously, then drop its hold on the
-        result; the record stays.
+        """Finalise ``job_id`` synchronously and wait until its callbacks
+        have returned, wherever they run; then drop its hold on the result.
+        The record stays.
 
         Only this id's entry goes: a coalesced follower shares the future
         and keeps it until its own caller fetches it.
         """
-        self._finalise(job_id, future)
+        self._settle(job_id, future)
         with self._lock:
             if self._futures.get(job_id) is future:
                 del self._futures[job_id]
+
+    def _settle(self, job_id: int, future: futures.Future) -> None:
+        """:meth:`_finalise`, then wait for the job's callbacks."""
+        settled = self._finalise(job_id, future)
+        if settled is not None:
+            settled.wait()
 
     def results_held(self) -> int:
         """Finished jobs whose result nobody has fetched yet."""
@@ -575,7 +603,7 @@ class JobScheduler:
         all_done = True
         for job_id, future in snapshot.items():
             if future.done():
-                self._finalise(job_id, future)
+                self._settle(job_id, future)
             else:
                 all_done = False
         return all_done

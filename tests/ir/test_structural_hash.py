@@ -23,6 +23,7 @@ from relabel import rebuilt_in_random_order  # noqa: E402
 from repro.experiments import build_small_model
 from repro.ir import Graph, GraphValidationError, OpType
 from repro.ir import graph as graph_module
+from repro.ir.ops import OP_REGISTRY, infer_output_spec
 from repro.ir.serialize import graph_from_dict, graph_to_dict
 
 
@@ -174,7 +175,7 @@ def test_cycle_is_reported_not_looped_on():
 CATALOGUE = ("bert", "squeezenet", "vit", "inception_v3", "dalle",
              "resnext50", "tt", "resnet18")
 
-#: Fresh graphs every call: no hash memo, no prefix on any node.
+#: Fresh graphs every call: no hash memo.
 BUILDERS = [lambda seed=seed: random_graph(seed=seed) for seed in range(8)] \
     + [lambda name=name: build_small_model(name) for name in CATALOGUE]
 
@@ -185,22 +186,80 @@ def _tagged(value):
     return g
 
 
+def _clear_tables():
+    graph_module._TEMPLATES.clear()
+    graph_module._PREFIX_INTERN.clear()
+
+
+def _inferred(graph):
+    """Every node's output specs as the pure ``infer_output_spec`` gives
+    them, from the node's current input specs."""
+    return {nid: [infer_output_spec(node.op_type, graph.input_specs(nid),
+                                    node.attrs, slot)
+                  for slot in range(OP_REGISTRY[node.op_type].num_outputs)]
+            for nid, node in graph.nodes.items()}
+
+
+def _outputs(graph):
+    return {nid: list(node.outputs) for nid, node in graph.nodes.items()}
+
+
+def _checked_hash(graph):
+    """``graph``'s digest, after holding it, every node's output specs and
+    the digest of the graph's ``graph_from_dict`` twin (whose nodes take the
+    lazy payload path) to the oracles."""
+    assert _outputs(graph) == _inferred(graph)
+    twin = graph_from_dict(graph_to_dict(graph), validate=False)
+    assert twin.structural_hash() == oracle_structural_hash(twin)
+    digest = graph.structural_hash()
+    assert digest == oracle_structural_hash(graph)
+    return digest
+
+
+class _CountingTable(dict):
+    """A template table that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def _counted(monkeypatch, name):
+    """Replace ``ir.graph.<name>`` with a wrapper; returns its call list."""
+    calls = []
+    real = getattr(graph_module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graph_module, name, wrapper)
+    return calls
+
+
 class TestPrefixInterning:
-    """The process-wide table of node-local payloads (``_hash_prefix``) may
-    make a digest cheaper, never different: not by being cold or warm, not
-    by what was hashed before, not by being full."""
+    """The two process-wide tables behind a node-local payload — the node
+    templates ``add_node`` reads (output specs and payload) and the payloads
+    of nodes made otherwise (``_hash_prefix``) — may make a digest or an
+    inference cheaper, never different: not by being cold or warm, not by
+    what was built or hashed before, not by being full."""
 
     @pytest.fixture(autouse=True)
-    def cold_table(self, monkeypatch):
+    def cold_tables(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_TEMPLATES", {})
         monkeypatch.setattr(graph_module, "_PREFIX_INTERN", {})
 
     def test_cold_warm_and_reversed_order_all_match_the_oracle(self):
         expected = [oracle_structural_hash(build()) for build in BUILDERS]
-        cold = [build().structural_hash() for build in BUILDERS]
-        assert graph_module._PREFIX_INTERN  # the pass above filled it
-        warm = [build().structural_hash() for build in BUILDERS]
-        graph_module._PREFIX_INTERN.clear()
-        backwards = [build().structural_hash()
+        _clear_tables()
+        cold = [_checked_hash(build()) for build in BUILDERS]
+        # The pass above filled both.
+        assert graph_module._TEMPLATES and graph_module._PREFIX_INTERN
+        warm = [_checked_hash(build()) for build in BUILDERS]
+        _clear_tables()
+        backwards = [_checked_hash(build())
                      for build in reversed(BUILDERS)][::-1]
         assert cold == warm == backwards == expected
 
@@ -211,24 +270,26 @@ class TestPrefixInterning:
     def test_values_equal_in_python_but_not_as_text_stay_apart(
             self, first, second):
         assert first == second or list(first) == list(second)
-        one_way = (_tagged(first).structural_hash(),
-                   _tagged(second).structural_hash())
-        graph_module._PREFIX_INTERN.clear()
-        other_way = (_tagged(second).structural_hash(),
-                     _tagged(first).structural_hash())[::-1]
+        one_way = (_checked_hash(_tagged(first)),
+                   _checked_hash(_tagged(second)))
+        assert len(graph_module._TEMPLATES) == 3  # the input, two relus
+        _clear_tables()
+        other_way = (_checked_hash(_tagged(second)),
+                     _checked_hash(_tagged(first)))[::-1]
         assert one_way == other_way == (
             oracle_structural_hash(_tagged(first)),
             oracle_structural_hash(_tagged(second)))
         assert one_way[0] != one_way[1]
 
-    def test_two_threads_hashing_the_catalogue_agree_with_the_oracle(self):
-        expected = [oracle_structural_hash(build_small_model(name))
-                    for name in CATALOGUE]
+    def test_two_threads_building_the_catalogue_agree_with_the_oracle(self):
+        graphs = [build_small_model(name) for name in CATALOGUE]
+        expected = [(oracle_structural_hash(g), _inferred(g)) for g in graphs]
+        _clear_tables()
         got = {}
 
         def worker(tid):
-            got[tid] = [build_small_model(name).structural_hash()
-                        for name in CATALOGUE]
+            got[tid] = [(g.structural_hash(), _outputs(g)) for g in (
+                build_small_model(name) for name in CATALOGUE)]
 
         threads = [threading.Thread(target=worker, args=(tid,))
                    for tid in range(2)]
@@ -244,31 +305,78 @@ class TestPrefixInterning:
         assert not any(thread.is_alive() for thread in threads)
         assert got == {0: expected, 1: expected}
 
-    def test_table_stops_growing_at_its_bound(self, monkeypatch):
+    def test_tables_stop_growing_at_their_bound(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_TEMPLATES_MAX", 5)
         monkeypatch.setattr(graph_module, "_PREFIX_INTERN_MAX", 5)
         for name in ("bert", "squeezenet", "bert"):
-            graph = build_small_model(name)
-            assert graph.structural_hash() == oracle_structural_hash(graph)
+            _checked_hash(build_small_model(name))
+            assert len(graph_module._TEMPLATES) == 5
             assert len(graph_module._PREFIX_INTERN) == 5
 
-    def test_refresh_shapes_still_drops_a_stale_prefix(self):
+    @pytest.mark.parametrize("known", [True, False],
+                             ids=["known-template", "unknown-template"])
+    def test_refresh_shapes_drops_a_stale_prefix(self, known):
         def build():
             g = Graph()
             return g, g.add_node(OpType.RELU, [_input(g)])
         g, relu = build()
-        g.nodes[relu].outputs[0] = g.nodes[relu].outputs[0].with_shape((3, 3))
+        data = graph_to_dict(g)
+        data["nodes"][relu]["outputs"][0]["shape"] = [3, 3]
+        g = graph_from_dict(data, validate=False)
         stale = g.structural_hash()  # memoises the (3, 3) text on the node
+        if not known:
+            _clear_tables()
         g.refresh_shapes()
+        assert (g.nodes[relu]._hash_prefix is not None) == known
+        assert _outputs(g) == _inferred(g)
         assert g.structural_hash() == build()[0].structural_hash() \
             == oracle_structural_hash(g) != stale
 
-    def test_nothing_is_rendered_at_construction_time(self):
-        """xbench builds its graphs outside the timed request: prefix work
-        moved into a builder would be a gain on paper only."""
+    def test_a_warm_build_renders_nothing_and_looks_each_node_up_once(
+            self, monkeypatch):
+        """The build pays for the payload only with the one lookup shape
+        inference makes per node anyway: a warm build renders no payload,
+        and neither does its hash."""
+        model = build_small_model("bert")
+        table = _CountingTable(graph_module._TEMPLATES)
+        monkeypatch.setattr(graph_module, "_TEMPLATES", table)
+        rendered = _counted(monkeypatch, "_render_prefix")
+        lazy = _counted(monkeypatch, "_hash_prefix")
+        clone = rebuilt_in_random_order(model, 0)  # add_node alone
+        assert table.lookups == len(clone.nodes)
+        table.lookups = 0
         graph = build_small_model("bert")
+        # add_node's lookup, and the one of the builder's closing validate()
+        assert table.lookups == 2 * len(graph.nodes)
+        table.lookups = 0
+        assert graph.structural_hash() == clone.structural_hash() \
+            == oracle_structural_hash(graph)
+        assert table.lookups == 0
+        assert not rendered and not lazy
+        assert len(table) == len(graph_module._TEMPLATES)
+
+    def test_a_cold_build_renders_each_distinct_template_once(
+            self, monkeypatch):
+        rendered = _counted(monkeypatch, "_render_prefix")
+        graph = build_small_model("bert")
+        distinct = {(node.op_type, tuple(graph.input_specs(nid)),
+                     repr(node.attrs))
+                    for nid, node in graph.nodes.items()}
+        assert len(rendered) == len(graph_module._TEMPLATES) == len(distinct)
+        assert len(distinct) < len(graph.nodes)
         assert not graph_module._PREFIX_INTERN
-        assert all(node._hash_prefix is None for node in graph.nodes.values())
-        restored = graph_from_dict(graph_to_dict(graph))
-        assert not graph_module._PREFIX_INTERN
-        assert all(node._hash_prefix is None
-                   for node in restored.nodes.values())
+
+    def test_graph_from_dict_renders_nothing(self, monkeypatch):
+        """Nodes not made by ``add_node`` leave the payload to the first
+        hash, warm table or cold: ``validate()`` only reads the templates."""
+        data = graph_to_dict(build_small_model("bert"))
+        rendered = _counted(monkeypatch, "_render_prefix")
+        templates = len(graph_module._TEMPLATES)
+        for _ in ("warm", "cold"):
+            restored = graph_from_dict(data)
+            assert not rendered and not graph_module._PREFIX_INTERN
+            assert len(graph_module._TEMPLATES) == templates
+            assert all(node._hash_prefix is None
+                       for node in restored.nodes.values())
+            _clear_tables()
+            templates = 0

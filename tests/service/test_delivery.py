@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import gc
 import threading
+import time
 import weakref
 
 import pytest
 
 from repro.ir import GraphBuilder
-from repro.service import (JobScheduler, JobState, OptimisationService,
-                           UnknownJobError, default_config,
-                           request_fingerprint)
+from repro.service import (FingerprintCache, JobScheduler, JobState,
+                           OptimisationService, UnknownJobError,
+                           default_config, request_fingerprint)
 
 TASO_FAST = {"max_iterations": 4}
 
@@ -99,6 +100,77 @@ class TestSchedulerDelivery:
             assert scheduler.results_held() == 3
             scheduler.result(job_ids[1])
             assert scheduler.results_held() == 2
+
+
+class TestCallbacksBeforeDelivery:
+    """A delivered result comes after its job's ``on_success`` and
+    ``on_done`` have returned, even when the pool thread that settled the
+    job is still running them: what they publish (a cache entry, a released
+    lease) is there for whoever acts on the result."""
+
+    @staticmethod
+    def _slow_callbacks(log, entered):
+        def on_success(value):
+            entered.set()
+            time.sleep(0.3)
+            log.append(("on_success", value))
+
+        def on_done(_future):
+            log.append("on_done")
+
+        return {"on_success": on_success, "on_done": on_done}
+
+    def test_result_waits_for_callbacks_running_on_the_pool_thread(self):
+        log, entered = [], threading.Event()
+        with JobScheduler(num_workers=1) as scheduler:
+            job_id = scheduler.submit(
+                lambda: 7, **self._slow_callbacks(log, entered))
+            assert entered.wait(10)  # the pool thread runs them
+            assert scheduler.result(job_id, timeout=10) == 7
+            assert log == [("on_success", 7), "on_done"]
+
+    def test_a_followers_result_waits_for_its_primarys_callbacks(self):
+        log, entered, go = [], threading.Event(), threading.Event()
+        with JobScheduler(num_workers=1) as scheduler:
+            primary = scheduler.submit(
+                lambda: go.wait(10) and 8,
+                **self._slow_callbacks(log, entered))
+            follower = scheduler.attach(primary)
+            go.set()
+            assert entered.wait(10)
+            assert scheduler.result(follower, timeout=10) == 8
+            assert log == [("on_success", 8), "on_done"]
+            assert scheduler.result(primary, timeout=10) == 8
+
+    def test_wait_all_waits_for_callbacks(self):
+        log, entered = [], threading.Event()
+        with JobScheduler(num_workers=1) as scheduler:
+            scheduler.submit(lambda: 9, **self._slow_callbacks(log, entered))
+            assert entered.wait(10)
+            assert scheduler.wait_all(timeout=10)
+            assert log == [("on_success", 9), "on_done"]
+
+    def test_a_repeat_after_a_slow_store_is_a_cache_hit(
+            self, tmp_path, monkeypatch):
+        real_put = FingerprintCache.put
+
+        def slow_put(cache, entry):
+            time.sleep(0.3)
+            return real_put(cache, entry)
+
+        monkeypatch.setattr(FingerprintCache, "put", slow_put)
+        with OptimisationService(num_workers=1,
+                                 cache_dir=str(tmp_path)) as service:
+            first = service.optimise(_dense_graph(), "taso", TASO_FAST)
+            before = service.stats()["cache"]
+            repeat = service.submit(_dense_graph(), "taso", TASO_FAST)
+            label = service.scheduler.record(repeat).label
+            result = service.result(repeat, timeout=30)
+            after = service.stats()["cache"]
+        assert not first.cache_hit and result.cache_hit
+        assert label.endswith("(cached)") and "lease-wait" not in label
+        assert after["misses"] == before["misses"]
+        assert after["puts"] == before["puts"] == 1
 
 
 class TestServiceDelivery:

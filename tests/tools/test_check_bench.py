@@ -218,9 +218,24 @@ class TestCeilings:
         assert problems == ["eviction.recompute_ratio: no matching key in "
                             "the fresh results (benchmark did not run?)"]
 
+    def test_the_fingerprint_is_read_with_the_build(self):
+        """The fingerprint's line tells a reader comparing it with an older
+        recording that the payload moved into the build."""
+        note = check_bench.KEY_NOTES["hit_path.*.fingerprint_us_per_node"]
+        assert "build_us_per_node" in note
+        for per_node, smoke in ((2.2, True), (2.2, False), (3.5, True)):
+            problems, notes = self._evaluate(self._doc(per_node=per_node),
+                                             smoke)
+            lines = [line for line in problems + notes
+                     if line.startswith("hit_path.bert.fingerprint")]
+            assert len(lines) == 1 and lines[0].endswith(note)
+            assert not any(note in line for line in problems + notes
+                           if line not in lines)
+
     def test_above_a_ceiling_fails_in_both_modes(self):
         for smoke in (True, False):
-            # The parent's 3.5 us a node (no intern table) must trip it.
+            # A hash that looks each payload up again (2.8-6.0 us a node on
+            # a 2-vCPU host) must trip it.
             problems, _ = self._evaluate(self._doc(per_node=3.5), smoke)
             assert len(problems) == 1
             assert "hit_path.bert.fingerprint_us_per_node" in problems[0]

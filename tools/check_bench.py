@@ -108,10 +108,14 @@ FLOOR_ONLY: Dict[str, Tuple[str, ...]] = {
 #: pattern matching no fresh key fails.  The search ceiling is a ratio of
 #: two counts; the service ones are properties of the code more than of
 #: the host: the first a ratio of two medians of one pinned run, the second
-#: 2.0-2.4 where it was recorded (3.5-4.1 before PR 22 interned the node
-#: payloads, so losing the table trips it), the third a ratio of two sums
-#: of fixed costs that no host speed moves (0.59 where recorded with both
-#: tiers GreedyDual, 0.67 with the disk tier alone; LRU reads 1.0).
+#: one blake2b per node over the payload add_node left on it (1.6-3.1 on a
+#: 2-vCPU host that swings between a quiet and a loud state, where a hash
+#: that looked the payload up again read 2.8-6.0, so going back to that
+#: trips it; a build that stops reusing its templates shows in
+#: ``build_us_per_node`` beside it), the third a ratio
+#: of two sums of fixed costs that no host speed moves (0.59 where recorded
+#: with both tiers GreedyDual, 0.67 with the disk tier alone; LRU reads
+#: 1.0).
 CEILINGS: Dict[str, Dict[str, float]] = {
     # graphs_digested / graphs_hashed: 0.14 (inception_v3) and 0.21 (bert)
     # where recorded at 30 iterations, 0 at the smoke's 8; hashing every
@@ -133,7 +137,20 @@ KEY_NOTES: Dict[str, str] = {
     # threads a GEMM waits 12-24 ms whenever the other vCPU is busy
     # (docs/executor.md, "BLAS threads").
     "models.*.execute_ms": "timed after a BLAS warm-up since PR 22",
+    # The payload moved from the hash into the template lookup add_node
+    # already made for shape inference; recordings without
+    # build_us_per_node rendered or looked it up in the hash.
+    "hit_path.*.fingerprint_us_per_node":
+        "the payload is read off the node, add_node built it: compare "
+        "together with build_us_per_node",
 }
+
+
+def _remark(path: str, sep: str) -> str:
+    """``sep`` and the :data:`KEY_NOTES` text for ``path``, if it has one."""
+    return next((sep + text for key, text in KEY_NOTES.items()
+                 if fnmatch.fnmatchcase(path, key)), "")
+
 
 #: Correctness witnesses: numeric key patterns that must be present in the
 #: *fresh* results with a strictly positive value, in smoke and full mode
@@ -244,9 +261,8 @@ def evaluate(baseline: Mapping[str, Any], fresh: Mapping[str, Any],
         for path in matched:
             value = fresh_leaves[path]
             if value > 0:
-                remark = next((f"; {text}" for key, text in KEY_NOTES.items()
-                               if fnmatch.fnmatchcase(path, key)), "")
-                notes.append(f"{path}: {value:g} > 0 (gate executed{remark})")
+                notes.append(f"{path}: {value:g} > 0 (gate executed"
+                             f"{_remark(path, '; ')})")
             else:
                 problems.append(f"{path}: {value:g} — the correctness "
                                 f"gate never executed")
@@ -260,10 +276,11 @@ def evaluate(baseline: Mapping[str, Any], fresh: Mapping[str, Any],
         for path in matched:
             value = fresh_leaves[path]
             if value <= ceiling:
-                notes.append(f"{path}: {value:.3f} <= ceiling {ceiling:g}")
+                notes.append(f"{path}: {value:.3f} <= ceiling {ceiling:g}"
+                             f"{_remark(path, ' — ')}")
             else:
                 problems.append(f"{path}: {value:.3f} is above the "
-                                f"ceiling {ceiling:g}")
+                                f"ceiling {ceiling:g}{_remark(path, ' — ')}")
 
     fresh_strings = flatten_strings(fresh.get("results", {}))
     for pattern, expected in (required_literal or {}).items():
