@@ -28,6 +28,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -366,12 +367,13 @@ class GraphDelta:
         return self.added | self.removed | self.rewired
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A directed edge carrying one tensor from a producer to a consumer.
 
     ``src_slot`` identifies which output of the producing node is carried;
     ``dst_slot`` identifies which input position of the consumer it feeds.
+    An immutable named tuple, so it is made, compared and hashed in C: a
+    graph makes one per input of every node it builds or decodes.
     """
 
     src: NodeId
@@ -765,20 +767,41 @@ class Graph:
         """
         return self._delta
 
-    def _rebuild_indices(self) -> None:
-        """Recompute the op-type index and drop every whole-graph memo.
-
-        Only needed after constructing graph internals directly (e.g. when
-        deserialising); the normal mutation API maintains them in place.
-        """
-        self._nodes_by_op = {}
-        self._op_ids = [0] * self._next_id
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            self._nodes_by_op.setdefault(node.op_type, {})[nid] = None
-            self._op_ids[nid] = op_index(node.op_type)
-        self._version += 1
-        self._scalar_cache.clear()
+    @classmethod
+    def _assemble(cls, name: str, nodes: Dict[NodeId, Node],
+                  in_edges: Dict[NodeId, List[Edge]],
+                  out_edges: Dict[NodeId, List[Edge]]) -> "Graph":
+        """A graph from internals built without the mutation API (a
+        deserialiser's): ``nodes`` keyed by natural-number ids, each id's
+        in-edges in ``dst_slot`` order and its out-edges.  The id counter
+        restarts at max id + 1."""
+        graph = cls(name)
+        if list(nodes) != sorted(nodes):
+            # The engine iterates ``nodes`` in id (= creation) order, which
+            # keeps indexed anchor matching and full-scan matching
+            # enumeration-identical.
+            nodes = {nid: nodes[nid] for nid in sorted(nodes)}
+        graph.nodes = nodes
+        graph._in_edges._own = in_edges
+        graph._out_edges._own = out_edges
+        graph._next_id = max(nodes, default=-1) + 1
+        # Bucketed by the op's value string: hashing an enum member is a
+        # Python-level call, one per node here.
+        by_value: Dict[str, Dict[NodeId, None]] = {}
+        for nid, node in nodes.items():
+            value = node.op_type._value_
+            bucket = by_value.get(value)
+            if bucket is None:
+                bucket = by_value[value] = {}
+            bucket[nid] = None
+        op_ids = graph._op_ids = [0] * graph._next_id
+        for value, bucket in by_value.items():
+            op = OpType(value)
+            graph._nodes_by_op[op] = bucket
+            index = op_index(op)
+            for nid in bucket:
+                op_ids[nid] = index
+        return graph
 
     # ------------------------------------------------------------------
     # Traversal
@@ -834,9 +857,24 @@ class Graph:
                     f"stored gap-free in slot order: {slots}"
                 )
             sig.validate_arity(len(edges))
-            input_specs = self.input_specs(nid)
+            input_specs = []
+            try:
+                for edge in edges:
+                    if edge.src_slot < 0:
+                        raise IndexError(edge.src_slot)
+                    input_specs.append(
+                        self.nodes[edge.src].outputs[edge.src_slot])
+            except (IndexError, TypeError):
+                raise GraphValidationError(
+                    f"node {nid} ({node.op_type.value}) reads an output "
+                    f"slot its producer does not have: {edges}") from None
             inferred, _ = _known_template(node.op_type, input_specs,
                                           node.attrs)
+            if len(inferred) != len(node.outputs):
+                raise GraphValidationError(
+                    f"node {nid} ({node.op_type.value}) stores "
+                    f"{len(node.outputs)} outputs, its op makes "
+                    f"{len(inferred)}")
             for out_slot, expected in enumerate(inferred):
                 actual = node.outputs[out_slot]
                 if expected.shape.dims != actual.shape.dims:

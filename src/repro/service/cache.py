@@ -68,10 +68,11 @@ _LOG = logging.getLogger(__name__)
 
 #: Version of the per-entry on-disk layout.  Version 2 added ``created_at``;
 #: version 3 is a one-line JSON header carrying a ``blake2b`` of the graph
-#: payload that follows it.  Only the current version is read: any other
-#: (older or newer) is a counted miss, so a mixed-version fleet or an old
-#: directory degrades to searching once more instead of crashing.
-ENTRY_VERSION = 3
+#: payload that follows it; version 4's payload is the template-table graph
+#: document (``format_version`` 2).  Only the current version is read: any
+#: other (older or newer) is a counted miss, so a mixed-version fleet or an
+#: old directory degrades to searching once more instead of crashing.
+ENTRY_VERSION = 4
 
 _LOCK_FILENAME = ".lock"
 

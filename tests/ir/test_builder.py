@@ -48,6 +48,7 @@ class TestBasicOps:
         out = b.relu(x)
         g = b.build([out])
         assert g.nodes[g.sink_nodes()[0]].op_type is OpType.OUTPUT
+        g.validate()  # build() re-checks nothing: add_node already had
 
 
 class TestCompositeBlocks:

@@ -3,9 +3,10 @@
 import json
 
 import pytest
+from documents import restate_output
 
 from repro.ir import (GraphValidationError, graph_from_dict, graph_to_dict,
-                      load_graph, save_graph)
+                      load_graph, save_graph, serialize)
 from repro.models import build_model
 
 
@@ -41,23 +42,31 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             graph_from_dict(data)
 
+    def test_a_version_1_document_is_refused(self, mlp_graph):
+        """Version 1 (one dict per node, specs inline) is not read: there
+        is one layout."""
+        data = graph_to_dict(mlp_graph)
+        data["format_version"] = 1
+        with pytest.raises(ValueError, match="format version 1"):
+            graph_from_dict(data)
+
     def test_edge_from_a_missing_node_is_named(self, mlp_graph):
         data = graph_to_dict(mlp_graph)
-        consumer = next(n for n in data["nodes"] if n["inputs"])
-        consumer["inputs"][0]["src"] = 999
-        with pytest.raises(ValueError, match="missing node 999"):
+        consumer = next(row for row in data["nodes"] if len(row) > 3)
+        consumer[3] = 999
+        with pytest.raises(ValueError, match="999, which is missing"):
             graph_from_dict(data, validate=False)
 
     def test_an_unknown_op_is_named(self, mlp_graph):
         data = graph_to_dict(mlp_graph)
-        data["nodes"][-1]["op"] = "NoSuchOp"
+        data["templates"][data["nodes"][-1][1]][0] = "NoSuchOp"
         with pytest.raises(ValueError, match="NoSuchOp"):
             graph_from_dict(data)
 
     def test_stored_shapes_are_checked_unless_the_reader_vouches(
             self, mlp_graph):
         data = json.loads(json.dumps(graph_to_dict(mlp_graph)))
-        data["nodes"][-1]["outputs"][0]["shape"] = [3, 3]
+        restate_output(data, data["nodes"][-1][0], [3, 3])
         with pytest.raises(GraphValidationError):
             graph_from_dict(data)  # files and imports: the default
         trusted = graph_from_dict(data, validate=False)
@@ -72,3 +81,129 @@ class TestRoundTrip:
         assert specs == [spec for node in mlp_graph.nodes.values()
                          for spec in node.outputs]
         assert len({id(spec) for spec in specs}) == len(set(specs))
+
+
+def _consumer(data):
+    """The first row with an in-edge, and its template."""
+    row = next(row for row in data["nodes"] if len(row) > 3)
+    return row, data["templates"][row[1]]
+
+
+def _template_index_past_the_end(data):
+    row, _ = _consumer(data)
+    row[1] = len(data["templates"])
+    return row[0]
+
+
+def _negative_template_index(data):
+    row, _ = _consumer(data)
+    row[1] = -1
+    return row[0]
+
+
+def _spec_index_past_the_end(data):
+    row, template = _consumer(data)
+    template[2] = [len(data["specs"])]
+    return row[0]
+
+
+def _spec_flag_that_is_not_a_bool(data):
+    _, template = _consumer(data)
+    spec = template[2][0]
+    data["specs"][spec][2] = 1  # equal to True as a table key
+    return next(row[0] for row in data["nodes"]
+                if spec in data["templates"][row[1]][2])
+
+
+def _odd_length_edge_tail(data):
+    row, _ = _consumer(data)
+    row.append(0)
+    return row[0]
+
+
+def _edge_from_a_missing_node(data):
+    row, _ = _consumer(data)
+    row[3] = 999
+    return row[0]
+
+
+def _edge_from_a_node_listed_later(data):
+    row, _ = _consumer(data)
+    row[3] = data["nodes"][-1][0]
+    return row[0]
+
+
+def _unknown_op(data):
+    row, template = _consumer(data)
+    template[0] = "NoSuchOp"
+    return row[0]
+
+
+def _duplicate_node_id(data):
+    data["nodes"].append(list(data["nodes"][-1]))
+    return data["nodes"][-1][0]
+
+
+def _row_that_is_not_a_list(data):
+    row, _ = _consumer(data)
+    data["nodes"][data["nodes"].index(row)] = {"id": row[0]}
+    return "{'id': %d}" % row[0]
+
+
+@pytest.mark.parametrize("validate", [True, False],
+                         ids=["validate", "trusted"])
+@pytest.mark.parametrize("damage", [
+    _template_index_past_the_end, _negative_template_index,
+    _spec_index_past_the_end, _spec_flag_that_is_not_a_bool,
+    _odd_length_edge_tail,
+    _edge_from_a_missing_node, _edge_from_a_node_listed_later, _unknown_op,
+    _duplicate_node_id, _row_that_is_not_a_list,
+])
+def test_a_malformed_document_raises_value_error_naming_the_node(
+        mlp_graph, damage, validate):
+    """Never an ``IndexError``, ``KeyError`` or ``TypeError`` out of the
+    decoder, and never a graph: a ``ValueError`` that says which node."""
+    data = json.loads(json.dumps(graph_to_dict(mlp_graph)))
+    who = damage(data)
+    with pytest.raises(ValueError) as raised:
+        graph_from_dict(data, validate=validate)
+    assert type(raised.value) is ValueError
+    assert str(raised.value).startswith(f"node {who}:")
+
+
+@pytest.mark.parametrize("slot", [5, -1, "0"])
+def test_an_output_slot_the_producer_lacks_fails_validation(mlp_graph, slot):
+    """A slot is checked where shapes are: by ``validate()``, the default
+    for files; a trusted reader vouches for it like for every shape."""
+    data = json.loads(json.dumps(graph_to_dict(mlp_graph)))
+    row, _ = _consumer(data)
+    row[4] = slot
+    with pytest.raises(GraphValidationError, match=f"node {row[0]} "):
+        graph_from_dict(data)
+
+
+def test_a_template_with_too_few_outputs_fails_validation(mlp_graph):
+    data = json.loads(json.dumps(graph_to_dict(mlp_graph)))
+    row, template = _consumer(data)
+    template[2] = []
+    with pytest.raises(GraphValidationError, match=f"node {row[0]} "):
+        graph_from_dict(data)
+
+
+def test_the_spec_table_never_changes_what_decodes(mlp_graph, monkeypatch):
+    """``_SPECS`` is shared by every document in the process: cold, warm or
+    full, a document decodes to the same specs."""
+    data = json.loads(json.dumps(graph_to_dict(mlp_graph)))
+    monkeypatch.setattr(serialize, "_SPECS", {})
+    cold = graph_from_dict(data)
+    warm = graph_from_dict(data)
+    monkeypatch.setattr(serialize, "_SPECS", {})
+    monkeypatch.setattr(serialize, "_SPECS_MAX", 0)
+    full = graph_from_dict(data)
+    assert not serialize._SPECS
+    for graph in (cold, warm, full):
+        assert [n.outputs for n in graph.nodes.values()] == \
+            [n.outputs for n in mlp_graph.nodes.values()]
+    assert all(a is b for node, twin in zip(cold.nodes.values(),
+                                            warm.nodes.values())
+               for a, b in zip(node.outputs, twin.outputs))

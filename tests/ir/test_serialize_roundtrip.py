@@ -27,6 +27,7 @@ from repro.experiments import build_small_model
 from repro.ir import GraphBuilder, graph_from_dict, graph_to_dict
 from repro.models import MODEL_REGISTRY, build_model
 from repro.rules import default_ruleset
+from repro.search import TASOOptimizer
 from repro.service import request_fingerprint
 
 FUZZ_SEEDS = range(20)
@@ -46,15 +47,24 @@ def assert_replica(original, replica):
     for nid, node in original.nodes.items():
         twin = replica.nodes[nid]
         assert twin.op_type == node.op_type
+        assert twin.name == node.name
         assert twin.attrs == node.attrs
-        # 1 == 1.0 == True in Python, and the hash reads str(value).
-        assert {k: type(v) for k, v in twin.attrs.items()} == \
-            {k: type(v) for k, v in node.attrs.items()}
-        assert [tuple(o.shape.dims) for o in twin.outputs] == \
-            [tuple(o.shape.dims) for o in node.outputs]
-        assert replica.in_edges(nid) == original.in_edges(nid)
+        # 1 == 1.0 == True in Python, and the hash reads str(value): repr
+        # tells them, and a tuple from a list, apart at any depth.
+        assert repr(twin.attrs) == repr(node.attrs)
+        # Every field: shape, dtype, is_constant and name.
+        assert twin.outputs == node.outputs
+        assert replica.in_edges(nid) == original.in_edges(nid)  # slot order
+        assert sorted(replica.out_edges(nid)) == \
+            sorted(original.out_edges(nid))
     cm = CostModel()
     assert cm.estimate(replica) == cm.estimate(original)
+
+
+def assert_one_object_per_spec(replica):
+    """Equal specs of one document are one object."""
+    specs = [spec for node in replica.nodes.values() for spec in node.outputs]
+    assert len({id(spec) for spec in specs}) == len(set(specs))
 
 
 def assert_same_candidates(original, replica):
@@ -79,6 +89,15 @@ class TestRegistryRoundTrip:
         replica = json_replica(graph)
         assert_replica(graph, replica)
         assert_same_candidates(graph, replica)
+
+    def test_taso_result_round_trip_is_exact(self, name):
+        """What the disk tier stores: a search result, ids no longer dense."""
+        graph = build_small_model(name)
+        result = TASOOptimizer(max_iterations=10).optimise(graph)
+        for original in (graph, result.final_graph):
+            replica = json_replica(original)
+            assert_replica(original, replica)
+            assert_one_object_per_spec(replica)
 
     def test_round_trip_preserves_request_fingerprint(self, name):
         graph = build_small_model(name)
@@ -115,7 +134,8 @@ def test_attr_values_keep_their_types():
                     if n.op_type.name == "MAXPOOL2D")
     graph.nodes[pool_nid].attrs.update({
         "i": 1, "f": 1.0, "flag": True, "s": "winograd", "t": (1, 2, 3),
-        "mixed": (1.0, "x"), "none": None,
+        "mixed": (1.0, "x"), "none": None, "nested": (1, (2.0, 3)),
+        "listed": [1, (2, 3)],
     })
     attrs = json_replica(graph).nodes[pool_nid].attrs
     assert attrs["i"] == 1 and type(attrs["i"]) is int
@@ -125,3 +145,5 @@ def test_attr_values_keep_their_types():
     assert attrs["t"] == (1, 2, 3) and type(attrs["t"]) is tuple
     assert attrs["mixed"] == (1.0, "x") and type(attrs["mixed"]) is tuple
     assert attrs["none"] is None
+    assert repr(attrs["nested"]) == "(1, (2.0, 3))"  # tagged at any depth
+    assert repr(attrs["listed"]) == "[1, (2, 3)]"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import build_small_model
 from repro.ir import OpType
 from repro.models import (MODEL_REGISTRY, PAPER_EVAL_MODELS, TABLE1_MODELS,
                           TENSAT_MODELS, build_model, list_models)
@@ -13,6 +14,16 @@ def test_model_builds_and_validates(name):
     graph.validate()
     assert graph.num_nodes > 20
     assert graph.sink_nodes(), "every model must expose at least one output"
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_reduced_model_validates(name):
+    """``GraphBuilder.build`` trusts ``add_node`` and checks nothing; this
+    is where every registry model's graph is held to ``validate()``, at
+    both sizes (full size above)."""
+    graph = build_small_model(name)
+    graph.validate()
+    assert graph.sink_nodes()
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))

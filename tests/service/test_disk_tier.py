@@ -1,4 +1,4 @@
-"""The persistent tier's entry format (``ENTRY_VERSION`` 3): a JSON header
+"""The persistent tier's entry format (``ENTRY_VERSION`` 4): a JSON header
 line carrying a digest of the graph payload that follows it.
 
 The writer validates the graph; the reader checks the digest and rebuilds
@@ -86,7 +86,7 @@ def test_two_services_write_byte_identical_files(tmp_path, searched):
     assert payload_a == payload_b
     assert head_a.pop("created_at") > 0 and head_b.pop("created_at") > 0
     assert head_a == head_b and list(head_a) == list(head_b)
-    assert head_a["entry_version"] == ENTRY_VERSION == 3
+    assert head_a["entry_version"] == ENTRY_VERSION == 4
 
 
 def _flip_a_payload_byte(path):
@@ -110,6 +110,14 @@ def _drop_the_digest(path):
     _write(path, header, payload)
 
 
+def _relabel_as_version_3(path):
+    """A previous build's header over an intact payload: refused by its
+    version before the payload is read."""
+    header, payload = _split(path)
+    header["entry_version"] = 3
+    _write(path, header, payload)
+
+
 def _rewrite_as_version_2(path):
     """What the previous build wrote: one JSON document, graph inside."""
     header, payload = _split(path)
@@ -123,6 +131,7 @@ def _rewrite_as_version_2(path):
     (_truncate, "corrupt_entries"),
     (_truncate_inside_the_header, "corrupt_entries"),
     (_drop_the_digest, "corrupt_entries"),
+    (_relabel_as_version_3, "stale_version_entries"),
     (_rewrite_as_version_2, "stale_version_entries"),
 ])
 def test_refused_entry_is_a_counted_logged_miss(tmp_path, searched, caplog,
