@@ -84,7 +84,7 @@ class CostModel:
     ----------
     nodes_derived:
         How many times :meth:`node_cost_ms` ran on this instance — the work
-        the node memos (and TASO's remembered prices) exist to avoid.
+        the template memos (and TASO's remembered prices) exist to avoid.
         A diagnostic read by tests (``tests/search/test_cost_reuse.py`` pins
         it per search); it is a plain unsynchronised integer, exact only
         while one thread costs with this instance, which is how every
@@ -109,9 +109,10 @@ class CostModel:
             small_kernel_flops=0.0,
             measurement_noise=0.0,
         )
-        # Node-memo key of a node's cost: two cost models with identical
-        # parameters share (and may reuse) memoised entries.
-        self._cache_key = ("node-cost",
+        # Template-memo key of a node's cost: two cost models of one class
+        # with identical parameters share (and may reuse) memoised entries;
+        # a subclass that prices otherwise never reads them.
+        self._cache_key = ("node-cost", type(self),
                            dataclasses.astuple(self.device.config),
                            self.ignore_elementwise)
         self._total_key = ("cost-total",) + self._cache_key[1:]
@@ -119,7 +120,14 @@ class CostModel:
 
     # ------------------------------------------------------------------
     def node_cost_ms(self, graph: Graph, node_id: NodeId) -> float:
-        """Estimated isolated runtime of one node, in milliseconds."""
+        """Estimated isolated runtime of one node, in milliseconds.
+
+        Must be a function of the node's template (op, input specs, attrs)
+        and this instance's parameters alone: :meth:`exact_total` keeps the
+        result in the template memo every node of the template shares
+        (:meth:`~repro.ir.graph.Graph.template_memo`), under a key naming
+        the concrete class, the device and ``ignore_elementwise``.
+        """
         self.nodes_derived += 1
         node = graph.nodes[node_id]
         if is_zero_cost(node.op_type):
@@ -162,7 +170,8 @@ class CostModel:
         and subtract without rounding, so the difference between a child's
         and its parent's is a property of the rewrite alone — the *price*
         the TASO loop remembers per match; :meth:`exact_to_ms` rounds one.
-        Per-node costs come from (and fill) the node memos.
+        Per-node costs come from (and fill) the template memos, as exact
+        units.
         """
         return graph.memo(self._total_key, lambda: sum(
             self._node_units(graph, nid) for nid in graph.nodes))
@@ -202,12 +211,13 @@ class CostModel:
         return self.exact_to_ms(child.memo(self._total_key, adjusted))
 
     def _node_units(self, graph: Graph, nid: NodeId) -> int:
-        """One node's exact cost, through the node's memo."""
-        memo = graph.node_memo(nid)
-        value = memo.get(self._cache_key)
-        if value is None:
-            value = memo[self._cache_key] = self.node_cost_ms(graph, nid)
-        return _units(graph, nid, value)
+        """One node's exact cost, through its template's memo."""
+        memo = graph.template_memo(nid)
+        units = memo.get(self._cache_key)
+        if units is None:
+            units = memo[self._cache_key] = _units(
+                graph, nid, self.node_cost_ms(graph, nid))
+        return units
 
     def __repr__(self) -> str:
         return f"CostModel(device={self.device.config.name!r})"

@@ -120,18 +120,18 @@ class E2ESimulator:
     """Simulated end-to-end inference latency of a computation graph.
 
     A profile works from the graph's parent where it can.  Kernel times are
-    node memos (:meth:`~repro.ir.graph.Graph.node_memo`), like
-    ``CostModel``'s node costs, so a candidate whose parent is profiled,
-    before or after the copy, prices only the nodes its rewrite added or
-    rewired.  The constant-valued set is derived from the
-    ``delta_parent()``'s by a worklist over the same nodes.  The total is
-    still summed in ``topological_order()``, so every latency is the full
-    pass's to the last digit.
+    template memos (:meth:`~repro.ir.graph.Graph.template_memo`), like
+    ``CostModel``'s node costs, so a kernel time is priced once per distinct
+    template per process: a candidate prices at most the templates its
+    rewrite added or rewired that no graph met before.  The constant-valued
+    set is derived from the ``delta_parent()``'s by a worklist over the
+    delta's nodes.  The total is still summed in ``topological_order()``,
+    so every latency is the full pass's to the last digit.
 
     Attributes
     ----------
     nodes_priced:
-        How many kernel times this instance derived — the work the node
+        How many kernel times this instance derived — the work the template
         memos exist to avoid, on the model of ``CostModel.nodes_derived``.
         A plain unsynchronised diagnostic counter.
     """
@@ -140,11 +140,12 @@ class E2ESimulator:
                  seed: int = 0):
         self.device = device or SimulatedDevice()
         self._rng = np.random.default_rng(seed)
-        # Whole-graph latency memo key and node-memo kernel-time key:
-        # two simulators with the same device produce the same latency.
+        # Whole-graph latency memo key and template-memo kernel-time key:
+        # two simulators of one class with the same device produce the same
+        # latency; a subclass pricing otherwise never reads their entries.
         config = dataclasses.astuple(self.device.config)
-        self._latency_key = ("e2e-latency", config)
-        self._node_key = ("e2e-node-ms", config)
+        self._latency_key = ("e2e-latency", type(self), config)
+        self._node_key = ("e2e-node-ms", type(self), config)
         self.nodes_priced = 0
 
     # ------------------------------------------------------------------
@@ -182,7 +183,7 @@ class E2ESimulator:
             if is_zero_cost(op_type):
                 per_node[nid] = 0.0
                 continue
-            memo = graph.node_memo(nid)
+            memo = graph.template_memo(nid)
             time_ms = memo.get(self._node_key)
             if time_ms is None:
                 self.nodes_priced += 1

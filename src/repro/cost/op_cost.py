@@ -139,16 +139,17 @@ def op_memory_bytes(op_type: OpType, inputs: Sequence[TensorSpec],
     return float(read + written)
 
 
-#: Node-memo key of the ``(flops, bytes)`` counts.  They depend only on the
-#: node's specs, not on any device, so every cost model, simulator and
-#: calibration run in the process shares one entry.
+#: Template-memo key of the ``(flops, bytes)`` counts.  They depend only on
+#: the node's template, not on any device, so every cost model, simulator
+#: and calibration run in the process shares one entry per template.
 _FLOPS_BYTES_KEY = "op-flops-bytes"
 
 
 def node_flops_bytes(graph: "Graph", nid: "NodeId") -> Tuple[float, float]:
     """``(op_flops, op_memory_bytes)`` of node ``nid`` of ``graph``,
-    memoised on the node (:meth:`~repro.ir.graph.Graph.node_memo`)."""
-    memo = graph.node_memo(nid)
+    memoised on its template
+    (:meth:`~repro.ir.graph.Graph.template_memo`)."""
+    memo = graph.template_memo(nid)
     cached = memo.get(_FLOPS_BYTES_KEY)
     if cached is None:
         node = graph.nodes[nid]

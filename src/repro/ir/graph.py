@@ -50,14 +50,18 @@ def _digest_sum(digests: Iterable[bytes]) -> int:
     return sum(map(int.from_bytes, digests, itertools.repeat("little")))
 
 
-#: Every node template :meth:`Graph.add_node` has met, process-wide:
-#: ``(op, input specs, repr of the attrs) -> (output specs, node-local
-#: digest payload)``.  A model repeats a few dozen distinct nodes, and a
-#: rewrite candidate re-creates the same handful thousands of times, so
-#: inference and the payload text are each derived once per template per
-#: process.  Bounded at 65 536 entries; a plain dict, because racing threads
-#: can only store equal values under one key.
-_TEMPLATES: Dict[tuple, Tuple[Tuple[TensorSpec, ...], bytes]] = {}
+#: Every node template the process has met, from :meth:`Graph.add_node`
+#: or a first :meth:`Graph.template_memo`: ``(op, input specs, repr of the
+#: attrs) -> (output specs, node-local digest payload, template memo)``.  A
+#: model repeats a few dozen distinct nodes, and a rewrite candidate
+#: re-creates the same handful thousands of times, so inference, the
+#: payload text and every value derived from the template alone (flop and
+#: byte counts, cost units, kernel times: the template memo) are each
+#: derived once per template per process.  Bounded at 65 536 entries; a
+#: plain dict, because racing threads can only store equal values under one
+#: key (a memo that loses the race is one its nodes keep to themselves).
+_TEMPLATES: Dict[tuple, Tuple[Tuple[TensorSpec, ...], bytes,
+                              Dict[Hashable, object]]] = {}
 _TEMPLATES_MAX = 65536
 
 #: Every node-local digest payload rendered for a node that did not get one
@@ -100,19 +104,34 @@ def _render_prefix(op: str, names: Sequence[str], values: Sequence[str],
 
 def _template(op_type: OpType, input_specs: Sequence[TensorSpec],
               attrs: Mapping[str, object]
-              ) -> Tuple[Tuple[TensorSpec, ...], bytes]:
-    """``(output specs, node-local digest payload)`` of a node: one table
-    lookup for a template met before, in any graph."""
+              ) -> Tuple[Tuple[TensorSpec, ...], bytes, Dict[Hashable, object]]:
+    """``(output specs, node-local digest payload, template memo)`` of a
+    node: one table lookup for a template met before, in any graph.  Past
+    :data:`_TEMPLATES_MAX` the triple is made afresh and not kept, so its
+    memo is private to the node that gets it."""
     key = _template_key(op_type, input_specs, attrs)
     template = _TEMPLATES.get(key)
     if template is None:
         outputs = _infer_outputs(op_type, input_specs, attrs)
         template = (outputs, _render_prefix(
             op_type._value_, tuple(attrs), tuple(map(str, attrs.values())),
-            map(_DIMS, outputs)))
+            map(_DIMS, outputs)), {})
         if len(_TEMPLATES) < _TEMPLATES_MAX:
             _TEMPLATES[key] = template
     return template
+
+
+def _attach(node: "Node", input_specs: Sequence[TensorSpec]
+            ) -> Dict[Hashable, object]:
+    """The template memo of a node :meth:`Graph.add_node` did not make: its
+    template's, when the node's stored outputs are the ones its template
+    infers; otherwise (inference refuses the node, or the stored outputs
+    differ) a private memo."""
+    try:
+        outputs, _, memo = _template(node.op_type, input_specs, node.attrs)
+    except ValueError:
+        return {}
+    return memo if outputs == tuple(node.outputs) else {}
 
 
 def _known_template(op_type: OpType, input_specs: Sequence[TensorSpec],
@@ -124,7 +143,7 @@ def _known_template(op_type: OpType, input_specs: Sequence[TensorSpec],
     template = _TEMPLATES.get(_template_key(op_type, input_specs, attrs))
     if template is None:
         return _infer_outputs(op_type, input_specs, attrs), None
-    return template
+    return template[:2]
 
 
 def _hash_prefix(node: "Node") -> bytes:
@@ -403,11 +422,18 @@ class Node:
     #: place after construction.
     _hash_prefix: Optional[bytes] = field(
         default=None, repr=False, compare=False)
-    #: Values derived from this node and its input specs (costs, flop and
-    #: byte counts, kernel times, RL edge blocks), keyed by what derives
-    #: them; ``None`` until the first.  Read and created only through
-    #: :meth:`Graph.node_memo`.  A :meth:`copy` starts without one.
+    #: Values derived from this node's own edges (the RL edge block, which
+    #: names source node ids), keyed by what derives them; ``None`` until
+    #: the first.  Read and created only through :meth:`Graph.node_memo`.
     _derived: Optional[Dict[Hashable, object]] = field(
+        default=None, repr=False, compare=False)
+    #: Values derived from the node's template alone (flop and byte counts,
+    #: cost units, kernel times), shared by every node of the template in
+    #: the process: the :data:`_TEMPLATES` entry's memo.
+    #: :meth:`Graph.add_node` sets it; a node made otherwise has ``None``
+    #: until the first :meth:`Graph.template_memo`.  A :meth:`copy`, and a
+    #: pickled node, start without either memo.
+    _template_memo: Optional[Dict[Hashable, object]] = field(
         default=None, repr=False, compare=False)
 
     @property
@@ -432,8 +458,15 @@ class Node:
         state.update(self.__dict__)
         state["attrs"] = dict(self.attrs)
         state["outputs"] = list(self.outputs)
-        state["_derived"] = None
+        state["_derived"] = state["_template_memo"] = None
         return clone
+
+    def __getstate__(self):
+        # The template memo is this process's, shared with every node of the
+        # template: a pickled copy of it would be a stale private one.
+        state = self.__dict__.copy()
+        state["_derived"] = state["_template_memo"] = None
+        return state
 
 
 def _freeze(value):
@@ -472,7 +505,9 @@ class Graph:
       hash and the Merkle digest table behind it, simulated latency, exact
       cost totals), cleared on any mutation
     * per-node memos (:meth:`node_memo`), kept on the shared :class:`Node`
-      objects: a node whose inputs change is replaced, not cleared
+      objects: a node whose inputs change is replaced, not cleared; and the
+      process-wide template memos (:meth:`template_memo`) those nodes point
+      to, which no mutation touches
     * ``_delta``: mutation recording (see :class:`GraphDelta`), started by
       :meth:`begin_delta` and automatically on every :meth:`copy`
     """
@@ -505,11 +540,15 @@ class Graph:
         """Pickle support (a graph may cross into another process, e.g. a
         caller's process pool): the parent weakref cannot be pickled and would be
         meaningless in another process, so the copy lineage is severed —
-        an unpickled graph simply has no ``delta_parent()``."""
+        an unpickled graph simply has no ``delta_parent()``.  Memos stay
+        behind too, the whole-graph ones with the nodes' (their keys name
+        the deriving class, which may not be importable elsewhere): an
+        unpickled graph derives them again."""
         state = self.__dict__.copy()
         state["_parent_ref"] = None
         state["_parent_version"] = -1
         state["_copy_delta"] = None
+        state["_scalar_cache"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -554,11 +593,11 @@ class Graph:
         # With the id, so the table stays id-indexed even when shape
         # inference below refuses the node and the id goes unused.
         self._op_ids.append(op_index(op_type))
-        outputs, prefix = _template(op_type, input_specs, attrs)
+        outputs, prefix, memo = _template(op_type, input_specs, attrs)
         node = Node(node_id=node_id, op_type=op_type, attrs=attrs,
                     outputs=list(outputs),
                     name=name or f"{op_type.value.lower()}_{node_id}",
-                    _hash_prefix=prefix)
+                    _hash_prefix=prefix, _template_memo=memo)
 
         self.nodes[node_id] = node
         in_list: List[Edge] = []
@@ -726,8 +765,10 @@ class Graph:
         return ids
 
     def node_memo(self, nid: NodeId) -> Dict[Hashable, object]:
-        """The memo of values derived from node ``nid`` and its input specs
-        (key each by what derives it, e.g. one cost model's parameters).
+        """The memo of values derived from node ``nid``'s own in-edges (key
+        each by what derives it): values that name source node ids, like
+        the RL edge block.  A value that follows from the node's template
+        alone belongs in :meth:`template_memo`.
 
         It lives on the :class:`Node`, which a graph shares with its copies,
         so an entry filled on any of them, before or after the copy, serves
@@ -739,6 +780,25 @@ class Graph:
         memo = node._derived
         if memo is None:
             memo = node._derived = {}
+        return memo
+
+    def template_memo(self, nid: NodeId) -> Dict[Hashable, object]:
+        """The memo of values derived from node ``nid``'s template — its op,
+        input specs and attrs, and the outputs they infer — alone (key each
+        by what derives it, the deriver's class included): flop and byte
+        counts, cost units, kernel times.
+
+        Every node of one template shares it, in every graph of the
+        process, so a fresh build of a model priced before prices nothing.
+        A node :meth:`add_node` made holds it from birth; any other (a
+        rewired consumer, a decoded or shape-refreshed node) looks its
+        template up on first use and shares the memo only if its stored
+        outputs are the template's, keeping a private one otherwise.
+        """
+        node = self.nodes[nid]
+        memo = node._template_memo
+        if memo is None:
+            memo = node._template_memo = _attach(node, self.input_specs(nid))
         return memo
 
     def memo(self, key: Hashable, compute: Callable[[], object]):
@@ -899,8 +959,9 @@ class Graph:
             node.outputs = list(outputs)
             self.nodes[nid] = node
         # Output specs feed every derived value, so a full refresh drops
-        # every memo (the fresh nodes carry none) and the copy lineage: the
-        # delta records no shape change, so it is no longer a faithful diff.
+        # every memo (the fresh nodes carry none, and look their templates
+        # up again on first use) and the copy lineage: the delta records no
+        # shape change, so it is no longer a faithful diff.
         self._parent_ref = None
         self._version += 1
         self._scalar_cache.clear()
@@ -1083,7 +1144,8 @@ class Graph:
         replace the ones whose inputs they rewire, and
         :meth:`refresh_shapes` replaces nodes too — so a child shares a node
         with its parent exactly when the node is not in its delta's
-        ``added | rewired``, and re-derives per-node values only there.
+        ``added | rewired``, and re-derives per-node values only there
+        (template values only for templates the process has not met).
         """
         g = Graph(self.name)
         g._next_id = self._next_id

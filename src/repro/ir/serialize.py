@@ -241,7 +241,8 @@ def _decode_templates(raw: list, specs: _Specs,
             if op_type is None:
                 raise ValueError(f"unknown op {op!r}")
             templates[index] = (
-                {"op_type": op_type, "_hash_prefix": None, "_derived": None},
+                {"op_type": op_type, "_hash_prefix": None, "_derived": None,
+                 "_template_memo": None},
                 {key: _decode(value) for key, value in attrs.items()},
                 tuple(map(spec, outputs)))
         except (ValueError, TypeError, AttributeError) as exc:

@@ -8,11 +8,23 @@ from pathlib import Path
 import pytest
 
 from repro.ir import GraphBuilder
+from repro.ir import graph as graph_module
 
 # The reference implementations the equivalence suites import by module name,
 # and the random graph generator the property suites share.
 sys.path.insert(0, str(Path(__file__).resolve().parent / "oracles"))
 sys.path.insert(0, str(Path(__file__).resolve().parent / "exec"))
+
+
+@pytest.fixture
+def fresh_templates(monkeypatch):
+    """An empty process-wide node-template table (``ir/graph.py``
+    ``_TEMPLATES``) for one test, returned: what the test counts being
+    derived then depends on the test alone, not on the tests before it.
+    Build the test's graphs after asking for it."""
+    table = {}
+    monkeypatch.setattr(graph_module, "_TEMPLATES", table)
+    return table
 
 
 @pytest.fixture

@@ -1,11 +1,12 @@
 """The simulator works from the parent graph: a profile derived through a
 graph's lineage must be the full pass's, bit for bit.
 
-``E2ESimulator`` keeps kernel times in node memos copies share and
-derives a child's constant-valued set from its ``delta_parent()``'s.  The
-oracle is a fresh simulator's profile of a lineage-free rebuild of the same
-graph (``ir/serialize`` JSON, node ids kept): no parent, no memo, every
-node decided and priced.
+``E2ESimulator`` keeps kernel times in template memos every node of a
+template shares and derives a child's constant-valued set from its
+``delta_parent()``'s.  The oracle is a fresh simulator's profile of a
+lineage-free rebuild of the same graph (``ir/serialize`` JSON, node ids
+kept) whose nodes hold private, empty template memos: no parent, no memo,
+every node decided and priced.
 """
 
 import numpy as np
@@ -74,11 +75,28 @@ def joined(seed: int):
 
 
 def fresh_profile(graph):
-    """The oracle: a new simulator over a lineage-free rebuild."""
+    """The oracle: a new simulator over a lineage-free rebuild that shares
+    no template memo."""
     rebuilt = graph_from_dict(graph_to_dict(graph))
     assert rebuilt.delta_parent() is None
     assert sorted(rebuilt.nodes) == sorted(graph.nodes)
+    for node in rebuilt.nodes.values():
+        node._template_memo = {}
     return E2ESimulator().profile(rebuilt)
+
+
+def new_kernel_templates(graph, nids, simulator):
+    """Called before a profile of ``graph``, a function of that profile:
+    how many distinct templates among ``nids`` are kernels of it and held
+    no kernel time of ``simulator``'s before it — what it priced."""
+    memos = {}
+    for nid in nids:
+        memo = graph.template_memo(nid)
+        if simulator._node_key not in memo:
+            memos.setdefault(id(memo), []).append(nid)
+    return lambda profile: sum(
+        any(profile.per_node_ms[nid] > 0 for nid in group)
+        for group in memos.values())
 
 
 def assert_same_profile(profile, oracle):
@@ -146,21 +164,26 @@ def test_a_child_whose_parent_mutated_takes_the_full_pass():
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_a_one_rewrite_child_prices_only_its_added_and_rewired_nodes(seed):
+def test_a_one_rewrite_child_prices_only_its_added_and_rewired_nodes(
+        seed, fresh_templates):
     graph = joined(seed)
     simulator = E2ESimulator()
-    simulator.profile(graph)
-    assert simulator.nodes_priced == fresh_profile(graph).kernel_count
+    count = new_kernel_templates(graph, graph.nodes, simulator)
+    profile = simulator.profile(graph)
+    assert simulator.nodes_priced == count(profile) \
+        < fresh_profile(graph).kernel_count
     for _, child in rewrites(graph):
         before = simulator.nodes_priced
-        profile = simulator.profile(child)
         delta = child.mutation_delta()
         dirty = {nid for nid in delta.added | delta.rewired
                  if nid in child.nodes}
+        count = new_kernel_templates(child, dirty, simulator)
+        profile = simulator.profile(child)
         kernels = {nid for nid in dirty if profile.per_node_ms[nid] > 0}
-        assert simulator.nodes_priced - before == len(kernels)
+        assert simulator.nodes_priced - before == count(profile) \
+            <= len(kernels)
         assert len(dirty) < len(child.nodes) // 4
-    # Profiled again, a graph prices nothing: its node memos are filled.
+    # Profiled again, a graph prices nothing: its templates are priced.
     before = simulator.nodes_priced
     simulator.profile(graph)
     assert simulator.nodes_priced == before

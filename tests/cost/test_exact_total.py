@@ -23,22 +23,24 @@ MODELS = sorted(MODEL_REGISTRY)
 
 
 class TableCostModel(CostModel):
-    """Node ``i`` costs ``values[i]``: any float can be put into a total."""
-
-    def __init__(self, values):
-        super().__init__()
-        self.values = list(values)
+    """A node costs the ``cost`` attr :func:`chain` gave it: any float can
+    be put into a total, and the cost is a function of the node's template,
+    as :meth:`CostModel.node_cost_ms` must be."""
 
     def node_cost_ms(self, graph, nid):
-        return self.values[nid]
+        return graph.nodes[nid].attrs["cost"]
 
 
-def chain(length: int) -> Graph:
-    """An input followed by ``length - 1`` ReLUs: node ids ``0 .. length-1``."""
+def chain(values) -> Graph:
+    """An input followed by ReLUs, node ``i`` (ids ``0 .. len(values)-1``)
+    costing ``values[i]`` under :class:`TableCostModel`.  Each node's
+    position is in its attrs too, so every node is a template of its own."""
     graph = Graph("chain")
-    tail = graph.add_node(OpType.INPUT, (), {"shape": (1, 4)})
-    for _ in range(length - 1):
-        tail = graph.add_node(OpType.RELU, [tail])
+    tail = None
+    for index, value in enumerate(values):
+        attrs = {"cost": value, "index": index}
+        tail = graph.add_node(OpType.INPUT, (), {"shape": (1, 4), **attrs}) \
+            if tail is None else graph.add_node(OpType.RELU, [tail], attrs)
     return graph
 
 
@@ -56,12 +58,14 @@ class TestOneTotal:
         assert model_.exact_to_ms(model_.exact_total(graph)) == expected
 
     @pytest.mark.parametrize("model", MODELS)
-    def test_candidates_cost_fsum_through_the_delta(self, model):
+    def test_candidates_cost_fsum_through_the_delta(self, model,
+                                                    fresh_templates):
         parent = build_small_model(model)
         cost_model = CostModel()
         cost_model.estimate_cached(parent)
         derived = cost_model.nodes_derived
-        assert derived == parent.num_nodes
+        # One derivation per template, every template of the parent new.
+        assert derived == len(fresh_templates) < parent.num_nodes
         children = [c.graph for c in default_ruleset().all_candidates(parent)]
         for child in children:
             expected = math.fsum(
@@ -107,10 +111,10 @@ class TestExactArithmetic:
                   * rng.uniform(-1.0, 1.0) for _ in range(500)]
         values += [rng.uniform(0.0, 10.0) for _ in range(500)]
         rng.shuffle(values)
-        cost_model, graph = TableCostModel(values), chain(len(values))
+        cost_model, graph = TableCostModel(), chain(values)
         assert cost_model.estimate(graph) == math.fsum(values)
         assert cost_model.estimate_cached(graph) == math.fsum(values)
-        assert TableCostModel(values[::-1]).estimate(graph) \
+        assert cost_model.estimate_cached(chain(values[::-1])) \
             == math.fsum(values)
         # Taking terms back out is exact too: fsum of what is left.
         child = graph.copy()
@@ -118,14 +122,22 @@ class TestExactArithmetic:
             child.remove_node(nid)
         assert cost_model.estimate_delta(graph, child) \
             == math.fsum(values[:-100])
-        assert TableCostModel(values[:1]).estimate(chain(1)) == values[0]
+        assert TableCostModel().estimate(chain(values[:1])) == values[0]
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"),
                                      float("nan")])
     def test_a_non_finite_node_cost_raises_by_name(self, bad):
         values = [0.0, 1.5, bad, 2.5]
-        for estimate in (TableCostModel(values).estimate,
-                         TableCostModel(values).estimate_cached):
+        for estimate in (TableCostModel().estimate,
+                         TableCostModel().estimate_cached):
             with pytest.raises(ValueError,
                                match=r"node 2 \(Relu\).*non-finite"):
-                estimate(chain(4))
+                estimate(chain(values))
+
+    def test_a_subclass_reads_none_of_its_base_class_entries(self):
+        """Memo keys name the concrete class: a subclass pricing one
+        template otherwise never reads what ``CostModel`` left in it."""
+        graph = chain([7.0, 9.0])
+        assert CostModel().estimate_cached(graph) \
+            == CostModel().estimate(graph) != 16.0
+        assert TableCostModel().estimate_cached(graph) == 16.0

@@ -138,6 +138,36 @@ def test_service_equals_in_process(service, name, mode):
         _assert_same_search(hit.search, local)
 
 
+def test_concurrent_searches_price_as_serial_ones(fresh_templates):
+    """Two workers searching catalogue models at once, each model twice,
+    fill one template table from both threads: every search returns what
+    serial :func:`execute_request` returns, latencies included."""
+    names = sorted(list_models())
+    serial = {name: execute_request(JobRequest(
+        graph=build_small_model(name), optimiser="taso", config=TASO_FAST,
+        model_name=name)).search for name in names}
+    fresh_templates.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave template lookups and stores
+    try:
+        with OptimisationService(num_workers=2) as service:
+            jobs = [(name, service.submit(build_small_model(name), "taso",
+                                          TASO_FAST, model_name=name,
+                                          use_cache=False))
+                    for name in names for _ in range(2)]
+            results = [(name, service.result(job_id, timeout=300).search)
+                       for name, job_id in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    for name, search in results:
+        local = serial[name]
+        _assert_same_search(search, local)
+        assert (search.initial_cost_ms, search.initial_latency_ms,
+                search.final_latency_ms) == (local.initial_cost_ms,
+                                             local.initial_latency_ms,
+                                             local.final_latency_ms)
+
+
 FAST_CONFIGS = {
     "greedy": {"max_iterations": 6},
     "pet": {"max_iterations": 6},

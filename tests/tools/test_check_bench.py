@@ -18,7 +18,7 @@ _SPEC.loader.exec_module(check_bench)
 
 
 def _doc(smoke: bool = False, digest_share: float = 0.21,
-         **speedups: float) -> dict:
+         warm_derived: int = 0, **speedups: float) -> dict:
     """A minimal BENCH_search.json-shaped document."""
     return {
         "benchmark": "search", "schema": 1, "smoke": smoke,
@@ -36,6 +36,10 @@ def _doc(smoke: bool = False, digest_share: float = 0.21,
                 "inception_v3": {"graphs_hashed": 534.0,
                                  "graphs_digested": 76.0, "duplicates": 0.0,
                                  "digest_share": 76.0 / 534.0},
+            },
+            "derivations": {
+                "bert": {"warm_nodes_derived": warm_derived},
+                "inception_v3": {"warm_nodes_derived": 0},
             },
         },
     }
@@ -287,7 +291,48 @@ class TestSearchIdentityCeiling:
         recorded = json.loads((REPO_ROOT / "BENCH_search.json").read_text())
         shares = check_bench.gated_keys(
             check_bench.flatten_numbers(recorded["results"]), self.CEILINGS)
-        assert len(shares) == 2
+        assert len([key for key in shares if key.startswith("identity.")]) \
+            == 2
+
+
+class TestSearchDerivationCeiling:
+    """Node costs and kernel times a search of a fresh build of a searched
+    model derives: a count, gated at 0 in both modes."""
+
+    CEILINGS = check_bench.CEILINGS["BENCH_search.json"]
+
+    def _evaluate(self, fresh: dict, smoke: bool):
+        return check_bench.evaluate(_doc(), fresh, {}, smoke=smoke,
+                                    ceilings=self.CEILINGS)
+
+    def test_nothing_derived_passes_in_both_modes(self):
+        for smoke in (True, False):
+            problems, notes = self._evaluate(_doc(smoke=smoke), smoke)
+            assert problems == []
+            assert sum("warm_nodes_derived: 0.000 <= ceiling 0" in note
+                       for note in notes) == 2
+
+    def test_one_derivation_fails_in_both_modes(self):
+        # Kept per node, a fresh bert build re-derived 309 at 8 iterations.
+        for smoke in (True, False):
+            problems, _ = self._evaluate(_doc(warm_derived=1), smoke)
+            assert len(problems) == 1
+            assert "derivations.bert.warm_nodes_derived" in problems[0]
+            assert "above the ceiling 0" in problems[0]
+
+    def test_a_bench_that_recorded_no_derivations_fails(self):
+        fresh = _doc()
+        del fresh["results"]["derivations"]
+        problems, _ = self._evaluate(fresh, smoke=True)
+        assert len(problems) == 1
+        assert "no matching key" in problems[0]
+
+    def test_the_committed_recording_derived_nothing(self):
+        recorded = json.loads((REPO_ROOT / "BENCH_search.json").read_text())
+        leaves = check_bench.flatten_numbers(recorded["results"])
+        assert [leaves[key] for key in check_bench.gated_keys(
+            leaves, self.CEILINGS) if key.startswith("derivations.")] \
+            == [0.0, 0.0]
 
 
 class TestSearchWitnesses:

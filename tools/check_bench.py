@@ -36,7 +36,9 @@ a fingerprint at most 3 µs per node of the caller's graph — its
 the seconds both tiers evicting by LRU did — and the search
 bench's ``identity`` section — at most 3 structural hashes per 10
 identities a TASO search takes, a count, so a search that went back to
-hashing every kept graph fails here whatever the host.
+hashing every kept graph fails here whatever the host — and its
+``derivations`` section — no node cost or kernel time derived by a search
+of a fresh build of a model the process has searched, a count too.
 
 Correctness witnesses (:data:`REQUIRED_POSITIVE` /
 :data:`REQUIRED_LITERAL`) are enforced in *both* modes: the exec bench
@@ -122,6 +124,11 @@ CEILINGS: Dict[str, Dict[str, float]] = {
     # kept graph reads 1.0.
     "BENCH_search.json": {
         "identity.*.digest_share": 0.3,
+        # Node costs plus kernel times a TASO search of a fresh build of a
+        # model the process already searched derives: memoised per node
+        # template, process-wide, so 0; kept per node, every node of the
+        # fresh build was priced again (hundreds).
+        "derivations.*.warm_nodes_derived": 0.0,
     },
     "BENCH_service.json": {
         "hit_path.*.disk_over_memory": 8.0,
