@@ -1,6 +1,6 @@
 """Benchmarks for the optimisation service.
 
-Six measurements, all recorded to ``BENCH_service.json`` (see
+Five measurements, all recorded to ``BENCH_service.json`` (see
 ``_harness.py``):
 
 * **hit path** — what a request that does not search costs, per catalogue
@@ -16,10 +16,7 @@ Six measurements, all recorded to ``BENCH_service.json`` (see
 * **warm shared cache** — a *second service* pointed at the first one's
   cache directory serves the whole batch from disk without re-searching;
 * **dedup under contention** — N identical concurrent submissions coalesce
-  onto one search, vs N full searches with dedup opted out;
-* **cross-process dedup** — N service *processes* submitting the identical
-  request against one shared cache directory run exactly one search,
-  vs N private searches with the lease protocol disabled.
+  onto one search, vs N full searches with dedup opted out.
 
 Set ``SERVICE_BENCH_SMOKE=1`` (CI) to shrink budgets.  The tests assert
 correctness and equivalence and record the timings; the wall-clock floors
@@ -28,22 +25,18 @@ live in ``tools/check_bench.py`` alone, so a loud host cannot turn the test
 run red.
 """
 
-import multiprocessing
 import os
 import statistics
 import sys
 import threading
 import time
-import uuid
 from functools import partial
 from pathlib import Path
 
 import _harness
 from repro.experiments import ExperimentReport, build_small_model
-from repro.search.result import SearchResult
 from repro.service import (CacheEntry, EvictionPolicy, FingerprintCache,
-                           OptimisationService, register_optimiser,
-                           request_fingerprint)
+                           OptimisationService, request_fingerprint)
 
 # The LRU tiers the eviction replay is held against.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"
@@ -325,98 +318,3 @@ def test_dedup_under_contention(benchmark):
     assert all(not r.coalesced for r in duplicated)
     hashes = {r.graph.structural_hash() for r in deduped + duplicated}
     assert len(hashes) == 1
-
-
-# ---------------------------------------------------------------------------
-# cross-process dedup
-
-_XPROC = 3 if SMOKE else 4
-_XPROC_SEARCH_S = 0.4 if SMOKE else 0.8
-
-
-class _TouchingOptimizer:
-    """Sleeping optimiser that records each execution as a unique file."""
-
-    name = "touch-bench"
-
-    def __init__(self, touch_dir: str = "", delay_s: float = 0.5):
-        self.touch_dir = touch_dir
-        self.delay_s = delay_s
-
-    def optimise(self, graph, model_name: str = "") -> SearchResult:
-        with open(os.path.join(self.touch_dir,
-                               f"exec-{uuid.uuid4().hex}"), "w") as handle:
-            handle.write(str(os.getpid()))
-        time.sleep(self.delay_s)
-        return SearchResult(
-            optimiser=self.name, model=model_name or graph.name,
-            initial_graph=graph, final_graph=graph,
-            initial_latency_ms=1.0, final_latency_ms=0.5,
-            initial_cost_ms=1.0, final_cost_ms=0.5,
-            optimisation_time_s=self.delay_s)
-
-
-def test_cross_process_dedup(benchmark, tmp_path):
-    """N simultaneous identical submissions from N OS processes: 1 search."""
-    register_optimiser("touch-bench", _TouchingOptimizer, {},
-                       "cross-process dedup probe", replace=True)
-    graph = build_small_model("squeezenet")
-    ctx = multiprocessing.get_context("fork")
-
-    def hammer(dedup: bool, cache_root: Path, touch_dir: Path) -> float:
-        touch_dir.mkdir(parents=True, exist_ok=True)
-        barrier = ctx.Barrier(_XPROC + 1)
-
-        def child(index: int) -> None:
-            cache_dir = (cache_root if dedup
-                         else cache_root / f"private{index}")
-            with OptimisationService(num_workers=2, cache_dir=cache_dir,
-                                     cross_process_dedup=dedup) as service:
-                barrier.wait(timeout=60)
-                service.optimise(
-                    graph, "touch-bench",
-                    {"touch_dir": str(touch_dir),
-                     "delay_s": _XPROC_SEARCH_S}, timeout=120)
-
-        procs = [ctx.Process(target=child, args=(i,))
-                 for i in range(_XPROC)]
-        for proc in procs:
-            proc.start()
-        barrier.wait(timeout=60)
-        started = time.perf_counter()
-        for proc in procs:
-            proc.join(timeout=180)
-            assert proc.exitcode == 0, f"submitter exit {proc.exitcode}"
-        return time.perf_counter() - started
-
-    def run():
-        dedup_s = hammer(True, tmp_path / "shared", tmp_path / "t1")
-        dup_s = hammer(False, tmp_path / "priv", tmp_path / "t2")
-        return dedup_s, dup_s
-
-    dedup_s, dup_s = benchmark.pedantic(run, rounds=1, iterations=1)
-    searches_dedup = len(list((tmp_path / "t1").iterdir()))
-    searches_dup = len(list((tmp_path / "t2").iterdir()))
-    speedup = searches_dup / max(1, searches_dedup)
-
-    report = ExperimentReport(
-        experiment="Service bench",
-        description=f"{_XPROC} identical submissions from separate processes")
-    report.add("lease_dedup", seconds=dedup_s,
-               searches=float(searches_dedup))
-    report.add("no_leases", seconds=dup_s, searches=float(searches_dup))
-    report.add("work_reduction", speedup_x=float(speedup))
-    print("\n" + report.to_text())
-    record("cross_process_dedup", {
-        "processes": _XPROC,
-        "searches_with_leases": searches_dedup,
-        "searches_without_leases": searches_dup,
-        "dedup_seconds": dedup_s,
-        "duplicated_seconds": dup_s,
-        "speedup": speedup,
-    })
-
-    # Exactly one search across every process; without leases, every
-    # process runs its own.
-    assert searches_dedup == 1
-    assert searches_dup == _XPROC

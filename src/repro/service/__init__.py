@@ -7,9 +7,6 @@ serving layer here.  Every search runs on this host, on a worker thread:
 * :mod:`repro.service.cache` — fingerprint cache (an in-memory tier + a
   locked, multi-process-safe JSON tier, both evicting by
   GreedyDual-Frequency)
-* :mod:`repro.service.lease` — cross-process dedup leases: a held
-  ``flock`` per fingerprint in the cache directory, freed when its holder
-  releases it or dies
 * :mod:`repro.service.scheduler` — bounded submit/poll/result job scheduler
   over a prewarmed thread pool with one compute slot per core, and per-job
   event channels (:meth:`JobScheduler.events`)
@@ -17,7 +14,7 @@ serving layer here.  Every search runs on this host, on a worker thread:
   their channel
 * :mod:`repro.service.worker` — per-worker job execution
 * :mod:`repro.service.api` — the :class:`OptimisationService` batch façade
-  (admission-time caching + in-flight and cross-process dedup)
+  (admission-time caching + in-flight dedup, its one dedup mechanism)
 * :mod:`repro.service.cli` — ``python -m repro.service`` front end
 
 See ``docs/service.md`` for the operations guide.
@@ -27,7 +24,6 @@ from .api import OptimisationService
 from .cache import (CacheEntry, CacheStats, EvictionPolicy, FingerprintCache,
                     request_fingerprint)
 from .events import EventChannel, ProgressEvent
-from .lease import LeaseManager
 from .registry import (create_optimiser, default_config, list_optimisers,
                        optimiser_spec, register_optimiser, OptimiserSpec)
 from .scheduler import (JobRecord, JobScheduler, JobState, QueueFullError,
@@ -39,7 +35,6 @@ __all__ = [
     "CacheEntry", "CacheStats", "EvictionPolicy", "FingerprintCache",
     "request_fingerprint",
     "EventChannel", "ProgressEvent",
-    "LeaseManager",
     "OptimiserSpec", "create_optimiser", "default_config", "list_optimisers",
     "optimiser_spec", "register_optimiser",
     "JobRecord", "JobScheduler", "JobState", "QueueFullError",

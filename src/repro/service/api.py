@@ -20,7 +20,7 @@ graph) afterwards — a second ``result(job_id)`` raises
 job's record still answer.  A result nobody fetches is held until 1 024
 newer jobs have finished (:data:`~repro.service.scheduler.MAX_HISTORY`).
 
-Cache policy: the cache is consulted once, at submission time.  A hit
+Cache policy: the cache is consulted at submission time.  A hit
 short-circuits the search entirely (the job completes with the cached graph
 in microseconds).  A miss checks the *in-flight table*: if an identical
 fingerprint is already searching, the new submission is attached to that
@@ -29,14 +29,10 @@ Only a genuinely novel request dispatches a search, whose result is written
 back to the cache on success.  ``use_cache=False`` opts a submission out of
 both the cache *and* dedup.
 
-When the cache has a persistent directory, dedup additionally extends
-**across processes** via fingerprint leases (see
-:mod:`repro.service.lease`): the service only dispatches a search while
-holding the fingerprint's lease, a ``flock`` on a file in the cache
-directory; losing the race to another process turns the submission into a
-*waiter* job that polls the shared cache tier for the winner's result —
-and searches itself if the lease frees with no entry published (the
-winner failed or its process died).
+The in-flight table is the service's one dedup mechanism, and it is
+per-process.  Processes that share a cache directory share its entries,
+not their searches: two that miss on one fingerprint at the same moment
+each search and each publish the same entry.
 
 Jobs submitted with ``stream=True`` emit progress events — one per
 optimiser iteration — consumable via :meth:`OptimisationService.events`.
@@ -56,7 +52,6 @@ from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
 from ..ir.graph import Graph
 from .cache import CacheEntry, EvictionPolicy, FingerprintCache
 from .events import ProgressEvent
-from .lease import Lease, LeaseManager, leases_supported, wait_for_result
 from .registry import optimiser_spec
 from .scheduler import JobScheduler, JobState, UnknownJobError
 from .worker import JobRequest, ServiceResult, cached_result, execute_request
@@ -85,12 +80,6 @@ class OptimisationService:
         cache_policy: Eviction bounds for the persistent tier (max entries
             / max bytes / TTL); unbounded when omitted.
         max_pending: Bounded admission queue (see :class:`JobScheduler`).
-        cross_process_dedup: Extend exactly-once to simultaneous
-            submissions from *other service processes* via lease files in
-            the cache directory.  Effective only with a persistent cache
-            tier on a platform with ``flock``; on by default.  A lease
-            is freed when its holder releases it or dies; a holder that
-            is alive but stopped keeps it.
     """
 
     def __init__(self, num_workers: int = 4,
@@ -98,16 +87,11 @@ class OptimisationService:
                  cache_capacity: int = 256,
                  cache_dir: Optional[str] = None,
                  cache_policy: Optional[EvictionPolicy] = None,
-                 max_pending: int = 256,
-                 cross_process_dedup: bool = True):
+                 max_pending: int = 256):
         self.cache = cache if cache is not None else FingerprintCache(
             capacity=cache_capacity, cache_dir=cache_dir, policy=cache_policy)
         self.scheduler = JobScheduler(num_workers=num_workers,
                                       max_pending=max_pending)
-        self._leases: Optional[LeaseManager] = None
-        if (cross_process_dedup and self.cache.cache_dir is not None
-                and leases_supported()):
-            self._leases = LeaseManager(self.cache.cache_dir)
         # Admission-time dedup: fingerprint → primary job id, plus the
         # original request of every follower so its result can be
         # relabelled at pickup.
@@ -118,6 +102,10 @@ class OptimisationService:
         # re-entering while submit_request still holds the lock.
         self._dedup_lock = threading.RLock()
         self._coalesced_total = 0
+        # Entries this service's searches have stored, under _dedup_lock:
+        # admission re-reads the cache only when a store landed during its
+        # lookup (see submit_request).
+        self._published = 0
 
     # -- submission ----------------------------------------------------
     def submit(self, graph: Graph, optimiser: str = "taso",
@@ -157,13 +145,10 @@ class OptimisationService:
     def submit_request(self, request: JobRequest, stream: bool = False) -> int:
         """Admit one :class:`JobRequest`; returns its job id.
 
-        Admission order: cache lookup → in-flight dedup → cross-process
-        lease → dispatch.  A cache hit completes inline; a fingerprint
-        already being searched in this process attaches this submission to
-        the in-flight job (no new work); a fingerprint being searched by
-        *another process* (lease held elsewhere) dispatches a waiter that
-        polls the shared cache tier instead of re-searching; only a
-        genuinely novel fingerprint runs a search.
+        Admission order: cache lookup → in-flight dedup → dispatch.  A
+        cache hit completes inline; a fingerprint already being searched
+        in this process attaches this submission to the in-flight job (no
+        new work); only a genuinely novel fingerprint runs a search.
 
         Raises:
             KeyError: For an unknown optimiser name.
@@ -187,14 +172,10 @@ class OptimisationService:
             return self.scheduler.submit(execute_request, request, fingerprint,
                                          label=request.label, stream=stream)
         started = time.perf_counter()
+        published = self._published
         entry = self.cache.get(fingerprint)
         if entry is not None:
-            # Complete the job inline: a hit never touches the worker
-            # pool, so warm traffic costs no dispatch.
-            result = cached_result(request, entry,
-                                   time.perf_counter() - started)
-            return self.scheduler.submit_completed(
-                result, label=f"{request.label} (cached)")
+            return self._complete_cached(request, entry, started)
         with self._dedup_lock:
             primary_id = self._inflight.get(fingerprint)
             if primary_id is not None:
@@ -210,23 +191,12 @@ class OptimisationService:
                     self._followers[follower_id] = request
                     self._coalesced_total += 1
                     return follower_id
-            # Cross-process dedup: only the process holding the
-            # fingerprint's lease searches; everyone else waits on the
-            # shared cache tier.
-            lease: Optional[Lease] = None
-            if self._leases is not None:
-                lease = self._leases.acquire(fingerprint)
-                if lease is not None:
-                    # Between our cache miss and winning the lease,
-                    # another process may have published and released;
-                    # re-check so we don't re-run a finished search.
-                    entry = self.cache.get(fingerprint)
-                    if entry is not None:
-                        self._leases.release(fingerprint, lease)
-                        result = cached_result(
-                            request, entry, time.perf_counter() - started)
-                        return self.scheduler.submit_completed(
-                            result, label=f"{request.label} (cached)")
+            if self._published != published:
+                # A search stored its entry and left the in-flight table
+                # between our lookup and now — possibly this fingerprint's.
+                entry = self.cache.get(fingerprint)
+                if entry is not None:
+                    return self._complete_cached(request, entry, started)
 
             # The registration cell closes the race with ultra-fast jobs:
             # if the job is already terminal when its done-callback is
@@ -238,12 +208,10 @@ class OptimisationService:
             def store(result: ServiceResult) -> None:
                 self.cache.put(
                     CacheEntry.from_result(fingerprint, result.search))
+                with self._dedup_lock:
+                    self._published += 1
 
             def release(_future: Any) -> None:
-                if lease is not None:
-                    # After ``store`` published the entry, so a released
-                    # lease with no entry means the search failed.
-                    self._leases.release(fingerprint, lease)
                 with self._dedup_lock:
                     cell["done"] = True
                     job_id = cell["job_id"]
@@ -251,33 +219,21 @@ class OptimisationService:
                             self._inflight.get(fingerprint) == job_id:
                         del self._inflight[fingerprint]
 
-            try:
-                if self._leases is not None and lease is None:
-                    # No ``store``: an entry the waiter polled is on disk
-                    # already, and it publishes its own takeover search
-                    # through this cache before releasing the lease.
-                    job_id = self.scheduler.submit(
-                        wait_for_result, request, fingerprint, self.cache,
-                        label=f"{request.label} (lease-wait)",
-                        on_done=release, stream=stream, compute=False)
-                else:
-                    job_id = self.scheduler.submit(
-                        execute_request, request, fingerprint,
-                        label=request.label,
-                        on_success=store, on_done=release, stream=stream)
-            except BaseException:
-                # A rejected admission (e.g. QueueFullError) never created
-                # the job whose done-callback would release the lease —
-                # releasing here keeps the fingerprint searchable by
-                # everyone (a leaked lease would wedge it cluster-wide
-                # until this process exits).
-                if lease is not None:
-                    self._leases.release(fingerprint, lease)
-                raise
+            job_id = self.scheduler.submit(
+                execute_request, request, fingerprint, label=request.label,
+                on_success=store, on_done=release, stream=stream)
             cell["job_id"] = job_id
             if not cell["done"]:
                 self._inflight[fingerprint] = job_id
             return job_id
+
+    def _complete_cached(self, request: JobRequest, entry: CacheEntry,
+                         started: float) -> int:
+        """A finished job serving ``entry``: a hit never touches the worker
+        pool, so warm traffic costs no dispatch."""
+        result = cached_result(request, entry, time.perf_counter() - started)
+        return self.scheduler.submit_completed(
+            result, label=f"{request.label} (cached)")
 
     def submit_batch(self, jobs: Iterable[BatchItem],
                      optimiser: str = "taso",
@@ -466,18 +422,12 @@ class OptimisationService:
             A dict with ``workers``, ``jobs`` (state tallies over the
             retained records, plus ``results_held``: finished jobs whose
             result nobody has fetched yet), ``cache_entries`` / ``cache``
-            (tier accounting) and ``dedup`` (coalesced submissions,
-            current in-flight table size and, with cross-process dedup,
-            ``leases_held`` and ``lease_errors`` — lease locks the
-            filesystem refused, whose searches ran without the lease).
+            (tier accounting) and ``dedup`` (coalesced submissions and
+            the current in-flight table size).
         """
         with self._dedup_lock:
             dedup = {"coalesced": self._coalesced_total,
                      "inflight": len(self._inflight)}
-        dedup["cross_process"] = self._leases is not None
-        if self._leases is not None:
-            dedup["leases_held"] = len(self._leases.held())
-            dedup["lease_errors"] = self._leases.errors
         return {
             "workers": self.scheduler.num_workers,
             "jobs": {**self.scheduler.counts(),
@@ -495,8 +445,6 @@ class OptimisationService:
                 retrievable); ``False`` abandons them.
         """
         self.scheduler.shutdown(wait=wait)
-        if self._leases is not None:
-            self._leases.close()
         with self._dedup_lock:
             self._inflight.clear()
             self._followers.clear()

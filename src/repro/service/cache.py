@@ -32,10 +32,9 @@ host (or one shared filesystem):
   directory, evicting the lowest priority first; policy is enforced after
   every store and on demand via :meth:`FingerprintCache.prune_persistent`.
 
-The cache directory also hosts the cross-process dedup lease files
-(``<fingerprint>.lease`` — see :mod:`repro.service.lease`); everything
-here deliberately touches ``*.json`` entries only, so leases are never
-counted, evicted or cleared as cache content.
+Everything here touches ``*.json`` entries only, so the ``.lock`` file
+and anything else in the directory is never counted, evicted or cleared
+as cache content.
 """
 
 from __future__ import annotations

@@ -54,10 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--follow", action="store_true",
                         help="stream per-iteration progress events for each "
                              "job while it runs")
-    parser.add_argument("--no-cross-process-dedup", action="store_true",
-                        help="skip the cache-directory lease protocol that "
-                             "dedups identical submissions across service "
-                             "processes")
     parser.add_argument("--max-pending", type=int, default=256,
                         help="bounded admission queue size (default: 256)")
     parser.add_argument("--cache-dir", default=None,
@@ -190,9 +186,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with OptimisationService(num_workers=args.workers,
                              cache_dir=args.cache_dir,
                              cache_policy=_eviction_policy(args),
-                             max_pending=args.max_pending,
-                             cross_process_dedup=not args.no_cross_process_dedup,
-                             ) as service:
+                             max_pending=args.max_pending) as service:
         for round_no in range(1, max(1, args.repeat) + 1):
             job_ids = service.submit_batch(graphs, optimiser=args.optimiser,
                                            config=config,

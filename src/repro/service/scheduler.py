@@ -29,7 +29,6 @@ through :meth:`JobScheduler.events`.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import os
@@ -140,10 +139,7 @@ class JobScheduler:
         #: CPU-cache thrash of interleaved working sets (measured ~7% on the
         #: 4-jobs-1-core service benchmark).  Jobs beyond the core count
         #: wait on this semaphore — still admitted, still pending, still
-        #: cancellable, just not fighting for the GIL.  Jobs submitted with
-        #: ``compute=False`` (the cross-process lease waiters, which
-        #: sleep-poll a shared cache) bypass it, so a full complement of
-        #: compute jobs can never starve a waiter or deadlock on one.
+        #: cancellable, just not fighting for the GIL.
         self._compute_slots = threading.BoundedSemaphore(
             min(self.num_workers, os.cpu_count() or self.num_workers))
         self._prewarm_threads()
@@ -181,8 +177,7 @@ class JobScheduler:
     def submit(self, fn: Callable[..., Any], *args: Any, label: str = "",
                on_success: Optional[Callable[[Any], None]] = None,
                on_done: Optional[Callable[[futures.Future], None]] = None,
-               stream: bool = False, compute: bool = True,
-               **kwargs: Any) -> int:
+               stream: bool = False, **kwargs: Any) -> int:
         """Queue ``fn(*args, **kwargs)``; returns the job id.
 
         Args:
@@ -198,11 +193,6 @@ class JobScheduler:
             on_done: Runs exactly once with the job's future on *any*
                 terminal state (after ``on_success`` for successes) — used
                 by the service to retire in-flight dedup registrations.
-            compute: The job body is CPU-bound (the default).  Compute
-                jobs wait for a compute slot (one per core) before
-                executing; pass ``False`` for bodies that mostly wait
-                (lease waiters) so they run immediately regardless of
-                compute load.
             stream: Open an event channel for the job and pass its sink to
                 ``fn`` as a ``progress`` keyword argument — ``fn`` must
                 accept it.  Follow the events via :meth:`events`.
@@ -238,8 +228,8 @@ class JobScheduler:
             # waiting for one can be cancelled.
             future: futures.Future = futures.Future()
             try:
-                self._executor.submit(self._run, job_id, future, fn, compute,
-                                      *args, **kwargs)
+                self._executor.submit(self._run, job_id, future, fn, *args,
+                                      **kwargs)
             except BaseException:
                 self._open_jobs -= 1
                 del self._records[job_id]
@@ -341,22 +331,22 @@ class JobScheduler:
             self._settled.pop(retired, None)
 
     def _run(self, job_id: int, future: futures.Future,
-             fn: Callable[..., Any], compute: bool,
-             *args: Any, **kwargs: Any) -> None:
+             fn: Callable[..., Any], *args: Any, **kwargs: Any) -> None:
         """Run one job on a pool thread and settle its ``future``.
 
-        A compute job takes a compute slot first.  Waiting for it is
-        queueing, not running: the record stays PENDING and the future
-        cancellable until the slot is held, so ``queue_time_s`` /
-        ``run_time_s`` keep meaning what they say.  A job cancelled
-        meanwhile never runs its body.  The future is settled after the
-        slot is released, so completion callbacks (cache population) do
-        not hold up the next compute job.
+        A job takes a compute slot first.  Waiting for it is queueing, not
+        running: the record stays PENDING and the future cancellable until
+        the slot is held, so ``queue_time_s`` / ``run_time_s`` keep meaning
+        what they say.  A job cancelled meanwhile never runs its body.  The
+        future is settled after the slot is released, so completion
+        callbacks (cache population) do not hold up the next compute job.
         """
-        slot = (self._compute_slots if compute and not future.cancelled()
-                else contextlib.nullcontext())
+        if future.cancelled():
+            # Cancelled before pickup: notify its waiters, take no slot.
+            future.set_running_or_notify_cancel()
+            return
         try:
-            with slot:
+            with self._compute_slots:
                 if not future.set_running_or_notify_cancel():
                     return  # cancelled while it waited
                 with self._lock:

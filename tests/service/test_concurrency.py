@@ -6,7 +6,9 @@ The acceptance bar for the distributed-service work:
   torn entries** (atomic publishes + advisory locking);
 * N concurrent identical submissions execute the underlying search
   **exactly once** (admission-time dedup), with the result fanned out to
-  every waiter.
+  every waiter;
+* processes sharing a cache directory that search one request at once all
+  return the same graph and leave exactly one entry behind.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sys
 import threading
 import time
 
 import pytest
 from lru_disk_tier import lru_misses, replay_misses, zipf_replay
 
+from repro.experiments import build_small_model
 from repro.ir import GraphBuilder
 from repro.search.result import SearchResult
 from repro.service import (CacheEntry, EvictionPolicy, FingerprintCache,
@@ -101,6 +105,21 @@ def _read_then_store(cache_dir: str, key: str, reads: int,
         cache.put(_entry(probe, _tiny_graph(), "m", cost=1.0))
 
 
+#: A small TASO request for the multi-process test.
+SMALL_TASO = {"max_iterations": 2}
+
+
+def _optimise_shared(cache_dir: str, barrier, results) -> None:
+    """Subprocess body: submit :data:`SMALL_TASO` on bert when every
+    process is ready, and report the result's cost and graph hash."""
+    graph = build_small_model("bert")
+    with OptimisationService(num_workers=1, cache_dir=cache_dir) as service:
+        barrier.wait(timeout=60)
+        result = service.optimise(graph, "taso", SMALL_TASO, timeout=120)
+    results.put((result.search.final_cost_ms,
+                 result.graph.structural_hash()))
+
+
 def _spawn(target, *args) -> multiprocessing.Process:
     # fork (not spawn): the child must run functions defined in this test
     # module, which is not importable by name under pytest's rootdir mode.
@@ -154,6 +173,35 @@ class TestSharedCacheDirectory:
         cache.put(_entry("entryone", _tiny_graph(), "m"))
         assert (tmp_path / ".lock").exists()
         assert cache.persistent_usage()["entries"] == 1
+
+    def test_processes_racing_on_one_request_leave_one_entry(self, tmp_path):
+        """Dedup is per-process: three processes that miss at once may each
+        search, but they agree on the result and publish one entry, which
+        the next service hits."""
+        n = 3
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(n)
+        results = ctx.Queue()
+        procs = [_spawn(_optimise_shared, str(tmp_path), barrier, results)
+                 for _ in range(n)]
+        outcomes = [results.get(timeout=120) for _ in range(n)]
+        for proc in procs:
+            proc.join(timeout=30)
+            assert proc.exitcode == 0, \
+                f"submitter failed (exit {proc.exitcode})"
+        assert len(set(outcomes)) == 1  # equal final_cost_ms and hash
+        (path,) = tmp_path.glob("*.json")
+        CacheEntry.from_bytes(path.read_bytes())
+        assert list(tmp_path.glob("*.lease")) == []
+        with OptimisationService(num_workers=1,
+                                 cache_dir=str(tmp_path)) as service:
+            again = service.optimise(build_small_model("bert"), "taso",
+                                     SMALL_TASO)
+            stats = service.stats()
+        assert again.cache_hit
+        assert stats["cache"]["misses"] == 0
+        assert (again.search.final_cost_ms,
+                again.graph.structural_hash()) == outcomes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +511,77 @@ class TestInflightDedup:
             warm = service.optimise(mlp_graph, counting_optimiser)
         assert not first.cache_hit and not first.coalesced
         assert warm.cache_hit and not warm.coalesced
+        with _EXECUTIONS_LOCK:
+            assert _EXECUTIONS[0] == 1
+
+    def test_a_miss_that_a_finishing_search_overtakes_hits_the_cache(
+            self, mlp_graph, counting_optimiser, monkeypatch):
+        """B misses while the identical search A runs; A stores and leaves
+        the in-flight table before B reaches it.  B must read A's entry,
+        not dispatch a second search."""
+        real_get = FingerprintCache.get
+        b_missed, a_retired = threading.Event(), threading.Event()
+
+        def get(cache, fingerprint):
+            entry = real_get(cache, fingerprint)
+            if (threading.current_thread().name == "request-b"
+                    and not b_missed.is_set()):
+                b_missed.set()
+                assert a_retired.wait(30)
+            return entry
+
+        monkeypatch.setattr(FingerprintCache, "get", get)
+        admitted: dict = {}
+        with OptimisationService(num_workers=2) as service:
+            a = service.submit(mlp_graph, counting_optimiser)
+            b_thread = threading.Thread(
+                target=lambda: admitted.update(
+                    b=service.submit(mlp_graph, counting_optimiser)),
+                name="request-b")
+            b_thread.start()
+            assert b_missed.wait(30)
+            first = service.result(a, timeout=30)  # stored and retired
+            assert service.stats()["dedup"]["inflight"] == 0
+            a_retired.set()
+            b_thread.join(30)
+            assert not b_thread.is_alive()
+            second = service.result(admitted["b"], timeout=30)
+            stats = service.stats()
+        assert not first.cache_hit and second.cache_hit
+        with _EXECUTIONS_LOCK:
+            assert _EXECUTIONS[0] == 1
+        # A's search and B's inline completion; B ran no search.
+        assert stats["jobs"]["succeeded"] == 2
+        assert stats["dedup"]["coalesced"] == 0
+
+    def test_identical_traffic_under_thread_churn_searches_once(
+            self, mlp_graph, counting_optimiser):
+        """More submitting threads than cores, switching every microsecond:
+        every submission after the one search is a hit or a follower."""
+        n, rounds = 8, 25
+        barrier = threading.Barrier(n)
+        job_ids: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with OptimisationService(num_workers=4) as service:
+                def admit() -> None:
+                    barrier.wait()
+                    for _ in range(rounds):
+                        job_ids.append(service.submit(
+                            mlp_graph, counting_optimiser,
+                            {"delay_s": 0.001}))
+
+                threads = [threading.Thread(target=admit) for _ in range(n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                    assert not t.is_alive()
+                results = service.gather(job_ids, timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == n * rounds
         with _EXECUTIONS_LOCK:
             assert _EXECUTIONS[0] == 1
 

@@ -169,9 +169,8 @@ def test_service_stats_report_refused_entries(tmp_path):
         result = service.optimise(build_small_model("bert"), "taso", config)
         cache = service.stats()["cache"]
     assert not result.cache_hit  # searched again, once
-    # Refused *reads*: a cold request looks at admission and again once it
-    # holds the lease, so the one bad file reads as two — like its misses.
-    assert cache["corrupt_entries"] == cache["misses"] == 2
+    # A cold request reads the cache once: one refused read, one miss.
+    assert cache["corrupt_entries"] == cache["misses"] == 1
     assert cache["stale_version_entries"] == 0
     CacheEntry.from_bytes(path.read_bytes())  # and republished whole
 

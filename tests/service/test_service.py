@@ -462,23 +462,6 @@ class TestJobScheduler:
         assert waited.queue_time_s >= 0.3
         assert waited.run_time_s < waited.queue_time_s
 
-    def test_a_non_compute_job_runs_while_every_slot_is_busy(
-            self, monkeypatch):
-        """``compute=False`` (the lease waiters) skips the compute slots, so
-        busy compute jobs can neither starve nor deadlock it."""
-        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
-        started, release = threading.Event(), threading.Event()
-        with JobScheduler(num_workers=2) as scheduler:
-            blocker = scheduler.submit(_hold, started, release)
-            assert started.wait(10)  # the blocker holds the only slot
-            waiter = scheduler.submit(lambda: "ran", compute=False)
-            try:
-                assert scheduler.result(waiter, timeout=5) == "ran"
-                assert scheduler.poll(blocker) is JobState.RUNNING
-            finally:
-                release.set()
-            assert scheduler.result(blocker, timeout=10) is True
-
     def test_shutdown_stops_the_worker_threads(self):
         with JobScheduler(num_workers=2) as scheduler:
             workers = {scheduler.result(
@@ -724,9 +707,11 @@ class TestOptimisationService:
                                       ["--processes"],
                                       ["--remote-worker", "127.0.0.1:1"],
                                       ["--worker-server"],
-                                      ["--backend", "thread"]],
+                                      ["--backend", "thread"],
+                                      ["--no-cross-process-dedup"]],
                              ids=["router", "processes", "remote-worker",
-                                  "worker-server", "backend"])
+                                  "worker-server", "backend",
+                                  "no-cross-process-dedup"])
     def test_cli_refuses_a_removed_flag(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli_main(["squeezenet"] + flag)
@@ -734,7 +719,8 @@ class TestOptimisationService:
         assert flag[0] in capsys.readouterr().err
 
     def test_removed_constructor_arguments_are_refused(self):
-        for removed in ({"router": "health"}, {"use_processes": True}):
+        for removed in ({"router": "health"}, {"use_processes": True},
+                        {"cross_process_dedup": False}):
             with pytest.raises(TypeError, match=next(iter(removed))):
                 OptimisationService(num_workers=1, **removed)
 

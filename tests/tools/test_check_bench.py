@@ -134,8 +134,7 @@ class TestFloorOnlyRatios:
                 "results": {
                     "cold_vs_warm": {"speedup": cold_vs_warm},
                     "warm_shared_cache": {"speedup": shared},
-                    "dedup_under_contention": {"speedup": dedup},
-                    "cross_process_dedup": {"speedup": 4.0}}}
+                    "dedup_under_contention": {"speedup": dedup}}}
 
     def _evaluate(self, fresh: dict, smoke: bool = False):
         return check_bench.evaluate(
@@ -165,16 +164,6 @@ class TestFloorOnlyRatios:
     def test_only_gated_keys_are_named(self):
         for name, paths in check_bench.FLOOR_ONLY.items():
             assert set(paths) <= set(check_bench.GATES[name])
-
-    def test_cross_process_smoke_floor_is_one_search(self):
-        # 3 smoke processes: one search reads 3.0; two searches read 1.5.
-        for speedup, ok in ((3.0, True), (1.5, False)):
-            fresh = self._doc(1230.0, 64.0)
-            fresh["smoke"] = True
-            fresh["results"]["cross_process_dedup"]["speedup"] = speedup
-            problems, _ = self._evaluate(fresh, smoke=True)
-            assert (problems == []) is ok
-            assert ok or "cross_process_dedup.speedup" in problems[0]
 
 
 class TestCeilings:
@@ -489,17 +478,17 @@ class TestExecWitnesses:
         assert any("calibration.improvement" in p for p in problems)
 
 
-class TestCrossProcessDedupWitness:
-    """BENCH_service.json: the lease run's one search was recorded."""
+class TestContentionDedupWitness:
+    """BENCH_service.json: the contended batch's one search was recorded."""
 
     POSITIVE = check_bench.REQUIRED_POSITIVE["BENCH_service.json"]
 
     @staticmethod
     def _doc(searches: float) -> dict:
         return {"benchmark": "service", "schema": 1, "smoke": True,
-                "results": {"cross_process_dedup": {
-                    "processes": 3, "searches_with_leases": searches,
-                    "searches_without_leases": 3}}}
+                "results": {"dedup_under_contention": {
+                    "submissions": 8, "searches_with_dedup": searches,
+                    "speedup": 3.0}}}
 
     def _evaluate(self, fresh: dict):
         return check_bench.evaluate(self._doc(1), fresh, {}, smoke=True,
@@ -508,21 +497,22 @@ class TestCrossProcessDedupWitness:
     def test_one_search_passes(self):
         problems, notes = self._evaluate(self._doc(1))
         assert problems == []
-        assert any("cross_process_dedup.searches_with_leases" in n
+        assert any("dedup_under_contention.searches_with_dedup" in n
                    and "gate executed" in n for n in notes)
 
     def test_no_search_fails(self):
         problems, _ = self._evaluate(self._doc(0))
-        assert any("searches_with_leases" in p for p in problems)
+        assert any("searches_with_dedup" in p for p in problems)
 
     def test_a_row_without_the_witness_fails(self):
         fresh = self._doc(1)
-        del fresh["results"]["cross_process_dedup"]["searches_with_leases"]
+        del fresh["results"]["dedup_under_contention"]["searches_with_dedup"]
         problems, _ = self._evaluate(fresh)
-        assert any("searches_with_leases" in p for p in problems)
+        assert any("searches_with_dedup" in p for p in problems)
 
     def test_the_committed_recording_searched_once(self):
         doc = json.loads((REPO_ROOT / "BENCH_service.json").read_text())
-        assert doc["results"]["cross_process_dedup"][
-            "searches_with_leases"] == 1
+        assert doc["results"]["dedup_under_contention"][
+            "searches_with_dedup"] == 1
         assert "worker_backends" not in doc["results"]
+        assert "cross_process_dedup" not in doc["results"]

@@ -44,15 +44,14 @@ Correctness witnesses (:data:`REQUIRED_POSITIVE` /
 :data:`REQUIRED_LITERAL`) are enforced in *both* modes: the exec bench
 records how many differential checks actually ran, and a run whose
 equivalence gate was skipped fails here regardless of its speedups; the
-service bench's ``cross_process_dedup`` section must record the one search
-its service processes shared.
+service bench's ``dedup_under_contention`` section must record the one
+search its concurrent identical submissions shared.
 
 The wall-clock floors of the search and service benches
-(``measured_end_to_end`` 0.97, ``cold_vs_warm`` 10, ``cross_process_dedup``
-3 — the smoke run's process count — the rest 1.0) live here
-only: the bench tests assert equivalence and record, so a loud host cannot
-turn the test suite red.  Search, service and RL wall-clock are judged by
-``python3 -m xbench``, not by a ratio against a slow sibling.
+(``measured_end_to_end`` 0.97, ``cold_vs_warm`` 10, the rest 1.0) live
+here only: the bench tests assert equivalence and record, so a loud host
+cannot turn the test suite red.  Search, service and RL wall-clock are
+judged by ``python3 -m xbench``, not by a ratio against a slow sibling.
 
 Exit code 0 when clean, 1 with a per-problem report otherwise.
 """
@@ -84,9 +83,6 @@ GATES: Dict[str, Dict[str, float]] = {
         "cold_vs_warm.speedup": 10.0,
         "warm_shared_cache.speedup": 1.0,
         "dedup_under_contention.speedup": 1.0,
-        # N processes, one search: the smoke run's 3 processes read 3.0,
-        # so a run where 2 of them searched (1.5) fails.
-        "cross_process_dedup.speedup": 3.0,
     },
     "BENCH_exec.json": {
         # Floors, not latencies: calibration can never make the fit worse
@@ -174,9 +170,9 @@ REQUIRED_POSITIVE: Dict[str, Tuple[str, ...]] = {
     ),
     "BENCH_search.json": ("measured_end_to_end.*.rules_applied",
                           "identity.*.graphs_hashed"),
-    # The lease run searched (the bench asserts exactly once): a run that
-    # never reached the search records 0 and fails here.
-    "BENCH_service.json": ("cross_process_dedup.searches_with_leases",),
+    # The contended batch searched (the bench asserts exactly once): a run
+    # that never reached the search records 0 and fails here.
+    "BENCH_service.json": ("dedup_under_contention.searches_with_dedup",),
 }
 
 #: String leaves that must equal an expected literal in the fresh results
