@@ -16,9 +16,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
 import sys
 import threading
 import time
+import uuid
 
 import pytest
 from lru_disk_tier import lru_misses, replay_misses, zipf_replay
@@ -27,7 +29,9 @@ from repro.experiments import build_small_model
 from repro.ir import GraphBuilder
 from repro.search.result import SearchResult
 from repro.service import (CacheEntry, EvictionPolicy, FingerprintCache,
-                           OptimisationService, register_optimiser)
+                           JobState, OptimisationService, QueueFullError,
+                           register_optimiser)
+from repro.service import scheduler as scheduler_module
 from repro.service.cache import ENTRY_VERSION
 
 # ---------------------------------------------------------------------------
@@ -120,6 +124,61 @@ def _optimise_shared(cache_dir: str, barrier, results) -> None:
                  result.graph.structural_hash()))
 
 
+class _MarkingOptimizer:
+    """Optimiser that leaves one file in ``mark_dir`` per execution, so
+    searches are counted across processes, then waits while ``hold_path``
+    exists (at most a minute)."""
+
+    name = "marking-test"
+
+    def __init__(self, mark_dir: str = "", hold_path: str = ""):
+        self.mark_dir = mark_dir
+        self.hold_path = hold_path
+
+    def optimise(self, graph, model_name: str = "") -> SearchResult:
+        path = os.path.join(self.mark_dir, f"exec-{uuid.uuid4().hex}")
+        with open(path, "w") as handle:
+            handle.write(str(os.getpid()))
+        deadline = time.monotonic() + 60
+        while (self.hold_path and os.path.exists(self.hold_path)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        return SearchResult(
+            optimiser=self.name, model=model_name or graph.name,
+            initial_graph=graph, final_graph=graph,
+            initial_latency_ms=1.0, final_latency_ms=0.5,
+            initial_cost_ms=1.0, final_cost_ms=0.5,
+            optimisation_time_s=0.01)
+
+
+@pytest.fixture()
+def marking_optimiser():
+    """Registered before any fork, so child processes inherit it."""
+    register_optimiser("marking-test", _MarkingOptimizer, {},
+                       "cross-process search counter", replace=True)
+    return "marking-test"
+
+
+def _optimise_marked(cache_dir: str, config: dict, results) -> None:
+    """Subprocess body: one request through a service on ``cache_dir``;
+    reports whether it hit and how many searches the service ran."""
+    with OptimisationService(num_workers=1, cache_dir=cache_dir) as service:
+        result = service.optimise(_tiny_graph("marked"), "marking-test",
+                                  config, timeout=60)
+        succeeded = service.stats()["jobs"]["succeeded"]
+    if results is not None:
+        results.put((result.cache_hit, succeeded - result.cache_hit))
+
+
+def _hold_directory_lock(cache_dir: str, held) -> None:
+    """Subprocess body: take the cache directory's exclusive lock, say so,
+    then hang until killed."""
+    cache = FingerprintCache(cache_dir=cache_dir)
+    with cache._dir_lock.exclusive():
+        held.set()
+        time.sleep(300)
+
+
 def _spawn(target, *args) -> multiprocessing.Process:
     # fork (not spawn): the child must run functions defined in this test
     # module, which is not importable by name under pytest's rootdir mode.
@@ -202,6 +261,116 @@ class TestSharedCacheDirectory:
         assert stats["cache"]["misses"] == 0
         assert (again.search.final_cost_ms,
                 again.graph.structural_hash()) == outcomes[0]
+
+
+    def test_a_process_killed_mid_search_leaves_no_entry(
+            self, tmp_path, marking_optimiser):
+        """A search dies with its process: nothing half-written is left in
+        the directory, and the next service searches and publishes."""
+        cache_dir, marks = tmp_path / "cache", tmp_path / "marks"
+        marks.mkdir()
+        hold = tmp_path / "hold"
+        hold.touch()
+        config = {"mark_dir": str(marks), "hold_path": str(hold)}
+        victim = _spawn(_optimise_marked, str(cache_dir), config, None)
+        try:
+            deadline = time.monotonic() + 60
+            while not any(marks.iterdir()) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert any(marks.iterdir()), "the victim never started searching"
+            os.kill(victim.pid, signal.SIGKILL)
+        finally:
+            victim.join(timeout=30)
+        assert victim.exitcode == -signal.SIGKILL
+        assert list(cache_dir.glob("*.json")) == []
+        assert list(cache_dir.glob("*.tmp")) == []
+        hold.unlink()
+        with OptimisationService(num_workers=1,
+                                 cache_dir=str(cache_dir)) as service:
+            result = service.optimise(_tiny_graph("marked"), marking_optimiser,
+                                      config, timeout=60)
+        assert not result.cache_hit
+        assert len(list(marks.iterdir())) == 2
+        (path,) = cache_dir.glob("*.json")
+        CacheEntry.from_bytes(path.read_bytes())
+
+    def test_a_killed_lock_holder_frees_the_directory_at_once(self, tmp_path):
+        """The directory lock is the kernel's: a process that dies holding
+        it blocks the next publish only until it is gone."""
+        ctx = multiprocessing.get_context("fork")
+        held = ctx.Event()
+        holder = _spawn(_hold_directory_lock, str(tmp_path), held)
+        published = threading.Event()
+        cache = FingerprintCache(cache_dir=tmp_path)
+
+        def publish() -> None:
+            cache.put(_entry("lockedkey", _tiny_graph(), "m"))
+            published.set()
+
+        writer = threading.Thread(target=publish)
+        try:
+            assert held.wait(timeout=30)
+            writer.start()
+            assert not published.wait(0.3)  # blocked behind the holder
+            killed = time.monotonic()
+            os.kill(holder.pid, signal.SIGKILL)
+            assert published.wait(timeout=10)
+            assert time.monotonic() - killed < 2.0
+        finally:
+            holder.join(timeout=10)
+            writer.join(timeout=10)
+        reader = FingerprintCache(cache_dir=tmp_path)
+        assert reader.get("lockedkey") is not None
+        assert reader.stats.corrupt_entries == 0
+
+    def test_a_later_process_hits_what_an_earlier_one_published(
+            self, tmp_path, marking_optimiser):
+        """Sequential repeats across processes share the directory: the
+        second process answers from disk and runs no search."""
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        config = {"mark_dir": str(marks)}
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        outcomes = []
+        for _ in range(2):
+            proc = _spawn(_optimise_marked, str(tmp_path / "cache"), config,
+                          results)
+            outcomes.append(results.get(timeout=60))
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+        assert outcomes == [(False, 1), (True, 0)]
+        assert len(list(marks.iterdir())) == 1
+
+    def test_a_disk_hit_needs_no_free_worker(self, tmp_path,
+                                             marking_optimiser):
+        """An entry another service published answers while every compute
+        slot of this one is busy: a hit never waits for the pool."""
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        config = {"mark_dir": str(marks)}
+        with OptimisationService(num_workers=1,
+                                 cache_dir=str(tmp_path)) as writer:
+            writer.optimise(_tiny_graph("marked"), marking_optimiser, config)
+        started, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            started.set()
+            release.wait(30)
+
+        with OptimisationService(num_workers=1,
+                                 cache_dir=str(tmp_path)) as service:
+            blocker = service.scheduler.submit(hold, label="blocker")
+            try:
+                assert started.wait(10)  # the blocker holds the only slot
+                hit = service.optimise(_tiny_graph("marked"),
+                                       marking_optimiser, config, timeout=5)
+                assert service.poll(blocker) is JobState.RUNNING
+            finally:
+                release.set()
+            service.scheduler.result(blocker, timeout=10)
+        assert hit.cache_hit
+        assert len(list(marks.iterdir())) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -631,3 +800,149 @@ class TestInflightDedup:
             service.gather([a, b], timeout=30)
         with _EXECUTIONS_LOCK:
             assert _EXECUTIONS[0] == 2
+
+
+class TestAdmission:
+    """What admission reads and leaves behind around one search."""
+
+    @staticmethod
+    def _count_gets(monkeypatch) -> list:
+        looked_up: list = []
+        real_get = FingerprintCache.get
+
+        def get(cache, fingerprint):
+            looked_up.append(fingerprint)
+            return real_get(cache, fingerprint)
+
+        monkeypatch.setattr(FingerprintCache, "get", get)
+        return looked_up
+
+    @pytest.mark.parametrize("on_disk", [False, True],
+                             ids=["memory", "disk"])
+    def test_a_cold_request_reads_the_cache_once(
+            self, mlp_graph, counting_optimiser, monkeypatch, tmp_path,
+            on_disk):
+        looked_up = self._count_gets(monkeypatch)
+        cache_dir = str(tmp_path) if on_disk else None
+        with OptimisationService(num_workers=1,
+                                 cache_dir=cache_dir) as service:
+            result = service.optimise(mlp_graph, counting_optimiser)
+            stats = service.stats()["cache"]
+        assert not result.cache_hit
+        assert len(looked_up) == 1
+        assert stats["misses"] == 1
+
+    def test_a_store_of_another_request_is_no_hit(
+            self, mlp_graph, counting_optimiser, monkeypatch):
+        """B misses while an unrelated search A stores and retires: B reads
+        the cache again, finds nothing of its own and searches."""
+        real_get = FingerprintCache.get
+        looked_up: list = []
+        b_missed, a_retired = threading.Event(), threading.Event()
+
+        def get(cache, fingerprint):
+            entry = real_get(cache, fingerprint)
+            if threading.current_thread().name == "request-b":
+                looked_up.append(fingerprint)
+                if not b_missed.is_set():
+                    b_missed.set()
+                    assert a_retired.wait(30)
+            return entry
+
+        monkeypatch.setattr(FingerprintCache, "get", get)
+        admitted: dict = {}
+        with OptimisationService(num_workers=2) as service:
+            a = service.submit(mlp_graph, counting_optimiser,
+                               {"delay_s": 0.05})
+            b_thread = threading.Thread(
+                target=lambda: admitted.update(
+                    b=service.submit(mlp_graph, counting_optimiser)),
+                name="request-b")
+            b_thread.start()
+            assert b_missed.wait(30)
+            service.result(a, timeout=30)  # stored and retired
+            a_retired.set()
+            b_thread.join(30)
+            assert not b_thread.is_alive()
+            second = service.result(admitted["b"], timeout=30)
+        assert not second.cache_hit and not second.coalesced
+        assert len(looked_up) == 2 and len(set(looked_up)) == 1
+        with _EXECUTIONS_LOCK:
+            assert _EXECUTIONS[0] == 2
+
+    def test_a_rejected_admission_leaves_the_request_searchable(
+            self, mlp_graph, counting_optimiser):
+        """A QueueFullError registers nothing: once the queue drains, the
+        same request searches."""
+        release = threading.Event()
+        with OptimisationService(num_workers=1, max_pending=1) as service:
+            occupant = service.scheduler.submit(release.wait, 30,
+                                                label="occupant")
+            with pytest.raises(QueueFullError):
+                service.submit(mlp_graph, counting_optimiser)
+            assert service.stats()["dedup"]["inflight"] == 0
+            release.set()
+            service.scheduler.result(occupant, timeout=30)
+            retry = service.optimise(mlp_graph, counting_optimiser,
+                                     timeout=30)
+        assert not retry.cache_hit and not retry.coalesced
+        with _EXECUTIONS_LOCK:
+            assert _EXECUTIONS[0] == 1
+
+    def test_a_cancelled_search_frees_its_request(
+            self, mlp_graph, counting_optimiser, monkeypatch):
+        """A search cancelled while it waits for a compute slot leaves the
+        in-flight table, so the next identical request searches anew
+        instead of following a job that never runs."""
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
+        started, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            started.set()
+            release.wait(30)
+
+        with OptimisationService(num_workers=2) as service:
+            blocker = service.scheduler.submit(hold, label="blocker")
+            assert started.wait(10)  # the blocker holds the only slot
+            doomed = service.submit(mlp_graph, counting_optimiser)
+            assert service.scheduler.cancel(doomed) is True
+            assert service.stats()["dedup"]["inflight"] == 0
+            release.set()
+            service.scheduler.result(blocker, timeout=10)
+            retry = service.optimise(mlp_graph, counting_optimiser,
+                                     timeout=30)
+            assert service.poll(doomed) is JobState.CANCELLED
+        assert not retry.cache_hit and not retry.coalesced
+        with _EXECUTIONS_LOCK:
+            assert _EXECUTIONS[0] == 1
+
+    def test_a_search_publishes_its_entry_to_disk_once(
+            self, mlp_graph, counting_optimiser, monkeypatch, tmp_path):
+        writes: list = []
+        store = FingerprintCache._store_persistent
+        monkeypatch.setattr(
+            FingerprintCache, "_store_persistent",
+            lambda cache, entry: writes.append(entry.fingerprint)
+            or store(cache, entry))
+        with OptimisationService(num_workers=2,
+                                 cache_dir=str(tmp_path)) as service:
+            cold = service.optimise(mlp_graph, counting_optimiser)
+            warm = service.optimise(mlp_graph, counting_optimiser)
+            assert len(service.cache) == 1
+        assert not cold.cache_hit and warm.cache_hit
+        assert len(writes) == 1
+        assert _on_disk(tmp_path) == set(writes)
+
+    def test_a_failed_search_publishes_nothing(
+            self, mlp_graph, exploding_optimiser, tmp_path):
+        with OptimisationService(num_workers=1,
+                                 cache_dir=str(tmp_path)) as service:
+            for _ in range(2):  # a failure is not remembered: both search
+                job_id = service.submit(mlp_graph, exploding_optimiser)
+                with pytest.raises(RuntimeError):
+                    service.result(job_id, timeout=30)
+            stats = service.stats()
+        assert stats["jobs"]["failed"] == 2
+        assert stats["cache"]["misses"] == 2
+        assert stats["cache"]["puts"] == 0
+        assert _on_disk(tmp_path) == set()

@@ -718,6 +718,21 @@ class TestOptimisationService:
         assert exit_info.value.code == 2  # argparse: unrecognised argument
         assert flag[0] in capsys.readouterr().err
 
+    def test_dedup_is_the_in_process_table_alone(self, mlp_graph):
+        """The service reports one dedup mechanism and ships no other."""
+        import importlib
+
+        import repro.service
+
+        with OptimisationService(num_workers=1) as service:
+            service.optimise(mlp_graph, "taso", TASO_FAST)
+            dedup = service.stats()["dedup"]
+        assert dedup == {"coalesced": 0, "inflight": 0}
+        assert not any("lease" in name.lower()
+                       for name in repro.service.__all__)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.service.lease")
+
     def test_removed_constructor_arguments_are_refused(self):
         for removed in ({"router": "health"}, {"use_processes": True},
                         {"cross_process_dedup": False}):
