@@ -19,20 +19,23 @@ from pathlib import Path
 OUTPUT_DIR = Path(__file__).resolve().parents[1] / ".bench_out"
 
 
-def record(name: str, section: str, payload: dict, smoke: bool) -> None:
-    """Merge one section into this run's ``BENCH_<name>.json``.
+#: What this process has recorded, per file: the first :func:`record` of a
+#: file in a process starts it afresh.
+_RECORDINGS: dict = {}
 
-    Sections accumulate over a session (each benchmark test records one);
-    the ``host`` block and the ``smoke`` flag describe the latest writer.
+
+def record(name: str, section: str, payload: dict, smoke: bool) -> None:
+    """Add one section to this run's ``BENCH_<name>.json``.
+
+    Sections accumulate over one process (each benchmark test records
+    one), and only over it: a section an earlier, deselected or other-mode
+    run left in the file does not survive under this run's ``smoke`` flag
+    and ``host`` block.
     """
     path = OUTPUT_DIR / f"BENCH_{name}.json"
-    data = {"benchmark": name, "schema": 1, "results": {}}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (ValueError, OSError):
-            pass
-    data.setdefault("results", {})[section] = payload
+    data = _RECORDINGS.setdefault(
+        path, {"benchmark": name, "schema": 1, "results": {}})
+    data["results"][section] = payload
     data["smoke"] = smoke
     data["host"] = host()
     OUTPUT_DIR.mkdir(exist_ok=True)

@@ -8,10 +8,10 @@ serving layer here.  Every search runs on this host, on a worker thread:
   locked, multi-process-safe JSON tier, both evicting by
   GreedyDual-Frequency)
 * :mod:`repro.service.scheduler` — bounded submit/poll/result job scheduler
-  over a prewarmed thread pool with one compute slot per core, and per-job
+  over a prewarmed thread pool of at most one thread per core, and per-job
   event channels (:meth:`JobScheduler.events`)
-* :mod:`repro.service.events` — streaming progress events, their sink and
-  their channel
+* :mod:`repro.service.events` — streaming progress events and their
+  per-job channel
 * :mod:`repro.service.worker` — per-worker job execution
 * :mod:`repro.service.api` — the :class:`OptimisationService` batch façade
   (admission-time caching + in-flight dedup, its one dedup mechanism)

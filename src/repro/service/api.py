@@ -25,9 +25,9 @@ short-circuits the search entirely (the job completes with the cached graph
 in microseconds).  A miss checks the *in-flight table*: if an identical
 fingerprint is already searching, the new submission is attached to that
 job (admission-time dedup — one search, every waiter gets the result).
-Only a genuinely novel request dispatches a search, whose result is written
-back to the cache on success.  ``use_cache=False`` opts a submission out of
-both the cache *and* dedup.
+Only a genuinely novel request dispatches a search, whose job writes its
+result back to the cache before that result resolves.  ``use_cache=False``
+opts a submission out of both the cache *and* dedup.
 
 The in-flight table is the service's one dedup mechanism, and it is
 per-process.  Processes that share a cache directory share its entries,
@@ -43,6 +43,7 @@ Every search runs on this host, on the scheduler's thread pool; see
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import replace
@@ -57,6 +58,8 @@ from .scheduler import JobScheduler, JobState, UnknownJobError
 from .worker import JobRequest, ServiceResult, cached_result, execute_request
 
 __all__ = ["OptimisationService"]
+
+_LOG = logging.getLogger(__name__)
 
 #: Things submit_batch accepts per item: a graph, (graph, model_name),
 #: a JobRequest, or a kwargs dict for submit().
@@ -97,15 +100,13 @@ class OptimisationService:
         # relabelled at pickup.
         self._inflight: Dict[str, int] = {}
         self._followers: Dict[int, JobRequest] = {}
-        # RLock: a job that finishes before its done-callback is registered
-        # runs the in-flight cleanup synchronously on the submitting thread,
-        # re-entering while submit_request still holds the lock.
-        self._dedup_lock = threading.RLock()
+        self._dedup_lock = threading.Lock()
         self._coalesced_total = 0
         # Entries this service's searches have stored, under _dedup_lock:
         # admission re-reads the cache only when a store landed during its
         # lookup (see submit_request).
         self._published = 0
+        self._store_failures = 0
 
     # -- submission ----------------------------------------------------
     def submit(self, graph: Graph, optimiser: str = "taso",
@@ -183,9 +184,9 @@ class OptimisationService:
                     follower_id = self.scheduler.attach(
                         primary_id, label=f"{request.label} (coalesced)")
                 except UnknownJobError:
-                    # The primary finished and was retired between its
-                    # in-flight cleanup and now; fall through to a fresh
-                    # dispatch (the cache very likely serves the next one).
+                    # A registration whose job can no longer be followed
+                    # (its result delivered or its record retired): fall
+                    # through to a fresh dispatch.
                     pass
                 else:
                     self._followers[follower_id] = request
@@ -198,34 +199,43 @@ class OptimisationService:
                 if entry is not None:
                     return self._complete_cached(request, entry, started)
 
-            # The registration cell closes the race with ultra-fast jobs:
-            # if the job is already terminal when its done-callback is
-            # attached, ``release`` runs (on this thread) before we learn
-            # the job id — it records that fact so we skip registering a
-            # fingerprint that would never be cleaned up.
-            cell: Dict[str, Any] = {"job_id": None, "done": False}
-
-            def store(result: ServiceResult) -> None:
-                self.cache.put(
-                    CacheEntry.from_result(fingerprint, result.search))
+            def retire(_future: Any = None) -> None:
                 with self._dedup_lock:
-                    self._published += 1
-
-            def release(_future: Any) -> None:
-                with self._dedup_lock:
-                    cell["done"] = True
-                    job_id = cell["job_id"]
-                    if job_id is not None and \
-                            self._inflight.get(fingerprint) == job_id:
+                    if self._inflight.get(fingerprint) == job_id:
                         del self._inflight[fingerprint]
 
-            job_id = self.scheduler.submit(
-                execute_request, request, fingerprint, label=request.label,
-                on_success=store, on_done=release, stream=stream)
-            cell["job_id"] = job_id
-            if not cell["done"]:
-                self._inflight[fingerprint] = job_id
+            def search(progress: Any = None) -> ServiceResult:
+                # Store, leave the in-flight table, then resolve: whoever
+                # holds the result finds its entry in the cache.
+                try:
+                    result = execute_request(request, fingerprint, progress)
+                    self._store(fingerprint, result)
+                    return result
+                finally:
+                    retire()
+
+            # The done callback retires a job cancelled before it ran.
+            # Neither path can run before the registration below: retire()
+            # waits for the lock this admission holds, and nobody has the
+            # job id to cancel yet.
+            job_id = self.scheduler.submit(search, label=request.label,
+                                           on_done=retire, stream=stream)
+            self._inflight[fingerprint] = job_id
             return job_id
+
+    def _store(self, fingerprint: str, result: ServiceResult) -> None:
+        """Cache a finished search's entry.  A store that fails is logged
+        and counted, and the search's result is delivered all the same."""
+        try:
+            self.cache.put(CacheEntry.from_result(fingerprint, result.search))
+        except Exception:
+            _LOG.warning("could not cache the result of %s", fingerprint,
+                         exc_info=True)
+            with self._dedup_lock:
+                self._store_failures += 1
+        else:
+            with self._dedup_lock:
+                self._published += 1
 
     def _complete_cached(self, request: JobRequest, entry: CacheEntry,
                          started: float) -> int:
@@ -422,18 +432,21 @@ class OptimisationService:
             A dict with ``workers``, ``jobs`` (state tallies over the
             retained records, plus ``results_held``: finished jobs whose
             result nobody has fetched yet), ``cache_entries`` / ``cache``
-            (tier accounting) and ``dedup`` (coalesced submissions and
+            (tier accounting, plus ``store_failures``: searches whose entry
+            could not be stored) and ``dedup`` (coalesced submissions and
             the current in-flight table size).
         """
         with self._dedup_lock:
             dedup = {"coalesced": self._coalesced_total,
                      "inflight": len(self._inflight)}
+            store_failures = self._store_failures
         return {
             "workers": self.scheduler.num_workers,
             "jobs": {**self.scheduler.counts(),
                      "results_held": self.scheduler.results_held()},
             "cache_entries": len(self.cache),
-            "cache": self.cache.stats.to_dict(),
+            "cache": {**self.cache.stats.to_dict(),
+                      "store_failures": store_failures},
             "dedup": dedup,
         }
 

@@ -1,4 +1,4 @@
-"""Streaming job progress: events, sinks and per-job channels.
+"""Streaming job progress: events and per-job channels.
 
 Every optimiser in this repository can report progress through a
 ``progress_callback(iteration, best_cost, best_graph_fp)`` — one call per
@@ -8,10 +8,9 @@ those callbacks from the worker thread running the search back to whoever
 submitted the job:
 
 * :class:`ProgressEvent` — one immutable progress observation.
-* :class:`QueueProgressSink` — the producer side: the callback appends to
-  a thread-safe deque.
-* :class:`EventChannel` — the consumer side: one channel per streaming
-  job, owned by the scheduler, draining the job's sink.
+* :class:`EventChannel` — one per streaming job, owned by the scheduler:
+  the job body calls it as its progress callback, and the consumer drains
+  the events it buffered.
 
 The scheduler surfaces channels as
 :meth:`~repro.service.scheduler.JobScheduler.events`; the CLI's ``--follow``
@@ -26,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import List
 
-__all__ = ["ProgressEvent", "QueueProgressSink", "EventChannel"]
+__all__ = ["ProgressEvent", "EventChannel"]
 
 
 @dataclass(frozen=True)
@@ -56,13 +55,20 @@ class ProgressEvent:
                 f"graph {self.best_graph_fp[:12]}")
 
 
-class QueueProgressSink:
-    """Events land in a lock-guarded deque; the search runs in the same
-    process as the consumer, so nothing is serialised."""
+class EventChannel:
+    """One streaming job's progress events, from its search to its
+    consumer.
+
+    Owned by the scheduler (one per streaming job id) and handed to the job
+    body as its ``progress`` callable.  Events land in a lock-guarded
+    deque; the search runs in the same process as the consumer, so nothing
+    is serialised.
+    """
 
     def __init__(self) -> None:
         self._events: "deque[ProgressEvent]" = deque()
         self._lock = threading.Lock()
+        self._finished = threading.Event()
 
     def __call__(self, iteration: int, best_cost: float,
                  best_graph_fp: str) -> None:
@@ -73,29 +79,6 @@ class QueueProgressSink:
                               timestamp=time.time())
         with self._lock:
             self._events.append(event)
-
-    def drain(self) -> List[ProgressEvent]:
-        """Remove and return every event published since the last drain."""
-        with self._lock:
-            events = list(self._events)
-            self._events.clear()
-        return events
-
-
-class EventChannel:
-    """The consumer end of one streaming job's progress events.
-
-    Owned by the scheduler (one per streaming job id); drains the
-    :class:`QueueProgressSink` it hands to the job body.
-    """
-
-    def __init__(self) -> None:
-        self._sink = QueueProgressSink()
-        self._finished = threading.Event()
-
-    def sink(self) -> QueueProgressSink:
-        """The callable to hand to the job body as ``progress``."""
-        return self._sink
 
     @property
     def finished(self) -> bool:
@@ -108,4 +91,7 @@ class EventChannel:
 
     def drain(self) -> List[ProgressEvent]:
         """Every event published since the previous drain (non-blocking)."""
-        return self._sink.drain()
+        with self._lock:
+            events = list(self._events)
+            self._events.clear()
+        return events

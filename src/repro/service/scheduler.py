@@ -1,10 +1,9 @@
 """Bounded job scheduler with submit / poll / result semantics.
 
 Wraps a :class:`concurrent.futures.ThreadPoolExecutor` with the bookkeeping a
-serving layer needs: integer job ids, per-job state and timing records, a
-bounded admission queue (``QueueFullError`` instead of unbounded memory
-growth), and completion callbacks used by the service to populate the
-fingerprint cache.
+serving layer needs: integer job ids, per-job state and timing records, and
+a bounded admission queue (``QueueFullError`` instead of unbounded memory
+growth).  A job's future is the one the executor hands back.
 
 A finished job's result is held until :meth:`JobScheduler.result` hands it
 to its caller, and no longer: the scheduler then keeps only the job's
@@ -12,9 +11,10 @@ to its caller, and no longer: the scheduler then keeps only the job's
 requests it has already answered.  A result nobody fetches is dropped with
 its record, once :data:`MAX_HISTORY` newer jobs have finished.
 
-Every pool thread starts at construction.  No more compute jobs execute
-at once than the host has cores (the *compute slots*); the rest wait for
-a slot, still pending and still cancellable.
+The pool has ``min(num_workers, cpu_count)`` threads, every one started at
+construction: more threads than cores would only fight over the GIL.  Jobs
+beyond them wait in the executor's queue, still pending and still
+cancellable.
 
 The scheduler also supports *attached* (follower) jobs — :meth:`attach`
 registers a new job id that shares an existing job's future, which is how
@@ -22,7 +22,7 @@ the service coalesces concurrent identical requests onto one in-flight
 search.
 
 Jobs submitted with ``stream=True`` additionally get an **event channel**:
-the job body receives a ``progress`` callable (see
+the job body receives it as its ``progress`` callable (see
 :mod:`repro.service.events`) and everything it emits can be followed live
 through :meth:`JobScheduler.events`.
 """
@@ -98,7 +98,7 @@ class JobRecord:
 
     @property
     def queue_time_s(self) -> Optional[float]:
-        """Seconds between submission and pickup (holding a compute slot).
+        """Seconds between submission and pickup by a pool thread.
 
         ``None`` for a coalesced follower (it runs nothing itself) and for
         a job that has not started.
@@ -120,7 +120,8 @@ class JobScheduler:
     """Submit/poll/result façade over a bounded thread pool.
 
     Args:
-        num_workers: Size of the worker pool.
+        num_workers: Size of the worker pool, capped at the host's core
+            count.
         max_pending: Maximum simultaneously *open* (pending or running)
             jobs; further submissions raise :class:`QueueFullError` so
             overload surfaces at admission instead of as unbounded queue
@@ -131,26 +132,20 @@ class JobScheduler:
     def __init__(self, num_workers: int = 4, max_pending: int = 256):
         self.num_workers = max(1, int(num_workers))
         self.max_pending = max(1, int(max_pending))
-        self._executor = futures.ThreadPoolExecutor(
-            max_workers=self.num_workers, thread_name_prefix="repro-worker")
         #: Workers run CPU-bound pure-Python searches, so letting more of
         #: them *execute* than the machine has cores buys nothing and costs
         #: real money: GIL hand-offs every switch interval plus the
         #: CPU-cache thrash of interleaved working sets (measured ~7% on the
         #: 4-jobs-1-core service benchmark).  Jobs beyond the core count
-        #: wait on this semaphore — still admitted, still pending, still
-        #: cancellable, just not fighting for the GIL.
-        self._compute_slots = threading.BoundedSemaphore(
-            min(self.num_workers, os.cpu_count() or self.num_workers))
-        self._prewarm_threads()
+        #: wait in the executor's queue — still admitted, still pending,
+        #: still cancellable, just not fighting for the GIL.
+        threads = min(self.num_workers, os.cpu_count() or self.num_workers)
+        self._executor = futures.ThreadPoolExecutor(
+            max_workers=threads, thread_name_prefix="repro-worker")
+        self._prewarm_threads(threads)
         self._lock = threading.RLock()
         self._records: Dict[int, JobRecord] = {}
         self._futures: Dict[int, futures.Future] = {}
-        self._on_success: Dict[int, Callable[[Any], None]] = {}
-        self._on_done: Dict[int, Callable[[futures.Future], None]] = {}
-        #: Set once a job's callbacks have returned; only jobs that have
-        #: callbacks get one, and a follower shares its primary's.
-        self._settled: Dict[int, threading.Event] = {}
         self._attached: set = set()
         self._terminal: "deque[int]" = deque()
         self._channels: Dict[int, EventChannel] = {}
@@ -158,7 +153,7 @@ class JobScheduler:
         self._ids = itertools.count(1)
         self._closed = False
 
-    def _prewarm_threads(self) -> None:
+    def _prewarm_threads(self, threads: int) -> None:
         """Spawn every pool thread now, not on first use.
 
         The stdlib executor creates workers lazily, one per submission —
@@ -168,14 +163,13 @@ class JobScheduler:
         Threads rendezvous on a barrier so each warm-up task pins a
         distinct worker.
         """
-        barrier = threading.Barrier(self.num_workers)
+        barrier = threading.Barrier(threads)
         warmups = [self._executor.submit(_pool_warmup, barrier)
-                   for _ in range(self.num_workers)]
+                   for _ in range(threads)]
         futures.wait(warmups, timeout=5.0)
 
     # -- submission ----------------------------------------------------
     def submit(self, fn: Callable[..., Any], *args: Any, label: str = "",
-               on_success: Optional[Callable[[Any], None]] = None,
                on_done: Optional[Callable[[futures.Future], None]] = None,
                stream: bool = False, **kwargs: Any) -> int:
         """Queue ``fn(*args, **kwargs)``; returns the job id.
@@ -184,16 +178,12 @@ class JobScheduler:
             fn: The job body, run on a pool thread.
             *args: Positional arguments for ``fn``.
             label: Human-readable tag kept on the :class:`JobRecord`.
-            on_success: Runs exactly once with the job's result after it
-                succeeds — in the pool thread that ran the job, or in the
-                caller's thread when :meth:`result` finalises the job
-                first.  Either way it has completed before :meth:`result`
-                returns, so e.g. a cache populated by the callback is
-                visible to whoever observed the result.
-            on_done: Runs exactly once with the job's future on *any*
-                terminal state (after ``on_success`` for successes) — used
-                by the service to retire in-flight dedup registrations.
-            stream: Open an event channel for the job and pass its sink to
+            on_done: A done callback of the job's future: runs once with
+                the future on *any* terminal state, cancellation included
+                (:meth:`cancel` runs it before returning).  Nothing waits
+                for it — work a caller must see with the result belongs in
+                ``fn``.
+            stream: Open an event channel for the job and pass it to
                 ``fn`` as a ``progress`` keyword argument — ``fn`` must
                 accept it.  Follow the events via :meth:`events`.
             **kwargs: Keyword arguments for ``fn``.
@@ -222,28 +212,20 @@ class JobScheduler:
             self._open_jobs += 1
             if stream:
                 channel = self._channels[job_id] = EventChannel()
-                kwargs = {**kwargs, "progress": channel.sink()}
-            # The job's own future, settled by :meth:`_run`: it stays
-            # pending until the job holds its compute slot, so a job still
-            # waiting for one can be cancelled.
-            future: futures.Future = futures.Future()
+                kwargs = {**kwargs, "progress": channel}
             try:
-                self._executor.submit(self._run, job_id, future, fn, *args,
-                                      **kwargs)
+                future = self._executor.submit(self._run, job_id, fn, *args,
+                                               **kwargs)
             except BaseException:
                 self._open_jobs -= 1
                 del self._records[job_id]
                 self._channels.pop(job_id, None)
                 raise
             self._futures[job_id] = future
-            if on_success is not None:
-                self._on_success[job_id] = on_success
-            if on_done is not None:
-                self._on_done[job_id] = on_done
-            if on_success is not None or on_done is not None:
-                self._settled[job_id] = threading.Event()
         future.add_done_callback(
             lambda f, job_id=job_id: self._finalise(job_id, f))
+        if on_done is not None:
+            future.add_done_callback(on_done)
         return job_id
 
     def attach(self, primary_job_id: int, label: str = "") -> int:
@@ -285,9 +267,6 @@ class JobScheduler:
             )
             self._futures[job_id] = future
             self._attached.add(job_id)
-            settled = self._settled.get(primary_job_id)
-            if settled is not None:
-                self._settled[job_id] = settled
             primary_channel = self._channels.get(primary_job_id)
             if primary_channel is not None:
                 # Followers watch the primary's stream: one search, every
@@ -328,60 +307,29 @@ class JobScheduler:
             self._records.pop(retired, None)
             self._futures.pop(retired, None)
             self._channels.pop(retired, None)
-            self._settled.pop(retired, None)
 
-    def _run(self, job_id: int, future: futures.Future,
-             fn: Callable[..., Any], *args: Any, **kwargs: Any) -> None:
-        """Run one job on a pool thread and settle its ``future``.
+    def _run(self, job_id: int, fn: Callable[..., Any], *args: Any,
+             **kwargs: Any) -> Any:
+        """Run one job on the pool thread that picked it up."""
+        with self._lock:
+            record = self._records[job_id]
+            record.state = JobState.RUNNING
+            record.started_at = time.monotonic()
+        return fn(*args, **kwargs)
 
-        A job takes a compute slot first.  Waiting for it is queueing, not
-        running: the record stays PENDING and the future cancellable until
-        the slot is held, so ``queue_time_s`` / ``run_time_s`` keep meaning
-        what they say.  A job cancelled meanwhile never runs its body.  The
-        future is settled after the slot is released, so completion
-        callbacks (cache population) do not hold up the next compute job.
-        """
-        if future.cancelled():
-            # Cancelled before pickup: notify its waiters, take no slot.
-            future.set_running_or_notify_cancel()
-            return
-        try:
-            with self._compute_slots:
-                if not future.set_running_or_notify_cancel():
-                    return  # cancelled while it waited
-                with self._lock:
-                    record = self._records[job_id]
-                    record.state = JobState.RUNNING
-                    record.started_at = time.monotonic()
-                result = fn(*args, **kwargs)
-        except BaseException as exc:
-            # The job's outcome, as an executor's own work item stores it:
-            # result() re-raises it to the caller.
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
-
-    def _finalise(self, job_id: int, future: futures.Future
-                  ) -> Optional[threading.Event]:
-        """Record a finished job's terminal state and run its callbacks;
-        idempotent.  Returns the event that is set once the callbacks have
-        returned (``None`` for a job without any); they may still be
-        running on another thread.
+    def _finalise(self, job_id: int, future: futures.Future) -> None:
+        """Record a finished job's terminal state; idempotent.
 
         Runs from the future's done callback *and* synchronously from
         :meth:`result` / :meth:`wait_all` — ``Future.set_result`` wakes
         ``result()`` waiters before done callbacks fire, so without the
         synchronous path a caller could observe a result whose record was
-        still RUNNING and whose ``on_success`` (cache population) had not
-        happened yet.  The done-callback path never waits for the event: it
-        may run in a thread holding a lock a callback takes (a follower
-        attached to a finished job finalises inside :meth:`attach`).
+        still RUNNING.
         """
         with self._lock:
             record = self._records.get(job_id)
-            settled = self._settled.get(job_id)
             if record is None or record.state.is_terminal:
-                return settled
+                return
             record.finished_at = time.monotonic()
             if future.cancelled():
                 record.state = JobState.CANCELLED
@@ -390,32 +338,14 @@ class JobScheduler:
                 record.error = repr(future.exception())
             else:
                 record.state = JobState.SUCCEEDED
-            state = record.state
             if job_id in self._attached:
                 self._attached.discard(job_id)  # followers hold no slot
             else:
                 self._open_jobs -= 1
             self._retire_locked(job_id)
-            on_success = self._on_success.pop(job_id, None)
-            on_done = self._on_done.pop(job_id, None)
             channel = self._channels.get(job_id)
             if channel is not None:
                 channel.finish()  # events() iterators drain and stop
-        if on_success is not None and state is JobState.SUCCEEDED:
-            try:
-                on_success(future.result())
-            except Exception:
-                # A cache-population failure must not poison the job result.
-                pass
-        if on_done is not None:
-            try:
-                on_done(future)
-            except Exception:
-                # Dedup bookkeeping failures must not poison the job result.
-                pass
-        if on_success is not None or on_done is not None:
-            settled.set()
-        return settled
 
     # -- polling -------------------------------------------------------
     def poll(self, job_id: int) -> JobState:
@@ -490,14 +420,12 @@ class JobScheduler:
     def result(self, job_id: int, timeout: Optional[float] = None) -> Any:
         """Block until the job finishes; re-raises the job's exception.
 
-        The job's record is terminal and its ``on_success`` and ``on_done``
-        callbacks have returned by the time this returns (or raises the
-        job's error) — for a follower, its primary's: a repeat submitted
-        next finds what they published.  This is
-        where the result passes to its caller: once it has been returned,
-        or the job's own error raised, the scheduler drops it and keeps
-        only the record (``poll`` / ``record`` still answer).  A
-        :class:`TimeoutError` delivers nothing, so the call can be retried.
+        The job's record is terminal by the time this returns (or raises
+        the job's error).  This is where the result passes to its caller:
+        once it has been returned, or the job's own error raised, the
+        scheduler drops it and keeps only the record (``poll`` /
+        ``record`` still answer).  A :class:`TimeoutError` delivers
+        nothing, so the call can be retried.
 
         Raises:
             UnknownJobError: If the id was never issued or was retired, or
@@ -521,23 +449,16 @@ class JobScheduler:
         return value
 
     def _deliver(self, job_id: int, future: futures.Future) -> None:
-        """Finalise ``job_id`` synchronously and wait until its callbacks
-        have returned, wherever they run; then drop its hold on the result.
-        The record stays.
+        """Finalise ``job_id`` synchronously, then drop its hold on the
+        result.  The record stays.
 
         Only this id's entry goes: a coalesced follower shares the future
         and keeps it until its own caller fetches it.
         """
-        self._settle(job_id, future)
+        self._finalise(job_id, future)
         with self._lock:
             if self._futures.get(job_id) is future:
                 del self._futures[job_id]
-
-    def _settle(self, job_id: int, future: futures.Future) -> None:
-        """:meth:`_finalise`, then wait for the job's callbacks."""
-        settled = self._finalise(job_id, future)
-        if settled is not None:
-            settled.wait()
 
     def results_held(self) -> int:
         """Finished jobs whose result nobody has fetched yet."""
@@ -548,9 +469,9 @@ class JobScheduler:
     def cancel(self, job_id: int) -> bool:
         """Try to cancel a still-pending job; returns whether it worked.
 
-        A job is pending until it holds a compute slot, so a job waiting
-        for one is cancelled too: its body never runs, its record ends
-        CANCELLED, :meth:`result` raises
+        A job is pending until a pool thread picks it up, so a job waiting
+        in the pool's queue is cancelled: its body never runs, its record
+        ends CANCELLED, :meth:`result` raises
         :class:`concurrent.futures.CancelledError` and its admission slot
         is freed.
 
@@ -583,8 +504,7 @@ class JobScheduler:
     def wait_all(self, timeout: Optional[float] = None) -> bool:
         """Wait for every submitted job; True if all finished in time.
 
-        Finished jobs are finalised (records terminal, callbacks run)
-        before this returns.
+        Finished jobs' records are terminal before this returns.
         """
         with self._lock:
             snapshot = dict(self._futures)
@@ -593,7 +513,7 @@ class JobScheduler:
         all_done = True
         for job_id, future in snapshot.items():
             if future.done():
-                self._settle(job_id, future)
+                self._finalise(job_id, future)
             else:
                 all_done = False
         return all_done

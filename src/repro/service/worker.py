@@ -99,7 +99,7 @@ def execute_request(request: JobRequest, fingerprint: str = "",
     ``progress`` — when given — is installed as the optimiser's
     ``progress_callback``: a callable ``f(iteration, best_cost,
     best_graph_fp)`` the search invokes once per iteration.  The serving
-    layer passes an event sink here (see :mod:`repro.service.events`); a
+    layer passes an event channel here (see :mod:`repro.service.events`); a
     custom optimiser without the attribute simply streams nothing.
     """
     optimiser = create_optimiser(request.optimiser, **dict(request.config))

@@ -344,8 +344,8 @@ class TestSharedCacheDirectory:
 
     def test_a_disk_hit_needs_no_free_worker(self, tmp_path,
                                              marking_optimiser):
-        """An entry another service published answers while every compute
-        slot of this one is busy: a hit never waits for the pool."""
+        """An entry another service published answers while every pool
+        thread of this one is busy: a hit never waits for the pool."""
         marks = tmp_path / "marks"
         marks.mkdir()
         config = {"mark_dir": str(marks)}
@@ -362,7 +362,7 @@ class TestSharedCacheDirectory:
                                  cache_dir=str(tmp_path)) as service:
             blocker = service.scheduler.submit(hold, label="blocker")
             try:
-                assert started.wait(10)  # the blocker holds the only slot
+                assert started.wait(10)  # the blocker holds the only thread
                 hit = service.optimise(_tiny_graph("marked"),
                                        marking_optimiser, config, timeout=5)
                 assert service.poll(blocker) is JobState.RUNNING
@@ -891,7 +891,7 @@ class TestAdmission:
 
     def test_a_cancelled_search_frees_its_request(
             self, mlp_graph, counting_optimiser, monkeypatch):
-        """A search cancelled while it waits for a compute slot leaves the
+        """A search cancelled while it waits in the pool's queue leaves the
         in-flight table, so the next identical request searches anew
         instead of following a job that never runs."""
         monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
@@ -903,7 +903,7 @@ class TestAdmission:
 
         with OptimisationService(num_workers=2) as service:
             blocker = service.scheduler.submit(hold, label="blocker")
-            assert started.wait(10)  # the blocker holds the only slot
+            assert started.wait(10)  # the blocker holds the only thread
             doomed = service.submit(mlp_graph, counting_optimiser)
             assert service.scheduler.cancel(doomed) is True
             assert service.stats()["dedup"]["inflight"] == 0

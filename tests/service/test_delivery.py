@@ -9,6 +9,7 @@ own references to them.
 from __future__ import annotations
 
 import gc
+import logging
 import threading
 import time
 import weakref
@@ -102,53 +103,10 @@ class TestSchedulerDelivery:
             assert scheduler.results_held() == 2
 
 
-class TestCallbacksBeforeDelivery:
-    """A delivered result comes after its job's ``on_success`` and
-    ``on_done`` have returned, even when the pool thread that settled the
-    job is still running them: what they do (store a cache entry, retire
-    an in-flight registration) is done for whoever acts on the result."""
-
-    @staticmethod
-    def _slow_callbacks(log, entered):
-        def on_success(value):
-            entered.set()
-            time.sleep(0.3)
-            log.append(("on_success", value))
-
-        def on_done(_future):
-            log.append("on_done")
-
-        return {"on_success": on_success, "on_done": on_done}
-
-    def test_result_waits_for_callbacks_running_on_the_pool_thread(self):
-        log, entered = [], threading.Event()
-        with JobScheduler(num_workers=1) as scheduler:
-            job_id = scheduler.submit(
-                lambda: 7, **self._slow_callbacks(log, entered))
-            assert entered.wait(10)  # the pool thread runs them
-            assert scheduler.result(job_id, timeout=10) == 7
-            assert log == [("on_success", 7), "on_done"]
-
-    def test_a_followers_result_waits_for_its_primarys_callbacks(self):
-        log, entered, go = [], threading.Event(), threading.Event()
-        with JobScheduler(num_workers=1) as scheduler:
-            primary = scheduler.submit(
-                lambda: go.wait(10) and 8,
-                **self._slow_callbacks(log, entered))
-            follower = scheduler.attach(primary)
-            go.set()
-            assert entered.wait(10)
-            assert scheduler.result(follower, timeout=10) == 8
-            assert log == [("on_success", 8), "on_done"]
-            assert scheduler.result(primary, timeout=10) == 8
-
-    def test_wait_all_waits_for_callbacks(self):
-        log, entered = [], threading.Event()
-        with JobScheduler(num_workers=1) as scheduler:
-            scheduler.submit(lambda: 9, **self._slow_callbacks(log, entered))
-            assert entered.wait(10)
-            assert scheduler.wait_all(timeout=10)
-            assert log == [("on_success", 9), "on_done"]
+class TestStoreBeforeDelivery:
+    """A search stores its cache entry before its result resolves: whoever
+    holds a delivered result finds the entry in the cache, and a store
+    that fails costs the entry, not the result."""
 
     def test_a_repeat_after_a_slow_store_is_a_cache_hit(
             self, tmp_path, monkeypatch):
@@ -171,6 +129,57 @@ class TestCallbacksBeforeDelivery:
         assert label.endswith("(cached)")
         assert after["misses"] == before["misses"]
         assert after["puts"] == before["puts"] == 1
+
+
+    def test_a_repeat_after_a_followers_result_is_a_cache_hit(
+            self, monkeypatch):
+        real_put = FingerprintCache.put
+        storing = threading.Event()
+
+        def slow_put(cache, entry):
+            storing.set()
+            time.sleep(0.3)
+            return real_put(cache, entry)
+
+        monkeypatch.setattr(FingerprintCache, "put", slow_put)
+        with OptimisationService(num_workers=1) as service:
+            primary = service.submit(_dense_graph(), "taso", TASO_FAST)
+            assert storing.wait(30)  # the search is done, its entry not
+            follower = service.submit(_dense_graph(), "taso", TASO_FAST)
+            followed = service.result(follower, timeout=30)
+            repeat = service.submit(_dense_graph(), "taso", TASO_FAST)
+            label = service.scheduler.record(repeat).label
+            result = service.result(repeat, timeout=30)
+            service.result(primary, timeout=30)
+            cache = service.stats()["cache"]
+        assert followed.coalesced and not followed.cache_hit
+        assert result.cache_hit and label.endswith("(cached)")
+        assert cache["misses"] == 2 and cache["puts"] == 1
+
+    def test_a_failed_store_is_counted_and_the_result_delivered(
+            self, monkeypatch, caplog):
+        def broken_put(cache, entry):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(FingerprintCache, "put", broken_put)
+        with OptimisationService(num_workers=1) as service:
+            with caplog.at_level(logging.WARNING, logger="repro.service"):
+                first = service.optimise(_dense_graph(), "taso", TASO_FAST,
+                                         timeout=30)
+            warnings = [r for r in caplog.records
+                        if r.levelno == logging.WARNING]
+            after_first = service.stats()
+            again = service.optimise(_dense_graph(), "taso", TASO_FAST,
+                                     timeout=30)
+            after_again = service.stats()
+        assert not first.cache_hit and first.search.final_graph is not None
+        assert len(warnings) == 1
+        assert "disk full" in str(warnings[0].exc_info[1])
+        assert after_first["cache"]["store_failures"] == 1
+        assert after_first["dedup"]["inflight"] == 0
+        assert not again.cache_hit and not again.coalesced
+        assert after_again["cache"]["misses"] == 2
+        assert after_again["cache"]["store_failures"] == 2
 
 
 class TestServiceDelivery:

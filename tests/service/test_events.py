@@ -90,14 +90,13 @@ class TestOptimiserCallbacks:
 class TestEventChannel:
     def test_channel_drains_each_event_once(self):
         channel = EventChannel()
-        sink = channel.sink()
-        sink(1, 10.0, "aaa")
-        sink(2, 9.0, "bbb")
+        channel(1, 10.0, "aaa")
+        channel(2, 9.0, "bbb")
         events = channel.drain()
         assert [e.iteration for e in events] == [1, 2]
         assert all(isinstance(e, ProgressEvent) for e in events)
         assert channel.drain() == []  # drained exactly once
-        sink(3, 8.0, "ccc")
+        channel(3, 8.0, "ccc")
         assert [e.iteration for e in channel.drain()] == [3]
         assert not channel.finished
         channel.finish()

@@ -322,7 +322,7 @@ class TestMemoryTier:
 
 # ---------------------------------------------------------------------------
 def _hold(started: threading.Event, release: threading.Event) -> bool:
-    """Job body that holds its compute slot until released."""
+    """Job body that holds its pool thread until released."""
     started.set()
     return release.wait(30)
 
@@ -375,15 +375,15 @@ class TestJobScheduler:
 
     def test_a_job_waiting_for_a_compute_slot_can_be_cancelled(
             self, monkeypatch):
-        """Two pool threads, one compute slot: the second job sits in a
-        pool thread waiting for the slot, pending and cancellable."""
+        """One core, so one pool thread: the second job waits in the
+        pool's queue, pending and cancellable."""
         monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
         release = threading.Event()
         ran = []
         with JobScheduler(num_workers=2, max_pending=2) as scheduler:
             blocker = scheduler.submit(release.wait, 30)
             waiter = scheduler.submit(ran.append, "body")
-            time.sleep(0.2)  # the idle pool thread takes it and waits
+            time.sleep(0.2)  # it waits in the pool's queue
             assert scheduler.poll(waiter) is JobState.PENDING
             assert scheduler.cancel(waiter) is True
             assert scheduler.poll(waiter) is JobState.CANCELLED
@@ -401,17 +401,17 @@ class TestJobScheduler:
     def test_followers_of_a_cancelled_slot_waiter_end_cancelled(
             self, monkeypatch):
         """A follower shares its primary's future: when the primary is
-        cancelled while waiting for a compute slot, so is every follower,
+        cancelled while it waits in the pool's queue, so is every follower,
         and none of them holds an admission slot afterwards."""
         monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
         started, release = threading.Event(), threading.Event()
         ran = []
         with JobScheduler(num_workers=2, max_pending=2) as scheduler:
             blocker = scheduler.submit(_hold, started, release)
-            assert started.wait(10)  # the blocker holds the only slot
+            assert started.wait(10)  # the blocker holds the only thread
             waiter = scheduler.submit(ran.append, "body")
             followers = [scheduler.attach(waiter) for _ in range(2)]
-            time.sleep(0.2)  # the idle pool thread takes it and waits
+            time.sleep(0.2)  # it waits in the pool's queue
             assert scheduler.cancel(waiter) is True
             for job_id in [waiter] + followers:
                 assert scheduler.poll(job_id) is JobState.CANCELLED
@@ -425,8 +425,8 @@ class TestJobScheduler:
 
     def test_a_cancelled_slot_waiter_ends_its_event_stream(
             self, monkeypatch):
-        """``events()`` on a streamed job cancelled before it got a slot
-        ends at once, with no events, instead of waiting for a run that
+        """``events()`` on a streamed job cancelled while it waits in the
+        pool's queue ends at once, with no events, instead of waiting for a run that
         never comes."""
         monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
         started, release = threading.Event(), threading.Event()
@@ -436,7 +436,7 @@ class TestJobScheduler:
 
         with JobScheduler(num_workers=2) as scheduler:
             blocker = scheduler.submit(_hold, started, release)
-            assert started.wait(10)  # the blocker holds the only slot
+            assert started.wait(10)  # the blocker holds the only thread
             waiter = scheduler.submit(streamed, stream=True)
             time.sleep(0.2)
             assert scheduler.cancel(waiter) is True
@@ -445,13 +445,14 @@ class TestJobScheduler:
             assert scheduler.result(blocker, timeout=10) is True
 
     def test_waiting_for_a_slot_is_queue_time(self, monkeypatch):
-        """A job that waits for a compute slot starts running only once it
-        holds one: the wait counts as queue time, not run time."""
+        """A job that waits in the pool's queue starts running only once a
+        pool thread picks it up: the wait counts as queue time, not run
+        time."""
         monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
         started, release = threading.Event(), threading.Event()
         with JobScheduler(num_workers=2) as scheduler:
             blocker = scheduler.submit(_hold, started, release)
-            assert started.wait(10)  # the blocker holds the only slot
+            assert started.wait(10)  # the blocker holds the only thread
             waiter = scheduler.submit(lambda: None)
             time.sleep(0.3)
             assert scheduler.poll(waiter) is JobState.PENDING
@@ -472,7 +473,7 @@ class TestJobScheduler:
 
     def test_cancels_racing_the_slot_pickup_stay_consistent(
             self, monkeypatch):
-        """Four threads race for two slots while every other job is
+        """Two pool threads race to pick up jobs while every other job is
         cancelled: a job whose cancel succeeded never runs, every other
         job runs exactly once, and every admission slot comes back."""
         monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 2)
@@ -591,14 +592,14 @@ class TestOptimisationService:
 
     def test_failed_batch_admission_cancels_jobs_waiting_for_a_slot(
             self, mlp_graph, monkeypatch):
-        """The rollback holds when the admitted job already sits in a pool
-        thread, waiting for the one compute slot the blocker holds."""
+        """The rollback holds when the admitted job waits in the pool's
+        queue behind the blocker."""
         monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
         release = threading.Event()
 
         def items():
             yield (mlp_graph, "a")
-            time.sleep(0.2)  # the idle pool thread takes "a" and waits
+            time.sleep(0.2)  # "a" waits in the pool's queue
             yield (mlp_graph, "b")
 
         with OptimisationService(num_workers=2, max_pending=2) as service:

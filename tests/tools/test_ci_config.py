@@ -65,6 +65,23 @@ def test_harness_output_directory_is_git_ignored():
     assert f"{HARNESS.OUTPUT_DIR.name}/" in ignored
 
 
+def test_a_recording_keeps_only_what_its_own_run_measured(
+        tmp_path, monkeypatch):
+    """A section an earlier run left in ``BENCH_<name>.json`` does not
+    survive the first ``record`` of a new run; this run's sections
+    accumulate."""
+    monkeypatch.setattr(HARNESS, "OUTPUT_DIR", tmp_path)
+    stale = {"benchmark": "probe", "schema": 1, "smoke": False,
+             "host": {}, "results": {"deleted_bench": {"value": 9.0}}}
+    (tmp_path / "BENCH_probe.json").write_text(json.dumps(stale))
+    HARNESS.record("probe", "first", {"value": 1.0}, smoke=True)
+    HARNESS.record("probe", "second", {"value": 2.0}, smoke=True)
+    data = json.loads((tmp_path / "BENCH_probe.json").read_text())
+    assert data["results"] == {"first": {"value": 1.0},
+                               "second": {"value": 2.0}}
+    assert data["smoke"] is True
+
+
 def test_every_recording_says_whether_blas_was_pinned(tmp_path, monkeypatch):
     """The host block names each BLAS thread-count variable, ``""`` when
     the run left it unset."""
