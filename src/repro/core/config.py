@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 from typing import Dict, Tuple
 
-__all__ = ["XRLflowConfig", "PAPER_TABLE4"]
+__all__ = ["XRLflowConfig", "PAPER_TABLE4", "HARNESS_PRESET"]
 
 #: The hyper-parameter values reported in the paper's Appendix A (Table 4).
 PAPER_TABLE4: Dict[str, object] = {
@@ -19,6 +19,18 @@ PAPER_TABLE4: Dict[str, object] = {
     "feedback_interval": 5,
     "mlp_head_sizes": (256, 64),
     "batch_size": 16,
+}
+
+#: The experiment harness's X-RLflow budget, over :meth:`XRLflowConfig.fast`:
+#: the service's ``xrlflow`` defaults and
+#: :func:`repro.experiments.benchmark_config` both read it.
+HARNESS_PRESET: Dict[str, object] = {
+    "num_episodes": 6,
+    "max_steps": 18,
+    "max_candidates": 24,
+    "update_frequency": 3,
+    "ppo_epochs": 1,
+    "eval_episodes": 3,
 }
 
 
@@ -64,12 +76,8 @@ class XRLflowConfig:
     seed: int = 0
 
     def to_dict(self) -> Dict[str, object]:
+        """Every field by name, as a plain dict (a copy)."""
         return asdict(self)
-
-    @classmethod
-    def paper_defaults(cls) -> "XRLflowConfig":
-        """Configuration matching Table 4 exactly (and our defaults elsewhere)."""
-        return cls()
 
     @classmethod
     def fast(cls, **overrides) -> "XRLflowConfig":

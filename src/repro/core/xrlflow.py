@@ -16,6 +16,7 @@ evaluation episodes, returning the best graph encountered.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Optional
 
 import numpy as np
@@ -29,7 +30,7 @@ from ..rl.env import GraphRewriteEnv
 from ..rl.features import FeatureCache
 from ..rl.ppo import PPOUpdater, XRLflowAgent
 from ..rl.training import PPOTrainer, TrainingHistory, run_episode
-from ..search.result import SearchResult, timed
+from ..search.result import Progress, SearchResult, timed
 from .config import XRLflowConfig
 
 __all__ = ["XRLflow", "OptimisationResult"]
@@ -37,6 +38,19 @@ __all__ = ["XRLflow", "OptimisationResult"]
 #: Alias kept for API clarity: X-RLflow returns the same result type as the
 #: baseline optimisers so they can be compared directly.
 OptimisationResult = SearchResult
+
+
+def _numbered(progress: Optional[Progress]) -> Optional[Progress]:
+    """``progress`` with the environments' per-episode step counts replaced
+    by one count from 1, kept by the returned callable alone."""
+    if progress is None:
+        return None
+    steps = itertools.count(1)
+
+    def relay(_step: int, best_latency_ms: float, best_graph_fp: str) -> None:
+        progress(next(steps), best_latency_ms, best_graph_fp)
+
+    return relay
 
 
 class XRLflow:
@@ -67,41 +81,23 @@ class XRLflow:
 
     name = "xrlflow"
 
-    #: Optional ``f(iteration, best_latency_ms, best_graph_fp)`` streaming
-    #: hook; iterations count environment steps monotonically across every
-    #: training and evaluation episode, so a long RL search reports partial
-    #: best-so-far graphs throughout (see :mod:`repro.service.events`).
-    progress_callback = None
-
     def __init__(self, config: Optional[XRLflowConfig] = None,
                  ruleset: Optional[RuleSet] = None,
                  e2e: Optional[LatencySource] = None,
-                 cost_model: Optional[CostModel] = None,
-                 progress_callback=None):
+                 cost_model: Optional[CostModel] = None):
         self.config = config or XRLflowConfig()
         self.config.validate()
         self.ruleset = ruleset or default_ruleset()
         self.e2e = e2e or E2ESimulator()
         self.cost_model = cost_model or CostModel()
-        self.progress_callback = progress_callback
         self.agent: Optional[XRLflowAgent] = None
         self.history: Optional[TrainingHistory] = None
         #: The environment the last :meth:`train` explored.
         self._training_env: Optional[GraphRewriteEnv] = None
-        self._progress_steps = 0
 
     # ------------------------------------------------------------------
-    def _relay_progress(self, step: int, best_latency_ms: float,
-                        best_graph_fp: str) -> None:
-        """Renumber per-episode env steps into one monotonic iteration
-        counter before forwarding to :attr:`progress_callback`."""
-        callback = self.progress_callback
-        if callback is None:
-            return
-        self._progress_steps += 1
-        callback(self._progress_steps, best_latency_ms, best_graph_fp)
-
-    def _build_env(self, graph: Graph) -> GraphRewriteEnv:
+    def _build_env(self, graph: Graph,
+                   progress: Optional[Progress] = None) -> GraphRewriteEnv:
         cfg = self.config
         return GraphRewriteEnv(
             graph, ruleset=self.ruleset, e2e=self.e2e,
@@ -109,7 +105,7 @@ class XRLflow:
             step_reward=cfg.step_reward,
             max_candidates=cfg.max_candidates,
             max_steps=cfg.max_steps,
-            progress_callback=self._relay_progress,
+            progress=progress,
             feature_cache=FeatureCache(edge_norm=cfg.edge_attr_norm),
         )
 
@@ -123,7 +119,7 @@ class XRLflow:
 
     # ------------------------------------------------------------------
     def train(self, graph: Graph, num_episodes: Optional[int] = None,
-              log_fn=None) -> TrainingHistory:
+              progress: Optional[Progress] = None) -> TrainingHistory:
         """Train a fresh agent on ``graph`` for ``num_episodes`` episodes.
 
         Replaces any previously trained :attr:`agent`.
@@ -134,8 +130,10 @@ class XRLflow:
             The training environment's target graph (never mutated).
         num_episodes:
             Episode budget; defaults to ``config.num_episodes``.
-        log_fn:
-            Optional ``log_fn(episode_record)`` progress callback.
+        progress:
+            Called after every environment step with the call's step count
+            (from 1, across episodes), the best latency so far and its
+            graph's structural hash (:data:`~repro.search.result.Progress`).
 
         Returns
         -------
@@ -144,7 +142,7 @@ class XRLflow:
             :attr:`history`.
         """
         cfg = self.config
-        env = self._build_env(graph)
+        env = self._build_env(graph, _numbered(progress))
         self.agent = self._build_agent()
         updater = PPOUpdater(
             self.agent,
@@ -159,15 +157,15 @@ class XRLflow:
         )
         trainer = PPOTrainer(env, self.agent, updater,
                              update_frequency=cfg.update_frequency,
-                             gamma=cfg.gamma, gae_lambda=cfg.gae_lambda,
-                             log_fn=log_fn)
+                             gamma=cfg.gamma, gae_lambda=cfg.gae_lambda)
         self.history = trainer.train(num_episodes or cfg.num_episodes)
         self._training_env = env
         return self.history
 
     # ------------------------------------------------------------------
     def optimise(self, graph: Graph, model_name: str = "",
-                 train: bool = True, log_fn=None) -> SearchResult:
+                 progress: Optional[Progress] = None,
+                 train: bool = True) -> SearchResult:
         """Optimise ``graph``: (optionally) train, then evaluate greedily.
 
         The returned graph is the best one (by simulated end-to-end latency)
@@ -181,14 +179,17 @@ class XRLflow:
             The graph to optimise (never mutated).
         model_name:
             Label for the result; defaults to ``graph.name``.
+        progress:
+            Called after every environment step, training's and
+            evaluation's, with the call's step count (from 1), the best
+            latency so far and its graph's structural hash
+            (:data:`~repro.search.result.Progress`).
         train:
             Train a fresh agent first (the default).  ``False`` reuses the
             current :attr:`agent` — e.g. one restored via
             :meth:`load_agent` for the paper's shape-generalisation
             protocol; if no agent exists yet, training happens anyway
             (and its exploration's best graph counts, as with ``True``).
-        log_fn:
-            Optional training progress callback (see :meth:`train`).
 
         Returns
         -------
@@ -203,17 +204,18 @@ class XRLflow:
             training cost is reported separately in ``stats``.
         """
         cfg = self.config
+        progress = _numbered(progress)
         initial_cost = self.cost_model.estimate_cached(graph)
         with timed() as elapsed:
             trained = train or self.agent is None
             if trained:
-                self.train(graph, log_fn=log_fn)
+                self.train(graph, progress=progress)
                 train_time = elapsed()
             else:
                 train_time = 0.0
 
             with timed() as opt_elapsed:
-                env = self._build_env(graph)
+                env = self._build_env(graph, progress)
                 for _ in range(max(1, cfg.eval_episodes)):
                     run_episode(env, self.agent, deterministic=True)
                 optimisation_time = opt_elapsed()

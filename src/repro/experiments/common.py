@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..core.config import XRLflowConfig
+from ..core.config import HARNESS_PRESET, XRLflowConfig
 from ..ir.graph import Graph
 from ..models.registry import build_model
 
@@ -44,11 +44,11 @@ def benchmark_config(**overrides) -> XRLflowConfig:
 
     Smaller than the paper's 1000-episode training runs (pure-numpy training
     is orders of magnitude slower per step than JAX on a GPU) but on the same
-    code path; pass overrides to scale up.
+    code path; pass overrides to scale up.  Without overrides it is the
+    service's ``xrlflow`` default (both read
+    :data:`~repro.core.config.HARNESS_PRESET`).
     """
-    preset = dict(num_episodes=6, max_steps=18, max_candidates=24,
-                  update_frequency=3, ppo_epochs=1, eval_episodes=3)
-    return XRLflowConfig.fast(**{**preset, **overrides})
+    return XRLflowConfig.fast(**{**HARNESS_PRESET, **overrides})
 
 
 @dataclass

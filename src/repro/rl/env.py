@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, \
-    Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from ..rules.base import Candidate, RuleSet
 from ..rules.incremental import IncrementalCandidateEngine
 from ..rules.rulesets import default_ruleset
 from ..nn.gnn import BatchedGraphs
+from ..search.result import Progress
 from .features import FeatureCache, RewriteCone, build_delta_batch, \
     rewrite_cone
 
@@ -32,10 +32,6 @@ __all__ = ["Observation", "StepResult", "GraphRewriteEnv"]
 
 #: Whole observations an environment keeps (LRU, see ``_observe``).
 OBSERVATION_CACHE_SIZE = 512
-
-#: Signature of a user-registered reward callback:
-#: ``f(previous_latency, current_latency, initial_latency) -> reward``.
-RewardFn = Callable[[float, float, float], float]
 
 
 def default_reward(previous_ms: float, current_ms: float, initial_ms: float) -> float:
@@ -168,7 +164,13 @@ class StepResult:
 
 class GraphRewriteEnv:
     """Environment for one target DNN's transformation process; every
-    reward is computed from ``e2e``, the latency provider."""
+    reward is :func:`default_reward` of latencies from ``e2e``, the latency
+    provider.
+
+    ``progress``, when given, is called after every step with the
+    episode's step count, the best latency seen so far and its graph's
+    structural hash; whoever builds the environment passes it.
+    """
 
     def __init__(self, graph: Graph,
                  ruleset: Optional[RuleSet] = None,
@@ -177,9 +179,7 @@ class GraphRewriteEnv:
                  step_reward: float = 0.1,
                  max_candidates: int = 48,
                  max_steps: int = 50,
-                 reward_fn: Optional[RewardFn] = None,
-                 progress_callback: Optional[
-                     Callable[[int, float, str], None]] = None,
+                 progress: Optional[Progress] = None,
                  feature_cache: Optional[FeatureCache] = None):
         self.initial_graph = graph
         self.ruleset = ruleset or default_ruleset()
@@ -188,7 +188,6 @@ class GraphRewriteEnv:
         self.step_reward = float(step_reward)
         self.max_candidates = int(max_candidates)
         self.max_steps = int(max_steps)
-        self.reward_fn = reward_fn or default_reward
         #: All encoding goes through one :class:`FeatureCache` (each graph's
         #: own feature memo; re-visited structures are the observation
         #: cache's job); its ``edge_norm`` is the one every batch of this
@@ -207,10 +206,9 @@ class GraphRewriteEnv:
         #: no candidate materialisation, no encoding.  One hash per step
         #: (memoised on the graph object) instead of one per candidate.
         self._obs_cache = LRUCache(OBSERVATION_CACHE_SIZE, name="observation")
-        #: Optional ``f(step, best_latency_ms, best_graph_fp)`` invoked
-        #: after every environment step — the hook long RL searches use to
-        #: stream partial best-so-far graphs (see repro.service.events).
-        self.progress_callback = progress_callback
+        #: Called after every step with the episode's step count, the best
+        #: latency so far and its graph's structural hash.
+        self._progress = progress
 
         # Episode state
         self.current_graph: Graph = graph
@@ -223,32 +221,13 @@ class GraphRewriteEnv:
         #: The rules that produced ``best_graph``, in order: the episode's
         #: ``applied_rules`` as they stood when it became the best.
         self.best_rules: List[str] = []
+        self._last_observation: Optional[Observation] = None
 
     # ------------------------------------------------------------------
     @property
     def action_space_size(self) -> int:
         """Padded action-space size (candidates plus the No-Op action)."""
         return self.max_candidates + 1
-
-    def set_graph(self, graph: Graph) -> None:
-        """Point the environment at a different target graph (e.g. for
-        shape-generalisation evaluation) without rebuilding it.
-
-        All episode state is cleared — in particular ``best_graph`` /
-        ``best_latency_ms`` / ``best_rules``, which would otherwise survive
-        from the previous target and could report a "best graph" belonging
-        to a different model.
-        """
-        self.initial_graph = graph
-        self.current_graph = graph
-        self.step_count = 0
-        self.applied_rules = []
-        self.initial_latency_ms = 0.0
-        self.last_measured_ms = 0.0
-        self.best_graph = graph
-        self.best_latency_ms = float("inf")
-        self.best_rules = []
-        self._last_observation = None
 
     # ------------------------------------------------------------------
     def reset(self) -> Observation:
@@ -321,9 +300,9 @@ class GraphRewriteEnv:
             self.best_graph = self.current_graph
             self.best_latency_ms = latency
             self.best_rules = list(self.applied_rules)
-        if self.progress_callback is not None:
-            self.progress_callback(self.step_count, self.best_latency_ms,
-                                   self.best_graph.structural_hash())
+        if self._progress is not None:
+            self._progress(self.step_count, self.best_latency_ms,
+                           self.best_graph.structural_hash())
 
         info = {
             "latency_ms": latency,
@@ -337,7 +316,8 @@ class GraphRewriteEnv:
     # ------------------------------------------------------------------
     def _measure_reward(self) -> float:
         current = self.e2e.latency_ms(self.current_graph)
-        reward = self.reward_fn(self.last_measured_ms, current, self.initial_latency_ms)
+        reward = default_reward(self.last_measured_ms, current,
+                                self.initial_latency_ms)
         self.last_measured_ms = current
         return reward
 

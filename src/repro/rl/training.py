@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -92,15 +92,13 @@ class PPOTrainer:
                  updater: PPOUpdater,
                  update_frequency: int = 10,
                  gamma: float = 0.99,
-                 gae_lambda: float = 0.95,
-                 log_fn: Optional[Callable[[str], None]] = None):
+                 gae_lambda: float = 0.95):
         self.env = env
         self.agent = agent
         self.updater = updater
         self.update_frequency = int(update_frequency)
         self.buffer = RolloutBuffer(gamma=gamma, lam=gae_lambda)
         self.history = TrainingHistory()
-        self.log_fn = log_fn
 
     def train(self, num_episodes: int) -> TrainingHistory:
         """Train for ``num_episodes`` episodes, updating every
@@ -110,10 +108,6 @@ class PPOTrainer:
                                  buffer=self.buffer,
                                  episode=len(self.history.episodes))
             self.history.episodes.append(record)
-            if self.log_fn:
-                self.log_fn(
-                    f"episode {record.episode}: reward={record.total_reward:.2f} "
-                    f"speedup={record.speedup:.3f} steps={record.steps}")
             if (episode + 1) % self.update_frequency == 0 and len(self.buffer) > 1:
                 self._apply_update()
         # Flush any remaining transitions with one final update.

@@ -91,8 +91,8 @@ class GraphSpace:
 
         ``on_round(round_number, population)`` — when given — is invoked
         after every completed saturation round with the 1-based round
-        number and the population grown so far; the Tensat optimiser uses
-        it to stream per-round progress.
+        number and the population grown so far; the Tensat optimiser
+        reports its ``progress`` through it.
 
         Returns the population as :class:`Member` entries (the root graph
         is always first) plus run statistics.

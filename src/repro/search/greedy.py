@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import itemgetter
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..cost.cost_model import CostModel
 from ..cost.e2e import E2ESimulator, LatencySource
@@ -30,15 +30,9 @@ from ..rules.base import RuleSet
 from ..rules.incremental import IncrementalCandidateEngine
 from ..rules.rulesets import default_ruleset
 from .identity import GraphSet
-from .result import SearchResult, timed
+from .result import Progress, SearchResult, timed
 
 __all__ = ["TASOOptimizer", "GreedyOptimizer"]
-
-#: Signature of a search progress callback:
-#: ``f(iteration, best_cost, best_graph_fp)`` — invoked once per search
-#: iteration with the best objective value so far and the structural hash
-#: of the graph it belongs to.
-ProgressCallback = Callable[[int, float, str], None]
 
 
 class TASOOptimizer:
@@ -71,36 +65,26 @@ class TASOOptimizer:
         Maximum number of graphs kept in the queue at any time: at most
         ``min(capacity, pops left)`` graphs are kept, the cheapest ones,
         and of equally expensive worst entries the newest goes.
-    progress_callback:
-        Optional ``f(iteration, best_cost, best_graph_fp)`` invoked once
-        per queue pop with the running best cost-model estimate and the
-        structural hash of the best graph; the serving layer uses it to
-        stream job progress (see :mod:`repro.service.events`).
     """
 
     name = "taso"
-
-    #: Per-iteration progress hook; also settable after construction
-    #: (the service worker assigns its event sink here).
-    progress_callback: Optional[ProgressCallback] = None
 
     def __init__(self, ruleset: Optional[RuleSet] = None,
                  cost_model: Optional[CostModel] = None,
                  e2e: Optional[LatencySource] = None,
                  alpha: float = 1.05,
                  max_iterations: int = 100,
-                 queue_capacity: int = 200,
-                 progress_callback: Optional[ProgressCallback] = None):
+                 queue_capacity: int = 200):
         self.ruleset = ruleset or default_ruleset()
         self.cost_model = cost_model or CostModel()
         self.e2e = e2e or E2ESimulator()
         self.alpha = float(alpha)
         self.max_iterations = int(max_iterations)
         self.queue_capacity = int(queue_capacity)
-        self.progress_callback = progress_callback
 
     # ------------------------------------------------------------------
-    def optimise(self, graph: Graph, model_name: str = "") -> SearchResult:
+    def optimise(self, graph: Graph, model_name: str = "",
+                 progress: Optional[Progress] = None) -> SearchResult:
         """Run the backtracking search and return the best graph found.
 
         Parameters
@@ -109,6 +93,10 @@ class TASOOptimizer:
             The input graph; never mutated (every rewrite produces a copy).
         model_name:
             Label for the result; defaults to ``graph.name``.
+        progress:
+            Called once per queue pop with the pop's number, the running
+            best cost-model estimate and the structural hash of the best
+            graph (:data:`~repro.search.result.Progress`).
 
         Returns
         -------
@@ -154,7 +142,6 @@ class TASOOptimizer:
             duplicates = 0
             cost_model = self.cost_model
 
-            progress = self.progress_callback
             while queue and iterations < self.max_iterations:
                 iterations += 1
                 cost, current, applied = queue.pop(0)

@@ -117,7 +117,7 @@ class PETOptimizer(TASOOptimizer):
         The latency provider, for *reporting* true latency only.
     **kwargs:
         Forwarded to :class:`TASOOptimizer` (``alpha``,
-        ``max_iterations``, ``queue_capacity``, ``progress_callback``).
+        ``max_iterations``, ``queue_capacity``).
     """
 
     name = "pet"

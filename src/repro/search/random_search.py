@@ -8,7 +8,7 @@ versus from merely being allowed to take non-greedy steps.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from ..cost.e2e import E2ESimulator, LatencySource
 from ..ir.graph import Graph
 from ..rules.base import RuleSet
 from ..rules.rulesets import default_ruleset
-from .result import SearchResult, timed
+from .result import Progress, SearchResult, timed
 
 __all__ = ["RandomSearchOptimizer"]
 
@@ -40,35 +40,25 @@ class RandomSearchOptimizer:
         Rewrite steps per walk (walks stop early when no rule applies).
     seed:
         RNG seed; fixed seed → deterministic walks.
-    progress_callback:
-        Optional ``f(iteration, best_cost, best_graph_fp)`` invoked once
-        per finished walk with the best end-to-end latency so far; the
-        serving layer uses it to stream job progress.
     """
 
     name = "random"
-
-    #: Per-walk progress hook; also settable after construction
-    #: (the service worker assigns its event sink here).
-    progress_callback: Optional[Callable[[int, float, str], None]] = None
 
     def __init__(self, ruleset: Optional[RuleSet] = None,
                  e2e: Optional[LatencySource] = None,
                  cost_model: Optional[CostModel] = None,
                  num_walks: int = 5,
                  horizon: int = 30,
-                 seed: int = 0,
-                 progress_callback: Optional[
-                     Callable[[int, float, str], None]] = None):
+                 seed: int = 0):
         self.ruleset = ruleset or default_ruleset()
         self.e2e = e2e or E2ESimulator()
         self.cost_model = cost_model or CostModel()
         self.num_walks = int(num_walks)
         self.horizon = int(horizon)
-        self.progress_callback = progress_callback
         self._rng = np.random.default_rng(seed)
 
-    def optimise(self, graph: Graph, model_name: str = "") -> SearchResult:
+    def optimise(self, graph: Graph, model_name: str = "",
+                 progress: Optional[Progress] = None) -> SearchResult:
         """Run ``num_walks`` random walks and keep the best end graph.
 
         Parameters
@@ -77,6 +67,10 @@ class RandomSearchOptimizer:
             The input graph; never mutated.
         model_name:
             Label for the result; defaults to ``graph.name``.
+        progress:
+            Called once per finished walk with the walk's number and the
+            best end-to-end latency so far and its graph's structural hash
+            (:data:`~repro.search.result.Progress`).
 
         Returns
         -------
@@ -90,7 +84,6 @@ class RandomSearchOptimizer:
             initial_cost = self.cost_model.estimate_cached(graph)
             best_graph, best_latency, best_rules = graph, initial_latency, []
             steps_total = 0
-            progress = self.progress_callback
             for walk_index in range(self.num_walks):
                 current, applied = graph, []
                 for _ in range(self.horizon):

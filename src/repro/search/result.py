@@ -1,15 +1,22 @@
-"""Common result type returned by every optimiser in this repository."""
+"""Common result type returned by every optimiser in this repository, and
+the progress callable every optimiser's ``optimise`` takes."""
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from ..ir.graph import Graph
 
-__all__ = ["SearchResult", "timed"]
+__all__ = ["SearchResult", "Progress", "timed"]
+
+#: ``progress(iteration, best_cost, best_graph_fp)``: what an optimiser's
+#: ``optimise(graph, model_name, progress)`` calls once per search iteration
+#: (1-based) with the best objective value so far and the structural hash
+#: of the graph it belongs to.
+Progress = Callable[[int, float, str], None]
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..cost.cost_model import CostModel
 from ..cost.e2e import E2ESimulator, LatencySource
@@ -10,7 +10,7 @@ from ..ir.graph import Graph
 from ..rules.base import RuleSet
 from ..rules.rulesets import default_ruleset
 from .egraph import GraphSpace
-from .result import SearchResult, timed
+from .result import Progress, SearchResult, timed
 
 __all__ = ["TensatOptimizer"]
 
@@ -43,17 +43,9 @@ class TensatOptimizer:
         the paper's ``k``.
     per_round_cap:
         Maximum candidates admitted into the space per round.
-    progress_callback:
-        Optional ``f(iteration, best_cost, best_graph_fp)`` invoked once
-        per saturation round with the cheapest extraction candidate so
-        far; the serving layer uses it to stream job progress.
     """
 
     name = "tensat"
-
-    #: Per-round progress hook; also settable after construction
-    #: (the service worker assigns its event sink here).
-    progress_callback: Optional[Callable[[int, float, str], None]] = None
 
     def __init__(self, ruleset: Optional[RuleSet] = None,
                  cost_model: Optional[CostModel] = None,
@@ -61,38 +53,34 @@ class TensatOptimizer:
                  node_limit: int = 20000,
                  round_limit: int = 6,
                  multi_pattern_rounds: int = 1,
-                 per_round_cap: int = 150,
-                 progress_callback: Optional[
-                     Callable[[int, float, str], None]] = None):
+                 per_round_cap: int = 150):
         self.ruleset = ruleset or default_ruleset()
         self.cost_model = cost_model or CostModel()
         self.e2e = e2e or E2ESimulator()
-        self.progress_callback = progress_callback
         self.space = GraphSpace(self.ruleset, node_limit=node_limit,
                                 round_limit=round_limit,
                                 multi_pattern_rounds=multi_pattern_rounds,
                                 per_round_cap=per_round_cap)
 
-    def _round_reporter(self):
-        """Adapt :meth:`GraphSpace.explore`'s per-round hook to the
-        ``progress_callback`` signature.
+    def _round_reporter(self, progress: Optional[Progress]):
+        """Adapt :meth:`GraphSpace.explore`'s per-round hook to ``progress``.
 
         Reports the round's extraction — the cheapest member by the costs
         :meth:`GraphSpace.explore` stored at admission; nothing is costed
-        here, so a search derives the same node costs with and without a
-        callback.
+        here, so a search derives the same node costs with and without
+        ``progress``.
         """
-        callback = self.progress_callback
-        if callback is None:
+        if progress is None:
             return None
 
         def on_round(round_number, population):
             best = self.space.extract(population)
-            callback(round_number, best.cost_ms, best.graph.structural_hash())
+            progress(round_number, best.cost_ms, best.graph.structural_hash())
 
         return on_round
 
-    def optimise(self, graph: Graph, model_name: str = "") -> SearchResult:
+    def optimise(self, graph: Graph, model_name: str = "",
+                 progress: Optional[Progress] = None) -> SearchResult:
         """Saturate the rewrite space around ``graph``, then extract.
 
         Parameters
@@ -101,6 +89,10 @@ class TensatOptimizer:
             The input graph; never mutated.
         model_name:
             Label for the result; defaults to ``graph.name``.
+        progress:
+            Called once per saturation round with the round's number and
+            the cost and structural hash of the cheapest extraction so far
+            (:data:`~repro.search.result.Progress`).
 
         Returns
         -------
@@ -112,7 +104,7 @@ class TensatOptimizer:
         with timed() as elapsed:
             initial_latency = self.e2e.latency_ms(graph)
             population, stats = self.space.explore(
-                graph, self.cost_model, on_round=self._round_reporter())
+                graph, self.cost_model, on_round=self._round_reporter(progress))
             best = self.space.extract(population)
             result = SearchResult(
                 optimiser=self.name,

@@ -8,11 +8,10 @@ serving layer here.  Every search runs on this host, on a worker thread:
   locked, multi-process-safe JSON tier, both evicting by
   GreedyDual-Frequency)
 * :mod:`repro.service.scheduler` — bounded submit/poll/result job scheduler
-  over a prewarmed thread pool of at most one thread per core, and per-job
-  event channels (:meth:`JobScheduler.events`)
-* :mod:`repro.service.events` — streaming progress events and their
-  per-job channel
-* :mod:`repro.service.worker` — per-worker job execution
+  over a prewarmed thread pool of at most one thread per core
+* :mod:`repro.service.worker` — per-worker job execution: builds the
+  optimiser and hands a submission's ``progress`` callable to its
+  ``optimise`` call
 * :mod:`repro.service.api` — the :class:`OptimisationService` batch façade
   (admission-time caching + in-flight dedup, its one dedup mechanism)
 * :mod:`repro.service.cli` — ``python -m repro.service`` front end
@@ -23,7 +22,6 @@ See ``docs/service.md`` for the operations guide.
 from .api import OptimisationService
 from .cache import (CacheEntry, CacheStats, EvictionPolicy, FingerprintCache,
                     request_fingerprint)
-from .events import EventChannel, ProgressEvent
 from .registry import (create_optimiser, default_config, list_optimisers,
                        optimiser_spec, register_optimiser, OptimiserSpec)
 from .scheduler import (JobRecord, JobScheduler, JobState, QueueFullError,
@@ -34,7 +32,6 @@ __all__ = [
     "OptimisationService",
     "CacheEntry", "CacheStats", "EvictionPolicy", "FingerprintCache",
     "request_fingerprint",
-    "EventChannel", "ProgressEvent",
     "OptimiserSpec", "create_optimiser", "default_config", "list_optimisers",
     "optimiser_spec", "register_optimiser",
     "JobRecord", "JobScheduler", "JobState", "QueueFullError",

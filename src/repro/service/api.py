@@ -34,8 +34,13 @@ per-process.  Processes that share a cache directory share its entries,
 not their searches: two that miss on one fingerprint at the same moment
 each search and each publish the same entry.
 
-Jobs submitted with ``stream=True`` emit progress events — one per
-optimiser iteration — consumable via :meth:`OptimisationService.events`.
+A submission's ``progress`` callable —
+``progress(iteration, best_cost, best_graph_fp)`` — is called once per
+iteration by the search that submission started, on the worker thread, and
+by nothing else: a cache hit, a coalesced follower and a job cancelled
+before it ran never call it.  One that raises is logged once, counted
+(``stats()["jobs"]["progress_failures"]``) and not called again; the search
+goes on.
 
 Every search runs on this host, on the scheduler's thread pool; see
 :mod:`repro.service.scheduler`.
@@ -47,12 +52,12 @@ import logging
 import threading
 import time
 from dataclasses import replace
-from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Union)
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Union)
 
 from ..ir.graph import Graph
+from ..search.result import Progress
 from .cache import CacheEntry, EvictionPolicy, FingerprintCache
-from .events import ProgressEvent
 from .registry import optimiser_spec
 from .scheduler import JobScheduler, JobState, UnknownJobError
 from .worker import JobRequest, ServiceResult, cached_result, execute_request
@@ -107,12 +112,13 @@ class OptimisationService:
         # lookup (see submit_request).
         self._published = 0
         self._store_failures = 0
+        self._progress_failures = 0
 
     # -- submission ----------------------------------------------------
     def submit(self, graph: Graph, optimiser: str = "taso",
                config: Optional[Mapping[str, Any]] = None,
                model_name: str = "", use_cache: bool = True,
-               stream: bool = False) -> int:
+               progress: Optional[Progress] = None) -> int:
         """Queue one optimisation job; returns its job id immediately.
 
         Args:
@@ -125,8 +131,10 @@ class OptimisationService:
             use_cache: Consult the fingerprint cache and in-flight dedup
                 table at admission.  ``False`` forces a fresh search and
                 leaves the cache untouched.
-            stream: Emit per-iteration progress events, consumable via
-                :meth:`events` while the job runs.
+            progress: Called once per search iteration with
+                ``(iteration, best_cost, best_graph_fp)``, on the worker
+                thread, if this submission starts a search (a cache hit or
+                a coalesced follower does not).
 
         Returns:
             The job id (pass to :meth:`poll` / :meth:`result`).
@@ -141,15 +149,17 @@ class OptimisationService:
         request = JobRequest(graph=graph, optimiser=optimiser,
                              config=dict(config or {}),
                              model_name=model_name, use_cache=use_cache)
-        return self.submit_request(request, stream=stream)
+        return self.submit_request(request, progress=progress)
 
-    def submit_request(self, request: JobRequest, stream: bool = False) -> int:
+    def submit_request(self, request: JobRequest,
+                       progress: Optional[Progress] = None) -> int:
         """Admit one :class:`JobRequest`; returns its job id.
 
         Admission order: cache lookup → in-flight dedup → dispatch.  A
         cache hit completes inline; a fingerprint already being searched
         in this process attaches this submission to the in-flight job (no
-        new work); only a genuinely novel fingerprint runs a search.
+        new work); only a genuinely novel fingerprint runs a search, and
+        only that search calls ``progress`` (see :meth:`submit`).
 
         Raises:
             KeyError: For an unknown optimiser name.
@@ -169,9 +179,11 @@ class OptimisationService:
         if request.optimiser != spec.name or effective != dict(request.config):
             request = replace(request, optimiser=spec.name, config=effective)
         fingerprint = request.fingerprint()
+        if progress is not None:
+            progress = self._guarded(progress, request.label)
         if not request.use_cache:
             return self.scheduler.submit(execute_request, request, fingerprint,
-                                         label=request.label, stream=stream)
+                                         progress, label=request.label)
         started = time.perf_counter()
         published = self._published
         entry = self.cache.get(fingerprint)
@@ -204,7 +216,7 @@ class OptimisationService:
                     if self._inflight.get(fingerprint) == job_id:
                         del self._inflight[fingerprint]
 
-            def search(progress: Any = None) -> ServiceResult:
+            def search() -> ServiceResult:
                 # Store, leave the in-flight table, then resolve: whoever
                 # holds the result finds its entry in the cache.
                 try:
@@ -219,9 +231,32 @@ class OptimisationService:
             # waits for the lock this admission holds, and nobody has the
             # job id to cancel yet.
             job_id = self.scheduler.submit(search, label=request.label,
-                                           on_done=retire, stream=stream)
+                                           on_done=retire)
             self._inflight[fingerprint] = job_id
             return job_id
+
+    def _guarded(self, progress: Progress, label: str) -> Progress:
+        """``progress`` as a search calls it: the first exception it raises
+        is logged with its traceback and counted, and it is not called
+        again, so the search, its cache entry and its followers' results
+        do not depend on it."""
+        failed = False
+
+        def guarded(iteration: int, best_cost: float,
+                    best_graph_fp: str) -> None:
+            nonlocal failed
+            if failed:
+                return
+            try:
+                progress(iteration, best_cost, best_graph_fp)
+            except Exception:
+                failed = True
+                _LOG.warning("the progress callable of %s raised; it is not "
+                             "called again", label, exc_info=True)
+                with self._dedup_lock:
+                    self._progress_failures += 1
+
+        return guarded
 
     def _store(self, fingerprint: str, result: ServiceResult) -> None:
         """Cache a finished search's entry.  A store that fails is logged
@@ -249,11 +284,12 @@ class OptimisationService:
                      optimiser: str = "taso",
                      config: Optional[Mapping[str, Any]] = None,
                      use_cache: bool = True,
-                     stream: bool = False) -> List[int]:
+                     progress: Optional[Progress] = None) -> List[int]:
         """Queue many jobs; returns job ids in submission order.
 
-        ``optimiser`` / ``config`` / ``use_cache`` / ``stream`` are
-        defaults applied to items that do not carry their own.  Admission
+        ``optimiser`` / ``config`` / ``use_cache`` / ``progress`` are
+        defaults applied to items that do not carry their own (a kwargs
+        dict item may name its own ``progress``).  Admission
         is all-or-nothing: if any item is rejected (bad item, unknown
         optimiser, full queue), the batch's already-admitted still-pending
         jobs are cancelled before the error propagates, so no work is
@@ -263,22 +299,23 @@ class OptimisationService:
         try:
             for item in jobs:
                 if isinstance(item, JobRequest):
-                    job_ids.append(self.submit_request(item, stream=stream))
+                    job_ids.append(self.submit_request(item,
+                                                       progress=progress))
                 elif isinstance(item, Graph):
                     job_ids.append(self.submit(item, optimiser=optimiser,
                                                config=config,
                                                use_cache=use_cache,
-                                               stream=stream))
+                                               progress=progress))
                 elif isinstance(item, tuple):
                     graph, model_name = item
                     job_ids.append(self.submit(graph, optimiser=optimiser,
                                                config=config,
                                                model_name=model_name,
                                                use_cache=use_cache,
-                                               stream=stream))
+                                               progress=progress))
                 elif isinstance(item, Mapping):
                     kwargs = {"optimiser": optimiser, "config": config,
-                              "use_cache": use_cache, "stream": stream,
+                              "use_cache": use_cache, "progress": progress,
                               **item}
                     job_ids.append(self.submit(**kwargs))
                 else:
@@ -366,28 +403,6 @@ class OptimisationService:
         return replace(outcome, job_id=job_id,
                        queue_time_s=queue_time, run_time_s=run_time)
 
-    def events(self, job_id: int, poll_interval_s: float = 0.05,
-               timeout: Optional[float] = None) -> Iterator[ProgressEvent]:
-        """Yield a streaming job's progress events until it finishes.
-
-        One :class:`~repro.service.events.ProgressEvent` per optimiser
-        iteration, for jobs submitted with ``stream=True`` (a coalesced
-        follower shares — and competes for — its primary's stream; a
-        cache hit yields nothing).  Events are consumed: two iterators
-        over the same job split the stream between them.
-
-        Args:
-            job_id: A job id from any of the submit methods.
-            poll_interval_s: Sleep between drains while the job runs.
-            timeout: Overall bound in seconds (``TimeoutError`` beyond).
-
-        Raises:
-            UnknownJobError: If the id was never issued or was retired.
-            TimeoutError: If ``timeout`` elapsed with the job unfinished.
-        """
-        return self.scheduler.events(job_id, poll_interval_s=poll_interval_s,
-                                     timeout=timeout)
-
     def gather(self, job_ids: Sequence[int],
                timeout: Optional[float] = None) -> List[ServiceResult]:
         """Results for ``job_ids``, in the given (submission) order.
@@ -431,7 +446,8 @@ class OptimisationService:
         Returns:
             A dict with ``workers``, ``jobs`` (state tallies over the
             retained records, plus ``results_held``: finished jobs whose
-            result nobody has fetched yet), ``cache_entries`` / ``cache``
+            result nobody has fetched yet, and ``progress_failures``:
+            progress callables that raised), ``cache_entries`` / ``cache``
             (tier accounting, plus ``store_failures``: searches whose entry
             could not be stored) and ``dedup`` (coalesced submissions and
             the current in-flight table size).
@@ -440,10 +456,12 @@ class OptimisationService:
             dedup = {"coalesced": self._coalesced_total,
                      "inflight": len(self._inflight)}
             store_failures = self._store_failures
+            progress_failures = self._progress_failures
         return {
             "workers": self.scheduler.num_workers,
             "jobs": {**self.scheduler.counts(),
-                     "results_held": self.scheduler.results_held()},
+                     "results_held": self.scheduler.results_held(),
+                     "progress_failures": progress_failures},
             "cache_entries": len(self.cache),
             "cache": {**self.cache.stats.to_dict(),
                       "store_failures": store_failures},

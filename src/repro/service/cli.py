@@ -29,6 +29,7 @@ import argparse
 import ast
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..search.result import Progress
 from .api import OptimisationService
 from .cache import EvictionPolicy, FingerprintCache
 from .registry import default_config, list_optimisers, optimiser_spec
@@ -52,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=4,
                         help="worker pool size (default: 4)")
     parser.add_argument("--follow", action="store_true",
-                        help="stream per-iteration progress events for each "
-                             "job while it runs")
+                        help="print one progress line per search iteration "
+                             "while each search runs")
     parser.add_argument("--max-pending", type=int, default=256,
                         help="bounded admission queue size (default: 256)")
     parser.add_argument("--cache-dir", default=None,
@@ -148,6 +149,14 @@ def _run_prune(args: argparse.Namespace) -> int:
     return 0
 
 
+def _follow(name: str) -> Progress:
+    """``--follow``'s progress callable: one line per search iteration."""
+    def show(iteration: int, best_cost: float, best_graph_fp: str) -> None:
+        print(f"[follow] {name:14s} iter {iteration:4d}  "
+              f"best {best_cost:10.4f}  graph {best_graph_fp[:12]}")
+    return show
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -188,14 +197,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              cache_policy=_eviction_policy(args),
                              max_pending=args.max_pending) as service:
         for round_no in range(1, max(1, args.repeat) + 1):
-            job_ids = service.submit_batch(graphs, optimiser=args.optimiser,
+            jobs = [{"graph": graph, "model_name": name,
+                     "progress": _follow(name) if args.follow else None}
+                    for graph, name in graphs]
+            job_ids = service.submit_batch(jobs, optimiser=args.optimiser,
                                            config=config,
-                                           use_cache=not args.no_cache,
-                                           stream=args.follow)
-            if args.follow:
-                for job_id, (_, name) in zip(job_ids, graphs):
-                    for event in service.events(job_id):
-                        print(f"[follow] {name:14s} {event.summary()}")
+                                           use_cache=not args.no_cache)
             for result in service.gather(job_ids):
                 origin = ("cache-hit" if result.cache_hit
                           else "coalesced" if result.coalesced else "searched")

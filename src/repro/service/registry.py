@@ -14,7 +14,7 @@ import inspect
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
 
-from ..core.config import XRLflowConfig
+from ..core.config import HARNESS_PRESET, XRLflowConfig
 
 __all__ = ["OptimiserSpec", "register_optimiser", "optimiser_spec",
            "create_optimiser", "default_config", "list_optimisers"]
@@ -169,9 +169,7 @@ def _register_builtins() -> None:
         {"num_walks": 5, "horizon": 30, "seed": 0},
         "random-walk baseline")
     register_optimiser(
-        "xrlflow", _build_xrlflow,
-        {"num_episodes": 6, "max_steps": 18, "max_candidates": 24,
-         "update_frequency": 3, "ppo_epochs": 1, "eval_episodes": 3},
+        "xrlflow", _build_xrlflow, HARNESS_PRESET,
         "X-RLflow graph-RL superoptimiser (fast training config)")
 
 

@@ -20,11 +20,6 @@ The scheduler also supports *attached* (follower) jobs — :meth:`attach`
 registers a new job id that shares an existing job's future, which is how
 the service coalesces concurrent identical requests onto one in-flight
 search.
-
-Jobs submitted with ``stream=True`` additionally get an **event channel**:
-the job body receives it as its ``progress`` callable (see
-:mod:`repro.service.events`) and everything it emits can be followed live
-through :meth:`JobScheduler.events`.
 """
 
 from __future__ import annotations
@@ -38,9 +33,7 @@ from collections import deque
 from concurrent import futures
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Iterator, Optional
-
-from .events import EventChannel, ProgressEvent
+from typing import Any, Callable, Dict, Optional
 
 __all__ = ["JobScheduler", "JobState", "JobRecord",
            "QueueFullError", "UnknownJobError", "MAX_HISTORY"]
@@ -148,7 +141,6 @@ class JobScheduler:
         self._futures: Dict[int, futures.Future] = {}
         self._attached: set = set()
         self._terminal: "deque[int]" = deque()
-        self._channels: Dict[int, EventChannel] = {}
         self._open_jobs = 0
         self._ids = itertools.count(1)
         self._closed = False
@@ -171,7 +163,7 @@ class JobScheduler:
     # -- submission ----------------------------------------------------
     def submit(self, fn: Callable[..., Any], *args: Any, label: str = "",
                on_done: Optional[Callable[[futures.Future], None]] = None,
-               stream: bool = False, **kwargs: Any) -> int:
+               **kwargs: Any) -> int:
         """Queue ``fn(*args, **kwargs)``; returns the job id.
 
         Args:
@@ -183,9 +175,6 @@ class JobScheduler:
                 (:meth:`cancel` runs it before returning).  Nothing waits
                 for it — work a caller must see with the result belongs in
                 ``fn``.
-            stream: Open an event channel for the job and pass it to
-                ``fn`` as a ``progress`` keyword argument — ``fn`` must
-                accept it.  Follow the events via :meth:`events`.
             **kwargs: Keyword arguments for ``fn``.
 
         Returns:
@@ -210,16 +199,12 @@ class JobScheduler:
                 submitted_at=time.monotonic(),
             )
             self._open_jobs += 1
-            if stream:
-                channel = self._channels[job_id] = EventChannel()
-                kwargs = {**kwargs, "progress": channel}
             try:
                 future = self._executor.submit(self._run, job_id, fn, *args,
                                                **kwargs)
             except BaseException:
                 self._open_jobs -= 1
                 del self._records[job_id]
-                self._channels.pop(job_id, None)
                 raise
             self._futures[job_id] = future
         future.add_done_callback(
@@ -267,11 +252,6 @@ class JobScheduler:
             )
             self._futures[job_id] = future
             self._attached.add(job_id)
-            primary_channel = self._channels.get(primary_job_id)
-            if primary_channel is not None:
-                # Followers watch the primary's stream: one search, every
-                # waiter sees its progress.
-                self._channels[job_id] = primary_channel
         future.add_done_callback(
             lambda f, job_id=job_id: self._finalise(job_id, f))
         return job_id
@@ -306,7 +286,6 @@ class JobScheduler:
             retired = self._terminal.popleft()
             self._records.pop(retired, None)
             self._futures.pop(retired, None)
-            self._channels.pop(retired, None)
 
     def _run(self, job_id: int, fn: Callable[..., Any], *args: Any,
              **kwargs: Any) -> Any:
@@ -343,58 +322,11 @@ class JobScheduler:
             else:
                 self._open_jobs -= 1
             self._retire_locked(job_id)
-            channel = self._channels.get(job_id)
-            if channel is not None:
-                channel.finish()  # events() iterators drain and stop
 
     # -- polling -------------------------------------------------------
     def poll(self, job_id: int) -> JobState:
         """Current state of ``job_id`` (non-blocking)."""
         return self.record(job_id).state
-
-    def events(self, job_id: int, poll_interval_s: float = 0.05,
-               timeout: Optional[float] = None) -> Iterator[ProgressEvent]:
-        """Yield ``job_id``'s progress events until it finishes.
-
-        Generator over :class:`~repro.service.events.ProgressEvent`; it
-        ends once the job is terminal and every buffered event has been
-        delivered.  A job submitted without ``stream=True`` (or one that
-        completed inline, like a cache hit) yields nothing.
-
-        Args:
-            job_id: A job id from :meth:`submit` / :meth:`attach`.
-            poll_interval_s: Sleep between drains while the job runs.
-            timeout: Overall bound in seconds; raises
-                :class:`TimeoutError` when exceeded before the job ends.
-
-        Raises:
-            UnknownJobError: If the id was never issued or was retired
-                before the first drain.
-            TimeoutError: If ``timeout`` elapsed with the job unfinished.
-        """
-        with self._lock:
-            channel = self._channels.get(job_id)
-        deadline = (time.monotonic() + timeout) if timeout is not None \
-            else None
-        # Validate the id (and learn whether the job already ended).
-        state = self.poll(job_id)
-        while True:
-            if channel is not None:
-                for event in channel.drain():
-                    yield event
-            if state.is_terminal or (channel is not None and channel.finished):
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {state.value} after {timeout}s")
-            time.sleep(poll_interval_s)
-            try:
-                state = self.poll(job_id)
-            except UnknownJobError:
-                break  # retired mid-iteration: deliver what we have
-        if channel is not None:
-            for event in channel.drain():  # events raced the finish flag
-                yield event
 
     def record(self, job_id: int) -> JobRecord:
         """Snapshot of the job's record (a copy, safe to keep)."""
@@ -531,10 +463,6 @@ class JobScheduler:
                 return
             self._closed = True
         self._executor.shutdown(wait=wait)
-        with self._lock:
-            for channel in self._channels.values():
-                channel.finish()  # events() iterators stop
-            self._channels.clear()
 
     def __enter__(self) -> "JobScheduler":
         return self

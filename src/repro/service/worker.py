@@ -4,17 +4,18 @@ Search objects are stateful (priority queues, e-graph populations, RL agents)
 and must not be shared between concurrent jobs, so each worker constructs its
 optimiser from the registry per request.  The only state shared across jobs is
 the fingerprint cache, which the service consults at admission time and
-populates from the job's completion callback — workers themselves are
-cache-oblivious.
+populates from the search job's body before its result resolves — workers
+themselves are cache-oblivious.  A submission's ``progress`` callable reaches
+the optimiser here, as an argument of the ``optimise`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 from ..ir.graph import Graph
-from ..search.result import SearchResult
+from ..search.result import Progress, SearchResult
 from .cache import CacheEntry, request_fingerprint
 from .registry import create_optimiser
 
@@ -90,23 +91,21 @@ class ServiceResult:
 
 
 def execute_request(request: JobRequest, fingerprint: str = "",
-                    progress: Any = None) -> ServiceResult:
+                    progress: Optional[Progress] = None) -> ServiceResult:
     """Run one search job from scratch (no cache consultation).
 
     ``fingerprint`` lets the caller pass the admission-time fingerprint
     along instead of re-hashing the whole graph in the worker.
 
-    ``progress`` — when given — is installed as the optimiser's
-    ``progress_callback``: a callable ``f(iteration, best_cost,
-    best_graph_fp)`` the search invokes once per iteration.  The serving
-    layer passes an event channel here (see :mod:`repro.service.events`); a
-    custom optimiser without the attribute simply streams nothing.
+    ``progress`` goes to the optimiser's ``optimise(graph, model_name,
+    progress=...)``, which calls it once per search iteration with
+    ``(iteration, best_cost, best_graph_fp)``
+    (:data:`~repro.search.result.Progress`).
     """
     optimiser = create_optimiser(request.optimiser, **dict(request.config))
-    if progress is not None and hasattr(optimiser, "progress_callback"):
-        optimiser.progress_callback = progress
     result = optimiser.optimise(request.graph,
-                                request.model_name or request.graph.name)
+                                request.model_name or request.graph.name,
+                                progress=progress)
     return ServiceResult(search=result, cache_hit=False,
                          fingerprint=fingerprint or request.fingerprint())
 

@@ -27,7 +27,7 @@ def tiny_config():
 
 class TestConfig:
     def test_defaults_match_paper_table4(self):
-        cfg = XRLflowConfig.paper_defaults()
+        cfg = XRLflowConfig()
         assert cfg.learning_rate == PAPER_TABLE4["learning_rate"]
         assert cfg.value_loss_coef == PAPER_TABLE4["value_loss_coef"]
         assert cfg.entropy_loss_coef == PAPER_TABLE4["entropy_loss_coef"]
@@ -37,6 +37,11 @@ class TestConfig:
         assert cfg.feedback_interval == PAPER_TABLE4["feedback_interval"]
         assert tuple(cfg.mlp_head_sizes) == tuple(PAPER_TABLE4["mlp_head_sizes"])
         assert cfg.batch_size == PAPER_TABLE4["batch_size"]
+
+    def test_the_harness_preset_is_the_services_xrlflow_default(self):
+        from repro.experiments import benchmark_config
+        from repro.service import create_optimiser
+        assert create_optimiser("xrlflow").config == benchmark_config()
 
     def test_fast_overrides(self):
         cfg = XRLflowConfig.fast(num_episodes=99)

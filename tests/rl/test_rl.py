@@ -59,6 +59,10 @@ class TestEnvironment:
         assert not obs.action_mask[len(obs.candidates):-1].any()
         assert len(obs.graphs) == len(obs.candidates) + 1
 
+    def test_step_before_reset_raises(self, small_env):
+        with pytest.raises(RuntimeError, match="before reset"):
+            small_env.step(0)
+
     def test_step_applies_candidate(self, small_env):
         obs = small_env.reset()
         before = small_env.current_graph.structural_hash()
@@ -151,53 +155,6 @@ class TestEnvironment:
             done = small_env.step(0).done
             steps += 1
         assert done
-
-    def test_custom_reward_callback(self, conv_graph):
-        calls = []
-
-        def reward_fn(prev, cur, initial):
-            calls.append((prev, cur, initial))
-            return 1.0
-
-        env = GraphRewriteEnv(conv_graph, feedback_interval=1, reward_fn=reward_fn,
-                              max_candidates=4, max_steps=2)
-        env.reset()
-        step = env.step(0)
-        assert step.reward == pytest.approx(1.0)
-        assert calls
-
-
-class TestSetGraph:
-    def test_set_graph_clears_stale_episode_state(self, conv_graph, mlp_graph):
-        env = GraphRewriteEnv(conv_graph, feedback_interval=2,
-                              max_candidates=8, max_steps=4)
-        env.reset()
-        env.step(0)
-        assert env.applied_rules
-        old_best = env.best_latency_ms
-
-        env.set_graph(mlp_graph)
-        # No state from the previous target may survive: in particular the
-        # best graph must not belong to the old model.
-        assert env.initial_graph is mlp_graph
-        assert env.best_graph is mlp_graph
-        assert env.best_latency_ms == float("inf")
-        assert env.applied_rules == []
-        assert env.best_rules == []
-        assert env.step_count == 0
-
-        env.reset()
-        assert env.best_graph.structural_hash() == mlp_graph.structural_hash()
-        assert env.best_latency_ms == env.initial_latency_ms
-        assert env.best_latency_ms != old_best
-
-    def test_step_before_reset_after_set_graph_raises(self, conv_graph,
-                                                      mlp_graph):
-        env = GraphRewriteEnv(conv_graph, max_candidates=8, max_steps=4)
-        env.reset()
-        env.set_graph(mlp_graph)
-        with pytest.raises(RuntimeError):
-            env.step(0)
 
 
 class TestCandidateSelection:

@@ -51,13 +51,14 @@ def _templates_priced(table, cost_model) -> int:
 class TestTensatDerivations:
     @pytest.mark.parametrize("build", TENSAT_GRAPHS.values(),
                              ids=TENSAT_GRAPHS.keys())
-    def test_bounded_and_independent_of_progress_callback(
+    def test_bounded_and_independent_of_progress(
             self, build, fresh_templates):
         # A graph apiece: the second search meets only known templates.
         quiet = TensatOptimizer()
-        streamed = TensatOptimizer(progress_callback=lambda *event: None)
+        streamed = TensatOptimizer()
         quiet_result = quiet.optimise(build())
-        streamed_result = streamed.optimise(build())
+        streamed_result = streamed.optimise(build(),
+                                            progress=lambda *call: None)
         assert quiet_result.stats["graphs_explored"] > 50
         assert 0 < quiet.cost_model.nodes_derived <= MAX_DERIVED
         assert quiet.cost_model.nodes_derived \
@@ -69,9 +70,9 @@ class TestTensatDerivations:
     def test_progress_reports_the_running_extraction(self):
         graph = build_small_model("squeezenet")
         events = []
-        optimiser = TensatOptimizer(
-            progress_callback=lambda *event: events.append(event))
-        result = optimiser.optimise(graph)
+        optimiser = TensatOptimizer()
+        result = optimiser.optimise(
+            graph, progress=lambda *event: events.append(event))
         assert [event[0] for event in events] \
             == list(range(1, int(result.stats["rounds"]) + 1))
         costs = [event[1] for event in events]

@@ -135,7 +135,8 @@ class _MarkingOptimizer:
         self.mark_dir = mark_dir
         self.hold_path = hold_path
 
-    def optimise(self, graph, model_name: str = "") -> SearchResult:
+    def optimise(self, graph, model_name: str = "",
+                 progress=None) -> SearchResult:
         path = os.path.join(self.mark_dir, f"exec-{uuid.uuid4().hex}")
         with open(path, "w") as handle:
             handle.write(str(os.getpid()))
@@ -599,7 +600,8 @@ class _CountingOptimizer:
     def __init__(self, delay_s: float = 0.3):
         self.delay_s = delay_s
 
-    def optimise(self, graph, model_name: str = "") -> SearchResult:
+    def optimise(self, graph, model_name: str = "",
+                 progress=None) -> SearchResult:
         with _EXECUTIONS_LOCK:
             _EXECUTIONS[0] += 1
         time.sleep(self.delay_s)
@@ -617,7 +619,7 @@ class _ExplodingOptimizer:
     def __init__(self, delay_s: float = 0.2):
         self.delay_s = delay_s
 
-    def optimise(self, graph, model_name: str = ""):
+    def optimise(self, graph, model_name: str = "", progress=None):
         time.sleep(self.delay_s)
         raise RuntimeError("search exploded for every waiter")
 

@@ -83,15 +83,10 @@ class TestSchedulerDelivery:
                 release.set()
             assert scheduler.result(job_id, timeout=10) is True
 
-    def test_events_and_wait_all_after_delivery(self):
-        def body(progress):
-            progress(1, 2.0, "fp")
-            return "done"
-
+    def test_wait_all_after_delivery(self):
         with JobScheduler(num_workers=1) as scheduler:
-            job_id = scheduler.submit(body, stream=True)
+            job_id = scheduler.submit(lambda: "done")
             assert scheduler.result(job_id, timeout=10) == "done"
-            assert [e.iteration for e in scheduler.events(job_id)] == [1]
             assert scheduler.wait_all(timeout=10)
 
     def test_results_held_counts_the_unfetched(self):

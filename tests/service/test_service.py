@@ -423,27 +423,6 @@ class TestJobScheduler:
             assert scheduler.result(after, timeout=10) == "ok"
         assert ran == []
 
-    def test_a_cancelled_slot_waiter_ends_its_event_stream(
-            self, monkeypatch):
-        """``events()`` on a streamed job cancelled while it waits in the
-        pool's queue ends at once, with no events, instead of waiting for a run that
-        never comes."""
-        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
-        started, release = threading.Event(), threading.Event()
-
-        def streamed(progress=None):
-            progress(1, 1.0, "fp1")
-
-        with JobScheduler(num_workers=2) as scheduler:
-            blocker = scheduler.submit(_hold, started, release)
-            assert started.wait(10)  # the blocker holds the only thread
-            waiter = scheduler.submit(streamed, stream=True)
-            time.sleep(0.2)
-            assert scheduler.cancel(waiter) is True
-            assert list(scheduler.events(waiter, timeout=5)) == []
-            release.set()
-            assert scheduler.result(blocker, timeout=10) is True
-
     def test_waiting_for_a_slot_is_queue_time(self, monkeypatch):
         """A job that waits in the pool's queue starts running only once a
         pool thread picks it up: the wait counts as queue time, not run

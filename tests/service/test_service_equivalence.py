@@ -109,28 +109,30 @@ class TestPickling:
 
 
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["plain", "stream", "cached"])
+@pytest.mark.parametrize("mode", ["plain", "progress", "cached"])
 @pytest.mark.parametrize("name", sorted(list_models()))
 def test_service_equals_in_process(service, name, mode):
     """``taso`` on a worker thread returns what ``execute_request``
     returns in this one: same rules, same exact cost, same graph.  A
-    streamed job yields one event per iteration; a searched result is
-    served again from the cache unchanged."""
+    submission's ``progress`` sees exactly the calls the in-process search
+    makes; a searched result is served again from the cache unchanged."""
     graph = build_small_model(name)
+    local_calls = []
     local = execute_request(JobRequest(graph=graph, optimiser="taso",
-                                       config=TASO_FAST,
-                                       model_name=name)).search
+                                       config=TASO_FAST, model_name=name),
+                            progress=lambda *call: local_calls.append(call)
+                            ).search
+    calls = []
     job_id = service.submit(graph, "taso", TASO_FAST, model_name=name,
                             use_cache=mode == "cached",
-                            stream=mode == "stream")
-    events = list(service.events(job_id, timeout=120))
+                            progress=(lambda *call: calls.append(call))
+                            if mode == "progress" else None)
     result = service.result(job_id, timeout=120)
     _assert_same_search(result.search, local)
     assert result.search.model == name
-    if mode == "stream":
-        assert len(events) == int(result.search.stats["iterations"])
-    else:
-        assert events == []
+    if mode == "progress":
+        assert len(calls) == int(result.search.stats["iterations"])
+        assert calls == local_calls
     if mode == "cached":
         hit = service.optimise(graph, "taso", TASO_FAST, model_name=name,
                                timeout=120)
@@ -179,34 +181,32 @@ FAST_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("mode", ["plain", "stream", "cached"])
+@pytest.mark.parametrize("mode", ["plain", "progress", "cached"])
 @pytest.mark.parametrize("optimiser", sorted(FAST_CONFIGS))
 def test_every_optimiser_through_the_service(squeezenet, optimiser, mode):
     """Every registered search on a worker thread returns what it returns
-    in this one.  A streamed job yields exactly the progress events the
-    in-process search reports; a searched result is served again from the
+    in this one.  A submission's ``progress`` sees exactly the calls the
+    in-process search makes; a searched result is served again from the
     cache unchanged."""
     config = FAST_CONFIGS[optimiser]
-    local_events = []
+    local_calls = []
     local = execute_request(
         JobRequest(graph=squeezenet, optimiser=optimiser, config=config),
-        progress=lambda *event: local_events.append(event)).search
+        progress=lambda *call: local_calls.append(call)).search
+    calls = []
     # A fresh service per case, so the first request always searches.
     with OptimisationService(num_workers=2) as service:
         job_id = service.submit(squeezenet, optimiser, config,
                                 use_cache=mode == "cached",
-                                stream=mode == "stream")
-        events = list(service.events(job_id, timeout=300))
+                                progress=(lambda *call: calls.append(call))
+                                if mode == "progress" else None)
         result = service.result(job_id, timeout=300)
         assert not result.cache_hit
         _assert_same_search(result.search, local)
         assert result.search.optimiser == local.optimiser
-        if mode == "stream":
-            assert local_events
-            assert [(e.iteration, e.best_cost, e.best_graph_fp)
-                    for e in events] == local_events
-        else:
-            assert events == []
+        if mode == "progress":
+            assert local_calls
+            assert calls == local_calls
         if mode == "cached":
             hit = service.optimise(squeezenet, optimiser, config,
                                    timeout=300)

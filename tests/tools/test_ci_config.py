@@ -195,6 +195,11 @@ def test_docs_job_gates_docstrings_of_nn():
     assert gate and "src/repro/nn" in gate.group(1).split()
 
 
+def test_docs_job_gates_docstrings_of_core():
+    gate = re.search(r"check_docs\.py --docstrings(.*)", CI)
+    assert gate and "src/repro/core" in gate.group(1).split()
+
+
 def test_docs_job_gates_docstrings_of_the_rule_base_and_match_engine():
     gate = re.search(r"check_docs\.py --docstrings(.*)", CI)
     assert gate and {"src/repro/rules/base.py",
