@@ -142,6 +142,9 @@ class XRLflow:
             :attr:`history`.
         """
         cfg = self.config
+        # From optimise(), ``progress`` is already its numbered relay.  The
+        # rewrap is intended: that relay ignores this count and keeps its
+        # own, which optimise()'s evaluation episodes continue.
         env = self._build_env(graph, _numbered(progress))
         self.agent = self._build_agent()
         updater = PPOUpdater(
@@ -204,6 +207,8 @@ class XRLflow:
             training cost is reported separately in ``stats``.
         """
         cfg = self.config
+        # One count across training and evaluation.  Training goes through
+        # the public train(), which tracing and tests observe.
         progress = _numbered(progress)
         initial_cost = self.cost_model.estimate_cached(graph)
         with timed() as elapsed:

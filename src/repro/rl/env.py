@@ -402,5 +402,3 @@ class GraphRewriteEnv:
             rotation = next_rotation
         picked.sort(key=lambda pair: pair[0])
         return [candidate for _, candidate in picked]
-
-    _last_observation: Optional[Observation] = None

@@ -283,13 +283,12 @@ class OptimisationService:
     def submit_batch(self, jobs: Iterable[BatchItem],
                      optimiser: str = "taso",
                      config: Optional[Mapping[str, Any]] = None,
-                     use_cache: bool = True,
-                     progress: Optional[Progress] = None) -> List[int]:
+                     use_cache: bool = True) -> List[int]:
         """Queue many jobs; returns job ids in submission order.
 
-        ``optimiser`` / ``config`` / ``use_cache`` / ``progress`` are
-        defaults applied to items that do not carry their own (a kwargs
-        dict item may name its own ``progress``).  Admission
+        ``optimiser`` / ``config`` / ``use_cache`` are defaults applied to
+        items that do not carry their own; a kwargs dict item may also name
+        its own ``progress`` (see :meth:`submit`).  Admission
         is all-or-nothing: if any item is rejected (bad item, unknown
         optimiser, full queue), the batch's already-admitted still-pending
         jobs are cancelled before the error propagates, so no work is
@@ -299,24 +298,20 @@ class OptimisationService:
         try:
             for item in jobs:
                 if isinstance(item, JobRequest):
-                    job_ids.append(self.submit_request(item,
-                                                       progress=progress))
+                    job_ids.append(self.submit_request(item))
                 elif isinstance(item, Graph):
                     job_ids.append(self.submit(item, optimiser=optimiser,
                                                config=config,
-                                               use_cache=use_cache,
-                                               progress=progress))
+                                               use_cache=use_cache))
                 elif isinstance(item, tuple):
                     graph, model_name = item
                     job_ids.append(self.submit(graph, optimiser=optimiser,
                                                config=config,
                                                model_name=model_name,
-                                               use_cache=use_cache,
-                                               progress=progress))
+                                               use_cache=use_cache))
                 elif isinstance(item, Mapping):
                     kwargs = {"optimiser": optimiser, "config": config,
-                              "use_cache": use_cache, "progress": progress,
-                              **item}
+                              "use_cache": use_cache, **item}
                     job_ids.append(self.submit(**kwargs))
                 else:
                     raise TypeError(

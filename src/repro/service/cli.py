@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import sys
+import threading
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..search.result import Progress
@@ -149,11 +151,22 @@ def _run_prune(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Serialises lines written while searches run: ``--follow`` lines come from
+#: the pool's threads, ``[round N]`` lines from the main thread.
+_OUTPUT_LOCK = threading.Lock()
+
+
+def _write_line(line: str) -> None:
+    """Write ``line`` and its newline as one write, whole among threads."""
+    with _OUTPUT_LOCK:
+        sys.stdout.write(line + "\n")
+
+
 def _follow(name: str) -> Progress:
     """``--follow``'s progress callable: one line per search iteration."""
     def show(iteration: int, best_cost: float, best_graph_fp: str) -> None:
-        print(f"[follow] {name:14s} iter {iteration:4d}  "
-              f"best {best_cost:10.4f}  graph {best_graph_fp[:12]}")
+        _write_line(f"[follow] {name:14s} iter {iteration:4d}  "
+                    f"best {best_cost:10.4f}  graph {best_graph_fp[:12]}")
     return show
 
 
@@ -207,12 +220,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 origin = ("cache-hit" if result.cache_hit
                           else "coalesced" if result.coalesced else "searched")
                 search = result.search
-                print(f"[round {round_no}] {search.optimiser:8s} "
-                      f"{search.model:14s} "
-                      f"{search.initial_latency_ms:8.3f} ms -> "
-                      f"{search.final_latency_ms:8.3f} ms "
-                      f"({search.speedup_percent:+6.2f}%)  "
-                      f"{search.optimisation_time_s:8.4f}s  {origin}")
+                _write_line(f"[round {round_no}] {search.optimiser:8s} "
+                            f"{search.model:14s} "
+                            f"{search.initial_latency_ms:8.3f} ms -> "
+                            f"{search.final_latency_ms:8.3f} ms "
+                            f"({search.speedup_percent:+6.2f}%)  "
+                            f"{search.optimisation_time_s:8.4f}s  {origin}")
         stats = service.stats()
     cache = stats["cache"]
     print(f"workers: {stats['workers']}")

@@ -10,6 +10,7 @@ started and to nothing else, and the CLI's ``--follow`` prints from one.
 from __future__ import annotations
 
 import logging
+import re
 import threading
 import time
 
@@ -254,3 +255,24 @@ class TestCliFollow:
         assert len(follow_lines) == 4  # one per optimiser iteration
         assert "squeezenet" in follow_lines[0]
         assert "iter" in follow_lines[0] and "best" in follow_lines[0]
+
+    def test_concurrent_searches_write_whole_lines(self, capsys):
+        """Two searches on two pool threads: every line is whole, and each
+        model's follow lines count its iterations 1..4 in order."""
+        code = cli_main(["squeezenet", "bert", "--optimiser", "taso",
+                         "--config", "max_iterations=4", "--workers", "2",
+                         "--follow"])
+        out = capsys.readouterr().out
+        assert code == 0
+        follow = re.compile(r"\[follow\] (\S+) +iter +(\d+)  "
+                            r"best +-?\d+\.\d{4}  graph \w{1,12}")
+        iterations = {"squeezenet": [], "bert": []}
+        for line in out.splitlines():
+            if line.startswith("[follow]"):
+                match = follow.fullmatch(line)
+                assert match, line
+                iterations[match.group(1)].append(int(match.group(2)))
+            else:
+                assert "[follow]" not in line, line
+        assert iterations == {"squeezenet": [1, 2, 3, 4],
+                              "bert": [1, 2, 3, 4]}
