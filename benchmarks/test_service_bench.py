@@ -268,14 +268,14 @@ def test_dedup_under_contention(benchmark):
     graph = build_small_model("squeezenet")
 
     def hammer(service, use_cache):
-        job_ids = [None] * CONTENTION
+        submitted = [None] * CONTENTION
         barrier = threading.Barrier(CONTENTION)
 
         def admit(slot):
             barrier.wait()
-            job_ids[slot] = service.submit(graph, "taso", TASO_CONFIG,
-                                           model_name=f"caller{slot}",
-                                           use_cache=use_cache)
+            submitted[slot] = service.submit(graph, "taso", TASO_CONFIG,
+                                             model_name=f"caller{slot}",
+                                             use_cache=use_cache)
 
         threads = [threading.Thread(target=admit, args=(i,))
                    for i in range(CONTENTION)]
@@ -284,7 +284,7 @@ def test_dedup_under_contention(benchmark):
             t.start()
         for t in threads:
             t.join()
-        results = service.gather(job_ids, timeout=300)
+        results = [future.result(timeout=300) for future in submitted]
         return results, time.perf_counter() - started
 
     def run():

@@ -28,13 +28,13 @@ def main(model_name: str = "squeezenet") -> None:
     }
 
     with OptimisationService(num_workers=len(contenders)) as service:
-        job_ids = {
+        submitted = {
             name: service.submit(graph, optimiser=name, config=config,
                                  model_name=model_name)
             for name, config in contenders.items()
         }
-        results = {name: service.result(job_id)
-                   for name, job_id in job_ids.items()}
+        results = {name: future.result()
+                   for name, future in submitted.items()}
 
         for name, result in results.items():
             print(result.search.summary())

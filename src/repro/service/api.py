@@ -1,33 +1,32 @@
 """The :class:`OptimisationService` batch façade.
 
-Ties the registry, fingerprint cache and job scheduler together behind
-submit / poll / result semantics::
+Ties the registry, fingerprint cache and job scheduler together.  A
+submission is a :class:`concurrent.futures.Future` of its
+:class:`~repro.service.worker.ServiceResult`::
 
     from repro import build_model
     from repro.service import OptimisationService
 
     with OptimisationService(num_workers=4) as service:
-        job_id = service.submit(build_model("squeezenet"), optimiser="taso")
-        result = service.result(job_id)          # blocks; ServiceResult
-        service.poll(job_id)                     # JobState.SUCCEEDED
+        future = service.submit(build_model("squeezenet"), optimiser="taso")
+        result = future.result()                 # blocks; ServiceResult
         again = service.optimise(build_model("squeezenet"))
         assert again.cache_hit                   # fingerprint cache warm
 
-A result is delivered once: :meth:`OptimisationService.result` hands it to
-its caller and the service keeps no reference to it (nor to the caller's
-graph) afterwards — a second ``result(job_id)`` raises
-:class:`~repro.service.scheduler.UnknownJobError`, while ``poll`` and the
-job's record still answer.  A result nobody fetches is held until 1 024
-newer jobs have finished (:data:`~repro.service.scheduler.MAX_HISTORY`).
+The future belongs to its caller: the service keeps no reference to a
+finished submission, so its result and the caller's graph live only as
+long as the caller keeps them.  ``Future.cancel()`` cancels a search still
+waiting for a pool thread (its body never runs) or a coalesced follower.
 
 Cache policy: the cache is consulted at submission time.  A hit
-short-circuits the search entirely (the job completes with the cached graph
-in microseconds).  A miss checks the *in-flight table*: if an identical
-fingerprint is already searching, the new submission is attached to that
-job (admission-time dedup — one search, every waiter gets the result).
-Only a genuinely novel request dispatches a search, whose job writes its
-result back to the cache before that result resolves.  ``use_cache=False``
-opts a submission out of both the cache *and* dedup.
+short-circuits the search entirely (the submission's future is already
+complete when :meth:`~OptimisationService.submit` returns).  A miss checks
+the *in-flight table*: if an identical fingerprint is already searching,
+the new submission follows that search (admission-time dedup — one search,
+every waiter gets the result).  Only a genuinely novel request dispatches a
+search, whose job writes its result back to the cache before that result
+resolves.  ``use_cache=False`` opts a submission out of both the cache
+*and* dedup.
 
 The in-flight table is the service's one dedup mechanism, and it is
 per-process.  Processes that share a cache directory share its entries,
@@ -37,7 +36,7 @@ each search and each publish the same entry.
 A submission's ``progress`` callable —
 ``progress(iteration, best_cost, best_graph_fp)`` — is called once per
 iteration by the search that submission started, on the worker thread, and
-by nothing else: a cache hit, a coalesced follower and a job cancelled
+by nothing else: a cache hit, a coalesced follower and a search cancelled
 before it ran never call it.  One that raises is logged once, counted
 (``stats()["jobs"]["progress_failures"]``) and not called again; the search
 goes on.
@@ -51,15 +50,15 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import replace
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Union)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from ..ir.graph import Graph
 from ..search.result import Progress
 from .cache import CacheEntry, EvictionPolicy, FingerprintCache
 from .registry import optimiser_spec
-from .scheduler import JobScheduler, JobState, UnknownJobError
+from .scheduler import JobScheduler
 from .worker import JobRequest, ServiceResult, cached_result, execute_request
 
 __all__ = ["OptimisationService"]
@@ -100,26 +99,25 @@ class OptimisationService:
             capacity=cache_capacity, cache_dir=cache_dir, policy=cache_policy)
         self.scheduler = JobScheduler(num_workers=num_workers,
                                       max_pending=max_pending)
-        # Admission-time dedup: fingerprint → primary job id, plus the
-        # original request of every follower so its result can be
-        # relabelled at pickup.
-        self._inflight: Dict[str, int] = {}
-        self._followers: Dict[int, JobRequest] = {}
-        self._dedup_lock = threading.Lock()
+        self._lock = threading.Lock()
+        # Admission-time dedup: fingerprint → the searching future.
+        self._inflight: Dict[str, Future] = {}
         self._coalesced_total = 0
-        # Entries this service's searches have stored, under _dedup_lock:
+        # Entries this service's searches have stored, under _lock:
         # admission re-reads the cache only when a store landed during its
         # lookup (see submit_request).
         self._published = 0
         self._store_failures = 0
         self._progress_failures = 0
+        self._jobs = dict.fromkeys(
+            ("pending", "running", "succeeded", "failed", "cancelled"), 0)
 
     # -- submission ----------------------------------------------------
     def submit(self, graph: Graph, optimiser: str = "taso",
                config: Optional[Mapping[str, Any]] = None,
                model_name: str = "", use_cache: bool = True,
-               progress: Optional[Progress] = None) -> int:
-        """Queue one optimisation job; returns its job id immediately.
+               progress: Optional[Progress] = None) -> Future:
+        """Queue one optimisation job; returns its future immediately.
 
         Args:
             graph: The tensor graph to optimise.
@@ -137,7 +135,11 @@ class OptimisationService:
                 a coalesced follower does not).
 
         Returns:
-            The job id (pass to :meth:`poll` / :meth:`result`).
+            A :class:`~concurrent.futures.Future` of the job's
+            :class:`ServiceResult`.  A coalesced follower's result is the
+            search's outcome relabelled with *this* submission's model
+            name and flagged ``coalesced=True``; a failed search raises
+            its error from every waiter's future.
 
         Raises:
             KeyError: For an unknown optimiser name — raised here, not in
@@ -152,19 +154,19 @@ class OptimisationService:
         return self.submit_request(request, progress=progress)
 
     def submit_request(self, request: JobRequest,
-                       progress: Optional[Progress] = None) -> int:
-        """Admit one :class:`JobRequest`; returns its job id.
+                       progress: Optional[Progress] = None) -> Future:
+        """Admit one :class:`JobRequest`; returns its future.
 
         Admission order: cache lookup → in-flight dedup → dispatch.  A
         cache hit completes inline; a fingerprint already being searched
-        in this process attaches this submission to the in-flight job (no
-        new work); only a genuinely novel fingerprint runs a search, and
-        only that search calls ``progress`` (see :meth:`submit`).
+        in this process makes this submission a follower of that search
+        (no new work); only a genuinely novel fingerprint runs a search,
+        and only that search calls ``progress`` (see :meth:`submit`).
 
         Raises:
             KeyError: For an unknown optimiser name.
             ValueError: For a config key the optimiser does not take.
-            QueueFullError: If ``max_pending`` novel jobs are already open
+            QueueFullError: If ``max_pending`` searches are already open
                 (cache hits and coalesced followers are exempt — they add
                 no work).
         """
@@ -182,58 +184,130 @@ class OptimisationService:
         if progress is not None:
             progress = self._guarded(progress, request.label)
         if not request.use_cache:
-            return self.scheduler.submit(execute_request, request, fingerprint,
-                                         progress, label=request.label)
+            with self._lock:
+                return self._dispatch(request, fingerprint, progress,
+                                      shared=False)
         started = time.perf_counter()
         published = self._published
         entry = self.cache.get(fingerprint)
-        if entry is not None:
-            return self._complete_cached(request, entry, started)
-        with self._dedup_lock:
-            primary_id = self._inflight.get(fingerprint)
-            if primary_id is not None:
-                try:
-                    follower_id = self.scheduler.attach(
-                        primary_id, label=f"{request.label} (coalesced)")
-                except UnknownJobError:
-                    # A registration whose job can no longer be followed
-                    # (its result delivered or its record retired): fall
-                    # through to a fresh dispatch.
-                    pass
-                else:
-                    self._followers[follower_id] = request
-                    self._coalesced_total += 1
-                    return follower_id
-            if self._published != published:
-                # A search stored its entry and left the in-flight table
-                # between our lookup and now — possibly this fingerprint's.
-                entry = self.cache.get(fingerprint)
-                if entry is not None:
-                    return self._complete_cached(request, entry, started)
+        if entry is None:
+            with self._lock:
+                primary = self._inflight.get(fingerprint)
+                if primary is None and self._published != published:
+                    # A search stored its entry and left the in-flight
+                    # table between our lookup and now — possibly this
+                    # fingerprint's.
+                    entry = self.cache.get(fingerprint)
+                if primary is None and entry is None:
+                    return self._dispatch(request, fingerprint, progress,
+                                          shared=True)
+            if primary is not None:
+                return self._follow(primary, request)
+        result = cached_result(request, entry, time.perf_counter() - started)
+        self._count(None, "succeeded")
+        future: Future = Future()
+        future.set_result(result)
+        return future
 
-            def retire(_future: Any = None) -> None:
-                with self._dedup_lock:
-                    if self._inflight.get(fingerprint) == job_id:
-                        del self._inflight[fingerprint]
+    def _dispatch(self, request: JobRequest, fingerprint: str,
+                  progress: Optional[Progress], shared: bool) -> Future:
+        """Queue ``request``'s search on the pool; the caller holds
+        ``_lock``.
 
-            def search() -> ServiceResult:
-                # Store, leave the in-flight table, then resolve: whoever
-                # holds the result finds its entry in the cache.
-                try:
-                    result = execute_request(request, fingerprint, progress)
+        A ``shared`` search is the one in-flight search of its fingerprint:
+        it stores its entry and leaves the in-flight table before its
+        future resolves, so whoever holds the result finds the entry in
+        the cache.  The body stamps the result's ``queue_time_s``
+        (admission to pickup) and ``run_time_s`` (pickup to the end of the
+        body).
+        """
+        admitted = time.monotonic()
+
+        def search() -> ServiceResult:
+            started = time.monotonic()
+            self._count("pending", "running")
+            try:
+                result = execute_request(request, fingerprint, progress)
+                if shared:
                     self._store(fingerprint, result)
-                    return result
-                finally:
-                    retire()
+            except BaseException:
+                self._count("running", "failed")
+                raise
+            finally:
+                if shared:
+                    self._retire(fingerprint, future)
+            self._count("running", "succeeded")
+            return replace(result, queue_time_s=started - admitted,
+                           run_time_s=time.monotonic() - started)
 
-            # The done callback retires a job cancelled before it ran.
-            # Neither path can run before the registration below: retire()
-            # waits for the lock this admission holds, and nobody has the
-            # job id to cancel yet.
-            job_id = self.scheduler.submit(search, label=request.label,
-                                           on_done=retire)
-            self._inflight[fingerprint] = job_id
-            return job_id
+        def cancelled(_: Future) -> None:
+            # Runs inside ``cancel()`` of a search that never ran.
+            if future.cancelled():
+                if shared:
+                    self._retire(fingerprint, future)
+                self._count("pending", "cancelled")
+
+        # The body and ``cancelled`` both wait for the lock this admission
+        # holds, so they find the future registered and counted.
+        future = self.scheduler.submit(search)
+        self._jobs["pending"] += 1
+        if shared:
+            self._inflight[fingerprint] = future
+        future.add_done_callback(cancelled)
+        return future
+
+    def _follow(self, primary: Future, request: JobRequest) -> Future:
+        """A future of ``primary``'s outcome for a coalesced ``request``.
+
+        It resolves — relabelled with ``request``'s model name, flagged
+        ``coalesced`` — or fails or is cancelled when ``primary`` does.
+        Cancelling it cancels only this follower.
+        """
+        name = request.model_name or request.graph.name
+        follower: Future = Future()
+        with self._lock:
+            self._coalesced_total += 1
+            self._jobs["pending"] += 1
+        follower.add_done_callback(self._count_if_cancelled)
+
+        def relay(done: Future) -> None:
+            if done.cancelled():
+                follower.cancel()
+            # Either claims the follower or, for a cancelled one, reports
+            # it to ``concurrent.futures.wait`` / ``as_completed`` — as an
+            # executor does for a cancelled job it dequeues.
+            if not follower.set_running_or_notify_cancel():
+                return
+            error = done.exception()
+            if error is not None:
+                self._count("pending", "failed")
+                follower.set_exception(error)
+                return
+            result = done.result()
+            self._count("pending", "succeeded")
+            follower.set_result(replace(
+                result, coalesced=True, queue_time_s=0.0, run_time_s=0.0,
+                search=replace(result.search, model=name)))
+
+        primary.add_done_callback(relay)
+        return follower
+
+    def _retire(self, fingerprint: str, future: Future) -> None:
+        """Take ``future``'s search out of the in-flight table."""
+        with self._lock:
+            if self._inflight.get(fingerprint) is future:
+                del self._inflight[fingerprint]
+
+    def _count_if_cancelled(self, future: Future) -> None:
+        if future.cancelled():
+            self._count("pending", "cancelled")
+
+    def _count(self, leaving: Optional[str], entering: str) -> None:
+        """Move one submission between the ``stats()["jobs"]`` tallies."""
+        with self._lock:
+            if leaving is not None:
+                self._jobs[leaving] -= 1
+            self._jobs[entering] += 1
 
     def _guarded(self, progress: Progress, label: str) -> Progress:
         """``progress`` as a search calls it: the first exception it raises
@@ -253,7 +327,7 @@ class OptimisationService:
                 failed = True
                 _LOG.warning("the progress callable of %s raised; it is not "
                              "called again", label, exc_info=True)
-                with self._dedup_lock:
+                with self._lock:
                     self._progress_failures += 1
 
         return guarded
@@ -266,197 +340,99 @@ class OptimisationService:
         except Exception:
             _LOG.warning("could not cache the result of %s", fingerprint,
                          exc_info=True)
-            with self._dedup_lock:
+            with self._lock:
                 self._store_failures += 1
         else:
-            with self._dedup_lock:
+            with self._lock:
                 self._published += 1
-
-    def _complete_cached(self, request: JobRequest, entry: CacheEntry,
-                         started: float) -> int:
-        """A finished job serving ``entry``: a hit never touches the worker
-        pool, so warm traffic costs no dispatch."""
-        result = cached_result(request, entry, time.perf_counter() - started)
-        return self.scheduler.submit_completed(
-            result, label=f"{request.label} (cached)")
 
     def submit_batch(self, jobs: Iterable[BatchItem],
                      optimiser: str = "taso",
                      config: Optional[Mapping[str, Any]] = None,
-                     use_cache: bool = True) -> List[int]:
-        """Queue many jobs; returns job ids in submission order.
+                     use_cache: bool = True) -> List[Future]:
+        """Queue many jobs; returns their futures in submission order.
 
         ``optimiser`` / ``config`` / ``use_cache`` are defaults applied to
         items that do not carry their own; a kwargs dict item may also name
         its own ``progress`` (see :meth:`submit`).  Admission
         is all-or-nothing: if any item is rejected (bad item, unknown
-        optimiser, full queue), the batch's already-admitted still-pending
-        jobs are cancelled before the error propagates, so no work is
-        stranded without its job ids.
+        optimiser, full queue), the batch's already-admitted futures are
+        cancelled before the error propagates, so no work is stranded
+        without its futures.
         """
-        job_ids: List[int] = []
+        admitted: List[Future] = []
         try:
             for item in jobs:
                 if isinstance(item, JobRequest):
-                    job_ids.append(self.submit_request(item))
+                    admitted.append(self.submit_request(item))
                 elif isinstance(item, Graph):
-                    job_ids.append(self.submit(item, optimiser=optimiser,
-                                               config=config,
-                                               use_cache=use_cache))
+                    admitted.append(self.submit(item, optimiser=optimiser,
+                                                config=config,
+                                                use_cache=use_cache))
                 elif isinstance(item, tuple):
                     graph, model_name = item
-                    job_ids.append(self.submit(graph, optimiser=optimiser,
-                                               config=config,
-                                               model_name=model_name,
-                                               use_cache=use_cache))
+                    admitted.append(self.submit(graph, optimiser=optimiser,
+                                                config=config,
+                                                model_name=model_name,
+                                                use_cache=use_cache))
                 elif isinstance(item, Mapping):
                     kwargs = {"optimiser": optimiser, "config": config,
                               "use_cache": use_cache, **item}
-                    job_ids.append(self.submit(**kwargs))
+                    admitted.append(self.submit(**kwargs))
                 else:
                     raise TypeError(
                         f"cannot submit {type(item).__name__}: expected "
                         "Graph, (graph, model_name), JobRequest or kwargs "
                         "dict")
         except Exception:
-            for job_id in job_ids:
-                try:
-                    self.scheduler.cancel(job_id)
-                except Exception:
-                    pass
+            for future in admitted:
+                future.cancel()
             raise
-        return job_ids
-
-    # -- polling / results ---------------------------------------------
-    def poll(self, job_id: int) -> JobState:
-        """Non-blocking job state.
-
-        Args:
-            job_id: A job id from any of the submit methods.
-
-        Returns:
-            The job's current :class:`JobState`.
-
-        Raises:
-            UnknownJobError: If the id was never issued or was retired.
-        """
-        return self.scheduler.poll(job_id)
-
-    def result(self, job_id: int,
-               timeout: Optional[float] = None) -> ServiceResult:
-        """Block until ``job_id`` finishes and return its result.
-
-        For a coalesced (deduplicated) submission this returns the primary
-        job's outcome relabelled with *this* submission's model name and
-        flagged ``coalesced=True``.
-
-        The result is delivered once: after this returns it (or raises the
-        job's own error) the service holds no reference to it, so the
-        result and the submitted graph live only as long as the caller
-        keeps them.  ``poll(job_id)`` still answers; a second
-        ``result(job_id)`` raises :class:`UnknownJobError`.  A timeout
-        delivers nothing.
-
-        Args:
-            job_id: A job id from any of the submit methods.
-            timeout: Seconds to wait before raising
-                :class:`concurrent.futures.TimeoutError`.
-
-        Returns:
-            The job's :class:`ServiceResult` with timing fields filled in.
-
-        Raises:
-            UnknownJobError: If the id was never issued or was retired, or
-                its result was already delivered.
-            Exception: Whatever the search job itself raised (a failed
-                primary fans its error out to every coalesced follower).
-        """
-        try:
-            outcome: ServiceResult = self.scheduler.result(job_id, timeout)
-        except TimeoutError:
-            raise  # job still running — keep the follower mapping for retry
-        except BaseException:
-            # Terminal failure: drop the follower bookkeeping (it pins the
-            # request graph) before fanning the error out.
-            with self._dedup_lock:
-                self._followers.pop(job_id, None)
-            raise
-        with self._dedup_lock:
-            follower_request = self._followers.pop(job_id, None)
-        if follower_request is not None:
-            name = follower_request.model_name or follower_request.graph.name
-            outcome = replace(outcome, coalesced=True,
-                              search=replace(outcome.search, model=name))
-        try:
-            record = self.scheduler.record(job_id)
-            queue_time = record.queue_time_s or 0.0
-            run_time = record.run_time_s or 0.0
-        except UnknownJobError:
-            # The record was retired (MAX_HISTORY) between resolving the
-            # future and snapshotting timings; the result itself is intact.
-            queue_time = run_time = 0.0
-        return replace(outcome, job_id=job_id,
-                       queue_time_s=queue_time, run_time_s=run_time)
-
-    def gather(self, job_ids: Sequence[int],
-               timeout: Optional[float] = None) -> List[ServiceResult]:
-        """Results for ``job_ids``, in the given (submission) order.
-
-        Args:
-            job_ids: Ids to collect, typically from :meth:`submit_batch`.
-            timeout: Per-job wait bound, applied to each id in turn.
-
-        Returns:
-            One :class:`ServiceResult` per id, order-aligned.
-
-        Raises:
-            Exception: The first failing job's error, like :meth:`result`.
-        """
-        return [self.result(job_id, timeout) for job_id in job_ids]
+        return admitted
 
     # -- synchronous conveniences --------------------------------------
     def optimise(self, graph: Graph, optimiser: str = "taso",
                  config: Optional[Mapping[str, Any]] = None,
                  model_name: str = "", use_cache: bool = True,
                  timeout: Optional[float] = None) -> ServiceResult:
-        """submit + result in one call (arguments as in :meth:`submit`)."""
-        job_id = self.submit(graph, optimiser=optimiser, config=config,
-                             model_name=model_name, use_cache=use_cache)
-        return self.result(job_id, timeout)
+        """``submit(...).result(timeout)`` (arguments as in :meth:`submit`)."""
+        return self.submit(graph, optimiser=optimiser, config=config,
+                           model_name=model_name,
+                           use_cache=use_cache).result(timeout)
 
     def optimise_batch(self, jobs: Iterable[BatchItem],
                        optimiser: str = "taso",
                        config: Optional[Mapping[str, Any]] = None,
                        use_cache: bool = True,
                        timeout: Optional[float] = None) -> List[ServiceResult]:
-        """submit_batch + gather in one call (results in submission order)."""
-        job_ids = self.submit_batch(jobs, optimiser=optimiser, config=config,
-                                    use_cache=use_cache)
-        return self.gather(job_ids, timeout)
+        """The results of :meth:`submit_batch`, in submission order;
+        ``timeout`` bounds each wait in turn."""
+        return [future.result(timeout) for future in self.submit_batch(
+            jobs, optimiser=optimiser, config=config, use_cache=use_cache)]
 
     # -- introspection / lifecycle -------------------------------------
     def stats(self) -> Dict[str, Any]:
         """Service counters: worker pool, job states, cache, dedup.
 
         Returns:
-            A dict with ``workers``, ``jobs`` (state tallies over the
-            retained records, plus ``results_held``: finished jobs whose
-            result nobody has fetched yet, and ``progress_failures``:
-            progress callables that raised), ``cache_entries`` / ``cache``
-            (tier accounting, plus ``store_failures``: searches whose entry
-            could not be stored) and ``dedup`` (coalesced submissions and
-            the current in-flight table size).
+            A dict with ``workers``, ``jobs`` (how many submissions —
+            cache hits and coalesced followers included — are pending,
+            running, succeeded, failed or cancelled, plus
+            ``progress_failures``: progress callables that raised),
+            ``cache_entries`` / ``cache`` (tier accounting, plus
+            ``store_failures``: searches whose entry could not be stored)
+            and ``dedup`` (coalesced submissions and the current in-flight
+            table size).
         """
-        with self._dedup_lock:
+        with self._lock:
+            jobs = {**self._jobs,
+                    "progress_failures": self._progress_failures}
             dedup = {"coalesced": self._coalesced_total,
                      "inflight": len(self._inflight)}
             store_failures = self._store_failures
-            progress_failures = self._progress_failures
         return {
             "workers": self.scheduler.num_workers,
-            "jobs": {**self.scheduler.counts(),
-                     "results_held": self.scheduler.results_held(),
-                     "progress_failures": progress_failures},
+            "jobs": jobs,
             "cache_entries": len(self.cache),
             "cache": {**self.cache.stats.to_dict(),
                       "store_failures": store_failures},
@@ -467,13 +443,12 @@ class OptimisationService:
         """Shut the worker pool down.
 
         Args:
-            wait: Block until in-flight jobs finish (results stay
-                retrievable); ``False`` abandons them.
+            wait: Block until queued and running searches finish; their
+                futures resolve either way.
         """
         self.scheduler.shutdown(wait=wait)
-        with self._dedup_lock:
+        with self._lock:
             self._inflight.clear()
-            self._followers.clear()
 
     def __enter__(self) -> "OptimisationService":
         return self

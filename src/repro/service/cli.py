@@ -213,10 +213,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             jobs = [{"graph": graph, "model_name": name,
                      "progress": _follow(name) if args.follow else None}
                     for graph, name in graphs]
-            job_ids = service.submit_batch(jobs, optimiser=args.optimiser,
-                                           config=config,
-                                           use_cache=not args.no_cache)
-            for result in service.gather(job_ids):
+            for result in service.optimise_batch(
+                    jobs, optimiser=args.optimiser, config=config,
+                    use_cache=not args.no_cache):
                 origin = ("cache-hit" if result.cache_hit
                           else "coalesced" if result.coalesced else "searched")
                 search = result.search

@@ -52,13 +52,11 @@ class ServiceResult:
         cache_hit: The result was served from the fingerprint cache
             (no search ran for this submission).
         fingerprint: The request fingerprint the job was keyed under.
-        job_id: Scheduler job id (filled in by
-            :meth:`~repro.service.api.OptimisationService.result`).
-        queue_time_s: Time spent queued before a worker picked the job up
-            (0 for cache hits and coalesced followers, which wait for no
-            worker).
-        run_time_s: Worker-side execution time (0 for cache hits and
-            coalesced followers).
+        queue_time_s: Seconds from admission until a pool thread picked
+            the search up (0 for cache hits and coalesced followers, which
+            wait for no worker).
+        run_time_s: Seconds the search's job body ran, its cache store
+            included (0 for cache hits and coalesced followers).
         coalesced: This submission was deduplicated onto another in-flight
             identical request; ``search`` is that primary job's outcome
             (relabelled with this caller's model name).
@@ -67,7 +65,6 @@ class ServiceResult:
     search: SearchResult
     cache_hit: bool
     fingerprint: str
-    job_id: int = -1
     queue_time_s: float = 0.0
     run_time_s: float = 0.0
     coalesced: bool = False
@@ -83,11 +80,11 @@ class ServiceResult:
         return self.search.speedup
 
     def summary(self) -> str:
-        """One-line description including the job's origin
+        """One-line description including the result's origin
         (search / cache / coalesced)."""
         origin = "cache" if self.cache_hit else (
             "coalesced" if self.coalesced else "search")
-        return f"[job {self.job_id} via {origin}] {self.search.summary()}"
+        return f"[{origin}] {self.search.summary()}"
 
 
 def execute_request(request: JobRequest, fingerprint: str = "",

@@ -29,7 +29,7 @@ from repro.experiments import build_small_model
 from repro.ir import GraphBuilder
 from repro.search.result import SearchResult
 from repro.service import (CacheEntry, EvictionPolicy, FingerprintCache,
-                           JobState, OptimisationService, QueueFullError,
+                           OptimisationService, QueueFullError,
                            register_optimiser)
 from repro.service import scheduler as scheduler_module
 from repro.service.cache import ENTRY_VERSION
@@ -361,15 +361,15 @@ class TestSharedCacheDirectory:
 
         with OptimisationService(num_workers=1,
                                  cache_dir=str(tmp_path)) as service:
-            blocker = service.scheduler.submit(hold, label="blocker")
+            blocker = service.scheduler.submit(hold)
             try:
                 assert started.wait(10)  # the blocker holds the only thread
                 hit = service.optimise(_tiny_graph("marked"),
                                        marking_optimiser, config, timeout=5)
-                assert service.poll(blocker) is JobState.RUNNING
+                assert blocker.running()
             finally:
                 release.set()
-            service.scheduler.result(blocker, timeout=10)
+            blocker.result(timeout=10)
         assert hit.cache_hit
         assert len(list(marks.iterdir())) == 1
 
@@ -646,11 +646,11 @@ class TestInflightDedup:
         """The headline dedup test: 10 submissions, exactly 1 execution."""
         n = 10
         barrier = threading.Barrier(n)
-        job_ids: list = [None] * n
+        submitted: list = [None] * n
         with OptimisationService(num_workers=4) as service:
             def admit(slot: int) -> None:
                 barrier.wait()  # maximal admission contention
-                job_ids[slot] = service.submit(
+                submitted[slot] = service.submit(
                     mlp_graph, counting_optimiser, model_name=f"caller{slot}")
 
             threads = [threading.Thread(target=admit, args=(i,))
@@ -659,7 +659,7 @@ class TestInflightDedup:
                 t.start()
             for t in threads:
                 t.join()
-            results = service.gather(job_ids, timeout=30)
+            results = [future.result(timeout=30) for future in submitted]
             stats = service.stats()
 
         with _EXECUTIONS_LOCK:
@@ -711,12 +711,12 @@ class TestInflightDedup:
                 name="request-b")
             b_thread.start()
             assert b_missed.wait(30)
-            first = service.result(a, timeout=30)  # stored and retired
+            first = a.result(timeout=30)  # stored and retired
             assert service.stats()["dedup"]["inflight"] == 0
             a_retired.set()
             b_thread.join(30)
             assert not b_thread.is_alive()
-            second = service.result(admitted["b"], timeout=30)
+            second = admitted["b"].result(timeout=30)
             stats = service.stats()
         assert not first.cache_hit and second.cache_hit
         with _EXECUTIONS_LOCK:
@@ -731,7 +731,7 @@ class TestInflightDedup:
         every submission after the one search is a hit or a follower."""
         n, rounds = 8, 25
         barrier = threading.Barrier(n)
-        job_ids: list = []
+        submitted: list = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -739,7 +739,7 @@ class TestInflightDedup:
                 def admit() -> None:
                     barrier.wait()
                     for _ in range(rounds):
-                        job_ids.append(service.submit(
+                        submitted.append(service.submit(
                             mlp_graph, counting_optimiser,
                             {"delay_s": 0.001}))
 
@@ -749,7 +749,8 @@ class TestInflightDedup:
                 for t in threads:
                     t.join(60)
                     assert not t.is_alive()
-                results = service.gather(job_ids, timeout=30)
+                results = [future.result(timeout=30)
+                           for future in submitted]
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == n * rounds
@@ -761,9 +762,9 @@ class TestInflightDedup:
         with OptimisationService(num_workers=2) as service:
             primary = service.submit(mlp_graph, exploding_optimiser)
             follower = service.submit(mlp_graph, exploding_optimiser)
-            for job_id in (primary, follower):
+            for future in (primary, follower):
                 with pytest.raises(RuntimeError, match="every waiter"):
-                    service.result(job_id, timeout=30)
+                    future.result(timeout=30)
             stats = service.stats()
         assert stats["dedup"]["coalesced"] == 1
         assert stats["dedup"]["inflight"] == 0
@@ -773,21 +774,21 @@ class TestInflightDedup:
                                                    exploding_optimiser):
         """A failure clears the in-flight slot instead of poisoning it."""
         with OptimisationService(num_workers=2) as service:
-            job_id = service.submit(mlp_graph, exploding_optimiser)
+            first = service.submit(mlp_graph, exploding_optimiser)
             with pytest.raises(RuntimeError):
-                service.result(job_id, timeout=30)
+                first.result(timeout=30)
             retry = service.submit(mlp_graph, exploding_optimiser)
-            assert retry != job_id
+            assert retry is not first
             with pytest.raises(RuntimeError):
-                service.result(retry, timeout=30)
+                retry.result(timeout=30)
         assert service.stats()["dedup"]["coalesced"] == 0
 
     def test_use_cache_false_opts_out_of_dedup(self, mlp_graph,
                                                counting_optimiser):
         with OptimisationService(num_workers=2) as service:
-            ids = [service.submit(mlp_graph, counting_optimiser,
-                                  use_cache=False) for _ in range(2)]
-            results = service.gather(ids, timeout=30)
+            submitted = [service.submit(mlp_graph, counting_optimiser,
+                                        use_cache=False) for _ in range(2)]
+            results = [future.result(timeout=30) for future in submitted]
         assert all(not r.coalesced for r in results)
         with _EXECUTIONS_LOCK:
             assert _EXECUTIONS[0] == 2
@@ -799,7 +800,8 @@ class TestInflightDedup:
                                {"delay_s": 0.3})
             b = service.submit(mlp_graph, counting_optimiser,
                                {"delay_s": 0.31})
-            service.gather([a, b], timeout=30)
+            a.result(timeout=30)
+            b.result(timeout=30)
         with _EXECUTIONS_LOCK:
             assert _EXECUTIONS[0] == 2
 
@@ -862,11 +864,11 @@ class TestAdmission:
                 name="request-b")
             b_thread.start()
             assert b_missed.wait(30)
-            service.result(a, timeout=30)  # stored and retired
+            a.result(timeout=30)  # stored and retired
             a_retired.set()
             b_thread.join(30)
             assert not b_thread.is_alive()
-            second = service.result(admitted["b"], timeout=30)
+            second = admitted["b"].result(timeout=30)
         assert not second.cache_hit and not second.coalesced
         assert len(looked_up) == 2 and len(set(looked_up)) == 1
         with _EXECUTIONS_LOCK:
@@ -878,13 +880,12 @@ class TestAdmission:
         same request searches."""
         release = threading.Event()
         with OptimisationService(num_workers=1, max_pending=1) as service:
-            occupant = service.scheduler.submit(release.wait, 30,
-                                                label="occupant")
+            occupant = service.scheduler.submit(release.wait, 30)
             with pytest.raises(QueueFullError):
                 service.submit(mlp_graph, counting_optimiser)
             assert service.stats()["dedup"]["inflight"] == 0
             release.set()
-            service.scheduler.result(occupant, timeout=30)
+            occupant.result(timeout=30)
             retry = service.optimise(mlp_graph, counting_optimiser,
                                      timeout=30)
         assert not retry.cache_hit and not retry.coalesced
@@ -904,16 +905,16 @@ class TestAdmission:
             release.wait(30)
 
         with OptimisationService(num_workers=2) as service:
-            blocker = service.scheduler.submit(hold, label="blocker")
+            blocker = service.scheduler.submit(hold)
             assert started.wait(10)  # the blocker holds the only thread
             doomed = service.submit(mlp_graph, counting_optimiser)
-            assert service.scheduler.cancel(doomed) is True
+            assert doomed.cancel() is True
             assert service.stats()["dedup"]["inflight"] == 0
             release.set()
-            service.scheduler.result(blocker, timeout=10)
+            blocker.result(timeout=10)
             retry = service.optimise(mlp_graph, counting_optimiser,
                                      timeout=30)
-            assert service.poll(doomed) is JobState.CANCELLED
+            assert doomed.cancelled()
         assert not retry.cache_hit and not retry.coalesced
         with _EXECUTIONS_LOCK:
             assert _EXECUTIONS[0] == 1
@@ -940,9 +941,9 @@ class TestAdmission:
         with OptimisationService(num_workers=1,
                                  cache_dir=str(tmp_path)) as service:
             for _ in range(2):  # a failure is not remembered: both search
-                job_id = service.submit(mlp_graph, exploding_optimiser)
+                future = service.submit(mlp_graph, exploding_optimiser)
                 with pytest.raises(RuntimeError):
-                    service.result(job_id, timeout=30)
+                    future.result(timeout=30)
             stats = service.stats()
         assert stats["jobs"]["failed"] == 2
         assert stats["cache"]["misses"] == 2

@@ -1,9 +1,9 @@
-"""A finished job's result is delivered once, then belongs to its caller.
+"""A submission's future belongs to its caller.
 
-``JobScheduler.result`` hands a result over and drops the scheduler's hold
-on it; the job's record stays pollable.  Through the service that means
-neither the ``ServiceResult`` nor the caller's graph outlives the caller's
-own references to them.
+The service keeps no reference to a finished submission: neither the
+``ServiceResult`` nor the caller's graph outlives the caller's own
+references to them.  A search stores its cache entry before its future
+resolves.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import weakref
 import pytest
 
 from repro.ir import GraphBuilder
-from repro.service import (FingerprintCache, JobScheduler, JobState,
-                           OptimisationService, UnknownJobError,
-                           default_config, request_fingerprint)
+from repro.service import FingerprintCache, OptimisationService
 
 TASO_FAST = {"max_iterations": 4}
 
@@ -30,72 +28,6 @@ def _dense_graph():
     x = b.input((4, 16), name="x")
     h = b.relu(b.linear(x, 16, 32, name="fc1"))
     return b.build([b.linear(h, 32, 8, name="fc2")])
-
-
-def _fail() -> None:
-    raise RuntimeError("search exploded")
-
-
-class TestSchedulerDelivery:
-    def test_a_second_fetch_is_refused_but_the_record_answers(self):
-        with JobScheduler(num_workers=1) as scheduler:
-            job_id = scheduler.submit(lambda: 42, label="answer")
-            assert scheduler.result(job_id, timeout=10) == 42
-            with pytest.raises(UnknownJobError, match="delivered"):
-                scheduler.result(job_id)
-            assert scheduler.poll(job_id) is JobState.SUCCEEDED
-            assert scheduler.record(job_id).label == "answer"
-            assert scheduler.counts()["succeeded"] == 1
-
-    def test_a_delivered_failure_is_not_raised_twice(self):
-        with JobScheduler(num_workers=1) as scheduler:
-            job_id = scheduler.submit(_fail)
-            with pytest.raises(RuntimeError, match="search exploded"):
-                scheduler.result(job_id, timeout=10)
-            with pytest.raises(UnknownJobError, match="delivered"):
-                scheduler.result(job_id)
-            assert scheduler.poll(job_id) is JobState.FAILED
-            assert "search exploded" in scheduler.record(job_id).error
-
-    def test_a_never_issued_id_does_not_read_as_delivered(self):
-        with JobScheduler(num_workers=1) as scheduler:
-            with pytest.raises(UnknownJobError) as excinfo:
-                scheduler.result(999)
-        assert "delivered" not in str(excinfo.value)
-
-    def test_cancel_of_a_delivered_job_returns_false(self):
-        with JobScheduler(num_workers=1) as scheduler:
-            job_id = scheduler.submit(lambda: 1)
-            scheduler.result(job_id, timeout=10)
-            assert scheduler.cancel(job_id) is False
-            with pytest.raises(UnknownJobError):
-                scheduler.cancel(999)
-
-    def test_a_timeout_delivers_nothing(self):
-        release = threading.Event()
-        with JobScheduler(num_workers=1) as scheduler:
-            job_id = scheduler.submit(release.wait, 10)
-            try:
-                with pytest.raises(TimeoutError):
-                    scheduler.result(job_id, timeout=0.05)
-                assert scheduler.results_held() == 0  # still running
-            finally:
-                release.set()
-            assert scheduler.result(job_id, timeout=10) is True
-
-    def test_wait_all_after_delivery(self):
-        with JobScheduler(num_workers=1) as scheduler:
-            job_id = scheduler.submit(lambda: "done")
-            assert scheduler.result(job_id, timeout=10) == "done"
-            assert scheduler.wait_all(timeout=10)
-
-    def test_results_held_counts_the_unfetched(self):
-        with JobScheduler(num_workers=1) as scheduler:
-            job_ids = [scheduler.submit(lambda i=i: i) for i in range(3)]
-            assert scheduler.wait_all(timeout=10)
-            assert scheduler.results_held() == 3
-            scheduler.result(job_ids[1])
-            assert scheduler.results_held() == 2
 
 
 class TestStoreBeforeDelivery:
@@ -117,11 +49,11 @@ class TestStoreBeforeDelivery:
             first = service.optimise(_dense_graph(), "taso", TASO_FAST)
             before = service.stats()["cache"]
             repeat = service.submit(_dense_graph(), "taso", TASO_FAST)
-            label = service.scheduler.record(repeat).label
-            result = service.result(repeat, timeout=30)
+            served_inline = repeat.done()
+            result = repeat.result(timeout=30)
             after = service.stats()["cache"]
         assert not first.cache_hit and result.cache_hit
-        assert label.endswith("(cached)")
+        assert served_inline
         assert after["misses"] == before["misses"]
         assert after["puts"] == before["puts"] == 1
 
@@ -141,14 +73,14 @@ class TestStoreBeforeDelivery:
             primary = service.submit(_dense_graph(), "taso", TASO_FAST)
             assert storing.wait(30)  # the search is done, its entry not
             follower = service.submit(_dense_graph(), "taso", TASO_FAST)
-            followed = service.result(follower, timeout=30)
+            followed = follower.result(timeout=30)
             repeat = service.submit(_dense_graph(), "taso", TASO_FAST)
-            label = service.scheduler.record(repeat).label
-            result = service.result(repeat, timeout=30)
-            service.result(primary, timeout=30)
+            served_inline = repeat.done()
+            result = repeat.result(timeout=30)
+            primary.result(timeout=30)
             cache = service.stats()["cache"]
         assert followed.coalesced and not followed.cache_hit
-        assert result.cache_hit and label.endswith("(cached)")
+        assert result.cache_hit and served_inline
         assert cache["misses"] == 2 and cache["puts"] == 1
 
     def test_a_failed_store_is_counted_and_the_result_delivered(
@@ -178,51 +110,37 @@ class TestStoreBeforeDelivery:
 
 
 class TestServiceDelivery:
-    def test_results_held_reads_zero_after_synchronous_calls(self):
+    def test_a_cache_hits_future_is_done_when_submit_returns(self):
         with OptimisationService(num_workers=1) as service:
-            for _ in range(2000):
-                service.optimise(_dense_graph(), "taso", TASO_FAST)
-            assert service.stats()["jobs"]["results_held"] == 0
-            job_id = service.submit(_dense_graph(), "taso", TASO_FAST)
-            assert service.scheduler.wait_all(timeout=30)
-            assert service.stats()["jobs"]["results_held"] == 1
-            service.result(job_id)
-            assert service.stats()["jobs"]["results_held"] == 0
+            service.optimise(_dense_graph(), "taso", TASO_FAST)
+            hit = service.submit(_dense_graph(), "taso", TASO_FAST)
+            assert hit.done()
+            assert hit.result(timeout=0).cache_hit
 
-    def test_a_second_fetch_is_refused_but_poll_answers(self):
+    def test_job_tallies_count_every_submission(self):
+        """One search, then 1 100 hits: every submission is counted, not
+        only a window of recent ones."""
         with OptimisationService(num_workers=1) as service:
-            job_id = service.submit(_dense_graph(), "taso", TASO_FAST)
-            assert service.result(job_id, timeout=30).job_id == job_id
-            with pytest.raises(UnknownJobError, match="delivered"):
-                service.result(job_id)
-            assert service.poll(job_id) is JobState.SUCCEEDED
+            for _ in range(1101):
+                service.optimise(_dense_graph(), "taso", TASO_FAST)
+            jobs = service.stats()["jobs"]
+        assert jobs["succeeded"] == 1101
+        assert (jobs["pending"], jobs["running"], jobs["failed"],
+                jobs["cancelled"]) == (0, 0, 0, 0)
 
     @pytest.mark.parametrize("origin", ["miss", "hit"])
     def test_the_callers_graph_dies_with_its_result(self, origin):
+        """Once its caller drops the future and the result, the service
+        holds neither the result nor the caller's graph."""
         with OptimisationService(num_workers=1) as service:
             if origin == "hit":
                 service.optimise(_dense_graph(), "taso", TASO_FAST)
             graph = _dense_graph()
-            result = service.optimise(graph, "taso", TASO_FAST)
+            future = service.submit(graph, "taso", TASO_FAST)
+            result = future.result(timeout=30)
             assert result.cache_hit is (origin == "hit")
-            refs = [weakref.ref(graph),
+            refs = [weakref.ref(graph), weakref.ref(result),
                     weakref.ref(result.search.initial_graph)]
-            del graph, result
+            del graph, result, future
             gc.collect()
-            assert [ref() for ref in refs] == [None, None]
-
-    def test_attach_to_a_delivered_primary_dispatches_afresh(self):
-        with OptimisationService(num_workers=1) as service:
-            other = service.submit(_dense_graph(), "taso",
-                                   {"max_iterations": 2})
-            service.result(other, timeout=30)
-            # A stale in-flight entry naming a delivered job: attaching to
-            # it is refused, so the request searches for itself.
-            graph = _dense_graph()
-            fingerprint = request_fingerprint(
-                graph, "taso", {**default_config("taso"), **TASO_FAST})
-            service._inflight[fingerprint] = other
-            result = service.optimise(graph, "taso", TASO_FAST)
-            assert not result.coalesced and not result.cache_hit
-            assert result.fingerprint == fingerprint
-            assert service.stats()["dedup"]["coalesced"] == 0
+            assert [ref() for ref in refs] == [None, None, None]

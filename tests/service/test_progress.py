@@ -153,9 +153,9 @@ class TestServiceProgress:
     def test_a_search_reports_once_per_iteration(self, squeezenet):
         calls = []
         with OptimisationService(num_workers=2) as service:
-            job_id = service.submit(squeezenet, "taso", TASO_FAST,
+            future = service.submit(squeezenet, "taso", TASO_FAST,
                                     progress=lambda *a: calls.append(a))
-            result = service.result(job_id, timeout=120)
+            result = future.result(timeout=120)
         assert len(calls) == int(result.search.stats["iterations"])
         assert calls[-1][1] <= calls[0][1]
 
@@ -163,9 +163,9 @@ class TestServiceProgress:
         calls = []
         with OptimisationService(num_workers=2) as service:
             service.optimise(squeezenet, "taso", TASO_FAST)
-            job_id = service.submit(squeezenet, "taso", TASO_FAST,
+            future = service.submit(squeezenet, "taso", TASO_FAST,
                                     progress=lambda *a: calls.append(a))
-            assert service.result(job_id, timeout=30).cache_hit
+            assert future.result(timeout=30).cache_hit
         assert calls == []
 
     def test_a_coalesced_follower_never_calls_progress(self, squeezenet,
@@ -180,8 +180,8 @@ class TestServiceProgress:
                 squeezenet, "gated-test",
                 progress=lambda *a: follower_calls.append(a))
             gated.gate.set()
-            assert not service.result(primary, timeout=30).coalesced
-            assert service.result(follower, timeout=30).coalesced
+            assert not primary.result(timeout=30).coalesced
+            assert follower.result(timeout=30).coalesced
         assert [call[0] for call in primary_calls] == [1, 2]
         assert follower_calls == []
 
@@ -195,10 +195,9 @@ class TestServiceProgress:
             waiter = service.submit(squeezenet, "taso", TASO_FAST,
                                     progress=lambda *a: calls.append(a))
             time.sleep(0.2)  # it waits in the pool's queue
-            assert service.scheduler.cancel(waiter) is True
+            assert waiter.cancel() is True
             gated.gate.set()
-            service.result(blocker, timeout=30)
-            assert service.scheduler.wait_all(timeout=30)
+            blocker.result(timeout=30)
         assert calls == []
 
     def test_a_raising_progress_leaves_the_search_alone(
@@ -216,8 +215,8 @@ class TestServiceProgress:
                 assert gated.started.wait(10)
                 follower = service.submit(squeezenet, "gated-test")
                 gated.gate.set()
-                result = service.result(primary, timeout=30)
-                followed = service.result(follower, timeout=30)
+                result = primary.result(timeout=30)
+                followed = follower.result(timeout=30)
             hit = service.optimise(squeezenet, "gated-test")
             stats = service.stats()
         assert len(calls) == 1  # not called again after it raised

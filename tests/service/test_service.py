@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import CancelledError
+from concurrent.futures import CancelledError, wait
 
 import pytest
 
@@ -19,8 +19,8 @@ from repro.models import MODEL_REGISTRY, build_model
 import repro.search
 from repro.search.result import SearchResult
 from repro.service import (CacheEntry, FingerprintCache, JobScheduler,
-                           JobState, OptimisationService, OptimiserSpec,
-                           QueueFullError, UnknownJobError, create_optimiser,
+                           OptimisationService, OptimiserSpec,
+                           QueueFullError, create_optimiser,
                            default_config, list_optimisers, optimiser_spec,
                            register_optimiser, request_fingerprint)
 from repro.service import cli
@@ -328,49 +328,39 @@ def _hold(started: threading.Event, release: threading.Event) -> bool:
 
 
 class TestJobScheduler:
-    def test_submit_poll_result_lifecycle(self):
+    def test_a_job_is_its_future(self):
         with JobScheduler(num_workers=2) as scheduler:
-            job_id = scheduler.submit(lambda x: x * 2, 21, label="double")
-            assert scheduler.result(job_id) == 42
-            assert scheduler.poll(job_id) is JobState.SUCCEEDED
-            record = scheduler.record(job_id)
-            assert record.label == "double"
-            assert record.queue_time_s >= 0
-            assert record.run_time_s >= 0
+            future = scheduler.submit(lambda x: x * 2, 21)
+            assert future.result(timeout=10) == 42
+            assert future.done() and not future.cancelled()
 
     def test_failure_is_reported_and_reraised(self):
         def boom():
             raise RuntimeError("search exploded")
 
         with JobScheduler(num_workers=1) as scheduler:
-            job_id = scheduler.submit(boom)
+            future = scheduler.submit(boom)
             with pytest.raises(RuntimeError, match="search exploded"):
-                scheduler.result(job_id)
-            assert scheduler.poll(job_id) is JobState.FAILED
-            assert "search exploded" in scheduler.record(job_id).error
+                future.result(timeout=10)
+            assert "search exploded" in str(future.exception())
 
     def test_bounded_queue_rejects_overload(self):
         release = threading.Event()
         with JobScheduler(num_workers=1, max_pending=2) as scheduler:
-            ids = [scheduler.submit(release.wait) for _ in range(2)]
+            held = [scheduler.submit(release.wait) for _ in range(2)]
             with pytest.raises(QueueFullError):
                 scheduler.submit(release.wait)
             release.set()
-            assert scheduler.wait_all(timeout=10)
-            # Capacity frees up once jobs finish.
-            done_id = scheduler.submit(lambda: "ok")
-            assert scheduler.result(done_id) == "ok"
-            assert all(scheduler.poll(i) is JobState.SUCCEEDED for i in ids)
-
-    def test_unknown_job_id(self):
-        with JobScheduler(num_workers=1) as scheduler:
-            with pytest.raises(UnknownJobError):
-                scheduler.poll(999)
+            # Capacity frees up once jobs finish: a job's slot is back
+            # before its future resolves.
+            assert [future.result(timeout=10) for future in held] \
+                == [True, True]
+            assert scheduler.submit(lambda: "ok").result(timeout=10) == "ok"
 
     def test_results_follow_submission_order(self):
         with JobScheduler(num_workers=2) as scheduler:
-            ids = [scheduler.submit(abs, -i) for i in range(6)]
-            assert [scheduler.result(i, timeout=60) for i in ids] == \
+            submitted = [scheduler.submit(abs, -i) for i in range(6)]
+            assert [future.result(timeout=60) for future in submitted] == \
                 list(range(6))
 
     def test_a_job_waiting_for_a_compute_slot_can_be_cancelled(
@@ -384,69 +374,22 @@ class TestJobScheduler:
             blocker = scheduler.submit(release.wait, 30)
             waiter = scheduler.submit(ran.append, "body")
             time.sleep(0.2)  # it waits in the pool's queue
-            assert scheduler.poll(waiter) is JobState.PENDING
-            assert scheduler.cancel(waiter) is True
-            assert scheduler.poll(waiter) is JobState.CANCELLED
+            assert not waiter.running() and not waiter.done()
+            assert waiter.cancel() is True
+            assert waiter.cancelled()
             with pytest.raises(CancelledError):
-                scheduler.result(waiter)
+                waiter.result()
             # Its admission slot is free again: a second job is admitted.
             after = scheduler.submit(lambda: "ok")
             release.set()
-            assert scheduler.result(blocker, timeout=10) is True
-            assert scheduler.result(after, timeout=10) == "ok"
-            assert scheduler.wait_all(timeout=10)
-            assert scheduler.counts()["cancelled"] == 1
+            assert blocker.result(timeout=10) is True
+            assert after.result(timeout=10) == "ok"
         assert ran == []  # its body never ran
-
-    def test_followers_of_a_cancelled_slot_waiter_end_cancelled(
-            self, monkeypatch):
-        """A follower shares its primary's future: when the primary is
-        cancelled while it waits in the pool's queue, so is every follower,
-        and none of them holds an admission slot afterwards."""
-        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
-        started, release = threading.Event(), threading.Event()
-        ran = []
-        with JobScheduler(num_workers=2, max_pending=2) as scheduler:
-            blocker = scheduler.submit(_hold, started, release)
-            assert started.wait(10)  # the blocker holds the only thread
-            waiter = scheduler.submit(ran.append, "body")
-            followers = [scheduler.attach(waiter) for _ in range(2)]
-            time.sleep(0.2)  # it waits in the pool's queue
-            assert scheduler.cancel(waiter) is True
-            for job_id in [waiter] + followers:
-                assert scheduler.poll(job_id) is JobState.CANCELLED
-                with pytest.raises(CancelledError):
-                    scheduler.result(job_id)
-            after = scheduler.submit(lambda: "ok")
-            release.set()
-            assert scheduler.result(blocker, timeout=10) is True
-            assert scheduler.result(after, timeout=10) == "ok"
-        assert ran == []
-
-    def test_waiting_for_a_slot_is_queue_time(self, monkeypatch):
-        """A job that waits in the pool's queue starts running only once a
-        pool thread picks it up: the wait counts as queue time, not run
-        time."""
-        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
-        started, release = threading.Event(), threading.Event()
-        with JobScheduler(num_workers=2) as scheduler:
-            blocker = scheduler.submit(_hold, started, release)
-            assert started.wait(10)  # the blocker holds the only thread
-            waiter = scheduler.submit(lambda: None)
-            time.sleep(0.3)
-            assert scheduler.poll(waiter) is JobState.PENDING
-            release.set()
-            scheduler.result(blocker, timeout=10)
-            scheduler.result(waiter, timeout=10)
-            waited = scheduler.record(waiter)
-        assert waited.queue_time_s >= 0.3
-        assert waited.run_time_s < waited.queue_time_s
 
     def test_shutdown_stops_the_worker_threads(self):
         with JobScheduler(num_workers=2) as scheduler:
-            workers = {scheduler.result(
-                scheduler.submit(threading.current_thread), timeout=10)
-                for _ in range(4)}
+            workers = {scheduler.submit(threading.current_thread).result(
+                timeout=10) for _ in range(4)}
         assert workers and threading.current_thread() not in workers
         assert not any(worker.is_alive() for worker in workers)
 
@@ -461,22 +404,21 @@ class TestJobScheduler:
         sys.setswitchinterval(1e-6)
         try:
             with JobScheduler(num_workers=4, max_pending=200) as scheduler:
-                ids = [scheduler.submit(ran.append, i) for i in range(200)]
-                cancelled = {i for i, job_id in enumerate(ids)
-                             if i % 2 and scheduler.cancel(job_id)}
-                assert scheduler.wait_all(timeout=30)
-                states = [scheduler.poll(job_id) for job_id in ids]
+                submitted = [scheduler.submit(ran.append, i)
+                             for i in range(200)]
+                cancelled = {i for i, future in enumerate(submitted)
+                             if i % 2 and future.cancel()}
+                assert not wait(submitted, timeout=30).not_done
                 refill = [scheduler.submit(abs, -i) for i in range(200)]
-                assert scheduler.wait_all(timeout=30)
-                assert [scheduler.result(i) for i in refill] == \
+                assert [future.result(timeout=30) for future in refill] == \
                     list(range(200))
         finally:
             sys.setswitchinterval(interval)
         assert sorted(ran) == sorted(set(range(200)) - cancelled)
-        assert {i for i, state in enumerate(states)
-                if state is JobState.CANCELLED} == cancelled
-        assert all(state is JobState.SUCCEEDED for i, state
-                   in enumerate(states) if i not in cancelled)
+        assert {i for i, future in enumerate(submitted)
+                if future.cancelled()} == cancelled
+        assert all(future.exception() is None for i, future
+                   in enumerate(submitted) if i not in cancelled)
 
 
 # ---------------------------------------------------------------------------
@@ -534,16 +476,23 @@ class TestOptimisationService:
         assert warm.cache_hit
         assert cold.fingerprint == warm.fingerprint
 
-    def test_finished_jobs_are_retired_beyond_max_history(self, monkeypatch):
-        monkeypatch.setattr(scheduler_module, "MAX_HISTORY", 3)
-        with JobScheduler(num_workers=1) as scheduler:
-            job_ids = [scheduler.submit(lambda i=i: i, label=f"j{i}")
-                       for i in range(6)]
-            assert scheduler.wait_all(timeout=10)
-            assert scheduler.result(job_ids[-1]) == 5
-            with pytest.raises(UnknownJobError):
-                scheduler.poll(job_ids[0])  # oldest terminal job retired
-            assert scheduler.poll(job_ids[-1]) is JobState.SUCCEEDED
+    def test_waiting_for_a_slot_is_queue_time(self, mlp_graph, monkeypatch):
+        """A search that waits in the pool's queue starts running only once
+        a pool thread picks it up: the wait counts as queue time, not run
+        time."""
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
+        started, release = threading.Event(), threading.Event()
+        with OptimisationService(num_workers=2) as service:
+            blocker = service.scheduler.submit(_hold, started, release)
+            assert started.wait(10)  # the blocker holds the only thread
+            waiter = service.submit(mlp_graph, "taso", TASO_FAST)
+            time.sleep(0.3)
+            assert not waiter.running() and not waiter.done()
+            release.set()
+            blocker.result(timeout=10)
+            waited = waiter.result(timeout=30)
+        assert waited.queue_time_s >= 0.3
+        assert 0 <= waited.run_time_s < waited.queue_time_s
 
     def test_cache_hit_keeps_the_callers_model_name(self, mlp_graph):
         with OptimisationService(num_workers=1) as service:
@@ -557,17 +506,17 @@ class TestOptimisationService:
     def test_failed_batch_admission_cancels_pending_jobs(self, mlp_graph):
         release = threading.Event()
         with OptimisationService(num_workers=1, max_pending=2) as service:
-            blocker = service.scheduler.submit(release.wait, label="blocker")
+            blocker = service.scheduler.submit(release.wait)
             items = [(mlp_graph, "a"), (mlp_graph, "b"), (mlp_graph, "c")]
             with pytest.raises(QueueFullError):
                 service.submit_batch(items, "taso", TASO_FAST,
                                      use_cache=False)
             release.set()
-            service.scheduler.result(blocker)
-            counts = service.scheduler.counts()
+            assert blocker.result(timeout=10) is True
+            counts = service.stats()["jobs"]
         # The one admitted (still pending) job was cancelled on rollback.
         assert counts["cancelled"] == 1
-        assert counts["succeeded"] == 1  # just the blocker
+        assert counts["succeeded"] == 0
 
     def test_failed_batch_admission_cancels_jobs_waiting_for_a_slot(
             self, mlp_graph, monkeypatch):
@@ -582,28 +531,23 @@ class TestOptimisationService:
             yield (mlp_graph, "b")
 
         with OptimisationService(num_workers=2, max_pending=2) as service:
-            blocker = service.scheduler.submit(release.wait, 30,
-                                               label="blocker")
+            blocker = service.scheduler.submit(release.wait, 30)
             with pytest.raises(QueueFullError):
                 service.submit_batch(items(), "taso", TASO_FAST,
                                      use_cache=False)
             release.set()
-            service.scheduler.result(blocker, timeout=10)
-            assert service.scheduler.wait_all(timeout=10)
-            counts = service.scheduler.counts()
+            assert blocker.result(timeout=10) is True
+            counts = service.stats()["jobs"]
         assert counts["cancelled"] == 1
-        assert counts["succeeded"] == 1  # just the blocker
+        assert counts["succeeded"] == 0
 
     def test_batch_results_follow_submission_order(self):
         names = ["vit", "squeezenet", "bert", "resnet18"]
         graphs = [(build_small_model(name), name) for name in names]
         with OptimisationService(num_workers=4) as service:
-            job_ids = service.submit_batch(graphs, "taso", TASO_FAST)
-            assert job_ids == sorted(job_ids)
-            results = service.gather(job_ids)
+            submitted = service.submit_batch(graphs, "taso", TASO_FAST)
+            results = [future.result() for future in submitted]
         assert [r.search.model for r in results] == names
-        assert all(r.job_id == job_id
-                   for r, job_id in zip(results, job_ids))
 
     def test_parallel_matches_serial_over_model_registry(self):
         names = sorted(MODEL_REGISTRY)
@@ -615,10 +559,9 @@ class TestOptimisationService:
             serial[name] = optimiser.optimise(graphs[name], name)
 
         with OptimisationService(num_workers=4) as service:
-            job_ids = service.submit_batch(
+            parallel = service.optimise_batch(
                 [(graphs[name], name) for name in names],
                 "taso", TASO_FAST, use_cache=False)
-            parallel = service.gather(job_ids)
 
         for name, result in zip(names, parallel):
             assert result.search.final_graph.structural_hash() \
@@ -742,13 +685,13 @@ class TestOptimisationService:
         assert "workers: 2" in lines
         assert not any(line.startswith("backend") for line in lines)
 
-    def test_failed_job_pollable_and_reraised(self, mlp_graph):
+    def test_failed_job_counted_and_reraised(self, mlp_graph):
         with OptimisationService(num_workers=1) as service:
             # A value the optimiser constructor rejects fails in the worker.
-            job_id = service.submit(mlp_graph, "taso", {"alpha": "guessed"})
+            future = service.submit(mlp_graph, "taso", {"alpha": "guessed"})
             with pytest.raises(ValueError, match="guessed"):
-                service.result(job_id)
-            assert service.poll(job_id) is JobState.FAILED
+                future.result()
+            assert service.stats()["jobs"]["failed"] == 1
 
     def test_shared_persistent_cache_between_services(self, tmp_path,
                                                       squeezenet):

@@ -123,11 +123,11 @@ def test_service_equals_in_process(service, name, mode):
                             progress=lambda *call: local_calls.append(call)
                             ).search
     calls = []
-    job_id = service.submit(graph, "taso", TASO_FAST, model_name=name,
+    future = service.submit(graph, "taso", TASO_FAST, model_name=name,
                             use_cache=mode == "cached",
                             progress=(lambda *call: calls.append(call))
                             if mode == "progress" else None)
-    result = service.result(job_id, timeout=120)
+    result = future.result(timeout=120)
     _assert_same_search(result.search, local)
     assert result.search.model == name
     if mode == "progress":
@@ -157,8 +157,8 @@ def test_concurrent_searches_price_as_serial_ones(fresh_templates):
                                           TASO_FAST, model_name=name,
                                           use_cache=False))
                     for name in names for _ in range(2)]
-            results = [(name, service.result(job_id, timeout=300).search)
-                       for name, job_id in jobs]
+            results = [(name, future.result(timeout=300).search)
+                       for name, future in jobs]
     finally:
         sys.setswitchinterval(interval)
     for name, search in results:
@@ -196,11 +196,11 @@ def test_every_optimiser_through_the_service(squeezenet, optimiser, mode):
     calls = []
     # A fresh service per case, so the first request always searches.
     with OptimisationService(num_workers=2) as service:
-        job_id = service.submit(squeezenet, optimiser, config,
+        future = service.submit(squeezenet, optimiser, config,
                                 use_cache=mode == "cached",
                                 progress=(lambda *call: calls.append(call))
                                 if mode == "progress" else None)
-        result = service.result(job_id, timeout=300)
+        result = future.result(timeout=300)
         assert not result.cache_hit
         _assert_same_search(result.search, local)
         assert result.search.optimiser == local.optimiser

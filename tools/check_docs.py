@@ -51,7 +51,7 @@ _ROADMAP_POINTER_RE = re.compile(
 #: as it is, and its README still cites two items by number (lines 222 and
 #: 310); they go with the next change to the benchmark.
 ROADMAP_POINTER_PATHS = ("src", "tests", "docs", "benchmarks", "tools",
-                         "README.md")
+                         "README.md", ".claude")
 
 
 def github_slug(heading: str) -> str:
