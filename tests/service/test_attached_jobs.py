@@ -122,6 +122,39 @@ class TestAttachedJobs:
         assert (jobs["succeeded"], jobs["cancelled"], jobs["pending"]) \
             == (2, 1, 0)
 
+    def test_a_running_search_cannot_be_cancelled(self, gated):
+        graph = _graph()
+        with OptimisationService(num_workers=1) as service:
+            primary = service.submit(graph, "gate-test")
+            assert gated.started.wait(10)
+            follower = service.submit(graph, "gate-test")
+            assert primary.cancel() is False
+            gated.gate.set()
+            searched = primary.result(timeout=10)
+            followed = follower.result(timeout=10)
+            jobs = service.stats()["jobs"]
+        assert not searched.coalesced and followed.coalesced
+        assert (jobs["succeeded"], jobs["cancelled"]) == (2, 0)
+
+    def test_cancelling_every_follower_leaves_the_search(self, gated):
+        graph = _graph()
+        with OptimisationService(num_workers=1) as service:
+            primary = service.submit(graph, "gate-test")
+            assert gated.started.wait(10)
+            followers = [service.submit(graph, "gate-test")
+                         for _ in range(3)]
+            assert [future.cancel() for future in followers] == [True] * 3
+            assert not primary.done()
+            gated.gate.set()
+            assert not primary.result(timeout=10).coalesced
+            # The search stored its entry all the same.
+            repeat = service.submit(graph, "gate-test")
+            assert repeat.done() and repeat.result(timeout=0).cache_hit
+            jobs = service.stats()["jobs"]
+        assert gated.runs == 1
+        assert (jobs["succeeded"], jobs["cancelled"], jobs["pending"]) \
+            == (2, 3, 0)
+
     def test_a_follower_keeps_its_result_after_the_primary_is_delivered(
             self, gated):
         graph = _graph()

@@ -393,6 +393,28 @@ class TestJobScheduler:
         assert workers and threading.current_thread() not in workers
         assert not any(worker.is_alive() for worker in workers)
 
+    def test_a_closed_scheduler_refuses_jobs(self):
+        scheduler = JobScheduler(num_workers=1)
+        scheduler.shutdown()
+        scheduler.shutdown()  # a second close is a no-op
+        with pytest.raises(RuntimeError, match="closed"):
+            scheduler.submit(lambda: None)
+
+    def test_shutdown_without_waiting_still_runs_queued_jobs(
+            self, monkeypatch):
+        """One pool thread: the second job is still queued when the
+        scheduler closes, and its future resolves all the same."""
+        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 1)
+        release = threading.Event()
+        scheduler = JobScheduler(num_workers=2)
+        blocker = scheduler.submit(release.wait, 30)
+        queued = scheduler.submit(lambda: "ran")
+        scheduler.shutdown(wait=False)
+        assert not queued.done()
+        release.set()
+        assert blocker.result(timeout=10) is True
+        assert queued.result(timeout=10) == "ran"
+
     def test_cancels_racing_the_slot_pickup_stay_consistent(
             self, monkeypatch):
         """Two pool threads race to pick up jobs while every other job is
