@@ -719,8 +719,9 @@ class FingerprintCache:
         except OSError:  # evicted by another process since it was read
             pass
 
-    def _scan_entries(self) -> List[Tuple[Path, os.stat_result]]:
-        """(path, stat) for every entry file, the next victim first.
+    def _scan_entries(self) -> List[Tuple[os.DirEntry, os.stat_result]]:
+        """(directory entry, stat) for every entry file, the next victim
+        first: one directory read, one ``stat`` per file, no ``Path`` made.
 
         Lowest :func:`_priority` first; equal priorities go by access
         stamp (atime), oldest first — on a filesystem whose timestamps are
@@ -728,12 +729,15 @@ class FingerprintCache:
         raises the inflation value to the lowest priority found, so a
         process that has not scanned before starts where the directory is.
         """
-        found: List[Tuple[Path, os.stat_result]] = []
-        for path in self.cache_dir.glob("*.json"):
-            try:
-                found.append((path, path.stat()))
-            except OSError:  # raced with another process's eviction
-                continue
+        found: List[Tuple[os.DirEntry, os.stat_result]] = []
+        with os.scandir(self.cache_dir) as listing:
+            for item in listing:
+                if not item.name.endswith(".json"):
+                    continue
+                try:
+                    found.append((item, item.stat()))
+                except OSError:  # raced with another process's eviction
+                    continue
         found.sort(key=lambda item: (_priority(item[1]), item[1].st_atime))
         lowest = next((_priority(stat) for _, stat in found
                        if _priority(stat) > -math.inf), 0.0)
@@ -756,12 +760,12 @@ class FingerprintCache:
         if self.policy.ttl_s is not None:
             cutoff = time.time() - self.policy.ttl_s
             keep = []
-            for path, stat in entries:
+            for item, stat in entries:
                 if stat.st_atime < cutoff:
-                    path.unlink(missing_ok=True)
+                    Path(item.path).unlink(missing_ok=True)
                     expired += 1
                 else:
-                    keep.append((path, stat))
+                    keep.append((item, stat))
             entries = keep
         total_bytes = sum(stat.st_size for _, stat in entries)
         index = 0
@@ -772,15 +776,16 @@ class FingerprintCache:
                           and total_bytes > self.policy.max_bytes)
             if not over_entries and not over_bytes:
                 break
-            path, stat = entries[index]
-            path.unlink(missing_ok=True)
+            item, stat = entries[index]
+            Path(item.path).unlink(missing_ok=True)
             total_bytes -= stat.st_size
             evicted += 1
             index += 1
         # The last victim and the first survivor, whichever exist.
         stamps = [_priority(stat)
                   for _, stat in entries[max(index - 1, 0):index + 1]]
-        live = {path.stem for path, _ in entries[index:]}
+        live = {item.name.removesuffix(".json")
+                for item, _ in entries[index:]}
         with self._lock:
             self._disk.age(*stamps)
             self._disk.uses = {fingerprint: uses for fingerprint, uses

@@ -9,6 +9,8 @@ subtrees are interchangeable, but not their *number*, and not which of them
 feeds which consumers.
 """
 
+import hashlib
+import shutil
 import sys
 import threading
 from pathlib import Path
@@ -26,6 +28,8 @@ from repro.ir import Graph, GraphValidationError, OpType
 from repro.ir import graph as graph_module
 from repro.ir.ops import OP_REGISTRY, infer_output_spec
 from repro.ir.serialize import graph_from_dict, graph_to_dict
+from repro.search import TASOOptimizer
+from repro.service import OptimisationService
 
 
 def _input(graph, shape=(2, 4)):
@@ -173,10 +177,15 @@ class TestMustDiffer:
         assert build(0).structural_hash() != build(1).structural_hash()
 
 
-def test_cycle_is_reported_not_looped_on():
-    g = Graph()
-    a = g.add_node(OpType.RELU, [_input(g)])
-    b = g.add_node(OpType.RELU, [a])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_cycle_is_reported_not_looped_on(warm, cold_tables):
+    def build():
+        g = Graph()
+        a = g.add_node(OpType.RELU, [_input(g)])
+        return g, a, g.add_node(OpType.RELU, [a])
+    if warm:  # every payload but the cycle's own is in the digest table
+        build()[0].structural_hash()
+    g, a, b = build()
     g.rewire_input(a, 0, b)
     with pytest.raises(GraphValidationError):
         g.structural_hash()
@@ -201,6 +210,7 @@ def _tagged(value):
 def _clear_tables():
     graph_module._TEMPLATES.clear()
     graph_module._PREFIX_INTERN.clear()
+    graph_module._DIGESTS.clear()
 
 
 def _inferred(graph):
@@ -251,24 +261,30 @@ def _counted(monkeypatch, name):
     return calls
 
 
-class TestPrefixInterning:
-    """The two process-wide tables behind a node-local payload — the node
-    templates ``add_node`` reads (output specs and payload) and the payloads
-    of nodes made otherwise (``_hash_prefix``) — may make a digest or an
-    inference cheaper, never different: not by being cold or warm, not by
-    what was built or hashed before, not by being full."""
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """Empty process-wide tables for one test (the test's own, restored
+    after it)."""
+    for name in ("_TEMPLATES", "_PREFIX_INTERN", "_DIGESTS"):
+        monkeypatch.setattr(graph_module, name, {})
 
-    @pytest.fixture(autouse=True)
-    def cold_tables(self, monkeypatch):
-        monkeypatch.setattr(graph_module, "_TEMPLATES", {})
-        monkeypatch.setattr(graph_module, "_PREFIX_INTERN", {})
+
+@pytest.mark.usefixtures("cold_tables")
+class TestPrefixInterning:
+    """The three process-wide tables behind a node digest — the node
+    templates ``add_node`` reads (output specs and payload), the payloads
+    of nodes made otherwise (``_hash_prefix``) and the digests of payloads
+    a whole-graph pass hashed before (``_DIGESTS``) — may make a digest or
+    an inference cheaper, never different: not by being cold or warm, not
+    by what was built or hashed before, not by being full."""
 
     def test_cold_warm_and_reversed_order_all_match_the_oracle(self):
         expected = [oracle_structural_hash(build()) for build in BUILDERS]
         _clear_tables()
         cold = [_checked_hash(build()) for build in BUILDERS]
-        # The pass above filled both.
-        assert graph_module._TEMPLATES and graph_module._PREFIX_INTERN
+        # The pass above filled all three.
+        assert graph_module._TEMPLATES and graph_module._PREFIX_INTERN \
+            and graph_module._DIGESTS
         warm = [_checked_hash(build()) for build in BUILDERS]
         _clear_tables()
         backwards = [_checked_hash(build())
@@ -300,8 +316,10 @@ class TestPrefixInterning:
         got = {}
 
         def worker(tid):
+            # Twice over: the second round reads digests either thread
+            # may have stored.
             got[tid] = [(g.structural_hash(), _outputs(g)) for g in (
-                build_small_model(name) for name in CATALOGUE)]
+                build_small_model(name) for name in CATALOGUE * 2)]
 
         threads = [threading.Thread(target=worker, args=(tid,))
                    for tid in range(2)]
@@ -315,15 +333,18 @@ class TestPrefixInterning:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert got == {0: expected, 1: expected}
+        assert got == {0: expected * 2, 1: expected * 2}
+        assert graph_module._DIGESTS
 
     def test_tables_stop_growing_at_their_bound(self, monkeypatch):
         monkeypatch.setattr(graph_module, "_TEMPLATES_MAX", 5)
         monkeypatch.setattr(graph_module, "_PREFIX_INTERN_MAX", 5)
+        monkeypatch.setattr(graph_module, "_DIGESTS_MAX", 5)
         for name in ("bert", "squeezenet", "bert"):
             _checked_hash(build_small_model(name))
             assert len(graph_module._TEMPLATES) == 5
             assert len(graph_module._PREFIX_INTERN) == 5
+            assert len(graph_module._DIGESTS) == 5
 
     @pytest.mark.parametrize("known", [True, False],
                              ids=["known-template", "unknown-template"])
@@ -391,3 +412,145 @@ class TestPrefixInterning:
                        for node in restored.nodes.values())
             _clear_tables()
             templates = 0
+
+
+# ---------------------------------------------------------------------------
+def _rewired_backwards():
+    """A graph whose ascending id order lists consumers before their
+    producers: ``r0 -> r1 -> r2 -> sub`` rewired to read ``t0 -> t1 -> t2``,
+    built after them, and ``sub`` reading ``t1`` and ``t2`` — a chain of
+    nodes that wait for a newer producer, one of them twice."""
+    g = Graph()
+    x = _input(g)
+    r0 = g.add_node(OpType.RELU, [x])
+    r1 = g.add_node(OpType.RELU, [r0])
+    g.add_node(OpType.RELU, [r1])
+    sub = g.add_node(OpType.SUB, [x, x])
+    t0 = g.add_node(OpType.TANH, [x])
+    t1 = g.add_node(OpType.TANH, [t0])
+    t2 = g.add_node(OpType.TANH, [t1])
+    g.rewire_input(r0, 0, t2)
+    g.rewire_input(sub, 0, t2)
+    g.rewire_input(sub, 1, t1)
+    return g
+
+
+def _waits(graph):
+    """Whether some node reads a producer with a larger id."""
+    return any(src > dst for nid in graph.nodes
+               for src, dst, _, _ in graph.in_edges(nid))
+
+
+@pytest.fixture(scope="module")
+def taso_document():
+    """A TASO result as a disk entry stores it: its fused nodes are newer
+    than the consumers rewired to them."""
+    result = TASOOptimizer(max_iterations=5).optimise(
+        build_small_model("squeezenet"))
+    assert result.applied_rules
+    return graph_to_dict(result.final_graph)
+
+
+#: A disk entry written before node digests were memoised (``taso``,
+#: ``{"max_iterations": 3}`` on reduced squeezenet), and its final graph's
+#: digest then.
+OLD_ENTRY = Path(__file__).resolve().parent / "data" / (
+    "788e50876717c2b946a5722695ea30c45634829e7962028c74829cf9cafcb7bd.json")
+OLD_FINAL_DIGEST = \
+    "b1641434b86430920500b24f325865d7935516bf72026a226d61ef4489576b80"
+
+
+@pytest.mark.usefixtures("cold_tables")
+class TestDigestTable:
+    """A whole-graph pass reads and fills ``_DIGESTS`` (payload bytes ->
+    their blake2b): a repeat costs lookups, never a different digest —
+    whether the table is empty, holds this graph's payloads or another
+    graph's, and whichever order the walk meets the nodes in."""
+
+    CASES = [*CATALOGUE, "taso-decoded", "structure", "rewired-backwards"]
+
+    def _builder(self, case, taso_document):
+        """A fresh, memo-free graph of ``case`` per call."""
+        if case == "taso-decoded":
+            return lambda: graph_from_dict(taso_document, validate=False)
+        if case == "structure":
+            model = build_small_model("vit")
+            return model.structure
+        if case == "rewired-backwards":
+            return _rewired_backwards
+        return lambda: build_small_model(case)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_empty_same_and_other_filled_tables_give_the_oracle(
+            self, case, taso_document):
+        build = self._builder(case, taso_document)
+        if case in ("taso-decoded", "rewired-backwards"):
+            assert _waits(build())
+        expected = oracle_structural_hash(build())
+        _clear_tables()
+        assert not graph_module._DIGESTS
+        assert build().structural_hash() == expected  # empty
+        assert graph_module._DIGESTS
+        assert build().structural_hash() == expected  # filled by itself
+        _clear_tables()
+        other = "resnet18" if case == "bert" else "bert"
+        build_small_model(other).structural_hash()
+        assert build().structural_hash() == expected  # filled by another
+
+    def test_a_repeat_hashes_no_node_payload(self, monkeypatch):
+        """Only the fan-out terms, which the table does not hold, call
+        blake2b when a graph is hashed the second time."""
+        build_small_model("bert").structural_hash()
+        calls = []
+        real = hashlib.blake2b
+
+        def counting(data, **kwargs):
+            calls.append(kwargs.get("person"))
+            return real(data, **kwargs)
+
+        graph = build_small_model("bert")
+        expected = oracle_structural_hash(graph)
+        monkeypatch.setattr(hashlib, "blake2b", counting)
+        assert graph.structural_hash() == expected
+        assert calls and set(calls) == {b"fanout"}
+
+    def test_a_candidates_cone_leaves_the_table_alone(self):
+        parent = build_small_model("bert")
+        parent.structural_hash()
+        stored = dict(graph_module._DIGESTS)
+        child = parent.copy()
+        gelu = next(nid for nid, node in child.nodes.items()
+                    if node.op_type is OpType.GELU)
+        (src, _, slot, _), = child.in_edges(gelu)
+        child.rewire_input(gelu, 0, child.add_node(OpType.TANH, [(src, slot)]))
+        assert child.delta_parent() is parent
+        assert child.structural_hash() == oracle_structural_hash(child)
+        assert graph_module._DIGESTS == stored
+
+    def test_same_shape_inputs_stay_apart_when_the_table_is_warm(self):
+        def build(flip):
+            g = Graph()
+            a, b = _input(g), _input(g)
+            g.add_node(OpType.SUB, [b, a] if flip else [a, b])
+            return g, a, b
+        for flip in (False, True, False, True):  # the second round is warm
+            g, a, b = build(flip)
+            table = g._digests()[0]
+            assert table[a] != table[b]
+            assert g.structural_hash() == oracle_structural_hash(g)
+        assert build(False)[0].structural_hash() != \
+            build(True)[0].structural_hash()
+
+    def test_an_entry_written_before_the_table_is_still_a_hit(self, tmp_path):
+        shutil.copy(OLD_ENTRY, tmp_path)
+        with OptimisationService(num_workers=1, cache_dir=tmp_path) as service:
+            result = service.optimise(build_small_model("squeezenet"), "taso",
+                                      {"max_iterations": 3},
+                                      model_name="squeezenet")
+            cache = service.stats()["cache"]
+        assert result.cache_hit
+        assert cache["persistent_hits"] == 1 and cache["misses"] == 0
+        assert [path.name for path in tmp_path.glob("*.json")] \
+            == [OLD_ENTRY.name]
+        assert result.graph.structural_hash() == OLD_FINAL_DIGEST \
+            == oracle_structural_hash(result.graph)

@@ -13,6 +13,7 @@ The acceptance bar for the distributed-service work:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -549,6 +550,34 @@ class TestEvictionPolicy:
         removed = cache.prune_persistent()
         assert removed == {"expired": 1, "evicted": 2}
         assert cache.persistent_usage()["entries"] == 2
+
+    def test_a_file_another_process_evicts_mid_scan_is_skipped(
+            self, tmp_path, monkeypatch):
+        graph = _tiny_graph()
+        writer = FingerprintCache(cache_dir=tmp_path)
+        for name in ("kept", "gone", "also_kept"):
+            writer.put(_entry(name, graph, "m"))
+        real = os.scandir
+
+        def unlinking(listing):
+            for item in listing:
+                if item.name == "gone.json":
+                    os.unlink(item.path)
+                yield item
+
+        @contextlib.contextmanager
+        def racing(path):
+            # "gone" is listed, then unlinked before its stat: another
+            # process's eviction landing between the two.
+            with real(path) as listing:
+                yield unlinking(listing)
+
+        monkeypatch.setattr(os, "scandir", racing)
+        cache = FingerprintCache(cache_dir=tmp_path,
+                                 policy=EvictionPolicy(max_entries=1))
+        assert cache.persistent_usage()["entries"] == 2
+        assert cache.prune_persistent() == {"expired": 0, "evicted": 1}
+        assert len(_on_disk(tmp_path)) == 1
 
     def test_unknown_entry_version_is_a_miss(self, tmp_path):
         graph = _tiny_graph()

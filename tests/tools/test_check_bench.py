@@ -215,7 +215,7 @@ class TestCeilings:
         """The fingerprint's line tells a reader comparing it with an older
         recording that the payload moved into the build."""
         note = check_bench.KEY_NOTES["hit_path.*.fingerprint_us_per_node"]
-        assert "build_us_per_node" in note
+        assert "build_us_per_node" in note and "warm digest table" in note
         for per_node, smoke in ((2.2, True), (2.2, False), (3.5, True)):
             problems, notes = self._evaluate(self._doc(per_node=per_node),
                                              smoke)
@@ -235,6 +235,17 @@ class TestCeilings:
             assert "above the ceiling 3" in problems[0]
             problems, _ = self._evaluate(self._doc(ratio=9.0), smoke)
             assert len(problems) == 1 and "disk_over_memory" in problems[0]
+
+    def test_a_first_sight_fingerprint_has_no_ceiling(self):
+        """Recorded beside the gated repeat, read, never gated."""
+        fresh = self._doc()
+        fresh["results"]["hit_path"]["bert"][
+            "fingerprint_first_us_per_node"] = 3.5
+        for smoke in (True, False):
+            problems, notes = self._evaluate(fresh, smoke)
+            assert problems == []
+            assert not any(note.startswith("hit_path.bert.fingerprint_first")
+                           for note in notes)
 
     def test_a_section_that_did_not_run_fails(self):
         fresh = self._doc()

@@ -207,6 +207,11 @@ def test_docs_job_gates_docstrings_of_the_rule_base_and_match_engine():
         <= set(gate.group(1).split())
 
 
+def test_docs_job_gates_docstrings_of_the_graph_ir():
+    gate = re.search(r"check_docs\.py --docstrings(.*)", CI)
+    assert gate and "src/repro/ir/graph.py" in gate.group(1).split()
+
+
 def test_docs_job_gates_only_paths_that_exist():
     """The gate reports a missing path too; this names the stale entry."""
     gate = re.search(r"check_docs\.py --docstrings(.*)", CI)

@@ -106,11 +106,13 @@ FLOOR_ONLY: Dict[str, Tuple[str, ...]] = {
 #: pattern matching no fresh key fails.  The search ceiling is a ratio of
 #: two counts; the service ones are properties of the code more than of
 #: the host: the first a ratio of two medians of one pinned run, the second
-#: one blake2b per node over the payload add_node left on it (1.6-3.1 on a
-#: 2-vCPU host that swings between a quiet and a loud state, where a hash
-#: that looked the payload up again read 2.8-6.0, so going back to that
-#: trips it; a build that stops reusing its templates shows in
-#: ``build_us_per_node`` beside it), the third a ratio
+#: a repeat's digests read from the process's digest table over the
+#: payload add_node left on each node (0.97-1.90 over 20 smoke runs on a
+#: 2-vCPU host that swings between a quiet and a loud state; one blake2b
+#: per node read 1.6-3.1 there, and a hash that looked the payload up
+#: again 2.8-6.0, so going back to that trips it; a build that stops
+#: reusing its templates shows in ``build_us_per_node`` beside it), the
+#: third a ratio
 #: of two sums of fixed costs that no host speed moves (0.59 where recorded
 #: with both tiers GreedyDual, 0.67 with the disk tier alone; LRU reads
 #: 1.0).
@@ -142,10 +144,12 @@ KEY_NOTES: Dict[str, str] = {
     "models.*.execute_ms": "timed after a BLAS warm-up since PR 22",
     # The payload moved from the hash into the template lookup add_node
     # already made for shape inference; recordings without
-    # build_us_per_node rendered or looked it up in the hash.
+    # build_us_per_node rendered or looked it up in the hash.  Recordings
+    # without fingerprint_first_us_per_node ran one blake2b per node.
     "hit_path.*.fingerprint_us_per_node":
         "the payload is read off the node, add_node built it: compare "
-        "together with build_us_per_node",
+        "together with build_us_per_node; a repeat, read from a warm "
+        "digest table (fingerprint_first_us_per_node: the table emptied)",
 }
 
 
